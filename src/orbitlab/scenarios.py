@@ -33,7 +33,7 @@ from .triangular import (
     interleave_triangularize,
     shuffled_matrix,
 )
-from .vectors import CoordFunctional, SparseVector
+from .vectors import CoordFunctional, SparseVector, close
 
 TASKS = ("transport", "triangularize", "disk", "hypercyclic", "refute")
 
@@ -315,8 +315,8 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
         disk = serialize.decode_disk(_need(payload, "disk"), mode)
         spec = build_shift_operator(basis, p, disk, ctx)
         s = spec.operator
-        chain_ok = s.apply(spec.us[0]).is_zero() and all(
-            s.apply(spec.us[k]) == spec.us[k - 1].scale(spec.weights[k - 1])
+        chain_ok = close(s.apply(spec.us[0]), SparseVector.zero(ctx.exact), ctx) and all(
+            close(s.apply(spec.us[k]), spec.us[k - 1].scale(spec.weights[k - 1]), ctx)
             for k in range(1, len(spec.us))
         )
         report.checks.append(CheckResult("chain-identities", chain_ok,

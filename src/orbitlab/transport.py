@@ -33,7 +33,7 @@ from .seminorms import (
     p_independent,
     separating_functional,
 )
-from .vectors import CoordFunctional, SparseVector
+from .vectors import CoordFunctional, SparseVector, close
 
 
 @dataclass(frozen=True)
@@ -275,8 +275,7 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
     for j, (n, m) in enumerate(zip(state.n_idx, state.m_idx), start=1):
         image = j_op.apply(state.a.vector(n))
         expected = state.b.vector(m)
-        same = image == expected if ctx.exact else _close(image, expected, ctx)
-        if not same:
+        if not close(image, expected, ctx):
             match_ok = False
             match_details.append(f"pair {j}: J a({n}) != b({m})")
     add("exact-matching", match_ok, "; ".join(match_details) or "all matched pairs exact")
@@ -286,15 +285,11 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
 
     try:
         j_inv = invert(j_op, ctx)
-        if ctx.exact:
-            round_trip = all(
-                j_inv.apply(j_op.apply(SparseVector.basis(i)))
-                == SparseVector.basis(i)
-                for i in _window_indices(state)
-            )
-            add("invertible", round_trip, "Gram solve and window round trip")
-        else:
-            add("invertible", True, "Gram solve with pivot tolerance")
+        round_trip = all(
+            close(j_inv.apply(j_op.apply(e)), e, ctx)
+            for e in (SparseVector.basis(i, ctx.exact) for i in _window_indices(state))
+        )
+        add("invertible", round_trip, "Gram solve and window round trip")
     except Exception as exc:  # noqa: BLE001 - reported, not raised
         add("invertible", False, str(exc))
 
@@ -316,8 +311,3 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
     add("min-rule-replay", replay_ok, "forced indices match the minimal-unused rule")
 
     return VerificationReport(checks=checks)
-
-
-def _close(x: SparseVector, y: SparseVector, ctx: ScalarContext) -> bool:
-    diff = x - y
-    return all(ctx.is_zero(v) for v in diff.entries.values())

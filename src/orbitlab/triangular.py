@@ -2,14 +2,23 @@
 
 Maintains two index prefixes alpha (into the functional list) and beta (into
 the basis list) such that every leading minor of the pairing matrix
-{f_alpha(j)(u_beta(k))} is invertible, alternating a forced minimal-index
-pick with a greedy scan.  From the minors it derives coefficients making the
-combined vectors v_m biorthogonal-triangular against the chosen functionals,
-which is exactly what turns the shuffled basis matrix unit lower triangular.
+A[j][k] = f_alpha(j)(u_beta(k)) is invertible, alternating a forced
+minimal-index pick with a greedy scan.  Both run on one bordered
+factorisation A = L·D·U (L and U^T unit lower triangular) that grows by a row
+and a column per pick (Golub & Van Loan, Matrix Computations, §3.2); as
+A^T = U^T·D·L^T, functional and vector picks share the code with the roles
+swapped.  A pivot is det A_{n+1} / det A_n, so the minors are running
+products, and column m of U_m^{-1} over the m-th pivot gives the coefficients
+making the combined vectors v_m biorthogonal-triangular against the chosen
+functionals, which is exactly what turns the shuffled basis matrix unit lower
+triangular.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -24,93 +33,116 @@ from .vectors import CoordFunctional, SparseVector
 WINDOW_MARGIN = 2
 
 
-def _pairing_matrix(funcs: Sequence[CoordFunctional],
-                    vectors: Sequence[SparseVector]) -> List[List[Scalar]]:
-    return [[f.pair(x) for x in vectors] for f in funcs]
+def _pair(a, b) -> Scalar:
+    """The pairing of a functional and a vector, given in either order."""
+    return a.pair(b) if isinstance(a, CoordFunctional) else b.pair(a)
 
 
-def _defect_functional(funcs, chosen, ctx) -> CoordFunctional:
-    """g = f_{n+1} - sum c_j f_j with g = 0 on all chosen vectors.
+def _forward(lower, rhs) -> List[Scalar]:
+    """Solve T x = rhs, T unit lower triangular given by its rows below the diagonal."""
+    x: List[Scalar] = []
+    for row, b in zip(lower, rhs):
+        x.append(b - sum(t * xj for t, xj in zip(row, x)))
+    return x
 
-    Solving the n x n pairing system for the c_j keeps everything exact, and
-    the determinant of the extended minor is g(x) times the previous one.
+
+def _back(lower, rhs) -> List[Scalar]:
+    """Solve T^T x = rhs for the leading len(rhs) x len(rhs) block of the same T."""
+    x = list(rhs)
+    for k in range(len(x) - 1, -1, -1):
+        x[k] -= sum(lower[j][k] * x[j] for j in range(k + 1, len(x)))
+    return x
+
+
+class _Bordered:
+    """A = L·D·U for the pairing matrix of the functionals and vectors chosen so far.
+
+    items[0] and items[1] hold the chosen functionals and vectors in pick
+    order, lower[0] and lower[1] the rows of L and of U^T below the diagonal,
+    pivots the diagonal of D.
     """
+
+    def __init__(self, ctx: ScalarContext):
+        self.ctx = ctx
+        self.items: Tuple[list, list] = ([], [])
+        self.lower: Tuple[list, list] = ([], [])
+        self.pivots: List[Scalar] = []
+
+    def extend(self, side: int, forced, candidates: Sequence) -> int:
+        """Border A with `forced` and the first candidate giving a non-zero pivot.
+
+        `forced` is a functional for side 0 and a vector for side 1; the
+        candidates are of the other kind.  Returns the position of the pick;
+        raises Exhausted when every pivot vanishes.
+        """
+        own, other = self.items[side], self.items[1 - side]
+        own_lower, other_lower = self.lower[side], self.lower[1 - side]
+        # the bordering row of A (of A^T for side 1) is row^T·D·U; the defect
+        # item pairs to zero with every chosen item of the other kind
+        c = [_pair(forced, y) for y in other]
+        row = [z / d for z, d in zip(_forward(other_lower, c), self.pivots)]
+        defect = forced
+        for lam, x in zip(_back(own_lower, row), own):
+            if lam != 0:
+                defect = defect - x.scale(lam)
+        for pos, candidate in enumerate(candidates):
+            pivot = _pair(defect, candidate)
+            if not self.ctx.is_zero(pivot):
+                break
+        else:
+            raise Exhausted("every candidate pairs to zero with the defect item")
+        b = [_pair(x, candidate) for x in own]
+        col = [z / d for z, d in zip(_forward(own_lower, b), self.pivots)]
+        own.append(forced)
+        other.append(candidate)
+        own_lower.append(row)
+        other_lower.append(col)
+        self.pivots.append(pivot)
+        return pos
+
+    def coeffs(self, m: int) -> List[Scalar]:
+        """The solution c of A_m c = e_m: column m of U_m^{-1} over the m-th pivot."""
+        unit = [self.ctx.coerce(int(k == m - 1)) for k in range(m)]
+        return [c / self.pivots[m - 1] for c in _back(self.lower[1], unit)]
+
+
+def _greedy_extend(side, forced, chosen, candidates, ctx):
     n = len(chosen)
-    g = funcs[n]
-    if n == 0:
-        return g
-    matrix = [[funcs[j].pair(chosen[k]) for j in range(n)] for k in range(n)]
-    rhs = [funcs[n].pair(chosen[k]) for k in range(n)]
-    coeffs = linalg.solve(matrix, rhs, ctx)
-    for c, f in zip(coeffs, funcs[:n]):
-        if c != 0:
-            g = g - f.scale(c)
-    return g
-
-
-def _defect_vector(vectors, chosen_funcs, ctx) -> SparseVector:
-    """Dual construction: y = x_{n+1} - sum c_k x_k killed by the chosen funcs."""
-    n = len(chosen_funcs)
-    y = vectors[n]
-    if n == 0:
-        return y
-    matrix = [[chosen_funcs[j].pair(vectors[k]) for k in range(n)] for j in range(n)]
-    rhs = [chosen_funcs[j].pair(vectors[n]) for j in range(n)]
-    coeffs = linalg.solve(matrix, rhs, ctx)
-    for c, x in zip(coeffs, vectors[:n]):
-        if c != 0:
-            y = y - x.scale(c)
-    return y
+    if len(forced) < n + 1:
+        raise ValueError(f"need {n + 1} items on the forced side to extend {n} chosen ones")
+    lu = _Bordered(ctx)
+    for item, pick in zip(forced, chosen):
+        try:
+            lu.extend(side, item, [pick])
+        except Exhausted:
+            raise ValueError("chosen prefix has a singular leading pairing minor") from None
+    pos = lu.extend(side, forced[n], candidates)
+    return candidates[pos], math.prod(lu.pivots)
 
 
 def greedy_extend_vector(funcs: Sequence[CoordFunctional],
                          chosen: Sequence[SparseVector],
                          candidates: Sequence[SparseVector],
                          ctx: ScalarContext = EXACT) -> Tuple[SparseVector, Scalar]:
-    """First candidate keeping the extended minor invertible, with its det."""
-    pos, det = _scan_vector(funcs, chosen, candidates, ctx)
-    return candidates[pos], det
+    """First candidate keeping the extended minor invertible, with its det.
 
-
-def _scan_vector(funcs, chosen, candidates, ctx, prev_det=None) -> Tuple[int, Scalar]:
-    n = len(chosen)
-    if len(funcs) < n + 1:
-        raise ValueError("need n+1 functionals to extend n chosen vectors")
-    if prev_det is None:
-        prev_det = linalg.determinant(_pairing_matrix(funcs[:n], chosen), ctx)
-    if ctx.is_zero(prev_det):
-        raise ValueError("chosen prefix has a singular pairing matrix")
-    g = _defect_functional(list(funcs), list(chosen), ctx)
-    for pos, x in enumerate(candidates):
-        value = g.pair(x)
-        if not ctx.is_zero(value):
-            return pos, value * prev_det
-    raise Exhausted("all candidates lie in the kernel of the defect functional")
+    Every leading minor of the pairing of funcs[:n] with the n chosen vectors
+    must be invertible, as interleave_triangularize keeps them; ValueError
+    otherwise, even when the full n x n minor is not singular.
+    """
+    return _greedy_extend(0, funcs, chosen, candidates, ctx)
 
 
 def greedy_extend_functional(vectors: Sequence[SparseVector],
                              chosen: Sequence[CoordFunctional],
                              candidates: Sequence[CoordFunctional],
                              ctx: ScalarContext = EXACT) -> Tuple[CoordFunctional, Scalar]:
-    """Dual of greedy_extend_vector with vector and functional roles swapped."""
-    pos, det = _scan_functional(vectors, chosen, candidates, ctx)
-    return candidates[pos], det
+    """Dual of greedy_extend_vector with vector and functional roles swapped.
 
-
-def _scan_functional(vectors, chosen, candidates, ctx, prev_det=None) -> Tuple[int, Scalar]:
-    n = len(chosen)
-    if len(vectors) < n + 1:
-        raise ValueError("need n+1 vectors to extend n chosen functionals")
-    if prev_det is None:
-        prev_det = linalg.determinant(_pairing_matrix(chosen, vectors[:n]), ctx)
-    if ctx.is_zero(prev_det):
-        raise ValueError("chosen prefix has a singular pairing matrix")
-    y = _defect_vector(list(vectors), list(chosen), ctx)
-    for pos, f in enumerate(candidates):
-        value = f.pair(y)
-        if not ctx.is_zero(value):
-            return pos, value * prev_det
-    raise Exhausted("all candidate functionals vanish on the defect vector")
+    Same precondition: every leading minor of the pairing of the chosen
+    functionals with vectors[:n] must be invertible, else ValueError.
+    """
+    return _greedy_extend(1, vectors, chosen, candidates, ctx)
 
 
 @dataclass(frozen=True)
@@ -141,7 +173,7 @@ class TriangularizeState:
         return [self.basis[b - 1] for b in self.beta]
 
     def pairing_matrix(self) -> List[List[Scalar]]:
-        return _pairing_matrix(self.chosen_funcs(), self.chosen_basis())
+        return [[f.pair(x) for x in self.chosen_basis()] for f in self.chosen_funcs()]
 
 
 def interleave_triangularize(basis: Sequence[SparseVector],
@@ -167,67 +199,40 @@ def interleave_triangularize(basis: Sequence[SparseVector],
     if not all(reducer.try_add(dict(u.entries)) for u in basis):
         raise ValueError("basis vectors are not linearly independent")
 
-    alpha: List[int] = []
-    beta: List[int] = []
-    chosen_f: List[CoordFunctional] = []
-    chosen_u: List[SparseVector] = []
-    minors: List[Scalar] = []
+    lu = _Bordered(ctx)
+    items = (funcs, basis)
+    picks: Tuple[List[int], List[int]] = ([], [])  # alpha, beta
+    for step in range(target):
+        # even steps force a functional index and scan the basis, odd steps
+        # force a basis index and scan the functionals
+        side = step % 2
+        forced = min(i for i in range(1, len(items[side]) + 1) if i not in picks[side])
+        candidates = [i for i in range(1, len(items[1 - side]) + 1)
+                      if i not in picks[1 - side]]
+        pos = lu.extend(side, items[side][forced - 1],
+                        [items[1 - side][i - 1] for i in candidates])
+        picks[side].append(forced)
+        picks[1 - side].append(candidates[pos])
 
-    def unused(total, taken):
-        return [i for i in range(1, total + 1) if i not in taken]
-
-    one = Fraction(1) if ctx.exact else 1.0
-    for _ in range(stages):
-        # forced minimal functional index, greedy basis scan
-        a_idx = min(unused(len(funcs), set(alpha)))
-        alpha.append(a_idx)
-        chosen_f.append(funcs[a_idx - 1])
-        candidates = unused(len(basis), set(beta))
-        pos, det = _scan_vector(
-            chosen_f, chosen_u, [basis[i - 1] for i in candidates], ctx,
-            prev_det=minors[-1] if minors else one,
-        )
-        beta.append(candidates[pos])
-        chosen_u.append(basis[candidates[pos] - 1])
-        minors.append(det)
-
-        # forced minimal basis index, greedy functional scan
-        b_idx = min(unused(len(basis), set(beta)))
-        beta.append(b_idx)
-        chosen_u.append(basis[b_idx - 1])
-        candidates = unused(len(funcs), set(alpha))
-        pos, det = _scan_functional(
-            chosen_u, chosen_f, [funcs[i - 1] for i in candidates], ctx,
-            prev_det=minors[-1],
-        )
-        alpha.append(candidates[pos])
-        chosen_f.append(funcs[candidates[pos] - 1])
-        minors.append(det)
-
-    # coefficients: solve A_m c = e_m for each built m
     coeffs: List[Tuple[Scalar, ...]] = []
     vs: List[SparseVector] = []
-    full = _pairing_matrix(chosen_f, chosen_u)
     for m in range(1, target + 1):
-        a_m = [row[:m] for row in full[:m]]
-        rhs = [Fraction(0) if ctx.exact else 0.0] * m
-        rhs[m - 1] = Fraction(1) if ctx.exact else 1.0
-        c = linalg.solve(a_m, rhs, ctx)
+        c = lu.coeffs(m)
         coeffs.append(tuple(c))
         v = SparseVector.zero(ctx.exact)
-        for cj, u in zip(c, chosen_u[:m]):
+        for cj, u in zip(c, lu.items[1]):
             if cj != 0:
                 v = v + u.scale(cj)
         vs.append(v)
 
     return TriangularizeState(
-        alpha=tuple(alpha),
-        beta=tuple(beta),
+        alpha=tuple(picks[0]),
+        beta=tuple(picks[1]),
         basis=basis,
         funcs=funcs,
         coeffs=tuple(coeffs),
         v=tuple(vs),
-        minors=tuple(minors),
+        minors=tuple(itertools.accumulate(lu.pivots, operator.mul)),
     )
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
-from .scalars import Scalar, as_fraction
+from .scalars import Scalar, ScalarContext, as_fraction
 
 
 def _clean(entries: Mapping[int, Scalar], exact: bool) -> Dict[int, Scalar]:
@@ -118,3 +118,10 @@ class CoordFunctional(_FiniteMap):
 
     def __call__(self, x: SparseVector) -> Scalar:
         return self.pair(x)
+
+
+def close(x: _FiniteMap, y: _FiniteMap, ctx: ScalarContext) -> bool:
+    """x == y in exact mode; entry-wise within the tolerance in float mode."""
+    if ctx.exact:
+        return x == y
+    return all(ctx.is_zero(v) for v in (x - y).entries.values())

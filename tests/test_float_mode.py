@@ -1,5 +1,9 @@
 """Float scalar mode: same flows, comparisons up to the context tolerance."""
 
+import json
+import random
+from fractions import Fraction
+
 import pytest
 
 from orbitlab import (
@@ -11,13 +15,18 @@ from orbitlab import (
     dual_norm,
     eval_seminorm,
     invert,
+    linalg,
     minkowski,
 )
+from orbitlab.cli import main
+from orbitlab.density import Enumeration
 from orbitlab.errors import SingularOperator
 from orbitlab.operators import IDENTITY
 from orbitlab.scalars import FLOAT, ScalarContext
 from orbitlab.scenarios import Scenario, run_scenario
 from orbitlab.seminorms import separating_functional
+from orbitlab.transport import run_transport, verify_transport
+from orbitlab.triangular import interleave_triangularize
 
 
 def fsv(*entries):
@@ -92,6 +101,72 @@ def test_float_transport_scenario_runs():
     report = run_scenario(scenario)
     assert report.passed, [c.name for c in report.checks if not c.passed]
     assert report.scalar_mode == "float"
+
+
+def test_float_invertible_check_runs_the_round_trip(monkeypatch):
+    window, stages = 12, 2
+    active = window // 2
+    a_items = [SparseVector.basis(i, exact=False) for i in range(1, 2 * stages + 1)]
+    pi = [1, 0, 3, 2]
+    b_items = [a_items[pi[i]] + fsv(*[0] * (active + i), 1e-8) for i in range(2 * stages)]
+    _, state = run_transport(
+        Enumeration(tuple(a_items), "A"), Enumeration(tuple(b_items), "B"),
+        SeminormSpec.sup_on(range(1, active + 1), exact=False),
+        DiskSpec.l1_on(range(1, window + 1), exact=False),
+        [2.0 ** -(j + 2) for j in range(2 * stages)], stages, FLOAT,
+    )
+    assert verify_transport(state, FLOAT).passed
+    monkeypatch.setattr("orbitlab.transport.invert",
+                        lambda j, ctx: FiniteRankOperator(IDENTITY, (), exact=False))
+    checks = {c.name: c.passed for c in verify_transport(state, FLOAT).checks}
+    assert checks["invertible"] is False
+
+
+def test_float_triangularize_matches_exact():
+    rng = random.Random(4)
+    n = 8
+    while True:
+        rows = [[Fraction(rng.choice([0, 0, 0, 1, -1, 2]), rng.choice([1, 3])) for _ in range(n)]
+                for _ in range(n)]
+        if linalg.determinant(rows) != 0:
+            break
+    basis = [SparseVector({j + 1: v for j, v in enumerate(row) if v != 0}) for row in rows]
+    want = interleave_triangularize(
+        basis, [CoordFunctional.delta(i) for i in range(1, n + 3)], stages=4)
+    got = interleave_triangularize(
+        [SparseVector({i: float(v) for i, v in u.entries.items()}, exact=False) for u in basis],
+        [CoordFunctional.delta(i, exact=False) for i in range(1, n + 3)], 4, FLOAT)
+    # the scans skip some indices, so the pick order is not the identity
+    assert want.alpha != tuple(range(1, n + 1)) and want.beta != tuple(range(1, n + 1))
+    assert (got.alpha, got.beta) == (want.alpha, want.beta)
+    assert all(FLOAT.eq(g, float(w)) for g, w in zip(got.minors, want.minors))
+    for got_row, want_row in zip(got.coeffs, want.coeffs):
+        assert len(got_row) == len(want_row)
+        assert all(FLOAT.eq(g, float(w)) for g, w in zip(got_row, want_row))
+
+
+def test_float_build_shift_with_thirds(tmp_path):
+    # float rounding of thirds leaves S u_1 a few ulps away from zero
+    path = tmp_path / "shift.json"
+    path.write_text(json.dumps({
+        "name": "shift-thirds",
+        "scalar_mode": "float",
+        "window": 6,
+        "seed": 5,
+        "task": "hypercyclic",
+        "payload": {
+            "mode": "build-shift",
+            "basis": [[[1, "1"], [2, "1/3"]], [[2, "1/3"], [3, "2/3"]],
+                      [[1, "1/3"], [3, "1"], [4, "1/3"]], [[2, "1/3"], [4, "2/3"]]],
+            "p": {"kind": "sup", "weights": [[i, "1"] for i in range(1, 5)]},
+            "disk": {"weights": [[i, "1/3"] for i in range(1, 5)] + [[5, "1"], [6, "1"]]},
+        },
+    }))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out_dir)]) == 0
+    report = json.loads((out_dir / "shift.json").read_text())
+    checks = {c["name"]: c["passed"] for c in report["checks"]}
+    assert checks["chain-identities"] is True
 
 
 def test_context_comparisons():

@@ -54,6 +54,14 @@ class TestGreedyExtendVector:
                 deltas(2), [SparseVector.basis(1)], [SparseVector.basis(1), sv(3)]
             )
 
+    def test_singular_leading_minor_rejected(self):
+        # the full 2x2 minor is invertible, its leading 1x1 minor is not
+        with pytest.raises(ValueError):
+            greedy_extend_vector(
+                deltas(3), [SparseVector.basis(2), SparseVector.basis(1)],
+                [SparseVector.basis(3)],
+            )
+
     def test_determinant_recurrence_matches_direct_eval(self):
         rng = random.Random(51)
         for _ in range(25):
@@ -105,6 +113,14 @@ class TestGreedyExtendFunctional:
                 [CoordFunctional.delta(1), CoordFunctional.delta(3)],
             )
 
+    def test_singular_leading_minor_rejected(self):
+        with pytest.raises(ValueError):
+            greedy_extend_functional(
+                [SparseVector.basis(1), SparseVector.basis(2), SparseVector.basis(3)],
+                [CoordFunctional.delta(2), CoordFunctional.delta(1)],
+                [CoordFunctional.delta(3)],
+            )
+
 
 def check_state_invariants(state: TriangularizeState):
     """Replays every posted invariant from raw data."""
@@ -117,6 +133,19 @@ def check_state_invariants(state: TriangularizeState):
         direct = linalg.determinant(pairing(fs[:m], us[:m]))
         assert direct != 0
         assert direct == state.minors[m - 1]
+    # greedy minimality: odd picks force alpha and scan the basis, even picks
+    # force beta and scan the functionals; every unused index below a scanned
+    # pick gives a singular leading minor, the pick itself a non-zero one
+    for m in range(1, n + 1):
+        scanned = state.beta if m % 2 else state.alpha
+        for i in range(1, scanned[m - 1] + 1):
+            if i in scanned[: m - 1]:
+                continue
+            if m % 2:
+                minor = pairing(fs[:m], us[: m - 1] + [state.basis[i - 1]])
+            else:
+                minor = pairing(fs[: m - 1] + [state.funcs[i - 1]], us[:m])
+            assert (linalg.determinant(minor) != 0) == (i == scanned[m - 1])
     # coverage at every stage: {1..m} inside both prefixes of length 2m
     for m in range(1, n // 2 + 1):
         assert set(range(1, m + 1)) <= set(state.alpha[: 2 * m])
