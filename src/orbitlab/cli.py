@@ -151,8 +151,6 @@ def _cmd_hypercyclic(args) -> int:
             "eps": args.eps,
             "max_n": args.max_n,
         }
-    elif args.mode == "refute":
-        return _cmd_refute(args)
     else:
         payload = {"mode": "demo", "x0": _load_json(args.x), "horizon": args.horizon}
     return _finish(args, _scenario_from_flags(args, "hypercyclic", payload))
@@ -222,19 +220,16 @@ def build_parser() -> argparse.ArgumentParser:
     dk.set_defaults(func=_cmd_disks)
 
     hc = sub.add_parser("hypercyclic", help="shift assembly, witnesses, demos")
-    hc.add_argument("mode", choices=["build-shift", "witness", "demo", "refute"])
+    hc.add_argument("mode", choices=["build-shift", "witness", "demo"])
     hc.add_argument("--basis", default=None)
     hc.add_argument("--p", default=None)
     hc.add_argument("--disk", default=None)
     hc.add_argument("--op", default=None)
     hc.add_argument("--x", default=None)
     hc.add_argument("--y", default=None)
-    hc.add_argument("--b", default=None)
     hc.add_argument("--eps", default="1/1000")
     hc.add_argument("--max-n", type=int, default=64)
     hc.add_argument("--horizon", type=int, default=8)
-    hc.add_argument("--levels", type=int, default=4)
-    hc.add_argument("--first-active", type=int, default=1)
     _add_common(hc)
     hc.set_defaults(func=_cmd_hypercyclic)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .errors import Exhausted, KernelCollision, NoSeparation, NotANet
+from .errors import Exhausted, KernelCollision, NoSeparation, NotANet, NotInSpan
 from .scalars import EXACT, Scalar, ScalarContext
 from .seminorms import (
     DiskSpec,
@@ -159,7 +159,8 @@ def common_disk(a: Enumeration, b: Enumeration, net: EpsilonNet,
     round-robin pass over the targets, plus damped copies of the members
     themselves.  Weights make every combined element lie in the disk; the
     achieved net radii and the domination constant are measured and
-    reported, not promised.
+    reported, not promised.  NotInSpan when a combined element has a
+    coordinate beyond the net window, where the disk has no weight.
     """
     norm = net.seminorm()
     if not is_net(a.items, net):
@@ -190,6 +191,8 @@ def common_disk(a: Enumeration, b: Enumeration, net: EpsilonNet,
     for z in combined:
         size = len(z.entries)
         for i, val in z.entries.items():
+            if i not in weights:
+                raise NotInSpan(f"coordinate {i} lies beyond the net window 1..{net.window}")
             weights[i] = max(weights[i], size * abs(val))
     disk = DiskSpec(weights=weights, exact=ctx.exact)
 

@@ -5,13 +5,19 @@ what can be checked: the chain identities and continuity bound of the
 assembled shift, the dimension of span of range-kernel intersections feeding
 the dense-span premise, explicit transitivity witnesses with re-evaluable
 residuals, and the instrumented quantities of the non-orbit refutation.
+
+Operators stay in their term form sum_j f_j (x) v_j: powers are columns
+S^m e_i pushed through `FiniteRankOperator.apply`, ranks come from row
+reduction of those sparse columns, and no matrix power is ever multiplied
+out.  The only dense systems are the nullspace of S^{2n} and the witness's
+active-row solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .density import Enumeration, biorthogonalize
@@ -81,14 +87,12 @@ class PremiseReport:
         return self.window_meet_dim == self.window_dim
 
 
-def _independent_columns(columns: List[List[Scalar]], ctx: ScalarContext) -> List[List[Scalar]]:
+def _rank(vectors: Iterable[Mapping[int, Scalar]], ctx: ScalarContext) -> int:
+    """Rank of a family of coordinate maps, by incremental row reduction."""
     reducer = linalg.RowReducer(ctx)
-    kept = []
-    for col in columns:
-        as_map = {i + 1: v for i, v in enumerate(col) if not ctx.is_zero(v)}
-        if as_map and reducer.try_add(as_map):
-            kept.append(col)
-    return kept
+    for vec in vectors:
+        reducer.try_add(vec)
+    return reducer.rank
 
 
 def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
@@ -98,58 +102,46 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
     Computations run on the full support of the operator, which should
     extend beyond the probe window: a truncated chain is only surjective
     below its top, so headroom above the window is the finite stand-in for
-    the surjectivity of the infinite chain.  The intersection is S^n applied
-    to the nullspace of S^{2n}; the report compares the part of the
-    accumulated span lying inside the window against the window dimension.
+    the surjectivity of the infinite chain.  The columns S^m e_i come from
+    repeated `apply`.  S^n maps range(S^n) onto range(S^{2n}) with kernel
+    range(S^n) ∩ ker(S^n), so the intersection is S^n applied to the
+    nullspace of S^{2n}.  The report compares the part of the accumulated
+    span lying inside the window against the window dimension.
     """
     s = t.linear_part() if t.base == IDENTITY else t
     top = window
     for f, v in s.terms:
         top = max([top] + list(f.support) + list(v.support))
-    ambient = list(range(1, top + 1))
-    dim = len(ambient)
-    s_mat = s.matrix_on(ambient)
+    ambient = range(1, top + 1)
+    # powers[m][i - 1] = S^m e_i
+    powers = [[SparseVector.basis(i, ctx.exact) for i in ambient]]
+    for _ in range(2 * depth):
+        powers.append([s.apply(col) for col in powers[-1]])
     rows: List[PremiseRow] = []
-    union: List[List[Scalar]] = []
-    accumulated = linalg.RowReducer(ctx)
-    power = linalg.identity_matrix(dim, ctx.exact)
+    union: List[Dict[int, Scalar]] = []
     for n in range(1, depth + 1):
-        power = linalg.mat_mul(power, s_mat)
-        double = linalg.mat_mul(power, power)
-        dim_range = linalg.rank(power, ctx)
-        kernel = linalg.nullspace(power, cols=dim, ctx=ctx)
-        meet = [linalg.mat_vec(power, y) for y in linalg.nullspace(double, cols=dim, ctx=ctx)]
-        meet = _independent_columns(meet, ctx)
-        for col in meet:
-            if accumulated.try_add({i + 1: v for i, v in enumerate(col)
-                                    if not ctx.is_zero(v)}):
-                union.append(col)
+        dim_range = _rank((col.entries for col in powers[n]), ctx)
+        double = [[col.get(i) for col in powers[2 * n]] for i in ambient]
+        meet = []
+        for y in linalg.nullspace(double, cols=top, ctx=ctx):
+            vec: Dict[int, Scalar] = {}
+            for c, col in zip(y, powers[n]):
+                if not ctx.is_zero(c):
+                    for i, v in col.entries.items():
+                        vec[i] = vec.get(i, 0) + c * v
+            meet.append(vec)
+        union += meet
         rows.append(PremiseRow(
             n=n,
             dim_range=dim_range,
-            dim_kernel=len(kernel),
-            dim_intersection=len(meet),
+            dim_kernel=top - dim_range,
+            dim_intersection=_rank(meet, ctx),
         ))
-    # dim(U ∩ W) = dim U + dim W - dim(U + W) for the window subspace W
-    span_dim = accumulated.rank
-    window_rows = [
-        [Fraction(int(j + 1 == i)) if ctx.exact else float(j + 1 == i) for j in range(dim)]
-        for i in range(1, window + 1)
-    ]
-    joint = linalg.rank(union + window_rows, ctx)
-    window_meet = span_dim + window - joint
+    # dim(U ∩ W) = dim U - dim(image of U in the coordinates above the window)
+    span_dim = _rank(union, ctx)
+    above = _rank(({i: v for i, v in vec.items() if i > window} for vec in union), ctx)
     return PremiseReport(rows=rows, span_dim=span_dim, window_dim=window,
-                         window_meet_dim=window_meet)
-
-
-def _nilpotent_on_window(s_mat: List[List[Scalar]], ctx: ScalarContext) -> bool:
-    n = len(s_mat)
-    power = s_mat
-    for _ in range(n - 1):
-        if all(ctx.is_zero(v) for row in power for v in row):
-            return True
-        power = linalg.mat_mul(power, s_mat)
-    return all(ctx.is_zero(v) for row in power for v in row)
+                         window_meet_dim=span_dim - above)
 
 
 def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector,
@@ -161,7 +153,9 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
     The correction z - x lives in the window coordinates outside the active
     set of p (the free directions of the seminorm, the top of the chain);
     applying T^n cascades it into the active rows, which are solved exactly.
-    Raises WitnessNotFound with the best (n, residual) on failure.
+    T acts cut to the window: every `apply` is followed by restriction to
+    coordinates 1..window, so the n-th step is (P T P)^n with P the window
+    projection.  Raises WitnessNotFound with the best (n, residual) on failure.
     """
     if window is None:
         window = max(
@@ -169,34 +163,38 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
             + [max(v.support, default=1) for _, v in t.terms]
             + [max(f.support, default=1) for f, _ in t.terms]
         )
-    indices = list(range(1, window + 1))
+    indices = range(1, window + 1)
+
+    def step(op: FiniteRankOperator, v: SparseVector) -> SparseVector:
+        return op.apply(v).restrict(indices)
+
     s = t.linear_part() if t.base == IDENTITY else t
-    if not _nilpotent_on_window(s.matrix_on(indices), ctx):
+    cols = [SparseVector.basis(j, ctx.exact) for j in indices]
+    for _ in range(window):
+        cols = [w for w in (step(s, c) for c in cols) if not w.is_zero()]
+    if any(not ctx.is_zero(v) for c in cols for v in c.entries.values()):
         raise ValueError("witness search needs a nilpotent chain part on the window")
 
     active_rows = [i for i in indices if i in p.weights]
     free_cols = [i for i in indices if i not in p.weights]
-    t_mat = t.matrix_on(indices)
 
     res0 = eval_seminorm(p, x - y)
     if ctx.lt(res0, eps):
         return 0, x
     best_n, best_res = 0, res0
 
-    power = linalg.identity_matrix(window, ctx.exact)
-    x_col = [x.get(i) for i in indices]
-    y_col = [y.get(i) for i in indices]
+    # T^n x and T^n e_j for the free columns j, all cut to the window
+    tnx = x.restrict(indices)
+    tne = [SparseVector.basis(j, ctx.exact) for j in free_cols]
     for n in range(1, max_n + 1):
-        power = linalg.mat_mul(power, t_mat)
-        tnx = linalg.mat_vec(power, x_col)
-        block = [[power[i - 1][j - 1] for j in free_cols] for i in active_rows]
-        rhs = [y_col[i - 1] - tnx[i - 1] for i in active_rows]
-        sol = linalg.solve_any(block, rhs, ctx) if free_cols else None
+        tnx = step(t, tnx)
+        tne = [step(t, v) for v in tne]
+        gap = [y.get(i) - tnx.get(i) for i in active_rows]
+        block = [[v.get(i) for v in tne] for i in active_rows]
+        sol = linalg.solve_any(block, gap, ctx) if free_cols else None
         if sol is None:
             residual = SparseVector(
-                {i: y_col[i - 1] - tnx[i - 1] for i in active_rows
-                 if not ctx.is_zero(y_col[i - 1] - tnx[i - 1])},
-                ctx.exact,
+                {i: g for i, g in zip(active_rows, gap) if not ctx.is_zero(g)}, ctx.exact
             )
             drift = eval_seminorm(p, residual)
             if drift < best_res:
@@ -207,11 +205,10 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
         )
         z = x + correction
         res_x = eval_seminorm(p, z - x)
-        z_col = [z.get(i) for i in indices]
-        tnz = linalg.mat_vec(power, z_col)
-        image = SparseVector(
-            {i: v for i, v in zip(indices, tnz) if not ctx.is_zero(v)}, ctx.exact
-        )
+        image = tnx
+        for v, c in zip(tne, sol):
+            if not ctx.is_zero(c):
+                image = image + v.scale(c)
         res_y = eval_seminorm(p, image - y)
         worst = max(res_x, res_y)
         if ctx.lt(res_x, eps) and ctx.lt(res_y, eps):
@@ -271,10 +268,9 @@ def build_nonorbit_set(family: Sequence[SeminormSpec], b: Enumeration,
         if not gap:
             raise NotNested(f"no new active coordinate between levels {n + 1} and {n + 2}")
         picks.append(SparseVector.basis(gap[0], ctx.exact))
-    reducer = linalg.RowReducer(ctx)
-    for x in list(b.items) + picks:
-        if not reducer.try_add(dict(x.entries)):
-            raise NotPIndependent("combined set is linearly dependent")
+    combined = list(b.items) + picks
+    if _rank((x.entries for x in combined), ctx) < len(combined):
+        raise NotPIndependent("combined set is linearly dependent")
     return NonOrbitSet(b=b, c=tuple(picks), family=family)
 
 
@@ -336,12 +332,8 @@ def refute_orbit(t: FiniteRankOperator, x: SparseVector, a_set: NonOrbitSet,
         for k, p_k in enumerate(a_set.family, start=1):
             series[k] += eval_seminorm(p_k, prefix[n]) / denom
 
-    reducer = linalg.RowReducer(ctx)
-    rank = 0
-    for el in distinct:
-        proj = {i: v for i, v in el.entries.items() if i in p1.weights}
-        if proj and reducer.try_add(proj):
-            rank += 1
+    rank = _rank(({i: v for i, v in el.entries.items() if i in p1.weights}
+                  for el in distinct), ctx)
 
     return RefuteReport(
         horizon=horizon,

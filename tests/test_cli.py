@@ -286,6 +286,26 @@ class TestCli:
         assert main(["run", "--scenario", str(path)]) == 2
         assert "missing" in capsys.readouterr().err
 
+    def test_common_disk_beyond_window_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "common.json"
+        path.write_text(json.dumps({
+            "name": "common-beyond", "scalar_mode": "exact", "window": 2, "seed": 0,
+            "task": "disk",
+            "payload": {"common": {"a": [[[1, "1"], [3, "1"]], [[2, "1"]]],
+                                   "b": [[[1, "1"]], [[2, "1"]]],
+                                   "targets": [[[1, "1"]]], "eps": "1/4"}},
+        }))
+        assert main(["run", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "coordinate 3" in err
+        assert "Traceback" not in err
+
+    def test_hypercyclic_refute_mode_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["hypercyclic", "refute", "--op", str(tmp_path / "op.json"),
+                  "--x", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+
     def test_triangularize_subcommand(self, tmp_path, capsys):
         basis_file = tmp_path / "basis.json"
         basis_file.write_text(json.dumps(encode([sv(1), sv(1, 1)])))

@@ -167,6 +167,13 @@ class TestCommonDisk:
         with pytest.raises(NotANet):
             common_disk(a, b, net)
 
+    def test_item_beyond_window_named(self):
+        a = Enumeration((SparseVector({1: frac(1), 3: frac(1)}), sv(0, 1)))
+        b = Enumeration((sv(1), sv(0, 1)))
+        net = EpsilonNet(window=2, targets=(sv(1),), eps=frac(1, 4))
+        with pytest.raises(NotInSpan, match="coordinate 3"):
+            common_disk(a, b, net)
+
 
 class TestNetHelpers:
     def test_is_net_and_report(self):

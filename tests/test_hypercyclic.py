@@ -140,6 +140,130 @@ class TestRangeKernelPremise:
             assert row.dim_intersection == min(row.dim_range, row.dim_kernel)
 
 
+def dense_premise(t, window, depth):
+    """Premise check on dense window matrices: powers by mat_mul, ranks and
+    nullspaces by rref, window meet by a joint rank with the window basis."""
+    s = t.linear_part() if t.base == IDENTITY else t
+    top = max([window] + [i for f, v in s.terms for i in f.support + v.support])
+    s_mat = s.matrix_on(range(1, top + 1))
+    power = linalg.identity_matrix(top)
+    rows, union = [], []
+    for n in range(1, depth + 1):
+        power = linalg.mat_mul(power, s_mat)
+        double = linalg.mat_mul(power, power)
+        meet = [linalg.mat_vec(power, y) for y in linalg.nullspace(double, cols=top)]
+        rows.append((n, linalg.rank(power), len(linalg.nullspace(power, cols=top)),
+                     linalg.rank(meet)))
+        union += meet
+    span_dim = linalg.rank(union)
+    window_rows = [[frac(int(j == i)) for j in range(top)] for i in range(window)]
+    return rows, span_dim, span_dim + window - linalg.rank(union + window_rows)
+
+
+def dense_nilpotent(s, top):
+    power = s.matrix_on(range(1, top + 1))
+    for _ in range(top):
+        power = linalg.mat_mul(power, s.matrix_on(range(1, top + 1)))
+    return all(v == 0 for row in power for v in row)
+
+
+class TestPremiseOracle:
+    def random_operator(self, rng, top):
+        def entries():
+            return {i: frac(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+                    for i in rng.sample(range(1, top + 1), rng.randint(1, min(3, top)))}
+        terms = tuple((CoordFunctional(entries()), SparseVector(entries()))
+                      for _ in range(rng.randint(0, 4)))
+        return FiniteRankOperator(rng.choice([ZERO, IDENTITY]), terms)
+
+    def test_matches_dense_oracle_on_random_operators(self):
+        rng = random.Random(301)
+        nilpotent = above = 0
+        for _ in range(120):
+            top = rng.randint(3, 8)
+            window = rng.randint(2, top)
+            depth = rng.randint(1, 4)
+            t = self.random_operator(rng, top)
+            report = range_kernel_premise_check(t, window, depth)
+            rows, span_dim, window_meet = dense_premise(t, window, depth)
+            assert [(r.n, r.dim_range, r.dim_kernel, r.dim_intersection)
+                    for r in report.rows] == rows
+            assert report.span_dim == span_dim
+            assert report.window_meet_dim == window_meet
+            assert report.window_dim == window
+            s = t.linear_part()
+            nilpotent += dense_nilpotent(s, top)
+            above += any(i > window for f, v in s.terms for i in f.support + v.support)
+        # the sample covers nilpotent and non-nilpotent parts, and supports
+        # reaching above the window
+        assert 0 < nilpotent < 120
+        assert above > 0
+
+    def test_shift_with_headroom_matches_dense_oracle(self):
+        spec, _, _ = standard_shift(9)
+        t = spec.operator.plus_identity()
+        report = range_kernel_premise_check(t, window=5, depth=4)
+        rows, span_dim, window_meet = dense_premise(t, 5, 4)
+        assert [(r.n, r.dim_range, r.dim_kernel, r.dim_intersection)
+                for r in report.rows] == rows
+        assert (report.span_dim, report.window_meet_dim) == (span_dim, window_meet)
+
+
+def dense_witness(t, x, y, eps, max_n, p, window):
+    """Witness search on powers of the dense window matrix of T."""
+    indices = list(range(1, window + 1))
+    active = [i for i in indices if i in p.weights]
+    free = [i for i in indices if i not in p.weights]
+    t_mat = t.matrix_on(indices)
+    power = linalg.identity_matrix(window)
+    x_col = [x.get(i) for i in indices]
+    for n in range(1, max_n + 1):
+        power = linalg.mat_mul(power, t_mat)
+        tnx = linalg.mat_vec(power, x_col)
+        sol = linalg.solve_any([[power[i - 1][j - 1] for j in free] for i in active],
+                               [y.get(i) - tnx[i - 1] for i in active])
+        if sol is None:
+            continue
+        z = x + SparseVector(dict(zip(free, sol)))
+        image = SparseVector(dict(zip(indices, linalg.mat_vec(power, [z.get(i) for i in indices]))))
+        if eval_seminorm(p, z - x) < eps and eval_seminorm(p, image - y) < eps:
+            return n, z
+    return None
+
+
+class TestWitnessWindowCut:
+    window = 6
+
+    def chain(self):
+        """Weighted shift on 1..window plus a term that leaves the window
+        (e_2 also feeds e_7) and one that reads it back (e_7 feeds e_1)."""
+        w = self.window
+        terms = [(CoordFunctional.delta(k + 1), SparseVector.basis(k).scale(frac(1, 2 ** k)))
+                 for k in range(1, w)]
+        terms.append((CoordFunctional.delta(2), SparseVector.basis(w + 1)))
+        terms.append((CoordFunctional.delta(w + 1), SparseVector.basis(1).scale(frac(3))))
+        return terms
+
+    def test_term_beyond_window_matches_dense_oracle(self):
+        t = FiniteRankOperator(IDENTITY, tuple(self.chain()))
+        p = SeminormSpec.sup_on([1, 2, 3])
+        x = SparseVector({1: frac(1), 2: frac(-1, 2), self.window + 1: frac(5)})
+        y = sv(2, 1, -1)
+        n, z = transitivity_witness(t, x, y, frac(1, 1000), 32, p, window=self.window)
+        assert (n, z) == dense_witness(t, x, y, frac(1, 1000), 32, p, self.window)
+        # the answer is that of the cut operator: the full powers of T differ
+        assert dense_witness(t, x, y, frac(1, 1000), 32, p, self.window + 1) != (n, z)
+
+    def test_fixed_direction_beyond_window_is_cut_away(self):
+        w = self.window
+        fixed = (CoordFunctional.delta(w + 1), SparseVector.basis(w + 1))
+        t = FiniteRankOperator(IDENTITY, tuple(self.chain()[:w - 1]) + (fixed,))
+        assert not dense_nilpotent(t.linear_part(), w + 1)
+        p = SeminormSpec.sup_on([1, 2, 3])
+        n, z = transitivity_witness(t, sv(1), sv(-1, 2), frac(1, 1000), 32, p, window=w)
+        assert (n, z) == dense_witness(t, sv(1), sv(-1, 2), frac(1, 1000), 32, p, w)
+
+
 class TestTransitivityWitness:
     def build(self, window, active):
         us = [SparseVector.basis(i) for i in range(1, window + 1)]
