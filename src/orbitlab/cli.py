@@ -3,7 +3,8 @@
 `orbitlab run` executes scenario files (optionally in parallel and against a
 stored expected report); the other subcommands assemble a scenario from
 flags and files for one-off runs.  Exit code 0 means every check in every
-report passed.
+report passed, 1 that a check failed and 2 that an input was unusable; an
+unusable scenario in a batch is reported and the others still run.
 """
 
 from __future__ import annotations
@@ -14,13 +15,16 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .errors import WorkbenchError
 from .reports import Report, emit_report
 from .scenarios import Scenario, ScenarioError, run_scenario
 
 OUT_ENV = "ORBITLAB_OUT"
+
+# errors that make a scenario unusable (exit 2) rather than failed (exit 1)
+UNUSABLE = (WorkbenchError, FileNotFoundError, json.JSONDecodeError)
 
 
 def _load_json(path: str):
@@ -40,37 +44,35 @@ def _emit(report: Report, fmt: str, out_dir: Optional[str], label: str) -> bytes
     return blob
 
 
-def _run_one(path: str, fmt: str, out_dir: Optional[str],
-             check_path: Optional[str]) -> Tuple[str, bool]:
-    expected = Path(check_path).read_bytes() if check_path else None
-    scenario = Scenario.from_dict(_load_json(path))
-    report = run_scenario(scenario)
-    _emit(report, fmt, out_dir, Path(path).stem)
-    ok = report.passed
-    if expected is not None and expected != emit_report(report, "json"):
-        ok = False
-        sys.stderr.write(f"{path}: report differs from {check_path}\n")
-    return path, ok
+def _run_one(path: str):
+    """The report of one scenario file, or the error that made it unusable."""
+    try:
+        return run_scenario(Scenario.from_dict(_load_json(path)))
+    except UNUSABLE as exc:
+        return exc
 
 
 def _cmd_run(args) -> int:
     out_dir = args.out or os.environ.get(OUT_ENV)
-    jobs = max(1, args.jobs)
-    results: List[Tuple[str, bool]] = []
-    if jobs == 1 or len(args.scenario) == 1:
-        for path in args.scenario:
-            results.append(_run_one(path, args.format, out_dir, args.check))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_one, path, args.format, out_dir, args.check)
-                for path in args.scenario
-            ]
-            results = [f.result() for f in futures]
-    failed = [path for path, ok in results if not ok]
+    expected = Path(args.check).read_bytes() if args.check else None
+    jobs = min(max(1, args.jobs), len(args.scenario))
+    unusable, failed = [], []
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        # map yields in input order, so reports are emitted in input order
+        for path, outcome in zip(args.scenario, pool.map(_run_one, args.scenario)):
+            if isinstance(outcome, Exception):
+                sys.stderr.write(f"error: {path}: {outcome}\n")
+                unusable.append(path)
+                continue
+            _emit(outcome, args.format, out_dir, Path(path).stem)
+            if expected is not None and expected != emit_report(outcome, "json"):
+                sys.stderr.write(f"{path}: report differs from {args.check}\n")
+                failed.append(path)
+            elif not outcome.passed:
+                failed.append(path)
     for path in failed:
         sys.stderr.write(f"FAIL {path}\n")
-    return 1 if failed else 0
+    return 2 if unusable else 1 if failed else 0
 
 
 def _scenario_from_flags(args, task: str, payload: dict) -> Scenario:
@@ -251,7 +253,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (WorkbenchError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except UNUSABLE as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -11,7 +11,6 @@ one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -62,11 +61,10 @@ class EpsilonNet:
     eps: Scalar
     norm: Optional[SeminormSpec] = None
 
-    def seminorm(self) -> SeminormSpec:
+    def seminorm(self, ctx: ScalarContext = EXACT) -> SeminormSpec:
         if self.norm is not None:
             return self.norm
-        exact = isinstance(self.eps, Fraction)
-        return SeminormSpec.sup_on(range(1, self.window + 1), exact=exact)
+        return SeminormSpec.sup_on(range(1, self.window + 1), ctx.one)
 
 
 def nearest_in(items: Sequence[SparseVector], target: SparseVector,
@@ -80,16 +78,18 @@ def nearest_in(items: Sequence[SparseVector], target: SparseVector,
     return best_pos, best
 
 
-def is_net(items: Sequence[SparseVector], net: EpsilonNet) -> bool:
-    norm = net.seminorm()
+def is_net(items: Sequence[SparseVector], net: EpsilonNet,
+           ctx: ScalarContext = EXACT) -> bool:
+    norm = net.seminorm(ctx)
     return all(
         nearest_in(items, t, norm)[1] <= net.eps for t in net.targets
     )
 
 
-def net_report(items: Sequence[SparseVector], net: EpsilonNet):
+def net_report(items: Sequence[SparseVector], net: EpsilonNet,
+               ctx: ScalarContext = EXACT):
     """Rows (target, nearest item, distance) for the CSV emitters."""
-    norm = net.seminorm()
+    norm = net.seminorm(ctx)
     rows = []
     for t in net.targets:
         pos, dist = nearest_in(items, t, norm)
@@ -111,7 +111,7 @@ def extract_p_independent(a: Enumeration, p: SeminormSpec,
             + [max(c.support, default=1) for c, _ in opens]
             + [max(p.active)]
         )
-        window_norm = SeminormSpec.sup_on(range(1, top + 1), exact=p.exact)
+        window_norm = SeminormSpec.sup_on(range(1, top + 1), ctx.one)
     reducer = linalg.RowReducer(ctx)
     picks: List[SparseVector] = []
     for n, (center, radius) in enumerate(opens, start=1):
@@ -162,10 +162,10 @@ def common_disk(a: Enumeration, b: Enumeration, net: EpsilonNet,
     reported, not promised.  NotInSpan when a combined element has a
     coordinate beyond the net window, where the disk has no weight.
     """
-    norm = net.seminorm()
-    if not is_net(a.items, net):
+    norm = net.seminorm(ctx)
+    if not is_net(a.items, net, ctx):
         raise NotANet("first enumeration misses a target beyond eps")
-    if not is_net(b.items, net):
+    if not is_net(b.items, net, ctx):
         raise NotANet("second enumeration misses a target beyond eps")
 
     count = rounds * len(net.targets)
@@ -182,25 +182,25 @@ def common_disk(a: Enumeration, b: Enumeration, net: EpsilonNet,
     for m, x in enumerate(list(a.items) + list(b.items), start=1):
         if x.is_zero():
             continue
-        gamma = Fraction(1, 2 ** m) / (1 + eval_seminorm(norm, x))
+        gamma = ctx.one / 2 ** m / (1 + eval_seminorm(norm, x))
         combined.append(x.scale(gamma))
 
     # Weight-form disk making every combined element have gauge <= 1.
     window = range(1, net.window + 1)
-    weights = {i: Fraction(1) if ctx.exact else 1.0 for i in window}
+    weights = {i: ctx.one for i in window}
     for z in combined:
         size = len(z.entries)
         for i, val in z.entries.items():
             if i not in weights:
                 raise NotInSpan(f"coordinate {i} lies beyond the net window 1..{net.window}")
             weights[i] = max(weights[i], size * abs(val))
-    disk = DiskSpec(weights=weights, exact=ctx.exact)
+    disk = DiskSpec(weights=weights)
 
     def net_radius(items):
         return max(
             (minkowski(disk, items[nearest_in(items, t, norm)[0]] - t, ctx)
              for t in net.targets),
-            default=Fraction(0),
+            default=ctx.zero,
         )
 
     return CommonDiskReport(

@@ -16,7 +16,6 @@ active-row solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
@@ -60,10 +59,10 @@ def build_shift_operator(us: Sequence[SparseVector], p: SeminormSpec,
         u_n = us[n - 1]
         f_next = fs[n]
         denom = minkowski(disk, u_n, ctx) * dual_norm(p, f_next)
-        w = (Fraction(1, 2 ** n) if ctx.exact else 2.0 ** -n) / denom
+        w = ctx.one / 2 ** n / denom
         weights.append(w)
         terms.append((f_next, u_n.scale(w)))
-    s = FiniteRankOperator(ZERO, tuple(terms), ctx.exact)
+    s = FiniteRankOperator(ZERO, tuple(terms))
     return ShiftOperatorSpec(us=us, fs=fs, weights=tuple(weights), operator=s)
 
 
@@ -114,7 +113,7 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
         top = max([top] + list(f.support) + list(v.support))
     ambient = range(1, top + 1)
     # powers[m][i - 1] = S^m e_i
-    powers = [[SparseVector.basis(i, ctx.exact) for i in ambient]]
+    powers = [[SparseVector.basis(i, ctx) for i in ambient]]
     for _ in range(2 * depth):
         powers.append([s.apply(col) for col in powers[-1]])
     rows: List[PremiseRow] = []
@@ -169,7 +168,7 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
         return op.apply(v).restrict(indices)
 
     s = t.linear_part() if t.base == IDENTITY else t
-    cols = [SparseVector.basis(j, ctx.exact) for j in indices]
+    cols = [SparseVector.basis(j, ctx) for j in indices]
     for _ in range(window):
         cols = [w for w in (step(s, c) for c in cols) if not w.is_zero()]
     if any(not ctx.is_zero(v) for c in cols for v in c.entries.values()):
@@ -185,7 +184,7 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
 
     # T^n x and T^n e_j for the free columns j, all cut to the window
     tnx = x.restrict(indices)
-    tne = [SparseVector.basis(j, ctx.exact) for j in free_cols]
+    tne = [SparseVector.basis(j, ctx) for j in free_cols]
     for n in range(1, max_n + 1):
         tnx = step(t, tnx)
         tne = [step(t, v) for v in tne]
@@ -194,14 +193,14 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
         sol = linalg.solve_any(block, gap, ctx) if free_cols else None
         if sol is None:
             residual = SparseVector(
-                {i: g for i, g in zip(active_rows, gap) if not ctx.is_zero(g)}, ctx.exact
+                {i: g for i, g in zip(active_rows, gap) if not ctx.is_zero(g)}
             )
             drift = eval_seminorm(p, residual)
             if drift < best_res:
                 best_n, best_res = n, drift
             continue
         correction = SparseVector(
-            {j: c for j, c in zip(free_cols, sol) if not ctx.is_zero(c)}, ctx.exact
+            {j: c for j, c in zip(free_cols, sol) if not ctx.is_zero(c)}
         )
         z = x + correction
         res_x = eval_seminorm(p, z - x)
@@ -218,8 +217,7 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
     raise WitnessNotFound(best_n, best_res)
 
 
-def omega_shift_demo(window: int, x0: SparseVector, horizon: int,
-                     exact: bool = True) -> List[SparseVector]:
+def omega_shift_demo(window: int, x0: SparseVector, horizon: int) -> List[SparseVector]:
     """Orbit prefix of the plain coordinate shift; entries beyond the window
     read as zero."""
     out = []
@@ -227,7 +225,7 @@ def omega_shift_demo(window: int, x0: SparseVector, horizon: int,
     for _ in range(horizon):
         out.append(x)
         x = SparseVector(
-            {i: x.get(i + 1) for i in range(1, window) if x.get(i + 1) != 0}, exact
+            {i: x.get(i + 1) for i in range(1, window) if x.get(i + 1) != 0}
         )
     return out
 
@@ -267,7 +265,7 @@ def build_nonorbit_set(family: Sequence[SeminormSpec], b: Enumeration,
         gap = sorted(family[n + 1].active - family[n].active)
         if not gap:
             raise NotNested(f"no new active coordinate between levels {n + 1} and {n + 2}")
-        picks.append(SparseVector.basis(gap[0], ctx.exact))
+        picks.append(SparseVector.basis(gap[0], ctx))
     combined = list(b.items) + picks
     if _rank((x.entries for x in combined), ctx) < len(combined):
         raise NotPIndependent("combined set is linearly dependent")
@@ -323,9 +321,8 @@ def refute_orbit(t: FiniteRankOperator, x: SparseVector, a_set: NonOrbitSet,
         if a_set.in_c(prefix[n]) and a_set.in_b(prefix[n + 1])
     ]
 
-    zero = Fraction(0) if ctx.exact else 0.0
-    p1_sum = zero
-    series: Dict[int, Scalar] = {k: zero for k in range(1, len(a_set.family) + 1)}
+    p1_sum = ctx.zero
+    series: Dict[int, Scalar] = {k: ctx.zero for k in range(1, len(a_set.family) + 1)}
     for n in m_set:
         denom = eval_seminorm(p1, prefix[n + 1])
         p1_sum += eval_seminorm(p1, prefix[n + 1]) / denom

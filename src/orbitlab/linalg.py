@@ -8,7 +8,6 @@ elimination.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .errors import SingularOperator
@@ -17,9 +16,8 @@ from .scalars import EXACT, Scalar, ScalarContext
 Matrix = List[List[Scalar]]
 
 
-def identity_matrix(n: int, exact: bool = True) -> Matrix:
-    one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def identity_matrix(n: int, ctx: ScalarContext = EXACT) -> Matrix:
+    return [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -52,14 +50,14 @@ def determinant(a: Matrix, ctx: ScalarContext = EXACT) -> Scalar:
     """Exact mode: Bareiss fraction-free elimination.  Float mode: Gauss."""
     n = len(a)
     if n == 0:
-        return Fraction(1) if ctx.exact else 1.0
+        return ctx.one
     m = [list(row) for row in a]
     if not ctx.exact:
         det = 1.0
         for k in range(n):
             piv = _pivot_row([m[i][k] for i in range(n)], k, ctx)
             if piv is None:
-                return 0.0
+                return ctx.zero
             if piv != k:
                 m[k], m[piv] = m[piv], m[k]
                 det = -det
@@ -71,18 +69,18 @@ def determinant(a: Matrix, ctx: ScalarContext = EXACT) -> Scalar:
         return det
 
     sign = 1
-    prev = Fraction(1)
+    prev = ctx.one
     for k in range(n - 1):
         piv = _pivot_row([m[i][k] for i in range(n)], k, ctx)
         if piv is None:
-            return Fraction(0)
+            return ctx.zero
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
+            m[i][k] = ctx.zero
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
 
@@ -126,11 +124,9 @@ def nullspace(a: Matrix, cols: Optional[int] = None, ctx: ScalarContext = EXACT)
     red, pivots = rref(a, ctx)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
-    zero = Fraction(0) if ctx.exact else 0.0
-    one = Fraction(1) if ctx.exact else 1.0
     for fc in free:
-        vec = [zero] * cols
-        vec[fc] = one
+        vec = [ctx.zero] * cols
+        vec[fc] = ctx.one
         for r, pc in enumerate(pivots):
             vec[pc] = -red[r][fc]
         basis.append(vec)
@@ -157,8 +153,7 @@ def solve_any(a: Matrix, b: Sequence[Scalar], ctx: ScalarContext = EXACT) -> Opt
     red, pivots = rref(aug, ctx)
     if cols in pivots:
         return None
-    zero = Fraction(0) if ctx.exact else 0.0
-    x = [zero] * cols
+    x = [ctx.zero] * cols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][cols]
     return x
@@ -166,7 +161,7 @@ def solve_any(a: Matrix, b: Sequence[Scalar], ctx: ScalarContext = EXACT) -> Opt
 
 def invert_matrix(a: Matrix, ctx: ScalarContext = EXACT) -> Matrix:
     n = len(a)
-    aug = [list(a[i]) + identity_matrix(n, ctx.exact)[i] for i in range(n)]
+    aug = [list(a[i]) + identity_matrix(n, ctx)[i] for i in range(n)]
     red, pivots = rref(aug, ctx)
     if pivots != list(range(n)):
         raise SingularOperator(f"{n}x{n} matrix is not invertible")

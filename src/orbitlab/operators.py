@@ -9,7 +9,6 @@ certificate only, never as a numerical inversion device.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -30,7 +29,6 @@ class FiniteRankOperator:
 
     base: str = IDENTITY
     terms: Tuple[Term, ...] = field(default_factory=tuple)
-    exact: bool = True
 
     def __post_init__(self):
         if self.base not in (IDENTITY, ZERO):
@@ -38,15 +36,15 @@ class FiniteRankOperator:
         object.__setattr__(self, "terms", tuple(self.terms))
 
     @classmethod
-    def identity(cls, exact: bool = True) -> "FiniteRankOperator":
-        return cls(IDENTITY, (), exact)
+    def identity(cls) -> "FiniteRankOperator":
+        return cls(IDENTITY, ())
 
     @classmethod
-    def zero(cls, exact: bool = True) -> "FiniteRankOperator":
-        return cls(ZERO, (), exact)
+    def zero(cls) -> "FiniteRankOperator":
+        return cls(ZERO, ())
 
     def with_term(self, f: CoordFunctional, v: SparseVector) -> "FiniteRankOperator":
-        return FiniteRankOperator(self.base, self.terms + ((f, v),), self.exact)
+        return FiniteRankOperator(self.base, self.terms + ((f, v),))
 
     @property
     def rank_bound(self) -> int:
@@ -54,13 +52,13 @@ class FiniteRankOperator:
 
     def linear_part(self) -> "FiniteRankOperator":
         """The operator minus its identity component."""
-        return FiniteRankOperator(ZERO, self.terms, self.exact)
+        return FiniteRankOperator(ZERO, self.terms)
 
     def plus_identity(self) -> "FiniteRankOperator":
-        return FiniteRankOperator(IDENTITY, self.terms, self.exact)
+        return FiniteRankOperator(IDENTITY, self.terms)
 
     def apply(self, x: SparseVector) -> SparseVector:
-        out = x if self.base == IDENTITY else SparseVector.zero(self.exact)
+        out = x if self.base == IDENTITY else SparseVector.zero()
         for f, v in self.terms:
             coeff = f.pair(x)
             if coeff != 0:
@@ -71,7 +69,7 @@ class FiniteRankOperator:
         """self after other, expanded back into base-plus-terms form."""
         terms: List[Term] = []
         for g, w in other.terms:
-            image = w if self.base == IDENTITY else SparseVector.zero(self.exact)
+            image = w if self.base == IDENTITY else SparseVector.zero()
             for f, v in self.terms:
                 coeff = f.pair(w)
                 if coeff != 0:
@@ -82,11 +80,12 @@ class FiniteRankOperator:
             for f, v in self.terms:
                 terms.append((f, v))
         base = IDENTITY if self.base == IDENTITY and other.base == IDENTITY else ZERO
-        return FiniteRankOperator(base, tuple(terms), self.exact)
+        return FiniteRankOperator(base, tuple(terms))
 
-    def matrix_on(self, indices: Sequence[int]) -> List[List[Scalar]]:
+    def matrix_on(self, indices: Sequence[int],
+                  ctx: ScalarContext = EXACT) -> List[List[Scalar]]:
         """Matrix of the operator restricted to the given window coordinates."""
-        cols = [self.apply(SparseVector.basis(j, self.exact)) for j in indices]
+        cols = [self.apply(SparseVector.basis(j, ctx)) for j in indices]
         return [[col.get(i) for col in cols] for i in indices]
 
 
@@ -108,7 +107,7 @@ def neumann_certificate(t: FiniteRankOperator, p: SeminormSpec, disk: DiskSpec,
     if t.base != ZERO:
         raise ValueError("certificate applies to the finite-rank part only")
     per_term = []
-    c = Fraction(0) if t.exact else 0.0
+    c = ctx.zero
     for f, v in t.terms:
         df = dual_norm(p, f)
         pv = minkowski(disk, v, ctx)
@@ -136,21 +135,20 @@ def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOpera
         raise ValueError("inversion expects an identity-plus-finite-rank operator")
     k = len(j.terms)
     if k == 0:
-        return FiniteRankOperator.identity(j.exact)
-    one = Fraction(1) if j.exact else 1.0
+        return FiniteRankOperator.identity()
     gram = [
-        [j.terms[r][0].pair(j.terms[c][1]) + (one if r == c else 0) for c in range(k)]
+        [j.terms[r][0].pair(j.terms[c][1]) + (ctx.one if r == c else 0) for c in range(k)]
         for r in range(k)
     ]
     m = linalg.invert_matrix(gram, ctx)
     new_terms = []
     for col in range(k):
-        u = SparseVector.zero(j.exact)
+        u = SparseVector.zero()
         for row in range(k):
             if m[row][col] != 0:
                 u = u + j.terms[row][1].scale(m[row][col])
         new_terms.append((j.terms[col][0], -u))
-    return FiniteRankOperator(IDENTITY, tuple(new_terms), j.exact)
+    return FiniteRankOperator(IDENTITY, tuple(new_terms))
 
 
 def orbit(t: FiniteRankOperator, x0: SparseVector, horizon: int) -> List[SparseVector]:

@@ -1,14 +1,18 @@
 """Scalar modes: exact rationals (default) or binary floats with a tolerance.
 
-A whole scenario runs in one mode.  Exact mode is the basis of every
-acceptance check; float mode exists for larger experiments and compares
-values up to a relative tolerance.
+A whole scenario runs in one mode, carried by one `ScalarContext`: it fixes
+the scalar type where text becomes scalars (`parse`), supplies `zero` and
+`one`, and compares.  Value types store the scalars they are given and never
+learn the mode.  Exact mode is the basis of every acceptance check; float
+mode exists for larger experiments.  In float mode `is_zero` is absolute
+(|x| <= tol) while `eq` and `lt` are relative (|a - b| <= tol * max(1, |a|, |b|)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 Scalar = Union[Fraction, float]
@@ -16,20 +20,9 @@ Scalar = Union[Fraction, float]
 DEFAULT_FLOAT_TOL = 2.0 ** -40
 
 
-def as_fraction(value) -> Fraction:
-    """Coerce ints, strings and fractions; reject floats (lossy by intent)."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot use {value!r} as an exact scalar")
-
-
 @dataclass(frozen=True)
 class ScalarContext:
-    """Comparison rules for one scalar mode."""
+    """The scalar type, its constants, its text form and its comparisons."""
 
     mode: str = "exact"
     tol: float = DEFAULT_FLOAT_TOL
@@ -44,10 +37,37 @@ class ScalarContext:
     def exact(self) -> bool:
         return self.mode == "exact"
 
+    @cached_property
+    def zero(self) -> Scalar:
+        return Fraction(0) if self.exact else 0.0
+
+    @cached_property
+    def one(self) -> Scalar:
+        return Fraction(1) if self.exact else 1.0
+
     def coerce(self, value) -> Scalar:
-        if self.exact:
-            return as_fraction(value)
-        return float(value)
+        """The value as a scalar of this mode; exact mode refuses floats (lossy by intent)."""
+        if not self.exact:
+            return float(value)
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, (int, str)):
+            return Fraction(value)
+        raise TypeError(f"cannot use {value!r} as an exact scalar")
+
+    def parse(self, text) -> Scalar:
+        """Scalar from its text form ("3/2", "-1", "0.25"); ValueError on
+        malformed text, a zero denominator, nan or an infinity."""
+        text = str(text).strip()
+        try:
+            value = Fraction(text)
+            return value if self.exact else float(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ValueError(f"{text!r} is not a finite scalar") from None
+
+    def format(self, x: Scalar) -> str:
+        """Canonical text of x; an int (an empty sum) prints in this mode's form."""
+        return format_scalar(x if self.exact else float(x))
 
     def is_zero(self, x: Scalar) -> bool:
         if self.exact:
@@ -79,10 +99,3 @@ def format_scalar(x: Scalar) -> str:
     if isinstance(x, int):
         return str(x)
     return repr(float(x))
-
-
-def parse_scalar(text: str, mode: str = "exact") -> Scalar:
-    text = text.strip()
-    if mode == "exact":
-        return Fraction(text)
-    return float(Fraction(text)) if "/" in text else float(text)

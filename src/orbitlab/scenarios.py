@@ -25,7 +25,7 @@ from .hypercyclic import (
     transitivity_witness,
 )
 from .reports import CheckResult, Report, Table, scenario_hash
-from .scalars import ScalarContext, Scalar, format_scalar, parse_scalar
+from .scalars import EXACT, ScalarContext, Scalar
 from .seminorms import SeminormSpec, eval_seminorm, minkowski
 from .transport import matched_pairs, run_transport, verify_transport
 from .triangular import (
@@ -93,23 +93,36 @@ def _need(payload: Dict[str, Any], key: str, where: str = "payload"):
     return payload[key]
 
 
-def _vectors(data, mode: str, where: str) -> List[SparseVector]:
+def _field(where: str, decode, *args):
+    """decode(*args); malformed data raises a ScenarioError naming `where`."""
+    try:
+        return decode(*args)
+    except KeyError as exc:
+        raise ScenarioError(f"{where}: missing {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+def _vectors(data, ctx: ScalarContext, where: str) -> List[SparseVector]:
     if not isinstance(data, list):
         raise ScenarioError(f"{where}: must be a list of vectors")
-    return [serialize.decode_vector(v, mode) for v in data]
+    return [_field(f"{where}[{k}]", serialize.decode_vector, v, ctx)
+            for k, v in enumerate(data)]
 
 
-def parse_eps_schedule(spec, count: int, mode: str = "exact") -> List[Scalar]:
+def parse_eps_schedule(spec, count: int, ctx: ScalarContext = EXACT) -> List[Scalar]:
     """Either an explicit list of scalars or "geometric:r" with slots r^(j+1)."""
     if isinstance(spec, str):
         kind, _, arg = spec.partition(":")
         if kind != "geometric" or not arg:
             raise ScenarioError(f"eps_schedule: unknown form {spec!r}")
-        r = parse_scalar(arg, mode)
+        r = _field("eps_schedule", ctx.parse, arg)
         if not 0 < r < 1:
             raise ScenarioError("eps_schedule: ratio must lie in (0, 1)")
         return [r ** (j + 1) for j in range(1, count + 1)]
-    return [parse_scalar(str(v), mode) for v in spec]
+    if not isinstance(spec, list):
+        raise ScenarioError("eps_schedule: must be a list of scalars or 'geometric:r'")
+    return [_field(f"eps_schedule[{k}]", ctx.parse, v) for k, v in enumerate(spec)]
 
 
 def run_scenario(scenario: Scenario) -> Report:
@@ -139,20 +152,19 @@ def _random_window_vector(rng, window: int, ctx: ScalarContext) -> SparseVector:
     for i in rng.sample(range(1, window + 1), rng.randint(0, min(window, 5))):
         num = rng.randint(-8, 8)
         den = rng.choice([1, 2, 4])
-        entries[i] = Fraction(num, den) if ctx.exact else num / den
-    return SparseVector(entries, ctx.exact)
+        entries[i] = ctx.coerce(Fraction(num, den))
+    return SparseVector(entries)
 
 
 def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
-    mode = scenario.scalar_mode
-    a = Enumeration(tuple(_vectors(_need(payload, "a"), mode, "payload.a")), "A")
-    b = Enumeration(tuple(_vectors(_need(payload, "b"), mode, "payload.b")), "B")
-    p = serialize.decode_seminorm(_need(payload, "p"), mode)
-    disk = serialize.decode_disk(_need(payload, "disk"), mode)
+    a = Enumeration(tuple(_vectors(_need(payload, "a"), ctx, "payload.a")), "A")
+    b = Enumeration(tuple(_vectors(_need(payload, "b"), ctx, "payload.b")), "B")
+    p = _field("payload.p", serialize.decode_seminorm, _need(payload, "p"), ctx)
+    disk = _field("payload.disk", serialize.decode_disk, _need(payload, "disk"), ctx)
     stages = int(_need(payload, "stages"))
     schedule = parse_eps_schedule(
-        payload.get("eps_schedule", "geometric:1/2"), max(2 * stages, 1), mode
+        payload.get("eps_schedule", "geometric:1/2"), max(2 * stages, 1), ctx
     )
 
     try:
@@ -171,13 +183,13 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
         residual = j.apply(a.vector(n)) - b.vector(m)
         rows.append([str(jj), str(n), str(m), serialize.format_vector(residual)])
     report.tables.append(Table("matched-pairs", ["j", "n_j", "m_j", "residual"], rows))
-    report.data["budget"] = format_scalar(state.budget_used(ctx))
+    report.data["budget"] = ctx.format(state.budget_used(ctx))
     report.data["operator"] = serialize.encode_operator(j)
     report.data["state"] = {
         "stage": state.stage,
         "n_idx": list(state.n_idx),
         "m_idx": list(state.m_idx),
-        "epsilons": [format_scalar(e) for e in state.epsilons],
+        "epsilons": [ctx.format(e) for e in state.epsilons],
     }
 
     # seeded spot-check: J fixes random vectors supported outside active(p)
@@ -187,9 +199,8 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
         if not kernel_coords:
             break
         x = SparseVector(
-            {i: Fraction(rng.randint(-9, 9)) if ctx.exact else float(rng.randint(-9, 9))
-             for i in rng.sample(kernel_coords, min(3, len(kernel_coords)))},
-            ctx.exact,
+            {i: ctx.coerce(rng.randint(-9, 9))
+             for i in rng.sample(kernel_coords, min(3, len(kernel_coords)))}
         )
         if j.apply(x) != x:
             fixed = False
@@ -199,10 +210,9 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
 
 def _run_triangularize_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
-    mode = scenario.scalar_mode
-    basis = _vectors(_need(payload, "basis"), mode, "payload.basis")
+    basis = _vectors(_need(payload, "basis"), ctx, "payload.basis")
     stages = int(_need(payload, "stages"))
-    funcs = [CoordFunctional.delta(i, ctx.exact) for i in range(1, scenario.window + 1)]
+    funcs = [CoordFunctional.delta(i, ctx) for i in range(1, scenario.window + 1)]
     state = interleave_triangularize(basis, funcs, stages, ctx)
 
     built = state.built
@@ -229,7 +239,7 @@ def _run_triangularize_task(scenario: Scenario, ctx, rng, report: Report):
 
     report.tables.append(Table(
         "prefixes", ["m", "alpha_m", "beta_m", "minor_det"],
-        [[str(m + 1), str(a), str(bb), format_scalar(d)]
+        [[str(m + 1), str(a), str(bb), ctx.format(d)]
          for m, (a, bb, d) in enumerate(zip(state.alpha, state.beta, state.minors))],
     ))
     report.tables.append(Table(
@@ -237,29 +247,28 @@ def _run_triangularize_task(scenario: Scenario, ctx, rng, report: Report):
         [[str(m + 1), serialize.format_vector(v)] for m, v in enumerate(state.v)],
     ))
     report.data["operator"] = serialize.encode_operator(op)
-    report.data["coeffs"] = [[format_scalar(c) for c in row] for row in state.coeffs]
+    report.data["coeffs"] = [[ctx.format(c) for c in row] for row in state.coeffs]
 
 
 def _run_disk_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
-    mode = scenario.scalar_mode
     if "generators" in payload:
-        gens = _vectors(payload["generators"], mode, "payload.generators")
+        gens = _vectors(payload["generators"], ctx, "payload.generators")
         disk = null_sequence_disk(gens)
         inside = True
         rows = []
         for i, g in enumerate(gens, start=1):
             gauge = minkowski(disk, g, ctx)
-            rows.append([str(i), serialize.format_vector(g), format_scalar(gauge)])
+            rows.append([str(i), serialize.format_vector(g), ctx.format(gauge)])
             if not gauge <= 1:
                 inside = False
         report.checks.append(CheckResult("generators-inside-disk", inside,
                                          "p_K(x_j) <= 1 for every generator"))
         report.tables.append(Table("generator-gauges", ["j", "generator", "p_K"], rows))
         probe_rows = []
-        for v in _vectors(payload.get("probes", []), mode, "payload.probes"):
+        for v in _vectors(payload.get("probes", []), ctx, "payload.probes"):
             try:
-                value = format_scalar(minkowski(disk, v, ctx))
+                value = ctx.format(minkowski(disk, v, ctx))
             except NotInSpan:
                 value = "NOT_IN_SPAN"
             probe_rows.append([serialize.format_vector(v), value])
@@ -267,39 +276,39 @@ def _run_disk_task(scenario: Scenario, ctx, rng, report: Report):
             report.tables.append(Table("probes", ["vector", "p_K"], probe_rows))
     elif "common" in payload:
         spec = payload["common"]
-        a = Enumeration(tuple(_vectors(_need(spec, "a", "payload.common"), mode,
+        a = Enumeration(tuple(_vectors(_need(spec, "a", "payload.common"), ctx,
                                        "payload.common.a")), "A")
-        b = Enumeration(tuple(_vectors(_need(spec, "b", "payload.common"), mode,
+        b = Enumeration(tuple(_vectors(_need(spec, "b", "payload.common"), ctx,
                                        "payload.common.b")), "B")
-        targets = tuple(_vectors(_need(spec, "targets", "payload.common"), mode,
+        targets = tuple(_vectors(_need(spec, "targets", "payload.common"), ctx,
                                  "payload.common.targets"))
-        eps = parse_scalar(str(_need(spec, "eps", "payload.common")), mode)
+        eps = _field("payload.common.eps", ctx.parse, _need(spec, "eps", "payload.common"))
         net = EpsilonNet(window=scenario.window, targets=targets, eps=eps)
         result = common_disk(a, b, net, ctx=ctx)
         report.checks.append(CheckResult("combined-elements-inside-disk",
                                          all(minkowski(result.disk, z, ctx) <= 1
                                              for z in result.combined),
                                          f"{len(result.combined)} elements"))
-        report.data["eps_a"] = format_scalar(result.eps_a)
-        report.data["eps_b"] = format_scalar(result.eps_b)
-        report.data["domination"] = format_scalar(result.domination)
+        report.data["eps_a"] = ctx.format(result.eps_a)
+        report.data["eps_b"] = ctx.format(result.eps_b)
+        report.data["domination"] = ctx.format(result.domination)
         report.tables.append(Table(
             "residual-schedule", ["m", "dist_a", "dist_b"],
-            [[str(m), format_scalar(da), format_scalar(db)]
+            [[str(m), ctx.format(da), ctx.format(db)]
              for m, da, db in result.schedule],
         ))
         for label, items in (("a", a.items), ("b", b.items)):
             rows = [
                 [serialize.format_vector(t), serialize.format_vector(nearest),
-                 format_scalar(dist)]
-                for t, nearest, dist in net_report(items, net)
+                 ctx.format(dist)]
+                for t, nearest, dist in net_report(items, net, ctx)
             ]
             report.tables.append(Table(
                 f"net-report-{label}", ["target", "nearest", "distance"], rows,
             ))
         report.tables.append(Table(
             "disk-weights", ["i", "d_i"],
-            [[str(i), format_scalar(w)] for i, w in sorted(result.disk.weights.items())],
+            [[str(i), ctx.format(w)] for i, w in sorted(result.disk.weights.items())],
         ))
     else:
         raise ScenarioError("payload: disk task needs 'generators' or 'common'")
@@ -307,15 +316,14 @@ def _run_disk_task(scenario: Scenario, ctx, rng, report: Report):
 
 def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
-    mode = scenario.scalar_mode
     kind = _need(payload, "mode")
     if kind == "build-shift":
-        basis = _vectors(_need(payload, "basis"), mode, "payload.basis")
-        p = serialize.decode_seminorm(_need(payload, "p"), mode)
-        disk = serialize.decode_disk(_need(payload, "disk"), mode)
+        basis = _vectors(_need(payload, "basis"), ctx, "payload.basis")
+        p = _field("payload.p", serialize.decode_seminorm, _need(payload, "p"), ctx)
+        disk = _field("payload.disk", serialize.decode_disk, _need(payload, "disk"), ctx)
         spec = build_shift_operator(basis, p, disk, ctx)
         s = spec.operator
-        chain_ok = close(s.apply(spec.us[0]), SparseVector.zero(ctx.exact), ctx) and all(
+        chain_ok = close(s.apply(spec.us[0]), SparseVector.zero(), ctx) and all(
             close(s.apply(spec.us[k]), spec.us[k - 1].scale(spec.weights[k - 1]), ctx)
             for k in range(1, len(spec.us))
         )
@@ -330,18 +338,19 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
                                          "p_D(S x) <= p(x) on 100 seeded vectors"))
         report.tables.append(Table(
             "weights", ["n", "w_n"],
-            [[str(n + 1), format_scalar(w)] for n, w in enumerate(spec.weights)],
+            [[str(n + 1), ctx.format(w)] for n, w in enumerate(spec.weights)],
         ))
         report.data["operator"] = serialize.encode_operator(s)
         premise = range_kernel_premise_check(s.plus_identity(), scenario.window,
                                     min(len(basis), 6), ctx)
         report.data["premise_span_dim"] = premise.window_meet_dim
     elif kind == "witness":
-        op = serialize.decode_operator(_need(payload, "operator"), mode)
-        x = serialize.decode_vector(_need(payload, "x"), mode)
-        y = serialize.decode_vector(_need(payload, "y"), mode)
-        p = serialize.decode_seminorm(_need(payload, "p"), mode)
-        eps = parse_scalar(str(_need(payload, "eps")), mode)
+        op = _field("payload.operator", serialize.decode_operator,
+                    _need(payload, "operator"), ctx)
+        x = _field("payload.x", serialize.decode_vector, _need(payload, "x"), ctx)
+        y = _field("payload.y", serialize.decode_vector, _need(payload, "y"), ctx)
+        p = _field("payload.p", serialize.decode_seminorm, _need(payload, "p"), ctx)
+        eps = _field("payload.eps", ctx.parse, _need(payload, "eps"))
         max_n = int(_need(payload, "max_n"))
         try:
             n, z = transitivity_witness(op, x, y, eps, max_n, p,
@@ -349,7 +358,7 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
         except WitnessNotFound as exc:
             report.checks.append(CheckResult("witness-found", False, str(exc)))
             report.data["best_n"] = exc.best_n
-            report.data["best_residual"] = format_scalar(exc.best_residual)
+            report.data["best_residual"] = ctx.format(exc.best_residual)
             return
         image = z
         for _ in range(n):
@@ -359,16 +368,16 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
         report.checks.append(CheckResult("witness-found", True, f"n = {n}"))
         report.checks.append(CheckResult("residuals-below-eps",
                                          res_x < eps and res_y < eps,
-                                         f"{format_scalar(res_x)}, {format_scalar(res_y)}"))
+                                         f"{ctx.format(res_x)}, {ctx.format(res_y)}"))
         report.tables.append(Table(
             "witness", ["n", "residual_x", "residual_y"],
-            [[str(n), format_scalar(res_x), format_scalar(res_y)]],
+            [[str(n), ctx.format(res_x), ctx.format(res_y)]],
         ))
         report.data["z"] = serialize.encode_pairs(z)
     elif kind == "demo":
-        x0 = serialize.decode_vector(_need(payload, "x0"), mode)
+        x0 = _field("payload.x0", serialize.decode_vector, _need(payload, "x0"), ctx)
         horizon = int(_need(payload, "horizon"))
-        steps = omega_shift_demo(scenario.window, x0, horizon, ctx.exact)
+        steps = omega_shift_demo(scenario.window, x0, horizon)
         report.checks.append(CheckResult("demo-run", True, f"{horizon} steps"))
         report.tables.append(Table(
             "orbit", ["n", "T^n x0"],
@@ -380,17 +389,17 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
 
 def _run_refute_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
-    mode = scenario.scalar_mode
     levels = int(_need(payload, "family_levels"))
     first = int(payload.get("first_active", 1))
     family = [
-        SeminormSpec.sup_on(range(1, first + n), exact=ctx.exact)
+        SeminormSpec.sup_on(range(1, first + n), ctx.one)
         for n in range(1, levels + 1)
     ]
-    b = Enumeration(tuple(_vectors(payload.get("b", []), mode, "payload.b")), "B")
+    b = Enumeration(tuple(_vectors(payload.get("b", []), ctx, "payload.b")), "B")
     ns = build_nonorbit_set(family, b, ctx)
-    op = serialize.decode_operator(_need(payload, "operator"), mode)
-    x = serialize.decode_vector(_need(payload, "x"), mode)
+    op = _field("payload.operator", serialize.decode_operator,
+                _need(payload, "operator"), ctx)
+    x = _field("payload.x", serialize.decode_vector, _need(payload, "x"), ctx)
     horizon = int(_need(payload, "horizon"))
     result = refute_orbit(op, x, ns, horizon, ctx)
 
@@ -407,9 +416,9 @@ def _run_refute_task(scenario: Scenario, ctx, rng, report: Report):
     report.data["diverges"] = result.diverges
     report.data["covers_a"] = result.covers_a
     report.data["m_count"] = result.m_count
-    report.data["p1_partial_sum"] = format_scalar(result.p1_partial_sum)
+    report.data["p1_partial_sum"] = ctx.format(result.p1_partial_sum)
     report.data["series_sums"] = {
-        str(k): format_scalar(v) for k, v in sorted(result.series_sums.items())
+        str(k): ctx.format(v) for k, v in sorted(result.series_sums.items())
     }
     report.data["first_exit"] = result.first_exit
     report.data["orbit_p1_rank"] = result.orbit_p1_rank

@@ -17,18 +17,19 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg, simplex
 from .errors import NoSeparation, NotInSpan, NotPBounded
-from .scalars import EXACT, Scalar, ScalarContext, as_fraction
+from .scalars import EXACT, Scalar, ScalarContext
 from .vectors import CoordFunctional, SparseVector
 
 SUP = "sup"
 L1 = "l1"
 
 
-def _clean_weights(weights: Mapping[int, Scalar], exact: bool) -> dict:
+def _clean_weights(weights: Mapping[int, Scalar]) -> dict:
     out = {}
     for idx, w in weights.items():
         idx = int(idx)
-        w = as_fraction(w) if exact else float(w)
+        if type(w) is int:
+            w = Fraction(w)
         if not w > 0:
             raise ValueError(f"weight at coordinate {idx} must be positive, got {w}")
         out[idx] = w
@@ -41,20 +42,19 @@ class SeminormSpec:
 
     kind: str
     weights: Mapping[int, Scalar] = field(default_factory=dict)
-    exact: bool = True
 
     def __post_init__(self):
         if self.kind not in (SUP, L1):
             raise ValueError(f"unknown seminorm kind {self.kind!r}")
-        object.__setattr__(self, "weights", _clean_weights(self.weights, self.exact))
+        object.__setattr__(self, "weights", _clean_weights(self.weights))
 
     @classmethod
-    def sup_on(cls, indices: Iterable[int], weight: Scalar = 1, exact: bool = True):
-        return cls(SUP, {i: weight for i in indices}, exact)
+    def sup_on(cls, indices: Iterable[int], weight: Scalar = 1):
+        return cls(SUP, {i: weight for i in indices})
 
     @classmethod
-    def l1_on(cls, indices: Iterable[int], weight: Scalar = 1, exact: bool = True):
-        return cls(L1, {i: weight for i in indices}, exact)
+    def l1_on(cls, indices: Iterable[int], weight: Scalar = 1):
+        return cls(L1, {i: weight for i in indices})
 
     @property
     def active(self) -> frozenset:
@@ -65,23 +65,19 @@ class SeminormSpec:
 
 
 def eval_seminorm(p: SeminormSpec, x: SparseVector) -> Scalar:
-    zero = Fraction(0) if p.exact else 0.0
+    """p(x); the int 0 when x is supported outside active(p)."""
     terms = [p.weights[i] * abs(v) for i, v in x.entries.items() if i in p.weights]
-    if not terms:
-        return zero
-    return max(terms) if p.kind == SUP else sum(terms, zero)
+    return max(terms, default=0) if p.kind == SUP else sum(terms)
 
 
 def dual_norm(p: SeminormSpec, f: CoordFunctional) -> Scalar:
-    """Smallest c with |f(x)| <= c p(x); NotPBounded if no such c exists."""
-    zero = Fraction(0) if p.exact else 0.0
+    """Smallest c with |f(x)| <= c p(x), the int 0 for f = 0; NotPBounded if
+    no such c exists."""
     for i in sorted(f.entries):
         if i not in p.weights:
             raise NotPBounded(i)
     terms = [abs(v) / p.weights[i] for i, v in f.entries.items()]
-    if not terms:
-        return zero
-    return sum(terms, zero) if p.kind == SUP else max(terms)
+    return sum(terms) if p.kind == SUP else max(terms, default=0)
 
 
 def dual_norm_witness(p: SeminormSpec, f: CoordFunctional) -> Tuple[Scalar, SparseVector]:
@@ -92,15 +88,15 @@ def dual_norm_witness(p: SeminormSpec, f: CoordFunctional) -> Tuple[Scalar, Spar
     """
     c = dual_norm(p, f)
     if f.is_zero():
-        return c, SparseVector.zero(p.exact)
+        return c, SparseVector.zero()
     if p.kind == SUP:
         entries = {
             i: (1 if v > 0 else -1) / p.weights[i] for i, v in f.entries.items()
         }
-        return c, SparseVector(entries, p.exact)
+        return c, SparseVector(entries)
     best = max(sorted(f.entries), key=lambda i: abs(f.entries[i]) / p.weights[i])
     sign = 1 if f.entries[best] > 0 else -1
-    return c, SparseVector({best: sign / p.weights[best]}, p.exact)
+    return c, SparseVector({best: sign / p.weights[best]})
 
 
 @dataclass(frozen=True)
@@ -114,30 +110,28 @@ class DiskSpec:
 
     weights: Optional[Mapping[int, Scalar]] = None
     generators: Optional[Tuple[SparseVector, ...]] = None
-    exact: bool = True
 
     def __post_init__(self):
         if (self.weights is None) == (self.generators is None):
             raise ValueError("disk needs exactly one of weights / generators")
         if self.weights is not None:
-            object.__setattr__(self, "weights", _clean_weights(self.weights, self.exact))
+            object.__setattr__(self, "weights", _clean_weights(self.weights))
         else:
             object.__setattr__(self, "generators", tuple(self.generators))
 
     @classmethod
-    def l1_on(cls, indices: Iterable[int], weight: Scalar = 1, exact: bool = True):
-        return cls(weights={i: weight for i in indices}, exact=exact)
+    def l1_on(cls, indices: Iterable[int], weight: Scalar = 1):
+        return cls(weights={i: weight for i in indices})
 
     @classmethod
-    def from_generators(cls, xs: Sequence[SparseVector], exact: bool = True):
-        return cls(generators=tuple(xs), exact=exact)
+    def from_generators(cls, xs: Sequence[SparseVector]):
+        return cls(generators=tuple(xs))
 
 
 def minkowski(disk: DiskSpec, u: SparseVector, ctx: ScalarContext = EXACT) -> Scalar:
     """Gauge of u with respect to the disk; NotInSpan if u is outside span D."""
-    zero = Fraction(0) if disk.exact else 0.0
     if disk.weights is not None:
-        total = zero
+        total = ctx.zero
         for i, v in u.entries.items():
             d = disk.weights.get(i)
             if d is None:
@@ -147,7 +141,7 @@ def minkowski(disk: DiskSpec, u: SparseVector, ctx: ScalarContext = EXACT) -> Sc
 
     gens = disk.generators
     if u.is_zero():
-        return zero
+        return ctx.zero
     if not gens:
         raise NotInSpan("empty generator list spans only 0")
     coords = sorted(set(u.support).union(*(g.support for g in gens)))
@@ -158,9 +152,8 @@ def minkowski(disk: DiskSpec, u: SparseVector, ctx: ScalarContext = EXACT) -> Sc
         for i in coords
     ]
     b = [u.get(i) for i in coords]
-    one = Fraction(1) if disk.exact else 1.0
     try:
-        result = simplex.solve_lp([one] * (2 * k), a, b, ctx)
+        result = simplex.solve_lp([ctx.one] * (2 * k), a, b, ctx)
     except simplex.Infeasible as exc:
         raise NotInSpan("u is not a combination of the generators") from exc
     return result.value
@@ -201,8 +194,7 @@ def separating_functional(p: SeminormSpec, constraints: Sequence[SparseVector],
         value = sum(c * uv for c, uv in zip(candidate, u_proj))
         if not ctx.is_zero(value):
             f = CoordFunctional(
-                {i: c for i, c in zip(coords, candidate) if not ctx.is_zero(c)},
-                p.exact,
+                {i: c for i, c in zip(coords, candidate) if not ctx.is_zero(c)}
             )
             return f.scale(1 / dual_norm(p, f))
     raise NoSeparation("u lies in span(constraints) + ker p")

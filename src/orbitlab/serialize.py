@@ -2,8 +2,9 @@
 
 Scalars travel as text ("3/2" for rationals in lowest terms, shortest
 round-trip decimals for floats); vectors and functionals as sorted
-index/value pair lists.  Encoders and decoders are inverse to each other in
-either scalar mode.
+index/value pair lists.  Decoders read scalars through `ctx.parse`, which
+fixes the scalar mode; encoders and decoders are inverse to each other in
+either mode.
 """
 
 from __future__ import annotations
@@ -11,43 +12,44 @@ from __future__ import annotations
 from typing import Any, List, Mapping
 
 from .operators import FiniteRankOperator
-from .scalars import Scalar, format_scalar, parse_scalar
+from .scalars import EXACT, Scalar, ScalarContext, format_scalar
 from .seminorms import DiskSpec, SeminormSpec
 from .vectors import CoordFunctional, SparseVector
+
+
+def _context(ctx) -> ScalarContext:
+    """ctx itself, or the context of a mode name: perfbench/setup_probe.py
+    still hands the decoders `Scenario.scalar_mode`."""
+    return ScalarContext(ctx) if isinstance(ctx, str) else ctx
 
 
 def encode_pairs(value) -> List[List[Any]]:
     return [[i, format_scalar(v)] for i, v in value.pairs()]
 
 
-def decode_vector(pairs, mode: str = "exact") -> SparseVector:
-    return SparseVector(
-        {int(i): parse_scalar(str(v), mode) for i, v in pairs}, mode == "exact"
-    )
+def decode_vector(pairs, ctx: ScalarContext = EXACT) -> SparseVector:
+    ctx = _context(ctx)
+    return SparseVector({int(i): ctx.parse(v) for i, v in pairs})
 
 
-def decode_functional(pairs, mode: str = "exact") -> CoordFunctional:
-    return CoordFunctional(
-        {int(i): parse_scalar(str(v), mode) for i, v in pairs}, mode == "exact"
-    )
+def decode_functional(pairs, ctx: ScalarContext = EXACT) -> CoordFunctional:
+    return CoordFunctional({int(i): ctx.parse(v) for i, v in pairs})
 
 
 def encode_weights(weights: Mapping[int, Scalar]) -> List[List[Any]]:
     return [[i, format_scalar(w)] for i, w in sorted(weights.items())]
 
 
-def decode_weights(pairs, mode: str = "exact") -> dict:
-    return {int(i): parse_scalar(str(w), mode) for i, w in pairs}
+def decode_weights(pairs, ctx: ScalarContext = EXACT) -> dict:
+    return {int(i): ctx.parse(w) for i, w in pairs}
 
 
 def encode_seminorm(p: SeminormSpec) -> dict:
     return {"kind": p.kind, "weights": encode_weights(p.weights)}
 
 
-def decode_seminorm(data: Mapping, mode: str = "exact") -> SeminormSpec:
-    return SeminormSpec(
-        data["kind"], decode_weights(data["weights"], mode), mode == "exact"
-    )
+def decode_seminorm(data: Mapping, ctx: ScalarContext = EXACT) -> SeminormSpec:
+    return SeminormSpec(data["kind"], decode_weights(data["weights"], _context(ctx)))
 
 
 def encode_disk(d: DiskSpec) -> dict:
@@ -56,14 +58,11 @@ def encode_disk(d: DiskSpec) -> dict:
     return {"generators": [encode_pairs(g) for g in d.generators]}
 
 
-def decode_disk(data: Mapping, mode: str = "exact") -> DiskSpec:
+def decode_disk(data: Mapping, ctx: ScalarContext = EXACT) -> DiskSpec:
+    ctx = _context(ctx)
     if "weights" in data:
-        return DiskSpec(weights=decode_weights(data["weights"], mode),
-                        exact=mode == "exact")
-    return DiskSpec(
-        generators=tuple(decode_vector(g, mode) for g in data["generators"]),
-        exact=mode == "exact",
-    )
+        return DiskSpec(weights=decode_weights(data["weights"], ctx))
+    return DiskSpec(generators=tuple(decode_vector(g, ctx) for g in data["generators"]))
 
 
 def encode_operator(t: FiniteRankOperator) -> dict:
@@ -75,12 +74,13 @@ def encode_operator(t: FiniteRankOperator) -> dict:
     }
 
 
-def decode_operator(data: Mapping, mode: str = "exact") -> FiniteRankOperator:
+def decode_operator(data: Mapping, ctx: ScalarContext = EXACT) -> FiniteRankOperator:
+    ctx = _context(ctx)
     terms = tuple(
-        (decode_functional(term["f"], mode), decode_vector(term["v"], mode))
+        (decode_functional(term["f"], ctx), decode_vector(term["v"], ctx))
         for term in data["terms"]
     )
-    return FiniteRankOperator(data["base"], terms, mode == "exact")
+    return FiniteRankOperator(data["base"], terms)
 
 
 def format_vector(value) -> str:
@@ -90,12 +90,12 @@ def format_vector(value) -> str:
     return " ".join(f"{i}:{format_scalar(v)}" for i, v in value.pairs())
 
 
-def parse_vector(text: str, mode: str = "exact") -> SparseVector:
+def parse_vector(text: str, ctx: ScalarContext = EXACT) -> SparseVector:
     text = text.strip()
     if text == "0" or not text:
-        return SparseVector.zero(mode == "exact")
+        return SparseVector.zero()
     entries = {}
     for chunk in text.split():
         idx, _, val = chunk.partition(":")
-        entries[int(idx)] = parse_scalar(val, mode)
-    return SparseVector(entries, mode == "exact")
+        entries[int(idx)] = ctx.parse(val)
+    return SparseVector(entries)

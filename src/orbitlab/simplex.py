@@ -9,7 +9,6 @@ produce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Sequence
 
 from .errors import WorkbenchError
@@ -43,8 +42,6 @@ class _Tableau:
         self.nvars = nvars
         self.nrows = len(a)
         self.ncols = nvars + self.nrows
-        zero = Fraction(0) if ctx.exact else 0.0
-        one = Fraction(1) if ctx.exact else 1.0
         self.rows: List[List[Scalar]] = []
         self.basis: List[int] = []
         for i in range(self.nrows):
@@ -53,7 +50,7 @@ class _Tableau:
             if rhs < 0:
                 row = [-v for v in row]
                 rhs = -rhs
-            row += [one if k == i else zero for k in range(self.nrows)]
+            row += [ctx.one if k == i else ctx.zero for k in range(self.nrows)]
             row.append(rhs)
             self.rows.append(row)
             self.basis.append(nvars + i)
@@ -106,8 +103,7 @@ class _Tableau:
             red = self.reduced_costs(costs)
 
     def solution(self) -> List[Scalar]:
-        zero = Fraction(0) if self.ctx.exact else 0.0
-        x = [zero] * self.nvars
+        x = [self.ctx.zero] * self.nvars
         for i, bcol in enumerate(self.basis):
             if bcol < self.nvars:
                 x[bcol] = self.rows[i][self.ncols]
@@ -119,15 +115,13 @@ def solve_lp(c: Sequence[Scalar], a: Sequence[Sequence[Scalar]], b: Sequence[Sca
     """Minimize c.x over A x = b, x >= 0."""
     nvars = len(c)
     tab = _Tableau(a, b, nvars, ctx)
-    zero = Fraction(0) if ctx.exact else 0.0
-    one = Fraction(1) if ctx.exact else 1.0
 
     # Phase 1: minimize the artificial sum; feasible iff it reaches zero.
-    phase1 = [zero] * nvars + [one] * tab.nrows
+    phase1 = [ctx.zero] * nvars + [ctx.one] * tab.nrows
     tab.minimize(phase1, allowed=tab.ncols)
     infeas = sum(
         (tab.rows[i][tab.ncols] for i in range(tab.nrows) if tab.basis[i] >= nvars),
-        zero,
+        ctx.zero,
     )
     if not ctx.is_zero(infeas):
         raise Infeasible(f"phase 1 optimum {infeas} > 0")
@@ -142,9 +136,9 @@ def solve_lp(c: Sequence[Scalar], a: Sequence[Sequence[Scalar]], b: Sequence[Sca
                 tab.pivot(i, col)
 
     # Phase 2: artificial columns may not re-enter.
-    phase2 = [ctx.coerce(v) for v in c] + [zero] * tab.nrows
+    phase2 = [ctx.coerce(v) for v in c] + [ctx.zero] * tab.nrows
     tab.minimize(phase2, allowed=nvars)
 
     x = tab.solution()
-    value = sum((ctx.coerce(c[j]) * x[j] for j in range(nvars)), zero)
+    value = sum((ctx.coerce(c[j]) * x[j] for j in range(nvars)), ctx.zero)
     return LPResult(value=value, x=x)

@@ -12,7 +12,6 @@ approximant.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .density import Enumeration
@@ -56,19 +55,19 @@ class TransportState:
         return self.terms.plus_identity()
 
     def budget_used(self, ctx: ScalarContext = EXACT) -> Scalar:
-        total = Fraction(0) if self.terms.exact else 0.0
+        total = ctx.zero
         for f, v in self.terms.terms:
             total += dual_norm(self.p, f) * minkowski(self.disk, v, ctx)
         return total
 
 
 def initial_state(a: Enumeration, b: Enumeration, p: SeminormSpec, disk: DiskSpec,
-                  epsilons: Sequence[Scalar], exact: bool = True) -> TransportState:
+                  epsilons: Sequence[Scalar]) -> TransportState:
     return TransportState(
         stage=0,
         n_idx=(),
         m_idx=(),
-        terms=FiniteRankOperator.zero(exact),
+        terms=FiniteRankOperator.zero(),
         epsilons=tuple(epsilons),
         a=a,
         b=b,
@@ -170,7 +169,7 @@ def run_transport(a: Enumeration, b: Enumeration, p: SeminormSpec, disk: DiskSpe
     if not total < 1:
         raise ValueError(f"epsilon schedule sums to {total} >= 1")
 
-    state = initial_state(a, b, p, disk, eps_schedule, exact=ctx.exact)
+    state = initial_state(a, b, p, disk, eps_schedule)
     for q in range(1, stages + 1):
         try:
             state = _run_stage(state, q, ctx)
@@ -287,7 +286,7 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
         j_inv = invert(j_op, ctx)
         round_trip = all(
             close(j_inv.apply(j_op.apply(e)), e, ctx)
-            for e in (SparseVector.basis(i, ctx.exact) for i in _window_indices(state))
+            for e in (SparseVector.basis(i, ctx) for i in _window_indices(state))
         )
         add("invertible", round_trip, "Gram solve and window round trip")
     except Exception as exc:  # noqa: BLE001 - reported, not raised
@@ -297,7 +296,7 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
     for i in _window_indices(state):
         if i in state.p.active:
             continue
-        e = SparseVector.basis(i, ctx.exact)
+        e = SparseVector.basis(i, ctx)
         if j_op.apply(e) != e:
             kernel_ok = False
     add("kernel-fixed", kernel_ok, "J e_i = e_i outside the active set")

@@ -20,7 +20,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from . import linalg
@@ -102,7 +101,7 @@ class _Bordered:
 
     def coeffs(self, m: int) -> List[Scalar]:
         """The solution c of A_m c = e_m: column m of U_m^{-1} over the m-th pivot."""
-        unit = [self.ctx.coerce(int(k == m - 1)) for k in range(m)]
+        unit = [self.ctx.one if k == m - 1 else self.ctx.zero for k in range(m)]
         return [c / self.pivots[m - 1] for c in _back(self.lower[1], unit)]
 
 
@@ -219,7 +218,7 @@ def interleave_triangularize(basis: Sequence[SparseVector],
     for m in range(1, target + 1):
         c = lu.coeffs(m)
         coeffs.append(tuple(c))
-        v = SparseVector.zero(ctx.exact)
+        v = SparseVector.zero()
         for cj, u in zip(c, lu.items[1]):
             if cj != 0:
                 v = v + u.scale(cj)
@@ -247,15 +246,14 @@ def build_omega_operator(state: TriangularizeState):
 
     for a in state.alpha:
         f = state.funcs[a - 1]
-        if f.pairs() != ((a, Fraction(1)),) and f.pairs() != ((a, 1.0),):
+        if f.pairs() != ((a, 1),):
             raise ValueError(
                 "shuffled-basis operator needs coordinate functionals as funcs"
             )
     terms = tuple(
         (state.funcs[a - 1], v) for a, v in zip(state.alpha, state.v)
     )
-    exact = state.v[0].exact if state.v else True
-    return FiniteRankOperator(ZERO, terms, exact)
+    return FiniteRankOperator(ZERO, terms)
 
 
 def shuffled_matrix(state: TriangularizeState) -> List[List[Scalar]]:
@@ -288,7 +286,7 @@ def map_between_spans(source: TriangularizeState, target: TriangularizeState,
     if source.built != target.built:
         raise ValueError("states must have prefixes of equal length")
     zs = omega_forward_solve(source, x, ctx)
-    out = SparseVector.zero(ctx.exact)
+    out = SparseVector.zero()
     for z, v in zip(zs, target.v):
         if z != 0:
             out = out + v.scale(z)

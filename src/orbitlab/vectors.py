@@ -1,8 +1,9 @@
 """Finite-support coordinate families: sparse vectors and coordinate functionals.
 
 Both kinds store a finite map from positive coordinate index to a nonzero
-scalar.  Explicit zeros are never stored; equality is entry-wise.  The
-pairing f(x) = sum_i f_i * x_i is always a finite sum.
+scalar.  Explicit zeros are never stored, ints are stored as Fractions, and
+any other scalar is stored as given; equality is entry-wise.  The pairing
+f(x) = sum_i f_i * x_i is always a finite sum, and an empty one is the int 0.
 """
 
 from __future__ import annotations
@@ -11,45 +12,41 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
-from .scalars import Scalar, ScalarContext, as_fraction
+from .scalars import EXACT, Scalar, ScalarContext
 
 
-def _clean(entries: Mapping[int, Scalar], exact: bool) -> Dict[int, Scalar]:
+def _clean(entries: Mapping[int, Scalar]) -> Dict[int, Scalar]:
     out: Dict[int, Scalar] = {}
     for idx, val in entries.items():
         idx = int(idx)
         if idx < 1:
             raise ValueError(f"coordinate indices are positive, got {idx}")
-        if exact and not isinstance(val, (Fraction, int)):
-            raise TypeError(f"exact entries must be rational, got {val!r}")
-        val = as_fraction(val) if exact else float(val)
         if val != 0:
-            out[idx] = val
+            out[idx] = Fraction(val) if type(val) is int else val
     return out
 
 
 @dataclass(frozen=True)
 class _FiniteMap:
     entries: Mapping[int, Scalar] = field(default_factory=dict)
-    exact: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _clean(self.entries, self.exact))
+        object.__setattr__(self, "entries", _clean(self.entries))
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[int, Scalar]], exact: bool = True):
-        return cls(dict(pairs), exact)
+    def from_pairs(cls, pairs: Iterable[Tuple[int, Scalar]]):
+        return cls(dict(pairs))
 
     @classmethod
-    def zero(cls, exact: bool = True):
-        return cls({}, exact)
+    def zero(cls):
+        return cls({})
 
     @property
     def support(self) -> Tuple[int, ...]:
         return tuple(sorted(self.entries))
 
     def get(self, index: int) -> Scalar:
-        return self.entries.get(index, Fraction(0) if self.exact else 0.0)
+        return self.entries.get(index, 0)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -63,7 +60,7 @@ class _FiniteMap:
         merged = dict(self.entries)
         for idx, val in other.entries.items():
             merged[idx] = merged.get(idx, 0) + val
-        return type(self)(merged, self.exact)
+        return type(self)(merged)
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -71,19 +68,19 @@ class _FiniteMap:
         merged = dict(self.entries)
         for idx, val in other.entries.items():
             merged[idx] = merged.get(idx, 0) - val
-        return type(self)(merged, self.exact)
+        return type(self)(merged)
 
     def __neg__(self):
-        return type(self)({i: -v for i, v in self.entries.items()}, self.exact)
+        return type(self)({i: -v for i, v in self.entries.items()})
 
     def scale(self, factor: Scalar):
         if factor == 0:
-            return type(self)({}, self.exact)
-        return type(self)({i: v * factor for i, v in self.entries.items()}, self.exact)
+            return type(self)({})
+        return type(self)({i: v * factor for i, v in self.entries.items()})
 
     def restrict(self, indices) -> "_FiniteMap":
         keep = set(indices)
-        return type(self)({i: v for i, v in self.entries.items() if i in keep}, self.exact)
+        return type(self)({i: v for i, v in self.entries.items() if i in keep})
 
     def __repr__(self):
         body = ", ".join(f"{i}: {v}" for i, v in sorted(self.entries.items()))
@@ -94,22 +91,22 @@ class SparseVector(_FiniteMap):
     """An element of the coordinate space at finite stage."""
 
     @classmethod
-    def basis(cls, index: int, exact: bool = True) -> "SparseVector":
-        return cls({index: Fraction(1) if exact else 1.0}, exact)
+    def basis(cls, index: int, ctx: ScalarContext = EXACT) -> "SparseVector":
+        return cls({index: ctx.one})
 
 
 class CoordFunctional(_FiniteMap):
     """Finite-support functional acting by the bilinear pairing."""
 
     @classmethod
-    def delta(cls, index: int, exact: bool = True) -> "CoordFunctional":
-        return cls({index: Fraction(1) if exact else 1.0}, exact)
+    def delta(cls, index: int, ctx: ScalarContext = EXACT) -> "CoordFunctional":
+        return cls({index: ctx.one})
 
     def pair(self, x: SparseVector) -> Scalar:
         small, large = self.entries, x.entries
         if len(large) < len(small):
             small, large = large, small
-        total = Fraction(0) if self.exact else 0.0
+        total = 0
         for idx, val in small.items():
             other = large.get(idx)
             if other is not None:
@@ -121,7 +118,6 @@ class CoordFunctional(_FiniteMap):
 
 
 def close(x: _FiniteMap, y: _FiniteMap, ctx: ScalarContext) -> bool:
-    """x == y in exact mode; entry-wise within the tolerance in float mode."""
-    if ctx.exact:
-        return x == y
+    """Every entry of x - y is ctx.is_zero: x == y in exact mode, entry-wise
+    within the tolerance in float mode."""
     return all(ctx.is_zero(v) for v in (x - y).entries.values())

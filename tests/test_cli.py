@@ -412,3 +412,85 @@ class TestMoreTasks:
         assert table.rows[0] == ["0", "1:1 2:2 3:3"]
         assert table.rows[1] == ["1", "1:2 2:3"]
         assert table.rows[3] == ["3", "0"]
+
+
+def _corrupt(payload, field, value):
+    """Replace one entry of a transport payload, addressed by a path of keys."""
+    *parents, last = field
+    for key in parents:
+        payload = payload[key]
+    if value is None:
+        del payload[last]
+    else:
+        payload[last] = value
+
+
+class TestBoundaryErrors:
+    @pytest.mark.parametrize("mode, field, value, named", [
+        ("exact", ("a", 1, 0, 1), "abc", "payload.a[1]"),
+        ("exact", ("b", 0, 1, 1), "1/0", "payload.b[0]"),
+        ("exact", ("a", 2, 0, 0), 0, "payload.a[2]"),
+        ("exact", ("p", "kind"), None, "payload.p"),
+        ("float", ("eps_schedule",), ["1/4", "nan", "1/16", "1/32"], "eps_schedule[1]"),
+        ("float", ("b", 0, 1, 1), "inf", "payload.b[0]"),
+    ], ids=["abc", "zero-denominator", "index-0", "missing-kind", "float-nan-eps",
+            "float-inf-entry"])
+    def test_bad_input_exits_2_naming_the_field(self, tmp_path, capsys, mode, field,
+                                                value, named):
+        scenario = transport_scenario()
+        scenario["scalar_mode"] = mode
+        _corrupt(scenario["payload"], field, value)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert "Traceback" not in err
+
+
+class TestBatch:
+    def _paths(self, tmp_path, scenarios):
+        paths = []
+        for i, scenario in enumerate(scenarios):
+            path = tmp_path / f"s{i}.json"
+            path.write_text(json.dumps(scenario))
+            paths.append(str(path))
+        return paths
+
+    def test_unusable_scenario_does_not_stop_the_batch(self, tmp_path, capsys):
+        bad = transport_scenario(name="bad")
+        bad["payload"]["p"]["weights"][0][1] = "abc"
+        paths = self._paths(tmp_path, [transport_scenario(name="first"), bad,
+                                       transport_scenario(name="last")])
+        out_dir = tmp_path / "out"
+        args = ["run", "--jobs", "1", "--out", str(out_dir)]
+        for path in paths:
+            args += ["--scenario", path]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"error: {paths[1]}: payload.p" in err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["s0.json", "s2.json"]
+
+    def test_parallel_stdout_keeps_input_order(self, tmp_path, capsys, monkeypatch):
+        import time
+
+        import orbitlab.cli as cli
+
+        def slow_first(scenario):
+            if scenario.name == "walk-0":
+                time.sleep(0.3)
+            return run_scenario(scenario)
+
+        monkeypatch.setattr(cli, "run_scenario", slow_first)
+        scenarios = []
+        for i in range(3):
+            scenario = demo_scenario()
+            scenario["name"] = f"walk-{i}"
+            scenarios.append(scenario)
+        args = ["run", "--jobs", "3", "--format", "text"]
+        for path in self._paths(tmp_path, scenarios):
+            args += ["--scenario", path]
+        assert main(args) == 0
+        names = [line.split(": ", 1)[1] for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("scenario: ")]
+        assert names == ["walk-0", "walk-1", "walk-2"]

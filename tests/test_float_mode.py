@@ -30,19 +30,18 @@ from orbitlab.triangular import interleave_triangularize
 
 
 def fsv(*entries):
-    return SparseVector({i + 1: float(v) for i, v in enumerate(entries) if v != 0},
-                        exact=False)
+    return SparseVector({i + 1: float(v) for i, v in enumerate(entries) if v != 0})
 
 
 def test_seminorm_and_dual_in_float_mode():
-    p = SeminormSpec.sup_on([1, 2], exact=False)
+    p = SeminormSpec.sup_on([1, 2], 1.0)
     assert eval_seminorm(p, fsv(3, -4)) == 4.0
-    f = CoordFunctional({1: 3.0, 2: -4.0}, exact=False)
+    f = CoordFunctional({1: 3.0, 2: -4.0})
     assert dual_norm(p, f) == 7.0
 
 
 def test_generator_gauge_in_float_mode():
-    disk = DiskSpec.from_generators([fsv(1), fsv(0, 1)], exact=False)
+    disk = DiskSpec.from_generators([fsv(1), fsv(0, 1)])
     value = minkowski(disk, fsv(0.5, 0.5), FLOAT)
     assert abs(value - 1.0) < 1e-9
 
@@ -50,8 +49,7 @@ def test_generator_gauge_in_float_mode():
 def test_float_inversion_and_tolerance_singularity():
     j = FiniteRankOperator(
         IDENTITY,
-        ((CoordFunctional({1: 1.0}, exact=False), fsv(0.5)),),
-        exact=False,
+        ((CoordFunctional({1: 1.0}), fsv(0.5)),),
     )
     j_inv = invert(j, FLOAT)
     image = j_inv.apply(j.apply(fsv(1)))
@@ -59,15 +57,14 @@ def test_float_inversion_and_tolerance_singularity():
 
     nearly_singular = FiniteRankOperator(
         IDENTITY,
-        ((CoordFunctional({1: 1.0}, exact=False), fsv(-1.0 + 1e-14)),),
-        exact=False,
+        ((CoordFunctional({1: 1.0}), fsv(-1.0 + 1e-14)),),
     )
     with pytest.raises(SingularOperator):
         invert(nearly_singular, FLOAT)
 
 
 def test_separating_functional_float():
-    p = SeminormSpec.sup_on([1, 2], exact=False)
+    p = SeminormSpec.sup_on([1, 2], 1.0)
     f = separating_functional(p, [fsv(1)], fsv(0, 1), FLOAT)
     assert abs(f.pair(fsv(1))) <= FLOAT.tol
     assert abs(dual_norm(p, f) - 1.0) < 1e-9
@@ -106,18 +103,18 @@ def test_float_transport_scenario_runs():
 def test_float_invertible_check_runs_the_round_trip(monkeypatch):
     window, stages = 12, 2
     active = window // 2
-    a_items = [SparseVector.basis(i, exact=False) for i in range(1, 2 * stages + 1)]
+    a_items = [SparseVector.basis(i, FLOAT) for i in range(1, 2 * stages + 1)]
     pi = [1, 0, 3, 2]
     b_items = [a_items[pi[i]] + fsv(*[0] * (active + i), 1e-8) for i in range(2 * stages)]
     _, state = run_transport(
         Enumeration(tuple(a_items), "A"), Enumeration(tuple(b_items), "B"),
-        SeminormSpec.sup_on(range(1, active + 1), exact=False),
-        DiskSpec.l1_on(range(1, window + 1), exact=False),
+        SeminormSpec.sup_on(range(1, active + 1), 1.0),
+        DiskSpec.l1_on(range(1, window + 1), 1.0),
         [2.0 ** -(j + 2) for j in range(2 * stages)], stages, FLOAT,
     )
     assert verify_transport(state, FLOAT).passed
     monkeypatch.setattr("orbitlab.transport.invert",
-                        lambda j, ctx: FiniteRankOperator(IDENTITY, (), exact=False))
+                        lambda j, ctx: FiniteRankOperator(IDENTITY, ()))
     checks = {c.name: c.passed for c in verify_transport(state, FLOAT).checks}
     assert checks["invertible"] is False
 
@@ -134,8 +131,8 @@ def test_float_triangularize_matches_exact():
     want = interleave_triangularize(
         basis, [CoordFunctional.delta(i) for i in range(1, n + 3)], stages=4)
     got = interleave_triangularize(
-        [SparseVector({i: float(v) for i, v in u.entries.items()}, exact=False) for u in basis],
-        [CoordFunctional.delta(i, exact=False) for i in range(1, n + 3)], 4, FLOAT)
+        [SparseVector({i: float(v) for i, v in u.entries.items()}) for u in basis],
+        [CoordFunctional.delta(i, FLOAT) for i in range(1, n + 3)], 4, FLOAT)
     # the scans skip some indices, so the pick order is not the identity
     assert want.alpha != tuple(range(1, n + 1)) and want.beta != tuple(range(1, n + 1))
     assert (got.alpha, got.beta) == (want.alpha, want.beta)

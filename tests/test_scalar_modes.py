@@ -1,0 +1,164 @@
+"""The two scalar modes stay separate: no float reaches an exact-mode result,
+every stored float-mode scalar is a float, and float zeros print as "0.0"."""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from orbitlab import DiskSpec, SeminormSpec, minkowski, serialize
+from orbitlab.density import Enumeration, EpsilonNet, common_disk
+from orbitlab.hypercyclic import (
+    build_shift_operator,
+    range_kernel_premise_check,
+    transitivity_witness,
+)
+from orbitlab.scalars import EXACT, FLOAT
+from orbitlab.scenarios import Scenario, parse_eps_schedule, run_scenario
+from orbitlab.transport import run_transport, verify_transport
+from orbitlab.triangular import interleave_triangularize
+from orbitlab.vectors import CoordFunctional, SparseVector, _FiniteMap
+
+
+def vectors(rows, ctx):
+    return [serialize.decode_vector(row, ctx) for row in rows]
+
+
+def weights(indices, text="1"):
+    return {"kind": "sup", "weights": [[i, text] for i in indices]}
+
+
+def transport_results(ctx):
+    a = vectors([[[i, "1"]] for i in range(1, 5)], ctx)
+    noise = "1/16777216"
+    b = vectors([[[2, "1"], [7, noise]], [[1, "1"], [8, noise]],
+                 [[4, "1"], [9, noise]], [[3, "1"], [10, noise]]], ctx)
+    p = serialize.decode_seminorm(weights(range(1, 7)), ctx)
+    disk = serialize.decode_disk({"weights": [[i, "1/2"] for i in range(1, 13)]}, ctx)
+    schedule = parse_eps_schedule("geometric:1/2", 4, ctx)
+    j, state = run_transport(Enumeration(tuple(a), "A"), Enumeration(tuple(b), "B"),
+                             p, disk, schedule, 2, ctx)
+    return [j, state, state.budget_used(ctx), verify_transport(state, ctx)]
+
+
+def triangularize_results(ctx):
+    basis = vectors([[[1, "1"], [3, "1/2"]], [[1, "2/3"], [2, "1"]],
+                     [[2, "1"], [3, "1"]], [[1, "1"], [4, "-3/2"]]], ctx)
+    funcs = [CoordFunctional.delta(i, ctx) for i in range(1, 7)]
+    state = interleave_triangularize(basis, funcs, 2, ctx)
+    return [state, state.coeffs, state.minors, state.v]
+
+
+def shift_results(ctx):
+    basis = vectors([[[1, "1"], [2, "1/3"]], [[2, "1/3"], [3, "2/3"]],
+                     [[1, "1/3"], [3, "1"], [4, "1/3"]], [[2, "1/3"], [4, "2/3"]]], ctx)
+    p = serialize.decode_seminorm(weights(range(1, 5)), ctx)
+    disk = serialize.decode_disk(
+        {"weights": [[i, "1/3"] for i in range(1, 5)] + [[5, "1"], [6, "1"]]}, ctx)
+    spec = build_shift_operator(basis, p, disk, ctx)
+    premise = range_kernel_premise_check(spec.operator.plus_identity(), 6, 4, ctx)
+    return [spec, premise]
+
+
+def witness_results(ctx):
+    op = serialize.decode_operator({"base": "identity", "terms": [
+        {"f": [[k + 1, "1"]], "v": [[k, f"1/{2 ** k}"]]} for k in range(1, 6)]}, ctx)
+    x = serialize.decode_vector([[1, "1/2"], [2, "-3"], [3, "5/4"]], ctx)
+    y = serialize.decode_vector([[1, "-2"], [3, "7/4"]], ctx)
+    p = serialize.decode_seminorm(weights(range(1, 4)), ctx)
+    return list(transitivity_witness(op, x, y, ctx.parse("1/1000"), 64, p,
+                                     window=6, ctx=ctx))
+
+
+def gauge_results(ctx):
+    gens = vectors([[[1, "2"]], [[2, "3/2"]], [[3, "1/2"]], [[1, "1"], [3, "-1"]],
+                    [[1, "-1/2"], [2, "1"]]], ctx)
+    disk = DiskSpec.from_generators(gens)
+    probes = vectors([[[1, "1"], [2, "-2/3"], [3, "5"]], [[2, "1/7"]]], ctx)
+    return [disk] + [minkowski(disk, u, ctx) for u in probes]
+
+
+def common_results(ctx):
+    half = ["-1", "-1/2", "0", "1/2", "1"]
+    grid = [[[1, s], [2, t]] for s in half for t in half]
+    a = vectors(grid, ctx)
+    b = [x + SparseVector({1: ctx.parse("1/8"), 2: ctx.parse("-1/8")}) for x in a]
+    targets = vectors([[[1, "1/4"], [2, "-3/4"]], [[1, "1/2"]], [[2, "1"]]], ctx)
+    # coordinate 3 carries no item, so its disk weight stays at ctx.one
+    net = EpsilonNet(window=3, targets=tuple(targets), eps=ctx.parse("1/4"))
+    return [common_disk(Enumeration(tuple(a), "A"), Enumeration(tuple(b), "B"), net,
+                        ctx=ctx)]
+
+
+FLOWS = [transport_results, triangularize_results, shift_results, witness_results,
+         gauge_results, common_results]
+
+
+def walk(value, visit):
+    """Call visit(kind, scalar) on every scalar reachable from value.
+
+    kind is "entry" for the entries of vectors and functionals, "weight" for
+    seminorm and disk weights and "value" for any other scalar; dict keys
+    (coordinate indices) are skipped.
+    """
+    if isinstance(value, _FiniteMap):
+        for v in value.entries.values():
+            visit("entry", v)
+    elif isinstance(value, (SeminormSpec, DiskSpec)):
+        for v in (value.weights or {}).values():
+            visit("weight", v)
+        for g in getattr(value, "generators", None) or ():
+            walk(g, visit)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            walk(getattr(value, f.name), visit)
+    elif isinstance(value, dict):
+        for v in value.values():
+            walk(v, visit)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            walk(v, visit)
+    elif isinstance(value, (Fraction, float, int)):
+        visit("value", value)
+
+
+@pytest.mark.parametrize("flow", FLOWS, ids=lambda f: f.__name__)
+def test_exact_results_hold_no_float(flow):
+    floats = []
+    walk(flow(EXACT), lambda kind, v: floats.append((kind, v)) if type(v) is float else None)
+    assert floats == []
+
+
+@pytest.mark.parametrize("flow", FLOWS, ids=lambda f: f.__name__)
+def test_float_results_store_floats(flow):
+    stored = []
+    walk(flow(FLOAT), lambda kind, v: stored.append(v) if kind != "value" else None)
+    assert stored and all(type(v) is float for v in stored)
+
+
+def test_float_zero_residual_and_gauge_print_as_float():
+    witness = run_scenario(Scenario.from_dict({
+        "name": "float-witness", "scalar_mode": "float", "window": 6, "seed": 1,
+        "task": "hypercyclic",
+        "payload": {
+            "mode": "witness",
+            "operator": {"base": "identity", "terms": [
+                {"f": [[k + 1, "1"]], "v": [[k, "1/2"]]} for k in range(1, 6)]},
+            "x": [[1, "1"]], "y": [[2, "1"]],
+            "p": weights(range(1, 4)), "eps": "1/1000", "max_n": 64,
+        },
+    }))
+    table = next(t for t in witness.tables if t.name == "witness")
+    assert table.rows[0][1] == "0.0"
+
+    common = run_scenario(Scenario.from_dict({
+        "name": "float-common", "scalar_mode": "float", "window": 2, "seed": 1,
+        "task": "disk",
+        "payload": {"common": {
+            "a": [[[1, "1"]], [[2, "1"]]], "b": [[[1, "1"]], [[2, "1"], [1, "1/8"]]],
+            "targets": [[[1, "1"]]], "eps": "1/4"}},
+    }))
+    schedule = next(t for t in common.tables if t.name == "residual-schedule")
+    assert schedule.rows[0][1:] == ["0.0", "0.0"]
+    net_a = next(t for t in common.tables if t.name == "net-report-a")
+    assert net_a.rows[0][2] == "0.0"

@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
+
 from orbitlab import CoordFunctional, DiskSpec, FiniteRankOperator, SeminormSpec, SparseVector
 from orbitlab.operators import ZERO
-from orbitlab.scalars import format_scalar, parse_scalar
+from orbitlab.scalars import EXACT, FLOAT, format_scalar
 from orbitlab import serialize
 
 
@@ -17,9 +19,20 @@ def test_scalar_text_forms():
 
 def test_scalar_parse_round_trip():
     for value in [Fraction(0), Fraction(7, 3), Fraction(-1, 8), Fraction(12)]:
-        assert parse_scalar(format_scalar(value)) == value
+        assert EXACT.parse(format_scalar(value)) == value
     for value in [0.1, -2.5, 2.0 ** -40]:
-        assert parse_scalar(format_scalar(value), mode="float") == value
+        assert FLOAT.parse(format_scalar(value)) == value
+
+
+def test_scalar_parse_rejects_bad_text():
+    for ctx in (EXACT, FLOAT):
+        for text in ("abc", "1/0", "", "1/"):
+            with pytest.raises(ValueError):
+                ctx.parse(text)
+    for text in ("nan", "inf", "-inf", "1e400"):
+        with pytest.raises(ValueError):
+            FLOAT.parse(text)
+    assert FLOAT.parse("1/4") == 0.25 and EXACT.parse(" 2/4 ") == Fraction(1, 2)
 
 
 def test_vector_pairs_round_trip():
@@ -62,6 +75,6 @@ def test_operator_round_trip():
 
 
 def test_float_mode_round_trip():
-    x = SparseVector({1: 0.5, 3: -1.25}, exact=False)
+    x = SparseVector({1: 0.5, 3: -1.25})
     pairs = serialize.encode_pairs(x)
-    assert serialize.decode_vector(pairs, mode="float") == x
+    assert serialize.decode_vector(pairs, FLOAT) == x
