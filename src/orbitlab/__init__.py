@@ -12,6 +12,7 @@ from .errors import (  # noqa: F401
     BudgetExceeded,
     Exhausted,
     KernelCollision,
+    LinearlyDependent,
     NoApproximant,
     NoSeparation,
     NotANet,

@@ -31,9 +31,9 @@ class NoSeparation(WorkbenchError):
 class BudgetExceeded(WorkbenchError):
     """Neumann budget c >= 1; invertibility is not certified."""
 
-    def __init__(self, c):
+    def __init__(self, c, what: str = "budget c"):
         self.c = c
-        super().__init__(f"budget c = {c} >= 1")
+        super().__init__(f"{what} = {c} >= 1")
 
 
 class SingularOperator(WorkbenchError):
@@ -55,6 +55,10 @@ class NoApproximant(WorkbenchError):
 
 class KernelCollision(WorkbenchError):
     """span(us) meets ker p nontrivially."""
+
+
+class LinearlyDependent(WorkbenchError):
+    """A family expected to be linearly independent is not."""
 
 
 class NotPIndependent(WorkbenchError):

@@ -86,10 +86,17 @@ def determinant(a: Matrix, ctx: ScalarContext = EXACT) -> Scalar:
 
 
 def rref(a: Matrix, ctx: ScalarContext = EXACT):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
+    """Reduced row echelon form.  Returns (rows, pivot_columns).
+
+    Zero entries are skipped: a zero of the pivot row is not divided and is
+    not subtracted from the other rows, and every zero of the input (an int 0
+    included) comes out as ctx.zero.  The reduced form is unique, so this is
+    the same result as eliminating across the zeros, without the work.
+    """
     if not a:
         return [], []
-    m = [list(row) for row in a]
+    zero = ctx.zero
+    m = [[v if v else zero for v in row] for row in a]
     rows, cols = len(m), len(m[0])
     pivots: List[int] = []
     r = 0
@@ -99,11 +106,14 @@ def rref(a: Matrix, ctx: ScalarContext = EXACT):
             continue
         m[r], m[piv] = m[piv], m[r]
         pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
+        prow = m[r] = [v / pv if v else zero for v in m[r]]
+        support = [j for j, y in enumerate(prow) if y]
         for i in range(rows):
-            if i != r and not ctx.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            row = m[i]
+            f = row[c]
+            if f and i != r and not ctx.is_zero(f):
+                for j in support:
+                    row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -161,7 +171,7 @@ def solve_any(a: Matrix, b: Sequence[Scalar], ctx: ScalarContext = EXACT) -> Opt
 
 def invert_matrix(a: Matrix, ctx: ScalarContext = EXACT) -> Matrix:
     n = len(a)
-    aug = [list(a[i]) + identity_matrix(n, ctx)[i] for i in range(n)]
+    aug = [list(row) + unit for row, unit in zip(a, identity_matrix(n, ctx))]
     red, pivots = rref(aug, ctx)
     if pivots != list(range(n)):
         raise SingularOperator(f"{n}x{n} matrix is not invertible")

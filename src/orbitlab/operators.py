@@ -4,6 +4,11 @@ An operator is base + sum_j f_j (x) v_j with base either the identity or
 zero.  Inversion goes through the k x k Gram system G_ij = f_i(v_j); the
 Neumann sum c = sum_j p*(f_j) p_D(v_j) < 1 is kept as the invertibility
 certificate only, never as a numerical inversion device.
+
+`solve` serves the construction: it returns J^{-1} u for one vector with one
+Gram solve.  `invert` serves verification: it builds the whole inverse in
+term form from the inverse Gram matrix, an independent slower path that
+`verify_transport` replays against the window.
 """
 
 from __future__ import annotations
@@ -124,6 +129,34 @@ def neumann_certificate(t: FiniteRankOperator, p: SeminormSpec, disk: DiskSpec,
     )
 
 
+def _gram(j: FiniteRankOperator, ctx: ScalarContext) -> List[List[Scalar]]:
+    """I_k + G with G_rc = f_r(v_c) for the terms of J = I + sum f (.) v."""
+    if j.base != IDENTITY:
+        raise ValueError("inversion expects an identity-plus-finite-rank operator")
+    return [
+        [f.pair(v) + (ctx.one if r == c else 0) for c, (_, v) in enumerate(j.terms)]
+        for r, (f, _) in enumerate(j.terms)
+    ]
+
+
+def solve(j: FiniteRankOperator, u: SparseVector,
+          ctx: ScalarContext = EXACT) -> SparseVector:
+    """J^{-1} u for J = I + sum_j f_j (.) v_j, without forming the inverse.
+
+    w = u - sum_j c_j v_j where (I_k + G) c = (f_i(u))_i: one k x k solve.
+    SingularOperator when I_k + G is singular.
+    """
+    gram = _gram(j, ctx)
+    if not gram:
+        return u
+    coeffs = linalg.solve(gram, [f.pair(u) for f, _ in j.terms], ctx)
+    w = u
+    for (_, v), c in zip(j.terms, coeffs):
+        if c != 0:
+            w = w - v.scale(c)
+    return w
+
+
 def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOperator:
     """Exact inverse of I + sum f_j (.) v_j via the Gram system.
 
@@ -131,16 +164,11 @@ def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOpera
     M = (I_k + G)^{-1}, G_ij = f_i(v_j).  SingularOperator when I_k + G is
     singular, i.e. when the operator annihilates some vector.
     """
-    if j.base != IDENTITY:
-        raise ValueError("inversion expects an identity-plus-finite-rank operator")
-    k = len(j.terms)
-    if k == 0:
+    gram = _gram(j, ctx)
+    if not gram:
         return FiniteRankOperator.identity()
-    gram = [
-        [j.terms[r][0].pair(j.terms[c][1]) + (ctx.one if r == c else 0) for c in range(k)]
-        for r in range(k)
-    ]
     m = linalg.invert_matrix(gram, ctx)
+    k = len(gram)
     new_terms = []
     for col in range(k):
         u = SparseVector.zero()

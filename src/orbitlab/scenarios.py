@@ -70,7 +70,7 @@ class Scenario:
             name=str(data["name"]),
             scalar_mode=data["scalar_mode"],
             window=window,
-            seed=int(data["seed"]),
+            seed=_field("seed", int, data["seed"]),
             task=data["task"],
             payload=data["payload"],
             expected=data.get("expected"),
@@ -162,7 +162,7 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
     b = Enumeration(tuple(_vectors(_need(payload, "b"), ctx, "payload.b")), "B")
     p = _field("payload.p", serialize.decode_seminorm, _need(payload, "p"), ctx)
     disk = _field("payload.disk", serialize.decode_disk, _need(payload, "disk"), ctx)
-    stages = int(_need(payload, "stages"))
+    stages = _field("payload.stages", int, _need(payload, "stages"))
     schedule = parse_eps_schedule(
         payload.get("eps_schedule", "geometric:1/2"), max(2 * stages, 1), ctx
     )
@@ -211,7 +211,7 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
 def _run_triangularize_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
     basis = _vectors(_need(payload, "basis"), ctx, "payload.basis")
-    stages = int(_need(payload, "stages"))
+    stages = _field("payload.stages", int, _need(payload, "stages"))
     funcs = [CoordFunctional.delta(i, ctx) for i in range(1, scenario.window + 1)]
     state = interleave_triangularize(basis, funcs, stages, ctx)
 
@@ -351,7 +351,7 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
         y = _field("payload.y", serialize.decode_vector, _need(payload, "y"), ctx)
         p = _field("payload.p", serialize.decode_seminorm, _need(payload, "p"), ctx)
         eps = _field("payload.eps", ctx.parse, _need(payload, "eps"))
-        max_n = int(_need(payload, "max_n"))
+        max_n = _field("payload.max_n", int, _need(payload, "max_n"))
         try:
             n, z = transitivity_witness(op, x, y, eps, max_n, p,
                                         window=scenario.window, ctx=ctx)
@@ -376,7 +376,7 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
         report.data["z"] = serialize.encode_pairs(z)
     elif kind == "demo":
         x0 = _field("payload.x0", serialize.decode_vector, _need(payload, "x0"), ctx)
-        horizon = int(_need(payload, "horizon"))
+        horizon = _field("payload.horizon", int, _need(payload, "horizon"))
         steps = omega_shift_demo(scenario.window, x0, horizon)
         report.checks.append(CheckResult("demo-run", True, f"{horizon} steps"))
         report.tables.append(Table(
@@ -389,8 +389,8 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
 
 def _run_refute_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
-    levels = int(_need(payload, "family_levels"))
-    first = int(payload.get("first_active", 1))
+    levels = _field("payload.family_levels", int, _need(payload, "family_levels"))
+    first = _field("payload.first_active", int, payload.get("first_active", 1))
     family = [
         SeminormSpec.sup_on(range(1, first + n), ctx.one)
         for n in range(1, levels + 1)
@@ -400,7 +400,7 @@ def _run_refute_task(scenario: Scenario, ctx, rng, report: Report):
     op = _field("payload.operator", serialize.decode_operator,
                 _need(payload, "operator"), ctx)
     x = _field("payload.x", serialize.decode_vector, _need(payload, "x"), ctx)
-    horizon = int(_need(payload, "horizon"))
+    horizon = _field("payload.horizon", int, _need(payload, "horizon"))
     result = refute_orbit(op, x, ns, horizon, ctx)
 
     # divergence findings are facts about the candidate, not check failures

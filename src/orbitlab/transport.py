@@ -16,12 +16,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from .density import Enumeration
 from .errors import (
+    BudgetExceeded,
     Exhausted,
     NoApproximant,
     NotPIndependent,
     StageFailure,
 )
-from .operators import FiniteRankOperator, invert
+from .operators import FiniteRankOperator, invert, solve
 from .reports import CheckResult, VerificationReport
 from .scalars import EXACT, Scalar, ScalarContext
 from .seminorms import (
@@ -121,7 +122,7 @@ def step_backward(state: TransportState, u: SparseVector,
     """
     t = state.terms
     j = t.plus_identity()
-    w = invert(j, ctx).apply(u)
+    w = solve(j, u, ctx)
     f = separating_functional(state.p, constraints, w, ctx)
     best: Optional[Scalar] = None
     best_pos = None
@@ -158,16 +159,20 @@ def run_transport(a: Enumeration, b: Enumeration, p: SeminormSpec, disk: DiskSpe
 
     Index selection follows the minimal-unused rule; each aborted step is
     re-raised as StageFailure carrying the stage number and partial state.
+    Unusable inputs raise before any stage: NotPIndependent for an
+    enumeration, Exhausted for a schedule with fewer than 2 * stages slots,
+    BudgetExceeded for one whose first 2 * stages slots sum to 1 or more.
     """
     if not p_independent(p, a.items, ctx):
         raise NotPIndependent("first enumeration is not p-independent")
     if not p_independent(p, b.items, ctx):
         raise NotPIndependent("second enumeration is not p-independent")
     if len(eps_schedule) < 2 * stages:
-        raise ValueError("epsilon schedule shorter than the requested stages")
+        raise Exhausted(f"epsilon schedule has {len(eps_schedule)} slots; "
+                        f"{stages} stages need {2 * stages}")
     total = sum(eps_schedule[: 2 * stages])
     if not total < 1:
-        raise ValueError(f"epsilon schedule sums to {total} >= 1")
+        raise BudgetExceeded(total, "epsilon schedule sum")
 
     state = initial_state(a, b, p, disk, eps_schedule)
     for q in range(1, stages + 1):

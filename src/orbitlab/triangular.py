@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from . import linalg
-from .errors import Exhausted
+from .errors import Exhausted, LinearlyDependent
 from .scalars import EXACT, Scalar, ScalarContext
 from .vectors import CoordFunctional, SparseVector
 
@@ -184,7 +184,8 @@ def interleave_triangularize(basis: Sequence[SparseVector],
     Each round picks the minimal unused functional index, scans the basis for
     a vector keeping the minor invertible, then picks the minimal unused
     basis index and scans the functionals.  Raises Exhausted when the inputs
-    are too short for the requested prefix plus margin.
+    are too short for the requested prefix plus margin, LinearlyDependent when
+    the basis is not linearly independent.
     """
     basis = tuple(basis)
     funcs = tuple(funcs)
@@ -196,7 +197,7 @@ def interleave_triangularize(basis: Sequence[SparseVector],
         )
     reducer = linalg.RowReducer(ctx)
     if not all(reducer.try_add(dict(u.entries)) for u in basis):
-        raise ValueError("basis vectors are not linearly independent")
+        raise LinearlyDependent("basis vectors are not linearly independent")
 
     lu = _Bordered(ctx)
     items = (funcs, basis)

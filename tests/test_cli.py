@@ -494,3 +494,76 @@ class TestBatch:
         names = [line.split(": ", 1)[1] for line in capsys.readouterr().out.splitlines()
                  if line.startswith("scenario: ")]
         assert names == ["walk-0", "walk-1", "walk-2"]
+
+
+def witness_scenario():
+    scenario = refute_scenario()
+    return {
+        "name": "shift-witness",
+        "scalar_mode": "exact",
+        "window": 5,
+        "seed": 4,
+        "task": "hypercyclic",
+        "payload": {
+            "mode": "witness",
+            "operator": scenario["payload"]["operator"],
+            "x": serialize.encode_pairs(sv(1)),
+            "y": serialize.encode_pairs(sv(0, 1)),
+            "p": {"kind": "sup", "weights": [[i, "1"] for i in range(1, 4)]},
+            "eps": "1/10",
+            "max_n": 4,
+        },
+    }
+
+
+def _run_file(tmp_path, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    return code, path
+
+
+class TestUnusableInputExits2:
+    """Preconditions of the constructions end in `error:` and exit 2."""
+
+    @pytest.mark.parametrize("schedule, named", [
+        (["1/8", "1/16", "1/32"], "epsilon schedule has 3 slots; 2 stages need 4"),
+        (["1/2", "1/4", "1/8", "1/8"], "epsilon schedule sum = 1 >= 1"),
+    ], ids=["schedule-too-short", "schedule-sum-one"])
+    def test_transport_schedule(self, tmp_path, capsys, schedule, named):
+        scenario = transport_scenario(stages=2)
+        scenario["payload"]["eps_schedule"] = schedule
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: {named}\n"
+
+    def test_triangularize_dependent_basis(self, tmp_path, capsys):
+        scenario = triangularize_scenario()
+        scenario["payload"]["basis"] = encode([sv(1), sv(1, 1), sv(0, 1, 1), sv(1, 2, 1)])
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: basis vectors are not linearly independent\n")
+
+    @pytest.mark.parametrize("builder, field", [
+        (transport_scenario, "stages"),
+        (triangularize_scenario, "stages"),
+        (witness_scenario, "max_n"),
+        (demo_scenario, "horizon"),
+        (refute_scenario, "horizon"),
+        (refute_scenario, "family_levels"),
+        (refute_scenario, "first_active"),
+        (transport_scenario, None),
+    ], ids=["transport-stages", "triangularize-stages", "witness-max_n", "demo-horizon",
+            "refute-horizon", "refute-family_levels", "refute-first_active", "seed"])
+    def test_non_integer_count(self, tmp_path, capsys, builder, field):
+        scenario = builder()
+        if field is None:
+            scenario["seed"] = "two"
+            named = "seed"
+        else:
+            scenario["payload"][field] = "two"
+            named = f"payload.{field}"
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {named}: ")

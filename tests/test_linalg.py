@@ -128,3 +128,75 @@ def test_float_mode_pivots_by_magnitude():
 def test_rank_of_projections():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)], [Fraction(0), Fraction(1)]]
     assert linalg.rank(rows, EXACT) == 2
+
+
+def dense_rref(a):
+    """Independent oracle: Gauss-Jordan across every entry, zeros included."""
+    m = [[Fraction(v) for v in row] for row in a]
+    rows, cols = len(m), len(m[0])
+    pivots, r = [], 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pv = m[r][c]
+        m[r] = [v / pv for v in m[r]]
+        for i in range(rows):
+            if i != r:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def zero_heavy_matrix(rng, rows, cols):
+    """Mostly int 0 entries, a few Fraction(0), the rest nonzero Fractions;
+    sometimes a row repeated as a combination of two others."""
+    def entry():
+        roll = rng.random()
+        if roll < 0.7:
+            return 0
+        if roll < 0.75:
+            return Fraction(0)
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 5]))
+
+    m = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows >= 3 and rng.random() < 0.5:
+        s, t = rng.sample(range(rows - 1), 2)
+        m[-1] = [x + 2 * y for x, y in zip(m[s], m[t])]
+    return m
+
+
+def test_rref_skipping_zeros_matches_dense_oracle():
+    rng = random.Random(83)
+    for _ in range(300):
+        a = zero_heavy_matrix(rng, rng.randint(1, 8), rng.randint(1, 10))
+        red, pivots = linalg.rref(a, EXACT)
+        assert (red, pivots) == dense_rref(a)
+        assert all(type(v) is Fraction for row in red for v in row)
+
+
+def test_rref_float_mode_leaks_no_int():
+    rng = random.Random(84)
+    for _ in range(50):
+        a = zero_heavy_matrix(rng, rng.randint(1, 6), rng.randint(1, 8))
+        red, _ = linalg.rref([[float(v) if v else 0 for v in row] for row in a], FLOAT)
+        assert all(type(v) is float for row in red for v in row)
+
+
+def test_zero_heavy_nullspace_and_solve_agree_with_oracle():
+    rng = random.Random(85)
+    for _ in range(100):
+        n = rng.randint(1, 7)
+        a = zero_heavy_matrix(rng, n, n)
+        b = [rng.choice([0, Fraction(rng.randint(-4, 4), 3)]) for _ in range(n)]
+        red, pivots = dense_rref([row + [bi] for row, bi in zip(a, b)])
+        if pivots == list(range(n)):
+            assert linalg.solve(a, b) == [row[n] for row in red]
+        else:
+            with pytest.raises(SingularOperator):
+                linalg.solve(a, b)
+        for vec in linalg.nullspace(a):
+            assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in a)

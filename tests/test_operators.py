@@ -19,7 +19,9 @@ from orbitlab import (
     orbit,
 )
 from orbitlab.errors import BudgetExceeded, SingularOperator
-from orbitlab.operators import IDENTITY, ZERO
+from orbitlab.operators import IDENTITY, ZERO, solve
+from orbitlab.scalars import FLOAT
+from orbitlab.vectors import close
 
 
 def sv(*entries):
@@ -152,6 +154,83 @@ class TestInvert:
         for i in (4, 5, 9):
             e = SparseVector.basis(i)
             assert j.apply(e) == e
+
+
+def sparse_rational(rng, cls, window, most):
+    return cls({i: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 4]))
+                for i in rng.sample(range(1, window + 1), rng.randint(1, most))})
+
+
+def random_identity_plus_rank(rng, window=16):
+    """I + sum f_j (.) v_j with up to 12 sparse terms over the window."""
+    terms = tuple(
+        (sparse_rational(rng, CoordFunctional, window, 3),
+         sparse_rational(rng, SparseVector, window, 3))
+        for _ in range(rng.randint(1, 12))
+    )
+    return FiniteRankOperator(IDENTITY, terms)
+
+
+def as_float(x):
+    return type(x)({i: float(v) for i, v in x.entries.items()})
+
+
+class TestSolve:
+    def test_identity_returns_the_vector(self):
+        u = sv(1, Fraction(2, 3))
+        assert solve(FiniteRankOperator.identity(), u) == u
+
+    def test_exact_solve_inverts_apply_and_matches_invert(self):
+        rng = random.Random(41)
+        solved = 0
+        for _ in range(150):
+            j = random_identity_plus_rank(rng)
+            u = sparse_rational(rng, SparseVector, 16, 6)
+            try:
+                j_inv = invert(j)
+            except SingularOperator:
+                with pytest.raises(SingularOperator):
+                    solve(j, u)
+                continue
+            w = solve(j, u)
+            assert j.apply(w) == u
+            assert w == j_inv.apply(u)
+            solved += 1
+        assert solved > 100
+
+    def test_singular_gram_raises_from_both(self):
+        rng = random.Random(42)
+        for _ in range(50):
+            j = random_identity_plus_rank(rng)
+            x = sparse_rational(rng, SparseVector, 16, 4)
+            f = sparse_rational(rng, CoordFunctional, 16, 3)
+            while f.pair(x) == 0:
+                f = sparse_rational(rng, CoordFunctional, 16, 3)
+            # the extra term sends x to J x - J x = 0, so J has a kernel
+            singular = j.with_term(f, (-j.apply(x)).scale(1 / f.pair(x)))
+            assert singular.apply(x).is_zero()
+            with pytest.raises(SingularOperator):
+                invert(singular)
+            with pytest.raises(SingularOperator):
+                solve(singular, sparse_rational(rng, SparseVector, 16, 4))
+
+    def test_float_mode_agrees_with_exact(self):
+        rng = random.Random(43)
+        checked = 0
+        for _ in range(100):
+            j = random_identity_plus_rank(rng)
+            u = sparse_rational(rng, SparseVector, 16, 6)
+            try:
+                exact = solve(j, u)
+            except SingularOperator:
+                continue
+            j_float = FiniteRankOperator(
+                IDENTITY, tuple((as_float(f), as_float(v)) for f, v in j.terms))
+            w = solve(j_float, as_float(u), FLOAT)
+            assert close(w, as_float(exact), FLOAT)
+            assert close(j_float.apply(w), as_float(u), FLOAT)
+            checked += 1
+        assert checked > 60
 
 
 class TestCompose:

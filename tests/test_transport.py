@@ -14,7 +14,13 @@ from orbitlab import (
     invert,
 )
 from orbitlab.density import Enumeration
-from orbitlab.errors import NoApproximant, NotPIndependent, StageFailure
+from orbitlab.errors import (
+    BudgetExceeded,
+    Exhausted,
+    NoApproximant,
+    NotPIndependent,
+    StageFailure,
+)
 from orbitlab.transport import (
     TransportState,
     initial_state,
@@ -179,8 +185,10 @@ class TestRunTransport:
 
     def test_bad_schedule_rejected(self):
         a, b, p, d = twin_instance(random.Random(9), 12, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(BudgetExceeded):
             run_transport(a, b, p, d, [frac(1, 2), frac(1, 2)], stages=1)
+        with pytest.raises(Exhausted):
+            run_transport(a, b, p, d, [frac(1, 4)] * 3, stages=2)
 
     def test_stage_failure_carries_partial_state(self):
         # far-apart sets cannot be matched inside tight slots

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from orbitlab import CoordFunctional, SparseVector, linalg
-from orbitlab.errors import Exhausted
+from orbitlab.errors import Exhausted, LinearlyDependent
 from orbitlab.triangular import (
     TriangularizeState,
     build_omega_operator,
@@ -201,7 +201,7 @@ class TestInterleave:
 
     def test_dependent_basis_rejected(self):
         basis = [sv(1), sv(2)]
-        with pytest.raises(ValueError):
+        with pytest.raises(LinearlyDependent):
             interleave_triangularize(basis, deltas(4), stages=1)
 
     def test_random_rational_bases(self):
