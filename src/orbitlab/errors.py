@@ -65,6 +65,10 @@ class NotPIndependent(WorkbenchError):
     """A set expected to be p-independent has dependent active projections."""
 
 
+class NotNilpotent(WorkbenchError):
+    """An operator expected to be nilpotent on a window is not."""
+
+
 class NotNested(WorkbenchError):
     """Seminorm family is not strictly nested."""
 

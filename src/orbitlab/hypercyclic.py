@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .density import Enumeration, biorthogonalize
-from .errors import NotNested, NotPIndependent, WitnessNotFound
+from .errors import NotNested, NotNilpotent, NotPIndependent, WitnessNotFound
 from .operators import FiniteRankOperator, IDENTITY, ZERO, orbit
 from .scalars import EXACT, Scalar, ScalarContext
 from .seminorms import (
@@ -154,7 +154,8 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
     applying T^n cascades it into the active rows, which are solved exactly.
     T acts cut to the window: every `apply` is followed by restriction to
     coordinates 1..window, so the n-th step is (P T P)^n with P the window
-    projection.  Raises WitnessNotFound with the best (n, residual) on failure.
+    projection.  Raises NotNilpotent when the chain part of T is not nilpotent
+    on the window, WitnessNotFound with the best (n, residual) on failure.
     """
     if window is None:
         window = max(
@@ -172,7 +173,7 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
     for _ in range(window):
         cols = [w for w in (step(s, c) for c in cols) if not w.is_zero()]
     if any(not ctx.is_zero(v) for c in cols for v in c.entries.values()):
-        raise ValueError("witness search needs a nilpotent chain part on the window")
+        raise NotNilpotent("witness search needs a nilpotent chain part on the window")
 
     active_rows = [i for i in indices if i in p.weights]
     free_cols = [i for i in indices if i not in p.weights]

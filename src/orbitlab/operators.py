@@ -51,10 +51,6 @@ class FiniteRankOperator:
     def with_term(self, f: CoordFunctional, v: SparseVector) -> "FiniteRankOperator":
         return FiniteRankOperator(self.base, self.terms + ((f, v),))
 
-    @property
-    def rank_bound(self) -> int:
-        return len(self.terms)
-
     def linear_part(self) -> "FiniteRankOperator":
         """The operator minus its identity component."""
         return FiniteRankOperator(ZERO, self.terms)

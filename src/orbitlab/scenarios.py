@@ -110,6 +110,10 @@ def _vectors(data, ctx: ScalarContext, where: str) -> List[SparseVector]:
             for k, v in enumerate(data)]
 
 
+def _enumeration(data, ctx: ScalarContext, where: str, role: str) -> Enumeration:
+    return _field(where, Enumeration, tuple(_vectors(data, ctx, where)), role)
+
+
 def parse_eps_schedule(spec, count: int, ctx: ScalarContext = EXACT) -> List[Scalar]:
     """Either an explicit list of scalars or "geometric:r" with slots r^(j+1)."""
     if isinstance(spec, str):
@@ -158,8 +162,8 @@ def _random_window_vector(rng, window: int, ctx: ScalarContext) -> SparseVector:
 
 def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
-    a = Enumeration(tuple(_vectors(_need(payload, "a"), ctx, "payload.a")), "A")
-    b = Enumeration(tuple(_vectors(_need(payload, "b"), ctx, "payload.b")), "B")
+    a = _enumeration(_need(payload, "a"), ctx, "payload.a", "A")
+    b = _enumeration(_need(payload, "b"), ctx, "payload.b", "B")
     p = _field("payload.p", serialize.decode_seminorm, _need(payload, "p"), ctx)
     disk = _field("payload.disk", serialize.decode_disk, _need(payload, "disk"), ctx)
     stages = _field("payload.stages", int, _need(payload, "stages"))
@@ -276,10 +280,8 @@ def _run_disk_task(scenario: Scenario, ctx, rng, report: Report):
             report.tables.append(Table("probes", ["vector", "p_K"], probe_rows))
     elif "common" in payload:
         spec = payload["common"]
-        a = Enumeration(tuple(_vectors(_need(spec, "a", "payload.common"), ctx,
-                                       "payload.common.a")), "A")
-        b = Enumeration(tuple(_vectors(_need(spec, "b", "payload.common"), ctx,
-                                       "payload.common.b")), "B")
+        a = _enumeration(_need(spec, "a", "payload.common"), ctx, "payload.common.a", "A")
+        b = _enumeration(_need(spec, "b", "payload.common"), ctx, "payload.common.b", "B")
         targets = tuple(_vectors(_need(spec, "targets", "payload.common"), ctx,
                                  "payload.common.targets"))
         eps = _field("payload.common.eps", ctx.parse, _need(spec, "eps", "payload.common"))
@@ -319,6 +321,8 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
     kind = _need(payload, "mode")
     if kind == "build-shift":
         basis = _vectors(_need(payload, "basis"), ctx, "payload.basis")
+        if not basis:
+            raise ScenarioError("payload.basis: build-shift needs at least one vector")
         p = _field("payload.p", serialize.decode_seminorm, _need(payload, "p"), ctx)
         disk = _field("payload.disk", serialize.decode_disk, _need(payload, "disk"), ctx)
         spec = build_shift_operator(basis, p, disk, ctx)
@@ -390,12 +394,14 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
 def _run_refute_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
     levels = _field("payload.family_levels", int, _need(payload, "family_levels"))
+    if levels < 1:
+        raise ScenarioError(f"payload.family_levels: must be at least 1, got {levels}")
     first = _field("payload.first_active", int, payload.get("first_active", 1))
     family = [
         SeminormSpec.sup_on(range(1, first + n), ctx.one)
         for n in range(1, levels + 1)
     ]
-    b = Enumeration(tuple(_vectors(payload.get("b", []), ctx, "payload.b")), "B")
+    b = _enumeration(payload.get("b", []), ctx, "payload.b", "B")
     ns = build_nonorbit_set(family, b, ctx)
     op = _field("payload.operator", serialize.decode_operator,
                 _need(payload, "operator"), ctx)

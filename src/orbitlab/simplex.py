@@ -3,7 +3,9 @@
 Solves  min c.x  subject to  A x = b, x >= 0  over the scalars of the active
 mode.  Two phases with Bland's anti-cycling rule throughout, so runs
 terminate even on the degenerate ties that tied optimal disk representations
-produce.
+produce.  The tableau carries its reduced-cost row: each phase prices the
+costs against the basis once, and every pivot then updates that row with the
+same zero-skipping row step it applies to the constraint rows.
 """
 
 from __future__ import annotations
@@ -29,12 +31,22 @@ class LPResult:
     x: List[Scalar]
 
 
+def _eliminate(target: List[Scalar], row: Sequence[Scalar], col: int) -> None:
+    """target -= target[col] * row in place, skipping the zero entries of row."""
+    f = target[col]
+    if f:
+        for j, y in enumerate(row):
+            if y:
+                target[j] -= f * y
+
+
 class _Tableau:
     """Equality-form tableau: columns = variables + artificials, then rhs.
 
-    `basis[i]` is the column currently basic in row i.  Bland's rule: the
-    entering column is the lowest-index one with negative reduced cost, the
-    leaving row breaks ratio ties by lowest basis column.
+    `basis[i]` is the column currently basic in row i; `red` is the
+    reduced-cost row, priced once per phase and then pivoted like the others.
+    Bland's rule: the entering column is the lowest-index one with negative
+    reduced cost, the leaving row breaks ratio ties by lowest basis column.
     """
 
     def __init__(self, a, b, nvars: int, ctx: ScalarContext):
@@ -54,38 +66,26 @@ class _Tableau:
             row.append(rhs)
             self.rows.append(row)
             self.basis.append(nvars + i)
+        self.red: List[Scalar] = [ctx.zero] * (self.ncols + 1)
 
     def pivot(self, row: int, col: int):
         piv = self.rows[row][col]
-        self.rows[row] = [v / piv for v in self.rows[row]]
-        for i in range(self.nrows):
-            if i != row:
-                f = self.rows[i][col]
-                if f != 0:
-                    self.rows[i] = [
-                        x - f * y for x, y in zip(self.rows[i], self.rows[row])
-                    ]
+        prow = self.rows[row] = [v / piv for v in self.rows[row]]
+        for target in self.rows[:row] + self.rows[row + 1:] + [self.red]:
+            _eliminate(target, prow, col)
         self.basis[row] = col
-
-    def reduced_costs(self, costs: Sequence[Scalar]) -> List[Scalar]:
-        red = list(costs)
-        for i, bcol in enumerate(self.basis):
-            f = red[bcol]
-            if f != 0:
-                for j in range(self.ncols):
-                    red[j] -= f * self.rows[i][j]
-        return red
 
     def minimize(self, costs: Sequence[Scalar], allowed: int):
         """Bland iterations; only columns < `allowed` may enter."""
         ctx = self.ctx
-        red = self.reduced_costs(costs)
+        self.red = list(costs) + [ctx.zero]
+        for row, bcol in zip(self.rows, self.basis):
+            _eliminate(self.red, row, bcol)
         while True:
-            col = next((j for j in range(allowed) if ctx.lt(red[j], 0)), None)
+            col = next((j for j in range(allowed) if ctx.lt(self.red[j], 0)), None)
             if col is None:
                 return
-            best_row = None
-            best_ratio = None
+            best_row = best_ratio = None
             for i in range(self.nrows):
                 coef = self.rows[i][col]
                 if not ctx.lt(0, coef):
@@ -100,7 +100,6 @@ class _Tableau:
             if best_row is None:
                 raise Unbounded("improving column has no positive entries")
             self.pivot(best_row, col)
-            red = self.reduced_costs(costs)
 
     def solution(self) -> List[Scalar]:
         x = [self.ctx.zero] * self.nvars

@@ -262,14 +262,13 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
     add("index-coverage", want <= set(state.n_idx) and want <= set(state.m_idx),
         f"{{1..{k}}} inside both index sets")
 
-    slots_ok, slot_details = True, []
-    for j, (f, v) in enumerate(state.terms.terms, start=1):
-        df = dual_norm(state.p, f)
-        pv = minkowski(state.disk, v, ctx)
-        if not df <= 1 or not pv < state.epsilons[j - 1]:
-            slots_ok = False
-            slot_details.append(f"term {j}: p*(f) = {df}, p_D(v) = {pv}")
-    add("slot-bounds", slots_ok, "; ".join(slot_details) or "all slots respected")
+    # (p*(f), p_D(v)) per term, gauged once for both the slots and the budget
+    gauges = [(dual_norm(state.p, f), minkowski(state.disk, v, ctx))
+              for f, v in state.terms.terms]
+    slot_details = [f"term {j}: p*(f) = {df}, p_D(v) = {pv}"
+                    for j, (df, pv) in enumerate(gauges, start=1)
+                    if not df <= 1 or not pv < state.epsilons[j - 1]]
+    add("slot-bounds", not slot_details, "; ".join(slot_details) or "all slots respected")
 
     add("two-terms-per-stage", len(state.terms.terms) == built,
         f"{len(state.terms.terms)} terms")
@@ -284,7 +283,7 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
             match_details.append(f"pair {j}: J a({n}) != b({m})")
     add("exact-matching", match_ok, "; ".join(match_details) or "all matched pairs exact")
 
-    budget = state.budget_used(ctx)
+    budget = sum((df * pv for df, pv in gauges), ctx.zero)
     add("budget-below-one", budget < 1, f"c = {budget}")
 
     try:

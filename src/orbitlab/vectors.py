@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .scalars import EXACT, Scalar, ScalarContext
 
@@ -32,10 +32,6 @@ class _FiniteMap:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _clean(self.entries))
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[int, Scalar]]):
-        return cls(dict(pairs))
 
     @classmethod
     def zero(cls):

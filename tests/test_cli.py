@@ -385,6 +385,22 @@ def disk_scenario():
     }
 
 
+def common_scenario():
+    return {
+        "name": "common-twins",
+        "scalar_mode": "exact",
+        "window": 2,
+        "seed": 2,
+        "task": "disk",
+        "payload": {"common": {
+            "a": encode([sv(1), sv(0, 1)]),
+            "b": encode([sv(0, 1), sv(1)]),
+            "targets": encode([sv(1)]),
+            "eps": "1/4",
+        }},
+    }
+
+
 class TestDeterminismAcrossTasks:
     @pytest.mark.parametrize("builder", [
         transport_scenario, triangularize_scenario, build_shift_scenario,
@@ -470,6 +486,23 @@ class TestBatch:
         err = capsys.readouterr().err
         assert f"error: {paths[1]}: payload.p" in err
         assert sorted(p.name for p in out_dir.iterdir()) == ["s0.json", "s2.json"]
+
+    def test_construction_precondition_does_not_stop_the_batch(self, tmp_path, capsys):
+        empty = build_shift_scenario()
+        empty["payload"]["basis"] = []
+        refute = refute_scenario()
+        refute["payload"]["family_levels"] = 0
+        paths = self._paths(tmp_path, [empty, demo_scenario(), refute,
+                                       build_shift_scenario()])
+        out_dir = tmp_path / "out"
+        args = ["run", "--jobs", "2", "--out", str(out_dir)]
+        for path in paths:
+            args += ["--scenario", path]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"error: {paths[0]}: payload.basis" in err
+        assert f"error: {paths[2]}: payload.family_levels" in err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["s1.json", "s3.json"]
 
     def test_parallel_stdout_keeps_input_order(self, tmp_path, capsys, monkeypatch):
         import time
@@ -567,3 +600,46 @@ class TestUnusableInputExits2:
         code, path = _run_file(tmp_path, scenario)
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: {named}: ")
+
+    @pytest.mark.parametrize("builder, field", [
+        (transport_scenario, ("a",)),
+        (transport_scenario, ("b",)),
+        (common_scenario, ("common", "a")),
+        (common_scenario, ("common", "b")),
+        (refute_scenario, ("b",)),
+    ], ids=["transport-a", "transport-b", "common-a", "common-b", "refute-b"])
+    def test_repeated_enumeration_item(self, tmp_path, capsys, builder, field):
+        scenario = builder()
+        _corrupt(scenario["payload"], field, encode([sv(1), sv(0, 1), sv(1)]))
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: payload.{'.'.join(field)}: "
+            "enumeration items must be pairwise distinct\n")
+
+    def test_witness_operator_not_nilpotent(self, tmp_path, capsys):
+        scenario = witness_scenario()
+        scenario["payload"]["operator"] = {"base": "zero", "terms": [
+            {"f": serialize.encode_pairs(sv(1)), "v": serialize.encode_pairs(sv(1))},
+        ]}
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: witness search needs a nilpotent chain part on the window\n")
+
+    def test_build_shift_empty_basis(self, tmp_path, capsys):
+        scenario = build_shift_scenario()
+        scenario["payload"]["basis"] = []
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: payload.basis: build-shift needs at least one vector\n")
+
+    @pytest.mark.parametrize("levels", [0, -2])
+    def test_refute_without_family_levels(self, tmp_path, capsys, levels):
+        scenario = refute_scenario()
+        scenario["payload"]["family_levels"] = levels
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: payload.family_levels: must be at least 1, got {levels}\n")

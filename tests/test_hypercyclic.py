@@ -18,7 +18,13 @@ from orbitlab import (
     orbit,
 )
 from orbitlab.density import Enumeration
-from orbitlab.errors import KernelCollision, NotNested, NotPIndependent, WitnessNotFound
+from orbitlab.errors import (
+    KernelCollision,
+    NotNested,
+    NotNilpotent,
+    NotPIndependent,
+    WitnessNotFound,
+)
 from orbitlab.hypercyclic import (
     NonOrbitSet,
     build_nonorbit_set,
@@ -317,7 +323,7 @@ class TestTransitivityWitness:
         t = FiniteRankOperator(
             IDENTITY, ((CoordFunctional.delta(1), SparseVector.basis(1)),)
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(NotNilpotent):
             transitivity_witness(t, sv(1), sv(2), frac(1, 10), 4,
                                  SeminormSpec.sup_on([1]), window=2)
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from orbitlab import linalg
+from orbitlab import linalg, simplex
+from orbitlab.scalars import EXACT, FLOAT
 from orbitlab.simplex import Infeasible, Unbounded, solve_lp
 
 
@@ -94,3 +95,85 @@ def test_matches_vertex_oracle_on_random_instances():
         for i in range(nrows):
             assert sum(a[i][j] * result.x[j] for j in range(nvars)) == b[i]
         checked += 1
+
+
+def reprice(tab, costs):
+    """Reduced costs from scratch: costs minus every basis row times its cost."""
+    red = list(costs)
+    for i, bcol in enumerate(tab.basis):
+        f = red[bcol]
+        if f != 0:
+            for j in range(tab.ncols):
+                red[j] -= f * tab.rows[i][j]
+    return red
+
+
+class _CheckedTableau(simplex._Tableau):
+    """Checks the carried reduced-cost row after every pivot against `reprice`
+    for the costs of the latest phase (the drive-out pivots included); exact
+    equality in exact mode, the mode's tolerance in float mode."""
+
+    last = None
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.pivots = self.degenerate = 0
+        _CheckedTableau.last = self
+
+    def minimize(self, costs, allowed):
+        self.costs = list(costs)
+        super().minimize(costs, allowed)
+
+    def pivot(self, row, col):
+        self.degenerate += self.ctx.is_zero(self.rows[row][self.ncols])
+        super().pivot(row, col)
+        self.pivots += 1
+        expected = reprice(self, self.costs)
+        assert all(self.ctx.eq(x, y) for x, y in zip(self.red, expected))
+
+
+def random_lp(rng):
+    """Small LP with negative right-hand sides, repeated rows (artificials left
+    basic after phase 1) and zero right-hand sides (degenerate pivots)."""
+    nrows = rng.randint(1, 4)
+    nvars = rng.randint(1, 6)
+    a = [[F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(nvars)]
+         for _ in range(nrows)]
+    x_feas = [F(rng.choice([0, 0, 1, 2])) for _ in range(nvars)]
+    b = [sum(a[i][j] * x_feas[j] for j in range(nvars)) for i in range(nrows)]
+    if nrows > 1 and rng.random() < 0.4:
+        k = rng.choice([1, -2])
+        a[-1], b[-1] = [k * v for v in a[0]], k * b[0]
+    c = [F(rng.randint(-1, 4)) for _ in range(nvars)]
+    return c, a, b
+
+
+def solve_in(ctx, c, a, b):
+    """solve_lp over the scalars of ctx, or the type of the error it raised."""
+    try:
+        return solve_lp([ctx.coerce(v) for v in c],
+                        [[ctx.coerce(v) for v in row] for row in a],
+                        [ctx.coerce(v) for v in b], ctx)
+    except (Infeasible, Unbounded) as exc:
+        return type(exc)
+
+
+def test_carried_costs_match_repricing_and_float_matches_exact(monkeypatch):
+    monkeypatch.setattr(simplex, "_Tableau", _CheckedTableau)
+    rng = random.Random(41)
+    seen = {"negative rhs": 0, "artificial left basic": 0, "degenerate pivot": 0,
+            "solved": 0, "pivots": 0}
+    for _ in range(300):
+        c, a, b = random_lp(rng)
+        exact, tab = solve_in(EXACT, c, a, b), _CheckedTableau.last
+        approx = solve_in(FLOAT, c, a, b)
+        seen["negative rhs"] += any(v < 0 for v in b)
+        seen["pivots"] += tab.pivots
+        seen["degenerate pivot"] += tab.degenerate > 0
+        if isinstance(exact, type):
+            assert approx is exact
+            continue
+        seen["solved"] += 1
+        seen["artificial left basic"] += any(k >= len(c) for k in tab.basis)
+        assert FLOAT.eq(approx.value, float(exact.value))
+    assert min(seen.values()) >= 20, seen

@@ -249,3 +249,24 @@ class TestVerifyTransport:
         for i in range(1, 13):
             e = SparseVector.basis(i)
             assert j_inv.apply(j.apply(e)) == e
+
+    def test_each_term_gauged_once(self, monkeypatch):
+        # generator-form disk: every p_D(v) is an LP, so each one counts
+        import orbitlab.transport as transport
+
+        a, b, p, _ = twin_instance(random.Random(31), 12, 2)
+        disk = DiskSpec.from_generators([SparseVector.basis(i) for i in range(1, 13)])
+        _, state = run_transport(a, b, p, disk, geometric_schedule(4), stages=2)
+        expected_budget = state.budget_used()
+        gauge, calls = transport.minkowski, []
+
+        def counting(disk, v, ctx):
+            calls.append(v)
+            return gauge(disk, v, ctx)
+
+        monkeypatch.setattr(transport, "minkowski", counting)
+        report = verify_transport(state)
+        assert report.passed
+        assert calls == [v for _, v in state.terms.terms]
+        budget = next(c for c in report.checks if c.name == "budget-below-one")
+        assert budget.detail == f"c = {expected_budget}"
