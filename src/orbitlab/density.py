@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .errors import Exhausted, KernelCollision, NoSeparation, NotANet, NotInSpan
+from .errors import Exhausted, KernelCollision, NoSeparation, NotANet, NotInSpan, NotPIndependent
 from .scalars import EXACT, Scalar, ScalarContext
 from .seminorms import (
     DiskSpec,
@@ -35,10 +35,8 @@ class Enumeration:
 
     def __post_init__(self):
         items = tuple(self.items)
-        for i, x in enumerate(items):
-            for y in items[i + 1:]:
-                if x == y:
-                    raise ValueError("enumeration items must be pairwise distinct")
+        if len(set(items)) < len(items):
+            raise ValueError("enumeration items must be pairwise distinct")
         object.__setattr__(self, "items", items)
 
     def __len__(self):
@@ -82,7 +80,7 @@ def is_net(items: Sequence[SparseVector], net: EpsilonNet,
            ctx: ScalarContext = EXACT) -> bool:
     norm = net.seminorm(ctx)
     return all(
-        nearest_in(items, t, norm)[1] <= net.eps for t in net.targets
+        items and nearest_in(items, t, norm)[1] <= net.eps for t in net.targets
     )
 
 
@@ -104,7 +102,7 @@ def extract_p_independent(a: Enumeration, p: SeminormSpec,
     """Greedy subsequence with the n-th pick inside the n-th open ball and all
     active-coordinate projections independent at every stage."""
     if len(p.active) < 2:
-        raise ValueError("seminorm must be non-trivial on the window")
+        raise NotPIndependent("seminorm must be non-trivial on the window")
     if window_norm is None:
         top = max(
             [max(x.support, default=1) for x in a.items]
@@ -117,7 +115,7 @@ def extract_p_independent(a: Enumeration, p: SeminormSpec,
     for n, (center, radius) in enumerate(opens, start=1):
         found = None
         for x in a.items:
-            if any(x == q for q in picks):
+            if x in picks:
                 continue
             if not eval_seminorm(window_norm, x - center) < radius:
                 continue

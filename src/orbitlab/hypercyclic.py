@@ -31,7 +31,7 @@ from .seminorms import (
     minkowski,
     p_independent,
 )
-from .vectors import CoordFunctional, SparseVector
+from .vectors import CoordFunctional, SparseVector, combine
 
 
 @dataclass(frozen=True)
@@ -121,14 +121,10 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
     for n in range(1, depth + 1):
         dim_range = _rank((col.entries for col in powers[n]), ctx)
         double = [[col.get(i) for col in powers[2 * n]] for i in ambient]
-        meet = []
-        for y in linalg.nullspace(double, cols=top, ctx=ctx):
-            vec: Dict[int, Scalar] = {}
-            for c, col in zip(y, powers[n]):
-                if not ctx.is_zero(c):
-                    for i, v in col.entries.items():
-                        vec[i] = vec.get(i, 0) + c * v
-            meet.append(vec)
+        meet = [
+            combine((c, col) for c, col in zip(y, powers[n]) if not ctx.is_zero(c)).entries
+            for y in linalg.nullspace(double, cols=top, ctx=ctx)
+        ]
         union += meet
         rows.append(PremiseRow(
             n=n,
@@ -205,10 +201,7 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
         )
         z = x + correction
         res_x = eval_seminorm(p, z - x)
-        image = tnx
-        for v, c in zip(tne, sol):
-            if not ctx.is_zero(c):
-                image = image + v.scale(c)
+        image = combine(((c, v) for v, c in zip(tne, sol) if not ctx.is_zero(c)), tnx)
         res_y = eval_seminorm(p, image - y)
         worst = max(res_x, res_y)
         if ctx.lt(res_x, eps) and ctx.lt(res_y, eps):
@@ -245,10 +238,10 @@ class NonOrbitSet:
         return tuple(self.b.items) + self.c
 
     def in_b(self, x: SparseVector) -> bool:
-        return any(x == y for y in self.b.items)
+        return x in self.b.items
 
     def in_c(self, x: SparseVector) -> bool:
-        return any(x == y for y in self.c)
+        return x in self.c
 
     def __contains__(self, x: SparseVector) -> bool:
         return self.in_b(x) or self.in_c(x)
@@ -311,11 +304,8 @@ def refute_orbit(t: FiniteRankOperator, x: SparseVector, a_set: NonOrbitSet,
     in_a = [p in a_set for p in prefix]
     first_exit = next((i for i, ok in enumerate(in_a) if not ok), None)
 
-    distinct: List[SparseVector] = []
-    for el in prefix:
-        if all(el != d for d in distinct):
-            distinct.append(el)
-    covers = all(any(item == el for el in distinct) for item in a_set.items)
+    distinct = list(dict.fromkeys(prefix))
+    covers = set(a_set.items) <= set(distinct)
 
     m_set = [
         n for n in range(horizon - 1)

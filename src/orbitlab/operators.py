@@ -20,7 +20,7 @@ from . import linalg
 from .errors import BudgetExceeded, SingularOperator
 from .scalars import EXACT, Scalar, ScalarContext
 from .seminorms import DiskSpec, SeminormSpec, dual_norm, minkowski
-from .vectors import CoordFunctional, SparseVector
+from .vectors import CoordFunctional, SparseVector, combine
 
 IDENTITY = "identity"
 ZERO = "zero"
@@ -59,22 +59,14 @@ class FiniteRankOperator:
         return FiniteRankOperator(IDENTITY, self.terms)
 
     def apply(self, x: SparseVector) -> SparseVector:
-        out = x if self.base == IDENTITY else SparseVector.zero()
-        for f, v in self.terms:
-            coeff = f.pair(x)
-            if coeff != 0:
-                out = out + v.scale(coeff)
-        return out
+        return combine([(f.pair(x), v) for f, v in self.terms],
+                       x if self.base == IDENTITY else SparseVector.zero())
 
     def compose(self, other: "FiniteRankOperator") -> "FiniteRankOperator":
         """self after other, expanded back into base-plus-terms form."""
         terms: List[Term] = []
         for g, w in other.terms:
-            image = w if self.base == IDENTITY else SparseVector.zero()
-            for f, v in self.terms:
-                coeff = f.pair(w)
-                if coeff != 0:
-                    image = image + v.scale(coeff)
+            image = self.apply(w)
             if not image.is_zero():
                 terms.append((g, image))
         if other.base == IDENTITY:
@@ -146,11 +138,7 @@ def solve(j: FiniteRankOperator, u: SparseVector,
     if not gram:
         return u
     coeffs = linalg.solve(gram, [f.pair(u) for f, _ in j.terms], ctx)
-    w = u
-    for (_, v), c in zip(j.terms, coeffs):
-        if c != 0:
-            w = w - v.scale(c)
-    return w
+    return combine(((-c if c else c, v) for (_, v), c in zip(j.terms, coeffs)), u)
 
 
 def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOperator:
@@ -164,14 +152,10 @@ def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOpera
     if not gram:
         return FiniteRankOperator.identity()
     m = linalg.invert_matrix(gram, ctx)
-    k = len(gram)
     new_terms = []
-    for col in range(k):
-        u = SparseVector.zero()
-        for row in range(k):
-            if m[row][col] != 0:
-                u = u + j.terms[row][1].scale(m[row][col])
-        new_terms.append((j.terms[col][0], -u))
+    for col, (f, _) in enumerate(j.terms):
+        u = combine((row[col], v) for row, (_, v) in zip(m, j.terms))
+        new_terms.append((f, -u))
     return FiniteRankOperator(IDENTITY, tuple(new_terms))
 
 

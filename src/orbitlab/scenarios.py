@@ -54,6 +54,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
+        if not isinstance(data, dict):
+            raise ScenarioError("scenario: must be an object")
         for key in ("name", "scalar_mode", "window", "seed", "task", "payload"):
             if key not in data:
                 raise ScenarioError(f"{key}: missing")
@@ -88,6 +90,8 @@ class Scenario:
 
 
 def _need(payload: Dict[str, Any], key: str, where: str = "payload"):
+    if not isinstance(payload, dict):
+        raise ScenarioError(f"{where}: must be an object")
     if key not in payload:
         raise ScenarioError(f"{where}.{key}: missing")
     return payload[key]

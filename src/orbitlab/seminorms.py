@@ -28,6 +28,8 @@ def _clean_weights(weights: Mapping[int, Scalar]) -> dict:
     out = {}
     for idx, w in weights.items():
         idx = int(idx)
+        if idx < 1:
+            raise ValueError(f"coordinate indices are positive, got {idx}")
         if type(w) is int:
             w = Fraction(w)
         if not w > 0:

@@ -197,11 +197,9 @@ def _run_stage(state: TransportState, q: int, ctx: ScalarContext) -> TransportSt
     constraints = [a.vector(i) for i in n_idx]
     used_m = set(m_idx) | {m_bwd}
     pool_idx = [i for i in range(1, len(b) + 1) if i not in used_m]
-    f, v, r = step_forward(
-        state, u, constraints, [b.vector(i) for i in pool_idx],
-        state.epsilons[2 * q - 2], ctx,
-    )
-    m_fwd = pool_idx[[b.vector(i) for i in pool_idx].index(r)]
+    pool = [b.vector(i) for i in pool_idx]
+    f, v, r = step_forward(state, u, constraints, pool, state.epsilons[2 * q - 2], ctx)
+    m_fwd = pool_idx[pool.index(r)]
     n_idx.append(n_fwd)
     m_idx.append(m_fwd)
     state = replace(state, terms=state.terms.with_term(f, v), n_idx=tuple(n_idx),
@@ -211,11 +209,9 @@ def _run_stage(state: TransportState, q: int, ctx: ScalarContext) -> TransportSt
     u = b.vector(m_bwd)
     constraints = [a.vector(i) for i in n_idx]
     pool_idx = [i for i in range(1, len(a) + 1) if i not in set(n_idx)]
-    f, v, picked = step_backward(
-        state, u, constraints, [a.vector(i) for i in pool_idx],
-        state.epsilons[2 * q - 1], ctx,
-    )
-    n_bwd = pool_idx[[a.vector(i) for i in pool_idx].index(picked)]
+    pool = [a.vector(i) for i in pool_idx]
+    f, v, picked = step_backward(state, u, constraints, pool, state.epsilons[2 * q - 1], ctx)
+    n_bwd = pool_idx[pool.index(picked)]
     n_idx.append(n_bwd)
     m_idx.append(m_bwd)
     return replace(state, stage=q, terms=state.terms.with_term(f, v),

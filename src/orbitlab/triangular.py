@@ -25,7 +25,7 @@ from typing import List, Sequence, Tuple
 from . import linalg
 from .errors import Exhausted, LinearlyDependent
 from .scalars import EXACT, Scalar, ScalarContext
-from .vectors import CoordFunctional, SparseVector
+from .vectors import CoordFunctional, SparseVector, combine
 
 # The driver refuses to start without this much slack beyond the prefix it
 # must build; greedy scans need room.
@@ -80,10 +80,7 @@ class _Bordered:
         # item pairs to zero with every chosen item of the other kind
         c = [_pair(forced, y) for y in other]
         row = [z / d for z, d in zip(_forward(other_lower, c), self.pivots)]
-        defect = forced
-        for lam, x in zip(_back(own_lower, row), own):
-            if lam != 0:
-                defect = defect - x.scale(lam)
+        defect = combine(((-lam, x) for lam, x in zip(_back(own_lower, row), own)), forced)
         for pos, candidate in enumerate(candidates):
             pivot = _pair(defect, candidate)
             if not self.ctx.is_zero(pivot):
@@ -108,13 +105,13 @@ class _Bordered:
 def _greedy_extend(side, forced, chosen, candidates, ctx):
     n = len(chosen)
     if len(forced) < n + 1:
-        raise ValueError(f"need {n + 1} items on the forced side to extend {n} chosen ones")
+        raise Exhausted(f"need {n + 1} items on the forced side to extend {n} chosen ones")
     lu = _Bordered(ctx)
     for item, pick in zip(forced, chosen):
         try:
             lu.extend(side, item, [pick])
         except Exhausted:
-            raise ValueError("chosen prefix has a singular leading pairing minor") from None
+            raise LinearlyDependent("chosen prefix has a singular leading pairing minor") from None
     pos = lu.extend(side, forced[n], candidates)
     return candidates[pos], math.prod(lu.pivots)
 
@@ -126,8 +123,9 @@ def greedy_extend_vector(funcs: Sequence[CoordFunctional],
     """First candidate keeping the extended minor invertible, with its det.
 
     Every leading minor of the pairing of funcs[:n] with the n chosen vectors
-    must be invertible, as interleave_triangularize keeps them; ValueError
-    otherwise, even when the full n x n minor is not singular.
+    must be invertible, as interleave_triangularize keeps them; LinearlyDependent
+    otherwise, even when the full n x n minor is not singular.  Exhausted when
+    funcs has fewer than n + 1 items or no candidate keeps the minor invertible.
     """
     return _greedy_extend(0, funcs, chosen, candidates, ctx)
 
@@ -139,7 +137,7 @@ def greedy_extend_functional(vectors: Sequence[SparseVector],
     """Dual of greedy_extend_vector with vector and functional roles swapped.
 
     Same precondition: every leading minor of the pairing of the chosen
-    functionals with vectors[:n] must be invertible, else ValueError.
+    functionals with vectors[:n] must be invertible, else LinearlyDependent.
     """
     return _greedy_extend(1, vectors, chosen, candidates, ctx)
 
@@ -219,11 +217,7 @@ def interleave_triangularize(basis: Sequence[SparseVector],
     for m in range(1, target + 1):
         c = lu.coeffs(m)
         coeffs.append(tuple(c))
-        v = SparseVector.zero()
-        for cj, u in zip(c, lu.items[1]):
-            if cj != 0:
-                v = v + u.scale(cj)
-        vs.append(v)
+        vs.append(combine(zip(c, lu.items[1])))
 
     return TriangularizeState(
         alpha=tuple(picks[0]),
@@ -286,9 +280,4 @@ def map_between_spans(source: TriangularizeState, target: TriangularizeState,
     through the target one.  No claims beyond the built prefixes."""
     if source.built != target.built:
         raise ValueError("states must have prefixes of equal length")
-    zs = omega_forward_solve(source, x, ctx)
-    out = SparseVector.zero()
-    for z, v in zip(zs, target.v):
-        if z != 0:
-            out = out + v.scale(z)
-    return out
+    return combine(zip(omega_forward_solve(source, x, ctx), target.v))

@@ -2,15 +2,17 @@
 
 Both kinds store a finite map from positive coordinate index to a nonzero
 scalar.  Explicit zeros are never stored, ints are stored as Fractions, and
-any other scalar is stored as given; equality is entry-wise.  The pairing
+any other scalar is stored as given; equality is entry-wise, and hashing
+agrees with it, so vectors serve as set members and dict keys.  The pairing
 f(x) = sum_i f_i * x_i is always a finite sum, and an empty one is the int 0.
+Finite linear combinations go through `combine`, which cleans the sum once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .scalars import EXACT, Scalar, ScalarContext
 
@@ -32,6 +34,9 @@ class _FiniteMap:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _clean(self.entries))
+
+    def __hash__(self):
+        return hash(frozenset(self.entries.items()))
 
     @classmethod
     def zero(cls):
@@ -111,6 +116,33 @@ class CoordFunctional(_FiniteMap):
 
     def __call__(self, x: SparseVector) -> Scalar:
         return self.pair(x)
+
+
+def combine(terms: Iterable[Tuple[Scalar, _FiniteMap]], start: Optional[_FiniteMap] = None):
+    """start + sum of c * x over the (c, x) pairs, zero coefficients skipped.
+
+    Each coordinate is summed in term order from start's entry, so the result
+    rounds as the fold start + x_1.scale(c_1) + ... does.  With no non-zero
+    coefficient the result is start itself (a zero SparseVector for no start).
+    """
+    acc = kind = None
+    for c, x in terms:
+        if not c:
+            continue
+        if acc is None:
+            kind = type(x) if start is None else type(start)
+            acc = {} if start is None else dict(start.entries)
+        if type(x) is not kind:
+            raise TypeError(f"cannot combine {kind.__name__} with {type(x).__name__}")
+        for i, v in x.entries.items():
+            s = acc.get(i, 0) + v * c
+            if s:
+                acc[i] = s
+            else:
+                acc.pop(i, None)
+    if acc is None:
+        return SparseVector.zero() if start is None else start
+    return kind(acc)
 
 
 def close(x: _FiniteMap, y: _FiniteMap, ctx: ScalarContext) -> bool:

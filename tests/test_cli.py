@@ -1,12 +1,15 @@
 """Scenario runner: schema errors, determinism, regression check, CLI flows."""
 
+import copy
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from orbitlab import SparseVector, serialize
 from orbitlab.cli import main
+from orbitlab.errors import WorkbenchError
 from orbitlab.reports import emit_report, parse_csv_tables
 from orbitlab.scenarios import Scenario, ScenarioError, parse_eps_schedule, run_scenario
 
@@ -504,6 +507,26 @@ class TestBatch:
         assert f"error: {paths[2]}: payload.family_levels" in err
         assert sorted(p.name for p in out_dir.iterdir()) == ["s1.json", "s3.json"]
 
+    def test_malformed_nested_payloads_do_not_stop_the_batch(self, tmp_path, capsys):
+        empty = common_scenario()
+        empty["payload"]["common"]["b"] = []
+        null = common_scenario()
+        null["payload"]["common"] = None
+        index = transport_scenario(name="index")
+        index["payload"]["disk"]["weights"][0][0] = 0
+        paths = self._paths(tmp_path, [empty, null, disk_scenario(), index])
+        out_dir = tmp_path / "out"
+        args = ["run", "--jobs", "2", "--out", str(out_dir)]
+        for path in paths:
+            args += ["--scenario", path]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {paths[0]}: second enumeration misses a target beyond eps\n"
+                       f"error: {paths[1]}: payload.common: must be an object\n"
+                       f"error: {paths[3]}: payload.disk: coordinate indices are positive, "
+                       "got 0\n")
+        assert [p.name for p in out_dir.iterdir()] == ["s2.json"]
+
     def test_parallel_stdout_keeps_input_order(self, tmp_path, capsys, monkeypatch):
         import time
 
@@ -643,3 +666,114 @@ class TestUnusableInputExits2:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: {path}: payload.family_levels: must be at least 1, got {levels}\n")
+
+    @pytest.mark.parametrize("side, which", [("a", "first"), ("b", "second")])
+    def test_common_empty_enumeration(self, tmp_path, capsys, side, which):
+        scenario = common_scenario()
+        scenario["payload"]["common"][side] = []
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: {which} enumeration misses a target beyond eps\n")
+
+    @pytest.mark.parametrize("value", [None, "abc"])
+    def test_common_not_an_object(self, tmp_path, capsys, value):
+        scenario = common_scenario()
+        scenario["payload"]["common"] = value
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: payload.common: must be an object\n"
+
+    @pytest.mark.parametrize("field, index", [("p", -3), ("disk", 0)])
+    def test_weight_at_non_positive_coordinate(self, tmp_path, capsys, field, index):
+        scenario = transport_scenario()
+        scenario["payload"][field]["weights"][0][0] = index
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: payload.{field}: coordinate indices are positive, got {index}\n")
+
+
+BUILDERS = [transport_scenario, triangularize_scenario, build_shift_scenario, demo_scenario,
+            refute_scenario, disk_scenario, common_scenario, witness_scenario]
+CORRUPTIONS = ["<delete>", None, "abc", -3, 0, [], {}, "<duplicate>"]
+
+
+def _fields(node, path=()):
+    """Every path of keys and list positions below node, parents first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _fields(child, path + (key,))
+
+
+def _corrupted(scenario, rng):
+    """(path, corruption, copy) for every field and every applicable corruption:
+    the field deleted, replaced, or with a random list item repeated.  The
+    empty path replaces the whole scenario."""
+    for value in CORRUPTIONS[1:-1]:
+        yield (), value, copy.deepcopy(value)
+    for path in _fields(scenario):
+        for value in CORRUPTIONS:
+            bad = copy.deepcopy(scenario)
+            *parents, last = path
+            node = bad
+            for key in parents:
+                node = node[key]
+            if value == "<delete>":
+                del node[last]
+            elif value == "<duplicate>":
+                if not isinstance(node[last], list) or not node[last]:
+                    continue
+                node[last].append(copy.deepcopy(rng.choice(node[last])))
+            else:
+                node[last] = copy.deepcopy(value)
+            yield path, value, bad
+
+
+class TestCorruptionFuzz:
+    """Corrupting any one field of a scenario gives a report or a WorkbenchError."""
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("builder", BUILDERS, ids=lambda b: b.__name__)
+    def test_one_corrupted_field(self, builder, mode):
+        scenario = builder()
+        scenario["scalar_mode"] = mode
+        for path, value, bad in _corrupted(scenario, random.Random(7)):
+            try:
+                run_scenario(Scenario.from_dict(bad))
+            except WorkbenchError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"{path} <- {value!r}: {type(exc).__name__}: {exc}")
+
+    def test_batch_of_corrupted_scenarios(self, tmp_path, capsys):
+        rng = random.Random(11)
+        candidates = [bad for builder in BUILDERS
+                      for _, _, bad in _corrupted(builder(), rng)]
+        rng.shuffle(candidates)
+        batch = []
+        for bad in candidates:
+            try:
+                run_scenario(Scenario.from_dict(bad))
+            except WorkbenchError:
+                batch.append(bad)
+                if len(batch) == 6:
+                    break
+        batch[2:2] = [demo_scenario(), disk_scenario()]
+        paths = TestBatch()._paths(tmp_path, batch)
+        out_dir = tmp_path / "out"
+        args = ["run", "--jobs", "2", "--out", str(out_dir)]
+        for path in paths:
+            args += ["--scenario", path]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line.split(": ")[:2] for line in err.splitlines()] == [
+            ["error", path] for path in paths[:2] + paths[4:]]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["s2.json", "s3.json"]

@@ -24,7 +24,7 @@ from orbitlab.density import (
     net_report,
     null_sequence_disk,
 )
-from orbitlab.errors import Exhausted, KernelCollision, NotANet, NotInSpan
+from orbitlab.errors import Exhausted, KernelCollision, NotANet, NotInSpan, NotPIndependent
 
 
 def sv(*entries):
@@ -63,6 +63,11 @@ class TestExtractPIndependent:
         a = Enumeration((sv(1), sv(0, 1)))
         with pytest.raises(Exhausted):
             extract_p_independent(a, p, [(sv(9, 9), frac(1, 4))])
+
+    def test_trivial_seminorm_rejected(self):
+        a = Enumeration((sv(1), sv(0, 1)))
+        with pytest.raises(NotPIndependent, match="non-trivial"):
+            extract_p_independent(a, SeminormSpec.sup_on([1]), [(sv(1), frac(1))])
 
     def test_rank_equals_pick_count_at_every_stage(self):
         rng = random.Random(83)

@@ -1,4 +1,5 @@
-"""Seminorms, dual norms, Minkowski gauges and separating functionals."""
+"""Vector combination and identity, seminorms, dual norms, Minkowski gauges and
+separating functionals."""
 
 import itertools
 import random
@@ -17,7 +18,10 @@ from orbitlab import (
     minkowski,
     separating_functional,
 )
+from orbitlab.density import Enumeration
 from orbitlab.errors import NoSeparation, NotInSpan, NotPBounded
+from orbitlab.scalars import EXACT, FLOAT
+from orbitlab.vectors import combine
 
 
 def sv(*entries):
@@ -229,3 +233,64 @@ class TestSeparatingFunctional:
             assert f.pair(u) != 0
             assert dual_norm(p, f) == 1
             assert set(f.support) <= p.active
+
+
+class TestCombine:
+    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+    @pytest.mark.parametrize("kind", [SparseVector, CoordFunctional])
+    def test_matches_left_fold(self, ctx, kind):
+        rng = random.Random(23)
+
+        def scalar():
+            return ctx.coerce(Fraction(rng.randint(-4, 4), rng.choice([1, 3, 7])))
+
+        def item():
+            return kind({i: scalar() for i in rng.sample(range(1, 9), rng.randint(0, 5))})
+
+        for _ in range(300):
+            xs = [item() for _ in range(rng.randint(0, 5))]
+            cs = [scalar() for _ in xs]
+            if xs and rng.random() < 0.4:
+                # a term that cancels an earlier one, so sums pass through zero
+                xs.append(xs[0])
+                cs.append(-cs[0])
+            start = None if kind is SparseVector and rng.random() < 0.3 else item()
+            fold = SparseVector.zero() if start is None else start
+            for c, x in zip(cs, xs):
+                if c > 0:
+                    fold = fold + x.scale(c)
+                elif c < 0:
+                    fold = fold - x.scale(-c)
+            out = combine(zip(cs, xs), start)
+            assert out == fold
+            # same insertion order too: float pairings sum in entry order
+            assert list(out.entries) == list(fold.entries)
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0), 0.0, -0.0])
+    def test_zero_coefficients_return_start_itself(self, zero):
+        start = sv(1, -2)
+        assert combine([(zero, sv(3)), (zero, sv(0, 5))], start) is start
+        assert combine([], start) is start
+        assert combine([(zero, sv(3))]) == SparseVector.zero()
+
+    def test_mixed_kinds_rejected(self):
+        with pytest.raises(TypeError):
+            combine([(1, cf(1))], sv(1))
+
+
+class TestIdentity:
+    def test_equal_vectors_hash_equal(self):
+        from_ints = SparseVector({1: 2, 3: -1, 4: 0})
+        from_fractions = SparseVector({3: Fraction(-1), 1: Fraction(4, 2)})
+        assert from_ints == from_fractions
+        assert hash(from_ints) == hash(from_fractions)
+        assert len({from_ints, from_fractions}) == 1
+
+    def test_enumeration_rejects_the_duplicate_pair(self):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            Enumeration((sv(1), SparseVector({1: 1, 2: 0}), sv(0, 1)))
+
+    def test_vector_and_functional_stay_distinct(self):
+        x, f = SparseVector({1: 1, 2: 3}), CoordFunctional({1: 1, 2: 3})
+        assert x != f and f != x
+        assert len({x, f}) == 2

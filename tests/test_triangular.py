@@ -54,9 +54,13 @@ class TestGreedyExtendVector:
                 deltas(2), [SparseVector.basis(1)], [SparseVector.basis(1), sv(3)]
             )
 
+    def test_forced_side_too_short(self):
+        with pytest.raises(Exhausted, match="need 2 items on the forced side"):
+            greedy_extend_vector(deltas(1), [SparseVector.basis(1)], [sv(0, 1)])
+
     def test_singular_leading_minor_rejected(self):
         # the full 2x2 minor is invertible, its leading 1x1 minor is not
-        with pytest.raises(ValueError):
+        with pytest.raises(LinearlyDependent):
             greedy_extend_vector(
                 deltas(3), [SparseVector.basis(2), SparseVector.basis(1)],
                 [SparseVector.basis(3)],
@@ -79,7 +83,7 @@ class TestGreedyExtendVector:
                 ]
                 try:
                     x, det = greedy_extend_vector(funcs[: m + 1], chosen, cands)
-                except (Exhausted, ValueError):
+                except Exhausted:
                     ok = False
                     break
                 chosen.append(x)
@@ -114,7 +118,7 @@ class TestGreedyExtendFunctional:
             )
 
     def test_singular_leading_minor_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(LinearlyDependent):
             greedy_extend_functional(
                 [SparseVector.basis(1), SparseVector.basis(2), SparseVector.basis(3)],
                 [CoordFunctional.delta(2), CoordFunctional.delta(1)],
