@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from .scalars import Scalar
+
 
 @dataclass
 class CheckResult:
@@ -27,9 +29,14 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
-    """A replayed set of invariant checks; failures are entries, not errors."""
+    """A replayed set of invariant checks; failures are entries, not errors.
+
+    `budget` is the Neumann budget a transport replay sums for its
+    budget-below-one check, for the report's data; it is not part of to_dict.
+    """
 
     checks: List[CheckResult] = field(default_factory=list)
+    budget: Optional[Scalar] = None
 
     @property
     def passed(self) -> bool:

@@ -191,7 +191,7 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
         residual = j.apply(a.vector(n)) - b.vector(m)
         rows.append([str(jj), str(n), str(m), serialize.format_vector(residual)])
     report.tables.append(Table("matched-pairs", ["j", "n_j", "m_j", "residual"], rows))
-    report.data["budget"] = ctx.format(state.budget_used(ctx))
+    report.data["budget"] = ctx.format(verification.budget)
     report.data["operator"] = serialize.encode_operator(j)
     report.data["state"] = {
         "stage": state.stage,
@@ -210,7 +210,7 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
             {i: ctx.coerce(rng.randint(-9, 9))
              for i in rng.sample(kernel_coords, min(3, len(kernel_coords)))}
         )
-        if j.apply(x) != x:
+        if not close(j.apply(x), x, ctx):
             fixed = False
     report.checks.append(CheckResult("kernel-fixing-spot-check", fixed,
                                      "20 seeded kernel vectors"))

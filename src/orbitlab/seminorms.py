@@ -6,14 +6,16 @@ active set, so kernel membership is a support inspection.  The dual norm and
 the Minkowski gauge of a disk are computed in closed form (weight form) or
 by an exact linear program (generator form).  The separating-functional
 construction replaces the Hahn-Banach step of the abstract theory with a
-finite nullspace solve.
+finite nullspace pick: `Separator` keeps the reduced echelon form of a
+constraint list that grows one vector at a time, and `separating_functional`
+fills one from a single elimination for a list given once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg, simplex
 from .errors import NoSeparation, NotInSpan, NotPBounded
@@ -175,28 +177,101 @@ def p_independent(p: SeminormSpec, xs: Sequence[SparseVector],
     return all(reducer.try_add(proj) for proj in project_active(p, xs))
 
 
+class Separator:
+    """Separating functionals against a constraint list that grows one vector at a time.
+
+    Keeps the reduced row echelon form of the constraints' active projections
+    as {pivot coordinate: row}; every row is 1 at its pivot and 0 at the other
+    pivots.  A nullspace vector per free coordinate c is e_c minus the column c
+    of the rows, the basis `linalg.nullspace` returns, and RREF is unique, so
+    `functional` picks the f that a from-scratch solve picks.
+    """
+
+    def __init__(self, p: SeminormSpec, ctx: ScalarContext = EXACT):
+        self.p = p
+        self.ctx = ctx
+        self._rows: Dict[int, Dict[int, Scalar]] = {}
+        self._support: set = set()
+
+    @classmethod
+    def of(cls, p: SeminormSpec, constraints: Sequence[SparseVector],
+           ctx: ScalarContext = EXACT) -> "Separator":
+        """A separator for the constraints, from one `linalg.rref` of their projections."""
+        sep = cls(p, ctx)
+        projections = project_active(p, constraints)
+        coords = sorted(set().union(*projections))
+        sep._support.update(coords)
+        red, pivots = linalg.rref([[x.get(i, 0) for i in coords] for x in projections], ctx)
+        for row, pc in zip(red, pivots):
+            sep._rows[coords[pc]] = {coords[j]: v for j, v in enumerate(row) if v}
+        return sep
+
+    def add(self, x: SparseVector) -> None:
+        """Append one constraint: reduce its projection against the rows, keep it
+        if independent, normalised at its lowest coordinate, and clear that
+        coordinate from the older rows."""
+        ctx = self.ctx
+        proj = project_active(self.p, [x])[0]
+        self._support.update(proj)
+        res = dict(proj)
+        # the rows are 0 at each other's pivots, so each one is subtracted once
+        for pc in sorted(self._rows.keys() & proj.keys()):
+            _eliminate(res, proj[pc], self._rows[pc], ctx)
+        if not res:
+            return
+        lead = min(res)
+        pivot = res[lead]
+        row = {i: v / pivot for i, v in res.items()}
+        for other in self._rows.values():
+            if lead in other:
+                _eliminate(other, other[lead], row, ctx)
+        self._rows[lead] = row
+
+    def functional(self, u: SparseVector) -> CoordFunctional:
+        """f with support in active(p), f = 0 on the constraints, f(u) != 0,
+        dual_norm(p, f) = 1.
+
+        Scans the free coordinates of the constraint and active u supports in
+        ascending order and rescales the first nullspace vector that is non-zero
+        on u; raises NoSeparation exactly when (u + span constraints) meets ker p.
+        """
+        ctx, rows = self.ctx, self._rows
+        u_act = {i: v for i, v in u.entries.items() if i in self.p.weights}
+        coords = self._support.union(u_act)
+        if not coords:
+            raise NoSeparation("u projects to zero on the active coordinates")
+        hits = [(pc, rows[pc], u_act[pc]) for pc in sorted(rows.keys() & u_act.keys())]
+        for fc in sorted(coords - rows.keys()):
+            # f(u) for the nullspace vector of fc, summed in coordinate order as
+            # over the dense candidate, so float sums round alike
+            terms = [(pc, -row[fc] * x) for pc, row, x in hits if fc in row]
+            if fc in u_act:
+                terms.append((fc, u_act[fc]))
+            if ctx.is_zero(sum(t for _, t in sorted(terms))):
+                continue
+            entries = sorted([(pc, -row[fc]) for pc, row in rows.items() if fc in row]
+                             + [(fc, ctx.one)])
+            f = CoordFunctional({i: c for i, c in entries if not ctx.is_zero(c)})
+            return f.scale(1 / dual_norm(self.p, f))
+        raise NoSeparation("u lies in span(constraints) + ker p")
+
+
+def _eliminate(target: Dict[int, Scalar], factor: Scalar, row: Mapping[int, Scalar],
+               ctx: ScalarContext) -> None:
+    """target -= factor * row in place, dropping entries that become zero."""
+    for i, v in row.items():
+        nv = target.get(i, 0) - factor * v
+        if ctx.is_zero(nv):
+            target.pop(i, None)
+        else:
+            target[i] = nv
+
+
 def separating_functional(p: SeminormSpec, constraints: Sequence[SparseVector],
                           u: SparseVector, ctx: ScalarContext = EXACT) -> CoordFunctional:
-    """f with support in active(p), f = 0 on the constraints, f(u) != 0,
-    dual_norm(p, f) = 1.
+    """`Separator.functional` for a constraint list given once.
 
-    Solves the homogeneous system on the active window and rescales; raises
-    NoSeparation exactly when (u + span constraints) meets ker p.
+    One from-scratch `linalg.rref` fills the separator; NoSeparation exactly
+    when (u + span constraints) meets ker p.
     """
-    coords = sorted(
-        {i for i in u.entries if i in p.weights}.union(
-            *({i for i in l.entries if i in p.weights} for l in constraints)
-        )
-    )
-    if not coords:
-        raise NoSeparation("u projects to zero on the active coordinates")
-    rows = [[l.get(i) for i in coords] for l in constraints]
-    u_proj = [u.get(i) for i in coords]
-    for candidate in linalg.nullspace(rows, cols=len(coords), ctx=ctx):
-        value = sum(c * uv for c, uv in zip(candidate, u_proj))
-        if not ctx.is_zero(value):
-            f = CoordFunctional(
-                {i: c for i, c in zip(coords, candidate) if not ctx.is_zero(c)}
-            )
-            return f.scale(1 / dual_norm(p, f))
-    raise NoSeparation("u lies in span(constraints) + ker p")
+    return Separator.of(p, constraints, ctx).functional(u)

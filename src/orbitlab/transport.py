@@ -7,6 +7,12 @@ dual-norm-one f and a v small enough in the disk gauge that the running
 Neumann budget stays below one.  The matched pairs are exact identities, not
 approximations: the rank-one update absorbs the distance to the chosen
 approximant.
+
+Each step adds one matched A-side vector to the constraints of the next
+separating functional and one term to J, so a run keeps one `Workspace`
+that grows with them: the echelon form of the constraints and a bordered
+factor of the Gram system.  `verify_transport` uses neither; it rebuilds the
+inverse of J from scratch.
 """
 
 from __future__ import annotations
@@ -22,16 +28,16 @@ from .errors import (
     NotPIndependent,
     StageFailure,
 )
-from .operators import FiniteRankOperator, invert, solve
+from .operators import FiniteRankOperator, GramFactor, invert
 from .reports import CheckResult, VerificationReport
 from .scalars import EXACT, Scalar, ScalarContext
 from .seminorms import (
     DiskSpec,
     SeminormSpec,
+    Separator,
     dual_norm,
     minkowski,
     p_independent,
-    separating_functional,
 )
 from .vectors import CoordFunctional, SparseVector, close
 
@@ -77,19 +83,37 @@ def initial_state(a: Enumeration, b: Enumeration, p: SeminormSpec, disk: DiskSpe
     )
 
 
-def step_forward(state: TransportState, u: SparseVector,
-                 constraints: Sequence[SparseVector],
+class Workspace:
+    """The incremental solvers of one run, fed one matched pair per step.
+
+    `separator` holds the matched A-side vectors, the constraints of the next
+    separating functional; `gram` holds the factored Gram system of the terms
+    of J, for the backward solves.  It is derived data, not part of the
+    replayable TransportState.
+    """
+
+    def __init__(self, p: SeminormSpec, ctx: ScalarContext = EXACT):
+        self.separator = Separator(p, ctx)
+        self.gram = GramFactor(ctx)
+
+    def add(self, x: SparseVector, f: CoordFunctional, v: SparseVector) -> None:
+        """Record the matched vector x of A and the term f (.) v built for it."""
+        self.separator.add(x)
+        self.gram.extend(f, v)
+
+
+def step_forward(state: TransportState, u: SparseVector, work: Workspace,
                  pool: Sequence[SparseVector], eps: Scalar,
                  ctx: ScalarContext = EXACT
                  ) -> Tuple[CoordFunctional, SparseVector, SparseVector]:
     """One forward step: returns (f, v, r) with (I + T + f (.) v) u = r in pool.
 
-    f separates u from the constraint span with dual norm one; r is the first
-    pool element within eps * |f(u)| of u + T u in the disk gauge; v is the
-    exact update making the image land on r.
+    f separates u from the matched A-side vectors with dual norm one; r is the
+    first pool element within eps * |f(u)| of u + T u in the disk gauge; v is
+    the exact update making the image land on r.
     """
     t = state.terms
-    f = separating_functional(state.p, constraints, u, ctx)
+    f = work.separator.functional(u)
     target = u + t.apply(u)
     f_u = f.pair(u)
     bound = eps * abs(f_u)
@@ -109,21 +133,19 @@ def step_forward(state: TransportState, u: SparseVector,
     )
 
 
-def step_backward(state: TransportState, u: SparseVector,
-                  constraints: Sequence[SparseVector],
+def step_backward(state: TransportState, u: SparseVector, work: Workspace,
                   pool: Sequence[SparseVector], eps: Scalar,
                   ctx: ScalarContext = EXACT
                   ) -> Tuple[CoordFunctional, SparseVector, SparseVector]:
     """One backward step: returns (f, v, a) with (I + T + f (.) v) a = u.
 
-    Solves (I + T) w = u exactly, separates w from the constraints, then
-    scans the pool for an a with f(a) != 0 whose exact update vector
-    v = (I + T)(w - a) / f(a) fits in the eps slot.
+    Solves (I + T) w = u exactly, separates w from the matched A-side
+    vectors, then scans the pool for an a with f(a) != 0 whose exact update
+    vector v = (I + T)(w - a) / f(a) fits in the eps slot.
     """
-    t = state.terms
-    j = t.plus_identity()
-    w = solve(j, u, ctx)
-    f = separating_functional(state.p, constraints, w, ctx)
+    j = state.terms.plus_identity()
+    w = work.gram.solve(u)
+    f = work.separator.functional(w)
     best: Optional[Scalar] = None
     best_pos = None
     for pos, a in enumerate(pool):
@@ -175,15 +197,17 @@ def run_transport(a: Enumeration, b: Enumeration, p: SeminormSpec, disk: DiskSpe
         raise BudgetExceeded(total, "epsilon schedule sum")
 
     state = initial_state(a, b, p, disk, eps_schedule)
+    work = Workspace(p, ctx)
     for q in range(1, stages + 1):
         try:
-            state = _run_stage(state, q, ctx)
+            state = _run_stage(state, work, q, ctx)
         except (NoApproximant, Exhausted) as exc:
             raise StageFailure(q, state, exc) from exc
     return state.operator, state
 
 
-def _run_stage(state: TransportState, q: int, ctx: ScalarContext) -> TransportState:
+def _run_stage(state: TransportState, work: Workspace, q: int,
+               ctx: ScalarContext) -> TransportState:
     a, b = state.a, state.b
     n_idx, m_idx = list(state.n_idx), list(state.m_idx)
 
@@ -194,12 +218,12 @@ def _run_stage(state: TransportState, q: int, ctx: ScalarContext) -> TransportSt
 
     # forward: u = a(n_fwd), pool = unused B except the reserved backward target
     u = a.vector(n_fwd)
-    constraints = [a.vector(i) for i in n_idx]
     used_m = set(m_idx) | {m_bwd}
     pool_idx = [i for i in range(1, len(b) + 1) if i not in used_m]
     pool = [b.vector(i) for i in pool_idx]
-    f, v, r = step_forward(state, u, constraints, pool, state.epsilons[2 * q - 2], ctx)
+    f, v, r = step_forward(state, u, work, pool, state.epsilons[2 * q - 2], ctx)
     m_fwd = pool_idx[pool.index(r)]
+    work.add(u, f, v)
     n_idx.append(n_fwd)
     m_idx.append(m_fwd)
     state = replace(state, terms=state.terms.with_term(f, v), n_idx=tuple(n_idx),
@@ -207,11 +231,11 @@ def _run_stage(state: TransportState, q: int, ctx: ScalarContext) -> TransportSt
 
     # backward: u = b(m_bwd), pool = unused A
     u = b.vector(m_bwd)
-    constraints = [a.vector(i) for i in n_idx]
     pool_idx = [i for i in range(1, len(a) + 1) if i not in set(n_idx)]
     pool = [a.vector(i) for i in pool_idx]
-    f, v, picked = step_backward(state, u, constraints, pool, state.epsilons[2 * q - 1], ctx)
+    f, v, picked = step_backward(state, u, work, pool, state.epsilons[2 * q - 1], ctx)
     n_bwd = pool_idx[pool.index(picked)]
+    work.add(picked, f, v)
     n_idx.append(n_bwd)
     m_idx.append(m_bwd)
     return replace(state, stage=q, terms=state.terms.with_term(f, v),
@@ -280,7 +304,7 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
     add("exact-matching", match_ok, "; ".join(match_details) or "all matched pairs exact")
 
     budget = sum((df * pv for df, pv in gauges), ctx.zero)
-    add("budget-below-one", budget < 1, f"c = {budget}")
+    add("budget-below-one", ctx.lt(budget, ctx.one), f"c = {budget}")
 
     try:
         j_inv = invert(j_op, ctx)
@@ -297,7 +321,7 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
         if i in state.p.active:
             continue
         e = SparseVector.basis(i, ctx)
-        if j_op.apply(e) != e:
+        if not close(j_op.apply(e), e, ctx):
             kernel_ok = False
     add("kernel-fixed", kernel_ok, "J e_i = e_i outside the active set")
 
@@ -309,4 +333,4 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
             replay_ok = False
     add("min-rule-replay", replay_ok, "forced indices match the minimal-unused rule")
 
-    return VerificationReport(checks=checks)
+    return VerificationReport(checks=checks, budget=budget)

@@ -1,5 +1,6 @@
 """Float scalar mode: same flows, comparisons up to the context tolerance."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -21,11 +22,11 @@ from orbitlab import (
 from orbitlab.cli import main
 from orbitlab.density import Enumeration
 from orbitlab.errors import SingularOperator
-from orbitlab.operators import IDENTITY
+from orbitlab.operators import IDENTITY, ZERO
 from orbitlab.scalars import FLOAT, ScalarContext
 from orbitlab.scenarios import Scenario, run_scenario
 from orbitlab.seminorms import separating_functional
-from orbitlab.transport import run_transport, verify_transport
+from orbitlab.transport import initial_state, run_transport, verify_transport
 from orbitlab.triangular import interleave_triangularize
 
 
@@ -164,6 +165,28 @@ def test_float_build_shift_with_thirds(tmp_path):
     report = json.loads((out_dir / "shift.json").read_text())
     checks = {c["name"]: c["passed"] for c in report["checks"]}
     assert checks["chain-identities"] is True
+
+
+def _float_state(terms):
+    a = Enumeration((fsv(1),), "A")
+    b = Enumeration((fsv(1),), "B")
+    p = SeminormSpec.sup_on([1, 2], 1.0)
+    disk = DiskSpec.l1_on(range(1, 5), 1.0)
+    state = initial_state(a, b, p, disk, [0.5, 0.25])
+    return dataclasses.replace(
+        state, terms=FiniteRankOperator(ZERO, tuple(terms)))
+
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+def test_float_budget_within_tolerance_of_one_fails():
+    # c = 1 - 2^-45 is 1 within the float tolerance, so invertibility is not certified
+    state = _float_state([(CoordFunctional({1: 1.0}), fsv(0, 1.0 - 2.0 ** -45))])
+    report = verify_transport(state, FLOAT)
+    assert report.budget == 1.0 - 2.0 ** -45
+    assert not _check(report, "budget-below-one").passed
 
 
 def test_context_comparisons():

@@ -12,6 +12,7 @@ from orbitlab import (
     SeminormSpec,
     SparseVector,
     conjugate_orbit,
+    dual_norm,
     eval_seminorm,
     invert,
     minkowski,
@@ -19,7 +20,8 @@ from orbitlab import (
     orbit,
 )
 from orbitlab.errors import BudgetExceeded, SingularOperator
-from orbitlab.operators import IDENTITY, ZERO, solve
+from orbitlab import linalg
+from orbitlab.operators import IDENTITY, ZERO, GramFactor, solve
 from orbitlab.scalars import FLOAT
 from orbitlab.vectors import close
 
@@ -101,6 +103,26 @@ class TestNeumannCertificate:
             assert minkowski(self.disk, t.apply(x)) <= budget.c * eval_seminorm(self.p, x)
 
 
+def random_certified_terms(rng, p, disk, n_terms):
+    """T = sum f_j (.) v_j with p*(f_j) = 1 and p_D(v_j) below half the slot
+    2^-(j+2), so the Neumann budget stays below one."""
+    terms = []
+    for j in range(n_terms):
+        f = CoordFunctional({i: Fraction(rng.randint(-3, 3))
+                             for i in rng.sample(range(1, 7), rng.randint(1, 3))})
+        if f.is_zero():
+            f = CoordFunctional.delta(rng.randint(1, 6))
+        f = f.scale(Fraction(1) / dual_norm(p, f))
+        v = SparseVector({i: Fraction(rng.randint(-5, 5), 8)
+                          for i in rng.sample(range(1, 13), rng.randint(1, 3))})
+        mass = minkowski(disk, v)
+        if mass != 0:
+            # scale into the epsilon slot 2^-(j+2) to keep c < 1
+            v = v.scale(Fraction(1, 2 ** (j + 2)) / mass / 2)
+        terms.append((f, v))
+    return FiniteRankOperator(ZERO, tuple(terms))
+
+
 class TestInvert:
     def test_identity_inverts_to_identity(self):
         assert invert(FiniteRankOperator.identity()).terms == ()
@@ -121,23 +143,7 @@ class TestInvert:
         p = SeminormSpec.sup_on(range(1, 7))
         disk = DiskSpec.l1_on(range(1, 13))
         for _ in range(200):
-            terms = []
-            n_terms = rng.randint(1, 4)
-            for j in range(n_terms):
-                f = CoordFunctional({i: Fraction(rng.randint(-3, 3))
-                                     for i in rng.sample(range(1, 7), rng.randint(1, 3))})
-                if f.is_zero():
-                    f = CoordFunctional.delta(rng.randint(1, 6))
-                from orbitlab import dual_norm
-                f = f.scale(Fraction(1) / dual_norm(p, f))
-                v = SparseVector({i: Fraction(rng.randint(-5, 5), 8)
-                                  for i in rng.sample(range(1, 13), rng.randint(1, 3))})
-                mass = minkowski(disk, v)
-                if mass != 0:
-                    # scale into the epsilon slot 2^-(j+2) to keep c < 1
-                    v = v.scale(Fraction(1, 2 ** (j + 2)) / mass / 2)
-                terms.append((f, v))
-            t = FiniteRankOperator(ZERO, tuple(terms))
+            t = random_certified_terms(rng, p, disk, rng.randint(1, 4))
             budget = neumann_certificate(t, p, disk)
             assert budget.c < 1
             j_op = t.plus_identity()
@@ -231,6 +237,85 @@ class TestSolve:
             assert close(j_float.apply(w), as_float(u), FLOAT)
             checked += 1
         assert checked > 60
+
+
+def factored(j, ctx=None):
+    gram = GramFactor() if ctx is None else GramFactor(ctx)
+    for f, v in j.terms:
+        gram.extend(f, v)
+    return gram
+
+
+def leading_minors_nonzero(j):
+    """Oracle: every leading minor of I_k + G, by Bareiss determinants."""
+    gram = [[f.pair(v) + (1 if r == c else 0) for c, (_, v) in enumerate(j.terms)]
+            for r, (f, _) in enumerate(j.terms)]
+    return all(linalg.determinant([row[:m] for row in gram[:m]]) != 0
+               for m in range(1, len(gram) + 1))
+
+
+class TestGramFactor:
+    def test_empty_factor_returns_the_vector(self):
+        u = sv(1, Fraction(2, 3))
+        assert GramFactor().solve(u) == u
+
+    def test_solve_matches_pivoting_solve_and_invert(self):
+        rng = random.Random(44)
+        solved = refused = 0
+        for _ in range(150):
+            j = random_identity_plus_rank(rng)
+            u = sparse_rational(rng, SparseVector, 16, 6)
+            if not leading_minors_nonzero(j):
+                with pytest.raises(SingularOperator):
+                    factored(j).solve(u)
+                refused += 1
+                continue
+            w = factored(j).solve(u)
+            assert w == solve(j, u)
+            assert w == invert(j).apply(u)
+            assert j.apply(w) == u
+            solved += 1
+        assert solved > 100 and refused > 0
+
+    def test_zero_leading_pivot_raises(self):
+        # I + G = [[0, 1], [1, 1]]: invertible, but its leading 1 x 1 minor is 0
+        f1, v1 = delta(1), sv(-1, 1)
+        f2, v2 = delta(2), sv(1)
+        j = FiniteRankOperator(IDENTITY, ((f1, v1), (f2, v2)))
+        u = sv(3, 5)
+        assert j.apply(solve(j, u)) == u
+        gram = GramFactor()
+        gram.extend(f1, v1)
+        with pytest.raises(SingularOperator):
+            gram.solve(u)
+        with pytest.raises(SingularOperator):
+            gram.extend(f2, v2)
+
+    def test_singular_last_term_raises_on_solve(self):
+        gram = GramFactor()
+        gram.extend(delta(1), sv(Fraction(1, 2)))
+        gram.extend(delta(2), sv(0, -1))
+        with pytest.raises(SingularOperator):
+            gram.solve(sv(1, 1))
+
+    def test_float_mode_agrees_with_exact(self):
+        # certified operators, as transport builds them: without pivoting the
+        # float error grows with the inverse of the smallest pivot
+        rng = random.Random(45)
+        p = SeminormSpec.sup_on(range(1, 7))
+        disk = DiskSpec.l1_on(range(1, 13))
+        checked = 0
+        for _ in range(100):
+            j = random_certified_terms(rng, p, disk, rng.randint(1, 8)).plus_identity()
+            u = sparse_rational(rng, SparseVector, 12, 6)
+            exact = factored(j).solve(u)
+            j_float = FiniteRankOperator(
+                IDENTITY, tuple((as_float(f), as_float(v)) for f, v in j.terms))
+            w = factored(j_float, FLOAT).solve(as_float(u))
+            assert close(w, as_float(exact), FLOAT)
+            assert close(j_float.apply(w), as_float(u), FLOAT)
+            checked += 1
+        assert checked == 100
 
 
 class TestCompose:

@@ -18,10 +18,12 @@ from orbitlab import (
     minkowski,
     separating_functional,
 )
+from orbitlab import linalg
 from orbitlab.density import Enumeration
 from orbitlab.errors import NoSeparation, NotInSpan, NotPBounded
 from orbitlab.scalars import EXACT, FLOAT
-from orbitlab.vectors import combine
+from orbitlab.seminorms import Separator
+from orbitlab.vectors import close, combine
 
 
 def sv(*entries):
@@ -233,6 +235,128 @@ class TestSeparatingFunctional:
             assert f.pair(u) != 0
             assert dual_norm(p, f) == 1
             assert set(f.support) <= p.active
+
+
+def nullspace_pick(p, constraints, u, ctx=EXACT):
+    """Oracle: the first `linalg.nullspace` vector over the active coordinates
+    of the constraints and u that is non-zero on u, rescaled to dual norm one."""
+    coords = sorted({i for x in list(constraints) + [u] for i in x.entries if i in p.weights})
+    if not coords:
+        raise NoSeparation("u projects to zero on the active coordinates")
+    rows = [[x.get(i) for i in coords] for x in constraints]
+    u_proj = [u.get(i) for i in coords]
+    for candidate in linalg.nullspace(rows, cols=len(coords), ctx=ctx):
+        if not ctx.is_zero(sum(c * x for c, x in zip(candidate, u_proj))):
+            f = CoordFunctional({i: c for i, c in zip(coords, candidate) if not ctx.is_zero(c)})
+            return f.scale(1 / dual_norm(p, f))
+    raise NoSeparation("u lies in span(constraints) + ker p")
+
+
+def pick_or_none(pick, *args):
+    try:
+        return pick(*args)
+    except NoSeparation:
+        return None
+
+
+def random_entries(rng, coords, most):
+    return {i: Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+            for i in rng.sample(coords, rng.randint(1, min(most, len(coords))))}
+
+
+def probe_vectors(rng, constraints, window, active):
+    """A random u, one in the span, one in ker p, one off every constraint support."""
+    coords = list(range(1, window + 1))
+    probes = [SparseVector(random_entries(rng, coords, 4))]
+    if constraints:
+        probes.append(combine((Fraction(rng.randint(-2, 2)), x)
+                              for x in rng.sample(constraints, min(2, len(constraints)))))
+    probes.append(SparseVector(random_entries(rng, coords[active:], 2)))
+    used = set().union(*(x.entries for x in constraints))
+    spare = [i for i in range(1, active + 1) if i not in used]
+    if spare:
+        probes.append(SparseVector(random_entries(rng, spare, 2))
+                      + SparseVector(random_entries(rng, coords[active:], 1)))
+    return probes
+
+
+def as_float(x):
+    return type(x)({i: float(v) for i, v in x.entries.items()})
+
+
+class TestSeparator:
+    WINDOW, ACTIVE = 10, 7
+
+    def growing_lists(self, seed, lists=40):
+        rng = random.Random(seed)
+        coords = list(range(1, self.WINDOW + 1))
+        for _ in range(lists):
+            constraints = []
+            for _ in range(rng.randint(1, self.ACTIVE + 1)):
+                if constraints and rng.random() < 0.25:
+                    # dependent on the earlier ones modulo ker p
+                    x = combine((Fraction(rng.randint(-2, 2)), y)
+                                for y in rng.sample(constraints, min(2, len(constraints))))
+                    x = x + SparseVector(random_entries(rng, coords[self.ACTIVE:], 1))
+                else:
+                    x = SparseVector(random_entries(rng, coords, 4))
+                constraints.append(x)
+            yield rng, constraints
+
+    def test_incremental_pick_equals_nullspace_pick(self):
+        p = SeminormSpec.sup_on(range(1, self.ACTIVE + 1))
+        picked = refused = 0
+        for rng, constraints in self.growing_lists(51):
+            sep = Separator(p)
+            for n in range(len(constraints) + 1):
+                prefix = constraints[:n]
+                for u in probe_vectors(rng, prefix, self.WINDOW, self.ACTIVE):
+                    want = pick_or_none(nullspace_pick, p, prefix, u)
+                    got = pick_or_none(sep.functional, u)
+                    once = pick_or_none(separating_functional, p, prefix, u)
+                    if want is None:
+                        assert got is None and once is None
+                        refused += 1
+                        continue
+                    # same entries in the same (coordinate) order
+                    assert list(got.entries.items()) == list(want.entries.items())
+                    assert list(once.entries.items()) == list(want.entries.items())
+                    picked += 1
+                if n < len(constraints):
+                    sep.add(constraints[n])
+        assert picked > 300 and refused > 100
+
+    def test_weighted_l1_seminorm(self):
+        p = SeminormSpec("l1", {i: Fraction(i, 2) for i in range(1, self.ACTIVE + 1)})
+        for rng, constraints in self.growing_lists(52, lists=15):
+            sep = Separator(p)
+            for x in constraints:
+                sep.add(x)
+            for u in probe_vectors(rng, constraints, self.WINDOW, self.ACTIVE):
+                want = pick_or_none(nullspace_pick, p, constraints, u)
+                got = pick_or_none(sep.functional, u)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert list(got.entries.items()) == list(want.entries.items())
+
+    def test_float_mode_agrees_with_exact(self):
+        p = SeminormSpec.sup_on(range(1, self.ACTIVE + 1))
+        p_float = SeminormSpec.sup_on(range(1, self.ACTIVE + 1), 1.0)
+        checked = 0
+        for rng, constraints in self.growing_lists(53, lists=20):
+            sep, sep_float = Separator(p), Separator(p_float, FLOAT)
+            for x in constraints:
+                sep.add(x)
+                sep_float.add(as_float(x))
+            for u in probe_vectors(rng, constraints, self.WINDOW, self.ACTIVE):
+                exact = pick_or_none(sep.functional, u)
+                got = pick_or_none(sep_float.functional, as_float(u))
+                assert (got is None) == (exact is None)
+                if exact is not None:
+                    assert got.support == exact.support
+                    assert close(got, as_float(exact), FLOAT)
+                    checked += 1
+        assert checked > 30
 
 
 class TestCombine:

@@ -23,6 +23,7 @@ from orbitlab.errors import (
 )
 from orbitlab.transport import (
     TransportState,
+    Workspace,
     initial_state,
     matched_pairs,
     run_transport,
@@ -58,7 +59,7 @@ class TestStepForward:
     def test_element_already_in_pool(self):
         state = fresh_state([sv(1)], [sv(1)], active=2, window=2,
                             epsilons=geometric_schedule(2))
-        f, v, r = step_forward(state, sv(1), [], [sv(1)], frac(1, 4))
+        f, v, r = step_forward(state, sv(1), Workspace(state.p), [sv(1)], frac(1, 4))
         assert r == sv(1)
         assert v.is_zero()
         assert f == CoordFunctional.delta(1)
@@ -67,7 +68,7 @@ class TestStepForward:
         state = fresh_state([sv(1)], [sv(frac(9, 10), frac(1, 10))], active=2,
                             window=2, epsilons=geometric_schedule(2))
         f, v, r = step_forward(
-            state, sv(1), [], [sv(frac(9, 10), frac(1, 10))], frac(1, 4)
+            state, sv(1), Workspace(state.p), [sv(frac(9, 10), frac(1, 10))], frac(1, 4)
         )
         assert v == sv(frac(-1, 10), frac(1, 10))
         updated = state.terms.with_term(f, v).plus_identity()
@@ -77,7 +78,7 @@ class TestStepForward:
         state = fresh_state([sv(1)], [sv(5, 5)], active=2, window=2,
                             epsilons=geometric_schedule(2))
         with pytest.raises(NoApproximant) as err:
-            step_forward(state, sv(1), [], [sv(5, 5)], frac(1, 4))
+            step_forward(state, sv(1), Workspace(state.p), [sv(5, 5)], frac(1, 4))
         assert err.value.best == 9  # l1 distance from (1,0) to (5,5)
 
 
@@ -86,7 +87,7 @@ class TestStepBackward:
         state = fresh_state([sv(2, frac(1, 10))], [sv(2)], active=2, window=2,
                             epsilons=geometric_schedule(2))
         f, v, a = step_backward(
-            state, sv(2), [], [sv(2, frac(1, 10))], frac(1, 4)
+            state, sv(2), Workspace(state.p), [sv(2, frac(1, 10))], frac(1, 4)
         )
         assert a == sv(2, frac(1, 10))
         assert v == sv(0, frac(-1, 20))
@@ -96,7 +97,7 @@ class TestStepBackward:
     def test_element_already_matching(self):
         state = fresh_state([sv(2)], [sv(2)], active=2, window=2,
                             epsilons=geometric_schedule(2))
-        f, v, a = step_backward(state, sv(2), [], [sv(2)], frac(1, 4))
+        f, v, a = step_backward(state, sv(2), Workspace(state.p), [sv(2)], frac(1, 4))
         assert a == sv(2)
         assert v.is_zero()
 
@@ -270,3 +271,74 @@ class TestVerifyTransport:
         assert calls == [v for _, v in state.terms.terms]
         budget = next(c for c in report.checks if c.name == "budget-below-one")
         assert budget.detail == f"c = {expected_budget}"
+
+
+def dense_twin_instance(rng, window, stages):
+    """Twins whose A-side vectors have three active coordinates and whose
+    B-side copies carry noise inside the active set too, so the separating
+    echelon form needs back-elimination and the Gram matrix is not zero."""
+    size, active = 2 * stages, window // 2
+    a_items = [
+        SparseVector({i: frac(1), i + 1: frac(rng.choice([-1, 1]), 2),
+                      i + 2: frac(rng.randint(-2, 2), 3),
+                      rng.randint(active + 1, window): frac(rng.randint(-3, 3), 2)})
+        for i in range(1, size + 1)
+    ]
+    b_items = []
+    for i in range(size):
+        twin = a_items[i + 1 if i % 2 == 0 else i - 1]
+        noise = SparseVector({rng.randint(1, active): frac(rng.choice([-1, 1]), 2 ** 24),
+                              rng.randint(active + 1, window): frac(1, 2 ** 24)})
+        b_items.append(twin + noise)
+    return (
+        Enumeration(tuple(a_items), "A"),
+        Enumeration(tuple(b_items), "B"),
+        SeminormSpec.sup_on(range(1, active + 1)),
+        DiskSpec.l1_on(range(1, window + 1)),
+    )
+
+
+class TestIncrementalWorkspace:
+    def test_dense_twin_runs_verify(self):
+        for seed in range(5):
+            a, b, p, d = dense_twin_instance(random.Random(seed), 16, 3)
+            _, state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
+            gram = [[f.pair(v) for _, v in state.terms.terms] for f, _ in state.terms.terms]
+            assert any(any(row) for row in gram)
+            report = verify_transport(state)
+            assert report.passed, [c.detail for c in report.failures()]
+
+    def test_run_needs_no_from_scratch_solve(self, monkeypatch):
+        import orbitlab.linalg as linalg
+        import orbitlab.operators as operators
+
+        args = twin_instance(random.Random(33), 24, 5, extras=2)
+        _, expected = run_transport(*args, geometric_schedule(10), stages=5)
+
+        def boom(*_args, **_kwargs):
+            raise AssertionError("from-scratch solve reached")
+
+        for module, name in ((linalg, "rref"), (linalg, "nullspace"), (linalg, "solve"),
+                             (operators, "solve")):
+            monkeypatch.setattr(module, name, boom)
+        _, state = run_transport(*args, geometric_schedule(10), stages=5)
+        assert state == expected
+
+    def test_bordering_term_m_plus_one_makes_2m_plus_one_pairings(self, monkeypatch):
+        from orbitlab.operators import GramFactor
+
+        rng = random.Random(35)
+        gram = GramFactor()
+        pair, calls = CoordFunctional.pair, []
+
+        def counting(self, x):
+            calls.append(x)
+            return pair(self, x)
+
+        monkeypatch.setattr(CoordFunctional, "pair", counting)
+        for m in range(8):
+            f = CoordFunctional({i: frac(rng.randint(-3, 3), 4) for i in rng.sample(range(1, 9), 3)})
+            v = SparseVector({i: frac(rng.randint(-3, 3), 8) for i in rng.sample(range(1, 9), 3)})
+            calls.clear()
+            gram.extend(f, v)
+            assert len(calls) == 2 * m + 1
