@@ -1,14 +1,20 @@
-"""Dense linear algebra over exact rationals (or floats with a pivot tolerance).
+"""Exact elimination over rationals (or floats with a pivot tolerance).
 
-Matrices are plain lists of row lists.  Determinants use fraction-free
-Gaussian elimination (Bareiss) in exact mode so that minor invertibility is
-never subject to rounding; float mode falls back to partially pivoted
-elimination.
+Three forms, each written once:
+
+- `rref`, the dense reduced row echelon form of a list of row lists, behind
+  `nullspace`, `solve_any` and `invert_matrix`.  Exact mode takes the first
+  non-zero pivot; float mode pivots on the largest entry above the tolerance.
+- `RowReducer`, a sparse reduced echelon form that grows one dict-backed row
+  at a time: independence tests, ranks and the separating-functional picks.
+- `Bordered`, an L·D·U factor without pivoting that grows by one row and one
+  column at a time: the pairing minors of triangularization and the Gram
+  system of a growing identity-plus-finite-rank operator.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import SingularOperator
 from .scalars import EXACT, Scalar, ScalarContext
@@ -18,18 +24,6 @@ Matrix = List[List[Scalar]]
 
 def identity_matrix(n: int, ctx: ScalarContext = EXACT) -> Matrix:
     return [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
-def mat_vec(a: Matrix, x: Sequence[Scalar]) -> List[Scalar]:
-    return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
 
 
 def _pivot_row(col: List[Scalar], start: int, ctx: ScalarContext) -> Optional[int]:
@@ -44,45 +38,6 @@ def _pivot_row(col: List[Scalar], start: int, ctx: ScalarContext) -> Optional[in
         if mag > best_mag:
             best, best_mag = i, mag
     return best
-
-
-def determinant(a: Matrix, ctx: ScalarContext = EXACT) -> Scalar:
-    """Exact mode: Bareiss fraction-free elimination.  Float mode: Gauss."""
-    n = len(a)
-    if n == 0:
-        return ctx.one
-    m = [list(row) for row in a]
-    if not ctx.exact:
-        det = 1.0
-        for k in range(n):
-            piv = _pivot_row([m[i][k] for i in range(n)], k, ctx)
-            if piv is None:
-                return ctx.zero
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                det = -det
-            det *= m[k][k]
-            for i in range(k + 1, n):
-                f = m[i][k] / m[k][k]
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-        return det
-
-    sign = 1
-    prev = ctx.one
-    for k in range(n - 1):
-        piv = _pivot_row([m[i][k] for i in range(n)], k, ctx)
-        if piv is None:
-            return ctx.zero
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = ctx.zero
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def rref(a: Matrix, ctx: ScalarContext = EXACT):
@@ -121,10 +76,6 @@ def rref(a: Matrix, ctx: ScalarContext = EXACT):
     return m, pivots
 
 
-def rank(a: Matrix, ctx: ScalarContext = EXACT) -> int:
-    return len(rref(a, ctx)[1])
-
-
 def nullspace(a: Matrix, cols: Optional[int] = None, ctx: ScalarContext = EXACT) -> List[List[Scalar]]:
     """Deterministic nullspace basis, one vector per free column."""
     if cols is None:
@@ -141,18 +92,6 @@ def nullspace(a: Matrix, cols: Optional[int] = None, ctx: ScalarContext = EXACT)
             vec[pc] = -red[r][fc]
         basis.append(vec)
     return basis
-
-
-def solve(a: Matrix, b: Sequence[Scalar], ctx: ScalarContext = EXACT) -> List[Scalar]:
-    """Solve a square system exactly; raises SingularOperator."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("solve expects a square matrix")
-    aug = [list(a[i]) + [b[i]] for i in range(n)]
-    red, pivots = rref(aug, ctx)
-    if len(pivots) < n or any(p >= n for p in pivots):
-        raise SingularOperator(f"{n}x{n} system is singular")
-    return [red[i][n] for i in range(n)]
 
 
 def solve_any(a: Matrix, b: Sequence[Scalar], ctx: ScalarContext = EXACT) -> Optional[List[Scalar]]:
@@ -179,36 +118,109 @@ def invert_matrix(a: Matrix, ctx: ScalarContext = EXACT) -> Matrix:
 
 
 class RowReducer:
-    """Incremental independence test over dict-backed coordinate vectors."""
+    """Incremental independence test that keeps the reduced row echelon form.
+
+    `rows` maps each pivot coordinate to its row, a dict of non-zero entries
+    that is 1 at its pivot and 0 at every other pivot.  The form is unique, so
+    it equals the `rref` of the rows added so far, whatever their order.
+    """
 
     def __init__(self, ctx: ScalarContext = EXACT):
         self.ctx = ctx
-        self._pivots: Dict[int, Dict[int, Scalar]] = {}
+        self.rows: Dict[int, Dict[int, Scalar]] = {}
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
+        return len(self.rows)
 
     def residual(self, vec: Dict[int, Scalar]) -> Dict[int, Scalar]:
+        """vec minus its component in the span of the rows, zero at every pivot."""
         cur = {i: v for i, v in vec.items() if not self.ctx.is_zero(v)}
-        for coord in sorted(self._pivots):
-            if coord in cur:
-                factor = cur[coord]
-                row = self._pivots[coord]
-                for i, v in row.items():
-                    nv = cur.get(i, 0) - factor * v
-                    if self.ctx.is_zero(nv):
-                        cur.pop(i, None)
-                    else:
-                        cur[i] = nv
+        # the rows are 0 at each other's pivots, so each one is subtracted once
+        for coord in sorted(self.rows.keys() & cur.keys()):
+            _eliminate(cur, cur[coord], self.rows[coord], self.ctx)
         return cur
 
     def try_add(self, vec: Dict[int, Scalar]) -> bool:
-        """Reduce vec against stored rows; store and return True if independent."""
+        """Reduce vec against the rows; if it is independent, keep it normalised
+        at its lowest coordinate, clear that coordinate from the older rows and
+        return True."""
         res = self.residual(vec)
         if not res:
             return False
         coord = min(res)
         lead = res[coord]
-        self._pivots[coord] = {i: v / lead for i, v in res.items()}
+        row = {i: v / lead for i, v in res.items()}
+        for other in self.rows.values():
+            if coord in other:
+                _eliminate(other, other[coord], row, self.ctx)
+        self.rows[coord] = row
         return True
+
+
+def _eliminate(target: Dict[int, Scalar], factor: Scalar, row: Dict[int, Scalar],
+               ctx: ScalarContext) -> None:
+    """target -= factor * row in place, dropping entries that become zero."""
+    for i, v in row.items():
+        nv = target.get(i, 0) - factor * v
+        if ctx.is_zero(nv):
+            target.pop(i, None)
+        else:
+            target[i] = nv
+
+
+class Bordered:
+    """A = L·D·U, grown by one bordering row and column of A at a time.
+
+    L and U^T are unit lower triangular; lower[0] and lower[1] hold their rows
+    left of the diagonal as dicts of the non-zero entries, pivots the diagonal
+    of D (Golub & Van Loan, Matrix Computations, §3.2).  As A^T = U^T·D·L^T,
+    each operation takes a side: 0 for L, 1 for U^T.  There is no pivoting, so
+    a pivot is det A_{n+1} / det A_n.  Zeros of L and U cost nothing in the
+    substitutions.
+    """
+
+    def __init__(self):
+        self.lower: Tuple[List[Dict[int, Scalar]], List[Dict[int, Scalar]]] = ([], [])
+        self.pivots: List[Scalar] = []
+
+    def border(self, side: int, entries: Sequence[Scalar]) -> Dict[int, Scalar]:
+        """The next row of lower[side] for the bordering entries of A: the new
+        row of A left of the diagonal for side 0, the new column above it for
+        side 1.  Row n of A is (row of L)·D·U, so the row solves U^T·D x = entries."""
+        z = _forward(self.lower[1 - side], entries)
+        return {i: zi / d for i, (zi, d) in enumerate(zip(z, self.pivots)) if zi}
+
+    def append(self, side: int, row: Dict[int, Scalar], col: Dict[int, Scalar],
+               pivot: Scalar) -> None:
+        """Border the factor: row joins lower[side], col joins lower[1 - side]."""
+        self.lower[side].append(row)
+        self.lower[1 - side].append(col)
+        self.pivots.append(pivot)
+
+    def back(self, side: int, rhs: Sequence[Scalar]) -> List[Scalar]:
+        """x with T^T x = rhs for T the leading len(rhs) block of lower[side],
+        solved row by row from the last."""
+        n = len(rhs)
+        cols: List[List[Tuple[int, Scalar]]] = [[] for _ in range(n)]  # rows of T^T
+        for j, row in enumerate(self.lower[side][:n]):
+            for k, t in row.items():
+                cols[k].append((j, t))
+        x = list(rhs)
+        for k in range(n - 1, -1, -1):
+            if cols[k]:
+                x[k] -= sum(t * x[j] for j, t in cols[k])
+        return x
+
+    def solve(self, rhs: Sequence[Scalar]) -> List[Scalar]:
+        """x with A x = rhs: L y = rhs, then U x = D^{-1} y."""
+        y = _forward(self.lower[0], rhs)
+        return self.back(1, [yi / d if yi else yi for yi, d in zip(y, self.pivots)])
+
+
+def _forward(lower: List[Dict[int, Scalar]], rhs: Sequence[Scalar]) -> List[Scalar]:
+    """x with T x = rhs, T unit lower triangular given by its rows left of the diagonal."""
+    x: List[Scalar] = []
+    for row, b in zip(lower, rhs):
+        x.append(b - sum(t * x[j] for j, t in row.items()) if row else b)
+    return x

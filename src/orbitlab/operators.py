@@ -6,17 +6,16 @@ Neumann sum c = sum_j p*(f_j) p_D(v_j) < 1 is kept as the invertibility
 certificate only, never as a numerical inversion device.
 
 `GramFactor` serves the construction: it keeps I_k + G factored as terms
-arrive and returns J^{-1} u with two triangular substitutions.  `solve` is
-the general one-shot path, a pivoting k x k Gram solve for any invertible J.
-`invert` serves verification: it builds the whole inverse in term form from
-the inverse Gram matrix, an independent slower path that `verify_transport`
-replays against the window.
+arrive and returns J^{-1} u with two triangular substitutions.  `invert`
+serves verification: it builds the whole inverse in term form from the
+inverse Gram matrix, a pivoting path independent of the factor that
+`verify_transport` replays against the window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import BudgetExceeded, SingularOperator
@@ -119,95 +118,44 @@ def neumann_certificate(t: FiniteRankOperator, p: SeminormSpec, disk: DiskSpec,
     )
 
 
-def _gram(j: FiniteRankOperator, ctx: ScalarContext) -> List[List[Scalar]]:
-    """I_k + G with G_rc = f_r(v_c) for the terms of J = I + sum f (.) v."""
-    if j.base != IDENTITY:
-        raise ValueError("inversion expects an identity-plus-finite-rank operator")
-    return [
-        [f.pair(v) + (ctx.one if r == c else 0) for c, (_, v) in enumerate(j.terms)]
-        for r, (f, _) in enumerate(j.terms)
-    ]
-
-
-def solve(j: FiniteRankOperator, u: SparseVector,
-          ctx: ScalarContext = EXACT) -> SparseVector:
-    """J^{-1} u for J = I + sum_j f_j (.) v_j, without forming the inverse.
-
-    w = u - sum_j c_j v_j where (I_k + G) c = (f_i(u))_i: one k x k solve
-    with pivoting, so any invertible J is solved.  SingularOperator when
-    I_k + G is singular.
-    """
-    gram = _gram(j, ctx)
-    if not gram:
-        return u
-    coeffs = linalg.solve(gram, [f.pair(u) for f, _ in j.terms], ctx)
-    return combine(((-c, v) for (_, v), c in zip(j.terms, coeffs)), u)
-
-
 class GramFactor:
     """I_k + G = L·D·U for the terms of J = I + sum_j f_j (.) v_j, G_rc = f_r(v_c).
 
-    The factor grows by one row and one column per term, as
-    `triangular._Bordered` grows its pairing matrix (Golub & Van Loan,
-    Matrix Computations, §3.2): term m + 1 costs 2m + 1 pairings, and `solve`
-    one forward and one back substitution.  There is no pivoting:
-    det(I_m + G_m) = det J_m, so every leading minor is non-zero while every
-    J_m is invertible.  A zero pivot makes `solve`, and any further `extend`,
-    raise SingularOperator.  L and U keep only their non-zero entries, so the
-    substitutions and the pivot sum skip zeros, as `linalg.rref` does.
+    A `linalg.Bordered` factor grows by one row and one column per term: term
+    m + 1 costs 2m + 1 pairings, and `solve` one forward and one back
+    substitution.  There is no pivoting: det(I_m + G_m) = det J_m, so every
+    leading minor is non-zero while every J_m is invertible.  A zero pivot
+    makes `solve`, and any further `extend`, raise SingularOperator.
     """
 
     def __init__(self, ctx: ScalarContext = EXACT):
         self.ctx = ctx
         self._terms: List[Term] = []
-        self._lower: List[Dict[int, Scalar]] = []   # rows of L left of the diagonal
-        self._upper: List[Dict[int, Scalar]] = []   # columns of U above the diagonal
-        self._pivots: List[Scalar] = []
+        self._lu = linalg.Bordered()
 
     def _nonsingular(self) -> None:
-        if self._pivots and self.ctx.is_zero(self._pivots[-1]):
-            n = len(self._pivots)
+        pivots = self._lu.pivots
+        if pivots and self.ctx.is_zero(pivots[-1]):
+            n = len(pivots)
             raise SingularOperator(f"{n}x{n} Gram system is singular")
 
     def extend(self, f: CoordFunctional, v: SparseVector) -> None:
         """Border the factor with the term f (.) v."""
         self._nonsingular()
-        # new column b_r = f_r(v) = (L·D·u)_r, new row c_c = f(v_c) = (U^T·D·l)_c
-        y = _substitute(self._lower, [g.pair(v) for g, _ in self._terms], self.ctx)
-        z = _substitute(self._upper, [f.pair(w) for _, w in self._terms], self.ctx)
-        col = {i: yi / d for i, (yi, d) in enumerate(zip(y, self._pivots)) if yi}
-        pivot = self.ctx.one + f.pair(v)
-        for i, ci in col.items():
-            if z[i]:
-                pivot -= z[i] * ci
-        self._lower.append({i: zi / d for i, (zi, d) in enumerate(zip(z, self._pivots)) if zi})
-        self._upper.append(col)
-        self._pivots.append(pivot)
+        lu = self._lu
+        # new row f(v_c) of I + G, new column f_r(v)
+        row = lu.border(0, [f.pair(w) for _, w in self._terms])
+        col = lu.border(1, [g.pair(v) for g, _ in self._terms])
+        pivot = self.ctx.one + f.pair(v) - sum(
+            row[i] * lu.pivots[i] * c for i, c in col.items() if i in row)
+        lu.append(0, row, col, pivot)
         self._terms.append((f, v))
 
     def solve(self, u: SparseVector) -> SparseVector:
-        """J^{-1} u = u - sum_j c_j v_j with L·D·U c = (f_i(u))_i."""
+        """J^{-1} u = u - sum_j c_j v_j with (I_k + G) c = (f_i(u))_i."""
         self._nonsingular()
-        y = _substitute(self._lower, [f.pair(u) for f, _ in self._terms], self.ctx)
-        coeffs = [yi / d if yi else yi for yi, d in zip(y, self._pivots)]
-        for j in range(len(coeffs) - 1, 0, -1):
-            if coeffs[j]:
-                for i, t in self._upper[j].items():
-                    coeffs[i] -= t * coeffs[j]
+        coeffs = self._lu.solve([f.pair(u) for f, _ in self._terms])
         return combine(((-c, v) for (_, v), c in zip(self._terms, coeffs)), u)
-
-
-def _substitute(lower: List[Dict[int, Scalar]], rhs: Sequence[Scalar],
-                ctx: ScalarContext) -> List[Scalar]:
-    """x with T x = rhs, T unit lower triangular given by the non-zeros of its
-    rows left of the diagonal."""
-    x: List[Scalar] = []
-    for row, b in zip(lower, rhs):
-        for j, t in row.items():
-            if x[j]:
-                b -= t * x[j]
-        x.append(b if b else ctx.zero)
-    return x
 
 
 def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOperator:
@@ -217,9 +165,12 @@ def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOpera
     M = (I_k + G)^{-1}, G_ij = f_i(v_j).  SingularOperator when I_k + G is
     singular, i.e. when the operator annihilates some vector.
     """
-    gram = _gram(j, ctx)
-    if not gram:
+    if j.base != IDENTITY:
+        raise ValueError("inversion expects an identity-plus-finite-rank operator")
+    if not j.terms:
         return FiniteRankOperator.identity()
+    gram = [[f.pair(v) + (ctx.one if r == c else 0) for c, (_, v) in enumerate(j.terms)]
+            for r, (f, _) in enumerate(j.terms)]
     m = linalg.invert_matrix(gram, ctx)
     new_terms = []
     for col, (f, _) in enumerate(j.terms):

@@ -17,6 +17,7 @@ inverse of J from scratch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,6 +26,8 @@ from .errors import (
     BudgetExceeded,
     Exhausted,
     NoApproximant,
+    NotInSpan,
+    NotPBounded,
     NotPIndependent,
     StageFailure,
 )
@@ -258,6 +261,15 @@ def _window_indices(state: TransportState) -> List[int]:
     return sorted(indices)
 
 
+def _gauge(measure, *args) -> Scalar:
+    """measure(*args), or infinity where the gauge is unbounded: a functional
+    that is not p-bounded, a vector outside the span of the disk."""
+    try:
+        return measure(*args)
+    except (NotPBounded, NotInSpan):
+        return math.inf
+
+
 def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> VerificationReport:
     """Recompute every invariant of the state from raw data.
 
@@ -283,7 +295,7 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
         f"{{1..{k}}} inside both index sets")
 
     # (p*(f), p_D(v)) per term, gauged once for both the slots and the budget
-    gauges = [(dual_norm(state.p, f), minkowski(state.disk, v, ctx))
+    gauges = [(_gauge(dual_norm, state.p, f), _gauge(minkowski, state.disk, v, ctx))
               for f, v in state.terms.terms]
     slot_details = [f"term {j}: p*(f) = {df}, p_D(v) = {pv}"
                     for j, (df, pv) in enumerate(gauges, start=1)

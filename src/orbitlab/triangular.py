@@ -3,15 +3,17 @@
 Maintains two index prefixes alpha (into the functional list) and beta (into
 the basis list) such that every leading minor of the pairing matrix
 A[j][k] = f_alpha(j)(u_beta(k)) is invertible, alternating a forced
-minimal-index pick with a greedy scan.  Both run on one bordered
-factorisation A = L·D·U (L and U^T unit lower triangular) that grows by a row
-and a column per pick (Golub & Van Loan, Matrix Computations, §3.2); as
+minimal-index pick with a greedy scan.  Both run on one `linalg.Bordered`
+factorisation A = L·D·U that grows by a row and a column per pick; as
 A^T = U^T·D·L^T, functional and vector picks share the code with the roles
-swapped.  A pivot is det A_{n+1} / det A_n, so the minors are running
-products, and column m of U_m^{-1} over the m-th pivot gives the coefficients
-making the combined vectors v_m biorthogonal-triangular against the chosen
-functionals, which is exactly what turns the shuffled basis matrix unit lower
-triangular.
+swapped.  The scan pairs each candidate with the defect item, the forced
+item minus a combination of the chosen ones of its kind that pairs to zero
+with every chosen item of the other kind; that one pairing is the candidate's
+pivot.  A pivot is det A_{n+1} / det A_n, so the minors are running products,
+and column m of U_m^{-1} over the m-th pivot gives the coefficients making
+the combined vectors v_m biorthogonal-triangular against the chosen
+functionals, which is exactly what turns the shuffled basis matrix unit
+lower triangular.
 """
 
 from __future__ import annotations
@@ -37,35 +39,14 @@ def _pair(a, b) -> Scalar:
     return a.pair(b) if isinstance(a, CoordFunctional) else b.pair(a)
 
 
-def _forward(lower, rhs) -> List[Scalar]:
-    """Solve T x = rhs, T unit lower triangular given by its rows below the diagonal."""
-    x: List[Scalar] = []
-    for row, b in zip(lower, rhs):
-        x.append(b - sum(t * xj for t, xj in zip(row, x)))
-    return x
-
-
-def _back(lower, rhs) -> List[Scalar]:
-    """Solve T^T x = rhs for the leading len(rhs) x len(rhs) block of the same T."""
-    x = list(rhs)
-    for k in range(len(x) - 1, -1, -1):
-        x[k] -= sum(lower[j][k] * x[j] for j in range(k + 1, len(x)))
-    return x
-
-
-class _Bordered:
-    """A = L·D·U for the pairing matrix of the functionals and vectors chosen so far.
-
-    items[0] and items[1] hold the chosen functionals and vectors in pick
-    order, lower[0] and lower[1] the rows of L and of U^T below the diagonal,
-    pivots the diagonal of D.
-    """
+class _Bordered(linalg.Bordered):
+    """A = L·D·U for the pairing matrix of the functionals and vectors chosen
+    so far; items[0] and items[1] hold them in pick order."""
 
     def __init__(self, ctx: ScalarContext):
+        super().__init__()
         self.ctx = ctx
         self.items: Tuple[list, list] = ([], [])
-        self.lower: Tuple[list, list] = ([], [])
-        self.pivots: List[Scalar] = []
 
     def extend(self, side: int, forced, candidates: Sequence) -> int:
         """Border A with `forced` and the first candidate giving a non-zero pivot.
@@ -75,31 +56,26 @@ class _Bordered:
         raises Exhausted when every pivot vanishes.
         """
         own, other = self.items[side], self.items[1 - side]
-        own_lower, other_lower = self.lower[side], self.lower[1 - side]
-        # the bordering row of A (of A^T for side 1) is row^T·D·U; the defect
-        # item pairs to zero with every chosen item of the other kind
-        c = [_pair(forced, y) for y in other]
-        row = [z / d for z, d in zip(_forward(other_lower, c), self.pivots)]
-        defect = combine(((-lam, x) for lam, x in zip(_back(own_lower, row), own)), forced)
+        row = self.border(side, [_pair(forced, y) for y in other])
+        # the defect item pairs to zero with every chosen item of the other kind
+        lam = self.back(side, [row.get(k, self.ctx.zero) for k in range(len(own))])
+        defect = combine(((-c, x) for c, x in zip(lam, own)), forced)
         for pos, candidate in enumerate(candidates):
             pivot = _pair(defect, candidate)
             if not self.ctx.is_zero(pivot):
                 break
         else:
             raise Exhausted("every candidate pairs to zero with the defect item")
-        b = [_pair(x, candidate) for x in own]
-        col = [z / d for z, d in zip(_forward(own_lower, b), self.pivots)]
+        col = self.border(1 - side, [_pair(x, candidate) for x in own])
         own.append(forced)
         other.append(candidate)
-        own_lower.append(row)
-        other_lower.append(col)
-        self.pivots.append(pivot)
+        self.append(side, row, col, pivot)
         return pos
 
     def coeffs(self, m: int) -> List[Scalar]:
         """The solution c of A_m c = e_m: column m of U_m^{-1} over the m-th pivot."""
         unit = [self.ctx.one if k == m - 1 else self.ctx.zero for k in range(m)]
-        return [c / self.pivots[m - 1] for c in _back(self.lower[1], unit)]
+        return [c / self.pivots[m - 1] for c in self.back(1, unit)]
 
 
 def _greedy_extend(side, forced, chosen, candidates, ctx):

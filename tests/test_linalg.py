@@ -1,5 +1,7 @@
-"""Exact linear algebra kernel: determinants, solves, nullspaces, rank."""
+"""Exact elimination: rref, nullspaces, solves, the incremental row reducer,
+and the dense oracles the other tests rely on."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +10,8 @@ import pytest
 from orbitlab import linalg
 from orbitlab.errors import SingularOperator
 from orbitlab.scalars import EXACT, FLOAT
+
+import oracles
 
 
 def cofactor_det(m):
@@ -39,12 +43,12 @@ def test_determinant_matches_cofactor_expansion():
     for _ in range(60):
         n = rng.randint(1, 5)
         m = rand_matrix(rng, n)
-        assert linalg.determinant(m) == cofactor_det(m)
+        assert oracles.determinant(m) == cofactor_det(m)
 
 
 def test_determinant_empty_and_singular():
-    assert linalg.determinant([]) == 1
-    assert linalg.determinant([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 0
+    assert oracles.determinant([]) == 1
+    assert oracles.determinant([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 0
 
 
 def test_solve_round_trip():
@@ -53,17 +57,17 @@ def test_solve_round_trip():
     while solved < 40:
         n = rng.randint(1, 6)
         a = rand_matrix(rng, n)
-        if linalg.determinant(a) == 0:
+        if oracles.determinant(a) == 0:
             continue
         x = [Fraction(rng.randint(-5, 5), rng.choice([1, 2])) for _ in range(n)]
-        b = linalg.mat_vec(a, x)
-        assert linalg.solve(a, b) == x
+        b = oracles.mat_vec(a, x)
+        assert oracles.solve(a, b) == x
         solved += 1
 
 
 def test_solve_raises_on_singular():
     with pytest.raises(SingularOperator):
-        linalg.solve([[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]],
+        oracles.solve([[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]],
                      [Fraction(1), Fraction(1)])
 
 
@@ -74,7 +78,7 @@ def test_nullspace_vectors_annihilate():
         cols = rng.randint(1, 5)
         a = rand_matrix(rng, rows, cols)
         basis = linalg.nullspace(a, cols=cols)
-        assert len(basis) == cols - linalg.rank(a)
+        assert len(basis) == cols - oracles.rank(a)
         for vec in basis:
             assert all(sum(r[j] * vec[j] for j in range(cols)) == 0 for r in a)
 
@@ -95,10 +99,10 @@ def test_invert_matrix_round_trip():
     while done < 25:
         n = rng.randint(1, 5)
         a = rand_matrix(rng, n)
-        if linalg.determinant(a) == 0:
+        if oracles.determinant(a) == 0:
             continue
         inv = linalg.invert_matrix(a)
-        assert linalg.mat_mul(a, inv) == linalg.identity_matrix(n)
+        assert oracles.mat_mul(a, inv) == linalg.identity_matrix(n)
         done += 1
 
 
@@ -113,21 +117,78 @@ def test_row_reducer_tracks_rank():
         reducer = linalg.RowReducer()
         added = sum(reducer.try_add(v) for v in vectors)
         matrix = [[vec.get(j + 1, Fraction(0)) for j in range(n)] for vec in vectors]
-        assert added == linalg.rank(matrix)
+        assert added == oracles.rank(matrix)
         assert reducer.rank == added
+
+
+def test_row_reducer_keeps_the_reduced_echelon_form():
+    rng = random.Random(29)
+    for _ in range(80):
+        cols = rng.randint(1, 8)
+        rows = [
+            {j: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 5]))
+             for j in rng.sample(range(1, cols + 1), rng.randint(1, min(3, cols)))}
+            for _ in range(rng.randint(1, 8))
+        ]
+        if len(rows) >= 2 and rng.random() < 0.5:
+            s, t = rng.sample(rows, 2)
+            rows.append({j: s.get(j, 0) - 2 * t.get(j, 0) for j in s.keys() | t.keys()})
+        red, pivots = linalg.rref([[row.get(j, 0) for j in range(1, cols + 1)] for row in rows])
+        expected = {pc + 1: {j + 1: v for j, v in enumerate(red[r]) if v}
+                    for r, pc in enumerate(pivots)}
+        shuffled = rng.sample(rows, len(rows))
+        for order in (rows, shuffled):
+            reducer = linalg.RowReducer()
+            added = sum(reducer.try_add(row) for row in order)
+            assert reducer.rows == expected
+            assert reducer.rank == added == len(pivots)
+            for pc, row in reducer.rows.items():
+                assert row[pc] == 1
+                assert not any(other in row for other in reducer.rows if other != pc)
+
+
+def bordered(a):
+    """linalg.Bordered grown one row and column of a at a time."""
+    lu = linalg.Bordered()
+    for n in range(len(a)):
+        row = lu.border(0, a[n][:n])
+        col = lu.border(1, [a[k][n] for k in range(n)])
+        pivot = a[n][n] - sum(row[i] * lu.pivots[i] * c for i, c in col.items() if i in row)
+        lu.append(0, row, col, pivot)
+    return lu
+
+
+def test_bordered_factor_pivots_and_solves():
+    rng = random.Random(31)
+    done = 0
+    while done < 40:
+        n = rng.randint(1, 6)
+        a = zero_heavy_matrix(rng, n, n)
+        if any(oracles.determinant([row[:m] for row in a[:m]]) == 0 for m in range(1, n + 1)):
+            continue
+        lu = bordered(a)
+        for m in range(1, n + 1):
+            assert math.prod(lu.pivots[:m]) == oracles.determinant([row[:m] for row in a[:m]])
+        b = [Fraction(rng.randint(-4, 4), 3) for _ in range(n)]
+        assert lu.solve(b) == oracles.solve(a, b)
+        # A^T = U^T·D·L^T: border(0, b) is D^-1 (U^T)^-1 b, and back(0, .) inverts L^T
+        z = lu.border(0, b)
+        x = lu.back(0, [z.get(i, 0) for i in range(n)])
+        assert oracles.mat_vec([list(col) for col in zip(*a)], x) == b
+        done += 1
 
 
 def test_float_mode_pivots_by_magnitude():
     a = [[1e-30, 1.0], [1.0, 1.0]]
-    x = linalg.solve(a, [1.0, 2.0], FLOAT)
+    x = oracles.solve(a, [1.0, 2.0], FLOAT)
     assert abs(x[0] - 1.0) < 1e-9
     assert abs(x[1] - 1.0) < 1e-9
-    assert abs(linalg.determinant(a, FLOAT) - (1e-30 - 1.0)) < 1e-9
+    assert abs(oracles.determinant(a, FLOAT) - (1e-30 - 1.0)) < 1e-9
 
 
 def test_rank_of_projections():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)], [Fraction(0), Fraction(1)]]
-    assert linalg.rank(rows, EXACT) == 2
+    assert oracles.rank(rows, EXACT) == 2
 
 
 def dense_rref(a):
@@ -194,9 +255,9 @@ def test_zero_heavy_nullspace_and_solve_agree_with_oracle():
         b = [rng.choice([0, Fraction(rng.randint(-4, 4), 3)]) for _ in range(n)]
         red, pivots = dense_rref([row + [bi] for row, bi in zip(a, b)])
         if pivots == list(range(n)):
-            assert linalg.solve(a, b) == [row[n] for row in red]
+            assert oracles.solve(a, b) == [row[n] for row in red]
         else:
             with pytest.raises(SingularOperator):
-                linalg.solve(a, b)
+                oracles.solve(a, b)
         for vec in linalg.nullspace(a):
             assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in a)

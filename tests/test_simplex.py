@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from orbitlab import linalg, simplex
+from orbitlab import simplex
 from orbitlab.scalars import EXACT, FLOAT
 from orbitlab.simplex import Infeasible, Unbounded, solve_lp
+
+import oracles
 
 
 def F(n, d=1):
@@ -24,9 +26,9 @@ def vertex_oracle(c, a, b):
     best = None
     for cols in itertools.combinations(range(nvars), min(nrows, nvars)):
         sub = [[a[i][j] for j in cols] for i in range(nrows)]
-        if len(cols) != nrows or linalg.determinant(sub) == 0:
+        if len(cols) != nrows or oracles.determinant(sub) == 0:
             continue
-        x_basic = linalg.solve(sub, b)
+        x_basic = oracles.solve(sub, b)
         if any(v < 0 for v in x_basic):
             continue
         x = [Fraction(0)] * nvars

@@ -242,6 +242,30 @@ class TestVerifyTransport:
         names = {c.name for c in report.failures()}
         assert "exact-matching" in names
 
+    def test_functional_off_the_active_set_is_reported_not_raised(self):
+        from dataclasses import replace
+        from orbitlab.operators import FiniteRankOperator as FRO, ZERO
+
+        state = fresh_state([sv(1), sv(0, 1)], [sv(1), sv(0, 1)], active=2, window=4,
+                            epsilons=geometric_schedule(2))
+        term = (CoordFunctional({3: frac(1, 2 ** 50)}), SparseVector.basis(1))
+        report = verify_transport(replace(state, terms=FRO(ZERO, (term,))))
+        failed = {c.name for c in report.failures()}
+        assert {"slot-bounds", "budget-below-one", "kernel-fixed"} <= failed
+        assert "p*(f) = inf" in next(c.detail for c in report.checks if c.name == "slot-bounds")
+
+    def test_update_outside_the_disk_span_is_reported_not_raised(self):
+        from dataclasses import replace
+        from orbitlab.operators import FiniteRankOperator as FRO, ZERO
+
+        state = fresh_state([sv(1), sv(0, 1)], [sv(1), sv(0, 1)], active=2, window=4,
+                            epsilons=geometric_schedule(2))
+        term = (CoordFunctional.delta(1), SparseVector.basis(5).scale(frac(1, 2 ** 50)))
+        report = verify_transport(replace(state, terms=FRO(ZERO, (term,))))
+        failed = {c.name for c in report.failures()}
+        assert {"slot-bounds", "budget-below-one"} <= failed
+        assert "kernel-fixed" not in failed
+
     def test_invertibility_round_trip_checked(self):
         rng = random.Random(27)
         a, b, p, d = twin_instance(rng, 12, 2)
@@ -310,7 +334,6 @@ class TestIncrementalWorkspace:
 
     def test_run_needs_no_from_scratch_solve(self, monkeypatch):
         import orbitlab.linalg as linalg
-        import orbitlab.operators as operators
 
         args = twin_instance(random.Random(33), 24, 5, extras=2)
         _, expected = run_transport(*args, geometric_schedule(10), stages=5)
@@ -318,9 +341,8 @@ class TestIncrementalWorkspace:
         def boom(*_args, **_kwargs):
             raise AssertionError("from-scratch solve reached")
 
-        for module, name in ((linalg, "rref"), (linalg, "nullspace"), (linalg, "solve"),
-                             (operators, "solve")):
-            monkeypatch.setattr(module, name, boom)
+        for name in ("rref", "nullspace", "solve_any", "invert_matrix"):
+            monkeypatch.setattr(linalg, name, boom)
         _, state = run_transport(*args, geometric_schedule(10), stages=5)
         assert state == expected
 
