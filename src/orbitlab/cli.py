@@ -76,14 +76,15 @@ def _cmd_run(args) -> int:
 
 
 def _scenario_from_flags(args, task: str, payload: dict) -> Scenario:
-    return Scenario(
-        name=args.name,
-        scalar_mode=args.scalar_mode,
-        window=args.window,
-        seed=args.seed,
-        task=task,
-        payload=payload,
-    )
+    """The scenario of a direct subcommand, validated as a scenario file is."""
+    return Scenario.from_dict({
+        "name": args.name,
+        "scalar_mode": args.scalar_mode,
+        "window": args.window,
+        "seed": args.seed,
+        "task": task,
+        "payload": payload,
+    })
 
 
 def _finish(args, scenario: Scenario) -> int:

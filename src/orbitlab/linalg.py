@@ -1,12 +1,13 @@
 """Exact elimination over rationals (or floats with a pivot tolerance).
 
-Three forms, each written once:
+Two forms, each written once:
 
-- `rref`, the dense reduced row echelon form of a list of row lists, behind
-  `nullspace`, `solve_any` and `invert_matrix`.  Exact mode takes the first
-  non-zero pivot; float mode pivots on the largest entry above the tolerance.
-- `RowReducer`, a sparse reduced echelon form that grows one dict-backed row
-  at a time: independence tests, ranks and the separating-functional picks.
+- `RowReducer`, the sparse reduced row echelon form of dict-backed rows,
+  built from rows given at once (`of`: Gauss-Jordan elimination, behind
+  `nullspace`, `solve_any` and `invert_matrix`) or grown one row at a time
+  (`try_add`: independence tests, ranks and the separating-functional
+  picks).  Both share one row step; the pivot choice is the scalar
+  context's `pivot_weight`.
 - `Bordered`, an L·D·U factor without pivoting that grows by one row and one
   column at a time: the pairing minors of triangularization and the Gram
   system of a growing identity-plus-finite-rank operator.
@@ -22,116 +23,103 @@ from .scalars import EXACT, Scalar, ScalarContext
 Matrix = List[List[Scalar]]
 
 
-def identity_matrix(n: int, ctx: ScalarContext = EXACT) -> Matrix:
-    return [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
-
-
-def _pivot_row(col: List[Scalar], start: int, ctx: ScalarContext) -> Optional[int]:
-    if ctx.exact:
-        for i in range(start, len(col)):
-            if col[i] != 0:
-                return i
-        return None
-    best, best_mag = None, ctx.tol
-    for i in range(start, len(col)):
-        mag = abs(col[i])
-        if mag > best_mag:
-            best, best_mag = i, mag
-    return best
-
-
-def rref(a: Matrix, ctx: ScalarContext = EXACT):
-    """Reduced row echelon form.  Returns (rows, pivot_columns).
-
-    Zero entries are skipped: a zero of the pivot row is not divided and is
-    not subtracted from the other rows, and every zero of the input (an int 0
-    included) comes out as ctx.zero.  The reduced form is unique, so this is
-    the same result as eliminating across the zeros, without the work.
-    """
-    if not a:
-        return [], []
-    zero = ctx.zero
-    m = [[v if v else zero for v in row] for row in a]
-    rows, cols = len(m), len(m[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        piv = _pivot_row([m[i][c] for i in range(rows)], r, ctx)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        prow = m[r] = [v / pv if v else zero for v in m[r]]
-        support = [j for j, y in enumerate(prow) if y]
-        for i in range(rows):
-            row = m[i]
-            f = row[c]
-            if f and i != r and not ctx.is_zero(f):
-                for j in support:
-                    row[j] -= f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+def _rows(a: Matrix) -> List[Dict[int, Scalar]]:
+    return [{j: v for j, v in enumerate(row) if v} for row in a]
 
 
 def nullspace(a: Matrix, cols: Optional[int] = None, ctx: ScalarContext = EXACT) -> List[List[Scalar]]:
     """Deterministic nullspace basis, one vector per free column."""
     if cols is None:
         cols = len(a[0]) if a else 0
-    if not a:
-        a = []
-    red, pivots = rref(a, ctx)
-    free = [c for c in range(cols) if c not in pivots]
+    red = RowReducer.of(_rows(a), ctx)
     basis = []
-    for fc in free:
-        vec = [ctx.zero] * cols
-        vec[fc] = ctx.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
+    for fc in range(cols):
+        if fc not in red.rows:
+            vec = [ctx.zero] * cols
+            for i, v in red.null_vector(fc).items():
+                vec[i] = v
+            basis.append(vec)
     return basis
 
 
 def solve_any(a: Matrix, b: Sequence[Scalar], ctx: ScalarContext = EXACT) -> Optional[List[Scalar]]:
     """Any exact solution of a (possibly rectangular) system; None if none."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [b[i]] for i in range(rows)]
-    red, pivots = rref(aug, ctx)
-    if cols in pivots:
+    cols = len(a[0]) if a else 0
+    rows = _rows(a)
+    for row, bi in zip(rows, b):
+        row[cols] = bi
+    red = RowReducer.of(rows, ctx)
+    if cols in red.rows:
         return None
     x = [ctx.zero] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
+    for pc, row in red.rows.items():
+        x[pc] = row.get(cols, ctx.zero)
     return x
 
 
 def invert_matrix(a: Matrix, ctx: ScalarContext = EXACT) -> Matrix:
     n = len(a)
-    aug = [list(row) + unit for row, unit in zip(a, identity_matrix(n, ctx))]
-    red, pivots = rref(aug, ctx)
-    if pivots != list(range(n)):
+    rows = _rows(a)
+    for i, row in enumerate(rows):
+        row[n + i] = ctx.one
+    red = RowReducer.of(rows, ctx)
+    if any(pc >= n for pc in red.rows):
         raise SingularOperator(f"{n}x{n} matrix is not invertible")
-    return [row[n:] for row in red]
+    return [[red.rows[i].get(n + j, ctx.zero) for j in range(n)] for i in range(n)]
 
 
 class RowReducer:
-    """Incremental independence test that keeps the reduced row echelon form.
+    """The reduced row echelon form of sparse rows, built at once or one row at a time.
 
     `rows` maps each pivot coordinate to its row, a dict of non-zero entries
-    that is 1 at its pivot and 0 at every other pivot.  The form is unique, so
-    it equals the `rref` of the rows added so far, whatever their order.
+    that is 1 at its pivot and 0 at every other pivot.  In exact mode the form
+    is unique, so `of` and `try_add` give the same rows, whatever the order of
+    the input.
     """
 
     def __init__(self, ctx: ScalarContext = EXACT):
         self.ctx = ctx
         self.rows: Dict[int, Dict[int, Scalar]] = {}
 
+    @classmethod
+    def of(cls, rows: Sequence[Dict[int, Scalar]], ctx: ScalarContext = EXACT) -> "RowReducer":
+        """Gauss-Jordan elimination of rows given all at once.
+
+        Coordinates are taken in ascending order.  The pivot of a coordinate
+        is the first row of largest `ctx.pivot_weight` from the current row
+        on, in the current row order; it is swapped into place, normalised
+        and cleared from every other row.  Float entries within the tolerance
+        never pivot but are carried along, as in dense elimination.
+        """
+        reducer = cls(ctx)
+        m = [dict(row) for row in rows]
+        r = 0
+        for c in sorted(set().union(*m)):
+            if r == len(m):
+                break
+            weights = [ctx.pivot_weight(row.get(c, 0)) for row in m[r:]]
+            best = max(weights)
+            if not best:
+                continue
+            piv = r + weights.index(best)
+            m[r], m[piv] = m[piv], m[r]
+            pv = m[r][c]
+            prow = m[r] = reducer.rows[c] = {i: v / pv for i, v in m[r].items()}
+            for i, row in enumerate(m):
+                if i != r and c in row:
+                    _eliminate(row, row[c], prow, ctx)
+            r += 1
+        return reducer
+
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def null_vector(self, fc: int) -> Dict[int, Scalar]:
+        """The nullspace vector of the free coordinate fc: 1 at fc and minus
+        the entry at fc of each row at its pivot, in ascending coordinate order."""
+        return dict(sorted([(pc, -row[fc]) for pc, row in self.rows.items() if fc in row]
+                           + [(fc, self.ctx.one)]))
 
     def residual(self, vec: Dict[int, Scalar]) -> Dict[int, Scalar]:
         """vec minus its component in the span of the rows, zero at every pivot."""

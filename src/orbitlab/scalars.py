@@ -2,9 +2,10 @@
 
 A whole scenario runs in one mode, carried by one `ScalarContext`: it fixes
 the scalar type where text becomes scalars (`parse`), supplies `zero` and
-`one`, and compares.  Value types store the scalars they are given and never
-learn the mode.  Exact mode is the basis of every acceptance check; float
-mode exists for larger experiments.  In float mode `is_zero` is absolute
+`one`, compares, and weighs pivots for elimination (`pivot_weight`).  Value
+types store the scalars they are given and never learn the mode.  Exact
+mode is the basis of every acceptance check; float mode exists for larger
+experiments.  In float mode `is_zero` is absolute
 (|x| <= tol) while `eq` and `lt` are relative (|a - b| <= tol * max(1, |a|, |b|)).
 """
 
@@ -73,6 +74,14 @@ class ScalarContext:
         if self.exact:
             return x == 0
         return abs(x) <= self.tol
+
+    def pivot_weight(self, x: Scalar) -> Scalar:
+        """How good a pivot x is: 0 for a zero, 1 for any other x in exact
+        mode (the first non-zero serves), |x| in float mode (the largest is
+        the most stable)."""
+        if self.is_zero(x):
+            return 0
+        return 1 if self.exact else abs(x)
 
     def eq(self, a: Scalar, b: Scalar) -> bool:
         if self.exact:

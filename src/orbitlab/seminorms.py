@@ -8,7 +8,7 @@ by an exact linear program (generator form).  The separating-functional
 construction replaces the Hahn-Banach step of the abstract theory with a
 finite nullspace pick: `Separator` keeps the constraint list that grows one
 vector at a time in a `linalg.RowReducer`, and `separating_functional` fills
-one from a single `linalg.rref` for a list given once.
+one from a single `linalg.RowReducer.of` for a list given once.
 """
 
 from __future__ import annotations
@@ -181,9 +181,9 @@ class Separator:
     """Separating functionals against a constraint list that grows one vector at a time.
 
     Keeps the constraints' active projections in a `linalg.RowReducer`, whose
-    rows are their reduced row echelon form keyed by pivot coordinate.  A
-    nullspace vector per free coordinate c is e_c minus the column c of the
-    rows, the basis `linalg.nullspace` returns, and RREF is unique, so
+    rows are their reduced row echelon form keyed by pivot coordinate.  The
+    nullspace vector of a free coordinate c is `RowReducer.null_vector(c)`, as
+    in the basis `linalg.nullspace` returns, and RREF is unique, so
     `functional` picks the f that a from-scratch solve picks.
     """
 
@@ -196,14 +196,12 @@ class Separator:
     @classmethod
     def of(cls, p: SeminormSpec, constraints: Sequence[SparseVector],
            ctx: ScalarContext = EXACT) -> "Separator":
-        """A separator for the constraints, from one `linalg.rref` of their projections."""
+        """A separator for the constraints, from one `linalg.RowReducer.of` of
+        their projections."""
         sep = cls(p, ctx)
         projections = project_active(p, constraints)
-        coords = sorted(set().union(*projections))
-        sep._support.update(coords)
-        red, pivots = linalg.rref([[x.get(i, 0) for i in coords] for x in projections], ctx)
-        for row, pc in zip(red, pivots):
-            sep._reducer.rows[coords[pc]] = {coords[j]: v for j, v in enumerate(row) if v}
+        sep._support.update(*projections)
+        sep._reducer = linalg.RowReducer.of(projections, ctx)
         return sep
 
     def add(self, x: SparseVector) -> None:
@@ -234,9 +232,8 @@ class Separator:
                 terms.append((fc, u_act[fc]))
             if ctx.is_zero(sum(t for _, t in sorted(terms))):
                 continue
-            entries = sorted([(pc, -row[fc]) for pc, row in rows.items() if fc in row]
-                             + [(fc, ctx.one)])
-            f = CoordFunctional({i: c for i, c in entries if not ctx.is_zero(c)})
+            vec = self._reducer.null_vector(fc)
+            f = CoordFunctional({i: c for i, c in vec.items() if not ctx.is_zero(c)})
             return f.scale(1 / dual_norm(self.p, f))
         raise NoSeparation("u lies in span(constraints) + ker p")
 
@@ -245,7 +242,7 @@ def separating_functional(p: SeminormSpec, constraints: Sequence[SparseVector],
                           u: SparseVector, ctx: ScalarContext = EXACT) -> CoordFunctional:
     """`Separator.functional` for a constraint list given once.
 
-    One from-scratch `linalg.rref` fills the separator; NoSeparation exactly
+    One from-scratch `linalg.RowReducer.of` fills the separator; NoSeparation exactly
     when (u + span constraints) meets ker p.
     """
     return Separator.of(p, constraints, ctx).functional(u)

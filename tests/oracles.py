@@ -1,15 +1,18 @@
 """Dense textbook linear algebra, used by the tests as slow independent oracles.
 
-The program itself eliminates with `linalg.rref`, `linalg.RowReducer` and
-`linalg.Bordered`; these helpers work on plain lists of row lists and exist
-only to check it.
+The program itself eliminates with `linalg.RowReducer` and `linalg.Bordered`;
+these helpers work on plain lists of row lists, share no code with it, and
+exist only to check it.
 """
 
-from orbitlab import linalg
 from orbitlab.errors import SingularOperator
 from orbitlab.operators import IDENTITY
 from orbitlab.scalars import EXACT
 from orbitlab.vectors import combine
+
+
+def identity_matrix(n, ctx=EXACT):
+    return [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -46,14 +49,94 @@ def determinant(a, ctx=EXACT):
     return det
 
 
+def _pivot_row(col, start, ctx):
+    if ctx.exact:
+        for i in range(start, len(col)):
+            if col[i] != 0:
+                return i
+        return None
+    best, best_mag = None, ctx.tol
+    for i in range(start, len(col)):
+        mag = abs(col[i])
+        if mag > best_mag:
+            best, best_mag = i, mag
+    return best
+
+
+def rref(a, ctx=EXACT):
+    """Dense Gauss-Jordan reduced row echelon form.  Returns (rows, pivot_columns).
+
+    Columns in ascending order; the pivot is searched from the current row on
+    and swapped into place: the first non-zero in exact mode, the largest
+    entry above the tolerance in float mode.  Zero entries are skipped: a zero
+    of the pivot row is not divided and is not subtracted from the other rows,
+    and every zero of the input (an int 0 included) comes out as ctx.zero.
+    """
+    if not a:
+        return [], []
+    zero = ctx.zero
+    m = [[v if v else zero for v in row] for row in a]
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = _pivot_row([m[i][c] for i in range(rows)], r, ctx)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pv = m[r][c]
+        prow = m[r] = [v / pv if v else zero for v in m[r]]
+        support = [j for j, y in enumerate(prow) if y]
+        for i in range(rows):
+            row = m[i]
+            f = row[c]
+            if f and i != r and not ctx.is_zero(f):
+                for j in support:
+                    row[j] -= f * prow[j]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def nullspace(a, cols=None, ctx=EXACT):
+    """Nullspace basis, one vector per free column: 1 there, minus the
+    column's entries at the pivots."""
+    if cols is None:
+        cols = len(a[0]) if a else 0
+    red, pivots = rref(a, ctx)
+    basis = []
+    for fc in range(cols):
+        if fc not in pivots:
+            vec = [ctx.zero] * cols
+            vec[fc] = ctx.one
+            for r, pc in enumerate(pivots):
+                vec[pc] = -red[r][fc]
+            basis.append(vec)
+    return basis
+
+
+def solve_any(a, b, ctx=EXACT):
+    """Any solution of a (possibly rectangular) system; None if none."""
+    cols = len(a[0]) if a else 0
+    red, pivots = rref([list(row) + [bi] for row, bi in zip(a, b)], ctx)
+    if cols in pivots:
+        return None
+    x = [ctx.zero] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][cols]
+    return x
+
+
 def rank(a, ctx=EXACT):
-    return len(linalg.rref(a, ctx)[1])
+    return len(rref(a, ctx)[1])
 
 
 def solve(a, b, ctx=EXACT):
     """The solution of a square system; SingularOperator if there is none."""
     n = len(a)
-    red, pivots = linalg.rref([list(row) + [bi] for row, bi in zip(a, b)], ctx)
+    red, pivots = rref([list(row) + [bi] for row, bi in zip(a, b)], ctx)
     if pivots != list(range(n)):
         raise SingularOperator(f"{n}x{n} system is singular")
     return [row[n] for row in red]

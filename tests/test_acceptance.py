@@ -264,10 +264,10 @@ def grid_oracle(gens, u, bound):
     """
     coords = sorted(set(u.support).union(*(g.support for g in gens)))
     a = [[g.get(i) for g in gens] for i in coords]
-    red, pivots = linalg.rref(a)
+    red, pivots = oracles.rref(a)
     free_cols = [c for c in range(len(gens)) if c not in pivots]
     u_col = [u.get(i) for i in coords]
-    red_aug, pivots_aug = linalg.rref([row + [b] for row, b in zip(a, u_col)])
+    red_aug, pivots_aug = oracles.rref([row + [b] for row, b in zip(a, u_col)])
     assert len(gens) not in pivots_aug, "instance must be feasible"
 
     # pinned = base - M . free  (read off the reduced system)

@@ -317,6 +317,25 @@ class TestCli:
         assert code == 0
         assert "result: PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["transport", "--a", "F", "--b", "F", "--p", "F", "--disk", "F", "--stages", "1"],
+        ["triangularize", "--basis", "F", "--stages", "1"],
+        ["disks", "--from-null-seq", "F"],
+        ["hypercyclic", "build-shift", "--basis", "F", "--p", "F", "--disk", "F"],
+        ["hypercyclic", "witness", "--op", "F", "--x", "F", "--y", "F", "--p", "F"],
+        ["hypercyclic", "demo", "--x", "F"],
+        ["refute", "--op", "F", "--x", "F", "--levels", "1"],
+    ], ids=["transport", "triangularize", "disks", "build-shift", "witness", "demo",
+            "refute"])
+    def test_subcommand_validates_the_window(self, tmp_path, capsys, argv):
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        argv = [str(path) if arg == "F" else arg for arg in argv]
+        assert main(argv + ["--window", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "error: window: must be an integer >= 2" in err
+        assert "Traceback" not in err
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ORBITLAB_OUT", str(tmp_path / "envout"))
         basis_file = tmp_path / "basis.json"

@@ -154,13 +154,13 @@ def dense_premise(t, window, depth):
     s = t.linear_part() if t.base == IDENTITY else t
     top = max([window] + [i for f, v in s.terms for i in f.support + v.support])
     s_mat = s.matrix_on(range(1, top + 1))
-    power = linalg.identity_matrix(top)
+    power = oracles.identity_matrix(top)
     rows, union = [], []
     for n in range(1, depth + 1):
         power = oracles.mat_mul(power, s_mat)
         double = oracles.mat_mul(power, power)
-        meet = [oracles.mat_vec(power, y) for y in linalg.nullspace(double, cols=top)]
-        rows.append((n, oracles.rank(power), len(linalg.nullspace(power, cols=top)),
+        meet = [oracles.mat_vec(power, y) for y in oracles.nullspace(double, cols=top)]
+        rows.append((n, oracles.rank(power), len(oracles.nullspace(power, cols=top)),
                      oracles.rank(meet)))
         union += meet
     span_dim = oracles.rank(union)
@@ -223,13 +223,13 @@ def dense_witness(t, x, y, eps, max_n, p, window):
     active = [i for i in indices if i in p.weights]
     free = [i for i in indices if i not in p.weights]
     t_mat = t.matrix_on(indices)
-    power = linalg.identity_matrix(window)
+    power = oracles.identity_matrix(window)
     x_col = [x.get(i) for i in indices]
     for n in range(1, max_n + 1):
         power = oracles.mat_mul(power, t_mat)
         tnx = oracles.mat_vec(power, x_col)
-        sol = linalg.solve_any([[power[i - 1][j - 1] for j in free] for i in active],
-                               [y.get(i) - tnx[i - 1] for i in active])
+        sol = oracles.solve_any([[power[i - 1][j - 1] for j in free] for i in active],
+                                [y.get(i) - tnx[i - 1] for i in active])
         if sol is None:
             continue
         z = x + SparseVector(dict(zip(free, sol)))

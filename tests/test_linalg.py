@@ -1,5 +1,5 @@
-"""Exact elimination: rref, nullspaces, solves, the incremental row reducer,
-and the dense oracles the other tests rely on."""
+"""Exact elimination: the row reducer built at once and one row at a time,
+nullspaces, solves, and the dense oracles the other tests rely on."""
 
 import math
 import random
@@ -102,7 +102,7 @@ def test_invert_matrix_round_trip():
         if oracles.determinant(a) == 0:
             continue
         inv = linalg.invert_matrix(a)
-        assert oracles.mat_mul(a, inv) == linalg.identity_matrix(n)
+        assert oracles.mat_mul(a, inv) == oracles.identity_matrix(n)
         done += 1
 
 
@@ -133,11 +133,12 @@ def test_row_reducer_keeps_the_reduced_echelon_form():
         if len(rows) >= 2 and rng.random() < 0.5:
             s, t = rng.sample(rows, 2)
             rows.append({j: s.get(j, 0) - 2 * t.get(j, 0) for j in s.keys() | t.keys()})
-        red, pivots = linalg.rref([[row.get(j, 0) for j in range(1, cols + 1)] for row in rows])
+        red, pivots = oracles.rref([[row.get(j, 0) for j in range(1, cols + 1)] for row in rows])
         expected = {pc + 1: {j + 1: v for j, v in enumerate(red[r]) if v}
                     for r, pc in enumerate(pivots)}
         shuffled = rng.sample(rows, len(rows))
         for order in (rows, shuffled):
+            assert linalg.RowReducer.of(order).rows == expected
             reducer = linalg.RowReducer()
             added = sum(reducer.try_add(row) for row in order)
             assert reducer.rows == expected
@@ -184,6 +185,11 @@ def test_float_mode_pivots_by_magnitude():
     assert abs(x[0] - 1.0) < 1e-9
     assert abs(x[1] - 1.0) < 1e-9
     assert abs(oracles.determinant(a, FLOAT) - (1e-30 - 1.0)) < 1e-9
+    # 1e-10 is above the tolerance: pivoting on it leaves a residual of 1e-10
+    for x in (linalg.solve_any([[1e-10, 1.0], [1.0, 1.0]], [1.0, 2.0], FLOAT),
+              oracles.solve_any([[1e-10, 1.0], [1.0, 1.0]], [1.0, 2.0], FLOAT)):
+        assert abs(1e-10 * x[0] + x[1] - 1.0) < 1e-15
+        assert abs(x[0] + x[1] - 2.0) < 1e-15
 
 
 def test_rank_of_projections():
@@ -191,25 +197,14 @@ def test_rank_of_projections():
     assert oracles.rank(rows, EXACT) == 2
 
 
-def dense_rref(a):
-    """Independent oracle: Gauss-Jordan across every entry, zeros included."""
-    m = [[Fraction(v) for v in row] for row in a]
-    rows, cols = len(m), len(m[0])
-    pivots, r = [], 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(rows):
-            if i != r:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+def pivot_rows(red, pivots, ctx=EXACT):
+    """Dense oracle rows keyed by pivot column, non-zero entries only."""
+    return {pc: {j: v for j, v in enumerate(red[r]) if not ctx.is_zero(v)}
+            for r, pc in enumerate(pivots)}
+
+
+def sparse(a):
+    return [{j: v for j, v in enumerate(row) if v} for row in a]
 
 
 def zero_heavy_matrix(rng, rows, cols):
@@ -234,17 +229,32 @@ def test_rref_skipping_zeros_matches_dense_oracle():
     rng = random.Random(83)
     for _ in range(300):
         a = zero_heavy_matrix(rng, rng.randint(1, 8), rng.randint(1, 10))
-        red, pivots = linalg.rref(a, EXACT)
-        assert (red, pivots) == dense_rref(a)
-        assert all(type(v) is Fraction for row in red for v in row)
+        rows = linalg.RowReducer.of(sparse(a), EXACT).rows
+        assert rows == pivot_rows(*oracles.rref(a, EXACT))
+        assert all(type(v) is Fraction for row in rows.values() for v in row.values())
 
 
 def test_rref_float_mode_leaks_no_int():
     rng = random.Random(84)
     for _ in range(50):
         a = zero_heavy_matrix(rng, rng.randint(1, 6), rng.randint(1, 8))
-        red, _ = linalg.rref([[float(v) if v else 0 for v in row] for row in a], FLOAT)
-        assert all(type(v) is float for row in red for v in row)
+        a = [[float(v) if v else 0 for v in row] for row in a]
+        rows = linalg.RowReducer.of(sparse(a), FLOAT).rows
+        assert rows == pivot_rows(*oracles.rref(a, FLOAT), FLOAT)
+        assert all(type(v) is float for row in rows.values() for v in row.values())
+        assert all(type(v) is float for v in linalg.solve_any(a, [1.0] * len(a), FLOAT) or [])
+
+
+def test_float_pivot_ties_go_to_the_first_row():
+    # every first entry is +-1, so the first pivot is a tie; sevenths round,
+    # so the rows depend on which row pivots, to the last bit
+    rng = random.Random(86)
+    for _ in range(50):
+        n, cols = rng.randint(2, 6), rng.randint(2, 7)
+        a = [[rng.choice([-1.0, 1.0])] + [rng.randint(-9, 9) / 7 for _ in range(cols - 1)]
+             for _ in range(n)]
+        rows = linalg.RowReducer.of(sparse(a), FLOAT).rows
+        assert rows == pivot_rows(*oracles.rref(a, FLOAT), FLOAT)
 
 
 def test_zero_heavy_nullspace_and_solve_agree_with_oracle():
@@ -253,11 +263,13 @@ def test_zero_heavy_nullspace_and_solve_agree_with_oracle():
         n = rng.randint(1, 7)
         a = zero_heavy_matrix(rng, n, n)
         b = [rng.choice([0, Fraction(rng.randint(-4, 4), 3)]) for _ in range(n)]
-        red, pivots = dense_rref([row + [bi] for row, bi in zip(a, b)])
+        red, pivots = oracles.rref([row + [bi] for row, bi in zip(a, b)])
         if pivots == list(range(n)):
             assert oracles.solve(a, b) == [row[n] for row in red]
         else:
             with pytest.raises(SingularOperator):
                 oracles.solve(a, b)
+        assert linalg.nullspace(a) == oracles.nullspace(a)
+        assert linalg.solve_any(a, b) == oracles.solve_any(a, b)
         for vec in linalg.nullspace(a):
             assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in a)

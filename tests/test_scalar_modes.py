@@ -1,11 +1,14 @@
 """The two scalar modes stay separate: no float reaches an exact-mode result,
 every stored float-mode scalar is a float, and float zeros print as "0.0"."""
 
+import ast
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import orbitlab
 from orbitlab import DiskSpec, SeminormSpec, minkowski, serialize
 from orbitlab.density import Enumeration, EpsilonNet, common_disk
 from orbitlab.hypercyclic import (
@@ -162,3 +165,14 @@ def test_float_zero_residual_and_gauge_print_as_float():
     assert schedule.rows[0][1:] == ["0.0", "0.0"]
     net_a = next(t for t in common.tables if t.name == "net-report-a")
     assert net_a.rows[0][2] == "0.0"
+
+
+def test_only_scalars_reads_the_mode():
+    """The scalar context hides its mode: no other module reads `.exact` or `.tol`."""
+    reads = []
+    for path in sorted(Path(orbitlab.__file__).parent.glob("*.py")):
+        if path.name != "scalars.py":
+            reads += [f"{path.name}:{node.lineno} .{node.attr}"
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Attribute) and node.attr in ("exact", "tol")]
+    assert reads == []

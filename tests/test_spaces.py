@@ -18,12 +18,13 @@ from orbitlab import (
     minkowski,
     separating_functional,
 )
-from orbitlab import linalg
 from orbitlab.density import Enumeration
 from orbitlab.errors import NoSeparation, NotInSpan, NotPBounded
 from orbitlab.scalars import EXACT, FLOAT
 from orbitlab.seminorms import Separator
 from orbitlab.vectors import close, combine
+
+import oracles
 
 
 def sv(*entries):
@@ -238,14 +239,14 @@ class TestSeparatingFunctional:
 
 
 def nullspace_pick(p, constraints, u, ctx=EXACT):
-    """Oracle: the first `linalg.nullspace` vector over the active coordinates
+    """Oracle: the first dense `oracles.nullspace` vector over the active coordinates
     of the constraints and u that is non-zero on u, rescaled to dual norm one."""
     coords = sorted({i for x in list(constraints) + [u] for i in x.entries if i in p.weights})
     if not coords:
         raise NoSeparation("u projects to zero on the active coordinates")
     rows = [[x.get(i) for i in coords] for x in constraints]
     u_proj = [u.get(i) for i in coords]
-    for candidate in linalg.nullspace(rows, cols=len(coords), ctx=ctx):
+    for candidate in oracles.nullspace(rows, cols=len(coords), ctx=ctx):
         if not ctx.is_zero(sum(c * x for c, x in zip(candidate, u_proj))):
             f = CoordFunctional({i: c for i, c in zip(coords, candidate) if not ctx.is_zero(c)})
             return f.scale(1 / dual_norm(p, f))

@@ -239,7 +239,7 @@ class TestOmegaOperator:
         op = build_omega_operator(state)
         for m in range(1, 5):
             assert op.apply(SparseVector.basis(state.alpha[m - 1])) == state.v[m - 1]
-        assert shuffled_matrix(state) == linalg.identity_matrix(4)
+        assert shuffled_matrix(state) == oracles.identity_matrix(4)
 
     def test_elementary_below_diagonal_entry(self):
         # basis (e1+e2, e2, e3, e4) keeps alpha = id and produces the matrix
