@@ -137,25 +137,32 @@ def _cmd_disks(args) -> int:
 
 
 def _cmd_hypercyclic(args) -> int:
+    def load(flag: str):
+        """The JSON file of a --flag the mode needs; every one is optional to argparse."""
+        path = getattr(args, flag)
+        if path is None:
+            raise ScenarioError(f"hypercyclic {args.mode} needs --{flag} FILE")
+        return _load_json(path)
+
     if args.mode == "build-shift":
         payload = {
             "mode": "build-shift",
-            "basis": _load_json(args.basis),
-            "p": _load_json(args.p),
-            "disk": _load_json(args.disk),
+            "basis": load("basis"),
+            "p": load("p"),
+            "disk": load("disk"),
         }
     elif args.mode == "witness":
         payload = {
             "mode": "witness",
-            "operator": _load_json(args.op),
-            "x": _load_json(args.x),
-            "y": _load_json(args.y),
-            "p": _load_json(args.p),
+            "operator": load("op"),
+            "x": load("x"),
+            "y": load("y"),
+            "p": load("p"),
             "eps": args.eps,
             "max_n": args.max_n,
         }
     else:
-        payload = {"mode": "demo", "x0": _load_json(args.x), "horizon": args.horizon}
+        payload = {"mode": "demo", "x0": load("x"), "horizon": args.horizon}
     return _finish(args, _scenario_from_flags(args, "hypercyclic", payload))
 
 

@@ -110,7 +110,7 @@ def extract_p_independent(a: Enumeration, p: SeminormSpec,
             + [max(p.active)]
         )
         window_norm = SeminormSpec.sup_on(range(1, top + 1), ctx.one)
-    reducer = linalg.RowReducer(ctx)
+    echelon = linalg.Echelon(ctx)
     picks: List[SparseVector] = []
     for n, (center, radius) in enumerate(opens, start=1):
         found = None
@@ -120,7 +120,7 @@ def extract_p_independent(a: Enumeration, p: SeminormSpec,
             if not eval_seminorm(window_norm, x - center) < radius:
                 continue
             proj = {i: v for i, v in x.entries.items() if i in p.weights}
-            if reducer.try_add(proj):
+            if echelon.try_add(proj):
                 found = x
                 break
         if found is None:

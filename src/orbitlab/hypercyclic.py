@@ -8,15 +8,15 @@ residuals, and the instrumented quantities of the non-orbit refutation.
 
 Operators stay in their term form sum_j f_j (x) v_j: powers are columns
 S^m e_i pushed through `FiniteRankOperator.apply`, ranks come from row
-reduction of those sparse columns, and no matrix power is ever multiplied
-out.  The only dense systems are the nullspace of S^{2n} and the witness's
-active-row solve.
+reduction of those sparse columns (`linalg.row_rank`, fraction-free in
+exact mode), and no matrix power is ever multiplied out.  The only dense
+systems are the nullspace of S^{2n} and the witness's active-row solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .density import Enumeration, biorthogonalize
@@ -86,14 +86,6 @@ class PremiseReport:
         return self.window_meet_dim == self.window_dim
 
 
-def _rank(vectors: Iterable[Mapping[int, Scalar]], ctx: ScalarContext) -> int:
-    """Rank of a family of coordinate maps, by incremental row reduction."""
-    reducer = linalg.RowReducer(ctx)
-    for vec in vectors:
-        reducer.try_add(vec)
-    return reducer.rank
-
-
 def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
                                ctx: ScalarContext = EXACT) -> PremiseReport:
     """Dimensions of range(S^n) ∩ ker(S^n) for S = T - I, n <= depth.
@@ -119,7 +111,7 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
     rows: List[PremiseRow] = []
     union: List[Dict[int, Scalar]] = []
     for n in range(1, depth + 1):
-        dim_range = _rank((col.entries for col in powers[n]), ctx)
+        dim_range = linalg.row_rank((col.entries for col in powers[n]), ctx)
         double = [[col.get(i) for col in powers[2 * n]] for i in ambient]
         meet = [
             combine((c, col) for c, col in zip(y, powers[n]) if not ctx.is_zero(c)).entries
@@ -130,11 +122,12 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
             n=n,
             dim_range=dim_range,
             dim_kernel=top - dim_range,
-            dim_intersection=_rank(meet, ctx),
+            dim_intersection=linalg.row_rank(meet, ctx),
         ))
     # dim(U ∩ W) = dim U - dim(image of U in the coordinates above the window)
-    span_dim = _rank(union, ctx)
-    above = _rank(({i: v for i, v in vec.items() if i > window} for vec in union), ctx)
+    span_dim = linalg.row_rank(union, ctx)
+    above = linalg.row_rank(
+        ({i: v for i, v in vec.items() if i > window} for vec in union), ctx)
     return PremiseReport(rows=rows, span_dim=span_dim, window_dim=window,
                          window_meet_dim=span_dim - above)
 
@@ -261,7 +254,7 @@ def build_nonorbit_set(family: Sequence[SeminormSpec], b: Enumeration,
             raise NotNested(f"no new active coordinate between levels {n + 1} and {n + 2}")
         picks.append(SparseVector.basis(gap[0], ctx))
     combined = list(b.items) + picks
-    if _rank((x.entries for x in combined), ctx) < len(combined):
+    if not linalg.independent((x.entries for x in combined), ctx):
         raise NotPIndependent("combined set is linearly dependent")
     return NonOrbitSet(b=b, c=tuple(picks), family=family)
 
@@ -320,8 +313,8 @@ def refute_orbit(t: FiniteRankOperator, x: SparseVector, a_set: NonOrbitSet,
         for k, p_k in enumerate(a_set.family, start=1):
             series[k] += eval_seminorm(p_k, prefix[n]) / denom
 
-    rank = _rank(({i: v for i, v in el.entries.items() if i in p1.weights}
-                  for el in distinct), ctx)
+    rank = linalg.row_rank(({i: v for i, v in el.entries.items() if i in p1.weights}
+                            for el in distinct), ctx)
 
     return RefuteReport(
         horizon=horizon,

@@ -1,13 +1,17 @@
 """Exact elimination over rationals (or floats with a pivot tolerance).
 
-Two forms, each written once:
+Three forms, each written once, with one row step per number type:
 
 - `RowReducer`, the sparse reduced row echelon form of dict-backed rows,
   built from rows given at once (`of`: Gauss-Jordan elimination, behind
   `nullspace`, `solve_any` and `invert_matrix`) or grown one row at a time
-  (`try_add`: independence tests, ranks and the separating-functional
-  picks).  Both share one row step; the pivot choice is the scalar
-  context's `pivot_weight`.
+  (`try_add`: the separating-functional picks).  Both share one scalar row
+  step; the pivot choice is the scalar context's `pivot_weight`.
+- `Echelon`, a row echelon form grown one row at a time that answers only
+  rank and independence questions (`row_rank`, `independent`).  In exact
+  mode it is fraction-free: each row is scaled to coprime integers and
+  reduced by the integer row step, so no Fraction is built at all.  Float
+  mode hands its rows to a `RowReducer` and keeps the tolerance.
 - `Bordered`, an L·D·U factor without pivoting that grows by one row and one
   column at a time: the pairing minors of triangularization and the Gram
   system of a growing identity-plus-finite-rank operator.
@@ -15,7 +19,8 @@ Two forms, each written once:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import SingularOperator
 from .scalars import EXACT, Scalar, ScalarContext
@@ -155,6 +160,85 @@ def _eliminate(target: Dict[int, Scalar], factor: Scalar, row: Dict[int, Scalar]
             target.pop(i, None)
         else:
             target[i] = nv
+
+
+class Echelon:
+    """A row echelon form grown one row at a time, for ranks and independence tests.
+
+    In exact mode `rows` maps the lowest coordinate of each kept row to the
+    row, a dict of coprime integers.  A new row is reduced against the kept
+    rows in ascending pivot order, each step clearing its lowest coordinate,
+    so no kept row is ever touched again; each result is divided by its
+    content (fraction-free elimination: Geddes, Czapor and Labahn, Algorithms
+    for Computer Algebra, 1992, ch. 9).  Bareiss's exact division (Math.
+    Comp. 22, 1968) would need every remaining row updated at every step,
+    and here the rows arrive one at a time.  Float rows go to a
+    `RowReducer`, whose pivots honour the tolerance.
+    """
+
+    def __init__(self, ctx: ScalarContext = EXACT):
+        self.ctx = ctx
+        self.rows: Dict[int, Dict[int, int]] = {}
+        self._floats = RowReducer(ctx)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows) + self._floats.rank
+
+    def try_add(self, vec: Mapping[int, Scalar]) -> bool:
+        """Keep vec and return True if it is independent of the kept rows."""
+        row = self.ctx.integer_row(vec)
+        if row is None:
+            return self._floats.try_add(vec)
+        row = _primitive(row)
+        while row:
+            lead = min(row)
+            pivot = self.rows.get(lead)
+            if pivot is None:
+                self.rows[lead] = row
+                return True
+            row = _int_step(row, pivot, lead)
+        return False
+
+
+def row_rank(rows: Iterable[Mapping[int, Scalar]], ctx: ScalarContext = EXACT) -> int:
+    """Rank of a family of sparse rows."""
+    echelon = Echelon(ctx)
+    for row in rows:
+        echelon.try_add(row)
+    return echelon.rank
+
+
+def independent(rows: Iterable[Mapping[int, Scalar]], ctx: ScalarContext = EXACT) -> bool:
+    """Whether the sparse rows are linearly independent; stops at the first
+    row that depends on the ones before it."""
+    echelon = Echelon(ctx)
+    return all(echelon.try_add(row) for row in rows)
+
+
+def _int_step(row: Dict[int, int], pivot: Dict[int, int], lead: int) -> Dict[int, int]:
+    """The primitive part of (a/g)·row - (b/g)·pivot, for a and b the entries
+    of pivot and row at lead and g their gcd: zero at lead and below."""
+    a, b = pivot[lead], row[lead]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {i: a * v for i, v in row.items() if i != lead}
+    for i, v in pivot.items():
+        if i != lead:
+            nv = out.get(i, 0) - b * v
+            if nv:
+                out[i] = nv
+            else:
+                del out[i]
+    return _primitive(out)
+
+
+def _primitive(row: Dict[int, int]) -> Dict[int, int]:
+    """row divided by its content, the gcd of its entries."""
+    content = gcd(*row.values())
+    if content > 1:
+        return {i: v // content for i, v in row.items()}
+    return row
 
 
 class Bordered:

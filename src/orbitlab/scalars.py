@@ -2,7 +2,8 @@
 
 A whole scenario runs in one mode, carried by one `ScalarContext`: it fixes
 the scalar type where text becomes scalars (`parse`), supplies `zero` and
-`one`, compares, and weighs pivots for elimination (`pivot_weight`).  Value
+`one`, compares, weighs pivots for elimination (`pivot_weight`) and says
+whether rows may be eliminated on integers (`integer_row`).  Value
 types store the scalars they are given and never learn the mode.  Exact
 mode is the basis of every acceptance check; float mode exists for larger
 experiments.  In float mode `is_zero` is absolute
@@ -14,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
+from math import lcm
+from typing import Dict, Mapping, Optional, Union
 
 Scalar = Union[Fraction, float]
 
@@ -82,6 +84,15 @@ class ScalarContext:
         if self.is_zero(x):
             return 0
         return 1 if self.exact else abs(x)
+
+    def integer_row(self, entries: Mapping[int, Scalar]) -> Optional[Dict[int, int]]:
+        """In exact mode the non-zero entries times the lcm of their
+        denominators, all integers; None in float mode, whose rows keep
+        their tolerance."""
+        if not self.exact:
+            return None
+        den = lcm(*(v.denominator for v in entries.values()))
+        return {i: v.numerator * (den // v.denominator) for i, v in entries.items() if v}
 
     def eq(self, a: Scalar, b: Scalar) -> bool:
         if self.exact:

@@ -8,7 +8,9 @@ by an exact linear program (generator form).  The separating-functional
 construction replaces the Hahn-Banach step of the abstract theory with a
 finite nullspace pick: `Separator` keeps the constraint list that grows one
 vector at a time in a `linalg.RowReducer`, and `separating_functional` fills
-one from a single `linalg.RowReducer.of` for a list given once.
+one from a single `linalg.RowReducer.of` for a list given once.  The
+p-independence test needs only a rank, so it runs on `linalg.independent`,
+fraction-free in exact mode.
 """
 
 from __future__ import annotations
@@ -172,9 +174,10 @@ def project_active(p: SeminormSpec, xs: Sequence[SparseVector]) -> List[dict]:
 
 def p_independent(p: SeminormSpec, xs: Sequence[SparseVector],
                   ctx: ScalarContext = EXACT) -> bool:
-    """Exact rank test: residues of xs modulo ker p are linearly independent."""
-    reducer = linalg.RowReducer(ctx)
-    return all(reducer.try_add(proj) for proj in project_active(p, xs))
+    """Rank test: the residues of xs modulo ker p, their projections on the
+    active coordinates, are linearly independent.  `linalg.independent` runs
+    it on integers in exact mode and stops at the first dependent residue."""
+    return linalg.independent(project_active(p, xs), ctx)
 
 
 class Separator:

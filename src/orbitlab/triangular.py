@@ -169,8 +169,7 @@ def interleave_triangularize(basis: Sequence[SparseVector],
             f"prefix of length {target} needs at least {target} basis vectors "
             f"and {target + WINDOW_MARGIN} functionals"
         )
-    reducer = linalg.RowReducer(ctx)
-    if not all(reducer.try_add(dict(u.entries)) for u in basis):
+    if not linalg.independent((u.entries for u in basis), ctx):
         raise LinearlyDependent("basis vectors are not linearly independent")
 
     lu = _Bordered(ctx)

@@ -336,6 +336,21 @@ class TestCli:
         assert "error: window: must be an integer >= 2" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["build-shift", "--p", "F", "--disk", "F"], "--basis"),
+        (["build-shift", "--basis", "F", "--disk", "F"], "--p"),
+        (["witness", "--x", "F", "--y", "F", "--p", "F"], "--op"),
+        (["witness", "--op", "F", "--y", "F", "--p", "F"], "--x"),
+        (["demo"], "--x"),
+    ], ids=["build-shift-basis", "build-shift-p", "witness-op", "witness-x", "demo-x"])
+    def test_hypercyclic_missing_file_flag_exits_2(self, tmp_path, capsys, argv, flag):
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        argv = ["hypercyclic"] + [str(path) if arg == "F" else arg for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: hypercyclic {argv[1]} needs {flag} FILE\n"
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ORBITLAB_OUT", str(tmp_path / "envout"))
         basis_file = tmp_path / "basis.json"

@@ -1,5 +1,6 @@
 """Exact elimination: the row reducer built at once and one row at a time,
-nullspaces, solves, and the dense oracles the other tests rely on."""
+the fraction-free echelon form behind every rank test, nullspaces, solves,
+and the dense oracles the other tests rely on."""
 
 import math
 import random
@@ -147,6 +148,104 @@ def test_row_reducer_keeps_the_reduced_echelon_form():
                 assert row[pc] == 1
                 assert not any(other in row for other in reducer.rows if other != pc)
 
+
+
+def rank_families(rng):
+    """Seeded families of sparse rows: dense ones with mixed denominators,
+    sparse ones, and either kind with repeated, combined and zero rows."""
+    def dense(cols):
+        return {j: Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7, 12]))
+                for j in range(1, cols + 1)}
+
+    def sparse_row(cols):
+        return {j: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 4, 9]))
+                for j in rng.sample(range(1, cols + 1), rng.randint(1, min(3, cols)))}
+
+    yield []
+    for _ in range(150):
+        cols = rng.randint(1, 9)
+        make = dense if rng.random() < 0.5 else sparse_row
+        rows = [make(cols) for _ in range(rng.randint(1, 8))]
+        roll = rng.random()
+        if roll < 0.25:
+            rows.append(dict(rng.choice(rows)))
+        elif roll < 0.5 and len(rows) >= 2:
+            s, t = rng.sample(rows, 2)
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+            rows.append({j: s.get(j, 0) - c * t.get(j, 0) for j in s.keys() | t.keys()})
+        elif roll < 0.6:
+            rows.append({})
+        elif roll < 0.7:
+            rows.append({j: Fraction(0) for j in range(1, cols + 1)})
+        yield rng.sample(rows, len(rows))
+
+
+def test_echelon_rank_matches_dense_oracle():
+    rng = random.Random(41)
+    for rows in rank_families(rng):
+        cols = max((j for row in rows for j in row), default=0)
+        expected = oracles.rank([[row.get(j, 0) for j in range(1, cols + 1)] for row in rows])
+        assert linalg.row_rank(rows) == expected
+        assert linalg.independent(rows) == (expected == len(rows))
+        echelon = linalg.Echelon()
+        added = sum(echelon.try_add(row) for row in rows)
+        assert echelon.rank == added == expected
+        for lead, row in echelon.rows.items():
+            # primitive integer rows, each with its lowest coordinate at its key
+            assert min(row) == lead
+            assert all(type(v) is int for v in row.values())
+            assert math.gcd(*row.values()) == 1
+
+
+def test_echelon_float_mode_keeps_the_row_reducer_ranks():
+    rng = random.Random(43)
+    families = [[{j: float(v) for j, v in row.items()} for row in rows]
+                for rows in rank_families(rng)]
+    # dependent only within the 2^-40 tolerance
+    near = [{1: 1.0, 2: 1.0}, {1: 1.0, 2: 1.0 + 2.0 ** -45}]
+    families.append(near)
+    for rows in families:
+        reducer = linalg.RowReducer(FLOAT)
+        expected = sum(reducer.try_add(row) for row in rows)
+        assert linalg.row_rank(rows, FLOAT) == expected
+        assert linalg.independent(rows, FLOAT) == (expected == len(rows))
+    assert linalg.row_rank(near, FLOAT) == 1
+    assert linalg.row_rank([{j: Fraction(v) for j, v in row.items()} for row in near]) == 2
+
+
+def test_exact_rank_tests_build_no_fraction_row_reduction(monkeypatch):
+    """The exact rank and independence tests stay on integers: with
+    `RowReducer.try_add` unusable they still finish, with the same results."""
+    from orbitlab.density import extract_p_independent, Enumeration
+    from orbitlab.hypercyclic import build_shift_operator, range_kernel_premise_check
+    from orbitlab.seminorms import DiskSpec, SeminormSpec, p_independent
+    from orbitlab.triangular import interleave_triangularize
+    from orbitlab.vectors import CoordFunctional, SparseVector
+
+    rng = random.Random(47)
+    basis = [SparseVector({j: Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+                           for j in range(1, 9)}) for _ in range(6)]
+    funcs = [CoordFunctional.delta(i) for i in range(1, 11)]
+    p = SeminormSpec.sup_on(range(1, 5))
+    chain = [SparseVector({k: Fraction(1), k + 1: Fraction(1, 3)}) for k in range(1, 5)]
+    shift = build_shift_operator(chain, p, DiskSpec.l1_on(range(1, 7), Fraction(1, 3)))
+    items = Enumeration(tuple(basis), "A")
+    whole = (SparseVector.zero(), Fraction(100))
+
+    def results():
+        return (interleave_triangularize(basis, funcs, 2),
+                p_independent(p, basis[:4]), p_independent(p, basis[:5]),
+                range_kernel_premise_check(shift.operator.plus_identity(), 6, 3),
+                extract_p_independent(items, p, [whole] * 4))
+
+    expected = results()
+
+    def boom(*_args, **_kwargs):
+        raise AssertionError("Fraction row reduction reached")
+
+    monkeypatch.setattr(linalg.RowReducer, "try_add", boom)
+    assert results() == expected
+    assert expected[1] and not expected[2]
 
 def bordered(a):
     """linalg.Bordered grown one row and column of a at a time."""

@@ -14,7 +14,7 @@ from pathlib import Path
 import orbitlab
 import orbitlab.scenarios  # noqa: F401 - imports every layer module the tracer scans
 from orbitlab import linalg
-from orbitlab.seminorms import SeminormSpec, p_independent
+from orbitlab.seminorms import SeminormSpec, Separator
 from orbitlab.vectors import SparseVector
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -50,7 +50,7 @@ def test_install_traces_and_uninstall_restores():
     tracer.install(orbitlab)
     try:
         assert linalg.RowReducer.try_add is not before[(id(linalg.RowReducer), "try_add")]
-        assert p_independent(SeminormSpec.sup_on((1, 2)), [SparseVector({1: 1, 2: 1})])
+        Separator(SeminormSpec.sup_on((1, 2))).add(SparseVector({1: 1, 2: 1}))
     finally:
         tracer.uninstall()
     assert tracer.calls["linalg.rowreducer"] == 1
