@@ -5,6 +5,15 @@ zero.  Inversion goes through the k x k Gram system G_ij = f_i(v_j); the
 Neumann sum c = sum_j p*(f_j) p_D(v_j) < 1 is kept as the invertibility
 certificate only, never as a numerical inversion device.
 
+Every pairing against a list of terms reads a `CoordIndex`, which maps each
+coordinate to the ascending positions of the terms that touch it (the
+compressed-column layout of a sparse matrix; Davis, Direct Methods for
+Sparse Linear Systems, SIAM 2006, ch. 2).  A term whose support misses that
+of x pairs to 0 and is never paired: `apply`, the Gram matrix of `invert`
+and the borders of `GramFactor` pair only the overlapping (term, vector)
+pairs, in term order, so each sum and its rounding are those of the plain
+term loop.
+
 `GramFactor` serves the construction: it keeps I_k + G factored as terms
 arrive and returns J^{-1} u with two triangular substitutions.  `invert`
 serves verification: it builds the whole inverse in term form from the
@@ -15,7 +24,8 @@ inverse Gram matrix, a pivoting path independent of the factor that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .errors import BudgetExceeded, SingularOperator
@@ -27,6 +37,41 @@ IDENTITY = "identity"
 ZERO = "zero"
 
 Term = Tuple[CoordFunctional, SparseVector]
+FiniteMap = Union[CoordFunctional, SparseVector]
+
+
+class CoordIndex:
+    """Coordinate -> ascending positions of the indexed maps that touch it.
+
+    Maps are indexed in the order they are added.  `hits(x)` lists the
+    positions whose map shares a coordinate with x, so pairing x with the
+    maps anywhere else gives the int 0 without a pairing.
+    """
+
+    def __init__(self, maps: Iterable[FiniteMap] = ()):
+        self._at: Dict[int, List[int]] = {}
+        self._size = 0
+        for m in maps:
+            self.add(m)
+
+    def add(self, m: FiniteMap) -> None:
+        """Index m at the next position."""
+        at, pos = self._at, self._size
+        for i in m.entries:
+            if i in at:
+                at[i].append(pos)
+            else:
+                at[i] = [pos]
+        self._size = pos + 1
+
+    def hits(self, x: FiniteMap) -> Sequence[int]:
+        """Ascending positions of the indexed maps sharing a coordinate with x;
+        read only, as it may be the index's own list."""
+        at = self._at
+        found = [at[i] for i in x.entries if i in at]
+        if len(found) < 2:
+            return found[0] if found else ()
+        return sorted(set().union(*found))
 
 
 @dataclass(frozen=True)
@@ -49,18 +94,33 @@ class FiniteRankOperator:
     def zero(cls) -> "FiniteRankOperator":
         return cls(ZERO, ())
 
+    @cached_property
+    def coord_index(self) -> CoordIndex:
+        """Index of the term functionals, built at the first use and kept on
+        the instance outside the dataclass fields."""
+        return CoordIndex(f for f, _ in self.terms)
+
+    def _rebased(self, base: str) -> "FiniteRankOperator":
+        """The same terms over another base, sharing an index already built."""
+        op = FiniteRankOperator(base, self.terms)
+        if "coord_index" in self.__dict__:
+            op.__dict__["coord_index"] = self.coord_index
+        return op
+
     def with_term(self, f: CoordFunctional, v: SparseVector) -> "FiniteRankOperator":
         return FiniteRankOperator(self.base, self.terms + ((f, v),))
 
     def linear_part(self) -> "FiniteRankOperator":
         """The operator minus its identity component."""
-        return FiniteRankOperator(ZERO, self.terms)
+        return self._rebased(ZERO)
 
     def plus_identity(self) -> "FiniteRankOperator":
-        return FiniteRankOperator(IDENTITY, self.terms)
+        return self._rebased(IDENTITY)
 
     def apply(self, x: SparseVector) -> SparseVector:
-        return combine([(f.pair(x), v) for f, v in self.terms],
+        terms = self.terms
+        hit = [terms[j] for j in self.coord_index.hits(x)]
+        return combine([(f.pair(x), v) for f, v in hit],
                        x if self.base == IDENTITY else SparseVector.zero())
 
     def compose(self, other: "FiniteRankOperator") -> "FiniteRankOperator":
@@ -121,16 +181,24 @@ def neumann_certificate(t: FiniteRankOperator, p: SeminormSpec, disk: DiskSpec,
 class GramFactor:
     """I_k + G = L·D·U for the terms of J = I + sum_j f_j (.) v_j, G_rc = f_r(v_c).
 
-    A `linalg.Bordered` factor grows by one row and one column per term: term
-    m + 1 costs 2m + 1 pairings, and `solve` one forward and one back
-    substitution.  There is no pivoting: det(I_m + G_m) = det J_m, so every
-    leading minor is non-zero while every J_m is invertible.  A zero pivot
-    makes `solve`, and any further `extend`, raise SingularOperator.
+    A `linalg.Bordered` factor grows by one row and one column per term.
+    Two coordinate indices, one of the f_r and one of the v_c, grow with it,
+    so term m + 1 costs one pairing per overlapping pair: one per term r <= m
+    whose v_r meets the support of f (its row and diagonal) and one per
+    earlier term whose f_r meets that of v (its column), 2m + 1 when every
+    support overlaps.  `solve` pairs u with the f_r that meet it, then makes
+    one forward and one back substitution.  There is no pivoting:
+    det(I_m + G_m) = det J_m, so every leading minor is non-zero while every
+    J_m is invertible.  A zero pivot makes `solve`, and any further `extend`,
+    raise SingularOperator.
     """
 
     def __init__(self, ctx: ScalarContext = EXACT):
         self.ctx = ctx
-        self._terms: List[Term] = []
+        self._fs: List[CoordFunctional] = []
+        self._vs: List[SparseVector] = []
+        self._f_index = CoordIndex()
+        self._v_index = CoordIndex()
         self._lu = linalg.Bordered()
 
     def _nonsingular(self) -> None:
@@ -142,20 +210,35 @@ class GramFactor:
     def extend(self, f: CoordFunctional, v: SparseVector) -> None:
         """Border the factor with the term f (.) v."""
         self._nonsingular()
-        lu = self._lu
-        # new row f(v_c) of I + G, new column f_r(v)
-        row = lu.border(0, [f.pair(w) for _, w in self._terms])
-        col = lu.border(1, [g.pair(v) for g, _ in self._terms])
-        pivot = self.ctx.one + f.pair(v) - sum(
+        lu, fs, vs = self._lu, self._fs, self._vs
+        m = len(fs)
+        fs.append(f)
+        vs.append(v)
+        self._f_index.add(f)
+        self._v_index.add(v)
+        # new column f_r(v) of G down to the diagonal f(v), new row f(v_c) left of it
+        col = [0] * (m + 1)
+        for r in self._f_index.hits(v):
+            col[r] = fs[r].pair(v)
+        row = [0] * m
+        for c in self._v_index.hits(f):
+            if c < m:
+                row[c] = f.pair(vs[c])
+        diagonal = col.pop()
+        row, col = lu.border(0, row), lu.border(1, col)
+        pivot = self.ctx.one + diagonal - sum(
             row[i] * lu.pivots[i] * c for i, c in col.items() if i in row)
         lu.append(0, row, col, pivot)
-        self._terms.append((f, v))
 
     def solve(self, u: SparseVector) -> SparseVector:
         """J^{-1} u = u - sum_j c_j v_j with (I_k + G) c = (f_i(u))_i."""
         self._nonsingular()
-        coeffs = self._lu.solve([f.pair(u) for f, _ in self._terms])
-        return combine(((-c, v) for (_, v), c in zip(self._terms, coeffs)), u)
+        fs = self._fs
+        rhs = [0] * len(fs)
+        for r in self._f_index.hits(u):
+            rhs[r] = fs[r].pair(u)
+        coeffs = self._lu.solve(rhs)
+        return combine(((-c, v) for v, c in zip(self._vs, coeffs)), u)
 
 
 def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOperator:
@@ -169,8 +252,13 @@ def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOpera
         raise ValueError("inversion expects an identity-plus-finite-rank operator")
     if not j.terms:
         return FiniteRankOperator.identity()
-    gram = [[f.pair(v) + (ctx.one if r == c else 0) for c, (_, v) in enumerate(j.terms)]
-            for r, (f, _) in enumerate(j.terms)]
+    terms, coords = j.terms, j.coord_index
+    gram: List[List[Scalar]] = [[0] * len(terms) for _ in terms]
+    for c, (_, v) in enumerate(terms):
+        for r in coords.hits(v):
+            gram[r][c] = terms[r][0].pair(v)
+    for r, row in enumerate(gram):
+        row[r] += ctx.one
     m = linalg.invert_matrix(gram, ctx)
     new_terms = []
     for col, (f, _) in enumerate(j.terms):

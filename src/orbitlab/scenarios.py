@@ -107,6 +107,16 @@ def _field(where: str, decode, *args):
         raise ScenarioError(f"{where}: {exc}") from None
 
 
+def _count(payload: Dict[str, Any], key: str) -> int:
+    """payload[key] as an integer of at least 1: a smaller count runs nothing,
+    and its report would pass every check while claiming nothing."""
+    where = f"payload.{key}"
+    n = _field(where, int, _need(payload, key))
+    if n < 1:
+        raise ScenarioError(f"{where}: must be at least 1, got {n}")
+    return n
+
+
 def _vectors(data, ctx: ScalarContext, where: str) -> List[SparseVector]:
     if not isinstance(data, list):
         raise ScenarioError(f"{where}: must be a list of vectors")
@@ -170,9 +180,9 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
     b = _enumeration(_need(payload, "b"), ctx, "payload.b", "B")
     p = _field("payload.p", serialize.decode_seminorm, _need(payload, "p"), ctx)
     disk = _field("payload.disk", serialize.decode_disk, _need(payload, "disk"), ctx)
-    stages = _field("payload.stages", int, _need(payload, "stages"))
+    stages = _count(payload, "stages")
     schedule = parse_eps_schedule(
-        payload.get("eps_schedule", "geometric:1/2"), max(2 * stages, 1), ctx
+        payload.get("eps_schedule", "geometric:1/2"), 2 * stages, ctx
     )
 
     try:
@@ -219,7 +229,7 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
 def _run_triangularize_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
     basis = _vectors(_need(payload, "basis"), ctx, "payload.basis")
-    stages = _field("payload.stages", int, _need(payload, "stages"))
+    stages = _count(payload, "stages")
     funcs = [CoordFunctional.delta(i, ctx) for i in range(1, scenario.window + 1)]
     state = interleave_triangularize(basis, funcs, stages, ctx)
 
@@ -262,6 +272,8 @@ def _run_disk_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
     if "generators" in payload:
         gens = _vectors(payload["generators"], ctx, "payload.generators")
+        if not gens:
+            raise ScenarioError("payload.generators: a disk needs at least one generator")
         disk = null_sequence_disk(gens)
         inside = True
         rows = []
@@ -359,7 +371,7 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
         y = _field("payload.y", serialize.decode_vector, _need(payload, "y"), ctx)
         p = _field("payload.p", serialize.decode_seminorm, _need(payload, "p"), ctx)
         eps = _field("payload.eps", ctx.parse, _need(payload, "eps"))
-        max_n = _field("payload.max_n", int, _need(payload, "max_n"))
+        max_n = _count(payload, "max_n")
         try:
             n, z = transitivity_witness(op, x, y, eps, max_n, p,
                                         window=scenario.window, ctx=ctx)
@@ -384,7 +396,7 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
         report.data["z"] = serialize.encode_pairs(z)
     elif kind == "demo":
         x0 = _field("payload.x0", serialize.decode_vector, _need(payload, "x0"), ctx)
-        horizon = _field("payload.horizon", int, _need(payload, "horizon"))
+        horizon = _count(payload, "horizon")
         steps = omega_shift_demo(scenario.window, x0, horizon)
         report.checks.append(CheckResult("demo-run", True, f"{horizon} steps"))
         report.tables.append(Table(
@@ -397,9 +409,7 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
 
 def _run_refute_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
-    levels = _field("payload.family_levels", int, _need(payload, "family_levels"))
-    if levels < 1:
-        raise ScenarioError(f"payload.family_levels: must be at least 1, got {levels}")
+    levels = _count(payload, "family_levels")
     first = _field("payload.first_active", int, payload.get("first_active", 1))
     family = [
         SeminormSpec.sup_on(range(1, first + n), ctx.one)
@@ -410,7 +420,7 @@ def _run_refute_task(scenario: Scenario, ctx, rng, report: Report):
     op = _field("payload.operator", serialize.decode_operator,
                 _need(payload, "operator"), ctx)
     x = _field("payload.x", serialize.decode_vector, _need(payload, "x"), ctx)
-    horizon = _field("payload.horizon", int, _need(payload, "horizon"))
+    horizon = _count(payload, "horizon")
     result = refute_orbit(op, x, ns, horizon, ctx)
 
     # divergence findings are facts about the candidate, not check failures

@@ -2,13 +2,26 @@
 
 The program itself eliminates with `linalg.RowReducer` and `linalg.Bordered`;
 these helpers work on plain lists of row lists, share no code with it, and
-exist only to check it.
+exist only to check it.  Likewise the program pairs a vector only with the
+terms its coordinate index finds; `apply_terms` and `dense_gram` pair every
+term.
 """
 
 from orbitlab.errors import SingularOperator
 from orbitlab.operators import IDENTITY
 from orbitlab.scalars import EXACT
-from orbitlab.vectors import combine
+from orbitlab.vectors import SparseVector, combine
+
+
+def apply_terms(op, x):
+    """base(x) + sum_j f_j(x) v_j by the plain loop over every term."""
+    return combine([(f.pair(x), v) for f, v in op.terms],
+                   x if op.base == IDENTITY else SparseVector.zero())
+
+
+def dense_gram(terms):
+    """G_rc = f_r(v_c) for every pair of terms."""
+    return [[f.pair(v) for _, v in terms] for f, _ in terms]
 
 
 def identity_matrix(n, ctx=EXACT):
@@ -148,7 +161,7 @@ def gram_solve(j, u, ctx=EXACT):
     assert j.base == IDENTITY
     if not j.terms:
         return u
-    gram = [[f.pair(v) + (ctx.one if r == c else 0) for c, (_, v) in enumerate(j.terms)]
-            for r, (f, _) in enumerate(j.terms)]
+    gram = [[g + (ctx.one if r == c else 0) for c, g in enumerate(row)]
+            for r, row in enumerate(dense_gram(j.terms))]
     coeffs = solve(gram, [f.pair(u) for f, _ in j.terms], ctx)
     return combine(((-c, v) for (_, v), c in zip(j.terms, coeffs)), u)

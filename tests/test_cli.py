@@ -150,14 +150,13 @@ class TestEmission:
 
 
 class TestTasks:
-    def test_zero_stage_transport_is_vacuous_identity(self):
+    def test_zero_stage_transport_is_rejected(self):
+        # the library still runs zero stages (the identity); a scenario that
+        # asks for none would pass every check while matching nothing
         scenario_dict = transport_scenario(stages=2)
         scenario_dict["payload"]["stages"] = 0
-        report = run_scenario(Scenario.from_dict(scenario_dict))
-        assert report.passed
-        assert report.data["operator"]["terms"] == []
-        pairs = next(t for t in report.tables if t.name == "matched-pairs")
-        assert pairs.rows == []
+        with pytest.raises(ScenarioError, match=r"^payload\.stages: must be at least 1, got 0$"):
+            run_scenario(Scenario.from_dict(scenario_dict))
 
     def test_triangularize_scenario_passes(self):
         report = run_scenario(Scenario.from_dict(triangularize_scenario()))
@@ -691,6 +690,32 @@ class TestUnusableInputExits2:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: {path}: payload.basis: build-shift needs at least one vector\n")
+
+    @pytest.mark.parametrize("builder, field, value", [
+        (transport_scenario, "stages", -3),
+        (triangularize_scenario, "stages", -2),
+        (witness_scenario, "max_n", 0),
+        (demo_scenario, "horizon", 0),
+        (refute_scenario, "horizon", -1),
+    ], ids=["transport-stages", "triangularize-stages", "witness-max_n", "demo-horizon",
+            "refute-horizon"])
+    def test_vacuous_count(self, tmp_path, capsys, builder, field, value):
+        """A count below 1 runs nothing; its report would pass while claiming nothing."""
+        scenario = builder()
+        scenario["payload"][field] = value
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: payload.{field}: must be at least 1, got {value}\n")
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    def test_disk_without_generators(self, tmp_path, capsys):
+        scenario = disk_scenario()
+        scenario["payload"]["generators"] = []
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: payload.generators: a disk needs at least one generator\n")
 
     @pytest.mark.parametrize("levels", [0, -2])
     def test_refute_without_family_levels(self, tmp_path, capsys, levels):

@@ -24,7 +24,8 @@ from orbitlab.operators import IDENTITY, ZERO, GramFactor
 from orbitlab.scalars import FLOAT
 from orbitlab.vectors import close
 
-from oracles import determinant, gram_solve
+import orbitlab.linalg as linalg
+from oracles import apply_terms, dense_gram, determinant, gram_solve
 
 
 def sv(*entries):
@@ -249,8 +250,8 @@ def factored(j, ctx=None):
 
 def leading_minors_nonzero(j):
     """Oracle: every leading minor of I_k + G, by dense determinants."""
-    gram = [[f.pair(v) + (1 if r == c else 0) for c, (_, v) in enumerate(j.terms)]
-            for r, (f, _) in enumerate(j.terms)]
+    gram = [[g + (1 if r == c else 0) for c, g in enumerate(row)]
+            for r, row in enumerate(dense_gram(j.terms))]
     return all(determinant([row[:m] for row in gram[:m]]) != 0
                for m in range(1, len(gram) + 1))
 
@@ -317,6 +318,172 @@ class TestGramFactor:
             assert close(j_float.apply(w), as_float(u), FLOAT)
             checked += 1
         assert checked == 100
+
+
+INDEX_WINDOW = 12
+
+
+def index_families(rng):
+    """(name, terms) families that stress the coordinate index differently."""
+    def rational(cls, coords):
+        return cls({i: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 3, 4]))
+                    for i in coords})
+
+    window = range(1, INDEX_WINDOW + 1)
+    dense = [(rational(CoordFunctional, window),
+              rational(SparseVector, rng.sample(window, 3))) for _ in range(5)]
+    disjoint = [(rational(CoordFunctional, (2 * j + 1, 2 * j + 2)),
+                 rational(SparseVector, (2 * j + 1, 2 * j + 2))) for j in range(5)]
+    # every functional touches coordinate 1, and one term appears twice
+    repeated = [(rational(CoordFunctional, {1, *rng.sample(window, 2)}),
+                 rational(SparseVector, rng.sample(window, 2))) for _ in range(5)]
+    repeated.insert(3, repeated[1])
+    sparse = [(rational(CoordFunctional, rng.sample(window, rng.randint(1, 3))),
+               rational(SparseVector, rng.sample(window, rng.randint(1, 3))))
+              for _ in range(8)]
+    return [("dense", dense), ("disjoint", disjoint), ("repeated", repeated),
+            ("sparse", sparse)]
+
+
+def index_probes(rng):
+    """x spread over the window, a dense x, x outside every support, the empty x."""
+    window = range(1, INDEX_WINDOW + 1)
+    xs = [sparse_rational(rng, SparseVector, INDEX_WINDOW, 4) for _ in range(4)]
+    xs.append(SparseVector({i: Fraction(rng.randint(1, 9), 7) for i in window}))
+    xs.append(SparseVector({INDEX_WINDOW + 3: Fraction(5, 2)}))
+    xs.append(SparseVector.zero())
+    return xs
+
+
+def bits(x):
+    """A vector's entries, equal for two vectors only if they are bit-equal."""
+    return [(i, type(v), repr(v)) for i, v in x.pairs()]
+
+
+def scalar_bits(values):
+    return [(type(v), repr(v)) for v in values]
+
+
+def float_terms(terms):
+    return [(as_float(f), as_float(v)) for f, v in terms]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+class TestCoordIndex:
+    """The indexed pairings against the plain term loop, bit for bit."""
+
+    def cases(self, mode, seed):
+        rng = random.Random(seed)
+        for name, terms in index_families(rng):
+            xs = index_probes(rng)
+            ctx = None
+            if mode == "float":
+                terms, xs, ctx = float_terms(terms), [as_float(x) for x in xs], FLOAT
+            yield name, terms, xs, ctx
+
+    def test_apply_matches_the_term_loop(self, mode):
+        for seed in range(6):
+            for name, terms, xs, _ in self.cases(mode, seed):
+                for base in (IDENTITY, ZERO):
+                    op = FiniteRankOperator(base, terms)
+                    for x in xs:
+                        assert bits(op.apply(x)) == bits(apply_terms(op, x)), (name, base, x)
+
+    def test_empty_operator_and_shared_index(self, mode):
+        for name, terms, xs, _ in self.cases(mode, 0):
+            for x in xs:
+                assert FiniteRankOperator.identity().apply(x) is x
+                assert FiniteRankOperator.zero().apply(x).is_zero()
+            op = FiniteRankOperator(ZERO, terms)
+            op.apply(xs[0])
+            j = op.plus_identity()
+            assert j.coord_index is op.coord_index and j.linear_part().coord_index is op.coord_index
+            assert j == FiniteRankOperator(IDENTITY, terms)
+            assert hash(j) == hash(FiniteRankOperator(IDENTITY, terms))
+            assert repr(j) == repr(FiniteRankOperator(IDENTITY, terms))
+            for x in xs:
+                assert bits(j.apply(x)) == bits(apply_terms(j, x)), name
+
+    def test_compose_matches_the_term_loop(self, mode):
+        for seed in range(4):
+            cases = list(self.cases(mode, seed))
+            for (name, terms, xs, _), (_, others, _, _) in zip(cases, cases[1:] + cases[:1]):
+                for base, other_base in ((IDENTITY, IDENTITY), (ZERO, IDENTITY),
+                                         (IDENTITY, ZERO)):
+                    a = FiniteRankOperator(base, terms)
+                    b = FiniteRankOperator(other_base, others)
+                    images = [(g, apply_terms(a, w)) for g, w in b.terms]
+                    expected = [(g, w) for g, w in images if not w.is_zero()]
+                    if other_base == IDENTITY:
+                        expected += list(a.terms)
+                    composed = a.compose(b)
+                    assert composed.base == (IDENTITY if base == other_base == IDENTITY else ZERO)
+                    assert [(g, bits(w)) for g, w in composed.terms] == \
+                        [(g, bits(w)) for g, w in expected], name
+
+    def test_invert_builds_the_dense_gram(self, mode, monkeypatch):
+        seen = []
+        invert_matrix = linalg.invert_matrix
+
+        def spy(a, ctx):
+            seen.append([scalar_bits(row) for row in a])
+            return invert_matrix(a, ctx)
+
+        monkeypatch.setattr(linalg, "invert_matrix", spy)
+        inverted = 0
+        for seed in range(6):
+            for name, terms, xs, ctx in self.cases(mode, seed):
+                j = FiniteRankOperator(IDENTITY, terms)
+                one = FLOAT.one if ctx else Fraction(1)
+                seen.clear()
+                try:
+                    j_inv = invert(j, ctx) if ctx else invert(j)
+                    inverted += 1
+                except SingularOperator:
+                    pass
+                expected = [[g + (one if r == c else 0) for c, g in enumerate(row)]
+                            for r, row in enumerate(dense_gram(terms))]
+                assert seen == [[scalar_bits(row) for row in expected]], name
+                if ctx is None and seen:
+                    for x in xs:
+                        assert j_inv.apply(j.apply(x)) == x
+        assert inverted > 12
+
+    def test_gram_factor_borders_and_solves_with_the_dense_gram(self, mode, monkeypatch):
+        calls = []
+        border, solve = linalg.Bordered.border, linalg.Bordered.solve
+
+        def spy_border(self, side, entries):
+            calls.append(scalar_bits(entries))
+            return border(self, side, entries)
+
+        def spy_solve(self, rhs):
+            calls.append(scalar_bits(rhs))
+            return solve(self, rhs)
+
+        monkeypatch.setattr(linalg.Bordered, "border", spy_border)
+        monkeypatch.setattr(linalg.Bordered, "solve", spy_solve)
+        solved = 0
+        for seed in range(6):
+            for name, terms, xs, ctx in self.cases(mode, seed):
+                gram = GramFactor(ctx) if ctx else GramFactor()
+                dense = dense_gram(terms)
+                try:
+                    for m, (f, v) in enumerate(terms):
+                        calls.clear()
+                        gram.extend(f, v)
+                        assert calls == [scalar_bits(dense[m][:m]),
+                                         scalar_bits([row[m] for row in dense[:m]])], name
+                    for x in xs:
+                        calls.clear()
+                        w = gram.solve(x)
+                        assert calls == [scalar_bits([f.pair(x) for f, _ in terms])], name
+                        if ctx is None:
+                            assert w == gram_solve(FiniteRankOperator(IDENTITY, terms), x)
+                        solved += 1
+                except SingularOperator:
+                    continue
+        assert solved > 60
 
 
 class TestCompose:

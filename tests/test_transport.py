@@ -347,7 +347,40 @@ class TestIncrementalWorkspace:
         _, state = run_transport(*args, geometric_schedule(10), stages=5)
         assert state == expected
 
+    def test_operators_make_no_pairing_across_disjoint_supports(self, monkeypatch):
+        """Every pairing that `operators` makes (apply, invert, GramFactor) in a
+        dense-twin run and its verification meets a shared coordinate; the
+        steps' own pairings and pool scans are not counted."""
+        import os
+        import sys
+
+        import orbitlab.operators as operators
+
+        here = os.path.normcase(operators.__file__)
+        pair, made, wasted = CoordFunctional.pair, {}, []
+
+        def guarded(self, x):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):  # comprehensions
+                frame = frame.f_back
+            if os.path.normcase(frame.f_code.co_filename) == here:
+                name = frame.f_code.co_name
+                made[name] = made.get(name, 0) + 1
+                if not set(self.entries) & set(x.entries):
+                    wasted.append((name, self, x))
+            return pair(self, x)
+
+        monkeypatch.setattr(CoordFunctional, "pair", guarded)
+        a, b, p, d = dense_twin_instance(random.Random(3), 16, 3)
+        _, state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
+        assert verify_transport(state).passed
+        assert wasted == []
+        assert set(made) == {"apply", "invert", "extend", "solve"}, made
+
     def test_bordering_term_m_plus_one_makes_2m_plus_one_pairings(self, monkeypatch):
+        """Terms on one common support: each earlier term meets the new one on
+        both sides, so term m + 1 pairs its f with every v_c, every f_r with
+        its v, and f with v."""
         from orbitlab.operators import GramFactor
 
         rng = random.Random(35)
@@ -355,13 +388,55 @@ class TestIncrementalWorkspace:
         pair, calls = CoordFunctional.pair, []
 
         def counting(self, x):
-            calls.append(x)
+            calls.append((self, x))
             return pair(self, x)
 
         monkeypatch.setattr(CoordFunctional, "pair", counting)
+        terms = []
+        for m in range(8):
+            f = CoordFunctional({i: frac(rng.choice([-3, -1, 1, 2]), 4) for i in (2, 5, 7)})
+            v = SparseVector({i: frac(rng.choice([-3, -1, 1, 2]), 8) for i in (2, 5, 7)})
+            calls.clear()
+            gram.extend(f, v)
+            assert len(calls) == 2 * m + 1
+            assert sorted(map(repr, calls)) == sorted(map(repr, (
+                [(f, w) for _, w in terms] + [(g, v) for g, _ in terms] + [(f, v)])))
+            terms.append((f, v))
+
+    def test_bordering_term_pairs_only_the_terms_it_overlaps(self, monkeypatch):
+        """Term m + 1 makes one pairing per earlier term whose v shares a
+        coordinate with f, one per earlier term whose f shares a coordinate
+        with v, and f(v) if f and v share one; `solve` pairs u with the f_r
+        that meet it."""
+        from orbitlab.operators import GramFactor
+
+        rng = random.Random(35)
+        gram = GramFactor()
+        pair, calls = CoordFunctional.pair, []
+
+        def counting(self, x):
+            calls.append((self, x))
+            return pair(self, x)
+
+        def meets(x, y):
+            return bool(set(x.entries) & set(y.entries))
+
+        monkeypatch.setattr(CoordFunctional, "pair", counting)
+        terms, skipped, disjoint = [], 0, 0
         for m in range(8):
             f = CoordFunctional({i: frac(rng.randint(-3, 3), 4) for i in rng.sample(range(1, 9), 3)})
             v = SparseVector({i: frac(rng.randint(-3, 3), 8) for i in rng.sample(range(1, 9), 3)})
             calls.clear()
             gram.extend(f, v)
-            assert len(calls) == 2 * m + 1
+            row = sum(meets(f, w) for _, w in terms)
+            col = sum(meets(g, v) for g, _ in terms)
+            assert len(calls) == meets(f, v) + row + col
+            assert all(meets(g, x) for g, x in calls)
+            skipped += 2 * m + 1 - len(calls)
+            disjoint += not meets(f, v)
+            terms.append((f, v))
+        assert skipped > 0 and disjoint > 0
+        u = SparseVector({1: frac(1), 4: frac(-1, 2)})
+        calls.clear()
+        gram.solve(u)
+        assert len(calls) == sum(meets(g, u) for g, _ in terms)
