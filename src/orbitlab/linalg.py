@@ -14,7 +14,10 @@ Three forms, each written once, with one row step per number type:
   mode hands its rows to a `RowReducer` and keeps the tolerance.
 - `Bordered`, an L·D·U factor without pivoting that grows by one row and one
   column at a time: the pairing minors of triangularization and the Gram
-  system of a growing identity-plus-finite-rank operator.
+  system of a growing identity-plus-finite-rank operator.  Its forward and
+  back substitutions compute each b - sum t·x with `ctx.sub_products`, which
+  in exact mode sums on integers over one denominator and builds a single
+  Fraction per entry.
 """
 
 from __future__ import annotations
@@ -187,10 +190,10 @@ class Echelon:
 
     def try_add(self, vec: Mapping[int, Scalar]) -> bool:
         """Keep vec and return True if it is independent of the kept rows."""
-        row = self.ctx.integer_row(vec)
-        if row is None:
+        scaled = self.ctx.integer_row(vec)
+        if scaled is None:
             return self._floats.try_add(vec)
-        row = _primitive(row)
+        row = _primitive(scaled[0])
         while row:
             lead = min(row)
             pivot = self.rows.get(lead)
@@ -249,10 +252,13 @@ class Bordered:
     of D (Golub & Van Loan, Matrix Computations, §3.2).  As A^T = U^T·D·L^T,
     each operation takes a side: 0 for L, 1 for U^T.  There is no pivoting, so
     a pivot is det A_{n+1} / det A_n.  Zeros of L and U cost nothing in the
-    substitutions.
+    substitutions, and each entry a substitution solves for, b - sum t·x, is
+    one `ctx.sub_products`: in exact mode a sum on integers that builds a
+    single Fraction.
     """
 
-    def __init__(self):
+    def __init__(self, ctx: ScalarContext = EXACT):
+        self.ctx = ctx
         self.lower: Tuple[List[Dict[int, Scalar]], List[Dict[int, Scalar]]] = ([], [])
         self.pivots: List[Scalar] = []
 
@@ -260,7 +266,7 @@ class Bordered:
         """The next row of lower[side] for the bordering entries of A: the new
         row of A left of the diagonal for side 0, the new column above it for
         side 1.  Row n of A is (row of L)·D·U, so the row solves U^T·D x = entries."""
-        z = _forward(self.lower[1 - side], entries)
+        z = _forward(self.lower[1 - side], entries, self.ctx)
         return {i: zi / d for i, (zi, d) in enumerate(zip(z, self.pivots)) if zi}
 
     def append(self, side: int, row: Dict[int, Scalar], col: Dict[int, Scalar],
@@ -281,18 +287,19 @@ class Bordered:
         x = list(rhs)
         for k in range(n - 1, -1, -1):
             if cols[k]:
-                x[k] -= sum(t * x[j] for j, t in cols[k])
+                x[k] = self.ctx.sub_products(x[k], [(t, x[j]) for j, t in cols[k]])
         return x
 
     def solve(self, rhs: Sequence[Scalar]) -> List[Scalar]:
         """x with A x = rhs: L y = rhs, then U x = D^{-1} y."""
-        y = _forward(self.lower[0], rhs)
+        y = _forward(self.lower[0], rhs, self.ctx)
         return self.back(1, [yi / d if yi else yi for yi, d in zip(y, self.pivots)])
 
 
-def _forward(lower: List[Dict[int, Scalar]], rhs: Sequence[Scalar]) -> List[Scalar]:
+def _forward(lower: List[Dict[int, Scalar]], rhs: Sequence[Scalar],
+             ctx: ScalarContext) -> List[Scalar]:
     """x with T x = rhs, T unit lower triangular given by its rows left of the diagonal."""
     x: List[Scalar] = []
     for row, b in zip(lower, rhs):
-        x.append(b - sum(t * x[j] for j, t in row.items()) if row else b)
+        x.append(ctx.sub_products(b, [(t, x[j]) for j, t in row.items()]) if row else b)
     return x

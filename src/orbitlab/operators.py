@@ -199,7 +199,7 @@ class GramFactor:
         self._vs: List[SparseVector] = []
         self._f_index = CoordIndex()
         self._v_index = CoordIndex()
-        self._lu = linalg.Bordered()
+        self._lu = linalg.Bordered(ctx)
 
     def _nonsingular(self) -> None:
         pivots = self._lu.pivots
@@ -226,8 +226,8 @@ class GramFactor:
                 row[c] = f.pair(vs[c])
         diagonal = col.pop()
         row, col = lu.border(0, row), lu.border(1, col)
-        pivot = self.ctx.one + diagonal - sum(
-            row[i] * lu.pivots[i] * c for i, c in col.items() if i in row)
+        pivot = self.ctx.sub_products(self.ctx.one + diagonal, [
+            (row[i] * lu.pivots[i], c) for i, c in col.items() if i in row])
         lu.append(0, row, col, pivot)
 
     def solve(self, u: SparseVector) -> SparseVector:

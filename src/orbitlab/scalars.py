@@ -2,8 +2,9 @@
 
 A whole scenario runs in one mode, carried by one `ScalarContext`: it fixes
 the scalar type where text becomes scalars (`parse`), supplies `zero` and
-`one`, compares, weighs pivots for elimination (`pivot_weight`) and says
-whether rows may be eliminated on integers (`integer_row`).  Value
+`one`, compares, weighs pivots for elimination (`pivot_weight`), says
+whether rows may be eliminated on integers (`integer_row`) and sums the
+products of a substitution (`sub_products`, on integers in exact mode).  Value
 types store the scalars they are given and never learn the mode.  Exact
 mode is the basis of every acceptance check; float mode exists for larger
 experiments.  In float mode `is_zero` is absolute
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 Scalar = Union[Fraction, float]
 
@@ -85,14 +86,35 @@ class ScalarContext:
             return 0
         return 1 if self.exact else abs(x)
 
-    def integer_row(self, entries: Mapping[int, Scalar]) -> Optional[Dict[int, int]]:
-        """In exact mode the non-zero entries times the lcm of their
-        denominators, all integers; None in float mode, whose rows keep
-        their tolerance."""
+    def integer_row(self, entries: Mapping[int, Scalar]) -> Optional[Tuple[Dict[int, int], int]]:
+        """In exact mode (row, den): den the lcm of the denominators of the
+        entries and row the non-zero entries times den, all integers, in the
+        order of `entries`; None in float mode, whose rows keep their
+        tolerance."""
         if not self.exact:
             return None
         den = lcm(*(v.denominator for v in entries.values()))
-        return {i: v.numerator * (den // v.denominator) for i, v in entries.items() if v}
+        return {i: v.numerator * (den // v.denominator) for i, v in entries.items() if v}, den
+
+    def sub_products(self, b: Scalar, pairs: Iterable[Tuple[Scalar, Scalar]]) -> Scalar:
+        """b - sum of t * x over the (t, x) pairs, b itself when there are none.
+
+        Float mode folds the products as `b - sum(t * x ...)`.  Exact mode
+        sums them on integers over one common denominator, the lcm of the
+        products' denominators and b's, and builds a single Fraction for
+        the result (fraction-free accumulation; Geddes, Czapor and Labahn,
+        Algorithms for Computer Algebra, 1992, ch. 9); the t are Fractions.
+        """
+        if not self.exact:
+            return b - sum(t * x for t, x in pairs)
+        nums, dens = [b.numerator], [b.denominator]
+        for t, x in pairs:
+            nums.append(-t.numerator * x.numerator)
+            dens.append(t.denominator * x.denominator)
+        if len(nums) == 1:
+            return b
+        den = lcm(*dens)
+        return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
 
     def eq(self, a: Scalar, b: Scalar) -> bool:
         if self.exact:

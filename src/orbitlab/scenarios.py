@@ -72,7 +72,7 @@ class Scenario:
             name=str(data["name"]),
             scalar_mode=data["scalar_mode"],
             window=window,
-            seed=_field("seed", int, data["seed"]),
+            seed=_integer("seed", data["seed"]),
             task=data["task"],
             payload=data["payload"],
             expected=data.get("expected"),
@@ -107,11 +107,19 @@ def _field(where: str, decode, *args):
         raise ScenarioError(f"{where}: {exc}") from None
 
 
+def _integer(where: str, value) -> int:
+    """value if it is a JSON integer; a float such as 1.9, a string such as
+    "1" and a bool are refused, not truncated or converted."""
+    if type(value) is not int:
+        raise ScenarioError(f"{where}: must be an integer, got {value!r}")
+    return value
+
+
 def _count(payload: Dict[str, Any], key: str) -> int:
     """payload[key] as an integer of at least 1: a smaller count runs nothing,
     and its report would pass every check while claiming nothing."""
     where = f"payload.{key}"
-    n = _field(where, int, _need(payload, key))
+    n = _integer(where, _need(payload, key))
     if n < 1:
         raise ScenarioError(f"{where}: must be at least 1, got {n}")
     return n
@@ -410,7 +418,7 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
 def _run_refute_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
     levels = _count(payload, "family_levels")
-    first = _field("payload.first_active", int, payload.get("first_active", 1))
+    first = _integer("payload.first_active", payload.get("first_active", 1))
     family = [
         SeminormSpec.sup_on(range(1, first + n), ctx.one)
         for n in range(1, levels + 1)

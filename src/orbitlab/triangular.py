@@ -14,15 +14,26 @@ and column m of U_m^{-1} over the m-th pivot gives the coefficients making
 the combined vectors v_m biorthogonal-triangular against the chosen
 functionals, which is exactly what turns the shuffled basis matrix unit
 lower triangular.
+
+In exact mode the work is done on integers (fraction-free arithmetic;
+Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 9).
+Each functional and basis vector is scaled once to an integer row over its
+denominator (`ScalarContext.integer_row`), and the basis check reuses those
+rows.  Pairings, the defect items and the combined vectors v_m are integer
+sums over one common denominator, and the substitutions of the factor are
+`ScalarContext.sub_products`; a Fraction is built only for a pairing, a
+substitution result or an entry of v_m.  Float mode pairs and combines the
+items as given, in the same order as before.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from fractions import Fraction
+from math import lcm
+from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .errors import Exhausted, LinearlyDependent
@@ -34,18 +45,95 @@ from .vectors import CoordFunctional, SparseVector, combine
 WINDOW_MARGIN = 2
 
 
-def _pair(a, b) -> Scalar:
-    """The pairing of a functional and a vector, given in either order."""
-    return a.pair(b) if isinstance(a, CoordFunctional) else b.pair(a)
+class _Row:
+    """An exact item as integer numerators over one positive denominator.
+
+    Pairings and combinations of rows are sums on integers; a Fraction is
+    built only for a pairing that is read and for each entry of a combined
+    vector.
+    """
+
+    __slots__ = ("row", "den")
+
+    def __init__(self, row: Dict[int, int], den: int):
+        self.row = row
+        self.den = den
+
+    def pair(self, other: "_Row") -> Scalar:
+        """The pairing as `CoordFunctional.pair` gives it: the int 0 when the
+        supports are disjoint, a Fraction otherwise."""
+        small, large = self.row, other.row
+        if len(large) < len(small):
+            small, large = large, small
+        dot = None
+        for i, v in small.items():
+            w = large.get(i)
+            if w is not None:
+                dot = v * w if dot is None else dot + v * w
+        return 0 if dot is None else Fraction(dot, self.den * other.den)
+
+    def plus(self, coeffs: Sequence[Scalar], rows: Sequence["_Row"]) -> "_Row":
+        """self + sum of c * row over the pairs with c != 0, over the lcm of the
+        denominators; each coordinate is inserted, and dropped where a partial
+        sum cancels, in the order `vectors.combine` would use."""
+        terms = [(c, r) for c, r in zip(coeffs, rows) if c]
+        dens = [c.denominator * r.den for c, r in terms]
+        den = lcm(self.den, *dens)
+        scale = den // self.den
+        acc = {i: v * scale for i, v in self.row.items()}
+        for (c, r), d in zip(terms, dens):
+            scale = c.numerator * (den // d)
+            for i, v in r.row.items():
+                s = acc.get(i, 0) + v * scale
+                if s:
+                    acc[i] = s
+                else:
+                    del acc[i]
+        return _Row(acc, den)
+
+    def vector(self) -> SparseVector:
+        den = self.den
+        return SparseVector({i: Fraction(v, den) for i, v in self.row.items()})
+
+
+class _Plain:
+    """A float item, paired and combined as given."""
+
+    __slots__ = ("item",)
+
+    def __init__(self, item):
+        self.item = item
+
+    @property
+    def row(self):
+        return self.item.entries
+
+    def pair(self, other: "_Plain") -> Scalar:
+        """The pairing of a functional and a vector, given in either order."""
+        a, b = self.item, other.item
+        return a.pair(b) if isinstance(a, CoordFunctional) else b.pair(a)
+
+    def plus(self, coeffs: Sequence[Scalar], rows: Sequence["_Plain"]) -> "_Plain":
+        return _Plain(combine(zip(coeffs, (r.item for r in rows)), self.item))
+
+    def vector(self) -> SparseVector:
+        return self.item
+
+
+def _scaled(item, ctx: ScalarContext):
+    """The item as a `_Row` where `ctx.integer_row` scales it (exact mode),
+    as given otherwise."""
+    scaled = ctx.integer_row(item.entries)
+    return _Plain(item) if scaled is None else _Row(*scaled)
 
 
 class _Bordered(linalg.Bordered):
     """A = L·D·U for the pairing matrix of the functionals and vectors chosen
-    so far; items[0] and items[1] hold them in pick order."""
+    so far; items[0] and items[1] hold them, as `_scaled` gives them, in pick
+    order."""
 
     def __init__(self, ctx: ScalarContext):
-        super().__init__()
-        self.ctx = ctx
+        super().__init__(ctx)
         self.items: Tuple[list, list] = ([], [])
 
     def extend(self, side: int, forced, candidates: Sequence) -> int:
@@ -56,17 +144,17 @@ class _Bordered(linalg.Bordered):
         raises Exhausted when every pivot vanishes.
         """
         own, other = self.items[side], self.items[1 - side]
-        row = self.border(side, [_pair(forced, y) for y in other])
+        row = self.border(side, [forced.pair(y) for y in other])
         # the defect item pairs to zero with every chosen item of the other kind
         lam = self.back(side, [row.get(k, self.ctx.zero) for k in range(len(own))])
-        defect = combine(((-c, x) for c, x in zip(lam, own)), forced)
+        defect = forced.plus([-c for c in lam], own)
         for pos, candidate in enumerate(candidates):
-            pivot = _pair(defect, candidate)
+            pivot = defect.pair(candidate)
             if not self.ctx.is_zero(pivot):
                 break
         else:
             raise Exhausted("every candidate pairs to zero with the defect item")
-        col = self.border(1 - side, [_pair(x, candidate) for x in own])
+        col = self.border(1 - side, [x.pair(candidate) for x in own])
         own.append(forced)
         other.append(candidate)
         self.append(side, row, col, pivot)
@@ -76,46 +164,6 @@ class _Bordered(linalg.Bordered):
         """The solution c of A_m c = e_m: column m of U_m^{-1} over the m-th pivot."""
         unit = [self.ctx.one if k == m - 1 else self.ctx.zero for k in range(m)]
         return [c / self.pivots[m - 1] for c in self.back(1, unit)]
-
-
-def _greedy_extend(side, forced, chosen, candidates, ctx):
-    n = len(chosen)
-    if len(forced) < n + 1:
-        raise Exhausted(f"need {n + 1} items on the forced side to extend {n} chosen ones")
-    lu = _Bordered(ctx)
-    for item, pick in zip(forced, chosen):
-        try:
-            lu.extend(side, item, [pick])
-        except Exhausted:
-            raise LinearlyDependent("chosen prefix has a singular leading pairing minor") from None
-    pos = lu.extend(side, forced[n], candidates)
-    return candidates[pos], math.prod(lu.pivots)
-
-
-def greedy_extend_vector(funcs: Sequence[CoordFunctional],
-                         chosen: Sequence[SparseVector],
-                         candidates: Sequence[SparseVector],
-                         ctx: ScalarContext = EXACT) -> Tuple[SparseVector, Scalar]:
-    """First candidate keeping the extended minor invertible, with its det.
-
-    Every leading minor of the pairing of funcs[:n] with the n chosen vectors
-    must be invertible, as interleave_triangularize keeps them; LinearlyDependent
-    otherwise, even when the full n x n minor is not singular.  Exhausted when
-    funcs has fewer than n + 1 items or no candidate keeps the minor invertible.
-    """
-    return _greedy_extend(0, funcs, chosen, candidates, ctx)
-
-
-def greedy_extend_functional(vectors: Sequence[SparseVector],
-                             chosen: Sequence[CoordFunctional],
-                             candidates: Sequence[CoordFunctional],
-                             ctx: ScalarContext = EXACT) -> Tuple[CoordFunctional, Scalar]:
-    """Dual of greedy_extend_vector with vector and functional roles swapped.
-
-    Same precondition: every leading minor of the pairing of the chosen
-    functionals with vectors[:n] must be invertible, else LinearlyDependent.
-    """
-    return _greedy_extend(1, vectors, chosen, candidates, ctx)
 
 
 @dataclass(frozen=True)
@@ -145,9 +193,6 @@ class TriangularizeState:
     def chosen_basis(self) -> List[SparseVector]:
         return [self.basis[b - 1] for b in self.beta]
 
-    def pairing_matrix(self) -> List[List[Scalar]]:
-        return [[f.pair(x) for x in self.chosen_basis()] for f in self.chosen_funcs()]
-
 
 def interleave_triangularize(basis: Sequence[SparseVector],
                              funcs: Sequence[CoordFunctional],
@@ -169,11 +214,11 @@ def interleave_triangularize(basis: Sequence[SparseVector],
             f"prefix of length {target} needs at least {target} basis vectors "
             f"and {target + WINDOW_MARGIN} functionals"
         )
-    if not linalg.independent((u.entries for u in basis), ctx):
+    items = ([_scaled(f, ctx) for f in funcs], [_scaled(u, ctx) for u in basis])
+    if not linalg.independent((u.row for u in items[1]), ctx):
         raise LinearlyDependent("basis vectors are not linearly independent")
 
     lu = _Bordered(ctx)
-    items = (funcs, basis)
     picks: Tuple[List[int], List[int]] = ([], [])  # alpha, beta
     for step in range(target):
         # even steps force a functional index and scan the basis, odd steps
@@ -187,12 +232,13 @@ def interleave_triangularize(basis: Sequence[SparseVector],
         picks[side].append(forced)
         picks[1 - side].append(candidates[pos])
 
+    zero = _scaled(SparseVector.zero(), ctx)
     coeffs: List[Tuple[Scalar, ...]] = []
     vs: List[SparseVector] = []
     for m in range(1, target + 1):
         c = lu.coeffs(m)
         coeffs.append(tuple(c))
-        vs.append(combine(zip(c, lu.items[1])))
+        vs.append(zero.plus(c, lu.items[1]).vector())
 
     return TriangularizeState(
         alpha=tuple(picks[0]),
@@ -229,30 +275,3 @@ def build_omega_operator(state: TriangularizeState):
 def shuffled_matrix(state: TriangularizeState) -> List[List[Scalar]]:
     """M[j][n] = coordinate alpha(j+1) of v_{n+1}; unit lower triangular."""
     return [[v.get(a) for v in state.v] for a in state.alpha]
-
-
-def omega_forward_solve(state: TriangularizeState, y: SparseVector,
-                        ctx: ScalarContext = EXACT) -> List[Scalar]:
-    """Coefficients z with sum_n z_n v_n = y, by forward substitution.
-
-    Only valid for y in the span of the built v's; the caller can verify by
-    recombining.  Demonstrates exact invertibility of the triangular matrix.
-    """
-    m = shuffled_matrix(state)
-    n = state.built
-    zs: List[Scalar] = []
-    for j in range(n):
-        val = y.get(state.alpha[j])
-        for t in range(j):
-            val -= m[j][t] * zs[t]
-        zs.append(val / m[j][j])
-    return zs
-
-
-def map_between_spans(source: TriangularizeState, target: TriangularizeState,
-                      x: SparseVector, ctx: ScalarContext = EXACT) -> SparseVector:
-    """Convenience composition: solve through the source triangle, push
-    through the target one.  No claims beyond the built prefixes."""
-    if source.built != target.built:
-        raise ValueError("states must have prefixes of equal length")
-    return combine(zip(omega_forward_solve(source, x, ctx), target.v))

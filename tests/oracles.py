@@ -4,7 +4,8 @@ The program itself eliminates with `linalg.RowReducer` and `linalg.Bordered`;
 these helpers work on plain lists of row lists, share no code with it, and
 exist only to check it.  Likewise the program pairs a vector only with the
 terms its coordinate index finds; `apply_terms` and `dense_gram` pair every
-term.
+term.  The program sums exact products on integers; `sub_products`,
+`combination` and `triangularize` do every step in the scalars themselves.
 """
 
 from orbitlab.errors import SingularOperator
@@ -22,6 +23,82 @@ def apply_terms(op, x):
 def dense_gram(terms):
     """G_rc = f_r(v_c) for every pair of terms."""
     return [[f.pair(v) for _, v in terms] for f, _ in terms]
+
+
+def sub_products(b, pairs):
+    """b - sum of t * x over the (t, x) pairs by the plain loop; b with no pairs."""
+    return b - sum(t * x for t, x in pairs) if pairs else b
+
+
+def combination(coeffs, items, start=None):
+    """start + sum of c * x, each coordinate summed in term order from start's
+    entry and dropped where a partial sum is 0; terms with c == 0 skipped.
+    The entries of the result, in insertion order."""
+    acc = dict(start.entries) if start is not None else {}
+    for c, x in zip(coeffs, items):
+        if c:
+            for i, v in x.entries.items():
+                s = acc.get(i, 0) + v * c
+                if s:
+                    acc[i] = s
+                else:
+                    acc.pop(i, None)
+    return acc
+
+
+def triangularize(basis, funcs, stages, ctx=EXACT):
+    """The alternating greedy construction by determinants: (alpha, beta, coeffs,
+    v, minors) with v as entry lists in insertion order.
+
+    Step s forces the least unused functional (s even) or basis index (s odd)
+    and scans the other kind for the first candidate whose extended leading
+    pairing minor has a non-zero determinant; coeffs[m-1] solves A_m c = e_m
+    and v_m is the combination of the chosen basis vectors with them.
+    """
+    picks = ([], [])
+    items = (funcs, basis)
+    for step in range(2 * stages):
+        side = step % 2
+        forced = min(i for i in range(1, len(items[side]) + 1) if i not in picks[side])
+        picks[side].append(forced)
+        for cand in range(1, len(items[1 - side]) + 1):
+            if cand in picks[1 - side]:
+                continue
+            trial = picks[1 - side] + [cand]
+            fs, us = (picks[0], trial) if side == 0 else (trial, picks[1])
+            minor = [[funcs[a - 1].pair(basis[b - 1]) for b in us] for a in fs]
+            if not ctx.is_zero(determinant(minor, ctx)):
+                picks[1 - side].append(cand)
+                break
+        else:
+            raise AssertionError("no candidate keeps the minor invertible")
+    alpha, beta = picks
+    a = [[funcs[i - 1].pair(basis[j - 1]) for j in beta] for i in alpha]
+    us = [basis[j - 1] for j in beta]
+    coeffs, v, minors = [], [], []
+    for m in range(1, len(alpha) + 1):
+        block = [row[:m] for row in a[:m]]
+        c = solve(block, [ctx.one if k == m - 1 else ctx.zero for k in range(m)], ctx)
+        coeffs.append(tuple(c))
+        v.append(list(combination(c, us[:m]).items()))
+        minors.append(determinant(block, ctx))
+    return tuple(alpha), tuple(beta), tuple(coeffs), v, tuple(minors)
+
+
+def pairing_matrix(state):
+    """A[j][k] = f_alpha(j+1)(u_beta(k+1)) for a triangularization state."""
+    return [[f.pair(x) for x in state.chosen_basis()] for f in state.chosen_funcs()]
+
+
+def forward_solve(m, b):
+    """z with m z = b for a lower triangular m, by forward substitution."""
+    z = []
+    for j, row in enumerate(m):
+        val = b[j]
+        for t in range(j):
+            val -= row[t] * z[t]
+        z.append(val / row[j])
+    return z
 
 
 def identity_matrix(n, ctx=EXACT):

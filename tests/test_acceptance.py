@@ -199,7 +199,7 @@ def test_criterion_03_triangularization():
         assert built == 2 * stages
 
         # oracle: one fraction-free elimination pass over the pairing matrix
-        pairing = state.pairing_matrix()
+        pairing = oracles.pairing_matrix(state)
         assert leading_minors_all_nonzero(pairing)
         assert all(d != 0 for d in state.minors)
 

@@ -657,6 +657,34 @@ class TestUnusableInputExits2:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: {named}: ")
 
+    @pytest.mark.parametrize("value", [1.9, 2.0, "1", True], ids=["float", "integral-float",
+                                                               "numeric-string", "bool"])
+    @pytest.mark.parametrize("builder, field", [
+        (transport_scenario, "stages"),
+        (triangularize_scenario, "stages"),
+        (witness_scenario, "max_n"),
+        (demo_scenario, "horizon"),
+        (refute_scenario, "horizon"),
+        (refute_scenario, "family_levels"),
+        (refute_scenario, "first_active"),
+        (triangularize_scenario, None),
+    ], ids=["transport-stages", "triangularize-stages", "witness-max_n", "demo-horizon",
+            "refute-horizon", "refute-family_levels", "refute-first_active", "seed"])
+    def test_count_must_be_a_json_integer(self, tmp_path, capsys, builder, field, value):
+        """1.9 would run one stage and "1" or true would pass as 1; each is refused."""
+        scenario = builder()
+        if field is None:
+            scenario["seed"] = value
+            named = "seed"
+        else:
+            scenario["payload"][field] = value
+            named = f"payload.{field}"
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: {named}: must be an integer, got {value!r}\n")
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
     @pytest.mark.parametrize("builder, field", [
         (transport_scenario, ("a",)),
         (transport_scenario, ("b",)),

@@ -247,9 +247,9 @@ def test_exact_rank_tests_build_no_fraction_row_reduction(monkeypatch):
     assert results() == expected
     assert expected[1] and not expected[2]
 
-def bordered(a):
+def bordered(a, ctx=EXACT):
     """linalg.Bordered grown one row and column of a at a time."""
-    lu = linalg.Bordered()
+    lu = linalg.Bordered(ctx)
     for n in range(len(a)):
         row = lu.border(0, a[n][:n])
         col = lu.border(1, [a[k][n] for k in range(n)])
@@ -372,3 +372,91 @@ def test_zero_heavy_nullspace_and_solve_agree_with_oracle():
         assert linalg.solve_any(a, b) == oracles.solve_any(a, b)
         for vec in linalg.nullspace(a):
             assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in a)
+
+
+def same(a, b):
+    """Bit-equal: the same type and the same repr (-0.0 differs from 0.0)."""
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def sub_products_families(rng):
+    """Seeded (b, pairs) cases for ScalarContext.sub_products in exact mode;
+    the t are Fractions, as every factor entry is."""
+    big = 2 ** 40
+
+    def q(den=3):
+        return Fraction(rng.randint(-9, 9), rng.randint(1, den))
+
+    for n in range(8):
+        yield q(), [(q(), q()) for _ in range(n)]
+    # pairings that returned the int 0: b and some x are ints
+    for n in range(1, 5):
+        yield 0, [(q(), 0 if k % 2 else q()) for k in range(n)]
+        yield 0, [(q(), 0) for _ in range(n)]
+    # terms cancelling in mid-sum, and a sum equal to b
+    t, x = q(), q()
+    yield q(), [(t, x), (-t, x), (q(), q())]
+    yield t * x, [(t, x)]
+    yield Fraction(0), [(t, x), (t, -x), (q(), q()), (-t, x)]
+    # denominators of 2^-40 and mixes with small ones
+    for n in range(1, 6):
+        yield (Fraction(rng.randint(-big, big), big),
+               [(Fraction(rng.randint(-big, big), big), Fraction(rng.randint(1, 9), big * 3))
+                for _ in range(n)])
+        yield q(), [(Fraction(1, big), q()), (q(), Fraction(-1, big)), (q(), q())]
+
+
+def test_exact_sub_products_match_the_plain_loop():
+    rng = random.Random(131)
+    cases = list(sub_products_families(rng))
+    assert len(cases) == 29
+    for b, pairs in cases:
+        assert same(EXACT.sub_products(b, pairs), oracles.sub_products(b, pairs)), (b, pairs)
+    # no pairs: b itself, an int staying an int
+    assert EXACT.sub_products(0, []) == 0 and type(EXACT.sub_products(0, [])) is int
+
+
+def test_float_sub_products_fold_as_the_plain_loop():
+    rng = random.Random(137)
+    for n in range(40):
+        b = rng.choice([-0.0, 0.0, 0, rng.uniform(-1e3, 1e3)])
+        pairs = [(rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20), rng.uniform(-5, 5))
+                 for _ in range(n % 7)]
+        got = FLOAT.sub_products(b, pairs)
+        assert same(got, b - sum(t * x for t, x in pairs)), (b, pairs)
+        if not pairs:
+            assert same(got, oracles.sub_products(b, pairs))
+
+
+def test_bordered_factor_in_both_modes_matches_the_plain_loop():
+    """The substitutions of Bordered give what the plain Fraction loop gives,
+    type and all, and in float mode the same bits as the float loop."""
+    rng = random.Random(139)
+    done = 0
+    while done < 20:
+        n = rng.randint(1, 6)
+        a = zero_heavy_matrix(rng, n, n)
+        if any(oracles.determinant([row[:m] for row in a[:m]]) == 0 for m in range(1, n + 1)):
+            continue
+        b = [Fraction(rng.randint(-4, 4), 2 ** 40) if k % 2 else 0 for k in range(n)]
+        for ctx in (EXACT, FLOAT):
+            cast = (lambda v: v) if ctx is EXACT else (lambda v: v if type(v) is int else float(v))
+            lu = bordered([[cast(v) for v in row] for row in a], ctx)
+            rhs = [cast(v) for v in b]
+            want = plain_solve(lu, rhs)
+            got = lu.solve(rhs)
+            assert all(same(g, w) for g, w in zip(got, want)), (ctx.mode, got, want)
+        done += 1
+
+
+def plain_solve(lu, rhs):
+    """Bordered.solve by the plain loops of the substitutions."""
+    y = []
+    for row, b in zip(lu.lower[0], rhs):
+        y.append(b - sum(t * y[j] for j, t in row.items()) if row else b)
+    x = [yi / d if yi else yi for yi, d in zip(y, lu.pivots)]
+    for k in range(len(x) - 1, -1, -1):
+        col = [(j, row[k]) for j, row in enumerate(lu.lower[1]) if k in row]
+        if col:
+            x[k] -= sum(t * x[j] for j, t in col)
+    return x

@@ -167,12 +167,59 @@ def test_float_zero_residual_and_gauge_print_as_float():
     assert net_a.rows[0][2] == "0.0"
 
 
+SCALAR_TYPES = ("float", "Fraction")
+
+
+def _names(node):
+    """The names and attribute names inside an expression."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def mode_reads(tree):
+    """Places where code picks the scalar mode itself: reading `.exact` or
+    `.tol`, `isinstance(x, float|Fraction)` and `type(x) is float|Fraction`
+    (also `is not`, `==`, `!=` and `in`)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("exact", "tol"):
+            yield node.lineno, f".{node.attr}"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2
+              and _names(node.args[1]) & set(SCALAR_TYPES)):
+            yield node.lineno, "isinstance"
+        elif isinstance(node, ast.Compare):
+            sides = [node.left] + node.comparators
+            calls_type = any(isinstance(side, ast.Call) and isinstance(side.func, ast.Name)
+                             and side.func.id == "type" for side in sides)
+            if calls_type and any(_names(side) & set(SCALAR_TYPES) for side in sides):
+                yield node.lineno, "type"
+
+
 def test_only_scalars_reads_the_mode():
-    """The scalar context hides its mode: no other module reads `.exact` or `.tol`."""
+    """The scalar context hides its mode: no other module reads `.exact` or
+    `.tol`, or tells the modes apart by the type of a scalar."""
     reads = []
     for path in sorted(Path(orbitlab.__file__).parent.glob("*.py")):
         if path.name != "scalars.py":
-            reads += [f"{path.name}:{node.lineno} .{node.attr}"
-                      for node in ast.walk(ast.parse(path.read_text()))
-                      if isinstance(node, ast.Attribute) and node.attr in ("exact", "tol")]
+            reads += [f"{path.name}:{line} {what}"
+                      for line, what in mode_reads(ast.parse(path.read_text()))]
     assert reads == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("ctx.exact", [".exact"]),
+    ("x = ctx.tol", [".tol"]),
+    ("isinstance(x, float)", ["isinstance"]),
+    ("isinstance(x, (int, Fraction))", ["isinstance"]),
+    ("isinstance(x, fractions.Fraction)", ["isinstance"]),
+    ("type(x) is float", ["type"]),
+    ("type(x) is not Fraction", ["type"]),
+    ("Fraction == type(x)", ["type"]),
+    ("type(x) in (float, int)", ["type"]),
+    ("isinstance(x, int)", []),
+    ("type(x) is int", []),
+    ("isinstance(x, CoordFunctional)", []),
+    ("float(x) == y", []),
+])
+def test_mode_read_scan_flags_type_tests(source, found):
+    assert [what for _, what in mode_reads(ast.parse(source))] == found

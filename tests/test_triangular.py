@@ -1,22 +1,25 @@
 """Interleaved triangularization and the shuffled-basis operator."""
 
+import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from orbitlab import CoordFunctional, SparseVector, linalg
 from orbitlab.errors import Exhausted, LinearlyDependent
+from orbitlab.scalars import EXACT, FLOAT
 from orbitlab.triangular import (
     TriangularizeState,
+    _Bordered,
+    _scaled,
     build_omega_operator,
-    greedy_extend_functional,
-    greedy_extend_vector,
     interleave_triangularize,
-    map_between_spans,
-    omega_forward_solve,
     shuffled_matrix,
 )
+from orbitlab.vectors import combine
 
 import oracles
 
@@ -33,39 +36,40 @@ def pairing(funcs, vectors):
     return [[f.pair(x) for x in vectors] for f in funcs]
 
 
+def greedy_pick(side, forced, chosen, candidates):
+    """One greedy scan of the triangular pairing factor: border it with
+    forced[:n] against the n chosen items, one pick each, then scan the
+    candidates against forced[n].  The pick and the product of the pivots,
+    the determinant of the extended minor; Exhausted as `extend` raises it."""
+    lu = _Bordered(EXACT)
+    for item, pick in zip(forced, chosen):
+        lu.extend(side, _scaled(item, EXACT), [_scaled(pick, EXACT)])
+    pos = lu.extend(side, _scaled(forced[len(chosen)], EXACT),
+                    [_scaled(c, EXACT) for c in candidates])
+    return candidates[pos], math.prod(lu.pivots)
+
+
 class TestGreedyExtendVector:
+    """Side 0: a forced functional scans vectors."""
+
     def test_base_case_scans_for_nonzero(self):
-        x, det = greedy_extend_vector(
-            [CoordFunctional.delta(1)], [], [SparseVector.basis(2), SparseVector.basis(1)]
+        x, det = greedy_pick(
+            0, [CoordFunctional.delta(1)], [], [SparseVector.basis(2), SparseVector.basis(1)]
         )
         assert x == SparseVector.basis(1)
         assert det == 1
 
     def test_extends_to_invertible_two_by_two(self):
         funcs = deltas(2)
-        x, det = greedy_extend_vector(
-            funcs, [SparseVector.basis(1)], [sv(1, 1), sv(2, 0)]
-        )
+        x, det = greedy_pick(0, funcs, [SparseVector.basis(1)], [sv(1, 1), sv(2, 0)])
         assert x == sv(1, 1)
         assert det == 1
         assert oracles.determinant(pairing(funcs, [SparseVector.basis(1), x])) == det
 
     def test_exhausted_when_all_in_kernel(self):
         with pytest.raises(Exhausted):
-            greedy_extend_vector(
-                deltas(2), [SparseVector.basis(1)], [SparseVector.basis(1), sv(3)]
-            )
-
-    def test_forced_side_too_short(self):
-        with pytest.raises(Exhausted, match="need 2 items on the forced side"):
-            greedy_extend_vector(deltas(1), [SparseVector.basis(1)], [sv(0, 1)])
-
-    def test_singular_leading_minor_rejected(self):
-        # the full 2x2 minor is invertible, its leading 1x1 minor is not
-        with pytest.raises(LinearlyDependent):
-            greedy_extend_vector(
-                deltas(3), [SparseVector.basis(2), SparseVector.basis(1)],
-                [SparseVector.basis(3)],
+            greedy_pick(
+                0, deltas(2), [SparseVector.basis(1)], [SparseVector.basis(1), sv(3)]
             )
 
     def test_determinant_recurrence_matches_direct_eval(self):
@@ -77,33 +81,32 @@ class TestGreedyExtendVector:
                 for _ in range(n + 1)
             ]
             chosen = []
-            ok = True
             for m in range(n):
                 cands = [
                     SparseVector({i: Fraction(rng.randint(-3, 3)) for i in range(1, n + 3)})
                     for _ in range(6)
                 ]
                 try:
-                    x, det = greedy_extend_vector(funcs[: m + 1], chosen, cands)
+                    x, det = greedy_pick(0, funcs[: m + 1], chosen, cands)
                 except Exhausted:
-                    ok = False
                     break
                 chosen.append(x)
                 assert oracles.determinant(pairing(funcs[: m + 1], chosen)) == det
-            if not ok:
-                continue
 
 
 class TestGreedyExtendFunctional:
+    """Side 1: a forced vector scans functionals."""
+
     def test_base_case(self):
-        f, det = greedy_extend_functional(
-            [SparseVector.basis(2)], [], [CoordFunctional.delta(1), CoordFunctional.delta(2)]
+        f, det = greedy_pick(
+            1, [SparseVector.basis(2)], [], [CoordFunctional.delta(1), CoordFunctional.delta(2)]
         )
         assert f == CoordFunctional.delta(2)
         assert det == 1
 
     def test_two_by_two(self):
-        f, det = greedy_extend_functional(
+        f, det = greedy_pick(
+            1,
             [SparseVector.basis(1), sv(1, 1)],
             [CoordFunctional.delta(1)],
             [CoordFunctional.delta(1), CoordFunctional.delta(2)],
@@ -113,18 +116,11 @@ class TestGreedyExtendFunctional:
 
     def test_exhausted(self):
         with pytest.raises(Exhausted):
-            greedy_extend_functional(
+            greedy_pick(
+                1,
                 [SparseVector.basis(1), SparseVector.basis(2)],
                 [CoordFunctional.delta(1)],
                 [CoordFunctional.delta(1), CoordFunctional.delta(3)],
-            )
-
-    def test_singular_leading_minor_rejected(self):
-        with pytest.raises(LinearlyDependent):
-            greedy_extend_functional(
-                [SparseVector.basis(1), SparseVector.basis(2), SparseVector.basis(3)],
-                [CoordFunctional.delta(2), CoordFunctional.delta(1)],
-                [CoordFunctional.delta(3)],
             )
 
 
@@ -273,7 +269,8 @@ class TestOmegaOperator:
             y = SparseVector.zero()
             for c, v in zip(coeffs, state.v):
                 y = y + v.scale(c)
-            assert omega_forward_solve(state, y) == coeffs
+            rhs = [y.get(a) for a in state.alpha]
+            assert oracles.forward_solve(shuffled_matrix(state), rhs) == coeffs
 
     def test_maps_shuffled_prefix_onto_v_span(self):
         rng = random.Random(73)
@@ -296,12 +293,145 @@ class TestOmegaOperator:
         with pytest.raises(ValueError):
             build_omega_operator(state)
 
-    def test_compose_maps_one_span_to_other(self):
-        rng = random.Random(79)
-        basis_a = random_invertible_basis(rng, 6)
-        basis_b = random_invertible_basis(rng, 6)
-        sa = interleave_triangularize(basis_a, deltas(8), stages=3)
-        sb = interleave_triangularize(basis_b, deltas(8), stages=3)
-        x = sa.v[0] + sa.v[2].scale(Fraction(1, 2))
-        y = map_between_spans(sa, sb, x)
-        assert y == sb.v[0] + sb.v[2].scale(Fraction(1, 2))
+
+def same(a, b):
+    """Bit-equal: the same type and the same repr."""
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def same_entries(got, want):
+    """Entry lists equal in order, type and repr."""
+    return len(got) == len(want) and all(
+        i == j and same(a, b) for (i, a), (j, b) in zip(got, want))
+
+
+def rational_family(rng, n, width, kind):
+    """n seeded items of `width` coordinates: 'dense' small denominators,
+    'sparse' mostly absent entries (int-0 pairings), 'wide' denominators of
+    2^-40 mixed with small ones."""
+    big = 2 ** 40
+
+    def entry(i):
+        if kind == "sparse" and rng.random() < 0.6:
+            return 0
+        if kind == "wide" and i % 2:
+            return Fraction(rng.randint(-big, big), big)
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+
+    return [{i: entry(i) for i in range(1, width + 1)} for _ in range(n)]
+
+
+class TestIntegerRows:
+    """Exact triangularization on integer rows against the Fraction loops of
+    tests/oracles.py, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "wide"])
+    def test_pairings_match_coord_functional_pair(self, kind):
+        rng = random.Random(211)
+        fs = [CoordFunctional(e) for e in rational_family(rng, 6, 7, kind)]
+        us = [SparseVector(e) for e in rational_family(rng, 6, 7, kind)]
+        # disjoint supports pair to the int 0, cancelling ones to Fraction(0)
+        fs += [CoordFunctional({9: Fraction(1, 3)}), CoordFunctional({1: Fraction(1), 2: Fraction(1)})]
+        us += [SparseVector({1: Fraction(2), 2: Fraction(-2)})]
+        for f in fs:
+            for u in us:
+                want = f.pair(u)
+                assert same(_scaled(f, EXACT).pair(_scaled(u, EXACT)), want)
+                assert same(_scaled(u, EXACT).pair(_scaled(f, EXACT)), want)
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "wide"])
+    def test_combinations_match_the_plain_loop_in_order(self, kind):
+        rng = random.Random(223)
+        for _ in range(20):
+            us = [SparseVector(e) for e in rational_family(rng, 5, 6, kind)]
+            coeffs = [rng.choice([0, Fraction(0), Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                                  Fraction(rng.randint(1, 9), 2 ** 40)]) for _ in us]
+            rows = [_scaled(u, EXACT) for u in us]
+            zero = _scaled(SparseVector.zero(), EXACT)
+            got = list(zero.plus(coeffs, rows).vector().entries.items())
+            assert same_entries(got, list(oracles.combination(coeffs, us).items()))
+            start = us[0]
+            rest = [-c for c in coeffs[1:]]
+            scaled = _scaled(start, EXACT).plus(rest, rows[1:])
+            got = [(i, Fraction(v, scaled.den)) for i, v in scaled.row.items()]
+            assert same_entries(got, list(oracles.combination(rest, us[1:], start).items()))
+
+    def test_cancelling_partial_sums_drop_and_reinsert_as_combine_does(self):
+        us = [SparseVector({1: Fraction(1), 2: Fraction(1, 2)}),
+              SparseVector({1: Fraction(-1), 3: Fraction(1)}),
+              SparseVector({1: Fraction(1, 3), 2: Fraction(1, 4)})]
+        coeffs = [Fraction(1), Fraction(1), Fraction(1)]
+        rows = [_scaled(u, EXACT) for u in us]
+        got = list(_scaled(SparseVector.zero(), EXACT).plus(coeffs, rows).vector().entries.items())
+        # coordinate 1 cancels after the second term and comes back last
+        assert [i for i, _ in got] == [2, 3, 1] == list(oracles.combination(coeffs, us))
+        assert same_entries(got, list(oracles.combination(coeffs, us).items()))
+        assert same_entries(got, list(combine(zip(coeffs, us)).entries.items()))
+
+    @pytest.mark.parametrize("kind, window, stages, general", [
+        ("dense", 8, 3, False), ("sparse", 8, 3, False), ("wide", 6, 2, False),
+        ("dense", 6, 2, True), ("wide", 6, 2, True)])
+    def test_exact_triangularization_matches_the_determinant_oracle(
+            self, kind, window, stages, general):
+        rng = random.Random(227)
+        for _ in range(3):
+            while True:
+                basis = [SparseVector(e) for e in rational_family(rng, window, window, kind)]
+                if linalg.independent((u.entries for u in basis), EXACT):
+                    break
+            if general:
+                funcs = [CoordFunctional(e)
+                         for e in rational_family(rng, window + 2, window, kind)]
+            else:
+                funcs = deltas(window + 2)
+            alpha, beta, coeffs, v, minors = oracles.triangularize(basis, funcs, stages)
+            state = interleave_triangularize(basis, funcs, stages)
+            assert (state.alpha, state.beta) == (alpha, beta)
+            assert all(same(a, b) for got, exp in zip(state.coeffs, coeffs)
+                       for a, b in zip(got, exp))
+            assert [len(c) for c in state.coeffs] == [len(c) for c in coeffs]
+            assert all(same(a, b) for a, b in zip(state.minors, minors))
+            assert all(same_entries(list(x.entries.items()), y) for x, y in zip(state.v, v))
+
+    def test_float_mode_pairs_and_combines_the_items_as_given(self):
+        rng = random.Random(229)
+        us = [SparseVector({i: rng.uniform(-3, 3) for i in range(1, 7)}) for _ in range(5)]
+        f = CoordFunctional({i: rng.uniform(-3, 3) for i in range(1, 7)})
+        items = [_scaled(u, FLOAT) for u in us]
+        assert all(same(_scaled(f, FLOAT).pair(x), f.pair(u)) for x, u in zip(items, us))
+        coeffs = [rng.uniform(-2, 2) for _ in us]
+        zero = _scaled(SparseVector.zero(), FLOAT)
+        got = list(zero.plus(coeffs, items).vector().entries.items())
+        assert same_entries(got, list(combine(zip(coeffs, us)).entries.items()))
+
+
+def test_exact_triangularization_does_no_fraction_arithmetic(monkeypatch):
+    """A seeded 16 x 7 exact triangularization: no Fraction sum, difference or
+    product is formed in linalg (the factor's substitutions), in scalars (its
+    kernel) or in the combinations (triangular, vectors.combine); the one
+    product left is the running minors, det A_m = det A_{m-1} · pivot_m."""
+    rng = random.Random(233)
+    while True:
+        basis = [SparseVector(e) for e in rational_family(rng, 16, 16, "dense")]
+        if linalg.independent((u.entries for u in basis), EXACT):
+            break
+    expected = interleave_triangularize(basis, deltas(18), 7)
+    callers = set()
+
+    def spy(name):
+        original = getattr(Fraction, name)
+
+        def wrapped(a, b):
+            code = sys._getframe(1).f_code
+            callers.add((Path(code.co_filename).name, code.co_name, name))
+            return original(a, b)
+        return wrapped
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, spy(name))
+    state = interleave_triangularize(basis, deltas(18), 7)
+    monkeypatch.undo()
+    assert state == expected
+    watched = {c for c in callers
+               if c[0] in ("linalg.py", "scalars.py", "triangular.py") or c[:2] == ("vectors.py", "combine")}
+    assert watched == {("triangular.py", "interleave_triangularize", "__mul__")}
