@@ -8,8 +8,10 @@ residuals, and the instrumented quantities of the non-orbit refutation.
 
 Operators stay in their term form sum_j f_j (x) v_j: powers are columns
 S^m e_i pushed through `FiniteRankOperator.apply`, ranks come from row
-reduction of those sparse columns (`linalg.row_rank`, fraction-free in
-exact mode), and no matrix power is ever multiplied out.  The only dense
+reduction of those sparse columns (`linalg.row_rank`), and no matrix power
+is ever multiplied out.  In exact mode `apply`, the weight-form disk gauge
+and the ranks work on integers and build a Fraction only for an entry of
+their result.  The only dense
 systems are the nullspace of S^{2n} and the witness's active-row solve.
 """
 
@@ -81,10 +83,6 @@ class PremiseReport:
     window_dim: int
     window_meet_dim: int
 
-    @property
-    def dense_span(self) -> bool:
-        return self.window_meet_dim == self.window_dim
-
 
 def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
                                ctx: ScalarContext = EXACT) -> PremiseReport:
@@ -107,7 +105,7 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
     # powers[m][i - 1] = S^m e_i
     powers = [[SparseVector.basis(i, ctx) for i in ambient]]
     for _ in range(2 * depth):
-        powers.append([s.apply(col) for col in powers[-1]])
+        powers.append([s.apply(col, ctx) for col in powers[-1]])
     rows: List[PremiseRow] = []
     union: List[Dict[int, Scalar]] = []
     for n in range(1, depth + 1):
@@ -155,7 +153,7 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
     indices = range(1, window + 1)
 
     def step(op: FiniteRankOperator, v: SparseVector) -> SparseVector:
-        return op.apply(v).restrict(indices)
+        return op.apply(v, ctx).restrict(indices)
 
     s = t.linear_part() if t.base == IDENTITY else t
     cols = [SparseVector.basis(j, ctx) for j in indices]
@@ -292,7 +290,7 @@ def refute_orbit(t: FiniteRankOperator, x: SparseVector, a_set: NonOrbitSet,
     per member of M, the divergence mechanism of the refutation.  Higher
     seminorms give the absolute-sum certificates of the auxiliary series.
     """
-    prefix = orbit(t, x, horizon)
+    prefix = orbit(t, x, horizon, ctx)
     p1 = a_set.family[0]
     in_a = [p in a_set for p in prefix]
     first_exit = next((i for i, ok in enumerate(in_a) if not ok), None)

@@ -14,6 +14,14 @@ and the borders of `GramFactor` pair only the overlapping (term, vector)
 pairs, in term order, so each sum and its rounding are those of the plain
 term loop.
 
+In exact mode `apply` runs on integers (fraction-free arithmetic; Geddes,
+Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 9): x is
+scaled once to an integer row over its denominator, and each term's f and v
+once, when the term is first paired; the scaled rows stay on the operator
+like its index.  Pairings are integer dot products, and start + sum_j
+f_j(x) v_j is one integer sum per coordinate over a common denominator, so
+one Fraction is built per coordinate the terms touch.
+
 `GramFactor` serves the construction: it keeps I_k + G factored as terms
 arrive and returns J^{-1} u with two triangular substitutions.  `invert`
 serves verification: it builds the whole inverse in term form from the
@@ -24,7 +32,9 @@ inverse Gram matrix, a pivoting path independent of the factor that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
@@ -37,7 +47,21 @@ IDENTITY = "identity"
 ZERO = "zero"
 
 Term = Tuple[CoordFunctional, SparseVector]
+TermRows = Tuple[Dict[int, int], int, Dict[int, int], int]
 FiniteMap = Union[CoordFunctional, SparseVector]
+
+
+def _dot(a: Dict[int, int], b: Dict[int, int]) -> int:
+    """sum_i a_i * b_i over the coordinates of two integer rows, 0 when none
+    is shared."""
+    if len(b) < len(a):
+        a, b = b, a
+    total = 0
+    for i, v in a.items():
+        w = b.get(i)
+        if w is not None:
+            total += v * w
+    return total
 
 
 class CoordIndex:
@@ -100,15 +124,28 @@ class FiniteRankOperator:
         the instance outside the dataclass fields."""
         return CoordIndex(f for f, _ in self.terms)
 
+    @cached_property
+    def _term_rows(self) -> List[Optional[TermRows]]:
+        """Per term, its f and v as `ScalarContext.integer_row` scales them,
+        (f row, f den, v row, v den); exact `apply` fills a term's slot when it
+        first pairs the term."""
+        return [None] * len(self.terms)
+
     def _rebased(self, base: str) -> "FiniteRankOperator":
-        """The same terms over another base, sharing an index already built."""
+        """The same terms over another base, sharing an index and term rows
+        already built."""
         op = FiniteRankOperator(base, self.terms)
-        if "coord_index" in self.__dict__:
-            op.__dict__["coord_index"] = self.coord_index
+        for name in ("coord_index", "_term_rows"):
+            if name in self.__dict__:
+                op.__dict__[name] = self.__dict__[name]
         return op
 
     def with_term(self, f: CoordFunctional, v: SparseVector) -> "FiniteRankOperator":
-        return FiniteRankOperator(self.base, self.terms + ((f, v),))
+        """The operator with one more term, keeping the term rows already scaled."""
+        op = FiniteRankOperator(self.base, self.terms + ((f, v),))
+        if "_term_rows" in self.__dict__:
+            op.__dict__["_term_rows"] = self._term_rows + [None]
+        return op
 
     def linear_part(self) -> "FiniteRankOperator":
         """The operator minus its identity component."""
@@ -117,17 +154,62 @@ class FiniteRankOperator:
     def plus_identity(self) -> "FiniteRankOperator":
         return self._rebased(IDENTITY)
 
-    def apply(self, x: SparseVector) -> SparseVector:
-        terms = self.terms
-        hit = [terms[j] for j in self.coord_index.hits(x)]
-        return combine([(f.pair(x), v) for f, v in hit],
-                       x if self.base == IDENTITY else SparseVector.zero())
+    def apply(self, x: SparseVector, ctx: ScalarContext = EXACT) -> SparseVector:
+        """base(x) + sum_j f_j(x) v_j over the terms that meet x, in term order.
 
-    def compose(self, other: "FiniteRankOperator") -> "FiniteRankOperator":
+        Float mode is `vectors.combine` of the pairings.  Exact mode, where
+        `ctx.integer_row` scales x, pairs the terms' integer rows with x's and
+        sums start + sum_j f_j(x) v_j on integers over one common denominator,
+        building one Fraction per coordinate the terms touch; the other
+        coordinates of x keep their Fractions, and the entries come in the
+        order `combine` gives them.
+        """
+        identity = self.base == IDENTITY
+        start = x if identity else SparseVector.zero()
+        hits = self.coord_index.hits(x)
+        scaled = ctx.integer_row(x.entries) if hits else None
+        if scaled is None:
+            terms = self.terms
+            return combine([(terms[j][0].pair(x), terms[j][1]) for j in hits], start)
+        xrow, xden = scaled
+        rows, terms = self._term_rows, self.terms
+        # f_j(x) v_j as (numerator, denominator, v_j row) for f_j(x) != 0
+        picked = []
+        for j in hits:
+            r = rows[j]
+            if r is None:
+                f, v = terms[j]
+                r = rows[j] = ctx.integer_row(f.entries) + ctx.integer_row(v.entries)
+            frow, fden, vrow, vden = r
+            dot = _dot(frow, xrow)
+            if dot:
+                den = fden * xden * vden
+                g = gcd(dot, den)
+                picked.append((dot // g, den // g, vrow))
+        if not picked:
+            return start
+        den = lcm(xden if identity else 1, *(d for _, d, _ in picked))
+        start_row, scale = (xrow if identity else {}), den // xden
+        acc: Dict[int, int] = {}
+        out = dict(start.entries)
+        for num, d, vrow in picked:
+            m = num * (den // d)
+            for i, v in vrow.items():
+                s = (acc[i] if i in acc else start_row.get(i, 0) * scale) + v * m
+                acc[i] = s
+                if s:
+                    out[i] = s
+                else:
+                    out.pop(i, None)
+        return SparseVector({i: Fraction(acc[i], den) if i in acc else v
+                             for i, v in out.items()})
+
+    def compose(self, other: "FiniteRankOperator",
+                ctx: ScalarContext = EXACT) -> "FiniteRankOperator":
         """self after other, expanded back into base-plus-terms form."""
         terms: List[Term] = []
         for g, w in other.terms:
-            image = self.apply(w)
+            image = self.apply(w, ctx)
             if not image.is_zero():
                 terms.append((g, image))
         if other.base == IDENTITY:
@@ -139,7 +221,7 @@ class FiniteRankOperator:
     def matrix_on(self, indices: Sequence[int],
                   ctx: ScalarContext = EXACT) -> List[List[Scalar]]:
         """Matrix of the operator restricted to the given window coordinates."""
-        cols = [self.apply(SparseVector.basis(j, ctx)) for j in indices]
+        cols = [self.apply(SparseVector.basis(j, ctx), ctx) for j in indices]
         return [[col.get(i) for col in cols] for i in indices]
 
 
@@ -267,13 +349,14 @@ def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOpera
     return FiniteRankOperator(IDENTITY, tuple(new_terms))
 
 
-def orbit(t: FiniteRankOperator, x0: SparseVector, horizon: int) -> List[SparseVector]:
+def orbit(t: FiniteRankOperator, x0: SparseVector, horizon: int,
+          ctx: ScalarContext = EXACT) -> List[SparseVector]:
     """First `horizon` elements x0, T x0, T^2 x0, ..."""
     out = []
     x = x0
     for _ in range(horizon):
         out.append(x)
-        x = t.apply(x)
+        x = t.apply(x, ctx)
     return out
 
 
@@ -281,5 +364,5 @@ def conjugate_orbit(t0: FiniteRankOperator, x0: SparseVector, j: FiniteRankOpera
                     horizon: int, ctx: ScalarContext = EXACT) -> List[SparseVector]:
     """Orbit of J T0 J^{-1} started at J x0, computed through the conjugate."""
     j_inv = invert(j, ctx)
-    conjugated = j.compose(t0).compose(j_inv)
-    return orbit(conjugated, j.apply(x0), horizon)
+    conjugated = j.compose(t0, ctx).compose(j_inv, ctx)
+    return orbit(conjugated, j.apply(x0, ctx), horizon, ctx)

@@ -125,25 +125,6 @@ def emit_csv(report: Report) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def parse_csv_tables(blob: bytes) -> List[Table]:
-    """Inverse of emit_csv on the tabular sections."""
-    tables: List[Table] = []
-    current: Optional[Table] = None
-    for line in blob.decode("utf-8").splitlines():
-        if line.startswith("# table: "):
-            current = Table(name=line[len("# table: "):], columns=[], rows=[])
-            tables.append(current)
-        elif not line.strip():
-            current = None
-        elif current is not None:
-            cells = next(csv.reader([line]))
-            if not current.columns:
-                current.columns = cells
-            else:
-                current.rows.append(cells)
-    return tables
-
-
 def emit_text(report: Report) -> bytes:
     lines = [
         f"scenario: {report.scenario}",

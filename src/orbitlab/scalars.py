@@ -3,8 +3,9 @@
 A whole scenario runs in one mode, carried by one `ScalarContext`: it fixes
 the scalar type where text becomes scalars (`parse`), supplies `zero` and
 `one`, compares, weighs pivots for elimination (`pivot_weight`), says
-whether rows may be eliminated on integers (`integer_row`) and sums the
-products of a substitution (`sub_products`, on integers in exact mode).  Value
+whether rows may be eliminated on integers (`integer_row`), sums the
+products of a substitution (`sub_products`) and the quotients of a disk
+gauge (`abs_ratio_sum`), both on integers in exact mode.  Value
 types store the scalars they are given and never learn the mode.  Exact
 mode is the basis of every acceptance check; float mode exists for larger
 experiments.  In float mode `is_zero` is absolute
@@ -113,6 +114,30 @@ class ScalarContext:
             dens.append(t.denominator * x.denominator)
         if len(nums) == 1:
             return b
+        den = lcm(*dens)
+        return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
+
+    def abs_ratio_sum(self, pairs: Iterable[Tuple[Scalar, Scalar]]) -> Scalar:
+        """The sum of |a| / d over the (a, d) pairs, zero when there are none.
+
+        Float mode folds `total += abs(a) / d` from zero.  Exact mode sums the
+        numerators over one common denominator, the lcm of the quotients'
+        denominators, and builds a single Fraction; a and d are Fractions,
+        d > 0.
+        """
+        if not self.exact:
+            total = self.zero
+            for a, d in pairs:
+                total += abs(a) / d
+            return total
+        nums, dens = [], []
+        for a, d in pairs:
+            a_num, a_den = a.as_integer_ratio()
+            d_num, d_den = d.as_integer_ratio()
+            nums.append(abs(a_num) * d_den)
+            dens.append(a_den * d_num)
+        if not nums:
+            return self.zero
         den = lcm(*dens)
         return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
 

@@ -206,7 +206,7 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
 
     rows = []
     for jj, n, m in matched_pairs(state):
-        residual = j.apply(a.vector(n)) - b.vector(m)
+        residual = j.apply(a.vector(n), ctx) - b.vector(m)
         rows.append([str(jj), str(n), str(m), serialize.format_vector(residual)])
     report.tables.append(Table("matched-pairs", ["j", "n_j", "m_j", "residual"], rows))
     report.data["budget"] = ctx.format(verification.budget)
@@ -228,7 +228,7 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
             {i: ctx.coerce(rng.randint(-9, 9))
              for i in rng.sample(kernel_coords, min(3, len(kernel_coords)))}
         )
-        if not close(j.apply(x), x, ctx):
+        if not close(j.apply(x, ctx), x, ctx):
             fixed = False
     report.checks.append(CheckResult("kernel-fixing-spot-check", fixed,
                                      "20 seeded kernel vectors"))
@@ -351,8 +351,8 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
         disk = _field("payload.disk", serialize.decode_disk, _need(payload, "disk"), ctx)
         spec = build_shift_operator(basis, p, disk, ctx)
         s = spec.operator
-        chain_ok = close(s.apply(spec.us[0]), SparseVector.zero(), ctx) and all(
-            close(s.apply(spec.us[k]), spec.us[k - 1].scale(spec.weights[k - 1]), ctx)
+        chain_ok = close(s.apply(spec.us[0], ctx), SparseVector.zero(), ctx) and all(
+            close(s.apply(spec.us[k], ctx), spec.us[k - 1].scale(spec.weights[k - 1]), ctx)
             for k in range(1, len(spec.us))
         )
         report.checks.append(CheckResult("chain-identities", chain_ok,
@@ -360,7 +360,7 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
         bound_ok = True
         for _ in range(100):
             x = _random_window_vector(rng, scenario.window, ctx)
-            if not minkowski(disk, s.apply(x), ctx) <= eval_seminorm(p, x):
+            if not minkowski(disk, s.apply(x, ctx), ctx) <= eval_seminorm(p, x):
                 bound_ok = False
         report.checks.append(CheckResult("continuity-bound", bound_ok,
                                          "p_D(S x) <= p(x) on 100 seeded vectors"))
@@ -390,7 +390,7 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
             return
         image = z
         for _ in range(n):
-            image = op.apply(image)
+            image = op.apply(image, ctx)
         res_x = eval_seminorm(p, z - x)
         res_y = eval_seminorm(p, image - y)
         report.checks.append(CheckResult("witness-found", True, f"n = {n}"))

@@ -4,7 +4,9 @@ Seminorms are sup- or l1-combinations of weighted coordinates over a finite
 active set; their kernels are exactly the vectors supported outside the
 active set, so kernel membership is a support inspection.  The dual norm and
 the Minkowski gauge of a disk are computed in closed form (weight form) or
-by an exact linear program (generator form).  The separating-functional
+by an exact linear program (generator form); the weight-form gauge
+sum_i |u_i| / d_i is `ScalarContext.abs_ratio_sum`, one integer numerator
+over one common denominator in exact mode.  The separating-functional
 construction replaces the Hahn-Banach step of the abstract theory with a
 finite nullspace pick: `Separator` keeps the constraint list that grows one
 vector at a time in a `linalg.RowReducer`, and `separating_functional` fills
@@ -65,9 +67,6 @@ class SeminormSpec:
     @property
     def active(self) -> frozenset:
         return frozenset(self.weights)
-
-    def kernel_contains(self, x: SparseVector) -> bool:
-        return all(i not in self.weights for i in x.entries)
 
 
 def eval_seminorm(p: SeminormSpec, x: SparseVector) -> Scalar:
@@ -137,13 +136,11 @@ class DiskSpec:
 def minkowski(disk: DiskSpec, u: SparseVector, ctx: ScalarContext = EXACT) -> Scalar:
     """Gauge of u with respect to the disk; NotInSpan if u is outside span D."""
     if disk.weights is not None:
-        total = ctx.zero
-        for i, v in u.entries.items():
-            d = disk.weights.get(i)
-            if d is None:
+        weights = disk.weights
+        for i in u.entries:
+            if i not in weights:
                 raise NotInSpan(f"coordinate {i} carries no disk weight")
-            total += abs(v) / d
-        return total
+        return ctx.abs_ratio_sum((v, weights[i]) for i, v in u.entries.items())
 
     gens = disk.generators
     if u.is_zero():

@@ -3,8 +3,9 @@
 Scalars travel as text ("3/2" for rationals in lowest terms, shortest
 round-trip decimals for floats); vectors and functionals as sorted
 index/value pair lists.  Decoders read scalars through `ctx.parse`, which
-fixes the scalar mode; encoders and decoders are inverse to each other in
-either mode.
+fixes the scalar mode; vectors, functionals and operators are encoded as
+they are decoded, in either mode, while seminorms and disks, which only
+arrive in scenarios, are decoded only.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from typing import Any, List, Mapping
 
 from .operators import FiniteRankOperator
-from .scalars import EXACT, Scalar, ScalarContext, format_scalar
+from .scalars import EXACT, ScalarContext, format_scalar
 from .seminorms import DiskSpec, SeminormSpec
 from .vectors import CoordFunctional, SparseVector
 
@@ -36,26 +37,12 @@ def decode_functional(pairs, ctx: ScalarContext = EXACT) -> CoordFunctional:
     return CoordFunctional({int(i): ctx.parse(v) for i, v in pairs})
 
 
-def encode_weights(weights: Mapping[int, Scalar]) -> List[List[Any]]:
-    return [[i, format_scalar(w)] for i, w in sorted(weights.items())]
-
-
 def decode_weights(pairs, ctx: ScalarContext = EXACT) -> dict:
     return {int(i): ctx.parse(w) for i, w in pairs}
 
 
-def encode_seminorm(p: SeminormSpec) -> dict:
-    return {"kind": p.kind, "weights": encode_weights(p.weights)}
-
-
 def decode_seminorm(data: Mapping, ctx: ScalarContext = EXACT) -> SeminormSpec:
     return SeminormSpec(data["kind"], decode_weights(data["weights"], _context(ctx)))
-
-
-def encode_disk(d: DiskSpec) -> dict:
-    if d.weights is not None:
-        return {"weights": encode_weights(d.weights)}
-    return {"generators": [encode_pairs(g) for g in d.generators]}
 
 
 def decode_disk(data: Mapping, ctx: ScalarContext = EXACT) -> DiskSpec:
@@ -88,14 +75,3 @@ def format_vector(value) -> str:
     if value.is_zero():
         return "0"
     return " ".join(f"{i}:{format_scalar(v)}" for i, v in value.pairs())
-
-
-def parse_vector(text: str, ctx: ScalarContext = EXACT) -> SparseVector:
-    text = text.strip()
-    if text == "0" or not text:
-        return SparseVector.zero()
-    entries = {}
-    for chunk in text.split():
-        idx, _, val = chunk.partition(":")
-        entries[int(idx)] = ctx.parse(val)
-    return SparseVector(entries)

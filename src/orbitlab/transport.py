@@ -117,7 +117,7 @@ def step_forward(state: TransportState, u: SparseVector, work: Workspace,
     """
     t = state.terms
     f = work.separator.functional(u)
-    target = u + t.apply(u)
+    target = u + t.apply(u, ctx)
     f_u = f.pair(u)
     bound = eps * abs(f_u)
     best: Optional[Scalar] = None
@@ -155,7 +155,7 @@ def step_backward(state: TransportState, u: SparseVector, work: Workspace,
         f_a = f.pair(a)
         if ctx.is_zero(f_a):
             continue
-        v = j.apply(w - a).scale(1 / f_a)
+        v = j.apply(w - a, ctx).scale(1 / f_a)
         size = minkowski(state.disk, v, ctx)
         if ctx.lt(size, eps):
             return f, v, a
@@ -308,7 +308,7 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
     j_op = state.operator
     match_ok, match_details = True, []
     for j, (n, m) in enumerate(zip(state.n_idx, state.m_idx), start=1):
-        image = j_op.apply(state.a.vector(n))
+        image = j_op.apply(state.a.vector(n), ctx)
         expected = state.b.vector(m)
         if not close(image, expected, ctx):
             match_ok = False
@@ -321,7 +321,7 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
     try:
         j_inv = invert(j_op, ctx)
         round_trip = all(
-            close(j_inv.apply(j_op.apply(e)), e, ctx)
+            close(j_inv.apply(j_op.apply(e, ctx), ctx), e, ctx)
             for e in (SparseVector.basis(i, ctx) for i in _window_indices(state))
         )
         add("invertible", round_trip, "Gram solve and window round trip")
@@ -333,7 +333,7 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
         if i in state.p.active:
             continue
         e = SparseVector.basis(i, ctx)
-        if not close(j_op.apply(e), e, ctx):
+        if not close(j_op.apply(e, ctx), e, ctx):
             kernel_ok = False
     add("kernel-fixed", kernel_ok, "J e_i = e_i outside the active set")
 

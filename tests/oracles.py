@@ -5,12 +5,18 @@ these helpers work on plain lists of row lists, share no code with it, and
 exist only to check it.  Likewise the program pairs a vector only with the
 terms its coordinate index finds; `apply_terms` and `dense_gram` pair every
 term.  The program sums exact products on integers; `sub_products`,
-`combination` and `triangularize` do every step in the scalars themselves.
+`combination`, `triangularize`, `apply_terms` and `weight_gauge` do every
+step in the scalars themselves.  The last part holds helpers that only the
+tests need: encoders, parsers and two predicates.
 """
 
-from orbitlab.errors import SingularOperator
+import csv
+
+from orbitlab.errors import NotInSpan, SingularOperator
 from orbitlab.operators import IDENTITY
-from orbitlab.scalars import EXACT
+from orbitlab.reports import Table
+from orbitlab.scalars import EXACT, format_scalar
+from orbitlab.serialize import encode_pairs
 from orbitlab.vectors import SparseVector, combine
 
 
@@ -18,6 +24,18 @@ def apply_terms(op, x):
     """base(x) + sum_j f_j(x) v_j by the plain loop over every term."""
     return combine([(f.pair(x), v) for f, v in op.terms],
                    x if op.base == IDENTITY else SparseVector.zero())
+
+
+def weight_gauge(weights, u, ctx=EXACT):
+    """sum_i |u_i| / d_i by the plain loop from ctx.zero; NotInSpan at the
+    first coordinate of u, in entry order, that carries no weight."""
+    total = ctx.zero
+    for i, v in u.entries.items():
+        d = weights.get(i)
+        if d is None:
+            raise NotInSpan(f"coordinate {i} carries no disk weight")
+        total += abs(v) / d
+    return total
 
 
 def dense_gram(terms):
@@ -242,3 +260,62 @@ def gram_solve(j, u, ctx=EXACT):
             for r, row in enumerate(dense_gram(j.terms))]
     coeffs = solve(gram, [f.pair(u) for f, _ in j.terms], ctx)
     return combine(((-c, v) for (_, v), c in zip(j.terms, coeffs)), u)
+
+
+# Inverses and predicates the program itself never needs: the scenario
+# encoders of seminorms and disks, the vector text parser, the CSV reader and
+# two support or dimension checks.
+
+def encode_weights(weights):
+    return [[i, format_scalar(w)] for i, w in sorted(weights.items())]
+
+
+def encode_seminorm(p):
+    return {"kind": p.kind, "weights": encode_weights(p.weights)}
+
+
+def encode_disk(d):
+    if d.weights is not None:
+        return {"weights": encode_weights(d.weights)}
+    return {"generators": [encode_pairs(g) for g in d.generators]}
+
+
+def parse_vector(text, ctx=EXACT):
+    """Inverse of `serialize.format_vector`."""
+    text = text.strip()
+    if text == "0" or not text:
+        return SparseVector.zero()
+    entries = {}
+    for chunk in text.split():
+        idx, _, val = chunk.partition(":")
+        entries[int(idx)] = ctx.parse(val)
+    return SparseVector(entries)
+
+
+def parse_csv_tables(blob):
+    """Inverse of `reports.emit_csv` on the tabular sections."""
+    tables = []
+    current = None
+    for line in blob.decode("utf-8").splitlines():
+        if line.startswith("# table: "):
+            current = Table(name=line[len("# table: "):], columns=[], rows=[])
+            tables.append(current)
+        elif not line.strip():
+            current = None
+        elif current is not None:
+            cells = next(csv.reader([line]))
+            if not current.columns:
+                current.columns = cells
+            else:
+                current.rows.append(cells)
+    return tables
+
+
+def kernel_contains(p, x):
+    """x lies in ker p: its support misses the active coordinates."""
+    return all(i not in p.weights for i in x.entries)
+
+
+def dense_span(premise):
+    """The premise span fills the whole probe window."""
+    return premise.window_meet_dim == premise.window_dim

@@ -10,8 +10,10 @@ import pytest
 from orbitlab import SparseVector, serialize
 from orbitlab.cli import main
 from orbitlab.errors import WorkbenchError
-from orbitlab.reports import emit_report, parse_csv_tables
+from orbitlab.reports import emit_report
 from orbitlab.scenarios import Scenario, ScenarioError, parse_eps_schedule, run_scenario
+
+import oracles
 
 
 def sv(*entries):
@@ -132,7 +134,7 @@ class TestEmission:
     def test_csv_round_trip_is_lossless(self):
         report = run_scenario(Scenario.from_dict(transport_scenario()))
         blob = emit_report(report, "csv")
-        tables = parse_csv_tables(blob)
+        tables = oracles.parse_csv_tables(blob)
         assert [t.to_dict() for t in tables] == [t.to_dict() for t in report.tables]
 
     def test_text_contains_verdict(self):

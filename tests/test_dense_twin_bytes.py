@@ -25,6 +25,8 @@ from orbitlab.reports import emit_report
 from orbitlab.scenarios import Scenario, run_scenario
 from test_transport import dense_twin_instance
 
+import oracles
+
 PINS_PATH = Path(__file__).resolve().parent / "data" / "dense_twin_digests.json"
 SEEDS = range(5)
 WINDOW, STAGES = 16, 3
@@ -38,7 +40,7 @@ def dense_twin_scenario(seed: int) -> dict:
         "payload": {
             "a": [serialize.encode_pairs(x) for x in a.items],
             "b": [serialize.encode_pairs(x) for x in b.items],
-            "p": serialize.encode_seminorm(p), "disk": serialize.encode_disk(disk),
+            "p": oracles.encode_seminorm(p), "disk": oracles.encode_disk(disk),
             "stages": STAGES, "eps_schedule": "geometric:1/2",
         },
     }

@@ -56,7 +56,7 @@ def test_float_inversion_and_tolerance_singularity():
         ((CoordFunctional({1: 1.0}), fsv(0.5)),),
     )
     j_inv = invert(j, FLOAT)
-    image = j_inv.apply(j.apply(fsv(1)))
+    image = j_inv.apply(j.apply(fsv(1), FLOAT), FLOAT)
     assert abs(image.get(1) - 1.0) < 1e-9
 
     nearly_singular = FiniteRankOperator(

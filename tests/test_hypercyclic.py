@@ -98,6 +98,59 @@ class TestBuildShiftOperator:
                               for i in rng.sample(range(1, 9), rng.randint(0, 6))})
             assert minkowski(disk, spec.operator.apply(x)) <= eval_seminorm(p, x)
 
+    def test_exact_continuity_loop_does_no_fraction_arithmetic_in_apply_or_gauge(
+            self, monkeypatch):
+        """The build-shift continuity check, p_D(S x) <= p(x) on 100 seeded
+        vectors: `FiniteRankOperator.apply` and the weight-form `minkowski`
+        sum on integers, so no Fraction is added, multiplied or divided while
+        either of them runs; `eval_seminorm` still does Fraction arithmetic."""
+        import os
+        import sys
+
+        import orbitlab.operators as operators
+        import orbitlab.seminorms as seminorms
+
+        rng = random.Random(17)
+        window = 9
+        us = [SparseVector({k: frac(1), **{i: frac(rng.randint(-4, 4), rng.choice([1, 3, 5]))
+                                           for i in rng.sample(range(1, k), min(k - 1, 3))}})
+              for k in range(1, window + 1)]
+        p = SeminormSpec.sup_on(range(1, window + 1))
+        disk = DiskSpec(weights={i: frac(rng.randint(1, 7), rng.choice([2, 3, 8]))
+                                 for i in range(1, window + 1)})
+        s = build_shift_operator(us, p, disk).operator
+        xs = [SparseVector({i: frac(rng.randint(-8, 8), rng.choice([1, 2, 4]))
+                            for i in rng.sample(range(1, window + 1), rng.randint(0, 5))})
+              for _ in range(100)]
+
+        here = os.path.normcase(operators.__file__)
+        gauge = (os.path.normcase(seminorms.__file__), "minkowski")
+        inside, elsewhere = [], []
+
+        def spied(name, op):
+            def wrapper(a, b):
+                frame = sys._getframe(1)
+                while frame is not None:
+                    code = frame.f_code
+                    where = os.path.normcase(code.co_filename)
+                    if where == here or (where, code.co_name) == gauge:
+                        inside.append((name, code.co_name))
+                        break
+                    frame = frame.f_back
+                else:
+                    elsewhere.append(name)
+                return op(a, b)
+            return wrapper
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__"):
+            monkeypatch.setattr(Fraction, name, spied(name, getattr(Fraction, name)))
+        bounded = [minkowski(disk, s.apply(x)) <= eval_seminorm(p, x) for x in xs]
+        monkeypatch.undo()
+        assert all(bounded)
+        assert inside == []
+        assert elsewhere  # the spy sees the seminorm's own Fraction products
+
     def test_maps_prefix_span_onto_smaller_span(self):
         spec, _, _ = standard_shift(6)
         indices = list(range(1, 7))
@@ -124,12 +177,12 @@ class TestRangeKernelPremise:
         t = spec.operator.plus_identity()
         report = range_kernel_premise_check(t, window=6, depth=6)
         assert report.window_meet_dim == 6
-        assert report.dense_span
+        assert oracles.dense_span(report)
 
     def test_zero_part_fails_premise(self):
         report = range_kernel_premise_check(FiniteRankOperator.identity(), window=4, depth=3)
         assert report.span_dim == 0
-        assert not report.dense_span
+        assert not oracles.dense_span(report)
 
     def test_single_jordan_block_depth_one(self):
         # S e_3 = e_2, S e_2 = e_1 on a 3-window: range(S) ∩ ker(S) = span(e_1)

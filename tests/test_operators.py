@@ -21,7 +21,7 @@ from orbitlab import (
 )
 from orbitlab.errors import BudgetExceeded, SingularOperator
 from orbitlab.operators import IDENTITY, ZERO, GramFactor
-from orbitlab.scalars import FLOAT
+from orbitlab.scalars import EXACT, FLOAT
 from orbitlab.vectors import close
 
 import orbitlab.linalg as linalg
@@ -236,7 +236,7 @@ class TestSolve:
                 IDENTITY, tuple((as_float(f), as_float(v)) for f, v in j.terms))
             w = gram_solve(j_float, as_float(u), FLOAT)
             assert close(w, as_float(exact), FLOAT)
-            assert close(j_float.apply(w), as_float(u), FLOAT)
+            assert close(j_float.apply(w, FLOAT), as_float(u), FLOAT)
             checked += 1
         assert checked > 60
 
@@ -315,7 +315,7 @@ class TestGramFactor:
                 IDENTITY, tuple((as_float(f), as_float(v)) for f, v in j.terms))
             w = factored(j_float, FLOAT).solve(as_float(u))
             assert close(w, as_float(exact), FLOAT)
-            assert close(j_float.apply(w), as_float(u), FLOAT)
+            assert close(j_float.apply(w, FLOAT), as_float(u), FLOAT)
             checked += 1
         assert checked == 100
 
@@ -376,38 +376,38 @@ class TestCoordIndex:
         rng = random.Random(seed)
         for name, terms in index_families(rng):
             xs = index_probes(rng)
-            ctx = None
+            ctx = EXACT
             if mode == "float":
                 terms, xs, ctx = float_terms(terms), [as_float(x) for x in xs], FLOAT
             yield name, terms, xs, ctx
 
     def test_apply_matches_the_term_loop(self, mode):
         for seed in range(6):
-            for name, terms, xs, _ in self.cases(mode, seed):
+            for name, terms, xs, ctx in self.cases(mode, seed):
                 for base in (IDENTITY, ZERO):
                     op = FiniteRankOperator(base, terms)
                     for x in xs:
-                        assert bits(op.apply(x)) == bits(apply_terms(op, x)), (name, base, x)
+                        assert bits(op.apply(x, ctx)) == bits(apply_terms(op, x)), (name, base, x)
 
     def test_empty_operator_and_shared_index(self, mode):
-        for name, terms, xs, _ in self.cases(mode, 0):
+        for name, terms, xs, ctx in self.cases(mode, 0):
             for x in xs:
-                assert FiniteRankOperator.identity().apply(x) is x
-                assert FiniteRankOperator.zero().apply(x).is_zero()
+                assert FiniteRankOperator.identity().apply(x, ctx) is x
+                assert FiniteRankOperator.zero().apply(x, ctx).is_zero()
             op = FiniteRankOperator(ZERO, terms)
-            op.apply(xs[0])
+            op.apply(xs[0], ctx)
             j = op.plus_identity()
             assert j.coord_index is op.coord_index and j.linear_part().coord_index is op.coord_index
             assert j == FiniteRankOperator(IDENTITY, terms)
             assert hash(j) == hash(FiniteRankOperator(IDENTITY, terms))
             assert repr(j) == repr(FiniteRankOperator(IDENTITY, terms))
             for x in xs:
-                assert bits(j.apply(x)) == bits(apply_terms(j, x)), name
+                assert bits(j.apply(x, ctx)) == bits(apply_terms(j, x)), name
 
     def test_compose_matches_the_term_loop(self, mode):
         for seed in range(4):
             cases = list(self.cases(mode, seed))
-            for (name, terms, xs, _), (_, others, _, _) in zip(cases, cases[1:] + cases[:1]):
+            for (name, terms, xs, ctx), (_, others, _, _) in zip(cases, cases[1:] + cases[:1]):
                 for base, other_base in ((IDENTITY, IDENTITY), (ZERO, IDENTITY),
                                          (IDENTITY, ZERO)):
                     a = FiniteRankOperator(base, terms)
@@ -416,7 +416,7 @@ class TestCoordIndex:
                     expected = [(g, w) for g, w in images if not w.is_zero()]
                     if other_base == IDENTITY:
                         expected += list(a.terms)
-                    composed = a.compose(b)
+                    composed = a.compose(b, ctx)
                     assert composed.base == (IDENTITY if base == other_base == IDENTITY else ZERO)
                     assert [(g, bits(w)) for g, w in composed.terms] == \
                         [(g, bits(w)) for g, w in expected], name
@@ -434,17 +434,17 @@ class TestCoordIndex:
         for seed in range(6):
             for name, terms, xs, ctx in self.cases(mode, seed):
                 j = FiniteRankOperator(IDENTITY, terms)
-                one = FLOAT.one if ctx else Fraction(1)
+                one = ctx.one
                 seen.clear()
                 try:
-                    j_inv = invert(j, ctx) if ctx else invert(j)
+                    j_inv = invert(j, ctx)
                     inverted += 1
                 except SingularOperator:
                     pass
                 expected = [[g + (one if r == c else 0) for c, g in enumerate(row)]
                             for r, row in enumerate(dense_gram(terms))]
                 assert seen == [[scalar_bits(row) for row in expected]], name
-                if ctx is None and seen:
+                if ctx.exact and seen:
                     for x in xs:
                         assert j_inv.apply(j.apply(x)) == x
         assert inverted > 12
@@ -466,7 +466,7 @@ class TestCoordIndex:
         solved = 0
         for seed in range(6):
             for name, terms, xs, ctx in self.cases(mode, seed):
-                gram = GramFactor(ctx) if ctx else GramFactor()
+                gram = GramFactor(ctx)
                 dense = dense_gram(terms)
                 try:
                     for m, (f, v) in enumerate(terms):
@@ -478,12 +478,137 @@ class TestCoordIndex:
                         calls.clear()
                         w = gram.solve(x)
                         assert calls == [scalar_bits([f.pair(x) for f, _ in terms])], name
-                        if ctx is None:
+                        if ctx.exact:
                             assert w == gram_solve(FiniteRankOperator(IDENTITY, terms), x)
                         solved += 1
                 except SingularOperator:
                     continue
         assert solved > 60
+
+
+def entry_bits(x):
+    """A vector's entries in insertion order, with type and repr."""
+    return [(i, type(v), repr(v)) for i, v in x.entries.items()]
+
+
+def rows_families(rng):
+    """`index_families` plus families aimed at the integer path of `apply`:
+    denominators of 2^-40 next to small ones, pairings that vanish, a
+    coordinate that cancels and comes back, and a sum that cancels x."""
+    tiny = 2 ** 40
+
+    def wide(cls, coords):
+        return cls({i: Fraction(rng.choice([-7, -1, 1, 3]), rng.choice([1, 6, tiny, 3 * tiny]))
+                    for i in coords})
+
+    window = range(1, INDEX_WINDOW + 1)
+    wide_terms = [(wide(CoordFunctional, rng.sample(window, 4)),
+                   wide(SparseVector, rng.sample(window, 3))) for _ in range(6)]
+    # coordinate 1 of x = e_1/3 + 5/7 e_2 goes to 0 after the first term and
+    # comes back, last, after the second; the third pairs x to 0
+    comeback = [(CoordFunctional({1: Fraction(1)}), SparseVector({1: Fraction(-1)})),
+                (CoordFunctional({2: Fraction(3)}),
+                 SparseVector({3: Fraction(1, 2), 1: Fraction(7, 15)})),
+                (CoordFunctional({1: Fraction(15, 7), 2: Fraction(-1)}),
+                 SparseVector({4: Fraction(1)}))]
+    # on x = e_1 + e_2 the identity-based sum is 0
+    cancel = [(CoordFunctional({1: Fraction(1)}), SparseVector({1: Fraction(-1)})),
+              (CoordFunctional({2: Fraction(2)}), SparseVector({2: Fraction(-1, 2)}))]
+    return index_families(rng) + [("wide", wide_terms), ("comeback", comeback),
+                                  ("cancel", cancel)]
+
+
+def rows_probes(rng):
+    tiny = 2 ** 40
+    return index_probes(rng) + [
+        SparseVector({1: Fraction(1, 3), 2: Fraction(5, 7)}),
+        SparseVector({1: Fraction(1), 2: Fraction(1)}),
+        SparseVector({i: Fraction(rng.randint(-9, 9) or 1, rng.choice([1, tiny, 5 * tiny]))
+                      for i in rng.sample(range(1, INDEX_WINDOW + 1), 6)}),
+    ]
+
+
+class TestExactApply:
+    """Exact `apply` sums on integer rows; it must give what the plain term
+    loop gives, entry for entry, in the same order and with the same types."""
+
+    def assert_matches_the_loop(self, op, x, ctx, name):
+        got, want = op.apply(x, ctx), apply_terms(op, x)
+        assert entry_bits(got) == entry_bits(want), (name, op.base, x)
+        if want is x:
+            assert got is x, name
+        # coordinates no term touched keep x's own scalar objects
+        for i, v in want.entries.items():
+            if v is x.entries.get(i):
+                assert got.entries[i] is v, (name, i)
+
+    def test_matches_the_term_loop_on_seeded_families(self):
+        for seed in range(8):
+            rng = random.Random(seed)
+            xs = rows_probes(rng)
+            for name, terms in rows_families(rng):
+                for base in (IDENTITY, ZERO):
+                    op = FiniteRankOperator(base, terms)
+                    for x in xs:
+                        self.assert_matches_the_loop(op, x, EXACT, name)
+
+    def test_a_coordinate_that_cancels_comes_back_last(self):
+        rng = random.Random(0)
+        terms = dict(rows_families(rng))["comeback"]
+        x = SparseVector({1: Fraction(1, 3), 2: Fraction(5, 7)})
+        image = FiniteRankOperator(IDENTITY, terms).apply(x)
+        assert list(image.entries) == [2, 3, 1]
+        assert image.entries == {2: Fraction(5, 7), 3: Fraction(15, 14), 1: Fraction(1)}
+        assert FiniteRankOperator(ZERO, terms[:1]).apply(x) == SparseVector({1: Fraction(-1, 3)})
+
+    def test_a_sum_that_cancels_x_is_the_zero_vector(self):
+        terms = dict(rows_families(random.Random(0)))["cancel"]
+        image = FiniteRankOperator(IDENTITY, terms).apply(SparseVector({1: Fraction(1), 2: Fraction(1)}))
+        assert image.is_zero() and type(image) is SparseVector
+
+    def test_term_rows_are_shared_and_extended(self):
+        rng = random.Random(11)
+        xs = rows_probes(rng)
+        for name, terms in rows_families(rng):
+            op = FiniteRankOperator.zero()
+            for f, v in terms:
+                grown = op.with_term(f, v)
+                for x in xs:
+                    self.assert_matches_the_loop(grown, x, EXACT, name)
+                    # the shorter operator still reads only its own terms
+                    self.assert_matches_the_loop(op, x, EXACT, name)
+                    rows = grown._term_rows
+                    j = grown.plus_identity()
+                    assert j._term_rows is rows
+                    self.assert_matches_the_loop(j, x, EXACT, name)
+                op = grown
+
+    def test_float_mode_is_the_plain_loop_bit_for_bit(self):
+        for seed in range(4):
+            rng = random.Random(seed)
+            xs = [as_float(x) for x in rows_probes(rng)]
+            for name, terms in rows_families(rng):
+                for base in (IDENTITY, ZERO):
+                    op = FiniteRankOperator(base, float_terms(terms))
+                    for x in xs:
+                        self.assert_matches_the_loop(op, x, FLOAT, name)
+
+    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+    def test_orbit_compose_and_matrix_take_the_context(self, ctx):
+        rng = random.Random(5)
+        terms = dict(rows_families(rng))["dense"]
+        x0 = rows_probes(rng)[4]
+        if ctx is FLOAT:
+            terms, x0 = float_terms(terms), as_float(x0)
+        t = FiniteRankOperator(IDENTITY, terms).linear_part()
+        plain = [x0]
+        for _ in range(3):
+            plain.append(apply_terms(t, plain[-1]))
+        assert [entry_bits(x) for x in orbit(t, x0, 4, ctx)] == [entry_bits(x) for x in plain]
+        twice = t.compose(t, ctx)
+        assert entry_bits(twice.apply(x0, ctx)) == entry_bits(apply_terms(twice, x0))
+        cols = [apply_terms(t, SparseVector.basis(j, ctx)) for j in range(1, 5)]
+        assert t.matrix_on(range(1, 5), ctx) == [[c.get(i) for c in cols] for i in range(1, 5)]
 
 
 class TestCompose:

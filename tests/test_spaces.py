@@ -66,8 +66,8 @@ class TestEvalSeminorm:
     def test_kernel_membership_by_support(self):
         p = SeminormSpec.sup_on([1])
         assert eval_seminorm(p, SparseVector.basis(2)) == 0
-        assert p.kernel_contains(SparseVector.basis(2))
-        assert not p.kernel_contains(sv(1, 1))
+        assert oracles.kernel_contains(p, SparseVector.basis(2))
+        assert not oracles.kernel_contains(p, sv(1, 1))
 
     def test_l1_kind(self):
         p = SeminormSpec.l1_on([1, 2, 3])
@@ -142,6 +142,47 @@ class TestMinkowski:
         d = DiskSpec.l1_on([1, 2])
         with pytest.raises(NotInSpan):
             minkowski(d, SparseVector.basis(3))
+
+    def weight_gauge_cases(self, seed):
+        """(weights, u) pairs: small and 2^-40 denominators on both sides,
+        u with no entry, one entry and every weighted entry, and u with one or
+        two coordinates outside the weights (first in entry order, or later)."""
+        rng = random.Random(seed)
+        tiny = 2 ** 40
+        for _ in range(30):
+            coords = rng.sample(range(1, 13), rng.randint(1, 8))
+            weights = {i: Fraction(rng.randint(1, 9), rng.choice([1, 2, 7, tiny])) for i in coords}
+            picked = rng.sample(coords, rng.randint(0, len(coords)))
+            u = {i: Fraction(rng.choice([-5, -1, 2, 3]), rng.choice([1, 3, tiny, 6 * tiny]))
+                 for i in picked}
+            yield weights, SparseVector(u)
+            outside = rng.sample([13, 14, 15], 2)
+            yield weights, SparseVector({outside[0]: Fraction(1), **u, outside[1]: Fraction(2)})
+            yield weights, SparseVector({**u, outside[1]: Fraction(-1, 3)})
+
+    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+    def test_weight_form_matches_the_plain_loop(self, ctx):
+        """Same value, type and repr as `total += abs(u_i) / d_i` from ctx.zero,
+        and the same NotInSpan message for the first unweighted coordinate."""
+        checked = raised = 0
+        for seed in range(4):
+            for weights, u in self.weight_gauge_cases(seed):
+                if ctx is FLOAT:
+                    weights = {i: float(w) for i, w in weights.items()}
+                    u = as_float(u)
+                disk = DiskSpec(weights=weights)
+                try:
+                    want = oracles.weight_gauge(disk.weights, u, ctx)
+                except NotInSpan as exc:
+                    with pytest.raises(NotInSpan) as got:
+                        minkowski(disk, u, ctx)
+                    assert str(got.value) == str(exc)
+                    raised += 1
+                    continue
+                got = minkowski(disk, u, ctx)
+                assert (type(got), repr(got)) == (type(want), repr(want))
+                checked += 1
+        assert checked >= 100 and raised >= 200
 
     def test_generator_basis(self):
         d = DiskSpec.from_generators([SparseVector.basis(1), SparseVector.basis(2)])

@@ -349,28 +349,38 @@ class TestIncrementalWorkspace:
 
     def test_operators_make_no_pairing_across_disjoint_supports(self, monkeypatch):
         """Every pairing that `operators` makes (apply, invert, GramFactor) in a
-        dense-twin run and its verification meets a shared coordinate; the
-        steps' own pairings and pool scans are not counted."""
+        dense-twin run and its verification meets a shared coordinate, whether
+        it pairs the maps (`CoordFunctional.pair`) or, as exact `apply` does,
+        their integer rows (`operators._dot`); the steps' own pairings and pool
+        scans are not counted."""
         import os
         import sys
 
         import orbitlab.operators as operators
 
         here = os.path.normcase(operators.__file__)
-        pair, made, wasted = CoordFunctional.pair, {}, []
+        pair, dot, made, wasted = CoordFunctional.pair, operators._dot, {}, []
 
-        def guarded(self, x):
-            frame = sys._getframe(1)
+        def record(a, b):
+            frame = sys._getframe(2)
             while frame.f_code.co_name.startswith("<"):  # comprehensions
                 frame = frame.f_back
             if os.path.normcase(frame.f_code.co_filename) == here:
                 name = frame.f_code.co_name
                 made[name] = made.get(name, 0) + 1
-                if not set(self.entries) & set(x.entries):
-                    wasted.append((name, self, x))
+                if not set(a) & set(b):
+                    wasted.append((name, a, b))
+
+        def guarded(self, x):
+            record(self.entries, x.entries)
             return pair(self, x)
 
+        def guarded_dot(a, b):
+            record(a, b)
+            return dot(a, b)
+
         monkeypatch.setattr(CoordFunctional, "pair", guarded)
+        monkeypatch.setattr(operators, "_dot", guarded_dot)
         a, b, p, d = dense_twin_instance(random.Random(3), 16, 3)
         _, state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
         assert verify_transport(state).passed
