@@ -11,8 +11,8 @@ S^m e_i pushed through `FiniteRankOperator.apply`, ranks come from row
 reduction of those sparse columns (`linalg.row_rank`), and no matrix power
 is ever multiplied out.  In exact mode `apply`, the weight-form disk gauge
 and the ranks work on integers and build a Fraction only for an entry of
-their result.  The only dense
-systems are the nullspace of S^{2n} and the witness's active-row solve.
+their result.  The nullspace of S^{2n} and the witness's active-row solve
+are one `linalg.RowReducer.of` each, on sparse rows.
 """
 
 from __future__ import annotations
@@ -110,10 +110,16 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
     union: List[Dict[int, Scalar]] = []
     for n in range(1, depth + 1):
         dim_range = linalg.row_rank((col.entries for col in powers[n]), ctx)
-        double = [[col.get(i) for col in powers[2 * n]] for i in ambient]
+        # the rows of S^{2n}, one per coordinate, column c for e_{c+1}
+        double: List[Dict[int, Scalar]] = [{} for _ in ambient]
+        for c, col in enumerate(powers[2 * n]):
+            for i, v in col.entries.items():
+                double[i - 1][c] = v
+        red = linalg.RowReducer.of(double, ctx)
         meet = [
-            combine((c, col) for c, col in zip(y, powers[n]) if not ctx.is_zero(c)).entries
-            for y in linalg.nullspace(double, cols=top, ctx=ctx)
+            combine((c, powers[n][i]) for i, c in red.null_vector(fc).items()
+                    if not ctx.is_zero(c)).entries
+            for fc in range(top) if fc not in red.rows
         ]
         union += meet
         rows.append(PremiseRow(
@@ -177,8 +183,16 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
         tnx = step(t, tnx)
         tne = [step(t, v) for v in tne]
         gap = [y.get(i) - tnx.get(i) for i in active_rows]
-        block = [[v.get(i) for v in tne] for i in active_rows]
-        sol = linalg.solve_any(block, gap, ctx) if free_cols else None
+        # sol maps the position of a free column to its non-zero coefficient,
+        # read off the augmented column k; None when the active rows cannot be met
+        k, sol = len(free_cols), None
+        if k:
+            red = linalg.RowReducer.of(
+                [{c: v.entries[i] for c, v in enumerate(tne) if i in v.entries} | {k: g}
+                 for i, g in zip(active_rows, gap)], ctx)
+            if k not in red.rows:
+                sol = {pc: row[k] for pc, row in red.rows.items()
+                       if not ctx.is_zero(row.get(k, 0))}
         if sol is None:
             residual = SparseVector(
                 {i: g for i, g in zip(active_rows, gap) if not ctx.is_zero(g)}
@@ -187,12 +201,9 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
             if drift < best_res:
                 best_n, best_res = n, drift
             continue
-        correction = SparseVector(
-            {j: c for j, c in zip(free_cols, sol) if not ctx.is_zero(c)}
-        )
-        z = x + correction
+        z = x + SparseVector({free_cols[pc]: c for pc, c in sol.items()})
         res_x = eval_seminorm(p, z - x)
-        image = combine(((c, v) for v, c in zip(tne, sol) if not ctx.is_zero(c)), tnx)
+        image = combine(((c, tne[pc]) for pc, c in sol.items()), tnx)
         res_y = eval_seminorm(p, image - y)
         worst = max(res_x, res_y)
         if ctx.lt(res_x, eps) and ctx.lt(res_y, eps):

@@ -3,10 +3,12 @@
 Three forms, each written once, with one row step per number type:
 
 - `RowReducer`, the sparse reduced row echelon form of dict-backed rows,
-  built from rows given at once (`of`: Gauss-Jordan elimination, behind
-  `nullspace`, `solve_any` and `invert_matrix`) or grown one row at a time
-  (`try_add`: the separating-functional picks).  Both share one scalar row
-  step; the pivot choice is the scalar context's `pivot_weight`.
+  built from rows given at once (`of`: Gauss-Jordan elimination, behind the
+  premise's nullspaces, the witness's solves and the Gram inverse) or grown
+  one row at a time (`try_add`: the separating-functional picks).  Both
+  share one scalar row step; the pivot choice is the scalar context's
+  `pivot_weight`.  Callers hand it sparse rows and read nullspace vectors
+  (`null_vector`) or an augmented column off its rows.
 - `Echelon`, a row echelon form grown one row at a time that answers only
   rank and independence questions (`row_rank`, `independent`).  In exact
   mode it is fraction-free: each row is scaled to coprime integers and
@@ -23,57 +25,9 @@ Three forms, each written once, with one row step per number type:
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .errors import SingularOperator
 from .scalars import EXACT, Scalar, ScalarContext
-
-Matrix = List[List[Scalar]]
-
-
-def _rows(a: Matrix) -> List[Dict[int, Scalar]]:
-    return [{j: v for j, v in enumerate(row) if v} for row in a]
-
-
-def nullspace(a: Matrix, cols: Optional[int] = None, ctx: ScalarContext = EXACT) -> List[List[Scalar]]:
-    """Deterministic nullspace basis, one vector per free column."""
-    if cols is None:
-        cols = len(a[0]) if a else 0
-    red = RowReducer.of(_rows(a), ctx)
-    basis = []
-    for fc in range(cols):
-        if fc not in red.rows:
-            vec = [ctx.zero] * cols
-            for i, v in red.null_vector(fc).items():
-                vec[i] = v
-            basis.append(vec)
-    return basis
-
-
-def solve_any(a: Matrix, b: Sequence[Scalar], ctx: ScalarContext = EXACT) -> Optional[List[Scalar]]:
-    """Any exact solution of a (possibly rectangular) system; None if none."""
-    cols = len(a[0]) if a else 0
-    rows = _rows(a)
-    for row, bi in zip(rows, b):
-        row[cols] = bi
-    red = RowReducer.of(rows, ctx)
-    if cols in red.rows:
-        return None
-    x = [ctx.zero] * cols
-    for pc, row in red.rows.items():
-        x[pc] = row.get(cols, ctx.zero)
-    return x
-
-
-def invert_matrix(a: Matrix, ctx: ScalarContext = EXACT) -> Matrix:
-    n = len(a)
-    rows = _rows(a)
-    for i, row in enumerate(rows):
-        row[n + i] = ctx.one
-    red = RowReducer.of(rows, ctx)
-    if any(pc >= n for pc in red.rows):
-        raise SingularOperator(f"{n}x{n} matrix is not invertible")
-    return [[red.rows[i].get(n + j, ctx.zero) for j in range(n)] for i in range(n)]
 
 
 class RowReducer:

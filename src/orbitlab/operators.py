@@ -327,24 +327,29 @@ def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOpera
     """Exact inverse of I + sum f_j (.) v_j via the Gram system.
 
     The inverse is I - sum_j f_j (.) u_j with u_j = sum_i M_ij v_i and
-    M = (I_k + G)^{-1}, G_ij = f_i(v_j).  SingularOperator when I_k + G is
-    singular, i.e. when the operator annihilates some vector.
+    M = (I_k + G)^{-1}, G_ij = f_i(v_j), read off one pivoting
+    `linalg.RowReducer.of` of [I_k + G | I_k], independent of `GramFactor`.
+    SingularOperator when I_k + G is singular, i.e. when the operator
+    annihilates some vector.
     """
     if j.base != IDENTITY:
         raise ValueError("inversion expects an identity-plus-finite-rank operator")
     if not j.terms:
         return FiniteRankOperator.identity()
-    terms, coords = j.terms, j.coord_index
-    gram: List[List[Scalar]] = [[0] * len(terms) for _ in terms]
+    terms, coords, k = j.terms, j.coord_index, len(j.terms)
+    # the sparse rows of [I_k + G | I_k], each in ascending column order
+    gram: List[Dict[int, Scalar]] = [{} for _ in terms]
     for c, (_, v) in enumerate(terms):
         for r in coords.hits(v):
             gram[r][c] = terms[r][0].pair(v)
-    for r, row in enumerate(gram):
-        row[r] += ctx.one
-    m = linalg.invert_matrix(gram, ctx)
+        gram[c][c] = gram[c].get(c, 0) + ctx.one
+    red = linalg.RowReducer.of(
+        [{c: g for c, g in row.items() if g} | {k + r: ctx.one} for r, row in enumerate(gram)], ctx)
+    if any(pc >= k for pc in red.rows):
+        raise SingularOperator(f"{k}x{k} matrix is not invertible")
     new_terms = []
-    for col, (f, _) in enumerate(j.terms):
-        u = combine((row[col], v) for row, (_, v) in zip(m, j.terms))
+    for col, (f, _) in enumerate(terms):
+        u = combine((red.rows[r].get(k + col, 0), v) for r, (_, v) in enumerate(terms))
         new_terms.append((f, -u))
     return FiniteRankOperator(IDENTITY, tuple(new_terms))
 

@@ -182,9 +182,9 @@ class Separator:
 
     Keeps the constraints' active projections in a `linalg.RowReducer`, whose
     rows are their reduced row echelon form keyed by pivot coordinate.  The
-    nullspace vector of a free coordinate c is `RowReducer.null_vector(c)`, as
-    in the basis `linalg.nullspace` returns, and RREF is unique, so
-    `functional` picks the f that a from-scratch solve picks.
+    nullspace vector of a free coordinate c is `RowReducer.null_vector(c)`,
+    and RREF is unique, so `functional` picks the f that a from-scratch
+    `RowReducer.of` of the same projections picks.
     """
 
     def __init__(self, p: SeminormSpec, ctx: ScalarContext = EXACT):

@@ -147,5 +147,5 @@ def combine(terms: Iterable[Tuple[Scalar, _FiniteMap]], start: Optional[_FiniteM
 
 def close(x: _FiniteMap, y: _FiniteMap, ctx: ScalarContext) -> bool:
     """Every entry of x - y is ctx.is_zero: x == y in exact mode, entry-wise
-    within the tolerance in float mode."""
-    return all(ctx.is_zero(v) for v in (x - y).entries.values())
+    within the tolerance in float mode.  Equal maps build no difference."""
+    return x == y or all(ctx.is_zero(v) for v in (x - y).entries.values())

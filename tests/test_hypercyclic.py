@@ -13,7 +13,6 @@ from orbitlab import (
     SparseVector,
     eval_seminorm,
     invert,
-    linalg,
     minkowski,
     orbit,
 )
@@ -447,7 +446,7 @@ def operator_mapping(pairs, window):
     terms = []
     for col, (_, image) in enumerate(pairs):
         rhs = [Fraction(int(c == col)) for c in range(len(pairs))]
-        dual = linalg.solve_any(rows, rhs)
+        dual = oracles.solve_any(rows, rhs)
         assert dual is not None
         f = CoordFunctional({i + 1: v for i, v in enumerate(dual) if v != 0})
         terms.append((f, image))

@@ -1,6 +1,6 @@
 """Exact elimination: the row reducer built at once and one row at a time,
-the fraction-free echelon form behind every rank test, nullspaces, solves,
-and the dense oracles the other tests rely on."""
+the nullspaces, solves and inverses read off it, the fraction-free echelon
+form behind every rank test, and the dense oracles the other tests rely on."""
 
 import math
 import random
@@ -78,7 +78,8 @@ def test_nullspace_vectors_annihilate():
         rows = rng.randint(0, 3)
         cols = rng.randint(1, 5)
         a = rand_matrix(rng, rows, cols)
-        basis = linalg.nullspace(a, cols=cols)
+        basis = null_basis(a, cols)
+        assert basis == oracles.nullspace(a, cols=cols)
         assert len(basis) == cols - oracles.rank(a)
         for vec in basis:
             assert all(sum(r[j] * vec[j] for j in range(cols)) == 0 for r in a)
@@ -86,12 +87,14 @@ def test_nullspace_vectors_annihilate():
 
 def test_solve_any_finds_feasible_or_none():
     a = [[Fraction(1), Fraction(1), Fraction(0)]]
-    x = linalg.solve_any(a, [Fraction(3)])
+    x = solve_augmented(a, [Fraction(3)])
     assert x is not None
     assert x[0] + x[1] == 3
+    assert x == oracles.solve_any(a, [Fraction(3)])
     # inconsistent system
     a2 = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
-    assert linalg.solve_any(a2, [Fraction(1), Fraction(2)]) is None
+    assert solve_augmented(a2, [Fraction(1), Fraction(2)]) is None
+    assert oracles.solve_any(a2, [Fraction(1), Fraction(2)]) is None
 
 
 def test_invert_matrix_round_trip():
@@ -102,8 +105,10 @@ def test_invert_matrix_round_trip():
         a = rand_matrix(rng, n)
         if oracles.determinant(a) == 0:
             continue
-        inv = linalg.invert_matrix(a)
+        inv = inverse(a)
         assert oracles.mat_mul(a, inv) == oracles.identity_matrix(n)
+        assert [list(col) for col in zip(*inv)] == \
+            [oracles.solve(a, e) for e in oracles.identity_matrix(n)]
         done += 1
 
 
@@ -285,7 +290,7 @@ def test_float_mode_pivots_by_magnitude():
     assert abs(x[1] - 1.0) < 1e-9
     assert abs(oracles.determinant(a, FLOAT) - (1e-30 - 1.0)) < 1e-9
     # 1e-10 is above the tolerance: pivoting on it leaves a residual of 1e-10
-    for x in (linalg.solve_any([[1e-10, 1.0], [1.0, 1.0]], [1.0, 2.0], FLOAT),
+    for x in (solve_augmented([[1e-10, 1.0], [1.0, 1.0]], [1.0, 2.0], FLOAT),
               oracles.solve_any([[1e-10, 1.0], [1.0, 1.0]], [1.0, 2.0], FLOAT)):
         assert abs(1e-10 * x[0] + x[1] - 1.0) < 1e-15
         assert abs(x[0] + x[1] - 2.0) < 1e-15
@@ -304,6 +309,32 @@ def pivot_rows(red, pivots, ctx=EXACT):
 
 def sparse(a):
     return [{j: v for j, v in enumerate(row) if v} for row in a]
+
+
+def null_basis(a, cols, ctx=EXACT):
+    """The dense nullspace basis of `RowReducer.of`: `null_vector` of each free column."""
+    red = linalg.RowReducer.of(sparse(a), ctx)
+    return [[red.null_vector(fc).get(j, ctx.zero) for j in range(cols)]
+            for fc in range(cols) if fc not in red.rows]
+
+
+def solve_augmented(a, b, ctx=EXACT):
+    """A solution read off the augmented column of `RowReducer.of`, the right-hand
+    side kept even where it is zero; None when that column pivots."""
+    cols = len(a[0]) if a else 0
+    red = linalg.RowReducer.of([row | {cols: bi} for row, bi in zip(sparse(a), b)], ctx)
+    if cols in red.rows:
+        return None
+    return [red.rows[c].get(cols, ctx.zero) if c in red.rows else ctx.zero
+            for c in range(cols)]
+
+
+def inverse(a, ctx=EXACT):
+    """The inverse read off `RowReducer.of` of [A | I]; no pivot lands in the I block."""
+    n = len(a)
+    red = linalg.RowReducer.of([row | {n + i: ctx.one} for i, row in enumerate(sparse(a))], ctx)
+    assert all(pc < n for pc in red.rows)
+    return [[red.rows[i].get(n + j, ctx.zero) for j in range(n)] for i in range(n)]
 
 
 def zero_heavy_matrix(rng, rows, cols):
@@ -341,7 +372,7 @@ def test_rref_float_mode_leaks_no_int():
         rows = linalg.RowReducer.of(sparse(a), FLOAT).rows
         assert rows == pivot_rows(*oracles.rref(a, FLOAT), FLOAT)
         assert all(type(v) is float for row in rows.values() for v in row.values())
-        assert all(type(v) is float for v in linalg.solve_any(a, [1.0] * len(a), FLOAT) or [])
+        assert all(type(v) is float for v in solve_augmented(a, [1.0] * len(a), FLOAT) or [])
 
 
 def test_float_pivot_ties_go_to_the_first_row():
@@ -368,9 +399,9 @@ def test_zero_heavy_nullspace_and_solve_agree_with_oracle():
         else:
             with pytest.raises(SingularOperator):
                 oracles.solve(a, b)
-        assert linalg.nullspace(a) == oracles.nullspace(a)
-        assert linalg.solve_any(a, b) == oracles.solve_any(a, b)
-        for vec in linalg.nullspace(a):
+        assert null_basis(a, n) == oracles.nullspace(a)
+        assert solve_augmented(a, b) == oracles.solve_any(a, b)
+        for vec in null_basis(a, n):
             assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in a)
 
 

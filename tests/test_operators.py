@@ -139,6 +139,10 @@ class TestInvert:
         j = FiniteRankOperator(IDENTITY, ((delta(1), sv(-1)),))
         with pytest.raises(SingularOperator):
             invert(j)
+        # f_2(v_2) = -1 makes I_2 + G singular: a pivot lands in the identity block
+        j = FiniteRankOperator(IDENTITY, ((delta(1), sv(0, 1)), (delta(2), sv(0, -1))))
+        with pytest.raises(SingularOperator, match="^2x2 matrix is not invertible$"):
+            invert(j)
 
     def test_round_trip_on_random_certified_operators(self):
         rng = random.Random(37)
@@ -422,14 +426,16 @@ class TestCoordIndex:
                         [(g, bits(w)) for g, w in expected], name
 
     def test_invert_builds_the_dense_gram(self, mode, monkeypatch):
+        """`invert` hands `RowReducer.of` the non-zero entries of [I_k + G | I_k],
+        row by row in ascending column order, bit for bit as the dense Gram."""
         seen = []
-        invert_matrix = linalg.invert_matrix
+        of = linalg.RowReducer.of
 
-        def spy(a, ctx):
-            seen.append([scalar_bits(row) for row in a])
-            return invert_matrix(a, ctx)
+        def spy(rows, ctx):
+            seen.append([(list(row), scalar_bits(row.values())) for row in rows])
+            return of(rows, ctx)
 
-        monkeypatch.setattr(linalg, "invert_matrix", spy)
+        monkeypatch.setattr(linalg.RowReducer, "of", spy)
         inverted = 0
         for seed in range(6):
             for name, terms, xs, ctx in self.cases(mode, seed):
@@ -441,9 +447,13 @@ class TestCoordIndex:
                     inverted += 1
                 except SingularOperator:
                     pass
-                expected = [[g + (one if r == c else 0) for c, g in enumerate(row)]
+                k = len(terms)
+                expected = [{c: g + (one if r == c else 0) for c, g in enumerate(row)}
                             for r, row in enumerate(dense_gram(terms))]
-                assert seen == [[scalar_bits(row) for row in expected]], name
+                expected = [{c: g for c, g in row.items() if g} | {k + r: one}
+                            for r, row in enumerate(expected)]
+                assert seen == [[(list(row), scalar_bits(row.values()))
+                                 for row in expected]], name
                 if ctx.exact and seen:
                     for x in xs:
                         assert j_inv.apply(j.apply(x)) == x

@@ -22,6 +22,7 @@ from orbitlab.density import Enumeration
 from orbitlab.errors import NoSeparation, NotInSpan, NotPBounded
 from orbitlab.scalars import EXACT, FLOAT
 from orbitlab.seminorms import Separator
+from orbitlab import vectors
 from orbitlab.vectors import close, combine
 
 import oracles
@@ -442,6 +443,29 @@ class TestCombine:
     def test_mixed_kinds_rejected(self):
         with pytest.raises(TypeError):
             combine([(1, cf(1))], sv(1))
+
+
+class TestClose:
+    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+    @pytest.mark.parametrize("kind", [SparseVector, CoordFunctional])
+    def test_equal_maps_build_no_difference(self, ctx, kind, monkeypatch):
+        x = kind({1: ctx.coerce(Fraction(1, 3)), 4: ctx.coerce(Fraction(-2, 7))})
+        y = kind(dict(reversed(list(x.entries.items()))))
+
+        def boom(*_args):
+            raise AssertionError("difference built")
+
+        monkeypatch.setattr(vectors._FiniteMap, "__sub__", boom)
+        assert close(x, y, ctx) and close(x, x, ctx)
+        assert close(kind.zero(), kind.zero(), ctx)
+
+    def test_float_maps_within_the_tolerance_are_close(self):
+        x = SparseVector({1: 1 / 3, 2: 0.25})
+        near = SparseVector({1: 1 / 3 + 1e-13, 2: 0.25, 3: 1e-14})
+        far = SparseVector({1: 1 / 3 + 1e-6, 2: 0.25})
+        assert x != near and close(x, near, FLOAT) and close(near, x, FLOAT)
+        assert not close(x, far, FLOAT)
+        assert not close(sv(1), sv(1, Fraction(1, 10 ** 20)), EXACT)
 
 
 class TestIdentity:
