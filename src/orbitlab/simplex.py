@@ -5,12 +5,20 @@ mode.  Two phases with Bland's anti-cycling rule throughout, so runs
 terminate even on the degenerate ties that tied optimal disk representations
 produce.  The tableau carries its reduced-cost row: each phase prices the
 costs against the basis once, and every pivot then updates that row with the
-same zero-skipping row step it applies to the constraint rows.
+same row step it applies to the constraint rows.
+
+Exact mode pivots on integers (fraction-free; Edmonds 1967, J. Res. NBS 71B;
+Azulay and Pique 2001): [A | b] is scaled by L, the lcm of its denominators,
+and the rows hold |det B| B^-1 [L A | I | L b] for the basis B of [L A | I],
+so the artificial block ends as det(B) B^-1, the dual's source.  Each pivot
+divides exactly by the previous |det B|.  Scaling moves no sign, ratio order
+or tie, so Bland's rule takes the same pivots as over Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Sequence
 
 from .errors import WorkbenchError
@@ -49,24 +57,16 @@ class _Tableau:
     reduced cost, the leaving row breaks ratio ties by lowest basis column.
     """
 
-    def __init__(self, a, b, nvars: int, ctx: ScalarContext):
-        self.ctx = ctx
-        self.nvars = nvars
-        self.nrows = len(a)
-        self.ncols = nvars + self.nrows
-        self.rows: List[List[Scalar]] = []
-        self.basis: List[int] = []
-        for i in range(self.nrows):
-            row = [ctx.coerce(v) for v in a[i]]
-            rhs = ctx.coerce(b[i])
-            if rhs < 0:
+    def __init__(self, rows, nvars: int, ctx: ScalarContext, one):
+        """rows: the [a_i | b_i] in the tableau's number type, whose unit is one."""
+        self.ctx, self.nvars, self.nrows, self.ncols = ctx, nvars, len(rows), nvars + len(rows)
+        self.basis, self.rows, zero = list(range(nvars, self.ncols)), [], one - one
+        for i, row in enumerate(rows):
+            if row[nvars] < 0:
                 row = [-v for v in row]
-                rhs = -rhs
-            row += [ctx.one if k == i else ctx.zero for k in range(self.nrows)]
-            row.append(rhs)
-            self.rows.append(row)
-            self.basis.append(nvars + i)
-        self.red: List[Scalar] = [ctx.zero] * (self.ncols + 1)
+            self.rows.append(row[:nvars] + [one if k == i else zero for k in range(self.nrows)]
+                             + row[nvars:])
+        self.red: List[Scalar] = [zero] * (self.ncols + 1)
 
     def pivot(self, row: int, col: int):
         piv = self.rows[row][col]
@@ -75,53 +75,116 @@ class _Tableau:
             _eliminate(target, prow, col)
         self.basis[row] = col
 
+    def price(self, costs: Sequence[Scalar]):
+        self.red = list(costs) + [self.ctx.zero]
+        for row, bcol in zip(self.rows, self.basis):
+            _eliminate(self.red, row, bcol)
+
+    def ratio_order(self, i: int, k: int, col: int) -> int:
+        """The sign of rhs_i / a_i,col - rhs_k / a_k,col."""
+        ri, rk = (self.rows[r][self.ncols] / self.rows[r][col] for r in (i, k))
+        return (ri > rk) - (ri < rk)
+
     def minimize(self, costs: Sequence[Scalar], allowed: int):
         """Bland iterations; only columns < `allowed` may enter."""
         ctx = self.ctx
-        self.red = list(costs) + [ctx.zero]
-        for row, bcol in zip(self.rows, self.basis):
-            _eliminate(self.red, row, bcol)
+        self.price(costs)
         while True:
             col = next((j for j in range(allowed) if ctx.lt(self.red[j], 0)), None)
             if col is None:
                 return
-            best_row = best_ratio = None
+            best = None
             for i in range(self.nrows):
-                coef = self.rows[i][col]
-                if not ctx.lt(0, coef):
+                if not ctx.lt(0, self.rows[i][col]):
                     continue
-                ratio = self.rows[i][self.ncols] / coef
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and self.basis[i] < self.basis[best_row])
-                ):
-                    best_row, best_ratio = i, ratio
-            if best_row is None:
+                if best is not None:
+                    order = self.ratio_order(i, best, col)
+                    if order > 0 or (order == 0 and self.basis[i] > self.basis[best]):
+                        continue
+                best = i
+            if best is None:
                 raise Unbounded("improving column has no positive entries")
-            self.pivot(best_row, col)
+            self.pivot(best, col)
 
-    def solution(self) -> List[Scalar]:
+    def artificial_sum(self) -> Scalar:
+        """The phase-1 objective: the sum of the basic artificial values."""
+        return sum((row[self.ncols] for row, bcol in zip(self.rows, self.basis)
+                    if bcol >= self.nvars), self.ctx.zero)
+
+    def result(self, costs: Sequence[Scalar]) -> LPResult:
+        """The basic solution and its cost under the phase-2 costs."""
         x = [self.ctx.zero] * self.nvars
-        for i, bcol in enumerate(self.basis):
+        for row, bcol in zip(self.rows, self.basis):
             if bcol < self.nvars:
-                x[bcol] = self.rows[i][self.ncols]
-        return x
+                x[bcol] = row[self.ncols]
+        return LPResult(sum((costs[j] * x[j] for j in range(self.nvars)), self.ctx.zero), x)
+
+
+class _IntTableau(_Tableau):
+    """The exact tableau on integers: rows den * B^-1 [L A | I | L b], `red`
+    den times the reduced costs of the integer costs M c, den = |det B| > 0,
+    `scale` = L and `cost_scale` = M of the latest pricing.  Values leave in
+    the caller's units: x = rhs / den, an artificial rhs / (den L)."""
+
+    def __init__(self, scaled, nvars: int, nrows: int, ctx: ScalarContext):
+        (nums, self.scale), w, self.den = scaled, nvars + 1, 1
+        super().__init__([[nums.get(i * w + j, 0) for j in range(w)] for i in range(nrows)],
+                         nvars, ctx, 1)
+
+    def pivot(self, row: int, col: int):
+        """Bareiss step: the pivot row stays, every other row t (`red` too)
+        becomes (p t - t[col] prow) / den exactly, then den = p; a negative
+        pivot (an artificial driven out) negates the whole tableau."""
+        prow, den = self.rows[row], self.den
+        s = -1 if prow[col] < 0 else 1
+        q, out = s * prow[col], []
+        for t in self.rows + [self.red]:
+            f = s * t[col]
+            out.append([s * v for v in t] if t is prow
+                       else [(q * v - f * y) // den for v, y in zip(t, prow)])
+        *self.rows, self.red = out
+        self.den, self.basis[row] = q, col
+
+    def price(self, costs: Sequence[Scalar]):
+        nums, self.cost_scale = self.ctx.integer_row(dict(enumerate(costs)))
+        red = [self.den * nums.get(j, 0) for j in range(self.ncols)] + [0]
+        for row, bcol in zip(self.rows, self.basis):
+            f = nums.get(bcol)
+            if f:
+                red = [r - f * y for r, y in zip(red, row)]
+        self.red = red
+
+    def ratio_order(self, i: int, k: int, col: int) -> int:
+        """By cross-multiplication: both pivots are > 0."""
+        ri, rk, n = self.rows[i], self.rows[k], self.ncols
+        d = ri[n] * rk[col] - rk[n] * ri[col]
+        return (d > 0) - (d < 0)
+
+    def artificial_sum(self) -> Scalar:
+        return Fraction(sum(row[self.ncols] for row, bcol in zip(self.rows, self.basis)
+                            if bcol >= self.nvars), self.den * self.scale)
+
+    def result(self, costs: Sequence[Scalar]) -> LPResult:
+        x = [self.ctx.zero] * self.nvars
+        for row, bcol in zip(self.rows, self.basis):
+            if bcol < self.nvars:
+                x[bcol] = Fraction(row[self.ncols], self.den)
+        return LPResult(Fraction(-self.red[self.ncols], self.den * self.cost_scale), x)
 
 
 def solve_lp(c: Sequence[Scalar], a: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
              ctx: ScalarContext = EXACT) -> LPResult:
     """Minimize c.x over A x = b, x >= 0."""
-    nvars = len(c)
-    tab = _Tableau(a, b, nvars, ctx)
+    nvars, nrows = len(c), len(a)
+    rows = [[ctx.coerce(v) for v in (*a[i], b[i])] for i in range(nrows)]
+    scaled = ctx.integer_row(dict(enumerate(v for row in rows for v in row)))
+    tab = (_Tableau(rows, nvars, ctx, ctx.one) if scaled is None
+           else _IntTableau(scaled, nvars, nrows, ctx))
 
     # Phase 1: minimize the artificial sum; feasible iff it reaches zero.
     phase1 = [ctx.zero] * nvars + [ctx.one] * tab.nrows
     tab.minimize(phase1, allowed=tab.ncols)
-    infeas = sum(
-        (tab.rows[i][tab.ncols] for i in range(tab.nrows) if tab.basis[i] >= nvars),
-        ctx.zero,
-    )
+    infeas = tab.artificial_sum()
     if not ctx.is_zero(infeas):
         raise Infeasible(f"phase 1 optimum {infeas} > 0")
 
@@ -137,7 +200,4 @@ def solve_lp(c: Sequence[Scalar], a: Sequence[Sequence[Scalar]], b: Sequence[Sca
     # Phase 2: artificial columns may not re-enter.
     phase2 = [ctx.coerce(v) for v in c] + [ctx.zero] * tab.nrows
     tab.minimize(phase2, allowed=nvars)
-
-    x = tab.solution()
-    value = sum((ctx.coerce(c[j]) * x[j] for j in range(nvars)), ctx.zero)
-    return LPResult(value=value, x=x)
+    return tab.result(phase2)

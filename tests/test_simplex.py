@@ -1,13 +1,16 @@
 """Exact LP solver sanity checks against enumerated vertex oracles."""
 
 import itertools
+import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from orbitlab import simplex
-from orbitlab.scalars import EXACT, FLOAT
+from orbitlab import DiskSpec, SparseVector, minkowski, simplex
+from orbitlab.scalars import EXACT, FLOAT, ScalarContext
 from orbitlab.simplex import Infeasible, Unbounded, solve_lp
 
 import oracles
@@ -78,25 +81,29 @@ def test_degenerate_ties_terminate():
 
 
 def test_matches_vertex_oracle_on_random_instances():
-    rng = random.Random(29)
-    checked = 0
-    while checked < 40:
-        nrows = rng.randint(1, 3)
-        nvars = rng.randint(nrows, 5)
-        a = [[F(rng.randint(-3, 3)) for _ in range(nvars)] for _ in range(nrows)]
-        x_feas = [F(rng.randint(0, 3)) for _ in range(nvars)]
-        b = [sum(a[i][j] * x_feas[j] for j in range(nvars)) for i in range(nrows)]
-        c = [F(rng.randint(0, 4)) for _ in range(nvars)]
-        expected = vertex_oracle(c, a, b)
-        if expected is None:
-            continue
-        result = solve_lp(c, a, b)
-        assert result.value == expected
-        # returned point is feasible
-        assert all(v >= 0 for v in result.x)
-        for i in range(nrows):
-            assert sum(a[i][j] * result.x[j] for j in range(nvars)) == b[i]
-        checked += 1
+    """Integer a, b and c, then fractional ones (denominators 1 to 3), whose
+    common denominator L > 1 scales the integer tableau."""
+    for fractional in (False, True):
+        rng = random.Random(29)
+        q = (lambda n: F(n, rng.randint(1, 3))) if fractional else F
+        checked = 0
+        while checked < 40:
+            nrows = rng.randint(1, 3)
+            nvars = rng.randint(nrows, 5)
+            a = [[q(rng.randint(-3, 3)) for _ in range(nvars)] for _ in range(nrows)]
+            x_feas = [q(rng.randint(0, 3)) for _ in range(nvars)]
+            b = [sum(a[i][j] * x_feas[j] for j in range(nvars)) for i in range(nrows)]
+            c = [q(rng.randint(0, 4)) for _ in range(nvars)]
+            expected = vertex_oracle(c, a, b)
+            if expected is None:
+                continue
+            result = solve_lp(c, a, b)
+            assert result.value == expected
+            # returned point is feasible
+            assert all(v >= 0 for v in result.x)
+            for i in range(nrows):
+                assert sum(a[i][j] * result.x[j] for j in range(nvars)) == b[i]
+            checked += 1
 
 
 def reprice(tab, costs):
@@ -112,14 +119,14 @@ def reprice(tab, costs):
 
 class _CheckedTableau(simplex._Tableau):
     """Checks the carried reduced-cost row after every pivot against `reprice`
-    for the costs of the latest phase (the drive-out pivots included); exact
-    equality in exact mode, the mode's tolerance in float mode."""
+    for the costs of the latest phase (the drive-out pivots included), within
+    the float mode's tolerance; records the basis after every pivot."""
 
     last = None
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.pivots = self.degenerate = 0
+        self.path = []
         _CheckedTableau.last = self
 
     def minimize(self, costs, allowed):
@@ -127,55 +134,172 @@ class _CheckedTableau(simplex._Tableau):
         super().minimize(costs, allowed)
 
     def pivot(self, row, col):
-        self.degenerate += self.ctx.is_zero(self.rows[row][self.ncols])
         super().pivot(row, col)
-        self.pivots += 1
+        self.path.append(list(self.basis))
         expected = reprice(self, self.costs)
         assert all(self.ctx.eq(x, y) for x, y in zip(self.red, expected))
 
 
-def random_lp(rng):
-    """Small LP with negative right-hand sides, repeated rows (artificials left
-    basic after phase 1) and zero right-hand sides (degenerate pivots)."""
-    nrows = rng.randint(1, 4)
-    nvars = rng.randint(1, 6)
-    a = [[F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(nvars)]
+class _CheckedIntTableau(simplex._IntTableau):
+    """After every pivot of the integer tableau: the carried reduced-cost row
+    is den * C - sum of C_B times the basis rows exactly, C the latest
+    phase's costs over the lcm of their denominators, and den is |det| of
+    the basis columns of [L A | I], L the lcm of the denominators of A and
+    b (`problem` holds the a and b being solved).  Records the basis after
+    every pivot and counts the degenerate ones and the negative pivots."""
+
+    last = problem = None
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.path, self.degenerate, self.negative = [], 0, 0
+        _CheckedIntTableau.last = self
+
+    def minimize(self, costs, allowed):
+        m = math.lcm(*(v.denominator for v in costs))
+        self.costs = [int(v * m) for v in costs]
+        super().minimize(costs, allowed)
+
+    def pivot(self, row, col):
+        self.degenerate += self.rows[row][self.ncols] == 0
+        self.negative += self.rows[row][col] < 0
+        super().pivot(row, col)
+        self.path.append(list(self.basis))
+        expected = [self.den * v for v in self.costs] + [0]
+        for i, bcol in enumerate(self.basis):
+            expected = [r - self.costs[bcol] * y for r, y in zip(expected, self.rows[i])]
+        assert self.red == expected
+        a, b = self.problem
+        scale = math.lcm(*(v.denominator for row in a for v in row), *(v.denominator for v in b))
+        full = [[F(scale) * v for v in row] + [F(int(i == k)) for k in range(self.nrows)]
+                for i, row in enumerate(a)]
+        basis = [[row[j] for j in self.basis] for row in full]
+        assert self.den == abs(oracles.determinant(basis))
+
+
+def random_lp(rng, max_rows=4, max_vars=6):
+    """Small LP with fractional a, b and c (denominators 1 to 3), negative
+    right-hand sides, repeated rows (artificials left basic after phase 1),
+    zero right-hand sides (degenerate pivots) and a perturbed right-hand side
+    (mostly infeasible)."""
+    nrows = rng.randint(1, max_rows)
+    nvars = rng.randint(1, max_vars)
+    a = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nvars)]
          for _ in range(nrows)]
-    x_feas = [F(rng.choice([0, 0, 1, 2])) for _ in range(nvars)]
+    x_feas = [F(rng.choice([0, 0, 1, 2]), rng.randint(1, 3)) for _ in range(nvars)]
     b = [sum(a[i][j] * x_feas[j] for j in range(nvars)) for i in range(nrows)]
     if nrows > 1 and rng.random() < 0.4:
-        k = rng.choice([1, -2])
+        k = rng.choice([1, -2, F(1, 3)])
         a[-1], b[-1] = [k * v for v in a[0]], k * b[0]
-    c = [F(rng.randint(-1, 4)) for _ in range(nvars)]
+    if rng.random() < 0.2:
+        b[rng.randrange(nrows)] += F(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+    c = [F(rng.randint(-1, 4), rng.randint(1, 3)) for _ in range(nvars)]
     return c, a, b
 
 
 def solve_in(ctx, c, a, b):
-    """solve_lp over the scalars of ctx, or the type of the error it raised."""
+    """solve_lp over the scalars of ctx, or the error it raised."""
+    _CheckedIntTableau.problem = (a, b)
     try:
         return solve_lp([ctx.coerce(v) for v in c],
                         [[ctx.coerce(v) for v in row] for row in a],
                         [ctx.coerce(v) for v in b], ctx)
     except (Infeasible, Unbounded) as exc:
-        return type(exc)
+        return exc
 
 
 def test_carried_costs_match_repricing_and_float_matches_exact(monkeypatch):
+    """Exact mode on the checked integer tableau, float mode on the checked
+    float tableau; float reaches the exact outcome."""
+    monkeypatch.setattr(simplex, "_IntTableau", _CheckedIntTableau)
     monkeypatch.setattr(simplex, "_Tableau", _CheckedTableau)
     rng = random.Random(41)
     seen = {"negative rhs": 0, "artificial left basic": 0, "degenerate pivot": 0,
-            "solved": 0, "pivots": 0}
+            "negative pivot": 0, "scaled": 0, "solved": 0, "pivots": 0}
     for _ in range(300):
         c, a, b = random_lp(rng)
-        exact, tab = solve_in(EXACT, c, a, b), _CheckedTableau.last
+        exact, tab = solve_in(EXACT, c, a, b), _CheckedIntTableau.last
         approx = solve_in(FLOAT, c, a, b)
         seen["negative rhs"] += any(v < 0 for v in b)
-        seen["pivots"] += tab.pivots
+        seen["pivots"] += len(tab.path)
         seen["degenerate pivot"] += tab.degenerate > 0
-        if isinstance(exact, type):
-            assert approx is exact
+        seen["negative pivot"] += tab.negative > 0
+        seen["scaled"] += tab.scale > 1
+        if isinstance(exact, Exception):
+            assert type(approx) is type(exact)
             continue
         seen["solved"] += 1
         seen["artificial left basic"] += any(k >= len(c) for k in tab.basis)
         assert FLOAT.eq(approx.value, float(exact.value))
     assert min(seen.values()) >= 20, seen
+
+
+def test_integer_tableau_takes_the_fraction_tableaus_pivots(monkeypatch):
+    """Exact solve_lp on integers against the Fraction tableau (what solve_lp
+    runs when `integer_row` declines) on LPs up to 6 x 12: the same basis
+    after every pivot, the same x and value (by repr), the same exception
+    type, and the same Infeasible text, the phase-1 optimum in the caller's
+    units."""
+    monkeypatch.setattr(simplex, "_IntTableau", _CheckedIntTableau)
+    monkeypatch.setattr(simplex, "_Tableau", _CheckedTableau)
+    rng = random.Random(53)
+    seen = {"solved": 0, "infeasible": 0, "unbounded": 0, "drive-out pivots": 0}
+    for _ in range(400):
+        c, a, b = random_lp(rng, 6, 12)
+        fast, fast_path = solve_in(EXACT, c, a, b), _CheckedIntTableau.last.path
+        with monkeypatch.context() as m:
+            m.setattr(ScalarContext, "integer_row", lambda self, entries: None)
+            slow, slow_path = solve_in(EXACT, c, a, b), _CheckedTableau.last.path
+        assert fast_path == slow_path
+        if isinstance(slow, Exception):
+            assert (type(fast), str(fast)) == (type(slow), str(slow))
+            seen["infeasible" if isinstance(slow, Infeasible) else "unbounded"] += 1
+            continue
+        assert repr(fast) == repr(slow)
+        seen["solved"] += 1
+        seen["drive-out pivots"] += _CheckedIntTableau.last.negative > 0
+    assert min(seen.values()) >= 20, seen
+
+
+def test_exact_generator_gauge_does_no_fraction_arithmetic_in_simplex(monkeypatch):
+    """Exact `minkowski` on a generator disk shaped like the benchmark's
+    five-dimensional gauge scenario (five scaled unit vectors and four
+    three-entry generators, 18 LP columns): no Fraction sum, difference,
+    product or quotient is formed in simplex.py, and the gauges equal the
+    Fraction tableau's, whose run the same spy does see."""
+    rng = random.Random(7)
+    gens = [SparseVector({i: F(rng.randint(1, 4), rng.choice((1, 2)))}) for i in range(1, 6)]
+    gens += [SparseVector({i: F(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
+                           for i in rng.sample(range(1, 6), 3)}) for _ in range(4)]
+    disk = DiskSpec.from_generators(gens)
+    probes = [SparseVector({i: F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                            for i in rng.sample(range(1, 6), rng.randint(1, 5))})
+              for _ in range(12)]
+
+    def gauges_and_callers(patch):
+        callers = set()
+
+        def spy(name):
+            original = getattr(Fraction, name)
+
+            def wrapped(x, y):
+                code = sys._getframe(1).f_code
+                if Path(code.co_filename).name == "simplex.py":
+                    callers.add((code.co_name, name))
+                return original(x, y)
+            return wrapped
+
+        with monkeypatch.context() as m:
+            patch(m)
+            for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                         "__truediv__", "__rtruediv__"):
+                m.setattr(Fraction, name, spy(name))
+            gauges = [minkowski(disk, u, EXACT) for u in probes]
+        return gauges, callers
+
+    gauges, callers = gauges_and_callers(lambda m: None)
+    reference, reference_callers = gauges_and_callers(
+        lambda m: m.setattr(ScalarContext, "integer_row", lambda self, entries: None))
+    assert callers == set()
+    assert reference_callers
+    assert [repr(g) for g in gauges] == [repr(g) for g in reference]
