@@ -11,7 +11,7 @@ one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import Exhausted, KernelCollision, NoSeparation, NotANet, NotInSpan, NotPIndependent
@@ -21,6 +21,7 @@ from .seminorms import (
     SeminormSpec,
     eval_seminorm,
     minkowski,
+    project_active,
     separating_functional,
 )
 from .vectors import CoordFunctional, SparseVector
@@ -76,23 +77,32 @@ def nearest_in(items: Sequence[SparseVector], target: SparseVector,
     return best_pos, best
 
 
+Scans = Tuple[Tuple[int, Scalar], ...]
+
+
+def _scan(items: Sequence[SparseVector], net: EpsilonNet, norm: SeminormSpec) -> Scans:
+    """`nearest_in` of the items for each target of the net, in target order."""
+    return tuple(nearest_in(items, t, norm) for t in net.targets)
+
+
 def is_net(items: Sequence[SparseVector], net: EpsilonNet,
-           ctx: ScalarContext = EXACT) -> bool:
-    norm = net.seminorm(ctx)
-    return all(
-        items and nearest_in(items, t, norm)[1] <= net.eps for t in net.targets
-    )
+           ctx: ScalarContext = EXACT, scans: Optional[Scans] = None) -> bool:
+    """Every target has an item within eps; `scans`, the items' `nearest_in`
+    for each target when already made, saves the scans."""
+    if scans is None:
+        scans = _scan(items, net, net.seminorm(ctx))
+    return all(items and dist <= net.eps for _, dist in scans)
 
 
 def net_report(items: Sequence[SparseVector], net: EpsilonNet,
-               ctx: ScalarContext = EXACT):
-    """Rows (target, nearest item, distance) for the CSV emitters."""
-    norm = net.seminorm(ctx)
-    rows = []
-    for t in net.targets:
-        pos, dist = nearest_in(items, t, norm)
-        rows.append((t, items[pos] if pos >= 0 else None, dist))
-    return rows
+               ctx: ScalarContext = EXACT, scans: Optional[Scans] = None):
+    """Rows (target, nearest item, distance) for the CSV emitters; `scans`,
+    the items' `nearest_in` for each target when already made, saves the
+    scans."""
+    if scans is None:
+        scans = _scan(items, net, net.seminorm(ctx))
+    return [(t, items[pos] if pos >= 0 else None, dist)
+            for t, (pos, dist) in zip(net.targets, scans)]
 
 
 def extract_p_independent(a: Enumeration, p: SeminormSpec,
@@ -136,16 +146,17 @@ def null_sequence_disk(xs: Sequence[SparseVector]) -> DiskSpec:
 
 @dataclass(frozen=True)
 class CommonDiskReport:
+    """The disk, the achieved radii and domination, the residual schedule and
+    the combined null list; `scans` holds each enumeration's nearest item and
+    distance per target (a's, then b's), for `net_report`."""
+
     disk: DiskSpec
     eps_a: Scalar
     eps_b: Scalar
     domination: Scalar
     schedule: Tuple[Tuple[int, Scalar, Scalar], ...]
     combined: Tuple[SparseVector, ...]
-
-
-def _round_robin(targets: Sequence[SparseVector], count: int):
-    return [targets[m % len(targets)] for m in range(count)]
+    scans: Tuple[Scans, Scans]
 
 
 def common_disk(a: Enumeration, b: Enumeration, net: EpsilonNet,
@@ -157,21 +168,25 @@ def common_disk(a: Enumeration, b: Enumeration, net: EpsilonNet,
     round-robin pass over the targets, plus damped copies of the members
     themselves.  Weights make every combined element lie in the disk; the
     achieved net radii and the domination constant are measured and
-    reported, not promised.  NotInSpan when a combined element has a
-    coordinate beyond the net window, where the disk has no weight.
+    reported, not promised.  Each enumeration is scanned for its nearest
+    item once per target, and the net test, the rounds and the radii reuse
+    the scan.  NotInSpan when a combined element has a coordinate beyond
+    the net window, where the disk has no weight.
     """
     norm = net.seminorm(ctx)
-    if not is_net(a.items, net, ctx):
-        raise NotANet("first enumeration misses a target beyond eps")
-    if not is_net(b.items, net, ctx):
-        raise NotANet("second enumeration misses a target beyond eps")
+    scans = []
+    for enum, which in ((a, "first"), (b, "second")):
+        scans.append(_scan(enum.items, net, norm))
+        if not is_net(enum.items, net, ctx, scans[-1]):
+            raise NotANet(f"{which} enumeration misses a target beyond eps")
+    scan_a, scan_b = scans
 
-    count = rounds * len(net.targets)
     schedule: List[Tuple[int, Scalar, Scalar]] = []
     combined: List[SparseVector] = []
-    for m, f_m in enumerate(_round_robin(net.targets, count), start=1):
-        pos_a, dist_a = nearest_in(a.items, f_m, norm)
-        pos_b, dist_b = nearest_in(b.items, f_m, norm)
+    for m in range(1, rounds * len(net.targets) + 1):
+        t = (m - 1) % len(net.targets)
+        f_m = net.targets[t]
+        (pos_a, dist_a), (pos_b, dist_b) = scan_a[t], scan_b[t]
         schedule.append((m, dist_a, dist_b))
         for items, pos in ((a.items, pos_a), (b.items, pos_b)):
             resid = f_m - items[pos]
@@ -194,20 +209,20 @@ def common_disk(a: Enumeration, b: Enumeration, net: EpsilonNet,
             weights[i] = max(weights[i], size * abs(val))
     disk = DiskSpec(weights=weights)
 
-    def net_radius(items):
+    def net_radius(items, scan):
         return max(
-            (minkowski(disk, items[nearest_in(items, t, norm)[0]] - t, ctx)
-             for t in net.targets),
+            (minkowski(disk, items[pos] - t, ctx) for t, (pos, _) in zip(net.targets, scan)),
             default=ctx.zero,
         )
 
     return CommonDiskReport(
         disk=disk,
-        eps_a=net_radius(a.items),
-        eps_b=net_radius(b.items),
+        eps_a=net_radius(a.items, scan_a),
+        eps_b=net_radius(b.items, scan_b),
         domination=max(weights.values()),
         schedule=tuple(schedule),
         combined=tuple(combined),
+        scans=(scan_a, scan_b),
     )
 
 
@@ -215,11 +230,21 @@ def biorthogonalize(us: Sequence[SparseVector], p: SeminormSpec,
                     ctx: ScalarContext = EXACT) -> List[CoordFunctional]:
     """Dual system f_n(u_m) = delta_{n,m} with supports in the active window.
 
-    Each functional is a separating solve against the other vectors, then a
-    rescale; KernelCollision when span(us) meets ker p, which is also the
-    only way a solve can fail.
+    When the active projections of the n vectors touch exactly n coordinates
+    and are independent, the system is unique: with U the square block of
+    those projections, one row per vector, f_n is row n of (U^T)^{-1}, read
+    off one `linalg.RowReducer.of` of the rows of [U^T | I].  Where a value
+    may depend on its route (`ctx.route_free` is False: float mode) and
+    wherever the block is not square or is singular, each functional is a
+    separating solve against the other vectors, then a rescale;
+    KernelCollision when span(us) meets ker p, which is also the only way a
+    solve can fail.
     """
     us = list(us)
+    if ctx.route_free:
+        fs = _dual_by_inverse(project_active(p, us), ctx)
+        if fs is not None:
+            return fs
     fs: List[CoordFunctional] = []
     for n, u in enumerate(us):
         others = us[:n] + us[n + 1:]
@@ -231,3 +256,22 @@ def biorthogonalize(us: Sequence[SparseVector], p: SeminormSpec,
             ) from exc
         fs.append(f.scale(1 / f.pair(u)))
     return fs
+
+
+def _dual_by_inverse(projections: List[Dict[int, Scalar]],
+                     ctx: ScalarContext) -> Optional[List[CoordFunctional]]:
+    """The rows of (U^T)^{-1} as functionals on the coordinates of U, for U
+    the block of the projections; None unless the block is square and
+    invertible."""
+    n = len(projections)
+    coords = sorted(set().union(*projections))
+    if len(coords) != n:
+        return None
+    # row r: the projections at coordinate coords[r], then row r of I at n + r
+    red = linalg.RowReducer.of(
+        [{m: x[c] for m, x in enumerate(projections) if c in x} | {n + r: ctx.one}
+         for r, c in enumerate(coords)], ctx)
+    if any(m not in red.rows for m in range(n)):
+        return None
+    return [CoordFunctional({coords[c - n]: v for c, v in sorted(red.rows[m].items()) if c >= n})
+            for m in range(n)]

@@ -6,13 +6,18 @@ assembled shift, the dimension of span of range-kernel intersections feeding
 the dense-span premise, explicit transitivity witnesses with re-evaluable
 residuals, and the instrumented quantities of the non-orbit refutation.
 
-Operators stay in their term form sum_j f_j (x) v_j: powers are columns
-S^m e_i pushed through `FiniteRankOperator.apply`, ranks come from row
-reduction of those sparse columns (`linalg.row_rank`), and no matrix power
-is ever multiplied out.  In exact mode `apply`, the weight-form disk gauge
-and the ranks work on integers and build a Fraction only for an entry of
-their result.  The nullspace of S^{2n} and the witness's active-row solve
-are one `linalg.RowReducer.of` each, on sparse rows.
+Operators stay in their term form sum_j f_j (x) v_j = V·F.  When the v's
+and the f's are independent and values do not depend on the route
+(`ScalarContext.route_free`, exact mode), the premise works in the k x k
+core G = F·V: ranks of powers of G, and each intersection
+V G^{n-1} null(G^{2n-1}), its nullspace one `linalg.RowReducer.of` of k
+sparse rows.  Otherwise powers are columns S^m e_i over the whole support,
+pushed through `FiniteRankOperator.apply`, ranks come from row reduction of
+those sparse columns (`linalg.row_rank`), and the nullspace of S^{2n} is
+one `RowReducer.of`.  No matrix power of S is ever multiplied out.  In
+exact mode `apply`, the weight-form disk gauge and the ranks work on
+integers and build a Fraction only for an entry of their result.  The
+witness's active-row solve is one `RowReducer.of` on sparse rows.
 """
 
 from __future__ import annotations
@@ -91,25 +96,52 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
     Computations run on the full support of the operator, which should
     extend beyond the probe window: a truncated chain is only surjective
     below its top, so headroom above the window is the finite stand-in for
-    the surjectivity of the infinite chain.  The columns S^m e_i come from
-    repeated `apply`.  S^n maps range(S^n) onto range(S^{2n}) with kernel
-    range(S^n) ∩ ker(S^n), so the intersection is S^n applied to the
-    nullspace of S^{2n}.  The report compares the part of the accumulated
-    span lying inside the window against the window dimension.
+    the surjectivity of the infinite chain.  S^n maps range(S^n) onto
+    range(S^{2n}) with kernel range(S^n) ∩ ker(S^n).  When the values do not
+    depend on the route (`ctx.route_free`) and S = sum_j v_j ⊗ f_j has
+    independent v's and independent f's, the ranks and the intersections
+    come from the k x k core G = F·V (`_core_premise`); otherwise from the
+    columns S^m e_i over the whole support (`_ambient_premise`).  The report
+    compares the part of the accumulated span lying inside the window
+    against the window dimension.
     """
     s = t.linear_part() if t.base == IDENTITY else t
     top = window
     for f, v in s.terms:
         top = max([top] + list(f.support) + list(v.support))
+    core = (s.terms and ctx.route_free
+            and linalg.independent((v.entries for _, v in s.terms), ctx)
+            and linalg.independent((f.entries for f, _ in s.terms), ctx))
+    dims, union = (_core_premise(s, depth, ctx) if core
+                   else _ambient_premise(s, top, depth, ctx))
+    rows = [PremiseRow(n=n, dim_range=dim_range, dim_kernel=top - dim_range,
+                       dim_intersection=dim_intersection)
+            for n, (dim_range, dim_intersection) in enumerate(dims, start=1)]
+    # dim(U ∩ W) = dim U - dim(image of U in the coordinates above the window)
+    span_dim = linalg.row_rank(union, ctx)
+    above = linalg.row_rank(
+        ({i: v for i, v in vec.items() if i > window} for vec in union), ctx)
+    return PremiseReport(rows=rows, span_dim=span_dim, window_dim=window,
+                         window_meet_dim=span_dim - above)
+
+
+# per n, (rank S^n, dim of range(S^n) ∩ ker(S^n)); then vectors spanning the
+# sum of the intersections over n
+Premise = Tuple[List[Tuple[int, int]], List[Dict[int, Scalar]]]
+
+
+def _ambient_premise(s: FiniteRankOperator, top: int, depth: int,
+                     ctx: ScalarContext) -> Premise:
+    """The dimensions from the columns S^m e_i over 1..top, by repeated
+    `apply`: each intersection is S^n applied to the nullspace of S^{2n},
+    one `RowReducer.of` of its sparse rows."""
     ambient = range(1, top + 1)
     # powers[m][i - 1] = S^m e_i
     powers = [[SparseVector.basis(i, ctx) for i in ambient]]
     for _ in range(2 * depth):
         powers.append([s.apply(col, ctx) for col in powers[-1]])
-    rows: List[PremiseRow] = []
-    union: List[Dict[int, Scalar]] = []
+    dims, union = [], []
     for n in range(1, depth + 1):
-        dim_range = linalg.row_rank((col.entries for col in powers[n]), ctx)
         # the rows of S^{2n}, one per coordinate, column c for e_{c+1}
         double: List[Dict[int, Scalar]] = [{} for _ in ambient]
         for c, col in enumerate(powers[2 * n]):
@@ -122,18 +154,60 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
             for fc in range(top) if fc not in red.rows
         ]
         union += meet
-        rows.append(PremiseRow(
-            n=n,
-            dim_range=dim_range,
-            dim_kernel=top - dim_range,
-            dim_intersection=linalg.row_rank(meet, ctx),
-        ))
-    # dim(U ∩ W) = dim U - dim(image of U in the coordinates above the window)
-    span_dim = linalg.row_rank(union, ctx)
-    above = linalg.row_rank(
-        ({i: v for i, v in vec.items() if i > window} for vec in union), ctx)
-    return PremiseReport(rows=rows, span_dim=span_dim, window_dim=window,
-                         window_meet_dim=span_dim - above)
+        dims.append((linalg.row_rank((col.entries for col in powers[n]), ctx),
+                     linalg.row_rank(meet, ctx)))
+    return dims, union
+
+
+def _core_premise(s: FiniteRankOperator, depth: int, ctx: ScalarContext) -> Premise:
+    """The dimensions from the k x k core, for S = V·F with independent
+    columns v_j of V and independent rows f_j of F.
+
+    With G = F·V, G_ij = f_i(v_j), S^n = V G^{n-1} F, so rank S^n =
+    rank G^{n-1}; S^n x = 0 for x = V G^{n-1} y exactly when G^{2n-1} y = 0,
+    so the intersection is V G^{n-1} null(G^{2n-1}), of dimension
+    rank G^{n-1} - rank G^{2n-1}.  Powers of G are kept as sparse columns,
+    G^m e_j = sum_l G_lj G^{m-1} e_l, and each nullspace is one
+    `RowReducer.of` of k sparse rows.  V is injective, so V maps a basis of
+    the sum of the G^{n-1} null(G^{2n-1}) onto one of the sum of the
+    intersections, and only that basis is mapped.
+    """
+    k = len(s.terms)
+    vs = [v for _, v in s.terms]
+    g = [{i: x for i in s.coord_index.hits(v) if (x := s.terms[i][0].pair(v))}
+         for v in vs]
+    # powers[m][j] = G^m e_j, ranks[m] = rank G^m
+    powers = [[{j: ctx.one} for j in range(k)]]
+    for _ in range(2 * depth - 1):
+        prev = powers[-1]
+        powers.append([_mix(((c, prev[l]) for l, c in col.items()), ctx) for col in g])
+    ranks = {0: k}
+    dims, basis, echelon = [], [], linalg.Echelon(ctx)
+    for n in range(1, depth + 1):
+        rows: List[Dict[int, Scalar]] = [{} for _ in range(k)]
+        for j, col in enumerate(powers[2 * n - 1]):
+            for i, x in col.items():
+                rows[i][j] = x
+        red = linalg.RowReducer.of(rows, ctx)
+        ranks[2 * n - 1] = red.rank
+        if n - 1 not in ranks:
+            ranks[n - 1] = linalg.row_rank(powers[n - 1], ctx)
+        dims.append((ranks[n - 1], ranks[n - 1] - red.rank))
+        for fc in range(k):
+            if fc not in red.rows:
+                z = _mix(((c, powers[n - 1][j]) for j, c in red.null_vector(fc).items()), ctx)
+                if echelon.try_add(z):
+                    basis.append(z)
+    return dims, [combine((c, vs[i]) for i, c in z.items()).entries for z in basis]
+
+
+def _mix(terms, ctx: ScalarContext) -> Dict[int, Scalar]:
+    """sum of c * x over the (c, x) pairs of a scalar and a sparse dict."""
+    out: Dict[int, Scalar] = {}
+    for c, x in terms:
+        for i, v in x.items():
+            out[i] = out.get(i, 0) + c * v
+    return {i: v for i, v in out.items() if not ctx.is_zero(v)}
 
 
 def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector,

@@ -3,7 +3,8 @@
 A whole scenario runs in one mode, carried by one `ScalarContext`: it fixes
 the scalar type where text becomes scalars (`parse`), supplies `zero` and
 `one`, compares, weighs pivots for elimination (`pivot_weight`), says
-whether rows may be eliminated on integers (`integer_row`), sums the
+whether rows may be eliminated on integers (`integer_row`) and whether a
+value may come from a smaller, equivalent system (`route_free`), sums the
 products of a substitution (`sub_products`) and the quotients of a disk
 gauge (`abs_ratio_sum`), both on integers in exact mode.  Value
 types store the scalars they are given and never learn the mode.  Exact
@@ -86,6 +87,14 @@ class ScalarContext:
         if self.is_zero(x):
             return 0
         return 1 if self.exact else abs(x)
+
+    @property
+    def route_free(self) -> bool:
+        """Whether a value is the same by every route that computes it
+        algebraically: True in exact mode, so a unique solution or a rank may
+        come from a smaller, equivalent system; False in float mode, whose
+        values round along the eliminations actually run."""
+        return self.exact
 
     def integer_row(self, entries: Mapping[int, Scalar]) -> Optional[Tuple[Dict[int, int], int]]:
         """In exact mode (row, den): den the lcm of the denominators of the

@@ -323,11 +323,11 @@ def _run_disk_task(scenario: Scenario, ctx, rng, report: Report):
             [[str(m), ctx.format(da), ctx.format(db)]
              for m, da, db in result.schedule],
         ))
-        for label, items in (("a", a.items), ("b", b.items)):
+        for label, items, scans in zip("ab", (a.items, b.items), result.scans):
             rows = [
                 [serialize.format_vector(t), serialize.format_vector(nearest),
                  ctx.format(dist)]
-                for t, nearest, dist in net_report(items, net, ctx)
+                for t, nearest, dist in net_report(items, net, ctx, scans)
             ]
             report.tables.append(Table(
                 f"net-report-{label}", ["target", "nearest", "distance"], rows,

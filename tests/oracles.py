@@ -7,10 +7,13 @@ terms its coordinate index finds; `apply_terms` and `dense_gram` pair every
 term.  The program sums exact products on integers; `sub_products`,
 `combination`, `triangularize`, `apply_terms` and `weight_gauge` do every
 step in the scalars themselves.  The last part holds helpers that only the
-tests need: encoders, parsers and two predicates.
+tests need: encoders, parsers, two predicates and the benchmark's scenario
+generator.
 """
 
 import csv
+import types
+from pathlib import Path
 
 from orbitlab.errors import NotInSpan, SingularOperator
 from orbitlab.operators import IDENTITY
@@ -319,3 +322,12 @@ def kernel_contains(p, x):
 def dense_span(premise):
     """The premise span fills the whole probe window."""
     return premise.window_meet_dim == premise.window_dim
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py as a module, executed from source so that no
+    bytecode cache is written under perfbench/."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module

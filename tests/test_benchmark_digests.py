@@ -8,7 +8,6 @@ single report byte fails here, not only inside a benchmark run.
 
 import hashlib
 import json
-import types
 from pathlib import Path
 
 import pytest
@@ -16,22 +15,16 @@ import pytest
 from orbitlab.reports import emit_report
 from orbitlab.scenarios import Scenario, run_scenario
 
+import oracles
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PINS = json.loads((PERFBENCH / "digests.json").read_text())
 SEED = 1
 
 
-def _workloads():
-    # executed from source so that no bytecode cache is written under perfbench/
-    path = PERFBENCH / "workloads.py"
-    module = types.ModuleType("perfbench_workloads")
-    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
-    return module
-
-
 @pytest.mark.parametrize("workload", sorted(PINS))
 def test_seed_one_reports_match_pinned_digests(workload):
-    scenarios = _workloads().generate(workload, SEED)
+    scenarios = oracles.benchmark_workloads().generate(workload, SEED)
     digests = {
         s["name"]: hashlib.sha256(
             emit_report(run_scenario(Scenario.from_dict(s)), "json")).hexdigest()

@@ -14,13 +14,14 @@ Regenerate the pins (only for an intended change of the reports) with
 import hashlib
 import json
 import sys
-import types
 from pathlib import Path
 
 import pytest
 
 from orbitlab.reports import emit_report
 from orbitlab.scenarios import Scenario, run_scenario
+
+import oracles
 
 ROOT = Path(__file__).resolve().parents[1]
 PINS_PATH = ROOT / "tests" / "data" / "corpus_digests.json"
@@ -30,17 +31,9 @@ MODES = ("exact", "float")
 FORMATS = ("json", "text", "csv")
 
 
-def _workloads():
-    # executed from source so that no bytecode cache is written under perfbench/
-    path = ROOT / "perfbench" / "workloads.py"
-    module = types.ModuleType("perfbench_workloads")
-    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
-    return module
-
-
 def corpus_digests(workload, mode):
     """{"<seed>/<scenario>.<format>": sha256} for one workload in one mode."""
-    generate = _workloads().generate
+    generate = oracles.benchmark_workloads().generate
     out = {}
     for seed in SEEDS:
         for data in generate(workload, seed):

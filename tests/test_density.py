@@ -25,6 +25,8 @@ from orbitlab.density import (
     null_sequence_disk,
 )
 from orbitlab.errors import Exhausted, KernelCollision, NotANet, NotInSpan, NotPIndependent
+from orbitlab.scalars import EXACT, FLOAT
+from orbitlab.scenarios import Scenario, run_scenario
 
 import oracles
 
@@ -174,6 +176,51 @@ class TestCommonDisk:
         with pytest.raises(NotANet):
             common_disk(a, b, net)
 
+    def test_each_enumeration_is_scanned_once_per_target(self, monkeypatch):
+        """A common-disk scenario scans each (enumeration, target) pair once:
+        the net tests, the round-robin rounds, the radii and the net-report
+        tables all reuse that scan."""
+        import orbitlab.density as density
+
+        scans = {}
+        scan = density.nearest_in
+
+        def counted(items, target, norm):
+            key = (tuple(items), target)
+            scans[key] = scans.get(key, 0) + 1
+            return scan(items, target, norm)
+
+        monkeypatch.setattr(density, "nearest_in", counted)
+        half = [frac(k, 2) for k in range(-2, 3)]
+
+        def points(dx, dy):
+            return [[[1, str(x + dx)], [2, str(y + dy)]] for x in half for y in half]
+
+        targets = [[[1, "1/4"], [2, "-3/4"]], [[1, "1/2"]], [[2, "1"]]]
+        report = run_scenario(Scenario.from_dict({
+            "name": "common", "scalar_mode": "exact", "window": 2, "seed": 1,
+            "task": "disk", "payload": {"common": {
+                "a": points(0, 0), "b": points(frac(1, 8), frac(-1, 8)),
+                "targets": targets, "eps": "1/4"}},
+        }))
+        assert report.passed
+        assert len(scans) == 2 * len(targets)
+        assert set(scans.values()) == {1}
+        # the tables still hold one row per target for each enumeration
+        for label in ("a", "b"):
+            table = next(t for t in report.tables if t.name == f"net-report-{label}")
+            assert len(table.rows) == len(targets)
+
+    def test_scans_keep_the_first_among_ties(self):
+        # both items are at distance 1/2 from the target; the first one wins
+        a = Enumeration((sv(frac(1, 2)), sv(frac(-1, 2))), "A")
+        b = Enumeration((sv(frac(-1, 2)), sv(frac(1, 2))), "B")
+        net = EpsilonNet(window=1, targets=(SparseVector.zero(),), eps=frac(1, 2))
+        report = common_disk(a, b, net)
+        assert report.scans == (((0, frac(1, 2)),), ((0, frac(1, 2)),))
+        assert report.combined[:2] == (sv(frac(-1, 2)).scale(2), sv(frac(1, 2)).scale(2))
+        assert net_report(a.items, net, scans=report.scans[0])[0][1] == a.items[0]
+
     def test_item_beyond_window_named(self):
         a = Enumeration((SparseVector({1: frac(1), 3: frac(1)}), sv(0, 1)))
         b = Enumeration((sv(1), sv(0, 1)))
@@ -236,3 +283,111 @@ class TestBiorthogonalize:
                     assert f.pair(u) == frac(int(n == m))
                 for z in kernel_basis:
                     assert f.pair(z) == 0
+
+
+class TestDualByInverse:
+    """`biorthogonalize` reads a square, invertible active block's dual system
+    off one inverse; the separator path, run by making the inverse decline,
+    is its oracle."""
+
+    @staticmethod
+    def separator_path(monkeypatch, us, p, ctx):
+        import orbitlab.density as density
+
+        with monkeypatch.context() as m:
+            m.setattr(density, "_dual_by_inverse", lambda projections, ctx: None)
+            return density.biorthogonalize(us, p, ctx)
+
+    @staticmethod
+    def spy_separators(monkeypatch):
+        from orbitlab.seminorms import Separator
+
+        calls = []
+        of = Separator.of.__func__
+
+        def counted(cls, p, constraints, ctx=EXACT):
+            calls.append(len(constraints))
+            return of(cls, p, constraints, ctx)
+
+        monkeypatch.setattr(Separator, "of", classmethod(counted))
+        return calls
+
+    @staticmethod
+    def chain(rng, n, ctx=EXACT):
+        """n vectors whose projections on n scattered active coordinates form
+        a unit triangular block under a random order, plus random entries on
+        the block and kernel junk: square and invertible."""
+        active = sorted(rng.sample(range(1, 3 * n + 1), n))
+        order = rng.sample(active, n)
+        us = []
+        for k, lead in enumerate(order):
+            entries = {lead: ctx.one}
+            for c in rng.sample(order[:k], min(k, 3)):
+                entries[c] = ctx.coerce(frac(rng.randint(-3, 3), rng.choice([1, 2, 4])))
+            if rng.random() < 0.5:
+                entries[3 * n + rng.randint(1, 4)] = ctx.coerce(frac(rng.randint(1, 3), 2))
+            us.append(SparseVector(entries))
+        rng.shuffle(us)
+        return us, SeminormSpec.sup_on(active, ctx.one)
+
+    def test_square_chains_match_the_separator_path(self, monkeypatch):
+        rng = random.Random(211)
+        for _ in range(60):
+            us, p = self.chain(rng, rng.randint(1, 9))
+            expected = self.separator_path(monkeypatch, us, p, EXACT)
+            calls = self.spy_separators(monkeypatch)
+            fs = biorthogonalize(us, p)
+            monkeypatch.undo()
+            assert calls == []
+            assert fs == expected
+            for f, g in zip(fs, expected):
+                assert list(f.entries) == list(g.entries)
+                assert all(type(v) is Fraction for v in f.entries.values())
+
+    def test_non_square_and_singular_blocks_fall_back(self, monkeypatch):
+        rng = random.Random(223)
+        wide = square_singular = 0
+        for _ in range(60):
+            n = rng.randint(2, 6)
+            p = SeminormSpec.sup_on(range(1, n + 3))
+            us = [SparseVector({i: frac(rng.randint(-2, 2), rng.choice([1, 2]))
+                                for i in rng.sample(range(1, n + 5), rng.randint(1, 3))})
+                  for _ in range(n)]
+            if rng.random() < 0.3:  # a repeated projection makes the block singular
+                us[-1] = us[0] + SparseVector.basis(n + 4)
+            try:
+                expected = self.separator_path(monkeypatch, us, p, EXACT)
+            except KernelCollision as exc:
+                expected = str(exc)
+            calls = self.spy_separators(monkeypatch)
+            try:
+                fs = biorthogonalize(us, p)
+            except KernelCollision as exc:
+                fs = str(exc)
+            monkeypatch.undo()
+            assert fs == expected
+            coords = set().union(*({i for i in u.entries if i in p.weights} for u in us))
+            if len(coords) != n:
+                wide += 1
+                assert calls  # the separator path ran
+            elif not linalg.independent(({i: v for i, v in u.entries.items()
+                                          if i in p.weights} for u in us)):
+                square_singular += 1
+                assert calls and isinstance(fs, str)
+        assert wide >= 10 and square_singular >= 5
+
+    def test_float_mode_keeps_the_separator_path(self, monkeypatch):
+        import orbitlab.density as density
+
+        rng = random.Random(227)
+        for _ in range(30):
+            us, p = self.chain(rng, rng.randint(1, 9), FLOAT)
+            expected = self.separator_path(monkeypatch, us, p, FLOAT)
+            inverse = []
+            monkeypatch.setattr(density, "_dual_by_inverse",
+                                lambda *args: inverse.append(args))
+            fs = biorthogonalize(us, p, FLOAT)
+            monkeypatch.undo()
+            assert inverse == []
+            assert [[(i, v.hex()) for i, v in f.entries.items()] for f in fs] == \
+                [[(i, v.hex()) for i, v in f.entries.items()] for f in expected]

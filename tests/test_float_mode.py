@@ -3,9 +3,7 @@
 import dataclasses
 import json
 import random
-import types
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -170,12 +168,7 @@ def test_float_build_shift_with_thirds(tmp_path):
     assert checks["chain-identities"] is True
 
 
-def _benchmark_workloads():
-    # executed from source so that no bytecode cache is written under perfbench/
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    module = types.ModuleType("perfbench_workloads")
-    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
-    return module
+_benchmark_workloads = oracles.benchmark_workloads
 
 
 @pytest.mark.xfail(strict=True, reason="float ranks use an absolute tolerance: the "

@@ -34,6 +34,7 @@ from orbitlab.hypercyclic import (
     transitivity_witness,
 )
 from orbitlab.operators import IDENTITY, ZERO
+from orbitlab.scalars import FLOAT
 
 import oracles
 
@@ -228,12 +229,12 @@ def dense_nilpotent(s, top):
 
 
 class TestPremiseOracle:
-    def random_operator(self, rng, top):
+    def random_operator(self, rng, top, k=None):
         def entries():
             return {i: frac(rng.randint(-3, 3), rng.choice([1, 2, 3]))
                     for i in rng.sample(range(1, top + 1), rng.randint(1, min(3, top)))}
         terms = tuple((CoordFunctional(entries()), SparseVector(entries()))
-                      for _ in range(rng.randint(0, 4)))
+                      for _ in range(rng.randint(0, 4) if k is None else k))
         return FiniteRankOperator(rng.choice([ZERO, IDENTITY]), terms)
 
     def test_matches_dense_oracle_on_random_operators(self):
@@ -267,6 +268,150 @@ class TestPremiseOracle:
         assert [(r.n, r.dim_range, r.dim_kernel, r.dim_intersection)
                 for r in report.rows] == rows
         assert (report.span_dim, report.window_meet_dim) == (span_dim, window_meet)
+
+    @staticmethod
+    def spy_paths(monkeypatch):
+        """Count the premise checks that take the core and the ambient path."""
+        import orbitlab.hypercyclic as hypercyclic
+
+        taken = {"core": 0, "ambient": 0}
+        for path in taken:
+            name = f"_{path}_premise"
+
+            def counted(*args, _path=path, _run=getattr(hypercyclic, name)):
+                taken[_path] += 1
+                return _run(*args)
+            monkeypatch.setattr(hypercyclic, name, counted)
+        return taken
+
+    def check(self, t, window, depth):
+        report = range_kernel_premise_check(t, window, depth)
+        rows, span_dim, window_meet = dense_premise(t, window, depth)
+        assert [(r.n, r.dim_range, r.dim_kernel, r.dim_intersection)
+                for r in report.rows] == rows
+        assert (report.span_dim, report.window_meet_dim) == (span_dim, window_meet)
+
+    @staticmethod
+    def chain_shift(rng, window):
+        """A build-shift chain shaped like the benchmark's: u_k = e_k plus
+        earlier coordinates plus kernel junk above the active rows."""
+        n_us = window - 2
+        us = []
+        for k in range(1, n_us + 1):
+            entries = {k: frac(1), rng.randint(n_us + 1, window): frac(rng.randint(1, 3), 2)}
+            for j in rng.sample(range(1, k), min(k - 1, 2)):
+                entries[j] = frac(rng.randint(-2, 2), rng.choice([1, 2, 4]))
+            us.append(SparseVector(entries))
+        p = SeminormSpec.sup_on(range(1, n_us + 1))
+        disk = DiskSpec(weights={i: frac(rng.randint(1, 3)) for i in range(1, window + 1)})
+        return build_shift_operator(us, p, disk).operator
+
+    def independent_operator(self, rng, top):
+        """k terms with independent v's and independent f's."""
+        k = rng.randint(1, top)
+        while True:
+            t = self.random_operator(rng, top, k)
+            if (oracles.rank([[v.get(i) for i in range(1, top + 1)] for _, v in t.terms]) == k
+                    and oracles.rank([[f.get(i) for i in range(1, top + 1)]
+                                      for f, _ in t.terms]) == k):
+                return t
+
+    def dependent_operator(self, rng, top):
+        """Random terms plus one whose v (or f) is a multiple of an earlier one's."""
+        t = self.random_operator(rng, top, rng.randint(1, 3))
+        f, v = rng.choice(t.terms)
+        c = frac(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
+        g, w = self.random_operator(rng, top, 1).terms[0]
+        extra = (g, v.scale(c)) if rng.random() < 0.5 else (f.scale(c), w)
+        return FiniteRankOperator(t.base, t.terms + (extra,))
+
+    def test_core_and_ambient_paths_match_dense_oracle(self, monkeypatch):
+        rng = random.Random(307)
+        taken = self.spy_paths(monkeypatch)
+        for _ in range(25):
+            window = rng.randint(4, 9)
+            s = self.chain_shift(rng, window)
+            self.check(rng.choice([s, s.plus_identity()]), window, rng.randint(1, 6))
+        for i in range(90):
+            top = rng.randint(2, 7)
+            t = [self.independent_operator, self.random_operator,
+                 self.dependent_operator][i % 3](rng, top)
+            self.check(t, rng.randint(1, top), rng.randint(1, 4))
+        assert taken["core"] >= 20 and taken["ambient"] >= 20
+
+    def test_dependent_terms_and_trivial_operators_take_the_ambient_path(self, monkeypatch):
+        taken = self.spy_paths(monkeypatch)
+        e = SparseVector.basis
+        d = CoordFunctional.delta
+        operators = [
+            FiniteRankOperator.identity(),
+            FiniteRankOperator.zero(),
+            # dependent v's: v_1 = v_2
+            FiniteRankOperator(ZERO, ((d(2), e(1)), (d(3), e(1)))),
+            # dependent f's: f_2 = 2 f_1
+            FiniteRankOperator(ZERO, ((d(3), e(1)), (d(3).scale(frac(2)), e(2)))),
+            # a zero v
+            FiniteRankOperator(IDENTITY, ((d(2), SparseVector.zero()), (d(3), e(2)))),
+        ]
+        for t in operators:
+            self.check(t, 3, 3)
+        assert taken == {"core": 0, "ambient": len(operators)}
+
+    def test_float_mode_keeps_the_ambient_path(self, monkeypatch):
+        taken = self.spy_paths(monkeypatch)
+        terms = tuple((CoordFunctional({k + 1: 1.0}), SparseVector({k: 0.5}))
+                      for k in range(1, 6))
+        report = range_kernel_premise_check(FiniteRankOperator(IDENTITY, terms), 6, 3, FLOAT)
+        assert taken == {"core": 0, "ambient": 1}
+        assert [r.dim_range for r in report.rows] == [5, 4, 3]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_corpus_build_shifts_take_both_fast_paths(monkeypatch, seed):
+    """Every exact build-shift of the shiftgauge corpus reads its dual system
+    off one inverse (no `Separator.of` under `biorthogonalize`) and its
+    premise off the k x k core (no `FiniteRankOperator.apply` under
+    `range_kernel_premise_check`); the same spies see both slow paths in
+    float mode."""
+    import sys
+
+    import orbitlab.density as density
+    import orbitlab.hypercyclic as hypercyclic
+    from orbitlab.scenarios import Scenario, run_scenario
+    from orbitlab.seminorms import Separator
+
+    def under(code):
+        frame = sys._getframe(2)
+        while frame is not None:
+            if frame.f_code is code:
+                return True
+            frame = frame.f_back
+        return False
+
+    seen = []
+    of, apply = Separator.of.__func__, FiniteRankOperator.apply
+
+    def spied_of(cls, *args, **kwargs):
+        if under(density.biorthogonalize.__code__):
+            seen.append("Separator.of")
+        return of(cls, *args, **kwargs)
+
+    def spied_apply(self, *args, **kwargs):
+        if under(hypercyclic.range_kernel_premise_check.__code__):
+            seen.append("apply")
+        return apply(self, *args, **kwargs)
+
+    monkeypatch.setattr(Separator, "of", classmethod(spied_of))
+    monkeypatch.setattr(FiniteRankOperator, "apply", spied_apply)
+    shifts = [data for data in oracles.benchmark_workloads().generate("shiftgauge", seed)
+              if data["payload"].get("mode") == "build-shift"]
+    assert len(shifts) == 6
+    for data in shifts:
+        report = run_scenario(Scenario.from_dict(dict(data, scalar_mode="exact")))
+        assert report.passed
+        assert seen == [], data["name"]
+    run_scenario(Scenario.from_dict(dict(shifts[0], scalar_mode="float")))
+    assert {"Separator.of", "apply"} <= set(seen)
 
 
 def dense_witness(t, x, y, eps, max_n, p, window):
