@@ -23,13 +23,19 @@ from .scenarios import Scenario, ScenarioError, run_scenario
 
 OUT_ENV = "ORBITLAB_OUT"
 
-# errors that make a scenario unusable (exit 2) rather than failed (exit 1)
-UNUSABLE = (WorkbenchError, FileNotFoundError, json.JSONDecodeError)
+# errors that make an input unusable (exit 2) rather than failed (exit 1)
+UNUSABLE = (WorkbenchError, OSError)
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    """The JSON value of a file; ScenarioError, led by the path, if it cannot be read as JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ScenarioError(f"{path}: {exc.strerror or exc}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 def _emit(report: Report, fmt: str, out_dir: Optional[str], label: str) -> bytes:
@@ -45,26 +51,35 @@ def _emit(report: Report, fmt: str, out_dir: Optional[str], label: str) -> bytes
 
 
 def _run_one(path: str):
-    """The report of one scenario file, or the error that made it unusable."""
+    """The report of one scenario file, or the `path: reason` text of the
+    error that made it unusable."""
     try:
-        return run_scenario(Scenario.from_dict(_load_json(path)))
+        data = _load_json(path)
+    except ScenarioError as exc:
+        return str(exc)
+    try:
+        return run_scenario(Scenario.from_dict(data))
     except UNUSABLE as exc:
-        return exc
+        return f"{path}: {exc}"
 
 
 def _cmd_run(args) -> int:
     out_dir = args.out or os.environ.get(OUT_ENV)
     expected = Path(args.check).read_bytes() if args.check else None
     jobs = min(max(1, args.jobs), len(args.scenario))
-    unusable, failed = [], []
+    unusable, failed, written = [], [], {}
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         # map yields in input order, so reports are emitted in input order
         for path, outcome in zip(args.scenario, pool.map(_run_one, args.scenario)):
-            if isinstance(outcome, Exception):
-                sys.stderr.write(f"error: {path}: {outcome}\n")
+            stem = Path(path).stem
+            if out_dir and stem in written and not isinstance(outcome, str):
+                outcome = f"{path}: report {stem!r} already written for {written[stem]}"
+            if isinstance(outcome, str):
+                sys.stderr.write(f"error: {outcome}\n")
                 unusable.append(path)
                 continue
-            _emit(outcome, args.format, out_dir, Path(path).stem)
+            written[stem] = path
+            _emit(outcome, args.format, out_dir, stem)
             if expected is not None and expected != emit_report(outcome, "json"):
                 sys.stderr.write(f"{path}: report differs from {args.check}\n")
                 failed.append(path)

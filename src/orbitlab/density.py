@@ -32,7 +32,6 @@ class Enumeration:
     """Ordered finite prefix of a countable set, items pairwise distinct."""
 
     items: Tuple[SparseVector, ...]
-    role: str = "A"
 
     def __post_init__(self):
         items = tuple(self.items)
@@ -58,11 +57,8 @@ class EpsilonNet:
     window: int
     targets: Tuple[SparseVector, ...]
     eps: Scalar
-    norm: Optional[SeminormSpec] = None
 
     def seminorm(self, ctx: ScalarContext = EXACT) -> SeminormSpec:
-        if self.norm is not None:
-            return self.norm
         return SeminormSpec.sup_on(range(1, self.window + 1), ctx.one)
 
 
@@ -136,12 +132,7 @@ def extract_p_independent(a: Enumeration, p: SeminormSpec,
         if found is None:
             raise Exhausted(f"ball {n} contains no admissible element of the prefix")
         picks.append(found)
-    return Enumeration(tuple(picks), role=a.role)
-
-
-def null_sequence_disk(xs: Sequence[SparseVector]) -> DiskSpec:
-    """Generator-form disk spanned by a (finite stage of a) null sequence."""
-    return DiskSpec.from_generators(tuple(xs))
+    return Enumeration(tuple(picks))
 
 
 @dataclass(frozen=True)
@@ -160,12 +151,12 @@ class CommonDiskReport:
 
 
 def common_disk(a: Enumeration, b: Enumeration, net: EpsilonNet,
-                rounds: int = 2, ctx: ScalarContext = EXACT) -> CommonDiskReport:
+                ctx: ScalarContext = EXACT) -> CommonDiskReport:
     """One weight-form disk under which both enumerations remain nets.
 
     Builds the combined null list: geometrically rescaled approximation
-    residuals 2^m (f(m) - nearest_A), 2^m (f(m) - nearest_B) for a
-    round-robin pass over the targets, plus damped copies of the members
+    residuals 2^m (f(m) - nearest_A), 2^m (f(m) - nearest_B) for two
+    round-robin passes over the targets, plus damped copies of the members
     themselves.  Weights make every combined element lie in the disk; the
     achieved net radii and the domination constant are measured and
     reported, not promised.  Each enumeration is scanned for its nearest
@@ -183,7 +174,7 @@ def common_disk(a: Enumeration, b: Enumeration, net: EpsilonNet,
 
     schedule: List[Tuple[int, Scalar, Scalar]] = []
     combined: List[SparseVector] = []
-    for m in range(1, rounds * len(net.targets) + 1):
+    for m in range(1, 2 * len(net.targets) + 1):
         t = (m - 1) % len(net.targets)
         f_m = net.targets[t]
         (pos_a, dist_a), (pos_b, dist_b) = scan_a[t], scan_b[t]

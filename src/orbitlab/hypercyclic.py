@@ -166,53 +166,43 @@ def _core_premise(s: FiniteRankOperator, depth: int, ctx: ScalarContext) -> Prem
     With G = F·V, G_ij = f_i(v_j), S^n = V G^{n-1} F, so rank S^n =
     rank G^{n-1}; S^n x = 0 for x = V G^{n-1} y exactly when G^{2n-1} y = 0,
     so the intersection is V G^{n-1} null(G^{2n-1}), of dimension
-    rank G^{n-1} - rank G^{2n-1}.  Powers of G are kept as sparse columns,
-    G^m e_j = sum_l G_lj G^{m-1} e_l, and each nullspace is one
-    `RowReducer.of` of k sparse rows.  V is injective, so V maps a basis of
-    the sum of the G^{n-1} null(G^{2n-1}) onto one of the sum of the
-    intersections, and only that basis is mapped.
+    rank G^{n-1} - rank G^{2n-1}.  Powers of G are kept as sparse columns
+    over the term positions 1..k, G^m e_j = `combine` of G_lj G^{m-1} e_l,
+    and each nullspace is one `RowReducer.of` of k sparse rows.  V is
+    injective, so V maps a basis of the sum of the G^{n-1} null(G^{2n-1})
+    onto one of the sum of the intersections, and only that basis is mapped.
     """
     k = len(s.terms)
     vs = [v for _, v in s.terms]
     g = [{i: x for i in s.coord_index.hits(v) if (x := s.terms[i][0].pair(v))}
          for v in vs]
-    # powers[m][j] = G^m e_j, ranks[m] = rank G^m
-    powers = [[{j: ctx.one} for j in range(k)]]
+    # powers[m][j] = G^m e_{j+1}, ranks[m] = rank G^m
+    powers = [[SparseVector.basis(j, ctx) for j in range(1, k + 1)]]
     for _ in range(2 * depth - 1):
         prev = powers[-1]
-        powers.append([_mix(((c, prev[l]) for l, c in col.items()), ctx) for col in g])
+        powers.append([combine((c, prev[l]) for l, c in col.items()) for col in g])
     ranks = {0: k}
     dims, basis, echelon = [], [], linalg.Echelon(ctx)
     for n in range(1, depth + 1):
         rows: List[Dict[int, Scalar]] = [{} for _ in range(k)]
         for j, col in enumerate(powers[2 * n - 1]):
-            for i, x in col.items():
-                rows[i][j] = x
+            for i, x in col.entries.items():
+                rows[i - 1][j] = x
         red = linalg.RowReducer.of(rows, ctx)
         ranks[2 * n - 1] = red.rank
         if n - 1 not in ranks:
-            ranks[n - 1] = linalg.row_rank(powers[n - 1], ctx)
+            ranks[n - 1] = linalg.row_rank((col.entries for col in powers[n - 1]), ctx)
         dims.append((ranks[n - 1], ranks[n - 1] - red.rank))
         for fc in range(k):
             if fc not in red.rows:
-                z = _mix(((c, powers[n - 1][j]) for j, c in red.null_vector(fc).items()), ctx)
-                if echelon.try_add(z):
+                z = combine((c, powers[n - 1][j]) for j, c in red.null_vector(fc).items())
+                if echelon.try_add(z.entries):
                     basis.append(z)
-    return dims, [combine((c, vs[i]) for i, c in z.items()).entries for z in basis]
-
-
-def _mix(terms, ctx: ScalarContext) -> Dict[int, Scalar]:
-    """sum of c * x over the (c, x) pairs of a scalar and a sparse dict."""
-    out: Dict[int, Scalar] = {}
-    for c, x in terms:
-        for i, v in x.items():
-            out[i] = out.get(i, 0) + c * v
-    return {i: v for i, v in out.items() if not ctx.is_zero(v)}
+    return dims, [combine((c, vs[i - 1]) for i, c in z.entries.items()).entries for z in basis]
 
 
 def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector,
-                         eps: Scalar, max_n: int, p: SeminormSpec,
-                         window: Optional[int] = None,
+                         eps: Scalar, max_n: int, p: SeminormSpec, window: int,
                          ctx: ScalarContext = EXACT) -> Tuple[int, SparseVector]:
     """Search for (n, z) with p(z - x) < eps and p(T^n z - y) < eps.
 
@@ -224,12 +214,6 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
     projection.  Raises NotNilpotent when the chain part of T is not nilpotent
     on the window, WitnessNotFound with the best (n, residual) on failure.
     """
-    if window is None:
-        window = max(
-            [max(x.support, default=1), max(y.support, default=1), max(p.active)]
-            + [max(v.support, default=1) for _, v in t.terms]
-            + [max(f.support, default=1) for f, _ in t.terms]
-        )
     indices = range(1, window + 1)
 
     def step(op: FiniteRankOperator, v: SparseVector) -> SparseVector:
@@ -313,14 +297,8 @@ class NonOrbitSet:
     def items(self) -> Tuple[SparseVector, ...]:
         return tuple(self.b.items) + self.c
 
-    def in_b(self, x: SparseVector) -> bool:
-        return x in self.b.items
-
-    def in_c(self, x: SparseVector) -> bool:
-        return x in self.c
-
     def __contains__(self, x: SparseVector) -> bool:
-        return self.in_b(x) or self.in_c(x)
+        return x in self.b.items or x in self.c
 
 
 def build_nonorbit_set(family: Sequence[SeminormSpec], b: Enumeration,
@@ -385,7 +363,7 @@ def refute_orbit(t: FiniteRankOperator, x: SparseVector, a_set: NonOrbitSet,
 
     m_set = [
         n for n in range(horizon - 1)
-        if a_set.in_c(prefix[n]) and a_set.in_b(prefix[n + 1])
+        if prefix[n] in a_set.c and prefix[n + 1] in a_set.b.items
     ]
 
     p1_sum = ctx.zero

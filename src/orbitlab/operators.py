@@ -41,7 +41,7 @@ from . import linalg
 from .errors import BudgetExceeded, SingularOperator
 from .scalars import EXACT, Scalar, ScalarContext
 from .seminorms import DiskSpec, SeminormSpec, dual_norm, minkowski
-from .vectors import CoordFunctional, SparseVector, combine
+from .vectors import CoordFunctional, SparseVector, _dot, combine
 
 IDENTITY = "identity"
 ZERO = "zero"
@@ -49,19 +49,6 @@ ZERO = "zero"
 Term = Tuple[CoordFunctional, SparseVector]
 TermRows = Tuple[Dict[int, int], int, Dict[int, int], int]
 FiniteMap = Union[CoordFunctional, SparseVector]
-
-
-def _dot(a: Dict[int, int], b: Dict[int, int]) -> int:
-    """sum_i a_i * b_i over the coordinates of two integer rows, 0 when none
-    is shared."""
-    if len(b) < len(a):
-        a, b = b, a
-    total = 0
-    for i, v in a.items():
-        w = b.get(i)
-        if w is not None:
-            total += v * w
-    return total
 
 
 class CoordIndex:
@@ -233,11 +220,9 @@ class NeumannBudget:
     disk: DiskSpec
     c: Scalar
     per_term: Tuple[Tuple[Scalar, Scalar], ...]
-    epsilons: Optional[Tuple[Scalar, ...]] = None
 
 
 def neumann_certificate(t: FiniteRankOperator, p: SeminormSpec, disk: DiskSpec,
-                        epsilons: Optional[Sequence[Scalar]] = None,
                         ctx: ScalarContext = EXACT) -> NeumannBudget:
     """Compute the budget of a base-zero operator; BudgetExceeded if c >= 1."""
     if t.base != ZERO:
@@ -251,13 +236,7 @@ def neumann_certificate(t: FiniteRankOperator, p: SeminormSpec, disk: DiskSpec,
         c += df * pv
     if not c < 1:
         raise BudgetExceeded(c)
-    return NeumannBudget(
-        p=p,
-        disk=disk,
-        c=c,
-        per_term=tuple(per_term),
-        epsilons=tuple(epsilons) if epsilons is not None else None,
-    )
+    return NeumannBudget(p=p, disk=disk, c=c, per_term=tuple(per_term))
 
 
 class GramFactor:

@@ -60,14 +60,6 @@ class Table:
     def to_dict(self) -> dict:
         return {"name": self.name, "columns": self.columns, "rows": self.rows}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Table":
-        return cls(
-            name=data["name"],
-            columns=list(data["columns"]),
-            rows=[list(r) for r in data["rows"]],
-        )
-
 
 @dataclass
 class Report:

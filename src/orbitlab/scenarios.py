@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
 from . import __version__, serialize
-from .density import Enumeration, EpsilonNet, common_disk, net_report, null_sequence_disk
+from .density import Enumeration, EpsilonNet, common_disk, net_report
 from .errors import NotInSpan, StageFailure, WitnessNotFound, WorkbenchError
 from .hypercyclic import (
     build_nonorbit_set,
@@ -26,7 +26,7 @@ from .hypercyclic import (
 )
 from .reports import CheckResult, Report, Table, scenario_hash
 from .scalars import EXACT, ScalarContext, Scalar
-from .seminorms import SeminormSpec, eval_seminorm, minkowski
+from .seminorms import DiskSpec, SeminormSpec, eval_seminorm, minkowski
 from .transport import matched_pairs, run_transport, verify_transport
 from .triangular import (
     build_omega_operator,
@@ -132,8 +132,8 @@ def _vectors(data, ctx: ScalarContext, where: str) -> List[SparseVector]:
             for k, v in enumerate(data)]
 
 
-def _enumeration(data, ctx: ScalarContext, where: str, role: str) -> Enumeration:
-    return _field(where, Enumeration, tuple(_vectors(data, ctx, where)), role)
+def _enumeration(data, ctx: ScalarContext, where: str) -> Enumeration:
+    return _field(where, Enumeration, tuple(_vectors(data, ctx, where)))
 
 
 def parse_eps_schedule(spec, count: int, ctx: ScalarContext = EXACT) -> List[Scalar]:
@@ -184,8 +184,8 @@ def _random_window_vector(rng, window: int, ctx: ScalarContext) -> SparseVector:
 
 def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
-    a = _enumeration(_need(payload, "a"), ctx, "payload.a", "A")
-    b = _enumeration(_need(payload, "b"), ctx, "payload.b", "B")
+    a = _enumeration(_need(payload, "a"), ctx, "payload.a")
+    b = _enumeration(_need(payload, "b"), ctx, "payload.b")
     p = _field("payload.p", serialize.decode_seminorm, _need(payload, "p"), ctx)
     disk = _field("payload.disk", serialize.decode_disk, _need(payload, "disk"), ctx)
     stages = _count(payload, "stages")
@@ -282,7 +282,7 @@ def _run_disk_task(scenario: Scenario, ctx, rng, report: Report):
         gens = _vectors(payload["generators"], ctx, "payload.generators")
         if not gens:
             raise ScenarioError("payload.generators: a disk needs at least one generator")
-        disk = null_sequence_disk(gens)
+        disk = DiskSpec.from_generators(gens)
         inside = True
         rows = []
         for i, g in enumerate(gens, start=1):
@@ -304,8 +304,8 @@ def _run_disk_task(scenario: Scenario, ctx, rng, report: Report):
             report.tables.append(Table("probes", ["vector", "p_K"], probe_rows))
     elif "common" in payload:
         spec = payload["common"]
-        a = _enumeration(_need(spec, "a", "payload.common"), ctx, "payload.common.a", "A")
-        b = _enumeration(_need(spec, "b", "payload.common"), ctx, "payload.common.b", "B")
+        a = _enumeration(_need(spec, "a", "payload.common"), ctx, "payload.common.a")
+        b = _enumeration(_need(spec, "b", "payload.common"), ctx, "payload.common.b")
         targets = tuple(_vectors(_need(spec, "targets", "payload.common"), ctx,
                                  "payload.common.targets"))
         eps = _field("payload.common.eps", ctx.parse, _need(spec, "eps", "payload.common"))
@@ -423,7 +423,7 @@ def _run_refute_task(scenario: Scenario, ctx, rng, report: Report):
         SeminormSpec.sup_on(range(1, first + n), ctx.one)
         for n in range(1, levels + 1)
     ]
-    b = _enumeration(payload.get("b", []), ctx, "payload.b", "B")
+    b = _enumeration(payload.get("b", []), ctx, "payload.b")
     ns = build_nonorbit_set(family, b, ctx)
     op = _field("payload.operator", serialize.decode_operator,
                 _need(payload, "operator"), ctx)

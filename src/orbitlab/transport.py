@@ -9,10 +9,11 @@ approximations: the rank-one update absorbs the distance to the chosen
 approximant.
 
 Each step adds one matched A-side vector to the constraints of the next
-separating functional and one term to J, so a run keeps one `Workspace`
-that grows with them: the echelon form of the constraints and a bordered
-factor of the Gram system.  `verify_transport` uses neither; it rebuilds the
-inverse of J from scratch.
+separating functional and one term to J, so a run keeps two solvers that
+grow with them: a `Separator`, the echelon form of the constraints, and a
+`GramFactor`, a bordered factor of the Gram system for the backward solves.
+They are derived data, not part of the replayable `TransportState`;
+`verify_transport` uses neither and rebuilds the inverse of J from scratch.
 """
 
 from __future__ import annotations
@@ -86,37 +87,19 @@ def initial_state(a: Enumeration, b: Enumeration, p: SeminormSpec, disk: DiskSpe
     )
 
 
-class Workspace:
-    """The incremental solvers of one run, fed one matched pair per step.
-
-    `separator` holds the matched A-side vectors, the constraints of the next
-    separating functional; `gram` holds the factored Gram system of the terms
-    of J, for the backward solves.  It is derived data, not part of the
-    replayable TransportState.
-    """
-
-    def __init__(self, p: SeminormSpec, ctx: ScalarContext = EXACT):
-        self.separator = Separator(p, ctx)
-        self.gram = GramFactor(ctx)
-
-    def add(self, x: SparseVector, f: CoordFunctional, v: SparseVector) -> None:
-        """Record the matched vector x of A and the term f (.) v built for it."""
-        self.separator.add(x)
-        self.gram.extend(f, v)
-
-
-def step_forward(state: TransportState, u: SparseVector, work: Workspace,
+def step_forward(state: TransportState, u: SparseVector, separator: Separator,
                  pool: Sequence[SparseVector], eps: Scalar,
                  ctx: ScalarContext = EXACT
                  ) -> Tuple[CoordFunctional, SparseVector, SparseVector]:
     """One forward step: returns (f, v, r) with (I + T + f (.) v) u = r in pool.
 
-    f separates u from the matched A-side vectors with dual norm one; r is the
-    first pool element within eps * |f(u)| of u + T u in the disk gauge; v is
-    the exact update making the image land on r.
+    f separates u from the matched A-side vectors that `separator` holds,
+    with dual norm one; r is the first pool element within eps * |f(u)| of
+    u + T u in the disk gauge; v is the exact update making the image land
+    on r.
     """
     t = state.terms
-    f = work.separator.functional(u)
+    f = separator.functional(u)
     target = u + t.apply(u, ctx)
     f_u = f.pair(u)
     bound = eps * abs(f_u)
@@ -136,19 +119,20 @@ def step_forward(state: TransportState, u: SparseVector, work: Workspace,
     )
 
 
-def step_backward(state: TransportState, u: SparseVector, work: Workspace,
-                  pool: Sequence[SparseVector], eps: Scalar,
+def step_backward(state: TransportState, u: SparseVector, separator: Separator,
+                  gram: GramFactor, pool: Sequence[SparseVector], eps: Scalar,
                   ctx: ScalarContext = EXACT
                   ) -> Tuple[CoordFunctional, SparseVector, SparseVector]:
     """One backward step: returns (f, v, a) with (I + T + f (.) v) a = u.
 
-    Solves (I + T) w = u exactly, separates w from the matched A-side
-    vectors, then scans the pool for an a with f(a) != 0 whose exact update
+    Solves (I + T) w = u exactly with `gram`, the factored Gram system of the
+    terms of T, separates w from the matched A-side vectors that `separator`
+    holds, then scans the pool for an a with f(a) != 0 whose exact update
     vector v = (I + T)(w - a) / f(a) fits in the eps slot.
     """
     j = state.terms.plus_identity()
-    w = work.gram.solve(u)
-    f = work.separator.functional(w)
+    w = gram.solve(u)
+    f = separator.functional(w)
     best: Optional[Scalar] = None
     best_pos = None
     for pos, a in enumerate(pool):
@@ -200,17 +184,17 @@ def run_transport(a: Enumeration, b: Enumeration, p: SeminormSpec, disk: DiskSpe
         raise BudgetExceeded(total, "epsilon schedule sum")
 
     state = initial_state(a, b, p, disk, eps_schedule)
-    work = Workspace(p, ctx)
+    separator, gram = Separator(p, ctx), GramFactor(ctx)
     for q in range(1, stages + 1):
         try:
-            state = _run_stage(state, work, q, ctx)
+            state = _run_stage(state, separator, gram, q, ctx)
         except (NoApproximant, Exhausted) as exc:
             raise StageFailure(q, state, exc) from exc
     return state.operator, state
 
 
-def _run_stage(state: TransportState, work: Workspace, q: int,
-               ctx: ScalarContext) -> TransportState:
+def _run_stage(state: TransportState, separator: Separator, gram: GramFactor,
+               q: int, ctx: ScalarContext) -> TransportState:
     a, b = state.a, state.b
     n_idx, m_idx = list(state.n_idx), list(state.m_idx)
 
@@ -224,9 +208,10 @@ def _run_stage(state: TransportState, work: Workspace, q: int,
     used_m = set(m_idx) | {m_bwd}
     pool_idx = [i for i in range(1, len(b) + 1) if i not in used_m]
     pool = [b.vector(i) for i in pool_idx]
-    f, v, r = step_forward(state, u, work, pool, state.epsilons[2 * q - 2], ctx)
+    f, v, r = step_forward(state, u, separator, pool, state.epsilons[2 * q - 2], ctx)
     m_fwd = pool_idx[pool.index(r)]
-    work.add(u, f, v)
+    separator.add(u)
+    gram.extend(f, v)
     n_idx.append(n_fwd)
     m_idx.append(m_fwd)
     state = replace(state, terms=state.terms.with_term(f, v), n_idx=tuple(n_idx),
@@ -236,9 +221,11 @@ def _run_stage(state: TransportState, work: Workspace, q: int,
     u = b.vector(m_bwd)
     pool_idx = [i for i in range(1, len(a) + 1) if i not in set(n_idx)]
     pool = [a.vector(i) for i in pool_idx]
-    f, v, picked = step_backward(state, u, work, pool, state.epsilons[2 * q - 1], ctx)
+    f, v, picked = step_backward(state, u, separator, gram, pool,
+                                 state.epsilons[2 * q - 1], ctx)
     n_bwd = pool_idx[pool.index(picked)]
-    work.add(picked, f, v)
+    separator.add(picked)
+    gram.extend(f, v)
     n_idx.append(n_bwd)
     m_idx.append(m_bwd)
     return replace(state, stage=q, terms=state.terms.with_term(f, v),

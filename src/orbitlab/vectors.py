@@ -28,6 +28,20 @@ def _clean(entries: Mapping[int, Scalar]) -> Dict[int, Scalar]:
     return out
 
 
+def _dot(a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> Scalar:
+    """sum_i a_i * b_i over the coordinates two maps share, looping over the
+    smaller one; the int 0 when none is shared.  `CoordFunctional.pair` sums
+    with it, and so does exact `FiniteRankOperator.apply` on integer rows."""
+    if len(b) < len(a):
+        a, b = b, a
+    total = 0
+    for i, v in a.items():
+        w = b.get(i)
+        if w is not None:
+            total += v * w
+    return total
+
+
 @dataclass(frozen=True)
 class _FiniteMap:
     entries: Mapping[int, Scalar] = field(default_factory=dict)
@@ -104,15 +118,7 @@ class CoordFunctional(_FiniteMap):
         return cls({index: ctx.one})
 
     def pair(self, x: SparseVector) -> Scalar:
-        small, large = self.entries, x.entries
-        if len(large) < len(small):
-            small, large = large, small
-        total = 0
-        for idx, val in small.items():
-            other = large.get(idx)
-            if other is not None:
-                total += val * other
-        return total
+        return _dot(self.entries, x.entries)
 
     def __call__(self, x: SparseVector) -> Scalar:
         return self.pair(x)

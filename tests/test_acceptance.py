@@ -79,8 +79,8 @@ def twin_instance(rng, window, stages, extras=0):
         for i in range(size)
     ]
     return (
-        Enumeration(tuple(a_items), "A"),
-        Enumeration(tuple(b_items), "B"),
+        Enumeration(tuple(a_items)),
+        Enumeration(tuple(b_items)),
         SeminormSpec.sup_on(range(1, active + 1)),
         DiskSpec.l1_on(range(1, window + 1)),
     )
@@ -514,7 +514,7 @@ def test_criterion_10_nonorbit_instrumentation():
         replay = orbit(candidate, x0, 8)
         assert rep.in_a == [p in ns for p in replay]
         assert rep.m_set == [
-            n for n in range(7) if ns.in_c(replay[n]) and ns.in_b(replay[n + 1])
+            n for n in range(7) if replay[n] in ns.c and replay[n + 1] in ns.b.items
         ]
         if rep.first_exit is not None or not rep.covers_a:
             diverged += 1

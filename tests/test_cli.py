@@ -783,6 +783,61 @@ class TestUnusableInputExits2:
             f"error: {path}: payload.{field}: coordinate indices are positive, got {index}\n")
 
 
+    @pytest.mark.parametrize("make", ["not-utf8", "directory", "too-deep"])
+    def test_unreadable_scenario_file_does_not_stop_the_batch(self, tmp_path, capsys, make):
+        bad = tmp_path / "bad.json"
+        if make == "directory":
+            bad.mkdir()
+        elif make == "too-deep":
+            bad.write_text('{"name": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        else:
+            bad.write_bytes(b'{"name": "\xff"}')
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(demo_scenario()))
+        out_dir = tmp_path / "out"
+        code = main(["run", "--scenario", str(bad), "--scenario", str(good),
+                     "--out", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert [p.name for p in out_dir.iterdir()] == ["good.json"]
+
+    @pytest.mark.parametrize("make", ["not-utf8", "directory"])
+    def test_unreadable_file_of_a_subcommand(self, tmp_path, capsys, make):
+        bad = tmp_path / "basis.json"
+        if make == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"[\xff]")
+        assert main(["triangularize", "--basis", str(bad), "--stages", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_reports_sharing_a_stem(self, tmp_path, capsys):
+        """The later of two scenario files with one stem would overwrite the
+        first's report under --out: it is unusable, and the first is kept."""
+        first, second = tmp_path / "a" / "s.json", tmp_path / "b" / "s.json"
+        bad = tmp_path / "bad.json"
+        for path, scenario in ((first, demo_scenario()), (second, disk_scenario()),
+                               (bad, {"name": "x"})):
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(json.dumps(scenario))
+        out_dir = tmp_path / "out"
+        args = ["run", "--out", str(out_dir)]
+        for path in (first, bad, second):
+            args += ["--scenario", str(path)]
+        assert main(args) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[:2] for line in lines] == [
+            ["error", str(bad)], ["error", str(second)]]
+        assert str(first) in lines[1]
+        assert [p.name for p in out_dir.iterdir()] == ["s.json"]
+        expected = emit_report(run_scenario(Scenario.from_dict(demo_scenario())), "json")
+        assert (out_dir / "s.json").read_bytes() == expected
+
+
 BUILDERS = [transport_scenario, triangularize_scenario, build_shift_scenario, demo_scenario,
             refute_scenario, disk_scenario, common_scenario, witness_scenario]
 CORRUPTIONS = ["<delete>", None, "abc", -3, 0, [], {}, "<duplicate>"]

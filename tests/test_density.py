@@ -7,6 +7,7 @@ import pytest
 
 from orbitlab import (
     CoordFunctional,
+    DiskSpec,
     SeminormSpec,
     SparseVector,
     dual_norm,
@@ -22,7 +23,6 @@ from orbitlab.density import (
     extract_p_independent,
     is_net,
     net_report,
-    null_sequence_disk,
 )
 from orbitlab.errors import Exhausted, KernelCollision, NotANet, NotInSpan, NotPIndependent
 from orbitlab.scalars import EXACT, FLOAT
@@ -93,18 +93,18 @@ class TestExtractPIndependent:
 
 class TestNullSequenceDisk:
     def test_two_generators_give_l1_norm_on_span(self):
-        disk = null_sequence_disk([sv(1), sv(0, 1)])
+        disk = DiskSpec.from_generators([sv(1), sv(0, 1)])
         assert minkowski(disk, sv(3, -4)) == 7
         assert minkowski(disk, sv(1)) == 1
 
     def test_single_generator(self):
-        disk = null_sequence_disk([sv(1)])
+        disk = DiskSpec.from_generators([sv(1)])
         assert minkowski(disk, sv(frac(5, 2))) == frac(5, 2)
         with pytest.raises(NotInSpan):
             minkowski(disk, sv(0, 1))
 
     def test_scaled_duplicate_prefers_cheap_representation(self):
-        disk = null_sequence_disk([sv(1), sv(frac(1, 2))])
+        disk = DiskSpec.from_generators([sv(1), sv(frac(1, 2))])
         assert minkowski(disk, sv(1)) == 1
 
     def test_generators_lie_in_the_disk(self):
@@ -114,14 +114,14 @@ class TestNullSequenceDisk:
             for _ in range(4)
         ]
         gens = [g for g in gens if not g.is_zero()]
-        disk = null_sequence_disk(gens)
+        disk = DiskSpec.from_generators(gens)
         for g in gens:
             assert minkowski(disk, g) <= 1
 
     def test_gauge_is_a_norm_on_span(self):
         rng = random.Random(97)
         gens = [sv(1, 1), sv(0, 2, 1)]
-        disk = null_sequence_disk(gens)
+        disk = DiskSpec.from_generators(gens)
         for _ in range(25):
             coeffs = [frac(rng.randint(-3, 3), rng.choice([1, 2])) for _ in gens]
             u = SparseVector.zero()
@@ -134,8 +134,8 @@ class TestNullSequenceDisk:
 class TestCommonDisk:
     def test_identical_enumerations(self):
         items = (SparseVector.zero(), sv(1), sv(0, 1))
-        a = Enumeration(items, role="A")
-        b = Enumeration(items, role="B")
+        a = Enumeration(items)
+        b = Enumeration(items)
         net = EpsilonNet(window=2, targets=items, eps=frac(0))
         report = common_disk(a, b, net)
         assert report.eps_a == 0
@@ -155,7 +155,7 @@ class TestCommonDisk:
         )
         targets = tuple(sv(i * frac(1, 2), j * frac(1, 2)) for i in range(-1, 2) for j in range(-1, 2))
         net = EpsilonNet(window=2, targets=targets, eps=frac(1, 8))
-        report = common_disk(Enumeration(a_items, "A"), Enumeration(b_items, "B"), net)
+        report = common_disk(Enumeration(a_items), Enumeration(b_items), net)
         # disks dominate the window seminorm with the reported constant
         w = net.seminorm()
         rng = random.Random(101)
@@ -213,8 +213,8 @@ class TestCommonDisk:
 
     def test_scans_keep_the_first_among_ties(self):
         # both items are at distance 1/2 from the target; the first one wins
-        a = Enumeration((sv(frac(1, 2)), sv(frac(-1, 2))), "A")
-        b = Enumeration((sv(frac(-1, 2)), sv(frac(1, 2))), "B")
+        a = Enumeration((sv(frac(1, 2)), sv(frac(-1, 2))))
+        b = Enumeration((sv(frac(-1, 2)), sv(frac(1, 2))))
         net = EpsilonNet(window=1, targets=(SparseVector.zero(),), eps=frac(1, 2))
         report = common_disk(a, b, net)
         assert report.scans == (((0, frac(1, 2)),), ((0, frac(1, 2)),))

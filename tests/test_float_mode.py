@@ -109,7 +109,7 @@ def test_float_invertible_check_runs_the_round_trip(monkeypatch):
     pi = [1, 0, 3, 2]
     b_items = [a_items[pi[i]] + fsv(*[0] * (active + i), 1e-8) for i in range(2 * stages)]
     _, state = run_transport(
-        Enumeration(tuple(a_items), "A"), Enumeration(tuple(b_items), "B"),
+        Enumeration(tuple(a_items)), Enumeration(tuple(b_items)),
         SeminormSpec.sup_on(range(1, active + 1), 1.0),
         DiskSpec.l1_on(range(1, window + 1), 1.0),
         [2.0 ** -(j + 2) for j in range(2 * stages)], stages, FLOAT,
@@ -187,8 +187,8 @@ def test_float_premise_span_matches_exact_on_the_corpus():
 
 
 def _float_state(terms):
-    a = Enumeration((fsv(1),), "A")
-    b = Enumeration((fsv(1),), "B")
+    a = Enumeration((fsv(1),))
+    b = Enumeration((fsv(1),))
     p = SeminormSpec.sup_on([1, 2], 1.0)
     disk = DiskSpec.l1_on(range(1, 5), 1.0)
     state = initial_state(a, b, p, disk, [0.5, 0.25])

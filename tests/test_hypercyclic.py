@@ -686,7 +686,7 @@ class TestCaseOneAssembly:
             a_items[pi[i]] + SparseVector({rng.randint(active + 1, window): noise})
             for i in range(built)
         )
-        a_enum, b_enum = Enumeration(a_items, "A"), Enumeration(b_items, "B")
+        a_enum, b_enum = Enumeration(a_items), Enumeration(b_items)
         schedule = [frac(1, 2 ** (j + 2)) for j in range(built)]
         j_op, state = run_transport(a_enum, b_enum, p, disk, schedule, stages)
 

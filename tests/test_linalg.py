@@ -234,7 +234,7 @@ def test_exact_rank_tests_build_no_fraction_row_reduction(monkeypatch):
     p = SeminormSpec.sup_on(range(1, 5))
     chain = [SparseVector({k: Fraction(1), k + 1: Fraction(1, 3)}) for k in range(1, 5)]
     shift = build_shift_operator(chain, p, DiskSpec.l1_on(range(1, 7), Fraction(1, 3)))
-    items = Enumeration(tuple(basis), "A")
+    items = Enumeration(tuple(basis))
     whole = (SparseVector.zero(), Fraction(100))
 
     def results():

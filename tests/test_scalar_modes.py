@@ -39,7 +39,7 @@ def transport_results(ctx):
     p = serialize.decode_seminorm(weights(range(1, 7)), ctx)
     disk = serialize.decode_disk({"weights": [[i, "1/2"] for i in range(1, 13)]}, ctx)
     schedule = parse_eps_schedule("geometric:1/2", 4, ctx)
-    j, state = run_transport(Enumeration(tuple(a), "A"), Enumeration(tuple(b), "B"),
+    j, state = run_transport(Enumeration(tuple(a)), Enumeration(tuple(b)),
                              p, disk, schedule, 2, ctx)
     return [j, state, state.budget_used(ctx), verify_transport(state, ctx)]
 
@@ -89,7 +89,7 @@ def common_results(ctx):
     targets = vectors([[[1, "1/4"], [2, "-3/4"]], [[1, "1/2"]], [[2, "1"]]], ctx)
     # coordinate 3 carries no item, so its disk weight stays at ctx.one
     net = EpsilonNet(window=3, targets=tuple(targets), eps=ctx.parse("1/4"))
-    return [common_disk(Enumeration(tuple(a), "A"), Enumeration(tuple(b), "B"), net,
+    return [common_disk(Enumeration(tuple(a)), Enumeration(tuple(b)), net,
                         ctx=ctx)]
 
 

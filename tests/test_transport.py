@@ -21,9 +21,10 @@ from orbitlab.errors import (
     NotPIndependent,
     StageFailure,
 )
+from orbitlab.operators import GramFactor
+from orbitlab.seminorms import Separator
 from orbitlab.transport import (
     TransportState,
-    Workspace,
     initial_state,
     matched_pairs,
     run_transport,
@@ -43,8 +44,8 @@ def frac(n, d=1):
 
 def fresh_state(a_items, b_items, active, window, epsilons):
     return initial_state(
-        Enumeration(tuple(a_items), "A"),
-        Enumeration(tuple(b_items), "B"),
+        Enumeration(tuple(a_items)),
+        Enumeration(tuple(b_items)),
         SeminormSpec.sup_on(range(1, active + 1)),
         DiskSpec.l1_on(range(1, window + 1)),
         epsilons,
@@ -59,7 +60,7 @@ class TestStepForward:
     def test_element_already_in_pool(self):
         state = fresh_state([sv(1)], [sv(1)], active=2, window=2,
                             epsilons=geometric_schedule(2))
-        f, v, r = step_forward(state, sv(1), Workspace(state.p), [sv(1)], frac(1, 4))
+        f, v, r = step_forward(state, sv(1), Separator(state.p), [sv(1)], frac(1, 4))
         assert r == sv(1)
         assert v.is_zero()
         assert f == CoordFunctional.delta(1)
@@ -68,7 +69,7 @@ class TestStepForward:
         state = fresh_state([sv(1)], [sv(frac(9, 10), frac(1, 10))], active=2,
                             window=2, epsilons=geometric_schedule(2))
         f, v, r = step_forward(
-            state, sv(1), Workspace(state.p), [sv(frac(9, 10), frac(1, 10))], frac(1, 4)
+            state, sv(1), Separator(state.p), [sv(frac(9, 10), frac(1, 10))], frac(1, 4)
         )
         assert v == sv(frac(-1, 10), frac(1, 10))
         updated = state.terms.with_term(f, v).plus_identity()
@@ -78,7 +79,7 @@ class TestStepForward:
         state = fresh_state([sv(1)], [sv(5, 5)], active=2, window=2,
                             epsilons=geometric_schedule(2))
         with pytest.raises(NoApproximant) as err:
-            step_forward(state, sv(1), Workspace(state.p), [sv(5, 5)], frac(1, 4))
+            step_forward(state, sv(1), Separator(state.p), [sv(5, 5)], frac(1, 4))
         assert err.value.best == 9  # l1 distance from (1,0) to (5,5)
 
 
@@ -87,7 +88,7 @@ class TestStepBackward:
         state = fresh_state([sv(2, frac(1, 10))], [sv(2)], active=2, window=2,
                             epsilons=geometric_schedule(2))
         f, v, a = step_backward(
-            state, sv(2), Workspace(state.p), [sv(2, frac(1, 10))], frac(1, 4)
+            state, sv(2), Separator(state.p), GramFactor(), [sv(2, frac(1, 10))], frac(1, 4)
         )
         assert a == sv(2, frac(1, 10))
         assert v == sv(0, frac(-1, 20))
@@ -97,7 +98,9 @@ class TestStepBackward:
     def test_element_already_matching(self):
         state = fresh_state([sv(2)], [sv(2)], active=2, window=2,
                             epsilons=geometric_schedule(2))
-        f, v, a = step_backward(state, sv(2), Workspace(state.p), [sv(2)], frac(1, 4))
+        f, v, a = step_backward(
+            state, sv(2), Separator(state.p), GramFactor(), [sv(2)], frac(1, 4)
+        )
         assert a == sv(2)
         assert v.is_zero()
 
@@ -135,8 +138,8 @@ def twin_instance(rng, window, stages, extras=0, noise_exp=None):
         })
         b_items.append(a_items[pi[i]] + eta)
     return (
-        Enumeration(tuple(a_items), "A"),
-        Enumeration(tuple(b_items), "B"),
+        Enumeration(tuple(a_items)),
+        Enumeration(tuple(b_items)),
         SeminormSpec.sup_on(range(1, active + 1)),
         DiskSpec.l1_on(range(1, window + 1)),
     )
@@ -167,8 +170,8 @@ class TestRunTransport:
         b_items = tuple(
             a_items[i + 1] if i % 2 == 0 else a_items[i - 1] for i in range(6)
         )
-        a = Enumeration(a_items, "A")
-        b = Enumeration(b_items, "B")
+        a = Enumeration(a_items)
+        b = Enumeration(b_items)
         p = SeminormSpec.sup_on(range(1, 7))
         d = DiskSpec.l1_on(range(1, 13))
         j, state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
@@ -315,8 +318,8 @@ def dense_twin_instance(rng, window, stages):
                               rng.randint(active + 1, window): frac(1, 2 ** 24)})
         b_items.append(twin + noise)
     return (
-        Enumeration(tuple(a_items), "A"),
-        Enumeration(tuple(b_items), "B"),
+        Enumeration(tuple(a_items)),
+        Enumeration(tuple(b_items)),
         SeminormSpec.sup_on(range(1, active + 1)),
         DiskSpec.l1_on(range(1, window + 1)),
     )
