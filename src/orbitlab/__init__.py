@@ -35,7 +35,6 @@ from .seminorms import (  # noqa: F401
     eval_seminorm,
     minkowski,
     p_independent,
-    separating_functional,
 )
 from .operators import (  # noqa: F401
     FiniteRankOperator,

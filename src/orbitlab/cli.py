@@ -64,6 +64,8 @@ def _run_one(path: str):
 
 
 def _cmd_run(args) -> int:
+    if args.check and len(args.scenario) > 1:
+        raise ScenarioError(f"--check holds one report; got {len(args.scenario)} --scenario files")
     out_dir = args.out or os.environ.get(OUT_ENV)
     expected = Path(args.check).read_bytes() if args.check else None
     jobs = min(max(1, args.jobs), len(args.scenario))
@@ -215,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--format", default="json", choices=["json", "csv", "text"])
     run_p.add_argument("--jobs", type=int, default=1)
     run_p.add_argument("--check", default=None,
-                       help="compare the JSON report against a stored file")
+                       help="compare the JSON report of the one --scenario against a stored file")
     run_p.add_argument("--out", default=None)
     run_p.set_defaults(func=_cmd_run)
 

@@ -19,10 +19,10 @@ from .scalars import EXACT, Scalar, ScalarContext
 from .seminorms import (
     DiskSpec,
     SeminormSpec,
+    Separator,
     eval_seminorm,
     minkowski,
     project_active,
-    separating_functional,
 )
 from .vectors import CoordFunctional, SparseVector
 
@@ -41,9 +41,6 @@ class Enumeration:
 
     def __len__(self):
         return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
 
     def vector(self, index: int) -> SparseVector:
         """1-based access, matching the index bookkeeping of the drivers."""
@@ -76,46 +73,30 @@ def nearest_in(items: Sequence[SparseVector], target: SparseVector,
 Scans = Tuple[Tuple[int, Scalar], ...]
 
 
-def _scan(items: Sequence[SparseVector], net: EpsilonNet, norm: SeminormSpec) -> Scans:
-    """`nearest_in` of the items for each target of the net, in target order."""
-    return tuple(nearest_in(items, t, norm) for t in net.targets)
-
-
-def is_net(items: Sequence[SparseVector], net: EpsilonNet,
-           ctx: ScalarContext = EXACT, scans: Optional[Scans] = None) -> bool:
-    """Every target has an item within eps; `scans`, the items' `nearest_in`
-    for each target when already made, saves the scans."""
-    if scans is None:
-        scans = _scan(items, net, net.seminorm(ctx))
+def is_net(items: Sequence[SparseVector], net: EpsilonNet, scans: Scans) -> bool:
+    """Every target has an item within eps; `scans` is the items' `nearest_in`
+    for each target."""
     return all(items and dist <= net.eps for _, dist in scans)
 
 
-def net_report(items: Sequence[SparseVector], net: EpsilonNet,
-               ctx: ScalarContext = EXACT, scans: Optional[Scans] = None):
-    """Rows (target, nearest item, distance) for the CSV emitters; `scans`,
-    the items' `nearest_in` for each target when already made, saves the
-    scans."""
-    if scans is None:
-        scans = _scan(items, net, net.seminorm(ctx))
+def net_report(items: Sequence[SparseVector], net: EpsilonNet, scans: Scans):
+    """Rows (target, nearest item, distance) for the CSV emitters; `scans` is
+    the items' `nearest_in` for each target."""
     return [(t, items[pos] if pos >= 0 else None, dist)
             for t, (pos, dist) in zip(net.targets, scans)]
 
 
 def extract_p_independent(a: Enumeration, p: SeminormSpec,
                           opens: Sequence[Tuple[SparseVector, Scalar]],
-                          window_norm: Optional[SeminormSpec] = None,
                           ctx: ScalarContext = EXACT) -> Enumeration:
-    """Greedy subsequence with the n-th pick inside the n-th open ball and all
-    active-coordinate projections independent at every stage."""
+    """Greedy subsequence with the n-th pick inside the n-th open ball (sup norm
+    on the coordinates up to the largest of the prefix, the centers and
+    active(p)) and all active-coordinate projections independent at every stage."""
     if len(p.active) < 2:
         raise NotPIndependent("seminorm must be non-trivial on the window")
-    if window_norm is None:
-        top = max(
-            [max(x.support, default=1) for x in a.items]
-            + [max(c.support, default=1) for c, _ in opens]
-            + [max(p.active)]
-        )
-        window_norm = SeminormSpec.sup_on(range(1, top + 1), ctx.one)
+    top = max([max(x.support, default=1) for x in a.items]
+              + [max(c.support, default=1) for c, _ in opens] + [max(p.active)])
+    window_norm = SeminormSpec.sup_on(range(1, top + 1), ctx.one)
     echelon = linalg.Echelon(ctx)
     picks: List[SparseVector] = []
     for n, (center, radius) in enumerate(opens, start=1):
@@ -167,8 +148,8 @@ def common_disk(a: Enumeration, b: Enumeration, net: EpsilonNet,
     norm = net.seminorm(ctx)
     scans = []
     for enum, which in ((a, "first"), (b, "second")):
-        scans.append(_scan(enum.items, net, norm))
-        if not is_net(enum.items, net, ctx, scans[-1]):
+        scans.append(tuple(nearest_in(enum.items, t, norm) for t in net.targets))
+        if not is_net(enum.items, net, scans[-1]):
             raise NotANet(f"{which} enumeration misses a target beyond eps")
     scan_a, scan_b = scans
 
@@ -240,7 +221,7 @@ def biorthogonalize(us: Sequence[SparseVector], p: SeminormSpec,
     for n, u in enumerate(us):
         others = us[:n] + us[n + 1:]
         try:
-            f = separating_functional(p, others, u, ctx)
+            f = Separator.of(p, others, ctx).functional(u)
         except NoSeparation as exc:
             raise KernelCollision(
                 f"vector {n + 1} is not independent of the rest modulo ker p"

@@ -32,7 +32,7 @@ class VerificationReport:
     """A replayed set of invariant checks; failures are entries, not errors.
 
     `budget` is the Neumann budget a transport replay sums for its
-    budget-below-one check, for the report's data; it is not part of to_dict.
+    budget-below-one check, for the report's data.
     """
 
     checks: List[CheckResult] = field(default_factory=list)
@@ -41,12 +41,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self) -> List[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
 @dataclass

@@ -9,8 +9,8 @@ products of a substitution (`sub_products`) and the quotients of a disk
 gauge (`abs_ratio_sum`), both on integers in exact mode.  Value
 types store the scalars they are given and never learn the mode.  Exact
 mode is the basis of every acceptance check; float mode exists for larger
-experiments.  In float mode `is_zero` is absolute
-(|x| <= tol) while `eq` and `lt` are relative (|a - b| <= tol * max(1, |a|, |b|)).
+experiments.  In float mode `is_zero` is absolute (|x| <= FLOAT_TOL = 2^-40)
+while `eq` and `lt` are relative (|a - b| <= FLOAT_TOL * max(1, |a|, |b|)).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 Scalar = Union[Fraction, float]
 
-DEFAULT_FLOAT_TOL = 2.0 ** -40
+FLOAT_TOL = 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -31,13 +31,10 @@ class ScalarContext:
     """The scalar type, its constants, its text form and its comparisons."""
 
     mode: str = "exact"
-    tol: float = DEFAULT_FLOAT_TOL
 
     def __post_init__(self):
         if self.mode not in ("exact", "float"):
             raise ValueError(f"unknown scalar mode {self.mode!r}")
-        if self.mode == "float" and not self.tol > 0:
-            raise ValueError("float mode requires a positive tolerance")
 
     @property
     def exact(self) -> bool:
@@ -78,7 +75,7 @@ class ScalarContext:
     def is_zero(self, x: Scalar) -> bool:
         if self.exact:
             return x == 0
-        return abs(x) <= self.tol
+        return abs(x) <= FLOAT_TOL
 
     def pivot_weight(self, x: Scalar) -> Scalar:
         """How good a pivot x is: 0 for a zero, 1 for any other x in exact
@@ -153,7 +150,7 @@ class ScalarContext:
     def eq(self, a: Scalar, b: Scalar) -> bool:
         if self.exact:
             return a == b
-        return abs(a - b) <= self.tol * max(1.0, abs(a), abs(b))
+        return abs(a - b) <= FLOAT_TOL * max(1.0, abs(a), abs(b))
 
     def lt(self, a: Scalar, b: Scalar) -> bool:
         """Strictly less, up to tolerance in float mode."""

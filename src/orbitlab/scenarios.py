@@ -27,7 +27,7 @@ from .hypercyclic import (
 from .reports import CheckResult, Report, Table, scenario_hash
 from .scalars import EXACT, ScalarContext, Scalar
 from .seminorms import DiskSpec, SeminormSpec, eval_seminorm, minkowski
-from .transport import matched_pairs, run_transport, verify_transport
+from .transport import run_transport, verify_transport
 from .triangular import (
     build_omega_operator,
     interleave_triangularize,
@@ -36,6 +36,9 @@ from .triangular import (
 from .vectors import CoordFunctional, SparseVector, close
 
 TASKS = ("transport", "triangularize", "disk", "hypercyclic", "refute")
+
+# the keys a scenario file must have, which are also the ones its hash covers
+FIELDS = ("name", "scalar_mode", "window", "seed", "task", "payload")
 
 
 class ScenarioError(WorkbenchError):
@@ -56,7 +59,7 @@ class Scenario:
     def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
         if not isinstance(data, dict):
             raise ScenarioError("scenario: must be an object")
-        for key in ("name", "scalar_mode", "window", "seed", "task", "payload"):
+        for key in FIELDS:
             if key not in data:
                 raise ScenarioError(f"{key}: missing")
         if data["scalar_mode"] not in ("exact", "float"):
@@ -77,16 +80,6 @@ class Scenario:
             payload=data["payload"],
             expected=data.get("expected"),
         )
-
-    def hash_payload(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "scalar_mode": self.scalar_mode,
-            "window": self.window,
-            "seed": self.seed,
-            "task": self.task,
-            "payload": self.payload,
-        }
 
 
 def _need(payload: Dict[str, Any], key: str, where: str = "payload"):
@@ -136,8 +129,17 @@ def _enumeration(data, ctx: ScalarContext, where: str) -> Enumeration:
     return _field(where, Enumeration, tuple(_vectors(data, ctx, where)))
 
 
+def _positive(where: str, text, ctx: ScalarContext) -> Scalar:
+    """The scalar of `text`, refused unless positive: an eps bounds a strict
+    inequality, so with eps <= 0 a run could never pass."""
+    value = _field(where, ctx.parse, text)
+    if not value > 0:
+        raise ScenarioError(f"{where}: must be positive, got {ctx.format(value)}")
+    return value
+
+
 def parse_eps_schedule(spec, count: int, ctx: ScalarContext = EXACT) -> List[Scalar]:
-    """Either an explicit list of scalars or "geometric:r" with slots r^(j+1)."""
+    """An explicit list of positive scalars or "geometric:r" with slots r^(j+1)."""
     if isinstance(spec, str):
         kind, _, arg = spec.partition(":")
         if kind != "geometric" or not arg:
@@ -148,7 +150,7 @@ def parse_eps_schedule(spec, count: int, ctx: ScalarContext = EXACT) -> List[Sca
         return [r ** (j + 1) for j in range(1, count + 1)]
     if not isinstance(spec, list):
         raise ScenarioError("eps_schedule: must be a list of scalars or 'geometric:r'")
-    return [_field(f"eps_schedule[{k}]", ctx.parse, v) for k, v in enumerate(spec)]
+    return [_positive(f"eps_schedule[{k}]", v, ctx) for k, v in enumerate(spec)]
 
 
 def run_scenario(scenario: Scenario) -> Report:
@@ -159,7 +161,7 @@ def run_scenario(scenario: Scenario) -> Report:
         task=scenario.task,
         scalar_mode=scenario.scalar_mode,
         seed=scenario.seed,
-        scenario_hash=scenario_hash(scenario.hash_payload()),
+        scenario_hash=scenario_hash({key: getattr(scenario, key) for key in FIELDS}),
         version=__version__,
     )
     runner = _RUNNERS[scenario.task]
@@ -205,7 +207,7 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
     report.checks.extend(verification.checks)
 
     rows = []
-    for jj, n, m in matched_pairs(state):
+    for jj, (n, m) in enumerate(zip(state.n_idx, state.m_idx), start=1):
         residual = j.apply(a.vector(n), ctx) - b.vector(m)
         rows.append([str(jj), str(n), str(m), serialize.format_vector(residual)])
     report.tables.append(Table("matched-pairs", ["j", "n_j", "m_j", "residual"], rows))
@@ -245,7 +247,7 @@ def _run_triangularize_task(scenario: Scenario, ctx, rng, report: Report):
     report.checks.append(CheckResult("minors-invertible",
                                      all(not ctx.is_zero(d) for d in state.minors),
                                      f"{built} leading minors"))
-    fs, us = state.chosen_funcs(), state.chosen_basis()
+    fs = state.chosen_funcs()
     tri_ok = True
     for m, v in enumerate(state.v, start=1):
         for jj in range(1, m + 1):
@@ -327,7 +329,7 @@ def _run_disk_task(scenario: Scenario, ctx, rng, report: Report):
             rows = [
                 [serialize.format_vector(t), serialize.format_vector(nearest),
                  ctx.format(dist)]
-                for t, nearest, dist in net_report(items, net, ctx, scans)
+                for t, nearest, dist in net_report(items, net, scans)
             ]
             report.tables.append(Table(
                 f"net-report-{label}", ["target", "nearest", "distance"], rows,
@@ -378,7 +380,7 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
         x = _field("payload.x", serialize.decode_vector, _need(payload, "x"), ctx)
         y = _field("payload.y", serialize.decode_vector, _need(payload, "y"), ctx)
         p = _field("payload.p", serialize.decode_seminorm, _need(payload, "p"), ctx)
-        eps = _field("payload.eps", ctx.parse, _need(payload, "eps"))
+        eps = _positive("payload.eps", _need(payload, "eps"), ctx)
         max_n = _count(payload, "max_n")
         try:
             n, z = transitivity_witness(op, x, y, eps, max_n, p,

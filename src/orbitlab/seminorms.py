@@ -9,8 +9,8 @@ sum_i |u_i| / d_i is `ScalarContext.abs_ratio_sum`, one integer numerator
 over one common denominator in exact mode.  The separating-functional
 construction replaces the Hahn-Banach step of the abstract theory with a
 finite nullspace pick: `Separator` keeps the constraint list that grows one
-vector at a time in a `linalg.RowReducer`, and `separating_functional` fills
-one from a single `linalg.RowReducer.of` for a list given once.  The
+vector at a time in a `linalg.RowReducer`, and `Separator.of` fills one from
+a single `linalg.RowReducer.of` for a list given once.  The
 p-independence test needs only a rank, so it runs on `linalg.independent`,
 fraction-free in exact mode.
 """
@@ -59,10 +59,6 @@ class SeminormSpec:
     @classmethod
     def sup_on(cls, indices: Iterable[int], weight: Scalar = 1):
         return cls(SUP, {i: weight for i in indices})
-
-    @classmethod
-    def l1_on(cls, indices: Iterable[int], weight: Scalar = 1):
-        return cls(L1, {i: weight for i in indices})
 
     @property
     def active(self) -> frozenset:
@@ -123,10 +119,6 @@ class DiskSpec:
             object.__setattr__(self, "weights", _clean_weights(self.weights))
         else:
             object.__setattr__(self, "generators", tuple(self.generators))
-
-    @classmethod
-    def l1_on(cls, indices: Iterable[int], weight: Scalar = 1):
-        return cls(weights={i: weight for i in indices})
 
     @classmethod
     def from_generators(cls, xs: Sequence[SparseVector]):
@@ -236,13 +228,3 @@ class Separator:
             f = CoordFunctional({i: c for i, c in vec.items() if not ctx.is_zero(c)})
             return f.scale(1 / dual_norm(self.p, f))
         raise NoSeparation("u lies in span(constraints) + ker p")
-
-
-def separating_functional(p: SeminormSpec, constraints: Sequence[SparseVector],
-                          u: SparseVector, ctx: ScalarContext = EXACT) -> CoordFunctional:
-    """`Separator.functional` for a constraint list given once.
-
-    One from-scratch `linalg.RowReducer.of` fills the separator; NoSeparation exactly
-    when (u + span constraints) meets ker p.
-    """
-    return Separator.of(p, constraints, ctx).functional(u)

@@ -232,13 +232,6 @@ def _run_stage(state: TransportState, separator: Separator, gram: GramFactor,
                    n_idx=tuple(n_idx), m_idx=tuple(m_idx))
 
 
-def matched_pairs(state: TransportState) -> List[Tuple[int, int, int]]:
-    """(j, n_j, m_j) rows for reports."""
-    return [
-        (j + 1, n, m) for j, (n, m) in enumerate(zip(state.n_idx, state.m_idx))
-    ]
-
-
 def _window_indices(state: TransportState) -> List[int]:
     indices = set(state.p.active)
     if state.disk.weights is not None:

@@ -190,9 +190,6 @@ class TriangularizeState:
     def chosen_funcs(self) -> List[CoordFunctional]:
         return [self.funcs[a - 1] for a in self.alpha]
 
-    def chosen_basis(self) -> List[SparseVector]:
-        return [self.basis[b - 1] for b in self.beta]
-
 
 def interleave_triangularize(basis: Sequence[SparseVector],
                              funcs: Sequence[CoordFunctional],

@@ -7,7 +7,8 @@ terms its coordinate index finds; `apply_terms` and `dense_gram` pair every
 term.  The program sums exact products on integers; `sub_products`,
 `combination`, `triangularize`, `apply_terms` and `weight_gauge` do every
 step in the scalars themselves.  The last part holds helpers that only the
-tests need: encoders, parsers, two predicates and the benchmark's scenario
+tests need: encoders, l1 seminorm and disk constructors, parsers, the failed
+checks of a verification, two predicates and the benchmark's scenario
 generator.
 """
 
@@ -18,7 +19,8 @@ from pathlib import Path
 from orbitlab.errors import NotInSpan, SingularOperator
 from orbitlab.operators import IDENTITY
 from orbitlab.reports import Table
-from orbitlab.scalars import EXACT, format_scalar
+from orbitlab.scalars import EXACT, FLOAT_TOL, format_scalar
+from orbitlab.seminorms import L1, DiskSpec, SeminormSpec
 from orbitlab.serialize import encode_pairs
 from orbitlab.vectors import SparseVector, combine
 
@@ -108,7 +110,7 @@ def triangularize(basis, funcs, stages, ctx=EXACT):
 
 def pairing_matrix(state):
     """A[j][k] = f_alpha(j+1)(u_beta(k+1)) for a triangularization state."""
-    return [[f.pair(x) for x in state.chosen_basis()] for f in state.chosen_funcs()]
+    return [[f.pair(state.basis[b - 1]) for b in state.beta] for f in state.chosen_funcs()]
 
 
 def forward_solve(m, b):
@@ -166,7 +168,7 @@ def _pivot_row(col, start, ctx):
             if col[i] != 0:
                 return i
         return None
-    best, best_mag = None, ctx.tol
+    best, best_mag = None, FLOAT_TOL
     for i in range(start, len(col)):
         mag = abs(col[i])
         if mag > best_mag:
@@ -265,9 +267,10 @@ def gram_solve(j, u, ctx=EXACT):
     return combine(((-c, v) for (_, v), c in zip(j.terms, coeffs)), u)
 
 
-# Inverses and predicates the program itself never needs: the scenario
-# encoders of seminorms and disks, the vector text parser, the CSV reader and
-# two support or dimension checks.
+# Inverses, constructors and predicates the program itself never needs: the
+# scenario encoders of seminorms and disks, l1 seminorms and disks with one
+# weight, the vector text parser, the CSV reader, the failed checks of a
+# verification and two support or dimension checks.
 
 def encode_weights(weights):
     return [[i, format_scalar(w)] for i, w in sorted(weights.items())]
@@ -281,6 +284,16 @@ def encode_disk(d):
     if d.weights is not None:
         return {"weights": encode_weights(d.weights)}
     return {"generators": [encode_pairs(g) for g in d.generators]}
+
+
+def l1_seminorm(indices, weight=1):
+    """p(x) = sum_i weight |x_i| over the indices."""
+    return SeminormSpec(L1, {i: weight for i in indices})
+
+
+def l1_disk(indices, weight=1):
+    """The weight-form disk p_D(x) = sum_i |x_i| / weight over the indices."""
+    return DiskSpec(weights={i: weight for i in indices})
 
 
 def parse_vector(text, ctx=EXACT):
@@ -312,6 +325,11 @@ def parse_csv_tables(blob):
             else:
                 current.rows.append(cells)
     return tables
+
+
+def failures(report):
+    """The checks of a `VerificationReport` that failed."""
+    return [c for c in report.checks if not c.passed]
 
 
 def kernel_contains(p, x):

@@ -82,7 +82,7 @@ def twin_instance(rng, window, stages, extras=0):
         Enumeration(tuple(a_items)),
         Enumeration(tuple(b_items)),
         SeminormSpec.sup_on(range(1, active + 1)),
-        DiskSpec.l1_on(range(1, window + 1)),
+        oracles.l1_disk(range(1, window + 1)),
     )
 
 
@@ -130,7 +130,7 @@ def test_criterion_01_transport_soundness():
         j, state = run_transport(a, b, p, disk,
                                  geometric_schedule(2 * stages), stages)
         verification = verify_transport(state)
-        assert verification.passed, [c.name for c in verification.failures()]
+        assert verification.passed, [c.name for c in oracles.failures(verification)]
         for i in range(window // 2 + 1, window + 1):
             e = SparseVector.basis(i)
             assert j.apply(e) == e
@@ -145,7 +145,7 @@ def test_criterion_02_inversion_round_trip():
     rng = random.Random(2025)
     window = 10
     p = SeminormSpec.sup_on(range(1, 6))
-    disk = DiskSpec.l1_on(range(1, window + 1))
+    disk = oracles.l1_disk(range(1, window + 1))
     for _ in range(200):
         t = random_certified_operator(rng, p, disk, window)
         budget = neumann_certificate(t, p, disk)
@@ -366,7 +366,7 @@ def test_criterion_07_shift_chain():
     window = 8
     us = [SparseVector.basis(i) for i in range(1, window + 1)]
     p = SeminormSpec.sup_on(range(1, window + 1))
-    disk = DiskSpec.l1_on(range(1, window + 1))
+    disk = oracles.l1_disk(range(1, window + 1))
     spec = build_shift_operator(us, p, disk)
     s = spec.operator
     assert s.apply(SparseVector.basis(1)).is_zero()
@@ -397,7 +397,7 @@ def test_criterion_08_transitivity_witnesses():
     spec = build_shift_operator(
         us,
         SeminormSpec.sup_on(range(1, window + 1)),
-        DiskSpec.l1_on(range(1, window + 1)),
+        oracles.l1_disk(range(1, window + 1)),
     )
     t = spec.operator.plus_identity()
     p = SeminormSpec.sup_on(range(1, active + 1))

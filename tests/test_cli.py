@@ -1,17 +1,21 @@
 """Scenario runner: schema errors, determinism, regression check, CLI flows."""
 
 import copy
+import dataclasses
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from orbitlab import SparseVector, serialize
+from orbitlab import CoordFunctional, DiskSpec, FiniteRankOperator, SparseVector, serialize
 from orbitlab.cli import main
 from orbitlab.errors import WorkbenchError
+from orbitlab.hypercyclic import build_shift_operator
+from orbitlab.operators import ZERO
 from orbitlab.reports import emit_report
 from orbitlab.scenarios import Scenario, ScenarioError, parse_eps_schedule, run_scenario
+from orbitlab.transport import run_transport
 
 import oracles
 
@@ -199,13 +203,12 @@ class TestTasks:
         assert "domination" in report.data
 
     def test_hypercyclic_witness_scenario(self):
-        from orbitlab.seminorms import SeminormSpec, DiskSpec
-        from orbitlab.hypercyclic import build_shift_operator
+        from orbitlab.seminorms import SeminormSpec
         window = 8
         us = [SparseVector.basis(i) for i in range(1, window + 1)]
         spec = build_shift_operator(
             us, SeminormSpec.sup_on(range(1, window + 1)),
-            DiskSpec.l1_on(range(1, window + 1)),
+            oracles.l1_disk(range(1, window + 1)),
         )
         scenario = Scenario.from_dict({
             "name": "witness-demo", "scalar_mode": "exact", "window": window, "seed": 0,
@@ -272,6 +275,51 @@ class TestCli:
         stored.write_bytes(stored.read_bytes().replace(b'"budget"', b'"budget_x"', 1))
         assert main(["run", "--scenario", str(path), "--check", str(stored),
                      "--out", str(out_dir)]) == 1
+
+    def test_run_check_refuses_several_scenarios(self, tmp_path, capsys):
+        """One stored report cannot be the expected report of two scenarios."""
+        paths = []
+        for i in range(2):
+            path = tmp_path / f"s{i}.json"
+            path.write_text(json.dumps(transport_scenario(seed=i, name=f"s{i}")))
+            paths.append(str(path))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--scenario", paths[0], "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        stored = out_dir / "s0.json"
+        code = main(["run", "--scenario", paths[0], "--scenario", paths[1],
+                     "--check", str(stored), "--out", str(tmp_path / "again")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --check holds one report; got 2 --scenario files\n")
+        assert not (tmp_path / "again").exists()
+
+    def test_disks_common_subcommand(self, tmp_path):
+        files = {}
+        for key, vectors in (("a", [sv(1), sv(0, 1)]), ("b", [sv(0, 1), sv(1)]),
+                             ("targets", [sv(1)])):
+            files[key] = tmp_path / f"{key}.json"
+            files[key].write_text(json.dumps(encode(vectors)))
+        out_dir = tmp_path / "out"
+        code = main(["disks", "--common", str(files["a"]), str(files["b"]),
+                     "--targets", str(files["targets"]), "--window", "2",
+                     "--name", "common", "--out", str(out_dir)])
+        assert code == 0
+        report = json.loads((out_dir / "common.json").read_text())
+        assert report["task"] == "disk" and report["passed"] is True
+        assert "domination" in report["data"]
+        assert (out_dir / "common.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--common", "F", "F"], "--common needs --targets FILE"),
+        (["--targets", "F"], "disks needs --from-null-seq or --common"),
+    ], ids=["common-without-targets", "no-source"])
+    def test_disks_usage_errors(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        argv = ["disks"] + [str(path) if arg == "F" else arg for arg in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_run_parallel_jobs(self, tmp_path):
         paths = []
@@ -620,13 +668,26 @@ class TestUnusableInputExits2:
     @pytest.mark.parametrize("schedule, named", [
         (["1/8", "1/16", "1/32"], "epsilon schedule has 3 slots; 2 stages need 4"),
         (["1/2", "1/4", "1/8", "1/8"], "epsilon schedule sum = 1 >= 1"),
-    ], ids=["schedule-too-short", "schedule-sum-one"])
+        (["0", "1/4", "1/8", "1/16"], "eps_schedule[0]: must be positive, got 0"),
+        (["1/4", "-1/2", "1/8", "1/16"], "eps_schedule[1]: must be positive, got -1/2"),
+    ], ids=["schedule-too-short", "schedule-sum-one", "schedule-zero-slot",
+            "schedule-negative-slot"])
     def test_transport_schedule(self, tmp_path, capsys, schedule, named):
         scenario = transport_scenario(stages=2)
         scenario["payload"]["eps_schedule"] = schedule
         code, path = _run_file(tmp_path, scenario)
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}: {named}\n"
+
+    @pytest.mark.parametrize("eps", ["0", "-1/10"])
+    def test_witness_non_positive_eps(self, tmp_path, capsys, eps):
+        """The residuals must lie strictly below eps, which no eps <= 0 allows."""
+        scenario = witness_scenario()
+        scenario["payload"]["eps"] = eps
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: payload.eps: must be positive, got {eps}\n")
 
     def test_triangularize_dependent_basis(self, tmp_path, capsys):
         scenario = triangularize_scenario()
@@ -921,3 +982,71 @@ class TestCorruptionFuzz:
         assert [line.split(": ")[:2] for line in err.splitlines()] == [
             ["error", path] for path in paths[:2] + paths[4:]]
         assert sorted(p.name for p in out_dir.iterdir()) == ["s2.json", "s3.json"]
+
+
+class TestEachCheckCanFail:
+    """Each report check fails, with its detail, on a tampered construction,
+    and the scenario then exits 1."""
+
+    def _failed(self, tmp_path, capsys, scenario, name):
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 1
+        assert capsys.readouterr().err == f"FAIL {path}\n"
+        report = json.loads((tmp_path / "out" / "scenario.json").read_text())
+        check = next(c for c in report["checks"] if c["name"] == name)
+        assert check["passed"] is False
+        return check["detail"], {c["name"] for c in report["checks"] if not c["passed"]}
+
+    def _tampered_transport(self, monkeypatch, tamper):
+        """run_transport as the scenario calls it, its (J, state) passed through tamper."""
+        monkeypatch.setattr("orbitlab.scenarios.run_transport",
+                            lambda *args: tamper(*run_transport(*args)))
+
+    def test_kernel_fixing_spot_check(self, tmp_path, capsys, monkeypatch):
+        # J gains a term that moves vectors supported outside active(p) = 1..6
+        kernel_f = CoordFunctional({i: Fraction(1) for i in range(7, 13)})
+        self._tampered_transport(
+            monkeypatch, lambda j, state: (j.with_term(kernel_f, sv(1)), state))
+        detail, _ = self._failed(tmp_path, capsys, transport_scenario(),
+                                 "kernel-fixing-spot-check")
+        assert detail == "20 seeded kernel vectors"
+
+    def test_min_rule_replay(self, tmp_path, capsys, monkeypatch):
+        # pairs 1 and 2 swapped: every pair still matches, but stage 1 no
+        # longer starts at the minimal unused index
+        def swap(j, state):
+            n, m = list(state.n_idx), list(state.m_idx)
+            n[:2], m[:2] = n[1::-1], m[1::-1]
+            return j, dataclasses.replace(state, n_idx=tuple(n), m_idx=tuple(m))
+
+        self._tampered_transport(monkeypatch, swap)
+        detail, failed = self._failed(tmp_path, capsys, transport_scenario(),
+                                      "min-rule-replay")
+        assert detail == "forced indices match the minimal-unused rule"
+        assert failed == {"min-rule-replay"}
+
+    def test_invertible_reports_a_singular_operator(self, tmp_path, capsys, monkeypatch):
+        # J = I - e_1* (.) e_1 annihilates e_1, so the Gram solve raises
+        singular = FiniteRankOperator(ZERO, ((CoordFunctional.delta(1), -sv(1)),))
+        self._tampered_transport(
+            monkeypatch, lambda j, state: (j, dataclasses.replace(state, terms=singular)))
+        detail, _ = self._failed(tmp_path, capsys, transport_scenario(), "invertible")
+        assert detail == "1x1 matrix is not invertible"
+
+    def test_generators_inside_disk(self, tmp_path, capsys, monkeypatch):
+        # a disk spanned by the halved generators gauges each generator at 2
+        monkeypatch.setattr(DiskSpec, "from_generators", classmethod(
+            lambda cls, xs: cls(generators=tuple(x.scale(Fraction(1, 2)) for x in xs))))
+        detail, _ = self._failed(tmp_path, capsys, disk_scenario(), "generators-inside-disk")
+        assert detail == "p_K(x_j) <= 1 for every generator"
+
+    def test_continuity_bound(self, tmp_path, capsys, monkeypatch):
+        # the shift's updates scaled by 2^10 push p_D(S x) far beyond p(x)
+        def inflated(*args):
+            spec = build_shift_operator(*args)
+            terms = tuple((f, v.scale(2 ** 10)) for f, v in spec.operator.terms)
+            return dataclasses.replace(spec, operator=FiniteRankOperator(ZERO, terms))
+
+        monkeypatch.setattr("orbitlab.scenarios.build_shift_operator", inflated)
+        detail, _ = self._failed(tmp_path, capsys, build_shift_scenario(), "continuity-bound")
+        assert detail == "p_D(S x) <= p(x) on 100 seeded vectors"

@@ -22,6 +22,7 @@ from orbitlab.density import (
     common_disk,
     extract_p_independent,
     is_net,
+    nearest_in,
     net_report,
 )
 from orbitlab.errors import Exhausted, KernelCollision, NotANet, NotInSpan, NotPIndependent
@@ -219,7 +220,7 @@ class TestCommonDisk:
         report = common_disk(a, b, net)
         assert report.scans == (((0, frac(1, 2)),), ((0, frac(1, 2)),))
         assert report.combined[:2] == (sv(frac(-1, 2)).scale(2), sv(frac(1, 2)).scale(2))
-        assert net_report(a.items, net, scans=report.scans[0])[0][1] == a.items[0]
+        assert net_report(a.items, net, report.scans[0])[0][1] == a.items[0]
 
     def test_item_beyond_window_named(self):
         a = Enumeration((SparseVector({1: frac(1), 3: frac(1)}), sv(0, 1)))
@@ -232,9 +233,14 @@ class TestCommonDisk:
 class TestNetHelpers:
     def test_is_net_and_report(self):
         net = EpsilonNet(window=2, targets=(sv(1), sv(0, 1)), eps=frac(1, 2))
-        assert is_net([sv(1), sv(0, frac(3, 4))], net)
-        assert not is_net([sv(5)], net)
-        rows = net_report([sv(1)], net)
+
+        def scans(items):
+            return tuple(nearest_in(items, t, net.seminorm()) for t in net.targets)
+
+        near, far = [sv(1), sv(0, frac(3, 4))], [sv(5)]
+        assert is_net(near, net, scans(near))
+        assert not is_net(far, net, scans(far))
+        rows = net_report([sv(1)], net, scans([sv(1)]))
         assert rows[0][2] == 0
         assert rows[1][2] > frac(1, 2)
 

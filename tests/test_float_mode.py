@@ -22,9 +22,9 @@ from orbitlab.cli import main
 from orbitlab.density import Enumeration
 from orbitlab.errors import SingularOperator
 from orbitlab.operators import IDENTITY, ZERO
-from orbitlab.scalars import FLOAT, ScalarContext
+from orbitlab.scalars import FLOAT, FLOAT_TOL
 from orbitlab.scenarios import Scenario, run_scenario
-from orbitlab.seminorms import separating_functional
+from orbitlab.seminorms import Separator
 from orbitlab.transport import initial_state, run_transport, verify_transport
 from orbitlab.triangular import interleave_triangularize
 
@@ -67,8 +67,8 @@ def test_float_inversion_and_tolerance_singularity():
 
 def test_separating_functional_float():
     p = SeminormSpec.sup_on([1, 2], 1.0)
-    f = separating_functional(p, [fsv(1)], fsv(0, 1), FLOAT)
-    assert abs(f.pair(fsv(1))) <= FLOAT.tol
+    f = Separator.of(p, [fsv(1)], FLOAT).functional(fsv(0, 1))
+    assert abs(f.pair(fsv(1))) <= FLOAT_TOL
     assert abs(dual_norm(p, f) - 1.0) < 1e-9
 
 
@@ -111,7 +111,7 @@ def test_float_invertible_check_runs_the_round_trip(monkeypatch):
     _, state = run_transport(
         Enumeration(tuple(a_items)), Enumeration(tuple(b_items)),
         SeminormSpec.sup_on(range(1, active + 1), 1.0),
-        DiskSpec.l1_on(range(1, window + 1), 1.0),
+        oracles.l1_disk(range(1, window + 1), 1.0),
         [2.0 ** -(j + 2) for j in range(2 * stages)], stages, FLOAT,
     )
     assert verify_transport(state, FLOAT).passed
@@ -190,7 +190,7 @@ def _float_state(terms):
     a = Enumeration((fsv(1),))
     b = Enumeration((fsv(1),))
     p = SeminormSpec.sup_on([1, 2], 1.0)
-    disk = DiskSpec.l1_on(range(1, 5), 1.0)
+    disk = oracles.l1_disk(range(1, 5), 1.0)
     state = initial_state(a, b, p, disk, [0.5, 0.25])
     return dataclasses.replace(
         state, terms=FiniteRankOperator(ZERO, tuple(terms)))
@@ -209,9 +209,9 @@ def test_float_budget_within_tolerance_of_one_fails():
 
 
 def test_context_comparisons():
-    ctx = ScalarContext(mode="float", tol=1e-6)
-    assert ctx.is_zero(5e-7)
-    assert not ctx.is_zero(2e-6)
-    assert ctx.eq(1.0, 1.0 + 1e-7)
-    assert ctx.lt(0.0, 1.0)
-    assert not ctx.lt(1.0, 1.0 + 1e-9)
+    tol = FLOAT_TOL
+    assert FLOAT.is_zero(tol / 2)
+    assert not FLOAT.is_zero(2 * tol)
+    assert FLOAT.eq(1.0, 1.0 + tol / 8)
+    assert FLOAT.lt(0.0, 1.0)
+    assert not FLOAT.lt(1.0, 1.0 + tol / 2)

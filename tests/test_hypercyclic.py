@@ -51,7 +51,7 @@ def standard_shift(window):
     """Chain on the standard basis: full-window sup seminorm, l1 disk."""
     us = [SparseVector.basis(i) for i in range(1, window + 1)]
     p = SeminormSpec.sup_on(range(1, window + 1))
-    disk = DiskSpec.l1_on(range(1, window + 1))
+    disk = oracles.l1_disk(range(1, window + 1))
     return build_shift_operator(us, p, disk), p, disk
 
 
@@ -76,7 +76,7 @@ class TestBuildShiftOperator:
 
     def test_skew_basis_weights_from_derived_duals(self):
         p = SeminormSpec.sup_on([1, 2])
-        disk = DiskSpec.l1_on([1, 2])
+        disk = oracles.l1_disk([1, 2])
         us = [sv(1), sv(1, 1)]
         spec = build_shift_operator(us, p, disk)
         # dual system is (delta1 - delta2, delta2); p*(delta2) = 1, p_D(u1) = 1
@@ -86,7 +86,7 @@ class TestBuildShiftOperator:
 
     def test_kernel_collision_propagates(self):
         p = SeminormSpec.sup_on([1, 2])
-        disk = DiskSpec.l1_on([1, 2, 3])
+        disk = oracles.l1_disk([1, 2, 3])
         with pytest.raises(KernelCollision):
             build_shift_operator([sv(1), sv(0, 0, 1)], p, disk)
 
@@ -161,7 +161,7 @@ class TestBuildShiftOperator:
         window = 6
         us = [SparseVector.basis(i) for i in range(1, 5)]
         p = SeminormSpec.sup_on(range(1, 5))
-        disk = DiskSpec.l1_on(range(1, window + 1))
+        disk = oracles.l1_disk(range(1, window + 1))
         spec = build_shift_operator(us, p, disk)
         t = spec.operator.plus_identity()
         for i in (5, 6):
@@ -473,7 +473,7 @@ class TestTransitivityWitness:
     def build(self, window, active):
         us = [SparseVector.basis(i) for i in range(1, window + 1)]
         p_build = SeminormSpec.sup_on(range(1, window + 1))
-        disk = DiskSpec.l1_on(range(1, window + 1))
+        disk = oracles.l1_disk(range(1, window + 1))
         spec = build_shift_operator(us, p_build, disk)
         t = spec.operator.plus_identity()
         p_wit = SeminormSpec.sup_on(range(1, active + 1))
@@ -663,7 +663,7 @@ class TestCaseOneAssembly:
         window, active, stages = 16, 8, 2
         built = 2 * stages
         p = SeminormSpec.sup_on(range(1, active + 1))
-        disk = DiskSpec.l1_on(range(1, window + 1))
+        disk = oracles.l1_disk(range(1, window + 1))
         us = [SparseVector.basis(i) for i in range(1, 7)]
         t = build_shift_operator(us, p, disk).operator.plus_identity()
 

@@ -21,9 +21,6 @@ KNOWN_UNREFERENCED = {
         "paper API exported only from __init__: the Neumann budget of I + T",
     "operators.conjugate_orbit":
         "paper API exported only from __init__: every A in Σ(X) is an orbit",
-    "seminorms.SeminormSpec.l1_on": "named by tests only",
-    "seminorms.DiskSpec.l1_on": "named by tests only",
-    "reports.VerificationReport.failures": "named by tests only",
     "operators.FiniteRankOperator.matrix_on":
         "named by the perfbench tracer's METHODS until ROADMAP item 1 drops it",
     "transport.TransportState.budget_used":

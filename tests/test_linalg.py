@@ -223,7 +223,7 @@ def test_exact_rank_tests_build_no_fraction_row_reduction(monkeypatch):
     `RowReducer.try_add` unusable they still finish, with the same results."""
     from orbitlab.density import extract_p_independent, Enumeration
     from orbitlab.hypercyclic import build_shift_operator, range_kernel_premise_check
-    from orbitlab.seminorms import DiskSpec, SeminormSpec, p_independent
+    from orbitlab.seminorms import SeminormSpec, p_independent
     from orbitlab.triangular import interleave_triangularize
     from orbitlab.vectors import CoordFunctional, SparseVector
 
@@ -233,7 +233,7 @@ def test_exact_rank_tests_build_no_fraction_row_reduction(monkeypatch):
     funcs = [CoordFunctional.delta(i) for i in range(1, 11)]
     p = SeminormSpec.sup_on(range(1, 5))
     chain = [SparseVector({k: Fraction(1), k + 1: Fraction(1, 3)}) for k in range(1, 5)]
-    shift = build_shift_operator(chain, p, DiskSpec.l1_on(range(1, 7), Fraction(1, 3)))
+    shift = build_shift_operator(chain, p, oracles.l1_disk(range(1, 7), Fraction(1, 3)))
     items = Enumeration(tuple(basis))
     whole = (SparseVector.zero(), Fraction(100))
 

@@ -7,7 +7,6 @@ import pytest
 
 from orbitlab import (
     CoordFunctional,
-    DiskSpec,
     FiniteRankOperator,
     SeminormSpec,
     SparseVector,
@@ -25,6 +24,7 @@ from orbitlab.scalars import EXACT, FLOAT
 from orbitlab.vectors import close
 
 import orbitlab.linalg as linalg
+import oracles
 from oracles import apply_terms, dense_gram, determinant, gram_solve
 
 
@@ -70,7 +70,7 @@ class TestApply:
 class TestNeumannCertificate:
     def setup_method(self):
         self.p = SeminormSpec.sup_on(range(1, 5))
-        self.disk = DiskSpec.l1_on(range(1, 5))
+        self.disk = oracles.l1_disk(range(1, 5))
 
     def test_zero_operator_budget(self):
         budget = neumann_certificate(FiniteRankOperator.zero(), self.p, self.disk)
@@ -147,7 +147,7 @@ class TestInvert:
     def test_round_trip_on_random_certified_operators(self):
         rng = random.Random(37)
         p = SeminormSpec.sup_on(range(1, 7))
-        disk = DiskSpec.l1_on(range(1, 13))
+        disk = oracles.l1_disk(range(1, 13))
         for _ in range(200):
             t = random_certified_terms(rng, p, disk, rng.randint(1, 4))
             budget = neumann_certificate(t, p, disk)
@@ -309,7 +309,7 @@ class TestGramFactor:
         # float error grows with the inverse of the smallest pivot
         rng = random.Random(45)
         p = SeminormSpec.sup_on(range(1, 7))
-        disk = DiskSpec.l1_on(range(1, 13))
+        disk = oracles.l1_disk(range(1, 13))
         checked = 0
         for _ in range(100):
             j = random_certified_terms(rng, p, disk, rng.randint(1, 8)).plus_identity()

@@ -58,7 +58,7 @@ def test_seminorm_round_trip():
 
 
 def test_disk_round_trips():
-    d1 = DiskSpec.l1_on([1, 2, 3])
+    d1 = oracles.l1_disk([1, 2, 3])
     assert serialize.decode_disk(oracles.encode_disk(d1)) == d1
     d2 = DiskSpec.from_generators([SparseVector.basis(1), SparseVector({2: Fraction(1, 2)})])
     assert serialize.decode_disk(oracles.encode_disk(d2)) == d2

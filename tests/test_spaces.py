@@ -16,7 +16,6 @@ from orbitlab import (
     dual_norm_witness,
     eval_seminorm,
     minkowski,
-    separating_functional,
 )
 from orbitlab.density import Enumeration
 from orbitlab.errors import NoSeparation, NotInSpan, NotPBounded
@@ -71,7 +70,7 @@ class TestEvalSeminorm:
         assert not oracles.kernel_contains(p, sv(1, 1))
 
     def test_l1_kind(self):
-        p = SeminormSpec.l1_on([1, 2, 3])
+        p = oracles.l1_seminorm([1, 2, 3])
         assert eval_seminorm(p, sv(1, -2, 3)) == 6
 
     def test_weighted(self):
@@ -81,7 +80,7 @@ class TestEvalSeminorm:
     def test_triangle_and_homogeneity_random(self):
         rng = random.Random(5)
         p = SeminormSpec.sup_on(range(1, 6))
-        q = SeminormSpec.l1_on(range(1, 6), weight=Fraction(1, 2))
+        q = oracles.l1_seminorm(range(1, 6), weight=Fraction(1, 2))
         for _ in range(1000):
             x = SparseVector({rng.randint(1, 7): Fraction(rng.randint(-9, 9), rng.choice([1, 2, 4]))
                               for _ in range(rng.randint(0, 4))})
@@ -110,7 +109,7 @@ class TestDualNorm:
             dual_norm(p, CoordFunctional.delta(3))
 
     def test_l1_kind_is_max(self):
-        p = SeminormSpec.l1_on([1, 2])
+        p = oracles.l1_seminorm([1, 2])
         assert dual_norm(p, cf(3, -4)) == 4
 
     def test_witness_attains_bound(self):
@@ -136,11 +135,11 @@ class TestDualNorm:
 
 class TestMinkowski:
     def test_weight_form_direct(self):
-        d = DiskSpec.l1_on([1, 2, 3])
+        d = oracles.l1_disk([1, 2, 3])
         assert minkowski(d, sv(1, -2, 3)) == 6
 
     def test_weight_form_outside_span(self):
-        d = DiskSpec.l1_on([1, 2])
+        d = oracles.l1_disk([1, 2])
         with pytest.raises(NotInSpan):
             minkowski(d, SparseVector.basis(3))
 
@@ -238,13 +237,13 @@ class TestMinkowski:
 class TestSeparatingFunctional:
     def test_empty_constraints(self):
         p = SeminormSpec.sup_on([1, 2])
-        f = separating_functional(p, [], SparseVector.basis(1))
+        f = Separator.of(p, []).functional(SparseVector.basis(1))
         assert f.pairs() == ((1, Fraction(1)),)
         assert dual_norm(p, f) == 1
 
     def test_vanishes_on_constraints(self):
         p = SeminormSpec.sup_on([1, 2])
-        f = separating_functional(p, [SparseVector.basis(1)], SparseVector.basis(2))
+        f = Separator.of(p, [SparseVector.basis(1)]).functional(SparseVector.basis(2))
         assert f.pair(SparseVector.basis(1)) == 0
         assert f.pair(SparseVector.basis(2)) != 0
         assert dual_norm(p, f) == 1
@@ -252,12 +251,12 @@ class TestSeparatingFunctional:
     def test_no_separation_inside_span(self):
         p = SeminormSpec.sup_on([1, 2])
         with pytest.raises(NoSeparation):
-            separating_functional(p, [SparseVector.basis(1)], SparseVector.basis(1))
+            Separator.of(p, [SparseVector.basis(1)]).functional(SparseVector.basis(1))
 
     def test_no_separation_for_kernel_vector(self):
         p = SeminormSpec.sup_on([1, 2])
         with pytest.raises(NoSeparation):
-            separating_functional(p, [], SparseVector.basis(5))
+            Separator.of(p, []).functional(SparseVector.basis(5))
 
     def test_identities_hold_on_random_instances(self):
         rng = random.Random(17)
@@ -270,7 +269,7 @@ class TestSeparatingFunctional:
             ]
             u = SparseVector({i: Fraction(rng.randint(-3, 3)) for i in range(1, 9)})
             try:
-                f = separating_functional(p, constraints, u)
+                f = Separator.of(p, constraints).functional(u)
             except NoSeparation:
                 continue
             produced += 1
@@ -356,7 +355,7 @@ class TestSeparator:
                 for u in probe_vectors(rng, prefix, self.WINDOW, self.ACTIVE):
                     want = pick_or_none(nullspace_pick, p, prefix, u)
                     got = pick_or_none(sep.functional, u)
-                    once = pick_or_none(separating_functional, p, prefix, u)
+                    once = pick_or_none(Separator.of(p, prefix).functional, u)
                     if want is None:
                         assert got is None and once is None
                         refused += 1
