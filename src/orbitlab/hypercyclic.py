@@ -6,16 +6,15 @@ assembled shift, the dimension of span of range-kernel intersections feeding
 the dense-span premise, explicit transitivity witnesses with re-evaluable
 residuals, and the instrumented quantities of the non-orbit refutation.
 
-Operators stay in their term form sum_j f_j (x) v_j = V·F.  When the v's
-and the f's are independent and values do not depend on the route
-(`ScalarContext.route_free`, exact mode), the premise works in the k x k
-core G = F·V: ranks of powers of G, and each intersection
-V G^{n-1} null(G^{2n-1}), its nullspace one `linalg.RowReducer.of` of k
-sparse rows.  Otherwise powers are columns S^m e_i over the whole support,
-pushed through `FiniteRankOperator.apply`, ranks come from row reduction of
-those sparse columns (`linalg.row_rank`), and the nullspace of S^{2n} is
-one `RowReducer.of`.  No matrix power of S is ever multiplied out.  In
-exact mode `apply`, the weight-form disk gauge and the ranks work on
+Operators stay in their term form sum_j f_j (x) v_j = V·F.  The premise
+runs one loop on the powers of a map, kept as sparse columns: ranks by
+`linalg.row_rank`, each nullspace one `linalg.RowReducer.of`, and an
+`linalg.Echelon` basis of the intersections.  When the v's and the f's are
+independent and values do not depend on the route
+(`ScalarContext.route_free`, exact mode), the map is the k x k core
+G = F·V; otherwise it is S itself on the whole support, pushed through
+`FiniteRankOperator.apply`.  No matrix power of S is ever multiplied out.
+In exact mode `apply`, the weight-form disk gauge and the ranks work on
 integers and build a Fraction only for an entry of their result.  The
 witness's active-row solve is one `RowReducer.of` on sparse rows.
 """
@@ -23,7 +22,7 @@ witness's active-row solve is one `RowReducer.of` on sparse rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .density import Enumeration, biorthogonalize
@@ -97,12 +96,19 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
     extend beyond the probe window: a truncated chain is only surjective
     below its top, so headroom above the window is the finite stand-in for
     the surjectivity of the infinite chain.  S^n maps range(S^n) onto
-    range(S^{2n}) with kernel range(S^n) ∩ ker(S^n).  When the values do not
-    depend on the route (`ctx.route_free`) and S = sum_j v_j ⊗ f_j has
-    independent v's and independent f's, the ranks and the intersections
-    come from the k x k core G = F·V (`_core_premise`); otherwise from the
-    columns S^m e_i over the whole support (`_ambient_premise`).  The report
-    compares the part of the accumulated span lying inside the window
+    range(S^{2n}) with kernel range(S^n) ∩ ker(S^n), so the intersection is
+    S^n null(S^{2n}), of dimension rank S^n - rank S^{2n}.
+
+    When the values do not depend on the route (`ctx.route_free`) and
+    S = V·F = sum_j v_j ⊗ f_j has independent v's and independent f's, the
+    work moves to the k x k core G = F·V, G_ij = f_i(v_j).  Then
+    S^n = V G^{n-1} F, so rank S^n = rank G^{n-1}; S^n x = 0 for
+    x = V G^{n-1} y exactly when G^{2n-1} y = 0, so the intersection is
+    V G^{n-1} null(G^{2n-1}), of dimension rank G^{n-1} - rank G^{2n-1}.
+    V is injective, so it maps a basis of the sum of the G^{n-1} null(G^{2n-1})
+    onto one of the sum of the intersections, and only that basis is mapped.
+    Otherwise the same loop (`_meets`) runs on S over the whole support.  The
+    report compares the part of the accumulated span lying inside the window
     against the window dimension.
     """
     s = t.linear_part() if t.base == IDENTITY else t
@@ -112,8 +118,18 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
     core = (s.terms and ctx.route_free
             and linalg.independent((v.entries for _, v in s.terms), ctx)
             and linalg.independent((f.entries for f, _ in s.terms), ctx))
-    dims, union = (_core_premise(s, depth, ctx) if core
-                   else _ambient_premise(s, top, depth, ctx))
+    if core:
+        vs = [v for _, v in s.terms]
+        g = [{i: x for i in s.coord_index.hits(v) if (x := s.terms[i][0].pair(v))}
+             for v in vs]
+        # g[j] holds column j of G by term position l: G^m e_j = sum_l G_lj G^{m-1} e_l
+        dims, basis = _meets(
+            lambda prev: [combine((c, prev[l]) for l, c in col.items()) for col in g],
+            len(vs), depth, 1, ctx)
+        union = [combine((c, vs[i - 1]) for i, c in z.items()).entries for z in basis]
+    else:
+        dims, union = _meets(lambda prev: [s.apply(col, ctx) for col in prev],
+                             top, depth, 0, ctx)
     rows = [PremiseRow(n=n, dim_range=dim_range, dim_kernel=top - dim_range,
                        dim_intersection=dim_intersection)
             for n, (dim_range, dim_intersection) in enumerate(dims, start=1)]
@@ -125,80 +141,41 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
                          window_meet_dim=span_dim - above)
 
 
-# per n, (rank S^n, dim of range(S^n) ∩ ker(S^n)); then vectors spanning the
-# sum of the intersections over n
-Premise = Tuple[List[Tuple[int, int]], List[Dict[int, Scalar]]]
+def _meets(advance: Callable[[List[SparseVector]], List[SparseVector]], size: int,
+           depth: int, shift: int,
+           ctx: ScalarContext) -> Tuple[List[Tuple[int, int]], List[Dict[int, Scalar]]]:
+    """Per n <= depth, (rank A^{n-s}, rank A^{n-s} - rank A^{2n-s}) for the map
+    A on coordinates 1..size and s = `shift`, with a basis of the sum of the
+    A^{n-s} null(A^{2n-s}).
 
-
-def _ambient_premise(s: FiniteRankOperator, top: int, depth: int,
-                     ctx: ScalarContext) -> Premise:
-    """The dimensions from the columns S^m e_i over 1..top, by repeated
-    `apply`: each intersection is S^n applied to the nullspace of S^{2n},
-    one `RowReducer.of` of its sparse rows."""
-    ambient = range(1, top + 1)
-    # powers[m][i - 1] = S^m e_i
-    powers = [[SparseVector.basis(i, ctx) for i in ambient]]
-    for _ in range(2 * depth):
-        powers.append([s.apply(col, ctx) for col in powers[-1]])
-    dims, union = [], []
-    for n in range(1, depth + 1):
-        # the rows of S^{2n}, one per coordinate, column c for e_{c+1}
-        double: List[Dict[int, Scalar]] = [{} for _ in ambient]
-        for c, col in enumerate(powers[2 * n]):
-            for i, v in col.entries.items():
-                double[i - 1][c] = v
-        red = linalg.RowReducer.of(double, ctx)
-        meet = [
-            combine((c, powers[n][i]) for i, c in red.null_vector(fc).items()
-                    if not ctx.is_zero(c)).entries
-            for fc in range(top) if fc not in red.rows
-        ]
-        union += meet
-        dims.append((linalg.row_rank((col.entries for col in powers[n]), ctx),
-                     linalg.row_rank(meet, ctx)))
-    return dims, union
-
-
-def _core_premise(s: FiniteRankOperator, depth: int, ctx: ScalarContext) -> Premise:
-    """The dimensions from the k x k core, for S = V·F with independent
-    columns v_j of V and independent rows f_j of F.
-
-    With G = F·V, G_ij = f_i(v_j), S^n = V G^{n-1} F, so rank S^n =
-    rank G^{n-1}; S^n x = 0 for x = V G^{n-1} y exactly when G^{2n-1} y = 0,
-    so the intersection is V G^{n-1} null(G^{2n-1}), of dimension
-    rank G^{n-1} - rank G^{2n-1}.  Powers of G are kept as sparse columns
-    over the term positions 1..k, G^m e_j = `combine` of G_lj G^{m-1} e_l,
-    and each nullspace is one `RowReducer.of` of k sparse rows.  V is
-    injective, so V maps a basis of the sum of the G^{n-1} null(G^{2n-1})
-    onto one of the sum of the intersections, and only that basis is mapped.
+    The powers are kept as the columns A^m e_j, each list made from the one
+    before by `advance`; each nullspace is one `linalg.RowReducer.of` of the
+    size sparse rows of A^{2n-s}.
     """
-    k = len(s.terms)
-    vs = [v for _, v in s.terms]
-    g = [{i: x for i in s.coord_index.hits(v) if (x := s.terms[i][0].pair(v))}
-         for v in vs]
-    # powers[m][j] = G^m e_{j+1}, ranks[m] = rank G^m
-    powers = [[SparseVector.basis(j, ctx) for j in range(1, k + 1)]]
-    for _ in range(2 * depth - 1):
-        prev = powers[-1]
-        powers.append([combine((c, prev[l]) for l, c in col.items()) for col in g])
-    ranks = {0: k}
+    # powers[m][j - 1] = A^m e_j, ranks[m] = rank A^m
+    powers = [[SparseVector.basis(j, ctx) for j in range(1, size + 1)]]
+    for _ in range(2 * depth - shift):
+        powers.append(advance(powers[-1]))
+    ranks = {0: size}
     dims, basis, echelon = [], [], linalg.Echelon(ctx)
     for n in range(1, depth + 1):
-        rows: List[Dict[int, Scalar]] = [{} for _ in range(k)]
-        for j, col in enumerate(powers[2 * n - 1]):
+        single = n - shift
+        rows: List[Dict[int, Scalar]] = [{} for _ in range(size)]
+        for j, col in enumerate(powers[2 * n - shift]):
             for i, x in col.entries.items():
                 rows[i - 1][j] = x
         red = linalg.RowReducer.of(rows, ctx)
-        ranks[2 * n - 1] = red.rank
-        if n - 1 not in ranks:
-            ranks[n - 1] = linalg.row_rank((col.entries for col in powers[n - 1]), ctx)
-        dims.append((ranks[n - 1], ranks[n - 1] - red.rank))
-        for fc in range(k):
+        ranks[2 * n - shift] = red.rank
+        if single not in ranks:
+            ranks[single] = linalg.row_rank((col.entries for col in powers[single]), ctx)
+        dims.append((ranks[single], ranks[single] - red.rank))
+        for fc in range(size):
             if fc not in red.rows:
-                z = combine((c, powers[n - 1][j]) for j, c in red.null_vector(fc).items())
+                z = combine((c, powers[single][j]) for j, c in red.null_vector(fc).items()
+                            if not ctx.is_zero(c))
                 if echelon.try_add(z.entries):
-                    basis.append(z)
-    return dims, [combine((c, vs[i - 1]) for i, c in z.entries.items()).entries for z in basis]
+                    basis.append(z.entries)
+    return dims, basis
 
 
 def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector,

@@ -129,6 +129,15 @@ def _enumeration(data, ctx: ScalarContext, where: str) -> Enumeration:
     return _field(where, Enumeration, tuple(_vectors(data, ctx, where)))
 
 
+def _seminorm(payload: Dict[str, Any], ctx: ScalarContext) -> SeminormSpec:
+    """payload.p, refused without weights: that seminorm is zero, so it
+    bounds nothing and every vector lies in its kernel."""
+    p = _field("payload.p", serialize.decode_seminorm, _need(payload, "p"), ctx)
+    if not p.weights:
+        raise ScenarioError("payload.p: a seminorm needs at least one weight")
+    return p
+
+
 def _positive(where: str, text, ctx: ScalarContext) -> Scalar:
     """The scalar of `text`, refused unless positive: an eps bounds a strict
     inequality, so with eps <= 0 a run could never pass."""
@@ -188,7 +197,7 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
     a = _enumeration(_need(payload, "a"), ctx, "payload.a")
     b = _enumeration(_need(payload, "b"), ctx, "payload.b")
-    p = _field("payload.p", serialize.decode_seminorm, _need(payload, "p"), ctx)
+    p = _seminorm(payload, ctx)
     disk = _field("payload.disk", serialize.decode_disk, _need(payload, "disk"), ctx)
     stages = _count(payload, "stages")
     schedule = parse_eps_schedule(
@@ -310,7 +319,12 @@ def _run_disk_task(scenario: Scenario, ctx, rng, report: Report):
         b = _enumeration(_need(spec, "b", "payload.common"), ctx, "payload.common.b")
         targets = tuple(_vectors(_need(spec, "targets", "payload.common"), ctx,
                                  "payload.common.targets"))
+        if not targets:
+            raise ScenarioError("payload.common.targets: a net needs at least one target")
         eps = _field("payload.common.eps", ctx.parse, _need(spec, "eps", "payload.common"))
+        if eps < 0:
+            # 0 stays valid: the net test is dist <= eps
+            raise ScenarioError(f"payload.common.eps: must be at least 0, got {ctx.format(eps)}")
         net = EpsilonNet(window=scenario.window, targets=targets, eps=eps)
         result = common_disk(a, b, net, ctx=ctx)
         report.checks.append(CheckResult("combined-elements-inside-disk",
@@ -349,7 +363,7 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
         basis = _vectors(_need(payload, "basis"), ctx, "payload.basis")
         if not basis:
             raise ScenarioError("payload.basis: build-shift needs at least one vector")
-        p = _field("payload.p", serialize.decode_seminorm, _need(payload, "p"), ctx)
+        p = _seminorm(payload, ctx)
         disk = _field("payload.disk", serialize.decode_disk, _need(payload, "disk"), ctx)
         spec = build_shift_operator(basis, p, disk, ctx)
         s = spec.operator
@@ -379,7 +393,7 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
                     _need(payload, "operator"), ctx)
         x = _field("payload.x", serialize.decode_vector, _need(payload, "x"), ctx)
         y = _field("payload.y", serialize.decode_vector, _need(payload, "y"), ctx)
-        p = _field("payload.p", serialize.decode_seminorm, _need(payload, "p"), ctx)
+        p = _seminorm(payload, ctx)
         eps = _positive("payload.eps", _need(payload, "eps"), ctx)
         max_n = _count(payload, "max_n")
         try:
@@ -420,7 +434,7 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
 def _run_refute_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
     levels = _count(payload, "family_levels")
-    first = _integer("payload.first_active", payload.get("first_active", 1))
+    first = _count(payload, "first_active") if "first_active" in payload else 1
     family = [
         SeminormSpec.sup_on(range(1, first + n), ctx.one)
         for n in range(1, levels + 1)

@@ -788,8 +788,10 @@ class TestUnusableInputExits2:
         (witness_scenario, "max_n", 0),
         (demo_scenario, "horizon", 0),
         (refute_scenario, "horizon", -1),
+        (refute_scenario, "first_active", 0),
+        (refute_scenario, "first_active", -3),
     ], ids=["transport-stages", "triangularize-stages", "witness-max_n", "demo-horizon",
-            "refute-horizon"])
+            "refute-horizon", "refute-first_active-zero", "refute-first_active-negative"])
     def test_vacuous_count(self, tmp_path, capsys, builder, field, value):
         """A count below 1 runs nothing; its report would pass while claiming nothing."""
         scenario = builder()
@@ -833,6 +835,38 @@ class TestUnusableInputExits2:
         code, path = _run_file(tmp_path, scenario)
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}: payload.common: must be an object\n"
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("targets", [], "payload.common.targets: a net needs at least one target"),
+        ("eps", "-1/4", "payload.common.eps: must be at least 0, got -1/4"),
+    ], ids=["no-targets", "negative-eps"])
+    def test_common_unusable_net(self, tmp_path, capsys, field, value, named):
+        """No target makes every enumeration a net; no enumeration is within eps < 0."""
+        scenario = common_scenario()
+        scenario["payload"]["common"][field] = value
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: {named}\n"
+
+    def test_common_zero_eps_is_valid(self, tmp_path, capsys):
+        """The net test is dist <= eps, so eps = 0 asks for the targets themselves."""
+        scenario = common_scenario()
+        scenario["payload"]["common"]["eps"] = "0"
+        code, _ = _run_file(tmp_path, scenario)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("builder", [transport_scenario, build_shift_scenario,
+                                         witness_scenario],
+                             ids=["transport", "build-shift", "witness"])
+    def test_seminorm_without_weights(self, tmp_path, capsys, builder):
+        """A seminorm with no weights is zero: it bounds nothing."""
+        scenario = builder()
+        scenario["payload"]["p"]["weights"] = []
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: payload.p: a seminorm needs at least one weight\n")
 
     @pytest.mark.parametrize("field, index", [("p", -3), ("disk", 0)])
     def test_weight_at_non_positive_coordinate(self, tmp_path, capsys, field, index):

@@ -271,17 +271,17 @@ class TestPremiseOracle:
 
     @staticmethod
     def spy_paths(monkeypatch):
-        """Count the premise checks that take the core and the ambient path."""
+        """Count the premise checks by the map they feed the one powers and
+        nullspace loop: the k x k core G (shift 1) or the ambient S (shift 0)."""
         import orbitlab.hypercyclic as hypercyclic
 
         taken = {"core": 0, "ambient": 0}
-        for path in taken:
-            name = f"_{path}_premise"
+        run = hypercyclic._meets
 
-            def counted(*args, _path=path, _run=getattr(hypercyclic, name)):
-                taken[_path] += 1
-                return _run(*args)
-            monkeypatch.setattr(hypercyclic, name, counted)
+        def counted(advance, size, depth, shift, ctx):
+            taken["core" if shift else "ambient"] += 1
+            return run(advance, size, depth, shift, ctx)
+        monkeypatch.setattr(hypercyclic, "_meets", counted)
         return taken
 
     def check(self, t, window, depth):
