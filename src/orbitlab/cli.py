@@ -92,9 +92,10 @@ def _cmd_run(args) -> int:
     return 2 if unusable else 1 if failed else 0
 
 
-def _scenario_from_flags(args, task: str, payload: dict) -> Scenario:
-    """The scenario of a direct subcommand, validated as a scenario file is."""
-    return Scenario.from_dict({
+def _finish(args, task: str, payload: dict) -> int:
+    """Run the scenario of a direct subcommand, validated as a scenario file
+    is, and emit its report."""
+    scenario = Scenario.from_dict({
         "name": args.name,
         "scalar_mode": args.scalar_mode,
         "window": args.window,
@@ -102,9 +103,6 @@ def _scenario_from_flags(args, task: str, payload: dict) -> Scenario:
         "task": task,
         "payload": payload,
     })
-
-
-def _finish(args, scenario: Scenario) -> int:
     report = run_scenario(scenario)
     out_dir = args.out or os.environ.get(OUT_ENV)
     _emit(report, args.format, out_dir, scenario.name)
@@ -123,12 +121,12 @@ def _cmd_transport(args) -> int:
         "stages": args.stages,
         "eps_schedule": args.eps_schedule,
     }
-    return _finish(args, _scenario_from_flags(args, "transport", payload))
+    return _finish(args, "transport", payload)
 
 
 def _cmd_triangularize(args) -> int:
     payload = {"basis": _load_json(args.basis), "stages": args.stages}
-    return _finish(args, _scenario_from_flags(args, "triangularize", payload))
+    return _finish(args, "triangularize", payload)
 
 
 def _cmd_disks(args) -> int:
@@ -150,7 +148,7 @@ def _cmd_disks(args) -> int:
         }
     else:
         raise ScenarioError("disks needs --from-null-seq or --common")
-    return _finish(args, _scenario_from_flags(args, "disk", payload))
+    return _finish(args, "disk", payload)
 
 
 def _cmd_hypercyclic(args) -> int:
@@ -180,7 +178,7 @@ def _cmd_hypercyclic(args) -> int:
         }
     else:
         payload = {"mode": "demo", "x0": load("x"), "horizon": args.horizon}
-    return _finish(args, _scenario_from_flags(args, "hypercyclic", payload))
+    return _finish(args, "hypercyclic", payload)
 
 
 def _cmd_refute(args) -> int:
@@ -192,7 +190,7 @@ def _cmd_refute(args) -> int:
         "x": _load_json(args.x),
         "horizon": args.horizon,
     }
-    return _finish(args, _scenario_from_flags(args, "refute", payload))
+    return _finish(args, "refute", payload)
 
 
 def _add_common(parser: argparse.ArgumentParser):

@@ -3,7 +3,9 @@
 An operator is base + sum_j f_j (x) v_j with base either the identity or
 zero.  Inversion goes through the k x k Gram system G_ij = f_i(v_j); the
 Neumann sum c = sum_j p*(f_j) p_D(v_j) < 1 is kept as the invertibility
-certificate only, never as a numerical inversion device.
+certificate only, never as a numerical inversion device.  `NeumannBudget.of`
+is the one place that sums it, for `neumann_certificate` and for the
+transport state and its replay; an unbounded gauge counts as infinity there.
 
 Every pairing against a list of terms reads a `CoordIndex`, which maps each
 coordinate to the ascending positions of the terms that touch it (the
@@ -34,11 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
-from .errors import BudgetExceeded, SingularOperator
+from .errors import BudgetExceeded, NotInSpan, NotPBounded, SingularOperator
 from .scalars import EXACT, Scalar, ScalarContext
 from .seminorms import DiskSpec, SeminormSpec, dual_norm, minkowski
 from .vectors import CoordFunctional, SparseVector, _dot, combine
@@ -212,31 +214,43 @@ class FiniteRankOperator:
         return [[col.get(i) for col in cols] for i in indices]
 
 
+def _gauge(measure, *args) -> Scalar:
+    """measure(*args), or infinity where the gauge is unbounded: a functional
+    that is not p-bounded, a vector outside the span of the disk."""
+    try:
+        return measure(*args)
+    except (NotPBounded, NotInSpan):
+        return inf
+
+
 @dataclass(frozen=True)
 class NeumannBudget:
-    """Certificate c = sum_j p*(f_j) p_D(v_j) < 1 for invertibility of I + T."""
+    """c = sum_j p*(f_j) p_D(v_j) of the terms of T, with the pair
+    (p*(f_j), p_D(v_j)) of each term; c < 1 certifies that I + T is invertible."""
 
-    p: SeminormSpec
-    disk: DiskSpec
     c: Scalar
     per_term: Tuple[Tuple[Scalar, Scalar], ...]
+
+    @classmethod
+    def of(cls, terms: Sequence[Term], p: SeminormSpec, disk: DiskSpec,
+           ctx: ScalarContext = EXACT) -> "NeumannBudget":
+        """Each term gauged once, an unbounded gauge counted as infinity; c
+        summed in term order from `ctx.zero`."""
+        per_term = tuple((_gauge(dual_norm, p, f), _gauge(minkowski, disk, v, ctx))
+                         for f, v in terms)
+        return cls(sum((df * pv for df, pv in per_term), ctx.zero), per_term)
 
 
 def neumann_certificate(t: FiniteRankOperator, p: SeminormSpec, disk: DiskSpec,
                         ctx: ScalarContext = EXACT) -> NeumannBudget:
-    """Compute the budget of a base-zero operator; BudgetExceeded if c >= 1."""
+    """The budget of a base-zero operator; BudgetExceeded if c >= 1 or a term
+    is unbounded (c = inf)."""
     if t.base != ZERO:
         raise ValueError("certificate applies to the finite-rank part only")
-    per_term = []
-    c = ctx.zero
-    for f, v in t.terms:
-        df = dual_norm(p, f)
-        pv = minkowski(disk, v, ctx)
-        per_term.append((df, pv))
-        c += df * pv
-    if not c < 1:
-        raise BudgetExceeded(c)
-    return NeumannBudget(p=p, disk=disk, c=c, per_term=tuple(per_term))
+    budget = NeumannBudget.of(t.terms, p, disk, ctx)
+    if not budget.c < 1:
+        raise BudgetExceeded(budget.c)
+    return budget
 
 
 class GramFactor:

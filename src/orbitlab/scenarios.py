@@ -232,17 +232,18 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
     # seeded spot-check: J fixes random vectors supported outside active(p)
     kernel_coords = [i for i in range(1, scenario.window + 1) if i not in p.active]
     fixed = True
-    for _ in range(20):
-        if not kernel_coords:
-            break
-        x = SparseVector(
-            {i: ctx.coerce(rng.randint(-9, 9))
-             for i in rng.sample(kernel_coords, min(3, len(kernel_coords)))}
-        )
-        if not close(j.apply(x, ctx), x, ctx):
-            fixed = False
-    report.checks.append(CheckResult("kernel-fixing-spot-check", fixed,
-                                     "20 seeded kernel vectors"))
+    if kernel_coords:
+        for _ in range(20):
+            x = SparseVector(
+                {i: ctx.coerce(rng.randint(-9, 9))
+                 for i in rng.sample(kernel_coords, min(3, len(kernel_coords)))}
+            )
+            if not close(j.apply(x, ctx), x, ctx):
+                fixed = False
+    report.checks.append(CheckResult(
+        "kernel-fixing-spot-check", fixed,
+        "20 seeded kernel vectors" if kernel_coords
+        else "no window coordinate lies outside active(p)"))
 
 
 def _run_triangularize_task(scenario: Scenario, ctx, rng, report: Report):

@@ -14,11 +14,12 @@ grow with them: a `Separator`, the echelon form of the constraints, and a
 `GramFactor`, a bordered factor of the Gram system for the backward solves.
 They are derived data, not part of the replayable `TransportState`;
 `verify_transport` uses neither and rebuilds the inverse of J from scratch.
+It reads the slot bounds and the budget from one `NeumannBudget`, and applies
+J once to each window unit vector, for both the round trip and kernel-fixed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -27,22 +28,13 @@ from .errors import (
     BudgetExceeded,
     Exhausted,
     NoApproximant,
-    NotInSpan,
-    NotPBounded,
     NotPIndependent,
     StageFailure,
 )
-from .operators import FiniteRankOperator, GramFactor, invert
+from .operators import FiniteRankOperator, GramFactor, NeumannBudget, invert
 from .reports import CheckResult, VerificationReport
 from .scalars import EXACT, Scalar, ScalarContext
-from .seminorms import (
-    DiskSpec,
-    SeminormSpec,
-    Separator,
-    dual_norm,
-    minkowski,
-    p_independent,
-)
+from .seminorms import DiskSpec, SeminormSpec, Separator, minkowski, p_independent
 from .vectors import CoordFunctional, SparseVector, close
 
 
@@ -66,10 +58,7 @@ class TransportState:
         return self.terms.plus_identity()
 
     def budget_used(self, ctx: ScalarContext = EXACT) -> Scalar:
-        total = ctx.zero
-        for f, v in self.terms.terms:
-            total += dual_norm(self.p, f) * minkowski(self.disk, v, ctx)
-        return total
+        return NeumannBudget.of(self.terms.terms, self.p, self.disk, ctx).c
 
 
 def initial_state(a: Enumeration, b: Enumeration, p: SeminormSpec, disk: DiskSpec,
@@ -219,7 +208,8 @@ def _run_stage(state: TransportState, separator: Separator, gram: GramFactor,
 
     # backward: u = b(m_bwd), pool = unused A
     u = b.vector(m_bwd)
-    pool_idx = [i for i in range(1, len(a) + 1) if i not in set(n_idx)]
+    used_n = set(n_idx)
+    pool_idx = [i for i in range(1, len(a) + 1) if i not in used_n]
     pool = [a.vector(i) for i in pool_idx]
     f, v, picked = step_backward(state, u, separator, gram, pool,
                                  state.epsilons[2 * q - 1], ctx)
@@ -239,15 +229,6 @@ def _window_indices(state: TransportState) -> List[int]:
     for x in list(state.a.items) + list(state.b.items):
         indices |= set(x.support)
     return sorted(indices)
-
-
-def _gauge(measure, *args) -> Scalar:
-    """measure(*args), or infinity where the gauge is unbounded: a functional
-    that is not p-bounded, a vector outside the span of the disk."""
-    try:
-        return measure(*args)
-    except (NotPBounded, NotInSpan):
-        return math.inf
 
 
 def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> VerificationReport:
@@ -274,11 +255,9 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
     add("index-coverage", want <= set(state.n_idx) and want <= set(state.m_idx),
         f"{{1..{k}}} inside both index sets")
 
-    # (p*(f), p_D(v)) per term, gauged once for both the slots and the budget
-    gauges = [(_gauge(dual_norm, state.p, f), _gauge(minkowski, state.disk, v, ctx))
-              for f, v in state.terms.terms]
+    budget = NeumannBudget.of(state.terms.terms, state.p, state.disk, ctx)
     slot_details = [f"term {j}: p*(f) = {df}, p_D(v) = {pv}"
-                    for j, (df, pv) in enumerate(gauges, start=1)
+                    for j, (df, pv) in enumerate(budget.per_term, start=1)
                     if not df <= 1 or not pv < state.epsilons[j - 1]]
     add("slot-bounds", not slot_details, "; ".join(slot_details) or "all slots respected")
 
@@ -295,27 +274,22 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
             match_details.append(f"pair {j}: J a({n}) != b({m})")
     add("exact-matching", match_ok, "; ".join(match_details) or "all matched pairs exact")
 
-    budget = sum((df * pv for df, pv in gauges), ctx.zero)
-    add("budget-below-one", ctx.lt(budget, ctx.one), f"c = {budget}")
+    add("budget-below-one", ctx.lt(budget.c, ctx.one), f"c = {budget.c}")
 
+    # J e once per window coordinate, for the round trip and the kernel check
+    indices = _window_indices(state)
+    basis = [SparseVector.basis(i, ctx) for i in indices]
+    images = [j_op.apply(e, ctx) for e in basis]
     try:
         j_inv = invert(j_op, ctx)
-        round_trip = all(
-            close(j_inv.apply(j_op.apply(e, ctx), ctx), e, ctx)
-            for e in (SparseVector.basis(i, ctx) for i in _window_indices(state))
-        )
+        round_trip = all(close(j_inv.apply(je, ctx), e, ctx) for e, je in zip(basis, images))
         add("invertible", round_trip, "Gram solve and window round trip")
     except Exception as exc:  # noqa: BLE001 - reported, not raised
         add("invertible", False, str(exc))
 
-    kernel_ok = True
-    for i in _window_indices(state):
-        if i in state.p.active:
-            continue
-        e = SparseVector.basis(i, ctx)
-        if not close(j_op.apply(e, ctx), e, ctx):
-            kernel_ok = False
-    add("kernel-fixed", kernel_ok, "J e_i = e_i outside the active set")
+    add("kernel-fixed", all(close(je, e, ctx) for i, e, je in zip(indices, basis, images)
+                            if i not in state.p.active),
+        "J e_i = e_i outside the active set")
 
     replay_ok = True
     for q in range(1, k + 1):
@@ -325,4 +299,4 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
             replay_ok = False
     add("min-rule-replay", replay_ok, "forced indices match the minimal-unused rule")
 
-    return VerificationReport(checks=checks, budget=budget)
+    return VerificationReport(checks=checks, budget=budget.c)

@@ -310,6 +310,21 @@ class TestCli:
         assert "domination" in report["data"]
         assert (out_dir / "common.csv").exists()
 
+    def test_disks_from_null_seq_with_probes(self, tmp_path):
+        files = {}
+        for key, vectors in (("generators", [sv(1), sv(0, 1)]),
+                             ("probes", [sv(3, -4), sv(0, 0, 1)])):
+            files[key] = tmp_path / f"{key}.json"
+            files[key].write_text(json.dumps(encode(vectors)))
+        out_dir = tmp_path / "out"
+        code = main(["disks", "--from-null-seq", str(files["generators"]),
+                     "--probes", str(files["probes"]), "--window", "4",
+                     "--name", "gauge", "--out", str(out_dir)])
+        assert code == 0
+        report = json.loads((out_dir / "gauge.json").read_text())
+        probes = next(t for t in report["tables"] if t["name"] == "probes")
+        assert [row[1] for row in probes["rows"]] == ["7", "NOT_IN_SPAN"]
+
     @pytest.mark.parametrize("argv, message", [
         (["--common", "F", "F"], "--common needs --targets FILE"),
         (["--targets", "F"], "disks needs --from-null-seq or --common"),
@@ -320,6 +335,24 @@ class TestCli:
         argv = ["disks"] + [str(path) if arg == "F" else arg for arg in argv]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_transport_with_every_window_coordinate_active(self, tmp_path):
+        """With p active on the whole window the kernel spot check draws no
+        vector, and its detail says so."""
+        scenario = transport_scenario(stages=1)
+        scenario["window"] = 4
+        scenario["payload"].update({
+            "a": encode([sv(1), sv(0, 1)]),
+            "b": encode([sv(0, 1), sv(1)]),
+            "p": {"kind": "sup", "weights": [[i, str(i)] for i in range(1, 5)]},
+            "disk": {"weights": [[i, "1"] for i in range(1, 5)]},
+        })
+        code, _ = _run_file(tmp_path, scenario)
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "scenario.json").read_text())
+        check = next(c for c in report["checks"] if c["name"] == "kernel-fixing-spot-check")
+        assert check == {"name": "kernel-fixing-spot-check", "passed": True,
+                         "detail": "no window coordinate lies outside active(p)"}
 
     def test_run_parallel_jobs(self, tmp_path):
         paths = []
@@ -670,8 +703,13 @@ class TestUnusableInputExits2:
         (["1/2", "1/4", "1/8", "1/8"], "epsilon schedule sum = 1 >= 1"),
         (["0", "1/4", "1/8", "1/16"], "eps_schedule[0]: must be positive, got 0"),
         (["1/4", "-1/2", "1/8", "1/16"], "eps_schedule[1]: must be positive, got -1/2"),
+        ("geometric:0", "eps_schedule: ratio must lie in (0, 1)"),
+        ("geometric:1", "eps_schedule: ratio must lie in (0, 1)"),
+        ("geometric:3/2", "eps_schedule: ratio must lie in (0, 1)"),
+        ("geometric:-1/2", "eps_schedule: ratio must lie in (0, 1)"),
     ], ids=["schedule-too-short", "schedule-sum-one", "schedule-zero-slot",
-            "schedule-negative-slot"])
+            "schedule-negative-slot", "ratio-zero", "ratio-one", "ratio-above-one",
+            "ratio-negative"])
     def test_transport_schedule(self, tmp_path, capsys, schedule, named):
         scenario = transport_scenario(stages=2)
         scenario["payload"]["eps_schedule"] = schedule

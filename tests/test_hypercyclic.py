@@ -14,6 +14,7 @@ from orbitlab import (
     eval_seminorm,
     invert,
     minkowski,
+    neumann_certificate,
     orbit,
 )
 from orbitlab.density import Enumeration
@@ -83,6 +84,31 @@ class TestBuildShiftOperator:
         assert spec.fs[0] == CoordFunctional({1: frac(1), 2: frac(-1)})
         assert spec.weights == (frac(1, 2),)
         assert spec.operator.apply(us[1]) == us[0].scale(frac(1, 2))
+
+    @pytest.mark.parametrize("form", ["weights", "generators"])
+    def test_weights_spend_two_to_the_minus_n_of_the_budget(self, form):
+        """w_n = 2^-n / (p_D(u_n) p*(f_{n+1})), so the certificate of S gives
+        term n the product 2^-n exactly and c = 1 - 2^-(k-1) for k vectors."""
+        rng = random.Random(41)
+        for _ in range(12):
+            window = rng.randint(1, 6)
+            us = [SparseVector({k: frac(rng.choice([1, 2, 3])),
+                                **{i: frac(rng.randint(-4, 4), rng.choice([1, 3, 5]))
+                                   for i in rng.sample(range(1, k), min(k - 1, 2))}})
+                  for k in range(1, window + 1)]
+            p = SeminormSpec.sup_on(range(1, window + 1))
+            if form == "weights":
+                disk = DiskSpec(weights={i: frac(rng.randint(1, 7), rng.choice([2, 3, 8]))
+                                         for i in range(1, window + 1)})
+            else:
+                disk = DiskSpec.from_generators(
+                    [SparseVector.basis(i).scale(frac(rng.randint(1, 5), rng.choice([1, 4])))
+                     for i in range(1, window + 1)]
+                    + [SparseVector({i: frac(rng.randint(-3, 3), 2) for i in range(1, window + 1)})])
+            budget = neumann_certificate(build_shift_operator(us, p, disk).operator, p, disk)
+            assert [df * pv for df, pv in budget.per_term] == [
+                frac(1, 2 ** n) for n in range(1, window)]
+            assert budget.c == 1 - frac(1, 2 ** (window - 1))
 
     def test_kernel_collision_propagates(self):
         p = SeminormSpec.sup_on([1, 2])

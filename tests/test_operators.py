@@ -89,6 +89,16 @@ class TestNeumannCertificate:
             neumann_certificate(t, self.p, self.disk)
         assert err.value.c == Fraction(3, 2)
 
+    @pytest.mark.parametrize("term", [
+        (delta(5), sv(Fraction(1, 8))),
+        (delta(1), SparseVector.basis(7).scale(Fraction(1, 8))),
+    ], ids=["functional-not-p-bounded", "vector-outside-disk-span"])
+    def test_unbounded_term_exceeds_the_budget(self, term):
+        t = FiniteRankOperator(ZERO, ((delta(2), sv(0, Fraction(1, 4))), term))
+        with pytest.raises(BudgetExceeded) as err:
+            neumann_certificate(t, self.p, self.disk)
+        assert err.value.c == float("inf")
+
     def test_continuity_bound_on_random_vectors(self):
         rng = random.Random(31)
         t = FiniteRankOperator(

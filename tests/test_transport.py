@@ -281,24 +281,50 @@ class TestVerifyTransport:
 
     def test_each_term_gauged_once(self, monkeypatch):
         # generator-form disk: every p_D(v) is an LP, so each one counts
-        import orbitlab.transport as transport
+        import orbitlab.operators as operators
 
         a, b, p, _ = twin_instance(random.Random(31), 12, 2)
         disk = DiskSpec.from_generators([SparseVector.basis(i) for i in range(1, 13)])
         _, state = run_transport(a, b, p, disk, geometric_schedule(4), stages=2)
         expected_budget = state.budget_used()
-        gauge, calls = transport.minkowski, []
+        gauge, calls = operators.minkowski, []
 
         def counting(disk, v, ctx):
             calls.append(v)
             return gauge(disk, v, ctx)
 
-        monkeypatch.setattr(transport, "minkowski", counting)
+        monkeypatch.setattr(operators, "minkowski", counting)
         report = verify_transport(state)
         assert report.passed
         assert calls == [v for _, v in state.terms.terms]
         budget = next(c for c in report.checks if c.name == "budget-below-one")
         assert budget.detail == f"c = {expected_budget}"
+
+    def test_replay_applies_j_once_per_window_coordinate(self, monkeypatch):
+        """J meets the matched a's once each and each window e_i once: the
+        invertible round trip and kernel-fixed share the images J e_i."""
+        import orbitlab.transport as transport
+
+        a, b, p, d = twin_instance(random.Random(33), 12, 2)
+        _, state = run_transport(a, b, p, d, geometric_schedule(4), stages=2)
+        window = transport._window_indices(state)
+        apply, window_calls, j_inputs = FiniteRankOperator.apply, [], []
+
+        def spied_apply(op, x, ctx):
+            if op.base == "identity" and op.terms is state.terms.terms:
+                j_inputs.append(x)
+            return apply(op, x, ctx)
+
+        def spied_window(st):
+            window_calls.append(st)
+            return window
+
+        monkeypatch.setattr(FiniteRankOperator, "apply", spied_apply)
+        monkeypatch.setattr(transport, "_window_indices", spied_window)
+        assert verify_transport(state).passed
+        assert window_calls == [state]
+        assert j_inputs == ([a.vector(n) for n in state.n_idx]
+                            + [SparseVector.basis(i) for i in window])
 
 
 def dense_twin_instance(rng, window, stages):
