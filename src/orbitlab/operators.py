@@ -235,16 +235,17 @@ class NeumannBudget:
     def of(cls, terms: Sequence[Term], p: SeminormSpec, disk: DiskSpec,
            ctx: ScalarContext = EXACT) -> "NeumannBudget":
         """Each term gauged once, an unbounded gauge counted as infinity; c
-        summed in term order from `ctx.zero`."""
+        summed in term order from `ctx.zero`.  A term with a zero factor adds
+        nothing, also when the other is infinite (its f (.) v is zero)."""
         per_term = tuple((_gauge(dual_norm, p, f), _gauge(minkowski, disk, v, ctx))
                          for f, v in terms)
-        return cls(sum((df * pv for df, pv in per_term), ctx.zero), per_term)
+        return cls(sum((df * pv for df, pv in per_term if df and pv), ctx.zero), per_term)
 
 
 def neumann_certificate(t: FiniteRankOperator, p: SeminormSpec, disk: DiskSpec,
                         ctx: ScalarContext = EXACT) -> NeumannBudget:
-    """The budget of a base-zero operator; BudgetExceeded if c >= 1 or a term
-    is unbounded (c = inf)."""
+    """The budget of a base-zero operator; BudgetExceeded if c >= 1 or a
+    non-zero term is unbounded (c = inf)."""
     if t.base != ZERO:
         raise ValueError("certificate applies to the finite-rank part only")
     budget = NeumannBudget.of(t.terms, p, disk, ctx)

@@ -205,7 +205,7 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
     )
 
     try:
-        j, state = run_transport(a, b, p, disk, schedule, stages, ctx)
+        state = run_transport(a, b, p, disk, schedule, stages, ctx)
     except StageFailure as exc:
         report.checks.append(CheckResult("transport-run", False,
                                          f"aborted at stage {exc.stage}: {exc.__cause__}"))
@@ -213,6 +213,7 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
         return
     report.checks.append(CheckResult("transport-run", True, f"{stages} stages"))
     verification = verify_transport(state, ctx)
+    j = state.operator
     report.checks.extend(verification.checks)
 
     rows = []

@@ -28,27 +28,36 @@ def encode_pairs(value) -> List[List[Any]]:
     return [[i, format_scalar(v)] for i, v in value.pairs()]
 
 
+def decode_pairs(pairs, ctx: ScalarContext = EXACT) -> dict:
+    """{i: value} of [i, value] pairs.  Each index is a JSON integer given
+    once: a float such as 1.9, a string such as "1", a bool or a repeated
+    index raises ValueError, not truncated, converted or overwritten."""
+    out = {}
+    for i, v in pairs:
+        if type(i) is not int:
+            raise ValueError(f"coordinate index must be an integer, got {i!r}")
+        if i in out:
+            raise ValueError(f"coordinate index {i} given twice")
+        out[i] = ctx.parse(v)
+    return out
+
+
 def decode_vector(pairs, ctx: ScalarContext = EXACT) -> SparseVector:
-    ctx = _context(ctx)
-    return SparseVector({int(i): ctx.parse(v) for i, v in pairs})
+    return SparseVector(decode_pairs(pairs, _context(ctx)))
 
 
 def decode_functional(pairs, ctx: ScalarContext = EXACT) -> CoordFunctional:
-    return CoordFunctional({int(i): ctx.parse(v) for i, v in pairs})
-
-
-def decode_weights(pairs, ctx: ScalarContext = EXACT) -> dict:
-    return {int(i): ctx.parse(w) for i, w in pairs}
+    return CoordFunctional(decode_pairs(pairs, ctx))
 
 
 def decode_seminorm(data: Mapping, ctx: ScalarContext = EXACT) -> SeminormSpec:
-    return SeminormSpec(data["kind"], decode_weights(data["weights"], _context(ctx)))
+    return SeminormSpec(data["kind"], decode_pairs(data["weights"], _context(ctx)))
 
 
 def decode_disk(data: Mapping, ctx: ScalarContext = EXACT) -> DiskSpec:
     ctx = _context(ctx)
     if "weights" in data:
-        return DiskSpec(weights=decode_weights(data["weights"], ctx))
+        return DiskSpec(weights=decode_pairs(data["weights"], ctx))
     return DiskSpec(generators=tuple(decode_vector(g, ctx) for g in data["generators"]))
 
 

@@ -8,11 +8,14 @@ Neumann budget stays below one.  The matched pairs are exact identities, not
 approximations: the rank-one update absorbs the distance to the chosen
 approximant.
 
-Each step adds one matched A-side vector to the constraints of the next
-separating functional and one term to J, so a run keeps two solvers that
-grow with them: a `Separator`, the echelon form of the constraints, and a
+`run_transport` returns only the `TransportState`, the one replayable
+record of the run; J is its `operator`.  Each step returns the position in
+its pool of the element it accepted, and one routine records the matched
+pair: it adds the A-side vector to the constraints of the next separating
+functional and the term to J.  So a run keeps two solvers that grow with
+them: a `Separator`, the echelon form of the constraints, and a
 `GramFactor`, a bordered factor of the Gram system for the backward solves.
-They are derived data, not part of the replayable `TransportState`;
+They are derived data, not part of the `TransportState`;
 `verify_transport` uses neither and rebuilds the inverse of J from scratch.
 It reads the slot bounds and the budget from one `NeumannBudget`, and applies
 J once to each window unit vector, for both the round trip and kernel-fixed.
@@ -20,7 +23,7 @@ J once to each window unit vector, for both the round trip and kernel-fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .density import Enumeration
@@ -40,17 +43,18 @@ from .vectors import CoordFunctional, SparseVector, close
 
 @dataclass(frozen=True)
 class TransportState:
-    """Everything the verifier needs to replay a run from raw data."""
+    """Everything the verifier needs to replay a run from raw data.  `terms`
+    is the base-zero running T_k, 0 in a fresh state of stage 0."""
 
-    stage: int
-    n_idx: Tuple[int, ...]
-    m_idx: Tuple[int, ...]
-    terms: FiniteRankOperator          # base-zero running T_k
-    epsilons: Tuple[Scalar, ...]
     a: Enumeration
     b: Enumeration
     p: SeminormSpec
     disk: DiskSpec
+    epsilons: Tuple[Scalar, ...]
+    stage: int = 0
+    n_idx: Tuple[int, ...] = ()
+    m_idx: Tuple[int, ...] = ()
+    terms: FiniteRankOperator = field(default_factory=FiniteRankOperator.zero)
 
     @property
     def operator(self) -> FiniteRankOperator:
@@ -61,31 +65,15 @@ class TransportState:
         return NeumannBudget.of(self.terms.terms, self.p, self.disk, ctx).c
 
 
-def initial_state(a: Enumeration, b: Enumeration, p: SeminormSpec, disk: DiskSpec,
-                  epsilons: Sequence[Scalar]) -> TransportState:
-    return TransportState(
-        stage=0,
-        n_idx=(),
-        m_idx=(),
-        terms=FiniteRankOperator.zero(),
-        epsilons=tuple(epsilons),
-        a=a,
-        b=b,
-        p=p,
-        disk=disk,
-    )
-
-
 def step_forward(state: TransportState, u: SparseVector, separator: Separator,
                  pool: Sequence[SparseVector], eps: Scalar,
-                 ctx: ScalarContext = EXACT
-                 ) -> Tuple[CoordFunctional, SparseVector, SparseVector]:
-    """One forward step: returns (f, v, r) with (I + T + f (.) v) u = r in pool.
+                 ctx: ScalarContext = EXACT) -> Tuple[CoordFunctional, SparseVector, int]:
+    """One forward step: returns (f, v, pos) with (I + T + f (.) v) u = pool[pos].
 
     f separates u from the matched A-side vectors that `separator` holds,
-    with dual norm one; r is the first pool element within eps * |f(u)| of
-    u + T u in the disk gauge; v is the exact update making the image land
-    on r.
+    with dual norm one; pool[pos] is the first pool element within
+    eps * |f(u)| of u + T u in the disk gauge; v is the exact update making
+    the image land on it.
     """
     t = state.terms
     f = separator.functional(u)
@@ -97,8 +85,7 @@ def step_forward(state: TransportState, u: SparseVector, separator: Separator,
     for pos, r in enumerate(pool):
         dist = minkowski(state.disk, r - target, ctx)
         if ctx.lt(dist, bound):
-            v = (r - target).scale(1 / f_u)
-            return f, v, r
+            return f, (r - target).scale(1 / f_u), pos
         if best is None or dist < best:
             best, best_pos = dist, pos
     raise NoApproximant(
@@ -110,14 +97,13 @@ def step_forward(state: TransportState, u: SparseVector, separator: Separator,
 
 def step_backward(state: TransportState, u: SparseVector, separator: Separator,
                   gram: GramFactor, pool: Sequence[SparseVector], eps: Scalar,
-                  ctx: ScalarContext = EXACT
-                  ) -> Tuple[CoordFunctional, SparseVector, SparseVector]:
-    """One backward step: returns (f, v, a) with (I + T + f (.) v) a = u.
+                  ctx: ScalarContext = EXACT) -> Tuple[CoordFunctional, SparseVector, int]:
+    """One backward step: returns (f, v, pos) with (I + T + f (.) v) pool[pos] = u.
 
     Solves (I + T) w = u exactly with `gram`, the factored Gram system of the
     terms of T, separates w from the matched A-side vectors that `separator`
-    holds, then scans the pool for an a with f(a) != 0 whose exact update
-    vector v = (I + T)(w - a) / f(a) fits in the eps slot.
+    holds, then scans the pool for the first a with f(a) != 0 whose exact
+    update vector v = (I + T)(w - a) / f(a) fits in the eps slot.
     """
     j = state.terms.plus_identity()
     w = gram.solve(u)
@@ -131,7 +117,7 @@ def step_backward(state: TransportState, u: SparseVector, separator: Separator,
         v = j.apply(w - a, ctx).scale(1 / f_a)
         size = minkowski(state.disk, v, ctx)
         if ctx.lt(size, eps):
-            return f, v, a
+            return f, v, pos
         if best is None or size < best:
             best, best_pos = size, pos
     raise NoApproximant(
@@ -149,11 +135,16 @@ def _min_unused(used: Sequence[int]) -> int:
     return n
 
 
+def _unused(side: Enumeration, used: Sequence[int]) -> List[int]:
+    taken = set(used)
+    return [i for i in range(1, len(side) + 1) if i not in taken]
+
+
 def run_transport(a: Enumeration, b: Enumeration, p: SeminormSpec, disk: DiskSpec,
                   eps_schedule: Sequence[Scalar], stages: int,
-                  ctx: ScalarContext = EXACT
-                  ) -> Tuple[FiniteRankOperator, TransportState]:
-    """Drive `stages` rounds of the alternating scheme and return (J, state).
+                  ctx: ScalarContext = EXACT) -> TransportState:
+    """Drive `stages` rounds of the alternating scheme and return the state;
+    J is its `operator`.
 
     Index selection follows the minimal-unused rule; each aborted step is
     re-raised as StageFailure carrying the stage number and partial state.
@@ -172,54 +163,45 @@ def run_transport(a: Enumeration, b: Enumeration, p: SeminormSpec, disk: DiskSpe
     if not total < 1:
         raise BudgetExceeded(total, "epsilon schedule sum")
 
-    state = initial_state(a, b, p, disk, eps_schedule)
+    state = TransportState(a, b, p, disk, tuple(eps_schedule))
     separator, gram = Separator(p, ctx), GramFactor(ctx)
     for q in range(1, stages + 1):
         try:
             state = _run_stage(state, separator, gram, q, ctx)
         except (NoApproximant, Exhausted) as exc:
             raise StageFailure(q, state, exc) from exc
-    return state.operator, state
+    return state
+
+
+def _matched(state: TransportState, separator: Separator, gram: GramFactor,
+             f: CoordFunctional, v: SparseVector, n: int, m: int) -> TransportState:
+    """The state with the pair J a(n) = b(m) made by the term f (.) v; a(n)
+    joins the separator's constraints and the term joins the Gram factor."""
+    separator.add(state.a.vector(n))
+    gram.extend(f, v)
+    return replace(state, terms=state.terms.with_term(f, v),
+                   n_idx=state.n_idx + (n,), m_idx=state.m_idx + (m,))
 
 
 def _run_stage(state: TransportState, separator: Separator, gram: GramFactor,
                q: int, ctx: ScalarContext) -> TransportState:
     a, b = state.a, state.b
-    n_idx, m_idx = list(state.n_idx), list(state.m_idx)
-
-    n_fwd = _min_unused(n_idx)
-    m_bwd = _min_unused(m_idx)
+    n_fwd = _min_unused(state.n_idx)
+    m_bwd = _min_unused(state.m_idx)
     if n_fwd > len(a) or m_bwd > len(b):
         raise Exhausted(f"enumeration prefix exhausted at stage {q}")
 
     # forward: u = a(n_fwd), pool = unused B except the reserved backward target
-    u = a.vector(n_fwd)
-    used_m = set(m_idx) | {m_bwd}
-    pool_idx = [i for i in range(1, len(b) + 1) if i not in used_m]
-    pool = [b.vector(i) for i in pool_idx]
-    f, v, r = step_forward(state, u, separator, pool, state.epsilons[2 * q - 2], ctx)
-    m_fwd = pool_idx[pool.index(r)]
-    separator.add(u)
-    gram.extend(f, v)
-    n_idx.append(n_fwd)
-    m_idx.append(m_fwd)
-    state = replace(state, terms=state.terms.with_term(f, v), n_idx=tuple(n_idx),
-                    m_idx=tuple(m_idx))
+    pool_idx = _unused(b, state.m_idx + (m_bwd,))
+    f, v, pos = step_forward(state, a.vector(n_fwd), separator,
+                             [b.vector(i) for i in pool_idx], state.epsilons[2 * q - 2], ctx)
+    state = _matched(state, separator, gram, f, v, n_fwd, pool_idx[pos])
 
     # backward: u = b(m_bwd), pool = unused A
-    u = b.vector(m_bwd)
-    used_n = set(n_idx)
-    pool_idx = [i for i in range(1, len(a) + 1) if i not in used_n]
-    pool = [a.vector(i) for i in pool_idx]
-    f, v, picked = step_backward(state, u, separator, gram, pool,
-                                 state.epsilons[2 * q - 1], ctx)
-    n_bwd = pool_idx[pool.index(picked)]
-    separator.add(picked)
-    gram.extend(f, v)
-    n_idx.append(n_bwd)
-    m_idx.append(m_bwd)
-    return replace(state, stage=q, terms=state.terms.with_term(f, v),
-                   n_idx=tuple(n_idx), m_idx=tuple(m_idx))
+    pool_idx = _unused(a, state.n_idx)
+    f, v, pos = step_backward(state, b.vector(m_bwd), separator, gram,
+                              [a.vector(i) for i in pool_idx], state.epsilons[2 * q - 1], ctx)
+    return replace(_matched(state, separator, gram, f, v, pool_idx[pos], m_bwd), stage=q)
 
 
 def _window_indices(state: TransportState) -> List[int]:

@@ -127,8 +127,8 @@ def test_criterion_01_transport_soundness():
         room = window // 2 - 2 * stages
         a, b, p, disk = twin_instance(rng, window, stages,
                                       extras=rng.randint(0, min(1, room)))
-        j, state = run_transport(a, b, p, disk,
-                                 geometric_schedule(2 * stages), stages)
+        state = run_transport(a, b, p, disk, geometric_schedule(2 * stages), stages)
+        j = state.operator
         verification = verify_transport(state)
         assert verification.passed, [c.name for c in oracles.failures(verification)]
         for i in range(window // 2 + 1, window + 1):

@@ -3,8 +3,12 @@
 import copy
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -915,6 +919,30 @@ class TestUnusableInputExits2:
         assert capsys.readouterr().err == (
             f"error: {path}: payload.{field}: coordinate indices are positive, got {index}\n")
 
+    @pytest.mark.parametrize("index", [1.9, "2", True, None],
+                             ids=["float", "string", "bool", "repeated"])
+    @pytest.mark.parametrize("builder, field, named", [
+        (transport_scenario, ("a", 0), "payload.a[0]"),
+        (witness_scenario, ("operator", "terms", 0, "f"), "payload.operator"),
+        (transport_scenario, ("p", "weights"), "payload.p"),
+        (transport_scenario, ("disk", "weights"), "payload.disk"),
+    ], ids=["transport-a", "witness-term-f", "seminorm-weights", "disk-weights"])
+    def test_coordinate_index_is_a_json_integer_given_once(self, tmp_path, capsys, builder,
+                                                          field, named, index):
+        """An index is neither truncated (1.9), converted ("2", true) nor
+        overwritten by a later pair; None appends a pair at the first index."""
+        scenario = builder()
+        pairs = scenario["payload"]
+        for key in field:
+            pairs = pairs[key]
+        first = pairs[0][0]
+        pairs.append([first if index is None else index, "1/2"])
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 2
+        problem = (f"coordinate index {first} given twice" if index is None
+                   else f"coordinate index must be an integer, got {index!r}")
+        assert capsys.readouterr().err == f"error: {path}: {named}: {problem}\n"
+
 
     @pytest.mark.parametrize("make", ["not-utf8", "directory", "too-deep"])
     def test_unreadable_scenario_file_does_not_stop_the_batch(self, tmp_path, capsys, make):
@@ -1056,6 +1084,63 @@ class TestCorruptionFuzz:
         assert sorted(p.name for p in out_dir.iterdir()) == ["s2.json", "s3.json"]
 
 
+def noisy_transport_scenario(name="noisy-transport"):
+    """The twins of `transport_scenario` with noise 1/2, far above the first
+    eps slot 1/4: no forward step of stage 1 finds a pool element."""
+    scenario = transport_scenario(name=name)
+    for pairs in scenario["payload"]["b"]:
+        pairs[-1][1] = "1/2"
+    return scenario
+
+
+class TestAbortedTransport:
+    """A transport that aborts reports `transport-run` failed, the stage it
+    reached and no matched pairs, and the run exits 1."""
+
+    def _aborted(self, tmp_path, capsys, scenario):
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 1
+        assert capsys.readouterr().err == f"FAIL {path}\n"
+        report = json.loads((tmp_path / "out" / "scenario.json").read_text())
+        assert report["passed"] is False
+        assert [c["name"] for c in report["checks"]] == ["transport-run"]
+        assert "matched-pairs" not in {t["name"] for t in report["tables"]}
+        return report["checks"][0]["detail"], report["data"]
+
+    def test_no_pool_element_within_the_slot(self, tmp_path, capsys):
+        detail, data = self._aborted(tmp_path, capsys, noisy_transport_scenario())
+        assert detail.startswith("aborted at stage 1: no pool element within")
+        assert data == {"aborted_stage": 1}
+
+    def test_stages_beyond_the_prefix(self, tmp_path, capsys):
+        scenario = transport_scenario(stages=2)
+        scenario["payload"]["stages"] = 3
+        detail, data = self._aborted(tmp_path, capsys, scenario)
+        assert detail == "aborted at stage 3: enumeration prefix exhausted at stage 3"
+        assert data == {"aborted_stage": 3}
+
+
+class TestFreshProcess:
+    def test_run_as_the_benchmark_runs_it(self, tmp_path):
+        """`python -m orbitlab.cli run --jobs 2 --out DIR` in a new interpreter
+        writes the reports that `emit_report` gives in process."""
+        scenarios = [transport_scenario(name="passing"), noisy_transport_scenario("aborting")]
+        args = [sys.executable, "-m", "orbitlab.cli", "run", "--jobs", "2",
+                "--out", str(tmp_path / "out")]
+        for scenario in scenarios:
+            path = tmp_path / f"{scenario['name']}.json"
+            path.write_text(json.dumps(scenario))
+            args += ["--scenario", str(path)]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr == f"FAIL {tmp_path / 'aborting.json'}\n"
+        for scenario in scenarios:
+            written = (tmp_path / "out" / f"{scenario['name']}.json").read_bytes()
+            assert written == emit_report(run_scenario(Scenario.from_dict(scenario)), "json")
+
+
 class TestEachCheckCanFail:
     """Each report check fails, with its detail, on a tampered construction,
     and the scenario then exits 1."""
@@ -1070,15 +1155,15 @@ class TestEachCheckCanFail:
         return check["detail"], {c["name"] for c in report["checks"] if not c["passed"]}
 
     def _tampered_transport(self, monkeypatch, tamper):
-        """run_transport as the scenario calls it, its (J, state) passed through tamper."""
+        """run_transport as the scenario calls it, its state passed through tamper."""
         monkeypatch.setattr("orbitlab.scenarios.run_transport",
-                            lambda *args: tamper(*run_transport(*args)))
+                            lambda *args: tamper(run_transport(*args)))
 
     def test_kernel_fixing_spot_check(self, tmp_path, capsys, monkeypatch):
-        # J gains a term that moves vectors supported outside active(p) = 1..6
+        # T gains a term that moves vectors supported outside active(p) = 1..6
         kernel_f = CoordFunctional({i: Fraction(1) for i in range(7, 13)})
-        self._tampered_transport(
-            monkeypatch, lambda j, state: (j.with_term(kernel_f, sv(1)), state))
+        self._tampered_transport(monkeypatch, lambda state: dataclasses.replace(
+            state, terms=state.terms.with_term(kernel_f, sv(1))))
         detail, _ = self._failed(tmp_path, capsys, transport_scenario(),
                                  "kernel-fixing-spot-check")
         assert detail == "20 seeded kernel vectors"
@@ -1086,10 +1171,10 @@ class TestEachCheckCanFail:
     def test_min_rule_replay(self, tmp_path, capsys, monkeypatch):
         # pairs 1 and 2 swapped: every pair still matches, but stage 1 no
         # longer starts at the minimal unused index
-        def swap(j, state):
+        def swap(state):
             n, m = list(state.n_idx), list(state.m_idx)
             n[:2], m[:2] = n[1::-1], m[1::-1]
-            return j, dataclasses.replace(state, n_idx=tuple(n), m_idx=tuple(m))
+            return dataclasses.replace(state, n_idx=tuple(n), m_idx=tuple(m))
 
         self._tampered_transport(monkeypatch, swap)
         detail, failed = self._failed(tmp_path, capsys, transport_scenario(),
@@ -1101,7 +1186,7 @@ class TestEachCheckCanFail:
         # J = I - e_1* (.) e_1 annihilates e_1, so the Gram solve raises
         singular = FiniteRankOperator(ZERO, ((CoordFunctional.delta(1), -sv(1)),))
         self._tampered_transport(
-            monkeypatch, lambda j, state: (j, dataclasses.replace(state, terms=singular)))
+            monkeypatch, lambda state: dataclasses.replace(state, terms=singular))
         detail, _ = self._failed(tmp_path, capsys, transport_scenario(), "invertible")
         assert detail == "1x1 matrix is not invertible"
 

@@ -1,6 +1,5 @@
 """Float scalar mode: same flows, comparisons up to the context tolerance."""
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -25,7 +24,7 @@ from orbitlab.operators import IDENTITY, ZERO
 from orbitlab.scalars import FLOAT, FLOAT_TOL
 from orbitlab.scenarios import Scenario, run_scenario
 from orbitlab.seminorms import Separator
-from orbitlab.transport import initial_state, run_transport, verify_transport
+from orbitlab.transport import TransportState, run_transport, verify_transport
 from orbitlab.triangular import interleave_triangularize
 
 import oracles
@@ -108,7 +107,7 @@ def test_float_invertible_check_runs_the_round_trip(monkeypatch):
     a_items = [SparseVector.basis(i, FLOAT) for i in range(1, 2 * stages + 1)]
     pi = [1, 0, 3, 2]
     b_items = [a_items[pi[i]] + fsv(*[0] * (active + i), 1e-8) for i in range(2 * stages)]
-    _, state = run_transport(
+    state = run_transport(
         Enumeration(tuple(a_items)), Enumeration(tuple(b_items)),
         SeminormSpec.sup_on(range(1, active + 1), 1.0),
         oracles.l1_disk(range(1, window + 1), 1.0),
@@ -191,9 +190,8 @@ def _float_state(terms):
     b = Enumeration((fsv(1),))
     p = SeminormSpec.sup_on([1, 2], 1.0)
     disk = oracles.l1_disk(range(1, 5), 1.0)
-    state = initial_state(a, b, p, disk, [0.5, 0.25])
-    return dataclasses.replace(
-        state, terms=FiniteRankOperator(ZERO, tuple(terms)))
+    return TransportState(a, b, p, disk, (0.5, 0.25),
+                          terms=FiniteRankOperator(ZERO, tuple(terms)))
 
 
 def _check(report, name):

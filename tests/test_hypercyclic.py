@@ -714,7 +714,7 @@ class TestCaseOneAssembly:
         )
         a_enum, b_enum = Enumeration(a_items), Enumeration(b_items)
         schedule = [frac(1, 2 ** (j + 2)) for j in range(built)]
-        j_op, state = run_transport(a_enum, b_enum, p, disk, schedule, stages)
+        j_op = run_transport(a_enum, b_enum, p, disk, schedule, stages).operator
 
         j_inv = invert(j_op)
         conj = j_op.compose(t).compose(j_inv)

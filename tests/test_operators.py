@@ -7,6 +7,7 @@ import pytest
 
 from orbitlab import (
     CoordFunctional,
+    DiskSpec,
     FiniteRankOperator,
     SeminormSpec,
     SparseVector,
@@ -98,6 +99,18 @@ class TestNeumannCertificate:
         with pytest.raises(BudgetExceeded) as err:
             neumann_certificate(t, self.p, self.disk)
         assert err.value.c == float("inf")
+
+    @pytest.mark.parametrize("term", [
+        (CoordFunctional.delta(3), SparseVector.zero()),
+        (CoordFunctional.zero(), SparseVector.basis(9)),
+    ], ids=["unbounded-functional-zero-vector", "zero-functional-vector-outside-disk-span"])
+    def test_term_with_a_zero_factor_adds_nothing(self, term):
+        """inf * 0 would make c nan; the term is the zero map and adds 0."""
+        budget = neumann_certificate(FiniteRankOperator(ZERO, (term,)),
+                                     SeminormSpec.sup_on([1, 2]),
+                                     DiskSpec(weights={1: 1, 2: 1, 3: 1}))
+        assert budget.c == 0
+        assert sorted(budget.per_term[0]) == [0, float("inf")]
 
     def test_continuity_bound_on_random_vectors(self):
         rng = random.Random(31)

@@ -39,9 +39,9 @@ def transport_results(ctx):
     p = serialize.decode_seminorm(weights(range(1, 7)), ctx)
     disk = serialize.decode_disk({"weights": [[i, "1/2"] for i in range(1, 13)]}, ctx)
     schedule = parse_eps_schedule("geometric:1/2", 4, ctx)
-    j, state = run_transport(Enumeration(tuple(a)), Enumeration(tuple(b)),
-                             p, disk, schedule, 2, ctx)
-    return [j, state, state.budget_used(ctx), verify_transport(state, ctx)]
+    state = run_transport(Enumeration(tuple(a)), Enumeration(tuple(b)),
+                          p, disk, schedule, 2, ctx)
+    return [state.operator, state, state.budget_used(ctx), verify_transport(state, ctx)]
 
 
 def triangularize_results(ctx):

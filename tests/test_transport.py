@@ -25,7 +25,6 @@ from orbitlab.operators import GramFactor
 from orbitlab.seminorms import Separator
 from orbitlab.transport import (
     TransportState,
-    initial_state,
     run_transport,
     step_backward,
     step_forward,
@@ -44,12 +43,12 @@ def frac(n, d=1):
 
 
 def fresh_state(a_items, b_items, active, window, epsilons):
-    return initial_state(
+    return TransportState(
         Enumeration(tuple(a_items)),
         Enumeration(tuple(b_items)),
         SeminormSpec.sup_on(range(1, active + 1)),
         oracles.l1_disk(range(1, window + 1)),
-        epsilons,
+        tuple(epsilons),
     )
 
 
@@ -61,17 +60,18 @@ class TestStepForward:
     def test_element_already_in_pool(self):
         state = fresh_state([sv(1)], [sv(1)], active=2, window=2,
                             epsilons=geometric_schedule(2))
-        f, v, r = step_forward(state, sv(1), Separator(state.p), [sv(1)], frac(1, 4))
-        assert r == sv(1)
+        f, v, pos = step_forward(state, sv(1), Separator(state.p), [sv(1)], frac(1, 4))
+        assert pos == 0
         assert v.is_zero()
         assert f == CoordFunctional.delta(1)
 
     def test_worked_arithmetic(self):
         state = fresh_state([sv(1)], [sv(frac(9, 10), frac(1, 10))], active=2,
                             window=2, epsilons=geometric_schedule(2))
-        f, v, r = step_forward(
+        f, v, pos = step_forward(
             state, sv(1), Separator(state.p), [sv(frac(9, 10), frac(1, 10))], frac(1, 4)
         )
+        assert pos == 0
         assert v == sv(frac(-1, 10), frac(1, 10))
         updated = state.terms.with_term(f, v).plus_identity()
         assert updated.apply(sv(1)) == sv(frac(9, 10), frac(1, 10))
@@ -83,27 +83,47 @@ class TestStepForward:
             step_forward(state, sv(1), Separator(state.p), [sv(5, 5)], frac(1, 4))
         assert err.value.best == 9  # l1 distance from (1,0) to (5,5)
 
+    def test_first_pool_element_beyond_the_bound_is_passed_over(self):
+        pool = [sv(5, 5), sv(frac(9, 10), frac(1, 10))]
+        state = fresh_state([sv(1)], pool, active=2, window=2,
+                            epsilons=geometric_schedule(2))
+        f, v, pos = step_forward(state, sv(1), Separator(state.p), pool, frac(1, 4))
+        assert pos == 1
+        assert state.terms.with_term(f, v).plus_identity().apply(sv(1)) == pool[1]
+
 
 class TestStepBackward:
     def test_worked_arithmetic(self):
         state = fresh_state([sv(2, frac(1, 10))], [sv(2)], active=2, window=2,
                             epsilons=geometric_schedule(2))
-        f, v, a = step_backward(
+        f, v, pos = step_backward(
             state, sv(2), Separator(state.p), GramFactor(), [sv(2, frac(1, 10))], frac(1, 4)
         )
-        assert a == sv(2, frac(1, 10))
+        assert pos == 0
         assert v == sv(0, frac(-1, 20))
         updated = state.terms.with_term(f, v).plus_identity()
-        assert updated.apply(a) == sv(2)
+        assert updated.apply(sv(2, frac(1, 10))) == sv(2)
 
     def test_element_already_matching(self):
         state = fresh_state([sv(2)], [sv(2)], active=2, window=2,
                             epsilons=geometric_schedule(2))
-        f, v, a = step_backward(
+        f, v, pos = step_backward(
             state, sv(2), Separator(state.p), GramFactor(), [sv(2)], frac(1, 4)
         )
-        assert a == sv(2)
+        assert pos == 0
         assert v.is_zero()
+
+    def test_zero_pairing_and_oversize_update_are_passed_over(self):
+        # f = e_1*: e_2 pairs to 0, e_1 needs v = e_1 of size 1 > 1/4
+        pool = [sv(0, 1), sv(1), sv(2, frac(1, 10))]
+        state = fresh_state(pool, [sv(2)], active=2, window=2,
+                            epsilons=geometric_schedule(2))
+        f, v, pos = step_backward(state, sv(2), Separator(state.p), GramFactor(), pool,
+                                  frac(1, 4))
+        assert f == CoordFunctional.delta(1)
+        assert pos == 2
+        assert v == sv(0, frac(-1, 20))
+        assert state.terms.with_term(f, v).plus_identity().apply(pool[2]) == sv(2)
 
 
 def twin_instance(rng, window, stages, extras=0, noise_exp=None):
@@ -149,14 +169,16 @@ def twin_instance(rng, window, stages, extras=0, noise_exp=None):
 class TestRunTransport:
     def test_zero_stages_gives_identity(self):
         a, b, p, d = twin_instance(random.Random(1), 12, 2)
-        j, state = run_transport(a, b, p, d, geometric_schedule(6), stages=0)
+        state = run_transport(a, b, p, d, geometric_schedule(6), stages=0)
+        j = state.operator
         assert j.terms == ()
         assert verify_transport(state).passed
 
     def test_twin_run_matches_exactly(self):
         rng = random.Random(5)
         a, b, p, d = twin_instance(rng, 16, 3, extras=1)
-        j, state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
+        state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
+        j = state.operator
         report = verify_transport(state)
         assert report.passed, [c.name for c in oracles.failures(report)]
         for n, m in zip(state.n_idx, state.m_idx):
@@ -175,10 +197,28 @@ class TestRunTransport:
         b = Enumeration(b_items)
         p = SeminormSpec.sup_on(range(1, 7))
         d = oracles.l1_disk(range(1, 13))
-        j, state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
+        state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
+        j = state.operator
         assert verify_transport(state).passed
         # with exact twins every update vector is zero and J = I
         assert all(v.is_zero() for _, v in state.terms.terms)
+
+    def test_stage_one_accepts_a_later_pool_element(self):
+        """The forward pool of stage 1 is (b(2), b(3)); b(2) lies 2 away from
+        a(1) in the disk gauge and b(3) within 2^-20, so the pair is (1, 3)."""
+        noise = frac(1, 2 ** 20)
+        a = Enumeration((sv(1), sv(0, 1), sv(0, 0, 1)))
+        b = Enumeration((sv(0, 1, 0, 0, noise), sv(0, 0, 1, 0, 0, noise),
+                         sv(1, 0, 0, 0, 0, 0, noise)))
+        p = SeminormSpec.sup_on(range(1, 5))
+        d = oracles.l1_disk(range(1, 9))
+        state = run_transport(a, b, p, d, geometric_schedule(2), stages=1)
+        assert state.n_idx == (1, 2)
+        assert state.m_idx == (3, 1)
+        report = verify_transport(state)
+        assert report.passed, [c.name for c in oracles.failures(report)]
+        for n, m in zip(state.n_idx, state.m_idx):
+            assert state.operator.apply(a.vector(n)) == b.vector(m)
 
     def test_dependent_enumeration_rejected(self):
         p = SeminormSpec.sup_on([1, 2])
@@ -209,7 +249,8 @@ class TestRunTransport:
     def test_kernel_fixing_outside_active(self):
         rng = random.Random(13)
         a, b, p, d = twin_instance(rng, 16, 3)
-        j, state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
+        state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
+        j = state.operator
         for i in range(9, 17):
             e = SparseVector.basis(i)
             assert j.apply(e) == e
@@ -217,20 +258,20 @@ class TestRunTransport:
     def test_budget_certificate_below_one(self):
         rng = random.Random(17)
         a, b, p, d = twin_instance(rng, 16, 3)
-        _, state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
+        state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
         assert state.budget_used() < 1
 
 
 class TestVerifyTransport:
     def test_vacuous_fresh_state(self):
         a, b, p, d = twin_instance(random.Random(21), 12, 2)
-        state = initial_state(a, b, p, d, geometric_schedule(4))
+        state = TransportState(a, b, p, d, tuple(geometric_schedule(4)))
         assert verify_transport(state).passed
 
     def test_perturbed_term_caught_by_matching_check(self):
         rng = random.Random(23)
         a, b, p, d = twin_instance(rng, 16, 3)
-        _, state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
+        state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
         f, v = state.terms.terms[2]
         broken_terms = (
             state.terms.terms[:2]
@@ -273,7 +314,8 @@ class TestVerifyTransport:
     def test_invertibility_round_trip_checked(self):
         rng = random.Random(27)
         a, b, p, d = twin_instance(rng, 12, 2)
-        j, state = run_transport(a, b, p, d, geometric_schedule(4), stages=2)
+        state = run_transport(a, b, p, d, geometric_schedule(4), stages=2)
+        j = state.operator
         j_inv = invert(j)
         for i in range(1, 13):
             e = SparseVector.basis(i)
@@ -285,7 +327,7 @@ class TestVerifyTransport:
 
         a, b, p, _ = twin_instance(random.Random(31), 12, 2)
         disk = DiskSpec.from_generators([SparseVector.basis(i) for i in range(1, 13)])
-        _, state = run_transport(a, b, p, disk, geometric_schedule(4), stages=2)
+        state = run_transport(a, b, p, disk, geometric_schedule(4), stages=2)
         expected_budget = state.budget_used()
         gauge, calls = operators.minkowski, []
 
@@ -306,7 +348,7 @@ class TestVerifyTransport:
         import orbitlab.transport as transport
 
         a, b, p, d = twin_instance(random.Random(33), 12, 2)
-        _, state = run_transport(a, b, p, d, geometric_schedule(4), stages=2)
+        state = run_transport(a, b, p, d, geometric_schedule(4), stages=2)
         window = transport._window_indices(state)
         apply, window_calls, j_inputs = FiniteRankOperator.apply, [], []
 
@@ -356,7 +398,7 @@ class TestIncrementalWorkspace:
     def test_dense_twin_runs_verify(self):
         for seed in range(5):
             a, b, p, d = dense_twin_instance(random.Random(seed), 16, 3)
-            _, state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
+            state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
             gram = [[f.pair(v) for _, v in state.terms.terms] for f, _ in state.terms.terms]
             assert any(any(row) for row in gram)
             report = verify_transport(state)
@@ -366,13 +408,13 @@ class TestIncrementalWorkspace:
         import orbitlab.linalg as linalg
 
         args = twin_instance(random.Random(33), 24, 5, extras=2)
-        _, expected = run_transport(*args, geometric_schedule(10), stages=5)
+        expected = run_transport(*args, geometric_schedule(10), stages=5)
 
         def boom(*_args, **_kwargs):
             raise AssertionError("from-scratch solve reached")
 
         monkeypatch.setattr(linalg.RowReducer, "of", boom)
-        _, state = run_transport(*args, geometric_schedule(10), stages=5)
+        state = run_transport(*args, geometric_schedule(10), stages=5)
         assert state == expected
 
     def test_operators_make_no_pairing_across_disjoint_supports(self, monkeypatch):
@@ -410,7 +452,7 @@ class TestIncrementalWorkspace:
         monkeypatch.setattr(CoordFunctional, "pair", guarded)
         monkeypatch.setattr(operators, "_dot", guarded_dot)
         a, b, p, d = dense_twin_instance(random.Random(3), 16, 3)
-        _, state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
+        state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
         assert verify_transport(state).passed
         assert wasted == []
         assert set(made) == {"apply", "invert", "extend", "solve"}, made
