@@ -94,7 +94,10 @@ def _cmd_run(args) -> int:
 
 def _finish(args, task: str, payload: dict) -> int:
     """Run the scenario of a direct subcommand, validated as a scenario file
-    is, and emit its report."""
+    is, and emit its report.  --name names the report files, so it must be a
+    plain file name: one with a path separator, or . or .., could leave --out."""
+    if args.name in ("", ".", "..") or any(sep in args.name for sep in (os.sep, os.altsep) if sep):
+        raise ScenarioError(f"--name: must be a plain file name, got {args.name!r}")
     scenario = Scenario.from_dict({
         "name": args.name,
         "scalar_mode": args.scalar_mode,

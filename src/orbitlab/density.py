@@ -106,8 +106,7 @@ def extract_p_independent(a: Enumeration, p: SeminormSpec,
                 continue
             if not eval_seminorm(window_norm, x - center) < radius:
                 continue
-            proj = {i: v for i, v in x.entries.items() if i in p.weights}
-            if echelon.try_add(proj):
+            if echelon.try_add(project_active(p, x)):
                 found = x
                 break
         if found is None:
@@ -214,7 +213,7 @@ def biorthogonalize(us: Sequence[SparseVector], p: SeminormSpec,
     """
     us = list(us)
     if ctx.route_free:
-        fs = _dual_by_inverse(project_active(p, us), ctx)
+        fs = _dual_by_inverse([project_active(p, u) for u in us], ctx)
         if fs is not None:
             return fs
     fs: List[CoordFunctional] = []

@@ -6,13 +6,15 @@ assembled shift, the dimension of span of range-kernel intersections feeding
 the dense-span premise, explicit transitivity witnesses with re-evaluable
 residuals, and the instrumented quantities of the non-orbit refutation.
 
-Operators stay in their term form sum_j f_j (x) v_j = V·F.  The premise
-runs one loop on the powers of a map, kept as sparse columns: ranks by
+Operators stay in their term form sum_j f_j (x) v_j = V·F.  S is
+`linear_part()`, every orbit (the demo's too) is `operators.orbit`, and
+every active projection is `seminorms.project_active`.  The premise runs one
+loop on the powers of a map, kept as sparse columns: ranks by
 `linalg.row_rank`, each nullspace one `linalg.RowReducer.of`, and an
 `linalg.Echelon` basis of the intersections.  When the v's and the f's are
 independent and values do not depend on the route
-(`ScalarContext.route_free`, exact mode), the map is the k x k core
-G = F·V; otherwise it is S itself on the whole support, pushed through
+(`ScalarContext.route_free`, exact mode), the map is the k x k core G = F·V;
+otherwise it is S itself on the whole support, pushed through
 `FiniteRankOperator.apply`.  No matrix power of S is ever multiplied out.
 In exact mode `apply`, the weight-form disk gauge and the ranks work on
 integers and build a Fraction only for an entry of their result.  The
@@ -27,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .density import Enumeration, biorthogonalize
 from .errors import NotNested, NotNilpotent, NotPIndependent, WitnessNotFound
-from .operators import FiniteRankOperator, IDENTITY, ZERO, orbit
+from .operators import FiniteRankOperator, ZERO, orbit
 from .scalars import EXACT, Scalar, ScalarContext
 from .seminorms import (
     DiskSpec,
@@ -36,6 +38,7 @@ from .seminorms import (
     eval_seminorm,
     minkowski,
     p_independent,
+    project_active,
 )
 from .vectors import CoordFunctional, SparseVector, combine
 
@@ -90,7 +93,7 @@ class PremiseReport:
 
 def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
                                ctx: ScalarContext = EXACT) -> PremiseReport:
-    """Dimensions of range(S^n) ∩ ker(S^n) for S = T - I, n <= depth.
+    """Dimensions of range(S^n) ∩ ker(S^n) for S = `t.linear_part()`, n <= depth.
 
     Computations run on the full support of the operator, which should
     extend beyond the probe window: a truncated chain is only surjective
@@ -111,7 +114,7 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
     report compares the part of the accumulated span lying inside the window
     against the window dimension.
     """
-    s = t.linear_part() if t.base == IDENTITY else t
+    s = t.linear_part()
     top = window
     for f, v in s.terms:
         top = max([top] + list(f.support) + list(v.support))
@@ -188,7 +191,7 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
     applying T^n cascades it into the active rows, which are solved exactly.
     T acts cut to the window: every `apply` is followed by restriction to
     coordinates 1..window, so the n-th step is (P T P)^n with P the window
-    projection.  Raises NotNilpotent when the chain part of T is not nilpotent
+    projection.  Raises NotNilpotent when S = `t.linear_part()` is not nilpotent
     on the window, WitnessNotFound with the best (n, residual) on failure.
     """
     indices = range(1, window + 1)
@@ -196,7 +199,7 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
     def step(op: FiniteRankOperator, v: SparseVector) -> SparseVector:
         return op.apply(v, ctx).restrict(indices)
 
-    s = t.linear_part() if t.base == IDENTITY else t
+    s = t.linear_part()
     cols = [SparseVector.basis(j, ctx) for j in indices]
     for _ in range(window):
         cols = [w for w in (step(s, c) for c in cols) if not w.is_zero()]
@@ -248,17 +251,13 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
     raise WitnessNotFound(best_n, best_res)
 
 
-def omega_shift_demo(window: int, x0: SparseVector, horizon: int) -> List[SparseVector]:
-    """Orbit prefix of the plain coordinate shift; entries beyond the window
-    read as zero."""
-    out = []
-    x = x0.restrict(range(1, window + 1))
-    for _ in range(horizon):
-        out.append(x)
-        x = SparseVector(
-            {i: x.get(i + 1) for i in range(1, window) if x.get(i + 1) != 0}
-        )
-    return out
+def omega_shift_demo(window: int, x0: SparseVector, horizon: int,
+                     ctx: ScalarContext = EXACT) -> List[SparseVector]:
+    """First `horizon` elements of the `orbit` of x0 cut to the window under
+    the backward shift B = sum_{i<window} δ_{i+1} ⊗ e_i, so (B x)_i = 1·x_{i+1}."""
+    shift = FiniteRankOperator(ZERO, tuple(
+        (CoordFunctional.delta(i + 1, ctx), SparseVector.basis(i, ctx)) for i in range(1, window)))
+    return orbit(shift, x0.restrict(range(1, window + 1)), horizon, ctx)
 
 
 @dataclass(frozen=True)
@@ -346,13 +345,13 @@ def refute_orbit(t: FiniteRankOperator, x: SparseVector, a_set: NonOrbitSet,
     p1_sum = ctx.zero
     series: Dict[int, Scalar] = {k: ctx.zero for k in range(1, len(a_set.family) + 1)}
     for n in m_set:
+        # p1 of the continuation over its own gauge: one per member of M
         denom = eval_seminorm(p1, prefix[n + 1])
-        p1_sum += eval_seminorm(p1, prefix[n + 1]) / denom
+        p1_sum += denom / denom
         for k, p_k in enumerate(a_set.family, start=1):
             series[k] += eval_seminorm(p_k, prefix[n]) / denom
 
-    rank = linalg.row_rank(({i: v for i, v in el.entries.items() if i in p1.weights}
-                            for el in distinct), ctx)
+    rank = linalg.row_rank((project_active(p1, el) for el in distinct), ctx)
 
     return RefuteReport(
         horizon=horizon,

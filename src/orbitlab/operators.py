@@ -121,12 +121,10 @@ class FiniteRankOperator:
         return [None] * len(self.terms)
 
     def _rebased(self, base: str) -> "FiniteRankOperator":
-        """The same terms over another base, sharing an index and term rows
-        already built."""
+        """The same terms over another base, sharing one index and one list of
+        term rows with this operator, built here if not yet."""
         op = FiniteRankOperator(base, self.terms)
-        for name in ("coord_index", "_term_rows"):
-            if name in self.__dict__:
-                op.__dict__[name] = self.__dict__[name]
+        op.__dict__.update(coord_index=self.coord_index, _term_rows=self._term_rows)
         return op
 
     def with_term(self, f: CoordFunctional, v: SparseVector) -> "FiniteRankOperator":
@@ -137,8 +135,8 @@ class FiniteRankOperator:
         return op
 
     def linear_part(self) -> "FiniteRankOperator":
-        """The operator minus its identity component."""
-        return self._rebased(ZERO)
+        """T - I for an identity base; a zero-base operator is its own linear part."""
+        return self if self.base == ZERO else self._rebased(ZERO)
 
     def plus_identity(self) -> "FiniteRankOperator":
         return self._rebased(IDENTITY)
@@ -350,13 +348,11 @@ def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOpera
 
 def orbit(t: FiniteRankOperator, x0: SparseVector, horizon: int,
           ctx: ScalarContext = EXACT) -> List[SparseVector]:
-    """First `horizon` elements x0, T x0, T^2 x0, ..."""
-    out = []
-    x = x0
-    for _ in range(horizon):
-        out.append(x)
-        x = t.apply(x, ctx)
-    return out
+    """First `horizon` elements x0, T x0, T^2 x0, ..., applying T horizon - 1 times."""
+    out = [x0]
+    for _ in range(horizon - 1):
+        out.append(t.apply(out[-1], ctx))
+    return out[:horizon]
 
 
 def conjugate_orbit(t0: FiniteRankOperator, x0: SparseVector, j: FiniteRankOperator,

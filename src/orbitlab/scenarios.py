@@ -1,9 +1,10 @@
 """Scenario files: schema validation, dispatch to the modules, report assembly.
 
-A scenario pins name, scalar mode, window, seed and one task payload.  Runs
-are deterministic: the seed drives every randomized spot-check and is
-recorded in the report, and reports carry no clocks, so re-running a stored
-scenario reproduces its bytes in exact mode.
+A scenario pins name, scalar mode, window, seed and one task payload, and a
+key that no runner reads is refused rather than skipped.  Runs are
+deterministic: the seed drives every randomized spot-check and is recorded
+in the report, and reports carry no clocks, so re-running a stored scenario
+reproduces its bytes in exact mode.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import __version__, serialize
 from .density import Enumeration, EpsilonNet, common_disk, net_report
@@ -24,6 +25,7 @@ from .hypercyclic import (
     refute_orbit,
     transitivity_witness,
 )
+from .operators import orbit
 from .reports import CheckResult, Report, Table, scenario_hash
 from .scalars import EXACT, ScalarContext, Scalar
 from .seminorms import DiskSpec, SeminormSpec, eval_seminorm, minkowski
@@ -62,6 +64,7 @@ class Scenario:
         for key in FIELDS:
             if key not in data:
                 raise ScenarioError(f"{key}: missing")
+        _known(data, FIELDS + ("expected",), "", "a scenario")
         if data["scalar_mode"] not in ("exact", "float"):
             raise ScenarioError("scalar_mode: must be 'exact' or 'float'")
         if data["task"] not in TASKS:
@@ -80,6 +83,17 @@ class Scenario:
             payload=data["payload"],
             expected=data.get("expected"),
         )
+
+
+def _known(node: Dict[str, Any], keys: Tuple[str, ...], where: str, reader: str) -> None:
+    """Refuse a key of the object at `where` outside `keys`: nothing reads it,
+    so a misspelt optional field would run its default and pass."""
+    if not isinstance(node, dict):
+        raise ScenarioError(f"{where}: must be an object")
+    for key in node:
+        if key not in keys:
+            raise ScenarioError(f"{where}{'.' if where else ''}{key}: unknown field; "
+                                f"{reader} reads {', '.join(keys)}")
 
 
 def _need(payload: Dict[str, Any], key: str, where: str = "payload"):
@@ -195,6 +209,7 @@ def _random_window_vector(rng, window: int, ctx: ScalarContext) -> SparseVector:
 
 def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
+    _known(payload, ("a", "b", "p", "disk", "stages", "eps_schedule"), "payload", "transport")
     a = _enumeration(_need(payload, "a"), ctx, "payload.a")
     b = _enumeration(_need(payload, "b"), ctx, "payload.b")
     p = _seminorm(payload, ctx)
@@ -249,6 +264,7 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
 
 def _run_triangularize_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
+    _known(payload, ("basis", "stages"), "payload", "triangularize")
     basis = _vectors(_need(payload, "basis"), ctx, "payload.basis")
     stages = _count(payload, "stages")
     funcs = [CoordFunctional.delta(i, ctx) for i in range(1, scenario.window + 1)]
@@ -258,17 +274,13 @@ def _run_triangularize_task(scenario: Scenario, ctx, rng, report: Report):
     report.checks.append(CheckResult("minors-invertible",
                                      all(not ctx.is_zero(d) for d in state.minors),
                                      f"{built} leading minors"))
-    fs = state.chosen_funcs()
-    tri_ok = True
-    for m, v in enumerate(state.v, start=1):
-        for jj in range(1, m + 1):
-            want = 1 if jj == m else 0
-            if fs[jj - 1].pair(v) != want:
-                tri_ok = False
+    # the funcs are coordinate functionals, so f_alpha(j)(v_m) = matrix[j - 1][m - 1]
+    matrix = shuffled_matrix(state)
+    tri_ok = all(matrix[j][m] == (1 if j == m else 0)
+                 for m in range(built) for j in range(m + 1))
     report.checks.append(CheckResult("biorthogonal-triangular", tri_ok,
                                      "f_alpha(j)(v_m) identities"))
     op = build_omega_operator(state)
-    matrix = shuffled_matrix(state)
     unit_lower = all(
         matrix[j][j] == 1 and all(ctx.is_zero(matrix[j][t]) for t in range(j + 1, built))
         for j in range(built)
@@ -292,6 +304,7 @@ def _run_triangularize_task(scenario: Scenario, ctx, rng, report: Report):
 def _run_disk_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
     if "generators" in payload:
+        _known(payload, ("generators", "probes"), "payload", "a generator disk")
         gens = _vectors(payload["generators"], ctx, "payload.generators")
         if not gens:
             raise ScenarioError("payload.generators: a disk needs at least one generator")
@@ -316,7 +329,9 @@ def _run_disk_task(scenario: Scenario, ctx, rng, report: Report):
         if probe_rows:
             report.tables.append(Table("probes", ["vector", "p_K"], probe_rows))
     elif "common" in payload:
+        _known(payload, ("common",), "payload", "a common disk")
         spec = payload["common"]
+        _known(spec, ("a", "b", "targets", "eps"), "payload.common", "a common disk")
         a = _enumeration(_need(spec, "a", "payload.common"), ctx, "payload.common.a")
         b = _enumeration(_need(spec, "b", "payload.common"), ctx, "payload.common.b")
         targets = tuple(_vectors(_need(spec, "targets", "payload.common"), ctx,
@@ -362,6 +377,7 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
     kind = _need(payload, "mode")
     if kind == "build-shift":
+        _known(payload, ("mode", "basis", "p", "disk"), "payload", "build-shift")
         basis = _vectors(_need(payload, "basis"), ctx, "payload.basis")
         if not basis:
             raise ScenarioError("payload.basis: build-shift needs at least one vector")
@@ -387,10 +403,11 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
             [[str(n + 1), ctx.format(w)] for n, w in enumerate(spec.weights)],
         ))
         report.data["operator"] = serialize.encode_operator(s)
-        premise = range_kernel_premise_check(s.plus_identity(), scenario.window,
-                                    min(len(basis), 6), ctx)
+        premise = range_kernel_premise_check(s, scenario.window, min(len(basis), 6), ctx)
         report.data["premise_span_dim"] = premise.window_meet_dim
     elif kind == "witness":
+        _known(payload, ("mode", "operator", "x", "y", "p", "eps", "max_n"), "payload",
+               "witness")
         op = _field("payload.operator", serialize.decode_operator,
                     _need(payload, "operator"), ctx)
         x = _field("payload.x", serialize.decode_vector, _need(payload, "x"), ctx)
@@ -406,9 +423,7 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
             report.data["best_n"] = exc.best_n
             report.data["best_residual"] = ctx.format(exc.best_residual)
             return
-        image = z
-        for _ in range(n):
-            image = op.apply(image, ctx)
+        image = orbit(op, z, n + 1, ctx)[n]
         res_x = eval_seminorm(p, z - x)
         res_y = eval_seminorm(p, image - y)
         report.checks.append(CheckResult("witness-found", True, f"n = {n}"))
@@ -421,9 +436,10 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
         ))
         report.data["z"] = serialize.encode_pairs(z)
     elif kind == "demo":
+        _known(payload, ("mode", "x0", "horizon"), "payload", "demo")
         x0 = _field("payload.x0", serialize.decode_vector, _need(payload, "x0"), ctx)
         horizon = _count(payload, "horizon")
-        steps = omega_shift_demo(scenario.window, x0, horizon)
+        steps = omega_shift_demo(scenario.window, x0, horizon, ctx)
         report.checks.append(CheckResult("demo-run", True, f"{horizon} steps"))
         report.tables.append(Table(
             "orbit", ["n", "T^n x0"],
@@ -435,6 +451,8 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
 
 def _run_refute_task(scenario: Scenario, ctx, rng, report: Report):
     payload = scenario.payload
+    _known(payload, ("family_levels", "first_active", "b", "operator", "x", "horizon"),
+           "payload", "refute")
     levels = _count(payload, "family_levels")
     first = _count(payload, "first_active") if "first_active" in payload else 1
     family = [

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import linalg, simplex
 from .errors import NoSeparation, NotInSpan, NotPBounded
@@ -154,11 +154,9 @@ def minkowski(disk: DiskSpec, u: SparseVector, ctx: ScalarContext = EXACT) -> Sc
     return result.value
 
 
-def project_active(p: SeminormSpec, xs: Sequence[SparseVector]) -> List[dict]:
-    """Restrictions to the active coordinates, as plain dicts."""
-    return [
-        {i: v for i, v in x.entries.items() if i in p.weights} for x in xs
-    ]
+def project_active(p: SeminormSpec, x: SparseVector) -> dict:
+    """x restricted to active(p), its residue modulo ker p, as a plain dict."""
+    return {i: v for i, v in x.entries.items() if i in p.weights}
 
 
 def p_independent(p: SeminormSpec, xs: Sequence[SparseVector],
@@ -166,7 +164,7 @@ def p_independent(p: SeminormSpec, xs: Sequence[SparseVector],
     """Rank test: the residues of xs modulo ker p, their projections on the
     active coordinates, are linearly independent.  `linalg.independent` runs
     it on integers in exact mode and stops at the first dependent residue."""
-    return linalg.independent(project_active(p, xs), ctx)
+    return linalg.independent((project_active(p, x) for x in xs), ctx)
 
 
 class Separator:
@@ -191,14 +189,14 @@ class Separator:
         """A separator for the constraints, from one `linalg.RowReducer.of` of
         their projections."""
         sep = cls(p, ctx)
-        projections = project_active(p, constraints)
+        projections = [project_active(p, x) for x in constraints]
         sep._support.update(*projections)
         sep._reducer = linalg.RowReducer.of(projections, ctx)
         return sep
 
     def add(self, x: SparseVector) -> None:
         """Append one constraint."""
-        proj = project_active(self.p, [x])[0]
+        proj = project_active(self.p, x)
         self._support.update(proj)
         self._reducer.try_add(proj)
 
@@ -211,7 +209,7 @@ class Separator:
         on u; raises NoSeparation exactly when (u + span constraints) meets ker p.
         """
         ctx, rows = self.ctx, self._reducer.rows
-        u_act = {i: v for i, v in u.entries.items() if i in self.p.weights}
+        u_act = project_active(self.p, u)
         coords = self._support.union(u_act)
         if not coords:
             raise NoSeparation("u projects to zero on the active coordinates")

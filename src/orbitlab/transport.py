@@ -105,7 +105,7 @@ def step_backward(state: TransportState, u: SparseVector, separator: Separator,
     holds, then scans the pool for the first a with f(a) != 0 whose exact
     update vector v = (I + T)(w - a) / f(a) fits in the eps slot.
     """
-    j = state.terms.plus_identity()
+    j = state.operator
     w = gram.solve(u)
     f = separator.functional(w)
     best: Optional[Scalar] = None

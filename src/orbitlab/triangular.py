@@ -37,6 +37,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .errors import Exhausted, LinearlyDependent
+from .operators import FiniteRankOperator, ZERO
 from .scalars import EXACT, Scalar, ScalarContext
 from .vectors import CoordFunctional, SparseVector, combine
 
@@ -187,9 +188,6 @@ class TriangularizeState:
     def built(self) -> int:
         return len(self.alpha)
 
-    def chosen_funcs(self) -> List[CoordFunctional]:
-        return [self.funcs[a - 1] for a in self.alpha]
-
 
 def interleave_triangularize(basis: Sequence[SparseVector],
                              funcs: Sequence[CoordFunctional],
@@ -248,15 +246,13 @@ def interleave_triangularize(basis: Sequence[SparseVector],
     )
 
 
-def build_omega_operator(state: TriangularizeState):
+def build_omega_operator(state: TriangularizeState) -> FiniteRankOperator:
     """Operator x -> sum_n x_{alpha(n)} v_n for coordinate-functional states.
 
     Its matrix in the shuffled basis e_alpha(1), e_alpha(2), ... is unit
     lower triangular, so it maps the span of the first n shuffled basis
     vectors onto span{v_1..v_n}.
     """
-    from .operators import FiniteRankOperator, ZERO
-
     for a in state.alpha:
         f = state.funcs[a - 1]
         if f.pairs() != ((a, 1),):
@@ -270,5 +266,6 @@ def build_omega_operator(state: TriangularizeState):
 
 
 def shuffled_matrix(state: TriangularizeState) -> List[List[Scalar]]:
-    """M[j][n] = coordinate alpha(j+1) of v_{n+1}; unit lower triangular."""
+    """M[j][n] = coordinate alpha(j+1) of v_{n+1}, which is f_alpha(j+1)(v_{n+1})
+    for coordinate functionals; unit lower triangular."""
     return [[v.get(a) for v in state.v] for a in state.alpha]

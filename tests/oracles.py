@@ -6,7 +6,9 @@ exist only to check it.  Likewise the program pairs a vector only with the
 terms its coordinate index finds; `apply_terms` and `dense_gram` pair every
 term.  The program sums exact products on integers; `sub_products`,
 `combination`, `triangularize`, `apply_terms` and `weight_gauge` do every
-step in the scalars themselves.  The last part holds helpers that only the
+step in the scalars themselves.  The program's shift demo is the `orbit` of
+a backward-shift operator; `shift_demo` moves the entries of a dict.  The
+last part holds helpers that only the
 tests need: encoders, l1 seminorm and disk constructors, parsers, the failed
 checks of a verification, two predicates and the benchmark's scenario
 generator.
@@ -110,7 +112,21 @@ def triangularize(basis, funcs, stages, ctx=EXACT):
 
 def pairing_matrix(state):
     """A[j][k] = f_alpha(j+1)(u_beta(k+1)) for a triangularization state."""
-    return [[f.pair(state.basis[b - 1]) for b in state.beta] for f in state.chosen_funcs()]
+    return [[state.funcs[a - 1].pair(state.basis[b - 1]) for b in state.beta]
+            for a in state.alpha]
+
+
+def shift_demo(window, x0, horizon):
+    """The first `horizon` vectors of x0 cut to the window, each made from the
+    one before by moving coordinate i + 1 to i for i < window."""
+    out = []
+    x = x0.restrict(range(1, window + 1))
+    for _ in range(horizon):
+        out.append(x)
+        x = SparseVector(
+            {i: x.get(i + 1) for i in range(1, window) if x.get(i + 1) != 0}
+        )
+    return out
 
 
 def forward_solve(m, b):

@@ -203,7 +203,7 @@ def test_criterion_03_triangularization():
         assert leading_minors_all_nonzero(pairing)
         assert all(d != 0 for d in state.minors)
 
-        fs = state.chosen_funcs()
+        fs = [state.funcs[a - 1] for a in state.alpha]
         for m, v in enumerate(state.v, start=1):
             assert state.coeffs[m - 1][m - 1] != 0
             for j in range(1, m + 1):

@@ -20,6 +20,7 @@ from orbitlab.operators import ZERO
 from orbitlab.reports import emit_report
 from orbitlab.scenarios import Scenario, ScenarioError, parse_eps_schedule, run_scenario
 from orbitlab.transport import run_transport
+from orbitlab.triangular import interleave_triangularize
 
 import oracles
 
@@ -943,6 +944,58 @@ class TestUnusableInputExits2:
                    else f"coordinate index must be an integer, got {index!r}")
         assert capsys.readouterr().err == f"error: {path}: {named}: {problem}\n"
 
+    @pytest.mark.parametrize("builder, field, value, named", [
+        (transport_scenario, ("eps_shedule",), ["1/1000000000"] * 4,
+         "payload.eps_shedule: unknown field; transport reads a, b, p, disk, stages, "
+         "eps_schedule"),
+        (triangularize_scenario, ("stagez",), 3,
+         "payload.stagez: unknown field; triangularize reads basis, stages"),
+        (disk_scenario, ("common",), "abc",
+         "payload.common: unknown field; a generator disk reads generators, probes"),
+        (common_scenario, ("probes",), [],
+         "payload.probes: unknown field; a common disk reads common"),
+        (common_scenario, ("common", "epsilon"), "1/8",
+         "payload.common.epsilon: unknown field; a common disk reads a, b, targets, eps"),
+        (build_shift_scenario, ("depth",), 2,
+         "payload.depth: unknown field; build-shift reads mode, basis, p, disk"),
+        (witness_scenario, ("horizon",), 4,
+         "payload.horizon: unknown field; witness reads mode, operator, x, y, p, eps, max_n"),
+        (demo_scenario, ("x",), [],
+         "payload.x: unknown field; demo reads mode, x0, horizon"),
+        (refute_scenario, ("levels",), 2,
+         "payload.levels: unknown field; refute reads family_levels, first_active, b, "
+         "operator, x, horizon"),
+        (transport_scenario, ("expectd",), {},
+         "expectd: unknown field; a scenario reads name, scalar_mode, window, seed, task, "
+         "payload, expected"),
+    ], ids=["transport-typo", "triangularize-typo", "generators-beside-common",
+            "probes-of-a-common-disk", "common-typo", "build-shift", "witness", "demo",
+            "refute", "top-level-typo"])
+    def test_field_no_task_reads(self, tmp_path, capsys, builder, field, value, named):
+        """A misspelt optional field would run its default and pass; a field
+        beside the one the task reads would be skipped unchecked."""
+        scenario = builder()
+        node = scenario if field == ("expectd",) else scenario["payload"]
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = value
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: {named}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "sub/name"])
+    def test_name_is_a_plain_file_name(self, tmp_path, capsys, name):
+        """--name names the report files, which must stay inside --out."""
+        basis = tmp_path / "basis.json"
+        basis.write_text(json.dumps(triangularize_scenario()["payload"]["basis"]))
+        out = tmp_path / "t" / "out"
+        code = main(["triangularize", "--basis", str(basis), "--stages", "1",
+                     "--window", "4", "--name", name, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --name: must be a plain file name, got {name!r}\n")
+        assert [p.name for p in tmp_path.rglob("*")] == ["basis.json"]
 
     @pytest.mark.parametrize("make", ["not-utf8", "directory", "too-deep"])
     def test_unreadable_scenario_file_does_not_stop_the_batch(self, tmp_path, capsys, make):
@@ -1196,6 +1249,23 @@ class TestEachCheckCanFail:
             lambda cls, xs: cls(generators=tuple(x.scale(Fraction(1, 2)) for x in xs))))
         detail, _ = self._failed(tmp_path, capsys, disk_scenario(), "generators-inside-disk")
         assert detail == "p_K(x_j) <= 1 for every generator"
+
+    @pytest.mark.parametrize("m, j", [(1, 1), (2, 2), (2, 1), (4, 2)],
+                             ids=["diagonal-1", "diagonal-2", "above-1-2", "above-2-4"])
+    def test_triangular_checks(self, tmp_path, capsys, monkeypatch, m, j):
+        # v_m gains 1 at coordinate alpha(j), j <= m: f_alpha(j)(v_m) leaves
+        # delta_jm, and so does entry (j, m) of the shuffled matrix
+        def tampered(*args):
+            state = interleave_triangularize(*args)
+            v = list(state.v)
+            v[m - 1] += SparseVector({state.alpha[j - 1]: Fraction(1)})
+            return dataclasses.replace(state, v=tuple(v))
+
+        monkeypatch.setattr("orbitlab.scenarios.interleave_triangularize", tampered)
+        detail, failed = self._failed(tmp_path, capsys, triangularize_scenario(),
+                                      "biorthogonal-triangular")
+        assert detail == "f_alpha(j)(v_m) identities"
+        assert failed == {"biorthogonal-triangular", "unit-lower-triangular"}
 
     def test_continuity_bound(self, tmp_path, capsys, monkeypatch):
         # the shift's updates scaled by 2^10 push p_D(S x) far beyond p(x)

@@ -35,7 +35,7 @@ from orbitlab.hypercyclic import (
     transitivity_witness,
 )
 from orbitlab.operators import IDENTITY, ZERO
-from orbitlab.scalars import FLOAT
+from orbitlab.scalars import EXACT, FLOAT
 
 import oracles
 
@@ -571,6 +571,23 @@ class TestOmegaShiftDemo:
         x = SparseVector({1: frac(1), 9: frac(2)})
         steps = omega_shift_demo(4, x, 1)
         assert steps == [sv(1)]
+
+    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+    def test_matches_the_dict_shift(self, ctx):
+        """The orbit of the shift operator is the reference's entry moves, with
+        the same scalar types: entries beyond the window cut, zeros absent, and
+        horizons past the window down to the zero vector."""
+        rng = random.Random(23)
+        for _ in range(30):
+            window = rng.randint(2, 8)
+            coords = rng.sample(range(1, window + 4), rng.randint(0, window + 3))
+            x0 = SparseVector({i: ctx.coerce(Fraction(rng.randint(-4, 4), rng.choice([1, 3, 8])))
+                               for i in coords})
+            for horizon in range(1, window + 3):
+                got = omega_shift_demo(window, x0, horizon, ctx)
+                want = oracles.shift_demo(window, x0, horizon)
+                assert [[(i, type(c), c) for i, c in v.pairs()] for v in got] == \
+                    [[(i, type(c), c) for i, c in v.pairs()] for v in want]
 
 
 def nested_family(levels, first=1):

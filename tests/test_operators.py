@@ -425,6 +425,12 @@ class TestCoordIndex:
             op.apply(xs[0], ctx)
             j = op.plus_identity()
             assert j.coord_index is op.coord_index and j.linear_part().coord_index is op.coord_index
+            assert op.linear_part() is op
+            # rebased before either is applied, T and S still build one index
+            # and one list of term rows between them
+            fresh = FiniteRankOperator(IDENTITY, terms)
+            s = fresh.linear_part()
+            assert s.coord_index is fresh.coord_index and s._term_rows is fresh._term_rows
             assert j == FiniteRankOperator(IDENTITY, terms)
             assert hash(j) == hash(FiniteRankOperator(IDENTITY, terms))
             assert repr(j) == repr(FiniteRankOperator(IDENTITY, terms))
@@ -642,6 +648,21 @@ class TestExactApply:
         assert entry_bits(twice.apply(x0, ctx)) == entry_bits(apply_terms(twice, x0))
         cols = [apply_terms(t, SparseVector.basis(j, ctx)) for j in range(1, 5)]
         assert t.matrix_on(range(1, 5), ctx) == [[c.get(i) for c in cols] for i in range(1, 5)]
+
+
+class TestOrbit:
+    @pytest.mark.parametrize("horizon", [0, 1, 2, 5])
+    def test_applies_t_horizon_minus_one_times(self, monkeypatch, horizon):
+        """The last element is not mapped again, so the replay
+        orbit(T, z, n + 1)[n] costs n applications of T."""
+        t, calls = backward_shift(4), []
+        real = FiniteRankOperator.apply
+        monkeypatch.setattr(FiniteRankOperator, "apply",
+                            lambda self, x, ctx=EXACT: calls.append(x) or real(self, x, ctx))
+        out = orbit(t, SparseVector.basis(4), horizon)
+        assert out == [SparseVector.basis(4 - k) if k < 4 else SparseVector.zero()
+                       for k in range(horizon)]
+        assert calls == out[:-1]
 
 
 class TestCompose:

@@ -130,7 +130,8 @@ def check_state_invariants(state: TriangularizeState):
     assert len(set(state.alpha)) == n
     assert len(set(state.beta)) == n
     # leading minors all invertible, matching the incremental determinants
-    fs, us = state.chosen_funcs(), [state.basis[b - 1] for b in state.beta]
+    fs = [state.funcs[a - 1] for a in state.alpha]
+    us = [state.basis[b - 1] for b in state.beta]
     for m in range(1, n + 1):
         direct = oracles.determinant(pairing(fs[:m], us[:m]))
         assert direct != 0

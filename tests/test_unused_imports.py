@@ -1,0 +1,47 @@
+"""Every name a module of `orbitlab` imports is used in that module; the
+re-exports of `__init__` are its purpose and are not checked."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import orbitlab
+
+
+def unused_imports(text):
+    """The names the module source `text` binds by `import` or `from ...
+    import` and never reads, in import order.  `from __future__` imports are
+    directives, not names."""
+    tree = ast.parse(text)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = Path(orbitlab.__file__).parent
+    found = {path.stem: unused_imports(path.read_text())
+             for path in sorted(package.glob("*.py")) if path.stem != "__init__"}
+    assert {module: names for module, names in found.items() if names} == {}
+
+
+@pytest.mark.parametrize("text, unused", [
+    ("import os", ["os"]),
+    ("import os\nos.sep", []),
+    ("import os.path\nos.path.sep", []),
+    ("import json as j", ["j"]),
+    ("from typing import List, Tuple\nx: List[int]", ["Tuple"]),
+    ("from . import linalg\nlinalg.row_rank", []),
+    ("from .operators import IDENTITY, ZERO\nbase = ZERO", ["IDENTITY"]),
+    ("from __future__ import annotations", []),
+    ("def f():\n    from .operators import ZERO\n    return 0", ["ZERO"]),
+    ("def f(x: 'Sequence'):\n    pass\nfrom typing import Sequence", ["Sequence"]),
+])
+def test_scan_flags_unused_imports(text, unused):
+    assert unused_imports(text) == unused
