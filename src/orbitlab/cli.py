@@ -132,12 +132,22 @@ def _cmd_triangularize(args) -> int:
     return _finish(args, "triangularize", payload)
 
 
+def _refuse_unread(args, command: str, flags) -> None:
+    """Refuse a file flag the chosen mode does not read: its file would go
+    unopened and the run would pass without it."""
+    given = [f"--{flag.replace('_', '-')}" for flag in flags if getattr(args, flag) is not None]
+    if given:
+        raise ScenarioError(f"{command} does not read {', '.join(given)}")
+
+
 def _cmd_disks(args) -> int:
     if args.from_null_seq:
+        _refuse_unread(args, "disks --from-null-seq", ("common", "targets"))
         payload = {"generators": _load_json(args.from_null_seq)}
         if args.probes:
             payload["probes"] = _load_json(args.probes)
     elif args.common:
+        _refuse_unread(args, "disks --common", ("probes",))
         a_path, b_path = args.common
         if not args.targets:
             raise ScenarioError("--common needs --targets FILE")
@@ -162,25 +172,18 @@ def _cmd_hypercyclic(args) -> int:
             raise ScenarioError(f"hypercyclic {args.mode} needs --{flag} FILE")
         return _load_json(path)
 
-    if args.mode == "build-shift":
-        payload = {
-            "mode": "build-shift",
-            "basis": load("basis"),
-            "p": load("p"),
-            "disk": load("disk"),
-        }
-    elif args.mode == "witness":
-        payload = {
-            "mode": "witness",
-            "operator": load("op"),
-            "x": load("x"),
-            "y": load("y"),
-            "p": load("p"),
-            "eps": args.eps,
-            "max_n": args.max_n,
-        }
-    else:
-        payload = {"mode": "demo", "x0": load("x"), "horizon": args.horizon}
+    reads = {  # payload key: the flag of its file, in the order the files are opened
+        "build-shift": {"basis": "basis", "p": "p", "disk": "disk"},
+        "witness": {"operator": "op", "x": "x", "y": "y", "p": "p"},
+        "demo": {"x0": "x"},
+    }[args.mode]
+    _refuse_unread(args, f"hypercyclic {args.mode}", [
+        flag for flag in ("basis", "p", "disk", "op", "x", "y") if flag not in reads.values()])
+    payload = {"mode": args.mode, **{key: load(flag) for key, flag in reads.items()}}
+    if args.mode == "witness":
+        payload.update(eps=args.eps, max_n=args.max_n)
+    elif args.mode == "demo":
+        payload["horizon"] = args.horizon
     return _finish(args, "hypercyclic", payload)
 
 

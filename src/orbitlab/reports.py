@@ -3,6 +3,12 @@
 Reports are deterministic by construction: no timestamps, canonical scalar
 text, sorted JSON keys.  Identical scenario plus seed therefore means
 identical bytes in exact mode, which is what the regression checker diffs.
+
+The JSON emitter writes the bytes of `json.dumps(..., sort_keys=True,
+indent=2)` with one recursive function, `_write_json`, as an indent sends
+`json.dumps` to its pure-Python encoder.  It knows only what a report holds
+(dicts with str keys, lists, str, int, bool, None) and raises TypeError on
+any other type; float-mode scalars arrive as text.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Optional
 
 from .scalars import Scalar
@@ -93,9 +100,43 @@ def scenario_hash(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _write_json(value, indent: str, out: List[str]) -> None:
+    """Append to `out` the text `json.dumps(value, sort_keys=True, indent=2)`
+    gives `value` at the depth whose line break and indent is `indent`."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is list:
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            sep = "," + inner
+            _write_json(item, inner, out)
+        out.append(indent + "]" if value else "[]")
+    elif kind is dict:
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            sep = "," + inner
+            _write_json(value[key], inner, out)
+        out.append(indent + "}" if value else "{}")
+    elif value is None or kind is bool:
+        out.append("null" if value is None else "true" if value else "false")
+    elif kind is int:
+        out.append(repr(value))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def emit_json(report: Report) -> bytes:
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
-    return (text + "\n").encode("utf-8")
+    out: List[str] = []
+    _write_json(report.to_dict(), "\n", out)
+    out.append("\n")
+    return "".join(out).encode("utf-8")
 
 
 def emit_csv(report: Report) -> bytes:

@@ -60,10 +60,20 @@ class ScalarContext:
 
     def parse(self, text) -> Scalar:
         """Scalar from its text form ("3/2", "-1", "0.25"); ValueError on
-        malformed text, a zero denominator, nan or an infinity."""
+        malformed text, a zero denominator, nan or an infinity.
+
+        The plain form `format_scalar` writes (an optional "-", ASCII digits,
+        optionally "/" and ASCII digits) is built from its two integers; every
+        other form (decimals, exponents, "+", spaces, underscores, non-ASCII
+        digits) goes through `Fraction(text)`, with the same values and errors."""
         text = str(text).strip()
+        num, slash, den = text.partition("/")
         try:
-            value = Fraction(text)
+            if text.isascii() and num.removeprefix("-").isdecimal() and (
+                    den.isdecimal() or not slash):
+                value = Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            else:
+                value = Fraction(text)
             return value if self.exact else float(value)
         except (ValueError, ZeroDivisionError, OverflowError):
             raise ValueError(f"{text!r} is not a finite scalar") from None

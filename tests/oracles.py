@@ -8,14 +8,16 @@ term.  The program sums exact products on integers; `sub_products`,
 `combination`, `triangularize`, `apply_terms` and `weight_gauge` do every
 step in the scalars themselves.  The program's shift demo is the `orbit` of
 a backward-shift operator; `shift_demo` moves the entries of a dict.  The
-last part holds helpers that only the
-tests need: encoders, l1 seminorm and disk constructors, parsers, the failed
-checks of a verification, two predicates and the benchmark's scenario
-generator.
+program parses a plain rational from its two integers; `parse_scalar`
+parses every text with `Fraction(text)`.  The last part holds helpers that
+only the tests need: encoders, l1 seminorm and disk constructors, parsers,
+the failed checks of a verification, two predicates and the benchmark's
+scenario generator.
 """
 
 import csv
 import types
+from fractions import Fraction
 from pathlib import Path
 
 from orbitlab.errors import NotInSpan, SingularOperator
@@ -127,6 +129,17 @@ def shift_demo(window, x0, horizon):
             {i: x.get(i + 1) for i in range(1, window) if x.get(i + 1) != 0}
         )
     return out
+
+
+def parse_scalar(text, ctx=EXACT):
+    """The scalar of its text by `Fraction(text)` for every form; ValueError
+    "'<text>' is not a finite scalar" as `ScalarContext.parse` raises it."""
+    text = str(text).strip()
+    try:
+        value = Fraction(text)
+        return value if ctx.exact else float(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{text!r} is not a finite scalar") from None
 
 
 def forward_solve(m, b):

@@ -997,6 +997,40 @@ class TestUnusableInputExits2:
             f"error: --name: must be a plain file name, got {name!r}\n")
         assert [p.name for p in tmp_path.rglob("*")] == ["basis.json"]
 
+    @pytest.mark.parametrize("argv, named", [
+        (["disks", "--common", "A", "B", "--targets", "T", "--probes", "PROBES"],
+         "disks --common does not read --probes"),
+        (["disks", "--from-null-seq", "G", "--common", "A", "B"],
+         "disks --from-null-seq does not read --common"),
+        (["hypercyclic", "demo", "--x", "X", "--basis", "MISSING", "--op", "MISSING"],
+         "hypercyclic demo does not read --basis, --op"),
+        (["hypercyclic", "build-shift", "--basis", "BASIS", "--p", "SHIFT_P", "--disk", "DISK",
+          "--op", "OP"], "hypercyclic build-shift does not read --op"),
+        (["hypercyclic", "witness", "--op", "OP", "--x", "X", "--y", "Y", "--p", "WITNESS_P",
+          "--basis", "BASIS"], "hypercyclic witness does not read --basis"),
+    ], ids=["probes-of-common", "common-beside-null-seq", "demo-basis-op", "build-shift-op",
+            "witness-basis"])
+    def test_file_flag_the_mode_does_not_read(self, tmp_path, capsys, argv, named):
+        """The subcommand twin of an unread payload field: the file would go
+        unopened and the run would pass without it."""
+        shift = build_shift_scenario()["payload"]
+        witness = witness_scenario()["payload"]
+        common = common_scenario()["payload"]["common"]
+        values = {
+            "A": common["a"], "B": common["b"], "T": common["targets"],
+            "G": disk_scenario()["payload"]["generators"], "PROBES": encode([sv(3, -4)]),
+            "BASIS": shift["basis"], "SHIFT_P": shift["p"], "DISK": shift["disk"],
+            "OP": witness["operator"], "X": witness["x"], "Y": witness["y"],
+            "WITNESS_P": witness["p"],
+        }
+        files = {key: tmp_path / f"{key}.json" for key in [*values, "MISSING"]}
+        for key, value in values.items():
+            files[key].write_text(json.dumps(value))
+        argv = [str(files.get(arg, arg)) for arg in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("make", ["not-utf8", "directory", "too-deep"])
     def test_unreadable_scenario_file_does_not_stop_the_batch(self, tmp_path, capsys, make):
         bad = tmp_path / "bad.json"

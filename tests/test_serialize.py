@@ -1,5 +1,6 @@
 """Canonical text formats round-trip in both scalar modes."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,37 @@ def test_scalar_parse_rejects_bad_text():
         with pytest.raises(ValueError):
             FLOAT.parse(text)
     assert FLOAT.parse("1/4") == 0.25 and EXACT.parse(" 2/4 ") == Fraction(1, 2)
+
+
+NEAR_MISSES = [
+    "3/-4", "+3", "-0", " 3 / 4 ", "1_000", "０", "²", "/3", "3/", "1/0", "1e3", "nan", "--1",
+    "3/4", "-3/4", "007/014", "0/5", "-0/7", "\t-12\n", "", "-", "/", "3//4", "3/4/5", "-/3",
+    "1/-0", "+3/4", "3/+4", "1.5", ".5", "5.", "-1e-3", "inf", "-inf", "3 /4", "3/ 4",
+    "٣/4", "3/٤", "3\u00a0/4", "0x10", "1" * 5000, "1" + "0" * 400, "1/1" + "0" * 400,
+]
+
+
+def _parse_outcome(parse, text):
+    """(type, value) of the parsed text, or the text of its ValueError."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return type(value).__name__, value
+
+
+@pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+def test_scalar_parse_matches_the_fraction_parse(ctx):
+    """The plain-rational fast path gives the value, type or error text that
+    `Fraction(text)` gives, on near misses and on seeded random strings."""
+    rng = random.Random(20120502)
+    texts = NEAR_MISSES + ["".join(rng.choice("0123456789-/+ _.e") for _ in range(rng.randrange(9)))
+                           for _ in range(4000)]
+    outcomes = [(_parse_outcome(ctx.parse, text), _parse_outcome(
+        lambda t: oracles.parse_scalar(t, ctx), text)) for text in texts]
+    assert [text for text, (got, want) in zip(texts, outcomes) if got != want] == []
+    parsed = sum(got[0] != "ValueError" for got, _ in outcomes)
+    assert 500 < parsed < len(texts) - 500  # both sides of the rule are exercised
 
 
 def test_vector_pairs_round_trip():
