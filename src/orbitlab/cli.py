@@ -133,8 +133,9 @@ def _cmd_triangularize(args) -> int:
 
 
 def _refuse_unread(args, command: str, flags) -> None:
-    """Refuse a file flag the chosen mode does not read: its file would go
-    unopened and the run would pass without it."""
+    """Refuse a flag the chosen mode does not read: its file would go unopened,
+    or its value unused, and the run would pass without it.  Such flags
+    default to None, and a mode that reads one fills in its own default."""
     given = [f"--{flag.replace('_', '-')}" for flag in flags if getattr(args, flag) is not None]
     if given:
         raise ScenarioError(f"{command} does not read {', '.join(given)}")
@@ -142,7 +143,7 @@ def _refuse_unread(args, command: str, flags) -> None:
 
 def _cmd_disks(args) -> int:
     if args.from_null_seq:
-        _refuse_unread(args, "disks --from-null-seq", ("common", "targets"))
+        _refuse_unread(args, "disks --from-null-seq", ("common", "targets", "eps"))
         payload = {"generators": _load_json(args.from_null_seq)}
         if args.probes:
             payload["probes"] = _load_json(args.probes)
@@ -156,7 +157,7 @@ def _cmd_disks(args) -> int:
                 "a": _load_json(a_path),
                 "b": _load_json(b_path),
                 "targets": _load_json(args.targets),
-                "eps": args.eps,
+                "eps": "1/4" if args.eps is None else args.eps,
             }
         }
     else:
@@ -177,13 +178,17 @@ def _cmd_hypercyclic(args) -> int:
         "witness": {"operator": "op", "x": "x", "y": "y", "p": "p"},
         "demo": {"x0": "x"},
     }[args.mode]
+    values = {  # payload key and flag: its default
+        "build-shift": {},
+        "witness": {"eps": "1/1000", "max_n": 64},
+        "demo": {"horizon": 8},
+    }[args.mode]
     _refuse_unread(args, f"hypercyclic {args.mode}", [
-        flag for flag in ("basis", "p", "disk", "op", "x", "y") if flag not in reads.values()])
+        flag for flag in ("basis", "p", "disk", "op", "x", "y", "eps", "max_n", "horizon")
+        if flag not in reads.values() and flag not in values])
     payload = {"mode": args.mode, **{key: load(flag) for key, flag in reads.items()}}
-    if args.mode == "witness":
-        payload.update(eps=args.eps, max_n=args.max_n)
-    elif args.mode == "demo":
-        payload["horizon"] = args.horizon
+    payload.update({key: default if getattr(args, key) is None else getattr(args, key)
+                    for key, default in values.items()})
     return _finish(args, "hypercyclic", payload)
 
 
@@ -246,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     dk.add_argument("--probes", default=None)
     dk.add_argument("--common", nargs=2, metavar=("A", "B"), default=None)
     dk.add_argument("--targets", default=None)
-    dk.add_argument("--eps", default="1/4")
+    dk.add_argument("--eps", default=None, help="--common only (default: 1/4)")
     _add_common(dk)
     dk.set_defaults(func=_cmd_disks)
 
@@ -258,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     hc.add_argument("--op", default=None)
     hc.add_argument("--x", default=None)
     hc.add_argument("--y", default=None)
-    hc.add_argument("--eps", default="1/1000")
-    hc.add_argument("--max-n", type=int, default=64)
-    hc.add_argument("--horizon", type=int, default=8)
+    hc.add_argument("--eps", default=None, help="witness only (default: 1/1000)")
+    hc.add_argument("--max-n", type=int, default=None, help="witness only (default: 64)")
+    hc.add_argument("--horizon", type=int, default=None, help="demo only (default: 8)")
     _add_common(hc)
     hc.set_defaults(func=_cmd_hypercyclic)
 

@@ -22,6 +22,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Optional
 
 from .scalars import Scalar
+from .vectors import SparseVector
 
 
 @dataclass
@@ -39,11 +40,13 @@ class VerificationReport:
     """A replayed set of invariant checks; failures are entries, not errors.
 
     `budget` is the Neumann budget a transport replay sums for its
-    budget-below-one check, for the report's data.
+    budget-below-one check, and `residuals` the J a(n_j) - b(m_j) of its
+    exact-matching check, one per matched pair in order, for the report's data.
     """
 
     checks: List[CheckResult] = field(default_factory=list)
     budget: Optional[Scalar] = None
+    residuals: List[SparseVector] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:

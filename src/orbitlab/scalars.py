@@ -25,6 +25,11 @@ Scalar = Union[Fraction, float]
 
 FLOAT_TOL = 2.0 ** -40
 
+# CPython's int reads and writes at most this many digits of text by default,
+# so `parse` refuses a value that `format_scalar` could not write back
+MAX_DIGITS = 4300
+_DIGITS_CEILING = 10 ** MAX_DIGITS
+
 
 @dataclass(frozen=True)
 class ScalarContext:
@@ -65,18 +70,29 @@ class ScalarContext:
         The plain form `format_scalar` writes (an optional "-", ASCII digits,
         optionally "/" and ASCII digits) is built from its two integers; every
         other form (decimals, exponents, "+", spaces, underscores, non-ASCII
-        digits) goes through `Fraction(text)`, with the same values and errors."""
+        digits) goes through `Fraction(text)`, with the same values and errors,
+        except that it refuses an exponent beyond MAX_DIGITS before building
+        its power of ten, and a value with more than MAX_DIGITS digits in its
+        numerator or denominator."""
         text = str(text).strip()
         num, slash, den = text.partition("/")
         try:
             if text.isascii() and num.removeprefix("-").isdecimal() and (
                     den.isdecimal() or not slash):
                 value = Fraction(int(num), int(den)) if slash else Fraction(int(num))
+                return value if self.exact else float(value)
+            head, e, exp = text.lower().partition("e")
+            if e and abs(int(exp)) > MAX_DIGITS:
+                # check the form alone, its exponent's digits zeroed, so that
+                # malformed text is refused as such and 10 ** exp is not built
+                Fraction(head + e + "".join("0" if c.isdecimal() else c for c in exp))
             else:
                 value = Fraction(text)
-            return value if self.exact else float(value)
+                if max(abs(value.numerator), value.denominator) < _DIGITS_CEILING:
+                    return value if self.exact else float(value)
         except (ValueError, ZeroDivisionError, OverflowError):
             raise ValueError(f"{text!r} is not a finite scalar") from None
+        raise ValueError(f"{text!r} is beyond the {MAX_DIGITS}-digit limit of a scalar")
 
     def format(self, x: Scalar) -> str:
         """Canonical text of x; an int (an empty sum) prints in this mode's form."""

@@ -6,19 +6,22 @@ active set, so kernel membership is a support inspection.  The dual norm and
 the Minkowski gauge of a disk are computed in closed form (weight form) or
 by an exact linear program (generator form); the weight-form gauge
 sum_i |u_i| / d_i is `ScalarContext.abs_ratio_sum`, one integer numerator
-over one common denominator in exact mode.  The separating-functional
-construction replaces the Hahn-Banach step of the abstract theory with a
-finite nullspace pick: `Separator` keeps the constraint list that grows one
-vector at a time in a `linalg.RowReducer`, and `Separator.of` fills one from
-a single `linalg.RowReducer.of` for a list given once.  The
-p-independence test needs only a rank, so it runs on `linalg.independent`,
-fraction-free in exact mode.
+over one common denominator in exact mode.  `gauge_below` answers whether
+the gauge of x - y lies below a bound, and in weight form sums it from x
+and y and stops once the bound is reached, building no difference.  The
+separating-functional construction replaces the Hahn-Banach step of the
+abstract theory with a finite nullspace pick: `Separator` keeps the
+constraint list that grows one vector at a time in a `linalg.RowReducer`,
+and `Separator.of` fills one from a single `linalg.RowReducer.of` for a list
+given once.  The p-independence test needs only a rank, so it runs on
+`linalg.independent`, fraction-free in exact mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import linalg, simplex
@@ -152,6 +155,32 @@ def minkowski(disk: DiskSpec, u: SparseVector, ctx: ScalarContext = EXACT) -> Sc
     except simplex.Infeasible as exc:
         raise NotInSpan("u is not a combination of the generators") from exc
     return result.value
+
+
+def gauge_below(disk: DiskSpec, x: SparseVector, y: SparseVector, bound: Scalar,
+                ctx: ScalarContext = EXACT) -> bool:
+    """ctx.lt(minkowski(disk, x - y, ctx), bound), without building x - y when
+    the disk has weight form and weighs every coordinate of x and y.
+
+    Sums |x_i - y_i| / d_i in the entry order of x - y (x's entries, then y's
+    others), as `ScalarContext.abs_ratio_sum` folds it, and returns False at the
+    first partial sum that is not below the bound: the terms are non-negative,
+    so no later sum is below it either, exactly or after float rounding and
+    within `lt`'s tolerance.  Otherwise it takes the full gauge, so an LP or
+    NotInSpan comes as from `minkowski`.
+    """
+    weights, xe, ye = disk.weights, x.entries, y.entries
+    if weights is None or not (xe.keys() <= weights.keys() and ye.keys() <= weights.keys()):
+        return ctx.lt(minkowski(disk, x - y, ctx), bound)
+    diffs = chain(((i, a - ye[i] if i in ye else a) for i, a in xe.items()),
+                  ((i, b) for i, b in ye.items() if i not in xe))
+    total = ctx.zero
+    for i, a in diffs:
+        if a:
+            total += abs(a) / weights[i]
+            if not ctx.lt(total, bound):
+                return False
+    return ctx.lt(total, bound)
 
 
 def project_active(p: SeminormSpec, x: SparseVector) -> dict:

@@ -17,8 +17,11 @@ them: a `Separator`, the echelon form of the constraints, and a
 `GramFactor`, a bordered factor of the Gram system for the backward solves.
 They are derived data, not part of the `TransportState`;
 `verify_transport` uses neither and rebuilds the inverse of J from scratch.
-It reads the slot bounds and the budget from one `NeumannBudget`, and applies
-J once to each window unit vector, for both the round trip and kernel-fixed.
+It reads the slot bounds and the budget from one `NeumannBudget`, applies J
+once to each matched a(n_j), for the exact-matching residuals that the
+report also prints, and once to each window unit vector, for both the round
+trip and kernel-fixed.  The forward scan gauges its pool with `gauge_below`, so it
+builds the difference to the target only for the element it keeps.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .errors import (
 from .operators import FiniteRankOperator, GramFactor, NeumannBudget, invert
 from .reports import CheckResult, VerificationReport
 from .scalars import EXACT, Scalar, ScalarContext
-from .seminorms import DiskSpec, SeminormSpec, Separator, minkowski, p_independent
+from .seminorms import DiskSpec, SeminormSpec, Separator, gauge_below, minkowski, p_independent
 from .vectors import CoordFunctional, SparseVector, close
 
 
@@ -73,19 +76,23 @@ def step_forward(state: TransportState, u: SparseVector, separator: Separator,
     f separates u from the matched A-side vectors that `separator` holds,
     with dual norm one; pool[pos] is the first pool element within
     eps * |f(u)| of u + T u in the disk gauge; v is the exact update making
-    the image land on it.
+    the image land on it.  The scan asks `gauge_below`, which in weight form
+    stops summing a rejected element's distance once it reaches the bound;
+    only when no element is kept are the full gauges taken, to name the
+    closest in NoApproximant.
     """
     t = state.terms
     f = separator.functional(u)
     target = u + t.apply(u, ctx)
     f_u = f.pair(u)
     bound = eps * abs(f_u)
+    for pos, r in enumerate(pool):
+        if gauge_below(state.disk, r, target, bound, ctx):
+            return f, (r - target).scale(1 / f_u), pos
     best: Optional[Scalar] = None
     best_pos = None
     for pos, r in enumerate(pool):
         dist = minkowski(state.disk, r - target, ctx)
-        if ctx.lt(dist, bound):
-            return f, (r - target).scale(1 / f_u), pos
         if best is None or dist < best:
             best, best_pos = dist, pos
     raise NoApproximant(
@@ -217,7 +224,9 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
     """Recompute every invariant of the state from raw data.
 
     Failures are report entries, never exceptions; each entry carries a
-    witness message for diagnosis.
+    witness message for diagnosis.  exact-matching computes each residual
+    J a(n_j) - b(m_j) once and passes when its every entry is `ctx.is_zero`;
+    the report carries the residuals, with the budget.
     """
     checks: List[CheckResult] = []
     k = state.stage
@@ -247,14 +256,12 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
         f"{len(state.terms.terms)} terms")
 
     j_op = state.operator
-    match_ok, match_details = True, []
-    for j, (n, m) in enumerate(zip(state.n_idx, state.m_idx), start=1):
-        image = j_op.apply(state.a.vector(n), ctx)
-        expected = state.b.vector(m)
-        if not close(image, expected, ctx):
-            match_ok = False
-            match_details.append(f"pair {j}: J a({n}) != b({m})")
-    add("exact-matching", match_ok, "; ".join(match_details) or "all matched pairs exact")
+    pairs = list(zip(state.n_idx, state.m_idx))
+    residuals = [j_op.apply(state.a.vector(n), ctx) - state.b.vector(m) for n, m in pairs]
+    match_details = [f"pair {j}: J a({n}) != b({m})"
+                     for j, ((n, m), r) in enumerate(zip(pairs, residuals), start=1)
+                     if not all(ctx.is_zero(v) for v in r.entries.values())]
+    add("exact-matching", not match_details, "; ".join(match_details) or "all matched pairs exact")
 
     add("budget-below-one", ctx.lt(budget.c, ctx.one), f"c = {budget.c}")
 
@@ -281,4 +288,4 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
             replay_ok = False
     add("min-rule-replay", replay_ok, "forced indices match the minimal-unused rule")
 
-    return VerificationReport(checks=checks, budget=budget.c)
+    return VerificationReport(checks=checks, budget=budget.c, residuals=residuals)

@@ -712,9 +712,11 @@ class TestUnusableInputExits2:
         ("geometric:1", "eps_schedule: ratio must lie in (0, 1)"),
         ("geometric:3/2", "eps_schedule: ratio must lie in (0, 1)"),
         ("geometric:-1/2", "eps_schedule: ratio must lie in (0, 1)"),
+        (["1e-4300", "1/4", "1/8", "1/16"],
+         "eps_schedule[0]: '1e-4300' is beyond the 4300-digit limit of a scalar"),
     ], ids=["schedule-too-short", "schedule-sum-one", "schedule-zero-slot",
             "schedule-negative-slot", "ratio-zero", "ratio-one", "ratio-above-one",
-            "ratio-negative"])
+            "ratio-negative", "slot-beyond-the-digit-limit"])
     def test_transport_schedule(self, tmp_path, capsys, schedule, named):
         scenario = transport_scenario(stages=2)
         scenario["payload"]["eps_schedule"] = schedule
@@ -1008,11 +1010,20 @@ class TestUnusableInputExits2:
           "--op", "OP"], "hypercyclic build-shift does not read --op"),
         (["hypercyclic", "witness", "--op", "OP", "--x", "X", "--y", "Y", "--p", "WITNESS_P",
           "--basis", "BASIS"], "hypercyclic witness does not read --basis"),
+        (["hypercyclic", "demo", "--x", "X", "--max-n", "5", "--eps", "7"],
+         "hypercyclic demo does not read --eps, --max-n"),
+        (["disks", "--from-null-seq", "G", "--eps", "1/8"],
+         "disks --from-null-seq does not read --eps"),
+        (["hypercyclic", "build-shift", "--basis", "BASIS", "--p", "SHIFT_P", "--disk", "DISK",
+          "--horizon", "3"], "hypercyclic build-shift does not read --horizon"),
+        (["hypercyclic", "witness", "--op", "OP", "--x", "X", "--y", "Y", "--p", "WITNESS_P",
+          "--horizon", "8"], "hypercyclic witness does not read --horizon"),
     ], ids=["probes-of-common", "common-beside-null-seq", "demo-basis-op", "build-shift-op",
-            "witness-basis"])
+            "witness-basis", "demo-eps-max-n", "null-seq-eps", "build-shift-horizon",
+            "witness-horizon"])
     def test_file_flag_the_mode_does_not_read(self, tmp_path, capsys, argv, named):
         """The subcommand twin of an unread payload field: the file would go
-        unopened and the run would pass without it."""
+        unopened, or the value unused, and the run would pass without it."""
         shift = build_shift_scenario()["payload"]
         witness = witness_scenario()["payload"]
         common = common_scenario()["payload"]["common"]
@@ -1030,6 +1041,29 @@ class TestUnusableInputExits2:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {named}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, defaults", [
+        (["hypercyclic", "witness", "--op", "OP", "--x", "X", "--y", "Y", "--p", "WITNESS_P"],
+         ["--eps", "1/1000", "--max-n", "64"]),
+        (["hypercyclic", "demo", "--x", "X"], ["--horizon", "8"]),
+        (["disks", "--common", "A", "B", "--targets", "T"], ["--eps", "1/4"]),
+    ], ids=["witness", "demo", "common"])
+    def test_omitted_value_flag_is_its_default(self, tmp_path, capsys, argv, defaults):
+        """A value flag defaults to None so that an unread one can be refused;
+        the mode that reads it fills in the default, with the same bytes."""
+        witness = witness_scenario()["payload"]
+        common = common_scenario()["payload"]["common"]
+        values = {"OP": witness["operator"], "X": witness["x"], "Y": witness["y"],
+                  "WITNESS_P": witness["p"], "A": common["a"], "B": common["b"],
+                  "T": common["targets"]}
+        for key, value in values.items():
+            (tmp_path / f"{key}.json").write_text(json.dumps(value))
+        argv = [str(tmp_path / f"{arg}.json") if arg in values else arg for arg in argv]
+        outputs = []
+        for extra in ([], defaults):
+            assert main(argv + extra + ["--window", "6"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].startswith("{")
 
     @pytest.mark.parametrize("make", ["not-utf8", "directory", "too-deep"])
     def test_unreadable_scenario_file_does_not_stop_the_batch(self, tmp_path, capsys, make):

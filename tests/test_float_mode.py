@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,27 @@ def _float_state(terms):
 
 def _check(report, name):
     return next(c for c in report.checks if c.name == name)
+
+
+def test_float_matching_residual_within_tolerance_passes():
+    """exact-matching passes when every entry of J a(n_j) - b(m_j) is zero
+    within FLOAT_TOL and fails beyond it; the report carries the residuals."""
+    a_items = [SparseVector.basis(i, FLOAT) for i in range(1, 5)]
+    b_items = [a_items[k] + fsv(*[0] * (6 + i), 1e-8) for i, k in enumerate([1, 0, 3, 2])]
+    state = run_transport(
+        Enumeration(tuple(a_items)), Enumeration(tuple(b_items)),
+        SeminormSpec.sup_on(range(1, 7), 1.0), oracles.l1_disk(range(1, 13), 1.0),
+        [2.0 ** -(j + 2) for j in range(4)], 2, FLOAT,
+    )
+    m = state.m_idx[0]
+    for shift, passed in ((2.0 ** -50, True), (2.0 ** -20, False)):
+        b = Enumeration(tuple(x + fsv(shift) if k == m else x
+                              for k, x in enumerate(b_items, start=1)))
+        report = verify_transport(replace(state, b=b), FLOAT)
+        assert _check(report, "exact-matching").passed is passed
+        assert report.residuals == [state.operator.apply(state.a.vector(n), FLOAT) - b.vector(k)
+                                    for n, k in zip(state.n_idx, state.m_idx)]
+        assert report.residuals[0].get(1) != 0
 
 
 def test_float_budget_within_tolerance_of_one_fails():

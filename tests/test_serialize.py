@@ -1,13 +1,14 @@
 """Canonical text formats round-trip in both scalar modes."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from orbitlab import CoordFunctional, DiskSpec, FiniteRankOperator, SeminormSpec, SparseVector
 from orbitlab.operators import ZERO
-from orbitlab.scalars import EXACT, FLOAT, format_scalar
+from orbitlab.scalars import EXACT, FLOAT, MAX_DIGITS, format_scalar
 from orbitlab import serialize
 
 import oracles
@@ -43,7 +44,22 @@ NEAR_MISSES = [
     "3/4", "-3/4", "007/014", "0/5", "-0/7", "\t-12\n", "", "-", "/", "3//4", "3/4/5", "-/3",
     "1/-0", "+3/4", "3/+4", "1.5", ".5", "5.", "-1e-3", "inf", "-inf", "3 /4", "3/ 4",
     "٣/4", "3/٤", "3\u00a0/4", "0x10", "1" * 5000, "1" + "0" * 400, "1/1" + "0" * 400,
+    "1e4299", "1.5e4299", "-1e-4299", "1e4301", "1e-4300", "0e9999", "2E+5000", "1e1000000",
+    "0." + "0" * 4299 + "1", "1/1" + "0" * 4300, "1e" + "9" * 4301, "1/2e5000", "1e 5000",
+    "1e4_301", "1e+-5000", "x1e5000", "1.e5000",
 ]
+
+
+def _beyond_the_digit_limit(text):
+    """Whether `Fraction(text)` reads the text, but with an exponent beyond
+    MAX_DIGITS or a numerator or denominator of more than MAX_DIGITS digits."""
+    try:
+        value = oracles.parse_scalar(text)
+    except ValueError:
+        return False
+    exponent = re.search(r"e([-+]?[\d_]+)$", text.strip(), re.IGNORECASE)
+    return (exponent is not None and abs(int(exponent.group(1))) > MAX_DIGITS
+            or max(abs(value.numerator), value.denominator) >= 10 ** MAX_DIGITS)
 
 
 def _parse_outcome(parse, text):
@@ -58,15 +74,22 @@ def _parse_outcome(parse, text):
 @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
 def test_scalar_parse_matches_the_fraction_parse(ctx):
     """The plain-rational fast path gives the value, type or error text that
-    `Fraction(text)` gives, on near misses and on seeded random strings."""
+    `Fraction(text)` gives, on near misses and on seeded random strings,
+    within the digit limit; beyond it the parse refuses the text."""
     rng = random.Random(20120502)
     texts = NEAR_MISSES + ["".join(rng.choice("0123456789-/+ _.e") for _ in range(rng.randrange(9)))
                            for _ in range(4000)]
+    beyond = [text for text in texts if _beyond_the_digit_limit(text)]
+    within = [text for text in texts if text not in beyond]
     outcomes = [(_parse_outcome(ctx.parse, text), _parse_outcome(
-        lambda t: oracles.parse_scalar(t, ctx), text)) for text in texts]
-    assert [text for text, (got, want) in zip(texts, outcomes) if got != want] == []
+        lambda t: oracles.parse_scalar(t, ctx), text)) for text in within]
+    assert [text for text, (got, want) in zip(within, outcomes) if got != want] == []
     parsed = sum(got[0] != "ValueError" for got, _ in outcomes)
-    assert 500 < parsed < len(texts) - 500  # both sides of the rule are exercised
+    assert 500 < parsed < len(within) - 500  # both sides of the rule are exercised
+    assert len(beyond) >= 8
+    assert [_parse_outcome(ctx.parse, text) for text in beyond] == [
+        ("ValueError", f"{text.strip()!r} is beyond the {MAX_DIGITS}-digit limit of a scalar")
+        for text in beyond]
 
 
 def test_vector_pairs_round_trip():

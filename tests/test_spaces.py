@@ -20,7 +20,7 @@ from orbitlab import (
 from orbitlab.density import Enumeration
 from orbitlab.errors import NoSeparation, NotInSpan, NotPBounded
 from orbitlab.scalars import EXACT, FLOAT
-from orbitlab.seminorms import Separator
+from orbitlab.seminorms import Separator, gauge_below
 from orbitlab import vectors
 from orbitlab.vectors import close, combine
 
@@ -232,6 +232,70 @@ class TestMinkowski:
             # value is itself achieved by a feasible point, so the grid can
             # only be off by its resolution
             assert best - value <= Fraction(1, 2)
+
+    @staticmethod
+    def bounded_gauge_cases(rng):
+        """(disk, x, y) triples over one weighted coordinate set: shared
+        coordinates, some with equal entries, coordinates of x or y only, small
+        and 2^-40 denominators; some with coordinate 13, which carries no
+        weight, on one side or equal on both, and some with a generator-form
+        disk."""
+        tiny = 2 ** 40
+        for _ in range(150):
+            coords = rng.sample(range(1, 11), rng.randint(1, 7))
+            weights = {i: Fraction(rng.randint(1, 9), rng.choice([1, 2, 7, tiny])) for i in coords}
+
+            def draw():
+                return {i: Fraction(rng.choice([-5, -1, 2, 3]), rng.choice([1, 3, tiny]))
+                        for i in rng.sample(coords, rng.randint(0, len(coords)))}
+
+            x, y = draw(), draw()
+            for i in x.keys() & y.keys():
+                if rng.random() < 0.3:
+                    y[i] = x[i]
+            side = rng.choice([None, None, x, y, "both"])
+            if side == "both":
+                x[13] = y[13] = Fraction(2)
+            elif side is not None:
+                side[13] = Fraction(-1, 3)
+            disk = DiskSpec(weights=weights)
+            if rng.random() < 0.1:
+                disk = DiskSpec.from_generators(
+                    [SparseVector.basis(i).scale(w) for i, w in weights.items()])
+            yield disk, SparseVector(x), SparseVector(y)
+
+    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+    def test_gauge_below_is_the_full_gauge_compared(self, ctx):
+        """gauge_below(disk, x, y, bound) is ctx.lt(minkowski(disk, x - y), bound),
+        at bounds that tie with the gauge, lie within float tolerance of it, stop
+        the weighted sum at its first term, or lie above or below it; where the
+        full gauge raises NotInSpan, gauge_below raises the same, even at a
+        bound the first term already reaches."""
+        rng = random.Random(25)
+        seen = set()
+        for disk, x, y in self.bounded_gauge_cases(rng):
+            if ctx is FLOAT:
+                x, y = as_float(x), as_float(y)
+                if disk.weights is not None:
+                    disk = DiskSpec(weights={i: float(w) for i, w in disk.weights.items()})
+            diff = x - y
+            try:
+                gauge = minkowski(disk, diff, ctx)
+            except NotInSpan as exc:
+                for bound in (ctx.zero, ctx.one):
+                    with pytest.raises(NotInSpan) as got:
+                        gauge_below(disk, x, y, bound, ctx)
+                    assert str(got.value) == str(exc)
+                seen.add("NotInSpan")
+                continue
+            first = (ctx.zero if diff.is_zero() or disk.weights is None
+                     else next(abs(v) / disk.weights[i] for i, v in diff.entries.items()))
+            near, apart = (gauge * (1 + ctx.coerce(2) ** -k) for k in (45, 30))
+            for bound in (gauge, near, apart, first, gauge / 2, gauge + 1, ctx.zero):
+                got = gauge_below(disk, x, y, bound, ctx)
+                assert got is ctx.lt(gauge, bound), (disk, x, y, bound)
+                seen.add((got, disk.weights is None))
+        assert seen == {"NotInSpan", (True, False), (False, False), (True, True), (False, True)}
 
 
 class TestSeparatingFunctional:

@@ -1,6 +1,7 @@
 """Forward/backward matching steps and the alternating transport driver."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from orbitlab.errors import (
     StageFailure,
 )
 from orbitlab.operators import GramFactor
+from orbitlab.scalars import EXACT, FLOAT
 from orbitlab.seminorms import Separator
 from orbitlab.transport import (
     TransportState,
@@ -52,6 +54,10 @@ def fresh_state(a_items, b_items, active, window, epsilons):
     )
 
 
+def as_float(x):
+    return type(x)({i: float(v) for i, v in x.entries.items()})
+
+
 def geometric_schedule(count):
     return [frac(1, 2 ** (j + 2)) for j in range(count)]
 
@@ -76,12 +82,22 @@ class TestStepForward:
         updated = state.terms.with_term(f, v).plus_identity()
         assert updated.apply(sv(1)) == sv(frac(9, 10), frac(1, 10))
 
-    def test_no_approximant_reports_best(self):
-        state = fresh_state([sv(1)], [sv(5, 5)], active=2, window=2,
-                            epsilons=geometric_schedule(2))
+    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+    def test_no_approximant_reports_best(self, ctx):
+        """The failure path gauges every pool element in full and names the
+        first closest one, here the second of four."""
+        pool = [sv(5, 5), sv(2, 1), sv(0, 3), sv(3)]  # l1 distances 9, 2, 4, 2 from (1, 0)
+        state = fresh_state([sv(1)], pool, active=2, window=2, epsilons=geometric_schedule(2))
+        u = sv(1)
+        if ctx is FLOAT:
+            pool, u = [as_float(r) for r in pool], as_float(u)
+            state = replace(state, disk=DiskSpec(weights={1: 1.0, 2: 1.0}))
         with pytest.raises(NoApproximant) as err:
-            step_forward(state, sv(1), Separator(state.p), [sv(5, 5)], frac(1, 4))
-        assert err.value.best == 9  # l1 distance from (1,0) to (5,5)
+            step_forward(state, u, Separator(state.p, ctx), pool, ctx.parse("1/4"), ctx)
+        assert (err.value.best, err.value.best_index) == (2, 1)
+        assert type(err.value.best) is type(ctx.one)
+        assert str(err.value) == (f"no pool element within {ctx.parse('1/4')} of the "
+                                  f"forward target; best distance {ctx.coerce(2)}")
 
     def test_first_pool_element_beyond_the_bound_is_passed_over(self):
         pool = [sv(5, 5), sv(frac(9, 10), frac(1, 10))]
@@ -403,6 +419,85 @@ class TestIncrementalWorkspace:
             assert any(any(row) for row in gram)
             report = verify_transport(state)
             assert report.passed, [c.detail for c in oracles.failures(report)]
+
+    def test_forward_scan_builds_only_the_kept_difference(self, monkeypatch):
+        """With a weight-form disk a forward step gauges its rejected pool
+        elements without building r - target and without `minkowski`: it
+        subtracts once per step, for the element it keeps."""
+        import orbitlab.seminorms as seminorms
+        import orbitlab.transport as transport
+
+        step, sub, gauge, below = (transport.step_forward, SparseVector.__sub__,
+                                   seminorms.minkowski, transport.gauge_below)
+        counts = {"steps": 0, "gauged": 0, "sub": 0, "minkowski": 0}
+        inside = []
+
+        def counted(name, fn):
+            def spy(*args):
+                if inside:
+                    counts[name] += 1
+                return fn(*args)
+            return spy
+
+        def spied_step(*args):
+            counts["steps"] += 1
+            inside.append(True)
+            try:
+                return step(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(transport, "step_forward", spied_step)
+        monkeypatch.setattr(transport, "gauge_below", counted("gauged", below))
+        monkeypatch.setattr(SparseVector, "__sub__", counted("sub", sub))
+        monkeypatch.setattr(seminorms, "minkowski", counted("minkowski", gauge))
+        monkeypatch.setattr(transport, "minkowski", counted("minkowski", gauge))
+        # reversed twins: each forward scan passes over most of its pool
+        a_items = tuple(SparseVector.basis(i) for i in range(1, 9))
+        b_items = tuple(x + SparseVector({9 + i: frac(1, 2 ** 24)})
+                        for i, x in enumerate(reversed(a_items)))
+        a, b = Enumeration(a_items), Enumeration(b_items)
+        p, d = SeminormSpec.sup_on(range(1, 9)), oracles.l1_disk(range(1, 17))
+        state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
+        assert counts["steps"] == 3 and counts["gauged"] > 3 * counts["steps"]
+        assert (counts["sub"], counts["minkowski"]) == (counts["steps"], 0)
+        assert verify_transport(state).passed
+
+    def test_scenario_run_applies_j_once_to_each_matched_a(self, monkeypatch):
+        """The report's matched-pairs residuals are the replay's: J meets each
+        a(n_j) once in a transport scenario run."""
+        import orbitlab.scenarios as scenarios
+        from orbitlab import serialize
+
+        a, b, p, d = twin_instance(random.Random(41), 12, 2)
+        run, apply, states, applied = scenarios.run_transport, FiniteRankOperator.apply, [], []
+
+        def spied_run(*args):
+            states.append(run(*args))
+            return states[-1]
+
+        def spied_apply(op, x, ctx):
+            if op.base == "identity":
+                applied.append(x)
+            return apply(op, x, ctx)
+
+        monkeypatch.setattr(scenarios, "run_transport", spied_run)
+        monkeypatch.setattr(FiniteRankOperator, "apply", spied_apply)
+        report = scenarios.run_scenario(scenarios.Scenario.from_dict({
+            "name": "twin", "scalar_mode": "exact", "window": 12, "seed": 1,
+            "task": "transport", "payload": {
+                "a": [serialize.encode_pairs(x) for x in a.items],
+                "b": [serialize.encode_pairs(x) for x in b.items],
+                "p": oracles.encode_seminorm(p), "disk": oracles.encode_disk(d),
+                "stages": 2, "eps_schedule": "geometric:1/2"}}))
+        assert report.passed
+        [state] = states
+        assert [sum(x is state.a.vector(n) for x in applied) for n in state.n_idx] == [1] * 4
+        rows = next(t for t in report.tables if t.name == "matched-pairs").rows
+        j = state.operator
+        assert [row[3] for row in rows] == [
+            serialize.format_vector(apply(j, state.a.vector(n), EXACT) - state.b.vector(m))
+            for n, m in zip(state.n_idx, state.m_idx)]
 
     def test_run_needs_no_from_scratch_solve(self, monkeypatch):
         import orbitlab.linalg as linalg
