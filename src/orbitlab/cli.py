@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import List, Optional
 
@@ -68,25 +67,22 @@ def _cmd_run(args) -> int:
         raise ScenarioError(f"--check holds one report; got {len(args.scenario)} --scenario files")
     out_dir = args.out or os.environ.get(OUT_ENV)
     expected = Path(args.check).read_bytes() if args.check else None
-    jobs = min(max(1, args.jobs), len(args.scenario))
     unusable, failed, written = [], [], {}
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        # map yields in input order, so reports are emitted in input order
-        for path, outcome in zip(args.scenario, pool.map(_run_one, args.scenario)):
-            stem = Path(path).stem
-            if out_dir and stem in written and not isinstance(outcome, str):
-                outcome = f"{path}: report {stem!r} already written for {written[stem]}"
-            if isinstance(outcome, str):
-                sys.stderr.write(f"error: {outcome}\n")
-                unusable.append(path)
-                continue
-            written[stem] = path
-            _emit(outcome, args.format, out_dir, stem)
-            if expected is not None and expected != emit_report(outcome, "json"):
-                sys.stderr.write(f"{path}: report differs from {args.check}\n")
-                failed.append(path)
-            elif not outcome.passed:
-                failed.append(path)
+    for path, outcome in zip(args.scenario, map(_run_one, args.scenario)):
+        stem = Path(path).stem
+        if out_dir and stem in written and not isinstance(outcome, str):
+            outcome = f"{path}: report {stem!r} already written for {written[stem]}"
+        if isinstance(outcome, str):
+            sys.stderr.write(f"error: {outcome}\n")
+            unusable.append(path)
+            continue
+        written[stem] = path
+        _emit(outcome, args.format, out_dir, stem)
+        if expected is not None and expected != emit_report(outcome, "json"):
+            sys.stderr.write(f"{path}: report differs from {args.check}\n")
+            failed.append(path)
+        elif not outcome.passed:
+            failed.append(path)
     for path in failed:
         sys.stderr.write(f"FAIL {path}\n")
     return 2 if unusable else 1 if failed else 0
@@ -224,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run scenario files")
     run_p.add_argument("--scenario", action="append", required=True)
     run_p.add_argument("--format", default="json", choices=["json", "csv", "text"])
-    run_p.add_argument("--jobs", type=int, default=1)
+    run_p.add_argument("--jobs", type=int, default=1, help="accepted; scenarios run in turn")
     run_p.add_argument("--check", default=None,
                        help="compare the JSON report of the one --scenario against a stored file")
     run_p.add_argument("--out", default=None)

@@ -10,12 +10,11 @@ one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import Exhausted, KernelCollision, NoSeparation, NotANet, NotInSpan, NotPIndependent
-from .scalars import EXACT, Scalar, ScalarContext
+from .scalars import EXACT, Scalar, ScalarContext, _immutable
 from .seminorms import (
     DiskSpec,
     SeminormSpec,
@@ -27,17 +26,26 @@ from .seminorms import (
 from .vectors import CoordFunctional, SparseVector
 
 
-@dataclass(frozen=True)
 class Enumeration:
     """Ordered finite prefix of a countable set, items pairwise distinct."""
 
-    items: Tuple[SparseVector, ...]
+    __slots__ = ("items",)
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        items = tuple(self.items)
+    def __init__(self, items: Sequence[SparseVector]):
+        items = tuple(items)
         if len(set(items)) < len(items):
             raise ValueError("enumeration items must be pairwise distinct")
         object.__setattr__(self, "items", items)
+
+    def __eq__(self, other):
+        return self.items == other.items if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((self.items,))
+
+    def __reduce__(self):
+        return type(self), (self.items,)
 
     def __len__(self):
         return len(self.items)
@@ -47,8 +55,7 @@ class Enumeration:
         return self.items[index - 1]
 
 
-@dataclass(frozen=True)
-class EpsilonNet:
+class EpsilonNet(NamedTuple):
     """Density surrogate: targets plus the radius a net must achieve."""
 
     window: int
@@ -115,8 +122,7 @@ def extract_p_independent(a: Enumeration, p: SeminormSpec,
     return Enumeration(tuple(picks))
 
 
-@dataclass(frozen=True)
-class CommonDiskReport:
+class CommonDiskReport(NamedTuple):
     """The disk, the achieved radii and domination, the residual schedule and
     the combined null list; `scans` holds each enumeration's nearest item and
     distance per target (a's, then b's), for `net_report`."""

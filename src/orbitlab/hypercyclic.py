@@ -23,8 +23,7 @@ witness's active-row solve is one `RowReducer.of` on sparse rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .density import Enumeration, biorthogonalize
@@ -43,8 +42,7 @@ from .seminorms import (
 from .vectors import CoordFunctional, SparseVector, combine
 
 
-@dataclass(frozen=True)
-class ShiftOperatorSpec:
+class ShiftOperatorSpec(NamedTuple):
     """Backward shift along a biorthogonal chain with damped weights.
 
     S u_k = w_{k-1} u_{k-1}, S u_1 = 0, with w_n = 2^{-n} divided by
@@ -75,16 +73,14 @@ def build_shift_operator(us: Sequence[SparseVector], p: SeminormSpec,
     return ShiftOperatorSpec(us=us, fs=fs, weights=tuple(weights), operator=s)
 
 
-@dataclass
-class PremiseRow:
+class PremiseRow(NamedTuple):
     n: int
     dim_range: int
     dim_kernel: int
     dim_intersection: int
 
 
-@dataclass
-class PremiseReport:
+class PremiseReport(NamedTuple):
     rows: List[PremiseRow]
     span_dim: int
     window_dim: int
@@ -260,8 +256,7 @@ def omega_shift_demo(window: int, x0: SparseVector, horizon: int,
     return orbit(shift, x0.restrict(range(1, window + 1)), horizon, ctx)
 
 
-@dataclass(frozen=True)
-class NonOrbitSet:
+class NonOrbitSet(NamedTuple):
     """B (independent net part) plus C (kernel ladder), with the family kept
     for the series instrumentation."""
 
@@ -296,8 +291,7 @@ def build_nonorbit_set(family: Sequence[SeminormSpec], b: Enumeration,
     return NonOrbitSet(b=b, c=tuple(picks), family=family)
 
 
-@dataclass
-class RefuteReport:
+class RefuteReport(NamedTuple):
     """Instrumented orbit-versus-set facts; all outcomes are entries."""
 
     horizon: int

@@ -33,15 +33,14 @@ inverse Gram matrix, a pivoting path independent of the factor that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, inf, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .errors import BudgetExceeded, NotInSpan, NotPBounded, SingularOperator
-from .scalars import EXACT, Scalar, ScalarContext
+from .scalars import EXACT, Scalar, ScalarContext, _immutable
 from .seminorms import DiskSpec, SeminormSpec, dual_norm, minkowski
 from .vectors import CoordFunctional, SparseVector, _dot, combine
 
@@ -87,17 +86,26 @@ class CoordIndex:
         return sorted(set().union(*found))
 
 
-@dataclass(frozen=True)
 class FiniteRankOperator:
     """x -> base(x) + sum_j f_j(x) v_j, term order preserved."""
 
-    base: str = IDENTITY
-    terms: Tuple[Term, ...] = field(default_factory=tuple)
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        if self.base not in (IDENTITY, ZERO):
-            raise ValueError(f"unknown base {self.base!r}")
-        object.__setattr__(self, "terms", tuple(self.terms))
+    def __init__(self, base: str = IDENTITY, terms: Iterable[Term] = ()):
+        if base not in (IDENTITY, ZERO):
+            raise ValueError(f"unknown base {base!r}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "terms", tuple(terms))
+
+    def __eq__(self, other):
+        return ((self.base, self.terms) == (other.base, other.terms)
+                if type(other) is type(self) else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.base, self.terms))
+
+    def __repr__(self):
+        return f"FiniteRankOperator(base={self.base!r}, terms={self.terms!r})"
 
     @classmethod
     def identity(cls) -> "FiniteRankOperator":
@@ -110,7 +118,7 @@ class FiniteRankOperator:
     @cached_property
     def coord_index(self) -> CoordIndex:
         """Index of the term functionals, built at the first use and kept on
-        the instance outside the dataclass fields."""
+        the instance, outside equality and hashing."""
         return CoordIndex(f for f, _ in self.terms)
 
     @cached_property
@@ -221,8 +229,7 @@ def _gauge(measure, *args) -> Scalar:
         return inf
 
 
-@dataclass(frozen=True)
-class NeumannBudget:
+class NeumannBudget(NamedTuple):
     """c = sum_j p*(f_j) p_D(v_j) of the terms of T, with the pair
     (p*(f_j), p_D(v_j)) of each term; c < 1 certifies that I + T is invertible."""
 

@@ -17,16 +17,14 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from .scalars import Scalar
 from .vectors import SparseVector
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -35,8 +33,7 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """A replayed set of invariant checks; failures are entries, not errors.
 
     `budget` is the Neumann budget a transport replay sums for its
@@ -44,17 +41,16 @@ class VerificationReport:
     exact-matching check, one per matched pair in order, for the report's data.
     """
 
-    checks: List[CheckResult] = field(default_factory=list)
-    budget: Optional[Scalar] = None
-    residuals: List[SparseVector] = field(default_factory=list)
+    checks: List[CheckResult]
+    budget: Optional[Scalar]
+    residuals: List[SparseVector]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
 
-@dataclass
-class Table:
+class Table(NamedTuple):
     """A named tabular section; cells are canonical scalar/index strings."""
 
     name: str
@@ -65,19 +61,20 @@ class Table:
         return {"name": self.name, "columns": self.columns, "rows": self.rows}
 
 
-@dataclass
 class Report:
     """One scenario's outcome: checks, tables, and free-form data."""
 
-    scenario: str
-    task: str
-    scalar_mode: str
-    seed: int
-    scenario_hash: str
-    version: str
-    checks: List[CheckResult] = field(default_factory=list)
-    tables: List[Table] = field(default_factory=list)
-    data: Dict[str, Any] = field(default_factory=dict)
+    def __init__(self, scenario: str, task: str, scalar_mode: str, seed: int,
+                 scenario_hash: str, version: str, checks: Optional[List[CheckResult]] = None,
+                 tables: Optional[List[Table]] = None, data: Optional[Dict[str, Any]] = None):
+        self.scenario, self.task, self.scalar_mode, self.seed = scenario, task, scalar_mode, seed
+        self.scenario_hash, self.version = scenario_hash, version
+        self.checks = [] if checks is None else checks
+        self.tables = [] if tables is None else tables
+        self.data = {} if data is None else data
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
     @property
     def passed(self) -> bool:

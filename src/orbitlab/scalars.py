@@ -15,7 +15,6 @@ while `eq` and `lt` are relative (|a - b| <= FLOAT_TOL * max(1, |a|, |b|)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -31,15 +30,26 @@ MAX_DIGITS = 4300
 _DIGITS_CEILING = 10 ** MAX_DIGITS
 
 
-@dataclass(frozen=True)
+def _immutable(self, name, *value):
+    """`__setattr__` and `__delattr__` of the value types: `__init__` sets each field once."""
+    raise AttributeError(f"cannot assign to or delete field {name!r} of {type(self).__name__}")
+
+
 class ScalarContext:
     """The scalar type, its constants, its text form and its comparisons."""
 
-    mode: str = "exact"
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        if self.mode not in ("exact", "float"):
-            raise ValueError(f"unknown scalar mode {self.mode!r}")
+    def __init__(self, mode: str = "exact"):
+        if mode not in ("exact", "float"):
+            raise ValueError(f"unknown scalar mode {mode!r}")
+        object.__setattr__(self, "mode", mode)
+
+    def __eq__(self, other):
+        return self.mode == other.mode if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((self.mode,))
 
     @property
     def exact(self) -> bool:

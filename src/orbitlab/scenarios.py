@@ -10,9 +10,8 @@ reproduces its bytes in exact mode.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from . import __version__, serialize
 from .density import Enumeration, EpsilonNet, common_disk, net_report
@@ -47,8 +46,7 @@ class ScenarioError(WorkbenchError):
     """Schema violation; the message names the offending field path."""
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     scalar_mode: str
     window: int

@@ -19,14 +19,13 @@ given once.  The p-independence test needs only a rank, so it runs on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import linalg, simplex
 from .errors import NoSeparation, NotInSpan, NotPBounded
-from .scalars import EXACT, Scalar, ScalarContext
+from .scalars import EXACT, Scalar, ScalarContext, _immutable
 from .vectors import CoordFunctional, SparseVector
 
 SUP = "sup"
@@ -47,17 +46,24 @@ def _clean_weights(weights: Mapping[int, Scalar]) -> dict:
     return out
 
 
-@dataclass(frozen=True)
 class SeminormSpec:
-    """p(x) = max_i w_i |x_i|  (sup kind)  or  sum_i w_i |x_i|  (l1 kind)."""
+    """p(x) = max_i w_i |x_i|  (sup kind)  or  sum_i w_i |x_i|  (l1 kind); unhashable."""
 
-    kind: str
-    weights: Mapping[int, Scalar] = field(default_factory=dict)
+    __slots__ = ("kind", "weights")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        if self.kind not in (SUP, L1):
-            raise ValueError(f"unknown seminorm kind {self.kind!r}")
-        object.__setattr__(self, "weights", _clean_weights(self.weights))
+    def __init__(self, kind: str, weights: Optional[Mapping[int, Scalar]] = None):
+        if kind not in (SUP, L1):
+            raise ValueError(f"unknown seminorm kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "weights", _clean_weights(weights or {}))
+
+    def __eq__(self, other):
+        return ((self.kind, self.weights) == (other.kind, other.weights)
+                if type(other) is type(self) else NotImplemented)
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.weights)
 
     @classmethod
     def sup_on(cls, indices: Iterable[int], weight: Scalar = 1):
@@ -103,25 +109,33 @@ def dual_norm_witness(p: SeminormSpec, f: CoordFunctional) -> Tuple[Scalar, Spar
     return c, SparseVector({best: sign / p.weights[best]})
 
 
-@dataclass(frozen=True)
 class DiskSpec:
     """A disk given by l1-type coordinate weights or by a generator list.
 
     Weight form: p_D(x) = sum_i |x_i| / d_i on vectors supported in the
     weighted coordinates.  Generator form: p_D(u) is the minimal l1 mass of a
-    representation of u as a combination of the generators.
+    representation of u as a combination of the generators.  Only this form hashes.
     """
 
-    weights: Optional[Mapping[int, Scalar]] = None
-    generators: Optional[Tuple[SparseVector, ...]] = None
+    __slots__ = ("weights", "generators")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        if (self.weights is None) == (self.generators is None):
+    def __init__(self, weights: Optional[Mapping[int, Scalar]] = None,
+                 generators: Optional[Sequence[SparseVector]] = None):
+        if (weights is None) == (generators is None):
             raise ValueError("disk needs exactly one of weights / generators")
-        if self.weights is not None:
-            object.__setattr__(self, "weights", _clean_weights(self.weights))
-        else:
-            object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "weights", None if weights is None else _clean_weights(weights))
+        object.__setattr__(self, "generators", None if generators is None else tuple(generators))
+
+    def __eq__(self, other):
+        return ((self.weights, self.generators) == (other.weights, other.generators)
+                if type(other) is type(self) else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.weights, self.generators))
+
+    def __reduce__(self):
+        return type(self), (self.weights, self.generators)
 
     @classmethod
     def from_generators(cls, xs: Sequence[SparseVector]):

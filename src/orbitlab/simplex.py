@@ -17,9 +17,8 @@ or tie, so Bland's rule takes the same pivots as over Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 from .errors import WorkbenchError
 from .scalars import EXACT, Scalar, ScalarContext
@@ -33,8 +32,7 @@ class Unbounded(WorkbenchError):
     """The objective decreases without bound on the feasible set."""
 
 
-@dataclass
-class LPResult:
+class LPResult(NamedTuple):
     value: Scalar
     x: List[Scalar]
 

@@ -26,8 +26,7 @@ builds the difference to the target only for the element it keeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .density import Enumeration
 from .errors import (
@@ -44,10 +43,9 @@ from .seminorms import DiskSpec, SeminormSpec, Separator, gauge_below, minkowski
 from .vectors import CoordFunctional, SparseVector, close
 
 
-@dataclass(frozen=True)
-class TransportState:
+class TransportState(NamedTuple):
     """Everything the verifier needs to replay a run from raw data.  `terms`
-    is the base-zero running T_k, 0 in a fresh state of stage 0."""
+    is the base-zero running T_k, in a fresh state of stage 0 one shared zero operator."""
 
     a: Enumeration
     b: Enumeration
@@ -57,7 +55,7 @@ class TransportState:
     stage: int = 0
     n_idx: Tuple[int, ...] = ()
     m_idx: Tuple[int, ...] = ()
-    terms: FiniteRankOperator = field(default_factory=FiniteRankOperator.zero)
+    terms: FiniteRankOperator = FiniteRankOperator.zero()
 
     @property
     def operator(self) -> FiniteRankOperator:
@@ -186,8 +184,8 @@ def _matched(state: TransportState, separator: Separator, gram: GramFactor,
     joins the separator's constraints and the term joins the Gram factor."""
     separator.add(state.a.vector(n))
     gram.extend(f, v)
-    return replace(state, terms=state.terms.with_term(f, v),
-                   n_idx=state.n_idx + (n,), m_idx=state.m_idx + (m,))
+    return state._replace(terms=state.terms.with_term(f, v),
+                          n_idx=state.n_idx + (n,), m_idx=state.m_idx + (m,))
 
 
 def _run_stage(state: TransportState, separator: Separator, gram: GramFactor,
@@ -208,7 +206,7 @@ def _run_stage(state: TransportState, separator: Separator, gram: GramFactor,
     pool_idx = _unused(a, state.n_idx)
     f, v, pos = step_backward(state, b.vector(m_bwd), separator, gram,
                               [a.vector(i) for i in pool_idx], state.epsilons[2 * q - 1], ctx)
-    return replace(_matched(state, separator, gram, f, v, pool_idx[pos], m_bwd), stage=q)
+    return _matched(state, separator, gram, f, v, pool_idx[pos], m_bwd)._replace(stage=q)
 
 
 def _window_indices(state: TransportState) -> List[int]:

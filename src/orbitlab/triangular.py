@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import linalg
 from .errors import Exhausted, LinearlyDependent
@@ -167,8 +166,7 @@ class _Bordered(linalg.Bordered):
         return [c / self.pivots[m - 1] for c in self.back(1, unit)]
 
 
-@dataclass(frozen=True)
-class TriangularizeState:
+class TriangularizeState(NamedTuple):
     """Prefixes of the two bijections plus the triangular combination data.
 
     alpha/beta are 1-based indices into funcs/basis.  coeffs[m-1] holds the

@@ -10,11 +10,10 @@ Finite linear combinations go through `combine`, which cleans the sum once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .scalars import EXACT, Scalar, ScalarContext
+from .scalars import EXACT, Scalar, ScalarContext, _immutable
 
 
 def _clean(entries: Mapping[int, Scalar]) -> Dict[int, Scalar]:
@@ -42,15 +41,21 @@ def _dot(a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> Scalar:
     return total
 
 
-@dataclass(frozen=True)
 class _FiniteMap:
-    entries: Mapping[int, Scalar] = field(default_factory=dict)
+    __slots__ = ("entries",)
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _clean(self.entries))
+    def __init__(self, entries: Optional[Mapping[int, Scalar]] = None):
+        object.__setattr__(self, "entries", _clean(entries or {}))
+
+    def __eq__(self, other):
+        return self.entries == other.entries if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
         return hash(frozenset(self.entries.items()))
+
+    def __reduce__(self):
+        return type(self), (self.entries,)
 
     @classmethod
     def zero(cls):
@@ -105,6 +110,8 @@ class _FiniteMap:
 class SparseVector(_FiniteMap):
     """An element of the coordinate space at finite stage."""
 
+    __slots__ = ()
+
     @classmethod
     def basis(cls, index: int, ctx: ScalarContext = EXACT) -> "SparseVector":
         return cls({index: ctx.one})
@@ -112,6 +119,8 @@ class SparseVector(_FiniteMap):
 
 class CoordFunctional(_FiniteMap):
     """Finite-support functional acting by the bilinear pairing."""
+
+    __slots__ = ()
 
     @classmethod
     def delta(cls, index: int, ctx: ScalarContext = EXACT) -> "CoordFunctional":

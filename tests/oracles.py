@@ -350,7 +350,7 @@ def parse_csv_tables(blob):
         elif current is not None:
             cells = next(csv.reader([line]))
             if not current.columns:
-                current.columns = cells
+                current.columns.extend(cells)
             else:
                 current.rows.append(cells)
     return tables

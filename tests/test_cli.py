@@ -1,7 +1,6 @@
 """Scenario runner: schema errors, determinism, regression check, CLI flows."""
 
 import copy
-import dataclasses
 import json
 import os
 import random
@@ -1241,25 +1240,45 @@ class TestAbortedTransport:
         assert data == {"aborted_stage": 3}
 
 
+def _fresh_env():
+    """The environment of a new interpreter that imports orbitlab from this checkout."""
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+
 class TestFreshProcess:
-    def test_run_as_the_benchmark_runs_it(self, tmp_path):
-        """`python -m orbitlab.cli run --jobs 2 --out DIR` in a new interpreter
-        writes the reports that `emit_report` gives in process."""
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_run_as_the_benchmark_runs_it(self, tmp_path, jobs):
+        """`python -m orbitlab.cli run --jobs N --out DIR` in a new interpreter
+        writes the reports that `emit_report` gives in process, for both values
+        of N the benchmark passes."""
         scenarios = [transport_scenario(name="passing"), noisy_transport_scenario("aborting")]
-        args = [sys.executable, "-m", "orbitlab.cli", "run", "--jobs", "2",
+        args = [sys.executable, "-m", "orbitlab.cli", "run", "--jobs", jobs,
                 "--out", str(tmp_path / "out")]
         for scenario in scenarios:
             path = tmp_path / f"{scenario['name']}.json"
             path.write_text(json.dumps(scenario))
             args += ["--scenario", str(path)]
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-        done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+        done = subprocess.run(args, env=_fresh_env(), capture_output=True, text=True, timeout=120)
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         assert done.stderr == f"FAIL {tmp_path / 'aborting.json'}\n"
         for scenario in scenarios:
             written = (tmp_path / "out" / f"{scenario['name']}.json").read_bytes()
             assert written == emit_report(run_scenario(Scenario.from_dict(scenario)), "json")
+
+    def test_importing_the_cli_generates_no_code(self):
+        """A new interpreter's `import orbitlab.cli` adds to `sys.modules`
+        neither `dataclasses` and the modules it pulls in, whose records exec
+        generated methods at every start, nor a thread pool and its logging,
+        which `run --jobs` does not use."""
+        code = ("import sys; before = set(sys.modules); import orbitlab.cli; "
+                "print(*sorted(set(sys.modules) - before))")
+        done = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        added = set(done.stdout.split())
+        assert "orbitlab.cli" in added
+        assert added & {"dataclasses", "inspect", "ast", "concurrent.futures", "logging"} == set()
 
 
 class TestEachCheckCanFail:
@@ -1283,8 +1302,8 @@ class TestEachCheckCanFail:
     def test_kernel_fixing_spot_check(self, tmp_path, capsys, monkeypatch):
         # T gains a term that moves vectors supported outside active(p) = 1..6
         kernel_f = CoordFunctional({i: Fraction(1) for i in range(7, 13)})
-        self._tampered_transport(monkeypatch, lambda state: dataclasses.replace(
-            state, terms=state.terms.with_term(kernel_f, sv(1))))
+        self._tampered_transport(monkeypatch, lambda state: state._replace(
+            terms=state.terms.with_term(kernel_f, sv(1))))
         detail, _ = self._failed(tmp_path, capsys, transport_scenario(),
                                  "kernel-fixing-spot-check")
         assert detail == "20 seeded kernel vectors"
@@ -1295,7 +1314,7 @@ class TestEachCheckCanFail:
         def swap(state):
             n, m = list(state.n_idx), list(state.m_idx)
             n[:2], m[:2] = n[1::-1], m[1::-1]
-            return dataclasses.replace(state, n_idx=tuple(n), m_idx=tuple(m))
+            return state._replace(n_idx=tuple(n), m_idx=tuple(m))
 
         self._tampered_transport(monkeypatch, swap)
         detail, failed = self._failed(tmp_path, capsys, transport_scenario(),
@@ -1307,7 +1326,7 @@ class TestEachCheckCanFail:
         # J = I - e_1* (.) e_1 annihilates e_1, so the Gram solve raises
         singular = FiniteRankOperator(ZERO, ((CoordFunctional.delta(1), -sv(1)),))
         self._tampered_transport(
-            monkeypatch, lambda state: dataclasses.replace(state, terms=singular))
+            monkeypatch, lambda state: state._replace(terms=singular))
         detail, _ = self._failed(tmp_path, capsys, transport_scenario(), "invertible")
         assert detail == "1x1 matrix is not invertible"
 
@@ -1327,7 +1346,7 @@ class TestEachCheckCanFail:
             state = interleave_triangularize(*args)
             v = list(state.v)
             v[m - 1] += SparseVector({state.alpha[j - 1]: Fraction(1)})
-            return dataclasses.replace(state, v=tuple(v))
+            return state._replace(v=tuple(v))
 
         monkeypatch.setattr("orbitlab.scenarios.interleave_triangularize", tampered)
         detail, failed = self._failed(tmp_path, capsys, triangularize_scenario(),
@@ -1340,7 +1359,7 @@ class TestEachCheckCanFail:
         def inflated(*args):
             spec = build_shift_operator(*args)
             terms = tuple((f, v.scale(2 ** 10)) for f, v in spec.operator.terms)
-            return dataclasses.replace(spec, operator=FiniteRankOperator(ZERO, terms))
+            return spec._replace(operator=FiniteRankOperator(ZERO, terms))
 
         monkeypatch.setattr("orbitlab.scenarios.build_shift_operator", inflated)
         detail, _ = self._failed(tmp_path, capsys, build_shift_scenario(), "continuity-bound")

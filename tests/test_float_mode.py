@@ -2,7 +2,6 @@
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -213,7 +212,7 @@ def test_float_matching_residual_within_tolerance_passes():
     for shift, passed in ((2.0 ** -50, True), (2.0 ** -20, False)):
         b = Enumeration(tuple(x + fsv(shift) if k == m else x
                               for k, x in enumerate(b_items, start=1)))
-        report = verify_transport(replace(state, b=b), FLOAT)
+        report = verify_transport(state._replace(b=b), FLOAT)
         assert _check(report, "exact-matching").passed is passed
         assert report.residuals == [state.operator.apply(state.a.vector(n), FLOAT) - b.vector(k)
                                     for n, k in zip(state.n_idx, state.m_idx)]

@@ -2,14 +2,13 @@
 every stored float-mode scalar is a float, and float zeros print as "0.0"."""
 
 import ast
-import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import orbitlab
-from orbitlab import DiskSpec, SeminormSpec, minkowski, serialize
+from orbitlab import DiskSpec, FiniteRankOperator, SeminormSpec, minkowski, serialize
 from orbitlab.density import Enumeration, EpsilonNet, common_disk
 from orbitlab.hypercyclic import (
     build_shift_operator,
@@ -102,7 +101,9 @@ def walk(value, visit):
 
     kind is "entry" for the entries of vectors and functionals, "weight" for
     seminorm and disk weights and "value" for any other scalar; dict keys
-    (coordinate indices) are skipped.
+    (coordinate indices) are skipped.  Records are named tuples, walked as
+    tuples; operators are walked through their terms and enumerations through
+    their items.
     """
     if isinstance(value, _FiniteMap):
         for v in value.entries.values():
@@ -112,9 +113,10 @@ def walk(value, visit):
             visit("weight", v)
         for g in getattr(value, "generators", None) or ():
             walk(g, visit)
-    elif dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            walk(getattr(value, f.name), visit)
+    elif isinstance(value, FiniteRankOperator):
+        walk(value.terms, visit)
+    elif isinstance(value, Enumeration):
+        walk(value.items, visit)
     elif isinstance(value, dict):
         for v in value.values():
             walk(v, visit)
@@ -123,6 +125,19 @@ def walk(value, visit):
             walk(v, visit)
     elif isinstance(value, (Fraction, float, int)):
         visit("value", value)
+
+
+# scalars each flow's results hold in exact mode, so that a change to the
+# records or to the walk cannot shrink the two checks below unseen
+SCALAR_COUNTS = {"transport_results": 71, "triangularize_results": 62, "shift_results": 66,
+                 "witness_results": 7, "gauge_results": 9, "common_results": 142}
+
+
+@pytest.mark.parametrize("flow", FLOWS, ids=lambda f: f.__name__)
+def test_walk_reaches_every_scalar(flow):
+    seen = []
+    walk(flow(EXACT), lambda kind, v: seen.append(kind))
+    assert len(seen) == SCALAR_COUNTS[flow.__name__]
 
 
 @pytest.mark.parametrize("flow", FLOWS, ids=lambda f: f.__name__)

@@ -1,7 +1,6 @@
 """Forward/backward matching steps and the alternating transport driver."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -91,7 +90,7 @@ class TestStepForward:
         u = sv(1)
         if ctx is FLOAT:
             pool, u = [as_float(r) for r in pool], as_float(u)
-            state = replace(state, disk=DiskSpec(weights={1: 1.0, 2: 1.0}))
+            state = state._replace(disk=DiskSpec(weights={1: 1.0, 2: 1.0}))
         with pytest.raises(NoApproximant) as err:
             step_forward(state, u, Separator(state.p, ctx), pool, ctx.parse("1/4"), ctx)
         assert (err.value.best, err.value.best_index) == (2, 1)
@@ -294,35 +293,32 @@ class TestVerifyTransport:
             + ((f, v + SparseVector.basis(1)),)
             + state.terms.terms[3:]
         )
-        from dataclasses import replace
         from orbitlab.operators import FiniteRankOperator as FRO, ZERO
 
-        bad = replace(state, terms=FRO(ZERO, broken_terms))
+        bad = state._replace(terms=FRO(ZERO, broken_terms))
         report = verify_transport(bad)
         assert not report.passed
         names = {c.name for c in oracles.failures(report)}
         assert "exact-matching" in names
 
     def test_functional_off_the_active_set_is_reported_not_raised(self):
-        from dataclasses import replace
         from orbitlab.operators import FiniteRankOperator as FRO, ZERO
 
         state = fresh_state([sv(1), sv(0, 1)], [sv(1), sv(0, 1)], active=2, window=4,
                             epsilons=geometric_schedule(2))
         term = (CoordFunctional({3: frac(1, 2 ** 50)}), SparseVector.basis(1))
-        report = verify_transport(replace(state, terms=FRO(ZERO, (term,))))
+        report = verify_transport(state._replace(terms=FRO(ZERO, (term,))))
         failed = {c.name for c in oracles.failures(report)}
         assert {"slot-bounds", "budget-below-one", "kernel-fixed"} <= failed
         assert "p*(f) = inf" in next(c.detail for c in report.checks if c.name == "slot-bounds")
 
     def test_update_outside_the_disk_span_is_reported_not_raised(self):
-        from dataclasses import replace
         from orbitlab.operators import FiniteRankOperator as FRO, ZERO
 
         state = fresh_state([sv(1), sv(0, 1)], [sv(1), sv(0, 1)], active=2, window=4,
                             epsilons=geometric_schedule(2))
         term = (CoordFunctional.delta(1), SparseVector.basis(5).scale(frac(1, 2 ** 50)))
-        report = verify_transport(replace(state, terms=FRO(ZERO, (term,))))
+        report = verify_transport(state._replace(terms=FRO(ZERO, (term,))))
         failed = {c.name for c in oracles.failures(report)}
         assert {"slot-bounds", "budget-below-one"} <= failed
         assert "kernel-fixed" not in failed
