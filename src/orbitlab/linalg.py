@@ -14,12 +14,13 @@ Three forms, each written once, with one row step per number type:
   mode it is fraction-free: each row is scaled to coprime integers and
   reduced by the integer row step, so no Fraction is built at all.  Float
   mode hands its rows to a `RowReducer` and keeps the tolerance.
-- `Bordered`, an L·D·U factor without pivoting that grows by one row and one
+- `Bordered`, a factor without pivoting that grows by one row and one
   column at a time: the pairing minors of triangularization and the Gram
-  system of a growing identity-plus-finite-rank operator.  Its forward and
-  back substitutions compute each b - sum t·x with `ctx.sub_products`, which
-  in exact mode sums on integers over one denominator and builds a single
-  Fraction per entry.
+  system of a growing identity-plus-finite-rank operator.  In exact mode it
+  is fraction-free: callers border it with integers, it keeps the leading
+  minors and the Bareiss entries, and every step is an exact integer
+  division that skips zeros.  Float mode keeps an L·D·U whose substitutions
+  fold each b - sum t·x with `ctx.sub_products`.
 """
 
 from __future__ import annotations
@@ -199,29 +200,77 @@ def _primitive(row: Dict[int, int]) -> Dict[int, int]:
 
 
 class Bordered:
-    """A = L·D·U, grown by one bordering row and column of A at a time.
+    """A factor of A without pivoting, grown by one bordering row and column of A at a time.
 
-    L and U^T are unit lower triangular; lower[0] and lower[1] hold their rows
-    left of the diagonal as dicts of the non-zero entries, pivots the diagonal
-    of D (Golub & Van Loan, Matrix Computations, §3.2).  As A^T = U^T·D·L^T,
-    each operation takes a side: 0 for L, 1 for U^T.  There is no pivoting, so
-    a pivot is det A_{n+1} / det A_n.  Zeros of L and U cost nothing in the
-    substitutions, and each entry a substitution solves for, b - sum t·x, is
-    one `ctx.sub_products`: in exact mode a sum on integers that builds a
-    single Fraction.
+    lower[0] holds the rows of the lower factor and lower[1] those of the
+    transposed upper factor, each left of the diagonal as a dict of its
+    non-zero entries.  As A^T swaps the two, each operation takes a side: 0
+    for the lower factor, 1 for the transposed upper one.
+
+    In exact mode A is an integer matrix and the factor is fraction-free
+    (Bareiss, Math. Comp. 22, 1968; the LU form of Zhou and Jeffrey, Front.
+    Comput. Sci. China 2(1), 2008): pivots[k] is the leading minor Δ_{k+1}
+    of A, and entry k of a row is the integer a⁽ᵏ⁾ that k steps
+    a⁽ᵗ⁺¹⁾ = (Δ_{t+1}·a⁽ᵗ⁾ − l·u) / Δ_t make of A's entry, each an exact
+    division.  A step whose l·u is zero only rescales by Δ_{t+1}/Δ_t, so it
+    is skipped and the rescalings telescope: zeros cost nothing.  In float
+    mode A = L·D·U with L and U^T unit lower triangular and pivots the
+    diagonal of D (Golub & Van Loan, Matrix Computations, §3.2); each entry
+    a substitution solves for, b - sum t·x, is one `ctx.sub_products`.
     """
 
     def __init__(self, ctx: ScalarContext = EXACT):
         self.ctx = ctx
+        self.integer = ctx.integer_row({}) is not None
         self.lower: Tuple[List[Dict[int, Scalar]], List[Dict[int, Scalar]]] = ([], [])
         self.pivots: List[Scalar] = []
+
+    def scale(self, n: int) -> Scalar:
+        """The factor that `back` and `solve` put on their solutions for the
+        leading n x n block: its minor Δ_n in exact mode (1 for n = 0), 1 in
+        float mode."""
+        return self.pivots[n - 1] if n and self.integer else 1
+
+    def _eliminated(self, a: int, steps: Iterable[Tuple[int, int, int]], k: int) -> int:
+        """a⁽ᵏ⁾ for the entry a, given (t, l, u) for the steps t < k whose l·u
+        is non-zero, in ascending t; a is a⁽ˢ⁾ before each of them."""
+        d, s = self.scale, 0
+        for t, l, u in steps:
+            if s == t:
+                a = (self.pivots[t] * a - l * u) // d(t)
+            else:
+                a = (self.pivots[t] * a * d(t) - l * u * d(s)) // (d(s) * d(t))
+            s = t + 1
+        return a if s == k else a * d(k) // d(s)
 
     def border(self, side: int, entries: Sequence[Scalar]) -> Dict[int, Scalar]:
         """The next row of lower[side] for the bordering entries of A: the new
         row of A left of the diagonal for side 0, the new column above it for
-        side 1.  Row n of A is (row of L)·D·U, so the row solves U^T·D x = entries."""
-        z = _forward(self.lower[1 - side], entries, self.ctx)
+        side 1.  In exact mode entry k is the integer a⁽ᵏ⁾ of the bordering
+        entry k; in float mode row n of A is (row of L)·D·U, so the row solves
+        U^T·D x = entries."""
+        other = self.lower[1 - side]
+        if self.integer:
+            out = {}
+            # each step needs a non-zero entry of out, so a zero border stays zero
+            for k, (col, b) in enumerate(zip(other, entries) if any(entries) else ()):
+                steps = [(t, out[t], u) for t, u in col.items() if t in out]
+                a = self._eliminated(b, steps, k) if b or steps else 0
+                if a:
+                    out[k] = a
+            return out
+        z = _forward(other, entries, self.ctx)
         return {i: zi / d for i, (zi, d) in enumerate(zip(z, self.pivots)) if zi}
+
+    def pivot(self, diagonal: Scalar, row: Dict[int, Scalar], col: Dict[int, Scalar]) -> Scalar:
+        """The pivot that borders the factor with `row` and `col`, as `border`
+        gives them, and A's diagonal entry: Δ_{n+1} in exact mode, the Schur
+        complement diagonal - row·D·col in float mode."""
+        if self.integer:
+            return self._eliminated(diagonal, [(t, row[t], u) for t, u in col.items() if t in row],
+                                    len(self.pivots))
+        return self.ctx.sub_products(diagonal, [
+            (row[i] * self.pivots[i], c) for i, c in col.items() if i in row])
 
     def append(self, side: int, row: Dict[int, Scalar], col: Dict[int, Scalar],
                pivot: Scalar) -> None:
@@ -231,21 +280,32 @@ class Bordered:
         self.pivots.append(pivot)
 
     def back(self, side: int, rhs: Sequence[Scalar]) -> List[Scalar]:
-        """x with T^T x = rhs for T the leading len(rhs) block of lower[side],
-        solved row by row from the last."""
+        """scale(n)·x for x with T^T x = rhs, T the leading n = len(rhs) block
+        of lower[side] with the diagonal of a float factor's L or of an exact
+        one's fraction-free L̃ (the minors), solved row by row from the last."""
         n = len(rhs)
         cols: List[List[Tuple[int, Scalar]]] = [[] for _ in range(n)]  # rows of T^T
         for j, row in enumerate(self.lower[side][:n]):
             for k, t in row.items():
                 cols[k].append((j, t))
         x = list(rhs)
+        if self.integer:
+            dn = self.scale(n)
+            for k in range(n - 1, -1, -1):
+                if cols[k] or x[k]:
+                    x[k] = (x[k] * dn - sum(t * x[j] for j, t in cols[k])) // self.pivots[k]
+            return x
         for k in range(n - 1, -1, -1):
             if cols[k]:
                 x[k] = self.ctx.sub_products(x[k], [(t, x[j]) for j, t in cols[k]])
         return x
 
     def solve(self, rhs: Sequence[Scalar]) -> List[Scalar]:
-        """x with A x = rhs: L y = rhs, then U x = D^{-1} y."""
+        """scale(n)·x for x with A x = rhs: L y = rhs, then U x = D^{-1} y,
+        where in exact mode `border` gives y fraction-free."""
+        if self.integer:
+            y = self.border(1, rhs)
+            return self.back(1, [y.get(k, 0) for k in range(len(rhs))])
         y = _forward(self.lower[0], rhs, self.ctx)
         return self.back(1, [yi / d if yi else yi for yi, d in zip(y, self.pivots)])
 

@@ -25,7 +25,8 @@ f_j(x) v_j is one integer sum per coordinate over a common denominator, so
 one Fraction is built per coordinate the terms touch.
 
 `GramFactor` serves the construction: it keeps I_k + G factored as terms
-arrive and returns J^{-1} u with two triangular substitutions.  `invert`
+arrive, fraction-free in exact mode, and returns J^{-1} u with two triangular
+substitutions.  `invert`
 serves verification: it builds the whole inverse in term form from the
 inverse Gram matrix, a pivoting path independent of the factor that
 `verify_transport` replays against the window.
@@ -36,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, inf, lcm
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .errors import BudgetExceeded, NotInSpan, NotPBounded, SingularOperator
@@ -260,24 +261,29 @@ def neumann_certificate(t: FiniteRankOperator, p: SeminormSpec, disk: DiskSpec,
 
 
 class GramFactor:
-    """I_k + G = L·D·U for the terms of J = I + sum_j f_j (.) v_j, G_rc = f_r(v_c).
+    """I_k + G factored for the terms of J = I + sum_j f_j (.) v_j, G_rc = f_r(v_c).
 
-    A `linalg.Bordered` factor grows by one row and one column per term.
-    Two coordinate indices, one of the f_r and one of the v_c, grow with it,
-    so term m + 1 costs one pairing per overlapping pair: one per term r <= m
-    whose v_r meets the support of f (its row and diagonal) and one per
-    earlier term whose f_r meets that of v (its column), 2m + 1 when every
-    support overlaps.  `solve` pairs u with the f_r that meet it, then makes
-    one forward and one back substitution.  There is no pivoting:
-    det(I_m + G_m) = det J_m, so every leading minor is non-zero while every
-    J_m is invertible.  A zero pivot makes `solve`, and any further `extend`,
-    raise SingularOperator.
+    A `linalg.Bordered` factor grows by one row and one column per term.  In
+    exact mode it is the integer factor of D_f·(I_k + G)·D_v, for D_f and D_v
+    the denominators of the f_r and v_c as `ScalarContext.integer_row` scales
+    them once: entry (r, c) is fden_r·vden_c·δ_rc + f_r·v_c on the integer
+    rows.  Float mode factors I_k + G = L·D·U.  Two coordinate indices, one
+    of the f_r and one of the v_c, grow with it, so term m + 1 costs one
+    pairing per overlapping pair: one per term r <= m whose v_r meets the
+    support of f (its row and diagonal) and one per earlier term whose f_r
+    meets that of v (its column), 2m + 1 when every support overlaps.
+    `solve` pairs u with the f_r that meet it, then makes one forward and one
+    back substitution.  There is no pivoting: det(I_m + G_m) = det J_m, so
+    every leading minor is non-zero while every J_m is invertible.  A zero
+    pivot makes `solve`, and any further `extend`, raise SingularOperator.
     """
 
     def __init__(self, ctx: ScalarContext = EXACT):
         self.ctx = ctx
-        self._fs: List[CoordFunctional] = []
         self._vs: List[SparseVector] = []
+        # per term: f's and v's entries as the factor pairs them, its diagonal
+        # unit and v's denominator (1 in float mode)
+        self._rows: List[Tuple[Mapping[int, Scalar], Mapping[int, Scalar], Scalar, int]] = []
         self._f_index = CoordIndex()
         self._v_index = CoordIndex()
         self._lu = linalg.Bordered(ctx)
@@ -291,35 +297,44 @@ class GramFactor:
     def extend(self, f: CoordFunctional, v: SparseVector) -> None:
         """Border the factor with the term f (.) v."""
         self._nonsingular()
-        lu, fs, vs = self._lu, self._fs, self._vs
-        m = len(fs)
-        fs.append(f)
-        vs.append(v)
+        lu, rows, m = self._lu, self._rows, len(self._rows)
+        self._vs.append(v)
         self._f_index.add(f)
         self._v_index.add(v)
-        # new column f_r(v) of G down to the diagonal f(v), new row f(v_c) left of it
+        (frow, fden), (vrow, vden) = [self.ctx.integer_row(x.entries) or (x.entries, 1)
+                                      for x in (f, v)]
+        rows.append((frow, vrow, fden * vden if lu.integer else self.ctx.one, vden))
+        # new column of G down to the diagonal, new row left of it
         col = [0] * (m + 1)
         for r in self._f_index.hits(v):
-            col[r] = fs[r].pair(v)
+            col[r] = _dot(rows[r][0], vrow)
         row = [0] * m
         for c in self._v_index.hits(f):
             if c < m:
-                row[c] = f.pair(vs[c])
-        diagonal = col.pop()
+                row[c] = _dot(frow, rows[c][1])
+        diagonal = rows[m][2] + col.pop()
         row, col = lu.border(0, row), lu.border(1, col)
-        pivot = self.ctx.sub_products(self.ctx.one + diagonal, [
-            (row[i] * lu.pivots[i], c) for i, c in col.items() if i in row])
-        lu.append(0, row, col, pivot)
+        lu.append(0, row, col, lu.pivot(diagonal, row, col))
 
     def solve(self, u: SparseVector) -> SparseVector:
-        """J^{-1} u = u - sum_j c_j v_j with (I_k + G) c = (f_i(u))_i."""
+        """J^{-1} u = u - sum_j c_j v_j with (I_k + G) c = (f_i(u))_i; u itself
+        when it meets no f_i.  In exact mode the factor gives x = Δ·c' for the
+        scaled system and its minor Δ, and c_j = vden_j·x_j / (Δ·uden), one
+        Fraction per non-zero c_j."""
         self._nonsingular()
-        fs = self._fs
-        rhs = [0] * len(fs)
-        for r in self._f_index.hits(u):
-            rhs[r] = fs[r].pair(u)
-        coeffs = self._lu.solve(rhs)
-        return combine(((-c, v) for v, c in zip(self._vs, coeffs)), u)
+        lu, rows = self._lu, self._rows
+        hits = self._f_index.hits(u)
+        if not hits:
+            return u
+        urow, uden = self.ctx.integer_row(u.entries) or (u.entries, 1)
+        rhs = [0] * len(rows)
+        for r in hits:
+            rhs[r] = _dot(rows[r][0], urow)
+        if not lu.integer:
+            return combine(((-c, v) for v, c in zip(self._vs, lu.solve(rhs))), u)
+        den = lu.scale(len(rows)) * uden
+        return combine(((Fraction(-r[3] * x, den), v)
+                        for v, r, x in zip(self._vs, rows, lu.solve(rhs)) if x), u)
 
 
 def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOperator:

@@ -5,8 +5,8 @@ the scalar type where text becomes scalars (`parse`), supplies `zero` and
 `one`, compares, weighs pivots for elimination (`pivot_weight`), says
 whether rows may be eliminated on integers (`integer_row`) and whether a
 value may come from a smaller, equivalent system (`route_free`), sums the
-products of a substitution (`sub_products`) and the quotients of a disk
-gauge (`abs_ratio_sum`), both on integers in exact mode.  Value
+quotients of a disk gauge on integers in exact mode (`abs_ratio_sum`) and
+folds the products of a float substitution (`sub_products`).  Value
 types store the scalars they are given and never learn the mode.  Exact
 mode is the basis of every acceptance check; float mode exists for larger
 experiments.  In float mode `is_zero` is absolute (|x| <= FLOAT_TOL = 2^-40)
@@ -140,24 +140,11 @@ class ScalarContext:
         return {i: v.numerator * (den // v.denominator) for i, v in entries.items() if v}, den
 
     def sub_products(self, b: Scalar, pairs: Iterable[Tuple[Scalar, Scalar]]) -> Scalar:
-        """b - sum of t * x over the (t, x) pairs, b itself when there are none.
-
-        Float mode folds the products as `b - sum(t * x ...)`.  Exact mode
-        sums them on integers over one common denominator, the lcm of the
-        products' denominators and b's, and builds a single Fraction for
-        the result (fraction-free accumulation; Geddes, Czapor and Labahn,
-        Algorithms for Computer Algebra, 1992, ch. 9); the t are Fractions.
-        """
-        if not self.exact:
-            return b - sum(t * x for t, x in pairs)
-        nums, dens = [b.numerator], [b.denominator]
-        for t, x in pairs:
-            nums.append(-t.numerator * x.numerator)
-            dens.append(t.denominator * x.denominator)
-        if len(nums) == 1:
-            return b
-        den = lcm(*dens)
-        return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
+        """b - sum of t * x over the (t, x) pairs, folded as
+        `b - sum(t * x ...)`: the substitution step of a float
+        `linalg.Bordered`.  An exact factor runs on integers and never calls
+        it."""
+        return b - sum(t * x for t, x in pairs)
 
     def abs_ratio_sum(self, pairs: Iterable[Tuple[Scalar, Scalar]]) -> Scalar:
         """The sum of |a| / d over the (a, d) pairs, zero when there are none.

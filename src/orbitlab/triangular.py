@@ -4,41 +4,40 @@ Maintains two index prefixes alpha (into the functional list) and beta (into
 the basis list) such that every leading minor of the pairing matrix
 A[j][k] = f_alpha(j)(u_beta(k)) is invertible, alternating a forced
 minimal-index pick with a greedy scan.  Both run on one `linalg.Bordered`
-factorisation A = L·D·U that grows by a row and a column per pick; as
-A^T = U^T·D·L^T, functional and vector picks share the code with the roles
-swapped.  The scan pairs each candidate with the defect item, the forced
-item minus a combination of the chosen ones of its kind that pairs to zero
-with every chosen item of the other kind; that one pairing is the candidate's
-pivot.  A pivot is det A_{n+1} / det A_n, so the minors are running products,
-and column m of U_m^{-1} over the m-th pivot gives the coefficients making
-the combined vectors v_m biorthogonal-triangular against the chosen
-functionals, which is exactly what turns the shuffled basis matrix unit
-lower triangular.
+factor of A that grows by a row and a column per pick; as transposing A
+swaps its two triangles, functional and vector picks share the code with the
+roles swapped.  The scan pairs each candidate with the defect item, the
+forced item minus a combination of the chosen ones of its kind that pairs to
+zero with every chosen item of the other kind; that one pairing decides the
+candidate.  The solution of A_m c = e_m gives the coefficients making the
+combined vectors v_m biorthogonal-triangular against the chosen functionals,
+which is exactly what turns the shuffled basis matrix unit lower triangular.
 
 In exact mode the work is done on integers (fraction-free arithmetic;
-Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 9).
-Each functional and basis vector is scaled once to an integer row over its
-denominator (`ScalarContext.integer_row`), and the basis check reuses those
-rows.  Pairings, the defect items and the combined vectors v_m are integer
-sums over one common denominator, and the substitutions of the factor are
-`ScalarContext.sub_products`; a Fraction is built only for a pairing, a
-substitution result or an entry of v_m.  Float mode pairs and combines the
-items as given, in the same order as before.
+Bareiss, Math. Comp. 22, 1968).  Each functional and basis vector is scaled
+once to an integer row over its denominator (`ScalarContext.integer_row`),
+and the basis check reuses those rows.  The factor is bordered with the
+pairings of these rows, A' = D_f·A·D_u for D_f and D_u the denominators, and
+keeps the leading minors Δ'_k of A'.  The defect item is the integer
+combination Δ'_n·(forced - sum_j λ_j own_j) of a fraction-free back
+substitution, so its pairing with a candidate is Δ'_{n+1} itself and a
+rejected candidate costs one integer pairing.  A Fraction is built only for
+a value the state holds: a minor, a coefficient or an entry of v_m (see
+`_Bordered.solution`).  Float mode pairs and combines the items as given, on
+an L·D·U factor whose pivots are det A_{n+1} / det A_n.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
+import math
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import linalg
 from .errors import Exhausted, LinearlyDependent
 from .operators import FiniteRankOperator, ZERO
 from .scalars import EXACT, Scalar, ScalarContext
-from .vectors import CoordFunctional, SparseVector, combine
+from .vectors import CoordFunctional, SparseVector, _dot, combine
 
 # The driver refuses to start without this much slack beyond the prefix it
 # must build; greedy scans need room.
@@ -48,9 +47,8 @@ WINDOW_MARGIN = 2
 class _Row:
     """An exact item as integer numerators over one positive denominator.
 
-    Pairings and combinations of rows are sums on integers; a Fraction is
-    built only for a pairing that is read and for each entry of a combined
-    vector.
+    Pairings and combinations of rows are sums on integers, and neither
+    builds a Fraction.
     """
 
     __slots__ = ("row", "den")
@@ -59,41 +57,24 @@ class _Row:
         self.row = row
         self.den = den
 
-    def pair(self, other: "_Row") -> Scalar:
-        """The pairing as `CoordFunctional.pair` gives it: the int 0 when the
-        supports are disjoint, a Fraction otherwise."""
-        small, large = self.row, other.row
-        if len(large) < len(small):
-            small, large = large, small
-        dot = None
-        for i, v in small.items():
-            w = large.get(i)
-            if w is not None:
-                dot = v * w if dot is None else dot + v * w
-        return 0 if dot is None else Fraction(dot, self.den * other.den)
+    def pair(self, other: "_Row") -> int:
+        """The pairing of the numerators, den·other.den times the items'."""
+        return _dot(self.row, other.row)
 
-    def plus(self, coeffs: Sequence[Scalar], rows: Sequence["_Row"]) -> "_Row":
-        """self + sum of c * row over the pairs with c != 0, over the lcm of the
-        denominators; each coordinate is inserted, and dropped where a partial
+    def plus(self, scale: int, coeffs: Sequence[int], rows: Sequence["_Row"]) -> "_Row":
+        """scale·self + sum of c * row over the pairs with c != 0, numerators
+        only (den 1); each coordinate is inserted, and dropped where a partial
         sum cancels, in the order `vectors.combine` would use."""
-        terms = [(c, r) for c, r in zip(coeffs, rows) if c]
-        dens = [c.denominator * r.den for c, r in terms]
-        den = lcm(self.den, *dens)
-        scale = den // self.den
         acc = {i: v * scale for i, v in self.row.items()}
-        for (c, r), d in zip(terms, dens):
-            scale = c.numerator * (den // d)
-            for i, v in r.row.items():
-                s = acc.get(i, 0) + v * scale
-                if s:
-                    acc[i] = s
-                else:
-                    del acc[i]
-        return _Row(acc, den)
-
-    def vector(self) -> SparseVector:
-        den = self.den
-        return SparseVector({i: Fraction(v, den) for i, v in self.row.items()})
+        for c, r in zip(coeffs, rows):
+            if c:
+                for i, v in r.row.items():
+                    s = acc.get(i, 0) + v * c
+                    if s:
+                        acc[i] = s
+                    else:
+                        del acc[i]
+        return _Row(acc, 1)
 
 
 class _Plain:
@@ -113,11 +94,10 @@ class _Plain:
         a, b = self.item, other.item
         return a.pair(b) if isinstance(a, CoordFunctional) else b.pair(a)
 
-    def plus(self, coeffs: Sequence[Scalar], rows: Sequence["_Plain"]) -> "_Plain":
+    def plus(self, scale, coeffs: Sequence[Scalar], rows: Sequence["_Plain"]) -> "_Plain":
+        """self + sum of c * row: a float factor's solutions are unscaled, so
+        its `scale` is 1 and is not applied."""
         return _Plain(combine(zip(coeffs, (r.item for r in rows)), self.item))
-
-    def vector(self) -> SparseVector:
-        return self.item
 
 
 def _scaled(item, ctx: ScalarContext):
@@ -128,9 +108,10 @@ def _scaled(item, ctx: ScalarContext):
 
 
 class _Bordered(linalg.Bordered):
-    """A = L·D·U for the pairing matrix of the functionals and vectors chosen
+    """The factor of the pairing matrix of the functionals and vectors chosen
     so far; items[0] and items[1] hold them, as `_scaled` gives them, in pick
-    order."""
+    order.  In exact mode the factor is bordered with the pairings of their
+    numerators, A' = D_f·A·D_u for D_f and D_u the denominators."""
 
     def __init__(self, ctx: ScalarContext):
         super().__init__(ctx)
@@ -144,10 +125,12 @@ class _Bordered(linalg.Bordered):
         raises Exhausted when every pivot vanishes.
         """
         own, other = self.items[side], self.items[1 - side]
+        n = len(own)
         row = self.border(side, [forced.pair(y) for y in other])
-        # the defect item pairs to zero with every chosen item of the other kind
-        lam = self.back(side, [row.get(k, self.ctx.zero) for k in range(len(own))])
-        defect = forced.plus([-c for c in lam], own)
+        # the defect item pairs to zero with every chosen item of the other
+        # kind, and to the next pivot with the candidate
+        lam = self.back(side, [row.get(k, 0) for k in range(n)])
+        defect = forced.plus(self.scale(n), [-c for c in lam], own)
         for pos, candidate in enumerate(candidates):
             pivot = defect.pair(candidate)
             if not self.ctx.is_zero(pivot):
@@ -160,10 +143,28 @@ class _Bordered(linalg.Bordered):
         self.append(side, row, col, pivot)
         return pos
 
-    def coeffs(self, m: int) -> List[Scalar]:
-        """The solution c of A_m c = e_m: column m of U_m^{-1} over the m-th pivot."""
-        unit = [self.ctx.one if k == m - 1 else self.ctx.zero for k in range(m)]
-        return [c / self.pivots[m - 1] for c in self.back(1, unit)]
+    def solution(self, m: int) -> Tuple[Tuple[Scalar, ...], SparseVector, Scalar]:
+        """(c, v_m, det A_m) for the solution c of A_m c = e_m, v_m the
+        combination of the chosen vectors with it.
+
+        Float mode reads c off column m of U_m^{-1} over the m-th pivot.  In
+        exact mode y = Δ'_{m-1}·(column m of U'_m^{-1}) is an integer vector for
+        the minors Δ' of A', so c_j = uden_j·y_j·fden_m / Δ'_m,
+        v_m = (fden_m / Δ'_m)·sum_j y_j·u_row_j and det A_m = Δ'_m / prod of
+        fden·uden; only these values become Fractions.
+        """
+        fs, us = self.items
+        if not self.integer:
+            unit = [self.ctx.one if k == m - 1 else self.ctx.zero for k in range(m)]
+            c = tuple(x / self.pivots[m - 1] for x in self.back(1, unit))
+            v = combine(zip(c, (u.item for u in us)))
+            return c, v, math.prod(self.pivots[:m])
+        y = self.back(1, [0] * (m - 1) + [self.scale(m - 1)])
+        minor, fden = self.pivots[m - 1], fs[m - 1].den
+        c = tuple(Fraction(u.den * yj * fden, minor) for u, yj in zip(us, y))
+        acc = _Row({}, 1).plus(1, y, us).row
+        v = SparseVector({i: Fraction(fden * e, minor) for i, e in acc.items()})
+        return c, v, Fraction(minor, math.prod(f.den * u.den for f, u in zip(fs[:m], us)))
 
 
 class TriangularizeState(NamedTuple):
@@ -225,22 +226,15 @@ def interleave_triangularize(basis: Sequence[SparseVector],
         picks[side].append(forced)
         picks[1 - side].append(candidates[pos])
 
-    zero = _scaled(SparseVector.zero(), ctx)
-    coeffs: List[Tuple[Scalar, ...]] = []
-    vs: List[SparseVector] = []
-    for m in range(1, target + 1):
-        c = lu.coeffs(m)
-        coeffs.append(tuple(c))
-        vs.append(zero.plus(c, lu.items[1]).vector())
-
+    coeffs, vs, minors = list(zip(*(lu.solution(m) for m in range(1, target + 1)))) or [()] * 3
     return TriangularizeState(
         alpha=tuple(picks[0]),
         beta=tuple(picks[1]),
         basis=basis,
         funcs=funcs,
-        coeffs=tuple(coeffs),
-        v=tuple(vs),
-        minors=tuple(itertools.accumulate(lu.pivots, operator.mul)),
+        coeffs=coeffs,
+        v=vs,
+        minors=minors,
     )
 
 

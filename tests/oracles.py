@@ -4,9 +4,10 @@ The program itself eliminates with `linalg.RowReducer` and `linalg.Bordered`;
 these helpers work on plain lists of row lists, share no code with it, and
 exist only to check it.  Likewise the program pairs a vector only with the
 terms its coordinate index finds; `apply_terms` and `dense_gram` pair every
-term.  The program sums exact products on integers; `sub_products`,
-`combination`, `triangularize`, `apply_terms` and `weight_gauge` do every
-step in the scalars themselves.  The program's shift demo is the `orbit` of
+term.  The program sums exact products on integers and factors exact
+systems fraction-free; `sub_products`, `combination`, `triangularize`,
+`apply_terms`, `weight_gauge`, `determinant`, `solve` and `gram_solve` do
+every step in the scalars themselves.  The program's shift demo is the `orbit` of
 a backward-shift operator; `shift_demo` moves the entries of a dict.  The
 program parses a plain rational from its two integers; `parse_scalar`
 parses every text with `Fraction(text)`.  The last part holds helpers that

@@ -10,6 +10,7 @@ import pytest
 
 from orbitlab import linalg
 from orbitlab.errors import SingularOperator
+from orbitlab.operators import IDENTITY, FiniteRankOperator
 from orbitlab.scalars import EXACT, FLOAT
 
 import oracles
@@ -252,34 +253,102 @@ def test_exact_rank_tests_build_no_fraction_row_reduction(monkeypatch):
     assert results() == expected
     assert expected[1] and not expected[2]
 
+def test_exact_factors_never_reach_the_substitution_fold(monkeypatch):
+    """Exact triangularization and the exact Gram factor run on integers: with
+    the float substitution path (`ScalarContext.sub_products`, which
+    `linalg._forward` folds with) made to raise, they give the same results,
+    while a float factor does reach it."""
+    from orbitlab.operators import GramFactor
+    from orbitlab.scalars import ScalarContext
+    from orbitlab.triangular import interleave_triangularize
+    from orbitlab.vectors import CoordFunctional, SparseVector
+
+    rng = random.Random(53)
+
+    def q():
+        return Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+
+    basis = [SparseVector({j: q() for j in range(1, 7)}) for _ in range(6)]
+    funcs = [CoordFunctional({j: q() for j in range(1, 7)}) for _ in range(8)]
+    def nonzero():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([4, 8, 12]))
+
+    # terms on overlapping supports, so the Gram borders are mostly non-zero
+    terms = [(CoordFunctional({j: nonzero() for j in (1, 2, 3)}),
+              SparseVector({j: nonzero() for j in (2, 3, 4)})) for _ in range(5)]
+    u = SparseVector({1: q(), 2: q(), 3: Fraction(1)})
+
+    def results():
+        gram = GramFactor()
+        for f, v in terms:
+            gram.extend(f, v)
+        return interleave_triangularize(basis, funcs, 3), gram.solve(u), list(gram._lu.pivots)
+
+    expected = results()
+    assert sum(f.pair(v) != 0 for f, _ in terms for _, v in terms) > 20
+    assert expected[1] == oracles.gram_solve(FiniteRankOperator(IDENTITY, terms), u)
+
+    def boom(*_args, **_kwargs):
+        raise AssertionError("substitution path reached")
+
+    monkeypatch.setattr(ScalarContext, "sub_products", boom)
+    monkeypatch.setattr(linalg, "_forward", boom)
+    assert results() == expected
+    floats = [SparseVector({j: float(x) for j, x in b.entries.items()}) for b in basis]
+    with pytest.raises(AssertionError, match="substitution path reached"):
+        interleave_triangularize(floats, funcs, 3, FLOAT)
+
+
 def bordered(a, ctx=EXACT):
-    """linalg.Bordered grown one row and column of a at a time."""
+    """linalg.Bordered grown one row and column of a at a time; a is an
+    integer matrix in exact mode."""
     lu = linalg.Bordered(ctx)
     for n in range(len(a)):
         row = lu.border(0, a[n][:n])
         col = lu.border(1, [a[k][n] for k in range(n)])
-        pivot = a[n][n] - sum(row[i] * lu.pivots[i] * c for i, c in col.items() if i in row)
-        lu.append(0, row, col, pivot)
+        lu.append(0, row, col, lu.pivot(a[n][n], row, col))
     return lu
 
 
+def integer_matrix(rng, n):
+    """A zero-heavy n x n matrix times 10: int entries (0 for either zero)."""
+    return [[int(10 * v) for v in row] for row in zero_heavy_matrix(rng, n, n)]
+
+
+def block_det(a, rows, cols):
+    """The determinant of a's entries on rows x cols, by the Fraction oracle."""
+    return oracles.determinant([[Fraction(a[r][c]) for c in cols] for r in rows])
+
+
 def test_bordered_factor_pivots_and_solves():
+    """The exact factor of an integer matrix: its pivots are the leading
+    minors, its L̃ and Ũ entries the Bareiss minors, and `solve` and `back`
+    return the minor Δ_n times the solution, every value an int."""
     rng = random.Random(31)
     done = 0
     while done < 40:
         n = rng.randint(1, 6)
-        a = zero_heavy_matrix(rng, n, n)
-        if any(oracles.determinant([row[:m] for row in a[:m]]) == 0 for m in range(1, n + 1)):
+        a = integer_matrix(rng, n)
+        minors = [block_det(a, range(m), range(m)) for m in range(1, n + 1)]
+        if 0 in minors:
             continue
         lu = bordered(a)
-        for m in range(1, n + 1):
-            assert math.prod(lu.pivots[:m]) == oracles.determinant([row[:m] for row in a[:m]])
-        b = [Fraction(rng.randint(-4, 4), 3) for _ in range(n)]
-        assert lu.solve(b) == oracles.solve(a, b)
-        # A^T = U^T·D·L^T: border(0, b) is D^-1 (U^T)^-1 b, and back(0, .) inverts L^T
+        assert lu.pivots == minors and lu.scale(n) == minors[-1] and lu.scale(0) == 1
+        for i in range(n):
+            for k in range(i):
+                # entry k of row i is a^(k): rows 0..k-1 and i against columns 0..k
+                assert lu.lower[0][i].get(k, 0) == block_det(a, [*range(k), i], range(k + 1))
+                assert lu.lower[1][i].get(k, 0) == block_det(a, range(k + 1), [*range(k), i])
+        entries = [v for side in lu.lower for row in side for v in row.values()]
+        assert all(type(v) is int and v for v in entries + lu.pivots)
+        b = [rng.randint(-4, 4) for _ in range(n)]
+        x = lu.solve(b)
+        assert all(type(v) is int for v in x)
+        assert x == [minors[-1] * v for v in oracles.solve([[Fraction(v) for v in row] for row in a], b)]
+        # A^T swaps the sides: border(0, b) eliminates b as a row, back(0, .) solves A^T
         z = lu.border(0, b)
         x = lu.back(0, [z.get(i, 0) for i in range(n)])
-        assert oracles.mat_vec([list(col) for col in zip(*a)], x) == b
+        assert oracles.mat_vec([list(col) for col in zip(*a)], x) == [minors[-1] * v for v in b]
         done += 1
 
 
@@ -410,43 +479,6 @@ def same(a, b):
     return type(a) is type(b) and repr(a) == repr(b)
 
 
-def sub_products_families(rng):
-    """Seeded (b, pairs) cases for ScalarContext.sub_products in exact mode;
-    the t are Fractions, as every factor entry is."""
-    big = 2 ** 40
-
-    def q(den=3):
-        return Fraction(rng.randint(-9, 9), rng.randint(1, den))
-
-    for n in range(8):
-        yield q(), [(q(), q()) for _ in range(n)]
-    # pairings that returned the int 0: b and some x are ints
-    for n in range(1, 5):
-        yield 0, [(q(), 0 if k % 2 else q()) for k in range(n)]
-        yield 0, [(q(), 0) for _ in range(n)]
-    # terms cancelling in mid-sum, and a sum equal to b
-    t, x = q(), q()
-    yield q(), [(t, x), (-t, x), (q(), q())]
-    yield t * x, [(t, x)]
-    yield Fraction(0), [(t, x), (t, -x), (q(), q()), (-t, x)]
-    # denominators of 2^-40 and mixes with small ones
-    for n in range(1, 6):
-        yield (Fraction(rng.randint(-big, big), big),
-               [(Fraction(rng.randint(-big, big), big), Fraction(rng.randint(1, 9), big * 3))
-                for _ in range(n)])
-        yield q(), [(Fraction(1, big), q()), (q(), Fraction(-1, big)), (q(), q())]
-
-
-def test_exact_sub_products_match_the_plain_loop():
-    rng = random.Random(131)
-    cases = list(sub_products_families(rng))
-    assert len(cases) == 29
-    for b, pairs in cases:
-        assert same(EXACT.sub_products(b, pairs), oracles.sub_products(b, pairs)), (b, pairs)
-    # no pairs: b itself, an int staying an int
-    assert EXACT.sub_products(0, []) == 0 and type(EXACT.sub_products(0, [])) is int
-
-
 def test_float_sub_products_fold_as_the_plain_loop():
     rng = random.Random(137)
     for n in range(40):
@@ -460,8 +492,9 @@ def test_float_sub_products_fold_as_the_plain_loop():
 
 
 def test_bordered_factor_in_both_modes_matches_the_plain_loop():
-    """The substitutions of Bordered give what the plain Fraction loop gives,
-    type and all, and in float mode the same bits as the float loop."""
+    """The float substitutions of Bordered give the bits of the plain float
+    loop; the exact factor of the same matrix, scaled to integers, gives the
+    plain Fraction solution times its minor, as ints."""
     rng = random.Random(139)
     done = 0
     while done < 20:
@@ -470,13 +503,16 @@ def test_bordered_factor_in_both_modes_matches_the_plain_loop():
         if any(oracles.determinant([row[:m] for row in a[:m]]) == 0 for m in range(1, n + 1)):
             continue
         b = [Fraction(rng.randint(-4, 4), 2 ** 40) if k % 2 else 0 for k in range(n)]
-        for ctx in (EXACT, FLOAT):
-            cast = (lambda v: v) if ctx is EXACT else (lambda v: v if type(v) is int else float(v))
-            lu = bordered([[cast(v) for v in row] for row in a], ctx)
-            rhs = [cast(v) for v in b]
-            want = plain_solve(lu, rhs)
-            got = lu.solve(rhs)
-            assert all(same(g, w) for g, w in zip(got, want)), (ctx.mode, got, want)
+        lu = bordered([[int(10 * v) for v in row] for row in a])
+        got = lu.solve([int(v * 2 ** 40) for v in b])
+        want = oracles.solve(a, b)
+        assert all(type(g) is int and g == w * 2 ** 40 * lu.scale(n) / 10 for g, w in zip(got, want))
+        cast = (lambda v: v if type(v) is int else float(v))
+        lu = bordered([[cast(v) for v in row] for row in a], FLOAT)
+        rhs = [cast(v) for v in b]
+        want = plain_solve(lu, rhs)
+        got = lu.solve(rhs)
+        assert all(same(g, w) for g, w in zip(got, want)), (got, want)
         done += 1
 
 

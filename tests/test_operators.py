@@ -306,6 +306,36 @@ class TestGramFactor:
             solved += 1
         assert solved > 100 and refused > 0
 
+    def test_integer_factor_matches_the_oracles_on_overlapping_supports(self):
+        """Overlapping supports (G != 0, which the corpus never builds) with
+        denominators on both sides: each pivot of the integer factor is the
+        oracle determinant of its leading block of D_f·(I_k + G)·D_v, a zero one
+        included, and each solve is the oracle's pivoting Gram solve."""
+        rng = random.Random(46)
+        solved = singular = 0
+        for _ in range(120):
+            j = random_identity_plus_rank(rng, window=rng.choice([5, 8]))
+            terms = j.terms
+            fden = [den_of(f) for f, _ in terms]
+            vden = [den_of(v) for _, v in terms]
+            scaled = [[fden[r] * vden[c] * (g + (r == c)) for c, g in enumerate(row)]
+                      for r, row in enumerate(dense_gram(terms))]
+            assert any(g for row in dense_gram(terms) for g in row) or len(terms) == 1
+            gram = GramFactor()
+            for m, (f, v) in enumerate(terms):
+                gram.extend(f, v)
+                minor = determinant([row[:m + 1] for row in scaled[:m + 1]])
+                assert gram._lu.pivots[m] == minor
+                if not minor:
+                    break
+            else:
+                u = sparse_rational(rng, SparseVector, 8, 4)
+                assert gram.solve(u) == gram_solve(j, u)
+                solved += 1
+                continue
+            singular += 1
+        assert solved > 100 and singular > 3
+
     def test_zero_leading_pivot_raises(self):
         # I + G = [[0, 1], [1, 1]]: invertible, but its leading 1 x 1 minor is 0
         f1, v1 = delta(1), sv(-1, 1)
@@ -489,6 +519,10 @@ class TestCoordIndex:
         assert inverted > 12
 
     def test_gram_factor_borders_and_solves_with_the_dense_gram(self, mode, monkeypatch):
+        """GramFactor borders its factor with the dense Gram row and column of
+        each new term and solves with the pairings of u, bit for bit; in exact
+        mode each entry is the integer fden_r·vden_c·G_rc of the scaled
+        system.  A u that meets no f_r is returned without a solve."""
         calls = []
         border, solve = linalg.Bordered.border, linalg.Bordered.solve
 
@@ -507,6 +541,11 @@ class TestCoordIndex:
             for name, terms, xs, ctx in self.cases(mode, seed):
                 gram = GramFactor(ctx)
                 dense = dense_gram(terms)
+                if ctx.exact:
+                    fden = [den_of(f) for f, _ in terms]
+                    vden = [den_of(v) for _, v in terms]
+                    dense = [[int(fden[r] * vden[c] * g) for c, g in enumerate(row)]
+                             for r, row in enumerate(dense)]
                 try:
                     for m, (f, v) in enumerate(terms):
                         calls.clear()
@@ -516,13 +555,25 @@ class TestCoordIndex:
                     for x in xs:
                         calls.clear()
                         w = gram.solve(x)
-                        assert calls == [scalar_bits([f.pair(x) for f, _ in terms])], name
+                        rhs = [f.pair(x) for f, _ in terms]
+                        if ctx.exact:
+                            rhs = [int(d * den_of(x) * r) for d, r in zip(fden, rhs)]
+                        if not any(set(f.entries) & set(x.entries) for f, _ in terms):
+                            rhs = None
+                        # an exact solve hands the pairings on to `border` as well
+                        want = [] if rhs is None else [scalar_bits(rhs)] * (1 + ctx.exact)
+                        assert calls == want, name
                         if ctx.exact:
                             assert w == gram_solve(FiniteRankOperator(IDENTITY, terms), x)
                         solved += 1
                 except SingularOperator:
                     continue
         assert solved > 60
+
+
+def den_of(x):
+    """The lcm of the denominators of x's entries, as `integer_row` scales x."""
+    return EXACT.integer_row(x.entries)[1]
 
 
 def entry_bits(x):

@@ -548,21 +548,33 @@ class TestIncrementalWorkspace:
         assert wasted == []
         assert set(made) == {"apply", "invert", "extend", "solve"}, made
 
+    @staticmethod
+    def count_gram_pairings(monkeypatch):
+        """The (f, v) integer rows of every pairing `GramFactor` makes: an
+        exact factor pairs the rows that `integer_row` scales, with
+        `operators._dot`."""
+        import orbitlab.operators as operators
+
+        dot, calls = operators._dot, []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return dot(a, b)
+
+        monkeypatch.setattr(operators, "_dot", counting)
+        return calls
+
     def test_bordering_term_m_plus_one_makes_2m_plus_one_pairings(self, monkeypatch):
         """Terms on one common support: each earlier term meets the new one on
         both sides, so term m + 1 pairs its f with every v_c, every f_r with
         its v, and f with v."""
-        from orbitlab.operators import GramFactor
-
         rng = random.Random(35)
         gram = GramFactor()
-        pair, calls = CoordFunctional.pair, []
+        calls = self.count_gram_pairings(monkeypatch)
 
-        def counting(self, x):
-            calls.append((self, x))
-            return pair(self, x)
+        def row(x):
+            return EXACT.integer_row(x.entries)[0]
 
-        monkeypatch.setattr(CoordFunctional, "pair", counting)
         terms = []
         for m in range(8):
             f = CoordFunctional({i: frac(rng.choice([-3, -1, 1, 2]), 4) for i in (2, 5, 7)})
@@ -571,7 +583,8 @@ class TestIncrementalWorkspace:
             gram.extend(f, v)
             assert len(calls) == 2 * m + 1
             assert sorted(map(repr, calls)) == sorted(map(repr, (
-                [(f, w) for _, w in terms] + [(g, v) for g, _ in terms] + [(f, v)])))
+                [(row(f), row(w)) for _, w in terms] + [(row(g), row(v)) for g, _ in terms]
+                + [(row(f), row(v))])))
             terms.append((f, v))
 
     def test_bordering_term_pairs_only_the_terms_it_overlaps(self, monkeypatch):
@@ -579,20 +592,13 @@ class TestIncrementalWorkspace:
         coordinate with f, one per earlier term whose f shares a coordinate
         with v, and f(v) if f and v share one; `solve` pairs u with the f_r
         that meet it."""
-        from orbitlab.operators import GramFactor
-
         rng = random.Random(35)
         gram = GramFactor()
-        pair, calls = CoordFunctional.pair, []
-
-        def counting(self, x):
-            calls.append((self, x))
-            return pair(self, x)
+        calls = self.count_gram_pairings(monkeypatch)
 
         def meets(x, y):
             return bool(set(x.entries) & set(y.entries))
 
-        monkeypatch.setattr(CoordFunctional, "pair", counting)
         terms, skipped, disjoint = [], 0, 0
         for m in range(8):
             f = CoordFunctional({i: frac(rng.randint(-3, 3), 4) for i in rng.sample(range(1, 9), 3)})
@@ -602,7 +608,7 @@ class TestIncrementalWorkspace:
             row = sum(meets(f, w) for _, w in terms)
             col = sum(meets(g, v) for g, _ in terms)
             assert len(calls) == meets(f, v) + row + col
-            assert all(meets(g, x) for g, x in calls)
+            assert all(set(a) & set(b) for a, b in calls)
             skipped += 2 * m + 1 - len(calls)
             disjoint += not meets(f, v)
             terms.append((f, v))

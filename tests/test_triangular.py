@@ -1,6 +1,5 @@
 """Interleaved triangularization and the shuffled-basis operator."""
 
-import math
 import random
 import sys
 from fractions import Fraction
@@ -39,14 +38,15 @@ def pairing(funcs, vectors):
 def greedy_pick(side, forced, chosen, candidates):
     """One greedy scan of the triangular pairing factor: border it with
     forced[:n] against the n chosen items, one pick each, then scan the
-    candidates against forced[n].  The pick and the product of the pivots,
-    the determinant of the extended minor; Exhausted as `extend` raises it."""
+    candidates against forced[n].  The pick and the determinant of the
+    extended minor, as `solution` reads it off the integer factor's last
+    minor; Exhausted as `extend` raises it."""
     lu = _Bordered(EXACT)
     for item, pick in zip(forced, chosen):
         lu.extend(side, _scaled(item, EXACT), [_scaled(pick, EXACT)])
     pos = lu.extend(side, _scaled(forced[len(chosen)], EXACT),
                     [_scaled(c, EXACT) for c in candidates])
-    return candidates[pos], math.prod(lu.pivots)
+    return candidates[pos], lu.solution(len(chosen) + 1)[2]
 
 
 class TestGreedyExtendVector:
@@ -202,6 +202,10 @@ class TestInterleave:
         with pytest.raises(Exhausted):
             interleave_triangularize(basis, deltas(4), stages=2)
 
+    def test_zero_stages_build_an_empty_prefix(self):
+        state = interleave_triangularize([sv(1), sv(0, 1)], deltas(2), stages=0)
+        assert (state.alpha, state.beta, state.coeffs, state.v, state.minors) == ((),) * 5
+
     def test_dependent_basis_rejected(self):
         basis = [sv(1), sv(2)]
         with pytest.raises(LinearlyDependent):
@@ -328,46 +332,48 @@ class TestIntegerRows:
 
     @pytest.mark.parametrize("kind", ["dense", "sparse", "wide"])
     def test_pairings_match_coord_functional_pair(self, kind):
+        """A pairing of integer rows is an int, den·den times the items'."""
         rng = random.Random(211)
         fs = [CoordFunctional(e) for e in rational_family(rng, 6, 7, kind)]
         us = [SparseVector(e) for e in rational_family(rng, 6, 7, kind)]
-        # disjoint supports pair to the int 0, cancelling ones to Fraction(0)
+        # disjoint supports pair to 0, cancelling ones too
         fs += [CoordFunctional({9: Fraction(1, 3)}), CoordFunctional({1: Fraction(1), 2: Fraction(1)})]
         us += [SparseVector({1: Fraction(2), 2: Fraction(-2)})]
         for f in fs:
             for u in us:
-                want = f.pair(u)
-                assert same(_scaled(f, EXACT).pair(_scaled(u, EXACT)), want)
-                assert same(_scaled(u, EXACT).pair(_scaled(f, EXACT)), want)
+                rf, ru = _scaled(f, EXACT), _scaled(u, EXACT)
+                for got in (rf.pair(ru), ru.pair(rf)):
+                    assert type(got) is int and Fraction(got, rf.den * ru.den) == f.pair(u)
 
     @pytest.mark.parametrize("kind", ["dense", "sparse", "wide"])
     def test_combinations_match_the_plain_loop_in_order(self, kind):
+        """scale·start + sum c·row on integer rows gives the entries of the
+        plain loop, in its order."""
         rng = random.Random(223)
         for _ in range(20):
-            us = [SparseVector(e) for e in rational_family(rng, 5, 6, kind)]
-            coeffs = [rng.choice([0, Fraction(0), Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                                  Fraction(rng.randint(1, 9), 2 ** 40)]) for _ in us]
-            rows = [_scaled(u, EXACT) for u in us]
+            rows = [_scaled(SparseVector(e), EXACT) for e in rational_family(rng, 5, 6, kind)]
+            us = [SparseVector(r.row) for r in rows]
+            coeffs = [rng.choice([0, rng.randint(-5, 5), rng.randint(1, 2 ** 40)]) for _ in us]
             zero = _scaled(SparseVector.zero(), EXACT)
-            got = list(zero.plus(coeffs, rows).vector().entries.items())
-            assert same_entries(got, list(oracles.combination(coeffs, us).items()))
-            start = us[0]
-            rest = [-c for c in coeffs[1:]]
-            scaled = _scaled(start, EXACT).plus(rest, rows[1:])
-            got = [(i, Fraction(v, scaled.den)) for i, v in scaled.row.items()]
-            assert same_entries(got, list(oracles.combination(rest, us[1:], start).items()))
+            got = list(zero.plus(1, coeffs, rows).row.items())
+            assert got == list(oracles.combination(coeffs, us).items())
+            scale, rest = rng.choice([1, -3, 2 ** 40]), [-c for c in coeffs[1:]]
+            start = SparseVector({i: scale * v for i, v in us[0].entries.items()})
+            got = list(rows[0].plus(scale, rest, rows[1:]).row.items())
+            assert got == list(oracles.combination(rest, us[1:], start).items())
+            assert all(type(v) is int for _, v in got)
 
     def test_cancelling_partial_sums_drop_and_reinsert_as_combine_does(self):
-        us = [SparseVector({1: Fraction(1), 2: Fraction(1, 2)}),
+        us = [SparseVector({1: Fraction(1), 2: Fraction(2)}),
               SparseVector({1: Fraction(-1), 3: Fraction(1)}),
-              SparseVector({1: Fraction(1, 3), 2: Fraction(1, 4)})]
-        coeffs = [Fraction(1), Fraction(1), Fraction(1)]
+              SparseVector({1: Fraction(3), 2: Fraction(1)})]
+        coeffs = [1, 1, 1]
         rows = [_scaled(u, EXACT) for u in us]
-        got = list(_scaled(SparseVector.zero(), EXACT).plus(coeffs, rows).vector().entries.items())
+        got = list(_scaled(SparseVector.zero(), EXACT).plus(1, coeffs, rows).row.items())
         # coordinate 1 cancels after the second term and comes back last
         assert [i for i, _ in got] == [2, 3, 1] == list(oracles.combination(coeffs, us))
-        assert same_entries(got, list(oracles.combination(coeffs, us).items()))
-        assert same_entries(got, list(combine(zip(coeffs, us)).entries.items()))
+        assert got == list(oracles.combination(coeffs, us).items())
+        assert got == list(combine(zip(coeffs, us)).entries.items())
 
     @pytest.mark.parametrize("kind, window, stages, general", [
         ("dense", 8, 3, False), ("sparse", 8, 3, False), ("wide", 6, 2, False),
@@ -402,15 +408,56 @@ class TestIntegerRows:
         assert all(same(_scaled(f, FLOAT).pair(x), f.pair(u)) for x, u in zip(items, us))
         coeffs = [rng.uniform(-2, 2) for _ in us]
         zero = _scaled(SparseVector.zero(), FLOAT)
-        got = list(zero.plus(coeffs, items).vector().entries.items())
+        got = list(zero.plus(1, coeffs, items).item.entries.items())
         assert same_entries(got, list(combine(zip(coeffs, us)).entries.items()))
+
+
+def rejected_candidates(state):
+    """How many scans passed over a candidate: a scanned pick (beta at even
+    positions, alpha at odd ones) that is not the least index unused before it."""
+    count = 0
+    for picks, scanned in ((state.beta, 0), (state.alpha, 1)):
+        for j in range(scanned, len(picks), 2):
+            first = min(set(range(1, len(picks) + 3)) - set(picks[:j]))
+            count += picks[j] != first
+    return count
+
+
+def test_integer_factor_matches_the_oracles_beyond_the_corpus():
+    """Inputs the corpus never reaches: functionals with denominators (the
+    corpus borders only coordinate functionals, so D_f is the identity there),
+    zero-heavy pairing matrices and scans that reject candidates.  Each minor
+    is the oracle determinant of its block of the pairing matrix, and each
+    coefficient vector solves A_m c = e_m."""
+    rng = random.Random(239)
+    rejected = scaled = runs = 0
+    for kind in ("dense", "sparse", "wide"):
+        for _ in range(8):
+            while True:
+                basis = [SparseVector(e) for e in rational_family(rng, 7, 7, kind)]
+                if linalg.independent((u.entries for u in basis), EXACT):
+                    break
+            funcs = [CoordFunctional(e) for e in rational_family(rng, 9, 7, kind)]
+            try:
+                state = interleave_triangularize(basis, funcs, 3)
+            except Exhausted:
+                continue
+            a = oracles.pairing_matrix(state)
+            for m in range(1, state.built + 1):
+                block = [row[:m] for row in a[:m]]
+                assert state.minors[m - 1] == oracles.determinant(block)
+                assert oracles.mat_vec(block, state.coeffs[m - 1]) == [int(k == m - 1) for k in range(m)]
+            rejected += rejected_candidates(state)
+            scaled += any(_scaled(state.funcs[i - 1], EXACT).den > 1 for i in state.alpha)
+            runs += 1
+    assert runs > 20 and rejected > 3 and scaled == runs
 
 
 def test_exact_triangularization_does_no_fraction_arithmetic(monkeypatch):
     """A seeded 16 x 7 exact triangularization: no Fraction sum, difference or
-    product is formed in linalg (the factor's substitutions), in scalars (its
-    kernel) or in the combinations (triangular, vectors.combine); the one
-    product left is the running minors, det A_m = det A_{m-1} · pivot_m."""
+    product is formed in linalg (the integer factor), in scalars or in the
+    combinations (triangular, vectors.combine); minors, coefficients and the
+    entries of v_m are each one Fraction of two ints."""
     rng = random.Random(233)
     while True:
         basis = [SparseVector(e) for e in rational_family(rng, 16, 16, "dense")]
@@ -435,4 +482,4 @@ def test_exact_triangularization_does_no_fraction_arithmetic(monkeypatch):
     assert state == expected
     watched = {c for c in callers
                if c[0] in ("linalg.py", "scalars.py", "triangular.py") or c[:2] == ("vectors.py", "combine")}
-    assert watched == {("triangular.py", "interleave_triangularize", "__mul__")}
+    assert watched == set()
