@@ -1,10 +1,11 @@
 """Weighted-shift assembly, premise checks, witness search and orbit refutation.
 
-Hypercyclicity itself is not assertable at desk scale.  This module checks
-what can be checked: the chain identities and continuity bound of the
-assembled shift, the dimension of span of range-kernel intersections feeding
-the dense-span premise, explicit transitivity witnesses with re-evaluable
-residuals, and the instrumented quantities of the non-orbit refutation.
+Hypercyclicity itself is not assertable at desk scale.  This module computes
+what can be checked: the assembled shift, whose chain identities and
+continuity bound `scenarios` checks, the dimension of span of range-kernel
+intersections feeding the dense-span premise, explicit transitivity
+witnesses with re-evaluable residuals, and the instrumented quantities of
+the non-orbit refutation.
 
 Operators stay in their term form sum_j f_j (x) v_j = V·F.  S is
 `linear_part()`, every orbit (the demo's too) is `operators.orbit`, and

@@ -125,8 +125,9 @@ class ScalarContext:
     def route_free(self) -> bool:
         """Whether a value is the same by every route that computes it
         algebraically: True in exact mode, so a unique solution or a rank may
-        come from a smaller, equivalent system; False in float mode, whose
-        values round along the eliminations actually run."""
+        come from a smaller, equivalent system, and a verdict from a
+        certificate that implies it; False in float mode, whose values round
+        along the eliminations actually run."""
         return self.exact
 
     def integer_row(self, entries: Mapping[int, Scalar]) -> Optional[Tuple[Dict[int, int], int]]:

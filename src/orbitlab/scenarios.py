@@ -15,7 +15,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from . import __version__, serialize
 from .density import Enumeration, EpsilonNet, common_disk, net_report
-from .errors import NotInSpan, StageFailure, WitnessNotFound, WorkbenchError
+from .errors import BudgetExceeded, NotInSpan, StageFailure, WitnessNotFound, WorkbenchError
 from .hypercyclic import (
     build_nonorbit_set,
     build_shift_operator,
@@ -24,7 +24,7 @@ from .hypercyclic import (
     refute_orbit,
     transitivity_witness,
 )
-from .operators import orbit
+from .operators import neumann_certificate, orbit
 from .reports import CheckResult, Report, Table, scenario_hash
 from .scalars import EXACT, ScalarContext, Scalar
 from .seminorms import DiskSpec, SeminormSpec, eval_seminorm, minkowski
@@ -388,8 +388,17 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
         )
         report.checks.append(CheckResult("chain-identities", chain_ok,
                                          "S u_1 = 0 and S u_k = w_{k-1} u_{k-1}"))
+        # c = sum_j p*(f_j) p_D(v_j) < 1 gives p_D(S x) <= c p(x) for every x;
+        # float gauges round, so float mode, like a failed certificate, samples
+        samples = 100
+        if ctx.route_free:
+            try:
+                neumann_certificate(s, p, disk, ctx)
+                samples = 0
+            except BudgetExceeded:
+                pass
         bound_ok = True
-        for _ in range(100):
+        for _ in range(samples):
             x = _random_window_vector(rng, scenario.window, ctx)
             if not minkowski(disk, s.apply(x, ctx), ctx) <= eval_seminorm(p, x):
                 bound_ok = False

@@ -1355,12 +1355,15 @@ class TestEachCheckCanFail:
         assert failed == {"biorthogonal-triangular", "unit-lower-triangular"}
 
     def test_continuity_bound(self, tmp_path, capsys, monkeypatch):
-        # the shift's updates scaled by 2^10 push p_D(S x) far beyond p(x)
+        # the shift's updates scaled by 2^10 push p_D(S x) far beyond p(x), so
+        # the Neumann certificate fails and the 100 seeded vectors decide
         def inflated(*args):
             spec = build_shift_operator(*args)
             terms = tuple((f, v.scale(2 ** 10)) for f, v in spec.operator.terms)
             return spec._replace(operator=FiniteRankOperator(ZERO, terms))
 
         monkeypatch.setattr("orbitlab.scenarios.build_shift_operator", inflated)
+        draws = oracles.spy_draws(monkeypatch)
         detail, _ = self._failed(tmp_path, capsys, build_shift_scenario(), "continuity-bound")
         assert detail == "p_D(S x) <= p(x) on 100 seeded vectors"
+        assert len(draws) == 100

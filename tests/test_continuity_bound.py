@@ -1,0 +1,150 @@
+"""The build-shift `continuity-bound` check: a certificate first, samples second.
+
+For S = sum_j f_j (x) v_j, p_D(S x) <= c p(x) for every x, with
+c = sum_j p*(f_j) p_D(v_j).  In exact mode a run settles the check by
+`neumann_certificate` when c < 1 and draws none of its 100 seeded vectors;
+when the certificate fails (c >= 1, or c = inf for an unbounded term), and
+always in float mode, the samples run.  `oracles.continuity_samples` is the
+sampled check as a slow path: fed the same `random.Random(seed)`, it must
+give every run's verdict, on honest shifts and on shifts corrupted so that
+the certificate fails.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import orbitlab.scenarios as scenarios
+from orbitlab import CoordFunctional, DiskSpec, SeminormSpec, SparseVector, serialize
+from orbitlab.errors import NotInSpan
+from orbitlab.hypercyclic import build_shift_operator
+from orbitlab.operators import ZERO, FiniteRankOperator, NeumannBudget
+from orbitlab.scenarios import Scenario, run_scenario
+
+import oracles
+
+MODES = ("exact", "float")
+FORMS = ("weights", "generators")
+# name -> how the terms of S are changed; `window` lies in the probe window
+# but outside active(p), `window + 1` outside the window and the disk
+CORRUPTIONS = {
+    "honest": lambda terms, j, window, one: terms,
+    "updates-x2": lambda terms, j, window, one: [(f, v.scale(2)) for f, v in terms],
+    "updates-x4": lambda terms, j, window, one: [(f, v.scale(4)) for f, v in terms],
+    "updates-x1024": lambda terms, j, window, one: [(f, v.scale(2 ** 10)) for f, v in terms],
+    "f-outside-active": lambda terms, j, window, one: [
+        (CoordFunctional({window: one}) if k == j else f, v) for k, (f, v) in enumerate(terms)],
+    "v-unweighed": lambda terms, j, window, one: [
+        (f, v + SparseVector({window + 1: one}) if k == j else v)
+        for k, (f, v) in enumerate(terms)],
+}
+CASES = 4
+
+
+def shift_scenario(rng, form, mode):
+    """A chain u_k = c e_k + earlier active coordinates + kernel junk on
+    active(p) = 1..n_us < window, with a disk over 1..window in the given
+    form: unit triangular on active(p), so independent modulo ker p."""
+    window = rng.randint(4, 8)
+    n_us = window - rng.randint(1, 2)
+    us = []
+    for k in range(1, n_us + 1):
+        entry = {k: Fraction(rng.choice([1, 2, 3]))}
+        for i in rng.sample(range(1, k), min(k - 1, 2)):
+            entry[i] = Fraction(rng.randint(-4, 4), rng.choice([1, 3, 5]))
+        entry[rng.randint(n_us + 1, window)] = Fraction(rng.randint(1, 3), 2)
+        us.append(SparseVector(entry))
+    coords = range(1, window + 1)
+    if form == "weights":
+        disk = DiskSpec(weights={i: Fraction(rng.randint(1, 7), rng.choice([2, 3, 8]))
+                                 for i in coords})
+    else:
+        disk = DiskSpec.from_generators(
+            [SparseVector.basis(i).scale(Fraction(rng.randint(1, 5), rng.choice([1, 4])))
+             for i in coords]
+            + [SparseVector({i: Fraction(rng.randint(-3, 3), 2) for i in coords})])
+    return {
+        "name": f"shift-{form}", "scalar_mode": mode, "window": window,
+        "seed": rng.randint(0, 999), "task": "hypercyclic",
+        "payload": {
+            "mode": "build-shift",
+            "basis": [serialize.encode_pairs(u) for u in us],
+            "p": oracles.encode_seminorm(SeminormSpec.sup_on(range(1, n_us + 1))),
+            "disk": oracles.encode_disk(disk),
+        },
+    }
+
+
+def continuity_check(report):
+    return next(c for c in report.checks if c.name == "continuity-bound")
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("how", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("form", FORMS)
+def test_run_gives_the_sampled_oracles_verdict(monkeypatch, form, how, mode):
+    draws = oracles.spy_draws(monkeypatch)
+    built = []
+
+    def corrupted(us, p, disk, ctx):
+        spec = build_shift_operator(us, p, disk, ctx)
+        terms = tuple(spec.operator.terms)
+        j = random.Random(len(terms)).randrange(len(terms))
+        s = FiniteRankOperator(ZERO, tuple(CORRUPTIONS[how](terms, j, window, ctx.one)))
+        built.append((s, p, disk, ctx))
+        return spec._replace(operator=s)
+
+    monkeypatch.setattr(scenarios, "build_shift_operator", corrupted)
+    outcomes = []
+    for case in range(CASES):
+        # the same scenario in both modes: the generator's seed omits the mode
+        data = shift_scenario(random.Random(f"{form}:{case}"), form, mode)
+        window = data["window"]
+        draws.clear()
+        try:
+            check = continuity_check(run_scenario(Scenario.from_dict(data)))
+        except NotInSpan:
+            check = None
+        s, p, disk, ctx = built.pop()
+        c = NeumannBudget.of(s.terms, p, disk, ctx).c
+        try:
+            samples = oracles.continuity_samples(s, p, disk, window,
+                                                 random.Random(data["seed"]), ctx)
+        except NotInSpan:
+            assert check is None, "the oracle left span D and the run did not"
+            outcomes.append("not-in-span")
+            continue
+        assert check is not None
+        assert check.detail == "p_D(S x) <= p(x) on 100 seeded vectors"
+        assert check.passed == all(samples)
+        if c < 1:
+            assert all(samples)
+        assert draws == ([] if mode == "exact" and c < 1 else [window] * 100)
+        outcomes.append((c < 1, check.passed))
+    # (c < 1, verdict) of every case: each family reaches the outcomes it is
+    # here for, and x2 both passes and fails the sampled bound
+    assert set(outcomes) == {
+        "honest": {(True, True)},
+        "updates-x2": {(False, True), (False, False)},
+        "updates-x4": {(False, False)},
+        "updates-x1024": {(False, False)},
+        "f-outside-active": {(False, False)},
+        "v-unweighed": {"not-in-span"},
+    }[how], outcomes
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+def test_certificate_settles_every_exact_corpus_build_shift(monkeypatch, seed):
+    """Every build-shift of the benchmark's shiftgauge corpus: exact runs draw
+    no sample, float runs all 100, and the check passes in both modes."""
+    draws = oracles.spy_draws(monkeypatch)
+    shifts = [data for data in oracles.benchmark_workloads().generate("shiftgauge", seed)
+              if data["task"] == "hypercyclic" and data["payload"]["mode"] == "build-shift"]
+    assert len(shifts) == 6
+    for data in shifts:
+        for mode, count in (("exact", 0), ("float", 100)):
+            draws.clear()
+            check = continuity_check(run_scenario(Scenario.from_dict(dict(data, scalar_mode=mode))))
+            assert check.passed
+            assert len(draws) == count, (data["name"], mode)

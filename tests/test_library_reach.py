@@ -17,8 +17,6 @@ KNOWN_UNREFERENCED = {
         "whether it becomes a checked report entry, a test oracle or goes is open",
     "seminorms.dual_norm_witness":
         "paper API exported only from __init__: the functional attaining p*(f)",
-    "operators.neumann_certificate":
-        "paper API exported only from __init__: the Neumann budget of I + T",
     "operators.conjugate_orbit":
         "paper API exported only from __init__: every A in Σ(X) is an orbit",
     "operators.FiniteRankOperator.matrix_on":
