@@ -6,7 +6,8 @@ active set, so kernel membership is a support inspection.  The dual norm and
 the Minkowski gauge of a disk are computed in closed form (weight form) or
 by an exact linear program (generator form); the weight-form gauge
 sum_i |u_i| / d_i is `ScalarContext.abs_ratio_sum`, one integer numerator
-over one common denominator in exact mode.  `gauge_below` answers whether
+over one common denominator in exact mode, where a generator disk scales its
+LP matrix once, at its first gauge, and each gauge only u.  `gauge_below` answers whether
 the gauge of x - y lies below a bound, and in weight form sums it from x
 and y and stops once the bound is reached, building no difference.  The
 separating-functional construction replaces the Hahn-Banach step of the
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import linalg, simplex
@@ -115,9 +117,10 @@ class DiskSpec:
     Weight form: p_D(x) = sum_i |x_i| / d_i on vectors supported in the
     weighted coordinates.  Generator form: p_D(u) is the minimal l1 mass of a
     representation of u as a combination of the generators.  Only this form hashes.
+    `_gauge_rows` keeps exact `minkowski`'s scaled [G | -G] outside equality and pickles.
     """
 
-    __slots__ = ("weights", "generators")
+    __slots__ = ("weights", "generators", "_gauge_rows")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, weights: Optional[Mapping[int, Scalar]] = None,
@@ -126,6 +129,7 @@ class DiskSpec:
             raise ValueError("disk needs exactly one of weights / generators")
         object.__setattr__(self, "weights", None if weights is None else _clean_weights(weights))
         object.__setattr__(self, "generators", None if generators is None else tuple(generators))
+        object.__setattr__(self, "_gauge_rows", None)
 
     def __eq__(self, other):
         return ((self.weights, self.generators) == (other.weights, other.generators)
@@ -143,7 +147,13 @@ class DiskSpec:
 
 
 def minkowski(disk: DiskSpec, u: SparseVector, ctx: ScalarContext = EXACT) -> Scalar:
-    """Gauge of u with respect to the disk; NotInSpan if u is outside span D."""
+    """Gauge of u with respect to the disk; NotInSpan if u is outside span D.
+
+    A generator disk solves min sum c over [G | -G] c = u, c >= 0.  Where
+    `ctx.integer_row` scales u, the disk keeps L_G [G | -G] from its first gauge,
+    and `simplex.solve_lp` gets the rows L [G | -G | u] that it would build
+    itself, L = lcm(L_G, den u); a u off the generators' support fails before that.
+    """
     if disk.weights is not None:
         weights = disk.weights
         for i in u.entries:
@@ -156,19 +166,28 @@ def minkowski(disk: DiskSpec, u: SparseVector, ctx: ScalarContext = EXACT) -> Sc
         return ctx.zero
     if not gens:
         raise NotInSpan("empty generator list spans only 0")
-    coords = sorted(set(u.support).union(*(g.support for g in gens)))
-    # Split each coefficient into positive and negative parts; minimize mass.
-    k = len(gens)
-    a = [
-        [gens[j].get(i) for j in range(k)] + [-gens[j].get(i) for j in range(k)]
-        for i in coords
-    ]
-    b = [u.get(i) for i in coords]
+    w, scaled = 2 * len(gens), ctx.integer_row(u.entries)
     try:
-        result = simplex.solve_lp([ctx.one] * (2 * k), a, b, ctx)
+        if scaled is None:
+            coords = sorted(set(u.support).union(*(g.support for g in gens)))
+            a = [[g.get(i) for g in gens] + [-g.get(i) for g in gens] for i in coords]
+            return simplex.solve_lp([ctx.one] * w, a, [u.get(i) for i in coords], ctx).value
+        if disk._gauge_rows is None:
+            coords = sorted(set().union(*(g.support for g in gens)))
+            nums, den = ctx.integer_row(dict(enumerate(
+                sign * g.get(i) for i in coords for sign in (1, -1) for g in gens)))
+            template = {i: [nums.get(r * w + j, 0) for j in range(w)] for r, i in enumerate(coords)}
+            object.__setattr__(disk, "_gauge_rows", (den, template))
+        (gen_den, template), (urow, uden) = disk._gauge_rows, scaled
+        if not u.entries.keys() <= template.keys():
+            raise simplex.Infeasible("u has a coordinate outside the generators' support")
+        den = lcm(gen_den, uden)
+        m, mu = den // gen_den, den // uden
+        a = [[m * v for v in row] for row in template.values()]
+        return simplex.solve_lp([ctx.one] * w, a, [urow.get(i, 0) * mu for i in template], ctx,
+                                scale=den).value
     except simplex.Infeasible as exc:
         raise NotInSpan("u is not a combination of the generators") from exc
-    return result.value
 
 
 def gauge_below(disk: DiskSpec, x: SparseVector, y: SparseVector, bound: Scalar,

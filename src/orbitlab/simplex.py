@@ -12,13 +12,14 @@ Azulay and Pique 2001): [A | b] is scaled by L, the lcm of its denominators,
 and the rows hold |det B| B^-1 [L A | I | L b] for the basis B of [L A | I],
 so the artificial block ends as det(B) B^-1, the dual's source.  Each pivot
 divides exactly by the previous |det B|.  Scaling moves no sign, ratio order
-or tie, so Bland's rule takes the same pivots as over Fractions.
+or tie, so Bland's rule takes the same pivots as over Fractions.  A caller
+may pass [A | b] already scaled (a generator disk's gauge); one driver runs both.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .errors import WorkbenchError
 from .scalars import EXACT, Scalar, ScalarContext
@@ -124,10 +125,9 @@ class _IntTableau(_Tableau):
     `scale` = L and `cost_scale` = M of the latest pricing.  Values leave in
     the caller's units: x = rhs / den, an artificial rhs / (den L)."""
 
-    def __init__(self, scaled, nvars: int, nrows: int, ctx: ScalarContext):
-        (nums, self.scale), w, self.den = scaled, nvars + 1, 1
-        super().__init__([[nums.get(i * w + j, 0) for j in range(w)] for i in range(nrows)],
-                         nvars, ctx, 1)
+    def __init__(self, rows, nvars: int, ctx: ScalarContext, scale: int):
+        self.scale, self.den = scale, 1
+        super().__init__(rows, nvars, ctx, 1)
 
     def pivot(self, row: int, col: int):
         """Bareiss step: the pivot row stays, every other row t (`red` too)
@@ -171,13 +171,20 @@ class _IntTableau(_Tableau):
 
 
 def solve_lp(c: Sequence[Scalar], a: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
-             ctx: ScalarContext = EXACT) -> LPResult:
-    """Minimize c.x over A x = b, x >= 0."""
-    nvars, nrows = len(c), len(a)
-    rows = [[ctx.coerce(v) for v in (*a[i], b[i])] for i in range(nrows)]
-    scaled = ctx.integer_row(dict(enumerate(v for row in rows for v in row)))
-    tab = (_Tableau(rows, nvars, ctx, ctx.one) if scaled is None
-           else _IntTableau(scaled, nvars, nrows, ctx))
+             ctx: ScalarContext = EXACT, scale: Optional[int] = None) -> LPResult:
+    """Minimize c.x over A x = b, x >= 0.  In exact mode a caller may pass
+    [A | b] already scaled: the integers L A and L b, and `scale` = L > 0."""
+    nvars, nrows, w = len(c), len(a), len(c) + 1
+    if scale is None:
+        rows = [[ctx.coerce(v) for v in (*a[i], b[i])] for i in range(nrows)]
+        scaled = ctx.integer_row(dict(enumerate(v for row in rows for v in row)))
+        if scaled is not None:
+            nums, scale = scaled
+            rows = [[nums.get(i * w + j, 0) for j in range(w)] for i in range(nrows)]
+    else:
+        rows = [[*a[i], b[i]] for i in range(nrows)]
+    tab = (_Tableau(rows, nvars, ctx, ctx.one) if scale is None
+           else _IntTableau(rows, nvars, ctx, scale))
 
     # Phase 1: minimize the artificial sum; feasible iff it reaches zero.
     phase1 = [ctx.zero] * nvars + [ctx.one] * tab.nrows

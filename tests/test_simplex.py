@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from orbitlab import DiskSpec, SparseVector, minkowski, simplex
+from orbitlab.errors import NotInSpan
 from orbitlab.scalars import EXACT, FLOAT, ScalarContext
 from orbitlab.simplex import Infeasible, Unbounded, solve_lp
+from orbitlab.vectors import combine
 
 import oracles
 
@@ -297,9 +299,146 @@ def test_exact_generator_gauge_does_no_fraction_arithmetic_in_simplex(monkeypatc
             gauges = [minkowski(disk, u, EXACT) for u in probes]
         return gauges, callers
 
-    gauges, callers = gauges_and_callers(lambda m: None)
+    sizes, integer_row = [], ScalarContext.integer_row
+
+    def counted(self, entries):
+        sizes.append(len(entries))
+        return integer_row(self, entries)
+
+    gauges, callers = gauges_and_callers(
+        lambda m: m.setattr(ScalarContext, "integer_row", counted))
     reference, reference_callers = gauges_and_callers(
         lambda m: m.setattr(ScalarContext, "integer_row", lambda self, entries: None))
     assert callers == set()
     assert reference_callers
     assert [repr(g) for g in gauges] == [repr(g) for g in reference]
+    # the generators span coordinates 1..5: [G | -G] is scaled once for all
+    # twelve probes, and no probe scales a whole [G | -G | u]
+    width = 2 * len(gens)
+    assert sizes.count(5 * width) == 1 and 5 * (width + 1) not in sizes
+
+
+class _RecordingIntTableau(simplex._IntTableau):
+    """Keeps its rows as built and the basis after every pivot, and counts the
+    drive-out pivots, those made outside `minimize`."""
+
+    last = None
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.start = [list(r) for r in self.rows]
+        self.path, self.drive_outs, self.minimizing = [], 0, False
+        _RecordingIntTableau.last = self
+
+    def minimize(self, costs, allowed):
+        self.minimizing = True
+        super().minimize(costs, allowed)
+        self.minimizing = False
+
+    def pivot(self, row, col):
+        self.drive_outs += not self.minimizing
+        super().pivot(row, col)
+        self.path.append(list(self.basis))
+
+
+def generator_lp(gens, u, ctx=EXACT):
+    """The gauge LP built from scratch: unit costs, [G | -G] and u over the
+    coordinates of u and of the generators."""
+    coords = sorted(set(u.support).union(*(g.support for g in gens)))
+    a = [[g.get(i) for g in gens] + [-g.get(i) for g in gens] for i in coords]
+    return [ctx.one] * (2 * len(gens)), a, [u.get(i) for i in coords]
+
+
+def random_generators(rng, dim, deficient):
+    """Generators on coordinates 1..dim with denominators 1, 2 and 4; a
+    deficient family repeats coordinate dim - 1 negated at dim, so a probe
+    zero on both leaves two artificials whose rows cancel after phase 1."""
+    gens = [SparseVector({i: F(rng.randint(-3, 3), rng.choice((1, 2, 4)))
+                          for i in rng.sample(range(1, dim + 1), rng.randint(1, dim))})
+            for _ in range(rng.randint(2, dim + 2))]
+    if deficient:
+        gens = [SparseVector({**{i: v for i, v in g.entries.items() if i != dim},
+                              dim: -g.get(dim - 1)}) for g in gens]
+    return gens
+
+
+def random_probes(rng, gens, dim):
+    """Zero, off the generators' support (coordinate dim + 1), combinations of
+    the generators, and free vectors with zeros and denominators 3, 5 and 7,
+    mostly zero on the last two coordinates."""
+    probes = [SparseVector.zero(), SparseVector({1: F(1), dim + 1: F(-2, 7)})]
+    for _ in range(4):
+        probes.append(combine([(F(rng.randint(-2, 2), rng.choice((1, 3, 5))), g) for g in gens]))
+        top = dim - 1 if rng.random() < 0.75 else dim + 1
+        probes.append(SparseVector({i: F(rng.choice((0, 0, -2, -1, 1, 3)),
+                                         rng.choice((1, 3, 5, 7))) for i in range(1, top)}))
+    return probes
+
+
+def outcome(run):
+    """run()'s value, or the NotInSpan or Infeasible it raised."""
+    try:
+        return run()
+    except (NotInSpan, Infeasible) as exc:
+        return exc
+
+
+def test_scaled_generator_gauge_takes_solve_lps_tableau_and_pivots(monkeypatch):
+    """Exact `minkowski` on a generator disk, whose rows come from the disk's
+    scaled [G | -G], against `solve_lp` on the freshly built [G | -G | u]: the
+    same integer rows, the same basis after every pivot, and the same value
+    or infeasibility; against the Fraction tableau (`integer_row` declining)
+    the same gauge by repr or the same NotInSpan text.  A zero probe and a
+    probe off the generators' support build no tableau.  Float gauges equal
+    float `solve_lp`'s by repr and leave the float disk unscaled."""
+    monkeypatch.setattr(simplex, "_IntTableau", _RecordingIntTableau)
+    rng = random.Random(61)
+    seen = {"drive-out pivot": 0, "negated row": 0, "den u outside L_G": 0, "zero probe": 0,
+            "off support": 0, "not in span": 0, "solved": 0}
+    for _ in range(150):
+        dim = rng.randint(2, 5)
+        gens = random_generators(rng, dim, rng.random() < 0.5)
+        disk = DiskSpec.from_generators(gens)
+        float_disk = DiskSpec.from_generators(
+            [SparseVector({i: float(v) for i, v in g.entries.items()}) for g in gens])
+        gen_den = math.lcm(*(v.denominator for g in gens for v in g.entries.values()))
+        support = set().union(*(g.support for g in gens))
+        for u in random_probes(rng, gens, dim):
+            _RecordingIntTableau.last = None
+            fast, fast_tab = outcome(lambda: minkowski(disk, u)), _RecordingIntTableau.last
+            _RecordingIntTableau.last = None
+            slow, slow_tab = outcome(lambda: solve_lp(*generator_lp(gens, u)).value), \
+                _RecordingIntTableau.last
+            with monkeypatch.context() as m:
+                m.setattr(ScalarContext, "integer_row", lambda self, entries: None)
+                reference = outcome(lambda: minkowski(disk, u))
+            assert type(fast) is type(reference) and repr(fast) == repr(reference)
+            assert str(fast) == str(reference)
+            uf = SparseVector({i: float(v) for i, v in u.entries.items()})
+            approx = outcome(lambda: minkowski(float_disk, uf, FLOAT))
+            direct = outcome(lambda: solve_lp(*generator_lp(float_disk.generators, uf, FLOAT),
+                                              FLOAT).value)
+            assert isinstance(approx, NotInSpan) == isinstance(direct, Infeasible)
+            if not isinstance(direct, Exception):
+                assert repr(approx) == repr(direct)
+            if u.is_zero():
+                assert fast == 0 and fast_tab is None
+                seen["zero probe"] += 1
+                continue
+            if not u.entries.keys() <= support:
+                assert isinstance(fast, NotInSpan) and fast_tab is None
+                assert isinstance(slow, Infeasible)
+                seen["off support"] += 1
+                continue
+            assert fast_tab.start == slow_tab.start and fast_tab.path == slow_tab.path
+            assert isinstance(fast, NotInSpan) == isinstance(slow, Infeasible)
+            if isinstance(fast, NotInSpan):
+                seen["not in span"] += 1
+                continue
+            assert repr(fast) == repr(slow)
+            seen["solved"] += 1
+            seen["drive-out pivot"] += fast_tab.drive_outs > 0
+            seen["negated row"] += any(v < 0 for v in u.entries.values())
+            seen["den u outside L_G"] += any(gen_den % v.denominator for v in u.entries.values())
+        assert float_disk._gauge_rows is None
+    assert min(seen.values()) >= 20, seen

@@ -13,8 +13,8 @@ import pytest
 from orbitlab.density import Enumeration
 from orbitlab.operators import ZERO, FiniteRankOperator
 from orbitlab.reports import CheckResult, Report, Table
-from orbitlab.scalars import ScalarContext
-from orbitlab.seminorms import DiskSpec, SeminormSpec
+from orbitlab.scalars import FLOAT, ScalarContext
+from orbitlab.seminorms import DiskSpec, SeminormSpec, minkowski
 from orbitlab.vectors import CoordFunctional, SparseVector
 
 
@@ -89,6 +89,21 @@ def test_cached_data_is_kept_past_the_guard_and_outside_equality():
     assert built == fresh and hash(built) == hash(fresh)
     ctx = ScalarContext("float")
     assert ctx.one == 1.0 and vars(ctx)["one"] is ctx.one
+    gens = [SparseVector({1: Fraction(1, 2)}), SparseVector({1: 1, 2: Fraction(-1, 3)})]
+    gauged, fresh = DiskSpec.from_generators(gens), DiskSpec.from_generators(gens)
+    assert minkowski(gauged, SparseVector({2: 1})) == 9
+    assert gauged._gauge_rows is not None and fresh._gauge_rows is None
+    assert gauged == fresh and hash(gauged) == hash(fresh)
+    for y in (copy.copy(gauged), copy.deepcopy(gauged), pickle.loads(pickle.dumps(gauged))):
+        assert y == gauged and y._gauge_rows is None
+    for field in ("weights", "generators", "_gauge_rows"):
+        with pytest.raises(AttributeError):
+            setattr(gauged, field, None)
+    weighted = DiskSpec(weights={1: 2})
+    floated = DiskSpec.from_generators([SparseVector({1: 0.5})])
+    assert minkowski(weighted, SparseVector({1: 1})) == Fraction(1, 2)
+    assert minkowski(floated, SparseVector({1: 1.0}), FLOAT) == 2.0
+    assert weighted._gauge_rows is None and floated._gauge_rows is None
 
 
 @pytest.mark.parametrize("name", sorted(IMMUTABLE))
