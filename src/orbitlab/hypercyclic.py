@@ -66,7 +66,7 @@ def build_shift_operator(us: Sequence[SparseVector], p: SeminormSpec,
     for n in range(1, len(us)):
         u_n = us[n - 1]
         f_next = fs[n]
-        denom = minkowski(disk, u_n, ctx) * dual_norm(p, f_next)
+        denom = minkowski(disk, u_n, ctx) * dual_norm(p, f_next, ctx)
         w = ctx.one / 2 ** n / denom
         weights.append(w)
         terms.append((f_next, u_n.scale(w)))

@@ -1,12 +1,17 @@
 """Exact elimination over rationals (or floats with a pivot tolerance).
 
-Three forms, each written once, with one row step per number type:
+Three forms, each written once, with one row step per number type: the
+integer row step `_int_step` (with `_primitive`) for exact rows, the scalar
+row step `_eliminate` for float rows.
 
 - `RowReducer`, the sparse reduced row echelon form of dict-backed rows,
-  built from rows given at once (`of`: Gauss-Jordan elimination, behind the
-  premise's nullspaces, the witness's solves and the Gram inverse) or grown
-  one row at a time (`try_add`: the separating-functional picks).  Both
-  share one scalar row step; the pivot choice is the scalar context's
+  built from rows given at once (`of`, behind the premise's nullspaces, the
+  witness's solves, the dual system and the Gram inverse) or grown one row
+  at a time (`try_add`: the separating-functional picks).  In exact mode it
+  is fraction-free: each row is kept as coprime integers, reduced by the
+  integer row step, and divided by its pivot entry into Fractions only once
+  `of` or `try_add` is done, for the rows that changed.  Float mode runs
+  Gauss-Jordan elimination with the pivot choice of the scalar context's
   `pivot_weight`.  Callers hand it sparse rows and read nullspace vectors
   (`null_vector`) or an augmented column off its rows.
 - `Echelon`, a row echelon form grown one row at a time that answers only
@@ -25,6 +30,7 @@ Three forms, each written once, with one row step per number type:
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -38,23 +44,40 @@ class RowReducer:
     that is 1 at its pivot and 0 at every other pivot.  In exact mode the form
     is unique, so `of` and `try_add` give the same rows, whatever the order of
     the input.
+
+    Exact rows (those `ctx.integer_row` scales) are reduced fraction-free: the
+    reducer keeps each row as coprime integers, a multiple of its reduced row,
+    and eliminates with `Echelon`'s integer row step.  The Fraction rows of
+    `rows` are built from them once `of` or `try_add` is done, and only for
+    the rows it changed.  Float rows are kept normalised and eliminated by
+    the scalar row step, which honours the tolerance.
     """
 
     def __init__(self, ctx: ScalarContext = EXACT):
         self.ctx = ctx
         self.rows: Dict[int, Dict[int, Scalar]] = {}
+        # exact mode: each row as coprime integers, and the pivots whose row has changed
+        self._ints: Dict[int, Dict[int, int]] = {}
+        self._changed: set = set()
 
     @classmethod
     def of(cls, rows: Sequence[Dict[int, Scalar]], ctx: ScalarContext = EXACT) -> "RowReducer":
         """Gauss-Jordan elimination of rows given all at once.
 
-        Coordinates are taken in ascending order.  The pivot of a coordinate
+        Exact rows join one at a time, as in `try_add`.  In float mode the
+        coordinates are taken in ascending order.  The pivot of a coordinate
         is the first row of largest `ctx.pivot_weight` from the current row
         on, in the current row order; it is swapped into place, normalised
         and cleared from every other row.  Float entries within the tolerance
         never pivot but are carried along, as in dense elimination.
         """
         reducer = cls(ctx)
+        scaled = [ctx.integer_row(row) for row in rows if row]
+        if None not in scaled:
+            for row, _ in scaled:
+                reducer._keep(reducer._reduce(row))
+            reducer._build()
+            return reducer
         m = [dict(row) for row in rows]
         r = 0
         for c in sorted(set().union(*m)):
@@ -85,17 +108,36 @@ class RowReducer:
                            + [(fc, self.ctx.one)]))
 
     def residual(self, vec: Dict[int, Scalar]) -> Dict[int, Scalar]:
-        """vec minus its component in the span of the rows, zero at every pivot."""
-        cur = {i: v for i, v in vec.items() if not self.ctx.is_zero(v)}
-        # the rows are 0 at each other's pivots, so each one is subtracted once
-        for coord in sorted(self.rows.keys() & cur.keys()):
-            _eliminate(cur, cur[coord], self.rows[coord], self.ctx)
-        return cur
+        """vec minus its component in the span of the rows, zero at every pivot:
+        vec less the sum of its entry at each pivot times that pivot's row.
+
+        In exact mode the reduced integer row is a multiple of the residual,
+        and the residual's entry at one coordinate fixes the factor."""
+        scaled = self.ctx.integer_row(vec)
+        if scaled is None:
+            cur = {i: v for i, v in vec.items() if not self.ctx.is_zero(v)}
+            # the rows are 0 at each other's pivots, so each one is subtracted once
+            for coord in sorted(self.rows.keys() & cur.keys()):
+                _eliminate(cur, cur[coord], self.rows[coord], self.ctx)
+            return cur
+        res = self._reduce(scaled[0])
+        if not res:
+            return {}
+        j = min(res)
+        exact = vec.get(j, 0) - sum(vec[pc] * row[j] for pc, row in self.rows.items()
+                                    if pc in vec and j in row)
+        factor = exact / res[j]
+        return {i: factor * v for i, v in res.items()}
 
     def try_add(self, vec: Dict[int, Scalar]) -> bool:
         """Reduce vec against the rows; if it is independent, keep it normalised
         at its lowest coordinate, clear that coordinate from the older rows and
         return True."""
+        scaled = self.ctx.integer_row(vec)
+        if scaled is not None:
+            added = self._keep(self._reduce(scaled[0]))
+            self._build()
+            return added
         res = self.residual(vec)
         if not res:
             return False
@@ -108,10 +150,42 @@ class RowReducer:
         self.rows[coord] = row
         return True
 
+    def _reduce(self, row: Dict[int, int]) -> Dict[int, int]:
+        """The primitive part of an integer row less its component in the
+        span of the rows: zero at every pivot."""
+        row = _primitive(row)
+        for pc in [pc for pc in row if pc in self._ints]:
+            row = _int_step(row, self._ints[pc], pc)
+        return row
+
+    def _keep(self, row: Dict[int, int]) -> bool:
+        """Keep a reduced integer row at its lowest coordinate, clear that
+        coordinate from the older rows and return True; False for a zero row."""
+        if not row:
+            return False
+        coord, ints = min(row), self._ints
+        for pc, other in ints.items():
+            if coord in other:
+                ints[pc] = _int_step(other, row, coord)
+                self._changed.add(pc)
+        ints[coord] = row
+        self._changed.add(coord)
+        return True
+
+    def _build(self) -> None:
+        """The Fraction row of each changed pivot, its integers over its pivot
+        entry; new pivots join `rows` in ascending order."""
+        for pc in sorted(self._changed):
+            row = self._ints[pc]
+            lead = row[pc]
+            self.rows[pc] = {i: Fraction(v, lead) for i, v in row.items()}
+        self._changed.clear()
+
 
 def _eliminate(target: Dict[int, Scalar], factor: Scalar, row: Dict[int, Scalar],
                ctx: ScalarContext) -> None:
-    """target -= factor * row in place, dropping entries that become zero."""
+    """target -= factor * row in place, dropping entries that become zero: the
+    float row step."""
     for i, v in row.items():
         nv = target.get(i, 0) - factor * v
         if ctx.is_zero(nv):
@@ -176,7 +250,8 @@ def independent(rows: Iterable[Mapping[int, Scalar]], ctx: ScalarContext = EXACT
 
 def _int_step(row: Dict[int, int], pivot: Dict[int, int], lead: int) -> Dict[int, int]:
     """The primitive part of (a/g)·row - (b/g)·pivot, for a and b the entries
-    of pivot and row at lead and g their gcd: zero at lead and below."""
+    of pivot and row at lead and g their gcd: zero at lead, and wherever both
+    row and pivot are.  The integer row step of `Echelon` and `RowReducer`."""
     a, b = pivot[lead], row[lead]
     g = gcd(a, b)
     a, b = a // g, b // g

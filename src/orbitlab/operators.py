@@ -243,7 +243,7 @@ class NeumannBudget(NamedTuple):
         """Each term gauged once, an unbounded gauge counted as infinity; c
         summed in term order from `ctx.zero`.  A term with a zero factor adds
         nothing, also when the other is infinite (its f (.) v is zero)."""
-        per_term = tuple((_gauge(dual_norm, p, f), _gauge(minkowski, disk, v, ctx))
+        per_term = tuple((_gauge(dual_norm, p, f, ctx), _gauge(minkowski, disk, v, ctx))
                          for f, v in terms)
         return cls(sum((df * pv for df, pv in per_term if df and pv), ctx.zero), per_term)
 

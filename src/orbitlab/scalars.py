@@ -137,8 +137,9 @@ class ScalarContext:
         tolerance."""
         if not self.exact:
             return None
-        den = lcm(*(v.denominator for v in entries.values()))
-        return {i: v.numerator * (den // v.denominator) for i, v in entries.items() if v}, den
+        ratios = [(i, v.as_integer_ratio()) for i, v in entries.items()]
+        den = lcm(*[d for _, (_, d) in ratios])
+        return {i: n * (den // d) for i, (n, d) in ratios if n}, den
 
     def sub_products(self, b: Scalar, pairs: Iterable[Tuple[Scalar, Scalar]]) -> Scalar:
         """b - sum of t * x over the (t, x) pairs, folded as

@@ -4,12 +4,14 @@ Seminorms are sup- or l1-combinations of weighted coordinates over a finite
 active set; their kernels are exactly the vectors supported outside the
 active set, so kernel membership is a support inspection.  The dual norm and
 the Minkowski gauge of a disk are computed in closed form (weight form) or
-by an exact linear program (generator form); the weight-form gauge
-sum_i |u_i| / d_i is `ScalarContext.abs_ratio_sum`, one integer numerator
-over one common denominator in exact mode, where a generator disk scales its
-LP matrix once, at its first gauge, and each gauge only u.  `gauge_below` answers whether
+by an exact linear program (generator form).  The sup kind's dual norm
+sum_i |f_i| / w_i and the weight-form gauge sum_i |u_i| / d_i are
+`ScalarContext.abs_ratio_sum`, one integer numerator over one common
+denominator in exact mode, where a generator disk scales its LP matrix once,
+at its first gauge, and each gauge only u.  `gauge_below` answers whether
 the gauge of x - y lies below a bound, and in weight form sums it from x
-and y and stops once the bound is reached, building no difference.  The
+and y and stops once the bound is reached, building no difference; in exact
+mode it sums on integers, over the inverse weights the disk scales once.  The
 separating-functional construction replaces the Hahn-Banach step of the
 abstract theory with a finite nullspace pick: `Separator` keeps the
 constraint list that grows one vector at a time in a `linalg.RowReducer`,
@@ -82,23 +84,30 @@ def eval_seminorm(p: SeminormSpec, x: SparseVector) -> Scalar:
     return max(terms, default=0) if p.kind == SUP else sum(terms)
 
 
-def dual_norm(p: SeminormSpec, f: CoordFunctional) -> Scalar:
+def dual_norm(p: SeminormSpec, f: CoordFunctional, ctx: ScalarContext = EXACT) -> Scalar:
     """Smallest c with |f(x)| <= c p(x), the int 0 for f = 0; NotPBounded if
-    no such c exists."""
+    no such c exists.
+
+    The sup kind's c is sum_i |f_i| / w_i, summed by `ctx.abs_ratio_sum`: on
+    integers over one common denominator in exact mode, folded from zero in
+    float mode.  The l1 kind's c is the largest |f_i| / w_i.
+    """
     for i in sorted(f.entries):
         if i not in p.weights:
             raise NotPBounded(i)
-    terms = [abs(v) / p.weights[i] for i, v in f.entries.items()]
-    return sum(terms) if p.kind == SUP else max(terms, default=0)
+    if p.kind == L1:
+        return max((abs(v) / p.weights[i] for i, v in f.entries.items()), default=0)
+    return ctx.abs_ratio_sum((v, p.weights[i]) for i, v in f.entries.items()) if f.entries else 0
 
 
-def dual_norm_witness(p: SeminormSpec, f: CoordFunctional) -> Tuple[Scalar, SparseVector]:
+def dual_norm_witness(p: SeminormSpec, f: CoordFunctional,
+                      ctx: ScalarContext = EXACT) -> Tuple[Scalar, SparseVector]:
     """Dual norm plus an x with p(x) <= 1 and |f(x)| = dual_norm exactly.
 
     Sup kind: the sign-pattern vertex of the unit cube; l1 kind: the single
     best coordinate.
     """
-    c = dual_norm(p, f)
+    c = dual_norm(p, f, ctx)
     if f.is_zero():
         return c, SparseVector.zero()
     if p.kind == SUP:
@@ -117,10 +126,12 @@ class DiskSpec:
     Weight form: p_D(x) = sum_i |x_i| / d_i on vectors supported in the
     weighted coordinates.  Generator form: p_D(u) is the minimal l1 mass of a
     representation of u as a combination of the generators.  Only this form hashes.
-    `_gauge_rows` keeps exact `minkowski`'s scaled [G | -G] outside equality and pickles.
+    The exact gauges keep what they scale once outside equality and pickles:
+    `_gauge_rows` the scaled [G | -G] of a generator disk for `minkowski`,
+    `_gauge_weights` the integer inverse weights of a weight disk for `gauge_below`.
     """
 
-    __slots__ = ("weights", "generators", "_gauge_rows")
+    __slots__ = ("weights", "generators", "_gauge_rows", "_gauge_weights")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, weights: Optional[Mapping[int, Scalar]] = None,
@@ -130,6 +141,7 @@ class DiskSpec:
         object.__setattr__(self, "weights", None if weights is None else _clean_weights(weights))
         object.__setattr__(self, "generators", None if generators is None else tuple(generators))
         object.__setattr__(self, "_gauge_rows", None)
+        object.__setattr__(self, "_gauge_weights", None)
 
     def __eq__(self, other):
         return ((self.weights, self.generators) == (other.weights, other.generators)
@@ -196,24 +208,47 @@ def gauge_below(disk: DiskSpec, x: SparseVector, y: SparseVector, bound: Scalar,
     the disk has weight form and weighs every coordinate of x and y.
 
     Sums |x_i - y_i| / d_i in the entry order of x - y (x's entries, then y's
-    others), as `ScalarContext.abs_ratio_sum` folds it, and returns False at the
-    first partial sum that is not below the bound: the terms are non-negative,
-    so no later sum is below it either, exactly or after float rounding and
-    within `lt`'s tolerance.  Otherwise it takes the full gauge, so an LP or
-    NotInSpan comes as from `minkowski`.
+    others) and returns False at the first partial sum that is not below the
+    bound: the terms are non-negative, so no later sum is below it either,
+    exactly or after float rounding and within `lt`'s tolerance.  Otherwise it
+    takes the full gauge, so an LP or NotInSpan comes as from `minkowski`.
+
+    Where `ctx.integer_row` scales x = X / x̄ and y = Y / ȳ, the sum runs on
+    integers: with 1 / d_i = c_i / P, N sums |X_i·ȳ - Y_i·x̄|·c_i, the gauge
+    is N / (x̄·ȳ·P), and each partial sum is compared with the bound p / q
+    as N·q < p·x̄·ȳ·P, so it stops where the Fraction sum would.  The disk
+    keeps (c, P), `ctx.integer_row` of its inverse weights, from its first
+    exact gauge.  Float mode folds the quotients as `abs_ratio_sum` does.
     """
     weights, xe, ye = disk.weights, x.entries, y.entries
     if weights is None or not (xe.keys() <= weights.keys() and ye.keys() <= weights.keys()):
         return ctx.lt(minkowski(disk, x - y, ctx), bound)
-    diffs = chain(((i, a - ye[i] if i in ye else a) for i, a in xe.items()),
-                  ((i, b) for i, b in ye.items() if i not in xe))
-    total = ctx.zero
+    xs = ctx.integer_row(xe)
+    if xs is None:
+        diffs = chain(((i, a - ye[i] if i in ye else a) for i, a in xe.items()),
+                      ((i, b) for i, b in ye.items() if i not in xe))
+        total = ctx.zero
+        for i, a in diffs:
+            if a:
+                total += abs(a) / weights[i]
+                if not ctx.lt(total, bound):
+                    return False
+        return ctx.lt(total, bound)
+    if disk._gauge_weights is None:
+        object.__setattr__(disk, "_gauge_weights",
+                           ctx.integer_row({i: 1 / w for i, w in weights.items()}))
+    (mult, wden), (xrow, xden), (yrow, yden) = disk._gauge_weights, xs, ctx.integer_row(ye)
+    p, q = bound.as_integer_ratio()
+    limit, total = p * xden * yden * wden, 0
+    diffs = chain(((i, a * yden - yrow[i] * xden if i in yrow else a * yden)
+                   for i, a in xrow.items()),
+                  ((i, b * xden) for i, b in yrow.items() if i not in xrow))
     for i, a in diffs:
         if a:
-            total += abs(a) / weights[i]
-            if not ctx.lt(total, bound):
+            total += abs(a) * mult[i]
+            if total * q >= limit:
                 return False
-    return ctx.lt(total, bound)
+    return total * q < limit
 
 
 def project_active(p: SeminormSpec, x: SparseVector) -> dict:
@@ -286,5 +321,5 @@ class Separator:
                 continue
             vec = self._reducer.null_vector(fc)
             f = CoordFunctional({i: c for i, c in vec.items() if not ctx.is_zero(c)})
-            return f.scale(1 / dual_norm(self.p, f))
+            return f.scale(1 / dual_norm(self.p, f, ctx))
         raise NoSeparation("u lies in span(constraints) + ker p")

@@ -38,7 +38,7 @@ def test_seminorm_and_dual_in_float_mode():
     p = SeminormSpec.sup_on([1, 2], 1.0)
     assert eval_seminorm(p, fsv(3, -4)) == 4.0
     f = CoordFunctional({1: 3.0, 2: -4.0})
-    assert dual_norm(p, f) == 7.0
+    assert dual_norm(p, f, FLOAT) == 7.0
 
 
 def test_generator_gauge_in_float_mode():
@@ -68,7 +68,7 @@ def test_separating_functional_float():
     p = SeminormSpec.sup_on([1, 2], 1.0)
     f = Separator.of(p, [fsv(1)], FLOAT).functional(fsv(0, 1))
     assert abs(f.pair(fsv(1))) <= FLOAT_TOL
-    assert abs(dual_norm(p, f) - 1.0) < 1e-9
+    assert abs(dual_norm(p, f, FLOAT) - 1.0) < 1e-9
 
 
 def test_float_transport_scenario_runs():

@@ -129,31 +129,85 @@ def test_row_reducer_tracks_rank():
 
 
 def test_row_reducer_keeps_the_reduced_echelon_form():
+    """`of`, in shuffled row orders, and `try_add`, one row at a time, agree
+    with the dense oracle's reduced row echelon form on their rows, rank,
+    nullspace vectors and residuals.  The sparse rows carry explicit zeros
+    (int and Fraction), zero rows, repeated and proportional rows, and
+    denominators up to 2^40."""
     rng = random.Random(29)
-    for _ in range(80):
+
+    def q():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 5, 3 ** 10, 2 ** 40]))
+
+    def with_zeros(row, cols):
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            row[rng.randint(1, cols)] = rng.choice([0, Fraction(0)])
+        return row
+
+    for _ in range(150):
         cols = rng.randint(1, 8)
-        rows = [
-            {j: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 5]))
-             for j in rng.sample(range(1, cols + 1), rng.randint(1, min(3, cols)))}
-            for _ in range(rng.randint(1, 8))
-        ]
-        if len(rows) >= 2 and rng.random() < 0.5:
+        rows = [with_zeros({j: q() for j in rng.sample(range(1, cols + 1), rng.randint(1, min(3, cols)))},
+                           cols)
+                for _ in range(rng.randint(1, 8))]
+        roll = rng.random()
+        if len(rows) >= 2 and roll < 0.4:
             s, t = rng.sample(rows, 2)
             rows.append({j: s.get(j, 0) - 2 * t.get(j, 0) for j in s.keys() | t.keys()})
+        elif roll < 0.55:
+            rows.append(dict(rng.choice(rows)))
+        elif roll < 0.7:
+            c = q()
+            rows.append({j: c * v for j, v in rng.choice(rows).items()})
+        elif roll < 0.85:
+            rows.append(rng.choice([{}, {j: Fraction(0) for j in range(1, cols + 1)}]))
         red, pivots = oracles.rref([[row.get(j, 0) for j in range(1, cols + 1)] for row in rows])
         expected = {pc + 1: {j + 1: v for j, v in enumerate(red[r]) if v}
                     for r, pc in enumerate(pivots)}
-        shuffled = rng.sample(rows, len(rows))
-        for order in (rows, shuffled):
-            assert linalg.RowReducer.of(order).rows == expected
+        nulls = {fc: {pc + 1: -red[r][fc - 1] for r, pc in enumerate(pivots) if red[r][fc - 1]}
+                 | {fc: 1} for fc in range(1, cols + 1) if fc - 1 not in pivots}
+        probes = [with_zeros({j: q() for j in rng.sample(range(1, cols + 2), rng.randint(1, cols))},
+                             cols) for _ in range(3)] + rows[:1]
+        residuals = [{j: r for j in range(1, cols + 2)
+                      if (r := v.get(j, 0) - sum(v.get(pc + 1, 0) * red[k][j - 1]
+                                                 for k, pc in enumerate(pivots) if j <= cols))}
+                     for v in probes]
+        reducers = []
+        for order in (rows, rng.sample(rows, len(rows)), rng.sample(rows, len(rows))):
+            reducers.append(linalg.RowReducer.of(order))
             reducer = linalg.RowReducer()
             added = sum(reducer.try_add(row) for row in order)
+            assert added == len(pivots)
+            reducers.append(reducer)
+        for reducer in reducers:
             assert reducer.rows == expected
-            assert reducer.rank == added == len(pivots)
+            assert reducer.rank == len(pivots)
+            # the exact form kept behind the rows: coprime integers
+            assert all(math.gcd(*row.values()) == 1 for row in reducer._ints.values())
             for pc, row in reducer.rows.items():
                 assert row[pc] == 1
                 assert not any(other in row for other in reducer.rows if other != pc)
+                assert all(type(v) is Fraction and v for v in row.values())
+            for fc, vec in nulls.items():
+                got = reducer.null_vector(fc)
+                assert got == vec and list(got) == sorted(got)
+            got = [reducer.residual(v) for v in probes]
+            assert got == residuals
+            assert all(type(v) is Fraction for res in got for v in res.values())
+        assert list(reducers[0].rows) == sorted(expected)
 
+
+def test_exact_row_reducer_drops_explicit_zeros():
+    """An explicit zero of an exact input row is no entry of its reduced row,
+    from `of` as from `try_add`, so no nullspace vector picks it up; a float
+    row keeps the entries it carries."""
+    row = {1: Fraction(1), 2: Fraction(0)}
+    red = linalg.RowReducer.of([row])
+    assert red.rows == {1: {1: 1}}
+    assert red.null_vector(2) == {2: 1}
+    reducer = linalg.RowReducer()
+    assert reducer.try_add(row)
+    assert reducer.rows == red.rows
+    assert linalg.RowReducer.of([{1: 2.0, 2: 0.0}], FLOAT).rows == {1: {1: 1.0, 2: 0.0}}
 
 
 def rank_families(rng):
@@ -252,6 +306,74 @@ def test_exact_rank_tests_build_no_fraction_row_reduction(monkeypatch):
     monkeypatch.setattr(linalg.RowReducer, "try_add", boom)
     assert results() == expected
     assert expected[1] and not expected[2]
+
+def test_exact_row_reductions_never_reach_the_scalar_row_step(monkeypatch):
+    """Exact `RowReducer` work runs on integer rows: with the scalar row step
+    `linalg._eliminate` made to raise, the reducer itself, the separating
+    functionals, the Gram inverse, the premise, the witness and the dual
+    system give the same results, while a float reducer does reach it."""
+    from orbitlab.density import biorthogonalize
+    from orbitlab.hypercyclic import (build_shift_operator, range_kernel_premise_check,
+                                      transitivity_witness)
+    from orbitlab.operators import invert
+    from orbitlab.seminorms import SeminormSpec, Separator
+    from orbitlab.vectors import CoordFunctional, SparseVector
+
+    rng = random.Random(59)
+
+    def q():
+        return Fraction(rng.choice([-4, -3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 2 ** 40]))
+
+    rows = [{j: q() for j in rng.sample(range(1, 9), 4)} for _ in range(6)]
+    rows.append({j: 2 * v for j, v in rows[0].items()} | {9: Fraction(0)})
+    probes = [{j: q() for j in rng.sample(range(1, 10), 3)} for _ in range(4)]
+    p = SeminormSpec.sup_on(range(1, 7))
+    constraints = [SparseVector({j: q() for j in rng.sample(range(1, 8), 3)}) for _ in range(3)]
+    u = SparseVector({j: q() for j in range(1, 7)})
+    terms = [(CoordFunctional({j: q() for j in rng.sample(range(1, 6), 2)}),
+              SparseVector({j: q() for j in rng.sample(range(1, 6), 2)})) for _ in range(4)]
+    chain = [SparseVector({k: Fraction(1), k + 1: Fraction(1, 3)}) for k in range(1, 5)]
+    shift = build_shift_operator(chain, SeminormSpec.sup_on(range(1, 5)),
+                                 oracles.l1_disk(range(1, 7), Fraction(1, 3)))
+    ladder = FiniteRankOperator(IDENTITY, tuple(
+        (CoordFunctional.delta(k + 1), SparseVector({k: Fraction(1, 2 ** k)})) for k in range(1, 6)))
+    x, y = SparseVector({1: Fraction(1, 2), 2: Fraction(-3)}), SparseVector({1: Fraction(-2)})
+    # square: the dual system by one inverse; three vectors on six coordinates: separating solves
+    square = [SparseVector({j: q() for j in range(1, 7)}) for _ in range(6)]
+    wide = [SparseVector({j: q() for j in rng.sample(range(1, 7), 4)}) for _ in range(3)]
+
+    def results():
+        red = linalg.RowReducer.of(rows)
+        grown = linalg.RowReducer()
+        added = [grown.try_add(row) for row in rows]
+        sep = Separator(p)
+        for c in constraints:
+            sep.add(c)
+        return (red.rows, [red.null_vector(fc) for fc in range(1, 10) if fc not in red.rows],
+                [red.residual(v) for v in probes], grown.rows, added,
+                [grown.residual(v) for v in probes],
+                sep.functional(u), Separator.of(p, constraints).functional(u),
+                invert(FiniteRankOperator(IDENTITY, tuple(terms))),
+                range_kernel_premise_check(shift.operator.plus_identity(), 6, 3),
+                transitivity_witness(ladder, x, y, Fraction(1, 1000), 64,
+                                     SeminormSpec.sup_on(range(1, 4)), window=6),
+                biorthogonalize(square, p), biorthogonalize(wide, p))
+
+    expected = results()
+    assert expected[0] != {} and expected[4].count(False) >= 1
+
+    def boom(*_args, **_kwargs):
+        raise AssertionError("scalar row step reached")
+
+    monkeypatch.setattr(linalg, "_eliminate", boom)
+    assert results() == expected
+    with pytest.raises(AssertionError, match="scalar row step reached"):
+        linalg.RowReducer.of([{1: 1.0, 2: 2.0}, {1: 3.0, 2: 1.0}], FLOAT)
+    with pytest.raises(AssertionError, match="scalar row step reached"):
+        reducer = linalg.RowReducer(FLOAT)
+        reducer.try_add({1: 1.0, 2: 2.0})
+        reducer.try_add({1: 3.0, 2: 1.0})
+
 
 def test_exact_factors_never_reach_the_substitution_fold(monkeypatch):
     """Exact triangularization and the exact Gram factor run on integers: with

@@ -112,6 +112,33 @@ class TestDualNorm:
         p = oracles.l1_seminorm([1, 2])
         assert dual_norm(p, cf(3, -4)) == 4
 
+    @pytest.mark.parametrize("kind", ["sup", "l1"])
+    def test_dual_norm_is_the_fold_of_its_quotients(self, kind):
+        """Exact: the sup kind's sum and the l1 kind's max of |f_i| / w_i,
+        folded in Fractions, at denominators up to 2^40.  Float: bit-equal to
+        `sum` (sup) or `max` (l1) of the float quotients in entry order, with
+        the context passed and the value a float; the zero functional gives
+        the int 0 in both modes."""
+        rng = random.Random(31)
+        for _ in range(200):
+            weights = {i: Fraction(rng.randint(1, 9), rng.choice([1, 3, 7, 2 ** 40]))
+                       for i in range(1, 9)}
+            f = CoordFunctional({i: Fraction(rng.randint(-9, 9), rng.choice([1, 2, 7, 2 ** 40]))
+                                 for i in rng.sample(range(1, 9), rng.randint(0, 8))})
+            fold = sum if kind == "sup" else max
+            quotients = [abs(v) / weights[i] for i, v in f.entries.items()]
+            got = dual_norm(SeminormSpec(kind, weights), f, EXACT)
+            assert got == (fold(quotients, Fraction(0)) if kind == "sup" else
+                           max(quotients, default=Fraction(0)))
+            assert type(got) is (Fraction if f.entries else int)
+            fweights = {i: float(w) for i, w in weights.items()}
+            ff = CoordFunctional({i: float(v) for i, v in f.entries.items()})
+            quotients = [abs(v) / fweights[i] for i, v in ff.entries.items()]
+            expected = sum(quotients) if kind == "sup" else max(quotients, default=0)
+            got = dual_norm(SeminormSpec(kind, fweights), ff, FLOAT)
+            assert repr(got) == repr(expected)
+            assert type(got) is (float if ff.entries else int)
+
     def test_witness_attains_bound(self):
         rng = random.Random(9)
         for _ in range(100):

@@ -14,7 +14,7 @@ from orbitlab.density import Enumeration
 from orbitlab.operators import ZERO, FiniteRankOperator
 from orbitlab.reports import CheckResult, Report, Table
 from orbitlab.scalars import FLOAT, ScalarContext
-from orbitlab.seminorms import DiskSpec, SeminormSpec, minkowski
+from orbitlab.seminorms import DiskSpec, SeminormSpec, gauge_below, minkowski
 from orbitlab.vectors import CoordFunctional, SparseVector
 
 
@@ -96,7 +96,7 @@ def test_cached_data_is_kept_past_the_guard_and_outside_equality():
     assert gauged == fresh and hash(gauged) == hash(fresh)
     for y in (copy.copy(gauged), copy.deepcopy(gauged), pickle.loads(pickle.dumps(gauged))):
         assert y == gauged and y._gauge_rows is None
-    for field in ("weights", "generators", "_gauge_rows"):
+    for field in ("weights", "generators", "_gauge_rows", "_gauge_weights"):
         with pytest.raises(AttributeError):
             setattr(gauged, field, None)
     weighted = DiskSpec(weights={1: 2})
@@ -104,6 +104,23 @@ def test_cached_data_is_kept_past_the_guard_and_outside_equality():
     assert minkowski(weighted, SparseVector({1: 1})) == Fraction(1, 2)
     assert minkowski(floated, SparseVector({1: 1.0}), FLOAT) == 2.0
     assert weighted._gauge_rows is None and floated._gauge_rows is None
+    # a weight disk's integer inverse weights, from its first exact gauge_below
+    assert weighted._gauge_weights is None and gauged._gauge_weights is None
+    weights = {1: Fraction(2, 3), 2: Fraction(5), 4: 3}
+    gauged, fresh = DiskSpec(weights=weights), DiskSpec(weights=weights)
+    x, y = SparseVector({1: Fraction(1, 2)}), SparseVector({2: 1, 4: Fraction(-1, 7)})
+    assert gauge_below(gauged, x, y, Fraction(1)) and not gauge_below(gauged, x, y, Fraction(1, 2))
+    assert gauged._gauge_weights == ({1: 45, 2: 6, 4: 10}, 30) and fresh._gauge_weights is None
+    assert gauged == fresh
+    with pytest.raises(TypeError):
+        hash(gauged)
+    for y in (copy.copy(gauged), copy.deepcopy(gauged), pickle.loads(pickle.dumps(gauged))):
+        assert y == gauged and y._gauge_weights is None
+    with pytest.raises(AttributeError):
+        setattr(gauged, "_gauge_weights", None)
+    floated = DiskSpec(weights={1: 2.0})
+    assert gauge_below(floated, SparseVector({1: 1.0}), SparseVector.zero(), 1.0, FLOAT)
+    assert floated._gauge_weights is None
 
 
 @pytest.mark.parametrize("name", sorted(IMMUTABLE))
