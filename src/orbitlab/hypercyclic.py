@@ -14,17 +14,23 @@ loop on the powers of a map, kept as sparse columns: ranks by
 `linalg.row_rank`, each nullspace one `linalg.RowReducer.of`, and an
 `linalg.Echelon` basis of the intersections.  When the v's and the f's are
 independent and values do not depend on the route
-(`ScalarContext.route_free`, exact mode), the map is the k x k core G = F·V;
+(`ScalarContext.route_free`, exact mode), the map is the k x k core G = F·V,
+scaled once to an integer matrix, so its powers are integer column sums;
 otherwise it is S itself on the whole support, pushed through
-`FiniteRankOperator.apply`.  No matrix power of S is ever multiplied out.
-In exact mode `apply`, the weight-form disk gauge and the ranks work on
-integers and build a Fraction only for an entry of their result.  The
-witness's active-row solve is one `RowReducer.of` on sparse rows.
+`FiniteRankOperator.apply`.  The witness tests nilpotency on the window the
+same way: on the integer core F·P·V (P the window cut) in exact mode, since
+A·B and B·A are nilpotent together (Horn and Johnson, Matrix Analysis, 2nd
+ed., 2013, §1.3), and by pushing the window's columns through `apply` in
+float mode.  No matrix power of S is ever multiplied out.  In exact mode
+`apply`, the weight-form disk gauge and the ranks work on integers and
+build a Fraction only for an entry of their result.  The witness's
+active-row solve is one `RowReducer.of` on sparse rows.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .density import Enumeration, biorthogonalize
@@ -40,7 +46,10 @@ from .seminorms import (
     p_independent,
     project_active,
 )
-from .vectors import CoordFunctional, SparseVector, combine
+from .vectors import CoordFunctional, SparseVector, _dot, combine
+
+# a sparse column of a power: coordinate -> non-zero int or scalar
+Column = Dict[int, Union[int, Scalar]]
 
 
 class ShiftOperatorSpec(NamedTuple):
@@ -107,6 +116,9 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
     V G^{n-1} null(G^{2n-1}), of dimension rank G^{n-1} - rank G^{2n-1}.
     V is injective, so it maps a basis of the sum of the G^{n-1} null(G^{2n-1})
     onto one of the sum of the intersections, and only that basis is mapped.
+    The loop runs on the integer matrix d·G (`_integer_core`): ranks,
+    nullspaces (the reduced row echelon form is unique) and spans do not
+    change when G is scaled, so neither does any dimension reported.
     Otherwise the same loop (`_meets`) runs on S over the whole support.  The
     report compares the part of the accumulated span lying inside the window
     against the window dimension.
@@ -120,16 +132,12 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
             and linalg.independent((f.entries for f, _ in s.terms), ctx))
     if core:
         vs = [v for _, v in s.terms]
-        g = [{i: x for i in s.coord_index.hits(v) if (x := s.terms[i][0].pair(v))}
-             for v in vs]
-        # g[j] holds column j of G by term position l: G^m e_j = sum_l G_lj G^{m-1} e_l
-        dims, basis = _meets(
-            lambda prev: [combine((c, prev[l]) for l, c in col.items()) for col in g],
-            len(vs), depth, 1, ctx)
+        dims, basis = _meets(_integer_core(s, vs, ctx),
+                             [{j: 1} for j in range(1, len(vs) + 1)], depth, 1, ctx)
         union = [combine((c, vs[i - 1]) for i, c in z.items()).entries for z in basis]
     else:
-        dims, union = _meets(lambda prev: [s.apply(col, ctx) for col in prev],
-                             top, depth, 0, ctx)
+        dims, union = _meets(lambda col: s.apply(SparseVector(col), ctx).entries,
+                             [{j: ctx.one} for j in range(1, top + 1)], depth, 0, ctx)
     rows = [PremiseRow(n=n, dim_range=dim_range, dim_kernel=top - dim_range,
                        dim_intersection=dim_intersection)
             for n, (dim_range, dim_intersection) in enumerate(dims, start=1)]
@@ -141,41 +149,85 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
                          window_meet_dim=span_dim - above)
 
 
-def _meets(advance: Callable[[List[SparseVector]], List[SparseVector]], size: int,
-           depth: int, shift: int,
-           ctx: ScalarContext) -> Tuple[List[Tuple[int, int]], List[Dict[int, Scalar]]]:
+def _meets(advance: Callable[[Column], Column], identity: List[Column], depth: int,
+           shift: int, ctx: ScalarContext) -> Tuple[List[Tuple[int, int]], List[Column]]:
     """Per n <= depth, (rank A^{n-s}, rank A^{n-s} - rank A^{2n-s}) for the map
     A on coordinates 1..size and s = `shift`, with a basis of the sum of the
     A^{n-s} null(A^{2n-s}).
 
-    The powers are kept as the columns A^m e_j, each list made from the one
-    before by `advance`; each nullspace is one `linalg.RowReducer.of` of the
-    size sparse rows of A^{2n-s}.
+    The powers are kept as the columns A^m e_j, sparse dicts starting from
+    the size columns of `identity`; `advance` maps a non-zero column of A^m
+    to that of A^{m+1}, and a zero column stays zero.  Each nullspace is one
+    `linalg.RowReducer.of` of the size sparse rows of A^{2n-s}; each of its
+    vectors, scaled to integers where `ctx.integer_row` scales it, mixes the
+    columns of A^{n-s} by `_fold`.  On an integer A every power and basis
+    vector holds ints.
     """
+    size = len(identity)
     # powers[m][j - 1] = A^m e_j, ranks[m] = rank A^m
-    powers = [[SparseVector.basis(j, ctx) for j in range(1, size + 1)]]
+    powers = [identity]
     for _ in range(2 * depth - shift):
-        powers.append(advance(powers[-1]))
+        powers.append([advance(col) if col else col for col in powers[-1]])
     ranks = {0: size}
     dims, basis, echelon = [], [], linalg.Echelon(ctx)
     for n in range(1, depth + 1):
         single = n - shift
         rows: List[Dict[int, Scalar]] = [{} for _ in range(size)]
         for j, col in enumerate(powers[2 * n - shift]):
-            for i, x in col.entries.items():
+            for i, x in col.items():
                 rows[i - 1][j] = x
         red = linalg.RowReducer.of(rows, ctx)
         ranks[2 * n - shift] = red.rank
         if single not in ranks:
-            ranks[single] = linalg.row_rank((col.entries for col in powers[single]), ctx)
+            ranks[single] = linalg.row_rank(powers[single], ctx)
         dims.append((ranks[single], ranks[single] - red.rank))
         for fc in range(size):
             if fc not in red.rows:
-                z = combine((c, powers[single][j]) for j, c in red.null_vector(fc).items()
-                            if not ctx.is_zero(c))
-                if echelon.try_add(z.entries):
-                    basis.append(z.entries)
+                y = red.null_vector(fc)
+                scaled = ctx.integer_row(y)
+                y = scaled[0] if scaled else {j: c for j, c in y.items() if not ctx.is_zero(c)}
+                z = _fold((c, powers[single][j]) for j, c in y.items())
+                if z and echelon.try_add(z):
+                    basis.append(z)
     return dims, basis
+
+
+def _integer_core(s: FiniteRankOperator, vs: Sequence[SparseVector],
+                  ctx: ScalarContext) -> Callable[[Column], Column]:
+    """The k x k core G_ij = f_i(v_j) of the terms f_i of s and the given v_j,
+    scaled to an integer matrix d·G (exact mode), as the map of a sparse
+    column on coordinates 1..k to its image under d·G.
+
+    Each f_i and v_j is scaled once by `ctx.integer_row`, each pairing is an
+    integer dot product, and one more `ctx.integer_row` scales G."""
+    k = len(vs)
+    frows = [ctx.integer_row(f.entries) for f, _ in s.terms]
+    # G_ij flattened at (j - 1)·k + i - 1, column by column
+    flat = {}
+    for j, v in enumerate(vs):
+        vrow, vden = ctx.integer_row(v.entries)
+        for i in s.coord_index.hits(v):
+            frow, fden = frows[i]
+            if dot := _dot(frow, vrow):
+                flat[j * k + i] = Fraction(dot, fden * vden)
+    cols: List[Column] = [{} for _ in vs]
+    for ji, x in ctx.integer_row(flat)[0].items():
+        cols[ji // k][ji % k + 1] = x
+    return lambda col: _fold((x, cols[l - 1]) for l, x in col.items())
+
+
+def _fold(pairs: Iterable[Tuple[Union[int, Scalar], Column]]) -> Column:
+    """The sum of c·col over the (c, col) pairs, summed per coordinate in
+    pair order as `vectors.combine` sums, on sparse dicts of ints or scalars."""
+    acc: Column = {}
+    for c, col in pairs:
+        for i, v in col.items():
+            t = acc.get(i, 0) + v * c
+            if t:
+                acc[i] = t
+            else:
+                acc.pop(i, None)
+    return acc
 
 
 def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector,
@@ -190,6 +242,12 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
     coordinates 1..window, so the n-th step is (P T P)^n with P the window
     projection.  Raises NotNilpotent when S = `t.linear_part()` is not nilpotent
     on the window, WitnessNotFound with the best (n, residual) on failure.
+
+    S = V·F is nilpotent on the window when P·S·P = (P·V)(F·P) is, that is,
+    since (AB)^{m+1} = A(BA)^m B, when the k x k core F·P·V with entries
+    f_i(P v_j) is.  Exact mode (`ctx.route_free`) tests (F·P·V)^k = 0 on
+    integer columns, with no condition on the terms; float mode pushes the
+    window's columns through S, under its tolerance.
     """
     indices = range(1, window + 1)
 
@@ -197,10 +255,19 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
         return op.apply(v, ctx).restrict(indices)
 
     s = t.linear_part()
-    cols = [SparseVector.basis(j, ctx) for j in indices]
-    for _ in range(window):
-        cols = [w for w in (step(s, c) for c in cols) if not w.is_zero()]
-    if any(not ctx.is_zero(v) for c in cols for v in c.entries.values()):
+    if ctx.route_free:
+        k = len(s.terms)
+        core = _integer_core(s, [v.restrict(indices) for _, v in s.terms], ctx)
+        columns = [{j: 1} for j in range(1, k + 1)]
+        for _ in range(k):
+            columns = [w for w in map(core, columns) if w]
+        nilpotent = not columns
+    else:
+        cols = [SparseVector.basis(j, ctx) for j in indices]
+        for _ in range(window):
+            cols = [w for w in (step(s, c) for c in cols) if not w.is_zero()]
+        nilpotent = all(ctx.is_zero(v) for c in cols for v in c.entries.values())
+    if not nilpotent:
         raise NotNilpotent("witness search needs a nilpotent chain part on the window")
 
     active_rows = [i for i in indices if i in p.weights]

@@ -304,9 +304,9 @@ class TestPremiseOracle:
         taken = {"core": 0, "ambient": 0}
         run = hypercyclic._meets
 
-        def counted(advance, size, depth, shift, ctx):
+        def counted(advance, identity, depth, shift, ctx):
             taken["core" if shift else "ambient"] += 1
-            return run(advance, size, depth, shift, ctx)
+            return run(advance, identity, depth, shift, ctx)
         monkeypatch.setattr(hypercyclic, "_meets", counted)
         return taken
 
@@ -393,12 +393,15 @@ class TestPremiseOracle:
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_corpus_build_shifts_take_both_fast_paths(monkeypatch, seed):
+def test_corpus_shift_lab_takes_the_fast_paths(monkeypatch, seed):
     """Every exact build-shift of the shiftgauge corpus reads its dual system
     off one inverse (no `Separator.of` under `biorthogonalize`) and its
-    premise off the k x k core (no `FiniteRankOperator.apply` under
-    `range_kernel_premise_check`); the same spies see both slow paths in
-    float mode."""
+    premise off the integer k x k core (no `FiniteRankOperator.apply` under
+    `range_kernel_premise_check`, and every power `_meets` builds holds
+    ints); every exact witness decides nilpotency on its core, so it makes no
+    `apply` call before its search loop's first seminorm.  The same spies see
+    the slow paths in float mode: the dual system by separation, the premise
+    and the witness's column loop through `apply`."""
     import sys
 
     import orbitlab.density as density
@@ -414,8 +417,9 @@ def test_corpus_build_shifts_take_both_fast_paths(monkeypatch, seed):
             frame = frame.f_back
         return False
 
-    seen = []
-    of, apply = Separator.of.__func__, FiniteRankOperator.apply
+    seen, witness, kinds, cores = [], [], set(), []
+    of, apply, meets = Separator.of.__func__, FiniteRankOperator.apply, hypercyclic._meets
+    seminorm = hypercyclic.eval_seminorm
 
     def spied_of(cls, *args, **kwargs):
         if under(density.biorthogonalize.__code__):
@@ -425,19 +429,144 @@ def test_corpus_build_shifts_take_both_fast_paths(monkeypatch, seed):
     def spied_apply(self, *args, **kwargs):
         if under(hypercyclic.range_kernel_premise_check.__code__):
             seen.append("apply")
+        if under(hypercyclic.transitivity_witness.__code__):
+            witness.append("apply")
         return apply(self, *args, **kwargs)
+
+    def spied_seminorm(*args):
+        witness.append("seminorm")
+        return seminorm(*args)
+
+    def spied_meets(advance, identity, depth, shift, ctx):
+        def typed(col):
+            out = advance(col)
+            kinds.update(type(x) for x in out.values())
+            return out
+        cores.append(shift)
+        if shift:
+            kinds.update(type(x) for col in identity for x in col.values())
+            return meets(typed, identity, depth, shift, ctx)
+        return meets(advance, identity, depth, shift, ctx)
 
     monkeypatch.setattr(Separator, "of", classmethod(spied_of))
     monkeypatch.setattr(FiniteRankOperator, "apply", spied_apply)
-    shifts = [data for data in oracles.benchmark_workloads().generate("shiftgauge", seed)
-              if data["payload"].get("mode") == "build-shift"]
-    assert len(shifts) == 6
+    monkeypatch.setattr(hypercyclic, "_meets", spied_meets)
+    monkeypatch.setattr(hypercyclic, "eval_seminorm", spied_seminorm)
+    corpus = oracles.benchmark_workloads().generate("shiftgauge", seed)
+    shifts = [data for data in corpus if data["payload"].get("mode") == "build-shift"]
+    witnesses = [data for data in corpus if data["payload"].get("mode") == "witness"]
+    assert (len(shifts), len(witnesses)) == (6, 2)
     for data in shifts:
         report = run_scenario(Scenario.from_dict(dict(data, scalar_mode="exact")))
         assert report.passed
         assert seen == [], data["name"]
+    assert cores == [1] * len(shifts) and kinds == {int}
+    for data in witnesses:
+        witness.clear()
+        report = run_scenario(Scenario.from_dict(dict(data, scalar_mode="exact")))
+        assert report.passed
+        assert witness[0] == "seminorm" and "apply" in witness, data["name"]
     run_scenario(Scenario.from_dict(dict(shifts[0], scalar_mode="float")))
     assert {"Separator.of", "apply"} <= set(seen)
+    witness.clear()
+    run_scenario(Scenario.from_dict(dict(witnesses[0], scalar_mode="float")))
+    loop = witness.index("seminorm")
+    assert loop >= witnesses[0]["window"] and set(witness[:loop]) == {"apply"}
+
+
+class TestWitnessNilpotency:
+    """The witness's nilpotency verdict, on the integer core F·P·V in exact
+    mode and on the window columns in float mode, equals that of the dense
+    cut matrix P·S·P."""
+
+    @staticmethod
+    def verdict(t, window, ctx):
+        """Whether the witness search accepts the chain part of t: with x = y
+        it stops at n = 0 right after the test."""
+        x = SparseVector.basis(1, ctx)
+        try:
+            transitivity_witness(t, x, x, ctx.one, 0, SeminormSpec.sup_on([1], ctx.one),
+                                 window, ctx)
+        except NotNilpotent:
+            return False
+        return True
+
+    @staticmethod
+    def floated(t):
+        return FiniteRankOperator(t.base, tuple(
+            (CoordFunctional({i: float(c) for i, c in f.entries.items()}),
+             SparseVector({i: float(c) for i, c in v.entries.items()})) for f, v in t.terms))
+
+    @staticmethod
+    def entries(rng, coords):
+        return {i: frac(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3, 4]))
+                for i in rng.sample(coords, rng.randint(1, min(3, len(coords))))}
+
+    def random_terms(self, rng, window, top):
+        """Terms on 1..top; some v's are zero."""
+        return [(CoordFunctional(self.entries(rng, range(1, top + 1))),
+                 SparseVector(self.entries(rng, range(1, top + 1))
+                              if rng.random() < 0.8 else {}))
+                for _ in range(rng.randint(0, 4))]
+
+    def cut_triangular_terms(self, rng, window, top):
+        """Terms whose cut is strictly triangular, so P·S·P is nilpotent,
+        plus parts above the window that may make S itself cycle there."""
+        terms = []
+        for _ in range(rng.randint(1, 5)):
+            m = rng.randint(2, window)
+            f = self.entries(rng, range(m, top + 1))
+            v = self.entries(rng, range(1, m))
+            if top > window and rng.random() < 0.6:
+                v[rng.randint(window + 1, top)] = frac(rng.randint(1, 3))
+                f[rng.randint(window + 1, top)] = frac(rng.randint(1, 3))
+            terms.append((CoordFunctional(f), SparseVector(v)))
+        return terms
+
+    def chain_terms(self, rng, window, top):
+        """`TestWitnessWindowCut.chain` on this window, its terms shuffled:
+        a term leaves the window and one reads it back; half the time its
+        last term also feeds the window's top, which breaks nilpotency."""
+        cut = TestWitnessWindowCut()
+        cut.window = window
+        terms = cut.chain()
+        if rng.random() < 0.5:
+            terms.append((CoordFunctional.delta(1), SparseVector.basis(window)))
+        rng.shuffle(terms)
+        return terms
+
+    def test_exact_and_float_verdicts_match_the_cut_dense_oracle(self):
+        rng = random.Random(311)
+        e, d = SparseVector.basis, CoordFunctional.delta
+        fixed = [
+            (FiniteRankOperator.identity(), 3),
+            (FiniteRankOperator.zero(), 3),
+            (FiniteRankOperator(IDENTITY, ((d(2), e(1)),)), 2),
+            (FiniteRankOperator(ZERO, ((d(1), e(1)),)), 2),
+            # zero v's, and a zero v next to a cycle
+            (FiniteRankOperator(ZERO, ((d(1), SparseVector.zero()), (d(2), SparseVector.zero()))), 2),
+            (FiniteRankOperator(IDENTITY, ((d(1), SparseVector.zero()), (d(2), e(1)),
+                                           (d(1), e(2)))), 2),
+            # a cycle through a coordinate above the window: nilpotent only after the cut
+            (FiniteRankOperator(ZERO, ((d(1), e(4)), (d(4), e(1)))), 3),
+        ]
+        cases = list(fixed)
+        families = [self.random_terms, self.cut_triangular_terms, self.chain_terms]
+        for i in range(150):
+            window = rng.randint(2, 6)
+            top = window + rng.randint(0, 3)
+            terms = families[i % 3](rng, window, top)
+            cases.append((FiniteRankOperator(rng.choice([ZERO, IDENTITY]), tuple(terms)), window))
+        tally = {"yes": 0, "no": 0, "only cut": 0}
+        for t, window in cases:
+            s = t.linear_part()
+            expected = dense_nilpotent(s, window)
+            assert self.verdict(t, window, EXACT) == expected, t
+            assert self.verdict(self.floated(t), window, FLOAT) == expected, t
+            top = max([window] + [i for f, v in s.terms for i in f.support + v.support])
+            tally["yes" if expected else "no"] += 1
+            tally["only cut"] += expected and not dense_nilpotent(s, top)
+        assert min(tally.values()) >= 15, tally
 
 
 def dense_witness(t, x, y, eps, max_n, p, window):
