@@ -198,14 +198,14 @@ def _integer_core(s: FiniteRankOperator, vs: Sequence[SparseVector],
     scaled to an integer matrix d·G (exact mode), as the map of a sparse
     column on coordinates 1..k to its image under d·G.
 
-    Each f_i and v_j is scaled once by `ctx.integer_row`, each pairing is an
-    integer dot product, and one more `ctx.integer_row` scales G."""
+    Each f_i and v_j gives its integer form kept by `ctx.integer_of`, each
+    pairing is an integer dot product, and one `ctx.integer_row` scales G."""
     k = len(vs)
-    frows = [ctx.integer_row(f.entries) for f, _ in s.terms]
+    frows = [ctx.integer_of(f) for f, _ in s.terms]
     # G_ij flattened at (j - 1)·k + i - 1, column by column
     flat = {}
     for j, v in enumerate(vs):
-        vrow, vden = ctx.integer_row(v.entries)
+        vrow, vden = ctx.integer_of(v)
         for i in s.coord_index.hits(v):
             frow, fden = frows[i]
             if dot := _dot(frow, vrow):

@@ -17,12 +17,12 @@ pairs, in term order, so each sum and its rounding are those of the plain
 term loop.
 
 In exact mode `apply` runs on integers (fraction-free arithmetic; Geddes,
-Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 9): x is
-scaled once to an integer row over its denominator, and each term's f and v
-once, when the term is first paired; the scaled rows stay on the operator
-like its index.  Pairings are integer dot products, and start + sum_j
-f_j(x) v_j is one integer sum per coordinate over a common denominator, so
-one Fraction is built per coordinate the terms touch.
+Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 9): x and
+each term's f and v are integer rows over their denominators, the forms
+`ScalarContext.integer_of` keeps on each vector, and the term rows stay on
+the operator like its index.  Pairings are integer dot products, and start
++ sum_j f_j(x) v_j is one integer sum per coordinate over a common
+denominator, so one Fraction is built per coordinate the terms touch.
 
 `GramFactor` serves the construction: it keeps I_k + G factored as terms
 arrive, fraction-free in exact mode, and returns J^{-1} u with two triangular
@@ -43,7 +43,7 @@ from . import linalg
 from .errors import BudgetExceeded, NotInSpan, NotPBounded, SingularOperator
 from .scalars import EXACT, Scalar, ScalarContext, _immutable
 from .seminorms import DiskSpec, SeminormSpec, dual_norm, minkowski
-from .vectors import CoordFunctional, SparseVector, _dot, combine
+from .vectors import CoordFunctional, SparseVector, _built, _dot, combine
 
 IDENTITY = "identity"
 ZERO = "zero"
@@ -76,6 +76,14 @@ class CoordIndex:
             else:
                 at[i] = [pos]
         self._size = pos + 1
+
+    def extended(self, m: FiniteMap) -> "CoordIndex":
+        """A copy sharing no list with this index, with m at the next position."""
+        index = CoordIndex()
+        index._at = {i: at.copy() for i, at in self._at.items()}
+        index._size = self._size
+        index.add(m)
+        return index
 
     def hits(self, x: FiniteMap) -> Sequence[int]:
         """Ascending positions of the indexed maps sharing a coordinate with x;
@@ -137,10 +145,13 @@ class FiniteRankOperator:
         return op
 
     def with_term(self, f: CoordFunctional, v: SparseVector) -> "FiniteRankOperator":
-        """The operator with one more term, keeping the term rows already scaled."""
+        """The operator with one more term, keeping the term rows already
+        scaled and, once built, this operator's index extended by f."""
         op = FiniteRankOperator(self.base, self.terms + ((f, v),))
         if "_term_rows" in self.__dict__:
             op.__dict__["_term_rows"] = self._term_rows + [None]
+        if "coord_index" in self.__dict__:
+            op.__dict__["coord_index"] = self.coord_index.extended(f)
         return op
 
     def linear_part(self) -> "FiniteRankOperator":
@@ -154,16 +165,16 @@ class FiniteRankOperator:
         """base(x) + sum_j f_j(x) v_j over the terms that meet x, in term order.
 
         Float mode is `vectors.combine` of the pairings.  Exact mode, where
-        `ctx.integer_row` scales x, pairs the terms' integer rows with x's and
-        sums start + sum_j f_j(x) v_j on integers over one common denominator,
-        building one Fraction per coordinate the terms touch; the other
-        coordinates of x keep their Fractions, and the entries come in the
-        order `combine` gives them.
+        `ctx.integer_of` gives x's integer form, pairs the terms' integer
+        rows with x's and sums start + sum_j f_j(x) v_j on integers over one
+        common denominator, building one Fraction per coordinate the terms
+        touch; the other coordinates of x keep their Fractions, and the
+        entries come in the order `combine` gives them.
         """
         identity = self.base == IDENTITY
         start = x if identity else SparseVector.zero()
         hits = self.coord_index.hits(x)
-        scaled = ctx.integer_row(x.entries) if hits else None
+        scaled = ctx.integer_of(x) if hits else None
         if scaled is None:
             terms = self.terms
             return combine([(terms[j][0].pair(x), terms[j][1]) for j in hits], start)
@@ -175,7 +186,7 @@ class FiniteRankOperator:
             r = rows[j]
             if r is None:
                 f, v = terms[j]
-                r = rows[j] = ctx.integer_row(f.entries) + ctx.integer_row(v.entries)
+                r = rows[j] = ctx.integer_of(f) + ctx.integer_of(v)
             frow, fden, vrow, vden = r
             dot = _dot(frow, xrow)
             if dot:
@@ -197,8 +208,8 @@ class FiniteRankOperator:
                     out[i] = s
                 else:
                     out.pop(i, None)
-        return SparseVector({i: Fraction(acc[i], den) if i in acc else v
-                             for i, v in out.items()})
+        return _built(SparseVector, {i: Fraction(acc[i], den) if i in acc else v
+                                     for i, v in out.items()})
 
     def compose(self, other: "FiniteRankOperator",
                 ctx: ScalarContext = EXACT) -> "FiniteRankOperator":
@@ -265,17 +276,17 @@ class GramFactor:
 
     A `linalg.Bordered` factor grows by one row and one column per term.  In
     exact mode it is the integer factor of D_f·(I_k + G)·D_v, for D_f and D_v
-    the denominators of the f_r and v_c as `ScalarContext.integer_row` scales
-    them once: entry (r, c) is fden_r·vden_c·δ_rc + f_r·v_c on the integer
-    rows.  Float mode factors I_k + G = L·D·U.  Two coordinate indices, one
-    of the f_r and one of the v_c, grow with it, so term m + 1 costs one
+    the denominators of the integer forms `ScalarContext.integer_of` keeps on
+    the f_r and v_c: entry (r, c) is fden_r·vden_c·δ_rc + f_r·v_c on the
+    integer rows.  Float mode factors I_k + G = L·D·U.  Two coordinate indices,
+    one of the f_r and one of the v_c, grow with it, so term m + 1 costs one
     pairing per overlapping pair: one per term r <= m whose v_r meets the
     support of f (its row and diagonal) and one per earlier term whose f_r
-    meets that of v (its column), 2m + 1 when every support overlaps.
-    `solve` pairs u with the f_r that meet it, then makes one forward and one
-    back substitution.  There is no pivoting: det(I_m + G_m) = det J_m, so
-    every leading minor is non-zero while every J_m is invertible.  A zero
-    pivot makes `solve`, and any further `extend`, raise SingularOperator.
+    meets that of v (its column), 2m + 1 when every support overlaps.  `solve`
+    pairs u with the f_r that meet it, then makes one forward and one back
+    substitution.  There is no pivoting: det(I_m + G_m) = det J_m, so every
+    leading minor is non-zero while every J_m is invertible.  A zero pivot
+    makes `solve`, and any further `extend`, raise SingularOperator.
     """
 
     def __init__(self, ctx: ScalarContext = EXACT):
@@ -301,8 +312,7 @@ class GramFactor:
         self._vs.append(v)
         self._f_index.add(f)
         self._v_index.add(v)
-        (frow, fden), (vrow, vden) = [self.ctx.integer_row(x.entries) or (x.entries, 1)
-                                      for x in (f, v)]
+        (frow, fden), (vrow, vden) = [self.ctx.integer_of(x) or (x.entries, 1) for x in (f, v)]
         rows.append((frow, vrow, fden * vden if lu.integer else self.ctx.one, vden))
         # new column of G down to the diagonal, new row left of it
         col = [0] * (m + 1)
@@ -326,7 +336,7 @@ class GramFactor:
         hits = self._f_index.hits(u)
         if not hits:
             return u
-        urow, uden = self.ctx.integer_row(u.entries) or (u.entries, 1)
+        urow, uden = self.ctx.integer_of(u) or (u.entries, 1)
         rhs = [0] * len(rows)
         for r in hits:
             rhs[r] = _dot(rows[r][0], urow)
@@ -342,7 +352,8 @@ def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOpera
 
     The inverse is I - sum_j f_j (.) u_j with u_j = sum_i M_ij v_i and
     M = (I_k + G)^{-1}, G_ij = f_i(v_j), read off one pivoting
-    `linalg.RowReducer.of` of [I_k + G | I_k], independent of `GramFactor`.
+    `linalg.RowReducer.of` of [I_k + G | I_k], independent of `GramFactor`;
+    one walk down its rows gives each u_j its non-zero M_ij in term order.
     SingularOperator when I_k + G is singular, i.e. when the operator
     annihilates some vector.
     """
@@ -361,11 +372,12 @@ def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOpera
         [{c: g for c, g in row.items() if g} | {k + r: ctx.one} for r, row in enumerate(gram)], ctx)
     if any(pc >= k for pc in red.rows):
         raise SingularOperator(f"{k}x{k} matrix is not invertible")
-    new_terms = []
-    for col, (f, _) in enumerate(terms):
-        u = combine((red.rows[r].get(k + col, 0), v) for r, (_, v) in enumerate(terms))
-        new_terms.append((f, -u))
-    return FiniteRankOperator(IDENTITY, tuple(new_terms))
+    cols: List[List[Tuple[Scalar, SparseVector]]] = [[] for _ in terms]
+    for r, (_, v) in enumerate(terms):
+        for c, m in red.rows[r].items():
+            if c >= k:
+                cols[c - k].append((m, v))
+    return FiniteRankOperator(IDENTITY, tuple((f, -combine(u)) for (f, _), u in zip(terms, cols)))
 
 
 def orbit(t: FiniteRankOperator, x0: SparseVector, horizon: int,

@@ -3,14 +3,14 @@
 A whole scenario runs in one mode, carried by one `ScalarContext`: it fixes
 the scalar type where text becomes scalars (`parse`), supplies `zero` and
 `one`, compares, weighs pivots for elimination (`pivot_weight`), says
-whether rows may be eliminated on integers (`integer_row`) and whether a
-value may come from a smaller, equivalent system (`route_free`), sums the
-quotients of a disk gauge on integers in exact mode (`abs_ratio_sum`) and
-folds the products of a float substitution (`sub_products`).  Value
-types store the scalars they are given and never learn the mode.  Exact
-mode is the basis of every acceptance check; float mode exists for larger
-experiments.  In float mode `is_zero` is absolute (|x| <= FLOAT_TOL = 2^-40)
-while `eq` and `lt` are relative (|a - b| <= FLOAT_TOL * max(1, |a|, |b|)).
+whether rows may be eliminated on integers (`integer_row`, kept on a vector
+by `integer_of`) and whether a value may come from a smaller, equivalent
+system (`route_free`), sums the quotients of a disk gauge on integers in
+exact mode (`abs_ratio_sum`) and folds the products of a float substitution
+(`sub_products`).  Value types never learn the mode.  Exact mode is the
+basis of every acceptance check; float mode exists for larger experiments.
+In float mode `is_zero` is absolute (|x| <= FLOAT_TOL = 2^-40) while `eq`
+and `lt` are relative (|a - b| <= FLOAT_TOL * max(1, |a|, |b|)).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class ScalarContext:
     def __hash__(self):
         return hash((self.mode,))
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return self.mode == "exact"
 
@@ -140,6 +140,15 @@ class ScalarContext:
         ratios = [(i, v.as_integer_ratio()) for i, v in entries.items()]
         den = lcm(*[d for _, (_, d) in ratios])
         return {i: n * (den // d) for i, (n, d) in ratios if n}, den
+
+    def integer_of(self, x) -> Optional[Tuple[Dict[int, int], int]]:
+        """`integer_row(x.entries)` for a vector or functional x, kept in its
+        slot `_int` from the first call and read only; None in float mode."""
+        if not self.exact:
+            return None
+        if x._int is None:
+            object.__setattr__(x, "_int", self.integer_row(x.entries))
+        return x._int
 
     def sub_products(self, b: Scalar, pairs: Iterable[Tuple[Scalar, Scalar]]) -> Scalar:
         """b - sum of t * x over the (t, x) pairs, folded as

@@ -161,10 +161,11 @@ class DiskSpec:
 def minkowski(disk: DiskSpec, u: SparseVector, ctx: ScalarContext = EXACT) -> Scalar:
     """Gauge of u with respect to the disk; NotInSpan if u is outside span D.
 
-    A generator disk solves min sum c over [G | -G] c = u, c >= 0.  Where
-    `ctx.integer_row` scales u, the disk keeps L_G [G | -G] from its first gauge,
-    and `simplex.solve_lp` gets the rows L [G | -G | u] that it would build
-    itself, L = lcm(L_G, den u); a u off the generators' support fails before that.
+    A generator disk solves min sum c over [G | -G] c = u, c >= 0.  Where u
+    has an integer form (`ctx.integer_of`), the disk keeps L_G [G | -G] from
+    its first gauge, and `simplex.solve_lp` gets the rows L [G | -G | u] that
+    it would build itself, L = lcm(L_G, den u); a u off the generators'
+    support fails before that.
     """
     if disk.weights is not None:
         weights = disk.weights
@@ -178,7 +179,7 @@ def minkowski(disk: DiskSpec, u: SparseVector, ctx: ScalarContext = EXACT) -> Sc
         return ctx.zero
     if not gens:
         raise NotInSpan("empty generator list spans only 0")
-    w, scaled = 2 * len(gens), ctx.integer_row(u.entries)
+    w, scaled = 2 * len(gens), ctx.integer_of(u)
     try:
         if scaled is None:
             coords = sorted(set(u.support).union(*(g.support for g in gens)))
@@ -213,7 +214,8 @@ def gauge_below(disk: DiskSpec, x: SparseVector, y: SparseVector, bound: Scalar,
     exactly or after float rounding and within `lt`'s tolerance.  Otherwise it
     takes the full gauge, so an LP or NotInSpan comes as from `minkowski`.
 
-    Where `ctx.integer_row` scales x = X / x̄ and y = Y / ȳ, the sum runs on
+    Where x = X / x̄ and y = Y / ȳ have integer forms (`ctx.integer_of`, kept
+    on each vector, so a pool scan scales nothing twice), the sum runs on
     integers: with 1 / d_i = c_i / P, N sums |X_i·ȳ - Y_i·x̄|·c_i, the gauge
     is N / (x̄·ȳ·P), and each partial sum is compared with the bound p / q
     as N·q < p·x̄·ȳ·P, so it stops where the Fraction sum would.  The disk
@@ -223,7 +225,7 @@ def gauge_below(disk: DiskSpec, x: SparseVector, y: SparseVector, bound: Scalar,
     weights, xe, ye = disk.weights, x.entries, y.entries
     if weights is None or not (xe.keys() <= weights.keys() and ye.keys() <= weights.keys()):
         return ctx.lt(minkowski(disk, x - y, ctx), bound)
-    xs = ctx.integer_row(xe)
+    xs = ctx.integer_of(x)
     if xs is None:
         diffs = chain(((i, a - ye[i] if i in ye else a) for i, a in xe.items()),
                       ((i, b) for i, b in ye.items() if i not in xe))
@@ -237,7 +239,7 @@ def gauge_below(disk: DiskSpec, x: SparseVector, y: SparseVector, bound: Scalar,
     if disk._gauge_weights is None:
         object.__setattr__(disk, "_gauge_weights",
                            ctx.integer_row({i: 1 / w for i, w in weights.items()}))
-    (mult, wden), (xrow, xden), (yrow, yden) = disk._gauge_weights, xs, ctx.integer_row(ye)
+    (mult, wden), (xrow, xden), (yrow, yden) = disk._gauge_weights, xs, ctx.integer_of(y)
     p, q = bound.as_integer_ratio()
     limit, total = p * xden * yden * wden, 0
     diffs = chain(((i, a * yden - yrow[i] * xden if i in yrow else a * yden)

@@ -5,7 +5,11 @@ scalar.  Explicit zeros are never stored, ints are stored as Fractions, and
 any other scalar is stored as given; equality is entry-wise, and hashing
 agrees with it, so vectors serve as set members and dict keys.  The pairing
 f(x) = sum_i f_i * x_i is always a finite sum, and an empty one is the int 0.
-Finite linear combinations go through `combine`, which cleans the sum once.
+Finite linear combinations go through `combine`; it, `restrict`, `__neg__`
+and exact `FiniteRankOperator.apply` build from clean entries and skip
+`_clean` (`scale`, `__add__` and `__sub__` can make zeros, so keep it).  A map
+keeps its exact integer form in the slot `_int`, outside equality, hashing,
+copies and pickles, filled and read only by `ScalarContext.integer_of`.
 """
 
 from __future__ import annotations
@@ -42,11 +46,12 @@ def _dot(a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> Scalar:
 
 
 class _FiniteMap:
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_int")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, entries: Optional[Mapping[int, Scalar]] = None):
-        object.__setattr__(self, "entries", _clean(entries or {}))
+        _set_entries(self, _clean(entries or {}))
+        _set_int(self, None)
 
     def __eq__(self, other):
         return self.entries == other.entries if type(other) is type(self) else NotImplemented
@@ -91,7 +96,7 @@ class _FiniteMap:
         return type(self)(merged)
 
     def __neg__(self):
-        return type(self)({i: -v for i, v in self.entries.items()})
+        return _built(type(self), {i: -v for i, v in self.entries.items()})
 
     def scale(self, factor: Scalar):
         if factor == 0:
@@ -100,11 +105,22 @@ class _FiniteMap:
 
     def restrict(self, indices) -> "_FiniteMap":
         keep = set(indices)
-        return type(self)({i: v for i, v in self.entries.items() if i in keep})
+        return _built(type(self), {i: v for i, v in self.entries.items() if i in keep})
 
     def __repr__(self):
         body = ", ".join(f"{i}: {v}" for i, v in sorted(self.entries.items()))
         return f"{type(self).__name__}({{{body}}})"
+
+
+_set_entries, _set_int = _FiniteMap.entries.__set__, _FiniteMap._int.__set__  # past the guard
+
+
+def _built(kind, entries: Dict[int, Scalar]):
+    """A map of the kind on entries clean already (int keys > 0, no zero, no int)."""
+    x = object.__new__(kind)
+    _set_entries(x, entries)
+    _set_int(x, None)
+    return x
 
 
 class SparseVector(_FiniteMap):
@@ -157,7 +173,7 @@ def combine(terms: Iterable[Tuple[Scalar, _FiniteMap]], start: Optional[_FiniteM
                 acc.pop(i, None)
     if acc is None:
         return SparseVector.zero() if start is None else start
-    return kind(acc)
+    return _built(kind, acc)
 
 
 def close(x: _FiniteMap, y: _FiniteMap, ctx: ScalarContext) -> bool:

@@ -20,9 +20,9 @@ from orbitlab import (
     orbit,
 )
 from orbitlab.errors import BudgetExceeded, SingularOperator
-from orbitlab.operators import IDENTITY, ZERO, GramFactor
+from orbitlab.operators import IDENTITY, ZERO, CoordIndex, GramFactor
 from orbitlab.scalars import EXACT, FLOAT
-from orbitlab.vectors import close
+from orbitlab.vectors import _clean, close, combine
 
 import orbitlab.linalg as linalg
 import oracles
@@ -486,13 +486,16 @@ class TestCoordIndex:
 
     def test_invert_builds_the_dense_gram(self, mode, monkeypatch):
         """`invert` hands `RowReducer.of` the non-zero entries of [I_k + G | I_k],
-        row by row in ascending column order, bit for bit as the dense Gram."""
-        seen = []
+        row by row in ascending column order, bit for bit as the dense Gram,
+        and each u_j is, bit for bit and in entry order, the term-order fold of
+        column j of the reduced rows."""
+        seen, reduced = [], []
         of = linalg.RowReducer.of
 
         def spy(rows, ctx):
             seen.append([(list(row), scalar_bits(row.values())) for row in rows])
-            return of(rows, ctx)
+            reduced.append(of(rows, ctx))
+            return reduced[-1]
 
         monkeypatch.setattr(linalg.RowReducer, "of", spy)
         inverted = 0
@@ -501,12 +504,18 @@ class TestCoordIndex:
                 j = FiniteRankOperator(IDENTITY, terms)
                 one = ctx.one
                 seen.clear()
+                reduced.clear()
+                k = len(terms)
                 try:
                     j_inv = invert(j, ctx)
                     inverted += 1
+                    rows = reduced[0].rows
+                    folds = [combine((rows[r].get(k + c, 0), v) for r, (_, v) in enumerate(terms))
+                             for c in range(k)]
+                    assert [(f, entry_bits(u)) for f, u in j_inv.terms] == \
+                        [(f, entry_bits(-u)) for (f, _), u in zip(terms, folds)], name
                 except SingularOperator:
                     pass
-                k = len(terms)
                 expected = [{c: g + (one if r == c else 0) for c, g in enumerate(row)}
                             for r, row in enumerate(dense_gram(terms))]
                 expected = [{c: g for c, g in row.items() if g} | {k + r: one}
@@ -699,6 +708,73 @@ class TestExactApply:
         assert entry_bits(twice.apply(x0, ctx)) == entry_bits(apply_terms(twice, x0))
         cols = [apply_terms(t, SparseVector.basis(j, ctx)) for j in range(1, 5)]
         assert t.matrix_on(range(1, 5), ctx) == [[c.get(i) for c in cols] for i in range(1, 5)]
+
+
+def assert_clean(x):
+    """x's entries are what `vectors._clean` makes of them: the same keys in
+    the same order, with the same values and value types."""
+    assert entry_bits(x) == [(i, type(v), repr(v)) for i, v in _clean(x.entries).items()]
+
+
+@pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+def test_results_that_skip_the_cleaning_pass_are_clean(ctx):
+    """`combine`, `apply`, `restrict` and `__neg__` build their results from
+    clean entries without `_clean`; each result is what `_clean` would give."""
+    for seed in range(6):
+        rng = random.Random(seed)
+        xs = rows_probes(rng)
+        families = rows_families(rng)
+        if ctx is FLOAT:
+            xs = [as_float(x) for x in xs]
+            families = [(name, float_terms(terms)) for name, terms in families]
+        coefficients = [0, 1, -1, Fraction(1, 3), Fraction(-7, 2)]
+        if ctx is FLOAT:
+            coefficients = [0.0, 1.0, -1.0, 1 / 3, -3.5, 2.0 ** -60]
+        for name, terms in families:
+            for base in (IDENTITY, ZERO):
+                op = FiniteRankOperator(base, terms)
+                for x in xs:
+                    assert_clean(op.apply(x, ctx))
+            fs = [f for f, _ in terms]
+            for x in xs:
+                assert_clean(-x)
+                assert_clean(x.restrict(rng.sample(range(1, INDEX_WINDOW + 4), 5)))
+                picked = rng.sample(xs, 3)
+                pairs = [(rng.choice(coefficients), y) for y in picked]
+                # a combination that cancels x outright
+                assert_clean(combine(pairs + [(-1, x)], x))
+                assert combine([(1, x), (-1, x)]).is_zero()
+                assert_clean(combine((rng.choice(coefficients), f) for f in fs))
+            for f in fs:
+                for g in (-f, f.restrict(range(1, 5))):
+                    assert_clean(g)
+                    assert type(g) is CoordFunctional
+
+
+def test_with_term_extends_the_parents_index_and_shares_no_list():
+    rng = random.Random(23)
+    xs = rows_probes(rng)
+    for name, terms in rows_families(rng):
+        op = FiniteRankOperator.zero()
+        op.coord_index  # built here, so that each child extends its parent's
+        for f, v in terms:
+            before = [list(op.coord_index.hits(x)) for x in xs]
+            grown = op.with_term(f, v)
+            # carried, not rebuilt at the first use
+            assert "coord_index" in vars(grown), name
+            fresh = CoordIndex(g for g, _ in grown.terms)
+            assert [list(grown.coord_index.hits(x)) for x in xs] == \
+                [list(fresh.hits(x)) for x in xs], name
+            shared = {id(at) for at in op.coord_index._at.values()}
+            assert not shared & {id(at) for at in grown.coord_index._at.values()}, name
+            grown.with_term(f, v)
+            assert [list(op.coord_index.hits(x)) for x in xs] == before, name
+            op = grown
+    # an operator whose index was never built leaves its child to build one
+    lazy = FiniteRankOperator(ZERO, terms).with_term(*terms[0])
+    assert "coord_index" not in vars(lazy)
+    assert list(lazy.coord_index.hits(xs[4])) == list(CoordIndex(
+        g for g, _ in lazy.terms).hits(xs[4]))
 
 
 class TestOrbit:

@@ -221,6 +221,40 @@ def test_only_scalars_reads_the_mode():
     assert reads == []
 
 
+def slot_names(tree):
+    """Places that name the integer form a vector keeps: the attribute
+    `._int`, or the string "_int" that `getattr` and `__setattr__` take."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_int":
+            yield node.lineno, "._int"
+        elif isinstance(node, ast.Constant) and node.value == "_int":
+            yield node.lineno, '"_int"'
+
+
+def test_only_vectors_and_scalars_name_the_integer_form():
+    """`vectors` owns the slot and `ScalarContext.integer_of` fills and reads
+    it; every other module asks the accessor, so whether and when a form is
+    kept is decided in one place."""
+    names = []
+    for path in sorted(Path(orbitlab.__file__).parent.glob("*.py")):
+        if path.name not in ("vectors.py", "scalars.py"):
+            names += [f"{path.name}:{line} {what}"
+                      for line, what in slot_names(ast.parse(path.read_text()))]
+    assert names == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("x._int", ["._int"]),
+    ("getattr(x, '_int', None)", ['"_int"']),
+    ("object.__setattr__(x, '_int', form)", ['"_int"']),
+    ("ctx.integer_of(x)", []),
+    ("x._integer", []),
+    ("_int = 1", []),
+])
+def test_slot_name_scan_flags_each_way_of_naming_it(source, found):
+    assert [what for _, what in slot_names(ast.parse(source))] == found
+
+
 @pytest.mark.parametrize("source, found", [
     ("ctx.exact", [".exact"]),
     ("x = ctx.tol", [".tol"]),

@@ -268,7 +268,9 @@ def test_exact_generator_gauge_does_no_fraction_arithmetic_in_simplex(monkeypatc
     five-dimensional gauge scenario (five scaled unit vectors and four
     three-entry generators, 18 LP columns): no Fraction sum, difference,
     product or quotient is formed in simplex.py, and the gauges equal the
-    Fraction tableau's, whose run the same spy does see."""
+    Fraction tableau's, whose run the same spy does see.  Each run gauges
+    fresh copies of the probes, so that no run reads an integer form that
+    another run's `integer_row` gave a probe."""
     rng = random.Random(7)
     gens = [SparseVector({i: F(rng.randint(1, 4), rng.choice((1, 2)))}) for i in range(1, 6)]
     gens += [SparseVector({i: F(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
@@ -296,7 +298,7 @@ def test_exact_generator_gauge_does_no_fraction_arithmetic_in_simplex(monkeypatc
             for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                          "__truediv__", "__rtruediv__"):
                 m.setattr(Fraction, name, spy(name))
-            gauges = [minkowski(disk, u, EXACT) for u in probes]
+            gauges = [minkowski(disk, SparseVector(u.entries), EXACT) for u in probes]
         return gauges, callers
 
     sizes, integer_row = [], ScalarContext.integer_row
@@ -388,7 +390,8 @@ def test_scaled_generator_gauge_takes_solve_lps_tableau_and_pivots(monkeypatch):
     scaled [G | -G], against `solve_lp` on the freshly built [G | -G | u]: the
     same integer rows, the same basis after every pivot, and the same value
     or infeasibility; against the Fraction tableau (`integer_row` declining)
-    the same gauge by repr or the same NotInSpan text.  A zero probe and a
+    the same gauge by repr or the same NotInSpan text, on a fresh copy of
+    the probe that `integer_row` never scaled.  A zero probe and a
     probe off the generators' support build no tableau.  Float gauges equal
     float `solve_lp`'s by repr and leave the float disk unscaled."""
     monkeypatch.setattr(simplex, "_IntTableau", _RecordingIntTableau)
@@ -411,7 +414,7 @@ def test_scaled_generator_gauge_takes_solve_lps_tableau_and_pivots(monkeypatch):
                 _RecordingIntTableau.last
             with monkeypatch.context() as m:
                 m.setattr(ScalarContext, "integer_row", lambda self, entries: None)
-                reference = outcome(lambda: minkowski(disk, u))
+                reference = outcome(lambda: minkowski(disk, SparseVector(u.entries)))
             assert type(fast) is type(reference) and repr(fast) == repr(reference)
             assert str(fast) == str(reference)
             uf = SparseVector({i: float(v) for i, v in u.entries.items()})

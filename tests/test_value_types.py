@@ -1,8 +1,10 @@
 """The value types' contract: equal fields give equal objects with equal
 hashes, a type is equal only to itself, a disk hashes only in generator form,
 the fields of an immutable value type can be neither assigned nor deleted,
-and every value type copies and pickles to an equal value.  Reports are the
-one mutable type."""
+and every value type copies and pickles to an equal value.  Data a value
+caches (an operator's index, a disk's scaled gauge, a vector's integer form)
+stays outside equality, hashing, copies and pickles.  Reports are the one
+mutable type."""
 
 import copy
 import pickle
@@ -13,7 +15,7 @@ import pytest
 from orbitlab.density import Enumeration
 from orbitlab.operators import ZERO, FiniteRankOperator
 from orbitlab.reports import CheckResult, Report, Table
-from orbitlab.scalars import FLOAT, ScalarContext
+from orbitlab.scalars import EXACT, FLOAT, ScalarContext
 from orbitlab.seminorms import DiskSpec, SeminormSpec, gauge_below, minkowski
 from orbitlab.vectors import CoordFunctional, SparseVector
 
@@ -121,6 +123,43 @@ def test_cached_data_is_kept_past_the_guard_and_outside_equality():
     floated = DiskSpec(weights={1: 2.0})
     assert gauge_below(floated, SparseVector({1: 1.0}), SparseVector.zero(), 1.0, FLOAT)
     assert floated._gauge_weights is None
+
+
+@pytest.mark.parametrize("cls", [SparseVector, CoordFunctional])
+def test_a_maps_integer_form_is_kept_past_the_guard_and_outside_equality(cls):
+    entries = {1: Fraction(1, 2), 3: Fraction(-2, 3), 4: 5}
+    x, fresh = cls(entries), cls(entries)
+    assert x._int is None
+    assert EXACT.integer_of(x) == ({1: 3, 3: -4, 4: 30}, 6)
+    # kept: a later call hands back the same form, and builds none
+    assert EXACT.integer_of(x) is x._int and fresh._int is None
+    assert x == fresh and hash(x) == hash(fresh)
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert y == x and y._int is None
+    for change in (lambda: setattr(x, "_int", None), lambda: delattr(x, "_int")):
+        with pytest.raises(AttributeError):
+            change()
+    assert x._int == ({1: 3, 3: -4, 4: 30}, 6)
+    # float mode never fills it, and results of arithmetic start without one
+    floated = cls({1: 0.5, 2: -2.0})
+    assert FLOAT.integer_of(floated) is None and floated._int is None
+    assert all(y._int is None for y in (-x, x + fresh, x - fresh, x.scale(2), x.restrict([1])))
+
+
+def test_only_an_exact_kernel_fills_the_integer_form():
+    op = FiniteRankOperator(ZERO, [_term(1), _term(2)])
+    x, floated = SparseVector({1: Fraction(2, 3), 2: 1}), SparseVector({1: 0.5, 2: 1.0})
+    op.apply(floated, FLOAT)
+    assert floated._int is None and all(f._int is None for f, _ in op.terms)
+    image = op.apply(x)
+    assert x._int == ({1: 2, 2: 3}, 3) and image._int is None
+    assert all(f._int is not None and v._int is not None for f, v in op.terms)
+    disk = DiskSpec(weights={1: 1, 2: 1})
+    y, z = SparseVector({1: Fraction(1, 5)}), SparseVector({2: Fraction(1, 5)})
+    assert not gauge_below(disk, y, z, Fraction(1, 5), FLOAT)
+    assert y._int is None and z._int is None
+    assert gauge_below(disk, y, z, Fraction(1, 2))
+    assert y._int == ({1: 1}, 5) and z._int == ({2: 1}, 5)
 
 
 @pytest.mark.parametrize("name", sorted(IMMUTABLE))
