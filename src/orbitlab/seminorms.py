@@ -7,8 +7,8 @@ the Minkowski gauge of a disk are computed in closed form (weight form) or
 by an exact linear program (generator form).  The sup kind's dual norm
 sum_i |f_i| / w_i and the weight-form gauge sum_i |u_i| / d_i are
 `ScalarContext.abs_ratio_sum`, one integer numerator over one common
-denominator in exact mode, where a generator disk scales its LP matrix once,
-at its first gauge, and each gauge only u.  `gauge_below` answers whether
+denominator in exact mode, where a generator disk scales its LP matrix once
+and re-solves each gauge from its last optimum.  `gauge_below` answers whether
 the gauge of x - y lies below a bound, and in weight form sums it from x
 and y and stops once the bound is reached, building no difference; in exact
 mode it sums on integers, over the inverse weights the disk scales once.  The
@@ -127,8 +127,9 @@ class DiskSpec:
     weighted coordinates.  Generator form: p_D(u) is the minimal l1 mass of a
     representation of u as a combination of the generators.  Only this form hashes.
     The exact gauges keep what they scale once outside equality and pickles:
-    `_gauge_rows` the scaled [G | -G] of a generator disk for `minkowski`,
-    `_gauge_weights` the integer inverse weights of a weight disk for `gauge_below`.
+    `_gauge_rows` the scaled [G | -G] of a generator disk for `minkowski`, with
+    the optimal tableau of its latest solved gauge, and `_gauge_weights` the
+    integer inverse weights of a weight disk for `gauge_below`.
     """
 
     __slots__ = ("weights", "generators", "_gauge_rows", "_gauge_weights")
@@ -163,9 +164,11 @@ def minkowski(disk: DiskSpec, u: SparseVector, ctx: ScalarContext = EXACT) -> Sc
 
     A generator disk solves min sum c over [G | -G] c = u, c >= 0.  Where u
     has an integer form (`ctx.integer_of`), the disk keeps L_G [G | -G] from
-    its first gauge, and `simplex.solve_lp` gets the rows L [G | -G | u] that
-    it would build itself, L = lcm(L_G, den u); a u off the generators'
-    support fails before that.
+    its first gauge, and `simplex.optimal_tableau` gets the rows
+    L [G | -G | u] that `solve_lp` would build itself, L = lcm(L_G, den u).
+    The disk keeps that optimal tableau, and `simplex.resolve` reads every
+    gauge from it, the later ones by dual simplex on their u, with no
+    phase 1.  A u off the generators' support fails before either.
     """
     if disk.weights is not None:
         weights = disk.weights
@@ -190,15 +193,18 @@ def minkowski(disk: DiskSpec, u: SparseVector, ctx: ScalarContext = EXACT) -> Sc
             nums, den = ctx.integer_row(dict(enumerate(
                 sign * g.get(i) for i in coords for sign in (1, -1) for g in gens)))
             template = {i: [nums.get(r * w + j, 0) for j in range(w)] for r, i in enumerate(coords)}
-            object.__setattr__(disk, "_gauge_rows", (den, template))
-        (gen_den, template), (urow, uden) = disk._gauge_rows, scaled
+            object.__setattr__(disk, "_gauge_rows", (den, template, None))
+        (gen_den, template, tab), (urow, uden) = disk._gauge_rows, scaled
         if not u.entries.keys() <= template.keys():
             raise simplex.Infeasible("u has a coordinate outside the generators' support")
-        den = lcm(gen_den, uden)
-        m, mu = den // gen_den, den // uden
-        a = [[m * v for v in row] for row in template.values()]
-        return simplex.solve_lp([ctx.one] * w, a, [urow.get(i, 0) * mu for i in template], ctx,
-                                scale=den).value
+        b = [urow.get(i, 0) for i in template]
+        if tab is None:
+            den = lcm(gen_den, uden)
+            m, mu = den // gen_den, den // uden
+            a = [[m * v for v in row] for row in template.values()]
+            tab = simplex.optimal_tableau([ctx.one] * w, a, [v * mu for v in b], ctx, scale=den)
+            object.__setattr__(disk, "_gauge_rows", (gen_den, template, tab))
+        return simplex.resolve(tab, b, uden)
     except simplex.Infeasible as exc:
         raise NotInSpan("u is not a combination of the generators") from exc
 

@@ -14,6 +14,13 @@ so the artificial block ends as det(B) B^-1, the dual's source.  Each pivot
 divides exactly by the previous |det B|.  Scaling moves no sign, ratio order
 or tie, so Bland's rule takes the same pivots as over Fractions.  A caller
 may pass [A | b] already scaled (a generator disk's gauge); one driver runs both.
+
+`resolve` re-optimizes a kept exact optimum for a new b: the basis stays
+dual feasible, so the dual simplex (Chvátal, Linear Programming, 1983,
+ch. 10) runs from it on the new rhs, det(B) B^-1 times the scaled b, with
+no phase 1; Bland's smallest-index rule, taken in the dual, keeps it finite
+(Bland, Math. Oper. Res. 2, 1977).  The optimal value is unique, so it is
+the value a fresh `solve_lp` finds.
 """
 
 from __future__ import annotations
@@ -120,13 +127,14 @@ class _Tableau:
 
 
 class _IntTableau(_Tableau):
-    """The exact tableau on integers: rows den * B^-1 [L A | I | L b], `red`
-    den times the reduced costs of the integer costs M c, den = |det B| > 0,
-    `scale` = L and `cost_scale` = M of the latest pricing.  Values leave in
-    the caller's units: x = rhs / den, an artificial rhs / (den L)."""
+    """The exact tableau on integers: rows den * B^-1 [S L A | I | S L b], S
+    = diag(`signs`) the start rows' signs, `red` den times the reduced costs
+    of the integer costs M c, den = |det B| > 0, `scale` = L and
+    `cost_scale` = M of the latest pricing.  Values leave in the caller's
+    units: x = rhs / den, an artificial rhs / (den L)."""
 
     def __init__(self, rows, nvars: int, ctx: ScalarContext, scale: int):
-        self.scale, self.den = scale, 1
+        self.scale, self.den, self.signs = scale, 1, [-1 if r[nvars] < 0 else 1 for r in rows]
         super().__init__(rows, nvars, ctx, 1)
 
     def pivot(self, row: int, col: int):
@@ -174,6 +182,12 @@ def solve_lp(c: Sequence[Scalar], a: Sequence[Sequence[Scalar]], b: Sequence[Sca
              ctx: ScalarContext = EXACT, scale: Optional[int] = None) -> LPResult:
     """Minimize c.x over A x = b, x >= 0.  In exact mode a caller may pass
     [A | b] already scaled: the integers L A and L b, and `scale` = L > 0."""
+    return optimal_tableau(c, a, b, ctx, scale).result([ctx.coerce(v) for v in c])
+
+
+def optimal_tableau(c: Sequence[Scalar], a: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
+                    ctx: ScalarContext = EXACT, scale: Optional[int] = None) -> _Tableau:
+    """`solve_lp`'s two phases: its tableau at the optimum."""
     nvars, nrows, w = len(c), len(a), len(c) + 1
     if scale is None:
         rows = [[ctx.coerce(v) for v in (*a[i], b[i])] for i in range(nrows)]
@@ -205,4 +219,34 @@ def solve_lp(c: Sequence[Scalar], a: Sequence[Sequence[Scalar]], b: Sequence[Sca
     # Phase 2: artificial columns may not re-enter.
     phase2 = [ctx.coerce(v) for v in c] + [ctx.zero] * tab.nrows
     tab.minimize(phase2, allowed=nvars)
-    return tab.result(phase2)
+    return tab
+
+
+def resolve(tab: _IntTableau, b: Sequence[int], bden: int) -> Fraction:
+    """The optimum of the exact tableau's LP for the rhs b / bden, b integers,
+    by dual simplex from its optimal basis, dual feasible for every b.  Each
+    row t is its artificial block times [S L A | I | S L b], `red` too but
+    for den M c on the costs, zero on the artificials, so t's rhs is that
+    block times S L b.  A row whose basic column is an artificial must read
+    0, or b is outside the span of A.  Bland's rule in the dual: the leaving
+    row has the lowest basic column among the negative rhs, the entering
+    column the smallest red_j / -a_rj (cross-multiplied), lowest j on ties.
+    Raises Infeasible; tab keeps its last basis for the next b."""
+    n, nvars = tab.ncols, tab.nvars
+    lb = [s * tab.scale * v for s, v in zip(tab.signs, b)]
+    for t in tab.rows + [tab.red]:
+        t[n] = sum(m * v for m, v in zip(t[nvars:n], lb) if v)
+    if any(row[n] for row, bcol in zip(tab.rows, tab.basis) if bcol >= nvars):
+        raise Infeasible("b is outside the span of A")
+    while True:
+        out = [i for i in range(tab.nrows) if tab.rows[i][n] < 0]
+        if not out:
+            return Fraction(-tab.red[n], tab.den * tab.cost_scale * bden)
+        r = min(out, key=tab.basis.__getitem__)
+        row, red, col = tab.rows[r], tab.red, None
+        for j in range(nvars):
+            if row[j] < 0 and (col is None or red[j] * row[col] > red[col] * row[j]):
+                col = j
+        if col is None:
+            raise Infeasible("no column enters the leaving row")
+        tab.pivot(r, col)

@@ -386,18 +386,21 @@ def outcome(run):
 
 
 def test_scaled_generator_gauge_takes_solve_lps_tableau_and_pivots(monkeypatch):
-    """Exact `minkowski` on a generator disk, whose rows come from the disk's
-    scaled [G | -G], against `solve_lp` on the freshly built [G | -G | u]: the
-    same integer rows, the same basis after every pivot, and the same value
-    or infeasibility; against the Fraction tableau (`integer_row` declining)
-    the same gauge by repr or the same NotInSpan text, on a fresh copy of
-    the probe that `integer_row` never scaled.  A zero probe and a
-    probe off the generators' support build no tableau.  Float gauges equal
-    float `solve_lp`'s by repr and leave the float disk unscaled."""
+    """Exact `minkowski` on a fresh copy of a generator disk, whose rows come
+    from the disk's scaled [G | -G], against `solve_lp` on the freshly built
+    [G | -G | u]: the same integer rows, the same basis after every pivot,
+    and the same value or infeasibility.  On one disk shared by all the
+    probes, which builds a tableau only until a gauge is solved and then
+    re-solves from it, the same gauge by repr or the same NotInSpan text as
+    the fresh disk, as `solve_lp` and as the Fraction tableau
+    (`integer_row` declining), on a fresh copy of the probe that
+    `integer_row` never scaled.  A zero probe and a probe off the
+    generators' support build no tableau.  Float gauges equal float
+    `solve_lp`'s by repr and leave the float disk unscaled."""
     monkeypatch.setattr(simplex, "_IntTableau", _RecordingIntTableau)
     rng = random.Random(61)
     seen = {"drive-out pivot": 0, "negated row": 0, "den u outside L_G": 0, "zero probe": 0,
-            "off support": 0, "not in span": 0, "solved": 0}
+            "off support": 0, "not in span": 0, "solved": 0, "warm": 0, "warm not in span": 0}
     for _ in range(150):
         dim = rng.randint(2, 5)
         gens = random_generators(rng, dim, rng.random() < 0.5)
@@ -407,16 +410,21 @@ def test_scaled_generator_gauge_takes_solve_lps_tableau_and_pivots(monkeypatch):
         gen_den = math.lcm(*(v.denominator for g in gens for v in g.entries.values()))
         support = set().union(*(g.support for g in gens))
         for u in random_probes(rng, gens, dim):
+            kept = disk._gauge_rows is not None and disk._gauge_rows[2] is not None
             _RecordingIntTableau.last = None
-            fast, fast_tab = outcome(lambda: minkowski(disk, u)), _RecordingIntTableau.last
+            shared, shared_tab = outcome(lambda: minkowski(disk, u)), _RecordingIntTableau.last
+            _RecordingIntTableau.last = None
+            fast, fast_tab = (outcome(lambda: minkowski(DiskSpec.from_generators(gens), u)),
+                              _RecordingIntTableau.last)
             _RecordingIntTableau.last = None
             slow, slow_tab = outcome(lambda: solve_lp(*generator_lp(gens, u)).value), \
                 _RecordingIntTableau.last
             with monkeypatch.context() as m:
                 m.setattr(ScalarContext, "integer_row", lambda self, entries: None)
                 reference = outcome(lambda: minkowski(disk, SparseVector(u.entries)))
-            assert type(fast) is type(reference) and repr(fast) == repr(reference)
-            assert str(fast) == str(reference)
+            for gauge in (fast, shared):
+                assert type(gauge) is type(reference) and repr(gauge) == repr(reference)
+                assert str(gauge) == str(reference)
             uf = SparseVector({i: float(v) for i, v in u.entries.items()})
             approx = outcome(lambda: minkowski(float_disk, uf, FLOAT))
             direct = outcome(lambda: solve_lp(*generator_lp(float_disk.generators, uf, FLOAT),
@@ -425,18 +433,22 @@ def test_scaled_generator_gauge_takes_solve_lps_tableau_and_pivots(monkeypatch):
             if not isinstance(direct, Exception):
                 assert repr(approx) == repr(direct)
             if u.is_zero():
-                assert fast == 0 and fast_tab is None
+                assert fast == 0 and fast_tab is None and shared_tab is None
                 seen["zero probe"] += 1
                 continue
             if not u.entries.keys() <= support:
-                assert isinstance(fast, NotInSpan) and fast_tab is None
+                assert isinstance(fast, NotInSpan) and fast_tab is None and shared_tab is None
                 assert isinstance(slow, Infeasible)
                 seen["off support"] += 1
                 continue
             assert fast_tab.start == slow_tab.start and fast_tab.path == slow_tab.path
             assert isinstance(fast, NotInSpan) == isinstance(slow, Infeasible)
+            # the shared disk builds a tableau exactly until it keeps one
+            assert (shared_tab is None) == kept
+            seen["warm"] += kept
             if isinstance(fast, NotInSpan):
                 seen["not in span"] += 1
+                seen["warm not in span"] += kept
                 continue
             assert repr(fast) == repr(slow)
             seen["solved"] += 1
@@ -445,3 +457,127 @@ def test_scaled_generator_gauge_takes_solve_lps_tableau_and_pivots(monkeypatch):
             seen["den u outside L_G"] += any(gen_den % v.denominator for v in u.entries.values())
         assert float_disk._gauge_rows is None
     assert min(seen.values()) >= 20, seen
+
+
+PIVOT_CAP = 40
+
+
+class _CappedIntTableau(simplex._IntTableau):
+    """Fails a gauge that pivots more than PIVOT_CAP times (`pivots` is reset
+    before each gauge), and at every pivot `resolve` makes counts the other
+    columns whose ratio red_j / -a_rj ties the entering column's."""
+
+    pivots = dual = ties = 0
+
+    def pivot(self, row, col):
+        cls = _CappedIntTableau
+        cls.pivots += 1
+        assert cls.pivots <= PIVOT_CAP, "a gauge passed the pivot cap"
+        if sys._getframe(1).f_code.co_name == "resolve":
+            r, red = self.rows[row], self.red
+            cls.dual += 1
+            cls.ties += sum(r[j] < 0 and red[j] * r[col] == red[col] * r[j]
+                            for j in range(self.nvars) if j != col)
+        super().pivot(row, col)
+
+
+def capped_gauge(disk, u):
+    """minkowski(disk, u) or its NotInSpan, under the pivot cap."""
+    _CappedIntTableau.pivots = 0
+    return outcome(lambda: minkowski(disk, u))
+
+
+def warm_and_cold(rng, gens, probes, seen):
+    """Gauges the probes on one disk in their order and then in a shuffled
+    one, and each probe on a fresh disk: the three outcomes agree by type,
+    repr and text.  Counts the gauges that start from a kept tableau, and
+    those among them that a row still basic in an artificial refutes."""
+    disk, support = DiskSpec.from_generators(gens), set().union(*(g.support for g in gens))
+    order = list(range(len(probes)))
+    rng.shuffle(order)
+    outcomes = [{}, {}]
+    for run, ks in zip(outcomes, (range(len(probes)), order)):
+        for k in ks:
+            tab = disk._gauge_rows and disk._gauge_rows[2]
+            run[k] = capped_gauge(disk, probes[k])
+            if tab is not None and not probes[k].is_zero() and probes[k].entries.keys() <= support:
+                seen["warm"] += 1
+                seen["redundant row refutes"] += (isinstance(run[k], NotInSpan)
+                                                  and any(b >= tab.nvars for b in tab.basis))
+    for k, u in enumerate(probes):
+        cold = capped_gauge(DiskSpec.from_generators(gens), u)
+        for run in outcomes:
+            assert (type(run[k]), repr(run[k]), str(run[k])) == (type(cold), repr(cold), str(cold))
+        seen["not in span" if isinstance(cold, NotInSpan) else "solved"] += 1
+
+
+def test_warm_gauges_equal_cold_ones_in_any_order(monkeypatch):
+    """Full-rank and deficient generator disks and `random_probes` (zero, off
+    the support, outside the span, denominators 3, 5 and 7 outside L_G):
+    the dual simplex from a kept tableau, in two orders on one disk, gives
+    each probe the value or NotInSpan text of a fresh disk's two-phase
+    solve, within the pivot cap."""
+    monkeypatch.setattr(simplex, "_IntTableau", _CappedIntTableau)
+    rng = random.Random(67)
+    seen = {"warm": 0, "redundant row refutes": 0, "not in span": 0, "solved": 0}
+    _CappedIntTableau.dual = 0
+    for deficient in (False, True):
+        for _ in range(60):
+            dim = rng.randint(2, 5)
+            gens = random_generators(rng, dim, deficient)
+            warm_and_cold(rng, gens, random_probes(rng, gens, dim), seen)
+    seen["dual pivots"] = _CappedIntTableau.dual
+    assert min(seen.values()) >= 20, seen
+
+
+def test_dual_degenerate_disks_terminate_and_equal_cold_gauges(monkeypatch):
+    """Generator lists with duplicate, negated and scaled copies, so that
+    reduced costs and dual ratios tie: Bland's rule in the dual ends every
+    warm gauge within the pivot cap, at the cold solve's value."""
+    monkeypatch.setattr(simplex, "_IntTableau", _CappedIntTableau)
+    rng = random.Random(71)
+    seen = {"warm": 0, "redundant row refutes": 0, "not in span": 0, "solved": 0}
+    _CappedIntTableau.dual = _CappedIntTableau.ties = 0
+    for _ in range(80):
+        dim = rng.randint(2, 4)
+        base = random_generators(rng, dim, rng.random() < 0.5)
+        gens = base + [g.scale(F(rng.choice((1, 1, -1, 2, -3)), rng.choice((1, 1, 2))))
+                       for g in rng.sample(base, rng.randint(1, len(base)))]
+        rng.shuffle(gens)
+        warm_and_cold(rng, gens, random_probes(rng, gens, dim), seen)
+    seen["dual pivots"], seen["ratio ties"] = _CappedIntTableau.dual, _CappedIntTableau.ties
+    assert min(seen.values()) >= 20, seen
+
+
+def bench_shaped_disk(rng):
+    """Five scaled unit vectors and four three-entry generators on
+    coordinates 1..5, as in the benchmark's five-dimensional gauge scenario."""
+    gens = [SparseVector({i: F(rng.randint(1, 4), rng.choice((1, 2)))}) for i in range(1, 6)]
+    gens += [SparseVector({i: F(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
+                           for i in rng.sample(range(1, 6), 3)}) for _ in range(4)]
+    return gens
+
+
+def test_only_a_disks_first_gauge_prices_and_minimizes(monkeypatch):
+    """On the benchmark-shaped disk, the first of twelve gauges runs the two
+    phases; gauges 2 to 12 call neither `minimize` nor `price`, and every
+    gauge equals `solve_lp`'s by repr."""
+    rng = random.Random(7)
+    gens = bench_shaped_disk(rng)
+    probes = [SparseVector({i: F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                            for i in rng.sample(range(1, 6), rng.randint(1, 5))})
+              for _ in range(12)]
+    expected = [repr(solve_lp(*generator_lp(gens, u)).value) for u in probes]
+    calls = []
+    for name in ("minimize", "price"):
+        original = getattr(simplex._IntTableau, name)
+
+        def wrapped(self, *args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(simplex._IntTableau, name, wrapped)
+    disk, counts = DiskSpec.from_generators(gens), []
+    for u, value in zip(probes, expected):
+        assert repr(minkowski(disk, u)) == value
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts == [counts[0]] * 12

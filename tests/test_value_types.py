@@ -12,7 +12,9 @@ from fractions import Fraction
 
 import pytest
 
+from orbitlab import simplex
 from orbitlab.density import Enumeration
+from orbitlab.errors import NotInSpan
 from orbitlab.operators import ZERO, FiniteRankOperator
 from orbitlab.reports import CheckResult, Report, Table
 from orbitlab.scalars import EXACT, FLOAT, ScalarContext
@@ -123,6 +125,37 @@ def test_cached_data_is_kept_past_the_guard_and_outside_equality():
     floated = DiskSpec(weights={1: 2.0})
     assert gauge_below(floated, SparseVector({1: 1.0}), SparseVector.zero(), 1.0, FLOAT)
     assert floated._gauge_weights is None
+
+
+def test_a_generator_disk_keeps_its_last_optimal_tableau_outside_equality():
+    """Only an exact generator gauge that is solved keeps a tableau, in
+    `_gauge_rows` beside the scaled [G | -G]; later gauges re-solve the same
+    tableau, and the disk still equals, hashes, copies and pickles as a
+    fresh one, without it."""
+    gens = [SparseVector({1: Fraction(1, 2), 2: 1}), SparseVector({1: 1, 2: 2})]
+    gauged, fresh = DiskSpec.from_generators(gens), DiskSpec.from_generators(gens)
+    assert minkowski(gauged, SparseVector.zero()) == 0 and gauged._gauge_rows is None
+    for outside in (SparseVector({3: 1}), SparseVector({1: 1})):
+        with pytest.raises(NotInSpan):
+            minkowski(gauged, outside)
+        assert gauged._gauge_rows[2] is None
+    assert minkowski(gauged, SparseVector({1: 1, 2: 2})) == 1
+    tab = gauged._gauge_rows[2]
+    assert isinstance(tab, simplex._IntTableau)
+    assert minkowski(gauged, SparseVector({1: Fraction(-3, 5), 2: Fraction(-6, 5)})) == Fraction(3, 5)
+    with pytest.raises(NotInSpan):
+        minkowski(gauged, SparseVector({2: 1}))
+    assert gauged._gauge_rows[2] is tab and fresh._gauge_rows is None
+    assert gauged == fresh and hash(gauged) == hash(fresh)
+    for y in (copy.copy(gauged), copy.deepcopy(gauged), pickle.loads(pickle.dumps(gauged))):
+        assert y == gauged and y._gauge_rows is None
+    with pytest.raises(AttributeError):
+        setattr(gauged, "_gauge_rows", None)
+    floated = DiskSpec.from_generators([SparseVector({1: 0.5, 2: 1.0})])
+    assert minkowski(floated, SparseVector({1: 1.0, 2: 2.0}), FLOAT) == 2.0
+    weighted = DiskSpec(weights={1: 2})
+    assert minkowski(weighted, SparseVector({1: 1})) == Fraction(1, 2)
+    assert floated._gauge_rows is None and weighted._gauge_rows is None
 
 
 @pytest.mark.parametrize("cls", [SparseVector, CoordFunctional])
