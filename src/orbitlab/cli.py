@@ -96,7 +96,7 @@ def _finish(args, task: str, payload: dict) -> int:
         raise ScenarioError(f"--name: must be a plain file name, got {args.name!r}")
     scenario = Scenario.from_dict({
         "name": args.name,
-        "scalar_mode": args.scalar_mode,
+        "scalar_mode": "exact",
         "window": args.window,
         "seed": args.seed,
         "task": task,
@@ -202,7 +202,6 @@ def _cmd_refute(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--name", default="adhoc")
-    parser.add_argument("--scalar-mode", default="exact", choices=["exact", "float"])
     parser.add_argument("--window", type=int, default=12)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", default="json", choices=["json", "csv", "text"])

@@ -210,18 +210,15 @@ def biorthogonalize(us: Sequence[SparseVector], p: SeminormSpec,
     When the active projections of the n vectors touch exactly n coordinates
     and are independent, the system is unique: with U the square block of
     those projections, one row per vector, f_n is row n of (U^T)^{-1}, read
-    off one `linalg.RowReducer.of` of the rows of [U^T | I].  Where a value
-    may depend on its route (`ctx.route_free` is False: float mode) and
-    wherever the block is not square or is singular, each functional is a
-    separating solve against the other vectors, then a rescale;
-    KernelCollision when span(us) meets ker p, which is also the only way a
-    solve can fail.
+    off one `linalg.RowReducer.of` of the rows of [U^T | I].  Wherever the
+    block is not square or is singular, each functional is a separating solve
+    against the other vectors, then a rescale; KernelCollision when span(us)
+    meets ker p, which is also the only way a solve can fail.
     """
     us = list(us)
-    if ctx.route_free:
-        fs = _dual_by_inverse([project_active(p, u) for u in us], ctx)
-        if fs is not None:
-            return fs
+    fs = _dual_by_inverse([project_active(p, u) for u in us], ctx)
+    if fs is not None:
+        return fs
     fs: List[CoordFunctional] = []
     for n, u in enumerate(us):
         others = us[:n] + us[n + 1:]

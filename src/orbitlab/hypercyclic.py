@@ -13,17 +13,14 @@ every active projection is `seminorms.project_active`.  The premise runs one
 loop on the powers of a map, kept as sparse columns: ranks by
 `linalg.row_rank`, each nullspace one `linalg.RowReducer.of`, and an
 `linalg.Echelon` basis of the intersections.  When the v's and the f's are
-independent and values do not depend on the route
-(`ScalarContext.route_free`, exact mode), the map is the k x k core G = F·V,
-scaled once to an integer matrix, so its powers are integer column sums;
-otherwise it is S itself on the whole support, pushed through
-`FiniteRankOperator.apply`.  The witness tests nilpotency on the window the
-same way: on the integer core F·P·V (P the window cut) in exact mode, since
-A·B and B·A are nilpotent together (Horn and Johnson, Matrix Analysis, 2nd
-ed., 2013, §1.3), and by pushing the window's columns through `apply` in
-float mode.  No matrix power of S is ever multiplied out.  In exact mode
-`apply`, the weight-form disk gauge and the ranks work on integers and
-build a Fraction only for an entry of their result.  The witness's
+independent, the map is the k x k core G = F·V, scaled once to an integer
+matrix, so its powers are integer column sums; otherwise it is S itself on
+the whole support, pushed through `FiniteRankOperator.apply`.  The witness
+tests nilpotency on the integer core F·P·V (P the window cut), since A·B and
+B·A are nilpotent together (Horn and Johnson, Matrix Analysis, 2nd ed.,
+2013, §1.3).  No matrix power of S is ever multiplied out.  `apply`, the
+weight-form disk gauge and the ranks work on integers and build a Fraction
+only for an entry of their result.  The witness's
 active-row solve is one `RowReducer.of` on sparse rows.
 """
 
@@ -108,9 +105,8 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
     range(S^{2n}) with kernel range(S^n) ∩ ker(S^n), so the intersection is
     S^n null(S^{2n}), of dimension rank S^n - rank S^{2n}.
 
-    When the values do not depend on the route (`ctx.route_free`) and
-    S = V·F = sum_j v_j ⊗ f_j has independent v's and independent f's, the
-    work moves to the k x k core G = F·V, G_ij = f_i(v_j).  Then
+    When S = V·F = sum_j v_j ⊗ f_j has independent v's and independent f's,
+    the work moves to the k x k core G = F·V, G_ij = f_i(v_j).  Then
     S^n = V G^{n-1} F, so rank S^n = rank G^{n-1}; S^n x = 0 for
     x = V G^{n-1} y exactly when G^{2n-1} y = 0, so the intersection is
     V G^{n-1} null(G^{2n-1}), of dimension rank G^{n-1} - rank G^{2n-1}.
@@ -127,7 +123,7 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
     top = window
     for f, v in s.terms:
         top = max([top] + list(f.support) + list(v.support))
-    core = (s.terms and ctx.route_free
+    core = (s.terms
             and linalg.independent((v.entries for _, v in s.terms), ctx)
             and linalg.independent((f.entries for f, _ in s.terms), ctx))
     if core:
@@ -159,8 +155,8 @@ def _meets(advance: Callable[[Column], Column], identity: List[Column], depth: i
     the size columns of `identity`; `advance` maps a non-zero column of A^m
     to that of A^{m+1}, and a zero column stays zero.  Each nullspace is one
     `linalg.RowReducer.of` of the size sparse rows of A^{2n-s}; each of its
-    vectors, scaled to integers where `ctx.integer_row` scales it, mixes the
-    columns of A^{n-s} by `_fold`.  On an integer A every power and basis
+    vectors, scaled to integers by `ctx.integer_row`, mixes the columns of
+    A^{n-s} by `_fold`.  On an integer A every power and basis
     vector holds ints.
     """
     size = len(identity)
@@ -183,9 +179,7 @@ def _meets(advance: Callable[[Column], Column], identity: List[Column], depth: i
         dims.append((ranks[single], ranks[single] - red.rank))
         for fc in range(size):
             if fc not in red.rows:
-                y = red.null_vector(fc)
-                scaled = ctx.integer_row(y)
-                y = scaled[0] if scaled else {j: c for j, c in y.items() if not ctx.is_zero(c)}
+                y = ctx.integer_row(red.null_vector(fc))[0]
                 z = _fold((c, powers[single][j]) for j, c in y.items())
                 if z and echelon.try_add(z):
                     basis.append(z)
@@ -195,7 +189,7 @@ def _meets(advance: Callable[[Column], Column], identity: List[Column], depth: i
 def _integer_core(s: FiniteRankOperator, vs: Sequence[SparseVector],
                   ctx: ScalarContext) -> Callable[[Column], Column]:
     """The k x k core G_ij = f_i(v_j) of the terms f_i of s and the given v_j,
-    scaled to an integer matrix d·G (exact mode), as the map of a sparse
+    scaled to an integer matrix d·G, as the map of a sparse
     column on coordinates 1..k to its image under d·G.
 
     Each f_i and v_j gives its integer form kept by `ctx.integer_of`, each
@@ -245,9 +239,8 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
 
     S = V·F is nilpotent on the window when P·S·P = (P·V)(F·P) is, that is,
     since (AB)^{m+1} = A(BA)^m B, when the k x k core F·P·V with entries
-    f_i(P v_j) is.  Exact mode (`ctx.route_free`) tests (F·P·V)^k = 0 on
-    integer columns, with no condition on the terms; float mode pushes the
-    window's columns through S, under its tolerance.
+    f_i(P v_j) is; (F·P·V)^k = 0 is tested on integer columns, with no
+    condition on the terms.
     """
     indices = range(1, window + 1)
 
@@ -255,26 +248,19 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
         return op.apply(v, ctx).restrict(indices)
 
     s = t.linear_part()
-    if ctx.route_free:
-        k = len(s.terms)
-        core = _integer_core(s, [v.restrict(indices) for _, v in s.terms], ctx)
-        columns = [{j: 1} for j in range(1, k + 1)]
-        for _ in range(k):
-            columns = [w for w in map(core, columns) if w]
-        nilpotent = not columns
-    else:
-        cols = [SparseVector.basis(j, ctx) for j in indices]
-        for _ in range(window):
-            cols = [w for w in (step(s, c) for c in cols) if not w.is_zero()]
-        nilpotent = all(ctx.is_zero(v) for c in cols for v in c.entries.values())
-    if not nilpotent:
+    k = len(s.terms)
+    core = _integer_core(s, [v.restrict(indices) for _, v in s.terms], ctx)
+    columns = [{j: 1} for j in range(1, k + 1)]
+    for _ in range(k):
+        columns = [w for w in map(core, columns) if w]
+    if columns:
         raise NotNilpotent("witness search needs a nilpotent chain part on the window")
 
     active_rows = [i for i in indices if i in p.weights]
     free_cols = [i for i in indices if i not in p.weights]
 
     res0 = eval_seminorm(p, x - y)
-    if ctx.lt(res0, eps):
+    if res0 < eps:
         return 0, x
     best_n, best_res = 0, res0
 
@@ -293,12 +279,9 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
                 [{c: v.entries[i] for c, v in enumerate(tne) if i in v.entries} | {k: g}
                  for i, g in zip(active_rows, gap)], ctx)
             if k not in red.rows:
-                sol = {pc: row[k] for pc, row in red.rows.items()
-                       if not ctx.is_zero(row.get(k, 0))}
+                sol = {pc: row[k] for pc, row in red.rows.items() if row.get(k, 0)}
         if sol is None:
-            residual = SparseVector(
-                {i: g for i, g in zip(active_rows, gap) if not ctx.is_zero(g)}
-            )
+            residual = SparseVector({i: g for i, g in zip(active_rows, gap) if g})
             drift = eval_seminorm(p, residual)
             if drift < best_res:
                 best_n, best_res = n, drift
@@ -308,7 +291,7 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
         image = combine(((c, tne[pc]) for pc, c in sol.items()), tnx)
         res_y = eval_seminorm(p, image - y)
         worst = max(res_x, res_y)
-        if ctx.lt(res_x, eps) and ctx.lt(res_y, eps):
+        if res_x < eps and res_y < eps:
             return n, z
         if worst < best_res:
             best_n, best_res = n, worst

@@ -13,10 +13,9 @@ compressed-column layout of a sparse matrix; Davis, Direct Methods for
 Sparse Linear Systems, SIAM 2006, ch. 2).  A term whose support misses that
 of x pairs to 0 and is never paired: `apply`, the Gram matrix of `invert`
 and the borders of `GramFactor` pair only the overlapping (term, vector)
-pairs, in term order, so each sum and its rounding are those of the plain
-term loop.
+pairs, in term order, so each sum is that of the plain term loop.
 
-In exact mode `apply` runs on integers (fraction-free arithmetic; Geddes,
+`apply` runs on integers (fraction-free arithmetic; Geddes,
 Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 9): x and
 each term's f and v are integer rows over their denominators, the forms
 `ScalarContext.integer_of` keeps on each vector, and the term rows stay on
@@ -25,7 +24,7 @@ the operator like its index.  Pairings are integer dot products, and start
 denominator, so one Fraction is built per coordinate the terms touch.
 
 `GramFactor` serves the construction: it keeps I_k + G factored as terms
-arrive, fraction-free in exact mode, and returns J^{-1} u with two triangular
+arrive, fraction-free, and returns J^{-1} u with two triangular
 substitutions.  `invert`
 serves verification: it builds the whole inverse in term form from the
 inverse Gram matrix, a pivoting path independent of the factor that
@@ -133,7 +132,7 @@ class FiniteRankOperator:
     @cached_property
     def _term_rows(self) -> List[Optional[TermRows]]:
         """Per term, its f and v as `ScalarContext.integer_row` scales them,
-        (f row, f den, v row, v den); exact `apply` fills a term's slot when it
+        (f row, f den, v row, v den); `apply` fills a term's slot when it
         first pairs the term."""
         return [None] * len(self.terms)
 
@@ -164,21 +163,18 @@ class FiniteRankOperator:
     def apply(self, x: SparseVector, ctx: ScalarContext = EXACT) -> SparseVector:
         """base(x) + sum_j f_j(x) v_j over the terms that meet x, in term order.
 
-        Float mode is `vectors.combine` of the pairings.  Exact mode, where
-        `ctx.integer_of` gives x's integer form, pairs the terms' integer
-        rows with x's and sums start + sum_j f_j(x) v_j on integers over one
-        common denominator, building one Fraction per coordinate the terms
-        touch; the other coordinates of x keep their Fractions, and the
-        entries come in the order `combine` gives them.
+        The terms' integer rows are paired with x's integer form
+        (`ctx.integer_of`), and start + sum_j f_j(x) v_j is summed on integers
+        over one common denominator, building one Fraction per coordinate the
+        terms touch; the other coordinates of x keep their Fractions, and the
+        entries come in the order `vectors.combine` would give them.
         """
         identity = self.base == IDENTITY
         start = x if identity else SparseVector.zero()
         hits = self.coord_index.hits(x)
-        scaled = ctx.integer_of(x) if hits else None
-        if scaled is None:
-            terms = self.terms
-            return combine([(terms[j][0].pair(x), terms[j][1]) for j in hits], start)
-        xrow, xden = scaled
+        if not hits:
+            return start
+        xrow, xden = ctx.integer_of(x)
         rows, terms = self._term_rows, self.terms
         # f_j(x) v_j as (numerator, denominator, v_j row) for f_j(x) != 0
         picked = []
@@ -274,13 +270,12 @@ def neumann_certificate(t: FiniteRankOperator, p: SeminormSpec, disk: DiskSpec,
 class GramFactor:
     """I_k + G factored for the terms of J = I + sum_j f_j (.) v_j, G_rc = f_r(v_c).
 
-    A `linalg.Bordered` factor grows by one row and one column per term.  In
-    exact mode it is the integer factor of D_f·(I_k + G)·D_v, for D_f and D_v
-    the denominators of the integer forms `ScalarContext.integer_of` keeps on
-    the f_r and v_c: entry (r, c) is fden_r·vden_c·δ_rc + f_r·v_c on the
-    integer rows.  Float mode factors I_k + G = L·D·U.  Two coordinate indices,
-    one of the f_r and one of the v_c, grow with it, so term m + 1 costs one
-    pairing per overlapping pair: one per term r <= m whose v_r meets the
+    A `linalg.Bordered` factor grows by one row and one column per term: the
+    integer factor of D_f·(I_k + G)·D_v, for D_f and D_v the denominators of
+    the integer forms `ScalarContext.integer_of` keeps on the f_r and v_c:
+    entry (r, c) is fden_r·vden_c·δ_rc + f_r·v_c on the integer rows.  Two
+    coordinate indices, one of the f_r and one of the v_c, grow with it, so
+    term m + 1 costs one pairing per overlapping pair: one per term r <= m whose v_r meets the
     support of f (its row and diagonal) and one per earlier term whose f_r
     meets that of v (its column), 2m + 1 when every support overlaps.  `solve`
     pairs u with the f_r that meet it, then makes one forward and one back
@@ -292,16 +287,16 @@ class GramFactor:
     def __init__(self, ctx: ScalarContext = EXACT):
         self.ctx = ctx
         self._vs: List[SparseVector] = []
-        # per term: f's and v's entries as the factor pairs them, its diagonal
-        # unit and v's denominator (1 in float mode)
-        self._rows: List[Tuple[Mapping[int, Scalar], Mapping[int, Scalar], Scalar, int]] = []
+        # per term: f's and v's integer rows, its diagonal unit fden·vden and
+        # v's denominator
+        self._rows: List[Tuple[Mapping[int, int], Mapping[int, int], int, int]] = []
         self._f_index = CoordIndex()
         self._v_index = CoordIndex()
         self._lu = linalg.Bordered(ctx)
 
     def _nonsingular(self) -> None:
         pivots = self._lu.pivots
-        if pivots and self.ctx.is_zero(pivots[-1]):
+        if pivots and pivots[-1] == 0:
             n = len(pivots)
             raise SingularOperator(f"{n}x{n} Gram system is singular")
 
@@ -312,8 +307,8 @@ class GramFactor:
         self._vs.append(v)
         self._f_index.add(f)
         self._v_index.add(v)
-        (frow, fden), (vrow, vden) = [self.ctx.integer_of(x) or (x.entries, 1) for x in (f, v)]
-        rows.append((frow, vrow, fden * vden if lu.integer else self.ctx.one, vden))
+        (frow, fden), (vrow, vden) = self.ctx.integer_of(f), self.ctx.integer_of(v)
+        rows.append((frow, vrow, fden * vden, vden))
         # new column of G down to the diagonal, new row left of it
         col = [0] * (m + 1)
         for r in self._f_index.hits(v):
@@ -328,20 +323,18 @@ class GramFactor:
 
     def solve(self, u: SparseVector) -> SparseVector:
         """J^{-1} u = u - sum_j c_j v_j with (I_k + G) c = (f_i(u))_i; u itself
-        when it meets no f_i.  In exact mode the factor gives x = Δ·c' for the
-        scaled system and its minor Δ, and c_j = vden_j·x_j / (Δ·uden), one
-        Fraction per non-zero c_j."""
+        when it meets no f_i.  The factor gives x = Δ·c' for the scaled system
+        and its minor Δ, and c_j = vden_j·x_j / (Δ·uden), one Fraction per
+        non-zero c_j."""
         self._nonsingular()
         lu, rows = self._lu, self._rows
         hits = self._f_index.hits(u)
         if not hits:
             return u
-        urow, uden = self.ctx.integer_of(u) or (u.entries, 1)
+        urow, uden = self.ctx.integer_of(u)
         rhs = [0] * len(rows)
         for r in hits:
             rhs[r] = _dot(rows[r][0], urow)
-        if not lu.integer:
-            return combine(((-c, v) for v, c in zip(self._vs, lu.solve(rhs))), u)
         den = lu.scale(len(rows)) * uden
         return combine(((Fraction(-r[3] * x, den), v)
                         for v, r, x in zip(self._vs, rows, lu.solve(rhs)) if x), u)

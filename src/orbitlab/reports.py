@@ -2,13 +2,13 @@
 
 Reports are deterministic by construction: no timestamps, canonical scalar
 text, sorted JSON keys.  Identical scenario plus seed therefore means
-identical bytes in exact mode, which is what the regression checker diffs.
+identical bytes, which is what the regression checker diffs.
 
 The JSON emitter writes the bytes of `json.dumps(..., sort_keys=True,
 indent=2)` with one recursive function, `_write_json`, as an indent sends
 `json.dumps` to its pure-Python encoder.  It knows only what a report holds
 (dicts with str keys, lists, str, int, bool, None) and raises TypeError on
-any other type; float-mode scalars arrive as text.
+any other type; scalars arrive as text.
 """
 
 from __future__ import annotations

@@ -1,28 +1,21 @@
-"""Scalar modes: exact rationals (default) or binary floats with a tolerance.
+"""The scalars: exact rationals.
 
-A whole scenario runs in one mode, carried by one `ScalarContext`: it fixes
-the scalar type where text becomes scalars (`parse`), supplies `zero` and
-`one`, compares, weighs pivots for elimination (`pivot_weight`), says
-whether rows may be eliminated on integers (`integer_row`, kept on a vector
-by `integer_of`) and whether a value may come from a smaller, equivalent
-system (`route_free`), sums the quotients of a disk gauge on integers in
-exact mode (`abs_ratio_sum`) and folds the products of a float substitution
-(`sub_products`).  Value types never learn the mode.  Exact mode is the
-basis of every acceptance check; float mode exists for larger experiments.
-In float mode `is_zero` is absolute (|x| <= FLOAT_TOL = 2^-40) while `eq`
-and `lt` are relative (|a - b| <= FLOAT_TOL * max(1, |a|, |b|)).
+A whole scenario runs on one `ScalarContext`: it fixes the scalar type where
+text becomes scalars (`parse`), supplies `zero` and `one`, scales rows to
+integers for the fraction-free kernels (`integer_row`, kept on a vector by
+`integer_of`) and sums the quotients of a disk gauge on integers
+(`abs_ratio_sum`).  Every value is a `Fraction` (an empty sum may be the int
+0), so comparisons are the plain `==` and `<`.  The one mode is "exact";
+reports still record it as their `scalar_mode`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Tuple
 
-Scalar = Union[Fraction, float]
-
-FLOAT_TOL = 2.0 ** -40
+Scalar = Fraction
 
 # CPython's int reads and writes at most this many digits of text by default,
 # so `parse` refuses a value that `format_scalar` could not write back
@@ -36,12 +29,15 @@ def _immutable(self, name, *value):
 
 
 class ScalarContext:
-    """The scalar type, its constants, its text form and its comparisons."""
+    """The scalar type, its constants and its text form."""
 
     __setattr__ = __delattr__ = _immutable
 
+    zero = Fraction(0)
+    one = Fraction(1)
+
     def __init__(self, mode: str = "exact"):
-        if mode not in ("exact", "float"):
+        if mode != "exact":
             raise ValueError(f"unknown scalar mode {mode!r}")
         object.__setattr__(self, "mode", mode)
 
@@ -51,22 +47,8 @@ class ScalarContext:
     def __hash__(self):
         return hash((self.mode,))
 
-    @cached_property
-    def exact(self) -> bool:
-        return self.mode == "exact"
-
-    @cached_property
-    def zero(self) -> Scalar:
-        return Fraction(0) if self.exact else 0.0
-
-    @cached_property
-    def one(self) -> Scalar:
-        return Fraction(1) if self.exact else 1.0
-
     def coerce(self, value) -> Scalar:
-        """The value as a scalar of this mode; exact mode refuses floats (lossy by intent)."""
-        if not self.exact:
-            return float(value)
+        """The value as a scalar; floats are refused (lossy by intent)."""
         if isinstance(value, Fraction):
             return value
         if isinstance(value, (int, str)):
@@ -89,8 +71,7 @@ class ScalarContext:
         try:
             if text.isascii() and num.removeprefix("-").isdecimal() and (
                     den.isdecimal() or not slash):
-                value = Fraction(int(num), int(den)) if slash else Fraction(int(num))
-                return value if self.exact else float(value)
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             head, e, exp = text.lower().partition("e")
             if e and abs(int(exp)) > MAX_DIGITS:
                 # check the form alone, its exponent's digits zeroed, so that
@@ -99,77 +80,37 @@ class ScalarContext:
             else:
                 value = Fraction(text)
                 if max(abs(value.numerator), value.denominator) < _DIGITS_CEILING:
-                    return value if self.exact else float(value)
+                    return value
         except (ValueError, ZeroDivisionError, OverflowError):
             raise ValueError(f"{text!r} is not a finite scalar") from None
         raise ValueError(f"{text!r} is beyond the {MAX_DIGITS}-digit limit of a scalar")
 
     def format(self, x: Scalar) -> str:
-        """Canonical text of x; an int (an empty sum) prints in this mode's form."""
-        return format_scalar(x if self.exact else float(x))
+        """Canonical text of x (an int, an empty sum, prints as one)."""
+        return format_scalar(x)
 
-    def is_zero(self, x: Scalar) -> bool:
-        if self.exact:
-            return x == 0
-        return abs(x) <= FLOAT_TOL
-
-    def pivot_weight(self, x: Scalar) -> Scalar:
-        """How good a pivot x is: 0 for a zero, 1 for any other x in exact
-        mode (the first non-zero serves), |x| in float mode (the largest is
-        the most stable)."""
-        if self.is_zero(x):
-            return 0
-        return 1 if self.exact else abs(x)
-
-    @property
-    def route_free(self) -> bool:
-        """Whether a value is the same by every route that computes it
-        algebraically: True in exact mode, so a unique solution or a rank may
-        come from a smaller, equivalent system, and a verdict from a
-        certificate that implies it; False in float mode, whose values round
-        along the eliminations actually run."""
-        return self.exact
-
-    def integer_row(self, entries: Mapping[int, Scalar]) -> Optional[Tuple[Dict[int, int], int]]:
-        """In exact mode (row, den): den the lcm of the denominators of the
-        entries and row the non-zero entries times den, all integers, in the
-        order of `entries`; None in float mode, whose rows keep their
-        tolerance."""
-        if not self.exact:
-            return None
+    def integer_row(self, entries: Mapping[int, Scalar]) -> Tuple[Dict[int, int], int]:
+        """(row, den): den the lcm of the denominators of the entries and row
+        the non-zero entries times den, all integers, in the order of
+        `entries`."""
         ratios = [(i, v.as_integer_ratio()) for i, v in entries.items()]
         den = lcm(*[d for _, (_, d) in ratios])
         return {i: n * (den // d) for i, (n, d) in ratios if n}, den
 
-    def integer_of(self, x) -> Optional[Tuple[Dict[int, int], int]]:
+    def integer_of(self, x) -> Tuple[Dict[int, int], int]:
         """`integer_row(x.entries)` for a vector or functional x, kept in its
-        slot `_int` from the first call and read only; None in float mode."""
-        if not self.exact:
-            return None
+        slot `_int` from the first call and read only."""
         if x._int is None:
             object.__setattr__(x, "_int", self.integer_row(x.entries))
         return x._int
 
-    def sub_products(self, b: Scalar, pairs: Iterable[Tuple[Scalar, Scalar]]) -> Scalar:
-        """b - sum of t * x over the (t, x) pairs, folded as
-        `b - sum(t * x ...)`: the substitution step of a float
-        `linalg.Bordered`.  An exact factor runs on integers and never calls
-        it."""
-        return b - sum(t * x for t, x in pairs)
-
     def abs_ratio_sum(self, pairs: Iterable[Tuple[Scalar, Scalar]]) -> Scalar:
         """The sum of |a| / d over the (a, d) pairs, zero when there are none.
 
-        Float mode folds `total += abs(a) / d` from zero.  Exact mode sums the
-        numerators over one common denominator, the lcm of the quotients'
-        denominators, and builds a single Fraction; a and d are Fractions,
-        d > 0.
+        The numerators are summed over one common denominator, the lcm of
+        the quotients' denominators, into a single Fraction; a and d are
+        Fractions, d > 0.
         """
-        if not self.exact:
-            total = self.zero
-            for a, d in pairs:
-                total += abs(a) / d
-            return total
         nums, dens = [], []
         for a, d in pairs:
             a_num, a_den = a.as_integer_ratio()
@@ -181,24 +122,13 @@ class ScalarContext:
         den = lcm(*dens)
         return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
 
-    def eq(self, a: Scalar, b: Scalar) -> bool:
-        if self.exact:
-            return a == b
-        return abs(a - b) <= FLOAT_TOL * max(1.0, abs(a), abs(b))
-
-    def lt(self, a: Scalar, b: Scalar) -> bool:
-        """Strictly less, up to tolerance in float mode."""
-        if self.exact:
-            return a < b
-        return a < b and not self.eq(a, b)
-
 
 EXACT = ScalarContext()
-FLOAT = ScalarContext(mode="float")
 
 
 def format_scalar(x: Scalar) -> str:
-    """Canonical text: rationals as p/q in lowest terms, floats as repr."""
+    """Canonical text: rationals as p/q in lowest terms, ints as themselves,
+    anything else (the infinity of an unbounded gauge) as its float repr."""
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return str(x.numerator)

@@ -1,10 +1,10 @@
 """Scenario files: schema validation, dispatch to the modules, report assembly.
 
-A scenario pins name, scalar mode, window, seed and one task payload, and a
-key that no runner reads is refused rather than skipped.  Runs are
-deterministic: the seed drives every randomized spot-check and is recorded
+A scenario pins name, scalar mode (only "exact"), window, seed and one task
+payload, and a key that no runner reads is refused rather than skipped.  Runs
+are deterministic: the seed drives every randomized spot-check and is recorded
 in the report, and reports carry no clocks, so re-running a stored scenario
-reproduces its bytes in exact mode.
+reproduces its bytes.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ class Scenario(NamedTuple):
             if key not in data:
                 raise ScenarioError(f"{key}: missing")
         _known(data, FIELDS + ("expected",), "", "a scenario")
-        if data["scalar_mode"] not in ("exact", "float"):
-            raise ScenarioError("scalar_mode: must be 'exact' or 'float'")
+        if data["scalar_mode"] != "exact":
+            raise ScenarioError("scalar_mode: must be 'exact'")
         if data["task"] not in TASKS:
             raise ScenarioError(f"task: unknown task {data['task']!r}")
         window = data["window"]
@@ -201,7 +201,7 @@ def _random_window_vector(rng, window: int, ctx: ScalarContext) -> SparseVector:
     for i in rng.sample(range(1, window + 1), rng.randint(0, min(window, 5))):
         num = rng.randint(-8, 8)
         den = rng.choice([1, 2, 4])
-        entries[i] = ctx.coerce(Fraction(num, den))
+        entries[i] = Fraction(num, den)
     return SparseVector(entries)
 
 
@@ -248,7 +248,7 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
     if kernel_coords:
         for _ in range(20):
             x = SparseVector(
-                {i: ctx.coerce(rng.randint(-9, 9))
+                {i: Fraction(rng.randint(-9, 9))
                  for i in rng.sample(kernel_coords, min(3, len(kernel_coords)))}
             )
             if not close(j.apply(x, ctx), x, ctx):
@@ -269,7 +269,7 @@ def _run_triangularize_task(scenario: Scenario, ctx, rng, report: Report):
 
     built = state.built
     report.checks.append(CheckResult("minors-invertible",
-                                     all(not ctx.is_zero(d) for d in state.minors),
+                                     all(d != 0 for d in state.minors),
                                      f"{built} leading minors"))
     # the funcs are coordinate functionals, so f_alpha(j)(v_m) = matrix[j - 1][m - 1]
     matrix = shuffled_matrix(state)
@@ -279,7 +279,7 @@ def _run_triangularize_task(scenario: Scenario, ctx, rng, report: Report):
                                      "f_alpha(j)(v_m) identities"))
     op = build_omega_operator(state)
     unit_lower = all(
-        matrix[j][j] == 1 and all(ctx.is_zero(matrix[j][t]) for t in range(j + 1, built))
+        matrix[j][j] == 1 and all(matrix[j][t] == 0 for t in range(j + 1, built))
         for j in range(built)
     )
     report.checks.append(CheckResult("unit-lower-triangular", unit_lower,
@@ -389,14 +389,13 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
         report.checks.append(CheckResult("chain-identities", chain_ok,
                                          "S u_1 = 0 and S u_k = w_{k-1} u_{k-1}"))
         # c = sum_j p*(f_j) p_D(v_j) < 1 gives p_D(S x) <= c p(x) for every x;
-        # float gauges round, so float mode, like a failed certificate, samples
+        # a failed certificate leaves the check to 100 seeded samples
         samples = 100
-        if ctx.route_free:
-            try:
-                neumann_certificate(s, p, disk, ctx)
-                samples = 0
-            except BudgetExceeded:
-                pass
+        try:
+            neumann_certificate(s, p, disk, ctx)
+            samples = 0
+        except BudgetExceeded:
+            pass
         bound_ok = True
         for _ in range(samples):
             x = _random_window_vector(rng, scenario.window, ctx)

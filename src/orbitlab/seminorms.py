@@ -7,17 +7,17 @@ the Minkowski gauge of a disk are computed in closed form (weight form) or
 by an exact linear program (generator form).  The sup kind's dual norm
 sum_i |f_i| / w_i and the weight-form gauge sum_i |u_i| / d_i are
 `ScalarContext.abs_ratio_sum`, one integer numerator over one common
-denominator in exact mode, where a generator disk scales its LP matrix once
-and re-solves each gauge from its last optimum.  `gauge_below` answers whether
+denominator, and a generator disk scales its LP matrix once and re-solves
+each gauge from its last optimum.  `gauge_below` answers whether
 the gauge of x - y lies below a bound, and in weight form sums it from x
-and y and stops once the bound is reached, building no difference; in exact
-mode it sums on integers, over the inverse weights the disk scales once.  The
+and y and stops once the bound is reached, building no difference; it sums
+on integers, over the inverse weights the disk scales once.  The
 separating-functional construction replaces the Hahn-Banach step of the
 abstract theory with a finite nullspace pick: `Separator` keeps the
 constraint list that grows one vector at a time in a `linalg.RowReducer`,
 and `Separator.of` fills one from a single `linalg.RowReducer.of` for a list
 given once.  The p-independence test needs only a rank, so it runs on
-`linalg.independent`, fraction-free in exact mode.
+`linalg.independent`, fraction-free.
 """
 
 from __future__ import annotations
@@ -88,9 +88,9 @@ def dual_norm(p: SeminormSpec, f: CoordFunctional, ctx: ScalarContext = EXACT) -
     """Smallest c with |f(x)| <= c p(x), the int 0 for f = 0; NotPBounded if
     no such c exists.
 
-    The sup kind's c is sum_i |f_i| / w_i, summed by `ctx.abs_ratio_sum`: on
-    integers over one common denominator in exact mode, folded from zero in
-    float mode.  The l1 kind's c is the largest |f_i| / w_i.
+    The sup kind's c is sum_i |f_i| / w_i, summed by `ctx.abs_ratio_sum` on
+    integers over one common denominator.  The l1 kind's c is the largest
+    |f_i| / w_i.
     """
     for i in sorted(f.entries):
         if i not in p.weights:
@@ -126,7 +126,7 @@ class DiskSpec:
     Weight form: p_D(x) = sum_i |x_i| / d_i on vectors supported in the
     weighted coordinates.  Generator form: p_D(u) is the minimal l1 mass of a
     representation of u as a combination of the generators.  Only this form hashes.
-    The exact gauges keep what they scale once outside equality and pickles:
+    The gauges keep what they scale once outside equality and pickles:
     `_gauge_rows` the scaled [G | -G] of a generator disk for `minkowski`, with
     the optimal tableau of its latest solved gauge, and `_gauge_weights` the
     integer inverse weights of a weight disk for `gauge_below`.
@@ -162,9 +162,9 @@ class DiskSpec:
 def minkowski(disk: DiskSpec, u: SparseVector, ctx: ScalarContext = EXACT) -> Scalar:
     """Gauge of u with respect to the disk; NotInSpan if u is outside span D.
 
-    A generator disk solves min sum c over [G | -G] c = u, c >= 0.  Where u
-    has an integer form (`ctx.integer_of`), the disk keeps L_G [G | -G] from
-    its first gauge, and `simplex.optimal_tableau` gets the rows
+    A generator disk solves min sum c over [G | -G] c = u, c >= 0.  With u's
+    integer form (`ctx.integer_of`), the disk keeps L_G [G | -G] from its
+    first gauge, and `simplex.optimal_tableau` gets the rows
     L [G | -G | u] that `solve_lp` would build itself, L = lcm(L_G, den u).
     The disk keeps that optimal tableau, and `simplex.resolve` reads every
     gauge from it, the later ones by dual simplex on their u, with no
@@ -182,19 +182,15 @@ def minkowski(disk: DiskSpec, u: SparseVector, ctx: ScalarContext = EXACT) -> Sc
         return ctx.zero
     if not gens:
         raise NotInSpan("empty generator list spans only 0")
-    w, scaled = 2 * len(gens), ctx.integer_of(u)
+    w = 2 * len(gens)
     try:
-        if scaled is None:
-            coords = sorted(set(u.support).union(*(g.support for g in gens)))
-            a = [[g.get(i) for g in gens] + [-g.get(i) for g in gens] for i in coords]
-            return simplex.solve_lp([ctx.one] * w, a, [u.get(i) for i in coords], ctx).value
         if disk._gauge_rows is None:
             coords = sorted(set().union(*(g.support for g in gens)))
             nums, den = ctx.integer_row(dict(enumerate(
                 sign * g.get(i) for i in coords for sign in (1, -1) for g in gens)))
             template = {i: [nums.get(r * w + j, 0) for j in range(w)] for r, i in enumerate(coords)}
             object.__setattr__(disk, "_gauge_rows", (den, template, None))
-        (gen_den, template, tab), (urow, uden) = disk._gauge_rows, scaled
+        (gen_den, template, tab), (urow, uden) = disk._gauge_rows, ctx.integer_of(u)
         if not u.entries.keys() <= template.keys():
             raise simplex.Infeasible("u has a coordinate outside the generators' support")
         b = [urow.get(i, 0) for i in template]
@@ -211,41 +207,31 @@ def minkowski(disk: DiskSpec, u: SparseVector, ctx: ScalarContext = EXACT) -> Sc
 
 def gauge_below(disk: DiskSpec, x: SparseVector, y: SparseVector, bound: Scalar,
                 ctx: ScalarContext = EXACT) -> bool:
-    """ctx.lt(minkowski(disk, x - y, ctx), bound), without building x - y when
-    the disk has weight form and weighs every coordinate of x and y.
+    """minkowski(disk, x - y, ctx) < bound, without building x - y when the
+    disk has weight form and weighs every coordinate of x and y.
 
     Sums |x_i - y_i| / d_i in the entry order of x - y (x's entries, then y's
     others) and returns False at the first partial sum that is not below the
-    bound: the terms are non-negative, so no later sum is below it either,
-    exactly or after float rounding and within `lt`'s tolerance.  Otherwise it
-    takes the full gauge, so an LP or NotInSpan comes as from `minkowski`.
+    bound: the terms are non-negative, so no later sum is below it either.
+    Otherwise it takes the full gauge, so an LP or NotInSpan comes as from
+    `minkowski`.
 
-    Where x = X / x̄ and y = Y / ȳ have integer forms (`ctx.integer_of`, kept
-    on each vector, so a pool scan scales nothing twice), the sum runs on
+    With x = X / x̄ and y = Y / ȳ in their integer forms (`ctx.integer_of`,
+    kept on each vector, so a pool scan scales nothing twice), the sum runs on
     integers: with 1 / d_i = c_i / P, N sums |X_i·ȳ - Y_i·x̄|·c_i, the gauge
     is N / (x̄·ȳ·P), and each partial sum is compared with the bound p / q
     as N·q < p·x̄·ȳ·P, so it stops where the Fraction sum would.  The disk
     keeps (c, P), `ctx.integer_row` of its inverse weights, from its first
-    exact gauge.  Float mode folds the quotients as `abs_ratio_sum` does.
+    gauge.
     """
     weights, xe, ye = disk.weights, x.entries, y.entries
     if weights is None or not (xe.keys() <= weights.keys() and ye.keys() <= weights.keys()):
-        return ctx.lt(minkowski(disk, x - y, ctx), bound)
-    xs = ctx.integer_of(x)
-    if xs is None:
-        diffs = chain(((i, a - ye[i] if i in ye else a) for i, a in xe.items()),
-                      ((i, b) for i, b in ye.items() if i not in xe))
-        total = ctx.zero
-        for i, a in diffs:
-            if a:
-                total += abs(a) / weights[i]
-                if not ctx.lt(total, bound):
-                    return False
-        return ctx.lt(total, bound)
+        return minkowski(disk, x - y, ctx) < bound
     if disk._gauge_weights is None:
         object.__setattr__(disk, "_gauge_weights",
                            ctx.integer_row({i: 1 / w for i, w in weights.items()}))
-    (mult, wden), (xrow, xden), (yrow, yden) = disk._gauge_weights, xs, ctx.integer_of(y)
+    (mult, wden), (xrow, xden), (yrow, yden) = (disk._gauge_weights, ctx.integer_of(x),
+                                                ctx.integer_of(y))
     p, q = bound.as_integer_ratio()
     limit, total = p * xden * yden * wden, 0
     diffs = chain(((i, a * yden - yrow[i] * xden if i in yrow else a * yden)
@@ -268,7 +254,7 @@ def p_independent(p: SeminormSpec, xs: Sequence[SparseVector],
                   ctx: ScalarContext = EXACT) -> bool:
     """Rank test: the residues of xs modulo ker p, their projections on the
     active coordinates, are linearly independent.  `linalg.independent` runs
-    it on integers in exact mode and stops at the first dependent residue."""
+    it on integers and stops at the first dependent residue."""
     return linalg.independent((project_active(p, x) for x in xs), ctx)
 
 
@@ -318,16 +304,11 @@ class Separator:
         coords = self._support.union(u_act)
         if not coords:
             raise NoSeparation("u projects to zero on the active coordinates")
-        hits = [(pc, rows[pc], u_act[pc]) for pc in sorted(rows.keys() & u_act.keys())]
+        hits = [(rows[pc], u_act[pc]) for pc in rows.keys() & u_act.keys()]
         for fc in sorted(coords - rows.keys()):
-            # f(u) for the nullspace vector of fc, summed in coordinate order as
-            # over the dense candidate, so float sums round alike
-            terms = [(pc, -row[fc] * x) for pc, row, x in hits if fc in row]
-            if fc in u_act:
-                terms.append((fc, u_act[fc]))
-            if ctx.is_zero(sum(t for _, t in sorted(terms))):
+            # f(u) for the nullspace vector f of fc
+            if u_act.get(fc, 0) == sum(row[fc] * x for row, x in hits if fc in row):
                 continue
-            vec = self._reducer.null_vector(fc)
-            f = CoordFunctional({i: c for i, c in vec.items() if not ctx.is_zero(c)})
+            f = CoordFunctional(self._reducer.null_vector(fc))
             return f.scale(1 / dual_norm(self.p, f, ctx))
         raise NoSeparation("u lies in span(constraints) + ker p")

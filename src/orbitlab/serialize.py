@@ -1,11 +1,10 @@
 """Canonical JSON-friendly encodings for the workbench value types.
 
-Scalars travel as text ("3/2" for rationals in lowest terms, shortest
-round-trip decimals for floats); vectors and functionals as sorted
-index/value pair lists.  Decoders read scalars through `ctx.parse`, which
-fixes the scalar mode; vectors, functionals and operators are encoded as
-they are decoded, in either mode, while seminorms and disks, which only
-arrive in scenarios, are decoded only.
+Scalars travel as text ("3/2" for rationals in lowest terms); vectors and
+functionals as sorted index/value pair lists.  Decoders read scalars through
+`ctx.parse`, and each takes the context or its mode name; vectors,
+functionals and operators are encoded as they are decoded, while seminorms
+and disks, which only arrive in scenarios, are decoded only.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ def decode_vector(pairs, ctx: ScalarContext = EXACT) -> SparseVector:
 
 
 def decode_functional(pairs, ctx: ScalarContext = EXACT) -> CoordFunctional:
-    return CoordFunctional(decode_pairs(pairs, ctx))
+    return CoordFunctional(decode_pairs(pairs, _context(ctx)))
 
 
 def decode_seminorm(data: Mapping, ctx: ScalarContext = EXACT) -> SeminormSpec:

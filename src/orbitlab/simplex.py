@@ -1,22 +1,22 @@
 """Exact simplex solver for the small equality-form programs used by disk gauges.
 
-Solves  min c.x  subject to  A x = b, x >= 0  over the scalars of the active
-mode.  Two phases with Bland's anti-cycling rule throughout, so runs
-terminate even on the degenerate ties that tied optimal disk representations
-produce.  The tableau carries its reduced-cost row: each phase prices the
+Solves  min c.x  subject to  A x = b, x >= 0  over the rationals.  Two
+phases with Bland's anti-cycling rule throughout, so runs terminate even on
+the degenerate ties that tied optimal disk representations produce.  The tableau carries its reduced-cost row: each phase prices the
 costs against the basis once, and every pivot then updates that row with the
 same row step it applies to the constraint rows.
 
-Exact mode pivots on integers (fraction-free; Edmonds 1967, J. Res. NBS 71B;
+The tableau pivots on integers (fraction-free; Edmonds 1967, J. Res. NBS 71B;
 Azulay and Pique 2001): [A | b] is scaled by L, the lcm of its denominators,
 and the rows hold |det B| B^-1 [L A | I | L b] for the basis B of [L A | I],
 so the artificial block ends as det(B) B^-1, the dual's source.  Each pivot
 divides exactly by the previous |det B|.  Scaling moves no sign, ratio order
-or tie, so Bland's rule takes the same pivots as over Fractions.  A caller
-may pass [A | b] already scaled (a generator disk's gauge); one driver runs both.
+or tie, so Bland's rule takes the pivots it would take over Fractions.  A
+caller may pass [A | b] already scaled (a generator disk's gauge); one driver
+runs both.
 
-`resolve` re-optimizes a kept exact optimum for a new b: the basis stays
-dual feasible, so the dual simplex (Chvátal, Linear Programming, 1983,
+`resolve` re-optimizes a kept optimum for a new b: the basis stays dual
+feasible, so the dual simplex (Chvátal, Linear Programming, 1983,
 ch. 10) runs from it on the new rhs, det(B) B^-1 times the scaled b, with
 no phase 1; Bland's smallest-index rule, taken in the dual, keeps it finite
 (Bland, Math. Oper. Res. 2, 1977).  The optimal value is unique, so it is
@@ -45,97 +45,31 @@ class LPResult(NamedTuple):
     x: List[Scalar]
 
 
-def _eliminate(target: List[Scalar], row: Sequence[Scalar], col: int) -> None:
-    """target -= target[col] * row in place, skipping the zero entries of row."""
-    f = target[col]
-    if f:
-        for j, y in enumerate(row):
-            if y:
-                target[j] -= f * y
+class _IntTableau:
+    """The equality-form tableau on integers: columns = variables +
+    artificials, then rhs.
 
-
-class _Tableau:
-    """Equality-form tableau: columns = variables + artificials, then rhs.
-
-    `basis[i]` is the column currently basic in row i; `red` is the
-    reduced-cost row, priced once per phase and then pivoted like the others.
+    The rows are den * B^-1 [S L A | I | S L b], S = diag(`signs`) the start
+    rows' signs, `red` den times the reduced costs of the integer costs M c,
+    den = |det B| > 0, `scale` = L and `cost_scale` = M of the latest
+    pricing.  Values leave in the caller's units: x = rhs / den, an
+    artificial rhs / (den L).  `basis[i]` is the column currently basic in
+    row i; `red` is priced once per phase and then pivoted like the others.
     Bland's rule: the entering column is the lowest-index one with negative
     reduced cost, the leaving row breaks ratio ties by lowest basis column.
     """
 
-    def __init__(self, rows, nvars: int, ctx: ScalarContext, one):
-        """rows: the [a_i | b_i] in the tableau's number type, whose unit is one."""
+    def __init__(self, rows, nvars: int, ctx: ScalarContext, scale: int):
+        """rows: the integer [L a_i | L b_i]."""
         self.ctx, self.nvars, self.nrows, self.ncols = ctx, nvars, len(rows), nvars + len(rows)
-        self.basis, self.rows, zero = list(range(nvars, self.ncols)), [], one - one
+        self.scale, self.den, self.signs = scale, 1, [-1 if r[nvars] < 0 else 1 for r in rows]
+        self.basis, self.rows = list(range(nvars, self.ncols)), []
         for i, row in enumerate(rows):
             if row[nvars] < 0:
                 row = [-v for v in row]
-            self.rows.append(row[:nvars] + [one if k == i else zero for k in range(self.nrows)]
+            self.rows.append(row[:nvars] + [1 if k == i else 0 for k in range(self.nrows)]
                              + row[nvars:])
-        self.red: List[Scalar] = [zero] * (self.ncols + 1)
-
-    def pivot(self, row: int, col: int):
-        piv = self.rows[row][col]
-        prow = self.rows[row] = [v / piv for v in self.rows[row]]
-        for target in self.rows[:row] + self.rows[row + 1:] + [self.red]:
-            _eliminate(target, prow, col)
-        self.basis[row] = col
-
-    def price(self, costs: Sequence[Scalar]):
-        self.red = list(costs) + [self.ctx.zero]
-        for row, bcol in zip(self.rows, self.basis):
-            _eliminate(self.red, row, bcol)
-
-    def ratio_order(self, i: int, k: int, col: int) -> int:
-        """The sign of rhs_i / a_i,col - rhs_k / a_k,col."""
-        ri, rk = (self.rows[r][self.ncols] / self.rows[r][col] for r in (i, k))
-        return (ri > rk) - (ri < rk)
-
-    def minimize(self, costs: Sequence[Scalar], allowed: int):
-        """Bland iterations; only columns < `allowed` may enter."""
-        ctx = self.ctx
-        self.price(costs)
-        while True:
-            col = next((j for j in range(allowed) if ctx.lt(self.red[j], 0)), None)
-            if col is None:
-                return
-            best = None
-            for i in range(self.nrows):
-                if not ctx.lt(0, self.rows[i][col]):
-                    continue
-                if best is not None:
-                    order = self.ratio_order(i, best, col)
-                    if order > 0 or (order == 0 and self.basis[i] > self.basis[best]):
-                        continue
-                best = i
-            if best is None:
-                raise Unbounded("improving column has no positive entries")
-            self.pivot(best, col)
-
-    def artificial_sum(self) -> Scalar:
-        """The phase-1 objective: the sum of the basic artificial values."""
-        return sum((row[self.ncols] for row, bcol in zip(self.rows, self.basis)
-                    if bcol >= self.nvars), self.ctx.zero)
-
-    def result(self, costs: Sequence[Scalar]) -> LPResult:
-        """The basic solution and its cost under the phase-2 costs."""
-        x = [self.ctx.zero] * self.nvars
-        for row, bcol in zip(self.rows, self.basis):
-            if bcol < self.nvars:
-                x[bcol] = row[self.ncols]
-        return LPResult(sum((costs[j] * x[j] for j in range(self.nvars)), self.ctx.zero), x)
-
-
-class _IntTableau(_Tableau):
-    """The exact tableau on integers: rows den * B^-1 [S L A | I | S L b], S
-    = diag(`signs`) the start rows' signs, `red` den times the reduced costs
-    of the integer costs M c, den = |det B| > 0, `scale` = L and
-    `cost_scale` = M of the latest pricing.  Values leave in the caller's
-    units: x = rhs / den, an artificial rhs / (den L)."""
-
-    def __init__(self, rows, nvars: int, ctx: ScalarContext, scale: int):
-        self.scale, self.den, self.signs = scale, 1, [-1 if r[nvars] < 0 else 1 for r in rows]
-        super().__init__(rows, nvars, ctx, 1)
+        self.red: List[int] = [0] * (self.ncols + 1)
 
     def pivot(self, row: int, col: int):
         """Bareiss step: the pivot row stays, every other row t (`red` too)
@@ -161,16 +95,39 @@ class _IntTableau(_Tableau):
         self.red = red
 
     def ratio_order(self, i: int, k: int, col: int) -> int:
-        """By cross-multiplication: both pivots are > 0."""
+        """The sign of rhs_i / a_i,col - rhs_k / a_k,col, by cross-multiplication:
+        both pivots are > 0."""
         ri, rk, n = self.rows[i], self.rows[k], self.ncols
         d = ri[n] * rk[col] - rk[n] * ri[col]
         return (d > 0) - (d < 0)
 
+    def minimize(self, costs: Sequence[Scalar], allowed: int):
+        """Bland iterations; only columns < `allowed` may enter."""
+        self.price(costs)
+        while True:
+            col = next((j for j in range(allowed) if self.red[j] < 0), None)
+            if col is None:
+                return
+            best = None
+            for i in range(self.nrows):
+                if not self.rows[i][col] > 0:
+                    continue
+                if best is not None:
+                    order = self.ratio_order(i, best, col)
+                    if order > 0 or (order == 0 and self.basis[i] > self.basis[best]):
+                        continue
+                best = i
+            if best is None:
+                raise Unbounded("improving column has no positive entries")
+            self.pivot(best, col)
+
     def artificial_sum(self) -> Scalar:
+        """The phase-1 objective: the sum of the basic artificial values."""
         return Fraction(sum(row[self.ncols] for row, bcol in zip(self.rows, self.basis)
                             if bcol >= self.nvars), self.den * self.scale)
 
     def result(self, costs: Sequence[Scalar]) -> LPResult:
+        """The basic solution and its cost under the phase-2 costs."""
         x = [self.ctx.zero] * self.nvars
         for row, bcol in zip(self.rows, self.basis):
             if bcol < self.nvars:
@@ -180,39 +137,34 @@ class _IntTableau(_Tableau):
 
 def solve_lp(c: Sequence[Scalar], a: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
              ctx: ScalarContext = EXACT, scale: Optional[int] = None) -> LPResult:
-    """Minimize c.x over A x = b, x >= 0.  In exact mode a caller may pass
-    [A | b] already scaled: the integers L A and L b, and `scale` = L > 0."""
+    """Minimize c.x over A x = b, x >= 0.  A caller may pass [A | b] already
+    scaled: the integers L A and L b, and `scale` = L > 0."""
     return optimal_tableau(c, a, b, ctx, scale).result([ctx.coerce(v) for v in c])
 
 
 def optimal_tableau(c: Sequence[Scalar], a: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
-                    ctx: ScalarContext = EXACT, scale: Optional[int] = None) -> _Tableau:
+                    ctx: ScalarContext = EXACT, scale: Optional[int] = None) -> _IntTableau:
     """`solve_lp`'s two phases: its tableau at the optimum."""
     nvars, nrows, w = len(c), len(a), len(c) + 1
     if scale is None:
         rows = [[ctx.coerce(v) for v in (*a[i], b[i])] for i in range(nrows)]
-        scaled = ctx.integer_row(dict(enumerate(v for row in rows for v in row)))
-        if scaled is not None:
-            nums, scale = scaled
-            rows = [[nums.get(i * w + j, 0) for j in range(w)] for i in range(nrows)]
+        nums, scale = ctx.integer_row(dict(enumerate(v for row in rows for v in row)))
+        rows = [[nums.get(i * w + j, 0) for j in range(w)] for i in range(nrows)]
     else:
         rows = [[*a[i], b[i]] for i in range(nrows)]
-    tab = (_Tableau(rows, nvars, ctx, ctx.one) if scale is None
-           else _IntTableau(rows, nvars, ctx, scale))
+    tab = _IntTableau(rows, nvars, ctx, scale)
 
     # Phase 1: minimize the artificial sum; feasible iff it reaches zero.
     phase1 = [ctx.zero] * nvars + [ctx.one] * tab.nrows
     tab.minimize(phase1, allowed=tab.ncols)
     infeas = tab.artificial_sum()
-    if not ctx.is_zero(infeas):
+    if infeas != 0:
         raise Infeasible(f"phase 1 optimum {infeas} > 0")
 
     # Drive lingering artificials out of the basis where possible.
     for i in range(tab.nrows):
         if tab.basis[i] >= nvars:
-            col = next(
-                (j for j in range(nvars) if not ctx.is_zero(tab.rows[i][j])), None
-            )
+            col = next((j for j in range(nvars) if tab.rows[i][j]), None)
             if col is not None:
                 tab.pivot(i, col)
 
@@ -223,7 +175,7 @@ def optimal_tableau(c: Sequence[Scalar], a: Sequence[Sequence[Scalar]], b: Seque
 
 
 def resolve(tab: _IntTableau, b: Sequence[int], bden: int) -> Fraction:
-    """The optimum of the exact tableau's LP for the rhs b / bden, b integers,
+    """The optimum of the tableau's LP for the rhs b / bden, b integers,
     by dual simplex from its optimal basis, dual feasible for every b.  Each
     row t is its artificial block times [S L A | I | S L b], `red` too but
     for den M c on the costs, zero on the artificials, so t's rhs is that

@@ -117,11 +117,11 @@ def step_backward(state: TransportState, u: SparseVector, separator: Separator,
     best_pos = None
     for pos, a in enumerate(pool):
         f_a = f.pair(a)
-        if ctx.is_zero(f_a):
+        if f_a == 0:
             continue
         v = j.apply(w - a, ctx).scale(1 / f_a)
         size = minkowski(state.disk, v, ctx)
-        if ctx.lt(size, eps):
+        if size < eps:
             return f, v, pos
         if best is None or size < best:
             best, best_pos = size, pos
@@ -223,7 +223,7 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
 
     Failures are report entries, never exceptions; each entry carries a
     witness message for diagnosis.  exact-matching computes each residual
-    J a(n_j) - b(m_j) once and passes when its every entry is `ctx.is_zero`;
+    J a(n_j) - b(m_j) once and passes when every one is zero;
     the report carries the residuals, with the budget.
     """
     checks: List[CheckResult] = []
@@ -258,10 +258,10 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
     residuals = [j_op.apply(state.a.vector(n), ctx) - state.b.vector(m) for n, m in pairs]
     match_details = [f"pair {j}: J a({n}) != b({m})"
                      for j, ((n, m), r) in enumerate(zip(pairs, residuals), start=1)
-                     if not all(ctx.is_zero(v) for v in r.entries.values())]
+                     if not r.is_zero()]
     add("exact-matching", not match_details, "; ".join(match_details) or "all matched pairs exact")
 
-    add("budget-below-one", ctx.lt(budget.c, ctx.one), f"c = {budget.c}")
+    add("budget-below-one", budget.c < 1, f"c = {budget.c}")
 
     # J e once per window coordinate, for the round trip and the kernel check
     indices = _window_indices(state)

@@ -13,18 +13,17 @@ candidate.  The solution of A_m c = e_m gives the coefficients making the
 combined vectors v_m biorthogonal-triangular against the chosen functionals,
 which is exactly what turns the shuffled basis matrix unit lower triangular.
 
-In exact mode the work is done on integers (fraction-free arithmetic;
-Bareiss, Math. Comp. 22, 1968).  Each functional and basis vector is scaled
-once to an integer row over its denominator (`ScalarContext.integer_row`),
-and the basis check reuses those rows.  The factor is bordered with the
+The work is done on integers (fraction-free arithmetic; Bareiss, Math.
+Comp. 22, 1968).  Each functional and basis vector is scaled once to an
+integer row over its denominator (`ScalarContext.integer_row`), and the
+basis check reuses those rows.  The factor is bordered with the
 pairings of these rows, A' = D_f·A·D_u for D_f and D_u the denominators, and
 keeps the leading minors Δ'_k of A'.  The defect item is the integer
 combination Δ'_n·(forced - sum_j λ_j own_j) of a fraction-free back
 substitution, so its pairing with a candidate is Δ'_{n+1} itself and a
 rejected candidate costs one integer pairing.  A Fraction is built only for
 a value the state holds: a minor, a coefficient or an entry of v_m (see
-`_Bordered.solution`).  Float mode pairs and combines the items as given, on
-an L·D·U factor whose pivots are det A_{n+1} / det A_n.
+`_Bordered.solution`).
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from . import linalg
 from .errors import Exhausted, LinearlyDependent
 from .operators import FiniteRankOperator, ZERO
 from .scalars import EXACT, Scalar, ScalarContext
-from .vectors import CoordFunctional, SparseVector, _dot, combine
+from .vectors import CoordFunctional, SparseVector, _dot
 
 # The driver refuses to start without this much slack beyond the prefix it
 # must build; greedy scans need room.
@@ -45,7 +44,7 @@ WINDOW_MARGIN = 2
 
 
 class _Row:
-    """An exact item as integer numerators over one positive denominator.
+    """A functional or basis vector as integer numerators over one positive denominator.
 
     Pairings and combinations of rows are sums on integers, and neither
     builds a Fraction.
@@ -77,41 +76,16 @@ class _Row:
         return _Row(acc, 1)
 
 
-class _Plain:
-    """A float item, paired and combined as given."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, item):
-        self.item = item
-
-    @property
-    def row(self):
-        return self.item.entries
-
-    def pair(self, other: "_Plain") -> Scalar:
-        """The pairing of a functional and a vector, given in either order."""
-        a, b = self.item, other.item
-        return a.pair(b) if isinstance(a, CoordFunctional) else b.pair(a)
-
-    def plus(self, scale, coeffs: Sequence[Scalar], rows: Sequence["_Plain"]) -> "_Plain":
-        """self + sum of c * row: a float factor's solutions are unscaled, so
-        its `scale` is 1 and is not applied."""
-        return _Plain(combine(zip(coeffs, (r.item for r in rows)), self.item))
-
-
-def _scaled(item, ctx: ScalarContext):
-    """The item as a `_Row` where `ctx.integer_row` scales it (exact mode),
-    as given otherwise."""
-    scaled = ctx.integer_row(item.entries)
-    return _Plain(item) if scaled is None else _Row(*scaled)
+def _scaled(item, ctx: ScalarContext) -> _Row:
+    """The item as a `_Row`, scaled by `ctx.integer_row`."""
+    return _Row(*ctx.integer_row(item.entries))
 
 
 class _Bordered(linalg.Bordered):
     """The factor of the pairing matrix of the functionals and vectors chosen
     so far; items[0] and items[1] hold them, as `_scaled` gives them, in pick
-    order.  In exact mode the factor is bordered with the pairings of their
-    numerators, A' = D_f·A·D_u for D_f and D_u the denominators."""
+    order.  The factor is bordered with the pairings of their numerators,
+    A' = D_f·A·D_u for D_f and D_u the denominators."""
 
     def __init__(self, ctx: ScalarContext):
         super().__init__(ctx)
@@ -133,7 +107,7 @@ class _Bordered(linalg.Bordered):
         defect = forced.plus(self.scale(n), [-c for c in lam], own)
         for pos, candidate in enumerate(candidates):
             pivot = defect.pair(candidate)
-            if not self.ctx.is_zero(pivot):
+            if pivot:
                 break
         else:
             raise Exhausted("every candidate pairs to zero with the defect item")
@@ -147,18 +121,12 @@ class _Bordered(linalg.Bordered):
         """(c, v_m, det A_m) for the solution c of A_m c = e_m, v_m the
         combination of the chosen vectors with it.
 
-        Float mode reads c off column m of U_m^{-1} over the m-th pivot.  In
-        exact mode y = Δ'_{m-1}·(column m of U'_m^{-1}) is an integer vector for
-        the minors Δ' of A', so c_j = uden_j·y_j·fden_m / Δ'_m,
+        y = Δ'_{m-1}·(column m of U'_m^{-1}) is an integer vector for the
+        minors Δ' of A', so c_j = uden_j·y_j·fden_m / Δ'_m,
         v_m = (fden_m / Δ'_m)·sum_j y_j·u_row_j and det A_m = Δ'_m / prod of
         fden·uden; only these values become Fractions.
         """
         fs, us = self.items
-        if not self.integer:
-            unit = [self.ctx.one if k == m - 1 else self.ctx.zero for k in range(m)]
-            c = tuple(x / self.pivots[m - 1] for x in self.back(1, unit))
-            v = combine(zip(c, (u.item for u in us)))
-            return c, v, math.prod(self.pivots[:m])
         y = self.back(1, [0] * (m - 1) + [self.scale(m - 1)])
         minor, fden = self.pivots[m - 1], fs[m - 1].den
         c = tuple(Fraction(u.den * yj * fden, minor) for u, yj in zip(us, y))

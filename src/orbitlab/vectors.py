@@ -1,15 +1,15 @@
 """Finite-support coordinate families: sparse vectors and coordinate functionals.
 
 Both kinds store a finite map from positive coordinate index to a nonzero
-scalar.  Explicit zeros are never stored, ints are stored as Fractions, and
-any other scalar is stored as given; equality is entry-wise, and hashing
-agrees with it, so vectors serve as set members and dict keys.  The pairing
-f(x) = sum_i f_i * x_i is always a finite sum, and an empty one is the int 0.
-Finite linear combinations go through `combine`; it, `restrict`, `__neg__`
-and exact `FiniteRankOperator.apply` build from clean entries and skip
-`_clean` (`scale`, `__add__` and `__sub__` can make zeros, so keep it).  A map
-keeps its exact integer form in the slot `_int`, outside equality, hashing,
-copies and pickles, filled and read only by `ScalarContext.integer_of`.
+scalar.  Explicit zeros are never stored, ints are stored as Fractions and
+Fractions as given; equality is entry-wise, and hashing agrees with it, so
+vectors serve as set members and dict keys.  The pairing f(x) = sum_i f_i *
+x_i is always a finite sum, and an empty one is the int 0.  Finite linear
+combinations go through `combine`; it, `restrict`, `__neg__` and
+`FiniteRankOperator.apply` build from clean entries and skip `_clean`
+(`scale`, `__add__` and `__sub__` can make zeros, so keep it).  A map keeps
+its integer form in the slot `_int`, outside equality, hashing, copies and
+pickles, filled and read only by `ScalarContext.integer_of`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def _clean(entries: Mapping[int, Scalar]) -> Dict[int, Scalar]:
 def _dot(a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> Scalar:
     """sum_i a_i * b_i over the coordinates two maps share, looping over the
     smaller one; the int 0 when none is shared.  `CoordFunctional.pair` sums
-    with it, and so does exact `FiniteRankOperator.apply` on integer rows."""
+    with it, and so does `FiniteRankOperator.apply` on integer rows."""
     if len(b) < len(a):
         a, b = b, a
     total = 0
@@ -153,8 +153,9 @@ def combine(terms: Iterable[Tuple[Scalar, _FiniteMap]], start: Optional[_FiniteM
     """start + sum of c * x over the (c, x) pairs, zero coefficients skipped.
 
     Each coordinate is summed in term order from start's entry, so the result
-    rounds as the fold start + x_1.scale(c_1) + ... does.  With no non-zero
-    coefficient the result is start itself (a zero SparseVector for no start).
+    equals the fold start + x_1.scale(c_1) + ..., entry order included.  With
+    no non-zero coefficient the result is start itself (a zero SparseVector
+    for no start).
     """
     acc = kind = None
     for c, x in terms:
@@ -177,6 +178,5 @@ def combine(terms: Iterable[Tuple[Scalar, _FiniteMap]], start: Optional[_FiniteM
 
 
 def close(x: _FiniteMap, y: _FiniteMap, ctx: ScalarContext) -> bool:
-    """Every entry of x - y is ctx.is_zero: x == y in exact mode, entry-wise
-    within the tolerance in float mode.  Equal maps build no difference."""
-    return x == y or all(ctx.is_zero(v) for v in (x - y).entries.values())
+    """x - y is zero: x == y, as a map stores no zero.  Builds no difference."""
+    return x == y

@@ -5,9 +5,10 @@ these helpers work on plain lists of row lists, share no code with it, and
 exist only to check it.  Likewise the program pairs a vector only with the
 terms its coordinate index finds; `apply_terms` and `dense_gram` pair every
 term.  The program sums exact products on integers and factors exact
-systems fraction-free; `sub_products`, `combination`, `triangularize`,
-`apply_terms`, `weight_gauge`, `determinant`, `solve` and `gram_solve` do
-every step in the scalars themselves.  An exact run settles the build-shift
+systems fraction-free; `combination`, `triangularize`, `apply_terms`,
+`weight_gauge`, `determinant`, `solve` and `gram_solve` do every step in
+the scalars themselves, and `simplex` pivots a Fraction tableau and prices
+its costs afresh before every pivot.  A run settles the build-shift
 continuity check by the shift's Neumann certificate; `continuity_samples`
 is the sampled check, the run's fallback, as a slow path.  The program's
 shift demo is the `orbit` of a backward-shift operator; `shift_demo` moves
@@ -28,7 +29,8 @@ import orbitlab.scenarios as scenarios
 from orbitlab.errors import NotInSpan, SingularOperator
 from orbitlab.operators import IDENTITY
 from orbitlab.reports import Table
-from orbitlab.scalars import EXACT, FLOAT_TOL, format_scalar
+from orbitlab.scalars import EXACT, format_scalar
+from orbitlab.simplex import Infeasible, Unbounded
 from orbitlab.seminorms import L1, DiskSpec, SeminormSpec, eval_seminorm, minkowski
 from orbitlab.serialize import encode_pairs
 from orbitlab.vectors import SparseVector, combine
@@ -76,11 +78,6 @@ def dense_gram(terms):
     return [[f.pair(v) for _, v in terms] for f, _ in terms]
 
 
-def sub_products(b, pairs):
-    """b - sum of t * x over the (t, x) pairs by the plain loop; b with no pairs."""
-    return b - sum(t * x for t, x in pairs) if pairs else b
-
-
 def combination(coeffs, items, start=None):
     """start + sum of c * x, each coordinate summed in term order from start's
     entry and dropped where a partial sum is 0; terms with c == 0 skipped.
@@ -118,7 +115,7 @@ def triangularize(basis, funcs, stages, ctx=EXACT):
             trial = picks[1 - side] + [cand]
             fs, us = (picks[0], trial) if side == 0 else (trial, picks[1])
             minor = [[funcs[a - 1].pair(basis[b - 1]) for b in us] for a in fs]
-            if not ctx.is_zero(determinant(minor, ctx)):
+            if determinant(minor, ctx) != 0:
                 picks[1 - side].append(cand)
                 break
         else:
@@ -155,13 +152,12 @@ def shift_demo(window, x0, horizon):
     return out
 
 
-def parse_scalar(text, ctx=EXACT):
+def parse_scalar(text):
     """The scalar of its text by `Fraction(text)` for every form; ValueError
     "'<text>' is not a finite scalar" as `ScalarContext.parse` raises it."""
     text = str(text).strip()
     try:
-        value = Fraction(text)
-        return value if ctx.exact else float(value)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"{text!r} is not a finite scalar") from None
 
@@ -194,15 +190,12 @@ def mat_vec(a, x):
 
 
 def determinant(a, ctx=EXACT):
-    """Gaussian elimination: the first non-zero pivot in exact mode, the
-    largest one in float mode."""
+    """Gaussian elimination on the first non-zero pivot."""
     m = [list(row) for row in a]
     n, det = len(m), ctx.one
     for k in range(n):
-        col = [abs(m[i][k]) for i in range(k, n)]
-        piv = k + (next((i for i, v in enumerate(col) if v), 0) if ctx.exact
-                   else col.index(max(col)))
-        if ctx.is_zero(m[piv][k]):
+        piv = k + next((i for i in range(n - k) if m[k + i][k]), 0)
+        if m[piv][k] == 0:
             return ctx.zero
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
@@ -215,26 +208,11 @@ def determinant(a, ctx=EXACT):
     return det
 
 
-def _pivot_row(col, start, ctx):
-    if ctx.exact:
-        for i in range(start, len(col)):
-            if col[i] != 0:
-                return i
-        return None
-    best, best_mag = None, FLOAT_TOL
-    for i in range(start, len(col)):
-        mag = abs(col[i])
-        if mag > best_mag:
-            best, best_mag = i, mag
-    return best
-
-
 def rref(a, ctx=EXACT):
     """Dense Gauss-Jordan reduced row echelon form.  Returns (rows, pivot_columns).
 
-    Columns in ascending order; the pivot is searched from the current row on
-    and swapped into place: the first non-zero in exact mode, the largest
-    entry above the tolerance in float mode.  Zero entries are skipped: a zero
+    Columns in ascending order; the pivot, the first non-zero from the
+    current row on, is swapped into place.  Zero entries are skipped: a zero
     of the pivot row is not divided and is not subtracted from the other rows,
     and every zero of the input (an int 0 included) comes out as ctx.zero.
     """
@@ -246,7 +224,7 @@ def rref(a, ctx=EXACT):
     pivots = []
     r = 0
     for c in range(cols):
-        piv = _pivot_row([m[i][c] for i in range(rows)], r, ctx)
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
@@ -256,7 +234,7 @@ def rref(a, ctx=EXACT):
         for i in range(rows):
             row = m[i]
             f = row[c]
-            if f and i != r and not ctx.is_zero(f):
+            if f and i != r:
                 for j in support:
                     row[j] -= f * prow[j]
         pivots.append(c)
@@ -306,6 +284,67 @@ def solve(a, b, ctx=EXACT):
     if pivots != list(range(n)):
         raise SingularOperator(f"{n}x{n} system is singular")
     return [row[n] for row in red]
+
+
+def simplex(c, a, b, path=None):
+    """(value, x) minimizing c.x over A x = b, x >= 0 by the two-phase
+    Fraction tableau [A | I | b], a row with b_i < 0 negated, under Bland's
+    rule: the lowest-index column of negative reduced cost enters, the
+    lowest ratio leaves, ties to the lowest basic column.  The reduced costs
+    are priced from scratch before each pivot.  Phase 1 minimizes the sum of
+    the artificials; each artificial still basic after it leaves for the
+    first column of its row that is non-zero; phase 2 lets no artificial
+    enter.  Appends the basis after every pivot to `path`; raises Infeasible
+    and Unbounded with the texts of `simplex.solve_lp`."""
+    nvars, nrows = len(c), len(a)
+    ncols = nvars + nrows
+    rows = []
+    for i, (ai, bi) in enumerate(zip(a, b)):
+        sign = -1 if bi < 0 else 1
+        rows.append([sign * Fraction(v) for v in ai]
+                    + [Fraction(int(k == i)) for k in range(nrows)] + [sign * Fraction(bi)])
+    basis = list(range(nvars, ncols))
+    path = [] if path is None else path
+
+    def pivot(r, col):
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = [x - row[col] * y for x, y in zip(row, rows[r])]
+        basis[r] = col
+        path.append(list(basis))
+
+    def minimize(costs, allowed):
+        while True:
+            red = [costs[j] - sum(costs[k] * row[j] for k, row in zip(basis, rows))
+                   for j in range(allowed)]
+            col = next((j for j in range(allowed) if red[j] < 0), None)
+            if col is None:
+                return
+            best = None
+            for i, row in enumerate(rows):
+                if row[col] > 0 and (best is None or (row[ncols] / row[col], basis[i])
+                                     < (rows[best][ncols] / rows[best][col], basis[best])):
+                    best = i
+            if best is None:
+                raise Unbounded("improving column has no positive entries")
+            pivot(best, col)
+
+    minimize([0] * nvars + [1] * nrows, ncols)
+    infeas = sum((row[ncols] for k, row in zip(basis, rows) if k >= nvars), Fraction(0))
+    if infeas != 0:
+        raise Infeasible(f"phase 1 optimum {infeas} > 0")
+    for i, row in enumerate(rows):
+        if basis[i] >= nvars:
+            col = next((j for j in range(nvars) if row[j] != 0), None)
+            if col is not None:
+                pivot(i, col)
+    minimize(list(c) + [0] * nrows, nvars)
+    x = [Fraction(0)] * nvars
+    for k, row in zip(basis, rows):
+        if k < nvars:
+            x[k] = row[ncols]
+    return sum((c[j] * x[j] for j in range(nvars)), Fraction(0)), x
 
 
 def gram_solve(j, u, ctx=EXACT):

@@ -71,6 +71,20 @@ def triangularize_scenario():
     }
 
 
+# each subcommand with every file flag it needs, "F" standing for a file
+SUBCOMMAND_ARGV = [
+    ["transport", "--a", "F", "--b", "F", "--p", "F", "--disk", "F", "--stages", "1"],
+    ["triangularize", "--basis", "F", "--stages", "1"],
+    ["disks", "--from-null-seq", "F"],
+    ["hypercyclic", "build-shift", "--basis", "F", "--p", "F", "--disk", "F"],
+    ["hypercyclic", "witness", "--op", "F", "--x", "F", "--y", "F", "--p", "F"],
+    ["hypercyclic", "demo", "--x", "F"],
+    ["refute", "--op", "F", "--x", "F", "--levels", "1"],
+]
+SUBCOMMAND_IDS = ["transport", "triangularize", "disks", "build-shift", "witness", "demo",
+                  "refute"]
+
+
 class TestSchema:
     def test_missing_field_named(self):
         with pytest.raises(ScenarioError, match="task: missing"):
@@ -89,6 +103,18 @@ class TestSchema:
         })
         with pytest.raises(ScenarioError, match="payload.a: missing"):
             run_scenario(scenario)
+
+    @pytest.mark.parametrize("mode", ["float", "Exact", "exact ", "", None, ["exact"]],
+                             ids=["float", "capitalized", "padded", "empty", "null", "list"])
+    def test_only_the_exact_mode_is_usable(self, tmp_path, capsys, mode):
+        """"exact" is the one scalar mode, spelled as such: anything else in
+        `scalar_mode` makes the scenario unusable (exit 2, no report)."""
+        path = tmp_path / "mode.json"
+        path.write_text(json.dumps(dict(transport_scenario(), scalar_mode=mode)))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: scalar_mode: must be 'exact'\n"
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
     def test_eps_schedule_forms(self):
         geo = parse_eps_schedule("geometric:1/2", 3)
@@ -395,6 +421,15 @@ class TestCli:
                   "--x", str(tmp_path / "x.json")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=SUBCOMMAND_IDS)
+    def test_scalar_mode_flag_removed(self, tmp_path, capsys, argv):
+        """Subcommands run in the one scalar mode, so --scalar-mode is no flag
+        of any of them."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--scalar-mode", "float"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --scalar-mode float" in capsys.readouterr().err
+
     def test_triangularize_subcommand(self, tmp_path, capsys):
         basis_file = tmp_path / "basis.json"
         basis_file.write_text(json.dumps(encode([sv(1), sv(1, 1)])))
@@ -403,16 +438,7 @@ class TestCli:
         assert code == 0
         assert "result: PASS" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("argv", [
-        ["transport", "--a", "F", "--b", "F", "--p", "F", "--disk", "F", "--stages", "1"],
-        ["triangularize", "--basis", "F", "--stages", "1"],
-        ["disks", "--from-null-seq", "F"],
-        ["hypercyclic", "build-shift", "--basis", "F", "--p", "F", "--disk", "F"],
-        ["hypercyclic", "witness", "--op", "F", "--x", "F", "--y", "F", "--p", "F"],
-        ["hypercyclic", "demo", "--x", "F"],
-        ["refute", "--op", "F", "--x", "F", "--levels", "1"],
-    ], ids=["transport", "triangularize", "disks", "build-shift", "witness", "demo",
-            "refute"])
+    @pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=SUBCOMMAND_IDS)
     def test_subcommand_validates_the_window(self, tmp_path, capsys, argv):
         path = tmp_path / "empty.json"
         path.write_text("[]")
@@ -545,6 +571,33 @@ class TestMoreTasks:
         assert weights.rows[0] == ["1", "1/2"]
         assert report.data["premise_span_dim"] >= 0
 
+    def test_build_shift_with_thirds_meets_its_chain_identities(self, tmp_path):
+        """Thirds in the chain and the disk: S u_1 = 0 and S u_k = w_{k-1} u_{k-1}
+        hold exactly, with no rounding left over."""
+        scenario = dict(build_shift_scenario(), name="shift-thirds")
+        scenario["payload"].update(
+            basis=[[[1, "1"], [2, "1/3"]], [[2, "1/3"], [3, "2/3"]],
+                   [[1, "1/3"], [3, "1"], [4, "1/3"]], [[2, "1/3"], [4, "2/3"]]],
+            disk={"weights": [[i, "1/3"] for i in range(1, 5)] + [[5, "1"], [6, "1"]]})
+        code, _ = _run_file(tmp_path, scenario)
+        report = json.loads((tmp_path / "out" / "scenario.json").read_text())
+        checks = {c["name"]: c["passed"] for c in report["checks"]}
+        assert checks["chain-identities"] is True
+        assert code == 0 and report["passed"] is True
+
+    def test_decimal_text_is_read_exactly(self):
+        """"0.00000001" is the rational 1/10^8: twins moved by it are matched
+        exactly, and the report writes the budget as a fraction."""
+        scenario = transport_scenario()
+        for pairs in scenario["payload"]["b"]:
+            pairs[-1][1] = "0.00000001"
+        report = run_scenario(Scenario.from_dict(scenario))
+        assert report.passed, [c.name for c in report.checks if not c.passed]
+        rows = [serialize.decode_vector(b) for b in scenario["payload"]["b"]]
+        assert {v for b in rows for v in b.entries.values()} == {1, Fraction(1, 10 ** 8)}
+        assert report.data["budget"] == "1/25000000"  # 4 * 10^-8
+        assert report.scalar_mode == "exact"
+
     def test_demo_scenario_orbit_table(self):
         report = run_scenario(Scenario.from_dict(demo_scenario()))
         table = next(t for t in report.tables if t.name == "orbit")
@@ -565,19 +618,16 @@ def _corrupt(payload, field, value):
 
 
 class TestBoundaryErrors:
-    @pytest.mark.parametrize("mode, field, value, named", [
-        ("exact", ("a", 1, 0, 1), "abc", "payload.a[1]"),
-        ("exact", ("b", 0, 1, 1), "1/0", "payload.b[0]"),
-        ("exact", ("a", 2, 0, 0), 0, "payload.a[2]"),
-        ("exact", ("p", "kind"), None, "payload.p"),
-        ("float", ("eps_schedule",), ["1/4", "nan", "1/16", "1/32"], "eps_schedule[1]"),
-        ("float", ("b", 0, 1, 1), "inf", "payload.b[0]"),
-    ], ids=["abc", "zero-denominator", "index-0", "missing-kind", "float-nan-eps",
-            "float-inf-entry"])
-    def test_bad_input_exits_2_naming_the_field(self, tmp_path, capsys, mode, field,
-                                                value, named):
+    @pytest.mark.parametrize("field, value, named", [
+        (("a", 1, 0, 1), "abc", "payload.a[1]"),
+        (("b", 0, 1, 1), "1/0", "payload.b[0]"),
+        (("a", 2, 0, 0), 0, "payload.a[2]"),
+        (("p", "kind"), None, "payload.p"),
+        (("eps_schedule",), ["1/4", "nan", "1/16", "1/32"], "eps_schedule[1]"),
+        (("b", 0, 1, 1), "inf", "payload.b[0]"),
+    ], ids=["abc", "zero-denominator", "index-0", "missing-kind", "nan-eps", "inf-entry"])
+    def test_bad_input_exits_2_naming_the_field(self, tmp_path, capsys, field, value, named):
         scenario = transport_scenario()
-        scenario["scalar_mode"] = mode
         _corrupt(scenario["payload"], field, value)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(scenario))
@@ -609,6 +659,20 @@ class TestBatch:
         err = capsys.readouterr().err
         assert f"error: {paths[1]}: payload.p" in err
         assert sorted(p.name for p in out_dir.iterdir()) == ["s0.json", "s2.json"]
+
+    def test_float_scenario_exits_2_and_the_batch_runs_on(self, tmp_path, capsys):
+        """The one scalar mode is "exact": a float scenario is unusable, and the
+        good scenario beside it writes the report it writes alone."""
+        good = transport_scenario(name="good")
+        floated = dict(transport_scenario(name="floated"), scalar_mode="float")
+        paths = self._paths(tmp_path, [floated, good])
+        out_dir = tmp_path / "out"
+        assert main(["run", "--out", str(out_dir), "--scenario", paths[0],
+                     "--scenario", paths[1]]) == 2
+        assert capsys.readouterr().err == f"error: {paths[0]}: scalar_mode: must be 'exact'\n"
+        assert [p.name for p in out_dir.iterdir()] == ["s1.json"]
+        alone = emit_report(run_scenario(Scenario.from_dict(good)), "json")
+        assert (out_dir / "s1.json").read_bytes() == alone
 
     def test_construction_precondition_does_not_stop_the_batch(self, tmp_path, capsys):
         empty = build_shift_scenario()
@@ -1164,11 +1228,9 @@ def _corrupted(scenario, rng):
 class TestCorruptionFuzz:
     """Corrupting any one field of a scenario gives a report or a WorkbenchError."""
 
-    @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize("builder", BUILDERS, ids=lambda b: b.__name__)
-    def test_one_corrupted_field(self, builder, mode):
+    def test_one_corrupted_field(self, builder):
         scenario = builder()
-        scenario["scalar_mode"] = mode
         for path, value, bad in _corrupted(scenario, random.Random(7)):
             try:
                 run_scenario(Scenario.from_dict(bad))
@@ -1176,6 +1238,24 @@ class TestCorruptionFuzz:
                 pass
             except Exception as exc:
                 pytest.fail(f"{path} <- {value!r}: {type(exc).__name__}: {exc}")
+
+    @pytest.mark.parametrize("builder", BUILDERS, ids=lambda b: b.__name__)
+    def test_a_float_scenario_is_refused_before_its_payload(self, builder):
+        """A scenario in float mode is refused for its mode, whatever else is
+        wrong with it once every top-level field is present: no corruption of
+        its name, window, seed, task or payload gets its task started."""
+        scenario = dict(builder(), scalar_mode="float")
+        refused = 0
+        for path, value, bad in _corrupted(scenario, random.Random(7)):
+            if path[:1] == ("scalar_mode",) or not (
+                    isinstance(bad, dict) and all(key in bad for key in scenario)):
+                continue
+            with pytest.raises(ScenarioError) as exc:
+                Scenario.from_dict(bad)
+            assert str(exc.value) == "scalar_mode: must be 'exact'", (path, value)
+            refused += 1
+        assert refused > 20
+        assert run_scenario(Scenario.from_dict(builder())).scalar_mode == "exact"
 
     def test_batch_of_corrupted_scenarios(self, tmp_path, capsys):
         rng = random.Random(11)
@@ -1367,3 +1447,64 @@ class TestEachCheckCanFail:
         detail, _ = self._failed(tmp_path, capsys, build_shift_scenario(), "continuity-bound")
         assert detail == "p_D(S x) <= p(x) on 100 seeded vectors"
         assert len(draws) == 100
+
+
+# each subcommand form as (scenario builder, where its payload keys live, argv):
+# ("file", key) stands for a JSON file holding payload[key], ("value", key)
+# for payload[key] as text
+SUBCOMMAND_FORMS = [
+    (transport_scenario, lambda payload: payload,
+     ["transport", "--a", ("file", "a"), "--b", ("file", "b"), "--p", ("file", "p"),
+      "--disk", ("file", "disk"), "--stages", ("value", "stages"),
+      "--eps-schedule", ("value", "eps_schedule")]),
+    (triangularize_scenario, lambda payload: payload,
+     ["triangularize", "--basis", ("file", "basis"), "--stages", ("value", "stages")]),
+    (disk_scenario, lambda payload: payload,
+     ["disks", "--from-null-seq", ("file", "generators")]),
+    (common_scenario, lambda payload: payload["common"],
+     ["disks", "--common", ("file", "a"), ("file", "b"), "--targets", ("file", "targets"),
+      "--eps", ("value", "eps")]),
+    (build_shift_scenario, lambda payload: payload,
+     ["hypercyclic", "build-shift", "--basis", ("file", "basis"), "--p", ("file", "p"),
+      "--disk", ("file", "disk")]),
+    (witness_scenario, lambda payload: payload,
+     ["hypercyclic", "witness", "--op", ("file", "operator"), "--x", ("file", "x"),
+      "--y", ("file", "y"), "--p", ("file", "p"), "--eps", ("value", "eps"),
+      "--max-n", ("value", "max_n")]),
+    (demo_scenario, lambda payload: payload,
+     ["hypercyclic", "demo", "--x", ("file", "x0"), "--horizon", ("value", "horizon")]),
+    (refute_scenario, lambda payload: payload,
+     ["refute", "--op", ("file", "operator"), "--x", ("file", "x"),
+      "--levels", ("value", "family_levels"), "--first-active", ("value", "first_active"),
+      "--horizon", ("value", "horizon")]),
+]
+
+
+@pytest.mark.parametrize("builder, root, form", SUBCOMMAND_FORMS,
+                         ids=["transport", "triangularize", "disks-from-null-seq",
+                              "disks-common", "build-shift", "witness", "demo", "refute"])
+def test_subcommand_writes_the_report_of_its_scenario(tmp_path, builder, root, form):
+    """A subcommand builds the scenario a file would hold, in the exact mode:
+    its report is, byte for byte, the one `run` writes for that file."""
+    scenario = builder()
+    payload = root(scenario["payload"])
+    argv = []
+    for item in form:
+        if isinstance(item, tuple):
+            kind, key = item
+            if kind == "file":
+                path = tmp_path / f"{key}.json"
+                path.write_text(json.dumps(payload[key]))
+                item = str(path)
+            else:
+                item = str(payload[key])
+        argv.append(item)
+    name = scenario["name"]
+    code = main(argv + ["--name", name, "--window", str(scenario["window"]),
+                        "--seed", str(scenario["seed"]), "--out", str(tmp_path / "direct")])
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "run")]) == code
+    direct = (tmp_path / "direct" / f"{name}.json").read_bytes()
+    assert direct == (tmp_path / "run" / f"{name}.json").read_bytes()
+    assert json.loads(direct)["scalar_mode"] == "exact"

@@ -1,10 +1,10 @@
 """The build-shift `continuity-bound` check: a certificate first, samples second.
 
 For S = sum_j f_j (x) v_j, p_D(S x) <= c p(x) for every x, with
-c = sum_j p*(f_j) p_D(v_j).  In exact mode a run settles the check by
+c = sum_j p*(f_j) p_D(v_j).  A run settles the check by
 `neumann_certificate` when c < 1 and draws none of its 100 seeded vectors;
-when the certificate fails (c >= 1, or c = inf for an unbounded term), and
-always in float mode, the samples run.  `oracles.continuity_samples` is the
+when the certificate fails (c >= 1, or c = inf for an unbounded term), the
+samples run.  `oracles.continuity_samples` is the
 sampled check as a slow path: fed the same `random.Random(seed)`, it must
 give every run's verdict, on honest shifts and on shifts corrupted so that
 the certificate fails.
@@ -16,15 +16,23 @@ from fractions import Fraction
 import pytest
 
 import orbitlab.scenarios as scenarios
-from orbitlab import CoordFunctional, DiskSpec, SeminormSpec, SparseVector, serialize
+from orbitlab import (
+    CoordFunctional,
+    DiskSpec,
+    SeminormSpec,
+    SparseVector,
+    eval_seminorm,
+    minkowski,
+    serialize,
+)
 from orbitlab.errors import NotInSpan
 from orbitlab.hypercyclic import build_shift_operator
 from orbitlab.operators import ZERO, FiniteRankOperator, NeumannBudget
+from orbitlab.scalars import EXACT
 from orbitlab.scenarios import Scenario, run_scenario
 
 import oracles
 
-MODES = ("exact", "float")
 FORMS = ("weights", "generators")
 # name -> how the terms of S are changed; `window` lies in the probe window
 # but outside active(p), `window + 1` outside the window and the disk
@@ -42,7 +50,7 @@ CORRUPTIONS = {
 CASES = 4
 
 
-def shift_scenario(rng, form, mode):
+def shift_scenario(rng, form):
     """A chain u_k = c e_k + earlier active coordinates + kernel junk on
     active(p) = 1..n_us < window, with a disk over 1..window in the given
     form: unit triangular on active(p), so independent modulo ker p."""
@@ -65,7 +73,7 @@ def shift_scenario(rng, form, mode):
              for i in coords]
             + [SparseVector({i: Fraction(rng.randint(-3, 3), 2) for i in coords})])
     return {
-        "name": f"shift-{form}", "scalar_mode": mode, "window": window,
+        "name": f"shift-{form}", "scalar_mode": "exact", "window": window,
         "seed": rng.randint(0, 999), "task": "hypercyclic",
         "payload": {
             "mode": "build-shift",
@@ -80,10 +88,9 @@ def continuity_check(report):
     return next(c for c in report.checks if c.name == "continuity-bound")
 
 
-@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("how", sorted(CORRUPTIONS))
 @pytest.mark.parametrize("form", FORMS)
-def test_run_gives_the_sampled_oracles_verdict(monkeypatch, form, how, mode):
+def test_run_gives_the_sampled_oracles_verdict(monkeypatch, form, how):
     draws = oracles.spy_draws(monkeypatch)
     built = []
 
@@ -98,8 +105,7 @@ def test_run_gives_the_sampled_oracles_verdict(monkeypatch, form, how, mode):
     monkeypatch.setattr(scenarios, "build_shift_operator", corrupted)
     outcomes = []
     for case in range(CASES):
-        # the same scenario in both modes: the generator's seed omits the mode
-        data = shift_scenario(random.Random(f"{form}:{case}"), form, mode)
+        data = shift_scenario(random.Random(f"{form}:{case}"), form)
         window = data["window"]
         draws.clear()
         try:
@@ -120,7 +126,7 @@ def test_run_gives_the_sampled_oracles_verdict(monkeypatch, form, how, mode):
         assert check.passed == all(samples)
         if c < 1:
             assert all(samples)
-        assert draws == ([] if mode == "exact" and c < 1 else [window] * 100)
+        assert draws == ([] if c < 1 else [window] * 100)
         outcomes.append((c < 1, check.passed))
     # (c < 1, verdict) of every case: each family reaches the outcomes it is
     # here for, and x2 both passes and fails the sampled bound
@@ -136,15 +142,52 @@ def test_run_gives_the_sampled_oracles_verdict(monkeypatch, form, how, mode):
 
 @pytest.mark.parametrize("seed", (1, 2))
 def test_certificate_settles_every_exact_corpus_build_shift(monkeypatch, seed):
-    """Every build-shift of the benchmark's shiftgauge corpus: exact runs draw
-    no sample, float runs all 100, and the check passes in both modes."""
+    """Every build-shift of the benchmark's shiftgauge corpus draws no sample,
+    and its check passes."""
     draws = oracles.spy_draws(monkeypatch)
     shifts = [data for data in oracles.benchmark_workloads().generate("shiftgauge", seed)
               if data["task"] == "hypercyclic" and data["payload"]["mode"] == "build-shift"]
     assert len(shifts) == 6
     for data in shifts:
-        for mode, count in (("exact", 0), ("float", 100)):
-            draws.clear()
-            check = continuity_check(run_scenario(Scenario.from_dict(dict(data, scalar_mode=mode))))
-            assert check.passed
-            assert len(draws) == count, (data["name"], mode)
+        draws.clear()
+        assert continuity_check(run_scenario(Scenario.from_dict(data))).passed
+        assert draws == [], data["name"]
+
+
+@pytest.mark.parametrize("how", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("form", FORMS)
+def test_budget_bounds_every_sampled_vector(form, how):
+    """The certificate's c is a bound, not an estimate: p_D(S x) <= c p(x) on
+    each of the 100 vectors the sampled check draws, for honest and corrupted
+    S alike.  c is infinite exactly when a term leaves active(p) (p*(f) = inf)
+    or span D (p_D(v) = inf), a vacuous bound; S x leaves span D only in the
+    second case."""
+    outside = bounded = 0
+    for case in range(CASES):
+        data = shift_scenario(random.Random(f"{form}:{case}"), form)
+        payload, window = data["payload"], data["window"]
+        us = [serialize.decode_vector(u) for u in payload["basis"]]
+        p = serialize.decode_seminorm(payload["p"])
+        disk = serialize.decode_disk(payload["disk"])
+        terms = tuple(build_shift_operator(us, p, disk).operator.terms)
+        j = random.Random(len(terms)).randrange(len(terms))
+        s = FiniteRankOperator(ZERO, tuple(CORRUPTIONS[how](terms, j, window, Fraction(1))))
+        budget = NeumannBudget.of(s.terms, p, disk)
+        unbounded = budget.c == float("inf")
+        assert unbounded == (how in ("f-outside-active", "v-unweighed"))
+        rng = random.Random(data["seed"])
+        for _ in range(100):
+            x = scenarios._random_window_vector(rng, window, EXACT)
+            y = oracles.apply_terms(s, x)
+            try:
+                gauge = oracles.weight_gauge(disk.weights, y) if disk.weights is not None \
+                    else minkowski(disk, y)
+            except NotInSpan:
+                assert how == "v-unweighed"
+                outside += 1
+                continue
+            if not unbounded:
+                assert gauge <= budget.c * eval_seminorm(p, x)
+                bounded += 1
+    assert bounded == (0 if how in ("f-outside-active", "v-unweighed") else 100 * CASES)
+    assert (outside > 0) == (how == "v-unweighed")

@@ -1,9 +1,9 @@
-"""Byte oracle for the benchmark corpus in both scalar modes.
+"""Byte oracle for the benchmark corpus.
 
 tests/data/corpus_digests.json pins one SHA-256 per report: the seed-1 and
 seed-2 scenarios of the three benchmark workloads (perfbench/workloads.py,
-loaded by path and not modified), each run in exact and in float mode and
-emitted as json, text and csv.  An optimisation that changes a single byte of
+loaded by path and not modified), each run in exact mode, the only scalar
+mode, and emitted as json, text and csv.  An optimisation that changes a single byte of
 any of them is a behaviour change and fails here.
 
 Regenerate the pins (only for an intended change of the reports) with
@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PINS_PATH = ROOT / "tests" / "data" / "corpus_digests.json"
 WORKLOADS = ("triangularize", "transport", "shiftgauge")
 SEEDS = (1, 2)
-MODES = ("exact", "float")
+MODES = ("exact",)
 FORMATS = ("json", "text", "csv")
 
 

@@ -26,7 +26,7 @@ from orbitlab.density import (
     net_report,
 )
 from orbitlab.errors import Exhausted, KernelCollision, NotANet, NotInSpan, NotPIndependent
-from orbitlab.scalars import EXACT, FLOAT
+from orbitlab.scalars import EXACT
 from orbitlab.scenarios import Scenario, run_scenario
 
 import oracles
@@ -319,7 +319,7 @@ class TestDualByInverse:
         return calls
 
     @staticmethod
-    def chain(rng, n, ctx=EXACT):
+    def chain(rng, n):
         """n vectors whose projections on n scattered active coordinates form
         a unit triangular block under a random order, plus random entries on
         the block and kernel junk: square and invertible."""
@@ -327,14 +327,14 @@ class TestDualByInverse:
         order = rng.sample(active, n)
         us = []
         for k, lead in enumerate(order):
-            entries = {lead: ctx.one}
+            entries = {lead: frac(1)}
             for c in rng.sample(order[:k], min(k, 3)):
-                entries[c] = ctx.coerce(frac(rng.randint(-3, 3), rng.choice([1, 2, 4])))
+                entries[c] = frac(rng.randint(-3, 3), rng.choice([1, 2, 4]))
             if rng.random() < 0.5:
-                entries[3 * n + rng.randint(1, 4)] = ctx.coerce(frac(rng.randint(1, 3), 2))
+                entries[3 * n + rng.randint(1, 4)] = frac(rng.randint(1, 3), 2)
             us.append(SparseVector(entries))
         rng.shuffle(us)
-        return us, SeminormSpec.sup_on(active, ctx.one)
+        return us, SeminormSpec.sup_on(active)
 
     def test_square_chains_match_the_separator_path(self, monkeypatch):
         rng = random.Random(211)
@@ -381,19 +381,3 @@ class TestDualByInverse:
                 square_singular += 1
                 assert calls and isinstance(fs, str)
         assert wide >= 10 and square_singular >= 5
-
-    def test_float_mode_keeps_the_separator_path(self, monkeypatch):
-        import orbitlab.density as density
-
-        rng = random.Random(227)
-        for _ in range(30):
-            us, p = self.chain(rng, rng.randint(1, 9), FLOAT)
-            expected = self.separator_path(monkeypatch, us, p, FLOAT)
-            inverse = []
-            monkeypatch.setattr(density, "_dual_by_inverse",
-                                lambda *args: inverse.append(args))
-            fs = biorthogonalize(us, p, FLOAT)
-            monkeypatch.undo()
-            assert inverse == []
-            assert [[(i, v.hex()) for i, v in f.entries.items()] for f in fs] == \
-                [[(i, v.hex()) for i, v in f.entries.items()] for f in expected]

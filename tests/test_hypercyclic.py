@@ -26,7 +26,6 @@ from orbitlab.errors import (
     WitnessNotFound,
 )
 from orbitlab.hypercyclic import (
-    NonOrbitSet,
     build_nonorbit_set,
     build_shift_operator,
     range_kernel_premise_check,
@@ -35,7 +34,6 @@ from orbitlab.hypercyclic import (
     transitivity_witness,
 )
 from orbitlab.operators import IDENTITY, ZERO
-from orbitlab.scalars import EXACT, FLOAT
 
 import oracles
 
@@ -351,6 +349,18 @@ class TestPremiseOracle:
         extra = (g, v.scale(c)) if rng.random() < 0.5 else (f.scale(c), w)
         return FiniteRankOperator(t.base, t.terms + (extra,))
 
+    def test_the_weighted_ladder_takes_the_core_path(self, monkeypatch):
+        """I + sum_k e_{k+1}* (.) e_k / 2 has independent f's and v's, so its
+        premise runs on the k x k core, with the dense oracle's ranks."""
+        taken = self.spy_paths(monkeypatch)
+        terms = tuple((CoordFunctional({k + 1: frac(1)}), SparseVector({k: frac(1, 2)}))
+                      for k in range(1, 6))
+        t = FiniteRankOperator(IDENTITY, terms)
+        report = range_kernel_premise_check(t, 6, 3)
+        assert taken == {"core": 1, "ambient": 0}
+        assert [r.dim_range for r in report.rows] == [5, 4, 3]
+        self.check(t, 6, 3)
+
     def test_core_and_ambient_paths_match_dense_oracle(self, monkeypatch):
         rng = random.Random(307)
         taken = self.spy_paths(monkeypatch)
@@ -383,25 +393,36 @@ class TestPremiseOracle:
             self.check(t, 3, 3)
         assert taken == {"core": 0, "ambient": len(operators)}
 
-    def test_float_mode_keeps_the_ambient_path(self, monkeypatch):
-        taken = self.spy_paths(monkeypatch)
-        terms = tuple((CoordFunctional({k + 1: 1.0}), SparseVector({k: 0.5}))
-                      for k in range(1, 6))
-        report = range_kernel_premise_check(FiniteRankOperator(IDENTITY, terms), 6, 3, FLOAT)
-        assert taken == {"core": 0, "ambient": 1}
-        assert [r.dim_range for r in report.rows] == [5, 4, 3]
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_corpus_build_shift_premise_spans_match_the_dense_oracle(seed):
+    """Each build-shift of the shiftgauge corpus reports the premise span the
+    dense oracle gives for the S it reports: 3 at window 9 and 4 at window 11."""
+    from orbitlab import serialize
+    from orbitlab.scenarios import Scenario, run_scenario
+
+    spans = {}
+    for data in oracles.benchmark_workloads().generate("shiftgauge", seed):
+        if data["payload"].get("mode") != "build-shift":
+            continue
+        report = run_scenario(Scenario.from_dict(data))
+        s = serialize.decode_operator(report.data["operator"])
+        depth = min(len(data["payload"]["basis"]), 6)
+        _, _, window_meet = dense_premise(s, data["window"], depth)
+        assert report.data["premise_span_dim"] == window_meet, data["name"]
+        spans[data["name"]] = window_meet
+    assert spans == {"sg-04-shift-w9": 3, "sg-05-shift-w9": 3, "sg-06-shift-w9": 3,
+                     "sg-09-shift-w11": 4, "sg-10-shift-w11": 4, "sg-11-shift-w11": 4}
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_corpus_shift_lab_takes_the_fast_paths(monkeypatch, seed):
-    """Every exact build-shift of the shiftgauge corpus reads its dual system
-    off one inverse (no `Separator.of` under `biorthogonalize`) and its
-    premise off the integer k x k core (no `FiniteRankOperator.apply` under
+    """Every build-shift of the shiftgauge corpus reads its dual system off
+    one inverse (no `Separator.of` under `biorthogonalize`) and its premise
+    off the integer k x k core (no `FiniteRankOperator.apply` under
     `range_kernel_premise_check`, and every power `_meets` builds holds
-    ints); every exact witness decides nilpotency on its core, so it makes no
-    `apply` call before its search loop's first seminorm.  The same spies see
-    the slow paths in float mode: the dual system by separation, the premise
-    and the witness's column loop through `apply`."""
+    ints); every witness decides nilpotency on its core, so it makes no
+    `apply` call before its search loop's first seminorm."""
     import sys
 
     import orbitlab.density as density
@@ -457,45 +478,31 @@ def test_corpus_shift_lab_takes_the_fast_paths(monkeypatch, seed):
     witnesses = [data for data in corpus if data["payload"].get("mode") == "witness"]
     assert (len(shifts), len(witnesses)) == (6, 2)
     for data in shifts:
-        report = run_scenario(Scenario.from_dict(dict(data, scalar_mode="exact")))
+        report = run_scenario(Scenario.from_dict(data))
         assert report.passed
         assert seen == [], data["name"]
     assert cores == [1] * len(shifts) and kinds == {int}
     for data in witnesses:
         witness.clear()
-        report = run_scenario(Scenario.from_dict(dict(data, scalar_mode="exact")))
+        report = run_scenario(Scenario.from_dict(data))
         assert report.passed
         assert witness[0] == "seminorm" and "apply" in witness, data["name"]
-    run_scenario(Scenario.from_dict(dict(shifts[0], scalar_mode="float")))
-    assert {"Separator.of", "apply"} <= set(seen)
-    witness.clear()
-    run_scenario(Scenario.from_dict(dict(witnesses[0], scalar_mode="float")))
-    loop = witness.index("seminorm")
-    assert loop >= witnesses[0]["window"] and set(witness[:loop]) == {"apply"}
 
 
 class TestWitnessNilpotency:
-    """The witness's nilpotency verdict, on the integer core F·P·V in exact
-    mode and on the window columns in float mode, equals that of the dense
-    cut matrix P·S·P."""
+    """The witness's nilpotency verdict, on the integer core F·P·V, equals
+    that of the dense cut matrix P·S·P."""
 
     @staticmethod
-    def verdict(t, window, ctx):
+    def verdict(t, window):
         """Whether the witness search accepts the chain part of t: with x = y
         it stops at n = 0 right after the test."""
-        x = SparseVector.basis(1, ctx)
+        x = SparseVector.basis(1)
         try:
-            transitivity_witness(t, x, x, ctx.one, 0, SeminormSpec.sup_on([1], ctx.one),
-                                 window, ctx)
+            transitivity_witness(t, x, x, Fraction(1), 0, SeminormSpec.sup_on([1]), window)
         except NotNilpotent:
             return False
         return True
-
-    @staticmethod
-    def floated(t):
-        return FiniteRankOperator(t.base, tuple(
-            (CoordFunctional({i: float(c) for i, c in f.entries.items()}),
-             SparseVector({i: float(c) for i, c in v.entries.items()})) for f, v in t.terms))
 
     @staticmethod
     def entries(rng, coords):
@@ -535,7 +542,7 @@ class TestWitnessNilpotency:
         rng.shuffle(terms)
         return terms
 
-    def test_exact_and_float_verdicts_match_the_cut_dense_oracle(self):
+    def test_exact_verdicts_match_the_cut_dense_oracle(self):
         rng = random.Random(311)
         e, d = SparseVector.basis, CoordFunctional.delta
         fixed = [
@@ -561,8 +568,7 @@ class TestWitnessNilpotency:
         for t, window in cases:
             s = t.linear_part()
             expected = dense_nilpotent(s, window)
-            assert self.verdict(t, window, EXACT) == expected, t
-            assert self.verdict(self.floated(t), window, FLOAT) == expected, t
+            assert self.verdict(t, window) == expected, t
             top = max([window] + [i for f, v in s.terms for i in f.support + v.support])
             tally["yes" if expected else "no"] += 1
             tally["only cut"] += expected and not dense_nilpotent(s, top)
@@ -701,8 +707,7 @@ class TestOmegaShiftDemo:
         steps = omega_shift_demo(4, x, 1)
         assert steps == [sv(1)]
 
-    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
-    def test_matches_the_dict_shift(self, ctx):
+    def test_matches_the_dict_shift(self):
         """The orbit of the shift operator is the reference's entry moves, with
         the same scalar types: entries beyond the window cut, zeros absent, and
         horizons past the window down to the zero vector."""
@@ -710,10 +715,10 @@ class TestOmegaShiftDemo:
         for _ in range(30):
             window = rng.randint(2, 8)
             coords = rng.sample(range(1, window + 4), rng.randint(0, window + 3))
-            x0 = SparseVector({i: ctx.coerce(Fraction(rng.randint(-4, 4), rng.choice([1, 3, 8])))
+            x0 = SparseVector({i: Fraction(rng.randint(-4, 4), rng.choice([1, 3, 8]))
                                for i in coords})
             for horizon in range(1, window + 3):
-                got = omega_shift_demo(window, x0, horizon, ctx)
+                got = omega_shift_demo(window, x0, horizon)
                 want = oracles.shift_demo(window, x0, horizon)
                 assert [[(i, type(c), c) for i, c in v.pairs()] for v in got] == \
                     [[(i, type(c), c) for i, c in v.pairs()] for v in want]

@@ -10,8 +10,7 @@ import pytest
 
 from orbitlab import linalg
 from orbitlab.errors import SingularOperator
-from orbitlab.operators import IDENTITY, FiniteRankOperator
-from orbitlab.scalars import EXACT, FLOAT
+from orbitlab.scalars import EXACT
 
 import oracles
 
@@ -198,8 +197,7 @@ def test_row_reducer_keeps_the_reduced_echelon_form():
 
 def test_exact_row_reducer_drops_explicit_zeros():
     """An explicit zero of an exact input row is no entry of its reduced row,
-    from `of` as from `try_add`, so no nullspace vector picks it up; a float
-    row keeps the entries it carries."""
+    from `of` as from `try_add`, so no nullspace vector picks it up."""
     row = {1: Fraction(1), 2: Fraction(0)}
     red = linalg.RowReducer.of([row])
     assert red.rows == {1: {1: 1}}
@@ -207,7 +205,6 @@ def test_exact_row_reducer_drops_explicit_zeros():
     reducer = linalg.RowReducer()
     assert reducer.try_add(row)
     assert reducer.rows == red.rows
-    assert linalg.RowReducer.of([{1: 2.0, 2: 0.0}], FLOAT).rows == {1: {1: 1.0, 2: 0.0}}
 
 
 def rank_families(rng):
@@ -257,22 +254,6 @@ def test_echelon_rank_matches_dense_oracle():
             assert math.gcd(*row.values()) == 1
 
 
-def test_echelon_float_mode_keeps_the_row_reducer_ranks():
-    rng = random.Random(43)
-    families = [[{j: float(v) for j, v in row.items()} for row in rows]
-                for rows in rank_families(rng)]
-    # dependent only within the 2^-40 tolerance
-    near = [{1: 1.0, 2: 1.0}, {1: 1.0, 2: 1.0 + 2.0 ** -45}]
-    families.append(near)
-    for rows in families:
-        reducer = linalg.RowReducer(FLOAT)
-        expected = sum(reducer.try_add(row) for row in rows)
-        assert linalg.row_rank(rows, FLOAT) == expected
-        assert linalg.independent(rows, FLOAT) == (expected == len(rows))
-    assert linalg.row_rank(near, FLOAT) == 1
-    assert linalg.row_rank([{j: Fraction(v) for j, v in row.items()} for row in near]) == 2
-
-
 def test_exact_rank_tests_build_no_fraction_row_reduction(monkeypatch):
     """The exact rank and independence tests stay on integers: with
     `RowReducer.try_add` unusable they still finish, with the same results."""
@@ -307,124 +288,10 @@ def test_exact_rank_tests_build_no_fraction_row_reduction(monkeypatch):
     assert results() == expected
     assert expected[1] and not expected[2]
 
-def test_exact_row_reductions_never_reach_the_scalar_row_step(monkeypatch):
-    """Exact `RowReducer` work runs on integer rows: with the scalar row step
-    `linalg._eliminate` made to raise, the reducer itself, the separating
-    functionals, the Gram inverse, the premise, the witness and the dual
-    system give the same results, while a float reducer does reach it."""
-    from orbitlab.density import biorthogonalize
-    from orbitlab.hypercyclic import (build_shift_operator, range_kernel_premise_check,
-                                      transitivity_witness)
-    from orbitlab.operators import invert
-    from orbitlab.seminorms import SeminormSpec, Separator
-    from orbitlab.vectors import CoordFunctional, SparseVector
 
-    rng = random.Random(59)
-
-    def q():
-        return Fraction(rng.choice([-4, -3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 2 ** 40]))
-
-    rows = [{j: q() for j in rng.sample(range(1, 9), 4)} for _ in range(6)]
-    rows.append({j: 2 * v for j, v in rows[0].items()} | {9: Fraction(0)})
-    probes = [{j: q() for j in rng.sample(range(1, 10), 3)} for _ in range(4)]
-    p = SeminormSpec.sup_on(range(1, 7))
-    constraints = [SparseVector({j: q() for j in rng.sample(range(1, 8), 3)}) for _ in range(3)]
-    u = SparseVector({j: q() for j in range(1, 7)})
-    terms = [(CoordFunctional({j: q() for j in rng.sample(range(1, 6), 2)}),
-              SparseVector({j: q() for j in rng.sample(range(1, 6), 2)})) for _ in range(4)]
-    chain = [SparseVector({k: Fraction(1), k + 1: Fraction(1, 3)}) for k in range(1, 5)]
-    shift = build_shift_operator(chain, SeminormSpec.sup_on(range(1, 5)),
-                                 oracles.l1_disk(range(1, 7), Fraction(1, 3)))
-    ladder = FiniteRankOperator(IDENTITY, tuple(
-        (CoordFunctional.delta(k + 1), SparseVector({k: Fraction(1, 2 ** k)})) for k in range(1, 6)))
-    x, y = SparseVector({1: Fraction(1, 2), 2: Fraction(-3)}), SparseVector({1: Fraction(-2)})
-    # square: the dual system by one inverse; three vectors on six coordinates: separating solves
-    square = [SparseVector({j: q() for j in range(1, 7)}) for _ in range(6)]
-    wide = [SparseVector({j: q() for j in rng.sample(range(1, 7), 4)}) for _ in range(3)]
-
-    def results():
-        red = linalg.RowReducer.of(rows)
-        grown = linalg.RowReducer()
-        added = [grown.try_add(row) for row in rows]
-        sep = Separator(p)
-        for c in constraints:
-            sep.add(c)
-        return (red.rows, [red.null_vector(fc) for fc in range(1, 10) if fc not in red.rows],
-                [red.residual(v) for v in probes], grown.rows, added,
-                [grown.residual(v) for v in probes],
-                sep.functional(u), Separator.of(p, constraints).functional(u),
-                invert(FiniteRankOperator(IDENTITY, tuple(terms))),
-                range_kernel_premise_check(shift.operator.plus_identity(), 6, 3),
-                transitivity_witness(ladder, x, y, Fraction(1, 1000), 64,
-                                     SeminormSpec.sup_on(range(1, 4)), window=6),
-                biorthogonalize(square, p), biorthogonalize(wide, p))
-
-    expected = results()
-    assert expected[0] != {} and expected[4].count(False) >= 1
-
-    def boom(*_args, **_kwargs):
-        raise AssertionError("scalar row step reached")
-
-    monkeypatch.setattr(linalg, "_eliminate", boom)
-    assert results() == expected
-    with pytest.raises(AssertionError, match="scalar row step reached"):
-        linalg.RowReducer.of([{1: 1.0, 2: 2.0}, {1: 3.0, 2: 1.0}], FLOAT)
-    with pytest.raises(AssertionError, match="scalar row step reached"):
-        reducer = linalg.RowReducer(FLOAT)
-        reducer.try_add({1: 1.0, 2: 2.0})
-        reducer.try_add({1: 3.0, 2: 1.0})
-
-
-def test_exact_factors_never_reach_the_substitution_fold(monkeypatch):
-    """Exact triangularization and the exact Gram factor run on integers: with
-    the float substitution path (`ScalarContext.sub_products`, which
-    `linalg._forward` folds with) made to raise, they give the same results,
-    while a float factor does reach it."""
-    from orbitlab.operators import GramFactor
-    from orbitlab.scalars import ScalarContext
-    from orbitlab.triangular import interleave_triangularize
-    from orbitlab.vectors import CoordFunctional, SparseVector
-
-    rng = random.Random(53)
-
-    def q():
-        return Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
-
-    basis = [SparseVector({j: q() for j in range(1, 7)}) for _ in range(6)]
-    funcs = [CoordFunctional({j: q() for j in range(1, 7)}) for _ in range(8)]
-    def nonzero():
-        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([4, 8, 12]))
-
-    # terms on overlapping supports, so the Gram borders are mostly non-zero
-    terms = [(CoordFunctional({j: nonzero() for j in (1, 2, 3)}),
-              SparseVector({j: nonzero() for j in (2, 3, 4)})) for _ in range(5)]
-    u = SparseVector({1: q(), 2: q(), 3: Fraction(1)})
-
-    def results():
-        gram = GramFactor()
-        for f, v in terms:
-            gram.extend(f, v)
-        return interleave_triangularize(basis, funcs, 3), gram.solve(u), list(gram._lu.pivots)
-
-    expected = results()
-    assert sum(f.pair(v) != 0 for f, _ in terms for _, v in terms) > 20
-    assert expected[1] == oracles.gram_solve(FiniteRankOperator(IDENTITY, terms), u)
-
-    def boom(*_args, **_kwargs):
-        raise AssertionError("substitution path reached")
-
-    monkeypatch.setattr(ScalarContext, "sub_products", boom)
-    monkeypatch.setattr(linalg, "_forward", boom)
-    assert results() == expected
-    floats = [SparseVector({j: float(x) for j, x in b.entries.items()}) for b in basis]
-    with pytest.raises(AssertionError, match="substitution path reached"):
-        interleave_triangularize(floats, funcs, 3, FLOAT)
-
-
-def bordered(a, ctx=EXACT):
-    """linalg.Bordered grown one row and column of a at a time; a is an
-    integer matrix in exact mode."""
-    lu = linalg.Bordered(ctx)
+def bordered(a):
+    """linalg.Bordered grown one row and column of the integer matrix a at a time."""
+    lu = linalg.Bordered()
     for n in range(len(a)):
         row = lu.border(0, a[n][:n])
         col = lu.border(1, [a[k][n] for k in range(n)])
@@ -474,27 +341,14 @@ def test_bordered_factor_pivots_and_solves():
         done += 1
 
 
-def test_float_mode_pivots_by_magnitude():
-    a = [[1e-30, 1.0], [1.0, 1.0]]
-    x = oracles.solve(a, [1.0, 2.0], FLOAT)
-    assert abs(x[0] - 1.0) < 1e-9
-    assert abs(x[1] - 1.0) < 1e-9
-    assert abs(oracles.determinant(a, FLOAT) - (1e-30 - 1.0)) < 1e-9
-    # 1e-10 is above the tolerance: pivoting on it leaves a residual of 1e-10
-    for x in (solve_augmented([[1e-10, 1.0], [1.0, 1.0]], [1.0, 2.0], FLOAT),
-              oracles.solve_any([[1e-10, 1.0], [1.0, 1.0]], [1.0, 2.0], FLOAT)):
-        assert abs(1e-10 * x[0] + x[1] - 1.0) < 1e-15
-        assert abs(x[0] + x[1] - 2.0) < 1e-15
-
-
 def test_rank_of_projections():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)], [Fraction(0), Fraction(1)]]
     assert oracles.rank(rows, EXACT) == 2
 
 
-def pivot_rows(red, pivots, ctx=EXACT):
+def pivot_rows(red, pivots):
     """Dense oracle rows keyed by pivot column, non-zero entries only."""
-    return {pc: {j: v for j, v in enumerate(red[r]) if not ctx.is_zero(v)}
+    return {pc: {j: v for j, v in enumerate(red[r]) if v != 0}
             for r, pc in enumerate(pivots)}
 
 
@@ -555,29 +409,6 @@ def test_rref_skipping_zeros_matches_dense_oracle():
         assert all(type(v) is Fraction for row in rows.values() for v in row.values())
 
 
-def test_rref_float_mode_leaks_no_int():
-    rng = random.Random(84)
-    for _ in range(50):
-        a = zero_heavy_matrix(rng, rng.randint(1, 6), rng.randint(1, 8))
-        a = [[float(v) if v else 0 for v in row] for row in a]
-        rows = linalg.RowReducer.of(sparse(a), FLOAT).rows
-        assert rows == pivot_rows(*oracles.rref(a, FLOAT), FLOAT)
-        assert all(type(v) is float for row in rows.values() for v in row.values())
-        assert all(type(v) is float for v in solve_augmented(a, [1.0] * len(a), FLOAT) or [])
-
-
-def test_float_pivot_ties_go_to_the_first_row():
-    # every first entry is +-1, so the first pivot is a tie; sevenths round,
-    # so the rows depend on which row pivots, to the last bit
-    rng = random.Random(86)
-    for _ in range(50):
-        n, cols = rng.randint(2, 6), rng.randint(2, 7)
-        a = [[rng.choice([-1.0, 1.0])] + [rng.randint(-9, 9) / 7 for _ in range(cols - 1)]
-             for _ in range(n)]
-        rows = linalg.RowReducer.of(sparse(a), FLOAT).rows
-        assert rows == pivot_rows(*oracles.rref(a, FLOAT), FLOAT)
-
-
 def test_zero_heavy_nullspace_and_solve_agree_with_oracle():
     rng = random.Random(85)
     for _ in range(100):
@@ -596,27 +427,32 @@ def test_zero_heavy_nullspace_and_solve_agree_with_oracle():
             assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in a)
 
 
-def same(a, b):
-    """Bit-equal: the same type and the same repr (-0.0 differs from 0.0)."""
-    return type(a) is type(b) and repr(a) == repr(b)
+def test_a_tiny_pivot_solves_exactly():
+    """A first pivot of 10^-30 is as good as any: the solution of
+    [[10^-30, 1], [1, 1]] x = (1, 2) is exact, with no search for a larger
+    pivot."""
+    tiny = Fraction(1, 10 ** 30)
+    a = [[tiny, Fraction(1)], [Fraction(1), Fraction(1)]]
+    want = [1 / (1 - tiny), (1 - 2 * tiny) / (1 - tiny)]
+    assert solve_augmented(a, [Fraction(1), Fraction(2)]) == want
+    assert oracles.solve(a, [Fraction(1), Fraction(2)]) == want
+    assert oracles.determinant(a) == tiny - 1
 
 
-def test_float_sub_products_fold_as_the_plain_loop():
-    rng = random.Random(137)
-    for n in range(40):
-        b = rng.choice([-0.0, 0.0, 0, rng.uniform(-1e3, 1e3)])
-        pairs = [(rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20), rng.uniform(-5, 5))
-                 for _ in range(n % 7)]
-        got = FLOAT.sub_products(b, pairs)
-        assert same(got, b - sum(t * x for t, x in pairs)), (b, pairs)
-        if not pairs:
-            assert same(got, oracles.sub_products(b, pairs))
+def test_rows_apart_by_2_to_the_minus_45_are_independent():
+    """Rank is exact: two rows that differ by 2^-45 in one entry are
+    independent, and their copies are not."""
+    near = [{1: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 2: 1 + Fraction(1, 2 ** 45)}]
+    assert linalg.row_rank(near) == 2 and linalg.independent(near)
+    reducer = linalg.RowReducer()
+    assert [reducer.try_add(row) for row in near + [near[1]]] == [True, True, False]
+    assert linalg.row_rank([near[0], near[0]]) == 1
+    assert not linalg.independent([near[1], {j: 3 * v for j, v in near[1].items()}])
 
 
-def test_bordered_factor_in_both_modes_matches_the_plain_loop():
-    """The float substitutions of Bordered give the bits of the plain float
-    loop; the exact factor of the same matrix, scaled to integers, gives the
-    plain Fraction solution times its minor, as ints."""
+def test_bordered_factor_matches_the_plain_solve():
+    """The factor of a Fraction matrix scaled to integers gives the plain
+    Fraction solution times its minor, as ints."""
     rng = random.Random(139)
     done = 0
     while done < 20:
@@ -629,23 +465,4 @@ def test_bordered_factor_in_both_modes_matches_the_plain_loop():
         got = lu.solve([int(v * 2 ** 40) for v in b])
         want = oracles.solve(a, b)
         assert all(type(g) is int and g == w * 2 ** 40 * lu.scale(n) / 10 for g, w in zip(got, want))
-        cast = (lambda v: v if type(v) is int else float(v))
-        lu = bordered([[cast(v) for v in row] for row in a], FLOAT)
-        rhs = [cast(v) for v in b]
-        want = plain_solve(lu, rhs)
-        got = lu.solve(rhs)
-        assert all(same(g, w) for g, w in zip(got, want)), (got, want)
         done += 1
-
-
-def plain_solve(lu, rhs):
-    """Bordered.solve by the plain loops of the substitutions."""
-    y = []
-    for row, b in zip(lu.lower[0], rhs):
-        y.append(b - sum(t * y[j] for j, t in row.items()) if row else b)
-    x = [yi / d if yi else yi for yi, d in zip(y, lu.pivots)]
-    for k in range(len(x) - 1, -1, -1):
-        col = [(j, row[k]) for j, row in enumerate(lu.lower[1]) if k in row]
-        if col:
-            x[k] -= sum(t * x[j] for j, t in col)
-    return x

@@ -21,8 +21,8 @@ from orbitlab import (
 )
 from orbitlab.errors import BudgetExceeded, SingularOperator
 from orbitlab.operators import IDENTITY, ZERO, CoordIndex, GramFactor
-from orbitlab.scalars import EXACT, FLOAT
-from orbitlab.vectors import _clean, close, combine
+from orbitlab.scalars import EXACT
+from orbitlab.vectors import _clean, combine
 
 import orbitlab.linalg as linalg
 import oracles
@@ -167,6 +167,19 @@ class TestInvert:
         with pytest.raises(SingularOperator, match="^2x2 matrix is not invertible$"):
             invert(j)
 
+    @pytest.mark.parametrize("gap", [Fraction(1, 10 ** 14), Fraction(1, 2 ** 200)],
+                             ids=["10^-14", "2^-200"])
+    def test_a_nearly_singular_update_inverts_exactly(self, gap):
+        """f(v) = -1 + gap leaves I + f (.) v invertible however small gap is:
+        J e_1 = gap e_1, and the inverse takes it back to e_1 exactly."""
+        j = FiniteRankOperator(IDENTITY, ((delta(1), sv(-1 + gap)),))
+        j_inv = invert(j)
+        assert j.apply(sv(1)) == sv(gap)
+        assert j_inv.apply(sv(1)) == sv(1 / gap)
+        for x in (sv(1), sv(0, 1), sv(Fraction(-2, 3), 0, 5)):
+            assert j_inv.apply(j.apply(x)) == x and j.apply(j_inv.apply(x)) == x
+        assert factored(j).solve(sv(gap)) == gram_solve(j, sv(gap)) == sv(1)
+
     def test_round_trip_on_random_certified_operators(self):
         rng = random.Random(37)
         p = SeminormSpec.sup_on(range(1, 7))
@@ -204,10 +217,6 @@ def random_identity_plus_rank(rng, window=16):
         for _ in range(rng.randint(1, 12))
     )
     return FiniteRankOperator(IDENTITY, terms)
-
-
-def as_float(x):
-    return type(x)({i: float(v) for i, v in x.entries.items()})
 
 
 class TestSolve:
@@ -249,27 +258,10 @@ class TestSolve:
             with pytest.raises(SingularOperator):
                 gram_solve(singular, sparse_rational(rng, SparseVector, 16, 4))
 
-    def test_float_mode_agrees_with_exact(self):
-        rng = random.Random(43)
-        checked = 0
-        for _ in range(100):
-            j = random_identity_plus_rank(rng)
-            u = sparse_rational(rng, SparseVector, 16, 6)
-            try:
-                exact = gram_solve(j, u)
-            except SingularOperator:
-                continue
-            j_float = FiniteRankOperator(
-                IDENTITY, tuple((as_float(f), as_float(v)) for f, v in j.terms))
-            w = gram_solve(j_float, as_float(u), FLOAT)
-            assert close(w, as_float(exact), FLOAT)
-            assert close(j_float.apply(w, FLOAT), as_float(u), FLOAT)
-            checked += 1
-        assert checked > 60
 
 
-def factored(j, ctx=None):
-    gram = GramFactor() if ctx is None else GramFactor(ctx)
+def factored(j):
+    gram = GramFactor()
     for f, v in j.terms:
         gram.extend(f, v)
     return gram
@@ -357,24 +349,6 @@ class TestGramFactor:
         with pytest.raises(SingularOperator):
             gram.solve(sv(1, 1))
 
-    def test_float_mode_agrees_with_exact(self):
-        # certified operators, as transport builds them: without pivoting the
-        # float error grows with the inverse of the smallest pivot
-        rng = random.Random(45)
-        p = SeminormSpec.sup_on(range(1, 7))
-        disk = oracles.l1_disk(range(1, 13))
-        checked = 0
-        for _ in range(100):
-            j = random_certified_terms(rng, p, disk, rng.randint(1, 8)).plus_identity()
-            u = sparse_rational(rng, SparseVector, 12, 6)
-            exact = factored(j).solve(u)
-            j_float = FiniteRankOperator(
-                IDENTITY, tuple((as_float(f), as_float(v)) for f, v in j.terms))
-            w = factored(j_float, FLOAT).solve(as_float(u))
-            assert close(w, as_float(exact), FLOAT)
-            assert close(j_float.apply(w, FLOAT), as_float(u), FLOAT)
-            checked += 1
-        assert checked == 100
 
 
 INDEX_WINDOW = 12
@@ -421,33 +395,24 @@ def scalar_bits(values):
     return [(type(v), repr(v)) for v in values]
 
 
-def float_terms(terms):
-    return [(as_float(f), as_float(v)) for f, v in terms]
-
-
-@pytest.mark.parametrize("mode", ["exact", "float"])
 class TestCoordIndex:
     """The indexed pairings against the plain term loop, bit for bit."""
 
-    def cases(self, mode, seed):
+    def cases(self, seed):
         rng = random.Random(seed)
         for name, terms in index_families(rng):
-            xs = index_probes(rng)
-            ctx = EXACT
-            if mode == "float":
-                terms, xs, ctx = float_terms(terms), [as_float(x) for x in xs], FLOAT
-            yield name, terms, xs, ctx
+            yield name, terms, index_probes(rng), EXACT
 
-    def test_apply_matches_the_term_loop(self, mode):
+    def test_apply_matches_the_term_loop(self):
         for seed in range(6):
-            for name, terms, xs, ctx in self.cases(mode, seed):
+            for name, terms, xs, ctx in self.cases(seed):
                 for base in (IDENTITY, ZERO):
                     op = FiniteRankOperator(base, terms)
                     for x in xs:
                         assert bits(op.apply(x, ctx)) == bits(apply_terms(op, x)), (name, base, x)
 
-    def test_empty_operator_and_shared_index(self, mode):
-        for name, terms, xs, ctx in self.cases(mode, 0):
+    def test_empty_operator_and_shared_index(self):
+        for name, terms, xs, ctx in self.cases(0):
             for x in xs:
                 assert FiniteRankOperator.identity().apply(x, ctx) is x
                 assert FiniteRankOperator.zero().apply(x, ctx).is_zero()
@@ -467,9 +432,9 @@ class TestCoordIndex:
             for x in xs:
                 assert bits(j.apply(x, ctx)) == bits(apply_terms(j, x)), name
 
-    def test_compose_matches_the_term_loop(self, mode):
+    def test_compose_matches_the_term_loop(self):
         for seed in range(4):
-            cases = list(self.cases(mode, seed))
+            cases = list(self.cases(seed))
             for (name, terms, xs, ctx), (_, others, _, _) in zip(cases, cases[1:] + cases[:1]):
                 for base, other_base in ((IDENTITY, IDENTITY), (ZERO, IDENTITY),
                                          (IDENTITY, ZERO)):
@@ -484,7 +449,7 @@ class TestCoordIndex:
                     assert [(g, bits(w)) for g, w in composed.terms] == \
                         [(g, bits(w)) for g, w in expected], name
 
-    def test_invert_builds_the_dense_gram(self, mode, monkeypatch):
+    def test_invert_builds_the_dense_gram(self, monkeypatch):
         """`invert` hands `RowReducer.of` the non-zero entries of [I_k + G | I_k],
         row by row in ascending column order, bit for bit as the dense Gram,
         and each u_j is, bit for bit and in entry order, the term-order fold of
@@ -500,7 +465,7 @@ class TestCoordIndex:
         monkeypatch.setattr(linalg.RowReducer, "of", spy)
         inverted = 0
         for seed in range(6):
-            for name, terms, xs, ctx in self.cases(mode, seed):
+            for name, terms, xs, ctx in self.cases(seed):
                 j = FiniteRankOperator(IDENTITY, terms)
                 one = ctx.one
                 seen.clear()
@@ -522,16 +487,16 @@ class TestCoordIndex:
                             for r, row in enumerate(expected)]
                 assert seen == [[(list(row), scalar_bits(row.values()))
                                  for row in expected]], name
-                if ctx.exact and seen:
+                if seen:
                     for x in xs:
                         assert j_inv.apply(j.apply(x)) == x
         assert inverted > 12
 
-    def test_gram_factor_borders_and_solves_with_the_dense_gram(self, mode, monkeypatch):
+    def test_gram_factor_borders_and_solves_with_the_dense_gram(self, monkeypatch):
         """GramFactor borders its factor with the dense Gram row and column of
-        each new term and solves with the pairings of u, bit for bit; in exact
-        mode each entry is the integer fden_r·vden_c·G_rc of the scaled
-        system.  A u that meets no f_r is returned without a solve."""
+        each new term and solves with the pairings of u, bit for bit; each
+        entry is the integer fden_r·vden_c·G_rc of the scaled system.  A u
+        that meets no f_r is returned without a solve."""
         calls = []
         border, solve = linalg.Bordered.border, linalg.Bordered.solve
 
@@ -547,14 +512,12 @@ class TestCoordIndex:
         monkeypatch.setattr(linalg.Bordered, "solve", spy_solve)
         solved = 0
         for seed in range(6):
-            for name, terms, xs, ctx in self.cases(mode, seed):
+            for name, terms, xs, ctx in self.cases(seed):
                 gram = GramFactor(ctx)
-                dense = dense_gram(terms)
-                if ctx.exact:
-                    fden = [den_of(f) for f, _ in terms]
-                    vden = [den_of(v) for _, v in terms]
-                    dense = [[int(fden[r] * vden[c] * g) for c, g in enumerate(row)]
-                             for r, row in enumerate(dense)]
+                fden = [den_of(f) for f, _ in terms]
+                vden = [den_of(v) for _, v in terms]
+                dense = [[int(fden[r] * vden[c] * g) for c, g in enumerate(row)]
+                         for r, row in enumerate(dense_gram(terms))]
                 try:
                     for m, (f, v) in enumerate(terms):
                         calls.clear()
@@ -564,16 +527,12 @@ class TestCoordIndex:
                     for x in xs:
                         calls.clear()
                         w = gram.solve(x)
-                        rhs = [f.pair(x) for f, _ in terms]
-                        if ctx.exact:
-                            rhs = [int(d * den_of(x) * r) for d, r in zip(fden, rhs)]
+                        rhs = [int(d * den_of(x) * f.pair(x)) for d, (f, _) in zip(fden, terms)]
                         if not any(set(f.entries) & set(x.entries) for f, _ in terms):
                             rhs = None
-                        # an exact solve hands the pairings on to `border` as well
-                        want = [] if rhs is None else [scalar_bits(rhs)] * (1 + ctx.exact)
-                        assert calls == want, name
-                        if ctx.exact:
-                            assert w == gram_solve(FiniteRankOperator(IDENTITY, terms), x)
+                        # a solve hands the pairings on to `border` as well
+                        assert calls == ([] if rhs is None else [scalar_bits(rhs)] * 2), name
+                        assert w == gram_solve(FiniteRankOperator(IDENTITY, terms), x)
                         solved += 1
                 except SingularOperator:
                     continue
@@ -682,23 +641,11 @@ class TestExactApply:
                     self.assert_matches_the_loop(j, x, EXACT, name)
                 op = grown
 
-    def test_float_mode_is_the_plain_loop_bit_for_bit(self):
-        for seed in range(4):
-            rng = random.Random(seed)
-            xs = [as_float(x) for x in rows_probes(rng)]
-            for name, terms in rows_families(rng):
-                for base in (IDENTITY, ZERO):
-                    op = FiniteRankOperator(base, float_terms(terms))
-                    for x in xs:
-                        self.assert_matches_the_loop(op, x, FLOAT, name)
-
-    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
-    def test_orbit_compose_and_matrix_take_the_context(self, ctx):
+    def test_orbit_compose_and_matrix_take_the_context(self):
+        ctx = EXACT
         rng = random.Random(5)
         terms = dict(rows_families(rng))["dense"]
         x0 = rows_probes(rng)[4]
-        if ctx is FLOAT:
-            terms, x0 = float_terms(terms), as_float(x0)
         t = FiniteRankOperator(IDENTITY, terms).linear_part()
         plain = [x0]
         for _ in range(3):
@@ -716,25 +663,19 @@ def assert_clean(x):
     assert entry_bits(x) == [(i, type(v), repr(v)) for i, v in _clean(x.entries).items()]
 
 
-@pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
-def test_results_that_skip_the_cleaning_pass_are_clean(ctx):
+def test_results_that_skip_the_cleaning_pass_are_clean():
     """`combine`, `apply`, `restrict` and `__neg__` build their results from
     clean entries without `_clean`; each result is what `_clean` would give."""
     for seed in range(6):
         rng = random.Random(seed)
         xs = rows_probes(rng)
         families = rows_families(rng)
-        if ctx is FLOAT:
-            xs = [as_float(x) for x in xs]
-            families = [(name, float_terms(terms)) for name, terms in families]
         coefficients = [0, 1, -1, Fraction(1, 3), Fraction(-7, 2)]
-        if ctx is FLOAT:
-            coefficients = [0.0, 1.0, -1.0, 1 / 3, -3.5, 2.0 ** -60]
         for name, terms in families:
             for base in (IDENTITY, ZERO):
                 op = FiniteRankOperator(base, terms)
                 for x in xs:
-                    assert_clean(op.apply(x, ctx))
+                    assert_clean(op.apply(x))
             fs = [f for f, _ in terms]
             for x in xs:
                 assert_clean(-x)

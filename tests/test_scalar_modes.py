@@ -1,5 +1,6 @@
-"""The two scalar modes stay separate: no float reaches an exact-mode result,
-every stored float-mode scalar is a float, and float zeros print as "0.0"."""
+"""Exact mode, the one scalar mode, stays exact: no float reaches a result,
+and no module but `scalars` tells scalars apart by type or names the
+integer form a vector keeps."""
 
 import ast
 from fractions import Fraction
@@ -15,7 +16,7 @@ from orbitlab.hypercyclic import (
     range_kernel_premise_check,
     transitivity_witness,
 )
-from orbitlab.scalars import EXACT, FLOAT
+from orbitlab.scalars import EXACT
 from orbitlab.scenarios import Scenario, parse_eps_schedule, run_scenario
 from orbitlab.transport import run_transport, verify_transport
 from orbitlab.triangular import interleave_triangularize
@@ -148,15 +149,18 @@ def test_exact_results_hold_no_float(flow):
 
 
 @pytest.mark.parametrize("flow", FLOWS, ids=lambda f: f.__name__)
-def test_float_results_store_floats(flow):
+def test_exact_results_store_fractions(flow):
+    """Every entry and weight a result keeps is a Fraction: the integer
+    kernels scale their rows back, and no int or bool is left behind."""
     stored = []
-    walk(flow(FLOAT), lambda kind, v: stored.append(v) if kind != "value" else None)
-    assert stored and all(type(v) is float for v in stored)
+    walk(flow(EXACT), lambda kind, v: stored.append(v) if kind != "value" else None)
+    assert stored and all(type(v) is Fraction for v in stored)
 
 
-def test_float_zero_residual_and_gauge_print_as_float():
+def test_exact_zero_residual_and_gauge_print_as_0():
+    """A zero residual and a zero gauge print as "0", the text of an exact zero."""
     witness = run_scenario(Scenario.from_dict({
-        "name": "float-witness", "scalar_mode": "float", "window": 6, "seed": 1,
+        "name": "exact-witness", "scalar_mode": "exact", "window": 6, "seed": 1,
         "task": "hypercyclic",
         "payload": {
             "mode": "witness",
@@ -167,19 +171,19 @@ def test_float_zero_residual_and_gauge_print_as_float():
         },
     }))
     table = next(t for t in witness.tables if t.name == "witness")
-    assert table.rows[0][1] == "0.0"
+    assert table.rows[0][1] == "0"
 
     common = run_scenario(Scenario.from_dict({
-        "name": "float-common", "scalar_mode": "float", "window": 2, "seed": 1,
+        "name": "exact-common", "scalar_mode": "exact", "window": 2, "seed": 1,
         "task": "disk",
         "payload": {"common": {
             "a": [[[1, "1"]], [[2, "1"]]], "b": [[[1, "1"]], [[2, "1"], [1, "1/8"]]],
             "targets": [[[1, "1"]]], "eps": "1/4"}},
     }))
     schedule = next(t for t in common.tables if t.name == "residual-schedule")
-    assert schedule.rows[0][1:] == ["0.0", "0.0"]
+    assert schedule.rows[0][1:] == ["0", "0"]
     net_a = next(t for t in common.tables if t.name == "net-report-a")
-    assert net_a.rows[0][2] == "0.0"
+    assert net_a.rows[0][2] == "0"
 
 
 SCALAR_TYPES = ("float", "Fraction")
@@ -211,8 +215,8 @@ def mode_reads(tree):
 
 
 def test_only_scalars_reads_the_mode():
-    """The scalar context hides its mode: no other module reads `.exact` or
-    `.tol`, or tells the modes apart by the type of a scalar."""
+    """No module but `scalars` reads `.exact` or `.tol`, or tells scalars
+    apart by their type: each is how a second scalar mode would come back."""
     reads = []
     for path in sorted(Path(orbitlab.__file__).parent.glob("*.py")):
         if path.name != "scalars.py":

@@ -11,7 +11,7 @@ import pytest
 
 from orbitlab import DiskSpec, SparseVector, minkowski, simplex
 from orbitlab.errors import NotInSpan
-from orbitlab.scalars import EXACT, FLOAT, ScalarContext
+from orbitlab.scalars import EXACT, ScalarContext
 from orbitlab.simplex import Infeasible, Unbounded, solve_lp
 from orbitlab.vectors import combine
 
@@ -119,29 +119,6 @@ def reprice(tab, costs):
     return red
 
 
-class _CheckedTableau(simplex._Tableau):
-    """Checks the carried reduced-cost row after every pivot against `reprice`
-    for the costs of the latest phase (the drive-out pivots included), within
-    the float mode's tolerance; records the basis after every pivot."""
-
-    last = None
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.path = []
-        _CheckedTableau.last = self
-
-    def minimize(self, costs, allowed):
-        self.costs = list(costs)
-        super().minimize(costs, allowed)
-
-    def pivot(self, row, col):
-        super().pivot(row, col)
-        self.path.append(list(self.basis))
-        expected = reprice(self, self.costs)
-        assert all(self.ctx.eq(x, y) for x, y in zip(self.red, expected))
-
-
 class _CheckedIntTableau(simplex._IntTableau):
     """After every pivot of the integer tableau: the carried reduced-cost row
     is den * C - sum of C_B times the basis rows exactly, C the latest
@@ -199,65 +176,61 @@ def random_lp(rng, max_rows=4, max_vars=6):
     return c, a, b
 
 
-def solve_in(ctx, c, a, b):
-    """solve_lp over the scalars of ctx, or the error it raised."""
-    _CheckedIntTableau.problem = (a, b)
+def solved(run):
+    """run()'s value, or the Infeasible or Unbounded it raised."""
     try:
-        return solve_lp([ctx.coerce(v) for v in c],
-                        [[ctx.coerce(v) for v in row] for row in a],
-                        [ctx.coerce(v) for v in b], ctx)
+        return run()
     except (Infeasible, Unbounded) as exc:
         return exc
 
 
-def test_carried_costs_match_repricing_and_float_matches_exact(monkeypatch):
-    """Exact mode on the checked integer tableau, float mode on the checked
-    float tableau; float reaches the exact outcome."""
+def solve_in(c, a, b):
+    """solve_lp on the checked integer tableau, or the error it raised."""
+    _CheckedIntTableau.problem = (a, b)
+    return solved(lambda: solve_lp(c, a, b))
+
+
+def test_carried_costs_match_repricing(monkeypatch):
+    """The checked integer tableau on LPs that reach every case: negative
+    right-hand sides, degenerate and negative pivots, artificials left basic."""
     monkeypatch.setattr(simplex, "_IntTableau", _CheckedIntTableau)
-    monkeypatch.setattr(simplex, "_Tableau", _CheckedTableau)
     rng = random.Random(41)
     seen = {"negative rhs": 0, "artificial left basic": 0, "degenerate pivot": 0,
             "negative pivot": 0, "scaled": 0, "solved": 0, "pivots": 0}
     for _ in range(300):
         c, a, b = random_lp(rng)
-        exact, tab = solve_in(EXACT, c, a, b), _CheckedIntTableau.last
-        approx = solve_in(FLOAT, c, a, b)
+        exact, tab = solve_in(c, a, b), _CheckedIntTableau.last
         seen["negative rhs"] += any(v < 0 for v in b)
         seen["pivots"] += len(tab.path)
         seen["degenerate pivot"] += tab.degenerate > 0
         seen["negative pivot"] += tab.negative > 0
         seen["scaled"] += tab.scale > 1
         if isinstance(exact, Exception):
-            assert type(approx) is type(exact)
             continue
         seen["solved"] += 1
         seen["artificial left basic"] += any(k >= len(c) for k in tab.basis)
-        assert FLOAT.eq(approx.value, float(exact.value))
     assert min(seen.values()) >= 20, seen
 
 
 def test_integer_tableau_takes_the_fraction_tableaus_pivots(monkeypatch):
-    """Exact solve_lp on integers against the Fraction tableau (what solve_lp
-    runs when `integer_row` declines) on LPs up to 6 x 12: the same basis
-    after every pivot, the same x and value (by repr), the same exception
-    type, and the same Infeasible text, the phase-1 optimum in the caller's
-    units."""
+    """Exact solve_lp on integers against the Fraction tableau of
+    `oracles.simplex` on LPs up to 6 x 12: the same basis after every pivot,
+    the same x and value (by repr), the same exception type, and the same
+    Infeasible text, the phase-1 optimum in the caller's units."""
     monkeypatch.setattr(simplex, "_IntTableau", _CheckedIntTableau)
-    monkeypatch.setattr(simplex, "_Tableau", _CheckedTableau)
     rng = random.Random(53)
     seen = {"solved": 0, "infeasible": 0, "unbounded": 0, "drive-out pivots": 0}
     for _ in range(400):
         c, a, b = random_lp(rng, 6, 12)
-        fast, fast_path = solve_in(EXACT, c, a, b), _CheckedIntTableau.last.path
-        with monkeypatch.context() as m:
-            m.setattr(ScalarContext, "integer_row", lambda self, entries: None)
-            slow, slow_path = solve_in(EXACT, c, a, b), _CheckedTableau.last.path
+        fast, fast_path = solve_in(c, a, b), _CheckedIntTableau.last.path
+        slow_path = []
+        slow = solved(lambda: oracles.simplex(c, a, b, slow_path))
         assert fast_path == slow_path
         if isinstance(slow, Exception):
             assert (type(fast), str(fast)) == (type(slow), str(slow))
             seen["infeasible" if isinstance(slow, Infeasible) else "unbounded"] += 1
             continue
-        assert repr(fast) == repr(slow)
+        assert (repr(fast.value), repr(fast.x)) == (repr(slow[0]), repr(slow[1]))
         seen["solved"] += 1
         seen["drive-out pivots"] += _CheckedIntTableau.last.negative > 0
     assert min(seen.values()) >= 20, seen
@@ -267,10 +240,9 @@ def test_exact_generator_gauge_does_no_fraction_arithmetic_in_simplex(monkeypatc
     """Exact `minkowski` on a generator disk shaped like the benchmark's
     five-dimensional gauge scenario (five scaled unit vectors and four
     three-entry generators, 18 LP columns): no Fraction sum, difference,
-    product or quotient is formed in simplex.py, and the gauges equal the
-    Fraction tableau's, whose run the same spy does see.  Each run gauges
-    fresh copies of the probes, so that no run reads an integer form that
-    another run's `integer_row` gave a probe."""
+    product or quotient is formed in simplex.py, and the gauges equal those
+    of the Fraction tableau of `oracles.simplex`, whose arithmetic the same
+    spy does see."""
     rng = random.Random(7)
     gens = [SparseVector({i: F(rng.randint(1, 4), rng.choice((1, 2)))}) for i in range(1, 6)]
     gens += [SparseVector({i: F(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
@@ -280,7 +252,7 @@ def test_exact_generator_gauge_does_no_fraction_arithmetic_in_simplex(monkeypatc
                             for i in rng.sample(range(1, 6), rng.randint(1, 5))})
               for _ in range(12)]
 
-    def gauges_and_callers(patch):
+    def gauges_and_callers(gauge):
         callers = set()
 
         def spy(name):
@@ -288,17 +260,16 @@ def test_exact_generator_gauge_does_no_fraction_arithmetic_in_simplex(monkeypatc
 
             def wrapped(x, y):
                 code = sys._getframe(1).f_code
-                if Path(code.co_filename).name == "simplex.py":
-                    callers.add((code.co_name, name))
+                if Path(code.co_filename).name in ("simplex.py", "oracles.py"):
+                    callers.add((Path(code.co_filename).name, code.co_name, name))
                 return original(x, y)
             return wrapped
 
         with monkeypatch.context() as m:
-            patch(m)
             for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                          "__truediv__", "__rtruediv__"):
                 m.setattr(Fraction, name, spy(name))
-            gauges = [minkowski(disk, SparseVector(u.entries), EXACT) for u in probes]
+            gauges = [gauge(u) for u in probes]
         return gauges, callers
 
     sizes, integer_row = [], ScalarContext.integer_row
@@ -307,12 +278,11 @@ def test_exact_generator_gauge_does_no_fraction_arithmetic_in_simplex(monkeypatc
         sizes.append(len(entries))
         return integer_row(self, entries)
 
-    gauges, callers = gauges_and_callers(
-        lambda m: m.setattr(ScalarContext, "integer_row", counted))
-    reference, reference_callers = gauges_and_callers(
-        lambda m: m.setattr(ScalarContext, "integer_row", lambda self, entries: None))
+    monkeypatch.setattr(ScalarContext, "integer_row", counted)
+    gauges, callers = gauges_and_callers(lambda u: minkowski(disk, u, EXACT))
+    reference, reference_callers = gauges_and_callers(lambda u: fraction_gauge(gens, u))
     assert callers == set()
-    assert reference_callers
+    assert {file for file, _, _ in reference_callers} == {"oracles.py"}
     assert [repr(g) for g in gauges] == [repr(g) for g in reference]
     # the generators span coordinates 1..5: [G | -G] is scaled once for all
     # twelve probes, and no probe scales a whole [G | -G | u]
@@ -349,6 +319,15 @@ def generator_lp(gens, u, ctx=EXACT):
     coords = sorted(set(u.support).union(*(g.support for g in gens)))
     a = [[g.get(i) for g in gens] + [-g.get(i) for g in gens] for i in coords]
     return [ctx.one] * (2 * len(gens)), a, [u.get(i) for i in coords]
+
+
+def fraction_gauge(gens, u):
+    """The gauge of u by `oracles.simplex` on `generator_lp`; NotInSpan, with
+    `minkowski`'s text, for an infeasible LP."""
+    try:
+        return oracles.simplex(*generator_lp(gens, u))[0]
+    except Infeasible:
+        raise NotInSpan("u is not a combination of the generators") from None
 
 
 def random_generators(rng, dim, deficient):
@@ -392,11 +371,9 @@ def test_scaled_generator_gauge_takes_solve_lps_tableau_and_pivots(monkeypatch):
     and the same value or infeasibility.  On one disk shared by all the
     probes, which builds a tableau only until a gauge is solved and then
     re-solves from it, the same gauge by repr or the same NotInSpan text as
-    the fresh disk, as `solve_lp` and as the Fraction tableau
-    (`integer_row` declining), on a fresh copy of the probe that
-    `integer_row` never scaled.  A zero probe and a probe off the
-    generators' support build no tableau.  Float gauges equal float
-    `solve_lp`'s by repr and leave the float disk unscaled."""
+    the fresh disk, as `solve_lp` and as the Fraction tableau of
+    `oracles.simplex`.  A zero probe and a probe off the generators' support
+    build no tableau."""
     monkeypatch.setattr(simplex, "_IntTableau", _RecordingIntTableau)
     rng = random.Random(61)
     seen = {"drive-out pivot": 0, "negated row": 0, "den u outside L_G": 0, "zero probe": 0,
@@ -405,8 +382,6 @@ def test_scaled_generator_gauge_takes_solve_lps_tableau_and_pivots(monkeypatch):
         dim = rng.randint(2, 5)
         gens = random_generators(rng, dim, rng.random() < 0.5)
         disk = DiskSpec.from_generators(gens)
-        float_disk = DiskSpec.from_generators(
-            [SparseVector({i: float(v) for i, v in g.entries.items()}) for g in gens])
         gen_den = math.lcm(*(v.denominator for g in gens for v in g.entries.values()))
         support = set().union(*(g.support for g in gens))
         for u in random_probes(rng, gens, dim):
@@ -419,19 +394,10 @@ def test_scaled_generator_gauge_takes_solve_lps_tableau_and_pivots(monkeypatch):
             _RecordingIntTableau.last = None
             slow, slow_tab = outcome(lambda: solve_lp(*generator_lp(gens, u)).value), \
                 _RecordingIntTableau.last
-            with monkeypatch.context() as m:
-                m.setattr(ScalarContext, "integer_row", lambda self, entries: None)
-                reference = outcome(lambda: minkowski(disk, SparseVector(u.entries)))
+            reference = outcome(lambda: fraction_gauge(gens, u))
             for gauge in (fast, shared):
                 assert type(gauge) is type(reference) and repr(gauge) == repr(reference)
                 assert str(gauge) == str(reference)
-            uf = SparseVector({i: float(v) for i, v in u.entries.items()})
-            approx = outcome(lambda: minkowski(float_disk, uf, FLOAT))
-            direct = outcome(lambda: solve_lp(*generator_lp(float_disk.generators, uf, FLOAT),
-                                              FLOAT).value)
-            assert isinstance(approx, NotInSpan) == isinstance(direct, Infeasible)
-            if not isinstance(direct, Exception):
-                assert repr(approx) == repr(direct)
             if u.is_zero():
                 assert fast == 0 and fast_tab is None and shared_tab is None
                 seen["zero probe"] += 1
@@ -455,7 +421,6 @@ def test_scaled_generator_gauge_takes_solve_lps_tableau_and_pivots(monkeypatch):
             seen["drive-out pivot"] += fast_tab.drive_outs > 0
             seen["negated row"] += any(v < 0 for v in u.entries.values())
             seen["den u outside L_G"] += any(gen_den % v.denominator for v in u.entries.values())
-        assert float_disk._gauge_rows is None
     assert min(seen.values()) >= 20, seen
 
 

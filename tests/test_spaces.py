@@ -19,7 +19,7 @@ from orbitlab import (
 )
 from orbitlab.density import Enumeration
 from orbitlab.errors import NoSeparation, NotInSpan, NotPBounded
-from orbitlab.scalars import EXACT, FLOAT
+from orbitlab.scalars import EXACT
 from orbitlab.seminorms import Separator, gauge_below
 from orbitlab import vectors
 from orbitlab.vectors import close, combine
@@ -114,11 +114,9 @@ class TestDualNorm:
 
     @pytest.mark.parametrize("kind", ["sup", "l1"])
     def test_dual_norm_is_the_fold_of_its_quotients(self, kind):
-        """Exact: the sup kind's sum and the l1 kind's max of |f_i| / w_i,
-        folded in Fractions, at denominators up to 2^40.  Float: bit-equal to
-        `sum` (sup) or `max` (l1) of the float quotients in entry order, with
-        the context passed and the value a float; the zero functional gives
-        the int 0 in both modes."""
+        """The sup kind's sum and the l1 kind's max of |f_i| / w_i, folded in
+        Fractions, at denominators up to 2^40; the zero functional gives the
+        int 0."""
         rng = random.Random(31)
         for _ in range(200):
             weights = {i: Fraction(rng.randint(1, 9), rng.choice([1, 3, 7, 2 ** 40]))
@@ -131,13 +129,6 @@ class TestDualNorm:
             assert got == (fold(quotients, Fraction(0)) if kind == "sup" else
                            max(quotients, default=Fraction(0)))
             assert type(got) is (Fraction if f.entries else int)
-            fweights = {i: float(w) for i, w in weights.items()}
-            ff = CoordFunctional({i: float(v) for i, v in f.entries.items()})
-            quotients = [abs(v) / fweights[i] for i, v in ff.entries.items()]
-            expected = sum(quotients) if kind == "sup" else max(quotients, default=0)
-            got = dual_norm(SeminormSpec(kind, fweights), ff, FLOAT)
-            assert repr(got) == repr(expected)
-            assert type(got) is (float if ff.entries else int)
 
     def test_witness_attains_bound(self):
         rng = random.Random(9)
@@ -187,16 +178,13 @@ class TestMinkowski:
             yield weights, SparseVector({outside[0]: Fraction(1), **u, outside[1]: Fraction(2)})
             yield weights, SparseVector({**u, outside[1]: Fraction(-1, 3)})
 
-    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
-    def test_weight_form_matches_the_plain_loop(self, ctx):
+    def test_weight_form_matches_the_plain_loop(self):
         """Same value, type and repr as `total += abs(u_i) / d_i` from ctx.zero,
         and the same NotInSpan message for the first unweighted coordinate."""
+        ctx = EXACT
         checked = raised = 0
         for seed in range(4):
             for weights, u in self.weight_gauge_cases(seed):
-                if ctx is FLOAT:
-                    weights = {i: float(w) for i, w in weights.items()}
-                    u = as_float(u)
                 disk = DiskSpec(weights=weights)
                 try:
                     want = oracles.weight_gauge(disk.weights, u, ctx)
@@ -291,20 +279,16 @@ class TestMinkowski:
                     [SparseVector.basis(i).scale(w) for i, w in weights.items()])
             yield disk, SparseVector(x), SparseVector(y)
 
-    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
-    def test_gauge_below_is_the_full_gauge_compared(self, ctx):
-        """gauge_below(disk, x, y, bound) is ctx.lt(minkowski(disk, x - y), bound),
-        at bounds that tie with the gauge, lie within float tolerance of it, stop
-        the weighted sum at its first term, or lie above or below it; where the
+    def test_gauge_below_is_the_full_gauge_compared(self):
+        """gauge_below(disk, x, y, bound) is minkowski(disk, x - y) < bound, at
+        bounds that tie with the gauge, lie within 2^-30 of it, stop the
+        weighted sum at its first term, or lie above or below it; where the
         full gauge raises NotInSpan, gauge_below raises the same, even at a
         bound the first term already reaches."""
+        ctx = EXACT
         rng = random.Random(25)
         seen = set()
         for disk, x, y in self.bounded_gauge_cases(rng):
-            if ctx is FLOAT:
-                x, y = as_float(x), as_float(y)
-                if disk.weights is not None:
-                    disk = DiskSpec(weights={i: float(w) for i, w in disk.weights.items()})
             diff = x - y
             try:
                 gauge = minkowski(disk, diff, ctx)
@@ -320,7 +304,7 @@ class TestMinkowski:
             near, apart = (gauge * (1 + ctx.coerce(2) ** -k) for k in (45, 30))
             for bound in (gauge, near, apart, first, gauge / 2, gauge + 1, ctx.zero):
                 got = gauge_below(disk, x, y, bound, ctx)
-                assert got is ctx.lt(gauge, bound), (disk, x, y, bound)
+                assert got is (gauge < bound), (disk, x, y, bound)
                 seen.add((got, disk.weights is None))
         assert seen == {"NotInSpan", (True, False), (False, False), (True, True), (False, True)}
 
@@ -379,8 +363,8 @@ def nullspace_pick(p, constraints, u, ctx=EXACT):
     rows = [[x.get(i) for i in coords] for x in constraints]
     u_proj = [u.get(i) for i in coords]
     for candidate in oracles.nullspace(rows, cols=len(coords), ctx=ctx):
-        if not ctx.is_zero(sum(c * x for c, x in zip(candidate, u_proj))):
-            f = CoordFunctional({i: c for i, c in zip(coords, candidate) if not ctx.is_zero(c)})
+        if sum(c * x for c, x in zip(candidate, u_proj)) != 0:
+            f = CoordFunctional({i: c for i, c in zip(coords, candidate) if c != 0})
             return f.scale(1 / dual_norm(p, f))
     raise NoSeparation("u lies in span(constraints) + ker p")
 
@@ -411,10 +395,6 @@ def probe_vectors(rng, constraints, window, active):
         probes.append(SparseVector(random_entries(rng, spare, 2))
                       + SparseVector(random_entries(rng, coords[active:], 1)))
     return probes
-
-
-def as_float(x):
-    return type(x)({i: float(v) for i, v in x.entries.items()})
 
 
 class TestSeparator:
@@ -472,34 +452,14 @@ class TestSeparator:
                 if want is not None:
                     assert list(got.entries.items()) == list(want.entries.items())
 
-    def test_float_mode_agrees_with_exact(self):
-        p = SeminormSpec.sup_on(range(1, self.ACTIVE + 1))
-        p_float = SeminormSpec.sup_on(range(1, self.ACTIVE + 1), 1.0)
-        checked = 0
-        for rng, constraints in self.growing_lists(53, lists=20):
-            sep, sep_float = Separator(p), Separator(p_float, FLOAT)
-            for x in constraints:
-                sep.add(x)
-                sep_float.add(as_float(x))
-            for u in probe_vectors(rng, constraints, self.WINDOW, self.ACTIVE):
-                exact = pick_or_none(sep.functional, u)
-                got = pick_or_none(sep_float.functional, as_float(u))
-                assert (got is None) == (exact is None)
-                if exact is not None:
-                    assert got.support == exact.support
-                    assert close(got, as_float(exact), FLOAT)
-                    checked += 1
-        assert checked > 30
-
 
 class TestCombine:
-    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
     @pytest.mark.parametrize("kind", [SparseVector, CoordFunctional])
-    def test_matches_left_fold(self, ctx, kind):
+    def test_matches_left_fold(self, kind):
         rng = random.Random(23)
 
         def scalar():
-            return ctx.coerce(Fraction(rng.randint(-4, 4), rng.choice([1, 3, 7])))
+            return Fraction(rng.randint(-4, 4), rng.choice([1, 3, 7]))
 
         def item():
             return kind({i: scalar() for i in rng.sample(range(1, 9), rng.randint(0, 5))})
@@ -520,7 +480,7 @@ class TestCombine:
                     fold = fold - x.scale(-c)
             out = combine(zip(cs, xs), start)
             assert out == fold
-            # same insertion order too: float pairings sum in entry order
+            # same insertion order too
             assert list(out.entries) == list(fold.entries)
 
     @pytest.mark.parametrize("zero", [0, Fraction(0), 0.0, -0.0])
@@ -536,10 +496,10 @@ class TestCombine:
 
 
 class TestClose:
-    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
     @pytest.mark.parametrize("kind", [SparseVector, CoordFunctional])
-    def test_equal_maps_build_no_difference(self, ctx, kind, monkeypatch):
-        x = kind({1: ctx.coerce(Fraction(1, 3)), 4: ctx.coerce(Fraction(-2, 7))})
+    def test_equal_maps_build_no_difference(self, kind, monkeypatch):
+        ctx = EXACT
+        x = kind({1: Fraction(1, 3), 4: Fraction(-2, 7)})
         y = kind(dict(reversed(list(x.entries.items()))))
 
         def boom(*_args):
@@ -549,13 +509,16 @@ class TestClose:
         assert close(x, y, ctx) and close(x, x, ctx)
         assert close(kind.zero(), kind.zero(), ctx)
 
-    def test_float_maps_within_the_tolerance_are_close(self):
-        x = SparseVector({1: 1 / 3, 2: 0.25})
-        near = SparseVector({1: 1 / 3 + 1e-13, 2: 0.25, 3: 1e-14})
-        far = SparseVector({1: 1 / 3 + 1e-6, 2: 0.25})
-        assert x != near and close(x, near, FLOAT) and close(near, x, FLOAT)
-        assert not close(x, far, FLOAT)
-        assert not close(sv(1), sv(1, Fraction(1, 10 ** 20)), EXACT)
+    @pytest.mark.parametrize("kind", [SparseVector, CoordFunctional])
+    def test_maps_apart_by_any_amount_are_not_close(self, kind):
+        """`close` is equality: no tolerance makes 1/3 + 2^-60 equal to 1/3, or
+        an entry of 2^-200 a zero."""
+        x = kind({1: Fraction(1, 3), 4: Fraction(-2, 7)})
+        for y in (kind({1: Fraction(1, 3) + Fraction(1, 2 ** 60), 4: Fraction(-2, 7)}),
+                  kind({**x.entries, 9: Fraction(1, 2 ** 200)}),
+                  kind({1: Fraction(1, 3)}), kind.zero()):
+            assert not close(x, y, EXACT) and not close(y, x, EXACT), y
+        assert not close(kind({9: Fraction(1, 2 ** 200)}), kind.zero(), EXACT)
 
 
 class TestIdentity:

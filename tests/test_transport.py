@@ -22,7 +22,7 @@ from orbitlab.errors import (
     StageFailure,
 )
 from orbitlab.operators import GramFactor
-from orbitlab.scalars import EXACT, FLOAT, ScalarContext
+from orbitlab.scalars import EXACT, ScalarContext
 from orbitlab.scenarios import Scenario, run_scenario
 from orbitlab.seminorms import Separator
 from orbitlab.transport import (
@@ -54,10 +54,6 @@ def fresh_state(a_items, b_items, active, window, epsilons):
     )
 
 
-def as_float(x):
-    return type(x)({i: float(v) for i, v in x.entries.items()})
-
-
 def geometric_schedule(count):
     return [frac(1, 2 ** (j + 2)) for j in range(count)]
 
@@ -82,16 +78,13 @@ class TestStepForward:
         updated = state.terms.with_term(f, v).plus_identity()
         assert updated.apply(sv(1)) == sv(frac(9, 10), frac(1, 10))
 
-    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
-    def test_no_approximant_reports_best(self, ctx):
+    def test_no_approximant_reports_best(self):
         """The failure path gauges every pool element in full and names the
         first closest one, here the second of four."""
+        ctx = EXACT
         pool = [sv(5, 5), sv(2, 1), sv(0, 3), sv(3)]  # l1 distances 9, 2, 4, 2 from (1, 0)
         state = fresh_state([sv(1)], pool, active=2, window=2, epsilons=geometric_schedule(2))
         u = sv(1)
-        if ctx is FLOAT:
-            pool, u = [as_float(r) for r in pool], as_float(u)
-            state = state._replace(disk=DiskSpec(weights={1: 1.0, 2: 1.0}))
         with pytest.raises(NoApproximant) as err:
             step_forward(state, u, Separator(state.p, ctx), pool, ctx.parse("1/4"), ctx)
         assert (err.value.best, err.value.best_index) == (2, 1)
@@ -380,6 +373,60 @@ class TestVerifyTransport:
         assert window_calls == [state]
         assert j_inputs == ([a.vector(n) for n in state.n_idx]
                             + [SparseVector.basis(i) for i in window])
+
+    @pytest.mark.parametrize("gap, passed", [
+        (frac(1, 2 ** 45), True), (0, False), (frac(-1, 2 ** 45), False),
+    ], ids=["one-minus-2^-45", "one", "one-plus-2^-45"])
+    def test_budget_below_one_is_decided_exactly(self, gap, passed):
+        """c = 1 - 2^-45 certifies invertibility and c = 1 does not: no
+        tolerance rounds a budget to one."""
+        from orbitlab.operators import ZERO
+
+        state = TransportState(
+            Enumeration((sv(1),)), Enumeration((sv(1),)), SeminormSpec.sup_on([1, 2]),
+            oracles.l1_disk(range(1, 5)), (frac(1, 2), frac(1, 4)),
+            terms=FiniteRankOperator(ZERO, ((CoordFunctional.delta(1), sv(0, 1 - gap)),)))
+        report = verify_transport(state)
+        assert report.budget == 1 - gap
+        check = next(c for c in report.checks if c.name == "budget-below-one")
+        assert (check.passed, check.detail) == (passed, f"c = {1 - gap}")
+
+    @pytest.mark.parametrize("shift", [frac(1, 2 ** 50), frac(1, 2 ** 20), 0],
+                             ids=["2^-50", "2^-20", "none"])
+    def test_exact_matching_refuses_any_residual(self, shift):
+        """A matched pair passes only when J a(n_j) - b(m_j) is zero: moving
+        b(m_1) by 2^-50 fails the check as surely as 2^-20, and the report
+        carries the residuals."""
+        a_items = [SparseVector.basis(i) for i in range(1, 5)]
+        b_items = [a_items[k] + SparseVector({7 + i: frac(1, 10 ** 8)})
+                   for i, k in enumerate([1, 0, 3, 2])]
+        state = run_transport(Enumeration(tuple(a_items)), Enumeration(tuple(b_items)),
+                              SeminormSpec.sup_on(range(1, 7)), oracles.l1_disk(range(1, 13)),
+                              geometric_schedule(4), 2)
+        m = state.m_idx[0]
+        b = Enumeration(tuple(x + SparseVector({1: shift}) if k == m else x
+                              for k, x in enumerate(b_items, start=1)))
+        report = verify_transport(state._replace(b=b))
+        check = next(c for c in report.checks if c.name == "exact-matching")
+        assert check.passed is (shift == 0)
+        assert check.detail == (f"pair 1: J a({state.n_idx[0]}) != b({m})" if shift
+                                 else "all matched pairs exact")
+        assert report.residuals == [state.operator.apply(state.a.vector(n)) - b.vector(k)
+                                    for n, k in zip(state.n_idx, state.m_idx)]
+        assert report.residuals[0] == SparseVector({1: -shift})
+
+    def test_invertible_check_runs_the_round_trip(self, monkeypatch):
+        """`invertible` applies the inverse it gets to every J e_i of the window:
+        an inverse that is not one fails the check without raising."""
+        a, b, p, d = twin_instance(random.Random(29), 12, 2)
+        state = run_transport(a, b, p, d, geometric_schedule(4), stages=2)
+        assert verify_transport(state).passed
+        monkeypatch.setattr("orbitlab.transport.invert",
+                            lambda j, ctx: FiniteRankOperator.identity())
+        checks = {c.name: c for c in verify_transport(state).checks}
+        assert (checks["invertible"].passed, checks["invertible"].detail) == \
+            (False, "Gram solve and window round trip")
+        assert all(c.passed for name, c in checks.items() if name != "invertible")
 
 
 def dense_twin_instance(rng, window, stages):

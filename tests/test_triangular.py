@@ -9,7 +9,7 @@ import pytest
 
 from orbitlab import CoordFunctional, SparseVector, linalg
 from orbitlab.errors import Exhausted, LinearlyDependent
-from orbitlab.scalars import EXACT, FLOAT
+from orbitlab.scalars import EXACT
 from orbitlab.triangular import (
     TriangularizeState,
     _Bordered,
@@ -399,17 +399,6 @@ class TestIntegerRows:
             assert [len(c) for c in state.coeffs] == [len(c) for c in coeffs]
             assert all(same(a, b) for a, b in zip(state.minors, minors))
             assert all(same_entries(list(x.entries.items()), y) for x, y in zip(state.v, v))
-
-    def test_float_mode_pairs_and_combines_the_items_as_given(self):
-        rng = random.Random(229)
-        us = [SparseVector({i: rng.uniform(-3, 3) for i in range(1, 7)}) for _ in range(5)]
-        f = CoordFunctional({i: rng.uniform(-3, 3) for i in range(1, 7)})
-        items = [_scaled(u, FLOAT) for u in us]
-        assert all(same(_scaled(f, FLOAT).pair(x), f.pair(u)) for x, u in zip(items, us))
-        coeffs = [rng.uniform(-2, 2) for _ in us]
-        zero = _scaled(SparseVector.zero(), FLOAT)
-        got = list(zero.plus(1, coeffs, items).item.entries.items())
-        assert same_entries(got, list(combine(zip(coeffs, us)).entries.items()))
 
 
 def rejected_candidates(state):

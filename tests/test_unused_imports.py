@@ -1,5 +1,5 @@
-"""Every name a module of `orbitlab` imports is used in that module; the
-re-exports of `__init__` are its purpose and are not checked."""
+"""Every name a module of `orbitlab` or of its tests imports is used in that
+module; the re-exports of `__init__` are its purpose and are not checked."""
 
 import ast
 from pathlib import Path
@@ -26,8 +26,10 @@ def unused_imports(text):
 
 def test_no_module_imports_a_name_it_never_uses():
     package = Path(orbitlab.__file__).parent
-    found = {path.stem: unused_imports(path.read_text())
-             for path in sorted(package.glob("*.py")) if path.stem != "__init__"}
+    paths = [path for path in sorted(package.glob("*.py")) if path.stem != "__init__"]
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    found = {f"{path.parent.name}/{path.name}": unused_imports(path.read_text())
+             for path in paths}
     assert {module: names for module, names in found.items() if names} == {}
 
 

@@ -8,6 +8,7 @@ mutable type."""
 
 import copy
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from orbitlab.density import Enumeration
 from orbitlab.errors import NotInSpan
 from orbitlab.operators import ZERO, FiniteRankOperator
 from orbitlab.reports import CheckResult, Report, Table
-from orbitlab.scalars import EXACT, FLOAT, ScalarContext
+from orbitlab.scalars import EXACT, ScalarContext
 from orbitlab.seminorms import DiskSpec, SeminormSpec, gauge_below, minkowski
 from orbitlab.vectors import CoordFunctional, SparseVector
 
@@ -32,14 +33,15 @@ def _report(passed=True):
                   data={"k": "v"})
 
 
-# per type: a builder of fresh, equal values; a value with one field changed;
-# the names of its fields
+# per type: a builder of fresh, equal values; a value with one field changed,
+# None for the scalar context, whose one mode leaves no other value; the
+# names of its fields
 HASHABLE = {
     "SparseVector": (lambda: SparseVector({1: 1, 3: Fraction(-1, 2)}),
                      SparseVector({1: 1}), ("entries",)),
     "CoordFunctional": (lambda: CoordFunctional({2: Fraction(3, 4)}),
                         CoordFunctional({2: 1}), ("entries",)),
-    "ScalarContext": (lambda: ScalarContext("float"), ScalarContext("exact"), ("mode",)),
+    "ScalarContext": (lambda: ScalarContext("exact"), None, ("mode",)),
     "FiniteRankOperator": (lambda: FiniteRankOperator(ZERO, [_term(1), _term(2)]),
                            FiniteRankOperator(terms=[_term(1), _term(2)]), ("base", "terms")),
     "Enumeration": (lambda: Enumeration([SparseVector.basis(1), SparseVector.basis(2)]),
@@ -64,8 +66,9 @@ def test_equal_fields_give_equal_values_and_hashes(name):
     x, y = build(), build()
     assert x is not y and x == y and not x != y
     assert hash(x) == hash(y)
-    assert len({x, y, other}) == 2
-    assert x != other
+    if other is not None:
+        assert len({x, y, other}) == 2
+        assert x != other
 
 
 @pytest.mark.parametrize("name", sorted(UNHASHABLE))
@@ -84,6 +87,28 @@ def test_a_value_equals_only_its_own_type():
     assert SparseVector({1: 1}) != {1: 1}
     assert Enumeration([SparseVector.basis(1)]) != (SparseVector.basis(1),)
     assert ScalarContext("exact") != "exact"
+    with pytest.raises(ValueError, match="unknown scalar mode 'float'"):
+        ScalarContext("float")
+
+
+def test_coerce_reads_rationals_exactly():
+    """The simplex's entry takes Fractions as they are and ints and text as
+    the Fractions they name."""
+    third = Fraction(1, 3)
+    assert EXACT.coerce(third) is third
+    for value, want in ((7, Fraction(7)), (True, Fraction(1)), ("-2/6", Fraction(-1, 3)),
+                        ("0.1", Fraction(1, 10))):
+        got = EXACT.coerce(value)
+        assert type(got) is Fraction and got == want
+
+
+@pytest.mark.parametrize("value", [0.5, Decimal("0.5"), 0.5 + 0j],
+                         ids=["float", "decimal", "complex"])
+def test_coerce_refuses_what_is_not_exact(value):
+    """A float (or any number that is not an int or a Fraction) is refused,
+    not read as its binary value: the one mode has no lossy scalars."""
+    with pytest.raises(TypeError, match="as an exact scalar"):
+        EXACT.coerce(value)
 
 
 def test_cached_data_is_kept_past_the_guard_and_outside_equality():
@@ -91,8 +116,6 @@ def test_cached_data_is_kept_past_the_guard_and_outside_equality():
     built.apply(SparseVector.basis(1))
     assert "coord_index" in vars(built) and "coord_index" not in vars(fresh)
     assert built == fresh and hash(built) == hash(fresh)
-    ctx = ScalarContext("float")
-    assert ctx.one == 1.0 and vars(ctx)["one"] is ctx.one
     gens = [SparseVector({1: Fraction(1, 2)}), SparseVector({1: 1, 2: Fraction(-1, 3)})]
     gauged, fresh = DiskSpec.from_generators(gens), DiskSpec.from_generators(gens)
     assert minkowski(gauged, SparseVector({2: 1})) == 9
@@ -104,10 +127,8 @@ def test_cached_data_is_kept_past_the_guard_and_outside_equality():
         with pytest.raises(AttributeError):
             setattr(gauged, field, None)
     weighted = DiskSpec(weights={1: 2})
-    floated = DiskSpec.from_generators([SparseVector({1: 0.5})])
     assert minkowski(weighted, SparseVector({1: 1})) == Fraction(1, 2)
-    assert minkowski(floated, SparseVector({1: 1.0}), FLOAT) == 2.0
-    assert weighted._gauge_rows is None and floated._gauge_rows is None
+    assert weighted._gauge_rows is None
     # a weight disk's integer inverse weights, from its first exact gauge_below
     assert weighted._gauge_weights is None and gauged._gauge_weights is None
     weights = {1: Fraction(2, 3), 2: Fraction(5), 4: 3}
@@ -122,13 +143,10 @@ def test_cached_data_is_kept_past_the_guard_and_outside_equality():
         assert y == gauged and y._gauge_weights is None
     with pytest.raises(AttributeError):
         setattr(gauged, "_gauge_weights", None)
-    floated = DiskSpec(weights={1: 2.0})
-    assert gauge_below(floated, SparseVector({1: 1.0}), SparseVector.zero(), 1.0, FLOAT)
-    assert floated._gauge_weights is None
 
 
 def test_a_generator_disk_keeps_its_last_optimal_tableau_outside_equality():
-    """Only an exact generator gauge that is solved keeps a tableau, in
+    """Only a generator gauge that is solved keeps a tableau, in
     `_gauge_rows` beside the scaled [G | -G]; later gauges re-solve the same
     tableau, and the disk still equals, hashes, copies and pickles as a
     fresh one, without it."""
@@ -151,11 +169,9 @@ def test_a_generator_disk_keeps_its_last_optimal_tableau_outside_equality():
         assert y == gauged and y._gauge_rows is None
     with pytest.raises(AttributeError):
         setattr(gauged, "_gauge_rows", None)
-    floated = DiskSpec.from_generators([SparseVector({1: 0.5, 2: 1.0})])
-    assert minkowski(floated, SparseVector({1: 1.0, 2: 2.0}), FLOAT) == 2.0
     weighted = DiskSpec(weights={1: 2})
     assert minkowski(weighted, SparseVector({1: 1})) == Fraction(1, 2)
-    assert floated._gauge_rows is None and weighted._gauge_rows is None
+    assert weighted._gauge_rows is None
 
 
 @pytest.mark.parametrize("cls", [SparseVector, CoordFunctional])
@@ -173,23 +189,19 @@ def test_a_maps_integer_form_is_kept_past_the_guard_and_outside_equality(cls):
         with pytest.raises(AttributeError):
             change()
     assert x._int == ({1: 3, 3: -4, 4: 30}, 6)
-    # float mode never fills it, and results of arithmetic start without one
-    floated = cls({1: 0.5, 2: -2.0})
-    assert FLOAT.integer_of(floated) is None and floated._int is None
+    # results of arithmetic start without one
     assert all(y._int is None for y in (-x, x + fresh, x - fresh, x.scale(2), x.restrict([1])))
 
 
 def test_only_an_exact_kernel_fills_the_integer_form():
     op = FiniteRankOperator(ZERO, [_term(1), _term(2)])
-    x, floated = SparseVector({1: Fraction(2, 3), 2: 1}), SparseVector({1: 0.5, 2: 1.0})
-    op.apply(floated, FLOAT)
-    assert floated._int is None and all(f._int is None for f, _ in op.terms)
+    x = SparseVector({1: Fraction(2, 3), 2: 1})
+    assert all(f._int is None and v._int is None for f, v in op.terms)
     image = op.apply(x)
     assert x._int == ({1: 2, 2: 3}, 3) and image._int is None
     assert all(f._int is not None and v._int is not None for f, v in op.terms)
     disk = DiskSpec(weights={1: 1, 2: 1})
     y, z = SparseVector({1: Fraction(1, 5)}), SparseVector({2: Fraction(1, 5)})
-    assert not gauge_below(disk, y, z, Fraction(1, 5), FLOAT)
     assert y._int is None and z._int is None
     assert gauge_below(disk, y, z, Fraction(1, 2))
     assert y._int == ({1: 1}, 5) and z._int == ({2: 1}, 5)
@@ -201,8 +213,9 @@ def test_immutable_fields_refuse_assignment_and_deletion(name):
     x = build()
     for field in fields:
         before = getattr(x, field)
+        value = before if other is None else getattr(other, field)
         with pytest.raises(AttributeError):
-            setattr(x, field, getattr(other, field))
+            setattr(x, field, value)
         with pytest.raises(AttributeError):
             delattr(x, field)
         assert getattr(x, field) is before
