@@ -15,7 +15,8 @@ Three forms, each written once, with one integer row step `_int_step` (with
 - `Echelon`, a row echelon form grown one row at a time that answers only
   rank and independence questions (`row_rank`, `independent`).  Each row is
   scaled to coprime integers and reduced by the integer row step, so no
-  Fraction is built at all.
+  Fraction is built at all.  `dense_independent` answers the same question
+  for the square dense triangularization basis in one dense Bareiss pass.
 - `Bordered`, a factor without pivoting that grows by one row and one
   column at a time: the pairing minors of triangularization and the Gram
   system of a growing identity-plus-finite-rank operator.  Callers border it
@@ -178,6 +179,22 @@ def independent(rows: Iterable[Mapping[int, Scalar]], ctx: ScalarContext = EXACT
     return all(echelon.try_add(row) for row in rows)
 
 
+def dense_independent(rows: Sequence[Mapping[int, int]]) -> bool:
+    """Whether integer rows are independent, by one dense Bareiss pass that
+    divides exactly by the last pivot and skips a column with no pivot."""
+    left = [[row.get(c, 0) for c in sorted(set().union(*rows))] for row in rows]
+    prev = 1
+    while left and left[0]:
+        p = next((i for i, r in enumerate(left) if r[0]), None)
+        if p is None:
+            left = [r[1:] for r in left]
+            continue
+        a, *tail = left.pop(p)
+        left = [[(a * x - b * y) // prev for x, y in zip(rest, tail)] for b, *rest in left]
+        prev = a
+    return not left
+
+
 def _int_step(row: Dict[int, int], pivot: Dict[int, int], lead: int) -> Dict[int, int]:
     """The primitive part of (a/g)·row - (b/g)·pivot, for a and b the entries
     of pivot and row at lead and g their gcd: zero at lead, and wherever both
@@ -272,17 +289,14 @@ class Bordered:
     def back(self, side: int, rhs: Sequence[int]) -> List[int]:
         """scale(n)·x for x with T^T x = rhs, T the leading n = len(rhs) block
         of lower[side] with the diagonal of the fraction-free L̃ (the minors),
-        solved row by row from the last."""
-        n = len(rhs)
-        cols: List[List[Tuple[int, int]]] = [[] for _ in range(n)]  # rows of T^T
-        for j, row in enumerate(self.lower[side][:n]):
-            for k, t in row.items():
-                cols[k].append((j, t))
-        x = list(rhs)
-        dn = self.scale(n)
-        for k in range(n - 1, -1, -1):
-            if cols[k] or x[k]:
-                x[k] = (x[k] * dn - sum(t * x[j] for j, t in cols[k])) // self.pivots[k]
+        solved from the last: each known x_j takes row j of T off the rest."""
+        dn = self.scale(len(rhs))
+        x = [v * dn for v in rhs]
+        for j in range(len(rhs) - 1, -1, -1):
+            if x[j]:
+                x[j] = xj = x[j] // self.pivots[j]
+                for k, t in self.lower[side][j].items():
+                    x[k] -= t * xj
         return x
 
     def solve(self, rhs: Sequence[int]) -> List[int]:

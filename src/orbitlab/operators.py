@@ -346,7 +346,7 @@ def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOpera
     The inverse is I - sum_j f_j (.) u_j with u_j = sum_i M_ij v_i and
     M = (I_k + G)^{-1}, G_ij = f_i(v_j), read off one pivoting
     `linalg.RowReducer.of` of [I_k + G | I_k], independent of `GramFactor`;
-    one walk down its rows gives each u_j its non-zero M_ij in term order.
+    one walk down its rows gives each -u_j its -M_ij for one `combine`.
     SingularOperator when I_k + G is singular, i.e. when the operator
     annihilates some vector.
     """
@@ -369,8 +369,8 @@ def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOpera
     for r, (_, v) in enumerate(terms):
         for c, m in red.rows[r].items():
             if c >= k:
-                cols[c - k].append((m, v))
-    return FiniteRankOperator(IDENTITY, tuple((f, -combine(u)) for (f, _), u in zip(terms, cols)))
+                cols[c - k].append((-m, v))
+    return FiniteRankOperator(IDENTITY, tuple((f, combine(u)) for (f, _), u in zip(terms, cols)))
 
 
 def orbit(t: FiniteRankOperator, x0: SparseVector, horizon: int,

@@ -28,6 +28,15 @@ def _immutable(self, name, *value):
     raise AttributeError(f"cannot assign to or delete field {name!r} of {type(self).__name__}")
 
 
+def _exact_entry(value, idx: int, what: str = "entry") -> Scalar:
+    """A map's int entry as its Fraction, a Fraction as itself; TypeError else."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is not int:
+        raise TypeError(f"{what} at coordinate {idx} is not an int or a Fraction: {value!r}")
+    return Fraction(value)
+
+
 class ScalarContext:
     """The scalar type, its constants and its text form."""
 

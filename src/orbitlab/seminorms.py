@@ -22,14 +22,13 @@ given once.  The p-independence test needs only a rank, so it runs on
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import linalg, simplex
 from .errors import NoSeparation, NotInSpan, NotPBounded
-from .scalars import EXACT, Scalar, ScalarContext, _immutable
+from .scalars import EXACT, Scalar, ScalarContext, _exact_entry, _immutable
 from .vectors import CoordFunctional, SparseVector
 
 SUP = "sup"
@@ -42,8 +41,7 @@ def _clean_weights(weights: Mapping[int, Scalar]) -> dict:
         idx = int(idx)
         if idx < 1:
             raise ValueError(f"coordinate indices are positive, got {idx}")
-        if type(w) is int:
-            w = Fraction(w)
+        w = _exact_entry(w, idx, "weight")
         if not w > 0:
             raise ValueError(f"weight at coordinate {idx} must be positive, got {w}")
         out[idx] = w

@@ -6,23 +6,21 @@ A[j][k] = f_alpha(j)(u_beta(k)) is invertible, alternating a forced
 minimal-index pick with a greedy scan.  Both run on one `linalg.Bordered`
 factor of A that grows by a row and a column per pick; as transposing A
 swaps its two triangles, functional and vector picks share the code with the
-roles swapped.  The scan pairs each candidate with the defect item, the
-forced item minus a combination of the chosen ones of its kind that pairs to
-zero with every chosen item of the other kind; that one pairing decides the
-candidate.  The solution of A_m c = e_m gives the coefficients making the
-combined vectors v_m biorthogonal-triangular against the chosen functionals,
-which is exactly what turns the shuffled basis matrix unit lower triangular.
+roles swapped.  The scan borders the factor with each candidate in turn, as
+`operators.GramFactor.extend` borders a term, and keeps the first whose
+pivot, the next leading minor, is non-zero.  The solution of A_m c = e_m
+gives the coefficients making the combined vectors v_m biorthogonal and
+triangular against the chosen functionals, which turns the shuffled basis
+matrix unit lower triangular.
 
-The work is done on integers (fraction-free arithmetic; Bareiss, Math.
-Comp. 22, 1968).  Each functional and basis vector is scaled once to an
-integer row over its denominator (`ScalarContext.integer_row`), and the
-basis check reuses those rows.  The factor is bordered with the
-pairings of these rows, A' = D_f·A·D_u for D_f and D_u the denominators, and
-keeps the leading minors Δ'_k of A'.  The defect item is the integer
-combination Δ'_n·(forced - sum_j λ_j own_j) of a fraction-free back
-substitution, so its pairing with a candidate is Δ'_{n+1} itself and a
-rejected candidate costs one integer pairing.  A Fraction is built only for
-a value the state holds: a minor, a coefficient or an entry of v_m (see
+The work is done on integers (fraction-free arithmetic; Bareiss, Math. Comp.
+22, 1968).  Each functional and basis vector is scaled once to an integer
+row over its denominator (`ScalarContext.integer_row`); the basis check,
+`linalg.dense_independent`, reuses those rows.  The factor is bordered with
+their pairings, A' = D_f·A·D_u for D_f and D_u the denominators, and keeps
+the leading minors Δ'_k of A'.  A candidate costs n pairings and one
+`border`, whose column the pick keeps.  A Fraction is built only for a value
+the state holds: a minor, a coefficient or an entry of v_m (see
 `_Bordered.solution`).
 """
 
@@ -60,11 +58,11 @@ class _Row:
         """The pairing of the numerators, den·other.den times the items'."""
         return _dot(self.row, other.row)
 
-    def plus(self, scale: int, coeffs: Sequence[int], rows: Sequence["_Row"]) -> "_Row":
-        """scale·self + sum of c * row over the pairs with c != 0, numerators
-        only (den 1); each coordinate is inserted, and dropped where a partial
-        sum cancels, in the order `vectors.combine` would use."""
-        acc = {i: v * scale for i, v in self.row.items()}
+    def plus(self, coeffs: Sequence[int], rows: Sequence["_Row"]) -> "_Row":
+        """self + sum of c * row over the pairs with c != 0, numerators only
+        (den 1); each coordinate is inserted, and dropped where a partial sum
+        cancels, in the order `vectors.combine` would use."""
+        acc = dict(self.row)
         for c, r in zip(coeffs, rows):
             if c:
                 for i, v in r.row.items():
@@ -99,19 +97,14 @@ class _Bordered(linalg.Bordered):
         raises Exhausted when every pivot vanishes.
         """
         own, other = self.items[side], self.items[1 - side]
-        n = len(own)
         row = self.border(side, [forced.pair(y) for y in other])
-        # the defect item pairs to zero with every chosen item of the other
-        # kind, and to the next pivot with the candidate
-        lam = self.back(side, [row.get(k, 0) for k in range(n)])
-        defect = forced.plus(self.scale(n), [-c for c in lam], own)
         for pos, candidate in enumerate(candidates):
-            pivot = defect.pair(candidate)
+            col = self.border(1 - side, [x.pair(candidate) for x in own])
+            pivot = self.pivot(forced.pair(candidate), row, col)
             if pivot:
                 break
         else:
-            raise Exhausted("every candidate pairs to zero with the defect item")
-        col = self.border(1 - side, [x.pair(candidate) for x in own])
+            raise Exhausted("every candidate makes the next leading minor zero")
         own.append(forced)
         other.append(candidate)
         self.append(side, row, col, pivot)
@@ -130,7 +123,7 @@ class _Bordered(linalg.Bordered):
         y = self.back(1, [0] * (m - 1) + [self.scale(m - 1)])
         minor, fden = self.pivots[m - 1], fs[m - 1].den
         c = tuple(Fraction(u.den * yj * fden, minor) for u, yj in zip(us, y))
-        acc = _Row({}, 1).plus(1, y, us).row
+        acc = _Row({}, 1).plus(y, us).row
         v = SparseVector({i: Fraction(fden * e, minor) for i, e in acc.items()})
         return c, v, Fraction(minor, math.prod(f.den * u.den for f, u in zip(fs[:m], us)))
 
@@ -177,7 +170,7 @@ def interleave_triangularize(basis: Sequence[SparseVector],
             f"and {target + WINDOW_MARGIN} functionals"
         )
     items = ([_scaled(f, ctx) for f in funcs], [_scaled(u, ctx) for u in basis])
-    if not linalg.independent((u.row for u in items[1]), ctx):
+    if not linalg.dense_independent([u.row for u in items[1]]):
         raise LinearlyDependent("basis vectors are not linearly independent")
 
     lu = _Bordered(ctx)

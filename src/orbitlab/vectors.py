@@ -1,8 +1,8 @@
 """Finite-support coordinate families: sparse vectors and coordinate functionals.
 
 Both kinds store a finite map from positive coordinate index to a nonzero
-scalar.  Explicit zeros are never stored, ints are stored as Fractions and
-Fractions as given; equality is entry-wise, and hashing agrees with it, so
+scalar.  Zeros are never stored, ints become Fractions, other non-Fractions
+are refused; equality is entry-wise, and hashing agrees with it, so
 vectors serve as set members and dict keys.  The pairing f(x) = sum_i f_i *
 x_i is always a finite sum, and an empty one is the int 0.  Finite linear
 combinations go through `combine`; it, `restrict`, `__neg__` and
@@ -14,10 +14,9 @@ pickles, filled and read only by `ScalarContext.integer_of`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .scalars import EXACT, Scalar, ScalarContext, _immutable
+from .scalars import EXACT, Scalar, ScalarContext, _exact_entry, _immutable
 
 
 def _clean(entries: Mapping[int, Scalar]) -> Dict[int, Scalar]:
@@ -26,8 +25,9 @@ def _clean(entries: Mapping[int, Scalar]) -> Dict[int, Scalar]:
         idx = int(idx)
         if idx < 1:
             raise ValueError(f"coordinate indices are positive, got {idx}")
-        if val != 0:
-            out[idx] = Fraction(val) if type(val) is int else val
+        val = _exact_entry(val, idx)
+        if val:
+            out[idx] = val
     return out
 
 

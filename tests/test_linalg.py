@@ -254,6 +254,36 @@ def test_echelon_rank_matches_dense_oracle():
             assert math.gcd(*row.values()) == 1
 
 
+def test_dense_basis_check_matches_echelon():
+    """`dense_independent` on the integer rows gives `independent`'s verdict
+    and the oracle's: the rank families (dense and sparse rows, repeated,
+    combined and zero rows, more rows than coordinates, the empty family),
+    wide entries, and columns left with no pivot part-way through."""
+    rng = random.Random(43)
+    big = 2 ** 40
+    families = list(rank_families(rng))
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        # column 2 is a multiple of column 1, so it has no pivot; n rows in n
+        # + 1 columns may still be independent
+        rows = [{j: Fraction(rng.randint(-big, big), big) if j % 2 else
+                 Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for j in range(1, n + 2)}
+                for _ in range(n)]
+        for row in rows:
+            row[2] = 3 * row[1]
+        families.append(rows)
+    families += [[{1: 1, 2: 1}, {1: 2, 2: 2, 3: 1}],
+                 [{1: 1, 2: 1, 3: 1}, {1: 1, 2: 1, 3: 2}, {1: 2, 2: 2, 3: 3}]]
+    verdicts = set()
+    for rows in families:
+        cols = max((j for row in rows for j in row), default=0)
+        expected = oracles.rank([[row.get(j, 0) for j in range(1, cols + 1)] for row in rows])
+        got = linalg.dense_independent([EXACT.integer_row(row)[0] for row in rows])
+        assert got == linalg.independent(rows) == (expected == len(rows))
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_exact_rank_tests_build_no_fraction_row_reduction(monkeypatch):
     """The exact rank and independence tests stay on integers: with
     `RowReducer.try_add` unusable they still finish, with the same results."""

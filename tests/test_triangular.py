@@ -2,6 +2,7 @@
 
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from orbitlab.scalars import EXACT
 from orbitlab.triangular import (
     TriangularizeState,
     _Bordered,
+    _Row,
     _scaled,
     build_omega_operator,
     interleave_triangularize,
@@ -347,20 +349,19 @@ class TestIntegerRows:
 
     @pytest.mark.parametrize("kind", ["dense", "sparse", "wide"])
     def test_combinations_match_the_plain_loop_in_order(self, kind):
-        """scale·start + sum c·row on integer rows gives the entries of the
-        plain loop, in its order."""
+        """start + sum c·row on integer rows gives the entries of the plain
+        loop, in its order."""
         rng = random.Random(223)
         for _ in range(20):
             rows = [_scaled(SparseVector(e), EXACT) for e in rational_family(rng, 5, 6, kind)]
             us = [SparseVector(r.row) for r in rows]
             coeffs = [rng.choice([0, rng.randint(-5, 5), rng.randint(1, 2 ** 40)]) for _ in us]
             zero = _scaled(SparseVector.zero(), EXACT)
-            got = list(zero.plus(1, coeffs, rows).row.items())
+            got = list(zero.plus(coeffs, rows).row.items())
             assert got == list(oracles.combination(coeffs, us).items())
-            scale, rest = rng.choice([1, -3, 2 ** 40]), [-c for c in coeffs[1:]]
-            start = SparseVector({i: scale * v for i, v in us[0].entries.items()})
-            got = list(rows[0].plus(scale, rest, rows[1:]).row.items())
-            assert got == list(oracles.combination(rest, us[1:], start).items())
+            rest = [-c for c in coeffs[1:]]
+            got = list(rows[0].plus(rest, rows[1:]).row.items())
+            assert got == list(oracles.combination(rest, us[1:], us[0]).items())
             assert all(type(v) is int for _, v in got)
 
     def test_cancelling_partial_sums_drop_and_reinsert_as_combine_does(self):
@@ -369,7 +370,7 @@ class TestIntegerRows:
               SparseVector({1: Fraction(3), 2: Fraction(1)})]
         coeffs = [1, 1, 1]
         rows = [_scaled(u, EXACT) for u in us]
-        got = list(_scaled(SparseVector.zero(), EXACT).plus(1, coeffs, rows).row.items())
+        got = list(_scaled(SparseVector.zero(), EXACT).plus(coeffs, rows).row.items())
         # coordinate 1 cancels after the second term and comes back last
         assert [i for i, _ in got] == [2, 3, 1] == list(oracles.combination(coeffs, us))
         assert got == list(oracles.combination(coeffs, us).items())
@@ -442,16 +443,42 @@ def test_integer_factor_matches_the_oracles_beyond_the_corpus():
     assert runs > 20 and rejected > 3 and scaled == runs
 
 
-def test_exact_triangularization_does_no_fraction_arithmetic(monkeypatch):
-    """A seeded 16 x 7 exact triangularization: no Fraction sum, difference or
-    product is formed in linalg (the integer factor), in scalars or in the
-    combinations (triangular, vectors.combine); minors, coefficients and the
-    entries of v_m are each one Fraction of two ints."""
+def dense_basis_16():
+    """The seeded dense 16 x 16 basis of the 16 x 7 triangularization tests."""
     rng = random.Random(233)
     while True:
         basis = [SparseVector(e) for e in rational_family(rng, 16, 16, "dense")]
         if linalg.independent((u.entries for u in basis), EXACT):
-            break
+            return basis
+
+
+def test_only_solution_back_substitutes_and_combines(monkeypatch):
+    """A seeded 16 x 7 triangularization: the scans border each candidate,
+    so `Bordered.back` and `_Row.plus` are called only from `solution`,
+    once per prefix length m = 1..2s.  Counts only, no times."""
+    calls = Counter()
+
+    def spy(cls, name):
+        original = getattr(cls, name)
+
+        def wrapped(*args):
+            calls[name, sys._getframe(1).f_code.co_name] += 1
+            return original(*args)
+        monkeypatch.setattr(cls, name, wrapped)
+
+    spy(linalg.Bordered, "back")
+    spy(_Row, "plus")
+    interleave_triangularize(dense_basis_16(), deltas(18), 7)
+    assert calls == {("back", "solution"): 14, ("plus", "solution"): 14}
+
+
+def test_exact_triangularization_does_no_fraction_arithmetic(monkeypatch):
+    """A seeded 16 x 7 exact triangularization: no Fraction sum, difference or
+    product is formed in linalg (the dense basis check and the integer
+    factor), in scalars or in the combinations (triangular, vectors.combine);
+    minors, coefficients and the entries of v_m are each one Fraction of two
+    ints."""
+    basis = dense_basis_16()
     expected = interleave_triangularize(basis, deltas(18), 7)
     callers = set()
 

@@ -111,6 +111,33 @@ def test_coerce_refuses_what_is_not_exact(value):
         EXACT.coerce(value)
 
 
+ENTRY_MAPS = {
+    "vector": SparseVector,
+    "functional": CoordFunctional,
+    "seminorm": lambda weights: SeminormSpec("sup", weights),
+    "disk": lambda weights: DiskSpec(weights=weights),
+}
+
+
+@pytest.mark.parametrize("value", [0.1, 0.0, True, False], ids=["float", "float-zero", "true", "false"])
+@pytest.mark.parametrize("kind", list(ENTRY_MAPS))
+def test_entries_and_weights_refuse_floats_and_bools(kind, value):
+    """An entry or weight that is not an int or a Fraction is refused, zero
+    or not, with its coordinate named: a float would be paired as a float but
+    read by the integer kernels as its binary value, and a bool would be
+    stored as it is."""
+    with pytest.raises(TypeError, match="at coordinate 3 is not an int or a Fraction"):
+        ENTRY_MAPS[kind]({1: Fraction(1, 2), 3: value})
+
+
+@pytest.mark.parametrize("kind", list(ENTRY_MAPS))
+def test_int_entries_and_weights_become_fractions(kind):
+    built = ENTRY_MAPS[kind]({1: 2, 2: Fraction(1, 3)})
+    entries = built.entries if kind in ("vector", "functional") else built.weights
+    assert entries == {1: 2, 2: Fraction(1, 3)}
+    assert all(type(v) is Fraction for v in entries.values())
+
+
 def test_cached_data_is_kept_past_the_guard_and_outside_equality():
     built, fresh = FiniteRankOperator(ZERO, [_term(1)]), FiniteRankOperator(ZERO, [_term(1)])
     built.apply(SparseVector.basis(1))
