@@ -1,34 +1,29 @@
-"""Exact, fraction-free elimination over rationals.
-
-Three forms, each written once, with one integer row step `_int_step` (with
-`_primitive`):
+"""Exact, fraction-free elimination over rationals, in four forms:
 
 - `RowReducer`, the sparse reduced row echelon form of dict-backed rows,
-  built from rows given at once (`of`, behind the premise's nullspaces, the
-  witness's solves, the dual system and the Gram inverse) or grown one row
-  at a time (`try_add`: the separating-functional picks).  It is
-  fraction-free: each row is kept as coprime integers, reduced by the
-  integer row step, and divided by its pivot entry into Fractions only once
-  `of` or `try_add` is done, for the rows that changed.  Callers hand it
-  sparse rows and read nullspace vectors (`null_vector`) or an augmented
-  column off its rows.
+  built from rows given at once (`of`: the premise's nullspaces, the
+  witness's solves, the dual system and the Gram inverse) or one row at a
+  time (`try_add`: the separating-functional picks).  It keeps each row as
+  coprime integers, and builds its Fractions, over the pivot entry, once
+  `of` or `try_add` is done, for the rows that changed.  Callers read
+  nullspace vectors (`null_vector`) or an augmented column off its rows.
 - `Echelon`, a row echelon form grown one row at a time that answers only
-  rank and independence questions (`row_rank`, `independent`).  Each row is
-  scaled to coprime integers and reduced by the integer row step, so no
-  Fraction is built at all.  `dense_independent` answers the same question
-  for the square dense triangularization basis in one dense Bareiss pass.
-- `Bordered`, a factor without pivoting that grows by one row and one
-  column at a time: the pairing minors of triangularization and the Gram
-  system of a growing identity-plus-finite-rank operator.  Callers border it
-  with integers, it keeps the leading minors and the Bareiss entries, and
-  every step is an exact integer division that skips zeros.
+  rank and independence questions (`row_rank`, `independent`) and builds no
+  Fraction.  Both reduce by one integer row step, `_int_step`.
+- `Bordered`, a factor without pivoting grown by one row and one column at
+  a time: the Gram system of a growing identity-plus-finite-rank operator.
+  Every step is an exact integer division that skips zeros.
+- `Bareiss`, a right-looking pass over a dense integer matrix on pivots the
+  caller picks, kept as the `Bordered` factor of the picked block: the
+  triangularization's greedy picks, minors and basis check.
+  `dense_independent` is the same pass with no forced pick.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .scalars import EXACT, Scalar, ScalarContext
 
@@ -180,19 +175,10 @@ def independent(rows: Iterable[Mapping[int, Scalar]], ctx: ScalarContext = EXACT
 
 
 def dense_independent(rows: Sequence[Mapping[int, int]]) -> bool:
-    """Whether integer rows are independent, by one dense Bareiss pass that
-    divides exactly by the last pivot and skips a column with no pivot."""
-    left = [[row.get(c, 0) for c in sorted(set().union(*rows))] for row in rows]
-    prev = 1
-    while left and left[0]:
-        p = next((i for i, r in enumerate(left) if r[0]), None)
-        if p is None:
-            left = [r[1:] for r in left]
-            continue
-        a, *tail = left.pop(p)
-        left = [[(a * x - b * y) // prev for x, y in zip(rest, tail)] for b, *rest in left]
-        prev = a
-    return not left
+    """Whether integer rows are independent: a `Bareiss` pass over them,
+    dense over the coordinates they use, finds as many pivots as rows."""
+    cols = sorted(set().union(*rows))
+    return Bareiss([[row.get(c, 0) for c in cols] for row in rows]).rank() == len(rows)
 
 
 def _int_step(row: Dict[int, int], pivot: Dict[int, int], lead: int) -> Dict[int, int]:
@@ -238,8 +224,7 @@ class Bordered:
     so it is skipped and the rescalings telescope: zeros cost nothing.
     """
 
-    def __init__(self, ctx: ScalarContext = EXACT):
-        self.ctx = ctx
+    def __init__(self):
         self.lower: Tuple[List[Dict[int, int]], List[Dict[int, int]]] = ([], [])
         self.pivots: List[int] = []
 
@@ -304,3 +289,58 @@ class Bordered:
         where `border` gives y fraction-free."""
         y = self.border(1, rhs)
         return self.back(1, [y.get(k, 0) for k in range(len(rhs))])
+
+
+class Bareiss(Bordered):
+    """A right-looking fraction-free elimination of a dense integer matrix on
+    pivots the caller picks, kept as the `Bordered` factor of the picked block.
+
+    `rows` maps each unpicked row to its entries a⁽ⁿ⁾ at the unpicked columns
+    `cols`, both in ascending order, after n picks.  By Sylvester's identity
+    a⁽ⁿ⁾(i, j) is the minor of the picked rows and columns bordered by row i
+    and column j, so each pivot is the next leading minor.  A step
+    a⁽ⁿ⁺¹⁾ = (p·a⁽ⁿ⁾ − l·u) / Δ_n divides exactly.  Pivot column and row, read
+    at the rows and columns picked later, join lower[0] and lower[1].
+    """
+
+    def __init__(self, matrix: Sequence[Sequence[int]]):
+        super().__init__()
+        self.rows = {i: list(row) for i, row in enumerate(matrix)}
+        self.cols = list(range(len(matrix[0]) if matrix else 0))
+        # each unpicked row's entries in the pivot columns, each pivot row by column
+        self._left: Dict[int, Dict[int, int]] = {i: {} for i in self.rows}
+        self._done: List[Dict[int, int]] = []
+
+    def in_row(self, r: int) -> Optional[int]:
+        """The first unpicked column where row r is non-zero, or None."""
+        return next((c for c, a in zip(self.cols, self.rows[r]) if a), None)
+
+    def in_column(self, c: int) -> Optional[int]:
+        """The first unpicked row that is non-zero in column c, or None."""
+        pos = self.cols.index(c)
+        return next((i for i, row in self.rows.items() if row[pos]), None)
+
+    def pick(self, r: int, c: int) -> None:
+        """Pivot on the non-zero entry at row r and column c, eliminating its
+        column from every other unpicked row."""
+        n, pos = len(self.pivots), self.cols.index(c)
+        u, prev = self.rows.pop(r), self.scale(n)
+        p = u.pop(pos)
+        del self.cols[pos]
+        for i, row in self.rows.items():
+            b = row.pop(pos)
+            if b:
+                self._left[i][n] = b
+                self.rows[i] = [(p * x - b * y) // prev for x, y in zip(row, u)]
+            else:
+                self.rows[i] = [p * x // prev for x in row]
+        self.append(0, self._left.pop(r), {k: d[c] for k, d in enumerate(self._done) if d[c]}, p)
+        self._done.append(dict(zip(self.cols, u)))
+
+    def rank(self) -> int:
+        """Finish the elimination, each unpicked column pivoting on its first
+        non-zero entry, and return the number of pivots: the rank."""
+        for c in list(self.cols):
+            if (r := self.in_column(c)) is not None:
+                self.pick(r, c)
+        return len(self.pivots)

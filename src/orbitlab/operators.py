@@ -292,7 +292,7 @@ class GramFactor:
         self._rows: List[Tuple[Mapping[int, int], Mapping[int, int], int, int]] = []
         self._f_index = CoordIndex()
         self._v_index = CoordIndex()
-        self._lu = linalg.Bordered(ctx)
+        self._lu = linalg.Bordered()
 
     def _nonsingular(self) -> None:
         pivots = self._lu.pivots

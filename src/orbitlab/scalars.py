@@ -57,12 +57,12 @@ class ScalarContext:
         return hash((self.mode,))
 
     def coerce(self, value) -> Scalar:
-        """The value as a scalar; floats are refused (lossy by intent)."""
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, (int, str)):
-            return Fraction(value)
-        raise TypeError(f"cannot use {value!r} as an exact scalar")
+        """The value as a scalar: text as the Fraction it names, else by the
+        rule of `_exact_entry`, so a float (lossy by intent) or a bool is refused."""
+        try:
+            return Fraction(value) if isinstance(value, str) else _exact_entry(value, 0)
+        except TypeError:
+            raise TypeError(f"cannot use {value!r} as an exact scalar") from None
 
     def parse(self, text) -> Scalar:
         """Scalar from its text form ("3/2", "-1", "0.25"); ValueError on

@@ -3,25 +3,24 @@
 Maintains two index prefixes alpha (into the functional list) and beta (into
 the basis list) such that every leading minor of the pairing matrix
 A[j][k] = f_alpha(j)(u_beta(k)) is invertible, alternating a forced
-minimal-index pick with a greedy scan.  Both run on one `linalg.Bordered`
-factor of A that grows by a row and a column per pick; as transposing A
-swaps its two triangles, functional and vector picks share the code with the
-roles swapped.  The scan borders the factor with each candidate in turn, as
-`operators.GramFactor.extend` borders a term, and keeps the first whose
-pivot, the next leading minor, is non-zero.  The solution of A_m c = e_m
-gives the coefficients making the combined vectors v_m biorthogonal and
-triangular against the chosen functionals, which turns the shuffled basis
-matrix unit lower triangular.
+minimal-index pick with a greedy scan.  Both are pivots of one
+`linalg.Bareiss` pass over the whole pairing matrix, whose entry at (f, u)
+is the leading minor bordered by f and u: a functional step pivots on the
+first non-zero entry of the least unused row, a vector step on that of the
+least unused column.  Finished, the pass proves the basis independent by
+its full column rank; a deficient pass, or a step without a pivot, asks
+`linalg.dense_independent`.  The solution of A_m c = e_m gives the
+coefficients making the combined vectors v_m biorthogonal and triangular
+against the chosen functionals, which turns the shuffled basis matrix unit
+lower triangular.
 
 The work is done on integers (fraction-free arithmetic; Bareiss, Math. Comp.
 22, 1968).  Each functional and basis vector is scaled once to an integer
-row over its denominator (`ScalarContext.integer_row`); the basis check,
-`linalg.dense_independent`, reuses those rows.  The factor is bordered with
-their pairings, A' = D_f·A·D_u for D_f and D_u the denominators, and keeps
-the leading minors Δ'_k of A'.  A candidate costs n pairings and one
-`border`, whose column the pick keeps.  A Fraction is built only for a value
-the state holds: a minor, a coefficient or an entry of v_m (see
-`_Bordered.solution`).
+row over its denominator (`ScalarContext.integer_row`), and the pass runs
+on their pairings, A' = D_f·A·D_u for D_f and D_u the denominators: its
+pivots are the leading minors Δ'_k of A', and `_solution` back-substitutes
+over its pivot rows.  A Fraction is built only for a minor, a coefficient
+or an entry of v_m.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from . import linalg
 from .errors import Exhausted, LinearlyDependent
 from .operators import FiniteRankOperator, ZERO
 from .scalars import EXACT, Scalar, ScalarContext
-from .vectors import CoordFunctional, SparseVector, _dot
+from .vectors import CoordFunctional, SparseVector, _built, _dot
 
 # The driver refuses to start without this much slack beyond the prefix it
 # must build; greedy scans need room.
@@ -44,8 +43,8 @@ WINDOW_MARGIN = 2
 class _Row:
     """A functional or basis vector as integer numerators over one positive denominator.
 
-    Pairings and combinations of rows are sums on integers, and neither
-    builds a Fraction.
+    Pairings (`_dot` of two rows, their dens' product times the items') and
+    combinations of rows are sums on integers, and neither builds a Fraction.
     """
 
     __slots__ = ("row", "den")
@@ -53,10 +52,6 @@ class _Row:
     def __init__(self, row: Dict[int, int], den: int):
         self.row = row
         self.den = den
-
-    def pair(self, other: "_Row") -> int:
-        """The pairing of the numerators, den·other.den times the items'."""
-        return _dot(self.row, other.row)
 
     def plus(self, coeffs: Sequence[int], rows: Sequence["_Row"]) -> "_Row":
         """self + sum of c * row over the pairs with c != 0, numerators only
@@ -79,53 +74,22 @@ def _scaled(item, ctx: ScalarContext) -> _Row:
     return _Row(*ctx.integer_row(item.entries))
 
 
-class _Bordered(linalg.Bordered):
-    """The factor of the pairing matrix of the functionals and vectors chosen
-    so far; items[0] and items[1] hold them, as `_scaled` gives them, in pick
-    order.  The factor is bordered with the pairings of their numerators,
-    A' = D_f·A·D_u for D_f and D_u the denominators."""
+def _solution(lu: linalg.Bordered, fs: Sequence[_Row], us: Sequence[_Row],
+              m: int) -> Tuple[Tuple[Scalar, ...], SparseVector, Scalar]:
+    """(c, v_m, det A_m) for the solution c of A_m c = e_m and v_m the
+    combination of us with it; fs and us in pick order, `lu` their factor.
 
-    def __init__(self, ctx: ScalarContext):
-        super().__init__(ctx)
-        self.items: Tuple[list, list] = ([], [])
-
-    def extend(self, side: int, forced, candidates: Sequence) -> int:
-        """Border A with `forced` and the first candidate giving a non-zero pivot.
-
-        `forced` is a functional for side 0 and a vector for side 1; the
-        candidates are of the other kind.  Returns the position of the pick;
-        raises Exhausted when every pivot vanishes.
-        """
-        own, other = self.items[side], self.items[1 - side]
-        row = self.border(side, [forced.pair(y) for y in other])
-        for pos, candidate in enumerate(candidates):
-            col = self.border(1 - side, [x.pair(candidate) for x in own])
-            pivot = self.pivot(forced.pair(candidate), row, col)
-            if pivot:
-                break
-        else:
-            raise Exhausted("every candidate makes the next leading minor zero")
-        own.append(forced)
-        other.append(candidate)
-        self.append(side, row, col, pivot)
-        return pos
-
-    def solution(self, m: int) -> Tuple[Tuple[Scalar, ...], SparseVector, Scalar]:
-        """(c, v_m, det A_m) for the solution c of A_m c = e_m, v_m the
-        combination of the chosen vectors with it.
-
-        y = Δ'_{m-1}·(column m of U'_m^{-1}) is an integer vector for the
-        minors Δ' of A', so c_j = uden_j·y_j·fden_m / Δ'_m,
-        v_m = (fden_m / Δ'_m)·sum_j y_j·u_row_j and det A_m = Δ'_m / prod of
-        fden·uden; only these values become Fractions.
-        """
-        fs, us = self.items
-        y = self.back(1, [0] * (m - 1) + [self.scale(m - 1)])
-        minor, fden = self.pivots[m - 1], fs[m - 1].den
-        c = tuple(Fraction(u.den * yj * fden, minor) for u, yj in zip(us, y))
-        acc = _Row({}, 1).plus(y, us).row
-        v = SparseVector({i: Fraction(fden * e, minor) for i, e in acc.items()})
-        return c, v, Fraction(minor, math.prod(f.den * u.den for f, u in zip(fs[:m], us)))
+    y = Δ'_{m-1}·(column m of U'_m^{-1}) is an integer vector for the
+    minors Δ' of A', so c_j = uden_j·y_j·fden_m / Δ'_m,
+    v_m = (fden_m / Δ'_m)·sum_j y_j·u_row_j and det A_m = Δ'_m / prod of
+    fden·uden; only these values become Fractions.
+    """
+    y = lu.back(1, [0] * (m - 1) + [lu.scale(m - 1)])
+    minor, fden = lu.pivots[m - 1], fs[m - 1].den
+    c = tuple(Fraction(u.den * yj * fden, minor) for u, yj in zip(us, y))
+    acc = _Row({}, 1).plus(y, us).row
+    v = _built(SparseVector, {i: Fraction(fden * e, minor) for i, e in acc.items()})
+    return c, v, Fraction(minor, math.prod(f.den * u.den for f, u in zip(fs[:m], us)))
 
 
 class TriangularizeState(NamedTuple):
@@ -161,42 +125,38 @@ def interleave_triangularize(basis: Sequence[SparseVector],
     are too short for the requested prefix plus margin, LinearlyDependent when
     the basis is not linearly independent.
     """
-    basis = tuple(basis)
-    funcs = tuple(funcs)
+    basis, funcs = tuple(basis), tuple(funcs)
     target = 2 * stages
     if len(basis) < target or len(funcs) < target + WINDOW_MARGIN:
         raise Exhausted(
             f"prefix of length {target} needs at least {target} basis vectors "
             f"and {target + WINDOW_MARGIN} functionals"
         )
-    items = ([_scaled(f, ctx) for f in funcs], [_scaled(u, ctx) for u in basis])
-    if not linalg.dense_independent([u.row for u in items[1]]):
-        raise LinearlyDependent("basis vectors are not linearly independent")
-
-    lu = _Bordered(ctx)
-    picks: Tuple[List[int], List[int]] = ([], [])  # alpha, beta
+    fs, us = [_scaled(f, ctx) for f in funcs], [_scaled(u, ctx) for u in basis]
+    elim = linalg.Bareiss([[_dot(f.row, u.row) for u in us] for f in fs])
+    picks = []
     for step in range(target):
-        # even steps force a functional index and scan the basis, odd steps
-        # force a basis index and scan the functionals
-        side = step % 2
-        forced = min(i for i in range(1, len(items[side]) + 1) if i not in picks[side])
-        candidates = [i for i in range(1, len(items[1 - side]) + 1)
-                      if i not in picks[1 - side]]
-        pos = lu.extend(side, items[side][forced - 1],
-                        [items[1 - side][i - 1] for i in candidates])
-        picks[side].append(forced)
-        picks[1 - side].append(candidates[pos])
+        # even steps force the least unused row (functional), odd steps the least unused column
+        if step % 2:
+            c = elim.cols[0]
+            r = elim.in_column(c)
+        else:
+            r = next(iter(elim.rows))
+            c = elim.in_row(r)
+        if r is None or c is None:
+            break
+        elim.pick(r, c)
+        picks.append((r, c))
+    if elim.rank() < len(us) and not linalg.dense_independent([u.row for u in us]):
+        raise LinearlyDependent("basis vectors are not linearly independent")
+    if len(picks) < target:
+        raise Exhausted("every candidate makes the next leading minor zero")
 
-    coeffs, vs, minors = list(zip(*(lu.solution(m) for m in range(1, target + 1)))) or [()] * 3
-    return TriangularizeState(
-        alpha=tuple(picks[0]),
-        beta=tuple(picks[1]),
-        basis=basis,
-        funcs=funcs,
-        coeffs=coeffs,
-        v=vs,
-        minors=minors,
-    )
+    fs, us = [fs[r] for r, _ in picks], [us[c] for _, c in picks]
+    coeffs, vs, minors = list(zip(*(_solution(elim, fs, us, m)
+                                    for m in range(1, target + 1)))) or [()] * 3
+    alpha, beta = tuple(r + 1 for r, _ in picks), tuple(c + 1 for _, c in picks)
+    return TriangularizeState(alpha, beta, basis, funcs, coeffs, vs, minors)
 
 
 def build_omega_operator(state: TriangularizeState) -> FiniteRankOperator:

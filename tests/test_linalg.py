@@ -371,6 +371,30 @@ def test_bordered_factor_pivots_and_solves():
         done += 1
 
 
+def test_bareiss_pass_is_the_bordered_factor_of_its_pivots():
+    """A `Bareiss` pass on pivots picked at random: each unpicked entry is the
+    minor of the picks bordered by its row and column (Sylvester's identity),
+    the factor is `Bordered`'s of the picked block in pick order, and the
+    finished pass counts the rank."""
+    rng = random.Random(37)
+    for _ in range(40):
+        a = [[int(10 * v) for v in row]
+             for row in zero_heavy_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))]
+        elim, picks = linalg.Bareiss(a), []
+        while rng.random() < 0.8:
+            nonzero = [(r, c) for r, row in elim.rows.items() for c, v in zip(elim.cols, row) if v]
+            if not nonzero:
+                break
+            picks.append(rng.choice(nonzero))
+            elim.pick(*picks[-1])
+            rows, cols = [r for r, _ in picks], [c for _, c in picks]
+            for i, row in elim.rows.items():
+                assert row == [block_det(a, rows + [i], cols + [j]) for j in elim.cols]
+        lu = bordered([[a[r][c] for _, c in picks] for r, _ in picks])
+        assert (elim.lower, elim.pivots) == (lu.lower, lu.pivots)
+        assert elim.rank() == oracles.rank(a)
+
+
 def test_rank_of_projections():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)], [Fraction(0), Fraction(1)]]
     assert oracles.rank(rows, EXACT) == 2

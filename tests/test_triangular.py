@@ -13,14 +13,14 @@ from orbitlab.errors import Exhausted, LinearlyDependent
 from orbitlab.scalars import EXACT
 from orbitlab.triangular import (
     TriangularizeState,
-    _Bordered,
     _Row,
     _scaled,
+    _solution,
     build_omega_operator,
     interleave_triangularize,
     shuffled_matrix,
 )
-from orbitlab.vectors import combine
+from orbitlab.vectors import _dot, combine
 
 import oracles
 
@@ -38,17 +38,27 @@ def pairing(funcs, vectors):
 
 
 def greedy_pick(side, forced, chosen, candidates):
-    """One greedy scan of the triangular pairing factor: border it with
-    forced[:n] against the n chosen items, one pick each, then scan the
-    candidates against forced[n].  The pick and the determinant of the
-    extended minor, as `solution` reads it off the integer factor's last
-    minor; Exhausted as `extend` raises it."""
-    lu = _Bordered(EXACT)
-    for item, pick in zip(forced, chosen):
-        lu.extend(side, _scaled(item, EXACT), [_scaled(pick, EXACT)])
-    pos = lu.extend(side, _scaled(forced[len(chosen)], EXACT),
-                    [_scaled(c, EXACT) for c in candidates])
-    return candidates[pos], lu.solution(len(chosen) + 1)[2]
+    """One greedy scan of the triangularizing pass: over the pairings of the
+    forced items against the chosen items and the candidates, pivot on
+    forced[j] against chosen[j] for each j < n = len(chosen), then take the
+    first candidate with a non-zero entry against forced[n], as
+    `interleave_triangularize` does.  The pick and the determinant of the
+    extended minor, as `_solution` reads it off the pass's last pivot;
+    Exhausted, as `interleave_triangularize` raises it, when every entry is zero."""
+    n = len(chosen)
+    own = [_scaled(x, EXACT) for x in forced[: n + 1]]
+    other = [_scaled(x, EXACT) for x in list(chosen) + list(candidates)]
+    fs, us = (own, other) if side == 0 else (other, own)
+    elim = linalg.Bareiss([[_dot(f.row, u.row) for u in us] for f in fs])
+    for j in range(n):
+        elim.pick(j, j)
+    pos = elim.in_row(n) if side == 0 else elim.in_column(n)
+    if pos is None:
+        raise Exhausted("every candidate makes the next leading minor zero")
+    r, c = (n, pos) if side == 0 else (pos, n)
+    elim.pick(r, c)
+    det = _solution(elim, fs[:n] + [fs[r]], us[:n] + [us[c]], n + 1)[2]
+    return candidates[pos - n], det
 
 
 class TestGreedyExtendVector:
@@ -344,7 +354,7 @@ class TestIntegerRows:
         for f in fs:
             for u in us:
                 rf, ru = _scaled(f, EXACT), _scaled(u, EXACT)
-                for got in (rf.pair(ru), ru.pair(rf)):
+                for got in (_dot(rf.row, ru.row), _dot(ru.row, rf.row)):
                     assert type(got) is int and Fraction(got, rf.den * ru.den) == f.pair(u)
 
     @pytest.mark.parametrize("kind", ["dense", "sparse", "wide"])
@@ -452,24 +462,82 @@ def dense_basis_16():
             return basis
 
 
-def test_only_solution_back_substitutes_and_combines(monkeypatch):
-    """A seeded 16 x 7 triangularization: the scans border each candidate,
-    so `Bordered.back` and `_Row.plus` are called only from `solution`,
-    once per prefix length m = 1..2s.  Counts only, no times."""
+def test_one_pass_triangularizes_and_only_solution_back_substitutes(monkeypatch):
+    """A seeded 16 x 7 triangularization runs one `Bareiss` pass, which picks
+    and checks the basis, and borders nothing: no `Bordered.border` or
+    `pivot` call, and no `dense_independent` fallback.  `Bordered.back` and
+    `_Row.plus` are called only from `_solution`, once per prefix length
+    m = 1..2s.  Counts only, no times."""
     calls = Counter()
 
-    def spy(cls, name):
-        original = getattr(cls, name)
+    def spy(owner, name):
+        original = getattr(owner, name)
 
         def wrapped(*args):
             calls[name, sys._getframe(1).f_code.co_name] += 1
             return original(*args)
-        monkeypatch.setattr(cls, name, wrapped)
+        monkeypatch.setattr(owner, name, wrapped)
 
-    spy(linalg.Bordered, "back")
+    spy(linalg.Bareiss, "__init__")
+    for name in ("border", "pivot", "back"):
+        spy(linalg.Bordered, name)
+    spy(linalg, "dense_independent")
     spy(_Row, "plus")
     interleave_triangularize(dense_basis_16(), deltas(18), 7)
-    assert calls == {("back", "solution"): 14, ("plus", "solution"): 14}
+    assert calls == {("__init__", "interleave_triangularize"): 1,
+                     ("back", "_solution"): 14, ("plus", "_solution"): 14}
+
+
+class TestBasisCheckFallback:
+    """The pass proves the basis independent only at full column rank; a
+    deficient pass, or a pick that finds no pivot, asks `dense_independent`,
+    so a dependent basis raises LinearlyDependent before Exhausted."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+        original = linalg.dense_independent
+
+        def wrapped(rows):
+            calls.append(original(rows))
+            return calls[-1]
+        monkeypatch.setattr(linalg, "dense_independent", wrapped)
+        return calls
+
+    def test_unseen_coordinate_falls_back_and_matches_the_oracle(self, fallbacks):
+        """No functional sees coordinate 6 of an independent basis, so A' has
+        rank 5 of 6 and the fallback proves the basis independent."""
+        basis = random_invertible_basis(random.Random(79), 6)
+        funcs = deltas(5) + [CoordFunctional.delta(7), CoordFunctional.delta(8)]
+        state = interleave_triangularize(basis, funcs, 2)
+        assert fallbacks == [True]
+        alpha, beta, coeffs, v, minors = oracles.triangularize(basis, funcs, 2)
+        assert (state.alpha, state.beta, state.coeffs, state.minors) == (alpha, beta, coeffs, minors)
+        assert [list(x.entries.items()) for x in state.v] == v
+        check_state_invariants(state)
+
+    def test_dependent_basis_after_the_picks(self, fallbacks):
+        """The picks succeed; the pass finishes deficient, and the fallback
+        finds the dependence u_4 = u_1 + u_2."""
+        basis = [sv(1), sv(0, 1), sv(0, 0, 1), sv(1, 1)]
+        with pytest.raises(LinearlyDependent):
+            interleave_triangularize(basis, deltas(4), 1)
+        assert fallbacks == [False]
+
+    def test_dependent_basis_whose_picks_exhaust(self, fallbacks):
+        """u_2 = 2·u_1 leaves the vector step no pivot: LinearlyDependent, not
+        Exhausted."""
+        with pytest.raises(LinearlyDependent):
+            interleave_triangularize([sv(1, 1), sv(2, 2), sv(0, 0, 1)], deltas(5), 1)
+        assert fallbacks == [False]
+
+    def test_independent_basis_whose_picks_exhaust(self, fallbacks):
+        """Every functional is delta_1, so the vector step finds no pivot for
+        u_2, and the basis is independent: Exhausted."""
+        funcs = [CoordFunctional.delta(1)] * 4
+        with pytest.raises(Exhausted, match="next leading minor zero"):
+            interleave_triangularize([sv(1), sv(0, 1)], funcs, 1)
+        assert fallbacks == [True]
 
 
 def test_exact_triangularization_does_no_fraction_arithmetic(monkeypatch):

@@ -96,17 +96,17 @@ def test_coerce_reads_rationals_exactly():
     the Fractions they name."""
     third = Fraction(1, 3)
     assert EXACT.coerce(third) is third
-    for value, want in ((7, Fraction(7)), (True, Fraction(1)), ("-2/6", Fraction(-1, 3)),
-                        ("0.1", Fraction(1, 10))):
+    for value, want in ((7, Fraction(7)), ("-2/6", Fraction(-1, 3)), ("0.1", Fraction(1, 10))):
         got = EXACT.coerce(value)
         assert type(got) is Fraction and got == want
 
 
-@pytest.mark.parametrize("value", [0.5, Decimal("0.5"), 0.5 + 0j],
-                         ids=["float", "decimal", "complex"])
+@pytest.mark.parametrize("value", [0.5, Decimal("0.5"), 0.5 + 0j, True],
+                         ids=["float", "decimal", "complex", "bool"])
 def test_coerce_refuses_what_is_not_exact(value):
     """A float (or any number that is not an int or a Fraction) is refused,
-    not read as its binary value: the one mode has no lossy scalars."""
+    not read as its binary value: the one mode has no lossy scalars.  A bool
+    is refused too, as the entry maps refuse it."""
     with pytest.raises(TypeError, match="as an exact scalar"):
         EXACT.coerce(value)
 
