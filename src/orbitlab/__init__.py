@@ -25,7 +25,7 @@ from .errors import (  # noqa: F401
     WitnessNotFound,
     WorkbenchError,
 )
-from .scalars import EXACT, Scalar, ScalarContext  # noqa: F401
+from .scalars import Scalar  # noqa: F401
 from .vectors import CoordFunctional, SparseVector  # noqa: F401
 from .seminorms import (  # noqa: F401
     DiskSpec,

@@ -14,7 +14,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import Exhausted, KernelCollision, NoSeparation, NotANet, NotInSpan, NotPIndependent
-from .scalars import EXACT, Scalar, ScalarContext, _immutable
+from .scalars import ONE, ZERO, Scalar, _immutable
 from .seminorms import (
     DiskSpec,
     SeminormSpec,
@@ -62,8 +62,8 @@ class EpsilonNet(NamedTuple):
     targets: Tuple[SparseVector, ...]
     eps: Scalar
 
-    def seminorm(self, ctx: ScalarContext = EXACT) -> SeminormSpec:
-        return SeminormSpec.sup_on(range(1, self.window + 1), ctx.one)
+    def seminorm(self) -> SeminormSpec:
+        return SeminormSpec.sup_on(range(1, self.window + 1), ONE)
 
 
 def nearest_in(items: Sequence[SparseVector], target: SparseVector,
@@ -94,8 +94,7 @@ def net_report(items: Sequence[SparseVector], net: EpsilonNet, scans: Scans):
 
 
 def extract_p_independent(a: Enumeration, p: SeminormSpec,
-                          opens: Sequence[Tuple[SparseVector, Scalar]],
-                          ctx: ScalarContext = EXACT) -> Enumeration:
+                          opens: Sequence[Tuple[SparseVector, Scalar]]) -> Enumeration:
     """Greedy subsequence with the n-th pick inside the n-th open ball (sup norm
     on the coordinates up to the largest of the prefix, the centers and
     active(p)) and all active-coordinate projections independent at every stage."""
@@ -103,8 +102,8 @@ def extract_p_independent(a: Enumeration, p: SeminormSpec,
         raise NotPIndependent("seminorm must be non-trivial on the window")
     top = max([max(x.support, default=1) for x in a.items]
               + [max(c.support, default=1) for c, _ in opens] + [max(p.active)])
-    window_norm = SeminormSpec.sup_on(range(1, top + 1), ctx.one)
-    echelon = linalg.Echelon(ctx)
+    window_norm = SeminormSpec.sup_on(range(1, top + 1), ONE)
+    echelon = linalg.Echelon()
     picks: List[SparseVector] = []
     for n, (center, radius) in enumerate(opens, start=1):
         found = None
@@ -136,8 +135,7 @@ class CommonDiskReport(NamedTuple):
     scans: Tuple[Scans, Scans]
 
 
-def common_disk(a: Enumeration, b: Enumeration, net: EpsilonNet,
-                ctx: ScalarContext = EXACT) -> CommonDiskReport:
+def common_disk(a: Enumeration, b: Enumeration, net: EpsilonNet) -> CommonDiskReport:
     """One weight-form disk under which both enumerations remain nets.
 
     Builds the combined null list: geometrically rescaled approximation
@@ -150,7 +148,7 @@ def common_disk(a: Enumeration, b: Enumeration, net: EpsilonNet,
     the scan.  NotInSpan when a combined element has a coordinate beyond
     the net window, where the disk has no weight.
     """
-    norm = net.seminorm(ctx)
+    norm = net.seminorm()
     scans = []
     for enum, which in ((a, "first"), (b, "second")):
         scans.append(tuple(nearest_in(enum.items, t, norm) for t in net.targets))
@@ -172,12 +170,12 @@ def common_disk(a: Enumeration, b: Enumeration, net: EpsilonNet,
     for m, x in enumerate(list(a.items) + list(b.items), start=1):
         if x.is_zero():
             continue
-        gamma = ctx.one / 2 ** m / (1 + eval_seminorm(norm, x))
+        gamma = ONE / 2 ** m / (1 + eval_seminorm(norm, x))
         combined.append(x.scale(gamma))
 
     # Weight-form disk making every combined element have gauge <= 1.
     window = range(1, net.window + 1)
-    weights = {i: ctx.one for i in window}
+    weights = {i: ONE for i in window}
     for z in combined:
         size = len(z.entries)
         for i, val in z.entries.items():
@@ -188,8 +186,8 @@ def common_disk(a: Enumeration, b: Enumeration, net: EpsilonNet,
 
     def net_radius(items, scan):
         return max(
-            (minkowski(disk, items[pos] - t, ctx) for t, (pos, _) in zip(net.targets, scan)),
-            default=ctx.zero,
+            (minkowski(disk, items[pos] - t) for t, (pos, _) in zip(net.targets, scan)),
+            default=ZERO,
         )
 
     return CommonDiskReport(
@@ -203,8 +201,7 @@ def common_disk(a: Enumeration, b: Enumeration, net: EpsilonNet,
     )
 
 
-def biorthogonalize(us: Sequence[SparseVector], p: SeminormSpec,
-                    ctx: ScalarContext = EXACT) -> List[CoordFunctional]:
+def biorthogonalize(us: Sequence[SparseVector], p: SeminormSpec) -> List[CoordFunctional]:
     """Dual system f_n(u_m) = delta_{n,m} with supports in the active window.
 
     When the active projections of the n vectors touch exactly n coordinates
@@ -216,14 +213,14 @@ def biorthogonalize(us: Sequence[SparseVector], p: SeminormSpec,
     meets ker p, which is also the only way a solve can fail.
     """
     us = list(us)
-    fs = _dual_by_inverse([project_active(p, u) for u in us], ctx)
+    fs = _dual_by_inverse([project_active(p, u) for u in us])
     if fs is not None:
         return fs
     fs: List[CoordFunctional] = []
     for n, u in enumerate(us):
         others = us[:n] + us[n + 1:]
         try:
-            f = Separator.of(p, others, ctx).functional(u)
+            f = Separator.of(p, others).functional(u)
         except NoSeparation as exc:
             raise KernelCollision(
                 f"vector {n + 1} is not independent of the rest modulo ker p"
@@ -232,8 +229,7 @@ def biorthogonalize(us: Sequence[SparseVector], p: SeminormSpec,
     return fs
 
 
-def _dual_by_inverse(projections: List[Dict[int, Scalar]],
-                     ctx: ScalarContext) -> Optional[List[CoordFunctional]]:
+def _dual_by_inverse(projections: List[Dict[int, Scalar]]) -> Optional[List[CoordFunctional]]:
     """The rows of (U^T)^{-1} as functionals on the coordinates of U, for U
     the block of the projections; None unless the block is square and
     invertible."""
@@ -243,8 +239,8 @@ def _dual_by_inverse(projections: List[Dict[int, Scalar]],
         return None
     # row r: the projections at coordinate coords[r], then row r of I at n + r
     red = linalg.RowReducer.of(
-        [{m: x[c] for m, x in enumerate(projections) if c in x} | {n + r: ctx.one}
-         for r, c in enumerate(coords)], ctx)
+        [{m: x[c] for m, x in enumerate(projections) if c in x} | {n + r: ONE}
+         for r, c in enumerate(coords)])
     if any(m not in red.rows for m in range(n)):
         return None
     return [CoordFunctional({coords[c - n]: v for c, v in sorted(red.rows[m].items()) if c >= n})

@@ -33,7 +33,7 @@ from . import linalg
 from .density import Enumeration, biorthogonalize
 from .errors import NotNested, NotNilpotent, NotPIndependent, WitnessNotFound
 from .operators import FiniteRankOperator, ZERO, orbit
-from .scalars import EXACT, Scalar, ScalarContext
+from .scalars import ONE, Scalar, integer_of, integer_row
 from .seminorms import (
     DiskSpec,
     SeminormSpec,
@@ -63,17 +63,17 @@ class ShiftOperatorSpec(NamedTuple):
 
 
 def build_shift_operator(us: Sequence[SparseVector], p: SeminormSpec,
-                         disk: DiskSpec, ctx: ScalarContext = EXACT) -> ShiftOperatorSpec:
+                         disk: DiskSpec) -> ShiftOperatorSpec:
     """Assemble the chain operator; KernelCollision when span(us) meets ker p."""
     us = tuple(us)
-    fs = tuple(biorthogonalize(us, p, ctx))
+    fs = tuple(biorthogonalize(us, p))
     weights: List[Scalar] = []
     terms = []
     for n in range(1, len(us)):
         u_n = us[n - 1]
         f_next = fs[n]
-        denom = minkowski(disk, u_n, ctx) * dual_norm(p, f_next, ctx)
-        w = ctx.one / 2 ** n / denom
+        denom = minkowski(disk, u_n) * dual_norm(p, f_next)
+        w = ONE / 2 ** n / denom
         weights.append(w)
         terms.append((f_next, u_n.scale(w)))
     s = FiniteRankOperator(ZERO, tuple(terms))
@@ -94,8 +94,7 @@ class PremiseReport(NamedTuple):
     window_meet_dim: int
 
 
-def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
-                               ctx: ScalarContext = EXACT) -> PremiseReport:
+def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int) -> PremiseReport:
     """Dimensions of range(S^n) ∩ ker(S^n) for S = `t.linear_part()`, n <= depth.
 
     Computations run on the full support of the operator, which should
@@ -124,29 +123,28 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int,
     for f, v in s.terms:
         top = max([top] + list(f.support) + list(v.support))
     core = (s.terms
-            and linalg.independent((v.entries for _, v in s.terms), ctx)
-            and linalg.independent((f.entries for f, _ in s.terms), ctx))
+            and linalg.independent(v.entries for _, v in s.terms)
+            and linalg.independent(f.entries for f, _ in s.terms))
     if core:
         vs = [v for _, v in s.terms]
-        dims, basis = _meets(_integer_core(s, vs, ctx),
-                             [{j: 1} for j in range(1, len(vs) + 1)], depth, 1, ctx)
+        dims, basis = _meets(_integer_core(s, vs),
+                             [{j: 1} for j in range(1, len(vs) + 1)], depth, 1)
         union = [combine((c, vs[i - 1]) for i, c in z.items()).entries for z in basis]
     else:
-        dims, union = _meets(lambda col: s.apply(SparseVector(col), ctx).entries,
-                             [{j: ctx.one} for j in range(1, top + 1)], depth, 0, ctx)
+        dims, union = _meets(lambda col: s.apply(SparseVector(col)).entries,
+                             [{j: ONE} for j in range(1, top + 1)], depth, 0)
     rows = [PremiseRow(n=n, dim_range=dim_range, dim_kernel=top - dim_range,
                        dim_intersection=dim_intersection)
             for n, (dim_range, dim_intersection) in enumerate(dims, start=1)]
     # dim(U ∩ W) = dim U - dim(image of U in the coordinates above the window)
-    span_dim = linalg.row_rank(union, ctx)
-    above = linalg.row_rank(
-        ({i: v for i, v in vec.items() if i > window} for vec in union), ctx)
+    span_dim = linalg.row_rank(union)
+    above = linalg.row_rank({i: v for i, v in vec.items() if i > window} for vec in union)
     return PremiseReport(rows=rows, span_dim=span_dim, window_dim=window,
                          window_meet_dim=span_dim - above)
 
 
 def _meets(advance: Callable[[Column], Column], identity: List[Column], depth: int,
-           shift: int, ctx: ScalarContext) -> Tuple[List[Tuple[int, int]], List[Column]]:
+           shift: int) -> Tuple[List[Tuple[int, int]], List[Column]]:
     """Per n <= depth, (rank A^{n-s}, rank A^{n-s} - rank A^{2n-s}) for the map
     A on coordinates 1..size and s = `shift`, with a basis of the sum of the
     A^{n-s} null(A^{2n-s}).
@@ -155,7 +153,7 @@ def _meets(advance: Callable[[Column], Column], identity: List[Column], depth: i
     the size columns of `identity`; `advance` maps a non-zero column of A^m
     to that of A^{m+1}, and a zero column stays zero.  Each nullspace is one
     `linalg.RowReducer.of` of the size sparse rows of A^{2n-s}; each of its
-    vectors, scaled to integers by `ctx.integer_row`, mixes the columns of
+    vectors, scaled to integers by `integer_row`, mixes the columns of
     A^{n-s} by `_fold`.  On an integer A every power and basis
     vector holds ints.
     """
@@ -165,47 +163,47 @@ def _meets(advance: Callable[[Column], Column], identity: List[Column], depth: i
     for _ in range(2 * depth - shift):
         powers.append([advance(col) if col else col for col in powers[-1]])
     ranks = {0: size}
-    dims, basis, echelon = [], [], linalg.Echelon(ctx)
+    dims, basis, echelon = [], [], linalg.Echelon()
     for n in range(1, depth + 1):
         single = n - shift
         rows: List[Dict[int, Scalar]] = [{} for _ in range(size)]
         for j, col in enumerate(powers[2 * n - shift]):
             for i, x in col.items():
                 rows[i - 1][j] = x
-        red = linalg.RowReducer.of(rows, ctx)
+        red = linalg.RowReducer.of(rows)
         ranks[2 * n - shift] = red.rank
         if single not in ranks:
-            ranks[single] = linalg.row_rank(powers[single], ctx)
+            ranks[single] = linalg.row_rank(powers[single])
         dims.append((ranks[single], ranks[single] - red.rank))
         for fc in range(size):
             if fc not in red.rows:
-                y = ctx.integer_row(red.null_vector(fc))[0]
+                y = integer_row(red.null_vector(fc))[0]
                 z = _fold((c, powers[single][j]) for j, c in y.items())
                 if z and echelon.try_add(z):
                     basis.append(z)
     return dims, basis
 
 
-def _integer_core(s: FiniteRankOperator, vs: Sequence[SparseVector],
-                  ctx: ScalarContext) -> Callable[[Column], Column]:
+def _integer_core(s: FiniteRankOperator,
+                  vs: Sequence[SparseVector]) -> Callable[[Column], Column]:
     """The k x k core G_ij = f_i(v_j) of the terms f_i of s and the given v_j,
     scaled to an integer matrix d·G, as the map of a sparse
     column on coordinates 1..k to its image under d·G.
 
-    Each f_i and v_j gives its integer form kept by `ctx.integer_of`, each
-    pairing is an integer dot product, and one `ctx.integer_row` scales G."""
+    Each f_i and v_j gives its integer form kept by `integer_of`, each
+    pairing is an integer dot product, and one `integer_row` scales G."""
     k = len(vs)
-    frows = [ctx.integer_of(f) for f, _ in s.terms]
+    frows = [integer_of(f) for f, _ in s.terms]
     # G_ij flattened at (j - 1)·k + i - 1, column by column
     flat = {}
     for j, v in enumerate(vs):
-        vrow, vden = ctx.integer_of(v)
+        vrow, vden = integer_of(v)
         for i in s.coord_index.hits(v):
             frow, fden = frows[i]
             if dot := _dot(frow, vrow):
                 flat[j * k + i] = Fraction(dot, fden * vden)
     cols: List[Column] = [{} for _ in vs]
-    for ji, x in ctx.integer_row(flat)[0].items():
+    for ji, x in integer_row(flat)[0].items():
         cols[ji // k][ji % k + 1] = x
     return lambda col: _fold((x, cols[l - 1]) for l, x in col.items())
 
@@ -225,8 +223,8 @@ def _fold(pairs: Iterable[Tuple[Union[int, Scalar], Column]]) -> Column:
 
 
 def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector,
-                         eps: Scalar, max_n: int, p: SeminormSpec, window: int,
-                         ctx: ScalarContext = EXACT) -> Tuple[int, SparseVector]:
+                         eps: Scalar, max_n: int, p: SeminormSpec,
+                         window: int) -> Tuple[int, SparseVector]:
     """Search for (n, z) with p(z - x) < eps and p(T^n z - y) < eps.
 
     The correction z - x lives in the window coordinates outside the active
@@ -245,11 +243,11 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
     indices = range(1, window + 1)
 
     def step(op: FiniteRankOperator, v: SparseVector) -> SparseVector:
-        return op.apply(v, ctx).restrict(indices)
+        return op.apply(v).restrict(indices)
 
     s = t.linear_part()
     k = len(s.terms)
-    core = _integer_core(s, [v.restrict(indices) for _, v in s.terms], ctx)
+    core = _integer_core(s, [v.restrict(indices) for _, v in s.terms])
     columns = [{j: 1} for j in range(1, k + 1)]
     for _ in range(k):
         columns = [w for w in map(core, columns) if w]
@@ -266,7 +264,7 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
 
     # T^n x and T^n e_j for the free columns j, all cut to the window
     tnx = x.restrict(indices)
-    tne = [SparseVector.basis(j, ctx) for j in free_cols]
+    tne = [SparseVector.basis(j) for j in free_cols]
     for n in range(1, max_n + 1):
         tnx = step(t, tnx)
         tne = [step(t, v) for v in tne]
@@ -277,7 +275,7 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
         if k:
             red = linalg.RowReducer.of(
                 [{c: v.entries[i] for c, v in enumerate(tne) if i in v.entries} | {k: g}
-                 for i, g in zip(active_rows, gap)], ctx)
+                 for i, g in zip(active_rows, gap)])
             if k not in red.rows:
                 sol = {pc: row[k] for pc, row in red.rows.items() if row.get(k, 0)}
         if sol is None:
@@ -298,13 +296,12 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
     raise WitnessNotFound(best_n, best_res)
 
 
-def omega_shift_demo(window: int, x0: SparseVector, horizon: int,
-                     ctx: ScalarContext = EXACT) -> List[SparseVector]:
+def omega_shift_demo(window: int, x0: SparseVector, horizon: int) -> List[SparseVector]:
     """First `horizon` elements of the `orbit` of x0 cut to the window under
     the backward shift B = sum_{i<window} δ_{i+1} ⊗ e_i, so (B x)_i = 1·x_{i+1}."""
     shift = FiniteRankOperator(ZERO, tuple(
-        (CoordFunctional.delta(i + 1, ctx), SparseVector.basis(i, ctx)) for i in range(1, window)))
-    return orbit(shift, x0.restrict(range(1, window + 1)), horizon, ctx)
+        (CoordFunctional.delta(i + 1), SparseVector.basis(i)) for i in range(1, window)))
+    return orbit(shift, x0.restrict(range(1, window + 1)), horizon)
 
 
 class NonOrbitSet(NamedTuple):
@@ -323,21 +320,20 @@ class NonOrbitSet(NamedTuple):
         return x in self.b.items or x in self.c
 
 
-def build_nonorbit_set(family: Sequence[SeminormSpec], b: Enumeration,
-                       ctx: ScalarContext = EXACT) -> NonOrbitSet:
+def build_nonorbit_set(family: Sequence[SeminormSpec], b: Enumeration) -> NonOrbitSet:
     """Kernel-ladder construction: x_n = first basis vector active for
     p_{n+1} but not p_n; A = B plus the ladder, exactly independent."""
     family = tuple(family)
-    if not p_independent(family[0], b.items, ctx):
+    if not p_independent(family[0], b.items):
         raise NotPIndependent("net part is not independent for the first seminorm")
     picks: List[SparseVector] = []
     for n in range(len(family) - 1):
         gap = sorted(family[n + 1].active - family[n].active)
         if not gap:
             raise NotNested(f"no new active coordinate between levels {n + 1} and {n + 2}")
-        picks.append(SparseVector.basis(gap[0], ctx))
+        picks.append(SparseVector.basis(gap[0]))
     combined = list(b.items) + picks
-    if not linalg.independent((x.entries for x in combined), ctx):
+    if not linalg.independent(x.entries for x in combined):
         raise NotPIndependent("combined set is linearly dependent")
     return NonOrbitSet(b=b, c=tuple(picks), family=family)
 
@@ -366,7 +362,7 @@ class RefuteReport(NamedTuple):
 
 
 def refute_orbit(t: FiniteRankOperator, x: SparseVector, a_set: NonOrbitSet,
-                 horizon: int, ctx: ScalarContext = EXACT) -> RefuteReport:
+                 horizon: int) -> RefuteReport:
     """Compute the orbit prefix and the refutation quantities.
 
     M collects the steps leaving the kernel ladder for the net part; the
@@ -374,7 +370,7 @@ def refute_orbit(t: FiniteRankOperator, x: SparseVector, a_set: NonOrbitSet,
     per member of M, the divergence mechanism of the refutation.  Higher
     seminorms give the absolute-sum certificates of the auxiliary series.
     """
-    prefix = orbit(t, x, horizon, ctx)
+    prefix = orbit(t, x, horizon)
     p1 = a_set.family[0]
     in_a = [p in a_set for p in prefix]
     first_exit = next((i for i, ok in enumerate(in_a) if not ok), None)
@@ -387,8 +383,8 @@ def refute_orbit(t: FiniteRankOperator, x: SparseVector, a_set: NonOrbitSet,
         if prefix[n] in a_set.c and prefix[n + 1] in a_set.b.items
     ]
 
-    p1_sum = ctx.zero
-    series: Dict[int, Scalar] = {k: ctx.zero for k in range(1, len(a_set.family) + 1)}
+    p1_sum = Fraction(0)
+    series: Dict[int, Scalar] = {k: Fraction(0) for k in range(1, len(a_set.family) + 1)}
     for n in m_set:
         # p1 of the continuation over its own gauge: one per member of M
         denom = eval_seminorm(p1, prefix[n + 1])
@@ -396,7 +392,7 @@ def refute_orbit(t: FiniteRankOperator, x: SparseVector, a_set: NonOrbitSet,
         for k, p_k in enumerate(a_set.family, start=1):
             series[k] += eval_seminorm(p_k, prefix[n]) / denom
 
-    rank = linalg.row_rank((project_active(p1, el) for el in distinct), ctx)
+    rank = linalg.row_rank(project_active(p1, el) for el in distinct)
 
     return RefuteReport(
         horizon=horizon,

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .scalars import EXACT, Scalar, ScalarContext
+from .scalars import ONE, Scalar, integer_row
 
 
 class RowReducer:
@@ -36,27 +36,26 @@ class RowReducer:
     so `of` and `try_add` give the same rows, whatever the order of the input.
 
     The rows are reduced fraction-free: the reducer keeps each row as coprime
-    integers (as `ctx.integer_row` scales it), a multiple of its reduced row,
+    integers (as `integer_row` scales it), a multiple of its reduced row,
     and eliminates with `Echelon`'s integer row step.  The Fraction rows of
     `rows` are built from them once `of` or `try_add` is done, and only for
     the rows it changed.
     """
 
-    def __init__(self, ctx: ScalarContext = EXACT):
-        self.ctx = ctx
+    def __init__(self):
         self.rows: Dict[int, Dict[int, Scalar]] = {}
         # each row as coprime integers, and the pivots whose row has changed
         self._ints: Dict[int, Dict[int, int]] = {}
         self._changed: set = set()
 
     @classmethod
-    def of(cls, rows: Sequence[Dict[int, Scalar]], ctx: ScalarContext = EXACT) -> "RowReducer":
+    def of(cls, rows: Sequence[Dict[int, Scalar]]) -> "RowReducer":
         """Gauss-Jordan elimination of rows given all at once; they join one
         at a time, as in `try_add`."""
-        reducer = cls(ctx)
+        reducer = cls()
         for row in rows:
             if row:
-                reducer._keep(reducer._reduce(ctx.integer_row(row)[0]))
+                reducer._keep(reducer._reduce(integer_row(row)[0]))
         reducer._build()
         return reducer
 
@@ -68,7 +67,7 @@ class RowReducer:
         """The nullspace vector of the free coordinate fc: 1 at fc and minus
         the entry at fc of each row at its pivot, in ascending coordinate order."""
         return dict(sorted([(pc, -row[fc]) for pc, row in self.rows.items() if fc in row]
-                           + [(fc, self.ctx.one)]))
+                           + [(fc, ONE)]))
 
     def residual(self, vec: Dict[int, Scalar]) -> Dict[int, Scalar]:
         """vec minus its component in the span of the rows, zero at every pivot:
@@ -76,7 +75,7 @@ class RowReducer:
 
         The reduced integer row is a multiple of the residual, and the
         residual's entry at one coordinate fixes the factor."""
-        res = self._reduce(self.ctx.integer_row(vec)[0])
+        res = self._reduce(integer_row(vec)[0])
         if not res:
             return {}
         j = min(res)
@@ -89,7 +88,7 @@ class RowReducer:
         """Reduce vec against the rows; if it is independent, keep it normalised
         at its lowest coordinate, clear that coordinate from the older rows and
         return True."""
-        added = self._keep(self._reduce(self.ctx.integer_row(vec)[0]))
+        added = self._keep(self._reduce(integer_row(vec)[0]))
         self._build()
         return added
 
@@ -138,8 +137,7 @@ class Echelon:
     the rows arrive one at a time.
     """
 
-    def __init__(self, ctx: ScalarContext = EXACT):
-        self.ctx = ctx
+    def __init__(self):
         self.rows: Dict[int, Dict[int, int]] = {}
 
     @property
@@ -148,7 +146,7 @@ class Echelon:
 
     def try_add(self, vec: Mapping[int, Scalar]) -> bool:
         """Keep vec and return True if it is independent of the kept rows."""
-        row = _primitive(self.ctx.integer_row(vec)[0])
+        row = _primitive(integer_row(vec)[0])
         while row:
             lead = min(row)
             pivot = self.rows.get(lead)
@@ -159,18 +157,18 @@ class Echelon:
         return False
 
 
-def row_rank(rows: Iterable[Mapping[int, Scalar]], ctx: ScalarContext = EXACT) -> int:
+def row_rank(rows: Iterable[Mapping[int, Scalar]]) -> int:
     """Rank of a family of sparse rows."""
-    echelon = Echelon(ctx)
+    echelon = Echelon()
     for row in rows:
         echelon.try_add(row)
     return echelon.rank
 
 
-def independent(rows: Iterable[Mapping[int, Scalar]], ctx: ScalarContext = EXACT) -> bool:
+def independent(rows: Iterable[Mapping[int, Scalar]]) -> bool:
     """Whether the sparse rows are linearly independent; stops at the first
     row that depends on the ones before it."""
-    echelon = Echelon(ctx)
+    echelon = Echelon()
     return all(echelon.try_add(row) for row in rows)
 
 

@@ -18,7 +18,7 @@ pairs, in term order, so each sum is that of the plain term loop.
 `apply` runs on integers (fraction-free arithmetic; Geddes,
 Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 9): x and
 each term's f and v are integer rows over their denominators, the forms
-`ScalarContext.integer_of` keeps on each vector, and the term rows stay on
+`scalars.integer_of` keeps on each vector, and the term rows stay on
 the operator like its index.  Pairings are integer dot products, and start
 + sum_j f_j(x) v_j is one integer sum per coordinate over a common
 denominator, so one Fraction is built per coordinate the terms touch.
@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import BudgetExceeded, NotInSpan, NotPBounded, SingularOperator
-from .scalars import EXACT, Scalar, ScalarContext, _immutable
+from .scalars import ONE, Scalar, _immutable, integer_of
 from .seminorms import DiskSpec, SeminormSpec, dual_norm, minkowski
 from .vectors import CoordFunctional, SparseVector, _built, _dot, combine
 
@@ -131,7 +131,7 @@ class FiniteRankOperator:
 
     @cached_property
     def _term_rows(self) -> List[Optional[TermRows]]:
-        """Per term, its f and v as `ScalarContext.integer_row` scales them,
+        """Per term, its f and v as `scalars.integer_row` scales them,
         (f row, f den, v row, v den); `apply` fills a term's slot when it
         first pairs the term."""
         return [None] * len(self.terms)
@@ -160,11 +160,11 @@ class FiniteRankOperator:
     def plus_identity(self) -> "FiniteRankOperator":
         return self._rebased(IDENTITY)
 
-    def apply(self, x: SparseVector, ctx: ScalarContext = EXACT) -> SparseVector:
+    def apply(self, x: SparseVector) -> SparseVector:
         """base(x) + sum_j f_j(x) v_j over the terms that meet x, in term order.
 
         The terms' integer rows are paired with x's integer form
-        (`ctx.integer_of`), and start + sum_j f_j(x) v_j is summed on integers
+        (`integer_of`), and start + sum_j f_j(x) v_j is summed on integers
         over one common denominator, building one Fraction per coordinate the
         terms touch; the other coordinates of x keep their Fractions, and the
         entries come in the order `vectors.combine` would give them.
@@ -174,7 +174,7 @@ class FiniteRankOperator:
         hits = self.coord_index.hits(x)
         if not hits:
             return start
-        xrow, xden = ctx.integer_of(x)
+        xrow, xden = integer_of(x)
         rows, terms = self._term_rows, self.terms
         # f_j(x) v_j as (numerator, denominator, v_j row) for f_j(x) != 0
         picked = []
@@ -182,7 +182,7 @@ class FiniteRankOperator:
             r = rows[j]
             if r is None:
                 f, v = terms[j]
-                r = rows[j] = ctx.integer_of(f) + ctx.integer_of(v)
+                r = rows[j] = integer_of(f) + integer_of(v)
             frow, fden, vrow, vden = r
             dot = _dot(frow, xrow)
             if dot:
@@ -207,12 +207,11 @@ class FiniteRankOperator:
         return _built(SparseVector, {i: Fraction(acc[i], den) if i in acc else v
                                      for i, v in out.items()})
 
-    def compose(self, other: "FiniteRankOperator",
-                ctx: ScalarContext = EXACT) -> "FiniteRankOperator":
+    def compose(self, other: "FiniteRankOperator") -> "FiniteRankOperator":
         """self after other, expanded back into base-plus-terms form."""
         terms: List[Term] = []
         for g, w in other.terms:
-            image = self.apply(w, ctx)
+            image = self.apply(w)
             if not image.is_zero():
                 terms.append((g, image))
         if other.base == IDENTITY:
@@ -221,10 +220,9 @@ class FiniteRankOperator:
         base = IDENTITY if self.base == IDENTITY and other.base == IDENTITY else ZERO
         return FiniteRankOperator(base, tuple(terms))
 
-    def matrix_on(self, indices: Sequence[int],
-                  ctx: ScalarContext = EXACT) -> List[List[Scalar]]:
+    def matrix_on(self, indices: Sequence[int]) -> List[List[Scalar]]:
         """Matrix of the operator restricted to the given window coordinates."""
-        cols = [self.apply(SparseVector.basis(j, ctx), ctx) for j in indices]
+        cols = [self.apply(SparseVector.basis(j)) for j in indices]
         return [[col.get(i) for col in cols] for i in indices]
 
 
@@ -245,23 +243,21 @@ class NeumannBudget(NamedTuple):
     per_term: Tuple[Tuple[Scalar, Scalar], ...]
 
     @classmethod
-    def of(cls, terms: Sequence[Term], p: SeminormSpec, disk: DiskSpec,
-           ctx: ScalarContext = EXACT) -> "NeumannBudget":
+    def of(cls, terms: Sequence[Term], p: SeminormSpec, disk: DiskSpec) -> "NeumannBudget":
         """Each term gauged once, an unbounded gauge counted as infinity; c
-        summed in term order from `ctx.zero`.  A term with a zero factor adds
+        summed in term order from a Fraction 0.  A term with a zero factor adds
         nothing, also when the other is infinite (its f (.) v is zero)."""
-        per_term = tuple((_gauge(dual_norm, p, f, ctx), _gauge(minkowski, disk, v, ctx))
+        per_term = tuple((_gauge(dual_norm, p, f), _gauge(minkowski, disk, v))
                          for f, v in terms)
-        return cls(sum((df * pv for df, pv in per_term if df and pv), ctx.zero), per_term)
+        return cls(sum((df * pv for df, pv in per_term if df and pv), Fraction(0)), per_term)
 
 
-def neumann_certificate(t: FiniteRankOperator, p: SeminormSpec, disk: DiskSpec,
-                        ctx: ScalarContext = EXACT) -> NeumannBudget:
+def neumann_certificate(t: FiniteRankOperator, p: SeminormSpec, disk: DiskSpec) -> NeumannBudget:
     """The budget of a base-zero operator; BudgetExceeded if c >= 1 or a
     non-zero term is unbounded (c = inf)."""
     if t.base != ZERO:
         raise ValueError("certificate applies to the finite-rank part only")
-    budget = NeumannBudget.of(t.terms, p, disk, ctx)
+    budget = NeumannBudget.of(t.terms, p, disk)
     if not budget.c < 1:
         raise BudgetExceeded(budget.c)
     return budget
@@ -272,7 +268,7 @@ class GramFactor:
 
     A `linalg.Bordered` factor grows by one row and one column per term: the
     integer factor of D_f·(I_k + G)·D_v, for D_f and D_v the denominators of
-    the integer forms `ScalarContext.integer_of` keeps on the f_r and v_c:
+    the integer forms `scalars.integer_of` keeps on the f_r and v_c:
     entry (r, c) is fden_r·vden_c·δ_rc + f_r·v_c on the integer rows.  Two
     coordinate indices, one of the f_r and one of the v_c, grow with it, so
     term m + 1 costs one pairing per overlapping pair: one per term r <= m whose v_r meets the
@@ -284,8 +280,7 @@ class GramFactor:
     makes `solve`, and any further `extend`, raise SingularOperator.
     """
 
-    def __init__(self, ctx: ScalarContext = EXACT):
-        self.ctx = ctx
+    def __init__(self):
         self._vs: List[SparseVector] = []
         # per term: f's and v's integer rows, its diagonal unit fden·vden and
         # v's denominator
@@ -307,7 +302,7 @@ class GramFactor:
         self._vs.append(v)
         self._f_index.add(f)
         self._v_index.add(v)
-        (frow, fden), (vrow, vden) = self.ctx.integer_of(f), self.ctx.integer_of(v)
+        (frow, fden), (vrow, vden) = integer_of(f), integer_of(v)
         rows.append((frow, vrow, fden * vden, vden))
         # new column of G down to the diagonal, new row left of it
         col = [0] * (m + 1)
@@ -331,7 +326,7 @@ class GramFactor:
         hits = self._f_index.hits(u)
         if not hits:
             return u
-        urow, uden = self.ctx.integer_of(u)
+        urow, uden = integer_of(u)
         rhs = [0] * len(rows)
         for r in hits:
             rhs[r] = _dot(rows[r][0], urow)
@@ -340,7 +335,7 @@ class GramFactor:
                         for v, r, x in zip(self._vs, rows, lu.solve(rhs)) if x), u)
 
 
-def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOperator:
+def invert(j: FiniteRankOperator) -> FiniteRankOperator:
     """Exact inverse of I + sum f_j (.) v_j via the Gram system.
 
     The inverse is I - sum_j f_j (.) u_j with u_j = sum_i M_ij v_i and
@@ -360,9 +355,9 @@ def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOpera
     for c, (_, v) in enumerate(terms):
         for r in coords.hits(v):
             gram[r][c] = terms[r][0].pair(v)
-        gram[c][c] = gram[c].get(c, 0) + ctx.one
+        gram[c][c] = gram[c].get(c, 0) + ONE
     red = linalg.RowReducer.of(
-        [{c: g for c, g in row.items() if g} | {k + r: ctx.one} for r, row in enumerate(gram)], ctx)
+        [{c: g for c, g in row.items() if g} | {k + r: ONE} for r, row in enumerate(gram)])
     if any(pc >= k for pc in red.rows):
         raise SingularOperator(f"{k}x{k} matrix is not invertible")
     cols: List[List[Tuple[Scalar, SparseVector]]] = [[] for _ in terms]
@@ -373,18 +368,17 @@ def invert(j: FiniteRankOperator, ctx: ScalarContext = EXACT) -> FiniteRankOpera
     return FiniteRankOperator(IDENTITY, tuple((f, combine(u)) for (f, _), u in zip(terms, cols)))
 
 
-def orbit(t: FiniteRankOperator, x0: SparseVector, horizon: int,
-          ctx: ScalarContext = EXACT) -> List[SparseVector]:
+def orbit(t: FiniteRankOperator, x0: SparseVector, horizon: int) -> List[SparseVector]:
     """First `horizon` elements x0, T x0, T^2 x0, ..., applying T horizon - 1 times."""
     out = [x0]
     for _ in range(horizon - 1):
-        out.append(t.apply(out[-1], ctx))
+        out.append(t.apply(out[-1]))
     return out[:horizon]
 
 
 def conjugate_orbit(t0: FiniteRankOperator, x0: SparseVector, j: FiniteRankOperator,
-                    horizon: int, ctx: ScalarContext = EXACT) -> List[SparseVector]:
+                    horizon: int) -> List[SparseVector]:
     """Orbit of J T0 J^{-1} started at J x0, computed through the conjugate."""
-    j_inv = invert(j, ctx)
-    conjugated = j.compose(t0, ctx).compose(j_inv, ctx)
-    return orbit(conjugated, j.apply(x0, ctx), horizon, ctx)
+    j_inv = invert(j)
+    conjugated = j.compose(t0).compose(j_inv)
+    return orbit(conjugated, j.apply(x0), horizon)

@@ -26,7 +26,7 @@ from .hypercyclic import (
 )
 from .operators import neumann_certificate, orbit
 from .reports import CheckResult, Report, Table, scenario_hash
-from .scalars import EXACT, ScalarContext, Scalar
+from .scalars import ONE, Scalar, check_mode, format_scalar, parse
 from .seminorms import DiskSpec, SeminormSpec, eval_seminorm, minkowski
 from .transport import run_transport, verify_transport
 from .triangular import (
@@ -34,7 +34,7 @@ from .triangular import (
     interleave_triangularize,
     shuffled_matrix,
 )
-from .vectors import CoordFunctional, SparseVector, close
+from .vectors import CoordFunctional, SparseVector
 
 TASKS = ("transport", "triangularize", "disk", "hypercyclic", "refute")
 
@@ -130,52 +130,52 @@ def _count(payload: Dict[str, Any], key: str) -> int:
     return n
 
 
-def _vectors(data, ctx: ScalarContext, where: str) -> List[SparseVector]:
+def _vectors(data, where: str) -> List[SparseVector]:
     if not isinstance(data, list):
         raise ScenarioError(f"{where}: must be a list of vectors")
-    return [_field(f"{where}[{k}]", serialize.decode_vector, v, ctx)
+    return [_field(f"{where}[{k}]", serialize.decode_vector, v)
             for k, v in enumerate(data)]
 
 
-def _enumeration(data, ctx: ScalarContext, where: str) -> Enumeration:
-    return _field(where, Enumeration, tuple(_vectors(data, ctx, where)))
+def _enumeration(data, where: str) -> Enumeration:
+    return _field(where, Enumeration, tuple(_vectors(data, where)))
 
 
-def _seminorm(payload: Dict[str, Any], ctx: ScalarContext) -> SeminormSpec:
+def _seminorm(payload: Dict[str, Any]) -> SeminormSpec:
     """payload.p, refused without weights: that seminorm is zero, so it
     bounds nothing and every vector lies in its kernel."""
-    p = _field("payload.p", serialize.decode_seminorm, _need(payload, "p"), ctx)
+    p = _field("payload.p", serialize.decode_seminorm, _need(payload, "p"))
     if not p.weights:
         raise ScenarioError("payload.p: a seminorm needs at least one weight")
     return p
 
 
-def _positive(where: str, text, ctx: ScalarContext) -> Scalar:
+def _positive(where: str, text) -> Scalar:
     """The scalar of `text`, refused unless positive: an eps bounds a strict
     inequality, so with eps <= 0 a run could never pass."""
-    value = _field(where, ctx.parse, text)
+    value = _field(where, parse, text)
     if not value > 0:
-        raise ScenarioError(f"{where}: must be positive, got {ctx.format(value)}")
+        raise ScenarioError(f"{where}: must be positive, got {format_scalar(value)}")
     return value
 
 
-def parse_eps_schedule(spec, count: int, ctx: ScalarContext = EXACT) -> List[Scalar]:
+def parse_eps_schedule(spec, count: int) -> List[Scalar]:
     """An explicit list of positive scalars or "geometric:r" with slots r^(j+1)."""
     if isinstance(spec, str):
         kind, _, arg = spec.partition(":")
         if kind != "geometric" or not arg:
             raise ScenarioError(f"eps_schedule: unknown form {spec!r}")
-        r = _field("eps_schedule", ctx.parse, arg)
+        r = _field("eps_schedule", parse, arg)
         if not 0 < r < 1:
             raise ScenarioError("eps_schedule: ratio must lie in (0, 1)")
         return [r ** (j + 1) for j in range(1, count + 1)]
     if not isinstance(spec, list):
         raise ScenarioError("eps_schedule: must be a list of scalars or 'geometric:r'")
-    return [_positive(f"eps_schedule[{k}]", v, ctx) for k, v in enumerate(spec)]
+    return [_positive(f"eps_schedule[{k}]", v) for k, v in enumerate(spec)]
 
 
 def run_scenario(scenario: Scenario) -> Report:
-    ctx = ScalarContext(mode=scenario.scalar_mode)
+    check_mode(scenario.scalar_mode)
     rng = random.Random(scenario.seed)
     report = Report(
         scenario=scenario.name,
@@ -186,7 +186,7 @@ def run_scenario(scenario: Scenario) -> Report:
         version=__version__,
     )
     runner = _RUNNERS[scenario.task]
-    runner(scenario, ctx, rng, report)
+    runner(scenario, rng, report)
     if scenario.expected is not None:
         match = scenario.expected == report.to_dict()
         report.checks.append(CheckResult(
@@ -196,7 +196,7 @@ def run_scenario(scenario: Scenario) -> Report:
     return report
 
 
-def _random_window_vector(rng, window: int, ctx: ScalarContext) -> SparseVector:
+def _random_window_vector(rng, window: int) -> SparseVector:
     entries = {}
     for i in rng.sample(range(1, window + 1), rng.randint(0, min(window, 5))):
         num = rng.randint(-8, 8)
@@ -205,27 +205,25 @@ def _random_window_vector(rng, window: int, ctx: ScalarContext) -> SparseVector:
     return SparseVector(entries)
 
 
-def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
+def _run_transport_task(scenario: Scenario, rng, report: Report):
     payload = scenario.payload
     _known(payload, ("a", "b", "p", "disk", "stages", "eps_schedule"), "payload", "transport")
-    a = _enumeration(_need(payload, "a"), ctx, "payload.a")
-    b = _enumeration(_need(payload, "b"), ctx, "payload.b")
-    p = _seminorm(payload, ctx)
-    disk = _field("payload.disk", serialize.decode_disk, _need(payload, "disk"), ctx)
+    a = _enumeration(_need(payload, "a"), "payload.a")
+    b = _enumeration(_need(payload, "b"), "payload.b")
+    p = _seminorm(payload)
+    disk = _field("payload.disk", serialize.decode_disk, _need(payload, "disk"))
     stages = _count(payload, "stages")
-    schedule = parse_eps_schedule(
-        payload.get("eps_schedule", "geometric:1/2"), 2 * stages, ctx
-    )
+    schedule = parse_eps_schedule(payload.get("eps_schedule", "geometric:1/2"), 2 * stages)
 
     try:
-        state = run_transport(a, b, p, disk, schedule, stages, ctx)
+        state = run_transport(a, b, p, disk, schedule, stages)
     except StageFailure as exc:
         report.checks.append(CheckResult("transport-run", False,
                                          f"aborted at stage {exc.stage}: {exc.__cause__}"))
         report.data["aborted_stage"] = exc.stage
         return
     report.checks.append(CheckResult("transport-run", True, f"{stages} stages"))
-    verification = verify_transport(state, ctx)
+    verification = verify_transport(state)
     j = state.operator
     report.checks.extend(verification.checks)
 
@@ -233,13 +231,13 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
             for jj, (n, m, residual) in enumerate(
                 zip(state.n_idx, state.m_idx, verification.residuals), start=1)]
     report.tables.append(Table("matched-pairs", ["j", "n_j", "m_j", "residual"], rows))
-    report.data["budget"] = ctx.format(verification.budget)
+    report.data["budget"] = format_scalar(verification.budget)
     report.data["operator"] = serialize.encode_operator(j)
     report.data["state"] = {
         "stage": state.stage,
         "n_idx": list(state.n_idx),
         "m_idx": list(state.m_idx),
-        "epsilons": [ctx.format(e) for e in state.epsilons],
+        "epsilons": [format_scalar(e) for e in state.epsilons],
     }
 
     # seeded spot-check: J fixes random vectors supported outside active(p)
@@ -251,7 +249,7 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
                 {i: Fraction(rng.randint(-9, 9))
                  for i in rng.sample(kernel_coords, min(3, len(kernel_coords)))}
             )
-            if not close(j.apply(x, ctx), x, ctx):
+            if j.apply(x) != x:
                 fixed = False
     report.checks.append(CheckResult(
         "kernel-fixing-spot-check", fixed,
@@ -259,13 +257,13 @@ def _run_transport_task(scenario: Scenario, ctx, rng, report: Report):
         else "no window coordinate lies outside active(p)"))
 
 
-def _run_triangularize_task(scenario: Scenario, ctx, rng, report: Report):
+def _run_triangularize_task(scenario: Scenario, rng, report: Report):
     payload = scenario.payload
     _known(payload, ("basis", "stages"), "payload", "triangularize")
-    basis = _vectors(_need(payload, "basis"), ctx, "payload.basis")
+    basis = _vectors(_need(payload, "basis"), "payload.basis")
     stages = _count(payload, "stages")
-    funcs = [CoordFunctional.delta(i, ctx) for i in range(1, scenario.window + 1)]
-    state = interleave_triangularize(basis, funcs, stages, ctx)
+    funcs = [CoordFunctional.delta(i) for i in range(1, scenario.window + 1)]
+    state = interleave_triangularize(basis, funcs, stages)
 
     built = state.built
     report.checks.append(CheckResult("minors-invertible",
@@ -287,7 +285,7 @@ def _run_triangularize_task(scenario: Scenario, ctx, rng, report: Report):
 
     report.tables.append(Table(
         "prefixes", ["m", "alpha_m", "beta_m", "minor_det"],
-        [[str(m + 1), str(a), str(bb), ctx.format(d)]
+        [[str(m + 1), str(a), str(bb), format_scalar(d)]
          for m, (a, bb, d) in enumerate(zip(state.alpha, state.beta, state.minors))],
     ))
     report.tables.append(Table(
@@ -295,31 +293,31 @@ def _run_triangularize_task(scenario: Scenario, ctx, rng, report: Report):
         [[str(m + 1), serialize.format_vector(v)] for m, v in enumerate(state.v)],
     ))
     report.data["operator"] = serialize.encode_operator(op)
-    report.data["coeffs"] = [[ctx.format(c) for c in row] for row in state.coeffs]
+    report.data["coeffs"] = [[format_scalar(c) for c in row] for row in state.coeffs]
 
 
-def _run_disk_task(scenario: Scenario, ctx, rng, report: Report):
+def _run_disk_task(scenario: Scenario, rng, report: Report):
     payload = scenario.payload
     if "generators" in payload:
         _known(payload, ("generators", "probes"), "payload", "a generator disk")
-        gens = _vectors(payload["generators"], ctx, "payload.generators")
+        gens = _vectors(payload["generators"], "payload.generators")
         if not gens:
             raise ScenarioError("payload.generators: a disk needs at least one generator")
         disk = DiskSpec.from_generators(gens)
         inside = True
         rows = []
         for i, g in enumerate(gens, start=1):
-            gauge = minkowski(disk, g, ctx)
-            rows.append([str(i), serialize.format_vector(g), ctx.format(gauge)])
+            gauge = minkowski(disk, g)
+            rows.append([str(i), serialize.format_vector(g), format_scalar(gauge)])
             if not gauge <= 1:
                 inside = False
         report.checks.append(CheckResult("generators-inside-disk", inside,
                                          "p_K(x_j) <= 1 for every generator"))
         report.tables.append(Table("generator-gauges", ["j", "generator", "p_K"], rows))
         probe_rows = []
-        for v in _vectors(payload.get("probes", []), ctx, "payload.probes"):
+        for v in _vectors(payload.get("probes", []), "payload.probes"):
             try:
-                value = ctx.format(minkowski(disk, v, ctx))
+                value = format_scalar(minkowski(disk, v))
             except NotInSpan:
                 value = "NOT_IN_SPAN"
             probe_rows.append([serialize.format_vector(v), value])
@@ -329,34 +327,35 @@ def _run_disk_task(scenario: Scenario, ctx, rng, report: Report):
         _known(payload, ("common",), "payload", "a common disk")
         spec = payload["common"]
         _known(spec, ("a", "b", "targets", "eps"), "payload.common", "a common disk")
-        a = _enumeration(_need(spec, "a", "payload.common"), ctx, "payload.common.a")
-        b = _enumeration(_need(spec, "b", "payload.common"), ctx, "payload.common.b")
-        targets = tuple(_vectors(_need(spec, "targets", "payload.common"), ctx,
+        a = _enumeration(_need(spec, "a", "payload.common"), "payload.common.a")
+        b = _enumeration(_need(spec, "b", "payload.common"), "payload.common.b")
+        targets = tuple(_vectors(_need(spec, "targets", "payload.common"),
                                  "payload.common.targets"))
         if not targets:
             raise ScenarioError("payload.common.targets: a net needs at least one target")
-        eps = _field("payload.common.eps", ctx.parse, _need(spec, "eps", "payload.common"))
+        eps = _field("payload.common.eps", parse, _need(spec, "eps", "payload.common"))
         if eps < 0:
             # 0 stays valid: the net test is dist <= eps
-            raise ScenarioError(f"payload.common.eps: must be at least 0, got {ctx.format(eps)}")
+            raise ScenarioError(
+                f"payload.common.eps: must be at least 0, got {format_scalar(eps)}")
         net = EpsilonNet(window=scenario.window, targets=targets, eps=eps)
-        result = common_disk(a, b, net, ctx=ctx)
+        result = common_disk(a, b, net)
         report.checks.append(CheckResult("combined-elements-inside-disk",
-                                         all(minkowski(result.disk, z, ctx) <= 1
+                                         all(minkowski(result.disk, z) <= 1
                                              for z in result.combined),
                                          f"{len(result.combined)} elements"))
-        report.data["eps_a"] = ctx.format(result.eps_a)
-        report.data["eps_b"] = ctx.format(result.eps_b)
-        report.data["domination"] = ctx.format(result.domination)
+        report.data["eps_a"] = format_scalar(result.eps_a)
+        report.data["eps_b"] = format_scalar(result.eps_b)
+        report.data["domination"] = format_scalar(result.domination)
         report.tables.append(Table(
             "residual-schedule", ["m", "dist_a", "dist_b"],
-            [[str(m), ctx.format(da), ctx.format(db)]
+            [[str(m), format_scalar(da), format_scalar(db)]
              for m, da, db in result.schedule],
         ))
         for label, items, scans in zip("ab", (a.items, b.items), result.scans):
             rows = [
                 [serialize.format_vector(t), serialize.format_vector(nearest),
-                 ctx.format(dist)]
+                 format_scalar(dist)]
                 for t, nearest, dist in net_report(items, net, scans)
             ]
             report.tables.append(Table(
@@ -364,26 +363,26 @@ def _run_disk_task(scenario: Scenario, ctx, rng, report: Report):
             ))
         report.tables.append(Table(
             "disk-weights", ["i", "d_i"],
-            [[str(i), ctx.format(w)] for i, w in sorted(result.disk.weights.items())],
+            [[str(i), format_scalar(w)] for i, w in sorted(result.disk.weights.items())],
         ))
     else:
         raise ScenarioError("payload: disk task needs 'generators' or 'common'")
 
 
-def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
+def _run_hypercyclic_task(scenario: Scenario, rng, report: Report):
     payload = scenario.payload
     kind = _need(payload, "mode")
     if kind == "build-shift":
         _known(payload, ("mode", "basis", "p", "disk"), "payload", "build-shift")
-        basis = _vectors(_need(payload, "basis"), ctx, "payload.basis")
+        basis = _vectors(_need(payload, "basis"), "payload.basis")
         if not basis:
             raise ScenarioError("payload.basis: build-shift needs at least one vector")
-        p = _seminorm(payload, ctx)
-        disk = _field("payload.disk", serialize.decode_disk, _need(payload, "disk"), ctx)
-        spec = build_shift_operator(basis, p, disk, ctx)
+        p = _seminorm(payload)
+        disk = _field("payload.disk", serialize.decode_disk, _need(payload, "disk"))
+        spec = build_shift_operator(basis, p, disk)
         s = spec.operator
-        chain_ok = close(s.apply(spec.us[0], ctx), SparseVector.zero(), ctx) and all(
-            close(s.apply(spec.us[k], ctx), spec.us[k - 1].scale(spec.weights[k - 1]), ctx)
+        chain_ok = s.apply(spec.us[0]).is_zero() and all(
+            s.apply(spec.us[k]) == spec.us[k - 1].scale(spec.weights[k - 1])
             for k in range(1, len(spec.us))
         )
         report.checks.append(CheckResult("chain-identities", chain_ok,
@@ -392,59 +391,57 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
         # a failed certificate leaves the check to 100 seeded samples
         samples = 100
         try:
-            neumann_certificate(s, p, disk, ctx)
+            neumann_certificate(s, p, disk)
             samples = 0
         except BudgetExceeded:
             pass
         bound_ok = True
         for _ in range(samples):
-            x = _random_window_vector(rng, scenario.window, ctx)
-            if not minkowski(disk, s.apply(x, ctx), ctx) <= eval_seminorm(p, x):
+            x = _random_window_vector(rng, scenario.window)
+            if not minkowski(disk, s.apply(x)) <= eval_seminorm(p, x):
                 bound_ok = False
         report.checks.append(CheckResult("continuity-bound", bound_ok,
                                          "p_D(S x) <= p(x) on 100 seeded vectors"))
         report.tables.append(Table(
             "weights", ["n", "w_n"],
-            [[str(n + 1), ctx.format(w)] for n, w in enumerate(spec.weights)],
+            [[str(n + 1), format_scalar(w)] for n, w in enumerate(spec.weights)],
         ))
         report.data["operator"] = serialize.encode_operator(s)
-        premise = range_kernel_premise_check(s, scenario.window, min(len(basis), 6), ctx)
+        premise = range_kernel_premise_check(s, scenario.window, min(len(basis), 6))
         report.data["premise_span_dim"] = premise.window_meet_dim
     elif kind == "witness":
         _known(payload, ("mode", "operator", "x", "y", "p", "eps", "max_n"), "payload",
                "witness")
-        op = _field("payload.operator", serialize.decode_operator,
-                    _need(payload, "operator"), ctx)
-        x = _field("payload.x", serialize.decode_vector, _need(payload, "x"), ctx)
-        y = _field("payload.y", serialize.decode_vector, _need(payload, "y"), ctx)
-        p = _seminorm(payload, ctx)
-        eps = _positive("payload.eps", _need(payload, "eps"), ctx)
+        op = _field("payload.operator", serialize.decode_operator, _need(payload, "operator"))
+        x = _field("payload.x", serialize.decode_vector, _need(payload, "x"))
+        y = _field("payload.y", serialize.decode_vector, _need(payload, "y"))
+        p = _seminorm(payload)
+        eps = _positive("payload.eps", _need(payload, "eps"))
         max_n = _count(payload, "max_n")
         try:
-            n, z = transitivity_witness(op, x, y, eps, max_n, p,
-                                        window=scenario.window, ctx=ctx)
+            n, z = transitivity_witness(op, x, y, eps, max_n, p, window=scenario.window)
         except WitnessNotFound as exc:
             report.checks.append(CheckResult("witness-found", False, str(exc)))
             report.data["best_n"] = exc.best_n
-            report.data["best_residual"] = ctx.format(exc.best_residual)
+            report.data["best_residual"] = format_scalar(exc.best_residual)
             return
-        image = orbit(op, z, n + 1, ctx)[n]
+        image = orbit(op, z, n + 1)[n]
         res_x = eval_seminorm(p, z - x)
         res_y = eval_seminorm(p, image - y)
         report.checks.append(CheckResult("witness-found", True, f"n = {n}"))
         report.checks.append(CheckResult("residuals-below-eps",
                                          res_x < eps and res_y < eps,
-                                         f"{ctx.format(res_x)}, {ctx.format(res_y)}"))
+                                         f"{format_scalar(res_x)}, {format_scalar(res_y)}"))
         report.tables.append(Table(
             "witness", ["n", "residual_x", "residual_y"],
-            [[str(n), ctx.format(res_x), ctx.format(res_y)]],
+            [[str(n), format_scalar(res_x), format_scalar(res_y)]],
         ))
         report.data["z"] = serialize.encode_pairs(z)
     elif kind == "demo":
         _known(payload, ("mode", "x0", "horizon"), "payload", "demo")
-        x0 = _field("payload.x0", serialize.decode_vector, _need(payload, "x0"), ctx)
+        x0 = _field("payload.x0", serialize.decode_vector, _need(payload, "x0"))
         horizon = _count(payload, "horizon")
-        steps = omega_shift_demo(scenario.window, x0, horizon, ctx)
+        steps = omega_shift_demo(scenario.window, x0, horizon)
         report.checks.append(CheckResult("demo-run", True, f"{horizon} steps"))
         report.tables.append(Table(
             "orbit", ["n", "T^n x0"],
@@ -454,23 +451,22 @@ def _run_hypercyclic_task(scenario: Scenario, ctx, rng, report: Report):
         raise ScenarioError(f"payload.mode: unknown hypercyclic mode {kind!r}")
 
 
-def _run_refute_task(scenario: Scenario, ctx, rng, report: Report):
+def _run_refute_task(scenario: Scenario, rng, report: Report):
     payload = scenario.payload
     _known(payload, ("family_levels", "first_active", "b", "operator", "x", "horizon"),
            "payload", "refute")
     levels = _count(payload, "family_levels")
     first = _count(payload, "first_active") if "first_active" in payload else 1
     family = [
-        SeminormSpec.sup_on(range(1, first + n), ctx.one)
+        SeminormSpec.sup_on(range(1, first + n), ONE)
         for n in range(1, levels + 1)
     ]
-    b = _enumeration(payload.get("b", []), ctx, "payload.b")
-    ns = build_nonorbit_set(family, b, ctx)
-    op = _field("payload.operator", serialize.decode_operator,
-                _need(payload, "operator"), ctx)
-    x = _field("payload.x", serialize.decode_vector, _need(payload, "x"), ctx)
+    b = _enumeration(payload.get("b", []), "payload.b")
+    ns = build_nonorbit_set(family, b)
+    op = _field("payload.operator", serialize.decode_operator, _need(payload, "operator"))
+    x = _field("payload.x", serialize.decode_vector, _need(payload, "x"))
     horizon = _count(payload, "horizon")
-    result = refute_orbit(op, x, ns, horizon, ctx)
+    result = refute_orbit(op, x, ns, horizon)
 
     # divergence findings are facts about the candidate, not check failures
     report.checks.append(CheckResult("refute-instrumented", True,
@@ -485,9 +481,9 @@ def _run_refute_task(scenario: Scenario, ctx, rng, report: Report):
     report.data["diverges"] = result.diverges
     report.data["covers_a"] = result.covers_a
     report.data["m_count"] = result.m_count
-    report.data["p1_partial_sum"] = ctx.format(result.p1_partial_sum)
+    report.data["p1_partial_sum"] = format_scalar(result.p1_partial_sum)
     report.data["series_sums"] = {
-        str(k): ctx.format(v) for k, v in sorted(result.series_sums.items())
+        str(k): format_scalar(v) for k, v in sorted(result.series_sums.items())
     }
     report.data["first_exit"] = result.first_exit
     report.data["orbit_p1_rank"] = result.orbit_p1_rank

@@ -6,7 +6,7 @@ active set, so kernel membership is a support inspection.  The dual norm and
 the Minkowski gauge of a disk are computed in closed form (weight form) or
 by an exact linear program (generator form).  The sup kind's dual norm
 sum_i |f_i| / w_i and the weight-form gauge sum_i |u_i| / d_i are
-`ScalarContext.abs_ratio_sum`, one integer numerator over one common
+`scalars.abs_ratio_sum`, one integer numerator over one common
 denominator, and a generator disk scales its LP matrix once and re-solves
 each gauge from its last optimum.  `gauge_below` answers whether
 the gauge of x - y lies below a bound, and in weight form sums it from x
@@ -28,7 +28,16 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import linalg, simplex
 from .errors import NoSeparation, NotInSpan, NotPBounded
-from .scalars import EXACT, Scalar, ScalarContext, _exact_entry, _immutable
+from .scalars import (
+    ONE,
+    ZERO,
+    Scalar,
+    _exact_entry,
+    _immutable,
+    abs_ratio_sum,
+    integer_of,
+    integer_row,
+)
 from .vectors import CoordFunctional, SparseVector
 
 SUP = "sup"
@@ -82,11 +91,11 @@ def eval_seminorm(p: SeminormSpec, x: SparseVector) -> Scalar:
     return max(terms, default=0) if p.kind == SUP else sum(terms)
 
 
-def dual_norm(p: SeminormSpec, f: CoordFunctional, ctx: ScalarContext = EXACT) -> Scalar:
+def dual_norm(p: SeminormSpec, f: CoordFunctional) -> Scalar:
     """Smallest c with |f(x)| <= c p(x), the int 0 for f = 0; NotPBounded if
     no such c exists.
 
-    The sup kind's c is sum_i |f_i| / w_i, summed by `ctx.abs_ratio_sum` on
+    The sup kind's c is sum_i |f_i| / w_i, summed by `abs_ratio_sum` on
     integers over one common denominator.  The l1 kind's c is the largest
     |f_i| / w_i.
     """
@@ -95,17 +104,16 @@ def dual_norm(p: SeminormSpec, f: CoordFunctional, ctx: ScalarContext = EXACT) -
             raise NotPBounded(i)
     if p.kind == L1:
         return max((abs(v) / p.weights[i] for i, v in f.entries.items()), default=0)
-    return ctx.abs_ratio_sum((v, p.weights[i]) for i, v in f.entries.items()) if f.entries else 0
+    return abs_ratio_sum((v, p.weights[i]) for i, v in f.entries.items()) if f.entries else 0
 
 
-def dual_norm_witness(p: SeminormSpec, f: CoordFunctional,
-                      ctx: ScalarContext = EXACT) -> Tuple[Scalar, SparseVector]:
+def dual_norm_witness(p: SeminormSpec, f: CoordFunctional) -> Tuple[Scalar, SparseVector]:
     """Dual norm plus an x with p(x) <= 1 and |f(x)| = dual_norm exactly.
 
     Sup kind: the sign-pattern vertex of the unit cube; l1 kind: the single
     best coordinate.
     """
-    c = dual_norm(p, f, ctx)
+    c = dual_norm(p, f)
     if f.is_zero():
         return c, SparseVector.zero()
     if p.kind == SUP:
@@ -157,11 +165,11 @@ class DiskSpec:
         return cls(generators=tuple(xs))
 
 
-def minkowski(disk: DiskSpec, u: SparseVector, ctx: ScalarContext = EXACT) -> Scalar:
+def minkowski(disk: DiskSpec, u: SparseVector) -> Scalar:
     """Gauge of u with respect to the disk; NotInSpan if u is outside span D.
 
     A generator disk solves min sum c over [G | -G] c = u, c >= 0.  With u's
-    integer form (`ctx.integer_of`), the disk keeps L_G [G | -G] from its
+    integer form (`integer_of`), the disk keeps L_G [G | -G] from its
     first gauge, and `simplex.optimal_tableau` gets the rows
     L [G | -G | u] that `solve_lp` would build itself, L = lcm(L_G, den u).
     The disk keeps that optimal tableau, and `simplex.resolve` reads every
@@ -173,22 +181,22 @@ def minkowski(disk: DiskSpec, u: SparseVector, ctx: ScalarContext = EXACT) -> Sc
         for i in u.entries:
             if i not in weights:
                 raise NotInSpan(f"coordinate {i} carries no disk weight")
-        return ctx.abs_ratio_sum((v, weights[i]) for i, v in u.entries.items())
+        return abs_ratio_sum((v, weights[i]) for i, v in u.entries.items())
 
     gens = disk.generators
     if u.is_zero():
-        return ctx.zero
+        return ZERO
     if not gens:
         raise NotInSpan("empty generator list spans only 0")
     w = 2 * len(gens)
     try:
         if disk._gauge_rows is None:
             coords = sorted(set().union(*(g.support for g in gens)))
-            nums, den = ctx.integer_row(dict(enumerate(
+            nums, den = integer_row(dict(enumerate(
                 sign * g.get(i) for i in coords for sign in (1, -1) for g in gens)))
             template = {i: [nums.get(r * w + j, 0) for j in range(w)] for r, i in enumerate(coords)}
             object.__setattr__(disk, "_gauge_rows", (den, template, None))
-        (gen_den, template, tab), (urow, uden) = disk._gauge_rows, ctx.integer_of(u)
+        (gen_den, template, tab), (urow, uden) = disk._gauge_rows, integer_of(u)
         if not u.entries.keys() <= template.keys():
             raise simplex.Infeasible("u has a coordinate outside the generators' support")
         b = [urow.get(i, 0) for i in template]
@@ -196,16 +204,15 @@ def minkowski(disk: DiskSpec, u: SparseVector, ctx: ScalarContext = EXACT) -> Sc
             den = lcm(gen_den, uden)
             m, mu = den // gen_den, den // uden
             a = [[m * v for v in row] for row in template.values()]
-            tab = simplex.optimal_tableau([ctx.one] * w, a, [v * mu for v in b], ctx, scale=den)
+            tab = simplex.optimal_tableau([ONE] * w, a, [v * mu for v in b], scale=den)
             object.__setattr__(disk, "_gauge_rows", (gen_den, template, tab))
         return simplex.resolve(tab, b, uden)
     except simplex.Infeasible as exc:
         raise NotInSpan("u is not a combination of the generators") from exc
 
 
-def gauge_below(disk: DiskSpec, x: SparseVector, y: SparseVector, bound: Scalar,
-                ctx: ScalarContext = EXACT) -> bool:
-    """minkowski(disk, x - y, ctx) < bound, without building x - y when the
+def gauge_below(disk: DiskSpec, x: SparseVector, y: SparseVector, bound: Scalar) -> bool:
+    """minkowski(disk, x - y) < bound, without building x - y when the
     disk has weight form and weighs every coordinate of x and y.
 
     Sums |x_i - y_i| / d_i in the entry order of x - y (x's entries, then y's
@@ -214,22 +221,21 @@ def gauge_below(disk: DiskSpec, x: SparseVector, y: SparseVector, bound: Scalar,
     Otherwise it takes the full gauge, so an LP or NotInSpan comes as from
     `minkowski`.
 
-    With x = X / x̄ and y = Y / ȳ in their integer forms (`ctx.integer_of`,
+    With x = X / x̄ and y = Y / ȳ in their integer forms (`integer_of`,
     kept on each vector, so a pool scan scales nothing twice), the sum runs on
     integers: with 1 / d_i = c_i / P, N sums |X_i·ȳ - Y_i·x̄|·c_i, the gauge
     is N / (x̄·ȳ·P), and each partial sum is compared with the bound p / q
     as N·q < p·x̄·ȳ·P, so it stops where the Fraction sum would.  The disk
-    keeps (c, P), `ctx.integer_row` of its inverse weights, from its first
+    keeps (c, P), `integer_row` of its inverse weights, from its first
     gauge.
     """
     weights, xe, ye = disk.weights, x.entries, y.entries
     if weights is None or not (xe.keys() <= weights.keys() and ye.keys() <= weights.keys()):
-        return minkowski(disk, x - y, ctx) < bound
+        return minkowski(disk, x - y) < bound
     if disk._gauge_weights is None:
         object.__setattr__(disk, "_gauge_weights",
-                           ctx.integer_row({i: 1 / w for i, w in weights.items()}))
-    (mult, wden), (xrow, xden), (yrow, yden) = (disk._gauge_weights, ctx.integer_of(x),
-                                                ctx.integer_of(y))
+                           integer_row({i: 1 / w for i, w in weights.items()}))
+    (mult, wden), (xrow, xden), (yrow, yden) = disk._gauge_weights, integer_of(x), integer_of(y)
     p, q = bound.as_integer_ratio()
     limit, total = p * xden * yden * wden, 0
     diffs = chain(((i, a * yden - yrow[i] * xden if i in yrow else a * yden)
@@ -248,12 +254,11 @@ def project_active(p: SeminormSpec, x: SparseVector) -> dict:
     return {i: v for i, v in x.entries.items() if i in p.weights}
 
 
-def p_independent(p: SeminormSpec, xs: Sequence[SparseVector],
-                  ctx: ScalarContext = EXACT) -> bool:
+def p_independent(p: SeminormSpec, xs: Sequence[SparseVector]) -> bool:
     """Rank test: the residues of xs modulo ker p, their projections on the
     active coordinates, are linearly independent.  `linalg.independent` runs
     it on integers and stops at the first dependent residue."""
-    return linalg.independent((project_active(p, x) for x in xs), ctx)
+    return linalg.independent(project_active(p, x) for x in xs)
 
 
 class Separator:
@@ -266,21 +271,19 @@ class Separator:
     `RowReducer.of` of the same projections picks.
     """
 
-    def __init__(self, p: SeminormSpec, ctx: ScalarContext = EXACT):
+    def __init__(self, p: SeminormSpec):
         self.p = p
-        self.ctx = ctx
-        self._reducer = linalg.RowReducer(ctx)
+        self._reducer = linalg.RowReducer()
         self._support: set = set()
 
     @classmethod
-    def of(cls, p: SeminormSpec, constraints: Sequence[SparseVector],
-           ctx: ScalarContext = EXACT) -> "Separator":
+    def of(cls, p: SeminormSpec, constraints: Sequence[SparseVector]) -> "Separator":
         """A separator for the constraints, from one `linalg.RowReducer.of` of
         their projections."""
-        sep = cls(p, ctx)
+        sep = cls(p)
         projections = [project_active(p, x) for x in constraints]
         sep._support.update(*projections)
-        sep._reducer = linalg.RowReducer.of(projections, ctx)
+        sep._reducer = linalg.RowReducer.of(projections)
         return sep
 
     def add(self, x: SparseVector) -> None:
@@ -297,7 +300,7 @@ class Separator:
         ascending order and rescales the first nullspace vector that is non-zero
         on u; raises NoSeparation exactly when (u + span constraints) meets ker p.
         """
-        ctx, rows = self.ctx, self._reducer.rows
+        rows = self._reducer.rows
         u_act = project_active(self.p, u)
         coords = self._support.union(u_act)
         if not coords:
@@ -308,5 +311,5 @@ class Separator:
             if u_act.get(fc, 0) == sum(row[fc] * x for row, x in hits if fc in row):
                 continue
             f = CoordFunctional(self._reducer.null_vector(fc))
-            return f.scale(1 / dual_norm(self.p, f, ctx))
+            return f.scale(1 / dual_norm(self.p, f))
         raise NoSeparation("u lies in span(constraints) + ker p")

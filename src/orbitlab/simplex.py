@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence
 
 from .errors import WorkbenchError
-from .scalars import EXACT, Scalar, ScalarContext
+from .scalars import ONE, ZERO, Scalar, coerce, integer_row
 
 
 class Infeasible(WorkbenchError):
@@ -59,9 +59,9 @@ class _IntTableau:
     reduced cost, the leaving row breaks ratio ties by lowest basis column.
     """
 
-    def __init__(self, rows, nvars: int, ctx: ScalarContext, scale: int):
+    def __init__(self, rows, nvars: int, scale: int):
         """rows: the integer [L a_i | L b_i]."""
-        self.ctx, self.nvars, self.nrows, self.ncols = ctx, nvars, len(rows), nvars + len(rows)
+        self.nvars, self.nrows, self.ncols = nvars, len(rows), nvars + len(rows)
         self.scale, self.den, self.signs = scale, 1, [-1 if r[nvars] < 0 else 1 for r in rows]
         self.basis, self.rows = list(range(nvars, self.ncols)), []
         for i, row in enumerate(rows):
@@ -86,7 +86,7 @@ class _IntTableau:
         self.den, self.basis[row] = q, col
 
     def price(self, costs: Sequence[Scalar]):
-        nums, self.cost_scale = self.ctx.integer_row(dict(enumerate(costs)))
+        nums, self.cost_scale = integer_row(dict(enumerate(costs)))
         red = [self.den * nums.get(j, 0) for j in range(self.ncols)] + [0]
         for row, bcol in zip(self.rows, self.basis):
             f = nums.get(bcol)
@@ -128,7 +128,7 @@ class _IntTableau:
 
     def result(self, costs: Sequence[Scalar]) -> LPResult:
         """The basic solution and its cost under the phase-2 costs."""
-        x = [self.ctx.zero] * self.nvars
+        x = [ZERO] * self.nvars
         for row, bcol in zip(self.rows, self.basis):
             if bcol < self.nvars:
                 x[bcol] = Fraction(row[self.ncols], self.den)
@@ -136,26 +136,26 @@ class _IntTableau:
 
 
 def solve_lp(c: Sequence[Scalar], a: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
-             ctx: ScalarContext = EXACT, scale: Optional[int] = None) -> LPResult:
+             scale: Optional[int] = None) -> LPResult:
     """Minimize c.x over A x = b, x >= 0.  A caller may pass [A | b] already
     scaled: the integers L A and L b, and `scale` = L > 0."""
-    return optimal_tableau(c, a, b, ctx, scale).result([ctx.coerce(v) for v in c])
+    return optimal_tableau(c, a, b, scale).result([coerce(v) for v in c])
 
 
 def optimal_tableau(c: Sequence[Scalar], a: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
-                    ctx: ScalarContext = EXACT, scale: Optional[int] = None) -> _IntTableau:
+                    scale: Optional[int] = None) -> _IntTableau:
     """`solve_lp`'s two phases: its tableau at the optimum."""
     nvars, nrows, w = len(c), len(a), len(c) + 1
     if scale is None:
-        rows = [[ctx.coerce(v) for v in (*a[i], b[i])] for i in range(nrows)]
-        nums, scale = ctx.integer_row(dict(enumerate(v for row in rows for v in row)))
+        rows = [[coerce(v) for v in (*a[i], b[i])] for i in range(nrows)]
+        nums, scale = integer_row(dict(enumerate(v for row in rows for v in row)))
         rows = [[nums.get(i * w + j, 0) for j in range(w)] for i in range(nrows)]
     else:
         rows = [[*a[i], b[i]] for i in range(nrows)]
-    tab = _IntTableau(rows, nvars, ctx, scale)
+    tab = _IntTableau(rows, nvars, scale)
 
     # Phase 1: minimize the artificial sum; feasible iff it reaches zero.
-    phase1 = [ctx.zero] * nvars + [ctx.one] * tab.nrows
+    phase1 = [ZERO] * nvars + [ONE] * tab.nrows
     tab.minimize(phase1, allowed=tab.ncols)
     infeas = tab.artificial_sum()
     if infeas != 0:
@@ -169,7 +169,7 @@ def optimal_tableau(c: Sequence[Scalar], a: Sequence[Sequence[Scalar]], b: Seque
                 tab.pivot(i, col)
 
     # Phase 2: artificial columns may not re-enter.
-    phase2 = [ctx.coerce(v) for v in c] + [ctx.zero] * tab.nrows
+    phase2 = [coerce(v) for v in c] + [ZERO] * tab.nrows
     tab.minimize(phase2, allowed=nvars)
     return tab
 

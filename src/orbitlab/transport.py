@@ -38,9 +38,9 @@ from .errors import (
 )
 from .operators import FiniteRankOperator, GramFactor, NeumannBudget, invert
 from .reports import CheckResult, VerificationReport
-from .scalars import EXACT, Scalar, ScalarContext
+from .scalars import Scalar
 from .seminorms import DiskSpec, SeminormSpec, Separator, gauge_below, minkowski, p_independent
-from .vectors import CoordFunctional, SparseVector, close
+from .vectors import CoordFunctional, SparseVector
 
 
 class TransportState(NamedTuple):
@@ -62,13 +62,13 @@ class TransportState(NamedTuple):
         """J = I + T_k."""
         return self.terms.plus_identity()
 
-    def budget_used(self, ctx: ScalarContext = EXACT) -> Scalar:
-        return NeumannBudget.of(self.terms.terms, self.p, self.disk, ctx).c
+    def budget_used(self) -> Scalar:
+        return NeumannBudget.of(self.terms.terms, self.p, self.disk).c
 
 
 def step_forward(state: TransportState, u: SparseVector, separator: Separator,
-                 pool: Sequence[SparseVector], eps: Scalar,
-                 ctx: ScalarContext = EXACT) -> Tuple[CoordFunctional, SparseVector, int]:
+                 pool: Sequence[SparseVector],
+                 eps: Scalar) -> Tuple[CoordFunctional, SparseVector, int]:
     """One forward step: returns (f, v, pos) with (I + T + f (.) v) u = pool[pos].
 
     f separates u from the matched A-side vectors that `separator` holds,
@@ -81,16 +81,16 @@ def step_forward(state: TransportState, u: SparseVector, separator: Separator,
     """
     t = state.terms
     f = separator.functional(u)
-    target = u + t.apply(u, ctx)
+    target = u + t.apply(u)
     f_u = f.pair(u)
     bound = eps * abs(f_u)
     for pos, r in enumerate(pool):
-        if gauge_below(state.disk, r, target, bound, ctx):
+        if gauge_below(state.disk, r, target, bound):
             return f, (r - target).scale(1 / f_u), pos
     best: Optional[Scalar] = None
     best_pos = None
     for pos, r in enumerate(pool):
-        dist = minkowski(state.disk, r - target, ctx)
+        dist = minkowski(state.disk, r - target)
         if best is None or dist < best:
             best, best_pos = dist, pos
     raise NoApproximant(
@@ -101,8 +101,8 @@ def step_forward(state: TransportState, u: SparseVector, separator: Separator,
 
 
 def step_backward(state: TransportState, u: SparseVector, separator: Separator,
-                  gram: GramFactor, pool: Sequence[SparseVector], eps: Scalar,
-                  ctx: ScalarContext = EXACT) -> Tuple[CoordFunctional, SparseVector, int]:
+                  gram: GramFactor, pool: Sequence[SparseVector],
+                  eps: Scalar) -> Tuple[CoordFunctional, SparseVector, int]:
     """One backward step: returns (f, v, pos) with (I + T + f (.) v) pool[pos] = u.
 
     Solves (I + T) w = u exactly with `gram`, the factored Gram system of the
@@ -119,8 +119,8 @@ def step_backward(state: TransportState, u: SparseVector, separator: Separator,
         f_a = f.pair(a)
         if f_a == 0:
             continue
-        v = j.apply(w - a, ctx).scale(1 / f_a)
-        size = minkowski(state.disk, v, ctx)
+        v = j.apply(w - a).scale(1 / f_a)
+        size = minkowski(state.disk, v)
         if size < eps:
             return f, v, pos
         if best is None or size < best:
@@ -146,8 +146,7 @@ def _unused(side: Enumeration, used: Sequence[int]) -> List[int]:
 
 
 def run_transport(a: Enumeration, b: Enumeration, p: SeminormSpec, disk: DiskSpec,
-                  eps_schedule: Sequence[Scalar], stages: int,
-                  ctx: ScalarContext = EXACT) -> TransportState:
+                  eps_schedule: Sequence[Scalar], stages: int) -> TransportState:
     """Drive `stages` rounds of the alternating scheme and return the state;
     J is its `operator`.
 
@@ -157,9 +156,9 @@ def run_transport(a: Enumeration, b: Enumeration, p: SeminormSpec, disk: DiskSpe
     enumeration, Exhausted for a schedule with fewer than 2 * stages slots,
     BudgetExceeded for one whose first 2 * stages slots sum to 1 or more.
     """
-    if not p_independent(p, a.items, ctx):
+    if not p_independent(p, a.items):
         raise NotPIndependent("first enumeration is not p-independent")
-    if not p_independent(p, b.items, ctx):
+    if not p_independent(p, b.items):
         raise NotPIndependent("second enumeration is not p-independent")
     if len(eps_schedule) < 2 * stages:
         raise Exhausted(f"epsilon schedule has {len(eps_schedule)} slots; "
@@ -169,10 +168,10 @@ def run_transport(a: Enumeration, b: Enumeration, p: SeminormSpec, disk: DiskSpe
         raise BudgetExceeded(total, "epsilon schedule sum")
 
     state = TransportState(a, b, p, disk, tuple(eps_schedule))
-    separator, gram = Separator(p, ctx), GramFactor(ctx)
+    separator, gram = Separator(p), GramFactor()
     for q in range(1, stages + 1):
         try:
-            state = _run_stage(state, separator, gram, q, ctx)
+            state = _run_stage(state, separator, gram, q)
         except (NoApproximant, Exhausted) as exc:
             raise StageFailure(q, state, exc) from exc
     return state
@@ -189,7 +188,7 @@ def _matched(state: TransportState, separator: Separator, gram: GramFactor,
 
 
 def _run_stage(state: TransportState, separator: Separator, gram: GramFactor,
-               q: int, ctx: ScalarContext) -> TransportState:
+               q: int) -> TransportState:
     a, b = state.a, state.b
     n_fwd = _min_unused(state.n_idx)
     m_bwd = _min_unused(state.m_idx)
@@ -199,13 +198,13 @@ def _run_stage(state: TransportState, separator: Separator, gram: GramFactor,
     # forward: u = a(n_fwd), pool = unused B except the reserved backward target
     pool_idx = _unused(b, state.m_idx + (m_bwd,))
     f, v, pos = step_forward(state, a.vector(n_fwd), separator,
-                             [b.vector(i) for i in pool_idx], state.epsilons[2 * q - 2], ctx)
+                             [b.vector(i) for i in pool_idx], state.epsilons[2 * q - 2])
     state = _matched(state, separator, gram, f, v, n_fwd, pool_idx[pos])
 
     # backward: u = b(m_bwd), pool = unused A
     pool_idx = _unused(a, state.n_idx)
     f, v, pos = step_backward(state, b.vector(m_bwd), separator, gram,
-                              [a.vector(i) for i in pool_idx], state.epsilons[2 * q - 1], ctx)
+                              [a.vector(i) for i in pool_idx], state.epsilons[2 * q - 1])
     return _matched(state, separator, gram, f, v, pool_idx[pos], m_bwd)._replace(stage=q)
 
 
@@ -218,7 +217,7 @@ def _window_indices(state: TransportState) -> List[int]:
     return sorted(indices)
 
 
-def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> VerificationReport:
+def verify_transport(state: TransportState) -> VerificationReport:
     """Recompute every invariant of the state from raw data.
 
     Failures are report entries, never exceptions; each entry carries a
@@ -244,7 +243,7 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
     add("index-coverage", want <= set(state.n_idx) and want <= set(state.m_idx),
         f"{{1..{k}}} inside both index sets")
 
-    budget = NeumannBudget.of(state.terms.terms, state.p, state.disk, ctx)
+    budget = NeumannBudget.of(state.terms.terms, state.p, state.disk)
     slot_details = [f"term {j}: p*(f) = {df}, p_D(v) = {pv}"
                     for j, (df, pv) in enumerate(budget.per_term, start=1)
                     if not df <= 1 or not pv < state.epsilons[j - 1]]
@@ -255,7 +254,7 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
 
     j_op = state.operator
     pairs = list(zip(state.n_idx, state.m_idx))
-    residuals = [j_op.apply(state.a.vector(n), ctx) - state.b.vector(m) for n, m in pairs]
+    residuals = [j_op.apply(state.a.vector(n)) - state.b.vector(m) for n, m in pairs]
     match_details = [f"pair {j}: J a({n}) != b({m})"
                      for j, ((n, m), r) in enumerate(zip(pairs, residuals), start=1)
                      if not r.is_zero()]
@@ -265,16 +264,16 @@ def verify_transport(state: TransportState, ctx: ScalarContext = EXACT) -> Verif
 
     # J e once per window coordinate, for the round trip and the kernel check
     indices = _window_indices(state)
-    basis = [SparseVector.basis(i, ctx) for i in indices]
-    images = [j_op.apply(e, ctx) for e in basis]
+    basis = [SparseVector.basis(i) for i in indices]
+    images = [j_op.apply(e) for e in basis]
     try:
-        j_inv = invert(j_op, ctx)
-        round_trip = all(close(j_inv.apply(je, ctx), e, ctx) for e, je in zip(basis, images))
+        j_inv = invert(j_op)
+        round_trip = all(j_inv.apply(je) == e for e, je in zip(basis, images))
         add("invertible", round_trip, "Gram solve and window round trip")
     except Exception as exc:  # noqa: BLE001 - reported, not raised
         add("invertible", False, str(exc))
 
-    add("kernel-fixed", all(close(je, e, ctx) for i, e, je in zip(indices, basis, images)
+    add("kernel-fixed", all(je == e for i, e, je in zip(indices, basis, images)
                             if i not in state.p.active),
         "J e_i = e_i outside the active set")
 

@@ -16,7 +16,7 @@ lower triangular.
 
 The work is done on integers (fraction-free arithmetic; Bareiss, Math. Comp.
 22, 1968).  Each functional and basis vector is scaled once to an integer
-row over its denominator (`ScalarContext.integer_row`), and the pass runs
+row over its denominator (`scalars.integer_row`), and the pass runs
 on their pairings, A' = D_f·A·D_u for D_f and D_u the denominators: its
 pivots are the leading minors Δ'_k of A', and `_solution` back-substitutes
 over its pivot rows.  A Fraction is built only for a minor, a coefficient
@@ -32,7 +32,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 from . import linalg
 from .errors import Exhausted, LinearlyDependent
 from .operators import FiniteRankOperator, ZERO
-from .scalars import EXACT, Scalar, ScalarContext
+from .scalars import Scalar, integer_row
 from .vectors import CoordFunctional, SparseVector, _built, _dot
 
 # The driver refuses to start without this much slack beyond the prefix it
@@ -69,9 +69,9 @@ class _Row:
         return _Row(acc, 1)
 
 
-def _scaled(item, ctx: ScalarContext) -> _Row:
-    """The item as a `_Row`, scaled by `ctx.integer_row`."""
-    return _Row(*ctx.integer_row(item.entries))
+def _scaled(item) -> _Row:
+    """The item as a `_Row`, scaled by `integer_row`."""
+    return _Row(*integer_row(item.entries))
 
 
 def _solution(lu: linalg.Bordered, fs: Sequence[_Row], us: Sequence[_Row],
@@ -115,8 +115,7 @@ class TriangularizeState(NamedTuple):
 
 def interleave_triangularize(basis: Sequence[SparseVector],
                              funcs: Sequence[CoordFunctional],
-                             stages: int,
-                             ctx: ScalarContext = EXACT) -> TriangularizeState:
+                             stages: int) -> TriangularizeState:
     """Run `stages` rounds of the alternating construction (prefix length 2k).
 
     Each round picks the minimal unused functional index, scans the basis for
@@ -132,7 +131,7 @@ def interleave_triangularize(basis: Sequence[SparseVector],
             f"prefix of length {target} needs at least {target} basis vectors "
             f"and {target + WINDOW_MARGIN} functionals"
         )
-    fs, us = [_scaled(f, ctx) for f in funcs], [_scaled(u, ctx) for u in basis]
+    fs, us = [_scaled(f) for f in funcs], [_scaled(u) for u in basis]
     elim = linalg.Bareiss([[_dot(f.row, u.row) for u in us] for f in fs])
     picks = []
     for step in range(target):

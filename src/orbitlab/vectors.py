@@ -9,14 +9,14 @@ combinations go through `combine`; it, `restrict`, `__neg__` and
 `FiniteRankOperator.apply` build from clean entries and skip `_clean`
 (`scale`, `__add__` and `__sub__` can make zeros, so keep it).  A map keeps
 its integer form in the slot `_int`, outside equality, hashing, copies and
-pickles, filled and read only by `ScalarContext.integer_of`.
+pickles, filled and read only by `scalars.integer_of`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .scalars import EXACT, Scalar, ScalarContext, _exact_entry, _immutable
+from .scalars import ONE, Scalar, _exact_entry, _immutable
 
 
 def _clean(entries: Mapping[int, Scalar]) -> Dict[int, Scalar]:
@@ -129,8 +129,8 @@ class SparseVector(_FiniteMap):
     __slots__ = ()
 
     @classmethod
-    def basis(cls, index: int, ctx: ScalarContext = EXACT) -> "SparseVector":
-        return cls({index: ctx.one})
+    def basis(cls, index: int) -> "SparseVector":
+        return cls({index: ONE})
 
 
 class CoordFunctional(_FiniteMap):
@@ -139,8 +139,8 @@ class CoordFunctional(_FiniteMap):
     __slots__ = ()
 
     @classmethod
-    def delta(cls, index: int, ctx: ScalarContext = EXACT) -> "CoordFunctional":
-        return cls({index: ctx.one})
+    def delta(cls, index: int) -> "CoordFunctional":
+        return cls({index: ONE})
 
     def pair(self, x: SparseVector) -> Scalar:
         return _dot(self.entries, x.entries)
@@ -175,8 +175,3 @@ def combine(terms: Iterable[Tuple[Scalar, _FiniteMap]], start: Optional[_FiniteM
     if acc is None:
         return SparseVector.zero() if start is None else start
     return _built(kind, acc)
-
-
-def close(x: _FiniteMap, y: _FiniteMap, ctx: ScalarContext) -> bool:
-    """x - y is zero: x == y, as a map stores no zero.  Builds no difference."""
-    return x == y

@@ -21,6 +21,7 @@ generator.
 """
 
 import csv
+import sys
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +30,7 @@ import orbitlab.scenarios as scenarios
 from orbitlab.errors import NotInSpan, SingularOperator
 from orbitlab.operators import IDENTITY
 from orbitlab.reports import Table
-from orbitlab.scalars import EXACT, format_scalar
+from orbitlab.scalars import ONE, ZERO, format_scalar, parse
 from orbitlab.simplex import Infeasible, Unbounded
 from orbitlab.seminorms import L1, DiskSpec, SeminormSpec, eval_seminorm, minkowski
 from orbitlab.serialize import encode_pairs
@@ -42,10 +43,10 @@ def apply_terms(op, x):
                    x if op.base == IDENTITY else SparseVector.zero())
 
 
-def weight_gauge(weights, u, ctx=EXACT):
-    """sum_i |u_i| / d_i by the plain loop from ctx.zero; NotInSpan at the
+def weight_gauge(weights, u):
+    """sum_i |u_i| / d_i by the plain loop from a Fraction 0; NotInSpan at the
     first coordinate of u, in entry order, that carries no weight."""
-    total = ctx.zero
+    total = ZERO
     for i, v in u.entries.items():
         d = weights.get(i)
         if d is None:
@@ -54,7 +55,7 @@ def weight_gauge(weights, u, ctx=EXACT):
     return total
 
 
-def continuity_samples(s, p, disk, window, rng, ctx=EXACT, count=100):
+def continuity_samples(s, p, disk, window, rng, count=100):
     """The build-shift continuity check by sampling: for each of `count`
     seeded window vectors x, whether p_D(S x) <= p(x).  Each x is drawn as the
     check draws it (up to 5 coordinates of 1..window, entries n/d with n in
@@ -64,11 +65,11 @@ def continuity_samples(s, p, disk, window, rng, ctx=EXACT, count=100):
     out = []
     for _ in range(count):
         x = SparseVector({
-            i: ctx.coerce(Fraction(rng.randint(-8, 8), rng.choice([1, 2, 4])))
+            i: Fraction(rng.randint(-8, 8), rng.choice([1, 2, 4]))
             for i in rng.sample(range(1, window + 1), rng.randint(0, min(window, 5)))})
         y = apply_terms(s, x)
-        gauge = (weight_gauge(disk.weights, y, ctx) if disk.weights is not None
-                 else minkowski(disk, y, ctx))
+        gauge = (weight_gauge(disk.weights, y) if disk.weights is not None
+                 else minkowski(disk, y))
         out.append(gauge <= eval_seminorm(p, x))
     return out
 
@@ -94,7 +95,7 @@ def combination(coeffs, items, start=None):
     return acc
 
 
-def triangularize(basis, funcs, stages, ctx=EXACT):
+def triangularize(basis, funcs, stages):
     """The alternating greedy construction by determinants: (alpha, beta, coeffs,
     v, minors) with v as entry lists in insertion order.
 
@@ -115,7 +116,7 @@ def triangularize(basis, funcs, stages, ctx=EXACT):
             trial = picks[1 - side] + [cand]
             fs, us = (picks[0], trial) if side == 0 else (trial, picks[1])
             minor = [[funcs[a - 1].pair(basis[b - 1]) for b in us] for a in fs]
-            if determinant(minor, ctx) != 0:
+            if determinant(minor) != 0:
                 picks[1 - side].append(cand)
                 break
         else:
@@ -126,10 +127,10 @@ def triangularize(basis, funcs, stages, ctx=EXACT):
     coeffs, v, minors = [], [], []
     for m in range(1, len(alpha) + 1):
         block = [row[:m] for row in a[:m]]
-        c = solve(block, [ctx.one if k == m - 1 else ctx.zero for k in range(m)], ctx)
+        c = solve(block, [ONE if k == m - 1 else ZERO for k in range(m)])
         coeffs.append(tuple(c))
         v.append(list(combination(c, us[:m]).items()))
-        minors.append(determinant(block, ctx))
+        minors.append(determinant(block))
     return tuple(alpha), tuple(beta), tuple(coeffs), v, tuple(minors)
 
 
@@ -154,7 +155,7 @@ def shift_demo(window, x0, horizon):
 
 def parse_scalar(text):
     """The scalar of its text by `Fraction(text)` for every form; ValueError
-    "'<text>' is not a finite scalar" as `ScalarContext.parse` raises it."""
+    "'<text>' is not a finite scalar" as `scalars.parse` raises it."""
     text = str(text).strip()
     try:
         return Fraction(text)
@@ -173,8 +174,8 @@ def forward_solve(m, b):
     return z
 
 
-def identity_matrix(n, ctx=EXACT):
-    return [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
+def identity_matrix(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -189,14 +190,14 @@ def mat_vec(a, x):
     return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
 
 
-def determinant(a, ctx=EXACT):
+def determinant(a):
     """Gaussian elimination on the first non-zero pivot."""
     m = [list(row) for row in a]
-    n, det = len(m), ctx.one
+    n, det = len(m), ONE
     for k in range(n):
         piv = k + next((i for i in range(n - k) if m[k + i][k]), 0)
         if m[piv][k] == 0:
-            return ctx.zero
+            return ZERO
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             det = -det
@@ -208,17 +209,17 @@ def determinant(a, ctx=EXACT):
     return det
 
 
-def rref(a, ctx=EXACT):
+def rref(a):
     """Dense Gauss-Jordan reduced row echelon form.  Returns (rows, pivot_columns).
 
     Columns in ascending order; the pivot, the first non-zero from the
     current row on, is swapped into place.  Zero entries are skipped: a zero
     of the pivot row is not divided and is not subtracted from the other rows,
-    and every zero of the input (an int 0 included) comes out as ctx.zero.
+    and every zero of the input (an int 0 included) comes out as a Fraction 0.
     """
     if not a:
         return [], []
-    zero = ctx.zero
+    zero = ZERO
     m = [[v if v else zero for v in row] for row in a]
     rows, cols = len(m), len(m[0])
     pivots = []
@@ -244,43 +245,43 @@ def rref(a, ctx=EXACT):
     return m, pivots
 
 
-def nullspace(a, cols=None, ctx=EXACT):
+def nullspace(a, cols=None):
     """Nullspace basis, one vector per free column: 1 there, minus the
     column's entries at the pivots."""
     if cols is None:
         cols = len(a[0]) if a else 0
-    red, pivots = rref(a, ctx)
+    red, pivots = rref(a)
     basis = []
     for fc in range(cols):
         if fc not in pivots:
-            vec = [ctx.zero] * cols
-            vec[fc] = ctx.one
+            vec = [ZERO] * cols
+            vec[fc] = ONE
             for r, pc in enumerate(pivots):
                 vec[pc] = -red[r][fc]
             basis.append(vec)
     return basis
 
 
-def solve_any(a, b, ctx=EXACT):
+def solve_any(a, b):
     """Any solution of a (possibly rectangular) system; None if none."""
     cols = len(a[0]) if a else 0
-    red, pivots = rref([list(row) + [bi] for row, bi in zip(a, b)], ctx)
+    red, pivots = rref([list(row) + [bi] for row, bi in zip(a, b)])
     if cols in pivots:
         return None
-    x = [ctx.zero] * cols
+    x = [ZERO] * cols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][cols]
     return x
 
 
-def rank(a, ctx=EXACT):
-    return len(rref(a, ctx)[1])
+def rank(a):
+    return len(rref(a)[1])
 
 
-def solve(a, b, ctx=EXACT):
+def solve(a, b):
     """The solution of a square system; SingularOperator if there is none."""
     n = len(a)
-    red, pivots = rref([list(row) + [bi] for row, bi in zip(a, b)], ctx)
+    red, pivots = rref([list(row) + [bi] for row, bi in zip(a, b)])
     if pivots != list(range(n)):
         raise SingularOperator(f"{n}x{n} system is singular")
     return [row[n] for row in red]
@@ -347,15 +348,15 @@ def simplex(c, a, b, path=None):
     return sum((c[j] * x[j] for j in range(nvars)), Fraction(0)), x
 
 
-def gram_solve(j, u, ctx=EXACT):
+def gram_solve(j, u):
     """J^{-1} u for J = I + sum_j f_j (.) v_j by one pivoting k x k Gram solve:
     u - sum_j c_j v_j with (I_k + G) c = (f_i(u))_i, G_rc = f_r(v_c)."""
     assert j.base == IDENTITY
     if not j.terms:
         return u
-    gram = [[g + (ctx.one if r == c else 0) for c, g in enumerate(row)]
+    gram = [[g + (ONE if r == c else 0) for c, g in enumerate(row)]
             for r, row in enumerate(dense_gram(j.terms))]
-    coeffs = solve(gram, [f.pair(u) for f, _ in j.terms], ctx)
+    coeffs = solve(gram, [f.pair(u) for f, _ in j.terms])
     return combine(((-c, v) for (_, v), c in zip(j.terms, coeffs)), u)
 
 
@@ -388,7 +389,7 @@ def l1_disk(indices, weight=1):
     return DiskSpec(weights={i: weight for i in indices})
 
 
-def parse_vector(text, ctx=EXACT):
+def parse_vector(text):
     """Inverse of `serialize.format_vector`."""
     text = text.strip()
     if text == "0" or not text:
@@ -396,7 +397,7 @@ def parse_vector(text, ctx=EXACT):
     entries = {}
     for chunk in text.split():
         idx, _, val = chunk.partition(":")
-        entries[int(idx)] = ctx.parse(val)
+        entries[int(idx)] = parse(val)
     return SparseVector(entries)
 
 
@@ -440,9 +441,9 @@ def spy_draws(monkeypatch):
     draws = []
     draw = scenarios._random_window_vector
 
-    def spied(rng, window, ctx):
+    def spied(rng, window):
         draws.append(window)
-        return draw(rng, window, ctx)
+        return draw(rng, window)
 
     monkeypatch.setattr(scenarios, "_random_window_vector", spied)
     return draws
@@ -455,3 +456,14 @@ def benchmark_workloads():
     module = types.ModuleType("perfbench_workloads")
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
+
+
+def patch_scalars(monkeypatch, name, replacement):
+    """Rebind the `scalars` function `name` to `replacement` in `scalars` and
+    in every orbitlab module that imported it by name, so that a spy sees
+    each call, wherever it is made from."""
+    real = getattr(sys.modules["orbitlab.scalars"], name)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("orbitlab") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, replacement)
+    return real

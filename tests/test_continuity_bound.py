@@ -28,7 +28,7 @@ from orbitlab import (
 from orbitlab.errors import NotInSpan
 from orbitlab.hypercyclic import build_shift_operator
 from orbitlab.operators import ZERO, FiniteRankOperator, NeumannBudget
-from orbitlab.scalars import EXACT
+from orbitlab.scalars import ONE
 from orbitlab.scenarios import Scenario, run_scenario
 
 import oracles
@@ -94,12 +94,12 @@ def test_run_gives_the_sampled_oracles_verdict(monkeypatch, form, how):
     draws = oracles.spy_draws(monkeypatch)
     built = []
 
-    def corrupted(us, p, disk, ctx):
-        spec = build_shift_operator(us, p, disk, ctx)
+    def corrupted(us, p, disk):
+        spec = build_shift_operator(us, p, disk)
         terms = tuple(spec.operator.terms)
         j = random.Random(len(terms)).randrange(len(terms))
-        s = FiniteRankOperator(ZERO, tuple(CORRUPTIONS[how](terms, j, window, ctx.one)))
-        built.append((s, p, disk, ctx))
+        s = FiniteRankOperator(ZERO, tuple(CORRUPTIONS[how](terms, j, window, ONE)))
+        built.append((s, p, disk))
         return spec._replace(operator=s)
 
     monkeypatch.setattr(scenarios, "build_shift_operator", corrupted)
@@ -112,11 +112,11 @@ def test_run_gives_the_sampled_oracles_verdict(monkeypatch, form, how):
             check = continuity_check(run_scenario(Scenario.from_dict(data)))
         except NotInSpan:
             check = None
-        s, p, disk, ctx = built.pop()
-        c = NeumannBudget.of(s.terms, p, disk, ctx).c
+        s, p, disk = built.pop()
+        c = NeumannBudget.of(s.terms, p, disk).c
         try:
             samples = oracles.continuity_samples(s, p, disk, window,
-                                                 random.Random(data["seed"]), ctx)
+                                                 random.Random(data["seed"]))
         except NotInSpan:
             assert check is None, "the oracle left span D and the run did not"
             outcomes.append("not-in-span")
@@ -177,7 +177,7 @@ def test_budget_bounds_every_sampled_vector(form, how):
         assert unbounded == (how in ("f-outside-active", "v-unweighed"))
         rng = random.Random(data["seed"])
         for _ in range(100):
-            x = scenarios._random_window_vector(rng, window, EXACT)
+            x = scenarios._random_window_vector(rng, window)
             y = oracles.apply_terms(s, x)
             try:
                 gauge = oracles.weight_gauge(disk.weights, y) if disk.weights is not None \

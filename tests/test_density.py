@@ -26,7 +26,6 @@ from orbitlab.density import (
     net_report,
 )
 from orbitlab.errors import Exhausted, KernelCollision, NotANet, NotInSpan, NotPIndependent
-from orbitlab.scalars import EXACT
 from orbitlab.scenarios import Scenario, run_scenario
 
 import oracles
@@ -297,12 +296,12 @@ class TestDualByInverse:
     is its oracle."""
 
     @staticmethod
-    def separator_path(monkeypatch, us, p, ctx):
+    def separator_path(monkeypatch, us, p):
         import orbitlab.density as density
 
         with monkeypatch.context() as m:
-            m.setattr(density, "_dual_by_inverse", lambda projections, ctx: None)
-            return density.biorthogonalize(us, p, ctx)
+            m.setattr(density, "_dual_by_inverse", lambda projections: None)
+            return density.biorthogonalize(us, p)
 
     @staticmethod
     def spy_separators(monkeypatch):
@@ -311,9 +310,9 @@ class TestDualByInverse:
         calls = []
         of = Separator.of.__func__
 
-        def counted(cls, p, constraints, ctx=EXACT):
+        def counted(cls, p, constraints):
             calls.append(len(constraints))
-            return of(cls, p, constraints, ctx)
+            return of(cls, p, constraints)
 
         monkeypatch.setattr(Separator, "of", classmethod(counted))
         return calls
@@ -340,7 +339,7 @@ class TestDualByInverse:
         rng = random.Random(211)
         for _ in range(60):
             us, p = self.chain(rng, rng.randint(1, 9))
-            expected = self.separator_path(monkeypatch, us, p, EXACT)
+            expected = self.separator_path(monkeypatch, us, p)
             calls = self.spy_separators(monkeypatch)
             fs = biorthogonalize(us, p)
             monkeypatch.undo()
@@ -362,7 +361,7 @@ class TestDualByInverse:
             if rng.random() < 0.3:  # a repeated projection makes the block singular
                 us[-1] = us[0] + SparseVector.basis(n + 4)
             try:
-                expected = self.separator_path(monkeypatch, us, p, EXACT)
+                expected = self.separator_path(monkeypatch, us, p)
             except KernelCollision as exc:
                 expected = str(exc)
             calls = self.spy_separators(monkeypatch)

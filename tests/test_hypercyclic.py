@@ -302,9 +302,9 @@ class TestPremiseOracle:
         taken = {"core": 0, "ambient": 0}
         run = hypercyclic._meets
 
-        def counted(advance, identity, depth, shift, ctx):
+        def counted(advance, identity, depth, shift):
             taken["core" if shift else "ambient"] += 1
-            return run(advance, identity, depth, shift, ctx)
+            return run(advance, identity, depth, shift)
         monkeypatch.setattr(hypercyclic, "_meets", counted)
         return taken
 
@@ -458,7 +458,7 @@ def test_corpus_shift_lab_takes_the_fast_paths(monkeypatch, seed):
         witness.append("seminorm")
         return seminorm(*args)
 
-    def spied_meets(advance, identity, depth, shift, ctx):
+    def spied_meets(advance, identity, depth, shift):
         def typed(col):
             out = advance(col)
             kinds.update(type(x) for x in out.values())
@@ -466,8 +466,8 @@ def test_corpus_shift_lab_takes_the_fast_paths(monkeypatch, seed):
         cores.append(shift)
         if shift:
             kinds.update(type(x) for col in identity for x in col.values())
-            return meets(typed, identity, depth, shift, ctx)
-        return meets(advance, identity, depth, shift, ctx)
+            return meets(typed, identity, depth, shift)
+        return meets(advance, identity, depth, shift)
 
     monkeypatch.setattr(Separator, "of", classmethod(spied_of))
     monkeypatch.setattr(FiniteRankOperator, "apply", spied_apply)

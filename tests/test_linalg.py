@@ -10,7 +10,7 @@ import pytest
 
 from orbitlab import linalg
 from orbitlab.errors import SingularOperator
-from orbitlab.scalars import EXACT
+from orbitlab.scalars import ONE, ZERO, integer_row
 
 import oracles
 
@@ -278,7 +278,7 @@ def test_dense_basis_check_matches_echelon():
     for rows in families:
         cols = max((j for row in rows for j in row), default=0)
         expected = oracles.rank([[row.get(j, 0) for j in range(1, cols + 1)] for row in rows])
-        got = linalg.dense_independent([EXACT.integer_row(row)[0] for row in rows])
+        got = linalg.dense_independent([integer_row(row)[0] for row in rows])
         assert got == linalg.independent(rows) == (expected == len(rows))
         verdicts.add(got)
     assert verdicts == {True, False}
@@ -397,7 +397,7 @@ def test_bareiss_pass_is_the_bordered_factor_of_its_pivots():
 
 def test_rank_of_projections():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)], [Fraction(0), Fraction(1)]]
-    assert oracles.rank(rows, EXACT) == 2
+    assert oracles.rank(rows) == 2
 
 
 def pivot_rows(red, pivots):
@@ -410,30 +410,30 @@ def sparse(a):
     return [{j: v for j, v in enumerate(row) if v} for row in a]
 
 
-def null_basis(a, cols, ctx=EXACT):
+def null_basis(a, cols):
     """The dense nullspace basis of `RowReducer.of`: `null_vector` of each free column."""
-    red = linalg.RowReducer.of(sparse(a), ctx)
-    return [[red.null_vector(fc).get(j, ctx.zero) for j in range(cols)]
+    red = linalg.RowReducer.of(sparse(a))
+    return [[red.null_vector(fc).get(j, ZERO) for j in range(cols)]
             for fc in range(cols) if fc not in red.rows]
 
 
-def solve_augmented(a, b, ctx=EXACT):
+def solve_augmented(a, b):
     """A solution read off the augmented column of `RowReducer.of`, the right-hand
     side kept even where it is zero; None when that column pivots."""
     cols = len(a[0]) if a else 0
-    red = linalg.RowReducer.of([row | {cols: bi} for row, bi in zip(sparse(a), b)], ctx)
+    red = linalg.RowReducer.of([row | {cols: bi} for row, bi in zip(sparse(a), b)])
     if cols in red.rows:
         return None
-    return [red.rows[c].get(cols, ctx.zero) if c in red.rows else ctx.zero
+    return [red.rows[c].get(cols, ZERO) if c in red.rows else ZERO
             for c in range(cols)]
 
 
-def inverse(a, ctx=EXACT):
+def inverse(a):
     """The inverse read off `RowReducer.of` of [A | I]; no pivot lands in the I block."""
     n = len(a)
-    red = linalg.RowReducer.of([row | {n + i: ctx.one} for i, row in enumerate(sparse(a))], ctx)
+    red = linalg.RowReducer.of([row | {n + i: ONE} for i, row in enumerate(sparse(a))])
     assert all(pc < n for pc in red.rows)
-    return [[red.rows[i].get(n + j, ctx.zero) for j in range(n)] for i in range(n)]
+    return [[red.rows[i].get(n + j, ZERO) for j in range(n)] for i in range(n)]
 
 
 def zero_heavy_matrix(rng, rows, cols):
@@ -458,8 +458,8 @@ def test_rref_skipping_zeros_matches_dense_oracle():
     rng = random.Random(83)
     for _ in range(300):
         a = zero_heavy_matrix(rng, rng.randint(1, 8), rng.randint(1, 10))
-        rows = linalg.RowReducer.of(sparse(a), EXACT).rows
-        assert rows == pivot_rows(*oracles.rref(a, EXACT))
+        rows = linalg.RowReducer.of(sparse(a)).rows
+        assert rows == pivot_rows(*oracles.rref(a))
         assert all(type(v) is Fraction for row in rows.values() for v in row.values())
 
 

@@ -21,7 +21,7 @@ from orbitlab import (
 )
 from orbitlab.errors import BudgetExceeded, SingularOperator
 from orbitlab.operators import IDENTITY, ZERO, CoordIndex, GramFactor
-from orbitlab.scalars import EXACT
+from orbitlab.scalars import ONE, integer_row
 from orbitlab.vectors import _clean, combine
 
 import orbitlab.linalg as linalg
@@ -401,23 +401,23 @@ class TestCoordIndex:
     def cases(self, seed):
         rng = random.Random(seed)
         for name, terms in index_families(rng):
-            yield name, terms, index_probes(rng), EXACT
+            yield name, terms, index_probes(rng)
 
     def test_apply_matches_the_term_loop(self):
         for seed in range(6):
-            for name, terms, xs, ctx in self.cases(seed):
+            for name, terms, xs in self.cases(seed):
                 for base in (IDENTITY, ZERO):
                     op = FiniteRankOperator(base, terms)
                     for x in xs:
-                        assert bits(op.apply(x, ctx)) == bits(apply_terms(op, x)), (name, base, x)
+                        assert bits(op.apply(x)) == bits(apply_terms(op, x)), (name, base, x)
 
     def test_empty_operator_and_shared_index(self):
-        for name, terms, xs, ctx in self.cases(0):
+        for name, terms, xs in self.cases(0):
             for x in xs:
-                assert FiniteRankOperator.identity().apply(x, ctx) is x
-                assert FiniteRankOperator.zero().apply(x, ctx).is_zero()
+                assert FiniteRankOperator.identity().apply(x) is x
+                assert FiniteRankOperator.zero().apply(x).is_zero()
             op = FiniteRankOperator(ZERO, terms)
-            op.apply(xs[0], ctx)
+            op.apply(xs[0])
             j = op.plus_identity()
             assert j.coord_index is op.coord_index and j.linear_part().coord_index is op.coord_index
             assert op.linear_part() is op
@@ -430,12 +430,12 @@ class TestCoordIndex:
             assert hash(j) == hash(FiniteRankOperator(IDENTITY, terms))
             assert repr(j) == repr(FiniteRankOperator(IDENTITY, terms))
             for x in xs:
-                assert bits(j.apply(x, ctx)) == bits(apply_terms(j, x)), name
+                assert bits(j.apply(x)) == bits(apply_terms(j, x)), name
 
     def test_compose_matches_the_term_loop(self):
         for seed in range(4):
             cases = list(self.cases(seed))
-            for (name, terms, xs, ctx), (_, others, _, _) in zip(cases, cases[1:] + cases[:1]):
+            for (name, terms, xs), (_, others, _) in zip(cases, cases[1:] + cases[:1]):
                 for base, other_base in ((IDENTITY, IDENTITY), (ZERO, IDENTITY),
                                          (IDENTITY, ZERO)):
                     a = FiniteRankOperator(base, terms)
@@ -444,7 +444,7 @@ class TestCoordIndex:
                     expected = [(g, w) for g, w in images if not w.is_zero()]
                     if other_base == IDENTITY:
                         expected += list(a.terms)
-                    composed = a.compose(b, ctx)
+                    composed = a.compose(b)
                     assert composed.base == (IDENTITY if base == other_base == IDENTITY else ZERO)
                     assert [(g, bits(w)) for g, w in composed.terms] == \
                         [(g, bits(w)) for g, w in expected], name
@@ -457,22 +457,21 @@ class TestCoordIndex:
         seen, reduced = [], []
         of = linalg.RowReducer.of
 
-        def spy(rows, ctx):
+        def spy(rows):
             seen.append([(list(row), scalar_bits(row.values())) for row in rows])
-            reduced.append(of(rows, ctx))
+            reduced.append(of(rows))
             return reduced[-1]
 
         monkeypatch.setattr(linalg.RowReducer, "of", spy)
         inverted = 0
         for seed in range(6):
-            for name, terms, xs, ctx in self.cases(seed):
+            for name, terms, xs in self.cases(seed):
                 j = FiniteRankOperator(IDENTITY, terms)
-                one = ctx.one
                 seen.clear()
                 reduced.clear()
                 k = len(terms)
                 try:
-                    j_inv = invert(j, ctx)
+                    j_inv = invert(j)
                     inverted += 1
                     rows = reduced[0].rows
                     folds = [combine((rows[r].get(k + c, 0), v) for r, (_, v) in enumerate(terms))
@@ -481,9 +480,9 @@ class TestCoordIndex:
                         [(f, entry_bits(-u)) for (f, _), u in zip(terms, folds)], name
                 except SingularOperator:
                     pass
-                expected = [{c: g + (one if r == c else 0) for c, g in enumerate(row)}
+                expected = [{c: g + (ONE if r == c else 0) for c, g in enumerate(row)}
                             for r, row in enumerate(dense_gram(terms))]
-                expected = [{c: g for c, g in row.items() if g} | {k + r: one}
+                expected = [{c: g for c, g in row.items() if g} | {k + r: ONE}
                             for r, row in enumerate(expected)]
                 assert seen == [[(list(row), scalar_bits(row.values()))
                                  for row in expected]], name
@@ -512,8 +511,8 @@ class TestCoordIndex:
         monkeypatch.setattr(linalg.Bordered, "solve", spy_solve)
         solved = 0
         for seed in range(6):
-            for name, terms, xs, ctx in self.cases(seed):
-                gram = GramFactor(ctx)
+            for name, terms, xs in self.cases(seed):
+                gram = GramFactor()
                 fden = [den_of(f) for f, _ in terms]
                 vden = [den_of(v) for _, v in terms]
                 dense = [[int(fden[r] * vden[c] * g) for c, g in enumerate(row)]
@@ -541,7 +540,7 @@ class TestCoordIndex:
 
 def den_of(x):
     """The lcm of the denominators of x's entries, as `integer_row` scales x."""
-    return EXACT.integer_row(x.entries)[1]
+    return integer_row(x.entries)[1]
 
 
 def entry_bits(x):
@@ -590,8 +589,8 @@ class TestExactApply:
     """Exact `apply` sums on integer rows; it must give what the plain term
     loop gives, entry for entry, in the same order and with the same types."""
 
-    def assert_matches_the_loop(self, op, x, ctx, name):
-        got, want = op.apply(x, ctx), apply_terms(op, x)
+    def assert_matches_the_loop(self, op, x, name):
+        got, want = op.apply(x), apply_terms(op, x)
         assert entry_bits(got) == entry_bits(want), (name, op.base, x)
         if want is x:
             assert got is x, name
@@ -608,7 +607,7 @@ class TestExactApply:
                 for base in (IDENTITY, ZERO):
                     op = FiniteRankOperator(base, terms)
                     for x in xs:
-                        self.assert_matches_the_loop(op, x, EXACT, name)
+                        self.assert_matches_the_loop(op, x, name)
 
     def test_a_coordinate_that_cancels_comes_back_last(self):
         rng = random.Random(0)
@@ -632,17 +631,16 @@ class TestExactApply:
             for f, v in terms:
                 grown = op.with_term(f, v)
                 for x in xs:
-                    self.assert_matches_the_loop(grown, x, EXACT, name)
+                    self.assert_matches_the_loop(grown, x, name)
                     # the shorter operator still reads only its own terms
-                    self.assert_matches_the_loop(op, x, EXACT, name)
+                    self.assert_matches_the_loop(op, x, name)
                     rows = grown._term_rows
                     j = grown.plus_identity()
                     assert j._term_rows is rows
-                    self.assert_matches_the_loop(j, x, EXACT, name)
+                    self.assert_matches_the_loop(j, x, name)
                 op = grown
 
-    def test_orbit_compose_and_matrix_take_the_context(self):
-        ctx = EXACT
+    def test_orbit_compose_and_matrix_match_the_term_loop(self):
         rng = random.Random(5)
         terms = dict(rows_families(rng))["dense"]
         x0 = rows_probes(rng)[4]
@@ -650,11 +648,11 @@ class TestExactApply:
         plain = [x0]
         for _ in range(3):
             plain.append(apply_terms(t, plain[-1]))
-        assert [entry_bits(x) for x in orbit(t, x0, 4, ctx)] == [entry_bits(x) for x in plain]
-        twice = t.compose(t, ctx)
-        assert entry_bits(twice.apply(x0, ctx)) == entry_bits(apply_terms(twice, x0))
-        cols = [apply_terms(t, SparseVector.basis(j, ctx)) for j in range(1, 5)]
-        assert t.matrix_on(range(1, 5), ctx) == [[c.get(i) for c in cols] for i in range(1, 5)]
+        assert [entry_bits(x) for x in orbit(t, x0, 4)] == [entry_bits(x) for x in plain]
+        twice = t.compose(t)
+        assert entry_bits(twice.apply(x0)) == entry_bits(apply_terms(twice, x0))
+        cols = [apply_terms(t, SparseVector.basis(j)) for j in range(1, 5)]
+        assert t.matrix_on(range(1, 5)) == [[c.get(i) for c in cols] for i in range(1, 5)]
 
 
 def assert_clean(x):
@@ -726,7 +724,7 @@ class TestOrbit:
         t, calls = backward_shift(4), []
         real = FiniteRankOperator.apply
         monkeypatch.setattr(FiniteRankOperator, "apply",
-                            lambda self, x, ctx=EXACT: calls.append(x) or real(self, x, ctx))
+                            lambda self, x: calls.append(x) or real(self, x))
         out = orbit(t, SparseVector.basis(4), horizon)
         assert out == [SparseVector.basis(4 - k) if k < 4 else SparseVector.zero()
                        for k in range(horizon)]

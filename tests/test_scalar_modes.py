@@ -1,6 +1,6 @@
 """Exact mode, the one scalar mode, stays exact: no float reaches a result,
-and no module but `scalars` tells scalars apart by type or names the
-integer form a vector keeps."""
+no module but `scalars` tells scalars apart by type or names the integer
+form a vector keeps, and no context object is threaded through the layers."""
 
 import ast
 from fractions import Fraction
@@ -16,81 +16,79 @@ from orbitlab.hypercyclic import (
     range_kernel_premise_check,
     transitivity_witness,
 )
-from orbitlab.scalars import EXACT
+from orbitlab.scalars import parse
 from orbitlab.scenarios import Scenario, parse_eps_schedule, run_scenario
 from orbitlab.transport import run_transport, verify_transport
 from orbitlab.triangular import interleave_triangularize
 from orbitlab.vectors import CoordFunctional, SparseVector, _FiniteMap
 
 
-def vectors(rows, ctx):
-    return [serialize.decode_vector(row, ctx) for row in rows]
+def vectors(rows):
+    return [serialize.decode_vector(row) for row in rows]
 
 
 def weights(indices, text="1"):
     return {"kind": "sup", "weights": [[i, text] for i in indices]}
 
 
-def transport_results(ctx):
-    a = vectors([[[i, "1"]] for i in range(1, 5)], ctx)
+def transport_results():
+    a = vectors([[[i, "1"]] for i in range(1, 5)])
     noise = "1/16777216"
     b = vectors([[[2, "1"], [7, noise]], [[1, "1"], [8, noise]],
-                 [[4, "1"], [9, noise]], [[3, "1"], [10, noise]]], ctx)
-    p = serialize.decode_seminorm(weights(range(1, 7)), ctx)
-    disk = serialize.decode_disk({"weights": [[i, "1/2"] for i in range(1, 13)]}, ctx)
-    schedule = parse_eps_schedule("geometric:1/2", 4, ctx)
+                 [[4, "1"], [9, noise]], [[3, "1"], [10, noise]]])
+    p = serialize.decode_seminorm(weights(range(1, 7)))
+    disk = serialize.decode_disk({"weights": [[i, "1/2"] for i in range(1, 13)]})
+    schedule = parse_eps_schedule("geometric:1/2", 4)
     state = run_transport(Enumeration(tuple(a)), Enumeration(tuple(b)),
-                          p, disk, schedule, 2, ctx)
-    return [state.operator, state, state.budget_used(ctx), verify_transport(state, ctx)]
+                          p, disk, schedule, 2)
+    return [state.operator, state, state.budget_used(), verify_transport(state)]
 
 
-def triangularize_results(ctx):
+def triangularize_results():
     basis = vectors([[[1, "1"], [3, "1/2"]], [[1, "2/3"], [2, "1"]],
-                     [[2, "1"], [3, "1"]], [[1, "1"], [4, "-3/2"]]], ctx)
-    funcs = [CoordFunctional.delta(i, ctx) for i in range(1, 7)]
-    state = interleave_triangularize(basis, funcs, 2, ctx)
+                     [[2, "1"], [3, "1"]], [[1, "1"], [4, "-3/2"]]])
+    funcs = [CoordFunctional.delta(i) for i in range(1, 7)]
+    state = interleave_triangularize(basis, funcs, 2)
     return [state, state.coeffs, state.minors, state.v]
 
 
-def shift_results(ctx):
+def shift_results():
     basis = vectors([[[1, "1"], [2, "1/3"]], [[2, "1/3"], [3, "2/3"]],
-                     [[1, "1/3"], [3, "1"], [4, "1/3"]], [[2, "1/3"], [4, "2/3"]]], ctx)
-    p = serialize.decode_seminorm(weights(range(1, 5)), ctx)
+                     [[1, "1/3"], [3, "1"], [4, "1/3"]], [[2, "1/3"], [4, "2/3"]]])
+    p = serialize.decode_seminorm(weights(range(1, 5)))
     disk = serialize.decode_disk(
-        {"weights": [[i, "1/3"] for i in range(1, 5)] + [[5, "1"], [6, "1"]]}, ctx)
-    spec = build_shift_operator(basis, p, disk, ctx)
-    premise = range_kernel_premise_check(spec.operator.plus_identity(), 6, 4, ctx)
+        {"weights": [[i, "1/3"] for i in range(1, 5)] + [[5, "1"], [6, "1"]]})
+    spec = build_shift_operator(basis, p, disk)
+    premise = range_kernel_premise_check(spec.operator.plus_identity(), 6, 4)
     return [spec, premise]
 
 
-def witness_results(ctx):
+def witness_results():
     op = serialize.decode_operator({"base": "identity", "terms": [
-        {"f": [[k + 1, "1"]], "v": [[k, f"1/{2 ** k}"]]} for k in range(1, 6)]}, ctx)
-    x = serialize.decode_vector([[1, "1/2"], [2, "-3"], [3, "5/4"]], ctx)
-    y = serialize.decode_vector([[1, "-2"], [3, "7/4"]], ctx)
-    p = serialize.decode_seminorm(weights(range(1, 4)), ctx)
-    return list(transitivity_witness(op, x, y, ctx.parse("1/1000"), 64, p,
-                                     window=6, ctx=ctx))
+        {"f": [[k + 1, "1"]], "v": [[k, f"1/{2 ** k}"]]} for k in range(1, 6)]})
+    x = serialize.decode_vector([[1, "1/2"], [2, "-3"], [3, "5/4"]])
+    y = serialize.decode_vector([[1, "-2"], [3, "7/4"]])
+    p = serialize.decode_seminorm(weights(range(1, 4)))
+    return list(transitivity_witness(op, x, y, parse("1/1000"), 64, p, window=6))
 
 
-def gauge_results(ctx):
+def gauge_results():
     gens = vectors([[[1, "2"]], [[2, "3/2"]], [[3, "1/2"]], [[1, "1"], [3, "-1"]],
-                    [[1, "-1/2"], [2, "1"]]], ctx)
+                    [[1, "-1/2"], [2, "1"]]])
     disk = DiskSpec.from_generators(gens)
-    probes = vectors([[[1, "1"], [2, "-2/3"], [3, "5"]], [[2, "1/7"]]], ctx)
-    return [disk] + [minkowski(disk, u, ctx) for u in probes]
+    probes = vectors([[[1, "1"], [2, "-2/3"], [3, "5"]], [[2, "1/7"]]])
+    return [disk] + [minkowski(disk, u) for u in probes]
 
 
-def common_results(ctx):
+def common_results():
     half = ["-1", "-1/2", "0", "1/2", "1"]
     grid = [[[1, s], [2, t]] for s in half for t in half]
-    a = vectors(grid, ctx)
-    b = [x + SparseVector({1: ctx.parse("1/8"), 2: ctx.parse("-1/8")}) for x in a]
-    targets = vectors([[[1, "1/4"], [2, "-3/4"]], [[1, "1/2"]], [[2, "1"]]], ctx)
-    # coordinate 3 carries no item, so its disk weight stays at ctx.one
-    net = EpsilonNet(window=3, targets=tuple(targets), eps=ctx.parse("1/4"))
-    return [common_disk(Enumeration(tuple(a)), Enumeration(tuple(b)), net,
-                        ctx=ctx)]
+    a = vectors(grid)
+    b = [x + SparseVector({1: parse("1/8"), 2: parse("-1/8")}) for x in a]
+    targets = vectors([[[1, "1/4"], [2, "-3/4"]], [[1, "1/2"]], [[2, "1"]]])
+    # coordinate 3 carries no item, so its disk weight stays at 1
+    net = EpsilonNet(window=3, targets=tuple(targets), eps=parse("1/4"))
+    return [common_disk(Enumeration(tuple(a)), Enumeration(tuple(b)), net)]
 
 
 FLOWS = [transport_results, triangularize_results, shift_results, witness_results,
@@ -137,14 +135,14 @@ SCALAR_COUNTS = {"transport_results": 71, "triangularize_results": 62, "shift_re
 @pytest.mark.parametrize("flow", FLOWS, ids=lambda f: f.__name__)
 def test_walk_reaches_every_scalar(flow):
     seen = []
-    walk(flow(EXACT), lambda kind, v: seen.append(kind))
+    walk(flow(), lambda kind, v: seen.append(kind))
     assert len(seen) == SCALAR_COUNTS[flow.__name__]
 
 
 @pytest.mark.parametrize("flow", FLOWS, ids=lambda f: f.__name__)
 def test_exact_results_hold_no_float(flow):
     floats = []
-    walk(flow(EXACT), lambda kind, v: floats.append((kind, v)) if type(v) is float else None)
+    walk(flow(), lambda kind, v: floats.append((kind, v)) if type(v) is float else None)
     assert floats == []
 
 
@@ -153,7 +151,7 @@ def test_exact_results_store_fractions(flow):
     """Every entry and weight a result keeps is a Fraction: the integer
     kernels scale their rows back, and no int or bool is left behind."""
     stored = []
-    walk(flow(EXACT), lambda kind, v: stored.append(v) if kind != "value" else None)
+    walk(flow(), lambda kind, v: stored.append(v) if kind != "value" else None)
     assert stored and all(type(v) is Fraction for v in stored)
 
 
@@ -216,7 +214,9 @@ def mode_reads(tree):
 
 def test_only_scalars_reads_the_mode():
     """No module but `scalars` reads `.exact` or `.tol`, or tells scalars
-    apart by their type: each is how a second scalar mode would come back."""
+    apart by their type: each is how a second scalar mode would come back.
+    `scalars` itself tests a value against `Fraction` only where text or an
+    entry becomes a scalar (`_exact_entry`) and where it is printed."""
     reads = []
     for path in sorted(Path(orbitlab.__file__).parent.glob("*.py")):
         if path.name != "scalars.py":
@@ -236,9 +236,9 @@ def slot_names(tree):
 
 
 def test_only_vectors_and_scalars_name_the_integer_form():
-    """`vectors` owns the slot and `ScalarContext.integer_of` fills and reads
-    it; every other module asks the accessor, so whether and when a form is
-    kept is decided in one place."""
+    """`vectors` owns the slot and the plain function `scalars.integer_of`
+    fills and reads it; every other module calls that function, so whether
+    and when a form is kept is decided in one place."""
     names = []
     for path in sorted(Path(orbitlab.__file__).parent.glob("*.py")):
         if path.name not in ("vectors.py", "scalars.py"):
@@ -276,3 +276,62 @@ def test_slot_name_scan_flags_each_way_of_naming_it(source, found):
 ])
 def test_mode_read_scan_flags_type_tests(source, found):
     assert [what for _, what in mode_reads(ast.parse(source))] == found
+
+
+RETIRED = ("ScalarContext", "EXACT", "close")
+
+
+def context_names(tree):
+    """Places that thread a scalar context: a parameter named `ctx`, or a
+    name, attribute, definition or import of `ScalarContext`, of its
+    instance `EXACT` or of `close`, the tolerance test that became `==`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.arg == "ctx":
+            yield node.lineno, "ctx"
+        elif isinstance(node, ast.alias):
+            yield from ((node.lineno, n) for n in (node.name, node.asname) if n in RETIRED)
+        else:
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    else None)
+            if name in RETIRED:
+                yield node.lineno, name
+
+
+def test_no_module_threads_a_scalar_context():
+    """The scalar layer is plain functions of `scalars`: no function takes a
+    `ctx`, and no module names the retired context, its instance or `close`."""
+    names = []
+    for path in sorted(Path(orbitlab.__file__).parent.glob("*.py")):
+        names += [f"{path.name}:{line} {what}"
+                  for line, what in context_names(ast.parse(path.read_text()))]
+    assert names == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(x, ctx=None): pass", ["ctx"]),
+    ("lambda ctx: 0", ["ctx"]),
+    ("from .scalars import EXACT, ScalarContext", ["EXACT", "ScalarContext"]),
+    ("from .vectors import combine as close", ["close"]),
+    ("scalars.ScalarContext('exact')", ["ScalarContext"]),
+    ("x = EXACT", ["EXACT"]),
+    ("class ScalarContext: pass", ["ScalarContext"]),
+    ("def close(x, y): return x == y", ["close"]),
+    ("ok = close(x, y)", ["close"]),
+    ("ctx = 1", []),
+    ("integer_row(x.entries)", []),
+    ("def f(context): pass", []),
+])
+def test_context_scan_flags_each_way_of_naming_it(source, found):
+    assert [what for _, what in context_names(ast.parse(source))] == found
+
+
+def test_a_scenario_built_directly_in_a_retired_mode_is_refused():
+    """`run_scenario` checks the mode through the same `scalars` check the
+    decoders use, also for a Scenario built without `from_dict`."""
+    scenario = Scenario("float-built", "float", 6, 1, "hypercyclic",
+                        {"mode": "demo", "x0": [[1, "1"]], "horizon": 2})
+    with pytest.raises(ValueError, match="^unknown scalar mode 'float'$"):
+        run_scenario(scenario)
+    assert run_scenario(scenario._replace(scalar_mode="exact")).passed

@@ -1,15 +1,20 @@
-"""Canonical text formats round-trip, and every decoder takes a context or
-its mode name."""
+"""Canonical text formats round-trip, and every decoder takes the scalar
+mode name that the benchmark's set-up probe hands it."""
 
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from orbitlab import CoordFunctional, DiskSpec, FiniteRankOperator, SeminormSpec, SparseVector
 from orbitlab.operators import ZERO
-from orbitlab.scalars import EXACT, MAX_DIGITS, format_scalar
+from orbitlab.scalars import MAX_DIGITS, format_scalar, parse
 from orbitlab import serialize
 
 import oracles
@@ -25,14 +30,14 @@ def test_scalar_text_forms():
 
 def test_scalar_parse_round_trip():
     for value in [Fraction(0), Fraction(7, 3), Fraction(-1, 8), Fraction(12)]:
-        assert EXACT.parse(format_scalar(value)) == value
+        assert parse(format_scalar(value)) == value
 
 
 def test_scalar_parse_rejects_bad_text():
     for text in ("abc", "1/0", "", "1/", "nan", "inf", "-inf"):
         with pytest.raises(ValueError):
-            EXACT.parse(text)
-    assert EXACT.parse(" 2/4 ") == Fraction(1, 2)
+            parse(text)
+    assert parse(" 2/4 ") == Fraction(1, 2)
 
 
 NEAR_MISSES = [
@@ -76,13 +81,13 @@ def test_scalar_parse_matches_the_fraction_parse():
                            for _ in range(4000)]
     beyond = [text for text in texts if _beyond_the_digit_limit(text)]
     within = [text for text in texts if text not in beyond]
-    outcomes = [(_parse_outcome(EXACT.parse, text), _parse_outcome(oracles.parse_scalar, text))
+    outcomes = [(_parse_outcome(parse, text), _parse_outcome(oracles.parse_scalar, text))
                 for text in within]
     assert [text for text, (got, want) in zip(within, outcomes) if got != want] == []
     parsed = sum(got[0] != "ValueError" for got, _ in outcomes)
     assert 500 < parsed < len(within) - 500  # both sides of the rule are exercised
     assert len(beyond) >= 8
-    assert [_parse_outcome(EXACT.parse, text) for text in beyond] == [
+    assert [_parse_outcome(parse, text) for text in beyond] == [
         ("ValueError", f"{text.strip()!r} is beyond the {MAX_DIGITS}-digit limit of a scalar")
         for text in beyond]
 
@@ -141,12 +146,31 @@ DECODER_IDS = ["vector", "functional", "seminorm", "disk", "operator"]
 @pytest.mark.parametrize("decode, data, value", DECODINGS, ids=DECODER_IDS)
 def test_every_decoder_takes_the_mode_name(decode, data, value):
     """perfbench/setup_probe.py hands the decoders `Scenario.scalar_mode`."""
-    assert decode(data, "exact") == decode(data, EXACT) == decode(data) == value
+    assert decode(data, "exact") == decode(data) == value
 
 
 @pytest.mark.parametrize("decode, data, value", DECODINGS, ids=DECODER_IDS)
 def test_every_decoder_refuses_a_retired_mode_name(decode, data, value):
-    """A mode name reaches `ScalarContext`, which knows "exact" alone: a
+    """A mode name reaches `scalars.check_mode`, which knows "exact" alone: a
     decoder handed "float" refuses it instead of decoding in exact mode."""
     with pytest.raises(ValueError, match="^unknown scalar mode 'float'$"):
         decode(data, "float")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_the_setup_probe_decodes_every_workload(tmp_path):
+    """perfbench/setup_probe.py, the process the benchmark's `setup_s` times,
+    decodes the seed-1 scenarios of every workload and exits 0."""
+    workloads = oracles.benchmark_workloads()
+    paths = []
+    for workload in ("triangularize", "transport", "shiftgauge"):
+        for k, data in enumerate(workloads.generate(workload, 1)):
+            path = tmp_path / f"{workload}-{k:02d}.json"
+            path.write_text(json.dumps(data))
+            paths.append(str(path))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "setup_probe.py"), *paths],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -11,7 +11,7 @@ import pytest
 
 from orbitlab import DiskSpec, SparseVector, minkowski, simplex
 from orbitlab.errors import NotInSpan
-from orbitlab.scalars import EXACT, ScalarContext
+from orbitlab.scalars import ONE
 from orbitlab.simplex import Infeasible, Unbounded, solve_lp
 from orbitlab.vectors import combine
 
@@ -272,14 +272,14 @@ def test_exact_generator_gauge_does_no_fraction_arithmetic_in_simplex(monkeypatc
             gauges = [gauge(u) for u in probes]
         return gauges, callers
 
-    sizes, integer_row = [], ScalarContext.integer_row
+    sizes = []
 
-    def counted(self, entries):
+    def counted(entries):
         sizes.append(len(entries))
-        return integer_row(self, entries)
+        return integer_row(entries)
 
-    monkeypatch.setattr(ScalarContext, "integer_row", counted)
-    gauges, callers = gauges_and_callers(lambda u: minkowski(disk, u, EXACT))
+    integer_row = oracles.patch_scalars(monkeypatch, "integer_row", counted)
+    gauges, callers = gauges_and_callers(lambda u: minkowski(disk, u))
     reference, reference_callers = gauges_and_callers(lambda u: fraction_gauge(gens, u))
     assert callers == set()
     assert {file for file, _, _ in reference_callers} == {"oracles.py"}
@@ -313,12 +313,12 @@ class _RecordingIntTableau(simplex._IntTableau):
         self.path.append(list(self.basis))
 
 
-def generator_lp(gens, u, ctx=EXACT):
+def generator_lp(gens, u):
     """The gauge LP built from scratch: unit costs, [G | -G] and u over the
     coordinates of u and of the generators."""
     coords = sorted(set(u.support).union(*(g.support for g in gens)))
     a = [[g.get(i) for g in gens] + [-g.get(i) for g in gens] for i in coords]
-    return [ctx.one] * (2 * len(gens)), a, [u.get(i) for i in coords]
+    return [ONE] * (2 * len(gens)), a, [u.get(i) for i in coords]
 
 
 def fraction_gauge(gens, u):

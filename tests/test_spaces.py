@@ -19,10 +19,10 @@ from orbitlab import (
 )
 from orbitlab.density import Enumeration
 from orbitlab.errors import NoSeparation, NotInSpan, NotPBounded
-from orbitlab.scalars import EXACT
+from orbitlab.scalars import ONE, ZERO
 from orbitlab.seminorms import Separator, gauge_below
 from orbitlab import vectors
-from orbitlab.vectors import close, combine
+from orbitlab.vectors import combine
 
 import oracles
 
@@ -125,7 +125,7 @@ class TestDualNorm:
                                  for i in rng.sample(range(1, 9), rng.randint(0, 8))})
             fold = sum if kind == "sup" else max
             quotients = [abs(v) / weights[i] for i, v in f.entries.items()]
-            got = dual_norm(SeminormSpec(kind, weights), f, EXACT)
+            got = dual_norm(SeminormSpec(kind, weights), f)
             assert got == (fold(quotients, Fraction(0)) if kind == "sup" else
                            max(quotients, default=Fraction(0)))
             assert type(got) is (Fraction if f.entries else int)
@@ -179,22 +179,22 @@ class TestMinkowski:
             yield weights, SparseVector({**u, outside[1]: Fraction(-1, 3)})
 
     def test_weight_form_matches_the_plain_loop(self):
-        """Same value, type and repr as `total += abs(u_i) / d_i` from ctx.zero,
-        and the same NotInSpan message for the first unweighted coordinate."""
-        ctx = EXACT
+        """Same value, type and repr as `total += abs(u_i) / d_i` from a
+        Fraction 0, and the same NotInSpan message for the first unweighted
+        coordinate."""
         checked = raised = 0
         for seed in range(4):
             for weights, u in self.weight_gauge_cases(seed):
                 disk = DiskSpec(weights=weights)
                 try:
-                    want = oracles.weight_gauge(disk.weights, u, ctx)
+                    want = oracles.weight_gauge(disk.weights, u)
                 except NotInSpan as exc:
                     with pytest.raises(NotInSpan) as got:
-                        minkowski(disk, u, ctx)
+                        minkowski(disk, u)
                     assert str(got.value) == str(exc)
                     raised += 1
                     continue
-                got = minkowski(disk, u, ctx)
+                got = minkowski(disk, u)
                 assert (type(got), repr(got)) == (type(want), repr(want))
                 checked += 1
         assert checked >= 100 and raised >= 200
@@ -285,25 +285,24 @@ class TestMinkowski:
         weighted sum at its first term, or lie above or below it; where the
         full gauge raises NotInSpan, gauge_below raises the same, even at a
         bound the first term already reaches."""
-        ctx = EXACT
         rng = random.Random(25)
         seen = set()
         for disk, x, y in self.bounded_gauge_cases(rng):
             diff = x - y
             try:
-                gauge = minkowski(disk, diff, ctx)
+                gauge = minkowski(disk, diff)
             except NotInSpan as exc:
-                for bound in (ctx.zero, ctx.one):
+                for bound in (ZERO, ONE):
                     with pytest.raises(NotInSpan) as got:
-                        gauge_below(disk, x, y, bound, ctx)
+                        gauge_below(disk, x, y, bound)
                     assert str(got.value) == str(exc)
                 seen.add("NotInSpan")
                 continue
-            first = (ctx.zero if diff.is_zero() or disk.weights is None
+            first = (ZERO if diff.is_zero() or disk.weights is None
                      else next(abs(v) / disk.weights[i] for i, v in diff.entries.items()))
-            near, apart = (gauge * (1 + ctx.coerce(2) ** -k) for k in (45, 30))
-            for bound in (gauge, near, apart, first, gauge / 2, gauge + 1, ctx.zero):
-                got = gauge_below(disk, x, y, bound, ctx)
+            near, apart = (gauge * (1 + Fraction(2) ** -k) for k in (45, 30))
+            for bound in (gauge, near, apart, first, gauge / 2, gauge + 1, ZERO):
+                got = gauge_below(disk, x, y, bound)
                 assert got is (gauge < bound), (disk, x, y, bound)
                 seen.add((got, disk.weights is None))
         assert seen == {"NotInSpan", (True, False), (False, False), (True, True), (False, True)}
@@ -354,7 +353,7 @@ class TestSeparatingFunctional:
             assert set(f.support) <= p.active
 
 
-def nullspace_pick(p, constraints, u, ctx=EXACT):
+def nullspace_pick(p, constraints, u):
     """Oracle: the first dense `oracles.nullspace` vector over the active coordinates
     of the constraints and u that is non-zero on u, rescaled to dual norm one."""
     coords = sorted({i for x in list(constraints) + [u] for i in x.entries if i in p.weights})
@@ -362,7 +361,7 @@ def nullspace_pick(p, constraints, u, ctx=EXACT):
         raise NoSeparation("u projects to zero on the active coordinates")
     rows = [[x.get(i) for i in coords] for x in constraints]
     u_proj = [u.get(i) for i in coords]
-    for candidate in oracles.nullspace(rows, cols=len(coords), ctx=ctx):
+    for candidate in oracles.nullspace(rows, cols=len(coords)):
         if sum(c * x for c, x in zip(candidate, u_proj)) != 0:
             f = CoordFunctional({i: c for i, c in zip(coords, candidate) if c != 0})
             return f.scale(1 / dual_norm(p, f))
@@ -498,7 +497,7 @@ class TestCombine:
 class TestClose:
     @pytest.mark.parametrize("kind", [SparseVector, CoordFunctional])
     def test_equal_maps_build_no_difference(self, kind, monkeypatch):
-        ctx = EXACT
+        """Two maps are close when they are equal, and `==` builds no difference."""
         x = kind({1: Fraction(1, 3), 4: Fraction(-2, 7)})
         y = kind(dict(reversed(list(x.entries.items()))))
 
@@ -506,19 +505,19 @@ class TestClose:
             raise AssertionError("difference built")
 
         monkeypatch.setattr(vectors._FiniteMap, "__sub__", boom)
-        assert close(x, y, ctx) and close(x, x, ctx)
-        assert close(kind.zero(), kind.zero(), ctx)
+        assert x == y and x == x
+        assert kind.zero() == kind.zero()
 
     @pytest.mark.parametrize("kind", [SparseVector, CoordFunctional])
     def test_maps_apart_by_any_amount_are_not_close(self, kind):
-        """`close` is equality: no tolerance makes 1/3 + 2^-60 equal to 1/3, or
-        an entry of 2^-200 a zero."""
+        """Closeness is equality: no tolerance makes 1/3 + 2^-60 equal to 1/3,
+        or an entry of 2^-200 a zero."""
         x = kind({1: Fraction(1, 3), 4: Fraction(-2, 7)})
         for y in (kind({1: Fraction(1, 3) + Fraction(1, 2 ** 60), 4: Fraction(-2, 7)}),
                   kind({**x.entries, 9: Fraction(1, 2 ** 200)}),
                   kind({1: Fraction(1, 3)}), kind.zero()):
-            assert not close(x, y, EXACT) and not close(y, x, EXACT), y
-        assert not close(kind({9: Fraction(1, 2 ** 200)}), kind.zero(), EXACT)
+            assert x != y and y != x, y
+        assert kind({9: Fraction(1, 2 ** 200)}) != kind.zero()
 
 
 class TestIdentity:

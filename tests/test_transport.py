@@ -22,7 +22,7 @@ from orbitlab.errors import (
     StageFailure,
 )
 from orbitlab.operators import GramFactor
-from orbitlab.scalars import EXACT, ScalarContext
+from orbitlab.scalars import ONE, coerce, integer_row, parse
 from orbitlab.scenarios import Scenario, run_scenario
 from orbitlab.seminorms import Separator
 from orbitlab.transport import (
@@ -81,16 +81,15 @@ class TestStepForward:
     def test_no_approximant_reports_best(self):
         """The failure path gauges every pool element in full and names the
         first closest one, here the second of four."""
-        ctx = EXACT
         pool = [sv(5, 5), sv(2, 1), sv(0, 3), sv(3)]  # l1 distances 9, 2, 4, 2 from (1, 0)
         state = fresh_state([sv(1)], pool, active=2, window=2, epsilons=geometric_schedule(2))
         u = sv(1)
         with pytest.raises(NoApproximant) as err:
-            step_forward(state, u, Separator(state.p, ctx), pool, ctx.parse("1/4"), ctx)
+            step_forward(state, u, Separator(state.p), pool, parse("1/4"))
         assert (err.value.best, err.value.best_index) == (2, 1)
-        assert type(err.value.best) is type(ctx.one)
-        assert str(err.value) == (f"no pool element within {ctx.parse('1/4')} of the "
-                                  f"forward target; best distance {ctx.coerce(2)}")
+        assert type(err.value.best) is type(ONE)
+        assert str(err.value) == (f"no pool element within {parse('1/4')} of the "
+                                  f"forward target; best distance {coerce(2)}")
 
     def test_first_pool_element_beyond_the_bound_is_passed_over(self):
         pool = [sv(5, 5), sv(frac(9, 10), frac(1, 10))]
@@ -337,9 +336,9 @@ class TestVerifyTransport:
         expected_budget = state.budget_used()
         gauge, calls = operators.minkowski, []
 
-        def counting(disk, v, ctx):
+        def counting(disk, v):
             calls.append(v)
-            return gauge(disk, v, ctx)
+            return gauge(disk, v)
 
         monkeypatch.setattr(operators, "minkowski", counting)
         report = verify_transport(state)
@@ -358,10 +357,10 @@ class TestVerifyTransport:
         window = transport._window_indices(state)
         apply, window_calls, j_inputs = FiniteRankOperator.apply, [], []
 
-        def spied_apply(op, x, ctx):
+        def spied_apply(op, x):
             if op.base == "identity" and op.terms is state.terms.terms:
                 j_inputs.append(x)
-            return apply(op, x, ctx)
+            return apply(op, x)
 
         def spied_window(st):
             window_calls.append(st)
@@ -422,7 +421,7 @@ class TestVerifyTransport:
         state = run_transport(a, b, p, d, geometric_schedule(4), stages=2)
         assert verify_transport(state).passed
         monkeypatch.setattr("orbitlab.transport.invert",
-                            lambda j, ctx: FiniteRankOperator.identity())
+                            lambda j: FiniteRankOperator.identity())
         checks = {c.name: c for c in verify_transport(state).checks}
         assert (checks["invertible"].passed, checks["invertible"].detail) == \
             (False, "Gram solve and window round trip")
@@ -520,10 +519,10 @@ class TestIncrementalWorkspace:
             states.append(run(*args))
             return states[-1]
 
-        def spied_apply(op, x, ctx):
+        def spied_apply(op, x):
             if op.base == "identity":
                 applied.append(x)
-            return apply(op, x, ctx)
+            return apply(op, x)
 
         monkeypatch.setattr(scenarios, "run_transport", spied_run)
         monkeypatch.setattr(FiniteRankOperator, "apply", spied_apply)
@@ -540,7 +539,7 @@ class TestIncrementalWorkspace:
         rows = next(t for t in report.tables if t.name == "matched-pairs").rows
         j = state.operator
         assert [row[3] for row in rows] == [
-            serialize.format_vector(apply(j, state.a.vector(n), EXACT) - state.b.vector(m))
+            serialize.format_vector(apply(j, state.a.vector(n)) - state.b.vector(m))
             for n, m in zip(state.n_idx, state.m_idx)]
 
     def test_run_needs_no_from_scratch_solve(self, monkeypatch):
@@ -621,7 +620,7 @@ class TestIncrementalWorkspace:
         calls = self.count_gram_pairings(monkeypatch)
 
         def row(x):
-            return EXACT.integer_row(x.entries)[0]
+            return integer_row(x.entries)[0]
 
         terms = []
         for m in range(8):
@@ -667,7 +666,7 @@ class TestIncrementalWorkspace:
         assert len(calls) == sum(meets(g, u) for g, _ in terms)
 
 
-# exact `ScalarContext.integer_row` calls in one transport corpus pass
+# exact `scalars.integer_row` calls in one transport corpus pass
 # (perfbench/workloads.py, seeds 1 and 2): before vectors kept their integer
 # form, when every gauge, pairing and solve scaled its vectors afresh, and
 # now, when each map is scaled once (-42.7 % and -39.9 %)
@@ -680,14 +679,14 @@ def test_a_corpus_pass_scales_no_map_twice(monkeypatch, seed):
     """Over one exact transport corpus pass, `integer_row` is never given the
     same entries map twice, and it makes at most SCALED_ONCE_CALLS calls,
     about 40 % fewer than RESCALING_CALLS.  Counts only; no time is measured."""
-    convert, scaled = ScalarContext.integer_row, {}
+    scaled = {}
 
-    def counting(self, entries):
+    def counting(entries):
         # the map is kept alive, so that no later map takes its id
         scaled.setdefault(id(entries), []).append(entries)
-        return convert(self, entries)
+        return convert(entries)
 
-    monkeypatch.setattr(ScalarContext, "integer_row", counting)
+    convert = oracles.patch_scalars(monkeypatch, "integer_row", counting)
     for data in oracles.benchmark_workloads().generate("transport", seed):
         report = run_scenario(Scenario.from_dict(data))
         assert report.passed, data["name"]

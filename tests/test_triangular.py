@@ -10,7 +10,6 @@ import pytest
 
 from orbitlab import CoordFunctional, SparseVector, linalg
 from orbitlab.errors import Exhausted, LinearlyDependent
-from orbitlab.scalars import EXACT
 from orbitlab.triangular import (
     TriangularizeState,
     _Row,
@@ -46,8 +45,8 @@ def greedy_pick(side, forced, chosen, candidates):
     extended minor, as `_solution` reads it off the pass's last pivot;
     Exhausted, as `interleave_triangularize` raises it, when every entry is zero."""
     n = len(chosen)
-    own = [_scaled(x, EXACT) for x in forced[: n + 1]]
-    other = [_scaled(x, EXACT) for x in list(chosen) + list(candidates)]
+    own = [_scaled(x) for x in forced[: n + 1]]
+    other = [_scaled(x) for x in list(chosen) + list(candidates)]
     fs, us = (own, other) if side == 0 else (other, own)
     elim = linalg.Bareiss([[_dot(f.row, u.row) for u in us] for f in fs])
     for j in range(n):
@@ -353,7 +352,7 @@ class TestIntegerRows:
         us += [SparseVector({1: Fraction(2), 2: Fraction(-2)})]
         for f in fs:
             for u in us:
-                rf, ru = _scaled(f, EXACT), _scaled(u, EXACT)
+                rf, ru = _scaled(f), _scaled(u)
                 for got in (_dot(rf.row, ru.row), _dot(ru.row, rf.row)):
                     assert type(got) is int and Fraction(got, rf.den * ru.den) == f.pair(u)
 
@@ -363,10 +362,10 @@ class TestIntegerRows:
         loop, in its order."""
         rng = random.Random(223)
         for _ in range(20):
-            rows = [_scaled(SparseVector(e), EXACT) for e in rational_family(rng, 5, 6, kind)]
+            rows = [_scaled(SparseVector(e)) for e in rational_family(rng, 5, 6, kind)]
             us = [SparseVector(r.row) for r in rows]
             coeffs = [rng.choice([0, rng.randint(-5, 5), rng.randint(1, 2 ** 40)]) for _ in us]
-            zero = _scaled(SparseVector.zero(), EXACT)
+            zero = _scaled(SparseVector.zero())
             got = list(zero.plus(coeffs, rows).row.items())
             assert got == list(oracles.combination(coeffs, us).items())
             rest = [-c for c in coeffs[1:]]
@@ -379,8 +378,8 @@ class TestIntegerRows:
               SparseVector({1: Fraction(-1), 3: Fraction(1)}),
               SparseVector({1: Fraction(3), 2: Fraction(1)})]
         coeffs = [1, 1, 1]
-        rows = [_scaled(u, EXACT) for u in us]
-        got = list(_scaled(SparseVector.zero(), EXACT).plus(coeffs, rows).row.items())
+        rows = [_scaled(u) for u in us]
+        got = list(_scaled(SparseVector.zero()).plus(coeffs, rows).row.items())
         # coordinate 1 cancels after the second term and comes back last
         assert [i for i, _ in got] == [2, 3, 1] == list(oracles.combination(coeffs, us))
         assert got == list(oracles.combination(coeffs, us).items())
@@ -395,7 +394,7 @@ class TestIntegerRows:
         for _ in range(3):
             while True:
                 basis = [SparseVector(e) for e in rational_family(rng, window, window, kind)]
-                if linalg.independent((u.entries for u in basis), EXACT):
+                if linalg.independent(u.entries for u in basis):
                     break
             if general:
                 funcs = [CoordFunctional(e)
@@ -435,7 +434,7 @@ def test_integer_factor_matches_the_oracles_beyond_the_corpus():
         for _ in range(8):
             while True:
                 basis = [SparseVector(e) for e in rational_family(rng, 7, 7, kind)]
-                if linalg.independent((u.entries for u in basis), EXACT):
+                if linalg.independent(u.entries for u in basis):
                     break
             funcs = [CoordFunctional(e) for e in rational_family(rng, 9, 7, kind)]
             try:
@@ -448,7 +447,7 @@ def test_integer_factor_matches_the_oracles_beyond_the_corpus():
                 assert state.minors[m - 1] == oracles.determinant(block)
                 assert oracles.mat_vec(block, state.coeffs[m - 1]) == [int(k == m - 1) for k in range(m)]
             rejected += rejected_candidates(state)
-            scaled += any(_scaled(state.funcs[i - 1], EXACT).den > 1 for i in state.alpha)
+            scaled += any(_scaled(state.funcs[i - 1]).den > 1 for i in state.alpha)
             runs += 1
     assert runs > 20 and rejected > 3 and scaled == runs
 
@@ -458,7 +457,7 @@ def dense_basis_16():
     rng = random.Random(233)
     while True:
         basis = [SparseVector(e) for e in rational_family(rng, 16, 16, "dense")]
-        if linalg.independent((u.entries for u in basis), EXACT):
+        if linalg.independent(u.entries for u in basis):
             return basis
 
 

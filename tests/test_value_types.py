@@ -18,7 +18,7 @@ from orbitlab.density import Enumeration
 from orbitlab.errors import NotInSpan
 from orbitlab.operators import ZERO, FiniteRankOperator
 from orbitlab.reports import CheckResult, Report, Table
-from orbitlab.scalars import EXACT, ScalarContext
+from orbitlab.scalars import MAX_DIGITS, coerce, integer_of
 from orbitlab.seminorms import DiskSpec, SeminormSpec, gauge_below, minkowski
 from orbitlab.vectors import CoordFunctional, SparseVector
 
@@ -33,15 +33,13 @@ def _report(passed=True):
                   data={"k": "v"})
 
 
-# per type: a builder of fresh, equal values; a value with one field changed,
-# None for the scalar context, whose one mode leaves no other value; the
-# names of its fields
+# per type: a builder of fresh, equal values; a value with one field changed;
+# the names of its fields
 HASHABLE = {
     "SparseVector": (lambda: SparseVector({1: 1, 3: Fraction(-1, 2)}),
                      SparseVector({1: 1}), ("entries",)),
     "CoordFunctional": (lambda: CoordFunctional({2: Fraction(3, 4)}),
                         CoordFunctional({2: 1}), ("entries",)),
-    "ScalarContext": (lambda: ScalarContext("exact"), None, ("mode",)),
     "FiniteRankOperator": (lambda: FiniteRankOperator(ZERO, [_term(1), _term(2)]),
                            FiniteRankOperator(terms=[_term(1), _term(2)]), ("base", "terms")),
     "Enumeration": (lambda: Enumeration([SparseVector.basis(1), SparseVector.basis(2)]),
@@ -66,9 +64,8 @@ def test_equal_fields_give_equal_values_and_hashes(name):
     x, y = build(), build()
     assert x is not y and x == y and not x != y
     assert hash(x) == hash(y)
-    if other is not None:
-        assert len({x, y, other}) == 2
-        assert x != other
+    assert len({x, y, other}) == 2
+    assert x != other
 
 
 @pytest.mark.parametrize("name", sorted(UNHASHABLE))
@@ -86,18 +83,15 @@ def test_a_value_equals_only_its_own_type():
     assert not SparseVector({1: 1}) == CoordFunctional({1: 1})
     assert SparseVector({1: 1}) != {1: 1}
     assert Enumeration([SparseVector.basis(1)]) != (SparseVector.basis(1),)
-    assert ScalarContext("exact") != "exact"
-    with pytest.raises(ValueError, match="unknown scalar mode 'float'"):
-        ScalarContext("float")
 
 
 def test_coerce_reads_rationals_exactly():
     """The simplex's entry takes Fractions as they are and ints and text as
     the Fractions they name."""
     third = Fraction(1, 3)
-    assert EXACT.coerce(third) is third
+    assert coerce(third) is third
     for value, want in ((7, Fraction(7)), ("-2/6", Fraction(-1, 3)), ("0.1", Fraction(1, 10))):
-        got = EXACT.coerce(value)
+        got = coerce(value)
         assert type(got) is Fraction and got == want
 
 
@@ -108,7 +102,17 @@ def test_coerce_refuses_what_is_not_exact(value):
     not read as its binary value: the one mode has no lossy scalars.  A bool
     is refused too, as the entry maps refuse it."""
     with pytest.raises(TypeError, match="as an exact scalar"):
-        EXACT.coerce(value)
+        coerce(value)
+
+
+def test_coerce_reads_text_through_parse():
+    """Text has one reader: `coerce` and the simplex entry refuse what
+    `parse` refuses, such as a value too long for `format_scalar` to print."""
+    beyond = f"beyond the {MAX_DIGITS}-digit limit"
+    with pytest.raises(ValueError, match=beyond):
+        coerce("1e5000")
+    with pytest.raises(ValueError, match=beyond):
+        simplex.solve_lp(["1"], [["1"]], ["1e5000"])
 
 
 ENTRY_MAPS = {
@@ -206,9 +210,9 @@ def test_a_maps_integer_form_is_kept_past_the_guard_and_outside_equality(cls):
     entries = {1: Fraction(1, 2), 3: Fraction(-2, 3), 4: 5}
     x, fresh = cls(entries), cls(entries)
     assert x._int is None
-    assert EXACT.integer_of(x) == ({1: 3, 3: -4, 4: 30}, 6)
+    assert integer_of(x) == ({1: 3, 3: -4, 4: 30}, 6)
     # kept: a later call hands back the same form, and builds none
-    assert EXACT.integer_of(x) is x._int and fresh._int is None
+    assert integer_of(x) is x._int and fresh._int is None
     assert x == fresh and hash(x) == hash(fresh)
     for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert y == x and y._int is None
@@ -240,9 +244,8 @@ def test_immutable_fields_refuse_assignment_and_deletion(name):
     x = build()
     for field in fields:
         before = getattr(x, field)
-        value = before if other is None else getattr(other, field)
         with pytest.raises(AttributeError):
-            setattr(x, field, value)
+            setattr(x, field, getattr(other, field))
         with pytest.raises(AttributeError):
             delattr(x, field)
         assert getattr(x, field) is before
