@@ -32,7 +32,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 from . import linalg
 from .density import Enumeration, biorthogonalize
 from .errors import NotNested, NotNilpotent, NotPIndependent, WitnessNotFound
-from .operators import FiniteRankOperator, ZERO, orbit
+from .operators import BASE_ZERO, FiniteRankOperator, orbit
 from .scalars import ONE, Scalar, integer_of, integer_row
 from .seminorms import (
     DiskSpec,
@@ -76,7 +76,7 @@ def build_shift_operator(us: Sequence[SparseVector], p: SeminormSpec,
         w = ONE / 2 ** n / denom
         weights.append(w)
         terms.append((f_next, u_n.scale(w)))
-    s = FiniteRankOperator(ZERO, tuple(terms))
+    s = FiniteRankOperator(BASE_ZERO, tuple(terms))
     return ShiftOperatorSpec(us=us, fs=fs, weights=tuple(weights), operator=s)
 
 
@@ -299,7 +299,7 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
 def omega_shift_demo(window: int, x0: SparseVector, horizon: int) -> List[SparseVector]:
     """First `horizon` elements of the `orbit` of x0 cut to the window under
     the backward shift B = sum_{i<window} δ_{i+1} ⊗ e_i, so (B x)_i = 1·x_{i+1}."""
-    shift = FiniteRankOperator(ZERO, tuple(
+    shift = FiniteRankOperator(BASE_ZERO, tuple(
         (CoordFunctional.delta(i + 1), SparseVector.basis(i)) for i in range(1, window)))
     return orbit(shift, x0.restrict(range(1, window + 1)), horizon)
 

@@ -15,8 +15,7 @@
   Every step is an exact integer division that skips zeros.
 - `Bareiss`, a right-looking pass over a dense integer matrix on pivots the
   caller picks, kept as the `Bordered` factor of the picked block: the
-  triangularization's greedy picks, minors and basis check.
-  `dense_independent` is the same pass with no forced pick.
+  triangularization's greedy picks, minors, combined vectors and basis check.
 """
 
 from __future__ import annotations
@@ -172,13 +171,6 @@ def independent(rows: Iterable[Mapping[int, Scalar]]) -> bool:
     return all(echelon.try_add(row) for row in rows)
 
 
-def dense_independent(rows: Sequence[Mapping[int, int]]) -> bool:
-    """Whether integer rows are independent: a `Bareiss` pass over them,
-    dense over the coordinates they use, finds as many pivots as rows."""
-    cols = sorted(set().union(*rows))
-    return Bareiss([[row.get(c, 0) for c in cols] for row in rows]).rank() == len(rows)
-
-
 def _int_step(row: Dict[int, int], pivot: Dict[int, int], lead: int) -> Dict[int, int]:
     """The primitive part of (a/g)·row - (b/g)·pivot, for a and b the entries
     of pivot and row at lead and g their gcd: zero at lead, and wherever both
@@ -318,22 +310,26 @@ class Bareiss(Bordered):
         pos = self.cols.index(c)
         return next((i for i, row in self.rows.items() if row[pos]), None)
 
-    def pick(self, r: int, c: int) -> None:
+    def pick(self, r: int, c: int) -> Dict[int, int]:
         """Pivot on the non-zero entry at row r and column c, eliminating its
-        column from every other unpicked row."""
+        column from every other unpicked row.  Return that column as it
+        stood: row r and each other unpicked row non-zero there, mapped to
+        its entry a⁽ⁿ⁾(i, c)."""
         n, pos = len(self.pivots), self.cols.index(c)
         u, prev = self.rows.pop(r), self.scale(n)
         p = u.pop(pos)
+        column = {r: p}
         del self.cols[pos]
         for i, row in self.rows.items():
             b = row.pop(pos)
             if b:
-                self._left[i][n] = b
+                column[i] = self._left[i][n] = b
                 self.rows[i] = [(p * x - b * y) // prev for x, y in zip(row, u)]
             else:
                 self.rows[i] = [p * x // prev for x in row]
         self.append(0, self._left.pop(r), {k: d[c] for k, d in enumerate(self._done) if d[c]}, p)
         self._done.append(dict(zip(self.cols, u)))
+        return column
 
     def rank(self) -> int:
         """Finish the elimination, each unpicked column pivoting on its first

@@ -44,8 +44,8 @@ from .scalars import ONE, Scalar, _immutable, integer_of
 from .seminorms import DiskSpec, SeminormSpec, dual_norm, minkowski
 from .vectors import CoordFunctional, SparseVector, _built, _dot, combine
 
-IDENTITY = "identity"
-ZERO = "zero"
+BASE_IDENTITY = "identity"
+BASE_ZERO = "zero"
 
 Term = Tuple[CoordFunctional, SparseVector]
 TermRows = Tuple[Dict[int, int], int, Dict[int, int], int]
@@ -99,8 +99,8 @@ class FiniteRankOperator:
 
     __setattr__ = __delattr__ = _immutable
 
-    def __init__(self, base: str = IDENTITY, terms: Iterable[Term] = ()):
-        if base not in (IDENTITY, ZERO):
+    def __init__(self, base: str = BASE_IDENTITY, terms: Iterable[Term] = ()):
+        if base not in (BASE_IDENTITY, BASE_ZERO):
             raise ValueError(f"unknown base {base!r}")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "terms", tuple(terms))
@@ -117,11 +117,11 @@ class FiniteRankOperator:
 
     @classmethod
     def identity(cls) -> "FiniteRankOperator":
-        return cls(IDENTITY, ())
+        return cls(BASE_IDENTITY, ())
 
     @classmethod
     def zero(cls) -> "FiniteRankOperator":
-        return cls(ZERO, ())
+        return cls(BASE_ZERO, ())
 
     @cached_property
     def coord_index(self) -> CoordIndex:
@@ -155,10 +155,10 @@ class FiniteRankOperator:
 
     def linear_part(self) -> "FiniteRankOperator":
         """T - I for an identity base; a zero-base operator is its own linear part."""
-        return self if self.base == ZERO else self._rebased(ZERO)
+        return self if self.base == BASE_ZERO else self._rebased(BASE_ZERO)
 
     def plus_identity(self) -> "FiniteRankOperator":
-        return self._rebased(IDENTITY)
+        return self._rebased(BASE_IDENTITY)
 
     def apply(self, x: SparseVector) -> SparseVector:
         """base(x) + sum_j f_j(x) v_j over the terms that meet x, in term order.
@@ -169,7 +169,7 @@ class FiniteRankOperator:
         terms touch; the other coordinates of x keep their Fractions, and the
         entries come in the order `vectors.combine` would give them.
         """
-        identity = self.base == IDENTITY
+        identity = self.base == BASE_IDENTITY
         start = x if identity else SparseVector.zero()
         hits = self.coord_index.hits(x)
         if not hits:
@@ -214,10 +214,11 @@ class FiniteRankOperator:
             image = self.apply(w)
             if not image.is_zero():
                 terms.append((g, image))
-        if other.base == IDENTITY:
+        if other.base == BASE_IDENTITY:
             for f, v in self.terms:
                 terms.append((f, v))
-        base = IDENTITY if self.base == IDENTITY and other.base == IDENTITY else ZERO
+        both = self.base == other.base == BASE_IDENTITY
+        base = BASE_IDENTITY if both else BASE_ZERO
         return FiniteRankOperator(base, tuple(terms))
 
     def matrix_on(self, indices: Sequence[int]) -> List[List[Scalar]]:
@@ -255,7 +256,7 @@ class NeumannBudget(NamedTuple):
 def neumann_certificate(t: FiniteRankOperator, p: SeminormSpec, disk: DiskSpec) -> NeumannBudget:
     """The budget of a base-zero operator; BudgetExceeded if c >= 1 or a
     non-zero term is unbounded (c = inf)."""
-    if t.base != ZERO:
+    if t.base != BASE_ZERO:
         raise ValueError("certificate applies to the finite-rank part only")
     budget = NeumannBudget.of(t.terms, p, disk)
     if not budget.c < 1:
@@ -345,7 +346,7 @@ def invert(j: FiniteRankOperator) -> FiniteRankOperator:
     SingularOperator when I_k + G is singular, i.e. when the operator
     annihilates some vector.
     """
-    if j.base != IDENTITY:
+    if j.base != BASE_IDENTITY:
         raise ValueError("inversion expects an identity-plus-finite-rank operator")
     if not j.terms:
         return FiniteRankOperator.identity()
@@ -365,7 +366,8 @@ def invert(j: FiniteRankOperator) -> FiniteRankOperator:
         for c, m in red.rows[r].items():
             if c >= k:
                 cols[c - k].append((-m, v))
-    return FiniteRankOperator(IDENTITY, tuple((f, combine(u)) for (f, _), u in zip(terms, cols)))
+    return FiniteRankOperator(BASE_IDENTITY,
+                              tuple((f, combine(u)) for (f, _), u in zip(terms, cols)))
 
 
 def orbit(t: FiniteRankOperator, x0: SparseVector, horizon: int) -> List[SparseVector]:

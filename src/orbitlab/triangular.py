@@ -4,23 +4,28 @@ Maintains two index prefixes alpha (into the functional list) and beta (into
 the basis list) such that every leading minor of the pairing matrix
 A[j][k] = f_alpha(j)(u_beta(k)) is invertible, alternating a forced
 minimal-index pick with a greedy scan.  Both are pivots of one
-`linalg.Bareiss` pass over the whole pairing matrix, whose entry at (f, u)
-is the leading minor bordered by f and u: a functional step pivots on the
-first non-zero entry of the least unused row, a vector step on that of the
-least unused column.  Finished, the pass proves the basis independent by
-its full column rank; a deficient pass, or a step without a pivot, asks
-`linalg.dense_independent`.  The solution of A_m c = e_m gives the
-coefficients making the combined vectors v_m biorthogonal and triangular
-against the chosen functionals, which turns the shuffled basis matrix unit
-lower triangular.
+`linalg.Bareiss` pass whose entry at (f, u) is the leading minor bordered
+by f and u: a functional step pivots on the first non-zero entry of the
+least unused row, a vector step on that of the least unused column.  The
+solution of A_m c = e_m gives the coefficients making the combined vectors
+v_m biorthogonal and triangular against the chosen functionals, which turns
+the shuffled basis matrix unit lower triangular.
 
-The work is done on integers (fraction-free arithmetic; Bareiss, Math. Comp.
-22, 1968).  Each functional and basis vector is scaled once to an integer
-row over its denominator (`scalars.integer_row`), and the pass runs
-on their pairings, A' = D_f·A·D_u for D_f and D_u the denominators: its
-pivots are the leading minors Δ'_k of A', and `_solution` back-substitutes
-over its pivot rows.  A Fraction is built only for a minor, a coefficient
-or an entry of v_m.
+The pass's rows are the functionals, then a unit row e_i for each basis
+coordinate i that no unit functional δ_i reads; unit rows are never
+picked.  By Sylvester's identity (Bareiss, Math. Comp. 22, 1968) the column
+that pick m eliminates holds Δ'_m·g(v_m)/fden_m at each row g of the pass,
+fden_m the denominator of the m-th picked functional, so v_m is read off it
+at the rows that read a coordinate.  The unit rows give the pass the
+row space of the basis, so the finished pass has full column rank exactly
+when the basis is independent.
+
+The work is done on integers (fraction-free arithmetic).  Each functional
+and basis vector is scaled once to an integer row over its denominator
+(`scalars.integer_row`), and the pass runs on their pairings,
+A' = D_f·A·D_u for D_f and D_u the denominators: its pivots are the leading
+minors Δ'_k of A', and `_solution` back-substitutes over its pivot rows.
+A Fraction is built only for a minor, a coefficient or an entry of v_m.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import linalg
 from .errors import Exhausted, LinearlyDependent
-from .operators import FiniteRankOperator, ZERO
+from .operators import BASE_ZERO, FiniteRankOperator
 from .scalars import Scalar, integer_row
 from .vectors import CoordFunctional, SparseVector, _built, _dot
 
@@ -40,56 +45,29 @@ from .vectors import CoordFunctional, SparseVector, _built, _dot
 WINDOW_MARGIN = 2
 
 
-class _Row:
-    """A functional or basis vector as integer numerators over one positive denominator.
-
-    Pairings (`_dot` of two rows, their dens' product times the items') and
-    combinations of rows are sums on integers, and neither builds a Fraction.
-    """
-
-    __slots__ = ("row", "den")
-
-    def __init__(self, row: Dict[int, int], den: int):
-        self.row = row
-        self.den = den
-
-    def plus(self, coeffs: Sequence[int], rows: Sequence["_Row"]) -> "_Row":
-        """self + sum of c * row over the pairs with c != 0, numerators only
-        (den 1); each coordinate is inserted, and dropped where a partial sum
-        cancels, in the order `vectors.combine` would use."""
-        acc = dict(self.row)
-        for c, r in zip(coeffs, rows):
-            if c:
-                for i, v in r.row.items():
-                    s = acc.get(i, 0) + v * c
-                    if s:
-                        acc[i] = s
-                    else:
-                        del acc[i]
-        return _Row(acc, 1)
-
-
-def _scaled(item) -> _Row:
-    """The item as a `_Row`, scaled by `integer_row`."""
-    return _Row(*integer_row(item.entries))
-
-
-def _solution(lu: linalg.Bordered, fs: Sequence[_Row], us: Sequence[_Row],
-              m: int) -> Tuple[Tuple[Scalar, ...], SparseVector, Scalar]:
+def _solution(lu: linalg.Bordered, dens: Sequence[Tuple[int, int]], column: Dict[int, int],
+              coords: Sequence[Tuple[int, int]], m: int
+              ) -> Tuple[Tuple[Scalar, ...], SparseVector, Scalar]:
     """(c, v_m, det A_m) for the solution c of A_m c = e_m and v_m the
-    combination of us with it; fs and us in pick order, `lu` their factor.
+    combination of the picked basis vectors with it: `dens` holds the
+    (fden, uden) of the picks in order, `column` is the column that pick m
+    eliminated, as `Bareiss.pick` returns it, and `coords` gives the pass
+    row that reads each basis coordinate, (coordinate, row) in ascending
+    coordinate order.
 
     y = Δ'_{m-1}·(column m of U'_m^{-1}) is an integer vector for the
-    minors Δ' of A', so c_j = uden_j·y_j·fden_m / Δ'_m,
-    v_m = (fden_m / Δ'_m)·sum_j y_j·u_row_j and det A_m = Δ'_m / prod of
-    fden·uden; only these values become Fractions.
+    minors Δ' of A', so c_j = uden_j·y_j·fden_m / Δ'_m.  The column's entry
+    a_i at a row reading coordinate i is Δ'_m·(coordinate i of v_m) / fden_m,
+    and rows picked before m, absent from it, read 0 there by
+    biorthogonality.  det A_m = Δ'_m / prod of fden·uden; only these values
+    become Fractions.
     """
     y = lu.back(1, [0] * (m - 1) + [lu.scale(m - 1)])
-    minor, fden = lu.pivots[m - 1], fs[m - 1].den
-    c = tuple(Fraction(u.den * yj * fden, minor) for u, yj in zip(us, y))
-    acc = _Row({}, 1).plus(y, us).row
-    v = _built(SparseVector, {i: Fraction(fden * e, minor) for i, e in acc.items()})
-    return c, v, Fraction(minor, math.prod(f.den * u.den for f, u in zip(fs[:m], us)))
+    minor, fden = lu.pivots[m - 1], dens[m - 1][0]
+    c = tuple(Fraction(uden * yj * fden, minor) for (_, uden), yj in zip(dens, y))
+    v = _built(SparseVector, {i: Fraction(fden * column[r], minor)
+                              for i, r in coords if r in column})
+    return c, v, Fraction(minor, math.prod(f * u for f, u in dens[:m]))
 
 
 class TriangularizeState(NamedTuple):
@@ -131,29 +109,41 @@ def interleave_triangularize(basis: Sequence[SparseVector],
             f"prefix of length {target} needs at least {target} basis vectors "
             f"and {target + WINDOW_MARGIN} functionals"
         )
-    fs, us = [_scaled(f) for f in funcs], [_scaled(u) for u in basis]
-    elim = linalg.Bareiss([[_dot(f.row, u.row) for u in us] for f in fs])
-    picks = []
+    fs, us = [integer_row(f.entries) for f in funcs], [integer_row(u.entries) for u in basis]
+    rows = [[_dot(f, u) for u, _ in us] for f, _ in fs]
+    # the pass row reading each basis coordinate: a unit functional on it (two
+    # equal rows read the same, and one is zero once the other is picked), or
+    # a unit row of its own after the functionals
+    reads = {next(iter(f)): r for r, (f, _) in enumerate(fs) if list(f.values()) == [1]}
+    coords = []
+    for i in sorted(set().union(*(u for u, _ in us))):
+        if i not in reads:
+            reads[i] = len(rows)
+            rows.append([u.get(i, 0) for u, _ in us])
+        coords.append((i, reads[i]))
+    elim = linalg.Bareiss(rows)
+    picks, columns = [], []
     for step in range(target):
-        # even steps force the least unused row (functional), odd steps the least unused column
+        # even steps force the least unused row (functional), odd steps the least
+        # unused column; a unit row (r >= len(fs)) is never a pivot
         if step % 2:
             c = elim.cols[0]
             r = elim.in_column(c)
         else:
             r = next(iter(elim.rows))
             c = elim.in_row(r)
-        if r is None or c is None:
+        if r is None or r >= len(fs) or c is None:
             break
-        elim.pick(r, c)
+        columns.append(elim.pick(r, c))
         picks.append((r, c))
-    if elim.rank() < len(us) and not linalg.dense_independent([u.row for u in us]):
+    if elim.rank() < len(us):
         raise LinearlyDependent("basis vectors are not linearly independent")
     if len(picks) < target:
         raise Exhausted("every candidate makes the next leading minor zero")
 
-    fs, us = [fs[r] for r, _ in picks], [us[c] for _, c in picks]
-    coeffs, vs, minors = list(zip(*(_solution(elim, fs, us, m)
-                                    for m in range(1, target + 1)))) or [()] * 3
+    dens = [(fs[r][1], us[c][1]) for r, c in picks]
+    coeffs, vs, minors = list(zip(*(_solution(elim, dens, column, coords, m)
+                                    for m, column in enumerate(columns, start=1)))) or [()] * 3
     alpha, beta = tuple(r + 1 for r, _ in picks), tuple(c + 1 for _, c in picks)
     return TriangularizeState(alpha, beta, basis, funcs, coeffs, vs, minors)
 
@@ -174,7 +164,7 @@ def build_omega_operator(state: TriangularizeState) -> FiniteRankOperator:
     terms = tuple(
         (state.funcs[a - 1], v) for a, v in zip(state.alpha, state.v)
     )
-    return FiniteRankOperator(ZERO, terms)
+    return FiniteRankOperator(BASE_ZERO, terms)
 
 
 def shuffled_matrix(state: TriangularizeState) -> List[List[Scalar]]:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import orbitlab.scenarios as scenarios
 from orbitlab.errors import NotInSpan, SingularOperator
-from orbitlab.operators import IDENTITY
+from orbitlab.operators import BASE_IDENTITY
 from orbitlab.reports import Table
 from orbitlab.scalars import ONE, ZERO, format_scalar, parse
 from orbitlab.simplex import Infeasible, Unbounded
@@ -40,7 +40,7 @@ from orbitlab.vectors import SparseVector, combine
 def apply_terms(op, x):
     """base(x) + sum_j f_j(x) v_j by the plain loop over every term."""
     return combine([(f.pair(x), v) for f, v in op.terms],
-                   x if op.base == IDENTITY else SparseVector.zero())
+                   x if op.base == BASE_IDENTITY else SparseVector.zero())
 
 
 def weight_gauge(weights, u):
@@ -351,7 +351,7 @@ def simplex(c, a, b, path=None):
 def gram_solve(j, u):
     """J^{-1} u for J = I + sum_j f_j (.) v_j by one pivoting k x k Gram solve:
     u - sum_j c_j v_j with (I_k + G) c = (f_i(u))_i, G_rc = f_r(v_c)."""
-    assert j.base == IDENTITY
+    assert j.base == BASE_IDENTITY
     if not j.terms:
         return u
     gram = [[g + (ONE if r == c else 0) for c, g in enumerate(row)]

@@ -32,7 +32,7 @@ from orbitlab.hypercyclic import (
     refute_orbit,
     transitivity_witness,
 )
-from orbitlab.operators import IDENTITY, ZERO
+from orbitlab.operators import BASE_IDENTITY, BASE_ZERO
 from orbitlab.transport import run_transport, verify_transport
 from orbitlab.triangular import (
     build_omega_operator,
@@ -112,7 +112,7 @@ def random_certified_operator(rng, p, disk, window):
         if mass != 0:
             v = v.scale(frac(1, 2 ** (j + 2)) / mass / 2)
         terms.append((f, v))
-    return FiniteRankOperator(ZERO, tuple(terms))
+    return FiniteRankOperator(BASE_ZERO, tuple(terms))
 
 
 # --- criteria ----------------------------------------------------------------
@@ -433,9 +433,9 @@ def test_criterion_09_conjugation_identity():
             )
             for _ in range(rng.randint(1, 3))
         )
-        t0 = FiniteRankOperator(rng.choice([IDENTITY, ZERO]), t0_terms)
+        t0 = FiniteRankOperator(rng.choice([BASE_IDENTITY, BASE_ZERO]), t0_terms)
         j = FiniteRankOperator(
-            IDENTITY,
+            BASE_IDENTITY,
             (
                 (
                     CoordFunctional.delta(rng.randint(1, window)),
@@ -459,7 +459,7 @@ def operator_mapping(pairs, window):
         assert dual is not None
         f = CoordFunctional({i + 1: v for i, v in enumerate(dual) if v != 0})
         terms.append((f, image))
-    return FiniteRankOperator(ZERO, tuple(terms))
+    return FiniteRankOperator(BASE_ZERO, tuple(terms))
 
 
 def test_criterion_10_nonorbit_instrumentation():
@@ -508,7 +508,7 @@ def test_criterion_10_nonorbit_instrumentation():
             )
             for _ in range(rng.randint(1, 3))
         )
-        candidate = FiniteRankOperator(rng.choice([IDENTITY, ZERO]), terms)
+        candidate = FiniteRankOperator(rng.choice([BASE_IDENTITY, BASE_ZERO]), terms)
         x0 = rng.choice(ns.items)
         rep = refute_orbit(candidate, x0, ns, horizon=8)
         replay = orbit(candidate, x0, 8)

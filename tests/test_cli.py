@@ -15,7 +15,7 @@ from orbitlab import CoordFunctional, DiskSpec, FiniteRankOperator, SparseVector
 from orbitlab.cli import main
 from orbitlab.errors import WorkbenchError
 from orbitlab.hypercyclic import build_shift_operator
-from orbitlab.operators import ZERO
+from orbitlab.operators import BASE_ZERO
 from orbitlab.reports import emit_report
 from orbitlab.scenarios import Scenario, ScenarioError, parse_eps_schedule, run_scenario
 from orbitlab.transport import run_transport
@@ -1404,7 +1404,7 @@ class TestEachCheckCanFail:
 
     def test_invertible_reports_a_singular_operator(self, tmp_path, capsys, monkeypatch):
         # J = I - e_1* (.) e_1 annihilates e_1, so the Gram solve raises
-        singular = FiniteRankOperator(ZERO, ((CoordFunctional.delta(1), -sv(1)),))
+        singular = FiniteRankOperator(BASE_ZERO, ((CoordFunctional.delta(1), -sv(1)),))
         self._tampered_transport(
             monkeypatch, lambda state: state._replace(terms=singular))
         detail, _ = self._failed(tmp_path, capsys, transport_scenario(), "invertible")
@@ -1440,7 +1440,7 @@ class TestEachCheckCanFail:
         def inflated(*args):
             spec = build_shift_operator(*args)
             terms = tuple((f, v.scale(2 ** 10)) for f, v in spec.operator.terms)
-            return spec._replace(operator=FiniteRankOperator(ZERO, terms))
+            return spec._replace(operator=FiniteRankOperator(BASE_ZERO, terms))
 
         monkeypatch.setattr("orbitlab.scenarios.build_shift_operator", inflated)
         draws = oracles.spy_draws(monkeypatch)

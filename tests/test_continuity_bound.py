@@ -27,7 +27,7 @@ from orbitlab import (
 )
 from orbitlab.errors import NotInSpan
 from orbitlab.hypercyclic import build_shift_operator
-from orbitlab.operators import ZERO, FiniteRankOperator, NeumannBudget
+from orbitlab.operators import BASE_ZERO, FiniteRankOperator, NeumannBudget
 from orbitlab.scalars import ONE
 from orbitlab.scenarios import Scenario, run_scenario
 
@@ -98,7 +98,7 @@ def test_run_gives_the_sampled_oracles_verdict(monkeypatch, form, how):
         spec = build_shift_operator(us, p, disk)
         terms = tuple(spec.operator.terms)
         j = random.Random(len(terms)).randrange(len(terms))
-        s = FiniteRankOperator(ZERO, tuple(CORRUPTIONS[how](terms, j, window, ONE)))
+        s = FiniteRankOperator(BASE_ZERO, tuple(CORRUPTIONS[how](terms, j, window, ONE)))
         built.append((s, p, disk))
         return spec._replace(operator=s)
 
@@ -171,7 +171,7 @@ def test_budget_bounds_every_sampled_vector(form, how):
         disk = serialize.decode_disk(payload["disk"])
         terms = tuple(build_shift_operator(us, p, disk).operator.terms)
         j = random.Random(len(terms)).randrange(len(terms))
-        s = FiniteRankOperator(ZERO, tuple(CORRUPTIONS[how](terms, j, window, Fraction(1))))
+        s = FiniteRankOperator(BASE_ZERO, tuple(CORRUPTIONS[how](terms, j, window, Fraction(1))))
         budget = NeumannBudget.of(s.terms, p, disk)
         unbounded = budget.c == float("inf")
         assert unbounded == (how in ("f-outside-active", "v-unweighed"))

@@ -33,7 +33,7 @@ from orbitlab.hypercyclic import (
     refute_orbit,
     transitivity_witness,
 )
-from orbitlab.operators import IDENTITY, ZERO
+from orbitlab.operators import BASE_IDENTITY, BASE_ZERO
 
 import oracles
 
@@ -212,7 +212,7 @@ class TestRangeKernelPremise:
         # S e_3 = e_2, S e_2 = e_1 on a 3-window: range(S) ∩ ker(S) = span(e_1)
         terms = ((CoordFunctional.delta(3), SparseVector.basis(2)),
                  (CoordFunctional.delta(2), SparseVector.basis(1)))
-        s = FiniteRankOperator(ZERO, terms)
+        s = FiniteRankOperator(BASE_ZERO, terms)
         report = range_kernel_premise_check(s, window=3, depth=1)
         assert report.rows[0].dim_intersection == 1
 
@@ -228,7 +228,7 @@ class TestRangeKernelPremise:
 def dense_premise(t, window, depth):
     """Premise check on dense window matrices: powers by mat_mul, ranks and
     nullspaces by rref, window meet by a joint rank with the window basis."""
-    s = t.linear_part() if t.base == IDENTITY else t
+    s = t.linear_part() if t.base == BASE_IDENTITY else t
     top = max([window] + [i for f, v in s.terms for i in f.support + v.support])
     s_mat = s.matrix_on(range(1, top + 1))
     power = oracles.identity_matrix(top)
@@ -259,7 +259,7 @@ class TestPremiseOracle:
                     for i in rng.sample(range(1, top + 1), rng.randint(1, min(3, top)))}
         terms = tuple((CoordFunctional(entries()), SparseVector(entries()))
                       for _ in range(rng.randint(0, 4) if k is None else k))
-        return FiniteRankOperator(rng.choice([ZERO, IDENTITY]), terms)
+        return FiniteRankOperator(rng.choice([BASE_ZERO, BASE_IDENTITY]), terms)
 
     def test_matches_dense_oracle_on_random_operators(self):
         rng = random.Random(301)
@@ -355,7 +355,7 @@ class TestPremiseOracle:
         taken = self.spy_paths(monkeypatch)
         terms = tuple((CoordFunctional({k + 1: frac(1)}), SparseVector({k: frac(1, 2)}))
                       for k in range(1, 6))
-        t = FiniteRankOperator(IDENTITY, terms)
+        t = FiniteRankOperator(BASE_IDENTITY, terms)
         report = range_kernel_premise_check(t, 6, 3)
         assert taken == {"core": 1, "ambient": 0}
         assert [r.dim_range for r in report.rows] == [5, 4, 3]
@@ -383,11 +383,11 @@ class TestPremiseOracle:
             FiniteRankOperator.identity(),
             FiniteRankOperator.zero(),
             # dependent v's: v_1 = v_2
-            FiniteRankOperator(ZERO, ((d(2), e(1)), (d(3), e(1)))),
+            FiniteRankOperator(BASE_ZERO, ((d(2), e(1)), (d(3), e(1)))),
             # dependent f's: f_2 = 2 f_1
-            FiniteRankOperator(ZERO, ((d(3), e(1)), (d(3).scale(frac(2)), e(2)))),
+            FiniteRankOperator(BASE_ZERO, ((d(3), e(1)), (d(3).scale(frac(2)), e(2)))),
             # a zero v
-            FiniteRankOperator(IDENTITY, ((d(2), SparseVector.zero()), (d(3), e(2)))),
+            FiniteRankOperator(BASE_IDENTITY, ((d(2), SparseVector.zero()), (d(3), e(2)))),
         ]
         for t in operators:
             self.check(t, 3, 3)
@@ -548,14 +548,15 @@ class TestWitnessNilpotency:
         fixed = [
             (FiniteRankOperator.identity(), 3),
             (FiniteRankOperator.zero(), 3),
-            (FiniteRankOperator(IDENTITY, ((d(2), e(1)),)), 2),
-            (FiniteRankOperator(ZERO, ((d(1), e(1)),)), 2),
+            (FiniteRankOperator(BASE_IDENTITY, ((d(2), e(1)),)), 2),
+            (FiniteRankOperator(BASE_ZERO, ((d(1), e(1)),)), 2),
             # zero v's, and a zero v next to a cycle
-            (FiniteRankOperator(ZERO, ((d(1), SparseVector.zero()), (d(2), SparseVector.zero()))), 2),
-            (FiniteRankOperator(IDENTITY, ((d(1), SparseVector.zero()), (d(2), e(1)),
+            (FiniteRankOperator(BASE_ZERO, ((d(1), SparseVector.zero()),
+                                            (d(2), SparseVector.zero()))), 2),
+            (FiniteRankOperator(BASE_IDENTITY, ((d(1), SparseVector.zero()), (d(2), e(1)),
                                            (d(1), e(2)))), 2),
             # a cycle through a coordinate above the window: nilpotent only after the cut
-            (FiniteRankOperator(ZERO, ((d(1), e(4)), (d(4), e(1)))), 3),
+            (FiniteRankOperator(BASE_ZERO, ((d(1), e(4)), (d(4), e(1)))), 3),
         ]
         cases = list(fixed)
         families = [self.random_terms, self.cut_triangular_terms, self.chain_terms]
@@ -563,7 +564,8 @@ class TestWitnessNilpotency:
             window = rng.randint(2, 6)
             top = window + rng.randint(0, 3)
             terms = families[i % 3](rng, window, top)
-            cases.append((FiniteRankOperator(rng.choice([ZERO, IDENTITY]), tuple(terms)), window))
+            base = rng.choice([BASE_ZERO, BASE_IDENTITY])
+            cases.append((FiniteRankOperator(base, tuple(terms)), window))
         tally = {"yes": 0, "no": 0, "only cut": 0}
         for t, window in cases:
             s = t.linear_part()
@@ -611,7 +613,7 @@ class TestWitnessWindowCut:
         return terms
 
     def test_term_beyond_window_matches_dense_oracle(self):
-        t = FiniteRankOperator(IDENTITY, tuple(self.chain()))
+        t = FiniteRankOperator(BASE_IDENTITY, tuple(self.chain()))
         p = SeminormSpec.sup_on([1, 2, 3])
         x = SparseVector({1: frac(1), 2: frac(-1, 2), self.window + 1: frac(5)})
         y = sv(2, 1, -1)
@@ -623,7 +625,7 @@ class TestWitnessWindowCut:
     def test_fixed_direction_beyond_window_is_cut_away(self):
         w = self.window
         fixed = (CoordFunctional.delta(w + 1), SparseVector.basis(w + 1))
-        t = FiniteRankOperator(IDENTITY, tuple(self.chain()[:w - 1]) + (fixed,))
+        t = FiniteRankOperator(BASE_IDENTITY, tuple(self.chain()[:w - 1]) + (fixed,))
         assert not dense_nilpotent(t.linear_part(), w + 1)
         p = SeminormSpec.sup_on([1, 2, 3])
         n, z = transitivity_witness(t, sv(1), sv(-1, 2), frac(1, 1000), 32, p, window=w)
@@ -681,7 +683,7 @@ class TestTransitivityWitness:
 
     def test_rejects_non_nilpotent_part(self):
         t = FiniteRankOperator(
-            IDENTITY, ((CoordFunctional.delta(1), SparseVector.basis(1)),)
+            BASE_IDENTITY, ((CoordFunctional.delta(1), SparseVector.basis(1)),)
         )
         with pytest.raises(NotNilpotent):
             transitivity_witness(t, sv(1), sv(2), frac(1, 10), 4,
@@ -772,7 +774,7 @@ def operator_mapping(pairs, window):
         assert dual is not None
         f = CoordFunctional({i + 1: v for i, v in enumerate(dual) if v != 0})
         terms.append((f, image))
-    return FiniteRankOperator(ZERO, tuple(terms))
+    return FiniteRankOperator(BASE_ZERO, tuple(terms))
 
 
 class TestRefuteOrbit:
@@ -793,7 +795,7 @@ class TestRefuteOrbit:
         shift_terms = tuple(
             (CoordFunctional.delta(k + 1), SparseVector.basis(k)) for k in range(1, 6)
         )
-        shift = FiniteRankOperator(ZERO, shift_terms)
+        shift = FiniteRankOperator(BASE_ZERO, shift_terms)
         report = refute_orbit(shift, SparseVector.basis(5), ns, horizon=6)
         assert report.first_exit is not None
 

@@ -255,8 +255,9 @@ def test_echelon_rank_matches_dense_oracle():
 
 
 def test_dense_basis_check_matches_echelon():
-    """`dense_independent` on the integer rows gives `independent`'s verdict
-    and the oracle's: the rank families (dense and sparse rows, repeated,
+    """A `Bareiss` pass over the integer rows, dense over the coordinates they
+    use, finishes at the oracle's rank, and at as many pivots as rows exactly
+    when `independent` says so: the rank families (dense and sparse rows, repeated,
     combined and zero rows, more rows than coordinates, the empty family),
     wide entries, and columns left with no pivot part-way through."""
     rng = random.Random(43)
@@ -278,8 +279,12 @@ def test_dense_basis_check_matches_echelon():
     for rows in families:
         cols = max((j for row in rows for j in row), default=0)
         expected = oracles.rank([[row.get(j, 0) for j in range(1, cols + 1)] for row in rows])
-        got = linalg.dense_independent([integer_row(row)[0] for row in rows])
-        assert got == linalg.independent(rows) == (expected == len(rows))
+        ints = [integer_row(row)[0] for row in rows]
+        cols = sorted(set().union(*ints))
+        rank = linalg.Bareiss([[r.get(c, 0) for c in cols] for r in ints]).rank()
+        got = rank == len(rows)
+        assert rank == expected
+        assert got == linalg.independent(rows)
         verdicts.add(got)
     assert verdicts == {True, False}
 

@@ -20,7 +20,7 @@ from orbitlab import (
     orbit,
 )
 from orbitlab.errors import BudgetExceeded, SingularOperator
-from orbitlab.operators import IDENTITY, ZERO, CoordIndex, GramFactor
+from orbitlab.operators import BASE_IDENTITY, BASE_ZERO, CoordIndex, GramFactor
 from orbitlab.scalars import ONE, integer_row
 from orbitlab.vectors import _clean, combine
 
@@ -42,7 +42,7 @@ def backward_shift(window):
     terms = tuple(
         (delta(k + 1), SparseVector.basis(k)) for k in range(1, window)
     )
-    return FiniteRankOperator(ZERO, terms)
+    return FiniteRankOperator(BASE_ZERO, terms)
 
 
 class TestApply:
@@ -56,7 +56,7 @@ class TestApply:
         assert t.apply(x) == x
 
     def test_rank_one_update(self):
-        t = FiniteRankOperator(IDENTITY, ((delta(1), sv(Fraction(1, 2))),))
+        t = FiniteRankOperator(BASE_IDENTITY, ((delta(1), sv(Fraction(1, 2))),))
         assert t.apply(sv(1)) == sv(Fraction(3, 2))
 
     def test_matrix_on_window(self):
@@ -78,14 +78,14 @@ class TestNeumannCertificate:
         assert budget.c == 0
 
     def test_single_term(self):
-        t = FiniteRankOperator(ZERO, ((delta(1), sv(Fraction(1, 2))),))
+        t = FiniteRankOperator(BASE_ZERO, ((delta(1), sv(Fraction(1, 2))),))
         budget = neumann_certificate(t, self.p, self.disk)
         assert budget.c == Fraction(1, 2)
         assert budget.per_term == ((Fraction(1), Fraction(1, 2)),)
 
     def test_exceeded(self):
         v = sv(Fraction(3, 4))
-        t = FiniteRankOperator(ZERO, ((delta(1), v), (delta(2), v)))
+        t = FiniteRankOperator(BASE_ZERO, ((delta(1), v), (delta(2), v)))
         with pytest.raises(BudgetExceeded) as err:
             neumann_certificate(t, self.p, self.disk)
         assert err.value.c == Fraction(3, 2)
@@ -95,7 +95,7 @@ class TestNeumannCertificate:
         (delta(1), SparseVector.basis(7).scale(Fraction(1, 8))),
     ], ids=["functional-not-p-bounded", "vector-outside-disk-span"])
     def test_unbounded_term_exceeds_the_budget(self, term):
-        t = FiniteRankOperator(ZERO, ((delta(2), sv(0, Fraction(1, 4))), term))
+        t = FiniteRankOperator(BASE_ZERO, ((delta(2), sv(0, Fraction(1, 4))), term))
         with pytest.raises(BudgetExceeded) as err:
             neumann_certificate(t, self.p, self.disk)
         assert err.value.c == float("inf")
@@ -106,7 +106,7 @@ class TestNeumannCertificate:
     ], ids=["unbounded-functional-zero-vector", "zero-functional-vector-outside-disk-span"])
     def test_term_with_a_zero_factor_adds_nothing(self, term):
         """inf * 0 would make c nan; the term is the zero map and adds 0."""
-        budget = neumann_certificate(FiniteRankOperator(ZERO, (term,)),
+        budget = neumann_certificate(FiniteRankOperator(BASE_ZERO, (term,)),
                                      SeminormSpec.sup_on([1, 2]),
                                      DiskSpec(weights={1: 1, 2: 1, 3: 1}))
         assert budget.c == 0
@@ -115,7 +115,7 @@ class TestNeumannCertificate:
     def test_continuity_bound_on_random_vectors(self):
         rng = random.Random(31)
         t = FiniteRankOperator(
-            ZERO,
+            BASE_ZERO,
             (
                 (delta(1), sv(0, Fraction(1, 4))),
                 (delta(3), sv(Fraction(1, 8), 0, Fraction(1, 8))),
@@ -145,7 +145,7 @@ def random_certified_terms(rng, p, disk, n_terms):
             # scale into the epsilon slot 2^-(j+2) to keep c < 1
             v = v.scale(Fraction(1, 2 ** (j + 2)) / mass / 2)
         terms.append((f, v))
-    return FiniteRankOperator(ZERO, tuple(terms))
+    return FiniteRankOperator(BASE_ZERO, tuple(terms))
 
 
 class TestInvert:
@@ -153,17 +153,17 @@ class TestInvert:
         assert invert(FiniteRankOperator.identity()).terms == ()
 
     def test_rank_one_sherman_morrison(self):
-        j = FiniteRankOperator(IDENTITY, ((delta(1), sv(Fraction(1, 2))),))
+        j = FiniteRankOperator(BASE_IDENTITY, ((delta(1), sv(Fraction(1, 2))),))
         j_inv = invert(j)
         assert j_inv.terms[0][1] == sv(Fraction(-1, 3))
         assert j_inv.apply(sv(Fraction(3, 2))) == sv(1)
 
     def test_singular_detected(self):
-        j = FiniteRankOperator(IDENTITY, ((delta(1), sv(-1)),))
+        j = FiniteRankOperator(BASE_IDENTITY, ((delta(1), sv(-1)),))
         with pytest.raises(SingularOperator):
             invert(j)
         # f_2(v_2) = -1 makes I_2 + G singular: a pivot lands in the identity block
-        j = FiniteRankOperator(IDENTITY, ((delta(1), sv(0, 1)), (delta(2), sv(0, -1))))
+        j = FiniteRankOperator(BASE_IDENTITY, ((delta(1), sv(0, 1)), (delta(2), sv(0, -1))))
         with pytest.raises(SingularOperator, match="^2x2 matrix is not invertible$"):
             invert(j)
 
@@ -172,7 +172,7 @@ class TestInvert:
     def test_a_nearly_singular_update_inverts_exactly(self, gap):
         """f(v) = -1 + gap leaves I + f (.) v invertible however small gap is:
         J e_1 = gap e_1, and the inverse takes it back to e_1 exactly."""
-        j = FiniteRankOperator(IDENTITY, ((delta(1), sv(-1 + gap)),))
+        j = FiniteRankOperator(BASE_IDENTITY, ((delta(1), sv(-1 + gap)),))
         j_inv = invert(j)
         assert j.apply(sv(1)) == sv(gap)
         assert j_inv.apply(sv(1)) == sv(1 / gap)
@@ -198,7 +198,7 @@ class TestInvert:
     def test_kernel_fixing_outside_active(self):
         p = SeminormSpec.sup_on([1, 2, 3])
         f = CoordFunctional({1: Fraction(1, 2), 3: Fraction(1, 2)})
-        j = FiniteRankOperator(IDENTITY, ((f, sv(Fraction(1, 4), Fraction(1, 4))),))
+        j = FiniteRankOperator(BASE_IDENTITY, ((f, sv(Fraction(1, 4), Fraction(1, 4))),))
         for i in (4, 5, 9):
             e = SparseVector.basis(i)
             assert j.apply(e) == e
@@ -216,7 +216,7 @@ def random_identity_plus_rank(rng, window=16):
          sparse_rational(rng, SparseVector, window, 3))
         for _ in range(rng.randint(1, 12))
     )
-    return FiniteRankOperator(IDENTITY, terms)
+    return FiniteRankOperator(BASE_IDENTITY, terms)
 
 
 class TestSolve:
@@ -332,7 +332,7 @@ class TestGramFactor:
         # I + G = [[0, 1], [1, 1]]: invertible, but its leading 1 x 1 minor is 0
         f1, v1 = delta(1), sv(-1, 1)
         f2, v2 = delta(2), sv(1)
-        j = FiniteRankOperator(IDENTITY, ((f1, v1), (f2, v2)))
+        j = FiniteRankOperator(BASE_IDENTITY, ((f1, v1), (f2, v2)))
         u = sv(3, 5)
         assert j.apply(gram_solve(j, u)) == u
         gram = GramFactor()
@@ -406,7 +406,7 @@ class TestCoordIndex:
     def test_apply_matches_the_term_loop(self):
         for seed in range(6):
             for name, terms, xs in self.cases(seed):
-                for base in (IDENTITY, ZERO):
+                for base in (BASE_IDENTITY, BASE_ZERO):
                     op = FiniteRankOperator(base, terms)
                     for x in xs:
                         assert bits(op.apply(x)) == bits(apply_terms(op, x)), (name, base, x)
@@ -416,19 +416,19 @@ class TestCoordIndex:
             for x in xs:
                 assert FiniteRankOperator.identity().apply(x) is x
                 assert FiniteRankOperator.zero().apply(x).is_zero()
-            op = FiniteRankOperator(ZERO, terms)
+            op = FiniteRankOperator(BASE_ZERO, terms)
             op.apply(xs[0])
             j = op.plus_identity()
             assert j.coord_index is op.coord_index and j.linear_part().coord_index is op.coord_index
             assert op.linear_part() is op
             # rebased before either is applied, T and S still build one index
             # and one list of term rows between them
-            fresh = FiniteRankOperator(IDENTITY, terms)
+            fresh = FiniteRankOperator(BASE_IDENTITY, terms)
             s = fresh.linear_part()
             assert s.coord_index is fresh.coord_index and s._term_rows is fresh._term_rows
-            assert j == FiniteRankOperator(IDENTITY, terms)
-            assert hash(j) == hash(FiniteRankOperator(IDENTITY, terms))
-            assert repr(j) == repr(FiniteRankOperator(IDENTITY, terms))
+            assert j == FiniteRankOperator(BASE_IDENTITY, terms)
+            assert hash(j) == hash(FiniteRankOperator(BASE_IDENTITY, terms))
+            assert repr(j) == repr(FiniteRankOperator(BASE_IDENTITY, terms))
             for x in xs:
                 assert bits(j.apply(x)) == bits(apply_terms(j, x)), name
 
@@ -436,16 +436,17 @@ class TestCoordIndex:
         for seed in range(4):
             cases = list(self.cases(seed))
             for (name, terms, xs), (_, others, _) in zip(cases, cases[1:] + cases[:1]):
-                for base, other_base in ((IDENTITY, IDENTITY), (ZERO, IDENTITY),
-                                         (IDENTITY, ZERO)):
+                for base, other_base in ((BASE_IDENTITY, BASE_IDENTITY), (BASE_ZERO, BASE_IDENTITY),
+                                         (BASE_IDENTITY, BASE_ZERO)):
                     a = FiniteRankOperator(base, terms)
                     b = FiniteRankOperator(other_base, others)
                     images = [(g, apply_terms(a, w)) for g, w in b.terms]
                     expected = [(g, w) for g, w in images if not w.is_zero()]
-                    if other_base == IDENTITY:
+                    if other_base == BASE_IDENTITY:
                         expected += list(a.terms)
                     composed = a.compose(b)
-                    assert composed.base == (IDENTITY if base == other_base == IDENTITY else ZERO)
+                    both = base == other_base == BASE_IDENTITY
+                    assert composed.base == (BASE_IDENTITY if both else BASE_ZERO)
                     assert [(g, bits(w)) for g, w in composed.terms] == \
                         [(g, bits(w)) for g, w in expected], name
 
@@ -466,7 +467,7 @@ class TestCoordIndex:
         inverted = 0
         for seed in range(6):
             for name, terms, xs in self.cases(seed):
-                j = FiniteRankOperator(IDENTITY, terms)
+                j = FiniteRankOperator(BASE_IDENTITY, terms)
                 seen.clear()
                 reduced.clear()
                 k = len(terms)
@@ -531,7 +532,7 @@ class TestCoordIndex:
                             rhs = None
                         # a solve hands the pairings on to `border` as well
                         assert calls == ([] if rhs is None else [scalar_bits(rhs)] * 2), name
-                        assert w == gram_solve(FiniteRankOperator(IDENTITY, terms), x)
+                        assert w == gram_solve(FiniteRankOperator(BASE_IDENTITY, terms), x)
                         solved += 1
                 except SingularOperator:
                     continue
@@ -604,7 +605,7 @@ class TestExactApply:
             rng = random.Random(seed)
             xs = rows_probes(rng)
             for name, terms in rows_families(rng):
-                for base in (IDENTITY, ZERO):
+                for base in (BASE_IDENTITY, BASE_ZERO):
                     op = FiniteRankOperator(base, terms)
                     for x in xs:
                         self.assert_matches_the_loop(op, x, name)
@@ -613,14 +614,16 @@ class TestExactApply:
         rng = random.Random(0)
         terms = dict(rows_families(rng))["comeback"]
         x = SparseVector({1: Fraction(1, 3), 2: Fraction(5, 7)})
-        image = FiniteRankOperator(IDENTITY, terms).apply(x)
+        image = FiniteRankOperator(BASE_IDENTITY, terms).apply(x)
         assert list(image.entries) == [2, 3, 1]
         assert image.entries == {2: Fraction(5, 7), 3: Fraction(15, 14), 1: Fraction(1)}
-        assert FiniteRankOperator(ZERO, terms[:1]).apply(x) == SparseVector({1: Fraction(-1, 3)})
+        image = FiniteRankOperator(BASE_ZERO, terms[:1]).apply(x)
+        assert image == SparseVector({1: Fraction(-1, 3)})
 
     def test_a_sum_that_cancels_x_is_the_zero_vector(self):
         terms = dict(rows_families(random.Random(0)))["cancel"]
-        image = FiniteRankOperator(IDENTITY, terms).apply(SparseVector({1: Fraction(1), 2: Fraction(1)}))
+        x = SparseVector({1: Fraction(1), 2: Fraction(1)})
+        image = FiniteRankOperator(BASE_IDENTITY, terms).apply(x)
         assert image.is_zero() and type(image) is SparseVector
 
     def test_term_rows_are_shared_and_extended(self):
@@ -644,7 +647,7 @@ class TestExactApply:
         rng = random.Random(5)
         terms = dict(rows_families(rng))["dense"]
         x0 = rows_probes(rng)[4]
-        t = FiniteRankOperator(IDENTITY, terms).linear_part()
+        t = FiniteRankOperator(BASE_IDENTITY, terms).linear_part()
         plain = [x0]
         for _ in range(3):
             plain.append(apply_terms(t, plain[-1]))
@@ -670,7 +673,7 @@ def test_results_that_skip_the_cleaning_pass_are_clean():
         families = rows_families(rng)
         coefficients = [0, 1, -1, Fraction(1, 3), Fraction(-7, 2)]
         for name, terms in families:
-            for base in (IDENTITY, ZERO):
+            for base in (BASE_IDENTITY, BASE_ZERO):
                 op = FiniteRankOperator(base, terms)
                 for x in xs:
                     assert_clean(op.apply(x))
@@ -710,7 +713,7 @@ def test_with_term_extends_the_parents_index_and_shares_no_list():
             assert [list(op.coord_index.hits(x)) for x in xs] == before, name
             op = grown
     # an operator whose index was never built leaves its child to build one
-    lazy = FiniteRankOperator(ZERO, terms).with_term(*terms[0])
+    lazy = FiniteRankOperator(BASE_ZERO, terms).with_term(*terms[0])
     assert "coord_index" not in vars(lazy)
     assert list(lazy.coord_index.hits(xs[4])) == list(CoordIndex(
         g for g, _ in lazy.terms).hits(xs[4]))
@@ -736,7 +739,7 @@ class TestCompose:
         rng = random.Random(41)
         for _ in range(30):
             def random_op():
-                base = rng.choice([IDENTITY, ZERO])
+                base = rng.choice([BASE_IDENTITY, BASE_ZERO])
                 terms = tuple(
                     (
                         CoordFunctional({rng.randint(1, 5): Fraction(rng.randint(-3, 3) or 1)}),
@@ -762,13 +765,13 @@ class TestConjugateOrbit:
 
     def test_horizon_one_returns_jx0(self):
         t0 = backward_shift(4)
-        j = FiniteRankOperator(IDENTITY, ((delta(1), SparseVector.basis(2)),))
+        j = FiniteRankOperator(BASE_IDENTITY, ((delta(1), SparseVector.basis(2)),))
         assert conjugate_orbit(t0, sv(1, 1), j, 1) == [j.apply(sv(1, 1))]
 
     def test_equals_j_of_orbit(self):
         t0 = backward_shift(4)
         x0 = SparseVector.basis(4)
-        j = FiniteRankOperator(IDENTITY, ((delta(1), SparseVector.basis(2)),))
+        j = FiniteRankOperator(BASE_IDENTITY, ((delta(1), SparseVector.basis(2)),))
         left = conjugate_orbit(t0, x0, j, 4)
         right = [j.apply(x) for x in orbit(t0, x0, 4)]
         assert left == right
@@ -784,10 +787,10 @@ class TestConjugateOrbit:
                 )
                 for _ in range(rng.randint(1, 3))
             )
-            t0 = FiniteRankOperator(rng.choice([IDENTITY, ZERO]), t0_terms)
+            t0 = FiniteRankOperator(rng.choice([BASE_IDENTITY, BASE_ZERO]), t0_terms)
             # small certified perturbation keeps J invertible
             j = FiniteRankOperator(
-                IDENTITY,
+                BASE_IDENTITY,
                 (
                     (
                         CoordFunctional.delta(rng.randint(1, window)),

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from orbitlab import CoordFunctional, DiskSpec, FiniteRankOperator, SeminormSpec, SparseVector
-from orbitlab.operators import ZERO
+from orbitlab.operators import BASE_ZERO
 from orbitlab.scalars import MAX_DIGITS, format_scalar, parse
 from orbitlab import serialize
 
@@ -121,7 +121,7 @@ def test_disk_round_trips():
 
 def test_operator_round_trip():
     t = FiniteRankOperator(
-        ZERO,
+        BASE_ZERO,
         (
             (CoordFunctional.delta(2), SparseVector.basis(1).scale(Fraction(1, 2))),
             (CoordFunctional({1: Fraction(-1), 3: Fraction(2)}), SparseVector.basis(3)),
@@ -138,7 +138,8 @@ DECODINGS = [
      SeminormSpec("sup", {1: Fraction(1, 2)})),
     (serialize.decode_disk, {"weights": [[1, "1/2"]]}, DiskSpec(weights={1: Fraction(1, 2)})),
     (serialize.decode_operator, {"base": "zero", "terms": [{"f": [[2, "1"]], "v": [[1, "1/2"]]}]},
-     FiniteRankOperator(ZERO, ((CoordFunctional.delta(2), SparseVector({1: Fraction(1, 2)})),))),
+     FiniteRankOperator(BASE_ZERO,
+                        ((CoordFunctional.delta(2), SparseVector({1: Fraction(1, 2)})),))),
 ]
 DECODER_IDS = ["vector", "functional", "seminorm", "disk", "operator"]
 

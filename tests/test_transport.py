@@ -286,32 +286,32 @@ class TestVerifyTransport:
             + ((f, v + SparseVector.basis(1)),)
             + state.terms.terms[3:]
         )
-        from orbitlab.operators import FiniteRankOperator as FRO, ZERO
+        from orbitlab.operators import FiniteRankOperator as FRO, BASE_ZERO
 
-        bad = state._replace(terms=FRO(ZERO, broken_terms))
+        bad = state._replace(terms=FRO(BASE_ZERO, broken_terms))
         report = verify_transport(bad)
         assert not report.passed
         names = {c.name for c in oracles.failures(report)}
         assert "exact-matching" in names
 
     def test_functional_off_the_active_set_is_reported_not_raised(self):
-        from orbitlab.operators import FiniteRankOperator as FRO, ZERO
+        from orbitlab.operators import FiniteRankOperator as FRO, BASE_ZERO
 
         state = fresh_state([sv(1), sv(0, 1)], [sv(1), sv(0, 1)], active=2, window=4,
                             epsilons=geometric_schedule(2))
         term = (CoordFunctional({3: frac(1, 2 ** 50)}), SparseVector.basis(1))
-        report = verify_transport(state._replace(terms=FRO(ZERO, (term,))))
+        report = verify_transport(state._replace(terms=FRO(BASE_ZERO, (term,))))
         failed = {c.name for c in oracles.failures(report)}
         assert {"slot-bounds", "budget-below-one", "kernel-fixed"} <= failed
         assert "p*(f) = inf" in next(c.detail for c in report.checks if c.name == "slot-bounds")
 
     def test_update_outside_the_disk_span_is_reported_not_raised(self):
-        from orbitlab.operators import FiniteRankOperator as FRO, ZERO
+        from orbitlab.operators import FiniteRankOperator as FRO, BASE_ZERO
 
         state = fresh_state([sv(1), sv(0, 1)], [sv(1), sv(0, 1)], active=2, window=4,
                             epsilons=geometric_schedule(2))
         term = (CoordFunctional.delta(1), SparseVector.basis(5).scale(frac(1, 2 ** 50)))
-        report = verify_transport(state._replace(terms=FRO(ZERO, (term,))))
+        report = verify_transport(state._replace(terms=FRO(BASE_ZERO, (term,))))
         failed = {c.name for c in oracles.failures(report)}
         assert {"slot-bounds", "budget-below-one"} <= failed
         assert "kernel-fixed" not in failed
@@ -379,12 +379,12 @@ class TestVerifyTransport:
     def test_budget_below_one_is_decided_exactly(self, gap, passed):
         """c = 1 - 2^-45 certifies invertibility and c = 1 does not: no
         tolerance rounds a budget to one."""
-        from orbitlab.operators import ZERO
+        from orbitlab.operators import BASE_ZERO
 
         state = TransportState(
             Enumeration((sv(1),)), Enumeration((sv(1),)), SeminormSpec.sup_on([1, 2]),
             oracles.l1_disk(range(1, 5)), (frac(1, 2), frac(1, 4)),
-            terms=FiniteRankOperator(ZERO, ((CoordFunctional.delta(1), sv(0, 1 - gap)),)))
+            terms=FiniteRankOperator(BASE_ZERO, ((CoordFunctional.delta(1), sv(0, 1 - gap)),)))
         report = verify_transport(state)
         assert report.budget == 1 - gap
         check = next(c for c in report.checks if c.name == "budget-below-one")

@@ -8,18 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from orbitlab import CoordFunctional, SparseVector, linalg
+from orbitlab import CoordFunctional, SparseVector, linalg, vectors
 from orbitlab.errors import Exhausted, LinearlyDependent
+from orbitlab.scalars import integer_row
 from orbitlab.triangular import (
     TriangularizeState,
-    _Row,
-    _scaled,
     _solution,
     build_omega_operator,
     interleave_triangularize,
     shuffled_matrix,
 )
-from orbitlab.vectors import _dot, combine
+from orbitlab.vectors import _dot
 
 import oracles
 
@@ -45,18 +44,19 @@ def greedy_pick(side, forced, chosen, candidates):
     extended minor, as `_solution` reads it off the pass's last pivot;
     Exhausted, as `interleave_triangularize` raises it, when every entry is zero."""
     n = len(chosen)
-    own = [_scaled(x) for x in forced[: n + 1]]
-    other = [_scaled(x) for x in list(chosen) + list(candidates)]
+    own = [integer_row(x.entries) for x in forced[: n + 1]]
+    other = [integer_row(x.entries) for x in list(chosen) + list(candidates)]
     fs, us = (own, other) if side == 0 else (other, own)
-    elim = linalg.Bareiss([[_dot(f.row, u.row) for u in us] for f in fs])
+    elim = linalg.Bareiss([[_dot(f, u) for u, _ in us] for f, _ in fs])
     for j in range(n):
         elim.pick(j, j)
     pos = elim.in_row(n) if side == 0 else elim.in_column(n)
     if pos is None:
         raise Exhausted("every candidate makes the next leading minor zero")
     r, c = (n, pos) if side == 0 else (pos, n)
-    elim.pick(r, c)
-    det = _solution(elim, fs[:n] + [fs[r]], us[:n] + [us[c]], n + 1)[2]
+    column = elim.pick(r, c)
+    dens = [(f[1], u[1]) for f, u in zip(fs[:n] + [fs[r]], us[:n] + [us[c]])]
+    det = _solution(elim, dens, column, (), n + 1)[2]
     return candidates[pos - n], det
 
 
@@ -352,63 +352,69 @@ class TestIntegerRows:
         us += [SparseVector({1: Fraction(2), 2: Fraction(-2)})]
         for f in fs:
             for u in us:
-                rf, ru = _scaled(f), _scaled(u)
-                for got in (_dot(rf.row, ru.row), _dot(ru.row, rf.row)):
-                    assert type(got) is int and Fraction(got, rf.den * ru.den) == f.pair(u)
+                (rf, fden), (ru, uden) = integer_row(f.entries), integer_row(u.entries)
+                for got in (_dot(rf, ru), _dot(ru, rf)):
+                    assert type(got) is int and Fraction(got, fden * uden) == f.pair(u)
 
-    @pytest.mark.parametrize("kind", ["dense", "sparse", "wide"])
-    def test_combinations_match_the_plain_loop_in_order(self, kind):
-        """start + sum c·row on integer rows gives the entries of the plain
-        loop, in its order."""
-        rng = random.Random(223)
-        for _ in range(20):
-            rows = [_scaled(SparseVector(e)) for e in rational_family(rng, 5, 6, kind)]
-            us = [SparseVector(r.row) for r in rows]
-            coeffs = [rng.choice([0, rng.randint(-5, 5), rng.randint(1, 2 ** 40)]) for _ in us]
-            zero = _scaled(SparseVector.zero())
-            got = list(zero.plus(coeffs, rows).row.items())
-            assert got == list(oracles.combination(coeffs, us).items())
-            rest = [-c for c in coeffs[1:]]
-            got = list(rows[0].plus(rest, rows[1:]).row.items())
-            assert got == list(oracles.combination(rest, us[1:], us[0]).items())
-            assert all(type(v) is int for _, v in got)
-
-    def test_cancelling_partial_sums_drop_and_reinsert_as_combine_does(self):
-        us = [SparseVector({1: Fraction(1), 2: Fraction(2)}),
-              SparseVector({1: Fraction(-1), 3: Fraction(1)}),
-              SparseVector({1: Fraction(3), 2: Fraction(1)})]
-        coeffs = [1, 1, 1]
-        rows = [_scaled(u) for u in us]
-        got = list(_scaled(SparseVector.zero()).plus(coeffs, rows).row.items())
-        # coordinate 1 cancels after the second term and comes back last
-        assert [i for i, _ in got] == [2, 3, 1] == list(oracles.combination(coeffs, us))
-        assert got == list(oracles.combination(coeffs, us).items())
-        assert got == list(combine(zip(coeffs, us)).entries.items())
-
-    @pytest.mark.parametrize("kind, window, stages, general", [
-        ("dense", 8, 3, False), ("sparse", 8, 3, False), ("wide", 6, 2, False),
-        ("dense", 6, 2, True), ("wide", 6, 2, True)])
+    @pytest.mark.parametrize("kind, window, stages, funcs, dependent", [
+        ("dense", 8, 3, "deltas", False), ("sparse", 8, 3, "deltas", False),
+        ("wide", 6, 2, "deltas", False), ("dense", 6, 2, "general", False),
+        ("wide", 6, 2, "general", False), ("dense", 8, 3, "missing", False),
+        ("sparse", 8, 3, "missing", False), ("dense", 8, 3, "repeated", False),
+        ("wide", 6, 2, "scaled", False), ("dense", 8, 3, "scaled", False),
+        ("dense", 8, 3, "deltas", True), ("sparse", 8, 3, "missing", True),
+        ("wide", 6, 2, "general", True)])
     def test_exact_triangularization_matches_the_determinant_oracle(
-            self, kind, window, stages, general):
+            self, kind, window, stages, funcs, dependent):
+        """Each v_m has the oracle's entries in ascending coordinate order,
+        whether its coordinates are read off unit functionals or off unit
+        rows of their own; a dependent basis raises LinearlyDependent."""
         rng = random.Random(227)
         for _ in range(3):
             while True:
                 basis = [SparseVector(e) for e in rational_family(rng, window, window, kind)]
                 if linalg.independent(u.entries for u in basis):
                     break
-            if general:
-                funcs = [CoordFunctional(e)
-                         for e in rational_family(rng, window + 2, window, kind)]
-            else:
-                funcs = deltas(window + 2)
-            alpha, beta, coeffs, v, minors = oracles.triangularize(basis, funcs, stages)
-            state = interleave_triangularize(basis, funcs, stages)
+            fs = functional_family(rng, funcs, window, kind)
+            if dependent:
+                j, k, l = rng.sample(range(window), 3)
+                basis[j] = basis[k].scale(Fraction(rng.randint(1, 3), 2)) - basis[l]
+                with pytest.raises(LinearlyDependent):
+                    interleave_triangularize(basis, fs, stages)
+                continue
+            alpha, beta, coeffs, v, minors = oracles.triangularize(basis, fs, stages)
+            state = interleave_triangularize(basis, fs, stages)
             assert (state.alpha, state.beta) == (alpha, beta)
             assert all(same(a, b) for got, exp in zip(state.coeffs, coeffs)
                        for a, b in zip(got, exp))
             assert [len(c) for c in state.coeffs] == [len(c) for c in coeffs]
             assert all(same(a, b) for a, b in zip(state.minors, minors))
-            assert all(same_entries(list(x.entries.items()), y) for x, y in zip(state.v, v))
+            assert len(state.v) == len(v)
+            assert all(same_entries(list(x.entries.items()), sorted(y)) for x, y in zip(state.v, v))
+
+
+def functional_family(rng, family, window, kind):
+    """window + 2 seeded functionals on a basis of `window` coordinates:
+    'deltas' δ_1..δ_{w+2}; 'general' rational ones; 'missing' unit ones in
+    shuffled order that leave one basis coordinate unread, then three that
+    read none; 'repeated' the
+    deltas and a second δ_i; 'scaled' the deltas with δ_i made {i: 2} and
+    δ_j made {j: 1/2}, so coordinate i is read by a unit row of its own."""
+    if family == "general":
+        return [CoordFunctional(e) for e in rational_family(rng, window + 2, window, kind)]
+    if family == "missing":
+        gap = rng.randint(1, window)
+        fs = [CoordFunctional.delta(i) for i in range(1, window + 1) if i != gap]
+        rng.shuffle(fs)
+        return fs + [CoordFunctional.delta(i) for i in range(window + 1, window + 4)]
+    fs = deltas(window + 2)
+    if family == "repeated":
+        fs[-1] = CoordFunctional.delta(rng.randint(1, window))
+    elif family == "scaled":
+        i, j = rng.sample(range(1, window + 1), 2)
+        fs[i - 1] = CoordFunctional({i: Fraction(2)})
+        fs[j - 1] = CoordFunctional({j: Fraction(1, 2)})
+    return fs
 
 
 def rejected_candidates(state):
@@ -447,7 +453,7 @@ def test_integer_factor_matches_the_oracles_beyond_the_corpus():
                 assert state.minors[m - 1] == oracles.determinant(block)
                 assert oracles.mat_vec(block, state.coeffs[m - 1]) == [int(k == m - 1) for k in range(m)]
             rejected += rejected_candidates(state)
-            scaled += any(_scaled(state.funcs[i - 1]).den > 1 for i in state.alpha)
+            scaled += any(integer_row(state.funcs[i - 1].entries)[1] > 1 for i in state.alpha)
             runs += 1
     assert runs > 20 and rejected > 3 and scaled == runs
 
@@ -462,10 +468,10 @@ def dense_basis_16():
 
 
 def test_one_pass_triangularizes_and_only_solution_back_substitutes(monkeypatch):
-    """A seeded 16 x 7 triangularization runs one `Bareiss` pass, which picks
-    and checks the basis, and borders nothing: no `Bordered.border` or
-    `pivot` call, and no `dense_independent` fallback.  `Bordered.back` and
-    `_Row.plus` are called only from `_solution`, once per prefix length
+    """A seeded 16 x 7 triangularization runs one `Bareiss` pass, which picks,
+    gives each v_m and checks the basis, and borders nothing: no
+    `Bordered.border` or `pivot` call, and no `vectors.combine`.
+    `Bordered.back` is called only from `_solution`, once per prefix length
     m = 1..2s.  Counts only, no times."""
     calls = Counter()
 
@@ -480,69 +486,72 @@ def test_one_pass_triangularizes_and_only_solution_back_substitutes(monkeypatch)
     spy(linalg.Bareiss, "__init__")
     for name in ("border", "pivot", "back"):
         spy(linalg.Bordered, name)
-    spy(linalg, "dense_independent")
-    spy(_Row, "plus")
+    spy(vectors, "combine")
     interleave_triangularize(dense_basis_16(), deltas(18), 7)
-    assert calls == {("__init__", "interleave_triangularize"): 1,
-                     ("back", "_solution"): 14, ("plus", "_solution"): 14}
+    assert calls == {("__init__", "interleave_triangularize"): 1, ("back", "_solution"): 14}
 
 
 class TestBasisCheckFallback:
-    """The pass proves the basis independent only at full column rank; a
-    deficient pass, or a pick that finds no pivot, asks `dense_independent`,
-    so a dependent basis raises LinearlyDependent before Exhausted."""
+    """The finished pass is the basis check: with a unit row for each basis
+    coordinate that no unit functional reads, its row space is that of the
+    basis, so it proves the basis independent exactly at full column rank,
+    and a dependent basis raises LinearlyDependent before Exhausted."""
 
     @pytest.fixture
-    def fallbacks(self, monkeypatch):
-        calls = []
-        original = linalg.dense_independent
+    def passes(self, monkeypatch):
+        """The number of rows of each `Bareiss` pass."""
+        sizes = []
+        original = linalg.Bareiss.__init__
 
-        def wrapped(rows):
-            calls.append(original(rows))
-            return calls[-1]
-        monkeypatch.setattr(linalg, "dense_independent", wrapped)
-        return calls
+        def wrapped(self, matrix):
+            sizes.append(len(matrix))
+            original(self, matrix)
+        monkeypatch.setattr(linalg.Bareiss, "__init__", wrapped)
+        return sizes
 
-    def test_unseen_coordinate_falls_back_and_matches_the_oracle(self, fallbacks):
-        """No functional sees coordinate 6 of an independent basis, so A' has
-        rank 5 of 6 and the fallback proves the basis independent."""
+    def test_unseen_coordinate_falls_back_and_matches_the_oracle(self, passes):
+        """No functional sees coordinate 6 of an independent basis, so a unit
+        row e_6 joins the 7 functionals: the pass has full rank and reads
+        coordinate 6 of each v_m off that row."""
         basis = random_invertible_basis(random.Random(79), 6)
         funcs = deltas(5) + [CoordFunctional.delta(7), CoordFunctional.delta(8)]
         state = interleave_triangularize(basis, funcs, 2)
-        assert fallbacks == [True]
+        assert passes == [8]
         alpha, beta, coeffs, v, minors = oracles.triangularize(basis, funcs, 2)
         assert (state.alpha, state.beta, state.coeffs, state.minors) == (alpha, beta, coeffs, minors)
-        assert [list(x.entries.items()) for x in state.v] == v
+        assert [list(x.entries.items()) for x in state.v] == [sorted(y) for y in v]
+        assert any(x.get(6) for x in state.v)
         check_state_invariants(state)
 
-    def test_dependent_basis_after_the_picks(self, fallbacks):
-        """The picks succeed; the pass finishes deficient, and the fallback
-        finds the dependence u_4 = u_1 + u_2."""
+    def test_dependent_basis_after_the_picks(self, passes):
+        """The picks succeed; the pass finishes deficient on the dependence
+        u_4 = u_1 + u_2."""
         basis = [sv(1), sv(0, 1), sv(0, 0, 1), sv(1, 1)]
         with pytest.raises(LinearlyDependent):
             interleave_triangularize(basis, deltas(4), 1)
-        assert fallbacks == [False]
+        assert passes == [4]
 
-    def test_dependent_basis_whose_picks_exhaust(self, fallbacks):
+    def test_dependent_basis_whose_picks_exhaust(self, passes):
         """u_2 = 2·u_1 leaves the vector step no pivot: LinearlyDependent, not
         Exhausted."""
         with pytest.raises(LinearlyDependent):
             interleave_triangularize([sv(1, 1), sv(2, 2), sv(0, 0, 1)], deltas(5), 1)
-        assert fallbacks == [False]
+        assert passes == [5]
 
-    def test_independent_basis_whose_picks_exhaust(self, fallbacks):
-        """Every functional is delta_1, so the vector step finds no pivot for
-        u_2, and the basis is independent: Exhausted."""
+    def test_independent_basis_whose_picks_exhaust(self, passes):
+        """Every functional is delta_1, so only the unit row e_2 is non-zero at
+        u_2 once delta_1 is picked: the vector step has no pivot, the basis
+        is independent, and the run is Exhausted."""
         funcs = [CoordFunctional.delta(1)] * 4
         with pytest.raises(Exhausted, match="next leading minor zero"):
             interleave_triangularize([sv(1), sv(0, 1)], funcs, 1)
-        assert fallbacks == [True]
+        assert passes == [5]
 
 
 def test_exact_triangularization_does_no_fraction_arithmetic(monkeypatch):
     """A seeded 16 x 7 exact triangularization: no Fraction sum, difference or
-    product is formed in linalg (the dense basis check and the integer
-    factor), in scalars or in the combinations (triangular, vectors.combine);
+    product is formed in linalg (the pass that picks, gives each v_m and
+    checks the basis), in scalars, in triangular or in `vectors.combine`;
     minors, coefficients and the entries of v_m are each one Fraction of two
     ints."""
     basis = dense_basis_16()

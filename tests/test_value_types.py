@@ -16,7 +16,7 @@ import pytest
 from orbitlab import simplex
 from orbitlab.density import Enumeration
 from orbitlab.errors import NotInSpan
-from orbitlab.operators import ZERO, FiniteRankOperator
+from orbitlab.operators import BASE_ZERO, FiniteRankOperator
 from orbitlab.reports import CheckResult, Report, Table
 from orbitlab.scalars import MAX_DIGITS, coerce, integer_of
 from orbitlab.seminorms import DiskSpec, SeminormSpec, gauge_below, minkowski
@@ -40,7 +40,7 @@ HASHABLE = {
                      SparseVector({1: 1}), ("entries",)),
     "CoordFunctional": (lambda: CoordFunctional({2: Fraction(3, 4)}),
                         CoordFunctional({2: 1}), ("entries",)),
-    "FiniteRankOperator": (lambda: FiniteRankOperator(ZERO, [_term(1), _term(2)]),
+    "FiniteRankOperator": (lambda: FiniteRankOperator(BASE_ZERO, [_term(1), _term(2)]),
                            FiniteRankOperator(terms=[_term(1), _term(2)]), ("base", "terms")),
     "Enumeration": (lambda: Enumeration([SparseVector.basis(1), SparseVector.basis(2)]),
                     Enumeration([SparseVector.basis(2), SparseVector.basis(1)]), ("items",)),
@@ -143,7 +143,8 @@ def test_int_entries_and_weights_become_fractions(kind):
 
 
 def test_cached_data_is_kept_past_the_guard_and_outside_equality():
-    built, fresh = FiniteRankOperator(ZERO, [_term(1)]), FiniteRankOperator(ZERO, [_term(1)])
+    built = FiniteRankOperator(BASE_ZERO, [_term(1)])
+    fresh = FiniteRankOperator(BASE_ZERO, [_term(1)])
     built.apply(SparseVector.basis(1))
     assert "coord_index" in vars(built) and "coord_index" not in vars(fresh)
     assert built == fresh and hash(built) == hash(fresh)
@@ -225,7 +226,7 @@ def test_a_maps_integer_form_is_kept_past_the_guard_and_outside_equality(cls):
 
 
 def test_only_an_exact_kernel_fills_the_integer_form():
-    op = FiniteRankOperator(ZERO, [_term(1), _term(2)])
+    op = FiniteRankOperator(BASE_ZERO, [_term(1), _term(2)])
     x = SparseVector({1: Fraction(2, 3), 2: 1})
     assert all(f._int is None and v._int is None for f, v in op.terms)
     image = op.apply(x)
