@@ -18,8 +18,8 @@ pairs, in term order, so each sum is that of the plain term loop.
 `apply` runs on integers (fraction-free arithmetic; Geddes,
 Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 9): x and
 each term's f and v are integer rows over their denominators, the forms
-`scalars.integer_of` keeps on each vector, and the term rows stay on
-the operator like its index.  Pairings are integer dot products, and start
+`scalars.integer_of` keeps on each vector and functional, so no operator
+keeps rows of its own.  Pairings are integer dot products, and start
 + sum_j f_j(x) v_j is one integer sum per coordinate over a common
 denominator, so one Fraction is built per coordinate the terms touch.
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, inf, lcm
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from . import linalg
 from .errors import BudgetExceeded, NotInSpan, NotPBounded, SingularOperator
@@ -48,7 +48,6 @@ BASE_IDENTITY = "identity"
 BASE_ZERO = "zero"
 
 Term = Tuple[CoordFunctional, SparseVector]
-TermRows = Tuple[Dict[int, int], int, Dict[int, int], int]
 FiniteMap = Union[CoordFunctional, SparseVector]
 
 
@@ -129,26 +128,17 @@ class FiniteRankOperator:
         the instance, outside equality and hashing."""
         return CoordIndex(f for f, _ in self.terms)
 
-    @cached_property
-    def _term_rows(self) -> List[Optional[TermRows]]:
-        """Per term, its f and v as `scalars.integer_row` scales them,
-        (f row, f den, v row, v den); `apply` fills a term's slot when it
-        first pairs the term."""
-        return [None] * len(self.terms)
-
     def _rebased(self, base: str) -> "FiniteRankOperator":
-        """The same terms over another base, sharing one index and one list of
-        term rows with this operator, built here if not yet."""
+        """The same terms over another base, sharing one index with this
+        operator, built here if not yet."""
         op = FiniteRankOperator(base, self.terms)
-        op.__dict__.update(coord_index=self.coord_index, _term_rows=self._term_rows)
+        op.__dict__["coord_index"] = self.coord_index
         return op
 
     def with_term(self, f: CoordFunctional, v: SparseVector) -> "FiniteRankOperator":
-        """The operator with one more term, keeping the term rows already
-        scaled and, once built, this operator's index extended by f."""
+        """The operator with one more term and, once built, this operator's
+        index extended by f."""
         op = FiniteRankOperator(self.base, self.terms + ((f, v),))
-        if "_term_rows" in self.__dict__:
-            op.__dict__["_term_rows"] = self._term_rows + [None]
         if "coord_index" in self.__dict__:
             op.__dict__["coord_index"] = self.coord_index.extended(f)
         return op
@@ -163,11 +153,12 @@ class FiniteRankOperator:
     def apply(self, x: SparseVector) -> SparseVector:
         """base(x) + sum_j f_j(x) v_j over the terms that meet x, in term order.
 
-        The terms' integer rows are paired with x's integer form
-        (`integer_of`), and start + sum_j f_j(x) v_j is summed on integers
-        over one common denominator, building one Fraction per coordinate the
-        terms touch; the other coordinates of x keep their Fractions, and the
-        entries come in the order `vectors.combine` would give them.
+        Each f_j's integer form (`integer_of`) is paired with x's, v_j's
+        form is read only when f_j(x) != 0, and start + sum_j f_j(x) v_j is
+        summed on integers over one common denominator, building one
+        Fraction per coordinate the terms touch; the other coordinates of x
+        keep their Fractions, and the entries come in the order
+        `vectors.combine` would give them.
         """
         identity = self.base == BASE_IDENTITY
         start = x if identity else SparseVector.zero()
@@ -175,17 +166,15 @@ class FiniteRankOperator:
         if not hits:
             return start
         xrow, xden = integer_of(x)
-        rows, terms = self._term_rows, self.terms
+        terms = self.terms
         # f_j(x) v_j as (numerator, denominator, v_j row) for f_j(x) != 0
         picked = []
         for j in hits:
-            r = rows[j]
-            if r is None:
-                f, v = terms[j]
-                r = rows[j] = integer_of(f) + integer_of(v)
-            frow, fden, vrow, vden = r
+            f, v = terms[j]
+            frow, fden = integer_of(f)
             dot = _dot(frow, xrow)
             if dot:
+                vrow, vden = integer_of(v)
                 den = fden * xden * vden
                 g = gcd(dot, den)
                 picked.append((dot // g, den // g, vrow))

@@ -8,16 +8,16 @@ term.  The program sums exact products on integers and factors exact
 systems fraction-free; `combination`, `triangularize`, `apply_terms`,
 `weight_gauge`, `determinant`, `solve` and `gram_solve` do every step in
 the scalars themselves, and `simplex` pivots a Fraction tableau and prices
-its costs afresh before every pivot.  A run settles the build-shift
-continuity check by the shift's Neumann certificate; `continuity_samples`
-is the sampled check, the run's fallback, as a slow path.  The program's
-shift demo is the `orbit` of a backward-shift operator; `shift_demo` moves
-the entries of a dict.  The program parses a plain rational from its two
+its costs afresh before every pivot.  A run decides the build-shift
+continuity check by the shift's Neumann certificate alone, and draws no
+vector; `random_window_vector` draws the seeded vectors on which the tests
+sample the bound that the certificate gives.  The program's shift demo is
+the `orbit` of a backward-shift operator; `shift_demo` moves the entries of
+a dict.  The program parses a plain rational from its two
 integers; `parse_scalar` parses every text with `Fraction(text)`.  The last
 part holds helpers that only the tests need: encoders, l1 seminorm and disk
 constructors, parsers, the failed checks of a verification, two
-predicates, a spy on the sampled checks' draws and the benchmark's scenario
-generator.
+predicates and the benchmark's scenario generator.
 """
 
 import csv
@@ -26,13 +26,12 @@ import types
 from fractions import Fraction
 from pathlib import Path
 
-import orbitlab.scenarios as scenarios
 from orbitlab.errors import NotInSpan, SingularOperator
 from orbitlab.operators import BASE_IDENTITY
 from orbitlab.reports import Table
 from orbitlab.scalars import ONE, ZERO, format_scalar, parse
 from orbitlab.simplex import Infeasible, Unbounded
-from orbitlab.seminorms import L1, DiskSpec, SeminormSpec, eval_seminorm, minkowski
+from orbitlab.seminorms import L1, DiskSpec, SeminormSpec
 from orbitlab.serialize import encode_pairs
 from orbitlab.vectors import SparseVector, combine
 
@@ -55,23 +54,12 @@ def weight_gauge(weights, u):
     return total
 
 
-def continuity_samples(s, p, disk, window, rng, count=100):
-    """The build-shift continuity check by sampling: for each of `count`
-    seeded window vectors x, whether p_D(S x) <= p(x).  Each x is drawn as the
-    check draws it (up to 5 coordinates of 1..window, entries n/d with n in
-    -8..8 and d in 1, 2, 4); S x is the plain term loop and a weight-form
-    gauge the plain sum, while a generator-form gauge and p(x) are the
-    program's own.  NotInSpan at the first S x outside span D."""
-    out = []
-    for _ in range(count):
-        x = SparseVector({
-            i: Fraction(rng.randint(-8, 8), rng.choice([1, 2, 4]))
-            for i in rng.sample(range(1, window + 1), rng.randint(0, min(window, 5)))})
-        y = apply_terms(s, x)
-        gauge = (weight_gauge(disk.weights, y) if disk.weights is not None
-                 else minkowski(disk, y))
-        out.append(gauge <= eval_seminorm(p, x))
-    return out
+def random_window_vector(rng, window):
+    """A seeded vector of up to 5 coordinates of 1..window, with entries n/d for
+    n in -8..8 and d in 1, 2, 4."""
+    return SparseVector({
+        i: Fraction(rng.randint(-8, 8), rng.choice([1, 2, 4]))
+        for i in rng.sample(range(1, window + 1), rng.randint(0, min(window, 5)))})
 
 
 def dense_gram(terms):
@@ -433,20 +421,6 @@ def kernel_contains(p, x):
 def dense_span(premise):
     """The premise span fills the whole probe window."""
     return premise.window_meet_dim == premise.window_dim
-
-
-def spy_draws(monkeypatch):
-    """The window of each vector `scenarios._random_window_vector` draws from
-    here on: one entry per sample a scenario's check takes."""
-    draws = []
-    draw = scenarios._random_window_vector
-
-    def spied(rng, window):
-        draws.append(window)
-        return draw(rng, window)
-
-    monkeypatch.setattr(scenarios, "_random_window_vector", spied)
-    return draws
 
 
 def benchmark_workloads():

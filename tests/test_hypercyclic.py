@@ -124,7 +124,7 @@ class TestBuildShiftOperator:
 
     def test_exact_continuity_loop_does_no_fraction_arithmetic_in_apply_or_gauge(
             self, monkeypatch):
-        """The build-shift continuity check, p_D(S x) <= p(x) on 100 seeded
+        """The continuity bound p_D(S x) <= p(x) sampled on 100 seeded
         vectors: `FiniteRankOperator.apply` and the weight-form `minkowski`
         sum on integers, so no Fraction is added, multiplied or divided while
         either of them runs; `eval_seminorm` still does Fraction arithmetic."""

@@ -422,10 +422,10 @@ class TestCoordIndex:
             assert j.coord_index is op.coord_index and j.linear_part().coord_index is op.coord_index
             assert op.linear_part() is op
             # rebased before either is applied, T and S still build one index
-            # and one list of term rows between them
+            # between them
             fresh = FiniteRankOperator(BASE_IDENTITY, terms)
             s = fresh.linear_part()
-            assert s.coord_index is fresh.coord_index and s._term_rows is fresh._term_rows
+            assert s.coord_index is fresh.coord_index
             assert j == FiniteRankOperator(BASE_IDENTITY, terms)
             assert hash(j) == hash(FiniteRankOperator(BASE_IDENTITY, terms))
             assert repr(j) == repr(FiniteRankOperator(BASE_IDENTITY, terms))
@@ -625,23 +625,6 @@ class TestExactApply:
         x = SparseVector({1: Fraction(1), 2: Fraction(1)})
         image = FiniteRankOperator(BASE_IDENTITY, terms).apply(x)
         assert image.is_zero() and type(image) is SparseVector
-
-    def test_term_rows_are_shared_and_extended(self):
-        rng = random.Random(11)
-        xs = rows_probes(rng)
-        for name, terms in rows_families(rng):
-            op = FiniteRankOperator.zero()
-            for f, v in terms:
-                grown = op.with_term(f, v)
-                for x in xs:
-                    self.assert_matches_the_loop(grown, x, name)
-                    # the shorter operator still reads only its own terms
-                    self.assert_matches_the_loop(op, x, name)
-                    rows = grown._term_rows
-                    j = grown.plus_identity()
-                    assert j._term_rows is rows
-                    self.assert_matches_the_loop(j, x, name)
-                op = grown
 
     def test_orbit_compose_and_matrix_match_the_term_loop(self):
         rng = random.Random(5)
