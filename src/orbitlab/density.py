@@ -14,11 +14,12 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import Exhausted, KernelCollision, NoSeparation, NotANet, NotInSpan, NotPIndependent
-from .scalars import ONE, ZERO, Scalar, _immutable
+from .scalars import ONE, ZERO, Scalar, _immutable, integer_row
 from .seminorms import (
     DiskSpec,
     SeminormSpec,
     Separator,
+    active_row,
     eval_seminorm,
     minkowski,
     project_active,
@@ -112,7 +113,7 @@ def extract_p_independent(a: Enumeration, p: SeminormSpec,
                 continue
             if not eval_seminorm(window_norm, x - center) < radius:
                 continue
-            if echelon.try_add(project_active(p, x)):
+            if echelon.try_add(active_row(p, x)):
                 found = x
                 break
         if found is None:
@@ -232,16 +233,17 @@ def biorthogonalize(us: Sequence[SparseVector], p: SeminormSpec) -> List[CoordFu
 def _dual_by_inverse(projections: List[Dict[int, Scalar]]) -> Optional[List[CoordFunctional]]:
     """The rows of (U^T)^{-1} as functionals on the coordinates of U, for U
     the block of the projections; None unless the block is square and
-    invertible."""
+    invertible.  A projection scaled would scale a column of U, so the
+    Fraction entries are read, and each row of [U^T | I] is scaled once."""
     n = len(projections)
     coords = sorted(set().union(*projections))
     if len(coords) != n:
         return None
     # row r: the projections at coordinate coords[r], then row r of I at n + r
     red = linalg.RowReducer.of(
-        [{m: x[c] for m, x in enumerate(projections) if c in x} | {n + r: ONE}
+        [integer_row({m: x[c] for m, x in enumerate(projections) if c in x} | {n + r: ONE})[0]
          for r, c in enumerate(coords)])
-    if any(m not in red.rows for m in range(n)):
+    if any(m not in red.ints for m in range(n)):
         return None
     return [CoordFunctional({coords[c - n]: v for c, v in sorted(red.rows[m].items()) if c >= n})
             for m in range(n)]

@@ -9,13 +9,14 @@ the non-orbit refutation.
 
 Operators stay in their term form sum_j f_j (x) v_j = V·F.  S is
 `linear_part()`, every orbit (the demo's too) is `operators.orbit`, and
-every active projection is `seminorms.project_active`.  The premise runs one
-loop on the powers of a map, kept as sparse columns: ranks by
-`linalg.row_rank`, each nullspace one `linalg.RowReducer.of`, and an
+every active projection is `seminorms.project_active` or, for a rank, the
+integer `seminorms.active_row`.  The premise runs one
+loop on the powers of an integer map, kept as sparse integer columns: ranks
+by `linalg.row_rank`, each nullspace one `linalg.RowReducer.of`, and an
 `linalg.Echelon` basis of the intersections.  When the v's and the f's are
 independent, the map is the k x k core G = F·V, scaled once to an integer
-matrix, so its powers are integer column sums; otherwise it is S itself on
-the whole support, pushed through `FiniteRankOperator.apply`.  The witness
+matrix; otherwise it is S itself on the whole support, scaled to d·S.
+Either way its powers are integer column sums.  The witness
 tests nilpotency on the integer core F·P·V (P the window cut), since A·B and
 B·A are nilpotent together (Horn and Johnson, Matrix Analysis, 2nd ed.,
 2013, §1.3).  No matrix power of S is ever multiplied out.  `apply`, the
@@ -27,7 +28,8 @@ active-row solve is one `RowReducer.of` on sparse rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from math import lcm
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .density import Enumeration, biorthogonalize
@@ -40,13 +42,13 @@ from .seminorms import (
     dual_norm,
     eval_seminorm,
     minkowski,
+    active_row,
     p_independent,
-    project_active,
 )
 from .vectors import CoordFunctional, SparseVector, _dot, combine
 
-# a sparse column of a power: coordinate -> non-zero int or scalar
-Column = Dict[int, Union[int, Scalar]]
+# a sparse column of a power of an integer map: coordinate -> non-zero int
+Column = Dict[int, int]
 
 
 class ShiftOperatorSpec(NamedTuple):
@@ -114,25 +116,26 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int) -
     The loop runs on the integer matrix d·G (`_integer_core`): ranks,
     nullspaces (the reduced row echelon form is unique) and spans do not
     change when G is scaled, so neither does any dimension reported.
-    Otherwise the same loop (`_meets`) runs on S over the whole support.  The
-    report compares the part of the accumulated span lying inside the window
-    against the window dimension.
+    Otherwise the same loop (`_meets`) runs on d·S over the whole support
+    (`_integer_map`).  Every rank reads integer forms (`integer_of`): the
+    independence tests those the v's and f's keep, the span that of each
+    basis vector.  The report compares the part of the accumulated span
+    lying inside the window against the window dimension.
     """
     s = t.linear_part()
     top = window
     for f, v in s.terms:
         top = max([top] + list(f.support) + list(v.support))
     core = (s.terms
-            and linalg.independent(v.entries for _, v in s.terms)
-            and linalg.independent(f.entries for f, _ in s.terms))
+            and linalg.independent(integer_of(v)[0] for _, v in s.terms)
+            and linalg.independent(integer_of(f)[0] for f, _ in s.terms))
     if core:
         vs = [v for _, v in s.terms]
         dims, basis = _meets(_integer_core(s, vs),
                              [{j: 1} for j in range(1, len(vs) + 1)], depth, 1)
-        union = [combine((c, vs[i - 1]) for i, c in z.items()).entries for z in basis]
+        union = [integer_of(combine((c, vs[i - 1]) for i, c in z.items()))[0] for z in basis]
     else:
-        dims, union = _meets(lambda col: s.apply(SparseVector(col)).entries,
-                             [{j: ONE} for j in range(1, top + 1)], depth, 0)
+        dims, union = _meets(_integer_map(s), [{j: 1} for j in range(1, top + 1)], depth, 0)
     rows = [PremiseRow(n=n, dim_range=dim_range, dim_kernel=top - dim_range,
                        dim_intersection=dim_intersection)
             for n, (dim_range, dim_intersection) in enumerate(dims, start=1)]
@@ -151,11 +154,11 @@ def _meets(advance: Callable[[Column], Column], identity: List[Column], depth: i
 
     The powers are kept as the columns A^m e_j, sparse dicts starting from
     the size columns of `identity`; `advance` maps a non-zero column of A^m
-    to that of A^{m+1}, and a zero column stays zero.  Each nullspace is one
+    to that of A^{m+1}, and a zero column stays zero.  A holds ints, and so
+    does every power and basis vector.  Each nullspace is one
     `linalg.RowReducer.of` of the size sparse rows of A^{2n-s}; each of its
-    vectors, scaled to integers by `integer_row`, mixes the columns of
-    A^{n-s} by `_fold`.  On an integer A every power and basis
-    vector holds ints.
+    vectors, read as a primitive integer row (`RowReducer.null_row`), mixes
+    the columns of A^{n-s} by `_fold`.
     """
     size = len(identity)
     # powers[m][j - 1] = A^m e_j, ranks[m] = rank A^m
@@ -166,7 +169,7 @@ def _meets(advance: Callable[[Column], Column], identity: List[Column], depth: i
     dims, basis, echelon = [], [], linalg.Echelon()
     for n in range(1, depth + 1):
         single = n - shift
-        rows: List[Dict[int, Scalar]] = [{} for _ in range(size)]
+        rows: List[Column] = [{} for _ in range(size)]
         for j, col in enumerate(powers[2 * n - shift]):
             for i, x in col.items():
                 rows[i - 1][j] = x
@@ -176,8 +179,8 @@ def _meets(advance: Callable[[Column], Column], identity: List[Column], depth: i
             ranks[single] = linalg.row_rank(powers[single])
         dims.append((ranks[single], ranks[single] - red.rank))
         for fc in range(size):
-            if fc not in red.rows:
-                y = integer_row(red.null_vector(fc))[0]
+            if fc not in red.ints:
+                y = red.null_row(fc)
                 z = _fold((c, powers[single][j]) for j, c in y.items())
                 if z and echelon.try_add(z):
                     basis.append(z)
@@ -208,9 +211,23 @@ def _integer_core(s: FiniteRankOperator,
     return lambda col: _fold((x, cols[l - 1]) for l, x in col.items())
 
 
-def _fold(pairs: Iterable[Tuple[Union[int, Scalar], Column]]) -> Column:
+def _integer_map(s: FiniteRankOperator) -> Callable[[Column], Column]:
+    """S = sum_j v_j ⊗ f_j scaled to an integer map d·S, as the map of an
+    integer sparse column x to its image.  With f_j = F_j / a_j and
+    v_j = V_j / b_j in their integer forms (`integer_of`) and d the lcm of
+    the a_j·b_j, d·S x = sum_j (F_j·x) W_j for the integer columns
+    W_j = V_j·d / (a_j·b_j)."""
+    forms = [integer_of(f) for f, _ in s.terms]
+    vrows = [integer_of(v) for _, v in s.terms]
+    d = lcm(*[a * b for (_, a), (_, b) in zip(forms, vrows)])
+    terms = [(frow, {i: x * (d // (a * b)) for i, x in vrow.items()})
+             for (frow, a), (vrow, b) in zip(forms, vrows)]
+    return lambda col: _fold((c, w) for frow, w in terms if (c := _dot(frow, col)))
+
+
+def _fold(pairs: Iterable[Tuple[int, Column]]) -> Column:
     """The sum of c·col over the (c, col) pairs, summed per coordinate in
-    pair order as `vectors.combine` sums, on sparse dicts of ints or scalars."""
+    pair order as `vectors.combine` sums, on sparse dicts of ints."""
     acc: Column = {}
     for c, col in pairs:
         for i, v in col.items():
@@ -274,9 +291,10 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
         k, sol = len(free_cols), None
         if k:
             red = linalg.RowReducer.of(
-                [{c: v.entries[i] for c, v in enumerate(tne) if i in v.entries} | {k: g}
+                [integer_row({c: v.entries[i] for c, v in enumerate(tne) if i in v.entries}
+                             | {k: g})[0]
                  for i, g in zip(active_rows, gap)])
-            if k not in red.rows:
+            if k not in red.ints:
                 sol = {pc: row[k] for pc, row in red.rows.items() if row.get(k, 0)}
         if sol is None:
             residual = SparseVector({i: g for i, g in zip(active_rows, gap) if g})
@@ -333,7 +351,7 @@ def build_nonorbit_set(family: Sequence[SeminormSpec], b: Enumeration) -> NonOrb
             raise NotNested(f"no new active coordinate between levels {n + 1} and {n + 2}")
         picks.append(SparseVector.basis(gap[0]))
     combined = list(b.items) + picks
-    if not linalg.independent(x.entries for x in combined):
+    if not linalg.independent(integer_of(x)[0] for x in combined):
         raise NotPIndependent("combined set is linearly dependent")
     return NonOrbitSet(b=b, c=tuple(picks), family=family)
 
@@ -392,7 +410,7 @@ def refute_orbit(t: FiniteRankOperator, x: SparseVector, a_set: NonOrbitSet,
         for k, p_k in enumerate(a_set.family, start=1):
             series[k] += eval_seminorm(p_k, prefix[n]) / denom
 
-    rank = linalg.row_rank(project_active(p1, el) for el in distinct)
+    rank = linalg.row_rank(active_row(p1, el) for el in distinct)
 
     return RefuteReport(
         horizon=horizon,

@@ -4,9 +4,8 @@
   built from rows given at once (`of`: the premise's nullspaces, the
   witness's solves, the dual system and the Gram inverse) or one row at a
   time (`try_add`: the separating-functional picks).  It keeps each row as
-  coprime integers, and builds its Fractions, over the pivot entry, once
-  `of` or `try_add` is done, for the rows that changed.  Callers read
-  nullspace vectors (`null_vector`) or an augmented column off its rows.
+  coprime integers (`ints`), reads nullspace vectors off them (`null_row`,
+  `first_free`) and builds its Fraction `rows` only when they are read.
 - `Echelon`, a row echelon form grown one row at a time that answers only
   rank and independence questions (`row_rank`, `independent`) and builds no
   Fraction.  Both reduce by one integer row step, `_int_step`.
@@ -16,15 +15,20 @@
 - `Bareiss`, a right-looking pass over a dense integer matrix on pivots the
   caller picks, kept as the `Bordered` factor of the picked block: the
   triangularization's greedy picks, minors, combined vectors and basis check.
+
+`RowReducer` and `Echelon` take integer rows, dicts of non-zero ints, and
+change none: a scaled row has the same rank and row space, so a caller
+scales a Fraction row once (`scalars.integer_row`) or hands a vector's
+kept form (`scalars.integer_of`) as it is.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import ONE, Scalar, integer_row
+from .scalars import Scalar, integer_row
 
 
 class RowReducer:
@@ -34,39 +38,75 @@ class RowReducer:
     that is 1 at its pivot and 0 at every other pivot.  The form is unique,
     so `of` and `try_add` give the same rows, whatever the order of the input.
 
-    The rows are reduced fraction-free: the reducer keeps each row as coprime
-    integers (as `integer_row` scales it), a multiple of its reduced row,
-    and eliminates with `Echelon`'s integer row step.  The Fraction rows of
-    `rows` are built from them once `of` or `try_add` is done, and only for
-    the rows it changed.
+    The rows are reduced fraction-free: `ints` keeps each row as coprime
+    integers, a multiple of its reduced row, and eliminates with `Echelon`'s
+    integer row step.  The Fraction rows of `rows` are built from them when
+    `rows` is read, and only for the rows changed since the last read.
     """
 
     def __init__(self):
-        self.rows: Dict[int, Dict[int, Scalar]] = {}
-        # each row as coprime integers, and the pivots whose row has changed
-        self._ints: Dict[int, Dict[int, int]] = {}
+        # each row as coprime integers, its Fraction row once read, and the
+        # pivots whose row has changed since
+        self.ints: Dict[int, Dict[int, int]] = {}
+        self._rows: Dict[int, Dict[int, Scalar]] = {}
         self._changed: set = set()
 
     @classmethod
-    def of(cls, rows: Sequence[Dict[int, Scalar]]) -> "RowReducer":
-        """Gauss-Jordan elimination of rows given all at once; they join one
-        at a time, as in `try_add`."""
+    def of(cls, rows: Iterable[Dict[int, int]]) -> "RowReducer":
+        """Gauss-Jordan elimination of integer rows given all at once; they
+        join one at a time, as in `try_add`."""
         reducer = cls()
         for row in rows:
             if row:
-                reducer._keep(reducer._reduce(integer_row(row)[0]))
-        reducer._build()
+                reducer._keep(reducer._reduce(row))
         return reducer
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.ints)
 
-    def null_vector(self, fc: int) -> Dict[int, Scalar]:
-        """The nullspace vector of the free coordinate fc: 1 at fc and minus
-        the entry at fc of each row at its pivot, in ascending coordinate order."""
-        return dict(sorted([(pc, -row[fc]) for pc, row in self.rows.items() if fc in row]
-                           + [(fc, ONE)]))
+    @property
+    def rows(self) -> Dict[int, Dict[int, Scalar]]:
+        """Each pivot's reduced row, its integers over its pivot entry; the
+        rows changed since the last read are built now, and new pivots join
+        in ascending order."""
+        for pc in sorted(self._changed):
+            row = self.ints[pc]
+            lead = row[pc]
+            self._rows[pc] = {i: Fraction(v, lead) for i, v in row.items()}
+        self._changed.clear()
+        return self._rows
+
+    def null_row(self, fc: int) -> Dict[int, int]:
+        """The nullspace vector of the free coordinate fc, 1 at fc and minus
+        the entry at fc of each row at its pivot, as a primitive integer row
+        in ascending coordinate order: `integer_row` of that vector, whose
+        entry at fc is the lcm of the entries' denominators."""
+        parts, den = [], 1
+        for pc, row in self.ints.items():
+            if fc in row:
+                # -row[fc] / row[pc] in lowest terms; lcm ignores the sign
+                g = gcd(row[fc], row[pc])
+                parts.append((pc, -row[fc] // g, row[pc] // g))
+                den = lcm(den, row[pc] // g)
+        return dict(sorted([(pc, n * (den // d)) for pc, n, d in parts] + [(fc, den)]))
+
+    def first_free(self, vec: Dict[int, int], coords: Collection[int]) -> Optional[int]:
+        """The least coordinate of coords that is no pivot and whose
+        nullspace vector is non-zero on the integer row vec, or None.
+
+        That vector pairs with vec as vec_c minus the sum of vec_pc times
+        the entry at c of each pivot pc's reduced row, R_pc[c] / R_pc[pc]
+        for the integer row R_pc; times `big`, the lcm of the R_pc[pc] over
+        the pivots vec meets, the test runs on integers."""
+        ints = self.ints
+        hits = [(ints[pc], x, ints[pc][pc]) for pc, x in vec.items() if pc in ints]
+        big = lcm(*[lead for _, _, lead in hits])
+        hits = [(row, x * (big // lead)) for row, x, lead in hits]
+        for fc in sorted(c for c in coords if c not in ints):
+            if vec.get(fc, 0) * big != sum(row[fc] * m for row, m in hits if fc in row):
+                return fc
+        return None
 
     def residual(self, vec: Dict[int, Scalar]) -> Dict[int, Scalar]:
         """vec minus its component in the span of the rows, zero at every pivot:
@@ -83,20 +123,18 @@ class RowReducer:
         factor = exact / res[j]
         return {i: factor * v for i, v in res.items()}
 
-    def try_add(self, vec: Dict[int, Scalar]) -> bool:
-        """Reduce vec against the rows; if it is independent, keep it normalised
-        at its lowest coordinate, clear that coordinate from the older rows and
-        return True."""
-        added = self._keep(self._reduce(integer_row(vec)[0]))
-        self._build()
-        return added
+    def try_add(self, vec: Dict[int, int]) -> bool:
+        """Reduce the integer row vec against the rows; if it is independent,
+        keep it normalised at its lowest coordinate, clear that coordinate
+        from the older rows and return True."""
+        return self._keep(self._reduce(vec))
 
     def _reduce(self, row: Dict[int, int]) -> Dict[int, int]:
         """The primitive part of an integer row less its component in the
         span of the rows: zero at every pivot."""
         row = _primitive(row)
-        for pc in [pc for pc in row if pc in self._ints]:
-            row = _int_step(row, self._ints[pc], pc)
+        for pc in [pc for pc in row if pc in self.ints]:
+            row = _int_step(row, self.ints[pc], pc)
         return row
 
     def _keep(self, row: Dict[int, int]) -> bool:
@@ -104,7 +142,7 @@ class RowReducer:
         coordinate from the older rows and return True; False for a zero row."""
         if not row:
             return False
-        coord, ints = min(row), self._ints
+        coord, ints = min(row), self.ints
         for pc, other in ints.items():
             if coord in other:
                 ints[pc] = _int_step(other, row, coord)
@@ -112,15 +150,6 @@ class RowReducer:
         ints[coord] = row
         self._changed.add(coord)
         return True
-
-    def _build(self) -> None:
-        """The Fraction row of each changed pivot, its integers over its pivot
-        entry; new pivots join `rows` in ascending order."""
-        for pc in sorted(self._changed):
-            row = self._ints[pc]
-            lead = row[pc]
-            self.rows[pc] = {i: Fraction(v, lead) for i, v in row.items()}
-        self._changed.clear()
 
 
 class Echelon:
@@ -143,9 +172,10 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def try_add(self, vec: Mapping[int, Scalar]) -> bool:
-        """Keep vec and return True if it is independent of the kept rows."""
-        row = _primitive(integer_row(vec)[0])
+    def try_add(self, vec: Dict[int, int]) -> bool:
+        """Keep the integer row vec, as its primitive part, and return True
+        if it is independent of the kept rows."""
+        row = _primitive(vec)
         while row:
             lead = min(row)
             pivot = self.rows.get(lead)
@@ -156,17 +186,17 @@ class Echelon:
         return False
 
 
-def row_rank(rows: Iterable[Mapping[int, Scalar]]) -> int:
-    """Rank of a family of sparse rows."""
+def row_rank(rows: Iterable[Dict[int, int]]) -> int:
+    """Rank of a family of sparse integer rows."""
     echelon = Echelon()
     for row in rows:
         echelon.try_add(row)
     return echelon.rank
 
 
-def independent(rows: Iterable[Mapping[int, Scalar]]) -> bool:
-    """Whether the sparse rows are linearly independent; stops at the first
-    row that depends on the ones before it."""
+def independent(rows: Iterable[Dict[int, int]]) -> bool:
+    """Whether the sparse integer rows are linearly independent; stops at
+    the first row that depends on the ones before it."""
     echelon = Echelon()
     return all(echelon.try_add(row) for row in rows)
 

@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, U
 
 from . import linalg
 from .errors import BudgetExceeded, NotInSpan, NotPBounded, SingularOperator
-from .scalars import ONE, Scalar, _immutable, integer_of
+from .scalars import ONE, Scalar, _immutable, integer_of, integer_row
 from .seminorms import DiskSpec, SeminormSpec, dual_norm, minkowski
 from .vectors import CoordFunctional, SparseVector, _built, _dot, combine
 
@@ -330,8 +330,9 @@ def invert(j: FiniteRankOperator) -> FiniteRankOperator:
 
     The inverse is I - sum_j f_j (.) u_j with u_j = sum_i M_ij v_i and
     M = (I_k + G)^{-1}, G_ij = f_i(v_j), read off one pivoting
-    `linalg.RowReducer.of` of [I_k + G | I_k], independent of `GramFactor`;
-    one walk down its rows gives each -u_j its -M_ij for one `combine`.
+    `linalg.RowReducer.of` of [I_k + G | I_k], each row scaled once to
+    integers, independent of `GramFactor`; one walk down its rows gives
+    each -u_j its -M_ij for one `combine`.
     SingularOperator when I_k + G is singular, i.e. when the operator
     annihilates some vector.
     """
@@ -346,9 +347,8 @@ def invert(j: FiniteRankOperator) -> FiniteRankOperator:
         for r in coords.hits(v):
             gram[r][c] = terms[r][0].pair(v)
         gram[c][c] = gram[c].get(c, 0) + ONE
-    red = linalg.RowReducer.of(
-        [{c: g for c, g in row.items() if g} | {k + r: ONE} for r, row in enumerate(gram)])
-    if any(pc >= k for pc in red.rows):
+    red = linalg.RowReducer.of([integer_row(row | {k + r: ONE})[0] for r, row in enumerate(gram)])
+    if any(pc >= k for pc in red.ints):
         raise SingularOperator(f"{k}x{k} matrix is not invertible")
     cols: List[List[Tuple[Scalar, SparseVector]]] = [[] for _ in terms]
     for r, (_, v) in enumerate(terms):

@@ -6,7 +6,8 @@ identical bytes, which is what the regression checker diffs.
 
 The JSON emitter writes the bytes of `json.dumps(..., sort_keys=True,
 indent=2)` with one recursive function, `_write_json`, as an indent sends
-`json.dumps` to its pure-Python encoder.  It knows only what a report holds
+`json.dumps` to its pure-Python encoder; it writes a str or int leaf in
+place and recurses only into the other values.  It knows only what a report holds
 (dicts with str keys, lists, str, int, bool, None) and raises TypeError on
 any other type; scalars arrive as text.
 """
@@ -102,7 +103,9 @@ def scenario_hash(payload: dict) -> str:
 
 def _write_json(value, indent: str, out: List[str]) -> None:
     """Append to `out` the text `json.dumps(value, sort_keys=True, indent=2)`
-    gives `value` at the depth whose line break and indent is `indent`."""
+    gives `value` at the depth whose line break and indent is `indent`.  A
+    str or int item of a list or dict is written in place, after its
+    separator; only the other items recurse."""
     kind = type(value)
     if kind is str:
         out.append(encode_basestring_ascii(value))
@@ -112,7 +115,13 @@ def _write_json(value, indent: str, out: List[str]) -> None:
         for item in value:
             out.append(sep)
             sep = "," + inner
-            _write_json(item, inner, out)
+            leaf = type(item)
+            if leaf is str:
+                out.append(encode_basestring_ascii(item))
+            elif leaf is int:
+                out.append(repr(item))
+            else:
+                _write_json(item, inner, out)
         out.append(indent + "]" if value else "[]")
     elif kind is dict:
         inner = indent + "  "
@@ -122,7 +131,14 @@ def _write_json(value, indent: str, out: List[str]) -> None:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(sep + encode_basestring_ascii(key) + ": ")
             sep = "," + inner
-            _write_json(value[key], inner, out)
+            item = value[key]
+            leaf = type(item)
+            if leaf is str:
+                out.append(encode_basestring_ascii(item))
+            elif leaf is int:
+                out.append(repr(item))
+            else:
+                _write_json(item, inner, out)
         out.append(indent + "}" if value else "{}")
     elif value is None or kind is bool:
         out.append("null" if value is None else "true" if value else "false")

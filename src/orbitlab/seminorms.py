@@ -8,23 +8,29 @@ by an exact linear program (generator form).  The sup kind's dual norm
 sum_i |f_i| / w_i and the weight-form gauge sum_i |u_i| / d_i are
 `scalars.abs_ratio_sum`, one integer numerator over one common
 denominator, and a generator disk scales its LP matrix once and re-solves
-each gauge from its last optimum.  `gauge_below` answers whether
-the gauge of x - y lies below a bound, and in weight form sums it from x
-and y and stops once the bound is reached, building no difference; it sums
-on integers, over the inverse weights the disk scales once.  The
-separating-functional construction replaces the Hahn-Banach step of the
-abstract theory with a finite nullspace pick: `Separator` keeps the
-constraint list that grows one vector at a time in a `linalg.RowReducer`,
-and `Separator.of` fills one from a single `linalg.RowReducer.of` for a list
-given once.  The p-independence test needs only a rank, so it runs on
-`linalg.independent`, fraction-free.
+each gauge from its last optimum.  `first_below` scans a pool for the
+first x whose gauge of x - y lies below a bound; in weight form it sums
+that gauge from the integer forms of x and y, over the inverse weights the
+disk scales once, stops once the bound is reached and builds no
+difference.
+
+The active projection has two forms: `project_active`, the Fraction
+entries of x on active(p), and `active_row`, a multiple of it, the integer
+form x keeps (`scalars.integer_of`) cut to active(p).  Ranks and
+nullspaces do not change when a row is scaled, so the p-independence test
+and the separating-functional construction read `active_row`.  That
+construction replaces the Hahn-Banach step of the abstract theory with a
+finite nullspace pick: `Separator` keeps the constraint list that grows one
+vector at a time in a `linalg.RowReducer`, and `Separator.of` fills one
+from a single `linalg.RowReducer.of` for a list given once.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import linalg, simplex
 from .errors import NoSeparation, NotInSpan, NotPBounded
@@ -38,7 +44,7 @@ from .scalars import (
     integer_of,
     integer_row,
 )
-from .vectors import CoordFunctional, SparseVector
+from .vectors import CoordFunctional, SparseVector, _built
 
 SUP = "sup"
 L1 = "l1"
@@ -102,9 +108,15 @@ def dual_norm(p: SeminormSpec, f: CoordFunctional) -> Scalar:
     for i in sorted(f.entries):
         if i not in p.weights:
             raise NotPBounded(i)
+    return _dual(p, f.entries) if f.entries else 0
+
+
+def _dual(p: SeminormSpec, entries: Mapping[int, Scalar]) -> Scalar:
+    """The dual norm of the non-empty entries, all on active(p), whether
+    Fractions or ints."""
     if p.kind == L1:
-        return max((abs(v) / p.weights[i] for i, v in f.entries.items()), default=0)
-    return abs_ratio_sum((v, p.weights[i]) for i, v in f.entries.items()) if f.entries else 0
+        return max(abs(v) / p.weights[i] for i, v in entries.items())
+    return abs_ratio_sum((v, p.weights[i]) for i, v in entries.items())
 
 
 def dual_norm_witness(p: SeminormSpec, f: CoordFunctional) -> Tuple[Scalar, SparseVector]:
@@ -135,7 +147,7 @@ class DiskSpec:
     The gauges keep what they scale once outside equality and pickles:
     `_gauge_rows` the scaled [G | -G] of a generator disk for `minkowski`, with
     the optimal tableau of its latest solved gauge, and `_gauge_weights` the
-    integer inverse weights of a weight disk for `gauge_below`.
+    integer inverse weights of a weight disk for `first_below`.
     """
 
     __slots__ = ("weights", "generators", "_gauge_rows", "_gauge_weights")
@@ -211,42 +223,57 @@ def minkowski(disk: DiskSpec, u: SparseVector) -> Scalar:
         raise NotInSpan("u is not a combination of the generators") from exc
 
 
-def gauge_below(disk: DiskSpec, x: SparseVector, y: SparseVector, bound: Scalar) -> bool:
-    """minkowski(disk, x - y) < bound, without building x - y when the
-    disk has weight form and weighs every coordinate of x and y.
+def first_below(disk: DiskSpec, pool: Sequence[SparseVector], y: SparseVector,
+                bound: Scalar) -> Optional[int]:
+    """The first position in pool of an x with minkowski(disk, x - y) < bound,
+    or None; x - y is built only where the weight-form sum cannot be taken.
 
-    Sums |x_i - y_i| / d_i in the entry order of x - y (x's entries, then y's
-    others) and returns False at the first partial sum that is not below the
+    A generator disk, or a y with a coordinate that carries no weight, gauges
+    each x - y with `minkowski`, and so does an x with such a coordinate, so
+    an LP or NotInSpan comes as from `minkowski`.  Otherwise the scan sums
+    |x_i - y_i| / d_i in the entry order of x - y (x's entries, then y's
+    others) and rejects x at the first partial sum that is not below the
     bound: the terms are non-negative, so no later sum is below it either.
-    Otherwise it takes the full gauge, so an LP or NotInSpan comes as from
-    `minkowski`.
 
     With x = X / x̄ and y = Y / ȳ in their integer forms (`integer_of`,
-    kept on each vector, so a pool scan scales nothing twice), the sum runs on
+    kept on each vector, so a scan scales nothing twice), the sum runs on
     integers: with 1 / d_i = c_i / P, N sums |X_i·ȳ - Y_i·x̄|·c_i, the gauge
     is N / (x̄·ȳ·P), and each partial sum is compared with the bound p / q
-    as N·q < p·x̄·ȳ·P, so it stops where the Fraction sum would.  The disk
-    keeps (c, P), `integer_row` of its inverse weights, from its first
-    gauge.
+    as N·q < p·x̄·ȳ·P, so it stops where the Fraction sum would.  y's form,
+    the bound and (c, P) are read once per scan; the disk keeps (c, P) from
+    its first scan, read off the weights' own ratios, w_i = a_i / b_i giving
+    c_i = b_i·P / a_i over P = lcm(a_i).
     """
-    weights, xe, ye = disk.weights, x.entries, y.entries
-    if weights is None or not (xe.keys() <= weights.keys() and ye.keys() <= weights.keys()):
-        return minkowski(disk, x - y) < bound
+    weights = disk.weights
+    if weights is None or not y.entries.keys() <= weights.keys():
+        return next((pos for pos, x in enumerate(pool) if minkowski(disk, x - y) < bound), None)
     if disk._gauge_weights is None:
+        ratios = {i: w.as_integer_ratio() for i, w in weights.items()}
+        big = lcm(*[a for a, _ in ratios.values()])
         object.__setattr__(disk, "_gauge_weights",
-                           integer_row({i: 1 / w for i, w in weights.items()}))
-    (mult, wden), (xrow, xden), (yrow, yden) = disk._gauge_weights, integer_of(x), integer_of(y)
+                           ({i: b * (big // a) for i, (a, b) in ratios.items()}, big))
+    (mult, wden), (yrow, yden) = disk._gauge_weights, integer_of(y)
     p, q = bound.as_integer_ratio()
-    limit, total = p * xden * yden * wden, 0
-    diffs = chain(((i, a * yden - yrow[i] * xden if i in yrow else a * yden)
-                   for i, a in xrow.items()),
-                  ((i, b * xden) for i, b in yrow.items() if i not in xrow))
-    for i, a in diffs:
-        if a:
-            total += abs(a) * mult[i]
-            if total * q >= limit:
-                return False
-    return total * q < limit
+    limit = p * yden * wden
+    for pos, x in enumerate(pool):
+        if not x.entries.keys() <= weights.keys():
+            if minkowski(disk, x - y) < bound:
+                return pos
+            continue
+        xrow, xden = integer_of(x)
+        cut, total = limit * xden, 0
+        diffs = chain(((i, a * yden - yrow[i] * xden if i in yrow else a * yden)
+                       for i, a in xrow.items()),
+                      ((i, b * xden) for i, b in yrow.items() if i not in xrow))
+        for i, a in diffs:
+            if a:
+                total += abs(a) * mult[i]
+                if total * q >= cut:
+                    break
+        else:
+            if total * q < cut:
+                return pos
+    return None
 
 
 def project_active(p: SeminormSpec, x: SparseVector) -> dict:
@@ -254,21 +281,29 @@ def project_active(p: SeminormSpec, x: SparseVector) -> dict:
     return {i: v for i, v in x.entries.items() if i in p.weights}
 
 
+def active_row(p: SeminormSpec, x: SparseVector) -> Dict[int, int]:
+    """x's integer form (`integer_of`) restricted to active(p), as a fresh
+    dict: a non-zero multiple of `project_active(p, x)` when that is not
+    zero, so it has the same rank and row space."""
+    return {i: v for i, v in integer_of(x)[0].items() if i in p.weights}
+
+
 def p_independent(p: SeminormSpec, xs: Sequence[SparseVector]) -> bool:
     """Rank test: the residues of xs modulo ker p, their projections on the
     active coordinates, are linearly independent.  `linalg.independent` runs
-    it on integers and stops at the first dependent residue."""
-    return linalg.independent(project_active(p, x) for x in xs)
+    it on their `active_row`s and stops at the first dependent residue."""
+    return linalg.independent(active_row(p, x) for x in xs)
 
 
 class Separator:
     """Separating functionals against a constraint list that grows one vector at a time.
 
-    Keeps the constraints' active projections in a `linalg.RowReducer`, whose
-    rows are their reduced row echelon form keyed by pivot coordinate.  The
-    nullspace vector of a free coordinate c is `RowReducer.null_vector(c)`,
-    and RREF is unique, so `functional` picks the f that a from-scratch
-    `RowReducer.of` of the same projections picks.
+    Keeps the constraints' `active_row`s in a `linalg.RowReducer`, whose
+    rows are their reduced row echelon form keyed by pivot coordinate, kept
+    as integers.  The nullspace vector of a free coordinate c is read as the
+    primitive integer row `RowReducer.null_row(c)`, and RREF is unique, so
+    `functional` picks the f that a from-scratch `RowReducer.of` of the same
+    rows picks.
     """
 
     def __init__(self, p: SeminormSpec):
@@ -279,37 +314,37 @@ class Separator:
     @classmethod
     def of(cls, p: SeminormSpec, constraints: Sequence[SparseVector]) -> "Separator":
         """A separator for the constraints, from one `linalg.RowReducer.of` of
-        their projections."""
+        their `active_row`s."""
         sep = cls(p)
-        projections = [project_active(p, x) for x in constraints]
-        sep._support.update(*projections)
-        sep._reducer = linalg.RowReducer.of(projections)
+        rows = [active_row(p, x) for x in constraints]
+        sep._support.update(*rows)
+        sep._reducer = linalg.RowReducer.of(rows)
         return sep
 
     def add(self, x: SparseVector) -> None:
         """Append one constraint."""
-        proj = project_active(self.p, x)
-        self._support.update(proj)
-        self._reducer.try_add(proj)
+        row = active_row(self.p, x)
+        self._support.update(row)
+        self._reducer.try_add(row)
 
     def functional(self, u: SparseVector) -> CoordFunctional:
         """f with support in active(p), f = 0 on the constraints, f(u) != 0,
         dual_norm(p, f) = 1.
 
         Scans the free coordinates of the constraint and active u supports in
-        ascending order and rescales the first nullspace vector that is non-zero
-        on u; raises NoSeparation exactly when (u + span constraints) meets ker p.
+        ascending order for the first whose nullspace vector is non-zero on
+        u (`RowReducer.first_free`, on u's `active_row`), and divides its
+        `null_row` N by its own dual norm c: one Fraction N_i / c per entry,
+        in ascending coordinate order.  Raises NoSeparation exactly when
+        (u + span constraints) meets ker p.
         """
-        rows = self._reducer.rows
-        u_act = project_active(self.p, u)
-        coords = self._support.union(u_act)
+        urow = active_row(self.p, u)
+        coords = self._support.union(urow)
         if not coords:
             raise NoSeparation("u projects to zero on the active coordinates")
-        hits = [(rows[pc], u_act[pc]) for pc in rows.keys() & u_act.keys()]
-        for fc in sorted(coords - rows.keys()):
-            # f(u) for the nullspace vector f of fc
-            if u_act.get(fc, 0) == sum(row[fc] * x for row, x in hits if fc in row):
-                continue
-            f = CoordFunctional(self._reducer.null_vector(fc))
-            return f.scale(1 / dual_norm(self.p, f))
-        raise NoSeparation("u lies in span(constraints) + ker p")
+        fc = self._reducer.first_free(urow, coords)
+        if fc is None:
+            raise NoSeparation("u lies in span(constraints) + ker p")
+        row = self._reducer.null_row(fc)
+        num, den = _dual(self.p, row).as_integer_ratio()
+        return _built(CoordFunctional, {i: Fraction(n * den, num) for i, n in row.items()})

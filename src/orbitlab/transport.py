@@ -20,8 +20,8 @@ They are derived data, not part of the `TransportState`;
 It reads the slot bounds and the budget from one `NeumannBudget`, applies J
 once to each matched a(n_j), for the exact-matching residuals that the
 report also prints, and once to each window unit vector, for both the round
-trip and kernel-fixed.  The forward scan gauges its pool with `gauge_below`, so it
-builds the difference to the target only for the element it keeps.
+trip and kernel-fixed.  The forward scan is one `first_below` over its pool,
+so it builds the difference to the target only for the element it keeps.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
 from .operators import FiniteRankOperator, GramFactor, NeumannBudget, invert
 from .reports import CheckResult, VerificationReport
 from .scalars import Scalar
-from .seminorms import DiskSpec, SeminormSpec, Separator, gauge_below, minkowski, p_independent
+from .seminorms import DiskSpec, SeminormSpec, Separator, first_below, minkowski, p_independent
 from .vectors import CoordFunctional, SparseVector
 
 
@@ -74,19 +74,19 @@ def step_forward(state: TransportState, u: SparseVector, separator: Separator,
     f separates u from the matched A-side vectors that `separator` holds,
     with dual norm one; pool[pos] is the first pool element within
     eps * |f(u)| of u + T u in the disk gauge; v is the exact update making
-    the image land on it.  The scan asks `gauge_below`, which in weight form
-    stops summing a rejected element's distance once it reaches the bound;
-    only when no element is kept are the full gauges taken, to name the
-    closest in NoApproximant.
+    the image land on it.  The scan is one `first_below`, which in weight
+    form stops summing a rejected element's distance once it reaches the
+    bound; only when no element is kept are the full gauges taken, to name
+    the closest in NoApproximant.
     """
     t = state.terms
     f = separator.functional(u)
     target = u + t.apply(u)
     f_u = f.pair(u)
     bound = eps * abs(f_u)
-    for pos, r in enumerate(pool):
-        if gauge_below(state.disk, r, target, bound):
-            return f, (r - target).scale(1 / f_u), pos
+    pos = first_below(state.disk, pool, target, bound)
+    if pos is not None:
+        return f, (pool[pos] - target).scale(1 / f_u), pos
     best: Optional[Scalar] = None
     best_pos = None
     for pos, r in enumerate(pool):

@@ -26,6 +26,7 @@ from orbitlab import (
     orbit,
 )
 from orbitlab.density import Enumeration, biorthogonalize
+from orbitlab.seminorms import active_row
 from orbitlab.hypercyclic import (
     build_nonorbit_set,
     build_shift_operator,
@@ -347,7 +348,7 @@ def test_criterion_06_biorthogonality():
                 i: frac(rng.randint(-4, 4), rng.choice([1, 2]))
                 for i in rng.sample(range(1, 15), rng.randint(1, 5))
             })
-            proj = {i: v for i, v in x.entries.items() if i in p.weights}
+            proj = active_row(p, x)
             if proj and reducer.try_add(proj):
                 us.append(x)
         fs = biorthogonalize(us, p)

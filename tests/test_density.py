@@ -27,6 +27,7 @@ from orbitlab.density import (
 )
 from orbitlab.errors import Exhausted, KernelCollision, NotANet, NotInSpan, NotPIndependent
 from orbitlab.scenarios import Scenario, run_scenario
+from orbitlab.seminorms import active_row
 
 import oracles
 
@@ -278,7 +279,7 @@ class TestBiorthogonalize:
             while len(us) < size:
                 x = SparseVector({i: frac(rng.randint(-4, 4), rng.choice([1, 2]))
                                   for i in rng.sample(range(1, 15), rng.randint(1, 5))})
-                proj = {i: v for i, v in x.entries.items() if i in p.weights}
+                proj = active_row(p, x)
                 if proj and reducer.try_add(proj):
                     us.append(x)
             fs = biorthogonalize(us, p)
@@ -375,8 +376,7 @@ class TestDualByInverse:
             if len(coords) != n:
                 wide += 1
                 assert calls  # the separator path ran
-            elif not linalg.independent(({i: v for i, v in u.entries.items()
-                                          if i in p.weights} for u in us)):
+            elif not linalg.independent(active_row(p, u) for u in us):
                 square_singular += 1
                 assert calls and isinstance(fs, str)
         assert wide >= 10 and square_singular >= 5

@@ -15,6 +15,11 @@ from orbitlab.scalars import ONE, ZERO, integer_row
 import oracles
 
 
+def ints(rows):
+    """Each row scaled once to integers, as a caller hands rows to `linalg`."""
+    return [integer_row(row)[0] for row in rows]
+
+
 def cofactor_det(m):
     """Independent oracle: Laplace expansion along the first row."""
     n = len(m)
@@ -121,7 +126,7 @@ def test_row_reducer_tracks_rank():
         ]
         vectors = [{i: v for i, v in vec.items() if v != 0} for vec in vectors]
         reducer = linalg.RowReducer()
-        added = sum(reducer.try_add(v) for v in vectors)
+        added = sum(reducer.try_add(v) for v in ints(vectors))
         matrix = [[vec.get(j + 1, Fraction(0)) for j in range(n)] for vec in vectors]
         assert added == oracles.rank(matrix)
         assert reducer.rank == added
@@ -130,9 +135,10 @@ def test_row_reducer_tracks_rank():
 def test_row_reducer_keeps_the_reduced_echelon_form():
     """`of`, in shuffled row orders, and `try_add`, one row at a time, agree
     with the dense oracle's reduced row echelon form on their rows, rank,
-    nullspace vectors and residuals.  The sparse rows carry explicit zeros
-    (int and Fraction), zero rows, repeated and proportional rows, and
-    denominators up to 2^40."""
+    nullspace vectors (as `null_row` gives them, scaled to primitive
+    integers) and residuals.  The sparse rows carry explicit zeros (int and
+    Fraction), zero rows, repeated and proportional rows, and denominators
+    up to 2^40; they are scaled to integers before the reducer sees them."""
     rng = random.Random(29)
 
     def q():
@@ -172,23 +178,25 @@ def test_row_reducer_keeps_the_reduced_echelon_form():
                      for v in probes]
         reducers = []
         for order in (rows, rng.sample(rows, len(rows)), rng.sample(rows, len(rows))):
-            reducers.append(linalg.RowReducer.of(order))
+            reducers.append(linalg.RowReducer.of(ints(order)))
             reducer = linalg.RowReducer()
-            added = sum(reducer.try_add(row) for row in order)
+            added = sum(reducer.try_add(row) for row in ints(order))
             assert added == len(pivots)
             reducers.append(reducer)
         for reducer in reducers:
             assert reducer.rows == expected
             assert reducer.rank == len(pivots)
             # the exact form kept behind the rows: coprime integers
-            assert all(math.gcd(*row.values()) == 1 for row in reducer._ints.values())
+            assert all(math.gcd(*row.values()) == 1 for row in reducer.ints.values())
             for pc, row in reducer.rows.items():
                 assert row[pc] == 1
                 assert not any(other in row for other in reducer.rows if other != pc)
                 assert all(type(v) is Fraction and v for v in row.values())
             for fc, vec in nulls.items():
-                got = reducer.null_vector(fc)
-                assert got == vec and list(got) == sorted(got)
+                assert oracles.null_vector(reducer, fc) == vec
+                got = reducer.null_row(fc)
+                assert got == integer_row(vec)[0] and list(got) == sorted(got)
+                assert math.gcd(*got.values()) == 1 and got[fc] > 0
             got = [reducer.residual(v) for v in probes]
             assert got == residuals
             assert all(type(v) is Fraction for res in got for v in res.values())
@@ -196,12 +204,14 @@ def test_row_reducer_keeps_the_reduced_echelon_form():
 
 
 def test_exact_row_reducer_drops_explicit_zeros():
-    """An explicit zero of an exact input row is no entry of its reduced row,
-    from `of` as from `try_add`, so no nullspace vector picks it up."""
-    row = {1: Fraction(1), 2: Fraction(0)}
+    """An explicit zero of an exact input row is no entry of its integer row,
+    so none of its reduced row, from `of` as from `try_add`, and no
+    nullspace vector picks it up."""
+    row = integer_row({1: Fraction(1), 2: Fraction(0)})[0]
+    assert row == {1: 1}
     red = linalg.RowReducer.of([row])
     assert red.rows == {1: {1: 1}}
-    assert red.null_vector(2) == {2: 1}
+    assert red.null_row(2) == {2: 1}
     reducer = linalg.RowReducer()
     assert reducer.try_add(row)
     assert reducer.rows == red.rows
@@ -242,10 +252,10 @@ def test_echelon_rank_matches_dense_oracle():
     for rows in rank_families(rng):
         cols = max((j for row in rows for j in row), default=0)
         expected = oracles.rank([[row.get(j, 0) for j in range(1, cols + 1)] for row in rows])
-        assert linalg.row_rank(rows) == expected
-        assert linalg.independent(rows) == (expected == len(rows))
+        assert linalg.row_rank(ints(rows)) == expected
+        assert linalg.independent(ints(rows)) == (expected == len(rows))
         echelon = linalg.Echelon()
-        added = sum(echelon.try_add(row) for row in rows)
+        added = sum(echelon.try_add(row) for row in ints(rows))
         assert echelon.rank == added == expected
         for lead, row in echelon.rows.items():
             # primitive integer rows, each with its lowest coordinate at its key
@@ -279,12 +289,12 @@ def test_dense_basis_check_matches_echelon():
     for rows in families:
         cols = max((j for row in rows for j in row), default=0)
         expected = oracles.rank([[row.get(j, 0) for j in range(1, cols + 1)] for row in rows])
-        ints = [integer_row(row)[0] for row in rows]
-        cols = sorted(set().union(*ints))
-        rank = linalg.Bareiss([[r.get(c, 0) for c in cols] for r in ints]).rank()
+        scaled = ints(rows)
+        cols = sorted(set().union(*scaled))
+        rank = linalg.Bareiss([[r.get(c, 0) for c in cols] for r in scaled]).rank()
         got = rank == len(rows)
         assert rank == expected
-        assert got == linalg.independent(rows)
+        assert got == linalg.independent(scaled)
         verdicts.add(got)
     assert verdicts == {True, False}
 
@@ -416,17 +426,24 @@ def sparse(a):
 
 
 def null_basis(a, cols):
-    """The dense nullspace basis of `RowReducer.of`: `null_vector` of each free column."""
-    red = linalg.RowReducer.of(sparse(a))
-    return [[red.null_vector(fc).get(j, ZERO) for j in range(cols)]
-            for fc in range(cols) if fc not in red.rows]
+    """The dense nullspace basis of `RowReducer.of`: the nullspace vector of
+    each free column, read off its rows, and its `null_row` the same vector
+    scaled."""
+    red = linalg.RowReducer.of(ints(sparse(a)))
+    basis = []
+    for fc in range(cols):
+        if fc not in red.rows:
+            vec = oracles.null_vector(red, fc)
+            assert red.null_row(fc) == integer_row(vec)[0]
+            basis.append([vec.get(j, ZERO) for j in range(cols)])
+    return basis
 
 
 def solve_augmented(a, b):
     """A solution read off the augmented column of `RowReducer.of`, the right-hand
     side kept even where it is zero; None when that column pivots."""
     cols = len(a[0]) if a else 0
-    red = linalg.RowReducer.of([row | {cols: bi} for row, bi in zip(sparse(a), b)])
+    red = linalg.RowReducer.of(ints(row | {cols: bi} for row, bi in zip(sparse(a), b)))
     if cols in red.rows:
         return None
     return [red.rows[c].get(cols, ZERO) if c in red.rows else ZERO
@@ -436,7 +453,7 @@ def solve_augmented(a, b):
 def inverse(a):
     """The inverse read off `RowReducer.of` of [A | I]; no pivot lands in the I block."""
     n = len(a)
-    red = linalg.RowReducer.of([row | {n + i: ONE} for i, row in enumerate(sparse(a))])
+    red = linalg.RowReducer.of(ints(row | {n + i: ONE} for i, row in enumerate(sparse(a))))
     assert all(pc < n for pc in red.rows)
     return [[red.rows[i].get(n + j, ZERO) for j in range(n)] for i in range(n)]
 
@@ -463,7 +480,7 @@ def test_rref_skipping_zeros_matches_dense_oracle():
     rng = random.Random(83)
     for _ in range(300):
         a = zero_heavy_matrix(rng, rng.randint(1, 8), rng.randint(1, 10))
-        rows = linalg.RowReducer.of(sparse(a)).rows
+        rows = linalg.RowReducer.of(ints(sparse(a))).rows
         assert rows == pivot_rows(*oracles.rref(a))
         assert all(type(v) is Fraction for row in rows.values() for v in row.values())
 
@@ -501,7 +518,7 @@ def test_a_tiny_pivot_solves_exactly():
 def test_rows_apart_by_2_to_the_minus_45_are_independent():
     """Rank is exact: two rows that differ by 2^-45 in one entry are
     independent, and their copies are not."""
-    near = [{1: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 2: 1 + Fraction(1, 2 ** 45)}]
+    near = ints([{1: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 2: 1 + Fraction(1, 2 ** 45)}])
     assert linalg.row_rank(near) == 2 and linalg.independent(near)
     reducer = linalg.RowReducer()
     assert [reducer.try_add(row) for row in near + [near[1]]] == [True, True, False]

@@ -452,8 +452,8 @@ class TestCoordIndex:
 
     def test_invert_builds_the_dense_gram(self, monkeypatch):
         """`invert` hands `RowReducer.of` the non-zero entries of [I_k + G | I_k],
-        row by row in ascending column order, bit for bit as the dense Gram,
-        and each u_j is, bit for bit and in entry order, the term-order fold of
+        row by row in ascending column order, each row scaled once to
+        integers, bit for bit as the dense Gram so scaled, and each u_j is, bit for bit and in entry order, the term-order fold of
         column j of the reduced rows."""
         seen, reduced = [], []
         of = linalg.RowReducer.of
@@ -483,7 +483,7 @@ class TestCoordIndex:
                     pass
                 expected = [{c: g + (ONE if r == c else 0) for c, g in enumerate(row)}
                             for r, row in enumerate(dense_gram(terms))]
-                expected = [{c: g for c, g in row.items() if g} | {k + r: ONE}
+                expected = [integer_row({c: g for c, g in row.items() if g} | {k + r: ONE})[0]
                             for r, row in enumerate(expected)]
                 assert seen == [[(list(row), scalar_bits(row.values()))
                                  for row in expected]], name

@@ -92,3 +92,27 @@ def test_json_emitter_skips_the_pure_python_encoder(monkeypatch):
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
     json.dumps(report.to_dict(), sort_keys=True, indent=2)
     assert calls
+
+
+def test_json_emitter_writes_str_and_int_leaves_in_place(monkeypatch):
+    """`_write_json` recurses only into a dict, a list, a bool or None: a
+    str or int item of a list or dict is written where it stands, so a
+    report of `[i, "p/q"]` pairs makes one call per pair, not three."""
+    from orbitlab import reports
+
+    kinds, real = [], reports._write_json
+
+    def spy(value, indent, out):
+        kinds.append(type(value))
+        return real(value, indent, out)
+
+    monkeypatch.setattr(reports, "_write_json", spy)
+    report = report_holding({"v": [[i, f"{i}/7"] for i in range(50)], "n": 3, "s": "x",
+                             "b": [True, None, 10 ** 40, "é"]})
+    report.tables = [Table("t", ["n"], [["1"]])]
+    want = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert emit_report(report, "json") == want.encode("utf-8")
+    assert str not in kinds and int not in kinds
+    # the 50 pairs, "v", "b", the checks, the tables and the table's columns,
+    # rows and row
+    assert kinds.count(list) == 50 + 7

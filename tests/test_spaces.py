@@ -20,7 +20,7 @@ from orbitlab import (
 from orbitlab.density import Enumeration
 from orbitlab.errors import NoSeparation, NotInSpan, NotPBounded
 from orbitlab.scalars import ONE, ZERO
-from orbitlab.seminorms import Separator, gauge_below
+from orbitlab.seminorms import Separator, first_below
 from orbitlab import vectors
 from orbitlab.vectors import combine
 
@@ -279,12 +279,13 @@ class TestMinkowski:
                     [SparseVector.basis(i).scale(w) for i, w in weights.items()])
             yield disk, SparseVector(x), SparseVector(y)
 
-    def test_gauge_below_is_the_full_gauge_compared(self):
-        """gauge_below(disk, x, y, bound) is minkowski(disk, x - y) < bound, at
-        bounds that tie with the gauge, lie within 2^-30 of it, stop the
-        weighted sum at its first term, or lie above or below it; where the
-        full gauge raises NotInSpan, gauge_below raises the same, even at a
-        bound the first term already reaches."""
+    def test_first_below_is_the_full_gauge_compared(self):
+        """first_below(disk, [x], y, bound) is 0 exactly when
+        minkowski(disk, x - y) < bound, and None otherwise, at bounds that tie
+        with the gauge, lie within 2^-30 of it, stop the weighted sum at its
+        first term, or lie above or below it; where the full gauge raises
+        NotInSpan, first_below raises the same, even at a bound the first
+        term already reaches."""
         rng = random.Random(25)
         seen = set()
         for disk, x, y in self.bounded_gauge_cases(rng):
@@ -294,7 +295,7 @@ class TestMinkowski:
             except NotInSpan as exc:
                 for bound in (ZERO, ONE):
                     with pytest.raises(NotInSpan) as got:
-                        gauge_below(disk, x, y, bound)
+                        first_below(disk, [x], y, bound)
                     assert str(got.value) == str(exc)
                 seen.add("NotInSpan")
                 continue
@@ -302,9 +303,9 @@ class TestMinkowski:
                      else next(abs(v) / disk.weights[i] for i, v in diff.entries.items()))
             near, apart = (gauge * (1 + Fraction(2) ** -k) for k in (45, 30))
             for bound in (gauge, near, apart, first, gauge / 2, gauge + 1, ZERO):
-                got = gauge_below(disk, x, y, bound)
-                assert got is (gauge < bound), (disk, x, y, bound)
-                seen.add((got, disk.weights is None))
+                got = first_below(disk, [x], y, bound)
+                assert got == (0 if gauge < bound else None), (disk, x, y, bound)
+                seen.add((got == 0, disk.weights is None))
         assert seen == {"NotInSpan", (True, False), (False, False), (True, True), (False, True)}
 
 

@@ -175,12 +175,12 @@ def check_state_invariants(state: TriangularizeState):
     for m in range(1, n + 1):
         reducer = linalg.RowReducer()
         for v in state.v[: m - 1]:
-            reducer.try_add(dict(v.entries))
-        assert reducer.try_add(dict(us[m - 1].entries))  # not in the smaller span
+            reducer.try_add(integer_row(v.entries)[0])
+        assert reducer.try_add(integer_row(us[m - 1].entries)[0])  # not in the smaller span
         reducer2 = linalg.RowReducer()
         for v in state.v[:m]:
-            reducer2.try_add(dict(v.entries))
-        assert not reducer2.try_add(dict(us[m - 1].entries))  # inside the larger
+            reducer2.try_add(integer_row(v.entries)[0])
+        assert not reducer2.try_add(integer_row(us[m - 1].entries)[0])  # inside the larger
 
 
 class TestInterleave:
@@ -296,10 +296,10 @@ class TestOmegaOperator:
         for n in range(1, 7):
             reducer = linalg.RowReducer()
             for v in state.v[:n]:
-                reducer.try_add(dict(v.entries))
+                reducer.try_add(integer_row(v.entries)[0])
             for j in range(n):
                 image = op.apply(SparseVector.basis(state.alpha[j]))
-                assert not reducer.try_add(dict(image.entries))
+                assert not reducer.try_add(integer_row(image.entries)[0])
 
     def test_requires_coordinate_functionals(self):
         basis = [SparseVector.basis(1), SparseVector.basis(2)]
@@ -373,7 +373,7 @@ class TestIntegerRows:
         for _ in range(3):
             while True:
                 basis = [SparseVector(e) for e in rational_family(rng, window, window, kind)]
-                if linalg.independent(u.entries for u in basis):
+                if linalg.independent(integer_row(u.entries)[0] for u in basis):
                     break
             fs = functional_family(rng, funcs, window, kind)
             if dependent:
@@ -440,7 +440,7 @@ def test_integer_factor_matches_the_oracles_beyond_the_corpus():
         for _ in range(8):
             while True:
                 basis = [SparseVector(e) for e in rational_family(rng, 7, 7, kind)]
-                if linalg.independent(u.entries for u in basis):
+                if linalg.independent(integer_row(u.entries)[0] for u in basis):
                     break
             funcs = [CoordFunctional(e) for e in rational_family(rng, 9, 7, kind)]
             try:
@@ -463,7 +463,7 @@ def dense_basis_16():
     rng = random.Random(233)
     while True:
         basis = [SparseVector(e) for e in rational_family(rng, 16, 16, "dense")]
-        if linalg.independent(u.entries for u in basis):
+        if linalg.independent(integer_row(u.entries)[0] for u in basis):
             return basis
 
 

@@ -19,7 +19,7 @@ from orbitlab.errors import NotInSpan
 from orbitlab.operators import BASE_ZERO, FiniteRankOperator
 from orbitlab.reports import CheckResult, Report, Table
 from orbitlab.scalars import MAX_DIGITS, coerce, integer_of
-from orbitlab.seminorms import DiskSpec, SeminormSpec, gauge_below, minkowski
+from orbitlab.seminorms import DiskSpec, SeminormSpec, first_below, minkowski
 from orbitlab.vectors import CoordFunctional, SparseVector
 
 
@@ -161,12 +161,13 @@ def test_cached_data_is_kept_past_the_guard_and_outside_equality():
     weighted = DiskSpec(weights={1: 2})
     assert minkowski(weighted, SparseVector({1: 1})) == Fraction(1, 2)
     assert weighted._gauge_rows is None
-    # a weight disk's integer inverse weights, from its first exact gauge_below
+    # a weight disk's integer inverse weights, from its first exact first_below
     assert weighted._gauge_weights is None and gauged._gauge_weights is None
     weights = {1: Fraction(2, 3), 2: Fraction(5), 4: 3}
     gauged, fresh = DiskSpec(weights=weights), DiskSpec(weights=weights)
     x, y = SparseVector({1: Fraction(1, 2)}), SparseVector({2: 1, 4: Fraction(-1, 7)})
-    assert gauge_below(gauged, x, y, Fraction(1)) and not gauge_below(gauged, x, y, Fraction(1, 2))
+    assert first_below(gauged, [x], y, Fraction(1)) == 0
+    assert first_below(gauged, [x], y, Fraction(1, 2)) is None
     assert gauged._gauge_weights == ({1: 45, 2: 6, 4: 10}, 30) and fresh._gauge_weights is None
     assert gauged == fresh
     with pytest.raises(TypeError):
@@ -235,7 +236,7 @@ def test_only_an_exact_kernel_fills_the_integer_form():
     disk = DiskSpec(weights={1: 1, 2: 1})
     y, z = SparseVector({1: Fraction(1, 5)}), SparseVector({2: Fraction(1, 5)})
     assert y._int is None and z._int is None
-    assert gauge_below(disk, y, z, Fraction(1, 2))
+    assert first_below(disk, [y], z, Fraction(1, 2)) == 0
     assert y._int == ({1: 1}, 5) and z._int == ({2: 1}, 5)
 
 
