@@ -10,11 +10,11 @@ one.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import Exhausted, KernelCollision, NoSeparation, NotANet, NotInSpan, NotPIndependent
-from .scalars import ONE, ZERO, Scalar, _immutable, integer_row
+from .scalars import ONE, ZERO, Scalar, _immutable, integer_of
 from .seminorms import (
     DiskSpec,
     SeminormSpec,
@@ -22,7 +22,6 @@ from .seminorms import (
     active_row,
     eval_seminorm,
     minkowski,
-    project_active,
 )
 from .vectors import CoordFunctional, SparseVector
 
@@ -208,13 +207,14 @@ def biorthogonalize(us: Sequence[SparseVector], p: SeminormSpec) -> List[CoordFu
     When the active projections of the n vectors touch exactly n coordinates
     and are independent, the system is unique: with U the square block of
     those projections, one row per vector, f_n is row n of (U^T)^{-1}, read
-    off one `linalg.RowReducer.of` of the rows of [U^T | I].  Wherever the
-    block is not square or is singular, each functional is a separating solve
-    against the other vectors, then a rescale; KernelCollision when span(us)
-    meets ker p, which is also the only way a solve can fail.
+    off one `linalg.solve` of the kept integer forms (`_dual_by_inverse`).
+    Wherever the block is not square or is singular, each functional is a
+    separating solve against the other vectors, then a rescale;
+    KernelCollision when span(us) meets ker p, which is also the only way a
+    solve can fail.
     """
     us = list(us)
-    fs = _dual_by_inverse([project_active(p, u) for u in us])
+    fs = _dual_by_inverse(us, p)
     if fs is not None:
         return fs
     fs: List[CoordFunctional] = []
@@ -230,20 +230,22 @@ def biorthogonalize(us: Sequence[SparseVector], p: SeminormSpec) -> List[CoordFu
     return fs
 
 
-def _dual_by_inverse(projections: List[Dict[int, Scalar]]) -> Optional[List[CoordFunctional]]:
+def _dual_by_inverse(us: List[SparseVector], p: SeminormSpec) -> Optional[List[CoordFunctional]]:
     """The rows of (U^T)^{-1} as functionals on the coordinates of U, for U
-    the block of the projections; None unless the block is square and
-    invertible.  A projection scaled would scale a column of U, so the
-    Fraction entries are read, and each row of [U^T | I] is scaled once."""
-    n = len(projections)
-    coords = sorted(set().union(*projections))
+    the block whose row m is the active projection of u_m; None unless the
+    block is square and invertible.  The `active_row`s are the rows of D·U,
+    D the denominators of the integer forms the us keep, so one
+    `linalg.solve` of [(D·U)^T | I] gives D^{-1}·(U^T)^{-1}, and f_m is
+    den_m times its row m."""
+    rows = [active_row(p, u) for u in us]
+    n = len(rows)
+    coords = sorted(set().union(*rows))
     if len(coords) != n:
         return None
-    # row r: the projections at coordinate coords[r], then row r of I at n + r
-    red = linalg.RowReducer.of(
-        [integer_row({m: x[c] for m, x in enumerate(projections) if c in x} | {n + r: ONE})[0]
-         for r, c in enumerate(coords)])
-    if any(m not in red.ints for m in range(n)):
+    # row r: the scaled projections at coordinate coords[r], then row r of I at n + r
+    x = linalg.solve([{m: row[c] for m, row in enumerate(rows) if c in row} | {n + r: 1}
+                      for r, c in enumerate(coords)], n)
+    if x is None:
         return None
-    return [CoordFunctional({coords[c - n]: v for c, v in sorted(red.rows[m].items()) if c >= n})
-            for m in range(n)]
+    return [CoordFunctional({coords[c]: den * v for c, v in row.items()})
+            for row, (_, den) in zip(x.values(), map(integer_of, us))]

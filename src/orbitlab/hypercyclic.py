@@ -9,8 +9,8 @@ the non-orbit refutation.
 
 Operators stay in their term form sum_j f_j (x) v_j = V·F.  S is
 `linear_part()`, every orbit (the demo's too) is `operators.orbit`, and
-every active projection is `seminorms.project_active` or, for a rank, the
-integer `seminorms.active_row`.  The premise runs one
+every active projection a rank reads is the integer
+`seminorms.active_row`.  The premise runs one
 loop on the powers of an integer map, kept as sparse integer columns: ranks
 by `linalg.row_rank`, each nullspace one `linalg.RowReducer.of`, and an
 `linalg.Echelon` basis of the intersections.  When the v's and the f's are
@@ -22,7 +22,8 @@ B·A are nilpotent together (Horn and Johnson, Matrix Analysis, 2nd ed.,
 2013, §1.3).  No matrix power of S is ever multiplied out.  `apply`, the
 weight-form disk gauge and the ranks work on integers and build a Fraction
 only for an entry of their result.  The witness's
-active-row solve is one `RowReducer.of` on sparse rows.
+active-row solve is one `linalg.solve` on sparse rows, each row scaled
+afresh, since its columns are new images at every n.
 """
 
 from __future__ import annotations
@@ -287,15 +288,15 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
         tne = [step(t, v) for v in tne]
         gap = [y.get(i) - tnx.get(i) for i in active_rows]
         # sol maps the position of a free column to its non-zero coefficient,
-        # read off the augmented column k; None when the active rows cannot be met
+        # solved for the augmented column k; None when the active rows cannot be met
         k, sol = len(free_cols), None
         if k:
-            red = linalg.RowReducer.of(
+            solved = linalg.solve(
                 [integer_row({c: v.entries[i] for c, v in enumerate(tne) if i in v.entries}
                              | {k: g})[0]
-                 for i, g in zip(active_rows, gap)])
-            if k not in red.ints:
-                sol = {pc: row[k] for pc, row in red.rows.items() if row.get(k, 0)}
+                 for i, g in zip(active_rows, gap)], k)
+            if solved is not None:
+                sol = {pc: row[0] for pc, row in solved.items() if row}
         if sol is None:
             residual = SparseVector({i: g for i, g in zip(active_rows, gap) if g})
             drift = eval_seminorm(p, residual)

@@ -1,11 +1,11 @@
 """Exact, fraction-free elimination over rationals, in four forms:
 
 - `RowReducer`, the sparse reduced row echelon form of dict-backed rows,
-  built from rows given at once (`of`: the premise's nullspaces, the
-  witness's solves, the dual system and the Gram inverse) or one row at a
-  time (`try_add`: the separating-functional picks).  It keeps each row as
-  coprime integers (`ints`), reads nullspace vectors off them (`null_row`,
-  `first_free`) and builds its Fraction `rows` only when they are read.
+  built from rows given at once (`of`: the premise's nullspaces, `solve`)
+  or one row at a time (`try_add`: the separating-functional picks).  It
+  keeps each row as coprime integers (`ints`) and reads nullspace vectors
+  off them (`null_row`, `first_free`); `solve` reads an augmented system's
+  solution off them: the witness's, the dual system and the Gram inverse.
 - `Echelon`, a row echelon form grown one row at a time that answers only
   rank and independence questions (`row_rank`, `independent`) and builds no
   Fraction.  Both reduce by one integer row step, `_int_step`.
@@ -16,10 +16,10 @@
   caller picks, kept as the `Bordered` factor of the picked block: the
   triangularization's greedy picks, minors, combined vectors and basis check.
 
-`RowReducer` and `Echelon` take integer rows, dicts of non-zero ints, and
-change none: a scaled row has the same rank and row space, so a caller
-scales a Fraction row once (`scalars.integer_row`) or hands a vector's
-kept form (`scalars.integer_of`) as it is.
+`RowReducer`, `Echelon` and `solve` take integer rows, dicts of non-zero
+ints, and change none: a scaled row has the same rank and row space, so a
+caller builds its rows from the integer forms its vectors keep
+(`scalars.integer_of`) or scales a Fraction row once (`scalars.integer_row`).
 """
 
 from __future__ import annotations
@@ -34,22 +34,15 @@ from .scalars import Scalar, integer_row
 class RowReducer:
     """The reduced row echelon form of sparse rows, built at once or one row at a time.
 
-    `rows` maps each pivot coordinate to its row, a dict of non-zero entries
-    that is 1 at its pivot and 0 at every other pivot.  The form is unique,
-    so `of` and `try_add` give the same rows, whatever the order of the input.
-
-    The rows are reduced fraction-free: `ints` keeps each row as coprime
-    integers, a multiple of its reduced row, and eliminates with `Echelon`'s
-    integer row step.  The Fraction rows of `rows` are built from them when
-    `rows` is read, and only for the rows changed since the last read.
+    `ints` maps each pivot coordinate to its row as coprime integers, a dict
+    of non-zero entries that is a multiple of the reduced row: 0 at every
+    other pivot.  The reduced form is unique, so `of` and `try_add` give the
+    same rows up to their scale, whatever the order of the input.  Rows
+    are reduced fraction-free, by `Echelon`'s integer row step.
     """
 
     def __init__(self):
-        # each row as coprime integers, its Fraction row once read, and the
-        # pivots whose row has changed since
         self.ints: Dict[int, Dict[int, int]] = {}
-        self._rows: Dict[int, Dict[int, Scalar]] = {}
-        self._changed: set = set()
 
     @classmethod
     def of(cls, rows: Iterable[Dict[int, int]]) -> "RowReducer":
@@ -64,18 +57,6 @@ class RowReducer:
     @property
     def rank(self) -> int:
         return len(self.ints)
-
-    @property
-    def rows(self) -> Dict[int, Dict[int, Scalar]]:
-        """Each pivot's reduced row, its integers over its pivot entry; the
-        rows changed since the last read are built now, and new pivots join
-        in ascending order."""
-        for pc in sorted(self._changed):
-            row = self.ints[pc]
-            lead = row[pc]
-            self._rows[pc] = {i: Fraction(v, lead) for i, v in row.items()}
-        self._changed.clear()
-        return self._rows
 
     def null_row(self, fc: int) -> Dict[int, int]:
         """The nullspace vector of the free coordinate fc, 1 at fc and minus
@@ -118,8 +99,8 @@ class RowReducer:
         if not res:
             return {}
         j = min(res)
-        exact = vec.get(j, 0) - sum(vec[pc] * row[j] for pc, row in self.rows.items()
-                                    if pc in vec and j in row)
+        exact = vec.get(j, 0) - sum(vec[pc] * Fraction(row[j], row[pc])
+                                    for pc, row in self.ints.items() if pc in vec and j in row)
         factor = exact / res[j]
         return {i: factor * v for i, v in res.items()}
 
@@ -146,10 +127,21 @@ class RowReducer:
         for pc, other in ints.items():
             if coord in other:
                 ints[pc] = _int_step(other, row, coord)
-                self._changed.add(pc)
         ints[coord] = row
-        self._changed.add(coord)
         return True
+
+
+def solve(rows: Iterable[Dict[int, int]], k: int) -> Optional[Dict[int, Dict[int, Scalar]]]:
+    """The solution X of A X = B for the integer rows [A | B], A the columns
+    below k: each pivot unknown, in ascending order, mapped to its reduced
+    row over B's columns keyed from 0, one Fraction per entry in ascending
+    order; free unknowns are 0.  None when a pivot lands in B, so that no X
+    exists (for B = I: A is singular)."""
+    ints = RowReducer.of(rows).ints
+    if any(pc >= k for pc in ints):
+        return None
+    return {pc: {c - k: Fraction(v, ints[pc][pc]) for c, v in sorted(ints[pc].items()) if c >= k}
+            for pc in sorted(ints)}
 
 
 class Echelon:
@@ -233,8 +225,8 @@ class Bordered:
 
     lower[0] holds the rows of the lower factor and lower[1] those of the
     transposed upper factor, each left of the diagonal as a dict of its
-    non-zero entries.  As A^T swaps the two, each operation takes a side: 0
-    for the lower factor, 1 for the transposed upper one.
+    non-zero entries.  As A^T swaps the two, `border` and `back` take a side:
+    0 for the lower factor, 1 for the transposed upper one.
 
     The factor is that of Bareiss (Math. Comp. 22, 1968) in the LU form of
     Zhou and Jeffrey (Front. Comput. Sci. China 2(1), 2008): pivots[k] is the
@@ -285,10 +277,10 @@ class Bordered:
         return self._eliminated(diagonal, [(t, row[t], u) for t, u in col.items() if t in row],
                                 len(self.pivots))
 
-    def append(self, side: int, row: Dict[int, int], col: Dict[int, int], pivot: int) -> None:
-        """Border the factor: row joins lower[side], col joins lower[1 - side]."""
-        self.lower[side].append(row)
-        self.lower[1 - side].append(col)
+    def append(self, row: Dict[int, int], col: Dict[int, int], pivot: int) -> None:
+        """Border the factor: row joins lower[0], col joins lower[1]."""
+        self.lower[0].append(row)
+        self.lower[1].append(col)
         self.pivots.append(pivot)
 
     def back(self, side: int, rhs: Sequence[int]) -> List[int]:
@@ -357,7 +349,7 @@ class Bareiss(Bordered):
                 self.rows[i] = [(p * x - b * y) // prev for x, y in zip(row, u)]
             else:
                 self.rows[i] = [p * x // prev for x in row]
-        self.append(0, self._left.pop(r), {k: d[c] for k, d in enumerate(self._done) if d[c]}, p)
+        self.append(self._left.pop(r), {k: d[c] for k, d in enumerate(self._done) if d[c]}, p)
         self._done.append(dict(zip(self.cols, u)))
         return column
 

@@ -26,9 +26,9 @@ denominator, so one Fraction is built per coordinate the terms touch.
 `GramFactor` serves the construction: it keeps I_k + G factored as terms
 arrive, fraction-free, and returns J^{-1} u with two triangular
 substitutions.  `invert`
-serves verification: it builds the whole inverse in term form from the
-inverse Gram matrix, a pivoting path independent of the factor that
-`verify_transport` replays against the window.
+serves verification: it builds the whole inverse in term form from one
+pivoting `linalg.solve` of the same scaled Gram system, a path independent
+of the factor that `verify_transport` replays against the window.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, U
 
 from . import linalg
 from .errors import BudgetExceeded, NotInSpan, NotPBounded, SingularOperator
-from .scalars import ONE, Scalar, _immutable, integer_of, integer_row
+from .scalars import Scalar, _immutable, integer_of
 from .seminorms import DiskSpec, SeminormSpec, dual_norm, minkowski
 from .vectors import CoordFunctional, SparseVector, _built, _dot, combine
 
@@ -304,7 +304,7 @@ class GramFactor:
                 row[c] = _dot(frow, rows[c][1])
         diagonal = rows[m][2] + col.pop()
         row, col = lu.border(0, row), lu.border(1, col)
-        lu.append(0, row, col, lu.pivot(diagonal, row, col))
+        lu.append(row, col, lu.pivot(diagonal, row, col))
 
     def solve(self, u: SparseVector) -> SparseVector:
         """J^{-1} u = u - sum_j c_j v_j with (I_k + G) c = (f_i(u))_i; u itself
@@ -329,10 +329,11 @@ def invert(j: FiniteRankOperator) -> FiniteRankOperator:
     """Exact inverse of I + sum f_j (.) v_j via the Gram system.
 
     The inverse is I - sum_j f_j (.) u_j with u_j = sum_i M_ij v_i and
-    M = (I_k + G)^{-1}, G_ij = f_i(v_j), read off one pivoting
-    `linalg.RowReducer.of` of [I_k + G | I_k], each row scaled once to
-    integers, independent of `GramFactor`; one walk down its rows gives
-    each -u_j its -M_ij for one `combine`.
+    M = (I_k + G)^{-1}, G_ij = f_i(v_j).  One pivoting `linalg.solve` of
+    [D_f(I_k + G)D_v | D_f], entry (r, c) fden_r·vden_c·δ_rc + f_r·v_c on the
+    integer forms `scalars.integer_of` keeps, all it shares with
+    `GramFactor`, gives D_v^{-1}·M, so row r of M is vden_r times its row r;
+    one walk down M's rows gives each -u_j its -M_ij for one `combine`.
     SingularOperator when I_k + G is singular, i.e. when the operator
     annihilates some vector.
     """
@@ -341,20 +342,22 @@ def invert(j: FiniteRankOperator) -> FiniteRankOperator:
     if not j.terms:
         return FiniteRankOperator.identity()
     terms, coords, k = j.terms, j.coord_index, len(j.terms)
-    # the sparse rows of [I_k + G | I_k], each in ascending column order
-    gram: List[Dict[int, Scalar]] = [{} for _ in terms]
-    for c, (_, v) in enumerate(terms):
+    fs, vs = [integer_of(f) for f, _ in terms], [integer_of(v) for _, v in terms]
+    # the sparse rows of [D_f(I_k + G)D_v | D_f], each in ascending column order
+    rows: List[Dict[int, int]] = [{} for _ in terms]
+    for c, ((_, v), (vrow, vden)) in enumerate(zip(terms, vs)):
         for r in coords.hits(v):
-            gram[r][c] = terms[r][0].pair(v)
-        gram[c][c] = gram[c].get(c, 0) + ONE
-    red = linalg.RowReducer.of([integer_row(row | {k + r: ONE})[0] for r, row in enumerate(gram)])
-    if any(pc >= k for pc in red.ints):
+            if dot := _dot(fs[r][0], vrow):
+                rows[r][c] = dot
+        if diagonal := rows[c].pop(c, 0) + fs[c][1] * vden:
+            rows[c][c] = diagonal
+    solved = linalg.solve([row | {k + r: fs[r][1]} for r, row in enumerate(rows)], k)
+    if solved is None:
         raise SingularOperator(f"{k}x{k} matrix is not invertible")
     cols: List[List[Tuple[Scalar, SparseVector]]] = [[] for _ in terms]
-    for r, (_, v) in enumerate(terms):
-        for c, m in red.rows[r].items():
-            if c >= k:
-                cols[c - k].append((-m, v))
+    for row, (_, v), (_, vden) in zip(solved.values(), terms, vs):
+        for c, x in row.items():
+            cols[c].append((-vden * x, v))
     return FiniteRankOperator(BASE_IDENTITY,
                               tuple((f, combine(u)) for (f, _), u in zip(terms, cols)))
 

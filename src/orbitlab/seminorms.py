@@ -14,11 +14,12 @@ that gauge from the integer forms of x and y, over the inverse weights the
 disk scales once, stops once the bound is reached and builds no
 difference.
 
-The active projection has two forms: `project_active`, the Fraction
-entries of x on active(p), and `active_row`, a multiple of it, the integer
-form x keeps (`scalars.integer_of`) cut to active(p).  Ranks and
-nullspaces do not change when a row is scaled, so the p-independence test
-and the separating-functional construction read `active_row`.  That
+The active projection, x's residue modulo ker p, has one form:
+`active_row`, the integer form x keeps (`scalars.integer_of`) cut to
+active(p), a multiple of x's entries there.  Ranks and nullspaces do not
+change when a row is scaled, so the p-independence test and the
+separating-functional construction read it as it is, and a solve that
+needs the entries themselves scales back by x's denominator.  That
 construction replaces the Hahn-Banach step of the abstract theory with a
 finite nullspace pick: `Separator` keeps the constraint list that grows one
 vector at a time in a `linalg.RowReducer`, and `Separator.of` fills one
@@ -276,15 +277,10 @@ def first_below(disk: DiskSpec, pool: Sequence[SparseVector], y: SparseVector,
     return None
 
 
-def project_active(p: SeminormSpec, x: SparseVector) -> dict:
-    """x restricted to active(p), its residue modulo ker p, as a plain dict."""
-    return {i: v for i, v in x.entries.items() if i in p.weights}
-
-
 def active_row(p: SeminormSpec, x: SparseVector) -> Dict[int, int]:
-    """x's integer form (`integer_of`) restricted to active(p), as a fresh
-    dict: a non-zero multiple of `project_active(p, x)` when that is not
-    zero, so it has the same rank and row space."""
+    """x's integer form (`integer_of`) restricted to active(p), its residue
+    modulo ker p, as a fresh dict: den times x's entries on active(p), for
+    den = `integer_of(x)[1]`, so it has their rank and row space."""
     return {i: v for i, v in integer_of(x)[0].items() if i in p.weights}
 
 

@@ -16,9 +16,9 @@ the `orbit` of a backward-shift operator; `shift_demo` moves the entries of
 a dict.  The program parses a plain rational from its two
 integers; `parse_scalar` parses every text with `Fraction(text)`.  The
 program separates and scans on integer forms; `separating_functional`
-reads the Fraction rows of a `RowReducer` and rescales a Fraction
-nullspace vector (`null_vector`), and `first_below` gauges every
-difference with `minkowski`.  The last
+reads a Fraction nullspace vector (`null_vector`) off the dense `rref`
+and rescales it, and `first_below` gauges every difference with
+`minkowski`.  The last
 part holds helpers that only the tests need: encoders, l1 seminorm and disk
 constructors, parsers, the failed checks of a verification, two
 predicates and the benchmark's scenario generator.
@@ -30,13 +30,12 @@ import types
 from fractions import Fraction
 from pathlib import Path
 
-from orbitlab import linalg
 from orbitlab.errors import NoSeparation, NotInSpan, SingularOperator
 from orbitlab.operators import BASE_IDENTITY
 from orbitlab.reports import Table
-from orbitlab.scalars import ONE, ZERO, format_scalar, integer_row, parse
+from orbitlab.scalars import ONE, ZERO, format_scalar, parse
 from orbitlab.simplex import Infeasible, Unbounded
-from orbitlab.seminorms import L1, DiskSpec, SeminormSpec, dual_norm, minkowski, project_active
+from orbitlab.seminorms import L1, DiskSpec, SeminormSpec, dual_norm, minkowski
 from orbitlab.serialize import encode_pairs
 from orbitlab.vectors import CoordFunctional, SparseVector, combine
 
@@ -59,31 +58,36 @@ def weight_gauge(weights, u):
     return total
 
 
-def null_vector(reducer, fc):
-    """The nullspace vector of the free coordinate fc off the Fraction rows of
-    a `linalg.RowReducer`: 1 at fc and minus the entry at fc of each row at
-    its pivot, in ascending coordinate order."""
-    return dict(sorted([(pc, -row[fc]) for pc, row in reducer.rows.items() if fc in row]
+def null_vector(red, pivots, fc):
+    """The nullspace vector of the free column fc off a dense reduced row
+    echelon form (red, pivots), as `rref` returns it: 1 at fc and minus
+    the entry at fc of each row at its pivot, zeros dropped, in ascending
+    column order."""
+    return dict(sorted([(pc, -red[r][fc]) for r, pc in enumerate(pivots) if red[r][fc]]
                        + [(fc, ONE)]))
 
 
 def separating_functional(p, constraints, u):
-    """The separating functional by Fractions: `RowReducer.of` of the
-    constraints' `project_active`, each scaled once to integers, then for
-    the free coordinates of the constraint and active u supports in
-    ascending order the first nullspace vector f with f(u) != 0, paired in
-    Fractions, and f.scale(1 / dual_norm(p, f)).  NoSeparation as the
+    """The separating functional by dense Fractions: `rref` of the
+    constraints' active projections over the ascending coordinates that
+    they and u's active projection touch, then for the free coordinates
+    in ascending order the first nullspace vector f with f(u) != 0, paired
+    in Fractions, and f.scale(1 / dual_norm(p, f)).  NoSeparation as the
     program raises it."""
-    projections = [project_active(p, x) for x in constraints]
-    red = linalg.RowReducer.of([integer_row(x)[0] for x in projections])
-    u_act = project_active(p, u)
-    coords = set(u_act).union(*projections)
+    def project(x):
+        return {i: v for i, v in x.entries.items() if i in p.weights}
+
+    projections = [project(x) for x in constraints]
+    u_act = project(u)
+    coords = sorted(set(u_act).union(*projections))
     if not coords:
         raise NoSeparation("u projects to zero on the active coordinates")
-    for fc in sorted(coords - red.rows.keys()):
-        f = CoordFunctional(null_vector(red, fc))
-        if f.pair(SparseVector(u_act)) != 0:
-            return f.scale(1 / dual_norm(p, f))
+    red, pivots = rref([[x.get(c, ZERO) for c in coords] for x in projections])
+    for fc in range(len(coords)):
+        if fc not in pivots:
+            f = CoordFunctional({coords[j]: v for j, v in null_vector(red, pivots, fc).items()})
+            if f.pair(SparseVector(u_act)) != 0:
+                return f.scale(1 / dual_norm(p, f))
     raise NoSeparation("u lies in span(constraints) + ker p")
 
 

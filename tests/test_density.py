@@ -27,6 +27,7 @@ from orbitlab.density import (
 )
 from orbitlab.errors import Exhausted, KernelCollision, NotANet, NotInSpan, NotPIndependent
 from orbitlab.scenarios import Scenario, run_scenario
+from orbitlab.scalars import integer_of
 from orbitlab.seminorms import active_row
 
 import oracles
@@ -301,7 +302,7 @@ class TestDualByInverse:
         import orbitlab.density as density
 
         with monkeypatch.context() as m:
-            m.setattr(density, "_dual_by_inverse", lambda projections: None)
+            m.setattr(density, "_dual_by_inverse", lambda us, p: None)
             return density.biorthogonalize(us, p)
 
     @staticmethod
@@ -319,10 +320,11 @@ class TestDualByInverse:
         return calls
 
     @staticmethod
-    def chain(rng, n):
+    def chain(rng, n, kernel_den=2):
         """n vectors whose projections on n scattered active coordinates form
         a unit triangular block under a random order, plus random entries on
-        the block and kernel junk: square and invertible."""
+        the block and, on about half of them, a kernel entry over kernel_den:
+        square and invertible."""
         active = sorted(rng.sample(range(1, 3 * n + 1), n))
         order = rng.sample(active, n)
         us = []
@@ -331,7 +333,7 @@ class TestDualByInverse:
             for c in rng.sample(order[:k], min(k, 3)):
                 entries[c] = frac(rng.randint(-3, 3), rng.choice([1, 2, 4]))
             if rng.random() < 0.5:
-                entries[3 * n + rng.randint(1, 4)] = frac(rng.randint(1, 3), 2)
+                entries[3 * n + rng.randint(1, 4)] = frac(rng.randint(1, 3), kernel_den)
             us.append(SparseVector(entries))
         rng.shuffle(us)
         return us, SeminormSpec.sup_on(active)
@@ -349,6 +351,25 @@ class TestDualByInverse:
             for f, g in zip(fs, expected):
                 assert list(f.entries) == list(g.entries)
                 assert all(type(v) is Fraction for v in f.entries.values())
+
+    def test_kernel_denominators_scale_back(self, monkeypatch):
+        """Vectors whose denominator comes from a kernel coordinate over 7,
+        which their active projections do not carry: each f_m is den_m
+        times a row of the inverse of the scaled block, so f_m(u_n) =
+        delta_mn holds only if den_m is the vector's own denominator."""
+        rng = random.Random(227)
+        scaled = 0
+        for _ in range(40):
+            us, p = self.chain(rng, rng.randint(1, 8), kernel_den=7)
+            calls = self.spy_separators(monkeypatch)
+            fs = biorthogonalize(us, p)
+            monkeypatch.undo()
+            assert calls == []
+            assert [[f.pair(u) for u in us] for f in fs] == \
+                [[int(m == n) for n in range(len(us))] for m in range(len(us))]
+            assert all(set(f.entries) <= set(p.weights) for f in fs)
+            scaled += any(integer_of(u)[1] % 7 == 0 for u in us)
+        assert scaled >= 30
 
     def test_non_square_and_singular_blocks_fall_back(self, monkeypatch):
         rng = random.Random(223)

@@ -20,6 +20,12 @@ def ints(rows):
     return [integer_row(row)[0] for row in rows]
 
 
+def fraction_rows(reducer):
+    """Each pivot's reduced row: its integer row over its pivot entry."""
+    return {pc: {i: Fraction(v, row[pc]) for i, v in row.items()}
+            for pc, row in reducer.ints.items()}
+
+
 def cofactor_det(m):
     """Independent oracle: Laplace expansion along the first row."""
     n = len(m)
@@ -184,23 +190,23 @@ def test_row_reducer_keeps_the_reduced_echelon_form():
             assert added == len(pivots)
             reducers.append(reducer)
         for reducer in reducers:
-            assert reducer.rows == expected
+            assert fraction_rows(reducer) == expected
             assert reducer.rank == len(pivots)
-            # the exact form kept behind the rows: coprime integers
+            # the exact form: coprime non-zero integers, 0 at every other pivot
             assert all(math.gcd(*row.values()) == 1 for row in reducer.ints.values())
-            for pc, row in reducer.rows.items():
-                assert row[pc] == 1
-                assert not any(other in row for other in reducer.rows if other != pc)
-                assert all(type(v) is Fraction and v for v in row.values())
+            for pc, row in reducer.ints.items():
+                assert not any(other in row for other in reducer.ints if other != pc)
+                assert all(type(v) is int and v for v in row.values())
             for fc, vec in nulls.items():
-                assert oracles.null_vector(reducer, fc) == vec
                 got = reducer.null_row(fc)
                 assert got == integer_row(vec)[0] and list(got) == sorted(got)
                 assert math.gcd(*got.values()) == 1 and got[fc] > 0
             got = [reducer.residual(v) for v in probes]
             assert got == residuals
             assert all(type(v) is Fraction for res in got for v in res.values())
-        assert list(reducers[0].rows) == sorted(expected)
+        # past every column, B is empty: `solve` lists the pivots in ascending order
+        assert list(linalg.solve(ints(rows), cols + 1).items()) == \
+            [(pc, {}) for pc in sorted(expected)]
 
 
 def test_exact_row_reducer_drops_explicit_zeros():
@@ -210,11 +216,11 @@ def test_exact_row_reducer_drops_explicit_zeros():
     row = integer_row({1: Fraction(1), 2: Fraction(0)})[0]
     assert row == {1: 1}
     red = linalg.RowReducer.of([row])
-    assert red.rows == {1: {1: 1}}
+    assert red.ints == {1: {1: 1}}
     assert red.null_row(2) == {2: 1}
     reducer = linalg.RowReducer()
     assert reducer.try_add(row)
-    assert reducer.rows == red.rows
+    assert reducer.ints == red.ints
 
 
 def rank_families(rng):
@@ -340,7 +346,7 @@ def bordered(a):
     for n in range(len(a)):
         row = lu.border(0, a[n][:n])
         col = lu.border(1, [a[k][n] for k in range(n)])
-        lu.append(0, row, col, lu.pivot(a[n][n], row, col))
+        lu.append(row, col, lu.pivot(a[n][n], row, col))
     return lu
 
 
@@ -426,36 +432,36 @@ def sparse(a):
 
 
 def null_basis(a, cols):
-    """The dense nullspace basis of `RowReducer.of`: the nullspace vector of
-    each free column, read off its rows, and its `null_row` the same vector
-    scaled."""
+    """The dense nullspace basis of `RowReducer.of`: for each free column,
+    its `null_row` over the row's entry there, 1; that row is the oracle's
+    nullspace vector of the column scaled to primitive integers."""
     red = linalg.RowReducer.of(ints(sparse(a)))
+    reduced = oracles.rref(a)
     basis = []
     for fc in range(cols):
-        if fc not in red.rows:
-            vec = oracles.null_vector(red, fc)
-            assert red.null_row(fc) == integer_row(vec)[0]
-            basis.append([vec.get(j, ZERO) for j in range(cols)])
+        if fc not in red.ints:
+            row = red.null_row(fc)
+            assert row == integer_row(oracles.null_vector(*reduced, fc))[0]
+            basis.append([Fraction(row.get(j, 0), row[fc]) for j in range(cols)])
     return basis
 
 
 def solve_augmented(a, b):
-    """A solution read off the augmented column of `RowReducer.of`, the right-hand
-    side kept even where it is zero; None when that column pivots."""
+    """A solution by `linalg.solve` of [A | b], the right-hand side kept even
+    where it is zero, free unknowns 0; None when b's column pivots."""
     cols = len(a[0]) if a else 0
-    red = linalg.RowReducer.of(ints(row | {cols: bi} for row, bi in zip(sparse(a), b)))
-    if cols in red.rows:
+    x = linalg.solve(ints(row | {cols: bi} for row, bi in zip(sparse(a), b)), cols)
+    if x is None:
         return None
-    return [red.rows[c].get(cols, ZERO) if c in red.rows else ZERO
-            for c in range(cols)]
+    return [x[c].get(0, ZERO) if c in x else ZERO for c in range(cols)]
 
 
 def inverse(a):
-    """The inverse read off `RowReducer.of` of [A | I]; no pivot lands in the I block."""
+    """The inverse by `linalg.solve` of [A | I]; every column of A pivots."""
     n = len(a)
-    red = linalg.RowReducer.of(ints(row | {n + i: ONE} for i, row in enumerate(sparse(a))))
-    assert all(pc < n for pc in red.rows)
-    return [[red.rows[i].get(n + j, ZERO) for j in range(n)] for i in range(n)]
+    x = linalg.solve(ints(row | {n + i: ONE} for i, row in enumerate(sparse(a))), n)
+    assert list(x) == list(range(n))
+    return [[x[i].get(j, ZERO) for j in range(n)] for i in range(n)]
 
 
 def zero_heavy_matrix(rng, rows, cols):
@@ -480,9 +486,9 @@ def test_rref_skipping_zeros_matches_dense_oracle():
     rng = random.Random(83)
     for _ in range(300):
         a = zero_heavy_matrix(rng, rng.randint(1, 8), rng.randint(1, 10))
-        rows = linalg.RowReducer.of(ints(sparse(a))).rows
-        assert rows == pivot_rows(*oracles.rref(a))
-        assert all(type(v) is Fraction for row in rows.values() for v in row.values())
+        red = linalg.RowReducer.of(ints(sparse(a)))
+        assert fraction_rows(red) == pivot_rows(*oracles.rref(a))
+        assert all(type(v) is int for row in red.ints.values() for v in row.values())
 
 
 def test_zero_heavy_nullspace_and_solve_agree_with_oracle():
@@ -501,6 +507,48 @@ def test_zero_heavy_nullspace_and_solve_agree_with_oracle():
         assert solve_augmented(a, b) == oracles.solve_any(a, b)
         for vec in null_basis(a, n):
             assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in a)
+
+
+def test_solve_matches_the_dense_oracles():
+    """`linalg.solve` of zero-heavy systems [A | B] against the dense `rref`:
+    each pivot unknown's row over B's columns, keyed from 0, in ascending
+    pivot and column order, free unknowns absent (so one column of B gives
+    `oracles.solve_any`); None for an inconsistent system, and for [A | I]
+    with A singular."""
+    rng = random.Random(89)
+    seen = set()
+    for _ in range(300):
+        kind = rng.choice(["consistent", "any", "inverse"])
+        n = rng.randint(1, 7)
+        cols = n if kind == "inverse" else rng.randint(1, 7)
+        a = zero_heavy_matrix(rng, n, cols)
+        if kind == "inverse":
+            b = [[ONE if i == j else 0 for j in range(n)] for i in range(n)]
+        elif kind == "consistent":
+            xs = zero_heavy_matrix(rng, cols, rng.randint(1, 3))
+            b = [[sum(row[t] * xs[t][j] for t in range(cols)) for j in range(len(xs[0]))]
+                 for row in a]
+        else:
+            b = zero_heavy_matrix(rng, n, rng.randint(1, 3))
+        augmented = [row + bi for row, bi in zip(a, b)]
+        red, pivots = oracles.rref(augmented)
+        got = linalg.solve(ints(sparse(augmented)), cols)
+        if any(pc >= cols for pc in pivots):
+            assert got is None
+            seen.add(("None", kind))
+        else:
+            want = {pc: {j - cols: v for j, v in enumerate(red[r]) if j >= cols and v}
+                    for r, pc in enumerate(pivots)}
+            assert got == want
+            assert list(got) == sorted(got) and all(list(row) == sorted(row) for row in got.values())
+            assert all(type(v) is Fraction for row in got.values() for v in row.values())
+            seen.add(("solved", kind, len(pivots) < cols))
+        if len(b[0]) == 1 and kind != "inverse":
+            assert solve_augmented(a, [bi[0] for bi in b]) == oracles.solve_any(a, [bi[0] for bi in b])
+        if kind == "inverse":
+            assert (got is None) == (oracles.determinant(a) == 0)
+    assert {("solved", "consistent", True), ("None", "any"), ("None", "inverse"),
+            ("solved", "inverse", False)} <= seen, seen
 
 
 def test_a_tiny_pivot_solves_exactly():

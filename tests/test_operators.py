@@ -21,7 +21,7 @@ from orbitlab import (
 )
 from orbitlab.errors import BudgetExceeded, SingularOperator
 from orbitlab.operators import BASE_IDENTITY, BASE_ZERO, CoordIndex, GramFactor
-from orbitlab.scalars import ONE, integer_row
+from orbitlab.scalars import integer_row
 from orbitlab.vectors import _clean, combine
 
 import orbitlab.linalg as linalg
@@ -451,39 +451,45 @@ class TestCoordIndex:
                         [(g, bits(w)) for g, w in expected], name
 
     def test_invert_builds_the_dense_gram(self, monkeypatch):
-        """`invert` hands `RowReducer.of` the non-zero entries of [I_k + G | I_k],
-        row by row in ascending column order, each row scaled once to
-        integers, bit for bit as the dense Gram so scaled, and each u_j is, bit for bit and in entry order, the term-order fold of
-        column j of the reduced rows."""
-        seen, reduced = [], []
-        of = linalg.RowReducer.of
+        """`invert` hands `linalg.solve` the non-zero entries of
+        [D_f(I_k + G)D_v | D_f], D_f and D_v the denominators of the kept
+        integer forms, row by row in ascending column order and bit for bit
+        as the dense Gram so scaled, and each u_j is, bit for bit and in
+        entry order, the term-order fold of column j of the answer with
+        row r scaled by vden_r."""
+        seen, solved = [], []
+        solve = linalg.solve
 
-        def spy(rows):
+        def spy(rows, k):
             seen.append([(list(row), scalar_bits(row.values())) for row in rows])
-            reduced.append(of(rows))
-            return reduced[-1]
+            solved.append(solve(rows, k))
+            return solved[-1]
 
-        monkeypatch.setattr(linalg.RowReducer, "of", spy)
+        monkeypatch.setattr(linalg, "solve", spy)
         inverted = 0
         for seed in range(6):
             for name, terms, xs in self.cases(seed):
                 j = FiniteRankOperator(BASE_IDENTITY, terms)
                 seen.clear()
-                reduced.clear()
+                solved.clear()
                 k = len(terms)
+                fdens = [integer_row(f.entries)[1] for f, _ in terms]
+                vdens = [integer_row(v.entries)[1] for _, v in terms]
                 try:
                     j_inv = invert(j)
                     inverted += 1
-                    rows = reduced[0].rows
-                    folds = [combine((rows[r].get(k + c, 0), v) for r, (_, v) in enumerate(terms))
+                    m = solved[0]
+                    folds = [combine((vden * m[r].get(c, 0), v)
+                                     for r, ((_, v), vden) in enumerate(zip(terms, vdens)))
                              for c in range(k)]
                     assert [(f, entry_bits(u)) for f, u in j_inv.terms] == \
                         [(f, entry_bits(-u)) for (f, _), u in zip(terms, folds)], name
                 except SingularOperator:
-                    pass
-                expected = [{c: g + (ONE if r == c else 0) for c, g in enumerate(row)}
+                    assert solved == [None]
+                expected = [{c: fdens[r] * vdens[c] * (g + (r == c)) for c, g in enumerate(row)}
                             for r, row in enumerate(dense_gram(terms))]
-                expected = [integer_row({c: g for c, g in row.items() if g} | {k + r: ONE})[0]
+                assert all(x.denominator == 1 for row in expected for x in row.values())
+                expected = [{c: int(x) for c, x in row.items() if x} | {k + r: fdens[r]}
                             for r, row in enumerate(expected)]
                 assert seen == [[(list(row), scalar_bits(row.values()))
                                  for row in expected]], name

@@ -1,6 +1,7 @@
 """Exact mode, the one scalar mode, stays exact: no float reaches a result,
 no module but `scalars` tells scalars apart by type or names the integer
-form a vector keeps, and no context object is threaded through the layers."""
+form a vector keeps, only listed functions scale a row afresh, and no
+context object is threaded through the layers."""
 
 import ast
 from fractions import Fraction
@@ -245,6 +246,69 @@ def test_only_vectors_and_scalars_name_the_integer_form():
             names += [f"{path.name}:{line} {what}"
                       for line, what in slot_names(ast.parse(path.read_text()))]
     assert names == []
+
+
+# the functions outside `scalars` that scale a row with `integer_row` rather
+# than read a kept form through `integer_of`: a row handed to the tracer-named
+# `residual`, the simplex's costs and matrix, a generator disk's [G | -G],
+# the triangular pass's rows, the premise's core and the witness's active rows,
+# whose columns are new images at every n
+SCALES_AFRESH = {
+    "linalg.py": {"RowReducer.residual"},
+    "simplex.py": {"_IntTableau.price", "optimal_tableau"},
+    "seminorms.py": {"minkowski"},
+    "triangular.py": {"interleave_triangularize"},
+    "hypercyclic.py": {"_integer_core", "transitivity_witness"},
+}
+
+
+def row_scalings(tree):
+    """(line, function) for each place that names `integer_row` other than
+    its import, the function being the innermost enclosing definition, as
+    `Class.method` inside a class; an import under another name counts."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if isinstance(node, (ast.Module, ast.ClassDef)) else None
+                name = f"{scope}.{child.name}" if scope and inner else inner or scope
+                yield from visit(child, name)
+                continue
+            if isinstance(child, ast.alias) and child.name == "integer_row" and child.asname:
+                yield child.lineno, f"import as {child.asname}"
+            elif (isinstance(child, ast.Name) and child.id == "integer_row"
+                  or isinstance(child, ast.Attribute) and child.attr == "integer_row"):
+                yield child.lineno, scope or "<module>"
+            yield from visit(child, scope)
+
+    return list(visit(tree, ""))
+
+
+def test_only_the_listed_functions_scale_a_row_afresh():
+    """Outside `scalars`, which defines `integer_row` and keeps its result
+    on a vector in `integer_of`, only the functions of SCALES_AFRESH call it:
+    every other system is built from the forms the vectors keep, so a new
+    Fraction-built system fails here."""
+    found = {}
+    for path in sorted(Path(orbitlab.__file__).parent.glob("*.py")):
+        if path.name != "scalars.py":
+            names = {what for _, what in row_scalings(ast.parse(path.read_text()))}
+            if names:
+                found[path.name] = names
+    assert found == SCALES_AFRESH
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(x):\n    return integer_row(x)", ["f"]),
+    ("class A:\n    def m(self, x):\n        return [integer_row(r) for r in x]", ["A.m"]),
+    ("def f(x):\n    def g(y):\n        return integer_row(y)\n    return g", ["f"]),
+    ("def f(xs):\n    return map(scalars.integer_row, xs)", ["f"]),
+    ("rows = integer_row(x)", ["<module>"]),
+    ("from .scalars import integer_row as scaled", ["import as scaled"]),
+    ("from .scalars import integer_of, integer_row", []),
+    ("def f(x):\n    return integer_of(x)", []),
+])
+def test_row_scaling_scan_flags_each_way_of_naming_it(source, found):
+    assert [what for _, what in row_scalings(ast.parse(source))] == found
 
 
 @pytest.mark.parametrize("source, found", [
