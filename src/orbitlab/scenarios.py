@@ -22,7 +22,7 @@ from .hypercyclic import (
     refute_orbit,
     transitivity_witness,
 )
-from .operators import neumann_certificate, orbit
+from .operators import FiniteRankOperator, neumann_certificate, orbit
 from .reports import CheckResult, Report, Table, scenario_hash
 from .scalars import ONE, Scalar, check_mode, format_scalar, parse
 from .seminorms import DiskSpec, SeminormSpec, eval_seminorm, minkowski
@@ -129,9 +129,12 @@ def _count(payload: Dict[str, Any], key: str) -> int:
 
 
 def _vectors(data, where: str) -> List[SparseVector]:
+    """The vectors of a list, which share one table from text to scalar: a
+    text repeated across the list is parsed once, at its first vector."""
     if not isinstance(data, list):
         raise ScenarioError(f"{where}: must be a list of vectors")
-    return [_field(f"{where}[{k}]", serialize.decode_vector, v)
+    texts: Dict[str, Scalar] = {}
+    return [_field(f"{where}[{k}]", serialize.decode_vector, v, "exact", texts)
             for k, v in enumerate(data)]
 
 
@@ -142,10 +145,37 @@ def _enumeration(data, where: str) -> Enumeration:
 def _seminorm(payload: Dict[str, Any]) -> SeminormSpec:
     """payload.p, refused without weights: that seminorm is zero, so it
     bounds nothing and every vector lies in its kernel."""
-    p = _field("payload.p", serialize.decode_seminorm, _need(payload, "p"))
+    node = _need(payload, "p")
+    _known(node, ("kind", "weights"), "payload.p", "a seminorm")
+    p = _field("payload.p", serialize.decode_seminorm, node)
     if not p.weights:
         raise ScenarioError("payload.p: a seminorm needs at least one weight")
     return p
+
+
+def _disk(payload: Dict[str, Any]) -> DiskSpec:
+    """payload.disk, given by its weights or by its generators, not both: the
+    decoder reads weights when they are there and would drop the generators.
+    Refused when empty, since that disk gauges no vector but 0."""
+    node = _need(payload, "disk")
+    if isinstance(node, dict) and "weights" in node:
+        _known(node, ("weights",), "payload.disk", "a weight disk")
+    else:
+        _known(node, ("generators",), "payload.disk", "a generator disk")
+    disk = _field("payload.disk", serialize.decode_disk, node)
+    if not (disk.weights or disk.generators):
+        raise ScenarioError("payload.disk: a disk needs at least one weight or generator")
+    return disk
+
+
+def _operator(payload: Dict[str, Any]) -> FiniteRankOperator:
+    """payload.operator, its keys and those of each of its terms checked."""
+    node = _need(payload, "operator")
+    _known(node, ("base", "terms"), "payload.operator", "an operator")
+    if isinstance(node.get("terms"), list):
+        for k, term in enumerate(node["terms"]):
+            _known(term, ("f", "v"), f"payload.operator.terms[{k}]", "an operator term")
+    return _field("payload.operator", serialize.decode_operator, node)
 
 
 def _positive(where: str, text) -> Scalar:
@@ -199,7 +229,7 @@ def _run_transport_task(scenario: Scenario, report: Report):
     a = _enumeration(_need(payload, "a"), "payload.a")
     b = _enumeration(_need(payload, "b"), "payload.b")
     p = _seminorm(payload)
-    disk = _field("payload.disk", serialize.decode_disk, _need(payload, "disk"))
+    disk = _disk(payload)
     stages = _count(payload, "stages")
     schedule = parse_eps_schedule(payload.get("eps_schedule", "geometric:1/2"), 2 * stages)
 
@@ -266,11 +296,15 @@ def _run_triangularize_task(scenario: Scenario, report: Report):
         [[str(m + 1), str(a), str(bb), format_scalar(d)]
          for m, (a, bb, d) in enumerate(zip(state.alpha, state.beta, state.minors))],
     ))
+    # term m of the operator is (f_alpha(m), v_m): its encoded v is v_m's
+    # text, so each entry of v_m is formatted once, for the table and the data
+    operator = serialize.encode_operator(build_omega_operator(state))
     report.tables.append(Table(
         "combined-vectors", ["m", "v_m"],
-        [[str(m + 1), serialize.format_vector(v)] for m, v in enumerate(state.v)],
+        [[str(m), serialize.format_pairs(term["v"])]
+         for m, term in enumerate(operator["terms"], start=1)],
     ))
-    report.data["operator"] = serialize.encode_operator(build_omega_operator(state))
+    report.data["operator"] = operator
     report.data["coeffs"] = [[format_scalar(c) for c in row] for row in state.coeffs]
 
 
@@ -356,7 +390,7 @@ def _run_hypercyclic_task(scenario: Scenario, report: Report):
         if not basis:
             raise ScenarioError("payload.basis: build-shift needs at least one vector")
         p = _seminorm(payload)
-        disk = _field("payload.disk", serialize.decode_disk, _need(payload, "disk"))
+        disk = _disk(payload)
         spec = build_shift_operator(basis, p, disk)
         s = spec.operator
         chain_ok = s.apply(spec.us[0]).is_zero() and all(
@@ -384,7 +418,7 @@ def _run_hypercyclic_task(scenario: Scenario, report: Report):
     elif kind == "witness":
         _known(payload, ("mode", "operator", "x", "y", "p", "eps", "max_n"), "payload",
                "witness")
-        op = _field("payload.operator", serialize.decode_operator, _need(payload, "operator"))
+        op = _operator(payload)
         x = _field("payload.x", serialize.decode_vector, _need(payload, "x"))
         y = _field("payload.y", serialize.decode_vector, _need(payload, "y"))
         p = _seminorm(payload)
@@ -435,7 +469,7 @@ def _run_refute_task(scenario: Scenario, report: Report):
     ]
     b = _enumeration(payload.get("b", []), "payload.b")
     ns = build_nonorbit_set(family, b)
-    op = _field("payload.operator", serialize.decode_operator, _need(payload, "operator"))
+    op = _operator(payload)
     x = _field("payload.x", serialize.decode_vector, _need(payload, "x"))
     horizon = _count(payload, "horizon")
     result = refute_orbit(op, x, ns, horizon)

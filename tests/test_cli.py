@@ -976,6 +976,19 @@ class TestUnusableInputExits2:
         assert capsys.readouterr().err == (
             f"error: {path}: payload.p: a seminorm needs at least one weight\n")
 
+    @pytest.mark.parametrize("builder", [transport_scenario, build_shift_scenario],
+                             ids=["transport", "build-shift"])
+    @pytest.mark.parametrize("disk", [{"weights": []}, {"generators": []}],
+                             ids=["weights", "generators"])
+    def test_empty_disk(self, tmp_path, capsys, builder, disk):
+        """An empty disk gauges no vector but 0; the run would fail naming no field."""
+        scenario = builder()
+        scenario["payload"]["disk"] = disk
+        code, path = _run_file(tmp_path, scenario)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: payload.disk: a disk needs at least one weight or generator\n")
+
     @pytest.mark.parametrize("field, index", [("p", -3), ("disk", 0)])
     def test_weight_at_non_positive_coordinate(self, tmp_path, capsys, field, index):
         scenario = transport_scenario()
@@ -1033,12 +1046,31 @@ class TestUnusableInputExits2:
         (transport_scenario, ("expectd",), {},
          "expectd: unknown field; a scenario reads name, scalar_mode, window, seed, task, "
          "payload, expected"),
+        (transport_scenario, ("disk", "generators"), [[[1, "1"]]],
+         "payload.disk.generators: unknown field; a weight disk reads weights"),
+        (build_shift_scenario, ("disk", "generators"), [[[1, "1"]]],
+         "payload.disk.generators: unknown field; a weight disk reads weights"),
+        (transport_scenario, ("disk",), {"weight": [[1, "1"]], "generators": [[[1, "1"]]]},
+         "payload.disk.weight: unknown field; a generator disk reads generators"),
+        (transport_scenario, ("p", "wieghts"), [[1, "1"]],
+         "payload.p.wieghts: unknown field; a seminorm reads kind, weights"),
+        (witness_scenario, ("p", "knd"), "l1",
+         "payload.p.knd: unknown field; a seminorm reads kind, weights"),
+        (witness_scenario, ("operator", "bse"), "identity",
+         "payload.operator.bse: unknown field; an operator reads base, terms"),
+        (refute_scenario, ("operator", "terms", 1, "g"), [[1, "1"]],
+         "payload.operator.terms[1].g: unknown field; an operator term reads f, v"),
     ], ids=["transport-typo", "triangularize-typo", "generators-beside-common",
             "probes-of-a-common-disk", "common-typo", "build-shift", "witness", "demo",
-            "refute", "top-level-typo"])
+            "refute", "top-level-typo", "generators-beside-disk-weights",
+            "build-shift-generators-beside-disk-weights", "disk-weight-typo",
+            "seminorm-typo", "witness-seminorm-typo", "operator-typo", "operator-term-typo"])
     def test_field_no_task_reads(self, tmp_path, capsys, builder, field, value, named):
         """A misspelt optional field would run its default and pass; a field
-        beside the one the task reads would be skipped unchecked."""
+        beside the one the task reads would be skipped unchecked.  That holds
+        inside the payload's seminorm, disk and operator too: a disk with
+        weights would drop its generators, and one whose `weights` is
+        misspelt would run as a generator disk."""
         scenario = builder()
         node = scenario if field == ("expectd",) else scenario["payload"]
         for key in field[:-1]:

@@ -1,5 +1,6 @@
-"""Canonical text formats round-trip, and every decoder takes the scalar
-mode name that the benchmark's set-up probe hands it."""
+"""Canonical text formats round-trip, every decoder takes the scalar mode
+name that the benchmark's set-up probe hands it, and a decode parses each
+distinct text once."""
 
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 from orbitlab import CoordFunctional, DiskSpec, FiniteRankOperator, SeminormSpec, SparseVector
 from orbitlab.operators import BASE_ZERO
 from orbitlab.scalars import MAX_DIGITS, format_scalar, parse
+from orbitlab.scenarios import Scenario, ScenarioError, run_scenario
 from orbitlab import serialize
 
 import oracles
@@ -133,6 +135,8 @@ def test_operator_round_trip():
 
 DECODINGS = [
     (serialize.decode_vector, [[1, "1/2"]], SparseVector({1: Fraction(1, 2)})),
+    (serialize.decode_vector, [[1, "1/2"], [3, "1/2"], [4, 2]],
+     SparseVector({1: Fraction(1, 2), 3: Fraction(1, 2), 4: Fraction(2)})),
     (serialize.decode_functional, [[1, "1/2"]], CoordFunctional({1: Fraction(1, 2)})),
     (serialize.decode_seminorm, {"kind": "sup", "weights": [[1, "1/2"]]},
      SeminormSpec("sup", {1: Fraction(1, 2)})),
@@ -141,7 +145,7 @@ DECODINGS = [
      FiniteRankOperator(BASE_ZERO,
                         ((CoordFunctional.delta(2), SparseVector({1: Fraction(1, 2)})),))),
 ]
-DECODER_IDS = ["vector", "functional", "seminorm", "disk", "operator"]
+DECODER_IDS = ["vector", "vector-repeated-text", "functional", "seminorm", "disk", "operator"]
 
 
 @pytest.mark.parametrize("decode, data, value", DECODINGS, ids=DECODER_IDS)
@@ -175,3 +179,101 @@ def test_the_setup_probe_decodes_every_workload(tmp_path):
     done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "setup_probe.py"), *paths],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+TRIANGULARIZE = {"name": "t", "scalar_mode": "exact", "window": 8, "seed": 1,
+                 "task": "triangularize"}
+
+
+@pytest.mark.parametrize("values", [
+    '[1, 1.0, "1", "1", 1]',
+    '["1", 1, 1.0, true]',
+    '[true, "1", 1]',
+    '[1, true, "1"]',
+    '[1.0, "1", false, "1"]',
+], ids=["no-bool", "true-last", "true-first", "true-between", "false"])
+def test_the_text_table_keys_on_text_alone(values):
+    """JSON's 1, 1.0 and true compare and hash alike, so a table keyed on
+    them would hand true the scalar of 1: each non-text value still goes
+    through `parse` on its own, and a bool is refused wherever it stands,
+    in one map or in the vectors of one list, which share a table."""
+    pairs = [[i, v] for i, v in enumerate(json.loads(values), start=1)]
+    basis = Scenario.from_dict(dict(TRIANGULARIZE, payload={"basis": [[pair] for pair in pairs],
+                                                             "stages": 1}))
+    bad = next(((k, v) for k, (_, v) in enumerate(pairs) if type(v) is bool), None)
+    if bad is None:
+        assert serialize.decode_pairs(pairs) == {i: Fraction(1) for i, _ in pairs}
+        assert run_scenario(basis).passed
+    else:
+        k, v = bad
+        with pytest.raises(ValueError, match=f"^{str(v)!r} is not a finite scalar$"):
+            serialize.decode_pairs(pairs)
+        with pytest.raises(ScenarioError,
+                           match=rf"^payload\.basis\[{k}\]: {str(v)!r} is not a finite scalar$"):
+            run_scenario(basis)
+
+
+@pytest.mark.parametrize("payload, named", [
+    ({"basis": [[[1, "1"]], [[2, "1/0"]], [[3, "1/0"]]], "stages": 1},
+     "payload.basis[1]: '1/0' is not a finite scalar"),
+    ({"basis": [[[1, "x"], [2, "x"]], [[2, "x"]]], "stages": 1},
+     "payload.basis[0]: 'x' is not a finite scalar"),
+    ({"basis": [[[1, "1"]], [[1, "1e4301"]], [[2, "1e4301"]]], "stages": 1},
+     f"payload.basis[1]: '1e4301' is beyond the {MAX_DIGITS}-digit limit of a scalar"),
+    ({"basis": [[[1, "1"]], [[1, "nan"]], [[1, "nan"]]], "stages": 1},
+     "payload.basis[1]: 'nan' is not a finite scalar"),
+], ids=["zero-denominator", "same-vector", "digit-limit", "nan"])
+def test_a_malformed_text_fails_at_its_first_vector(payload, named):
+    """A text that does not parse enters no table, so each vector that holds
+    it parses it afresh and the first one names the path."""
+    with pytest.raises(ScenarioError) as caught:
+        run_scenario(Scenario.from_dict(dict(TRIANGULARIZE, payload=payload)))
+    assert str(caught.value) == named
+
+
+def test_a_text_repeated_across_decodes_gives_equal_entries():
+    """Vectors that share a table, and an operator's terms, read a repeated
+    text as the scalar a fresh decode gives."""
+    vectors = [[[1, "3/2"], [2, "-1/3"]], [[2, "3/2"], [5, "-1/3"]], [[1, "0.5"], [4, "1/2"]]]
+    texts = {}
+    shared = [serialize.decode_vector(v, "exact", texts) for v in vectors]
+    assert shared == [serialize.decode_vector(v) for v in vectors]
+    assert shared[0].get(1) == shared[1].get(2) == Fraction(3, 2)
+    assert shared[2].get(1) == shared[2].get(4) == Fraction(1, 2)
+    assert texts == {"3/2": Fraction(3, 2), "-1/3": Fraction(-1, 3), "0.5": Fraction(1, 2),
+                     "1/2": Fraction(1, 2)}
+    operator = {"base": "zero", "terms": [{"f": v, "v": w} for v, w in zip(vectors, vectors[1:])]}
+    assert serialize.decode_operator(operator) == FiniteRankOperator(BASE_ZERO, tuple(
+        (CoordFunctional(serialize.decode_pairs(v)), serialize.decode_vector(w))
+        for v, w in zip(vectors, vectors[1:])))
+
+
+PARSE_CALLS = {1: 140, 2: 139}  # 1697 and 1680 when every text was parsed afresh
+FORMAT_CALLS = {1: 2023, 2: 2024}  # 3014 and 3016 when each v_m was formatted twice
+
+
+@pytest.mark.parametrize("seed", sorted(PARSE_CALLS))
+def test_a_corpus_pass_parses_and_formats_each_scalar_once(monkeypatch, seed):
+    """Over one triangularize corpus pass, no scenario parses a text twice,
+    `parse` makes PARSE_CALLS calls and `format_scalar` FORMAT_CALLS: each
+    v_m entry is formatted once, for its table row and the operator in the
+    data.  Counts only; no time is measured."""
+    parsed, formatted = [], []
+
+    def parsing(text):
+        parsed[-1].append(text)
+        return real_parse(text)
+
+    def formatting(x):
+        formatted.append(x)
+        return real_format(x)
+
+    real_parse = oracles.patch_scalars(monkeypatch, "parse", parsing)
+    real_format = oracles.patch_scalars(monkeypatch, "format_scalar", formatting)
+    for data in oracles.benchmark_workloads().generate("triangularize", seed):
+        parsed.append([])
+        report = run_scenario(Scenario.from_dict(data))
+        assert report.passed, data["name"]
+    assert [texts for texts in parsed if len(set(texts)) < len(texts)] == []
+    assert sum(map(len, parsed)) == PARSE_CALLS[seed]
+    assert len(formatted) == FORMAT_CALLS[seed]
