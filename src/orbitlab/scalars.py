@@ -3,8 +3,8 @@
 Text becomes a scalar through `parse` (and `coerce`, which reads text
 through it) and goes back through `format_scalar`; `ZERO` and `ONE` are the
 two constants.  `integer_row` scales a row to integers for the
-fraction-free kernels, `integer_of` keeps that form on a vector, and
-`abs_ratio_sum` sums the quotients of a disk gauge on integers.  Every
+fraction-free kernels, and `integer_of` keeps that form on a vector, from
+which the weighted sums of `seminorms` are taken on integers.  Every
 value is a `Fraction` (an empty sum may be the int 0), so comparisons are
 the plain `==` and `<`.  The one mode is "exact"; reports still
 record it as their `scalar_mode`, and `check_mode` refuses any other name.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 Scalar = Fraction
 ZERO = Fraction(0)
@@ -103,25 +103,6 @@ def integer_of(x) -> Tuple[Dict[int, int], int]:
     if x._int is None:
         object.__setattr__(x, "_int", integer_row(x.entries))
     return x._int
-
-
-def abs_ratio_sum(pairs: Iterable[Tuple[Scalar, Scalar]]) -> Scalar:
-    """The sum of |a| / d over the (a, d) pairs, zero when there are none.
-
-    The numerators are summed over one common denominator, the lcm of
-    the quotients' denominators, into a single Fraction; a and d are
-    Fractions, d > 0.
-    """
-    nums, dens = [], []
-    for a, d in pairs:
-        a_num, a_den = a.as_integer_ratio()
-        d_num, d_den = d.as_integer_ratio()
-        nums.append(abs(a_num) * d_den)
-        dens.append(a_den * d_num)
-    if not nums:
-        return ZERO
-    den = lcm(*dens)
-    return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
 
 
 def format_scalar(x: Scalar) -> str:

@@ -5,14 +5,12 @@ active set; their kernels are exactly the vectors supported outside the
 active set, so kernel membership is a support inspection.  The dual norm and
 the Minkowski gauge of a disk are computed in closed form (weight form) or
 by an exact linear program (generator form).  The sup kind's dual norm
-sum_i |f_i| / w_i and the weight-form gauge sum_i |u_i| / d_i are
-`scalars.abs_ratio_sum`, one integer numerator over one common
-denominator, and a generator disk scales its LP matrix once and re-solves
-each gauge from its last optimum.  `first_below` scans a pool for the
-first x whose gauge of x - y lies below a bound; in weight form it sums
-that gauge from the integer forms of x and y, over the inverse weights the
-disk scales once, stops once the bound is reached and builds no
-difference.
+sum_i |f_i| / w_i, the weight-form gauge sum_i |u_i| / d_i and the scan of
+`first_below` are each one integer loop over a map's kept form
+(`integer_of`) and the spec's kept inverse weights (`_inverse_weights`).
+`first_below` stops a candidate's sum at the bound and builds no
+difference.  A generator disk scales its LP matrix once and re-solves each
+gauge from its last optimum.
 
 The active projection, x's residue modulo ker p, has one form:
 `active_row`, the integer form x keeps (`scalars.integer_of`) cut to
@@ -29,22 +27,12 @@ from a single `linalg.RowReducer.of` for a list given once.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import linalg, simplex
 from .errors import NoSeparation, NotInSpan, NotPBounded
-from .scalars import (
-    ONE,
-    ZERO,
-    Scalar,
-    _exact_entry,
-    _immutable,
-    abs_ratio_sum,
-    integer_of,
-    integer_row,
-)
+from .scalars import ONE, ZERO, Scalar, _exact_entry, _immutable, integer_of, integer_row
 from .vectors import CoordFunctional, SparseVector, _built
 
 SUP = "sup"
@@ -64,10 +52,31 @@ def _clean_weights(weights: Mapping[int, Scalar]) -> dict:
     return out
 
 
-class SeminormSpec:
-    """p(x) = max_i w_i |x_i|  (sup kind)  or  sum_i w_i |x_i|  (l1 kind); unhashable."""
+def _inverse_weights(spec) -> Tuple[Dict[int, int], int]:
+    """(c, P) with 1 / w_i = c_i / P: w_i = a_i / b_i gives c_i = b_i·P / a_i,
+    P = lcm(a_i).  Kept in the spec's `_gauge_weights` from the first call."""
+    if spec._gauge_weights is None:
+        ratios = {i: w.as_integer_ratio() for i, w in spec.weights.items()}
+        big = lcm(*[a for a, _ in ratios.values()])
+        object.__setattr__(spec, "_gauge_weights",
+                           ({i: b * (big // a) for i, (a, b) in ratios.items()}, big))
+    return spec._gauge_weights
 
-    __slots__ = ("kind", "weights")
+
+def _weighted_sum(spec, row: Mapping[int, int], den: int) -> Scalar:
+    """sum_i |row_i| / (den·w_i), one Fraction, for an integer row on the weights."""
+    mult, big = _inverse_weights(spec)
+    total = 0
+    for i, a in row.items():
+        total += abs(a) * mult[i]
+    return Fraction(total, den * big)
+
+
+class SeminormSpec:
+    """p(x) = max_i w_i |x_i|  (sup kind)  or  sum_i w_i |x_i|  (l1 kind); unhashable.
+    `_gauge_weights`, outside equality and pickles, keeps its inverse weights."""
+
+    __slots__ = ("kind", "weights", "_gauge_weights")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, kind: str, weights: Optional[Mapping[int, Scalar]] = None):
@@ -75,6 +84,7 @@ class SeminormSpec:
             raise ValueError(f"unknown seminorm kind {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "weights", _clean_weights(weights or {}))
+        object.__setattr__(self, "_gauge_weights", None)
 
     def __eq__(self, other):
         return ((self.kind, self.weights) == (other.kind, other.weights)
@@ -102,22 +112,23 @@ def dual_norm(p: SeminormSpec, f: CoordFunctional) -> Scalar:
     """Smallest c with |f(x)| <= c p(x), the int 0 for f = 0; NotPBounded if
     no such c exists.
 
-    The sup kind's c is sum_i |f_i| / w_i, summed by `abs_ratio_sum` on
-    integers over one common denominator.  The l1 kind's c is the largest
-    |f_i| / w_i.
+    The sup kind's c is sum_i |f_i| / w_i, `_weighted_sum` of f's kept
+    form; the l1 kind's c is the largest |f_i| / w_i.
     """
     for i in sorted(f.entries):
         if i not in p.weights:
             raise NotPBounded(i)
-    return _dual(p, f.entries) if f.entries else 0
+    if not f.entries:
+        return 0
+    return _dual(p, f.entries) if p.kind == L1 else _weighted_sum(p, *integer_of(f))
 
 
-def _dual(p: SeminormSpec, entries: Mapping[int, Scalar]) -> Scalar:
-    """The dual norm of the non-empty entries, all on active(p), whether
-    Fractions or ints."""
+def _dual(p: SeminormSpec, row: Mapping[int, Scalar]) -> Scalar:
+    """The dual norm of a non-empty row on active(p): integers, or the
+    entries of an l1-kind functional."""
     if p.kind == L1:
-        return max(abs(v) / p.weights[i] for i, v in entries.items())
-    return abs_ratio_sum((v, p.weights[i]) for i, v in entries.items())
+        return max(abs(v) / p.weights[i] for i, v in row.items())
+    return _weighted_sum(p, row, 1)
 
 
 def dual_norm_witness(p: SeminormSpec, f: CoordFunctional) -> Tuple[Scalar, SparseVector]:
@@ -148,7 +159,7 @@ class DiskSpec:
     The gauges keep what they scale once outside equality and pickles:
     `_gauge_rows` the scaled [G | -G] of a generator disk for `minkowski`, with
     the optimal tableau of its latest solved gauge, and `_gauge_weights` the
-    integer inverse weights of a weight disk for `first_below`.
+    integer inverse weights of a weight disk.
     """
 
     __slots__ = ("weights", "generators", "_gauge_rows", "_gauge_weights")
@@ -181,10 +192,11 @@ class DiskSpec:
 def minkowski(disk: DiskSpec, u: SparseVector) -> Scalar:
     """Gauge of u with respect to the disk; NotInSpan if u is outside span D.
 
-    A generator disk solves min sum c over [G | -G] c = u, c >= 0.  With u's
-    integer form (`integer_of`), the disk keeps L_G [G | -G] from its
-    first gauge, and `simplex.optimal_tableau` gets the rows
-    L [G | -G | u] that `solve_lp` would build itself, L = lcm(L_G, den u).
+    A weight disk takes `_weighted_sum` of u's kept form.  A generator
+    disk solves min sum c over [G | -G] c = u, c >= 0.  With u's integer
+    form (`integer_of`), the disk keeps L_G [G | -G] from its first gauge,
+    and `simplex.optimal_tableau` gets the rows L [G | -G | u] that
+    `solve_lp` would build itself, L = lcm(L_G, den u).
     The disk keeps that optimal tableau, and `simplex.resolve` reads every
     gauge from it, the later ones by dual simplex on their u, with no
     phase 1.  A u off the generators' support fails before either.
@@ -194,7 +206,7 @@ def minkowski(disk: DiskSpec, u: SparseVector) -> Scalar:
         for i in u.entries:
             if i not in weights:
                 raise NotInSpan(f"coordinate {i} carries no disk weight")
-        return abs_ratio_sum((v, weights[i]) for i, v in u.entries.items())
+        return _weighted_sum(disk, *integer_of(u))
 
     gens = disk.generators
     if u.is_zero():
@@ -235,25 +247,19 @@ def first_below(disk: DiskSpec, pool: Sequence[SparseVector], y: SparseVector,
     |x_i - y_i| / d_i in the entry order of x - y (x's entries, then y's
     others) and rejects x at the first partial sum that is not below the
     bound: the terms are non-negative, so no later sum is below it either.
+    x passes only if its full sum is below the bound.
 
     With x = X / x̄ and y = Y / ȳ in their integer forms (`integer_of`,
     kept on each vector, so a scan scales nothing twice), the sum runs on
     integers: with 1 / d_i = c_i / P, N sums |X_i·ȳ - Y_i·x̄|·c_i, the gauge
     is N / (x̄·ȳ·P), and each partial sum is compared with the bound p / q
     as N·q < p·x̄·ȳ·P, so it stops where the Fraction sum would.  y's form,
-    the bound and (c, P) are read once per scan; the disk keeps (c, P) from
-    its first scan, read off the weights' own ratios, w_i = a_i / b_i giving
-    c_i = b_i·P / a_i over P = lcm(a_i).
+    the bound and the disk's kept (c, P) are read once per scan.
     """
     weights = disk.weights
     if weights is None or not y.entries.keys() <= weights.keys():
         return next((pos for pos, x in enumerate(pool) if minkowski(disk, x - y) < bound), None)
-    if disk._gauge_weights is None:
-        ratios = {i: w.as_integer_ratio() for i, w in weights.items()}
-        big = lcm(*[a for a, _ in ratios.values()])
-        object.__setattr__(disk, "_gauge_weights",
-                           ({i: b * (big // a) for i, (a, b) in ratios.items()}, big))
-    (mult, wden), (yrow, yden) = disk._gauge_weights, integer_of(y)
+    (mult, wden), (yrow, yden) = _inverse_weights(disk), integer_of(y)
     p, q = bound.as_integer_ratio()
     limit = p * yden * wden
     for pos, x in enumerate(pool):
@@ -263,17 +269,22 @@ def first_below(disk: DiskSpec, pool: Sequence[SparseVector], y: SparseVector,
             continue
         xrow, xden = integer_of(x)
         cut, total = limit * xden, 0
-        diffs = chain(((i, a * yden - yrow[i] * xden if i in yrow else a * yden)
-                       for i, a in xrow.items()),
-                      ((i, b * xden) for i, b in yrow.items() if i not in xrow))
-        for i, a in diffs:
+        for i, a in xrow.items():
+            b = yrow.get(i)
+            a = a * yden if b is None else a * yden - b * xden
             if a:
                 total += abs(a) * mult[i]
                 if total * q >= cut:
                     break
         else:
-            if total * q < cut:
-                return pos
+            for i, b in yrow.items():
+                if i not in xrow:
+                    total += abs(b) * xden * mult[i]
+                    if total * q >= cut:
+                        break
+            else:
+                if total * q < cut:
+                    return pos
     return None
 
 

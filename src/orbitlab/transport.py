@@ -18,10 +18,10 @@ them: a `Separator`, the echelon form of the constraints, and a
 They are derived data, not part of the `TransportState`;
 `verify_transport` uses neither and rebuilds the inverse of J from scratch.
 It reads the slot bounds and the budget from one `NeumannBudget`, applies J
-once to each matched a(n_j), for the exact-matching residuals that the
-report also prints, and once to each window unit vector, for both the round
-trip and kernel-fixed.  The forward scan is one `first_below` over its pool,
-so it builds the difference to the target only for the element it keeps.
+once to each matched a(n_j), for exact-matching, and once to each window
+unit vector, for both the round trip and kernel-fixed.  The forward scan
+is one `first_below` over its pool, so it builds the difference to the
+target only for the element it keeps.
 """
 
 from __future__ import annotations
@@ -221,9 +221,9 @@ def verify_transport(state: TransportState) -> VerificationReport:
     """Recompute every invariant of the state from raw data.
 
     Failures are report entries, never exceptions; each entry carries a
-    witness message for diagnosis.  exact-matching computes each residual
-    J a(n_j) - b(m_j) once and passes when every one is zero;
-    the report carries the residuals, with the budget.
+    witness message for diagnosis.  exact-matching compares J a(n_j) with
+    b(m_j) and builds the residual J a(n_j) - b(m_j) only for an unequal
+    pair, a zero one otherwise; the report carries them, with the budget.
     """
     checks: List[CheckResult] = []
     k = state.stage
@@ -254,10 +254,14 @@ def verify_transport(state: TransportState) -> VerificationReport:
 
     j_op = state.operator
     pairs = list(zip(state.n_idx, state.m_idx))
-    residuals = [j_op.apply(state.a.vector(n)) - state.b.vector(m) for n, m in pairs]
-    match_details = [f"pair {j}: J a({n}) != b({m})"
-                     for j, ((n, m), r) in enumerate(zip(pairs, residuals), start=1)
-                     if not r.is_zero()]
+    residuals, match_details = [], []
+    for j, (n, m) in enumerate(pairs, start=1):
+        image, target = j_op.apply(state.a.vector(n)), state.b.vector(m)
+        if image == target:
+            residuals.append(SparseVector.zero())
+        else:
+            residuals.append(image - target)
+            match_details.append(f"pair {j}: J a({n}) != b({m})")
     add("exact-matching", not match_details, "; ".join(match_details) or "all matched pairs exact")
 
     add("budget-below-one", budget.c < 1, f"c = {budget.c}")

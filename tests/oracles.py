@@ -18,7 +18,9 @@ integers; `parse_scalar` parses every text with `Fraction(text)`.  The
 program separates and scans on integer forms; `separating_functional`
 reads a Fraction nullspace vector (`null_vector`) off the dense `rref`
 and rescales it, and `first_below` gauges every difference with
-`minkowski`.  The last
+`weight_gauge` on a weight disk, never with `minkowski`, whose weight form
+shares the program scan's kept inverse weights (`minkowski` only on a
+generator disk).  The last
 part holds helpers that only the tests need: encoders, l1 seminorm and disk
 constructors, parsers, the failed checks of a verification, two
 predicates and the benchmark's scenario generator.
@@ -92,10 +94,13 @@ def separating_functional(p, constraints, u):
 
 
 def first_below(disk, pool, y, bound):
-    """The first position of an x in pool with minkowski(disk, x - y) < bound,
-    every difference built and gauged in pool order; None if there is none."""
+    """The first position of an x in pool whose gauge of x - y is below bound,
+    every difference built and gauged in pool order; None if there is none.
+    A weight disk gauges by `weight_gauge`, a generator disk by `minkowski`."""
     for pos, x in enumerate(pool):
-        if minkowski(disk, x - y) < bound:
+        diff = x - y
+        gauge = minkowski(disk, diff) if disk.weights is None else weight_gauge(disk.weights, diff)
+        if gauge < bound:
             return pos
     return None
 

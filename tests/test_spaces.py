@@ -309,6 +309,92 @@ class TestMinkowski:
         assert seen == {"NotInSpan", (True, False), (False, False), (True, True), (False, True)}
 
 
+def outcome(call):
+    """("value", type, repr) of call(), or ("raise", type, message)."""
+    try:
+        got = call()
+    except (NotInSpan, NotPBounded) as exc:
+        return "raise", type(exc), str(exc)
+    return "value", type(got), repr(got)
+
+
+def fraction_dual(p, f):
+    """The dual norm as a Fraction fold of |f_i| / w_i (sum or max), the int
+    0 for f = 0, NotPBounded at f's least coordinate outside the weights."""
+    for i in sorted(f.entries):
+        if i not in p.weights:
+            raise NotPBounded(i)
+    if not f.entries:
+        return 0
+    quotients = [abs(v) / p.weights[i] for i, v in f.entries.items()]
+    return sum(quotients, ZERO) if p.kind == "sup" else max(quotients)
+
+
+def test_the_weighted_sums_are_the_fraction_sums():
+    """The weight-form `minkowski`, `dual_norm` of both kinds and
+    `first_below` give the value, type and error text of plain Fraction sums
+    (`oracles.weight_gauge`, `fraction_dual`, `oracles.first_below`) on
+    seeded maps with negative entries and weights such as 2/3 and 5: the
+    zero vector gives ZERO and the zero functional the int 0, a coordinate
+    outside the weights raises as before, x = y at bound 0 is refused, and
+    a candidate whose entries match y's is refused by y's extra coordinates
+    alone."""
+    rng = random.Random(43)
+    choices = [Fraction(2, 3), Fraction(5), Fraction(1), Fraction(7, 4), Fraction(1, 9)]
+    seen = set()
+    for _ in range(300):
+        coords = rng.sample(range(1, 10), rng.randint(1, 6))
+        weights = {i: rng.choice(choices) for i in coords}
+        disk = DiskSpec(weights=weights)
+
+        def draw(outside=0.15):
+            entries = {i: Fraction(rng.choice([-5, -2, -1, 1, 3]), rng.choice([1, 2, 3, 7]))
+                       for i in rng.sample(coords, rng.randint(0, len(coords)))}
+            if rng.random() < outside:
+                entries[rng.choice([10, 11])] = Fraction(-1, 3)
+            return entries
+
+        u = SparseVector(draw())
+        want = outcome(lambda: oracles.weight_gauge(disk.weights, u))
+        assert outcome(lambda: minkowski(disk, u)) == want
+        seen.add(want[0])
+        f = CoordFunctional(draw())
+        for kind in ("sup", "l1"):
+            p = SeminormSpec(kind, weights)
+            want = outcome(lambda: fraction_dual(p, f))
+            assert outcome(lambda: dual_norm(p, f)) == want
+            seen.add((kind, want[0]))
+
+        y = SparseVector(draw())
+        # pool: y itself, a copy of y without its extra coordinates, and draws
+        pool = [SparseVector(dict(y.entries))] + [SparseVector(draw()) for _ in range(3)]
+        extra = rng.choice([i for i in coords if i not in y.entries] or [None])
+        if extra is not None:
+            wide = SparseVector({**y.entries, extra: Fraction(-9)})
+            pool.insert(rng.randint(0, len(pool)), SparseVector(dict(y.entries)))
+            y = wide
+        for bound in (ZERO, Fraction(1, 3), ONE, Fraction(4)):
+            want = outcome(lambda: oracles.first_below(disk, pool, y, bound))
+            assert outcome(lambda: first_below(disk, pool, y, bound)) == want
+            seen.add(("scan", want[2] == "None"))
+
+    # x = y at bound 0, and a candidate that only y's extra coordinate rejects
+    disk = DiskSpec(weights={1: Fraction(2, 3), 2: Fraction(5), 3: 1})
+    x = SparseVector({1: Fraction(-1, 2), 2: 3})
+    y = SparseVector({1: Fraction(-1, 2), 2: 3, 3: Fraction(1, 7)})
+    assert first_below(disk, [x], x, ZERO) is None
+    assert first_below(disk, [x], x, Fraction(1, 10 ** 9)) == 0
+    assert first_below(disk, [x], y, Fraction(1, 7)) is None
+    assert first_below(disk, [x, SparseVector(dict(y.entries))], y, Fraction(1, 7)) == 1
+    assert first_below(disk, [x], y, Fraction(1, 7) + Fraction(1, 10 ** 9)) == 0
+    assert minkowski(disk, SparseVector.zero()) == ZERO
+    assert type(minkowski(disk, SparseVector.zero())) is Fraction
+    assert dual_norm(SeminormSpec("sup", disk.weights), CoordFunctional.zero()) == 0
+    assert type(dual_norm(SeminormSpec("sup", disk.weights), CoordFunctional.zero())) is int
+    assert seen >= {"value", "raise", ("sup", "value"), ("sup", "raise"), ("l1", "value"),
+                    ("l1", "raise"), ("scan", True), ("scan", False)}
+
+
 class TestSeparatingFunctional:
     def test_empty_constraints(self):
         p = SeminormSpec.sup_on([1, 2])

@@ -708,6 +708,51 @@ def test_a_corpus_pass_scales_no_map_twice(monkeypatch, seed):
     assert 0 < calls <= SCALED_ONCE_CALLS < 0.5 * RESCALING_CALLS[seed], calls
 
 
+def test_a_passing_replay_subtracts_no_map(monkeypatch):
+    """Over the seed-1 transport corpus, `verify_transport` makes no
+    `_FiniteMap.__sub__` call on a state it passes: exact-matching compares
+    J a(n_j) with b(m_j) and gives an equal pair a zero residual.  With two
+    pairs' m indices swapped it builds those two residuals, J a(n_j) -
+    b(m_j), and no other.  Counts only; no time is measured."""
+    from orbitlab import scenarios, vectors
+
+    subs, replaying, states = [], [], []
+    real_sub, real_verify = vectors._FiniteMap.__sub__, scenarios.verify_transport
+
+    def counting(x, y):
+        if replaying:
+            subs.append((x, y))
+        return real_sub(x, y)
+
+    def replay(state):
+        replaying.append(state)
+        try:
+            return real_verify(state)
+        finally:
+            replaying.pop()
+
+    monkeypatch.setattr(vectors._FiniteMap, "__sub__", counting)
+    monkeypatch.setattr(scenarios, "verify_transport", replay)
+    monkeypatch.setattr(scenarios, "run_transport",
+                        lambda *args: states.append(run_transport(*args)) or states[-1])
+    corpus = oracles.benchmark_workloads().generate("transport", 1)
+    for data in corpus:
+        report = run_scenario(Scenario.from_dict(data))
+        assert report.passed, data["name"]
+    assert len(states) == len(corpus) and subs == []
+
+    state = max(states, key=lambda s: len(s.m_idx))
+    m_idx = list(state.m_idx)
+    m_idx[0], m_idx[1] = m_idx[1], m_idx[0]
+    replaying.append(state)
+    broken = verify_transport(state._replace(m_idx=tuple(m_idx)))
+    replaying.pop()
+    j = state.operator
+    want = [j.apply(state.a.vector(n)) - state.b.vector(m) for n, m in zip(state.n_idx, m_idx)]
+    assert len(subs) == 2 and "exact-matching" in [c.name for c in oracles.failures(broken)]
+    assert broken.residuals == want and sum(not r.is_zero() for r in want) == 2
+
+
 class TestSlowPaths:
     """The separator and the forward scan against their Fraction slow paths
     (`oracles.separating_functional`, `oracles.first_below`) on families the

@@ -2,9 +2,9 @@
 hashes, a type is equal only to itself, a disk hashes only in generator form,
 the fields of an immutable value type can be neither assigned nor deleted,
 and every value type copies and pickles to an equal value.  Data a value
-caches (an operator's index, a disk's scaled gauge, a vector's integer form)
-stays outside equality, hashing, copies and pickles.  Reports are the one
-mutable type."""
+caches (an operator's index, a disk's scaled gauge, the inverse weights of
+a disk or seminorm, a vector's integer form) stays outside equality,
+hashing, copies and pickles.  Reports are the one mutable type."""
 
 import copy
 import pickle
@@ -19,7 +19,7 @@ from orbitlab.errors import NotInSpan
 from orbitlab.operators import BASE_ZERO, FiniteRankOperator
 from orbitlab.reports import CheckResult, Report, Table
 from orbitlab.scalars import MAX_DIGITS, coerce, integer_of
-from orbitlab.seminorms import DiskSpec, SeminormSpec, first_below, minkowski
+from orbitlab.seminorms import DiskSpec, SeminormSpec, dual_norm, first_below, minkowski
 from orbitlab.vectors import CoordFunctional, SparseVector
 
 
@@ -158,24 +158,54 @@ def test_cached_data_is_kept_past_the_guard_and_outside_equality():
     for field in ("weights", "generators", "_gauge_rows", "_gauge_weights"):
         with pytest.raises(AttributeError):
             setattr(gauged, field, None)
+    assert gauged._gauge_weights is None
+    # a weight disk's integer inverse weights, from its first weight gauge or
+    # first_below scan, whichever comes first
     weighted = DiskSpec(weights={1: 2})
     assert minkowski(weighted, SparseVector({1: 1})) == Fraction(1, 2)
-    assert weighted._gauge_rows is None
-    # a weight disk's integer inverse weights, from its first exact first_below
-    assert weighted._gauge_weights is None and gauged._gauge_weights is None
+    assert weighted._gauge_rows is None and weighted._gauge_weights == ({1: 1}, 2)
     weights = {1: Fraction(2, 3), 2: Fraction(5), 4: 3}
-    gauged, fresh = DiskSpec(weights=weights), DiskSpec(weights=weights)
     x, y = SparseVector({1: Fraction(1, 2)}), SparseVector({2: 1, 4: Fraction(-1, 7)})
-    assert first_below(gauged, [x], y, Fraction(1)) == 0
-    assert first_below(gauged, [x], y, Fraction(1, 2)) is None
-    assert gauged._gauge_weights == ({1: 45, 2: 6, 4: 10}, 30) and fresh._gauge_weights is None
-    assert gauged == fresh
-    with pytest.raises(TypeError):
-        hash(gauged)
-    for y in (copy.copy(gauged), copy.deepcopy(gauged), pickle.loads(pickle.dumps(gauged))):
-        assert y == gauged and y._gauge_weights is None
-    with pytest.raises(AttributeError):
-        setattr(gauged, "_gauge_weights", None)
+    for first in (lambda disk: minkowski(disk, x), lambda disk: first_below(disk, [x], y, 1)):
+        gauged, fresh = DiskSpec(weights=weights), DiskSpec(weights=weights)
+        first(gauged)
+        kept = gauged._gauge_weights
+        assert kept == ({1: 45, 2: 6, 4: 10}, 30) and fresh._gauge_weights is None
+        assert first_below(gauged, [x], y, Fraction(1)) == 0
+        assert first_below(gauged, [x], y, Fraction(1, 2)) is None
+        assert minkowski(gauged, y) == Fraction(26, 105) and gauged._gauge_weights is kept
+        assert gauged == fresh
+        with pytest.raises(TypeError):
+            hash(gauged)
+        for y2 in (copy.copy(gauged), copy.deepcopy(gauged), pickle.loads(pickle.dumps(gauged))):
+            assert y2 == gauged and y2._gauge_weights is None
+        with pytest.raises(AttributeError):
+            setattr(gauged, "_gauge_weights", None)
+
+
+def test_a_seminorm_keeps_its_inverse_weights_outside_equality():
+    """A seminorm keeps the integer inverse weights of its sup-kind dual norm
+    from the first one, in `_gauge_weights`, which equality, copies and
+    pickles leave out and which refuses assignment and deletion; the l1
+    kind's dual norm reads its weights as they are."""
+    weights = {1: Fraction(2, 3), 2: Fraction(5), 4: 3}
+    f = CoordFunctional({1: Fraction(-1, 2), 4: 2})
+    for kind, want, kept in (("sup", Fraction(17, 12), ({1: 45, 2: 6, 4: 10}, 30)),
+                             ("l1", Fraction(3, 4), None)):
+        p, fresh = SeminormSpec(kind, weights), SeminormSpec(kind, weights)
+        assert p._gauge_weights is None
+        assert dual_norm(p, f) == want and p._gauge_weights == kept
+        assert dual_norm(p, CoordFunctional.zero()) == 0
+        assert p == fresh and fresh._gauge_weights is None
+        with pytest.raises(TypeError):
+            hash(p)
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert q == p and q._gauge_weights is None
+        for change in (lambda: setattr(p, "_gauge_weights", None),
+                       lambda: delattr(p, "_gauge_weights")):
+            with pytest.raises(AttributeError):
+                change()
+        assert p._gauge_weights == kept
 
 
 def test_a_generator_disk_keeps_its_last_optimal_tableau_outside_equality():
