@@ -225,8 +225,9 @@ class Bordered:
 
     lower[0] holds the rows of the lower factor and lower[1] those of the
     transposed upper factor, each left of the diagonal as a dict of its
-    non-zero entries.  As A^T swaps the two, `border` and `back` take a side:
-    0 for the lower factor, 1 for the transposed upper one.
+    non-zero entries.  As A^T swaps the two, `border` takes a side: 0 for
+    the lower factor, 1 for the transposed upper one; `back` solves with
+    the transposed upper one.
 
     The factor is that of Bareiss (Math. Comp. 22, 1968) in the LU form of
     Zhou and Jeffrey (Front. Comput. Sci. China 2(1), 2008): pivots[k] is the
@@ -283,16 +284,17 @@ class Bordered:
         self.lower[1].append(col)
         self.pivots.append(pivot)
 
-    def back(self, side: int, rhs: Sequence[int]) -> List[int]:
+    def back(self, rhs: Sequence[int]) -> List[int]:
         """scale(n)·x for x with T^T x = rhs, T the leading n = len(rhs) block
-        of lower[side] with the diagonal of the fraction-free L̃ (the minors),
-        solved from the last: each known x_j takes row j of T off the rest."""
+        of lower[1], the transposed upper factor, with the diagonal of the
+        fraction-free L̃ (the minors), solved from the last: each known x_j
+        takes row j of T off the rest."""
         dn = self.scale(len(rhs))
         x = [v * dn for v in rhs]
         for j in range(len(rhs) - 1, -1, -1):
             if x[j]:
                 x[j] = xj = x[j] // self.pivots[j]
-                for k, t in self.lower[side][j].items():
+                for k, t in self.lower[1][j].items():
                     x[k] -= t * xj
         return x
 
@@ -300,7 +302,7 @@ class Bordered:
         """scale(n)·x for x with A x = rhs: L y = rhs, then U x = D^{-1} y,
         where `border` gives y fraction-free."""
         y = self.border(1, rhs)
-        return self.back(1, [y.get(k, 0) for k in range(len(rhs))])
+        return self.back([y.get(k, 0) for k in range(len(rhs))])
 
 
 class Bareiss(Bordered):

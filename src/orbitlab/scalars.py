@@ -1,13 +1,14 @@
 """The scalars: exact rationals, and the plain functions that make and read them.
 
-Text becomes a scalar through `parse` (and `coerce`, which reads text
-through it) and goes back through `format_scalar`; `ZERO` and `ONE` are the
-two constants.  `integer_row` scales a row to integers for the
-fraction-free kernels, and `integer_of` keeps that form on a vector, from
-which the weighted sums of `seminorms` are taken on integers.  Every
-value is a `Fraction` (an empty sum may be the int 0), so comparisons are
-the plain `==` and `<`.  The one mode is "exact"; reports still
-record it as their `scalar_mode`, and `check_mode` refuses any other name.
+Text becomes a scalar through `parse`, its one reader, and goes back
+through `format_scalar`; `ZERO` and `ONE` are the two constants.
+`integer_row` scales a row to integers for the fraction-free kernels, the
+gauge tableau's [G | -G] among them, and `integer_of` keeps that form on
+a vector, from which the weighted sums of `seminorms` are taken on
+integers.  Every value is a `Fraction` (an empty sum may be the int 0),
+so comparisons are the plain `==` and `<`.  The one mode is "exact";
+reports still record it as their `scalar_mode`, and `check_mode` refuses
+any other name.
 """
 
 from __future__ import annotations
@@ -44,17 +45,6 @@ def check_mode(mode: str) -> None:
     """ValueError unless mode names the one scalar mode, "exact"."""
     if mode != "exact":
         raise ValueError(f"unknown scalar mode {mode!r}")
-
-
-def coerce(value) -> Scalar:
-    """The value as a scalar: text through `parse`, anything else by the rule
-    of `_exact_entry`, so a float (lossy by intent) or a bool is refused."""
-    if isinstance(value, str):
-        return parse(value)
-    try:
-        return _exact_entry(value, 0)
-    except TypeError:
-        raise TypeError(f"cannot use {value!r} as an exact scalar") from None
 
 
 def parse(text) -> Scalar:

@@ -4,13 +4,15 @@ Seminorms are sup- or l1-combinations of weighted coordinates over a finite
 active set; their kernels are exactly the vectors supported outside the
 active set, so kernel membership is a support inspection.  The dual norm and
 the Minkowski gauge of a disk are computed in closed form (weight form) or
-by an exact linear program (generator form).  The sup kind's dual norm
-sum_i |f_i| / w_i, the weight-form gauge sum_i |u_i| / d_i and the scan of
-`first_below` are each one integer loop over a map's kept form
-(`integer_of`) and the spec's kept inverse weights (`_inverse_weights`).
+by an exact linear program (generator form), the one LP the workbench
+solves.  The sup kind's dual norm sum_i |f_i| / w_i, the weight-form
+gauge sum_i |u_i| / d_i and the scan of `first_below` are each one
+integer loop over a map's kept form (`integer_of`) and the spec's kept
+inverse weights (`_inverse_weights`).
 `first_below` stops a candidate's sum at the bound and builds no
-difference.  A generator disk scales its LP matrix once and re-solves each
-gauge from its last optimum.
+difference.  A generator disk scales its LP matrix once, at its first
+non-zero gauge, into one `simplex.gauge_tableau` built at u = 0, and reads
+every gauge off it with `simplex.resolve`.
 
 The active projection, x's residue modulo ker p, has one form:
 `active_row`, the integer form x keeps (`scalars.integer_of`) cut to
@@ -32,7 +34,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import linalg, simplex
 from .errors import NoSeparation, NotInSpan, NotPBounded
-from .scalars import ONE, ZERO, Scalar, _exact_entry, _immutable, integer_of, integer_row
+from .scalars import ZERO, Scalar, _exact_entry, _immutable, integer_of, integer_row
 from .vectors import CoordFunctional, SparseVector, _built
 
 SUP = "sup"
@@ -157,9 +159,10 @@ class DiskSpec:
     weighted coordinates.  Generator form: p_D(u) is the minimal l1 mass of a
     representation of u as a combination of the generators.  Only this form hashes.
     The gauges keep what they scale once outside equality and pickles:
-    `_gauge_rows` the scaled [G | -G] of a generator disk for `minkowski`, with
-    the optimal tableau of its latest solved gauge, and `_gauge_weights` the
-    integer inverse weights of a weight disk.
+    `_gauge_rows` a generator disk's (coordinate -> row, tableau), the row of
+    each coordinate of the generators' support in the one gauge tableau of
+    its scaled [G | -G], from its first non-zero gauge, and `_gauge_weights`
+    the integer inverse weights of a weight disk.
     """
 
     __slots__ = ("weights", "generators", "_gauge_rows", "_gauge_weights")
@@ -193,13 +196,12 @@ def minkowski(disk: DiskSpec, u: SparseVector) -> Scalar:
     """Gauge of u with respect to the disk; NotInSpan if u is outside span D.
 
     A weight disk takes `_weighted_sum` of u's kept form.  A generator
-    disk solves min sum c over [G | -G] c = u, c >= 0.  With u's integer
-    form (`integer_of`), the disk keeps L_G [G | -G] from its first gauge,
-    and `simplex.optimal_tableau` gets the rows L [G | -G | u] that
-    `solve_lp` would build itself, L = lcm(L_G, den u).
-    The disk keeps that optimal tableau, and `simplex.resolve` reads every
-    gauge from it, the later ones by dual simplex on their u, with no
-    phase 1.  A u off the generators' support fails before either.
+    disk solves min sum c over [G | -G] c = u, c >= 0.  Its first non-zero
+    gauge scales [G | -G] once to the integers L_G [G | -G] and keeps
+    `simplex.gauge_tableau` of them, dual feasible for every u.  A u with a
+    coordinate off the generators' support is refused; any other gauge is
+    `simplex.resolve` of the kept tableau on u's integer form
+    (`integer_of`), by dual simplex from the basis the last gauge left.
     """
     if disk.weights is not None:
         weights = disk.weights
@@ -213,24 +215,20 @@ def minkowski(disk: DiskSpec, u: SparseVector) -> Scalar:
         return ZERO
     if not gens:
         raise NotInSpan("empty generator list spans only 0")
-    w = 2 * len(gens)
+    if disk._gauge_rows is None:
+        coords, w = sorted(set().union(*(g.support for g in gens))), 2 * len(gens)
+        nums, den = integer_row(dict(enumerate(
+            sign * g.get(i) for i in coords for sign in (1, -1) for g in gens)))
+        rows = [[nums.get(r * w + j, 0) for j in range(w)] for r in range(len(coords))]
+        object.__setattr__(disk, "_gauge_rows", ({i: r for r, i in enumerate(coords)},
+                                                 simplex.gauge_tableau(rows, w, den)))
+    (index, tab), (urow, uden) = disk._gauge_rows, integer_of(u)
+    if not urow.keys() <= index.keys():
+        raise NotInSpan("u is not a combination of the generators")
+    b = [0] * len(index)
+    for i, v in urow.items():
+        b[index[i]] = v
     try:
-        if disk._gauge_rows is None:
-            coords = sorted(set().union(*(g.support for g in gens)))
-            nums, den = integer_row(dict(enumerate(
-                sign * g.get(i) for i in coords for sign in (1, -1) for g in gens)))
-            template = {i: [nums.get(r * w + j, 0) for j in range(w)] for r, i in enumerate(coords)}
-            object.__setattr__(disk, "_gauge_rows", (den, template, None))
-        (gen_den, template, tab), (urow, uden) = disk._gauge_rows, integer_of(u)
-        if not u.entries.keys() <= template.keys():
-            raise simplex.Infeasible("u has a coordinate outside the generators' support")
-        b = [urow.get(i, 0) for i in template]
-        if tab is None:
-            den = lcm(gen_den, uden)
-            m, mu = den // gen_den, den // uden
-            a = [[m * v for v in row] for row in template.values()]
-            tab = simplex.optimal_tableau([ONE] * w, a, [v * mu for v in b], scale=den)
-            object.__setattr__(disk, "_gauge_rows", (gen_den, template, tab))
         return simplex.resolve(tab, b, uden)
     except simplex.Infeasible as exc:
         raise NotInSpan("u is not a combination of the generators") from exc

@@ -1,75 +1,65 @@
-"""Exact simplex solver for the small equality-form programs used by disk gauges.
+"""Exact dual simplex for the one LP the workbench solves: a disk's gauge.
 
-Solves  min c.x  subject to  A x = b, x >= 0  over the rationals.  Two
-phases with Bland's anti-cycling rule throughout, so runs terminate even on
-the degenerate ties that tied optimal disk representations produce.  The tableau carries its reduced-cost row: each phase prices the
-costs against the basis once, and every pivot then updates that row with the
-same row step it applies to the constraint rows.
+The Minkowski gauge of a generator disk is  min sum c  subject to
+[G | -G] c = u, c >= 0, unit costs over the rationals.  `gauge_tableau`
+builds one tableau per disk at u = 0 and `resolve` reads every gauge off
+it.  At u = 0 the artificial basis is feasible, so there is no phase 1:
+each row's artificial is driven out on the row's first non-zero column,
+and Bland's rule then minimizes the unit costs.  Every such pivot is
+degenerate, so every ratio ties and the leaving row is the one with the
+lowest basic column.  Unit costs are >= 0, so no column prices negative
+without a positive entry, and the basis it ends at is optimal for u = 0:
+dual feasible for every u.  The tableau carries its reduced-cost row,
+priced at the artificial basis, where it is the costs themselves, and
+pivoted with the same row step as the constraint rows.
 
 The tableau pivots on integers (fraction-free; Edmonds 1967, J. Res. NBS 71B;
-Azulay and Pique 2001): [A | b] is scaled by L, the lcm of its denominators,
-and the rows hold |det B| B^-1 [L A | I | L b] for the basis B of [L A | I],
-so the artificial block ends as det(B) B^-1, the dual's source.  Each pivot
-divides exactly by the previous |det B|.  Scaling moves no sign, ratio order
-or tie, so Bland's rule takes the pivots it would take over Fractions.  A
-caller may pass [A | b] already scaled (a generator disk's gauge); one driver
-runs both.
+Azulay and Pique 2001): the caller scales [G | -G] by L, the lcm of its
+denominators, and the rows hold |det B| B^-1 [L A | I | L b] for the basis
+B of [L A | I], so the artificial block ends as det(B) B^-1, the dual's
+source.  Each pivot divides exactly by the previous |det B|.  Scaling moves
+no sign or tie, so Bland's rule takes the pivots it would take over
+Fractions.
 
-`resolve` re-optimizes a kept optimum for a new b: the basis stays dual
+`resolve` re-optimizes the kept tableau for a new b: the basis stays dual
 feasible, so the dual simplex (Chvátal, Linear Programming, 1983,
-ch. 10) runs from it on the new rhs, det(B) B^-1 times the scaled b, with
-no phase 1; Bland's smallest-index rule, taken in the dual, keeps it finite
-(Bland, Math. Oper. Res. 2, 1977).  The optimal value is unique, so it is
-the value a fresh `solve_lp` finds.
+ch. 10) runs from it on the new rhs, det(B) B^-1 times the scaled b;
+Bland's smallest-index rule, taken in the dual, keeps it finite (Bland,
+Math. Oper. Res. 2, 1977).  The optimal value is unique, so it does not
+depend on the basis a gauge starts from.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, Sequence
 
 from .errors import WorkbenchError
-from .scalars import ONE, ZERO, Scalar, coerce, integer_row
 
 
 class Infeasible(WorkbenchError):
     """The constraint set A x = b, x >= 0 is empty."""
 
 
-class Unbounded(WorkbenchError):
-    """The objective decreases without bound on the feasible set."""
-
-
-class LPResult(NamedTuple):
-    value: Scalar
-    x: List[Scalar]
-
-
 class _IntTableau:
     """The equality-form tableau on integers: columns = variables +
     artificials, then rhs.
 
-    The rows are den * B^-1 [S L A | I | S L b], S = diag(`signs`) the start
-    rows' signs, `red` den times the reduced costs of the integer costs M c,
-    den = |det B| > 0, `scale` = L and `cost_scale` = M of the latest
-    pricing.  Values leave in the caller's units: x = rhs / den, an
-    artificial rhs / (den L).  `basis[i]` is the column currently basic in
-    row i; `red` is priced once per phase and then pivoted like the others.
-    Bland's rule: the entering column is the lowest-index one with negative
-    reduced cost, the leaving row breaks ratio ties by lowest basis column.
+    The rows are den * B^-1 [L A | I | L b], `red` den times the reduced
+    costs of the unit costs on the variables (zero on the artificials),
+    den = |det B| > 0 and `scale` = L.  `basis[i]` is the column currently
+    basic in row i.  Built on the artificial basis with rhs 0, where `red`
+    is the costs themselves.
     """
 
     def __init__(self, rows, nvars: int, scale: int):
-        """rows: the integer [L a_i | L b_i]."""
+        """rows: the integer L a_i, each of nvars entries."""
         self.nvars, self.nrows, self.ncols = nvars, len(rows), nvars + len(rows)
-        self.scale, self.den, self.signs = scale, 1, [-1 if r[nvars] < 0 else 1 for r in rows]
-        self.basis, self.rows = list(range(nvars, self.ncols)), []
-        for i, row in enumerate(rows):
-            if row[nvars] < 0:
-                row = [-v for v in row]
-            self.rows.append(row[:nvars] + [1 if k == i else 0 for k in range(self.nrows)]
-                             + row[nvars:])
-        self.red: List[int] = [0] * (self.ncols + 1)
+        self.scale, self.den = scale, 1
+        self.basis = list(range(nvars, self.ncols))
+        self.rows = [list(row) + [1 if k == i else 0 for k in range(self.nrows)] + [0]
+                     for i, row in enumerate(rows)]
+        self.red: List[int] = [1] * nvars + [0] * (self.nrows + 1)
 
     def pivot(self, row: int, col: int):
         """Bareiss step: the pivot row stays, every other row t (`red` too)
@@ -85,107 +75,40 @@ class _IntTableau:
         *self.rows, self.red = out
         self.den, self.basis[row] = q, col
 
-    def price(self, costs: Sequence[Scalar]):
-        nums, self.cost_scale = integer_row(dict(enumerate(costs)))
-        red = [self.den * nums.get(j, 0) for j in range(self.ncols)] + [0]
-        for row, bcol in zip(self.rows, self.basis):
-            f = nums.get(bcol)
-            if f:
-                red = [r - f * y for r, y in zip(red, row)]
-        self.red = red
 
-    def ratio_order(self, i: int, k: int, col: int) -> int:
-        """The sign of rhs_i / a_i,col - rhs_k / a_k,col, by cross-multiplication:
-        both pivots are > 0."""
-        ri, rk, n = self.rows[i], self.rows[k], self.ncols
-        d = ri[n] * rk[col] - rk[n] * ri[col]
-        return (d > 0) - (d < 0)
-
-    def minimize(self, costs: Sequence[Scalar], allowed: int):
-        """Bland iterations; only columns < `allowed` may enter."""
-        self.price(costs)
-        while True:
-            col = next((j for j in range(allowed) if self.red[j] < 0), None)
-            if col is None:
-                return
-            best = None
-            for i in range(self.nrows):
-                if not self.rows[i][col] > 0:
-                    continue
-                if best is not None:
-                    order = self.ratio_order(i, best, col)
-                    if order > 0 or (order == 0 and self.basis[i] > self.basis[best]):
-                        continue
-                best = i
-            if best is None:
-                raise Unbounded("improving column has no positive entries")
-            self.pivot(best, col)
-
-    def artificial_sum(self) -> Scalar:
-        """The phase-1 objective: the sum of the basic artificial values."""
-        return Fraction(sum(row[self.ncols] for row, bcol in zip(self.rows, self.basis)
-                            if bcol >= self.nvars), self.den * self.scale)
-
-    def result(self, costs: Sequence[Scalar]) -> LPResult:
-        """The basic solution and its cost under the phase-2 costs."""
-        x = [ZERO] * self.nvars
-        for row, bcol in zip(self.rows, self.basis):
-            if bcol < self.nvars:
-                x[bcol] = Fraction(row[self.ncols], self.den)
-        return LPResult(Fraction(-self.red[self.ncols], self.den * self.cost_scale), x)
-
-
-def solve_lp(c: Sequence[Scalar], a: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
-             scale: Optional[int] = None) -> LPResult:
-    """Minimize c.x over A x = b, x >= 0.  A caller may pass [A | b] already
-    scaled: the integers L A and L b, and `scale` = L > 0."""
-    return optimal_tableau(c, a, b, scale).result([coerce(v) for v in c])
-
-
-def optimal_tableau(c: Sequence[Scalar], a: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
-                    scale: Optional[int] = None) -> _IntTableau:
-    """`solve_lp`'s two phases: its tableau at the optimum."""
-    nvars, nrows, w = len(c), len(a), len(c) + 1
-    if scale is None:
-        rows = [[coerce(v) for v in (*a[i], b[i])] for i in range(nrows)]
-        nums, scale = integer_row(dict(enumerate(v for row in rows for v in row)))
-        rows = [[nums.get(i * w + j, 0) for j in range(w)] for i in range(nrows)]
-    else:
-        rows = [[*a[i], b[i]] for i in range(nrows)]
+def gauge_tableau(rows: Sequence[Sequence[int]], nvars: int, scale: int) -> _IntTableau:
+    """The tableau of min sum x over A x = b, x >= 0, optimal at b = 0 and so
+    dual feasible for every b.  rows: the integers L A, nvars columns each
+    (a disk whose generators are all zero has no rows), and `scale` = L > 0.
+    Drives each row's artificial out on the row's first non-zero column,
+    then minimizes by Bland's rule: the lowest-index column of negative
+    reduced cost enters, and, every ratio tying at 0, the row with the
+    lowest basic column among those positive in it leaves."""
     tab = _IntTableau(rows, nvars, scale)
-
-    # Phase 1: minimize the artificial sum; feasible iff it reaches zero.
-    phase1 = [ZERO] * nvars + [ONE] * tab.nrows
-    tab.minimize(phase1, allowed=tab.ncols)
-    infeas = tab.artificial_sum()
-    if infeas != 0:
-        raise Infeasible(f"phase 1 optimum {infeas} > 0")
-
-    # Drive lingering artificials out of the basis where possible.
     for i in range(tab.nrows):
-        if tab.basis[i] >= nvars:
-            col = next((j for j in range(nvars) if tab.rows[i][j]), None)
-            if col is not None:
-                tab.pivot(i, col)
-
-    # Phase 2: artificial columns may not re-enter.
-    phase2 = [coerce(v) for v in c] + [ZERO] * tab.nrows
-    tab.minimize(phase2, allowed=nvars)
-    return tab
+        col = next((j for j in range(nvars) if tab.rows[i][j]), None)
+        if col is not None:
+            tab.pivot(i, col)
+    while True:
+        col = next((j for j in range(nvars) if tab.red[j] < 0), None)
+        if col is None:
+            return tab
+        tab.pivot(min((i for i in range(tab.nrows) if tab.rows[i][col] > 0),
+                      key=tab.basis.__getitem__), col)
 
 
 def resolve(tab: _IntTableau, b: Sequence[int], bden: int) -> Fraction:
     """The optimum of the tableau's LP for the rhs b / bden, b integers,
-    by dual simplex from its optimal basis, dual feasible for every b.  Each
-    row t is its artificial block times [S L A | I | S L b], `red` too but
-    for den M c on the costs, zero on the artificials, so t's rhs is that
-    block times S L b.  A row whose basic column is an artificial must read
-    0, or b is outside the span of A.  Bland's rule in the dual: the leaving
-    row has the lowest basic column among the negative rhs, the entering
-    column the smallest red_j / -a_rj (cross-multiplied), lowest j on ties.
+    by dual simplex from its basis, dual feasible for every b.  Each row t
+    is its artificial block times [L A | I | L b], `red` too but for den
+    times the unit costs, zero on the artificials, so t's rhs is that block
+    times L b.  A row whose basic column is an artificial must read 0, or b
+    is outside the span of A.  Bland's rule in the dual: the leaving row
+    has the lowest basic column among the negative rhs, the entering column
+    the smallest red_j / -a_rj (cross-multiplied), lowest j on ties.
     Raises Infeasible; tab keeps its last basis for the next b."""
     n, nvars = tab.ncols, tab.nvars
-    lb = [s * tab.scale * v for s, v in zip(tab.signs, b)]
+    lb = [tab.scale * v for v in b]
     for t in tab.rows + [tab.red]:
         t[n] = sum(m * v for m, v in zip(t[nvars:n], lb) if v)
     if any(row[n] for row, bcol in zip(tab.rows, tab.basis) if bcol >= nvars):
@@ -193,7 +116,7 @@ def resolve(tab: _IntTableau, b: Sequence[int], bden: int) -> Fraction:
     while True:
         out = [i for i in range(tab.nrows) if tab.rows[i][n] < 0]
         if not out:
-            return Fraction(-tab.red[n], tab.den * tab.cost_scale * bden)
+            return Fraction(-tab.red[n], tab.den * bden)
         r = min(out, key=tab.basis.__getitem__)
         row, red, col = tab.rows[r], tab.red, None
         for j in range(nvars):

@@ -62,7 +62,7 @@ def _solution(lu: linalg.Bordered, dens: Sequence[Tuple[int, int]], column: Dict
     biorthogonality.  det A_m = Δ'_m / prod of fden·uden; only these values
     become Fractions.
     """
-    y = lu.back(1, [0] * (m - 1) + [lu.scale(m - 1)])
+    y = lu.back([0] * (m - 1) + [lu.scale(m - 1)])
     minor, fden = lu.pivots[m - 1], dens[m - 1][0]
     c = tuple(Fraction(uden * yj * fden, minor) for (_, uden), yj in zip(dens, y))
     v = _built(SparseVector, {i: Fraction(fden * column[r], minor)

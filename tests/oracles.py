@@ -36,7 +36,7 @@ from orbitlab.errors import NoSeparation, NotInSpan, SingularOperator
 from orbitlab.operators import BASE_IDENTITY
 from orbitlab.reports import Table
 from orbitlab.scalars import ONE, ZERO, format_scalar, parse
-from orbitlab.simplex import Infeasible, Unbounded
+from orbitlab.simplex import Infeasible
 from orbitlab.seminorms import L1, DiskSpec, SeminormSpec, dual_norm, minkowski
 from orbitlab.serialize import encode_pairs
 from orbitlab.vectors import CoordFunctional, SparseVector, combine
@@ -326,16 +326,16 @@ def solve(a, b):
     return [row[n] for row in red]
 
 
-def simplex(c, a, b, path=None):
-    """(value, x) minimizing c.x over A x = b, x >= 0 by the two-phase
-    Fraction tableau [A | I | b], a row with b_i < 0 negated, under Bland's
-    rule: the lowest-index column of negative reduced cost enters, the
-    lowest ratio leaves, ties to the lowest basic column.  The reduced costs
-    are priced from scratch before each pivot.  Phase 1 minimizes the sum of
-    the artificials; each artificial still basic after it leaves for the
-    first column of its row that is non-zero; phase 2 lets no artificial
-    enter.  Appends the basis after every pivot to `path`; raises Infeasible
-    and Unbounded with the texts of `simplex.solve_lp`."""
+def simplex(c, a, b):
+    """(value, x) minimizing c.x for costs c >= 0 over A x = b, x >= 0 by the
+    two-phase Fraction tableau [A | I | b], a row with b_i < 0 negated, under
+    Bland's rule: the lowest-index column of negative reduced cost enters,
+    the lowest ratio leaves, ties to the lowest basic column.  The reduced
+    costs are priced from scratch before each pivot.  Phase 1 minimizes the
+    sum of the artificials and raises Infeasible if it stays positive; each
+    artificial still basic after it leaves for the first column of its row
+    that is non-zero; phase 2 lets no artificial enter.  Costs >= 0 bound
+    the minimum below, so an entering column always has a positive entry."""
     nvars, nrows = len(c), len(a)
     ncols = nvars + nrows
     rows = []
@@ -344,7 +344,6 @@ def simplex(c, a, b, path=None):
         rows.append([sign * Fraction(v) for v in ai]
                     + [Fraction(int(k == i)) for k in range(nrows)] + [sign * Fraction(bi)])
     basis = list(range(nvars, ncols))
-    path = [] if path is None else path
 
     def pivot(r, col):
         rows[r] = [v / rows[r][col] for v in rows[r]]
@@ -352,7 +351,6 @@ def simplex(c, a, b, path=None):
             if i != r and row[col]:
                 rows[i] = [x - row[col] * y for x, y in zip(row, rows[r])]
         basis[r] = col
-        path.append(list(basis))
 
     def minimize(costs, allowed):
         while True:
@@ -366,8 +364,6 @@ def simplex(c, a, b, path=None):
                 if row[col] > 0 and (best is None or (row[ncols] / row[col], basis[i])
                                      < (rows[best][ncols] / rows[best][col], basis[best])):
                     best = i
-            if best is None:
-                raise Unbounded("improving column has no positive entries")
             pivot(best, col)
 
     minimize([0] * nvars + [1] * nrows, ncols)

@@ -213,6 +213,24 @@ class TestTasks:
         assert probes.rows[0][1] == "7"
         assert probes.rows[1][1] == "NOT_IN_SPAN"
 
+    def test_run_a_disk_whose_generators_are_all_zero(self, tmp_path):
+        """Generators that are all zero give a gauge tableau with no rows: each
+        generator gauges 0, a zero probe 0 and a non-zero probe NOT_IN_SPAN,
+        and the run passes."""
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({
+            "name": "zero", "scalar_mode": "exact", "window": 2, "seed": 0, "task": "disk",
+            "payload": {"generators": [[], [[1, "0"]]], "probes": [[[1, "1"]], []]},
+        }))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--format", "json",
+                     "--out", str(out_dir)]) == 0
+        report = json.loads((out_dir / "zero.json").read_text())
+        tables = {t["name"]: t["rows"] for t in report["tables"]}
+        assert report["passed"] is True
+        assert [row[2] for row in tables["generator-gauges"]] == ["0", "0"]
+        assert [row[1] for row in tables["probes"]] == ["NOT_IN_SPAN", "0"]
+
     def test_disk_common_scenario(self):
         grid = [sv(Fraction(i, 2), Fraction(j, 2)) for i in range(-2, 3) for j in range(-2, 3)]
         targets = [sv(0, 0), sv(1, 1), sv(-1, Fraction(1, 2))]

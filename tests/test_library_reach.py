@@ -21,9 +21,6 @@ KNOWN_UNREFERENCED = {
         "paper API exported only from __init__: the functional attaining p*(f)",
     "operators.conjugate_orbit":
         "paper API exported only from __init__: every A in Σ(X) is an orbit",
-    "simplex.solve_lp":
-        "the one-shot LP that the disk gauges, with `optimal_tableau` and `resolve`, no "
-        "longer call; the perfbench tracer hooks it for simplex.calls (ROADMAP item 1)",
     "operators.FiniteRankOperator.matrix_on":
         "named by the perfbench tracer's METHODS until ROADMAP item 1 drops it",
     "transport.TransportState.budget_used":

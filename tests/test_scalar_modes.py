@@ -250,12 +250,11 @@ def test_only_vectors_and_scalars_name_the_integer_form():
 
 # the functions outside `scalars` that scale a row with `integer_row` rather
 # than read a kept form through `integer_of`: a row handed to the tracer-named
-# `residual`, the simplex's costs and matrix, a generator disk's [G | -G],
+# `residual`, a generator disk's [G | -G] for its gauge tableau,
 # the triangular pass's rows, the premise's core and the witness's active rows,
 # whose columns are new images at every n
 SCALES_AFRESH = {
     "linalg.py": {"RowReducer.residual"},
-    "simplex.py": {"_IntTableau.price", "optimal_tableau"},
     "seminorms.py": {"minkowski"},
     "triangular.py": {"interleave_triangularize"},
     "hypercyclic.py": {"_integer_core", "transitivity_witness"},

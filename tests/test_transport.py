@@ -23,7 +23,7 @@ from orbitlab.errors import (
     StageFailure,
 )
 from orbitlab.operators import BASE_ZERO, GramFactor
-from orbitlab.scalars import ONE, coerce, integer_row, parse
+from orbitlab.scalars import ONE, integer_row, parse
 from orbitlab.scenarios import Scenario, run_scenario
 from orbitlab.seminorms import Separator
 from orbitlab.transport import (
@@ -90,7 +90,7 @@ class TestStepForward:
         assert (err.value.best, err.value.best_index) == (2, 1)
         assert type(err.value.best) is type(ONE)
         assert str(err.value) == (f"no pool element within {parse('1/4')} of the "
-                                  f"forward target; best distance {coerce(2)}")
+                                  f"forward target; best distance {parse('2')}")
 
     def test_first_pool_element_beyond_the_bound_is_passed_over(self):
         pool = [sv(5, 5), sv(frac(9, 10), frac(1, 10))]

@@ -18,7 +18,7 @@ from orbitlab.density import Enumeration
 from orbitlab.errors import NotInSpan
 from orbitlab.operators import BASE_ZERO, FiniteRankOperator
 from orbitlab.reports import CheckResult, Report, Table
-from orbitlab.scalars import MAX_DIGITS, coerce, integer_of
+from orbitlab.scalars import integer_of
 from orbitlab.seminorms import DiskSpec, SeminormSpec, dual_norm, first_below, minkowski
 from orbitlab.vectors import CoordFunctional, SparseVector
 
@@ -85,36 +85,6 @@ def test_a_value_equals_only_its_own_type():
     assert Enumeration([SparseVector.basis(1)]) != (SparseVector.basis(1),)
 
 
-def test_coerce_reads_rationals_exactly():
-    """The simplex's entry takes Fractions as they are and ints and text as
-    the Fractions they name."""
-    third = Fraction(1, 3)
-    assert coerce(third) is third
-    for value, want in ((7, Fraction(7)), ("-2/6", Fraction(-1, 3)), ("0.1", Fraction(1, 10))):
-        got = coerce(value)
-        assert type(got) is Fraction and got == want
-
-
-@pytest.mark.parametrize("value", [0.5, Decimal("0.5"), 0.5 + 0j, True],
-                         ids=["float", "decimal", "complex", "bool"])
-def test_coerce_refuses_what_is_not_exact(value):
-    """A float (or any number that is not an int or a Fraction) is refused,
-    not read as its binary value: the one mode has no lossy scalars.  A bool
-    is refused too, as the entry maps refuse it."""
-    with pytest.raises(TypeError, match="as an exact scalar"):
-        coerce(value)
-
-
-def test_coerce_reads_text_through_parse():
-    """Text has one reader: `coerce` and the simplex entry refuse what
-    `parse` refuses, such as a value too long for `format_scalar` to print."""
-    beyond = f"beyond the {MAX_DIGITS}-digit limit"
-    with pytest.raises(ValueError, match=beyond):
-        coerce("1e5000")
-    with pytest.raises(ValueError, match=beyond):
-        simplex.solve_lp(["1"], [["1"]], ["1e5000"])
-
-
 ENTRY_MAPS = {
     "vector": SparseVector,
     "functional": CoordFunctional,
@@ -123,13 +93,14 @@ ENTRY_MAPS = {
 }
 
 
-@pytest.mark.parametrize("value", [0.1, 0.0, True, False], ids=["float", "float-zero", "true", "false"])
+@pytest.mark.parametrize("value", [0.1, 0.0, True, False, Decimal("0.5"), 0.5 + 0j],
+                         ids=["float", "float-zero", "true", "false", "decimal", "complex"])
 @pytest.mark.parametrize("kind", list(ENTRY_MAPS))
 def test_entries_and_weights_refuse_floats_and_bools(kind, value):
     """An entry or weight that is not an int or a Fraction is refused, zero
-    or not, with its coordinate named: a float would be paired as a float but
-    read by the integer kernels as its binary value, and a bool would be
-    stored as it is."""
+    or not, with its coordinate named: a float (or any number that is not
+    an int or a Fraction) would be paired as itself but read by the integer
+    kernels as its binary value, and a bool would be stored as it is."""
     with pytest.raises(TypeError, match="at coordinate 3 is not an int or a Fraction"):
         ENTRY_MAPS[kind]({1: Fraction(1, 2), 3: value})
 
@@ -209,24 +180,27 @@ def test_a_seminorm_keeps_its_inverse_weights_outside_equality():
 
 
 def test_a_generator_disk_keeps_its_last_optimal_tableau_outside_equality():
-    """Only a generator gauge that is solved keeps a tableau, in
-    `_gauge_rows` beside the scaled [G | -G]; later gauges re-solve the same
-    tableau, and the disk still equals, hashes, copies and pickles as a
-    fresh one, without it."""
+    """The first non-zero gauge of a generator disk keeps one gauge tableau,
+    in `_gauge_rows` beside the row of each coordinate of the generators'
+    support, whether it is solved or refused; later gauges re-solve that
+    same tableau, and the disk still equals, hashes, copies and pickles as
+    a fresh one, without it."""
     gens = [SparseVector({1: Fraction(1, 2), 2: 1}), SparseVector({1: 1, 2: 2})]
     gauged, fresh = DiskSpec.from_generators(gens), DiskSpec.from_generators(gens)
     assert minkowski(gauged, SparseVector.zero()) == 0 and gauged._gauge_rows is None
-    for outside in (SparseVector({3: 1}), SparseVector({1: 1})):
-        with pytest.raises(NotInSpan):
-            minkowski(gauged, outside)
-        assert gauged._gauge_rows[2] is None
+    with pytest.raises(NotInSpan):
+        minkowski(gauged, SparseVector({3: 1}))
+    index, tab = gauged._gauge_rows
+    assert index == {1: 0, 2: 1} and isinstance(tab, simplex._IntTableau)
+    kept = gauged._gauge_rows
+    with pytest.raises(NotInSpan):
+        minkowski(gauged, SparseVector({1: 1}))
     assert minkowski(gauged, SparseVector({1: 1, 2: 2})) == 1
-    tab = gauged._gauge_rows[2]
-    assert isinstance(tab, simplex._IntTableau)
     assert minkowski(gauged, SparseVector({1: Fraction(-3, 5), 2: Fraction(-6, 5)})) == Fraction(3, 5)
     with pytest.raises(NotInSpan):
         minkowski(gauged, SparseVector({2: 1}))
-    assert gauged._gauge_rows[2] is tab and fresh._gauge_rows is None
+    assert gauged._gauge_rows is kept and gauged._gauge_rows[1] is tab
+    assert fresh._gauge_rows is None
     assert gauged == fresh and hash(gauged) == hash(fresh)
     for y in (copy.copy(gauged), copy.deepcopy(gauged), pickle.loads(pickle.dumps(gauged))):
         assert y == gauged and y._gauge_rows is None
