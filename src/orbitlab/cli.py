@@ -1,8 +1,8 @@
 """Command line entry: scenario runner plus direct per-task subcommands.
 
-`orbitlab run` executes scenario files (optionally in parallel and against a
-stored expected report); the other subcommands assemble a scenario from
-flags and files for one-off runs.  Exit code 0 means every check in every
+`orbitlab run` executes scenario files in turn, optionally against a stored
+expected report (`--jobs` is accepted and ignored); the other subcommands
+assemble a scenario from flags and files for one-off runs.  Exit code 0 means every check in every
 report passed, 1 that a check failed and 2 that an input was unusable; an
 unusable scenario in a batch is reported and the others still run.
 """

@@ -16,14 +16,15 @@ by `linalg.row_rank`, each nullspace one `linalg.RowReducer.of`, and an
 `linalg.Echelon` basis of the intersections.  When the v's and the f's are
 independent, the map is the k x k core G = F·V, scaled once to an integer
 matrix; otherwise it is S itself on the whole support, scaled to d·S.
-Either way its powers are integer column sums.  The witness
-tests nilpotency on the integer core F·P·V (P the window cut), since A·B and
-B·A are nilpotent together (Horn and Johnson, Matrix Analysis, 2nd ed.,
-2013, §1.3).  No matrix power of S is ever multiplied out.  `apply`, the
-weight-form disk gauge and the ranks work on integers and build a Fraction
-only for an entry of their result.  The witness's
-active-row solve is one `linalg.solve` on sparse rows, each row scaled
-afresh, since its columns are new images at every n.
+Either way its powers are integer column sums.  The witness searches the
+orbit of P·T·P, P the cut to the window, built once; `scenarios` replays the
+uncut T^n z.  It tests nilpotency on the integer core F·P·V of the cut,
+since A·B and B·A are nilpotent together (Horn and Johnson, Matrix
+Analysis, 2nd ed., 2013, §1.3).  No matrix power of S is ever multiplied
+out.  `apply`, the weight-form disk gauge and the ranks work on integers
+and build a Fraction only for an entry of their result.  The witness's
+active-row solve is one `linalg.solve` on sparse rows read off the integer
+forms its orbit keeps.
 """
 
 from __future__ import annotations
@@ -119,8 +120,8 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int) -
     change when G is scaled, so neither does any dimension reported.
     Otherwise the same loop (`_meets`) runs on d·S over the whole support
     (`_integer_map`).  Every rank reads integer forms (`integer_of`): the
-    independence tests those the v's and f's keep, the span that of each
-    basis vector.  The report compares the part of the accumulated span
+    independence tests those the v's and f's keep, the span's part above
+    the window that of each basis vector.  The report compares the part of the accumulated span
     lying inside the window against the window dimension.
     """
     s = t.linear_part()
@@ -132,38 +133,37 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int) -
             and linalg.independent(integer_of(f)[0] for f, _ in s.terms))
     if core:
         vs = [v for _, v in s.terms]
-        dims, basis = _meets(_integer_core(s, vs),
-                             [{j: 1} for j in range(1, len(vs) + 1)], depth, 1)
+        dims, basis = _meets(_integer_core(s), len(vs), depth, 1)
         union = [integer_of(combine((c, vs[i - 1]) for i, c in z.items()))[0] for z in basis]
     else:
-        dims, union = _meets(_integer_map(s), [{j: 1} for j in range(1, top + 1)], depth, 0)
+        dims, union = _meets(_integer_map(s), top, depth, 0)
     rows = [PremiseRow(n=n, dim_range=dim_range, dim_kernel=top - dim_range,
                        dim_intersection=dim_intersection)
             for n, (dim_range, dim_intersection) in enumerate(dims, start=1)]
-    # dim(U ∩ W) = dim U - dim(image of U in the coordinates above the window)
-    span_dim = linalg.row_rank(union)
+    # the basis is independent, and so is its image under the injective V:
+    # dim U = len(union), and dim(U ∩ W) = dim U - dim(its image above the window)
+    span_dim = len(union)
     above = linalg.row_rank({i: v for i, v in vec.items() if i > window} for vec in union)
     return PremiseReport(rows=rows, span_dim=span_dim, window_dim=window,
                          window_meet_dim=span_dim - above)
 
 
-def _meets(advance: Callable[[Column], Column], identity: List[Column], depth: int,
+def _meets(advance: Callable[[Column], Column], size: int, depth: int,
            shift: int) -> Tuple[List[Tuple[int, int]], List[Column]]:
     """Per n <= depth, (rank A^{n-s}, rank A^{n-s} - rank A^{2n-s}) for the map
     A on coordinates 1..size and s = `shift`, with a basis of the sum of the
     A^{n-s} null(A^{2n-s}).
 
     The powers are kept as the columns A^m e_j, sparse dicts starting from
-    the size columns of `identity`; `advance` maps a non-zero column of A^m
+    the unit columns e_1..e_size; `advance` maps a non-zero column of A^m
     to that of A^{m+1}, and a zero column stays zero.  A holds ints, and so
     does every power and basis vector.  Each nullspace is one
     `linalg.RowReducer.of` of the size sparse rows of A^{2n-s}; each of its
     vectors, read as a primitive integer row (`RowReducer.null_row`), mixes
     the columns of A^{n-s} by `_fold`.
     """
-    size = len(identity)
     # powers[m][j - 1] = A^m e_j, ranks[m] = rank A^m
-    powers = [identity]
+    powers = [[{j: 1} for j in range(1, size + 1)]]
     for _ in range(2 * depth - shift):
         powers.append([advance(col) if col else col for col in powers[-1]])
     ranks = {0: size}
@@ -188,25 +188,24 @@ def _meets(advance: Callable[[Column], Column], identity: List[Column], depth: i
     return dims, basis
 
 
-def _integer_core(s: FiniteRankOperator,
-                  vs: Sequence[SparseVector]) -> Callable[[Column], Column]:
-    """The k x k core G_ij = f_i(v_j) of the terms f_i of s and the given v_j,
-    scaled to an integer matrix d·G, as the map of a sparse
-    column on coordinates 1..k to its image under d·G.
+def _integer_core(s: FiniteRankOperator) -> Callable[[Column], Column]:
+    """The k x k core G_ij = f_i(v_j) of the terms f_i ⊗ v_j of s, scaled to
+    an integer matrix d·G, as the map of a sparse column on coordinates
+    1..k to its image under d·G.
 
     Each f_i and v_j gives its integer form kept by `integer_of`, each
     pairing is an integer dot product, and one `integer_row` scales G."""
-    k = len(vs)
+    k = len(s.terms)
     frows = [integer_of(f) for f, _ in s.terms]
     # G_ij flattened at (j - 1)·k + i - 1, column by column
     flat = {}
-    for j, v in enumerate(vs):
+    for j, (_, v) in enumerate(s.terms):
         vrow, vden = integer_of(v)
         for i in s.coord_index.hits(v):
             frow, fden = frows[i]
             if dot := _dot(frow, vrow):
                 flat[j * k + i] = Fraction(dot, fden * vden)
-    cols: List[Column] = [{} for _ in vs]
+    cols: List[Column] = [{} for _ in s.terms]
     for ji, x in integer_row(flat)[0].items():
         cols[ji // k][ji % k + 1] = x
     return lambda col: _fold((x, cols[l - 1]) for l, x in col.items())
@@ -243,75 +242,67 @@ def _fold(pairs: Iterable[Tuple[int, Column]]) -> Column:
 def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector,
                          eps: Scalar, max_n: int, p: SeminormSpec,
                          window: int) -> Tuple[int, SparseVector]:
-    """Search for (n, z) with p(z - x) < eps and p(T^n z - y) < eps.
+    """Search for (n, z) with p(z - x) < eps and p((P·T·P)^n z - y) < eps,
+    P the cut to the window coordinates 1..window.
 
-    The correction z - x lives in the window coordinates outside the active
-    set of p (the free directions of the seminorm, the top of the chain);
-    applying T^n cascades it into the active rows, which are solved exactly.
-    T acts cut to the window: every `apply` is followed by restriction to
-    coordinates 1..window, so the n-th step is (P T P)^n with P the window
-    projection.  Raises NotNilpotent when S = `t.linear_part()` is not nilpotent
-    on the window, WitnessNotFound with the best (n, residual) on failure.
+    The orbit is that of P·T·P, built once from the terms f_j ⊗ P v_j;
+    `scenarios` replays the uncut T^n z.  z - x lives in the window
+    coordinates outside active(p) (the top of the chain), so p(z - x) = 0;
+    the orbit carries it into the active rows, where y - (P·T·P)^n x is
+    solved exactly, or z = x when it cannot be.  One residual,
+    p((P·T·P)^n z - y), decides each n.  Raises NotNilpotent when
+    S = `t.linear_part()` is not nilpotent on the window, WitnessNotFound
+    with the best (n, residual), never below eps, on failure.
 
-    S = V·F is nilpotent on the window when P·S·P = (P·V)(F·P) is, that is,
-    since (AB)^{m+1} = A(BA)^m B, when the k x k core F·P·V with entries
-    f_i(P v_j) is; (F·P·V)^k = 0 is tested on integer columns, with no
-    condition on the terms.
+    With T^n e_j = N_j / d_j, T^n x = X / xd and y = Y / yd their kept
+    integer forms (`integer_of`), the active rows solve N·c' = xd·Y - yd·X,
+    and c_j = d_j·c'_j / (xd·yd): scaling a column leaves the pivot columns
+    of the reduced form, and so z, unchanged.
+
+    P·S·P = (P·V)(F·P) is nilpotent when, since (AB)^{m+1} = A(BA)^m B, the
+    k x k core F·P·V with entries f_i(P v_j) is; (F·P·V)^k = 0 is tested on
+    integer columns, with no condition on the terms.
     """
     indices = range(1, window + 1)
-
-    def step(op: FiniteRankOperator, v: SparseVector) -> SparseVector:
-        return op.apply(v).restrict(indices)
-
-    s = t.linear_part()
-    k = len(s.terms)
-    core = _integer_core(s, [v.restrict(indices) for _, v in s.terms])
-    columns = [{j: 1} for j in range(1, k + 1)]
-    for _ in range(k):
+    cut = FiniteRankOperator(t.base, tuple((f, v.restrict(indices)) for f, v in t.terms))
+    core = _integer_core(cut.linear_part())
+    columns = [{j: 1} for j in range(1, len(cut.terms) + 1)]
+    for _ in cut.terms:
         columns = [w for w in map(core, columns) if w]
     if columns:
         raise NotNilpotent("witness search needs a nilpotent chain part on the window")
 
     active_rows = [i for i in indices if i in p.weights]
     free_cols = [i for i in indices if i not in p.weights]
+    k = len(free_cols)
+    yrow, yd = integer_of(y)
 
-    res0 = eval_seminorm(p, x - y)
-    if res0 < eps:
+    best_n, best_res = 0, eval_seminorm(p, x - y)
+    if best_res < eps:
         return 0, x
-    best_n, best_res = 0, res0
-
-    # T^n x and T^n e_j for the free columns j, all cut to the window
+    # (P·T·P)^n x and (P·T·P)^n e_j for the free columns j
     tnx = x.restrict(indices)
     tne = [SparseVector.basis(j) for j in free_cols]
     for n in range(1, max_n + 1):
-        tnx = step(t, tnx)
-        tne = [step(t, v) for v in tne]
-        gap = [y.get(i) - tnx.get(i) for i in active_rows]
-        # sol maps the position of a free column to its non-zero coefficient,
-        # solved for the augmented column k; None when the active rows cannot be met
-        k, sol = len(free_cols), None
-        if k:
-            solved = linalg.solve(
-                [integer_row({c: v.entries[i] for c, v in enumerate(tne) if i in v.entries}
-                             | {k: g})[0]
-                 for i, g in zip(active_rows, gap)], k)
-            if solved is not None:
-                sol = {pc: row[0] for pc, row in solved.items() if row}
-        if sol is None:
-            residual = SparseVector({i: g for i, g in zip(active_rows, gap) if g})
-            drift = eval_seminorm(p, residual)
-            if drift < best_res:
-                best_n, best_res = n, drift
-            continue
-        z = x + SparseVector({free_cols[pc]: c for pc, c in sol.items()})
-        res_x = eval_seminorm(p, z - x)
-        image = combine(((c, tne[pc]) for pc, c in sol.items()), tnx)
-        res_y = eval_seminorm(p, image - y)
-        worst = max(res_x, res_y)
-        if res_x < eps and res_y < eps:
-            return n, z
-        if worst < best_res:
-            best_n, best_res = n, worst
+        tnx = cut.apply(tnx)
+        tne = [cut.apply(v) for v in tne]
+        xrow, xd = integer_of(tnx)
+        forms = [integer_of(v) for v in tne]
+        rows = []
+        for i in active_rows:
+            row = {c: r[i] for c, (r, _) in enumerate(forms) if i in r}
+            if gap := xd * yrow.get(i, 0) - yd * xrow.get(i, 0):
+                row[k] = gap
+            rows.append(row)
+        # the position of each free column mapped to its non-zero coefficient;
+        # none when the active rows cannot be met
+        sol = {pc: c[0] * forms[pc][1] / (xd * yd)
+               for pc, c in (linalg.solve(rows, k) or {}).items() if c}
+        res = eval_seminorm(p, combine(((c, tne[pc]) for pc, c in sol.items()), tnx) - y)
+        if res < eps:
+            return n, x + SparseVector({free_cols[pc]: c for pc, c in sol.items()})
+        if res < best_res:
+            best_n, best_res = n, res
     raise WitnessNotFound(best_n, best_res)
 
 

@@ -13,8 +13,9 @@
   a time: the Gram system of a growing identity-plus-finite-rank operator.
   Every step is an exact integer division that skips zeros.
 - `Bareiss`, a right-looking pass over a dense integer matrix on pivots the
-  caller picks, kept as the `Bordered` factor of the picked block: the
-  triangularization's greedy picks, minors, combined vectors and basis check.
+  caller picks, kept as the transposed upper factor and the pivots of the
+  picked block: the triangularization's greedy picks, minors, combined
+  vectors and basis check.
 
 `RowReducer`, `Echelon` and `solve` take integer rows, dicts of non-zero
 ints, and change none: a scaled row has the same rank and row space, so a
@@ -307,22 +308,23 @@ class Bordered:
 
 class Bareiss(Bordered):
     """A right-looking fraction-free elimination of a dense integer matrix on
-    pivots the caller picks, kept as the `Bordered` factor of the picked block.
+    pivots the caller picks, kept as the pivots and the transposed upper
+    factor, lower[1], of the picked block's `Bordered` factor.
 
     `rows` maps each unpicked row to its entries a⁽ⁿ⁾ at the unpicked columns
     `cols`, both in ascending order, after n picks.  By Sylvester's identity
     a⁽ⁿ⁾(i, j) is the minor of the picked rows and columns bordered by row i
     and column j, so each pivot is the next leading minor.  A step
-    a⁽ⁿ⁺¹⁾ = (p·a⁽ⁿ⁾ − l·u) / Δ_n divides exactly.  Pivot column and row, read
-    at the rows and columns picked later, join lower[0] and lower[1].
+    a⁽ⁿ⁺¹⁾ = (p·a⁽ⁿ⁾ − l·u) / Δ_n divides exactly.  Each pivot row, read at
+    the columns picked later, joins lower[1], all that `back` reads;
+    lower[0] stays empty.
     """
 
     def __init__(self, matrix: Sequence[Sequence[int]]):
         super().__init__()
         self.rows = {i: list(row) for i, row in enumerate(matrix)}
         self.cols = list(range(len(matrix[0]) if matrix else 0))
-        # each unpicked row's entries in the pivot columns, each pivot row by column
-        self._left: Dict[int, Dict[int, int]] = {i: {} for i in self.rows}
+        # each pivot row by column
         self._done: List[Dict[int, int]] = []
 
     def in_row(self, r: int) -> Optional[int]:
@@ -339,19 +341,20 @@ class Bareiss(Bordered):
         column from every other unpicked row.  Return that column as it
         stood: row r and each other unpicked row non-zero there, mapped to
         its entry a⁽ⁿ⁾(i, c)."""
-        n, pos = len(self.pivots), self.cols.index(c)
-        u, prev = self.rows.pop(r), self.scale(n)
+        pos = self.cols.index(c)
+        u, prev = self.rows.pop(r), self.scale(len(self.pivots))
         p = u.pop(pos)
         column = {r: p}
         del self.cols[pos]
         for i, row in self.rows.items():
             b = row.pop(pos)
             if b:
-                column[i] = self._left[i][n] = b
+                column[i] = b
                 self.rows[i] = [(p * x - b * y) // prev for x, y in zip(row, u)]
             else:
                 self.rows[i] = [p * x // prev for x in row]
-        self.append(self._left.pop(r), {k: d[c] for k, d in enumerate(self._done) if d[c]}, p)
+        self.lower[1].append({k: d[c] for k, d in enumerate(self._done) if d[c]})
+        self.pivots.append(p)
         self._done.append(dict(zip(self.cols, u)))
         return column
 

@@ -21,8 +21,8 @@ row space of the basis, so the finished pass has full column rank exactly
 when the basis is independent.
 
 The work is done on integers (fraction-free arithmetic).  Each functional
-and basis vector is scaled once to an integer row over its denominator
-(`scalars.integer_row`), and the pass runs on their pairings,
+and basis vector is read as the integer row over its denominator that it
+keeps (`scalars.integer_of`), and the pass runs on their pairings,
 A' = D_f·A·D_u for D_f and D_u the denominators: its pivots are the leading
 minors Δ'_k of A', and `_solution` back-substitutes over its pivot rows.
 A Fraction is built only for a minor, a coefficient or an entry of v_m.
@@ -37,7 +37,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 from . import linalg
 from .errors import Exhausted, LinearlyDependent
 from .operators import BASE_ZERO, FiniteRankOperator
-from .scalars import Scalar, integer_row
+from .scalars import Scalar, integer_of
 from .vectors import CoordFunctional, SparseVector, _built, _dot
 
 # The driver refuses to start without this much slack beyond the prefix it
@@ -109,7 +109,7 @@ def interleave_triangularize(basis: Sequence[SparseVector],
             f"prefix of length {target} needs at least {target} basis vectors "
             f"and {target + WINDOW_MARGIN} functionals"
         )
-    fs, us = [integer_row(f.entries) for f in funcs], [integer_row(u.entries) for u in basis]
+    fs, us = [integer_of(f) for f in funcs], [integer_of(u) for u in basis]
     rows = [[_dot(f, u) for u, _ in us] for f, _ in fs]
     # the pass row reading each basis coordinate: a unit functional on it (two
     # equal rows read the same, and one is zero once the other is picked), or

@@ -456,6 +456,30 @@ class TestCli:
         assert code == 0
         assert "result: PASS" in capsys.readouterr().out
 
+    def test_run_a_witness_with_no_free_column(self, tmp_path, capsys):
+        """Every window coordinate is active, so no column is free, and
+        T = I + δ_2 ⊗ e_1 maps x = e_2 onto y = e_1 + e_2: the witness is
+        n = 1 with z = x, both residuals 0."""
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps({
+            "name": "unfree-witness", "scalar_mode": "exact", "window": 3, "seed": 0,
+            "task": "hypercyclic",
+            "payload": {
+                "mode": "witness",
+                "operator": {"base": "identity", "terms": [
+                    {"f": serialize.encode_pairs(sv(0, 1)), "v": serialize.encode_pairs(sv(1))}]},
+                "x": serialize.encode_pairs(sv(0, 1)),
+                "y": serialize.encode_pairs(sv(1, 1)),
+                "p": {"kind": "sup", "weights": [[i, "1"] for i in range(1, 4)]},
+                "eps": "1/1000",
+                "max_n": 8,
+            },
+        }))
+        assert main(["run", "--scenario", str(path), "--format", "text"]) == 0
+        out = capsys.readouterr().out
+        assert "-- witness --\nn | residual_x | residual_y\n1 | 0 | 0\n" in out
+        assert "result: PASS" in out
+
     @pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=SUBCOMMAND_IDS)
     def test_subcommand_validates_the_window(self, tmp_path, capsys, argv):
         path = tmp_path / "empty.json"

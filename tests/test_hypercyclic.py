@@ -302,9 +302,9 @@ class TestPremiseOracle:
         taken = {"core": 0, "ambient": 0}
         run = hypercyclic._meets
 
-        def counted(advance, identity, depth, shift):
+        def counted(advance, size, depth, shift):
             taken["core" if shift else "ambient"] += 1
-            return run(advance, identity, depth, shift)
+            return run(advance, size, depth, shift)
         monkeypatch.setattr(hypercyclic, "_meets", counted)
         return taken
 
@@ -458,16 +458,13 @@ def test_corpus_shift_lab_takes_the_fast_paths(monkeypatch, seed):
         witness.append("seminorm")
         return seminorm(*args)
 
-    def spied_meets(advance, identity, depth, shift):
+    def spied_meets(advance, size, depth, shift):
         def typed(col):
             out = advance(col)
             kinds.update(type(x) for x in out.values())
             return out
         cores.append(shift)
-        if shift:
-            kinds.update(type(x) for col in identity for x in col.values())
-            return meets(typed, identity, depth, shift)
-        return meets(advance, identity, depth, shift)
+        return meets(typed if shift else advance, size, depth, shift)
 
     monkeypatch.setattr(Separator, "of", classmethod(spied_of))
     monkeypatch.setattr(FiniteRankOperator, "apply", spied_apply)
@@ -578,21 +575,22 @@ class TestWitnessNilpotency:
 
 
 def dense_witness(t, x, y, eps, max_n, p, window):
-    """Witness search on powers of the dense window matrix of T."""
+    """Witness search on powers of the dense window matrix of T: at each
+    n <= max_n, z is x plus any solution on the free columns of the active
+    rows, or x when they have none."""
     indices = list(range(1, window + 1))
     active = [i for i in indices if i in p.weights]
     free = [i for i in indices if i not in p.weights]
     t_mat = t.matrix_on(indices)
     power = oracles.identity_matrix(window)
     x_col = [x.get(i) for i in indices]
-    for n in range(1, max_n + 1):
-        power = oracles.mat_mul(power, t_mat)
+    for n in range(max_n + 1):
+        if n:
+            power = oracles.mat_mul(power, t_mat)
         tnx = oracles.mat_vec(power, x_col)
         sol = oracles.solve_any([[power[i - 1][j - 1] for j in free] for i in active],
                                 [y.get(i) - tnx[i - 1] for i in active])
-        if sol is None:
-            continue
-        z = x + SparseVector(dict(zip(free, sol)))
+        z = x + SparseVector(dict(zip(free, sol or [])))
         image = SparseVector(dict(zip(indices, oracles.mat_vec(power, [z.get(i) for i in indices]))))
         if eval_seminorm(p, z - x) < eps and eval_seminorm(p, image - y) < eps:
             return n, z
@@ -688,6 +686,73 @@ class TestTransitivityWitness:
         with pytest.raises(NotNilpotent):
             transitivity_witness(t, sv(1), sv(2), frac(1, 10), 4,
                                  SeminormSpec.sup_on([1]), window=2)
+
+
+class TestWitnessResidual:
+    """One residual, p((P·T·P)^n z - y), decides each n, whether or not the
+    active rows can be met, so no search reports WitnessNotFound with a
+    residual below eps."""
+
+    window = 3
+    # T = I + δ_2 ⊗ e_1: T e_2 = e_1 + e_2, and e_1 and e_3 stay fixed
+    t = FiniteRankOperator(BASE_IDENTITY, ((CoordFunctional.delta(2), SparseVector.basis(1)),))
+
+    def test_no_free_column_and_an_exact_image(self):
+        """Every window coordinate is active, so no column is free; T x = y,
+        so n = 1 with z = x."""
+        x = SparseVector.basis(2)
+        assert transitivity_witness(self.t, x, sv(1, 1), frac(1, 1000), 8,
+                                    SeminormSpec.sup_on([1, 2, 3]), self.window) == (1, x)
+
+    def test_unmet_rows_within_eps(self):
+        """The free coordinate 3 never reaches the active rows, so they
+        cannot be met, yet z = x leaves p(T x - y) = 1/10000 < eps."""
+        x, y = SparseVector.basis(2), sv(frac(10001, 10000), 1)
+        assert transitivity_witness(self.t, x, y, frac(1, 1000), 8,
+                                    SeminormSpec.sup_on([1, 2]), self.window) == (1, x)
+
+    def test_random_nilpotent_chains_match_the_dense_oracle(self):
+        """On seeded chains whose cut is nilpotent, the search returns the
+        dense oracle's (n, z), and WitnessNotFound, raised only where the
+        oracle finds nothing, carries a best residual of at least eps.  Half
+        the targets are a cut image of x moved by less than eps on an active
+        row, which the free columns often cannot absorb."""
+        rng = random.Random(4519)
+        chains = TestWitnessNilpotency()
+
+        def entries(coords):
+            return {i: frac(rng.randint(-4, 4), rng.choice([1, 2, 3])) for i in coords}
+
+        tally = {"n = 0": 0, "n > 0": 0, "z = x, n > 0": 0, "not found": 0}
+        for _ in range(160):
+            window = rng.randint(2, 5)
+            top = window + rng.randint(0, 2)
+            indices = range(1, window + 1)
+            t = FiniteRankOperator(rng.choice([BASE_IDENTITY, BASE_ZERO]),
+                                   tuple(chains.cut_triangular_terms(rng, window, top)))
+            active = rng.sample(indices, rng.randint(1, window))
+            p = SeminormSpec(rng.choice(["sup", "l1"]),
+                             {i: frac(rng.randint(1, 3), rng.choice([1, 2])) for i in active})
+            x = SparseVector(entries(rng.sample(range(1, top + 1), rng.randint(1, top))))
+            eps = frac(1, rng.choice([10, 100, 1000]))
+            if rng.random() < 0.5:
+                y = x.restrict(indices)
+                for _ in range(rng.randint(0, 3)):
+                    y = t.apply(y).restrict(indices)
+                y = y + SparseVector({rng.choice(active): eps / rng.choice([-3, 2, 5])})
+            else:
+                y = SparseVector(entries(rng.sample(indices, rng.randint(0, window))))
+            max_n = rng.randint(0, 5)
+            expected = dense_witness(t, x, y, eps, max_n, p, window)
+            try:
+                n, z = transitivity_witness(t, x, y, eps, max_n, p, window)
+            except WitnessNotFound as err:
+                assert expected is None and err.best_residual >= eps
+                tally["not found"] += 1
+                continue
+            assert (n, z) == expected
+            tally["n = 0" if n == 0 else "z = x, n > 0" if z == x else "n > 0"] += 1
+        assert min(tally.values()) >= 15, tally
 
 
 class TestOmegaShiftDemo:

@@ -391,8 +391,8 @@ def test_bordered_factor_pivots_and_solves():
 def test_bareiss_pass_is_the_bordered_factor_of_its_pivots():
     """A `Bareiss` pass on pivots picked at random: each unpicked entry is the
     minor of the picks bordered by its row and column (Sylvester's identity),
-    the factor is `Bordered`'s of the picked block in pick order, and the
-    finished pass counts the rank."""
+    its transposed upper factor and pivots are `Bordered`'s of the picked
+    block in pick order, and the finished pass counts the rank."""
     rng = random.Random(37)
     for _ in range(40):
         a = [[int(10 * v) for v in row]
@@ -408,7 +408,7 @@ def test_bareiss_pass_is_the_bordered_factor_of_its_pivots():
             for i, row in elim.rows.items():
                 assert row == [block_det(a, rows + [i], cols + [j]) for j in elim.cols]
         lu = bordered([[a[r][c] for _, c in picks] for r, _ in picks])
-        assert (elim.lower, elim.pivots) == (lu.lower, lu.pivots)
+        assert (elim.lower[1], elim.pivots) == (lu.lower[1], lu.pivots)
         assert elim.rank() == oracles.rank(a)
 
 

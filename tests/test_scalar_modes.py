@@ -250,14 +250,12 @@ def test_only_vectors_and_scalars_name_the_integer_form():
 
 # the functions outside `scalars` that scale a row with `integer_row` rather
 # than read a kept form through `integer_of`: a row handed to the tracer-named
-# `residual`, a generator disk's [G | -G] for its gauge tableau,
-# the triangular pass's rows, the premise's core and the witness's active rows,
-# whose columns are new images at every n
+# `residual`, a generator disk's [G | -G] for its gauge tableau and the core
+# of the premise and of the witness's nilpotency test
 SCALES_AFRESH = {
     "linalg.py": {"RowReducer.residual"},
     "seminorms.py": {"minkowski"},
-    "triangular.py": {"interleave_triangularize"},
-    "hypercyclic.py": {"_integer_core", "transitivity_witness"},
+    "hypercyclic.py": {"_integer_core"},
 }
 
 
