@@ -16,15 +16,14 @@ by `linalg.row_rank`, each nullspace one `linalg.RowReducer.of`, and an
 `linalg.Echelon` basis of the intersections.  When the v's and the f's are
 independent, the map is the k x k core G = F·V, scaled once to an integer
 matrix; otherwise it is S itself on the whole support, scaled to d·S.
-Either way its powers are integer column sums.  The witness searches the
-orbit of P·T·P, P the cut to the window, built once; `scenarios` replays the
-uncut T^n z.  It tests nilpotency on the integer core F·P·V of the cut,
-since A·B and B·A are nilpotent together (Horn and Johnson, Matrix
-Analysis, 2nd ed., 2013, §1.3).  No matrix power of S is ever multiplied
-out.  `apply`, the weight-form disk gauge and the ranks work on integers
-and build a Fraction only for an entry of their result.  The witness's
-active-row solve is one `linalg.solve` on sparse rows read off the integer
-forms its orbit keeps.
+Either way its powers are integer column sums.  The witness steps T's own
+orbit, which `scenarios` replays, as integer columns of d·T
+(`_integer_map`), one `linalg.solve` of its active rows a step; it tests
+nilpotency on the integer core F·P·V of the window cut P, since A·B and
+B·A are nilpotent together (Horn and Johnson, Matrix Analysis, 2nd ed.,
+2013, §1.3).  No matrix power of S is ever multiplied out.  `apply`, the
+weight-form disk gauge and the ranks work on integers and build a Fraction
+only for an entry of their result.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 from . import linalg
 from .density import Enumeration, biorthogonalize
 from .errors import NotNested, NotNilpotent, NotPIndependent, WitnessNotFound
-from .operators import BASE_ZERO, FiniteRankOperator, orbit
+from .operators import BASE_IDENTITY, BASE_ZERO, FiniteRankOperator, orbit
 from .scalars import ONE, Scalar, integer_of, integer_row
 from .seminorms import (
     DiskSpec,
@@ -136,7 +135,7 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int) -
         dims, basis = _meets(_integer_core(s), len(vs), depth, 1)
         union = [integer_of(combine((c, vs[i - 1]) for i, c in z.items()))[0] for z in basis]
     else:
-        dims, union = _meets(_integer_map(s), top, depth, 0)
+        dims, union = _meets(_integer_map(s)[1], top, depth, 0)
     rows = [PremiseRow(n=n, dim_range=dim_range, dim_kernel=top - dim_range,
                        dim_intersection=dim_intersection)
             for n, (dim_range, dim_intersection) in enumerate(dims, start=1)]
@@ -211,18 +210,28 @@ def _integer_core(s: FiniteRankOperator) -> Callable[[Column], Column]:
     return lambda col: _fold((x, cols[l - 1]) for l, x in col.items())
 
 
-def _integer_map(s: FiniteRankOperator) -> Callable[[Column], Column]:
-    """S = sum_j v_j ⊗ f_j scaled to an integer map d·S, as the map of an
-    integer sparse column x to its image.  With f_j = F_j / a_j and
-    v_j = V_j / b_j in their integer forms (`integer_of`) and d the lcm of
-    the a_j·b_j, d·S x = sum_j (F_j·x) W_j for the integer columns
-    W_j = V_j·d / (a_j·b_j)."""
-    forms = [integer_of(f) for f, _ in s.terms]
-    vrows = [integer_of(v) for _, v in s.terms]
+def _integer_map(t: FiniteRankOperator) -> Tuple[int, Callable[[Column], Column]]:
+    """d and the map x -> d·T x of integer columns, for T = base +
+    sum_j v_j ⊗ f_j.  With f_j = F_j / a_j and v_j = V_j / b_j in their
+    integer forms (`integer_of`) and d the lcm of the a_j·b_j,
+    d·T x = d·base(x) + sum_j (F_j·x) W_j, W_j = V_j·d / (a_j·b_j); the F_j·x
+    are one `_fold` of the columns of F's transpose at x's coordinates."""
+    forms = [integer_of(f) for f, _ in t.terms]
+    vrows = [integer_of(v) for _, v in t.terms]
     d = lcm(*[a * b for (_, a), (_, b) in zip(forms, vrows)])
-    terms = [(frow, {i: x * (d // (a * b)) for i, x in vrow.items()})
-             for (frow, a), (vrow, b) in zip(forms, vrows)]
-    return lambda col: _fold((c, w) for frow, w in terms if (c := _dot(frow, col)))
+    ws = [{i: x * (d // (a * b)) for i, x in vrow.items()}
+          for (_, a), (vrow, b) in zip(forms, vrows)]
+    ft: Dict[int, Column] = {}
+    for j, (frow, _) in enumerate(forms):
+        for i, x in frow.items():
+            ft.setdefault(i, {})[j] = x
+    identity = t.base == BASE_IDENTITY
+
+    def step(col: Column) -> Column:
+        fx = _fold((x, ft[i]) for i, x in col.items() if i in ft)
+        pairs = [(c, ws[j]) for j, c in fx.items()]
+        return _fold([(d, col)] + pairs if identity else pairs)
+    return d, step
 
 
 def _fold(pairs: Iterable[Tuple[int, Column]]) -> Column:
@@ -242,65 +251,56 @@ def _fold(pairs: Iterable[Tuple[int, Column]]) -> Column:
 def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector,
                          eps: Scalar, max_n: int, p: SeminormSpec,
                          window: int) -> Tuple[int, SparseVector]:
-    """Search for (n, z) with p(z - x) < eps and p((P·T·P)^n z - y) < eps,
-    P the cut to the window coordinates 1..window.
+    """Search for (n, z) with p(z - x) < eps and p(T^n z - y) < eps, z - x on
+    the free columns (window coordinates outside active(p)): p(z - x) = 0.
 
-    The orbit is that of P·T·P, built once from the terms f_j ⊗ P v_j;
-    `scenarios` replays the uncut T^n z.  z - x lives in the window
-    coordinates outside active(p) (the top of the chain), so p(z - x) = 0;
-    the orbit carries it into the active rows, where y - (P·T·P)^n x is
-    solved exactly, or z = x when it cannot be.  One residual,
-    p((P·T·P)^n z - y), decides each n.  Raises NotNilpotent when
-    S = `t.linear_part()` is not nilpotent on the window, WitnessNotFound
-    with the best (n, residual), never below eps, on failure.
+    T's own orbit, which `scenarios` replays, carries z - x into active(p),
+    where y - T^n x is solved exactly, or z = x when it cannot be.  Raises
+    NotNilpotent when the chain part is not nilpotent on the window,
+    WitnessNotFound with the best (n, residual), never below eps, on
+    failure.  With x = X / xd and y = Y / yd (`integer_of`), the orbit is
+    the integer columns d^n·xd·T^n x and N_j = d^n·T^n e_j, stepped by d·T
+    (`_integer_map`); active(p)'s rows solve N·c' = d^n·xd·Y - yd·X, and
+    c = c' / (xd·yd).
 
-    With T^n e_j = N_j / d_j, T^n x = X / xd and y = Y / yd their kept
-    integer forms (`integer_of`), the active rows solve N·c' = xd·Y - yd·X,
-    and c_j = d_j·c'_j / (xd·yd): scaling a column leaves the pivot columns
-    of the reduced form, and so z, unchanged.
-
-    P·S·P = (P·V)(F·P) is nilpotent when, since (AB)^{m+1} = A(BA)^m B, the
-    k x k core F·P·V with entries f_i(P v_j) is; (F·P·V)^k = 0 is tested on
-    integer columns, with no condition on the terms.
+    The gate reads the chain part cut to the window, P·S·P = (P·V)(F·P): the
+    search is exact for any T, but the chain it rests on lives in the
+    window; a term above it, even a direction T fixes, is left to the
+    replay.  P·S·P is nilpotent when the k x k core F·P·V is, since
+    (AB)^{m+1} = A(BA)^m B; (F·P·V)^k = 0 is tested on integer columns.
     """
     indices = range(1, window + 1)
-    cut = FiniteRankOperator(t.base, tuple((f, v.restrict(indices)) for f, v in t.terms))
-    core = _integer_core(cut.linear_part())
-    columns = [{j: 1} for j in range(1, len(cut.terms) + 1)]
-    for _ in cut.terms:
+    core = _integer_core(FiniteRankOperator(
+        BASE_ZERO, tuple((f, v.restrict(indices)) for f, v in t.terms)))
+    columns = [{j: 1} for j in range(1, len(t.terms) + 1)]
+    for _ in t.terms:
         columns = [w for w in map(core, columns) if w]
     if columns:
         raise NotNilpotent("witness search needs a nilpotent chain part on the window")
 
-    active_rows = [i for i in indices if i in p.weights]
-    free_cols = [i for i in indices if i not in p.weights]
-    k = len(free_cols)
-    yrow, yd = integer_of(y)
-
     best_n, best_res = 0, eval_seminorm(p, x - y)
     if best_res < eps:
         return 0, x
-    # (P·T·P)^n x and (P·T·P)^n e_j for the free columns j
-    tnx = x.restrict(indices)
-    tne = [SparseVector.basis(j) for j in free_cols]
+    free_cols = [i for i in indices if i not in p.weights]
+    d, step = _integer_map(t)
+    yrow, yd = integer_of(y)
+    tnx, xd = integer_of(x)
+    tne = [{j: 1} for j in free_cols]
     for n in range(1, max_n + 1):
-        tnx = cut.apply(tnx)
-        tne = [cut.apply(v) for v in tne]
-        xrow, xd = integer_of(tnx)
-        forms = [integer_of(v) for v in tne]
-        rows = []
-        for i in active_rows:
-            row = {c: r[i] for c, (r, _) in enumerate(forms) if i in r}
-            if gap := xd * yrow.get(i, 0) - yd * xrow.get(i, 0):
-                row[k] = gap
-            rows.append(row)
-        # the position of each free column mapped to its non-zero coefficient;
-        # none when the active rows cannot be met
-        sol = {pc: c[0] * forms[pc][1] / (xd * yd)
-               for pc, c in (linalg.solve(rows, k) or {}).items() if c}
-        res = eval_seminorm(p, combine(((c, tne[pc]) for pc, c in sol.items()), tnx) - y)
+        tnx, tne, dn = step(tnx), [step(col) for col in tne], xd * d ** n
+        # the columns N_j, then d^n·xd·yd·(y - T^n x)
+        cols = tne + [_fold([(dn, yrow), (-yd, tnx)])]
+        sol = linalg.solve([{c: col[i] for c, col in enumerate(cols) if i in col}
+                            for i in sorted(p.weights)], len(tne))
+        if sol is not None:
+            return n, x + SparseVector({free_cols[pc]: c[0] / (xd * yd)
+                                        for pc, c in sol.items() if c})
+        # z = x: one Fraction per row of active(p)
+        gap = cols[-1]
+        res = eval_seminorm(p, SparseVector({i: Fraction(gap[i], dn * yd)
+                                             for i in p.weights if i in gap}))
         if res < eps:
-            return n, x + SparseVector({free_cols[pc]: c for pc, c in sol.items()})
+            return n, x
         if res < best_res:
             best_n, best_res = n, res
     raise WitnessNotFound(best_n, best_res)

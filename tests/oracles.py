@@ -11,7 +11,10 @@ the scalars themselves, and `simplex` pivots a Fraction tableau and prices
 its costs afresh before every pivot.  A run decides the build-shift
 continuity check by the shift's Neumann certificate alone, and draws no
 vector; `random_window_vector` draws the seeded vectors on which the tests
-sample the bound that the certificate gives.  The program's shift demo is
+sample the bound that the certificate gives.  The program steps a
+witness's orbit as integer columns of d·T; `dense_witness` multiplies out
+the powers of T's dense Fraction matrix, whose columns are `apply_terms`
+images.  The program's shift demo is
 the `orbit` of a backward-shift operator; `shift_demo` moves the entries of
 a dict.  The program parses a plain rational from its two
 integers; `parse_scalar` parses every text with `Fraction(text)`.  The
@@ -37,7 +40,7 @@ from orbitlab.operators import BASE_IDENTITY
 from orbitlab.reports import Table
 from orbitlab.scalars import ONE, ZERO, format_scalar, parse
 from orbitlab.simplex import Infeasible
-from orbitlab.seminorms import L1, DiskSpec, SeminormSpec, dual_norm, minkowski
+from orbitlab.seminorms import L1, DiskSpec, SeminormSpec, dual_norm, eval_seminorm, minkowski
 from orbitlab.serialize import encode_pairs
 from orbitlab.vectors import CoordFunctional, SparseVector, combine
 
@@ -393,6 +396,35 @@ def gram_solve(j, u):
             for r, row in enumerate(dense_gram(j.terms))]
     coeffs = solve(gram, [f.pair(u) for f, _ in j.terms])
     return combine(((-c, v) for (_, v), c in zip(j.terms, coeffs)), u)
+
+
+def dense_witness(t, x, y, eps, max_n, p, window):
+    """Witness search on the powers of T's dense matrix over every coordinate
+    its orbit or the residual reads: 1..top, top the largest of the window,
+    the supports of x, y and each term, and active(p), each column T e_j
+    by `apply_terms`.  At each n <= max_n, z is x plus any solution on the
+    free columns (the window coordinates outside active(p)) of the active
+    rows, or x when they have none; the first (n, z) with p(z - x) < eps and
+    p(T^n z - y) < eps, or None."""
+    top = max([window, *x.support, *y.support, *p.weights]
+              + [i for f, v in t.terms for i in f.support + v.support])
+    indices = range(1, top + 1)
+    active = [i for i in indices if i in p.weights]
+    free = [i for i in range(1, window + 1) if i not in p.weights]
+    cols = [apply_terms(t, SparseVector.basis(j)) for j in indices]
+    t_mat = [[col.get(i) for col in cols] for i in indices]
+    power = identity_matrix(top)
+    for n in range(max_n + 1):
+        if n:
+            power = mat_mul(power, t_mat)
+        tnx = mat_vec(power, [x.get(i) for i in indices])
+        sol = solve_any([[power[i - 1][j - 1] for j in free] for i in active],
+                        [y.get(i) - tnx[i - 1] for i in active])
+        z = x + SparseVector(dict(zip(free, sol or [])))
+        image = SparseVector(dict(zip(indices, mat_vec(power, [z.get(i) for i in indices]))))
+        if eval_seminorm(p, z - x) < eps and eval_seminorm(p, image - y) < eps:
+            return n, z
+    return None
 
 
 # Inverses, constructors and predicates the program itself never needs: the

@@ -421,12 +421,14 @@ def test_corpus_shift_lab_takes_the_fast_paths(monkeypatch, seed):
     one inverse (no `Separator.of` under `biorthogonalize`) and its premise
     off the integer k x k core (no `FiniteRankOperator.apply` under
     `range_kernel_premise_check`, and every power `_meets` builds holds
-    ints); every witness decides nilpotency on its core, so it makes no
-    `apply` call before its search loop's first seminorm."""
+    ints); every witness steps its orbit as integer columns, so no `apply`
+    call runs under the search, and the report replays T^n z through one
+    `operators.orbit` of n + 1 elements."""
     import sys
 
     import orbitlab.density as density
     import orbitlab.hypercyclic as hypercyclic
+    import orbitlab.scenarios as scenarios
     from orbitlab.scenarios import Scenario, run_scenario
     from orbitlab.seminorms import Separator
 
@@ -438,9 +440,9 @@ def test_corpus_shift_lab_takes_the_fast_paths(monkeypatch, seed):
             frame = frame.f_back
         return False
 
-    seen, witness, kinds, cores = [], [], set(), []
+    seen, witness, replays, kinds, cores = [], [], [], set(), []
     of, apply, meets = Separator.of.__func__, FiniteRankOperator.apply, hypercyclic._meets
-    seminorm = hypercyclic.eval_seminorm
+    replay = scenarios.orbit
 
     def spied_of(cls, *args, **kwargs):
         if under(density.biorthogonalize.__code__):
@@ -454,9 +456,9 @@ def test_corpus_shift_lab_takes_the_fast_paths(monkeypatch, seed):
             witness.append("apply")
         return apply(self, *args, **kwargs)
 
-    def spied_seminorm(*args):
-        witness.append("seminorm")
-        return seminorm(*args)
+    def spied_orbit(t, x0, horizon):
+        replays.append(horizon)
+        return replay(t, x0, horizon)
 
     def spied_meets(advance, size, depth, shift):
         def typed(col):
@@ -469,7 +471,7 @@ def test_corpus_shift_lab_takes_the_fast_paths(monkeypatch, seed):
     monkeypatch.setattr(Separator, "of", classmethod(spied_of))
     monkeypatch.setattr(FiniteRankOperator, "apply", spied_apply)
     monkeypatch.setattr(hypercyclic, "_meets", spied_meets)
-    monkeypatch.setattr(hypercyclic, "eval_seminorm", spied_seminorm)
+    monkeypatch.setattr(scenarios, "orbit", spied_orbit)
     corpus = oracles.benchmark_workloads().generate("shiftgauge", seed)
     shifts = [data for data in corpus if data["payload"].get("mode") == "build-shift"]
     witnesses = [data for data in corpus if data["payload"].get("mode") == "witness"]
@@ -480,10 +482,12 @@ def test_corpus_shift_lab_takes_the_fast_paths(monkeypatch, seed):
         assert seen == [], data["name"]
     assert cores == [1] * len(shifts) and kinds == {int}
     for data in witnesses:
-        witness.clear()
+        replays.clear()
         report = run_scenario(Scenario.from_dict(data))
         assert report.passed
-        assert witness[0] == "seminorm" and "apply" in witness, data["name"]
+        n = int(next(t for t in report.tables if t.name == "witness").rows[0][0])
+        assert n > 0 and replays == [n + 1], data["name"]
+    assert witness == []
 
 
 class TestWitnessNilpotency:
@@ -574,29 +578,6 @@ class TestWitnessNilpotency:
         assert min(tally.values()) >= 15, tally
 
 
-def dense_witness(t, x, y, eps, max_n, p, window):
-    """Witness search on powers of the dense window matrix of T: at each
-    n <= max_n, z is x plus any solution on the free columns of the active
-    rows, or x when they have none."""
-    indices = list(range(1, window + 1))
-    active = [i for i in indices if i in p.weights]
-    free = [i for i in indices if i not in p.weights]
-    t_mat = t.matrix_on(indices)
-    power = oracles.identity_matrix(window)
-    x_col = [x.get(i) for i in indices]
-    for n in range(max_n + 1):
-        if n:
-            power = oracles.mat_mul(power, t_mat)
-        tnx = oracles.mat_vec(power, x_col)
-        sol = oracles.solve_any([[power[i - 1][j - 1] for j in free] for i in active],
-                                [y.get(i) - tnx[i - 1] for i in active])
-        z = x + SparseVector(dict(zip(free, sol or [])))
-        image = SparseVector(dict(zip(indices, oracles.mat_vec(power, [z.get(i) for i in indices]))))
-        if eval_seminorm(p, z - x) < eps and eval_seminorm(p, image - y) < eps:
-            return n, z
-    return None
-
-
 class TestWitnessWindowCut:
     window = 6
 
@@ -611,23 +592,75 @@ class TestWitnessWindowCut:
         return terms
 
     def test_term_beyond_window_matches_dense_oracle(self):
+        """The search follows T's own orbit through e_7 and back, so its
+        answer is the dense oracle's over every coordinate the orbit reaches,
+        and T^n z meets y; the window-cut operator's answer differs."""
+        w = self.window
         t = FiniteRankOperator(BASE_IDENTITY, tuple(self.chain()))
         p = SeminormSpec.sup_on([1, 2, 3])
-        x = SparseVector({1: frac(1), 2: frac(-1, 2), self.window + 1: frac(5)})
+        x = SparseVector({1: frac(1), 2: frac(-1, 2), w + 1: frac(5)})
         y = sv(2, 1, -1)
-        n, z = transitivity_witness(t, x, y, frac(1, 1000), 32, p, window=self.window)
-        assert (n, z) == dense_witness(t, x, y, frac(1, 1000), 32, p, self.window)
-        # the answer is that of the cut operator: the full powers of T differ
-        assert dense_witness(t, x, y, frac(1, 1000), 32, p, self.window + 1) != (n, z)
+        n, z = transitivity_witness(t, x, y, frac(1, 1000), 32, p, window=w)
+        assert (n, z) == oracles.dense_witness(t, x, y, frac(1, 1000), 32, p, w)
+        assert eval_seminorm(p, orbit(t, z, n + 1)[n] - y) == 0
+        cut = FiniteRankOperator(BASE_IDENTITY, tuple((f, v.restrict(range(1, w + 1)))
+                                                      for f, v in self.chain()))
+        assert oracles.dense_witness(cut, x, y, frac(1, 1000), 32, p, w) != (n, z)
+
+    def test_found_witnesses_pass_their_replay(self):
+        """On seeded chains whose terms leave the window and read it back,
+        every report that passes `witness-found` passes
+        `residuals-below-eps`: the search decides on the orbit the report
+        replays."""
+        from orbitlab.scenarios import Scenario, run_scenario
+        from orbitlab.serialize import encode_operator, encode_pairs
+
+        rng = random.Random(4623)
+
+        def point(coords):
+            return SparseVector({i: frac(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+                                 for i in rng.sample(coords, rng.randint(1, len(coords)))})
+
+        tally = {"found": 0, "not found": 0}
+        for case in range(60):
+            self.window = w = rng.randint(3, 6)
+            top = w + rng.randint(1, 3)
+            terms = self.chain()
+            for _ in range(rng.randint(0, 3)):
+                a, b = rng.randint(1, w), rng.randint(w + 1, top)
+                c = frac(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
+                leave = (CoordFunctional.delta(a), SparseVector.basis(b).scale(c))
+                back = (CoordFunctional.delta(b), SparseVector.basis(a).scale(c))
+                terms.append(rng.choice([leave, back]))
+            active = sorted(rng.sample(range(1, w + 1), rng.randint(1, w - 1)))
+            p = SeminormSpec(rng.choice(["sup", "l1"]), {i: frac(1) for i in active})
+            report = run_scenario(Scenario.from_dict({
+                "name": f"wit-cut-{case}", "scalar_mode": "exact", "window": w, "seed": case,
+                "task": "hypercyclic", "payload": {
+                    "mode": "witness",
+                    "operator": encode_operator(FiniteRankOperator(BASE_IDENTITY, tuple(terms))),
+                    "x": encode_pairs(point(range(1, top + 1))),
+                    "y": encode_pairs(point(range(1, w + 1))),
+                    "p": oracles.encode_seminorm(p), "eps": "1/1000", "max_n": 12}}))
+            checks = {c.name: c for c in report.checks}
+            if checks["witness-found"].passed:
+                assert checks["residuals-below-eps"].passed, (case, checks["residuals-below-eps"])
+                tally["found"] += 1
+            else:
+                tally["not found"] += 1
+        assert min(tally.values()) >= 10, tally
 
     def test_fixed_direction_beyond_window_is_cut_away(self):
+        """S e_7 = e_7, so S is not nilpotent, but the gate reads only the
+        chain on the window; x = e_1 never reaches e_7, and the search
+        returns the dense oracle's answer."""
         w = self.window
         fixed = (CoordFunctional.delta(w + 1), SparseVector.basis(w + 1))
         t = FiniteRankOperator(BASE_IDENTITY, tuple(self.chain()[:w - 1]) + (fixed,))
         assert not dense_nilpotent(t.linear_part(), w + 1)
         p = SeminormSpec.sup_on([1, 2, 3])
         n, z = transitivity_witness(t, sv(1), sv(-1, 2), frac(1, 1000), 32, p, window=w)
-        assert (n, z) == dense_witness(t, sv(1), sv(-1, 2), frac(1, 1000), 32, p, w)
+        assert (n, z) == oracles.dense_witness(t, sv(1), sv(-1, 2), frac(1, 1000), 32, p, w)
 
 
 class TestTransitivityWitness:
@@ -689,9 +722,9 @@ class TestTransitivityWitness:
 
 
 class TestWitnessResidual:
-    """One residual, p((P·T·P)^n z - y), decides each n, whether or not the
-    active rows can be met, so no search reports WitnessNotFound with a
-    residual below eps."""
+    """One residual, p(T^n z - y), decides each n, whether or not the active
+    rows can be met, so no search reports WitnessNotFound with a residual
+    below eps."""
 
     window = 3
     # T = I + δ_2 ⊗ e_1: T e_2 = e_1 + e_2, and e_1 and e_3 stay fixed
@@ -712,11 +745,12 @@ class TestWitnessResidual:
                                     SeminormSpec.sup_on([1, 2]), self.window) == (1, x)
 
     def test_random_nilpotent_chains_match_the_dense_oracle(self):
-        """On seeded chains whose cut is nilpotent, the search returns the
-        dense oracle's (n, z), and WitnessNotFound, raised only where the
-        oracle finds nothing, carries a best residual of at least eps.  Half
-        the targets are a cut image of x moved by less than eps on an active
-        row, which the free columns often cannot absorb."""
+        """On seeded chains whose cut is nilpotent, many with terms above
+        the window, the search returns the (n, z) of the dense oracle over
+        every coordinate T's orbit reaches, and WitnessNotFound, raised only
+        where the oracle finds nothing, carries a best residual of at least
+        eps.  Half the targets are a cut image of x moved by less than eps
+        on an active row, which the free columns often cannot absorb."""
         rng = random.Random(4519)
         chains = TestWitnessNilpotency()
 
@@ -743,7 +777,7 @@ class TestWitnessResidual:
             else:
                 y = SparseVector(entries(rng.sample(indices, rng.randint(0, window))))
             max_n = rng.randint(0, 5)
-            expected = dense_witness(t, x, y, eps, max_n, p, window)
+            expected = oracles.dense_witness(t, x, y, eps, max_n, p, window)
             try:
                 n, z = transitivity_witness(t, x, y, eps, max_n, p, window)
             except WitnessNotFound as err:
