@@ -10,20 +10,21 @@ the non-orbit refutation.
 Operators stay in their term form sum_j f_j (x) v_j = V·F.  S is
 `linear_part()`, every orbit (the demo's too) is `operators.orbit`, and
 every active projection a rank reads is the integer
-`seminorms.active_row`.  The premise runs one
-loop on the powers of an integer map, kept as sparse integer columns: ranks
+`seminorms.active_row`.  Every map the module powers is composed from one
+integer factor pair d·S = W·F (`_factors`), read once from the kept forms
+and applied to sparse integer columns (`_mul`), so its powers are integer
+column sums.  The premise runs one loop on the powers of such a map: ranks
 by `linalg.row_rank`, each nullspace one `linalg.RowReducer.of`, and an
 `linalg.Echelon` basis of the intersections.  When the v's and the f's are
-independent, the map is the k x k core G = F·V, scaled once to an integer
-matrix; otherwise it is S itself on the whole support, scaled to d·S.
-Either way its powers are integer column sums.  The witness steps T's own
-orbit, which `scenarios` replays, as integer columns of d·T
-(`_integer_map`), one `linalg.solve` of its active rows a step; it tests
-nilpotency on the integer core F·P·V of the window cut P, since A·B and
-B·A are nilpotent together (Horn and Johnson, Matrix Analysis, 2nd ed.,
-2013, §1.3).  No matrix power of S is ever multiplied out.  `apply`, the
-weight-form disk gauge and the ranks work on integers and build a Fraction
-only for an entry of their result.
+independent, the map is the k x k matrix F·W, similar to a multiple of the
+core G = F·V; otherwise it is W·F = d·S on the whole support.  The witness
+steps T's own orbit, which `scenarios` replays, as integer columns of
+d·T = d·base + W·F, one `linalg.solve` of its active rows a step; it tests
+nilpotency on F·P·W for the window cut P, since A·B and B·A are nilpotent
+together (Horn and Johnson, Matrix Analysis, 2nd ed., 2013, §1.3).  No
+matrix power of S is ever multiplied out.  `apply`, the weight-form disk
+gauge and the ranks work on integers and build a Fraction only for an entry
+of their result.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from . import linalg
 from .density import Enumeration, biorthogonalize
 from .errors import NotNested, NotNilpotent, NotPIndependent, WitnessNotFound
 from .operators import BASE_IDENTITY, BASE_ZERO, FiniteRankOperator, orbit
-from .scalars import ONE, Scalar, integer_of, integer_row
+from .scalars import ONE, Scalar, integer_of
 from .seminorms import (
     DiskSpec,
     SeminormSpec,
@@ -46,7 +47,7 @@ from .seminorms import (
     active_row,
     p_independent,
 )
-from .vectors import CoordFunctional, SparseVector, _dot, combine
+from .vectors import CoordFunctional, SparseVector
 
 # a sparse column of a power of an integer map: coordinate -> non-zero int
 Column = Dict[int, int]
@@ -114,28 +115,31 @@ def range_kernel_premise_check(t: FiniteRankOperator, window: int, depth: int) -
     V G^{n-1} null(G^{2n-1}), of dimension rank G^{n-1} - rank G^{2n-1}.
     V is injective, so it maps a basis of the sum of the G^{n-1} null(G^{2n-1})
     onto one of the sum of the intersections, and only that basis is mapped.
-    The loop runs on the integer matrix d·G (`_integer_core`): ranks,
-    nullspaces (the reduced row echelon form is unique) and spans do not
-    change when G is scaled, so neither does any dimension reported.
-    Otherwise the same loop (`_meets`) runs on d·S over the whole support
-    (`_integer_map`).  Every rank reads integer forms (`integer_of`): the
-    independence tests those the v's and f's keep, the span's part above
-    the window that of each basis vector.  The report compares the part of the accumulated span
-    lying inside the window against the window dimension.
+    The loop runs on the integer matrix F·W = d·A·G·A⁻¹ of `_factors`, with
+    A = diag(a_j) the denominators of the f_j.  Scaling and similarity keep
+    every rank; A carries null(G^m) onto null((F·W)^m), and each reduced
+    row echelon null vector of G^m onto a multiple of that of (F·W)^m for
+    the same free column, and W maps A·z onto d·V·z, so the basis vectors
+    W·z span what the V·z span and no dimension reported changes.  Otherwise the same loop (`_meets`) runs on
+    W·F = d·S over the whole support.  The independence tests read the
+    integer forms the v's and f's keep (`integer_of`), and the span's part
+    above the window the integer columns of its basis.  The report compares
+    the part of the accumulated span lying inside the window against the
+    window dimension.
     """
     s = t.linear_part()
     top = window
     for f, v in s.terms:
         top = max([top] + list(f.support) + list(v.support))
-    core = (s.terms
+    _, fcols, wcols = _factors(s)
+    if (s.terms
             and linalg.independent(integer_of(v)[0] for _, v in s.terms)
-            and linalg.independent(integer_of(f)[0] for f, _ in s.terms))
-    if core:
-        vs = [v for _, v in s.terms]
-        dims, basis = _meets(_integer_core(s), len(vs), depth, 1)
-        union = [integer_of(combine((c, vs[i - 1]) for i, c in z.items()))[0] for z in basis]
+            and linalg.independent(integer_of(f)[0] for f, _ in s.terms)):
+        core = {l: _mul(fcols, col) for l, col in wcols.items()}
+        dims, basis = _meets(lambda col: _mul(core, col), len(core), depth, 1)
+        union = [_mul(wcols, z) for z in basis]
     else:
-        dims, union = _meets(_integer_map(s)[1], top, depth, 0)
+        dims, union = _meets(lambda col: _mul(wcols, _mul(fcols, col)), top, depth, 0)
     rows = [PremiseRow(n=n, dim_range=dim_range, dim_kernel=top - dim_range,
                        dim_intersection=dim_intersection)
             for n, (dim_range, dim_intersection) in enumerate(dims, start=1)]
@@ -187,51 +191,32 @@ def _meets(advance: Callable[[Column], Column], size: int, depth: int,
     return dims, basis
 
 
-def _integer_core(s: FiniteRankOperator) -> Callable[[Column], Column]:
-    """The k x k core G_ij = f_i(v_j) of the terms f_i ⊗ v_j of s, scaled to
-    an integer matrix d·G, as the map of a sparse column on coordinates
-    1..k to its image under d·G.
+def _factors(t: FiniteRankOperator) -> Tuple[int, Dict[int, Column], Dict[int, Column]]:
+    """(d, F, W) with d·S = W·F on integers, for S = sum_j v_j ⊗ f_j the
+    terms of t, each matrix kept as its sparse integer columns.
 
-    Each f_i and v_j gives its integer form kept by `integer_of`, each
-    pairing is an integer dot product, and one `integer_row` scales G."""
-    k = len(s.terms)
-    frows = [integer_of(f) for f, _ in s.terms]
-    # G_ij flattened at (j - 1)·k + i - 1, column by column
-    flat = {}
-    for j, (_, v) in enumerate(s.terms):
-        vrow, vden = integer_of(v)
-        for i in s.coord_index.hits(v):
-            frow, fden = frows[i]
-            if dot := _dot(frow, vrow):
-                flat[j * k + i] = Fraction(dot, fden * vden)
-    cols: List[Column] = [{} for _ in s.terms]
-    for ji, x in integer_row(flat)[0].items():
-        cols[ji // k][ji % k + 1] = x
-    return lambda col: _fold((x, cols[l - 1]) for l, x in col.items())
-
-
-def _integer_map(t: FiniteRankOperator) -> Tuple[int, Callable[[Column], Column]]:
-    """d and the map x -> d·T x of integer columns, for T = base +
-    sum_j v_j ⊗ f_j.  With f_j = F_j / a_j and v_j = V_j / b_j in their
-    integer forms (`integer_of`) and d the lcm of the a_j·b_j,
-    d·T x = d·base(x) + sum_j (F_j·x) W_j, W_j = V_j·d / (a_j·b_j); the F_j·x
-    are one `_fold` of the columns of F's transpose at x's coordinates."""
+    With f_j = F_j / a_j and v_j = V_j / b_j in their integer forms
+    (`integer_of`) and d the lcm of the a_j·b_j, F's row j is F_j and W's
+    column j is W_j = V_j·d / (a_j·b_j).  F is kept column by column, the
+    coordinate i mapped to (F_ji)_j, and W's columns by term, j = 1..k, so
+    that `_mul` applies either to a column.  With A = diag(a_j), F·W is
+    d·A·G·A⁻¹ for the core G = F·V, G_ij = f_i(v_j)."""
     forms = [integer_of(f) for f, _ in t.terms]
     vrows = [integer_of(v) for _, v in t.terms]
     d = lcm(*[a * b for (_, a), (_, b) in zip(forms, vrows)])
-    ws = [{i: x * (d // (a * b)) for i, x in vrow.items()}
-          for (_, a), (vrow, b) in zip(forms, vrows)]
-    ft: Dict[int, Column] = {}
-    for j, (frow, _) in enumerate(forms):
+    w = {j: {i: x * (d // (a * b)) for i, x in vrow.items()}
+         for j, ((_, a), (vrow, b)) in enumerate(zip(forms, vrows), start=1)}
+    f: Dict[int, Column] = {}
+    for j, (frow, _) in enumerate(forms, start=1):
         for i, x in frow.items():
-            ft.setdefault(i, {})[j] = x
-    identity = t.base == BASE_IDENTITY
+            f.setdefault(i, {})[j] = x
+    return d, f, w
 
-    def step(col: Column) -> Column:
-        fx = _fold((x, ft[i]) for i, x in col.items() if i in ft)
-        pairs = [(c, ws[j]) for j, c in fx.items()]
-        return _fold([(d, col)] + pairs if identity else pairs)
-    return d, step
+
+def _mul(m: Dict[int, Column], col: Column) -> Column:
+    """m·col for the matrix m kept as its sparse columns m[l]; a coordinate
+    of col with no column in m meets a zero column."""
+    return _fold((x, m[l]) for l, x in col.items() if l in m)
 
 
 def _fold(pairs: Iterable[Tuple[int, Column]]) -> Column:
@@ -259,30 +244,36 @@ def transitivity_witness(t: FiniteRankOperator, x: SparseVector, y: SparseVector
     NotNilpotent when the chain part is not nilpotent on the window,
     WitnessNotFound with the best (n, residual), never below eps, on
     failure.  With x = X / xd and y = Y / yd (`integer_of`), the orbit is
-    the integer columns d^n·xd·T^n x and N_j = d^n·T^n e_j, stepped by d·T
-    (`_integer_map`); active(p)'s rows solve N·c' = d^n·xd·Y - yd·X, and
-    c = c' / (xd·yd).
+    the integer columns d^n·xd·T^n x and N_j = d^n·T^n e_j, stepped by
+    d·T = d·base + W·F (`_factors`); active(p)'s rows solve
+    N·c' = d^n·xd·Y - yd·X, and c = c' / (xd·yd).
 
     The gate reads the chain part cut to the window, P·S·P = (P·V)(F·P): the
     search is exact for any T, but the chain it rests on lives in the
     window; a term above it, even a direction T fixes, is left to the
     replay.  P·S·P is nilpotent when the k x k core F·P·V is, since
-    (AB)^{m+1} = A(BA)^m B; (F·P·V)^k = 0 is tested on integer columns.
+    (AB)^{m+1} = A(BA)^m B, and so when F·P·W = d·A·(F·P·V)·A⁻¹ is, from
+    the same `_factors` call as the step; (F·P·W)^k = 0 is tested on
+    integer columns.
     """
-    indices = range(1, window + 1)
-    core = _integer_core(FiniteRankOperator(
-        BASE_ZERO, tuple((f, v.restrict(indices)) for f, v in t.terms)))
-    columns = [{j: 1} for j in range(1, len(t.terms) + 1)]
-    for _ in t.terms:
-        columns = [w for w in map(core, columns) if w]
+    d, fcols, wcols = _factors(t)
+    gate = {l: _mul(fcols, {i: x for i, x in col.items() if i <= window})
+            for l, col in wcols.items()}
+    columns = [{l: 1} for l in gate]
+    for _ in gate:
+        columns = [c for c in (_mul(gate, c) for c in columns) if c]
     if columns:
         raise NotNilpotent("witness search needs a nilpotent chain part on the window")
 
     best_n, best_res = 0, eval_seminorm(p, x - y)
     if best_res < eps:
         return 0, x
-    free_cols = [i for i in indices if i not in p.weights]
-    d, step = _integer_map(t)
+    free_cols = [i for i in range(1, window + 1) if i not in p.weights]
+    identity = t.base == BASE_IDENTITY
+
+    def step(col: Column) -> Column:
+        pairs = [(c, wcols[l]) for l, c in _mul(fcols, col).items()]
+        return _fold([(d, col)] + pairs if identity else pairs)
     yrow, yd = integer_of(y)
     tnx, xd = integer_of(x)
     tne = [{j: 1} for j in free_cols]

@@ -11,10 +11,12 @@ the scalars themselves, and `simplex` pivots a Fraction tableau and prices
 its costs afresh before every pivot.  A run decides the build-shift
 continuity check by the shift's Neumann certificate alone, and draws no
 vector; `random_window_vector` draws the seeded vectors on which the tests
-sample the bound that the certificate gives.  The program steps a
-witness's orbit as integer columns of d·T; `dense_witness` multiplies out
-the powers of T's dense Fraction matrix, whose columns are `apply_terms`
-images.  The program's shift demo is
+sample the bound that the certificate gives.  The program powers the
+shift lab's maps as integer columns composed from one factor pair
+d·S = W·F of the kept forms; `dense_premise`, `dense_nilpotent` and
+`dense_witness` multiply out the powers of a dense Fraction matrix
+(`dense_matrix`), whose columns are `apply_terms` images.  The program's
+shift demo is
 the `orbit` of a backward-shift operator; `shift_demo` moves the entries of
 a dict.  The program parses a plain rational from its two
 integers; `parse_scalar` parses every text with `Fraction(text)`.  The
@@ -398,6 +400,43 @@ def gram_solve(j, u):
     return combine(((-c, v) for (_, v), c in zip(j.terms, coeffs)), u)
 
 
+def dense_matrix(op, indices):
+    """The dense matrix of op over the coordinates `indices`, each column
+    op e_j by `apply_terms`."""
+    cols = [apply_terms(op, SparseVector.basis(j)) for j in indices]
+    return [[col.get(i) for col in cols] for i in indices]
+
+
+def dense_premise(t, window, depth):
+    """Premise check on dense window matrices of S = T - base: powers by
+    mat_mul, ranks and nullspaces by rref, window meet by a joint rank with
+    the window basis.  (rows, span_dim, window_meet_dim), each row
+    (n, rank S^n, dim ker S^n, dim of range(S^n) ∩ ker(S^n))."""
+    s = t.linear_part()
+    top = max([window] + [i for f, v in s.terms for i in f.support + v.support])
+    s_mat = dense_matrix(s, range(1, top + 1))
+    power = identity_matrix(top)
+    rows, union = [], []
+    for n in range(1, depth + 1):
+        power = mat_mul(power, s_mat)
+        double = mat_mul(power, power)
+        meet = [mat_vec(power, y) for y in nullspace(double, cols=top)]
+        rows.append((n, rank(power), len(nullspace(power, cols=top)), rank(meet)))
+        union += meet
+    span_dim = rank(union)
+    window_rows = [[Fraction(int(j == i)) for j in range(top)] for i in range(window)]
+    return rows, span_dim, span_dim + window - rank(union + window_rows)
+
+
+def dense_nilpotent(s, top):
+    """Whether S^(top + 1) = 0 for the dense matrix of s on 1..top."""
+    s_mat = dense_matrix(s, range(1, top + 1))
+    power = s_mat
+    for _ in range(top):
+        power = mat_mul(power, s_mat)
+    return all(v == 0 for row in power for v in row)
+
+
 def dense_witness(t, x, y, eps, max_n, p, window):
     """Witness search on the powers of T's dense matrix over every coordinate
     its orbit or the residual reads: 1..top, top the largest of the window,
@@ -411,8 +450,7 @@ def dense_witness(t, x, y, eps, max_n, p, window):
     indices = range(1, top + 1)
     active = [i for i in indices if i in p.weights]
     free = [i for i in range(1, window + 1) if i not in p.weights]
-    cols = [apply_terms(t, SparseVector.basis(j)) for j in indices]
-    t_mat = [[col.get(i) for col in cols] for i in indices]
+    t_mat = dense_matrix(t, indices)
     power = identity_matrix(top)
     for n in range(max_n + 1):
         if n:

@@ -178,7 +178,7 @@ class TestBuildShiftOperator:
     def test_maps_prefix_span_onto_smaller_span(self):
         spec, _, _ = standard_shift(6)
         indices = list(range(1, 7))
-        mat = spec.operator.matrix_on(indices)
+        mat = oracles.dense_matrix(spec.operator, indices)
         assert oracles.rank(mat) == 5
 
     def test_fixes_kernel_of_p(self):
@@ -225,33 +225,6 @@ class TestRangeKernelPremise:
             assert row.dim_intersection == min(row.dim_range, row.dim_kernel)
 
 
-def dense_premise(t, window, depth):
-    """Premise check on dense window matrices: powers by mat_mul, ranks and
-    nullspaces by rref, window meet by a joint rank with the window basis."""
-    s = t.linear_part() if t.base == BASE_IDENTITY else t
-    top = max([window] + [i for f, v in s.terms for i in f.support + v.support])
-    s_mat = s.matrix_on(range(1, top + 1))
-    power = oracles.identity_matrix(top)
-    rows, union = [], []
-    for n in range(1, depth + 1):
-        power = oracles.mat_mul(power, s_mat)
-        double = oracles.mat_mul(power, power)
-        meet = [oracles.mat_vec(power, y) for y in oracles.nullspace(double, cols=top)]
-        rows.append((n, oracles.rank(power), len(oracles.nullspace(power, cols=top)),
-                     oracles.rank(meet)))
-        union += meet
-    span_dim = oracles.rank(union)
-    window_rows = [[frac(int(j == i)) for j in range(top)] for i in range(window)]
-    return rows, span_dim, span_dim + window - oracles.rank(union + window_rows)
-
-
-def dense_nilpotent(s, top):
-    power = s.matrix_on(range(1, top + 1))
-    for _ in range(top):
-        power = oracles.mat_mul(power, s.matrix_on(range(1, top + 1)))
-    return all(v == 0 for row in power for v in row)
-
-
 class TestPremiseOracle:
     def random_operator(self, rng, top, k=None):
         def entries():
@@ -270,14 +243,14 @@ class TestPremiseOracle:
             depth = rng.randint(1, 4)
             t = self.random_operator(rng, top)
             report = range_kernel_premise_check(t, window, depth)
-            rows, span_dim, window_meet = dense_premise(t, window, depth)
+            rows, span_dim, window_meet = oracles.dense_premise(t, window, depth)
             assert [(r.n, r.dim_range, r.dim_kernel, r.dim_intersection)
                     for r in report.rows] == rows
             assert report.span_dim == span_dim
             assert report.window_meet_dim == window_meet
             assert report.window_dim == window
             s = t.linear_part()
-            nilpotent += dense_nilpotent(s, top)
+            nilpotent += oracles.dense_nilpotent(s, top)
             above += any(i > window for f, v in s.terms for i in f.support + v.support)
         # the sample covers nilpotent and non-nilpotent parts, and supports
         # reaching above the window
@@ -288,7 +261,7 @@ class TestPremiseOracle:
         spec, _, _ = standard_shift(9)
         t = spec.operator.plus_identity()
         report = range_kernel_premise_check(t, window=5, depth=4)
-        rows, span_dim, window_meet = dense_premise(t, 5, 4)
+        rows, span_dim, window_meet = oracles.dense_premise(t, 5, 4)
         assert [(r.n, r.dim_range, r.dim_kernel, r.dim_intersection)
                 for r in report.rows] == rows
         assert (report.span_dim, report.window_meet_dim) == (span_dim, window_meet)
@@ -310,7 +283,7 @@ class TestPremiseOracle:
 
     def check(self, t, window, depth):
         report = range_kernel_premise_check(t, window, depth)
-        rows, span_dim, window_meet = dense_premise(t, window, depth)
+        rows, span_dim, window_meet = oracles.dense_premise(t, window, depth)
         assert [(r.n, r.dim_range, r.dim_kernel, r.dim_intersection)
                 for r in report.rows] == rows
         assert (report.span_dim, report.window_meet_dim) == (span_dim, window_meet)
@@ -408,7 +381,7 @@ def test_corpus_build_shift_premise_spans_match_the_dense_oracle(seed):
         report = run_scenario(Scenario.from_dict(data))
         s = serialize.decode_operator(report.data["operator"])
         depth = min(len(data["payload"]["basis"]), 6)
-        _, _, window_meet = dense_premise(s, data["window"], depth)
+        _, _, window_meet = oracles.dense_premise(s, data["window"], depth)
         assert report.data["premise_span_dim"] == window_meet, data["name"]
         spans[data["name"]] = window_meet
     assert spans == {"sg-04-shift-w9": 3, "sg-05-shift-w9": 3, "sg-06-shift-w9": 3,
@@ -423,11 +396,15 @@ def test_corpus_shift_lab_takes_the_fast_paths(monkeypatch, seed):
     `range_kernel_premise_check`, and every power `_meets` builds holds
     ints); every witness steps its orbit as integer columns, so no `apply`
     call runs under the search, and the report replays T^n z through one
-    `operators.orbit` of n + 1 elements."""
+    `operators.orbit` of n + 1 elements.  The premise and the witness each
+    read one factor pair d·S = W·F (`_factors`) off the kept forms and
+    scale no row afresh: under either, `scalars.integer_row` runs only
+    where `integer_of` fills a vector's kept form."""
     import sys
 
     import orbitlab.density as density
     import orbitlab.hypercyclic as hypercyclic
+    import orbitlab.scalars as scalars
     import orbitlab.scenarios as scenarios
     from orbitlab.scenarios import Scenario, run_scenario
     from orbitlab.seminorms import Separator
@@ -440,9 +417,11 @@ def test_corpus_shift_lab_takes_the_fast_paths(monkeypatch, seed):
             frame = frame.f_back
         return False
 
-    seen, witness, replays, kinds, cores = [], [], [], set(), []
+    seen, witness, replays, kinds, cores, factors = [], [], [], set(), [], []
     of, apply, meets = Separator.of.__func__, FiniteRankOperator.apply, hypercyclic._meets
-    replay = scenarios.orbit
+    replay, factor = scenarios.orbit, hypercyclic._factors
+    shift_lab = (hypercyclic.range_kernel_premise_check.__code__,
+                 hypercyclic.transitivity_witness.__code__)
 
     def spied_of(cls, *args, **kwargs):
         if under(density.biorthogonalize.__code__):
@@ -460,6 +439,16 @@ def test_corpus_shift_lab_takes_the_fast_paths(monkeypatch, seed):
         replays.append(horizon)
         return replay(t, x0, horizon)
 
+    def spied_factors(t):
+        factors.append(t)
+        return factor(t)
+
+    def spied_integer_row(entries):
+        if (sys._getframe(1).f_code is not scalars.integer_of.__code__
+                and any(map(under, shift_lab))):
+            seen.append("integer_row")
+        return integer_row(entries)
+
     def spied_meets(advance, size, depth, shift):
         def typed(col):
             out = advance(col)
@@ -472,21 +461,22 @@ def test_corpus_shift_lab_takes_the_fast_paths(monkeypatch, seed):
     monkeypatch.setattr(FiniteRankOperator, "apply", spied_apply)
     monkeypatch.setattr(hypercyclic, "_meets", spied_meets)
     monkeypatch.setattr(scenarios, "orbit", spied_orbit)
+    monkeypatch.setattr(hypercyclic, "_factors", spied_factors)
+    integer_row = oracles.patch_scalars(monkeypatch, "integer_row", spied_integer_row)
     corpus = oracles.benchmark_workloads().generate("shiftgauge", seed)
     shifts = [data for data in corpus if data["payload"].get("mode") == "build-shift"]
     witnesses = [data for data in corpus if data["payload"].get("mode") == "witness"]
     assert (len(shifts), len(witnesses)) == (6, 2)
-    for data in shifts:
-        report = run_scenario(Scenario.from_dict(data))
-        assert report.passed
-        assert seen == [], data["name"]
-    assert cores == [1] * len(shifts) and kinds == {int}
-    for data in witnesses:
+    for data in shifts + witnesses:
+        factors.clear()
         replays.clear()
         report = run_scenario(Scenario.from_dict(data))
         assert report.passed
-        n = int(next(t for t in report.tables if t.name == "witness").rows[0][0])
-        assert n > 0 and replays == [n + 1], data["name"]
+        assert seen == [] and len(factors) == 1, data["name"]
+        if data in witnesses:
+            n = int(next(t for t in report.tables if t.name == "witness").rows[0][0])
+            assert n > 0 and replays == [n + 1], data["name"]
+    assert cores == [1] * len(shifts) and kinds == {int}
     assert witness == []
 
 
@@ -570,12 +560,81 @@ class TestWitnessNilpotency:
         tally = {"yes": 0, "no": 0, "only cut": 0}
         for t, window in cases:
             s = t.linear_part()
-            expected = dense_nilpotent(s, window)
+            expected = oracles.dense_nilpotent(s, window)
             assert self.verdict(t, window) == expected, t
             top = max([window] + [i for f, v in s.terms for i in f.support + v.support])
             tally["yes" if expected else "no"] += 1
-            tally["only cut"] += expected and not dense_nilpotent(s, top)
+            tally["only cut"] += expected and not oracles.dense_nilpotent(s, top)
         assert min(tally.values()) >= 15, tally
+
+
+class TestFactors:
+    """The one integer factor pair d·S = W·F that the shift lab powers,
+    against dense Fraction oracles: W·F·X is the integer form of d·xd·S x,
+    (F·W)^m has the rank of the dense core G^m, and the witness's gate on
+    the window cut F·P·W gives the dense verdict on P·S·P."""
+
+    @staticmethod
+    def operator(rng, window, top):
+        """Up to 4 terms on 1..top, each f over its own denominator, so that
+        A = diag(a_j) is seldom scalar; about one v in six is zero.  Half the
+        operators are strictly triangular on the window, their f's and some
+        of their v's also reaching above it."""
+        triangular = rng.random() < 0.5
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            den, m = rng.choice([1, 2, 3, 4, 6]), rng.randint(2, window)
+            fco = range(m if triangular else 1, top + 1)
+            vco = range(1, (m if triangular else top + 1))
+            f = {i: frac(rng.choice([-3, -2, -1, 1, 2, 3]), den)
+                 for i in rng.sample(fco, rng.randint(1, min(3, len(fco))))}
+            v = {i: frac(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2, 5]))
+                 for i in rng.sample(vco, rng.randint(1, min(3, len(vco))))}
+            if triangular and top > window and rng.random() < 0.4:
+                v[rng.randint(window + 1, top)] = frac(rng.randint(1, 3))
+            terms.append((CoordFunctional(f), SparseVector({} if rng.random() < 1 / 6 else v)))
+        return FiniteRankOperator(rng.choice([BASE_ZERO, BASE_IDENTITY]), tuple(terms))
+
+    def test_factor_identity_core_ranks_and_gate_match_dense_oracles(self):
+        from orbitlab.hypercyclic import _factors, _mul
+        from orbitlab.scalars import integer_of
+
+        rng = random.Random(313)
+        e, d = SparseVector.basis, CoordFunctional.delta
+        cases = [(FiniteRankOperator.identity(), 3), (FiniteRankOperator.zero(), 3),
+                 (FiniteRankOperator(BASE_IDENTITY, ((d(2).scale(frac(1, 3)), SparseVector.zero()),
+                                                     (d(3).scale(frac(1, 2)), e(2)))), 3)]
+        for _ in range(150):
+            window = rng.randint(2, 5)
+            cases.append((self.operator(rng, window, window + rng.randint(0, 3)), window))
+        tally = dict.fromkeys(["identity", "zero", "A not scalar", "zero v", "above",
+                               "nilpotent", "not nilpotent"], 0)
+        for t, window in cases:
+            s, k = t.linear_part(), len(t.terms)
+            top = max([window] + [i for f, v in s.terms for i in f.support + v.support])
+            dd, fcols, wcols = _factors(t)
+            for _ in range(3):
+                x = oracles.random_window_vector(rng, top)
+                xrow, xd = integer_of(x)
+                image = {i: c * dd * xd for i, c in oracles.apply_terms(s, x).entries.items()}
+                assert all(Fraction(c).denominator == 1 for c in image.values())
+                assert _mul(wcols, _mul(fcols, xrow)) == image, t
+            core = {l: _mul(fcols, col) for l, col in wcols.items()}
+            cols = [{l: 1} for l in range(1, k + 1)]
+            g, g_power = oracles.dense_gram(t.terms), oracles.identity_matrix(k)
+            for _ in range(k + 1 if k else 0):
+                cols = [_mul(core, c) for c in cols]
+                g_power = oracles.mat_mul(g_power, g)
+                dense = [[Fraction(c.get(i, 0)) for c in cols] for i in range(1, k + 1)]
+                assert oracles.rank(dense) == oracles.rank(g_power), t
+            nilpotent = oracles.dense_nilpotent(s, window)
+            assert TestWitnessNilpotency.verdict(t, window) == nilpotent, t
+            tally["identity" if t.base == BASE_IDENTITY else "zero"] += 1
+            tally["A not scalar"] += len({integer_of(f)[1] for f, _ in t.terms}) > 1
+            tally["zero v"] += any(not v.entries for _, v in t.terms)
+            tally["above"] += top > window
+            tally["nilpotent" if nilpotent else "not nilpotent"] += 1
+        assert min(tally.values()) >= 20, tally
 
 
 class TestWitnessWindowCut:
@@ -657,7 +716,7 @@ class TestWitnessWindowCut:
         w = self.window
         fixed = (CoordFunctional.delta(w + 1), SparseVector.basis(w + 1))
         t = FiniteRankOperator(BASE_IDENTITY, tuple(self.chain()[:w - 1]) + (fixed,))
-        assert not dense_nilpotent(t.linear_part(), w + 1)
+        assert not oracles.dense_nilpotent(t.linear_part(), w + 1)
         p = SeminormSpec.sup_on([1, 2, 3])
         n, z = transitivity_witness(t, sv(1), sv(-1, 2), frac(1, 1000), 32, p, window=w)
         assert (n, z) == oracles.dense_witness(t, sv(1), sv(-1, 2), frac(1, 1000), 32, p, w)

@@ -250,12 +250,11 @@ def test_only_vectors_and_scalars_name_the_integer_form():
 
 # the functions outside `scalars` that scale a row with `integer_row` rather
 # than read a kept form through `integer_of`: a row handed to the tracer-named
-# `residual`, a generator disk's [G | -G] for its gauge tableau and the core
-# of the premise and of the witness's nilpotency test
+# `residual` and a generator disk's [G | -G] for its gauge tableau; the shift
+# lab's maps are all composed from the kept forms' factor pair d·S = W·F
 SCALES_AFRESH = {
     "linalg.py": {"RowReducer.residual"},
     "seminorms.py": {"minkowski"},
-    "hypercyclic.py": {"_integer_core"},
 }
 
 
