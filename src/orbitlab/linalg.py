@@ -1,17 +1,14 @@
-"""Exact, fraction-free elimination over rationals, in four forms:
+"""Exact, fraction-free elimination over rationals, in three forms:
 
 - `RowReducer`, the sparse reduced row echelon form of dict-backed rows,
   built from rows given at once (`of`: the premise's nullspaces, `solve`)
   or one row at a time (`try_add`: the separating-functional picks).  It
   keeps each row as coprime integers (`ints`) and reads nullspace vectors
   off them (`null_row`, `first_free`); `solve` reads an augmented system's
-  solution off them: the witness's, the dual system and the Gram inverse.
+  solution off them: the witness's, the dual system and the Gram system.
 - `Echelon`, a row echelon form grown one row at a time that answers only
   rank and independence questions (`row_rank`, `independent`) and builds no
   Fraction.  Both reduce by one integer row step, `_int_step`.
-- `Bordered`, a factor without pivoting grown by one row and one column at
-  a time: the Gram system of a growing identity-plus-finite-rank operator.
-  Every step is an exact integer division that skips zeros.
 - `Bareiss`, a right-looking pass over a dense integer matrix on pivots the
   caller picks, kept as the transposed upper factor and the pivots of the
   picked block: the triangularization's greedy picks, minors, combined
@@ -27,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence
 
 from .scalars import Scalar, integer_row
 
@@ -220,74 +217,39 @@ def _primitive(row: Dict[int, int]) -> Dict[int, int]:
     return row
 
 
-class Bordered:
-    """A fraction-free factor of an integer matrix A without pivoting, grown by
-    one bordering row and column of A at a time.
+class Bareiss:
+    """A right-looking fraction-free elimination of a dense integer matrix on
+    pivots the caller picks, kept as the pivots and the transposed upper
+    factor of the picked block.
 
-    lower[0] holds the rows of the lower factor and lower[1] those of the
-    transposed upper factor, each left of the diagonal as a dict of its
-    non-zero entries.  As A^T swaps the two, `border` takes a side: 0 for
-    the lower factor, 1 for the transposed upper one; `back` solves with
-    the transposed upper one.
-
-    The factor is that of Bareiss (Math. Comp. 22, 1968) in the LU form of
-    Zhou and Jeffrey (Front. Comput. Sci. China 2(1), 2008): pivots[k] is the
-    leading minor Δ_{k+1} of A, and entry k of a row is the integer a⁽ᵏ⁾ that
-    k steps a⁽ᵗ⁺¹⁾ = (Δ_{t+1}·a⁽ᵗ⁾ − l·u) / Δ_t make of A's entry, each an
-    exact division.  A step whose l·u is zero only rescales by Δ_{t+1}/Δ_t,
-    so it is skipped and the rescalings telescope: zeros cost nothing.
+    `rows` maps each unpicked row to its entries a⁽ⁿ⁾ at the unpicked columns
+    `cols`, both in ascending order, after n picks.  By Sylvester's identity
+    a⁽ⁿ⁾(i, j) is the minor of the picked rows and columns bordered by row i
+    and column j, so pivots[k] is the leading minor Δ_{k+1} of the picked
+    block.  A step a⁽ⁿ⁺¹⁾ = (p·a⁽ⁿ⁾ − l·u) / Δ_n divides exactly (Bareiss,
+    Math. Comp. 22, 1968).  `upper` holds the rows of the transposed upper
+    factor, each left of the diagonal as a dict of its non-zero entries:
+    pivot row k read at the columns picked later, all that `back` reads.
+    It is the U of the LU form of Zhou and Jeffrey (Front. Comput. Sci.
+    China 2(1), 2008).
     """
 
-    def __init__(self):
-        self.lower: Tuple[List[Dict[int, int]], List[Dict[int, int]]] = ([], [])
+    def __init__(self, matrix: Sequence[Sequence[int]]):
+        self.rows = {i: list(row) for i, row in enumerate(matrix)}
+        self.cols = list(range(len(matrix[0]) if matrix else 0))
+        self.upper: List[Dict[int, int]] = []
         self.pivots: List[int] = []
+        # each pivot row by column
+        self._done: List[Dict[int, int]] = []
 
     def scale(self, n: int) -> int:
-        """The factor that `back` and `solve` put on their solutions for the
-        leading n x n block: its minor Δ_n (1 for n = 0)."""
+        """The factor that `back` puts on its solutions for the leading
+        n x n block: its minor Δ_n (1 for n = 0)."""
         return self.pivots[n - 1] if n else 1
-
-    def _eliminated(self, a: int, steps: Iterable[Tuple[int, int, int]], k: int) -> int:
-        """a⁽ᵏ⁾ for the entry a, given (t, l, u) for the steps t < k whose l·u
-        is non-zero, in ascending t; a is a⁽ˢ⁾ before each of them."""
-        d, s = self.scale, 0
-        for t, l, u in steps:
-            if s == t:
-                a = (self.pivots[t] * a - l * u) // d(t)
-            else:
-                a = (self.pivots[t] * a * d(t) - l * u * d(s)) // (d(s) * d(t))
-            s = t + 1
-        return a if s == k else a * d(k) // d(s)
-
-    def border(self, side: int, entries: Sequence[int]) -> Dict[int, int]:
-        """The next row of lower[side] for the bordering entries of A: the new
-        row of A left of the diagonal for side 0, the new column above it for
-        side 1.  Entry k is the integer a⁽ᵏ⁾ of the bordering entry k."""
-        other = self.lower[1 - side]
-        out = {}
-        # each step needs a non-zero entry of out, so a zero border stays zero
-        for k, (col, b) in enumerate(zip(other, entries) if any(entries) else ()):
-            steps = [(t, out[t], u) for t, u in col.items() if t in out]
-            a = self._eliminated(b, steps, k) if b or steps else 0
-            if a:
-                out[k] = a
-        return out
-
-    def pivot(self, diagonal: int, row: Dict[int, int], col: Dict[int, int]) -> int:
-        """The pivot Δ_{n+1} that borders the factor with `row` and `col`, as
-        `border` gives them, and A's diagonal entry."""
-        return self._eliminated(diagonal, [(t, row[t], u) for t, u in col.items() if t in row],
-                                len(self.pivots))
-
-    def append(self, row: Dict[int, int], col: Dict[int, int], pivot: int) -> None:
-        """Border the factor: row joins lower[0], col joins lower[1]."""
-        self.lower[0].append(row)
-        self.lower[1].append(col)
-        self.pivots.append(pivot)
 
     def back(self, rhs: Sequence[int]) -> List[int]:
         """scale(n)·x for x with T^T x = rhs, T the leading n = len(rhs) block
-        of lower[1], the transposed upper factor, with the diagonal of the
+        of `upper`, the transposed upper factor, with the diagonal of the
         fraction-free L̃ (the minors), solved from the last: each known x_j
         takes row j of T off the rest."""
         dn = self.scale(len(rhs))
@@ -295,37 +257,9 @@ class Bordered:
         for j in range(len(rhs) - 1, -1, -1):
             if x[j]:
                 x[j] = xj = x[j] // self.pivots[j]
-                for k, t in self.lower[1][j].items():
+                for k, t in self.upper[j].items():
                     x[k] -= t * xj
         return x
-
-    def solve(self, rhs: Sequence[int]) -> List[int]:
-        """scale(n)·x for x with A x = rhs: L y = rhs, then U x = D^{-1} y,
-        where `border` gives y fraction-free."""
-        y = self.border(1, rhs)
-        return self.back([y.get(k, 0) for k in range(len(rhs))])
-
-
-class Bareiss(Bordered):
-    """A right-looking fraction-free elimination of a dense integer matrix on
-    pivots the caller picks, kept as the pivots and the transposed upper
-    factor, lower[1], of the picked block's `Bordered` factor.
-
-    `rows` maps each unpicked row to its entries a⁽ⁿ⁾ at the unpicked columns
-    `cols`, both in ascending order, after n picks.  By Sylvester's identity
-    a⁽ⁿ⁾(i, j) is the minor of the picked rows and columns bordered by row i
-    and column j, so each pivot is the next leading minor.  A step
-    a⁽ⁿ⁺¹⁾ = (p·a⁽ⁿ⁾ − l·u) / Δ_n divides exactly.  Each pivot row, read at
-    the columns picked later, joins lower[1], all that `back` reads;
-    lower[0] stays empty.
-    """
-
-    def __init__(self, matrix: Sequence[Sequence[int]]):
-        super().__init__()
-        self.rows = {i: list(row) for i, row in enumerate(matrix)}
-        self.cols = list(range(len(matrix[0]) if matrix else 0))
-        # each pivot row by column
-        self._done: List[Dict[int, int]] = []
 
     def in_row(self, r: int) -> Optional[int]:
         """The first unpicked column where row r is non-zero, or None."""
@@ -353,7 +287,7 @@ class Bareiss(Bordered):
                 self.rows[i] = [(p * x - b * y) // prev for x, y in zip(row, u)]
             else:
                 self.rows[i] = [p * x // prev for x in row]
-        self.lower[1].append({k: d[c] for k, d in enumerate(self._done) if d[c]})
+        self.upper.append({k: d[c] for k, d in enumerate(self._done) if d[c]})
         self.pivots.append(p)
         self._done.append(dict(zip(self.cols, u)))
         return column

@@ -11,9 +11,9 @@ Every pairing against a list of terms reads a `CoordIndex`, which maps each
 coordinate to the ascending positions of the terms that touch it (the
 compressed-column layout of a sparse matrix; Davis, Direct Methods for
 Sparse Linear Systems, SIAM 2006, ch. 2).  A term whose support misses that
-of x pairs to 0 and is never paired: `apply`, the Gram matrix of `invert`
-and the borders of `GramFactor` pair only the overlapping (term, vector)
-pairs, in term order, so each sum is that of the plain term loop.
+of x pairs to 0 and is never paired: `apply` and the Gram system of `solve`
+and `invert` pair only the overlapping (term, vector) pairs, in term order,
+so each sum is that of the plain term loop.
 
 `apply` runs on integers (fraction-free arithmetic; Geddes,
 Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 9): x and
@@ -23,12 +23,13 @@ keeps rows of its own.  Pairings are integer dot products, and start
 + sum_j f_j(x) v_j is one integer sum per coordinate over a common
 denominator, so one Fraction is built per coordinate the terms touch.
 
-`GramFactor` serves the construction: it keeps I_k + G factored as terms
-arrive, fraction-free, and returns J^{-1} u with two triangular
-substitutions.  `invert`
-serves verification: it builds the whole inverse in term form from one
-pivoting `linalg.solve` of the same scaled Gram system, a path independent
-of the factor that `verify_transport` replays against the window.
+`solve` serves the construction and `invert` verification.  Both build
+the Gram system scaled to integers, D_f(I_k + G)D_v, in one place,
+`_gram_rows`, and make one pivoting `linalg.solve` of it: `solve` with
+the pairings of u for J^{-1} u, `invert` with D_f for the whole inverse in
+term form, which `verify_transport` replays against the window.  The
+replay checks go through `apply` alone, so they stay independent of the
+shared system.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, inf, lcm
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from . import linalg
 from .errors import BudgetExceeded, NotInSpan, NotPBounded, SingularOperator
@@ -49,6 +50,7 @@ BASE_ZERO = "zero"
 
 Term = Tuple[CoordFunctional, SparseVector]
 FiniteMap = Union[CoordFunctional, SparseVector]
+IntForm = Tuple[Dict[int, int], int]
 
 
 class CoordIndex:
@@ -253,76 +255,48 @@ def neumann_certificate(t: FiniteRankOperator, p: SeminormSpec, disk: DiskSpec) 
     return budget
 
 
-class GramFactor:
-    """I_k + G factored for the terms of J = I + sum_j f_j (.) v_j, G_rc = f_r(v_c).
+def _gram_rows(j: FiniteRankOperator) -> Tuple[List[Dict[int, int]], List[IntForm], List[IntForm]]:
+    """The sparse rows of D_f(I_k + G)D_v for the terms of j, each in
+    ascending column order, with the integer forms (row, den) of the f_r and
+    of the v_c: entry (r, c) is fden_r·vden_c·δ_rc + f_r·v_c on the integer
+    forms `scalars.integer_of` keeps.  A column pairs v_c only with the f_r
+    that `j.coord_index` finds on its support."""
+    terms, coords = j.terms, j.coord_index
+    fs, vs = [integer_of(f) for f, _ in terms], [integer_of(v) for _, v in terms]
+    rows: List[Dict[int, int]] = [{} for _ in terms]
+    for c, ((_, v), (vrow, vden)) in enumerate(zip(terms, vs)):
+        for r in coords.hits(v):
+            if dot := _dot(fs[r][0], vrow):
+                rows[r][c] = dot
+        if diagonal := rows[c].pop(c, 0) + fs[c][1] * vden:
+            rows[c][c] = diagonal
+    return rows, fs, vs
 
-    A `linalg.Bordered` factor grows by one row and one column per term: the
-    integer factor of D_f·(I_k + G)·D_v, for D_f and D_v the denominators of
-    the integer forms `scalars.integer_of` keeps on the f_r and v_c:
-    entry (r, c) is fden_r·vden_c·δ_rc + f_r·v_c on the integer rows.  Two
-    coordinate indices, one of the f_r and one of the v_c, grow with it, so
-    term m + 1 costs one pairing per overlapping pair: one per term r <= m whose v_r meets the
-    support of f (its row and diagonal) and one per earlier term whose f_r
-    meets that of v (its column), 2m + 1 when every support overlaps.  `solve`
-    pairs u with the f_r that meet it, then makes one forward and one back
-    substitution.  There is no pivoting: det(I_m + G_m) = det J_m, so every
-    leading minor is non-zero while every J_m is invertible.  A zero pivot
-    makes `solve`, and any further `extend`, raise SingularOperator.
+
+def solve(j: FiniteRankOperator, u: SparseVector) -> SparseVector:
+    """J^{-1} u for J = I + sum_j f_j (.) v_j: u - sum_j c_j v_j with
+    (I_k + G) c = (f_i(u))_i, or u itself when it meets no f_i.
+
+    One pivoting `linalg.solve` of [D_f(I_k + G)D_v | r], r_i = F_i·U on the
+    integer forms of f_i and u, gives x with c_j = vden_j·x_j / uden, one
+    Fraction per non-zero c_j.  SingularOperator when I_k + G is singular.
     """
-
-    def __init__(self):
-        self._vs: List[SparseVector] = []
-        # per term: f's and v's integer rows, its diagonal unit fden·vden and
-        # v's denominator
-        self._rows: List[Tuple[Mapping[int, int], Mapping[int, int], int, int]] = []
-        self._f_index = CoordIndex()
-        self._v_index = CoordIndex()
-        self._lu = linalg.Bordered()
-
-    def _nonsingular(self) -> None:
-        pivots = self._lu.pivots
-        if pivots and pivots[-1] == 0:
-            n = len(pivots)
-            raise SingularOperator(f"{n}x{n} Gram system is singular")
-
-    def extend(self, f: CoordFunctional, v: SparseVector) -> None:
-        """Border the factor with the term f (.) v."""
-        self._nonsingular()
-        lu, rows, m = self._lu, self._rows, len(self._rows)
-        self._vs.append(v)
-        self._f_index.add(f)
-        self._v_index.add(v)
-        (frow, fden), (vrow, vden) = integer_of(f), integer_of(v)
-        rows.append((frow, vrow, fden * vden, vden))
-        # new column of G down to the diagonal, new row left of it
-        col = [0] * (m + 1)
-        for r in self._f_index.hits(v):
-            col[r] = _dot(rows[r][0], vrow)
-        row = [0] * m
-        for c in self._v_index.hits(f):
-            if c < m:
-                row[c] = _dot(frow, rows[c][1])
-        diagonal = rows[m][2] + col.pop()
-        row, col = lu.border(0, row), lu.border(1, col)
-        lu.append(row, col, lu.pivot(diagonal, row, col))
-
-    def solve(self, u: SparseVector) -> SparseVector:
-        """J^{-1} u = u - sum_j c_j v_j with (I_k + G) c = (f_i(u))_i; u itself
-        when it meets no f_i.  The factor gives x = Δ·c' for the scaled system
-        and its minor Δ, and c_j = vden_j·x_j / (Δ·uden), one Fraction per
-        non-zero c_j."""
-        self._nonsingular()
-        lu, rows = self._lu, self._rows
-        hits = self._f_index.hits(u)
-        if not hits:
-            return u
-        urow, uden = integer_of(u)
-        rhs = [0] * len(rows)
-        for r in hits:
-            rhs[r] = _dot(rows[r][0], urow)
-        den = lu.scale(len(rows)) * uden
-        return combine(((Fraction(-r[3] * x, den), v)
-                        for v, r, x in zip(self._vs, rows, lu.solve(rhs)) if x), u)
+    if j.base != BASE_IDENTITY:
+        raise ValueError("solve expects an identity-plus-finite-rank operator")
+    hits = j.coord_index.hits(u)
+    if not hits:
+        return u
+    rows, fs, vs = _gram_rows(j)
+    urow, uden = integer_of(u)
+    k = len(rows)
+    for r in hits:
+        if dot := _dot(fs[r][0], urow):
+            rows[r][k] = dot
+    solved = linalg.solve(rows, k)
+    if solved is None or len(solved) < k:
+        raise SingularOperator(f"{k}x{k} Gram system is singular")
+    return combine(((-vden * x[0] / uden, v)
+                    for x, (_, v), (_, vden) in zip(solved.values(), j.terms, vs) if x), u)
 
 
 def invert(j: FiniteRankOperator) -> FiniteRankOperator:
@@ -330,9 +304,8 @@ def invert(j: FiniteRankOperator) -> FiniteRankOperator:
 
     The inverse is I - sum_j f_j (.) u_j with u_j = sum_i M_ij v_i and
     M = (I_k + G)^{-1}, G_ij = f_i(v_j).  One pivoting `linalg.solve` of
-    [D_f(I_k + G)D_v | D_f], entry (r, c) fden_r·vden_c·δ_rc + f_r·v_c on the
-    integer forms `scalars.integer_of` keeps, all it shares with
-    `GramFactor`, gives D_v^{-1}·M, so row r of M is vden_r times its row r;
+    [D_f(I_k + G)D_v | D_f], the rows `_gram_rows` builds as for `solve`,
+    gives D_v^{-1}·M, so row r of M is vden_r times its row r;
     one walk down M's rows gives each -u_j its -M_ij for one `combine`.
     SingularOperator when I_k + G is singular, i.e. when the operator
     annihilates some vector.
@@ -341,16 +314,8 @@ def invert(j: FiniteRankOperator) -> FiniteRankOperator:
         raise ValueError("inversion expects an identity-plus-finite-rank operator")
     if not j.terms:
         return FiniteRankOperator.identity()
-    terms, coords, k = j.terms, j.coord_index, len(j.terms)
-    fs, vs = [integer_of(f) for f, _ in terms], [integer_of(v) for _, v in terms]
-    # the sparse rows of [D_f(I_k + G)D_v | D_f], each in ascending column order
-    rows: List[Dict[int, int]] = [{} for _ in terms]
-    for c, ((_, v), (vrow, vden)) in enumerate(zip(terms, vs)):
-        for r in coords.hits(v):
-            if dot := _dot(fs[r][0], vrow):
-                rows[r][c] = dot
-        if diagonal := rows[c].pop(c, 0) + fs[c][1] * vden:
-            rows[c][c] = diagonal
+    terms, k = j.terms, len(j.terms)
+    rows, fs, vs = _gram_rows(j)
     solved = linalg.solve([row | {k + r: fs[r][1]} for r, row in enumerate(rows)], k)
     if solved is None:
         raise SingularOperator(f"{k}x{k} matrix is not invertible")

@@ -12,14 +12,16 @@ approximant.
 record of the run; J is its `operator`.  Each step returns the position in
 its pool of the element it accepted, and one routine records the matched
 pair: it adds the A-side vector to the constraints of the next separating
-functional and the term to J.  So a run keeps two solvers that grow with
-them: a `Separator`, the echelon form of the constraints, and a
-`GramFactor`, a bordered factor of the Gram system for the backward solves.
-They are derived data, not part of the `TransportState`;
-`verify_transport` uses neither and rebuilds the inverse of J from scratch.
-It reads the slot bounds and the budget from one `NeumannBudget`, applies J
-once to each matched a(n_j), for exact-matching, and once to each window
-unit vector, for both the round trip and kernel-fixed.  The forward scan
+functional and the term to J.  So a run keeps one solver that grows with
+them, a `Separator`, the echelon form of the constraints; it is derived
+data, not part of the `TransportState`.  A backward step solves J w = u
+with `operators.solve`, one pivoting solve of J's Gram system, and
+`verify_transport` rebuilds the inverse of J from the same system with
+`invert`; a wrong w still fails its exact-matching, since the update
+keeps J(w - a)/f(a).  It reads the slot bounds and the budget from one
+`NeumannBudget`, applies J once to each matched a(n_j), for
+exact-matching, and once to each window unit vector, for both the round
+trip and kernel-fixed.  The forward scan
 is one `first_below` over its pool, so it builds the difference to the
 target only for the element it keeps.
 """
@@ -36,7 +38,7 @@ from .errors import (
     NotPIndependent,
     StageFailure,
 )
-from .operators import FiniteRankOperator, GramFactor, NeumannBudget, invert
+from .operators import FiniteRankOperator, NeumannBudget, invert, solve
 from .reports import CheckResult, VerificationReport
 from .scalars import Scalar
 from .seminorms import DiskSpec, SeminormSpec, Separator, first_below, minkowski, p_independent
@@ -101,17 +103,17 @@ def step_forward(state: TransportState, u: SparseVector, separator: Separator,
 
 
 def step_backward(state: TransportState, u: SparseVector, separator: Separator,
-                  gram: GramFactor, pool: Sequence[SparseVector],
+                  pool: Sequence[SparseVector],
                   eps: Scalar) -> Tuple[CoordFunctional, SparseVector, int]:
     """One backward step: returns (f, v, pos) with (I + T + f (.) v) pool[pos] = u.
 
-    Solves (I + T) w = u exactly with `gram`, the factored Gram system of the
-    terms of T, separates w from the matched A-side vectors that `separator`
-    holds, then scans the pool for the first a with f(a) != 0 whose exact
-    update vector v = (I + T)(w - a) / f(a) fits in the eps slot.
+    Solves (I + T) w = u exactly with `operators.solve`, separates w from
+    the matched A-side vectors that `separator` holds, then scans the pool
+    for the first a with f(a) != 0 whose exact update vector
+    v = (I + T)(w - a) / f(a) fits in the eps slot.
     """
     j = state.operator
-    w = gram.solve(u)
+    w = solve(j, u)
     f = separator.functional(w)
     best: Optional[Scalar] = None
     best_pos = None
@@ -168,27 +170,25 @@ def run_transport(a: Enumeration, b: Enumeration, p: SeminormSpec, disk: DiskSpe
         raise BudgetExceeded(total, "epsilon schedule sum")
 
     state = TransportState(a, b, p, disk, tuple(eps_schedule))
-    separator, gram = Separator(p), GramFactor()
+    separator = Separator(p)
     for q in range(1, stages + 1):
         try:
-            state = _run_stage(state, separator, gram, q)
+            state = _run_stage(state, separator, q)
         except (NoApproximant, Exhausted) as exc:
             raise StageFailure(q, state, exc) from exc
     return state
 
 
-def _matched(state: TransportState, separator: Separator, gram: GramFactor,
+def _matched(state: TransportState, separator: Separator,
              f: CoordFunctional, v: SparseVector, n: int, m: int) -> TransportState:
     """The state with the pair J a(n) = b(m) made by the term f (.) v; a(n)
-    joins the separator's constraints and the term joins the Gram factor."""
+    joins the separator's constraints."""
     separator.add(state.a.vector(n))
-    gram.extend(f, v)
     return state._replace(terms=state.terms.with_term(f, v),
                           n_idx=state.n_idx + (n,), m_idx=state.m_idx + (m,))
 
 
-def _run_stage(state: TransportState, separator: Separator, gram: GramFactor,
-               q: int) -> TransportState:
+def _run_stage(state: TransportState, separator: Separator, q: int) -> TransportState:
     a, b = state.a, state.b
     n_fwd = _min_unused(state.n_idx)
     m_bwd = _min_unused(state.m_idx)
@@ -199,13 +199,13 @@ def _run_stage(state: TransportState, separator: Separator, gram: GramFactor,
     pool_idx = _unused(b, state.m_idx + (m_bwd,))
     f, v, pos = step_forward(state, a.vector(n_fwd), separator,
                              [b.vector(i) for i in pool_idx], state.epsilons[2 * q - 2])
-    state = _matched(state, separator, gram, f, v, n_fwd, pool_idx[pos])
+    state = _matched(state, separator, f, v, n_fwd, pool_idx[pos])
 
     # backward: u = b(m_bwd), pool = unused A
     pool_idx = _unused(a, state.n_idx)
-    f, v, pos = step_backward(state, b.vector(m_bwd), separator, gram,
+    f, v, pos = step_backward(state, b.vector(m_bwd), separator,
                               [a.vector(i) for i in pool_idx], state.epsilons[2 * q - 1])
-    return _matched(state, separator, gram, f, v, pool_idx[pos], m_bwd)._replace(stage=q)
+    return _matched(state, separator, f, v, pool_idx[pos], m_bwd)._replace(stage=q)
 
 
 def _window_indices(state: TransportState) -> List[int]:

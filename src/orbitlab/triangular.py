@@ -45,7 +45,7 @@ from .vectors import CoordFunctional, SparseVector, _built, _dot
 WINDOW_MARGIN = 2
 
 
-def _solution(lu: linalg.Bordered, dens: Sequence[Tuple[int, int]], column: Dict[int, int],
+def _solution(lu: linalg.Bareiss, dens: Sequence[Tuple[int, int]], column: Dict[int, int],
               coords: Sequence[Tuple[int, int]], m: int
               ) -> Tuple[Tuple[Scalar, ...], SparseVector, Scalar]:
     """(c, v_m, det A_m) for the solution c of A_m c = e_m and v_m the

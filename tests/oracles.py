@@ -1,6 +1,6 @@
 """Dense textbook linear algebra, used by the tests as slow independent oracles.
 
-The program itself eliminates with `linalg.RowReducer` and `linalg.Bordered`;
+The program itself eliminates with `linalg.RowReducer` and `linalg.Bareiss`;
 these helpers work on plain lists of row lists, share no code with it, and
 exist only to check it.  Likewise the program pairs a vector only with the
 terms its coordinate index finds; `apply_terms` and `dense_gram` pair every

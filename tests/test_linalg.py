@@ -340,59 +340,20 @@ def test_exact_rank_tests_build_no_fraction_row_reduction(monkeypatch):
     assert expected[1] and not expected[2]
 
 
-def bordered(a):
-    """linalg.Bordered grown one row and column of the integer matrix a at a time."""
-    lu = linalg.Bordered()
-    for n in range(len(a)):
-        row = lu.border(0, a[n][:n])
-        col = lu.border(1, [a[k][n] for k in range(n)])
-        lu.append(row, col, lu.pivot(a[n][n], row, col))
-    return lu
-
-
-def integer_matrix(rng, n):
-    """A zero-heavy n x n matrix times 10: int entries (0 for either zero)."""
-    return [[int(10 * v) for v in row] for row in zero_heavy_matrix(rng, n, n)]
-
-
 def block_det(a, rows, cols):
     """The determinant of a's entries on rows x cols, by the Fraction oracle."""
     return oracles.determinant([[Fraction(a[r][c]) for c in cols] for r in rows])
 
 
-def test_bordered_factor_pivots_and_solves():
-    """The exact factor of an integer matrix: its pivots are the leading
-    minors, its L̃ and Ũ entries the Bareiss minors, and `solve` and `back`
-    return the minor Δ_n times the solution, every value an int."""
-    rng = random.Random(31)
-    done = 0
-    while done < 40:
-        n = rng.randint(1, 6)
-        a = integer_matrix(rng, n)
-        minors = [block_det(a, range(m), range(m)) for m in range(1, n + 1)]
-        if 0 in minors:
-            continue
-        lu = bordered(a)
-        assert lu.pivots == minors and lu.scale(n) == minors[-1] and lu.scale(0) == 1
-        for i in range(n):
-            for k in range(i):
-                # entry k of row i is a^(k): rows 0..k-1 and i against columns 0..k
-                assert lu.lower[0][i].get(k, 0) == block_det(a, [*range(k), i], range(k + 1))
-                assert lu.lower[1][i].get(k, 0) == block_det(a, range(k + 1), [*range(k), i])
-        entries = [v for side in lu.lower for row in side for v in row.values()]
-        assert all(type(v) is int and v for v in entries + lu.pivots)
-        b = [rng.randint(-4, 4) for _ in range(n)]
-        x = lu.solve(b)
-        assert all(type(v) is int for v in x)
-        assert x == [minors[-1] * v for v in oracles.solve([[Fraction(v) for v in row] for row in a], b)]
-        done += 1
-
-
-def test_bareiss_pass_is_the_bordered_factor_of_its_pivots():
+def test_bareiss_pass_factors_the_minors_of_its_pivots():
     """A `Bareiss` pass on pivots picked at random: each unpicked entry is the
-    minor of the picks bordered by its row and column (Sylvester's identity),
-    its transposed upper factor and pivots are `Bordered`'s of the picked
-    block in pick order, and the finished pass counts the rank."""
+    minor of the picks bordered by its row and column (Sylvester's identity).
+    On the picked block B in pick order, pivot k is B's leading minor
+    Δ_{k+1} and entry k of row i of the transposed upper factor the minor of
+    B's rows 0..k and columns 0..k-1 and i, every value a non-zero int.
+    `back` of Δ_{m-1}·e_m is Δ_m times the solution of the leading m x m
+    upper factor U_m, with the minors on its diagonal, as `triangular`
+    calls it; the finished pass counts the rank."""
     rng = random.Random(37)
     for _ in range(40):
         a = [[int(10 * v) for v in row]
@@ -407,8 +368,22 @@ def test_bareiss_pass_is_the_bordered_factor_of_its_pivots():
             rows, cols = [r for r, _ in picks], [c for _, c in picks]
             for i, row in elim.rows.items():
                 assert row == [block_det(a, rows + [i], cols + [j]) for j in elim.cols]
-        lu = bordered([[a[r][c] for _, c in picks] for r, _ in picks])
-        assert (elim.lower[1], elim.pivots) == (lu.lower[1], lu.pivots)
+        block, n = [[a[r][c] for _, c in picks] for r, _ in picks], len(picks)
+        assert elim.pivots == [block_det(block, range(m), range(m)) for m in range(1, n + 1)]
+        assert [elim.scale(m) for m in range(n + 1)] == [1] + elim.pivots
+        assert len(elim.upper) == n
+        for i, row in enumerate(elim.upper):
+            assert row == {k: x for k in range(i)
+                           if (x := block_det(block, range(k + 1), [*range(k), i]))}
+        assert all(type(v) is int and v for row in elim.upper for v in row.values())
+        upper = [[Fraction(elim.pivots[k] if j == k else elim.upper[j].get(k, 0) if j > k else 0)
+                  for j in range(n)] for k in range(n)]
+        for m in range(1, n + 1):
+            rhs = [0] * (m - 1) + [elim.scale(m - 1)]
+            x = elim.back(rhs)
+            assert all(type(v) is int for v in x)
+            assert x == [elim.scale(m) * v
+                         for v in oracles.solve([row[:m] for row in upper[:m]], rhs)]
         assert elim.rank() == oracles.rank(a)
 
 
@@ -568,21 +543,3 @@ def test_rows_apart_by_2_to_the_minus_45_are_independent():
     assert [reducer.try_add(row) for row in near + [near[1]]] == [True, True, False]
     assert linalg.row_rank([near[0], near[0]]) == 1
     assert not linalg.independent([near[1], {j: 3 * v for j, v in near[1].items()}])
-
-
-def test_bordered_factor_matches_the_plain_solve():
-    """The factor of a Fraction matrix scaled to integers gives the plain
-    Fraction solution times its minor, as ints."""
-    rng = random.Random(139)
-    done = 0
-    while done < 20:
-        n = rng.randint(1, 6)
-        a = zero_heavy_matrix(rng, n, n)
-        if any(oracles.determinant([row[:m] for row in a[:m]]) == 0 for m in range(1, n + 1)):
-            continue
-        b = [Fraction(rng.randint(-4, 4), 2 ** 40) if k % 2 else 0 for k in range(n)]
-        lu = bordered([[int(10 * v) for v in row] for row in a])
-        got = lu.solve([int(v * 2 ** 40) for v in b])
-        want = oracles.solve(a, b)
-        assert all(type(g) is int and g == w * 2 ** 40 * lu.scale(n) / 10 for g, w in zip(got, want))
-        done += 1

@@ -20,7 +20,7 @@ from orbitlab import (
     orbit,
 )
 from orbitlab.errors import BudgetExceeded, SingularOperator
-from orbitlab.operators import BASE_IDENTITY, BASE_ZERO, CoordIndex, GramFactor
+from orbitlab.operators import BASE_IDENTITY, BASE_ZERO, CoordIndex, solve
 from orbitlab.scalars import integer_row
 from orbitlab.vectors import _clean, combine
 
@@ -178,7 +178,7 @@ class TestInvert:
         assert j_inv.apply(sv(1)) == sv(1 / gap)
         for x in (sv(1), sv(0, 1), sv(Fraction(-2, 3), 0, 5)):
             assert j_inv.apply(j.apply(x)) == x and j.apply(j_inv.apply(x)) == x
-        assert factored(j).solve(sv(gap)) == gram_solve(j, sv(gap)) == sv(1)
+        assert assert_solves(j, sv(gap)) == sv(1)
 
     def test_round_trip_on_random_certified_operators(self):
         rng = random.Random(37)
@@ -260,13 +260,6 @@ class TestSolve:
 
 
 
-def factored(j):
-    gram = GramFactor()
-    for f, v in j.terms:
-        gram.extend(f, v)
-    return gram
-
-
 def leading_minors_nonzero(j):
     """Oracle: every leading minor of I_k + G, by dense determinants."""
     gram = [[g + (1 if r == c else 0) for c, g in enumerate(row)]
@@ -275,80 +268,95 @@ def leading_minors_nonzero(j):
                for m in range(1, len(gram) + 1))
 
 
-class TestGramFactor:
-    def test_empty_factor_returns_the_vector(self):
+def assert_solves(j, u):
+    """`operators.solve(j, u)` against the oracles: the dense pivoting Gram
+    solve, the inverse that `invert` builds, and J w = u; it returns w."""
+    w = solve(j, u)
+    assert w == gram_solve(j, u)
+    assert w == invert(j).apply(u)
+    assert j.apply(w) == u
+    return w
+
+
+def assert_refuses(j, u):
+    """A singular J: `operators.solve` raises, as the oracles do, unless u
+    meets no f_i, a vector J fixes, which it returns as it is."""
+    if any(set(f.entries) & set(u.entries) for f, _ in j.terms):
+        with pytest.raises(SingularOperator):
+            gram_solve(j, u)
+        with pytest.raises(SingularOperator):
+            solve(j, u)
+    else:
+        assert solve(j, u) is u and j.apply(u) == u
+
+
+class TestGramSolve:
+    """`operators.solve`, the backward step's J^{-1} u, by one pivoting
+    solve of the scaled Gram system that `invert` shares."""
+
+    def test_empty_operator_returns_the_vector(self):
         u = sv(1, Fraction(2, 3))
-        assert GramFactor().solve(u) == u
+        assert solve(FiniteRankOperator.identity(), u) is u
+        with pytest.raises(ValueError):
+            solve(FiniteRankOperator.zero(), u)
 
     def test_solve_matches_pivoting_solve_and_invert(self):
+        """Only a truly singular J is refused; J's whose Gram system has a
+        zero leading minor solve by pivoting."""
         rng = random.Random(44)
-        solved = refused = 0
+        solved = refused = past_zero_minor = 0
         for _ in range(150):
             j = random_identity_plus_rank(rng)
             u = sparse_rational(rng, SparseVector, 16, 6)
-            if not leading_minors_nonzero(j):
-                with pytest.raises(SingularOperator):
-                    factored(j).solve(u)
+            try:
+                invert(j)
+            except SingularOperator:
+                assert_refuses(j, u)
                 refused += 1
                 continue
-            w = factored(j).solve(u)
-            assert w == gram_solve(j, u)
-            assert w == invert(j).apply(u)
-            assert j.apply(w) == u
+            assert_solves(j, u)
+            past_zero_minor += not leading_minors_nonzero(j)
             solved += 1
-        assert solved > 100 and refused > 0
+        assert solved > 100 and refused > 0 and past_zero_minor > 0
 
-    def test_integer_factor_matches_the_oracles_on_overlapping_supports(self):
+    def test_solve_matches_the_oracles_on_overlapping_supports(self):
         """Overlapping supports (G != 0, which the corpus never builds) with
-        denominators on both sides: each pivot of the integer factor is the
-        oracle determinant of its leading block of D_f·(I_k + G)·D_v, a zero one
-        included, and each solve is the oracle's pivoting Gram solve."""
-        rng = random.Random(46)
-        solved = singular = 0
+        denominators on both sides: each solve is the oracle's pivoting
+        Gram solve, and a singular J raises. u comes from `rng` only when
+        every leading minor is non-zero, and from `extra` otherwise, so the
+        J's are the seed-46 draws with or without zero leading minors."""
+        rng, extra = random.Random(46), random.Random(47)
+        solved = singular = past_zero_minor = 0
         for _ in range(120):
             j = random_identity_plus_rank(rng, window=rng.choice([5, 8]))
-            terms = j.terms
-            fden = [den_of(f) for f, _ in terms]
-            vden = [den_of(v) for _, v in terms]
-            scaled = [[fden[r] * vden[c] * (g + (r == c)) for c, g in enumerate(row)]
-                      for r, row in enumerate(dense_gram(terms))]
-            assert any(g for row in dense_gram(terms) for g in row) or len(terms) == 1
-            gram = GramFactor()
-            for m, (f, v) in enumerate(terms):
-                gram.extend(f, v)
-                minor = determinant([row[:m + 1] for row in scaled[:m + 1]])
-                assert gram._lu.pivots[m] == minor
-                if not minor:
-                    break
-            else:
-                u = sparse_rational(rng, SparseVector, 8, 4)
-                assert gram.solve(u) == gram_solve(j, u)
-                solved += 1
+            assert any(g for row in dense_gram(j.terms) for g in row) or len(j.terms) == 1
+            u = sparse_rational(rng if leading_minors_nonzero(j) else extra,
+                                SparseVector, 8, 4)
+            try:
+                invert(j)
+            except SingularOperator:
+                assert_refuses(j, u)
+                singular += 1
                 continue
-            singular += 1
-        assert solved > 100 and singular > 3
+            assert_solves(j, u)
+            past_zero_minor += not leading_minors_nonzero(j)
+            solved += 1
+        assert (solved, singular, past_zero_minor) == (119, 1, 6)
 
-    def test_zero_leading_pivot_raises(self):
+    def test_an_invertible_j_with_a_zero_leading_minor_solves(self):
         # I + G = [[0, 1], [1, 1]]: invertible, but its leading 1 x 1 minor is 0
-        f1, v1 = delta(1), sv(-1, 1)
-        f2, v2 = delta(2), sv(1)
-        j = FiniteRankOperator(BASE_IDENTITY, ((f1, v1), (f2, v2)))
-        u = sv(3, 5)
-        assert j.apply(gram_solve(j, u)) == u
-        gram = GramFactor()
-        gram.extend(f1, v1)
-        with pytest.raises(SingularOperator):
-            gram.solve(u)
-        with pytest.raises(SingularOperator):
-            gram.extend(f2, v2)
+        j = FiniteRankOperator(BASE_IDENTITY, ((delta(1), sv(-1, 1)), (delta(2), sv(1))))
+        assert not leading_minors_nonzero(j)
+        assert assert_solves(j, sv(3, 5)) == sv(2, 3)
 
-    def test_singular_last_term_raises_on_solve(self):
-        gram = GramFactor()
-        gram.extend(delta(1), sv(Fraction(1, 2)))
-        gram.extend(delta(2), sv(0, -1))
-        with pytest.raises(SingularOperator):
-            gram.solve(sv(1, 1))
-
+    def test_a_singular_j_raises_on_solve(self):
+        # I + G = [[3/2, 0], [0, 0]]: singular, whether or not the system
+        # [I + G | f(u)] is consistent
+        j = FiniteRankOperator(BASE_IDENTITY, ((delta(1), sv(Fraction(1, 2))),
+                                               (delta(2), sv(0, -1))))
+        for u in (sv(1, 1), sv(1)):
+            with pytest.raises(SingularOperator, match="^2x2 Gram system is singular$"):
+                solve(j, u)
 
 
 INDEX_WINDOW = 12
@@ -498,50 +506,45 @@ class TestCoordIndex:
                         assert j_inv.apply(j.apply(x)) == x
         assert inverted > 12
 
-    def test_gram_factor_borders_and_solves_with_the_dense_gram(self, monkeypatch):
-        """GramFactor borders its factor with the dense Gram row and column of
-        each new term and solves with the pairings of u, bit for bit; each
-        entry is the integer fden_r·vden_c·G_rc of the scaled system.  A u
-        that meets no f_r is returned without a solve."""
-        calls = []
-        border, solve = linalg.Bordered.border, linalg.Bordered.solve
+    def test_solve_hands_linalg_the_dense_gram_and_the_pairings_of_u(self, monkeypatch):
+        """`solve` hands `linalg.solve` the rows of D_f(I_k + G)D_v that
+        `invert` builds, bit for bit as the dense Gram so scaled, each with
+        the integer pairing fden_r·uden·f_r(u) at column k when it is
+        non-zero; a u that meets no f_r is returned without a solve."""
+        seen = []
+        linalg_solve = linalg.solve
 
-        def spy_border(self, side, entries):
-            calls.append(scalar_bits(entries))
-            return border(self, side, entries)
+        def spy(rows, k):
+            seen.append([(list(row), scalar_bits(row.values())) for row in rows])
+            return linalg_solve(rows, k)
 
-        def spy_solve(self, rhs):
-            calls.append(scalar_bits(rhs))
-            return solve(self, rhs)
-
-        monkeypatch.setattr(linalg.Bordered, "border", spy_border)
-        monkeypatch.setattr(linalg.Bordered, "solve", spy_solve)
+        monkeypatch.setattr(linalg, "solve", spy)
         solved = 0
         for seed in range(6):
             for name, terms, xs in self.cases(seed):
-                gram = GramFactor()
+                j = FiniteRankOperator(BASE_IDENTITY, terms)
+                k = len(terms)
                 fden = [den_of(f) for f, _ in terms]
                 vden = [den_of(v) for _, v in terms]
-                dense = [[int(fden[r] * vden[c] * g) for c, g in enumerate(row)]
+                dense = [{c: int(fden[r] * vden[c] * (g + (r == c))) for c, g in enumerate(row)}
                          for r, row in enumerate(dense_gram(terms))]
-                try:
-                    for m, (f, v) in enumerate(terms):
-                        calls.clear()
-                        gram.extend(f, v)
-                        assert calls == [scalar_bits(dense[m][:m]),
-                                         scalar_bits([row[m] for row in dense[:m]])], name
-                    for x in xs:
-                        calls.clear()
-                        w = gram.solve(x)
-                        rhs = [int(d * den_of(x) * f.pair(x)) for d, (f, _) in zip(fden, terms)]
-                        if not any(set(f.entries) & set(x.entries) for f, _ in terms):
-                            rhs = None
-                        # a solve hands the pairings on to `border` as well
-                        assert calls == ([] if rhs is None else [scalar_bits(rhs)] * 2), name
-                        assert w == gram_solve(FiniteRankOperator(BASE_IDENTITY, terms), x)
-                        solved += 1
-                except SingularOperator:
-                    continue
+                for x in xs:
+                    seen.clear()
+                    try:
+                        w = solve(j, x)
+                    except SingularOperator:
+                        assert_refuses(j, x)
+                        continue
+                    if not any(set(f.entries) & set(x.entries) for f, _ in terms):
+                        assert w is x and seen == [], name
+                        continue
+                    rhs = [int(d * den_of(x) * f.pair(x)) for d, (f, _) in zip(fden, terms)]
+                    expected = [{c: g for c, g in row.items() if g} | ({k: b} if b else {})
+                                for row, b in zip(dense, rhs)]
+                    assert seen == [[(list(row), scalar_bits(row.values()))
+                                     for row in expected]], name
+                    assert_solves(j, x)
+                    solved += 1
         assert solved > 60
 
 

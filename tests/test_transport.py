@@ -22,8 +22,8 @@ from orbitlab.errors import (
     NotPIndependent,
     StageFailure,
 )
-from orbitlab.operators import BASE_ZERO, GramFactor
-from orbitlab.scalars import ONE, integer_row, parse
+from orbitlab.operators import BASE_ZERO
+from orbitlab.scalars import ONE, parse
 from orbitlab.scenarios import Scenario, run_scenario
 from orbitlab.seminorms import Separator
 from orbitlab.transport import (
@@ -106,7 +106,7 @@ class TestStepBackward:
         state = fresh_state([sv(2, frac(1, 10))], [sv(2)], active=2, window=2,
                             epsilons=geometric_schedule(2))
         f, v, pos = step_backward(
-            state, sv(2), Separator(state.p), GramFactor(), [sv(2, frac(1, 10))], frac(1, 4)
+            state, sv(2), Separator(state.p), [sv(2, frac(1, 10))], frac(1, 4)
         )
         assert pos == 0
         assert v == sv(0, frac(-1, 20))
@@ -117,7 +117,7 @@ class TestStepBackward:
         state = fresh_state([sv(2)], [sv(2)], active=2, window=2,
                             epsilons=geometric_schedule(2))
         f, v, pos = step_backward(
-            state, sv(2), Separator(state.p), GramFactor(), [sv(2)], frac(1, 4)
+            state, sv(2), Separator(state.p), [sv(2)], frac(1, 4)
         )
         assert pos == 0
         assert v.is_zero()
@@ -127,7 +127,7 @@ class TestStepBackward:
         pool = [sv(0, 1), sv(1), sv(2, frac(1, 10))]
         state = fresh_state(pool, [sv(2)], active=2, window=2,
                             epsilons=geometric_schedule(2))
-        f, v, pos = step_backward(state, sv(2), Separator(state.p), GramFactor(), pool,
+        f, v, pos = step_backward(state, sv(2), Separator(state.p), pool,
                                   frac(1, 4))
         assert f == CoordFunctional.delta(1)
         assert pos == 2
@@ -429,10 +429,11 @@ class TestVerifyTransport:
         assert all(c.passed for name, c in checks.items() if name != "invertible")
 
 
-def dense_twin_instance(rng, window, stages):
+def dense_twin_instance(rng, window, stages, noise_den=2 ** 24):
     """Twins whose A-side vectors have three active coordinates and whose
-    B-side copies carry noise inside the active set too, so the separating
-    echelon form needs back-elimination and the Gram matrix is not zero."""
+    B-side copies carry noise of size 1/noise_den inside the active set too,
+    so the separating echelon form needs back-elimination and the Gram
+    matrix is not zero."""
     size, active = 2 * stages, window // 2
     a_items = [
         SparseVector({i: frac(1), i + 1: frac(rng.choice([-1, 1]), 2),
@@ -443,8 +444,8 @@ def dense_twin_instance(rng, window, stages):
     b_items = []
     for i in range(size):
         twin = a_items[i + 1 if i % 2 == 0 else i - 1]
-        noise = SparseVector({rng.randint(1, active): frac(rng.choice([-1, 1]), 2 ** 24),
-                              rng.randint(active + 1, window): frac(1, 2 ** 24)})
+        noise = SparseVector({rng.randint(1, active): frac(rng.choice([-1, 1]), noise_den),
+                              rng.randint(active + 1, window): frac(1, noise_den)})
         b_items.append(twin + noise)
     return (
         Enumeration(tuple(a_items)),
@@ -563,12 +564,37 @@ class TestIncrementalWorkspace:
         state = run_transport(*args, geometric_schedule(10), stages=5)
         assert state == expected
 
+    def test_the_only_from_scratch_solve_is_the_backward_gram_solve(self, monkeypatch):
+        """The separator grows one row at a time, so a run's one from-scratch
+        elimination, `RowReducer.of`, is the `linalg.solve` that
+        `operators.solve` makes, at most once per backward step."""
+        import orbitlab.linalg as linalg
+
+        args = dense_twin_instance(random.Random(0), 28, 7, 2 ** 34)
+        expected = run_transport(*args, geometric_schedule(14), stages=7)
+        of, callers = linalg.RowReducer.of.__func__, []
+
+        def where(depth):
+            frame = sys._getframe(depth + 1)
+            return f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"
+
+        def spy(cls, rows):
+            callers.append((where(1), where(2)))
+            return of(cls, rows)
+
+        monkeypatch.setattr(linalg.RowReducer, "of", classmethod(spy))
+        state = run_transport(*args, geometric_schedule(14), stages=7)
+        assert state == expected
+        assert set(callers) == {("orbitlab.linalg.solve", "orbitlab.operators.solve")}
+        assert len(callers) <= 7, callers
+
     def test_operators_make_no_pairing_across_disjoint_supports(self, monkeypatch):
-        """Every pairing that `operators` makes (apply, invert, GramFactor) in a
+        """Every pairing that `operators` makes (apply, invert, solve) in a
         dense-twin run and its verification meets a shared coordinate, whether
         it pairs the maps (`CoordFunctional.pair`) or, as exact `apply` does,
-        their integer rows (`operators._dot`); the steps' own pairings and pool
-        scans are not counted."""
+        their integer rows (`operators._dot`); the Gram rows that
+        `_gram_rows` pairs count for its caller, and the steps' own pairings
+        and pool scans are not counted."""
         import os
         import sys
 
@@ -582,6 +608,8 @@ class TestIncrementalWorkspace:
             while frame.f_code.co_name.startswith("<"):  # comprehensions
                 frame = frame.f_back
             if os.path.normcase(frame.f_code.co_filename) == here:
+                if frame.f_code.co_name == "_gram_rows":
+                    frame = frame.f_back
                 name = frame.f_code.co_name
                 made[name] = made.get(name, 0) + 1
                 if not set(a) & set(b):
@@ -601,77 +629,7 @@ class TestIncrementalWorkspace:
         state = run_transport(a, b, p, d, geometric_schedule(6), stages=3)
         assert verify_transport(state).passed
         assert wasted == []
-        assert set(made) == {"apply", "invert", "extend", "solve"}, made
-
-    @staticmethod
-    def count_gram_pairings(monkeypatch):
-        """The (f, v) integer rows of every pairing `GramFactor` makes: an
-        exact factor pairs the rows that `integer_row` scales, with
-        `operators._dot`."""
-        import orbitlab.operators as operators
-
-        dot, calls = operators._dot, []
-
-        def counting(a, b):
-            calls.append((a, b))
-            return dot(a, b)
-
-        monkeypatch.setattr(operators, "_dot", counting)
-        return calls
-
-    def test_bordering_term_m_plus_one_makes_2m_plus_one_pairings(self, monkeypatch):
-        """Terms on one common support: each earlier term meets the new one on
-        both sides, so term m + 1 pairs its f with every v_c, every f_r with
-        its v, and f with v."""
-        rng = random.Random(35)
-        gram = GramFactor()
-        calls = self.count_gram_pairings(monkeypatch)
-
-        def row(x):
-            return integer_row(x.entries)[0]
-
-        terms = []
-        for m in range(8):
-            f = CoordFunctional({i: frac(rng.choice([-3, -1, 1, 2]), 4) for i in (2, 5, 7)})
-            v = SparseVector({i: frac(rng.choice([-3, -1, 1, 2]), 8) for i in (2, 5, 7)})
-            calls.clear()
-            gram.extend(f, v)
-            assert len(calls) == 2 * m + 1
-            assert sorted(map(repr, calls)) == sorted(map(repr, (
-                [(row(f), row(w)) for _, w in terms] + [(row(g), row(v)) for g, _ in terms]
-                + [(row(f), row(v))])))
-            terms.append((f, v))
-
-    def test_bordering_term_pairs_only_the_terms_it_overlaps(self, monkeypatch):
-        """Term m + 1 makes one pairing per earlier term whose v shares a
-        coordinate with f, one per earlier term whose f shares a coordinate
-        with v, and f(v) if f and v share one; `solve` pairs u with the f_r
-        that meet it."""
-        rng = random.Random(35)
-        gram = GramFactor()
-        calls = self.count_gram_pairings(monkeypatch)
-
-        def meets(x, y):
-            return bool(set(x.entries) & set(y.entries))
-
-        terms, skipped, disjoint = [], 0, 0
-        for m in range(8):
-            f = CoordFunctional({i: frac(rng.randint(-3, 3), 4) for i in rng.sample(range(1, 9), 3)})
-            v = SparseVector({i: frac(rng.randint(-3, 3), 8) for i in rng.sample(range(1, 9), 3)})
-            calls.clear()
-            gram.extend(f, v)
-            row = sum(meets(f, w) for _, w in terms)
-            col = sum(meets(g, v) for g, _ in terms)
-            assert len(calls) == meets(f, v) + row + col
-            assert all(set(a) & set(b) for a, b in calls)
-            skipped += 2 * m + 1 - len(calls)
-            disjoint += not meets(f, v)
-            terms.append((f, v))
-        assert skipped > 0 and disjoint > 0
-        u = SparseVector({1: frac(1), 4: frac(-1, 2)})
-        calls.clear()
-        gram.solve(u)
-        assert len(calls) == sum(meets(g, u) for g, _ in terms)
+        assert set(made) == {"apply", "invert", "solve"}, made
 
 
 # exact `scalars.integer_row` calls in one transport corpus pass

@@ -469,9 +469,8 @@ def dense_basis_16():
 
 def test_one_pass_triangularizes_and_only_solution_back_substitutes(monkeypatch):
     """A seeded 16 x 7 triangularization runs one `Bareiss` pass, which picks,
-    gives each v_m and checks the basis, and borders nothing: no
-    `Bordered.border` or `pivot` call, and no `vectors.combine`.
-    `Bordered.back` is called only from `_solution`, once per prefix length
+    gives each v_m and checks the basis, with no `vectors.combine`.
+    `Bareiss.back` is called only from `_solution`, once per prefix length
     m = 1..2s.  Counts only, no times."""
     calls = Counter()
 
@@ -484,8 +483,7 @@ def test_one_pass_triangularizes_and_only_solution_back_substitutes(monkeypatch)
         monkeypatch.setattr(owner, name, wrapped)
 
     spy(linalg.Bareiss, "__init__")
-    for name in ("border", "pivot", "back"):
-        spy(linalg.Bordered, name)
+    spy(linalg.Bareiss, "back")
     spy(vectors, "combine")
     interleave_triangularize(dense_basis_16(), deltas(18), 7)
     assert calls == {("__init__", "interleave_triangularize"): 1, ("back", "_solution"): 14}
